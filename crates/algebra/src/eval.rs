@@ -156,7 +156,7 @@ pub struct EvalCtx<'a> {
     /// Parallelism counters accumulated across the run's stages.
     pub par_stats: ParStats,
     /// Confidence-solver counters accumulated across the run's `conf`
-    /// evaluations (exact and sampled groups, draws, largest group).
+    /// evaluations (exact and sampled groups, steps, draws, largest group).
     pub conf_stats: ConfStats,
     /// The run's span recorder. Disabled (every call a cheap no-op) except
     /// under [`run_traced`]; extension operators may record sub-phase
@@ -242,6 +242,7 @@ impl<'a> EvalCtx<'a> {
             conjoin_calls: pool.conjoin_calls,
             exact_groups: self.conf_stats.exact_groups,
             sampled_groups: self.conf_stats.sampled_groups,
+            exact_steps: self.conf_stats.exact_steps,
             samples_drawn: self.conf_stats.samples_drawn,
             busy_nanos: metrics().par_busy_nanos.get(),
         }
@@ -291,7 +292,7 @@ pub struct ExecStats {
     /// pool-shard entries merged, merge time.
     pub par: ParStats,
     /// Confidence-solver counters: groups solved exactly vs. by sampling,
-    /// total draws, largest connected group seen.
+    /// exact steps and draws spent, largest connected group seen.
     pub conf: ConfStats,
     /// Sideways-information-passing counters: filters built, probe rows
     /// tested and pruned.
@@ -313,6 +314,7 @@ impl ExecStats {
         m.pool_conjoin_calls_total.add(self.pool.conjoin_calls);
         m.conf_exact_groups_total.add(self.conf.exact_groups);
         m.conf_sampled_groups_total.add(self.conf.sampled_groups);
+        m.conf_exact_steps_total.add(self.conf.exact_steps);
         m.conf_samples_drawn_total.add(self.conf.samples_drawn);
         m.sip_filters_built_total.add(self.sip.filters_built);
         m.sip_rows_tested_total.add(self.sip.probe_rows_tested);

@@ -362,7 +362,8 @@ fn main() {
     }
 
     // One connected 11-component chain per tuple: the case factorization
-    // cannot split, carried by per-group inclusion–exclusion/enumeration.
+    // cannot split, carried by the per-group elimination alone (which never
+    // holds more than a few states on a chain).
     for &n in conf_sizes {
         let ws = conf_chain_workload(&mut Rng::new(0xC4A1), n, 10, 2);
         let plan = conf(Plan::scan("r"));
@@ -373,14 +374,15 @@ fn main() {
         dump_trace(&ws, &plan, "conf_chain", n);
     }
 
-    // (ε, δ)-approximate confidence at scales the exact solver cannot
-    // reach. `conf_chain` here doubles the chain to 20 links (group cost
-    // 2²⁰ ≈ 10⁶, tens of milliseconds per tuple exactly); `conf_dense` is
-    // a 26-component / 30-descriptor connected tangle (cost 2²⁶). Both
-    // blow past the default cutover, so every group is sampled at
-    // (ε, δ) = (0.1, 0.05) — 185 draws per group — and a tuple costs
-    // microseconds instead. The sampler is deterministic (content-keyed
-    // counter streams), so the minute-scale 10⁶ rows time a single run.
+    // `conf(0.1, 0.05)` on both sides of its cost cutover. `conf_chain`
+    // here doubles the chain to 20 links: 2²⁰ descriptor subsets, but the
+    // elimination's frontier along a chain is one open descriptor wide, so
+    // the group prices 82 — under the default cutover of 4096 — and is
+    // solved exactly, with zero error. `conf_dense` is a 26-component /
+    // 30-descriptor connected tangle whose random third terms keep a dozen
+    // descriptors open at once: it prices far over the cutover and every
+    // group is sampled, 185 draws each. The sampler is deterministic
+    // (content-keyed counter streams), so the 10⁶ rows time a single run.
     let dense_shape = |rng: &mut Rng, n: usize| conf_dense_workload(rng, n, 26, 30, 2);
     let approx_chain_sizes: &[usize] = if quick { &[] } else { &[100_000, 1_000_000] };
     let approx_dense_sizes: &[usize] = if quick {

@@ -67,9 +67,9 @@ pub fn normalization_workload(rng: &mut Rng, n: usize) -> WorldSet {
 /// Within a group the descriptors are overlapping sliding windows over the
 /// group's components, so each group is one *connected* block of
 /// `comps_per_group` variables. Across groups no component is shared. A
-/// factorized `conf` therefore pays per-group cost only (inclusion–exclusion
-/// over a handful of descriptors, or at worst `alternatives^comps_per_group`
-/// enumeration), while an unfactorized evaluator would enumerate
+/// factorized `conf` therefore pays per-group cost only (an elimination
+/// whose frontier is one window wide), while an unfactorized evaluator
+/// would enumerate
 /// `alternatives^(groups_per_tuple · comps_per_group)` assignments per tuple
 /// — with the default bench shape (2 groups × 10 components × 4
 /// alternatives) that is `4^20` versus two `4^10`-bounded solves.
@@ -124,9 +124,10 @@ pub fn conf_disjoint_workload(
 /// group per tuple: a chain of `chain_len + 1` components per tuple, with a
 /// 2-term descriptor per adjacent pair (`{cᵢ, cᵢ₊₁}`). Every descriptor
 /// shares a variable with the next, so the whole chain is a single
-/// connected group — the adversarial case where factorization cannot split
-/// anything and per-group exact solving (inclusion–exclusion vs.
-/// enumeration) carries the load alone.
+/// connected group — the case where factorization cannot split anything
+/// and the per-group exact solve carries the load alone. Eliminating the
+/// components in id order keeps one descriptor open at a time, so the cost
+/// is linear in the chain's length.
 pub fn conf_chain_workload(
     rng: &mut Rng,
     tuples: usize,
@@ -162,8 +163,8 @@ pub fn conf_chain_workload(
 }
 
 /// Build a world set exercising the *sampling* path of `conf(eps, delta)`:
-/// one dense connected descriptor group per tuple, too expensive for the
-/// exact solver at any sane cutover.
+/// one dense connected descriptor group per tuple, priced far over the
+/// default exact/sampling cutover.
 ///
 /// Each tuple gets `comps_per_tuple` fresh components (`alternatives`
 /// alternatives each) and `descs_per_tuple` three-term descriptors. The
@@ -171,11 +172,13 @@ pub fn conf_chain_workload(
 /// `(i mod (comps−1), i mod (comps−1) + 1)` — walking every pair once
 /// `descs ≥ comps − 1`, which welds the whole tuple into a single
 /// connected group — and the third term lands on a random other
-/// component, thickening the group beyond a plain chain. The exact cost
-/// bound is therefore `min(2^descs, alternatives^comps)`: with the bench
-/// shape (26 binary components, 30 descriptors) that is `2²⁶ ≈ 6.7·10⁷`
-/// operations *per tuple*, so exact `conf` is infeasible while the
-/// sampler pays a few hundred draws.
+/// component, thickening the group beyond a plain chain: those third terms
+/// keep a dozen or more descriptors open across the middle of the component
+/// order, so the elimination's frontier is wide. With the bench shape (26
+/// binary components, 30 descriptors) the exact cost bound
+/// (`ComponentSet::group_exact_cost`) comes to 10⁵–10⁷ per tuple and the
+/// exact solve itself to 10⁴–10⁵ transitions, while the sampler pays a few
+/// hundred short draws.
 pub fn conf_dense_workload(
     rng: &mut Rng,
     tuples: usize,

@@ -2,11 +2,10 @@
 
 use std::borrow::Borrow;
 use std::collections::BTreeSet;
-use std::ops::ControlFlow;
 
-use crate::descriptor::{merge_sorted_terms, ComponentId, WsDescriptor};
+use crate::descriptor::{ComponentId, WsDescriptor};
+use crate::dnf::{DnfKernel, Loaded};
 use crate::error::MayError;
-use crate::fxhash::FxHashMap;
 
 /// One independent component of a world-set decomposition: a finite
 /// probability distribution over `alternatives()` local worlds.
@@ -62,21 +61,6 @@ impl Component {
     /// Probability of one alternative.
     pub fn prob(&self, alternative: u16) -> f64 {
         self.probs[alternative as usize]
-    }
-
-    /// Map a uniform draw `u ∈ (0, 1]` to an alternative by walking the
-    /// cumulative distribution. Used by the sampling confidence solver; with
-    /// a deterministic `u` source the chosen alternative is deterministic.
-    pub fn sample(&self, u: f64) -> u16 {
-        let mut acc = 0.0;
-        for (i, &p) in self.probs.iter().enumerate() {
-            acc += p;
-            if u <= acc {
-                return i as u16;
-            }
-        }
-        // Float rounding can leave the accumulated sum a hair below 1.0.
-        (self.probs.len() - 1) as u16
     }
 }
 
@@ -230,31 +214,30 @@ impl ComponentSet {
     /// P(d₁ ∨ … ∨ dₙ) = 1 − Π over groups g of (1 − P(g))
     /// ```
     ///
-    /// and each group is solved exactly by whichever of two exact methods is
-    /// cheaper for it: inclusion–exclusion over the group's `k` descriptors
-    /// (`2ᵏ − 1` conjunction probabilities) or enumeration of the group's
-    /// component assignments (`Π` alternative counts). The overall cost is
-    /// exponential only in the largest *connected* group, never in the total
-    /// number of relevant components — two disjoint groups of 10 components
-    /// cost `2·cost(10)`, not `cost(20)`. Exact `conf` remains #P-hard in
-    /// general; [`ComponentSet::prob_of_dnf_enumerate`] keeps the
-    /// unfactorized brute force as the differential-testing oracle.
+    /// and each group is solved exactly by the variable elimination of
+    /// [`crate::dnf`], whose cost is exponential only in the group's
+    /// *frontier width* — never in the total number of relevant components,
+    /// and on chain- and tree-like groups not in the group's size either.
+    /// Exact `conf` remains #P-hard in general;
+    /// [`ComponentSet::prob_of_dnf_enumerate`] keeps the unfactorized brute
+    /// force as the differential-testing oracle. This is a convenience over
+    /// a throw-away [`DnfKernel`]; the `conf` operator keeps one per worker.
     pub fn prob_of_dnf<D: Borrow<WsDescriptor>>(&self, descs: &[D]) -> f64 {
-        if descs.iter().any(|d| d.borrow().is_tautology()) {
-            return 1.0;
-        }
-        let refs: Vec<&WsDescriptor> = descs.iter().map(Borrow::borrow).collect();
-        if refs.is_empty() {
-            return 0.0;
-        }
-        let mut prob_none = 1.0;
-        for group in connected_groups(&refs) {
-            prob_none *= 1.0 - self.prob_of_group(&group);
-            if prob_none == 0.0 {
-                break;
+        let mut kernel = DnfKernel::new();
+        match kernel.load(descs.iter().map(|d| d.borrow().terms())) {
+            Loaded::Empty => 0.0,
+            Loaded::Tautology => 1.0,
+            Loaded::Groups(groups) => {
+                let mut prob_none = 1.0;
+                for g in 0..groups {
+                    prob_none *= 1.0 - kernel.prob(self, g, u64::MAX).expect(NO_CEILING);
+                    if prob_none == 0.0 {
+                        break;
+                    }
+                }
+                1.0 - prob_none
             }
         }
-        1.0 - prob_none
     }
 
     /// Exact probability of a disjunction of descriptors by brute-force
@@ -272,161 +255,47 @@ impl ComponentSet {
             if refs.iter().any(|d| assignment_satisfies(assignment, d)) {
                 total += prob;
             }
-            ControlFlow::Continue(())
         });
         total
     }
 
     /// Whether the disjunction of `descs` covers *all* worlds — i.e. a tuple
     /// with these descriptors is certain. Purely possibilistic: probabilities
-    /// are ignored, every combination of alternatives counts.
-    ///
-    /// Factorized like [`ComponentSet::prob_of_dnf`]: a disjunction over
-    /// disjoint component groups covers all worlds iff *some single group*
-    /// covers every assignment of its own components (if every group has a
-    /// falsifying partial assignment, their union falsifies the whole
-    /// disjunction). Each group check stops at the first uncovered
-    /// assignment, so the common "not certain" case is cheap.
+    /// are ignored, every combination of alternatives counts. Factorized
+    /// like [`ComponentSet::prob_of_dnf`] (see [`DnfKernel::covers_all`]);
+    /// each group check stops at the first uncovered assignment, so the
+    /// common "not certain" case is cheap.
     pub fn covers_all_worlds<D: Borrow<WsDescriptor>>(&self, descs: &[D]) -> bool {
-        if descs.iter().any(|d| d.borrow().is_tautology()) {
-            return true;
-        }
-        let refs: Vec<&WsDescriptor> = descs.iter().map(Borrow::borrow).collect();
-        if refs.is_empty() {
-            return false;
-        }
-        connected_groups(&refs)
-            .iter()
-            .any(|group| self.group_covers_all(group))
+        DnfKernel::new()
+            .covers_all(self, descs.iter().map(|d| d.borrow().terms()), u64::MAX)
+            .expect(NO_CEILING)
     }
 
-    /// Exact probability that at least one descriptor of one connected group
-    /// holds, by the cheaper of inclusion–exclusion and assignment
-    /// enumeration (both exact). Correct for any descriptor set (both
-    /// methods are exact regardless of connectivity); connectivity only
-    /// matters for cost, which is what [`ComponentSet::group_exact_cost`]
-    /// bounds.
-    pub fn prob_of_group(&self, group: &[&WsDescriptor]) -> f64 {
-        let enum_cost = self.assignment_count(group);
-        let ie_cost = if group.len() < 64 {
-            1u128 << group.len()
-        } else {
-            u128::MAX
-        };
-        // The group-size check must stand on its own: when both costs
-        // saturate (≥ 64 descriptors over enough components), the tie must
-        // fall to enumeration — inclusion–exclusion's u64 subset masks
-        // cannot represent ≥ 64 descriptors.
-        if group.len() < 64 && ie_cost <= enum_cost {
-            self.prob_by_inclusion_exclusion(group)
-        } else {
-            let mut total = 0.0;
-            self.for_each_relevant_assignment(group, |assignment, prob| {
-                if group.iter().any(|d| assignment_satisfies(assignment, d)) {
-                    total += prob;
-                }
-                ControlFlow::Continue(())
-            });
-            total
-        }
-    }
-
-    /// Cost bound for solving one connected group *exactly*: the cheaper of
-    /// the two exact methods [`ComponentSet::prob_of_group`] chooses between,
-    /// i.e. `min(2^descriptors, Π alternative counts)` (saturating; the
-    /// inclusion–exclusion side saturates at `u128::MAX` for ≥ 64
-    /// descriptors, whose subset masks are unrepresentable). The sampling
-    /// confidence solver compares this bound against its cutover threshold:
-    /// groups under the threshold keep the exact factorized path, groups
-    /// over it are estimated.
+    /// Cost bound for solving one connected group *exactly*
+    /// ([`DnfKernel::exact_cost`]):
+    /// `min(2^descriptors, Π alternative counts, Σ_s b_s · 2^{o_s})`,
+    /// saturating, the last term being the elimination's own transition
+    /// bound along the id order. The sampling confidence solver compares
+    /// this bound against its cutover threshold: groups under the threshold
+    /// keep the exact path, groups over it are estimated. A descriptor set
+    /// that is not connected prices as the sum over its groups.
     pub fn group_exact_cost(&self, group: &[&WsDescriptor]) -> u128 {
-        let ie_cost = if group.len() < 64 {
-            1u128 << group.len()
-        } else {
-            u128::MAX
-        };
-        ie_cost.min(self.assignment_count(group))
-    }
-
-    /// Number of assignments [`Self::for_each_relevant_assignment`] would
-    /// visit for these descriptors (saturating).
-    fn assignment_count(&self, descs: &[&WsDescriptor]) -> u128 {
-        let vars: BTreeSet<ComponentId> = descs
-            .iter()
-            .flat_map(|d| d.terms().iter().map(|&(c, _)| c))
-            .collect();
-        let mut n: u128 = 1;
-        for c in vars {
-            n = n.saturating_mul(self.get(c).alternatives() as u128);
+        let mut kernel = DnfKernel::new();
+        match kernel.load(group.iter().map(|d| d.terms())) {
+            Loaded::Empty | Loaded::Tautology => 1,
+            Loaded::Groups(groups) => (0..groups)
+                .map(|g| kernel.exact_cost(self, g))
+                .fold(0, u128::saturating_add),
         }
-        n
-    }
-
-    /// Inclusion–exclusion over the descriptors of one group:
-    /// `P(∨dᵢ) = Σ over non-empty S of (−1)^{|S|+1} · P(∧_{i∈S} dᵢ)`, where
-    /// each conjunction's probability is the product of its assignments'
-    /// probabilities (0 when the conjunction is inconsistent). `2ᵏ − 1`
-    /// subset merges, no allocation beyond two reused term buffers.
-    fn prob_by_inclusion_exclusion(&self, descs: &[&WsDescriptor]) -> f64 {
-        debug_assert!(descs.len() < 64, "subset masks are u64");
-        let mut total = 0.0;
-        let mut acc: Vec<(ComponentId, u16)> = Vec::new();
-        let mut tmp: Vec<(ComponentId, u16)> = Vec::new();
-        for mask in 1u64..(1u64 << descs.len()) {
-            acc.clear();
-            let mut consistent = true;
-            let mut first = true;
-            let mut bits = mask;
-            while bits != 0 {
-                let i = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                if first {
-                    acc.extend_from_slice(descs[i].terms());
-                    first = false;
-                    continue;
-                }
-                tmp.clear();
-                if !merge_sorted_terms(&acc, descs[i].terms(), &mut tmp) {
-                    consistent = false;
-                    break;
-                }
-                std::mem::swap(&mut acc, &mut tmp);
-            }
-            if !consistent {
-                continue;
-            }
-            let p: f64 = acc.iter().map(|&(c, a)| self.get(c).prob(a)).product();
-            if mask.count_ones() % 2 == 1 {
-                total += p;
-            } else {
-                total -= p;
-            }
-        }
-        total
-    }
-
-    /// Whether one connected group's descriptors cover every assignment of
-    /// the group's components (early-exits on the first gap).
-    fn group_covers_all(&self, group: &[&WsDescriptor]) -> bool {
-        let mut all = true;
-        self.for_each_relevant_assignment(group, |assignment, _| {
-            if group.iter().any(|d| assignment_satisfies(assignment, d)) {
-                ControlFlow::Continue(())
-            } else {
-                all = false;
-                ControlFlow::Break(())
-            }
-        });
-        all
     }
 
     /// Drive `f` over every combination of alternatives of the components
-    /// mentioned in `descs`, with the combination's probability, until
-    /// exhausted or `f` breaks.
+    /// mentioned in `descs`, with the combination's probability. Only the
+    /// [`ComponentSet::prob_of_dnf_enumerate`] oracle enumerates.
     fn for_each_relevant_assignment(
         &self,
         descs: &[&WsDescriptor],
-        mut f: impl FnMut(&[(ComponentId, u16)], f64) -> ControlFlow<()>,
+        mut f: impl FnMut(&[(ComponentId, u16)], f64),
     ) {
         let vars: Vec<ComponentId> = descs
             .iter()
@@ -435,7 +304,7 @@ impl ComponentSet {
             .into_iter()
             .collect();
         if vars.is_empty() {
-            let _ = f(&[], 1.0);
+            f(&[], 1.0);
             return;
         }
         let mut assignment: Vec<(ComponentId, u16)> = vars.iter().map(|&c| (c, 0)).collect();
@@ -444,9 +313,7 @@ impl ComponentSet {
                 .iter()
                 .map(|&(c, a)| self.get(c).prob(a))
                 .product();
-            if f(&assignment, prob).is_break() {
-                return;
-            }
+            f(&assignment, prob);
             let mut i = vars.len();
             loop {
                 if i == 0 {
@@ -463,48 +330,28 @@ impl ComponentSet {
     }
 }
 
+/// Why the infallible wrappers may unwrap a kernel result.
+const NO_CEILING: &str = "no step ceiling was set";
+
 /// Partition descriptors into connected groups: two descriptors share a
-/// group iff they are linked by a chain of shared components. Union-find
-/// over descriptor indices, linear in the total number of terms. Groups are
+/// group iff they are linked by a chain of shared components. Groups are
 /// returned in first-occurrence order of their earliest descriptor, and
-/// each group lists its descriptors in input order, so both the float
-/// combination order and any content hashing downstream are deterministic
-/// across processes and thread counts. Public because the sampling
-/// confidence solver in `maybms-ql` partitions the same way and then
-/// decides exact-vs-sample per group.
+/// each group lists its descriptors in input order — the partition and the
+/// order the confidence solver works in ([`DnfKernel::load`]), so both the
+/// float combination order and any content hashing downstream are
+/// deterministic across processes and thread counts. Tautologies, which
+/// mention no component, each form a group of their own.
 pub fn connected_groups<'d>(descs: &[&'d WsDescriptor]) -> Vec<Vec<&'d WsDescriptor>> {
-    let mut parent: Vec<usize> = (0..descs.len()).collect();
-    fn find(parent: &mut [usize], mut x: usize) -> usize {
-        while parent[x] != x {
-            parent[x] = parent[parent[x]]; // path halving
-            x = parent[x];
-        }
-        x
-    }
-    let mut owner: FxHashMap<ComponentId, usize> = FxHashMap::default();
-    for (i, d) in descs.iter().enumerate() {
-        for &(c, _) in d.terms() {
-            match owner.get(&c) {
-                Some(&j) => {
-                    let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
-                    parent[ri] = rj;
-                }
-                None => {
-                    owner.insert(c, i);
-                }
-            }
-        }
-    }
-    let mut slot_of_root: FxHashMap<usize, usize> = FxHashMap::default();
-    let mut groups: Vec<Vec<&WsDescriptor>> = Vec::new();
-    for (i, d) in descs.iter().enumerate() {
-        let root = find(&mut parent, i);
-        let slot = *slot_of_root.entry(root).or_insert_with(|| {
-            groups.push(Vec::new());
-            groups.len() - 1
-        });
-        groups[slot].push(d);
-    }
+    let (tautologies, rest): (Vec<&WsDescriptor>, Vec<&WsDescriptor>) =
+        descs.iter().partition(|d| d.is_tautology());
+    let mut kernel = DnfKernel::new();
+    let mut groups: Vec<Vec<&WsDescriptor>> = match kernel.load(rest.iter().map(|d| d.terms())) {
+        Loaded::Groups(n) => (0..n)
+            .map(|g| kernel.group_descs(g).map(|i| rest[i]).collect())
+            .collect(),
+        Loaded::Empty | Loaded::Tautology => Vec::new(),
+    };
+    groups.extend(tautologies.into_iter().map(|d| vec![d]));
     groups
 }
 
@@ -522,6 +369,10 @@ pub struct ConfStats {
     pub samples_drawn: u64,
     /// Largest connected group seen, in descriptors.
     pub largest_group: u64,
+    /// Work done on the exact path ([`DnfKernel::steps`]: elimination
+    /// transitions, plus the terms or alternatives of the groups solved
+    /// without one) — the exact side's counterpart of `samples_drawn`.
+    pub exact_steps: u64,
 }
 
 impl ConfStats {
@@ -531,6 +382,7 @@ impl ConfStats {
         self.sampled_groups += other.sampled_groups;
         self.samples_drawn += other.samples_drawn;
         self.largest_group = self.largest_group.max(other.largest_group);
+        self.exact_steps += other.exact_steps;
     }
 }
 
@@ -597,21 +449,39 @@ mod tests {
         let c1 = cs.add(Component::uniform(3).unwrap());
         let d0 = WsDescriptor::single(c0, 0);
         let d1 = WsDescriptor::single(c1, 1);
-        // Two descriptors over 2·3 assignments: IE (2² = 4) wins.
-        assert_eq!(cs.group_exact_cost(&[&d0, &d1]), 4);
-        // One descriptor over one binary component: enumeration (2) wins.
+        // One descriptor over one binary component: min(2¹, 2, 2·2⁰) = 2.
         assert_eq!(cs.group_exact_cost(&[&d0]), 2);
-    }
+        // Two unconnected descriptors price as their groups' sum.
+        assert_eq!(cs.group_exact_cost(&[&d0, &d1]), 4);
 
-    #[test]
-    fn sample_walks_the_cdf() {
-        let c = Component::from_weights(&[1.0, 2.0, 1.0]).unwrap();
-        assert_eq!(c.sample(0.1), 0);
-        assert_eq!(c.sample(0.25), 0);
-        assert_eq!(c.sample(0.26), 1);
-        assert_eq!(c.sample(0.75), 1);
-        assert_eq!(c.sample(0.76), 2);
-        assert_eq!(c.sample(1.0), 2);
+        // A 20-link chain over ternary components: 2²⁰ subsets, 3²¹
+        // assignments, but eliminating in id order holds one open descriptor
+        // at a time: first slot 2·2⁰, then twenty times 2·2¹.
+        let ids: Vec<ComponentId> = (0..21)
+            .map(|_| cs.add(Component::uniform(3).unwrap()))
+            .collect();
+        let chain: Vec<WsDescriptor> = (0..20)
+            .map(|i| {
+                WsDescriptor::single(ids[i], 0)
+                    .conjoin(&WsDescriptor::single(ids[i + 1], 0))
+                    .unwrap()
+            })
+            .collect();
+        let refs: Vec<&WsDescriptor> = chain.iter().collect();
+        assert_eq!(cs.group_exact_cost(&refs), 2 + 20 * 4);
+        // A short chain is still cheapest by subsets: 2³ < 2 + 3·4.
+        assert_eq!(cs.group_exact_cost(&refs[..3]), 8);
+        // A star: all twenty descriptors start at the hub and stay open, so
+        // the width term is as large as the subset count, 2²⁰.
+        let star: Vec<WsDescriptor> = (1..21)
+            .map(|i| {
+                WsDescriptor::single(ids[0], (i % 3) as u16)
+                    .conjoin(&WsDescriptor::single(ids[i], 1))
+                    .unwrap()
+            })
+            .collect();
+        let refs: Vec<&WsDescriptor> = star.iter().collect();
+        assert_eq!(cs.group_exact_cost(&refs), 1 << 20);
     }
 
     #[test]

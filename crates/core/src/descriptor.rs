@@ -126,9 +126,9 @@ impl WsDescriptor {
 /// Merge two term lists sorted by strictly increasing component id into
 /// `out` (appended). Returns `false` — leaving `out` in an unspecified
 /// state — when the lists assign different alternatives to the same
-/// component. Shared by [`WsDescriptor::conjoin`], the descriptor interner,
-/// and the inclusion–exclusion confidence path, all of which conjoin
-/// sorted term lists without materializing intermediate descriptors.
+/// component. Shared by [`WsDescriptor::conjoin`] and the descriptor
+/// interner, which conjoin sorted term lists without materializing
+/// intermediate descriptors.
 pub(crate) fn merge_sorted_terms(
     a: &[(ComponentId, u16)],
     b: &[(ComponentId, u16)],

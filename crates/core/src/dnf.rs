@@ -1,0 +1,1062 @@
+//! The compiled descriptor-group kernel: the one solver behind exact `conf`,
+//! `conf(eps, delta)` and `certain`.
+//!
+//! A tuple's condition is a disjunction of world-set descriptors, i.e. a DNF
+//! over independent finite-domain variables (the components). [`DnfKernel`]
+//! lays one tuple's disjunction out in reusable flat buffers and answers
+//! three questions about each *connected group* of it (descriptors linked by
+//! shared components; groups are mutually independent):
+//!
+//! * [`DnfKernel::prob`] — the exact probability that some descriptor of the
+//!   group holds, by forward variable elimination;
+//! * [`DnfKernel::covers`] — whether the group holds in every world, by the
+//!   same walk without probabilities;
+//! * [`DnfKernel::sampler`] — Monte Carlo / Karp–Luby draws over the same
+//!   layout, for groups [`DnfKernel::exact_cost`] prices above the cutover.
+//!
+//! **Layout.** The tuple's distinct components, ascending by id, are its
+//! *slots*; a union-find over slots yields the groups (in first-occurrence
+//! order of their earliest descriptor, each listing its descriptors in input
+//! order). Compiling a group of `k` descriptors numbers them `0..k` and
+//! builds bitsets of `⌈k/64⌉` words: per slot and per *branch* — one branch
+//! per alternative some descriptor mentions, plus one "rest" branch standing
+//! for all unmentioned alternatives at once — the descriptors that choice
+//! does not falsify (*compat*), and per slot the descriptors that mention it
+//! (*touch*) and those whose last slot it is (*close*).
+//!
+//! **Elimination.** A state is the set of descriptors not yet falsified,
+//! carrying the probability mass of the partial assignments that lead to it.
+//! Slot by slot, every state that touches the slot is split over the slot's
+//! branches: the child is `state ∧ compat`; if a surviving descriptor closes
+//! here it is satisfied and the mass is a hit, if none survives the mass is
+//! dropped, otherwise the child joins the next frontier, where equal states
+//! merge. Only non-negative products are ever added, so there is no
+//! cancellation, and the number of states before slot `s` is at most
+//! `2^{o_s}` with `o_s` the descriptors *open* there (a term before `s` and
+//! one at or after it) — the frontier width of the id order, not the group
+//! size, is what the cost is exponential in. A chain never holds more than
+//! a handful of states whatever its length.
+//!
+//! **Determinism.** Frontier order, merge order and hit order are functions
+//! of the group's content alone (states are kept in first-generation order),
+//! so results are bit-identical for every thread count and every plan that
+//! feeds the same descriptors in canonical order. Sampling draws are read
+//! at fixed positions of a content-keyed [`CounterRng`] stream.
+
+use crate::component::ComponentSet;
+use crate::descriptor::ComponentId;
+use crate::error::MayError;
+use crate::rng::{mix64, CounterRng};
+
+/// Ceiling on elimination transitions per group that the `conf` and
+/// `certain` operators pass to [`DnfKernel::prob`] / [`DnfKernel::covers`]:
+/// beyond it they return [`MayError::TooManySteps`] instead of running (and
+/// allocating frontier states) without bound. 2²⁴ transitions are a few
+/// hundred milliseconds and at most ≈ 400 MB of frontier.
+pub const EXACT_STEP_CEILING: u64 = 1 << 24;
+
+type Term = (ComponentId, u16);
+
+/// What [`DnfKernel::load`] found.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Loaded {
+    /// No descriptors: the empty disjunction, false in every world.
+    Empty,
+    /// Some descriptor is the tautology: true in every world.
+    Tautology,
+    /// This many connected groups, addressed `0..n` until the next load.
+    Groups(usize),
+}
+
+/// Reusable buffers holding one tuple's disjunction and, at any time, the
+/// compiled form of one of its groups. Keep one per worker: after warm-up,
+/// loading and solving allocate nothing. See the module docs.
+#[derive(Debug, Default)]
+pub struct DnfKernel {
+    // The loaded tuple.
+    /// Per term: its component id while loading, then its slot.
+    term_slot: Vec<u32>,
+    term_alt: Vec<u16>,
+    /// Descriptor `d` owns terms `desc_off[d]..desc_off[d + 1]`.
+    desc_off: Vec<u32>,
+    /// Slot → component id (distinct, ascending).
+    slots: Vec<u32>,
+    /// Union-find parent per slot.
+    parent: Vec<u32>,
+    /// Group per slot (per root while labelling).
+    slot_group: Vec<u32>,
+    /// A slot's position among its group's slots.
+    slot_local: Vec<u32>,
+    /// A descriptor's position (its bit) among its group's descriptors.
+    desc_local: Vec<u32>,
+    /// Group `g` owns `group_descs[group_desc_off[g]..group_desc_off[g + 1]]`.
+    group_desc_off: Vec<u32>,
+    group_descs: Vec<u32>,
+    /// Group `g` owns `group_slots[group_slot_off[g]..group_slot_off[g + 1]]`.
+    group_slot_off: Vec<u32>,
+    group_slots: Vec<u32>,
+
+    // Terms by slot, built on demand (pricing and compiling need them).
+    by_slot_ready: bool,
+    /// Slot `s` owns `slot_terms[slot_term_off[s]..slot_term_off[s + 1]]`,
+    /// sorted by `(alternative, descriptor bit)`.
+    slot_term_off: Vec<u32>,
+    slot_terms: Vec<u32>,
+    /// Per term: its descriptor's bit.
+    term_desc: Vec<u32>,
+    /// Pricing scratch: open-descriptor count deltas per group slot.
+    open: Vec<i32>,
+
+    // The compiled group.
+    compiled: Option<usize>,
+    /// All of the group's descriptors; its length is the words per bitset.
+    full: Vec<u64>,
+    touch: Vec<u64>,
+    close: Vec<u64>,
+    /// Group slot `j` owns branches `br_off[j]..br_off[j + 1]`: its
+    /// mentioned alternatives ascending, then the rest branch if any.
+    br_off: Vec<u32>,
+    br_mask: Vec<u64>,
+    br_prob: Vec<f64>,
+    /// Running sum of `br_prob` within the slot.
+    br_cdf: Vec<f64>,
+    /// Per term: the branch of its alternative.
+    term_branch: Vec<u32>,
+
+    // Elimination frontiers and the index that merges equal states.
+    cur: Frontier,
+    next: Frontier,
+    table: Vec<u32>,
+
+    // Sampling scratch.
+    alive: Vec<u64>,
+    weights: Vec<f64>,
+
+    steps: u64,
+}
+
+/// States (bitsets of `words` words each, flat) with their masses.
+#[derive(Debug, Default)]
+struct Frontier {
+    words: Vec<u64>,
+    mass: Vec<f64>,
+}
+
+impl Frontier {
+    fn clear(&mut self) {
+        self.words.clear();
+        self.mass.clear();
+    }
+}
+
+/// Stable counting sort of `0..items` by `key`: bucket `b` owns
+/// `order[off[b]..off[b + 1]]`, ascending.
+fn bucket_by(
+    items: usize,
+    buckets: usize,
+    key: impl Fn(usize) -> usize,
+    off: &mut Vec<u32>,
+    order: &mut Vec<u32>,
+) {
+    off.clear();
+    off.resize(buckets + 1, 0);
+    for i in 0..items {
+        off[key(i) + 1] += 1;
+    }
+    for b in 0..buckets {
+        off[b + 1] += off[b];
+    }
+    order.clear();
+    order.resize(items, 0);
+    // `off[b]` doubles as bucket b's write cursor, then is shifted back.
+    for i in 0..items {
+        let b = key(i);
+        order[off[b] as usize] = i as u32;
+        off[b] += 1;
+    }
+    for b in (1..=buckets).rev() {
+        off[b] = off[b - 1];
+    }
+    off[0] = 0;
+}
+
+/// `rank[i]` = item `i`'s position inside its bucket of a [`bucket_by`]
+/// result.
+fn rank_in_buckets(off: &[u32], order: &[u32], rank: &mut Vec<u32>) {
+    rank.clear();
+    rank.resize(order.len(), 0);
+    for bucket in off.windows(2) {
+        for (r, &i) in order[bucket[0] as usize..bucket[1] as usize]
+            .iter()
+            .enumerate()
+        {
+            rank[i as usize] = r as u32;
+        }
+    }
+}
+
+fn find(parent: &mut [u32], mut x: u32) -> u32 {
+    while parent[x as usize] != x {
+        parent[x as usize] = parent[parent[x as usize] as usize]; // path halving
+        x = parent[x as usize];
+    }
+    x
+}
+
+#[inline]
+fn intersects(a: &[u64], b: &[u64]) -> bool {
+    a.iter().zip(b).any(|(x, y)| x & y != 0)
+}
+
+#[inline]
+fn hash_words(words: &[u64]) -> usize {
+    words.iter().fold(0, |h, &w| mix64(h ^ w)) as usize
+}
+
+/// The branch a uniform draw `u ∈ (0, 1]` selects from one slot's running
+/// sums: the first whose sum reaches `u` (the last one when rounding left
+/// the total a hair under `u`). Counted rather than searched — the outcome
+/// is a coin flip no branch predictor learns.
+#[inline]
+fn pick(cdf: &[f64], u: f64) -> usize {
+    cdf[..cdf.len() - 1].iter().filter(|&&c| c < u).count()
+}
+
+/// "No entry" in the group labels and in the state index.
+const EMPTY: u32 = u32::MAX;
+
+impl DnfKernel {
+    /// A kernel with empty buffers.
+    pub fn new() -> DnfKernel {
+        DnfKernel::default()
+    }
+
+    /// Exact work since construction: elimination transitions, plus one per
+    /// term of a one-descriptor group and per alternative of a one-slot
+    /// group (the two shapes solved without an elimination).
+    pub fn steps(&self) -> u64 {
+        self.steps
+    }
+
+    /// Load one tuple's disjunction: each item is a descriptor's term list,
+    /// sorted by strictly increasing component id (what
+    /// [`crate::DescriptorPool::terms`] and [`crate::WsDescriptor::terms`]
+    /// return). Replaces whatever was loaded before.
+    pub fn load<'t>(&mut self, descs: impl IntoIterator<Item = &'t [Term]>) -> Loaded {
+        self.by_slot_ready = false;
+        self.compiled = None;
+        self.term_slot.clear();
+        self.term_alt.clear();
+        self.desc_off.clear();
+        self.desc_off.push(0);
+        for terms in descs {
+            if terms.is_empty() {
+                return Loaded::Tautology;
+            }
+            for &(c, a) in terms {
+                self.term_slot.push(c.0);
+                self.term_alt.push(a);
+            }
+            self.desc_off.push(self.term_slot.len() as u32);
+        }
+        let k = self.desc_off.len() - 1;
+        if k == 0 {
+            return Loaded::Empty;
+        }
+        self.slots.clear();
+        self.slots.extend_from_slice(&self.term_slot);
+        if k > 1 {
+            self.slots.sort_unstable();
+            self.slots.dedup();
+        }
+        let n = self.slots.len();
+        // Re-express terms over slots and link each descriptor's slots.
+        self.parent.clear();
+        self.parent.extend(0..n as u32);
+        for d in 0..k {
+            let mut lo = 0;
+            for t in self.desc_off[d] as usize..self.desc_off[d + 1] as usize {
+                let c = self.term_slot[t];
+                let s = lo + self.slots[lo..].partition_point(|&x| x < c);
+                self.term_slot[t] = s as u32;
+                if lo > 0 {
+                    let (a, b) = (
+                        find(&mut self.parent, s as u32),
+                        find(&mut self.parent, lo as u32 - 1),
+                    );
+                    self.parent[a as usize] = b;
+                }
+                lo = s + 1;
+            }
+        }
+        // Number the groups in first-occurrence order of their descriptors.
+        self.slot_group.clear();
+        self.slot_group.resize(n, EMPTY);
+        let mut groups = 0;
+        for d in 0..k {
+            let root = find(&mut self.parent, self.term_slot[self.desc_off[d] as usize]);
+            if self.slot_group[root as usize] == EMPTY {
+                self.slot_group[root as usize] = groups;
+                groups += 1;
+            }
+        }
+        for s in 0..n as u32 {
+            let root = find(&mut self.parent, s);
+            self.slot_group[s as usize] = self.slot_group[root as usize];
+        }
+        let groups = groups as usize;
+        let DnfKernel {
+            slot_group,
+            term_slot,
+            desc_off,
+            ..
+        } = self;
+        bucket_by(
+            k,
+            groups,
+            |d| slot_group[term_slot[desc_off[d] as usize] as usize] as usize,
+            &mut self.group_desc_off,
+            &mut self.group_descs,
+        );
+        rank_in_buckets(
+            &self.group_desc_off,
+            &self.group_descs,
+            &mut self.desc_local,
+        );
+        bucket_by(
+            n,
+            groups,
+            |s| slot_group[s] as usize,
+            &mut self.group_slot_off,
+            &mut self.group_slots,
+        );
+        rank_in_buckets(
+            &self.group_slot_off,
+            &self.group_slots,
+            &mut self.slot_local,
+        );
+        Loaded::Groups(groups)
+    }
+
+    /// Number of descriptors in group `g`.
+    pub fn group_len(&self, g: usize) -> usize {
+        (self.group_desc_off[g + 1] - self.group_desc_off[g]) as usize
+    }
+
+    /// The descriptors of group `g`, as indices into the loaded sequence, in
+    /// input order.
+    pub fn group_descs(&self, g: usize) -> impl Iterator<Item = usize> + '_ {
+        self.descs_of(g).iter().map(|&d| d as usize)
+    }
+
+    fn desc_range(&self, g: usize) -> std::ops::Range<usize> {
+        self.group_desc_off[g] as usize..self.group_desc_off[g + 1] as usize
+    }
+
+    fn descs_of(&self, g: usize) -> &[u32] {
+        &self.group_descs[self.desc_range(g)]
+    }
+
+    fn slots_of(&self, g: usize) -> &[u32] {
+        &self.group_slots[self.group_slot_off[g] as usize..self.group_slot_off[g + 1] as usize]
+    }
+
+    fn terms_of(&self, d: u32) -> std::ops::Range<usize> {
+        self.desc_off[d as usize] as usize..self.desc_off[d as usize + 1] as usize
+    }
+
+    fn component_of(&self, slot: u32) -> ComponentId {
+        ComponentId(self.slots[slot as usize])
+    }
+
+    /// Stream key for group `g`'s sampling draws: a hash of the group's
+    /// descriptor *content* (component ids and alternatives, in the group's
+    /// order). Keying on content rather than on any run or morsel index is
+    /// what makes sampling invariant under thread count and under optimizer
+    /// rewrites that drop unrelated tuples.
+    pub fn stream_key(&self, g: usize) -> u64 {
+        let mut h = 0;
+        for &d in self.descs_of(g) {
+            for t in self.terms_of(d) {
+                h = mix64(h ^ u64::from(self.component_of(self.term_slot[t]).0));
+                h = mix64(h ^ u64::from(self.term_alt[t]));
+            }
+            // Separate descriptors so e.g. [(c0, c1)] and [(c0), (c1)] differ.
+            h = mix64(h ^ 0xD15C_0DE5);
+        }
+        h
+    }
+
+    /// Bucket the terms by slot, each slot's terms sorted by
+    /// `(alternative, descriptor bit)`.
+    fn ensure_by_slot(&mut self) {
+        if self.by_slot_ready {
+            return;
+        }
+        self.by_slot_ready = true;
+        let terms = self.term_slot.len();
+        self.term_desc.clear();
+        self.term_desc.resize(terms, 0);
+        for d in 0..self.desc_local.len() {
+            for t in self.terms_of(d as u32) {
+                self.term_desc[t] = self.desc_local[d];
+            }
+        }
+        let term_slot = &self.term_slot;
+        bucket_by(
+            terms,
+            self.slots.len(),
+            |t| term_slot[t] as usize,
+            &mut self.slot_term_off,
+            &mut self.slot_terms,
+        );
+        let (alt, desc) = (&self.term_alt, &self.term_desc);
+        for s in 0..self.slots.len() {
+            let run = self.slot_term_off[s] as usize..self.slot_term_off[s + 1] as usize;
+            if run.len() > 1 {
+                self.slot_terms[run].sort_unstable_by_key(|&t| (alt[t as usize], desc[t as usize]));
+            }
+        }
+    }
+
+    /// The distinct alternatives of `slot` the descriptors mention, ascending
+    /// (needs [`Self::ensure_by_slot`]).
+    fn mentioned(&self, slot: u32) -> impl Iterator<Item = u16> + '_ {
+        let s = slot as usize;
+        let terms =
+            &self.slot_terms[self.slot_term_off[s] as usize..self.slot_term_off[s + 1] as usize];
+        let alt = move |i: usize| self.term_alt[terms[i] as usize];
+        (0..terms.len())
+            .filter(move |&i| i == 0 || alt(i) != alt(i - 1))
+            .map(alt)
+    }
+
+    /// Cost bound for solving group `g` exactly:
+    /// `min(2ᵏ, Π alternatives, Σ_s b_s · 2^{o_s})`, saturating. The third
+    /// term bounds the elimination's own transitions: before slot `s` there
+    /// are at most `2^{o_s}` states (`o_s` = descriptors with a term before
+    /// `s` and one at or after it) and each splits over
+    /// `b_s = min(alternatives, mentioned + 1)` branches; the first two bound
+    /// the state count by the subsets of descriptors and by the assignments.
+    /// Every group prices ≥ 1.
+    pub fn exact_cost(&mut self, components: &ComponentSet, g: usize) -> u128 {
+        self.ensure_by_slot();
+        let k = self.group_len(g);
+        let subsets = if k < 128 { 1u128 << k } else { u128::MAX };
+        let n = self.slots_of(g).len();
+        self.open.clear();
+        self.open.resize(n + 1, 0);
+        for i in self.desc_range(g) {
+            let terms = self.terms_of(self.group_descs[i]);
+            let first = self.slot_local[self.term_slot[terms.start] as usize] as usize;
+            let last = self.slot_local[self.term_slot[terms.end - 1] as usize] as usize;
+            self.open[first + 1] += 1;
+            self.open[last + 1] -= 1;
+        }
+        let (mut assignments, mut width, mut open) = (1u128, 0u128, 0i32);
+        for (j, &s) in self.slots_of(g).iter().enumerate() {
+            open += self.open[j];
+            let alts = u128::from(components.get(self.component_of(s)).alternatives());
+            assignments = assignments.saturating_mul(alts);
+            let branches = alts.min(self.mentioned(s).count() as u128 + 1);
+            let states = if open < 120 { 1u128 << open } else { u128::MAX };
+            width = width.saturating_add(branches.saturating_mul(states));
+        }
+        subsets.min(assignments).min(width)
+    }
+
+    /// Build group `g`'s bitsets and branch tables (a no-op when `g` is the
+    /// group compiled last).
+    fn compile(&mut self, components: &ComponentSet, g: usize) {
+        if self.compiled == Some(g) {
+            return;
+        }
+        self.ensure_by_slot();
+        self.compiled = Some(g);
+        let k = self.group_len(g);
+        let w = k.div_ceil(64);
+        let n = self.slots_of(g).len();
+        self.full.clear();
+        self.full.resize(w, u64::MAX);
+        if k % 64 != 0 {
+            self.full[w - 1] = (1u64 << (k % 64)) - 1;
+        }
+        self.touch.clear();
+        self.touch.resize(n * w, 0);
+        self.close.clear();
+        self.close.resize(n * w, 0);
+        self.br_off.clear();
+        self.br_mask.clear();
+        self.br_prob.clear();
+        self.br_cdf.clear();
+        self.term_branch.resize(self.term_slot.len(), 0);
+        for j in 0..n {
+            let s = self.slots_of(g)[j];
+            let comp = components.get(self.component_of(s));
+            let first = self.br_prob.len();
+            self.br_off.push(first as u32);
+            let mut mass = 0.0;
+            let runs = self.slot_term_off[s as usize] as usize
+                ..self.slot_term_off[s as usize + 1] as usize;
+            let mut start = runs.start;
+            while start < runs.end {
+                let alt = self.term_alt[self.slot_terms[start] as usize];
+                let b = self.br_prob.len();
+                mass += comp.prob(alt);
+                self.br_prob.push(comp.prob(alt));
+                self.br_cdf.push(mass);
+                self.br_mask.resize((b + 1) * w, 0);
+                while start < runs.end && self.term_alt[self.slot_terms[start] as usize] == alt {
+                    let t = self.slot_terms[start] as usize;
+                    let bit = self.term_desc[t] as usize;
+                    self.br_mask[b * w + bit / 64] |= 1 << (bit % 64);
+                    self.touch[j * w + bit / 64] |= 1 << (bit % 64);
+                    self.term_branch[t] = b as u32;
+                    start += 1;
+                }
+            }
+            let mentioned = self.br_prob.len() - first;
+            if mentioned < usize::from(comp.alternatives()) {
+                // The rest branch: every unmentioned alternative at once.
+                self.br_prob.push((1.0 - mass).max(0.0));
+                self.br_cdf.push(1.0);
+                self.br_mask.resize(self.br_prob.len() * w, 0);
+            }
+            // A choice never falsifies a descriptor that skips the slot.
+            for b in first..self.br_prob.len() {
+                for i in 0..w {
+                    self.br_mask[b * w + i] |= self.full[i] & !self.touch[j * w + i];
+                }
+            }
+        }
+        self.br_off.push(self.br_prob.len() as u32);
+        for (bit, i) in self.desc_range(g).enumerate() {
+            let last = self.term_slot[self.terms_of(self.group_descs[i]).end - 1];
+            let j = self.slot_local[last as usize] as usize;
+            self.close[j * w + bit / 64] |= 1 << (bit % 64);
+        }
+    }
+
+    /// Exact probability that some descriptor of group `g` holds. Errors
+    /// with [`MayError::TooManySteps`] once the elimination passes `ceiling`
+    /// transitions (pass `u64::MAX` for no ceiling).
+    pub fn prob(
+        &mut self,
+        components: &ComponentSet,
+        g: usize,
+        ceiling: u64,
+    ) -> Result<f64, MayError> {
+        if let &[d] = self.descs_of(g) {
+            // One descriptor: the product of its assignments.
+            let terms = self.terms_of(d);
+            self.steps += terms.len() as u64;
+            return Ok(terms
+                .map(|t| {
+                    components
+                        .get(self.component_of(self.term_slot[t]))
+                        .prob(self.term_alt[t])
+                })
+                .product());
+        }
+        // The masses of disjoint assignment sets sum to at most 1 up to
+        // rounding; clamp so `1 − p` never goes negative downstream.
+        if let &[s] = self.slots_of(g) {
+            // One slot: the descriptors name alternatives of one component
+            // (a repaired key, typically — with up to 2¹⁶ of them, which as
+            // bitsets would be quadratic). Sum the distinct ones.
+            self.ensure_by_slot();
+            let comp = components.get(self.component_of(s));
+            let (mut p, mut distinct) = (0.0, 0);
+            for a in self.mentioned(s) {
+                p += comp.prob(a);
+                distinct += 1;
+            }
+            self.steps += distinct;
+            return Ok(p.min(1.0));
+        }
+        self.compile(components, g);
+        self.eliminate::<false>(g, ceiling)
+            .map(|(hit, _)| hit.min(1.0))
+    }
+
+    /// Whether group `g` holds in *every* world — every combination of
+    /// alternatives counts, probabilities are ignored. Stops at the first
+    /// uncovered assignment; errors like [`DnfKernel::prob`].
+    pub fn covers(
+        &mut self,
+        components: &ComponentSet,
+        g: usize,
+        ceiling: u64,
+    ) -> Result<bool, MayError> {
+        if let &[d] = self.descs_of(g) {
+            // One descriptor covers only worlds it cannot disagree with.
+            return Ok(self.terms_of(d).all(|t| {
+                components
+                    .get(self.component_of(self.term_slot[t]))
+                    .alternatives()
+                    == 1
+            }));
+        }
+        if let &[s] = self.slots_of(g) {
+            // One slot is covered once every alternative is named.
+            self.ensure_by_slot();
+            let alts = components.get(self.component_of(s)).alternatives();
+            return Ok(self.mentioned(s).count() == usize::from(alts));
+        }
+        self.compile(components, g);
+        self.eliminate::<true>(g, ceiling)
+            .map(|(_, covered)| covered)
+    }
+
+    /// Load `descs` and decide whether their disjunction holds in every
+    /// world: it does iff it contains the tautology or *some single group*
+    /// covers every assignment of its own components (if every group has a
+    /// falsifying partial assignment, their union falsifies the whole
+    /// disjunction).
+    pub fn covers_all<'t>(
+        &mut self,
+        components: &ComponentSet,
+        descs: impl IntoIterator<Item = &'t [Term]>,
+        ceiling: u64,
+    ) -> Result<bool, MayError> {
+        match self.load(descs) {
+            Loaded::Empty => Ok(false),
+            Loaded::Tautology => Ok(true),
+            Loaded::Groups(n) => {
+                for g in 0..n {
+                    if self.covers(components, g, ceiling)? {
+                        return Ok(true);
+                    }
+                }
+                Ok(false)
+            }
+        }
+    }
+
+    /// Forward variable elimination over group `g`, which must be compiled.
+    /// Returns the hit mass and, under `COVER` (which ignores masses and
+    /// stops at the first state with nothing alive), whether every
+    /// assignment was covered.
+    fn eliminate<const COVER: bool>(
+        &mut self,
+        g: usize,
+        ceiling: u64,
+    ) -> Result<(f64, bool), MayError> {
+        debug_assert_eq!(self.compiled, Some(g));
+        let w = self.full.len();
+        let slots = self.br_off.len() - 1;
+        let descriptors = self.group_len(g);
+        let DnfKernel {
+            cur,
+            next,
+            table,
+            touch,
+            close,
+            br_off,
+            br_mask,
+            br_prob,
+            full,
+            steps: total_steps,
+            ..
+        } = self;
+        cur.clear();
+        cur.words.extend_from_slice(full);
+        cur.mass.push(1.0);
+        let (mut hit, before) = (0.0, *total_steps);
+        for j in 0..slots {
+            let (touch, close) = (&touch[j * w..(j + 1) * w], &close[j * w..(j + 1) * w]);
+            let branches = br_off[j] as usize..br_off[j + 1] as usize;
+            next.clear();
+            table.clear();
+            table.resize((2 * cur.mass.len()).next_power_of_two().max(8), EMPTY);
+            for (state, &mass) in cur.words.chunks_exact(w).zip(&cur.mass) {
+                if !intersects(state, touch) {
+                    // No live descriptor mentions the slot: every branch
+                    // leaves the state as it is, and their masses sum to 1.
+                    next.words.extend_from_slice(state);
+                    next.merge_last(table, w, mass);
+                    continue;
+                }
+                *total_steps += branches.len() as u64;
+                if *total_steps - before > ceiling {
+                    return Err(MayError::TooManySteps {
+                        descriptors,
+                        steps: *total_steps - before,
+                        limit: ceiling,
+                    });
+                }
+                for b in branches.clone() {
+                    let (mut any, mut closing) = (0, 0);
+                    for ((&x, &compat), &cl) in
+                        state.iter().zip(&br_mask[b * w..(b + 1) * w]).zip(close)
+                    {
+                        let child = x & compat;
+                        next.words.push(child);
+                        any |= child;
+                        closing |= child & cl;
+                    }
+                    if closing != 0 {
+                        // A descriptor never falsified ends here: satisfied.
+                        next.words.truncate(next.words.len() - w);
+                        hit += mass * br_prob[b];
+                    } else if any == 0 {
+                        if COVER {
+                            return Ok((hit, false));
+                        }
+                        next.words.truncate(next.words.len() - w);
+                    } else {
+                        next.merge_last(table, w, mass * br_prob[b]);
+                    }
+                }
+            }
+            std::mem::swap(cur, next);
+        }
+        // Past its last slot every descriptor is satisfied or falsified.
+        debug_assert!(cur.mass.is_empty());
+        Ok((hit, true))
+    }
+
+    /// A sampling view of group `g`.
+    pub fn sampler(&mut self, components: &ComponentSet, g: usize) -> GroupSampler<'_> {
+        self.compile(components, g);
+        // P(dᵢ): the product of its terms' branch probabilities.
+        self.weights.clear();
+        for i in self.desc_range(g) {
+            let p = self
+                .terms_of(self.group_descs[i])
+                .map(|t| self.br_prob[self.term_branch[t] as usize])
+                .product();
+            self.weights.push(p);
+        }
+        self.alive.clear();
+        self.alive.resize(self.full.len(), 0);
+        GroupSampler { kernel: self, g }
+    }
+}
+
+impl Frontier {
+    /// The state just pushed onto `words` (its last `w` words) joins the
+    /// frontier with `mass`: merged into an equal state if `table` knows
+    /// one, appended otherwise. `table` is an open-addressing index of the
+    /// frontier's states, kept at most half full.
+    fn merge_last(&mut self, table: &mut Vec<u32>, w: usize, mass: f64) {
+        let at = self.mass.len();
+        let (seen, state) = self.words.split_at(at * w);
+        let mut pos = hash_words(state) & (table.len() - 1);
+        while table[pos] != EMPTY {
+            let i = table[pos] as usize;
+            if &seen[i * w..(i + 1) * w] == state {
+                self.mass[i] += mass;
+                self.words.truncate(at * w);
+                return;
+            }
+            pos = (pos + 1) & (table.len() - 1);
+        }
+        table[pos] = at as u32;
+        self.mass.push(mass);
+        if 2 * self.mass.len() > table.len() {
+            let size = 2 * table.len();
+            table.clear();
+            table.resize(size, EMPTY);
+            for (i, state) in self.words.chunks_exact(w).enumerate() {
+                let mut pos = hash_words(state) & (size - 1);
+                while table[pos] != EMPTY {
+                    pos = (pos + 1) & (size - 1);
+                }
+                table[pos] = i as u32;
+            }
+        }
+    }
+}
+
+/// Sampling draws over one compiled group. Both walks read slot `s` of draw
+/// `j` at a fixed position of the caller's stream, AND the drawn branch's
+/// compat set into the alive set, and stop as soon as the draw is decided —
+/// slots never reached cannot change the outcome, so each draw is still an
+/// independent sample of the group's full assignment.
+#[derive(Debug)]
+pub struct GroupSampler<'k> {
+    kernel: &'k mut DnfKernel,
+    g: usize,
+}
+
+impl GroupSampler<'_> {
+    /// `U = Σ P(dᵢ)` over the group's descriptors, the Karp–Luby normalizer.
+    pub fn total_weight(&self) -> f64 {
+        self.kernel.weights.iter().sum()
+    }
+
+    /// One draw: walk the group's slots from the tracked descriptors in
+    /// `alive`, at each slot some tracked descriptor mentions AND-ing in the
+    /// compat set of a branch — the one `own` (a descriptor's terms, in slot
+    /// order) clamps the slot to, else the one stream position `base + slot`
+    /// selects — until a tracked descriptor closes unfalsified (`true`) or
+    /// none is left (`false`). Monomorphized for one-word bitsets, the
+    /// common case, where this loop is all a sampled tuple's time.
+    fn walk<const ONE_WORD: bool>(
+        &mut self,
+        rng: &CounterRng,
+        base: u64,
+        own: std::ops::Range<usize>,
+    ) -> bool {
+        let k = &mut *self.kernel;
+        let w = if ONE_WORD { 1 } else { k.full.len() };
+        let mut own = own.peekable();
+        for j in 0..k.br_off.len() - 1 {
+            let clamped = own.next_if(|&t| k.slot_local[k.term_slot[t] as usize] as usize == j);
+            if !intersects(&k.alive[..w], &k.touch[j * w..(j + 1) * w]) {
+                continue;
+            }
+            let b = match clamped {
+                Some(t) => k.term_branch[t] as usize,
+                None => {
+                    let (lo, hi) = (k.br_off[j] as usize, k.br_off[j + 1] as usize);
+                    lo + pick(&k.br_cdf[lo..hi], rng.unit_at(base + j as u64))
+                }
+            };
+            let (mut any, mut closing) = (0, 0);
+            for ((x, &compat), &close) in k.alive[..w]
+                .iter_mut()
+                .zip(&k.br_mask[b * w..(b + 1) * w])
+                .zip(&k.close[j * w..(j + 1) * w])
+            {
+                *x &= compat;
+                any |= *x;
+                closing |= *x & close;
+            }
+            if closing != 0 {
+                return true;
+            }
+            if any == 0 {
+                return false;
+            }
+        }
+        unreachable!("a tracked descriptor is falsified or satisfied by its last slot")
+    }
+
+    fn draw(&mut self, rng: &CounterRng, base: u64, own: std::ops::Range<usize>) -> bool {
+        if self.kernel.full.len() == 1 {
+            self.walk::<true>(rng, base, own)
+        } else {
+            self.walk::<false>(rng, base, own)
+        }
+    }
+
+    /// Plain Monte Carlo: how many of `draws` independent assignments
+    /// satisfy some descriptor. Draw `j` reads slot `s` at stream position
+    /// `j·n + s` (`n` = the group's slots).
+    pub fn monte_carlo(&mut self, rng: &CounterRng, draws: u64) -> u64 {
+        let n = self.kernel.br_off.len() as u64 - 1;
+        let mut hits = 0;
+        for draw in 0..draws {
+            let k = &mut *self.kernel;
+            k.alive.copy_from_slice(&k.full);
+            hits += u64::from(self.draw(rng, draw * n, 0..0));
+        }
+        hits
+    }
+
+    /// Karp–Luby: per draw, pick descriptor `i` with probability `P(dᵢ)/U`,
+    /// clamp its slots to its own alternatives, sample the others, and count
+    /// a hit iff no earlier-indexed descriptor is satisfied as well — so
+    /// `U · hits / draws` estimates the group's probability from samples in
+    /// `[0, U]`. Only the descriptors before `i` are tracked; the walk stops
+    /// when one of them closes (no hit) or none is left (hit). Draw `j`
+    /// reads the pick at stream position `j·(n + 1)` and slot `s` at
+    /// `j·(n + 1) + 1 + s`.
+    pub fn karp_luby(&mut self, rng: &CounterRng, draws: u64) -> u64 {
+        let total = self.total_weight();
+        let n = self.kernel.br_off.len() as u64 - 1;
+        let mut hits = 0;
+        for draw in 0..draws {
+            let k = &mut *self.kernel;
+            let base = draw * (n + 1);
+            let mut x = rng.unit_at(base) * total;
+            let mut i = 0;
+            while i + 1 < k.weights.len() && x > k.weights[i] {
+                x -= k.weights[i];
+                i += 1;
+            }
+            if i == 0 {
+                hits += 1; // no earlier descriptor
+                continue;
+            }
+            for (word, alive) in k.alive.iter_mut().enumerate() {
+                *alive = match word.cmp(&(i / 64)) {
+                    std::cmp::Ordering::Less => u64::MAX,
+                    std::cmp::Ordering::Equal => (1 << (i % 64)) - 1,
+                    std::cmp::Ordering::Greater => 0,
+                };
+            }
+            let own = k.terms_of(k.descs_of(self.g)[i]);
+            hits += u64::from(!self.draw(rng, base + 1, own));
+        }
+        hits
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::component::Component;
+    use crate::descriptor::WsDescriptor;
+
+    fn load(kernel: &mut DnfKernel, descs: &[WsDescriptor]) -> Loaded {
+        kernel.load(descs.iter().map(WsDescriptor::terms))
+    }
+
+    fn desc(terms: &[(u32, u16)]) -> WsDescriptor {
+        WsDescriptor::from_terms(terms.iter().map(|&(c, a)| (ComponentId(c), a)).collect())
+            .expect("distinct components")
+    }
+
+    fn uniform_set(alts: &[usize]) -> ComponentSet {
+        let mut cs = ComponentSet::new();
+        for &n in alts {
+            cs.add(Component::uniform(n).unwrap());
+        }
+        cs
+    }
+
+    #[test]
+    fn groups_come_in_first_occurrence_order() {
+        let descs = [
+            desc(&[(5, 0)]),
+            desc(&[(1, 0), (2, 1)]),
+            desc(&[(5, 1), (7, 0)]),
+            desc(&[(2, 0), (3, 0)]),
+            desc(&[(9, 0)]),
+        ];
+        let mut kernel = DnfKernel::new();
+        assert_eq!(load(&mut kernel, &descs), Loaded::Groups(3));
+        let groups: Vec<Vec<usize>> = (0..3).map(|g| kernel.group_descs(g).collect()).collect();
+        assert_eq!(groups, [vec![0, 2], vec![1, 3], vec![4]]);
+        // Keys hash content, so equal groups in different tuples share one.
+        let mut other = DnfKernel::new();
+        load(&mut other, &descs[1..4]);
+        assert_eq!(other.stream_key(0), kernel.stream_key(1));
+        assert_ne!(kernel.stream_key(0), kernel.stream_key(1));
+
+        assert_eq!(load(&mut kernel, &[]), Loaded::Empty);
+        let with_tautology = [desc(&[(1, 0)]), WsDescriptor::tautology()];
+        assert_eq!(load(&mut kernel, &with_tautology), Loaded::Tautology);
+    }
+
+    #[test]
+    fn a_long_chain_stays_within_its_width_price() {
+        // 40 links over ternary components: 2⁴⁰ subsets, 3⁴¹ assignments —
+        // and fewer than 200 transitions, as priced.
+        let cs = uniform_set(&[3; 41]);
+        let descs: Vec<WsDescriptor> = (0..40).map(|i| desc(&[(i, 0), (i + 1, 0)])).collect();
+        let mut kernel = DnfKernel::new();
+        assert_eq!(load(&mut kernel, &descs), Loaded::Groups(1));
+        let cost = kernel.exact_cost(&cs, 0);
+        assert_eq!(cost, 2 + 40 * 4);
+        let p = kernel.prob(&cs, 0, u64::MAX).unwrap();
+        assert!(
+            u128::from(kernel.steps()) <= cost,
+            "{} steps",
+            kernel.steps()
+        );
+        // P(no two neighbours both 0) by the two-state recurrence.
+        let (mut zero, mut other) = (1.0 / 3.0, 2.0 / 3.0);
+        for _ in 0..40 {
+            (zero, other) = (other / 3.0, (zero + other) * 2.0 / 3.0);
+        }
+        assert!((p - (1.0 - zero - other)).abs() < 1e-14, "{p}");
+        assert!(!kernel.covers(&cs, 0, u64::MAX).unwrap());
+    }
+
+    #[test]
+    fn groups_wider_than_a_word_solve_cover_and_sample() {
+        // A 100-way key, every alternative mentioned: alternatives below 70
+        // alone, the rest tied to a coin — 100 descriptors, two words.
+        let cs = uniform_set(&[100, 2]);
+        let mut descs: Vec<WsDescriptor> = (0..100u16)
+            .map(|a| {
+                if a < 70 {
+                    desc(&[(0, a)])
+                } else {
+                    desc(&[(0, a), (1, 0)])
+                }
+            })
+            .collect();
+        let mut kernel = DnfKernel::new();
+        assert_eq!(load(&mut kernel, &descs), Loaded::Groups(1));
+        let p = kernel.prob(&cs, 0, u64::MAX).unwrap();
+        assert!((p - 0.85).abs() < 1e-13, "{p}");
+        assert!(!kernel.covers(&cs, 0, u64::MAX).unwrap());
+
+        let rng = CounterRng::new(3, kernel.stream_key(0));
+        let mut sampler = kernel.sampler(&cs, 0);
+        assert!((sampler.total_weight() - 0.85).abs() < 1e-13);
+        let draws = 20_000;
+        let kl = 0.85 * sampler.karp_luby(&rng, draws) as f64 / draws as f64;
+        assert_eq!(kl, 0.85, "disjoint descriptors: every Karp–Luby draw hits");
+        let mc = sampler.monte_carlo(&rng, draws) as f64 / draws as f64;
+        assert!((mc - 0.85).abs() < 0.01, "{mc}");
+
+        // Tie the other side of the coin too: now every world is covered.
+        descs.extend((70..100u16).map(|a| desc(&[(0, a), (1, 1)])));
+        assert_eq!(load(&mut kernel, &descs), Loaded::Groups(1));
+        assert!(kernel.covers(&cs, 0, u64::MAX).unwrap());
+        assert_eq!(kernel.prob(&cs, 0, u64::MAX).unwrap(), 1.0);
+    }
+
+    #[test]
+    fn a_one_slot_group_sums_its_distinct_alternatives() {
+        // What `SELECT CONF k` sees of a repaired key: single-term
+        // descriptors on one component, here with a duplicate.
+        let mut cs = ComponentSet::new();
+        cs.add(Component::from_weights(&[1.0, 2.0, 3.0, 4.0]).unwrap());
+        let mut descs = vec![desc(&[(0, 3)]), desc(&[(0, 1)]), desc(&[(0, 3)])];
+        let mut kernel = DnfKernel::new();
+        assert_eq!(load(&mut kernel, &descs), Loaded::Groups(1));
+        assert_eq!(kernel.exact_cost(&cs, 0), 3); // two named alternatives + the rest
+        assert!((kernel.prob(&cs, 0, 1).unwrap() - 0.6).abs() < 1e-15);
+        assert!(!kernel.covers(&cs, 0, 1).unwrap());
+        descs.extend([desc(&[(0, 0)]), desc(&[(0, 2)])]);
+        load(&mut kernel, &descs);
+        assert_eq!(kernel.prob(&cs, 0, 1).unwrap(), 1.0);
+        assert!(kernel.covers(&cs, 0, 1).unwrap());
+    }
+
+    #[test]
+    fn karp_luby_discounts_overlapping_descriptors() {
+        // c0=0 and c0=0 ∧ c1=0 over 8-way components: U = 1/8 + 1/64, the
+        // union is 1/8 — draws that pick the second descriptor never count.
+        let cs = uniform_set(&[8, 8]);
+        let descs = [desc(&[(0, 0)]), desc(&[(0, 0), (1, 0)])];
+        let mut kernel = DnfKernel::new();
+        load(&mut kernel, &descs);
+        let rng = CounterRng::new(1, kernel.stream_key(0));
+        let mut sampler = kernel.sampler(&cs, 0);
+        let total = sampler.total_weight();
+        assert_eq!(total, 9.0 / 64.0);
+        let draws = 50_000;
+        let estimate = total * sampler.karp_luby(&rng, draws) as f64 / draws as f64;
+        assert!((estimate - 0.125).abs() < 0.002, "{estimate}");
+    }
+
+    #[test]
+    fn the_ceiling_stops_both_walks() {
+        // Sixteen coins: links among the first eight, and each of them
+        // paired with the coin eight positions on — eight descriptors stay
+        // open across the middle, so the frontier holds hundreds of states.
+        let cs = uniform_set(&[2; 16]);
+        let mut descs: Vec<WsDescriptor> = (0..7).map(|i| desc(&[(i, 1), (i + 1, 1)])).collect();
+        descs.extend((0..8).map(|i| desc(&[(i, 0), (i + 8, 0)])));
+        let mut kernel = DnfKernel::new();
+        assert_eq!(load(&mut kernel, &descs), Loaded::Groups(1));
+        assert!(kernel.exact_cost(&cs, 0) > 1000);
+        let too_many = |err: MayError| {
+            matches!(err, MayError::TooManySteps { descriptors: 15, steps, limit: 100 }
+                if steps > 100)
+        };
+        assert!(too_many(kernel.prob(&cs, 0, 100).unwrap_err()));
+        assert!(too_many(kernel.covers(&cs, 0, 100).unwrap_err()));
+        let p = kernel.prob(&cs, 0, 1 << 14).unwrap();
+        assert!((p - cs.prob_of_dnf_enumerate(&descs)).abs() < 1e-15, "{p}");
+        assert!(!kernel.covers(&cs, 0, 1 << 14).unwrap());
+    }
+}

@@ -29,6 +29,16 @@ pub enum MayError {
         /// The enumeration limit that was exceeded.
         limit: u128,
     },
+    /// The exact solve of one connected descriptor group (`conf`, `certain`)
+    /// passed its step ceiling.
+    TooManySteps {
+        /// Descriptors in the group.
+        descriptors: usize,
+        /// Elimination transitions reached when the solve gave up.
+        steps: u64,
+        /// The ceiling that was passed.
+        limit: u64,
+    },
     /// The operation is not supported by this evaluator.
     Unsupported(String),
 }
@@ -48,6 +58,17 @@ impl fmt::Display for MayError {
                 write!(
                     f,
                     "world set has {count} worlds, enumeration limit is {limit}"
+                )
+            }
+            MayError::TooManySteps {
+                descriptors,
+                steps,
+                limit,
+            } => {
+                write!(
+                    f,
+                    "exact solve of a {descriptors}-descriptor group reached {steps} steps, \
+                     the limit is {limit}; CONF(eps, delta) estimates such groups instead"
                 )
             }
             MayError::Unsupported(m) => write!(f, "unsupported operation: {m}"),

@@ -30,6 +30,10 @@
 //!   plus the dense [`DescId`] column, with exact row↔columnar conversion;
 //!   this is what the vectorized executor in `maybms-algebra` and the
 //!   columnar normalization path scan;
+//! * [`dnf`] — the compiled descriptor-group kernel, the one solver behind
+//!   exact `conf`, `conf(eps, delta)` and `certain`: variable elimination
+//!   over alive-descriptor bitsets, the exact/sampling cutover price, and
+//!   the sampling draws over the same layout;
 //! * [`normalize`] — descriptor simplification, absorption, merging of rows
 //!   that cover all alternatives of a component, and garbage collection of
 //!   unreferenced components;
@@ -47,7 +51,7 @@
 //!   no registry access, so `proptest`/`criterion` are intentionally not
 //!   used), and a splittable counter-based generator whose draws are pure
 //!   functions of `(seed, stream, index)` — the determinism backbone of the
-//!   sampling confidence solver in `maybms-ql`.
+//!   sampling confidence solver.
 //!
 //! Layering: `maybms-core` knows nothing about query plans. The algebra IR
 //! and its WSD-level executor live in `maybms-algebra`, and the paper's
@@ -58,6 +62,7 @@ pub mod bloom;
 pub mod columnar;
 pub mod component;
 pub mod descriptor;
+pub mod dnf;
 pub mod error;
 pub mod fxhash;
 pub mod intern;
@@ -77,6 +82,7 @@ pub use bloom::BlockedBloom;
 pub use columnar::{ColView, ColumnData, ColumnVec, ColumnarURelation, StrPool};
 pub use component::{connected_groups, Component, ComponentSet, ConfStats, WorldPick};
 pub use descriptor::{ComponentId, WsDescriptor};
+pub use dnf::{DnfKernel, EXACT_STEP_CEILING};
 pub use error::MayError;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use intern::{DescId, DescriptorPool, PoolStats};

@@ -53,6 +53,8 @@ pub struct ObsCounters {
     pub exact_groups: u64,
     /// Confidence groups estimated by sampling.
     pub sampled_groups: u64,
+    /// Elimination steps spent on exactly solved confidence groups.
+    pub exact_steps: u64,
     /// Monte Carlo / Karp–Luby draws performed.
     pub samples_drawn: u64,
     /// Worker busy nanoseconds (from the global registry — see
@@ -75,6 +77,7 @@ impl ObsCounters {
             conjoin_calls: self.conjoin_calls.saturating_sub(earlier.conjoin_calls),
             exact_groups: self.exact_groups.saturating_sub(earlier.exact_groups),
             sampled_groups: self.sampled_groups.saturating_sub(earlier.sampled_groups),
+            exact_steps: self.exact_steps.saturating_sub(earlier.exact_steps),
             samples_drawn: self.samples_drawn.saturating_sub(earlier.samples_drawn),
             busy_nanos: self.busy_nanos.saturating_sub(earlier.busy_nanos),
         }
@@ -89,6 +92,7 @@ impl ObsCounters {
         self.conjoin_calls += other.conjoin_calls;
         self.exact_groups += other.exact_groups;
         self.sampled_groups += other.sampled_groups;
+        self.exact_steps += other.exact_steps;
         self.samples_drawn += other.samples_drawn;
         self.busy_nanos += other.busy_nanos;
     }
@@ -366,6 +370,7 @@ impl QueryTrace {
                     push_nonzero(&mut ann, "conjoins", excl.conjoin_calls);
                     push_nonzero(&mut ann, "exact_groups", excl.exact_groups);
                     push_nonzero(&mut ann, "sampled_groups", excl.sampled_groups);
+                    push_nonzero(&mut ann, "exact_steps", excl.exact_steps);
                     push_nonzero(&mut ann, "draws", excl.samples_drawn);
                     if excl.morsels > 0 && s.dur_nanos > 0 {
                         let denom = s.dur_nanos.saturating_mul(self.threads as u64);
@@ -416,6 +421,7 @@ impl QueryTrace {
                 ("conjoin_calls", c.conjoin_calls),
                 ("exact_groups", c.exact_groups),
                 ("sampled_groups", c.sampled_groups),
+                ("exact_steps", c.exact_steps),
                 ("samples_drawn", c.samples_drawn),
                 ("busy_nanos", c.busy_nanos),
             ] {
@@ -611,6 +617,8 @@ pub struct Metrics {
     pub conf_exact_groups_total: Counter,
     /// Confidence groups estimated by sampling.
     pub conf_sampled_groups_total: Counter,
+    /// Elimination steps spent on exactly solved confidence groups.
+    pub conf_exact_steps_total: Counter,
     /// Sampling draws performed by the confidence solver.
     pub conf_samples_drawn_total: Counter,
     /// Normalization passes run.
@@ -636,7 +644,7 @@ impl Metrics {
     /// histograms.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        let counters: [(&str, &Counter); 14] = [
+        let counters: [(&str, &Counter); 15] = [
             ("maybms_queries_total", &self.queries_total),
             ("maybms_query_rows_total", &self.query_rows_total),
             ("maybms_par_tasks_total", &self.par_tasks_total),
@@ -660,6 +668,10 @@ impl Metrics {
             (
                 "maybms_conf_sampled_groups_total",
                 &self.conf_sampled_groups_total,
+            ),
+            (
+                "maybms_conf_exact_steps_total",
+                &self.conf_exact_steps_total,
             ),
             (
                 "maybms_conf_samples_drawn_total",

@@ -79,34 +79,31 @@ impl Rng {
 /// function of `(seed, stream, draw index)`.
 ///
 /// Unlike the sequential [`Rng`], no state is threaded between independent
-/// pieces of work: each logical stream (in the confidence solver, one stream
-/// per connected descriptor group, keyed on the group's *content*) owns its
-/// own counter, so the values it produces do not depend on how many other
-/// streams exist, in what order they run, or which thread runs them. That is
-/// what makes morsel-parallel sampling byte-identical for every thread
-/// count — the same property the rest of the executor guarantees (see
-/// [`crate::parallel`]).
+/// pieces of work, or even between draws: each logical stream (in the
+/// confidence solver, one stream per connected descriptor group, keyed on
+/// the group's *content*) is read by position, so the values it produces do
+/// not depend on how many other streams exist, in what order they are read,
+/// or which thread reads them. That is what makes morsel-parallel sampling
+/// byte-identical for every thread count — the same property the rest of
+/// the executor guarantees (see [`crate::parallel`]).
 ///
 /// Construction hashes `(seed, stream)` into a key; draw `i` is the
 /// SplitMix64 output for state `key + (i+1)·golden`, i.e. each stream is an
 /// ordinary SplitMix64 sequence starting at a decorrelated seed.
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 pub struct CounterRng {
     key: u64,
-    index: u64,
 }
 
 impl CounterRng {
-    /// Open the stream identified by `(seed, stream)` at draw index 0.
+    /// The stream identified by `(seed, stream)`.
     pub fn new(seed: u64, stream: u64) -> Self {
         CounterRng {
             key: mix64(seed ^ mix64(stream)),
-            index: 0,
         }
     }
 
-    /// Draw `index` of this stream, as a pure function (ignores and does not
-    /// advance the internal counter).
+    /// Draw `index` of this stream.
     pub fn nth(&self, index: u64) -> u64 {
         avalanche(
             self.key
@@ -114,17 +111,11 @@ impl CounterRng {
         )
     }
 
-    /// Next raw 64-bit value (draw at the current index, then advance).
-    pub fn next_u64(&mut self) -> u64 {
-        let v = self.nth(self.index);
-        self.index += 1;
-        v
-    }
-
-    /// Uniform float in `(0, 1]` (never zero; same mapping as
-    /// [`Rng::unit_f64`]).
-    pub fn unit_f64(&mut self) -> f64 {
-        ((self.next_u64() >> 11) + 1) as f64 / (1u64 << 53) as f64
+    /// Draw `index` of this stream as a uniform float in `(0, 1]` (never
+    /// zero; same mapping as [`Rng::unit_f64`]). The sampling confidence
+    /// solver reads its draws this way, at positions fixed by draw and slot.
+    pub fn unit_at(&self, index: u64) -> f64 {
+        ((self.nth(index) >> 11) + 1) as f64 / (1u64 << 53) as f64
     }
 }
 
@@ -160,11 +151,12 @@ mod tests {
     #[test]
     fn counter_rng_is_a_pure_function_of_indices() {
         let r = CounterRng::new(7, 99);
-        let mut seq = CounterRng::new(7, 99);
-        // Sequential draws equal positional draws, in any access order.
+        // A stream is the SplitMix64 sequence from its key, in any access
+        // order.
+        let mut seq = Rng::new(r.key);
         let forward: Vec<u64> = (0..10).map(|_| seq.next_u64()).collect();
-        let positional: Vec<u64> = (0..10).map(|i| r.nth(i)).collect();
-        assert_eq!(forward, positional);
+        let backward: Vec<u64> = (0..10).rev().map(|i| r.nth(i)).collect();
+        assert!(forward.iter().eq(backward.iter().rev()));
         assert_eq!(r.nth(3), CounterRng::new(7, 99).nth(3));
         // Streams and seeds decorrelate.
         assert_ne!(
@@ -176,9 +168,9 @@ mod tests {
 
     #[test]
     fn counter_rng_unit_in_range() {
-        let mut r = CounterRng::new(1, 2);
-        for _ in 0..1000 {
-            let f = r.unit_f64();
+        let r = CounterRng::new(1, 2);
+        for i in 0..1000 {
+            let f = r.unit_at(i);
             assert!(f > 0.0 && f <= 1.0);
         }
     }

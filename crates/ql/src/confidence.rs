@@ -1,37 +1,36 @@
 //! `conf`: exact and (ε, δ)-approximate tuple confidence from component
 //! probabilities.
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use maybms_algebra::{EvalCtx, ExtOperator, ExtProps, Plan};
 use maybms_core::columnar::{ColumnVec, ColumnarURelation};
-use maybms_core::component::connected_groups;
+use maybms_core::dnf::{DnfKernel, GroupSampler, Loaded, EXACT_STEP_CEILING};
 use maybms_core::parallel::{chunk_ranges, run_tasks};
-use maybms_core::rng::{mix64, CounterRng};
+use maybms_core::rng::CounterRng;
 use maybms_core::{
-    Column, Component, ComponentId, ComponentSet, ConfStats, DescId, MayError, Schema, ValueType,
-    WsDescriptor,
+    Column, ComponentId, ComponentSet, ConfStats, DescId, MayError, Schema, ValueType,
 };
 
 use crate::order::{run_bounds, sorted_row_ids};
 
-// `Conf::eval` computes P(t) = P(d₁ ∨ … ∨ dₙ) per distinct tuple. Both
-// solver paths factorize the disjunction into connected descriptor groups
-// over shared components and multiply per-group probabilities
-// (`P = 1 − Π(1 − P_group)` by independence), so the cost is driven by the
-// largest *connected* group, never the total component count.
+// `Conf::eval` computes P(t) = P(d₁ ∨ … ∨ dₙ) per distinct tuple. The
+// disjunction factorizes into connected descriptor groups over shared
+// components (`P = 1 − Π(1 − P_group)` by independence), and one compiled
+// kernel (`maybms_core::dnf`) serves every group, on both paths:
 //
-// * Exact `conf` solves every group by the cheaper of inclusion–exclusion
-//   and assignment enumeration (`ComponentSet::prob_of_group`) — still
-//   exponential in the group.
+// * Exact `conf` solves every group by forward variable elimination —
+//   exponential only in the group's frontier width along the component-id
+//   order, and given up with a typed error past `EXACT_STEP_CEILING`
+//   transitions.
 // * `conf(eps, delta)` compares each group's exact cost bound
-//   (`ComponentSet::group_exact_cost`) against a cutover threshold: cheap
-//   groups keep the exact path (zero error), expensive groups are estimated
-//   by Monte Carlo over group assignments or by a Karp–Luby
-//   importance-sampled estimator, with the draw count derived from the
-//   per-group error budget via a Hoeffding bound. The result is within ε of
-//   the exact confidence with probability ≥ 1 − δ, per output tuple.
+//   (`DnfKernel::exact_cost`, which knows that width) against a cutover
+//   threshold: cheap groups keep the exact path (zero error), expensive
+//   groups are estimated by Monte Carlo over group assignments or by a
+//   Karp–Luby importance-sampled estimator — short-circuit bitset walks over
+//   the same layout — with the draw count derived from the per-group error
+//   budget via a Hoeffding bound. The result is within ε of the exact
+//   confidence with probability ≥ 1 − δ, per output tuple.
 //
 // Sampling is deterministic: each group's draws come from a counter-based
 // stream keyed on the *content* of the group's descriptors (component ids
@@ -252,32 +251,28 @@ impl ExtOperator for Conf {
         let bounds = run_bounds(r, &perm);
         let solve_started = ctx.tracer.now();
         // P(t in DB) = P(d₁ ∨ … ∨ dₙ) over the components the descriptors
-        // mention (they are independent of all others). The handles are
-        // resolved to descriptors once per distinct tuple, at this
-        // probabilistic-engine boundary. Each run is independent, the
-        // canonical order is total on descriptor content, and sampling
-        // streams are pure functions of group content — so the per-run
-        // solves parallelize over morsels of runs with bit-exact results
-        // for every thread count.
+        // mention (they are independent of all others). Each run's term
+        // lists go to the solver straight from the pool, no descriptor is
+        // cloned. Each run is independent, the canonical order is total on
+        // descriptor content, and sampling streams are pure functions of
+        // group content — so the per-run solves parallelize over morsels of
+        // runs with bit-exact results for every thread count.
         let workers = ctx.par.workers_for(perm.len());
         let pool = &ctx.pool;
         let components = &*ctx.components;
         let solve_runs = |range: std::ops::Range<usize>| {
             let mut kept: Vec<u32> = Vec::with_capacity(range.len());
             let mut confs: Vec<f64> = Vec::with_capacity(range.len());
-            let mut stats = ConfStats::default();
+            let mut solver = RunSolver::new(components, mode, EXACT_STEP_CEILING);
             for &(start, end) in &bounds[range] {
-                let descs: Vec<WsDescriptor> = perm[start as usize..end as usize]
-                    .iter()
-                    .map(|&i| pool.to_descriptor(r.descs()[i as usize]))
-                    .collect();
-                kept.push(perm[start as usize]);
-                confs.push(solve_run(components, &descs, mode.as_ref(), &mut stats));
+                let run = &perm[start as usize..end as usize];
+                kept.push(run[0]);
+                confs.push(solver.solve(run.iter().map(|&i| pool.terms(r.descs()[i as usize])))?);
             }
-            (kept, confs, stats)
+            Ok((kept, confs, solver.stats()))
         };
         let (kept, confs) = if workers <= 1 {
-            let (kept, confs, stats) = solve_runs(0..bounds.len());
+            let (kept, confs, stats) = solve_runs(0..bounds.len())?;
             ctx.conf_stats.absorb(&stats);
             (kept, confs)
         } else {
@@ -286,7 +281,10 @@ impl ExtOperator for Conf {
             let parts = run_tasks(workers, morsels.len(), |t| solve_runs(morsels[t].clone()));
             let mut kept: Vec<u32> = Vec::with_capacity(bounds.len());
             let mut confs: Vec<f64> = Vec::with_capacity(bounds.len());
-            for (k, c, stats) in parts {
+            // Task order: the first failing run's error wins, as it would
+            // sequentially.
+            for part in parts {
+                let (k, c, stats) = part?;
                 kept.extend_from_slice(&k);
                 confs.extend_from_slice(&c);
                 ctx.conf_stats.absorb(&stats);
@@ -302,79 +300,97 @@ impl ExtOperator for Conf {
     }
 }
 
-/// Solve one distinct tuple's disjunction, exactly (`mode == None`) or with
-/// the cost cutover (`mode == Some((params, limit))`).
-///
-/// The exact path mirrors [`ComponentSet::prob_of_dnf`] operation for
-/// operation (same group order, same per-group solver, same early exit), so
-/// exact `conf` results are bit-identical to that oracle. Under sampling,
-/// the tuple's error budget is split evenly across its sampled groups:
-/// `1 − Π(1 − p_g)` moves by at most the sum of the per-group errors (each
-/// partial derivative has magnitude ≤ 1), and a union bound covers δ —
-/// exact groups contribute zero error, so they are excluded from the split.
-fn solve_run(
-    components: &ComponentSet,
-    descs: &[WsDescriptor],
-    mode: Option<&(ApproxConf, u64)>,
-    stats: &mut ConfStats,
-) -> f64 {
-    if descs.iter().any(WsDescriptor::is_tautology) {
-        return 1.0;
-    }
-    if descs.is_empty() {
-        return 0.0;
-    }
-    let refs: Vec<&WsDescriptor> = descs.iter().collect();
-    let groups = connected_groups(&refs);
-    let sampled: Vec<bool> = groups
-        .iter()
-        .map(|g| match mode {
-            None => false,
-            Some(&(_, limit)) => components.group_exact_cost(g) > u128::from(limit),
-        })
-        .collect();
-    let budget_ways = sampled.iter().filter(|&&s| s).count().max(1) as f64;
-    let mut prob_none = 1.0;
-    for (group, &is_sampled) in groups.iter().zip(&sampled) {
-        stats.largest_group = stats.largest_group.max(group.len() as u64);
-        let p = if is_sampled {
-            let (a, _) = mode.expect("sampling only under approximate mode");
-            stats.sampled_groups += 1;
-            let mut rng = CounterRng::new(a.seed, group_stream_key(group));
-            GroupSampler::new(components, group).estimate(
-                a.eps / budget_ways,
-                a.delta / budget_ways,
-                &mut rng,
-                stats,
-            )
-        } else {
-            stats.exact_groups += 1;
-            components.prob_of_group(group)
-        };
-        prob_none *= 1.0 - p;
-        if prob_none == 0.0 {
-            break;
-        }
-    }
-    1.0 - prob_none
+/// One worker's solver: the kernel with its reusable buffers, the mode, and
+/// the counters of the runs solved so far.
+struct RunSolver<'a> {
+    components: &'a ComponentSet,
+    /// `None` for exact `conf`; the parameters and the resolved cutover
+    /// otherwise.
+    mode: Option<(ApproxConf, u64)>,
+    /// Step ceiling per exactly solved group.
+    ceiling: u64,
+    kernel: DnfKernel,
+    /// Per group of the current run: whether it is sampled.
+    sampled: Vec<bool>,
+    stats: ConfStats,
 }
 
-/// Stream key for one connected group's sampling draws: a hash of the
-/// group's descriptor *content* (component ids and alternatives, in the
-/// group's deterministic order). Keying on content rather than on any run
-/// or morsel index is what makes sampling invariant under thread count and
-/// under optimizer rewrites that drop unrelated tuples.
-fn group_stream_key(group: &[&WsDescriptor]) -> u64 {
-    let mut h = 0;
-    for d in group {
-        for &(c, a) in d.terms() {
-            h = mix64(h ^ u64::from(c.0));
-            h = mix64(h ^ u64::from(a));
+impl<'a> RunSolver<'a> {
+    fn new(components: &'a ComponentSet, mode: Option<(ApproxConf, u64)>, ceiling: u64) -> Self {
+        RunSolver {
+            components,
+            mode,
+            ceiling,
+            kernel: DnfKernel::new(),
+            sampled: Vec::new(),
+            stats: ConfStats::default(),
         }
-        // Separate descriptors so e.g. [(c0, c1)] and [(c0), (c1)] differ.
-        h = mix64(h ^ 0xD15C_0DE5);
     }
-    h
+
+    /// The counters of every run solved so far.
+    fn stats(&self) -> ConfStats {
+        ConfStats {
+            exact_steps: self.kernel.steps(),
+            ..self.stats
+        }
+    }
+
+    /// Solve one distinct tuple's disjunction, given as its descriptors'
+    /// term lists in canonical run order.
+    ///
+    /// Groups combine in the kernel's order with an early exit at certainty,
+    /// operation for operation what [`ComponentSet::prob_of_dnf`] does, so
+    /// exact `conf` results are bit-identical to that wrapper. Under
+    /// sampling, the tuple's error budget is split evenly across its sampled
+    /// groups: `1 − Π(1 − p_g)` moves by at most the sum of the per-group
+    /// errors (each partial derivative has magnitude ≤ 1), and a union bound
+    /// covers δ — exact groups contribute zero error, so they are excluded
+    /// from the split.
+    fn solve<'t>(
+        &mut self,
+        descs: impl IntoIterator<Item = &'t [(ComponentId, u16)]>,
+    ) -> Result<f64, MayError> {
+        let groups = match self.kernel.load(descs) {
+            Loaded::Empty => return Ok(0.0),
+            Loaded::Tautology => return Ok(1.0),
+            Loaded::Groups(n) => n,
+        };
+        self.sampled.clear();
+        if let Some((_, limit)) = self.mode {
+            let limit = u128::from(limit);
+            self.sampled
+                .extend((0..groups).map(|g| self.kernel.exact_cost(self.components, g) > limit));
+        }
+        let budget_ways = self.sampled.iter().filter(|&&s| s).count().max(1) as f64;
+        let mut prob_none = 1.0;
+        for g in 0..groups {
+            let len = self.kernel.group_len(g) as u64;
+            self.stats.largest_group = self.stats.largest_group.max(len);
+            let p = match self.mode {
+                Some((a, _)) if self.sampled[g] => {
+                    self.stats.sampled_groups += 1;
+                    let rng = CounterRng::new(a.seed, self.kernel.stream_key(g));
+                    let (est, draws) = estimate(
+                        &mut self.kernel.sampler(self.components, g),
+                        a.eps / budget_ways,
+                        a.delta / budget_ways,
+                        &rng,
+                    );
+                    self.stats.samples_drawn += draws;
+                    est
+                }
+                _ => {
+                    self.stats.exact_groups += 1;
+                    self.kernel.prob(self.components, g, self.ceiling)?
+                }
+            };
+            prob_none *= 1.0 - p;
+            if prob_none == 0.0 {
+                break;
+            }
+        }
+        Ok(1.0 - prob_none)
+    }
 }
 
 /// Hoeffding draw count: the mean of `n` i.i.d. variables bounded in
@@ -385,124 +401,84 @@ fn hoeffding_draws(eps: f64, delta: f64, width: f64) -> u64 {
     n.ceil().max(1.0) as u64
 }
 
-/// One connected descriptor group prepared for sampling: the group's
-/// components laid out as dense local slots, descriptors re-expressed over
-/// those slots, and the descriptor weights `P(dᵢ)` with their sum `U`.
-struct GroupSampler<'a> {
-    /// The group's distinct components in ascending id order.
-    vars: Vec<&'a Component>,
-    /// Descriptors as `(slot, alternative)` term lists.
-    descs: Vec<Vec<(u32, u16)>>,
-    /// `P(dᵢ)` per descriptor.
-    weights: Vec<f64>,
-    /// `U = Σ P(dᵢ)`, the Karp–Luby normalizer.
-    total_weight: f64,
-}
-
-impl<'a> GroupSampler<'a> {
-    fn new(components: &'a ComponentSet, group: &[&WsDescriptor]) -> GroupSampler<'a> {
-        let ids: Vec<ComponentId> = group
-            .iter()
-            .flat_map(|d| d.terms().iter().map(|&(c, _)| c))
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        let slot_of = |c: ComponentId| -> u32 {
-            ids.binary_search(&c).expect("component is in the group") as u32
-        };
-        let descs: Vec<Vec<(u32, u16)>> = group
-            .iter()
-            .map(|d| d.terms().iter().map(|&(c, a)| (slot_of(c), a)).collect())
-            .collect();
-        let weights: Vec<f64> = group
-            .iter()
-            .map(|d| components.prob_of_descriptor(d))
-            .collect();
-        GroupSampler {
-            vars: ids.iter().map(|&c| components.get(c)).collect(),
-            descs,
-            weights: weights.clone(),
-            total_weight: weights.iter().sum(),
-        }
-    }
-
-    /// Estimate `P(∨ dᵢ)` to within `eps` with probability ≥ `1 − delta`.
-    ///
-    /// Two estimators, both unbiased, chosen by cost: when `U ≥ 1`, plain
-    /// Monte Carlo over group assignments (indicator in `[0, 1]`, so
-    /// `ln(2/δ)/(2ε²)` draws). When `U < 1` — long disjunctions of rare
-    /// descriptors, where naive draws are almost all misses — the Karp–Luby
-    /// estimator: draw descriptor `i` with probability `P(dᵢ)/U`, sample the
-    /// remaining components conditionally, and score `U` iff no
-    /// earlier-indexed descriptor is also satisfied. Each sample lies in
-    /// `[0, U]` and has mean `P(∨ dᵢ)`, so Hoeffding needs only `U²` times
-    /// the Monte Carlo count — strictly fewer draws whenever `U < 1`.
-    fn estimate(&self, eps: f64, delta: f64, rng: &mut CounterRng, stats: &mut ConfStats) -> f64 {
-        let mut assignment: Vec<u16> = vec![0; self.vars.len()];
-        let estimate = if self.total_weight < 1.0 {
-            let draws = hoeffding_draws(eps, delta, self.total_weight);
-            stats.samples_drawn += draws;
-            let mut hits = 0u64;
-            for _ in 0..draws {
-                // Pick descriptor i proportionally to its probability …
-                let mut x = rng.unit_f64() * self.total_weight;
-                let mut i = 0;
-                while i + 1 < self.weights.len() && x > self.weights[i] {
-                    x -= self.weights[i];
-                    i += 1;
-                }
-                // … sample every component, then clamp dᵢ's own components
-                // to dᵢ (the conditional world). Sampling all slots first
-                // keeps the per-draw RNG consumption independent of i.
-                self.sample_assignment(rng, &mut assignment);
-                for &(slot, alt) in &self.descs[i] {
-                    assignment[slot as usize] = alt;
-                }
-                if !(0..i).any(|j| self.satisfied(j, &assignment)) {
-                    hits += 1;
-                }
-            }
-            self.total_weight * hits as f64 / draws as f64
-        } else {
-            let draws = hoeffding_draws(eps, delta, 1.0);
-            stats.samples_drawn += draws;
-            let mut hits = 0u64;
-            for _ in 0..draws {
-                self.sample_assignment(rng, &mut assignment);
-                if (0..self.descs.len()).any(|i| self.satisfied(i, &assignment)) {
-                    hits += 1;
-                }
-            }
-            hits as f64 / draws as f64
-        };
-        estimate.min(1.0)
-    }
-
-    /// Fill `out` with an independent draw of every group component.
-    fn sample_assignment(&self, rng: &mut CounterRng, out: &mut [u16]) {
-        for (slot, comp) in self.vars.iter().enumerate() {
-            out[slot] = comp.sample(rng.unit_f64());
-        }
-    }
-
-    /// Whether descriptor `i` holds under a full group assignment.
-    fn satisfied(&self, i: usize, assignment: &[u16]) -> bool {
-        self.descs[i]
-            .iter()
-            .all(|&(slot, alt)| assignment[slot as usize] == alt)
-    }
+/// Estimate one group's `P(∨ dᵢ)` to within `eps` with probability
+/// ≥ `1 − delta`; returns the estimate and the draws it took.
+///
+/// Two estimators, both unbiased, chosen by cost: when `U = Σ P(dᵢ) ≥ 1`,
+/// plain Monte Carlo over group assignments (indicator in `[0, 1]`, so
+/// `ln(2/δ)/(2ε²)` draws). When `U < 1` — long disjunctions of rare
+/// descriptors, where naive draws are almost all misses — the Karp–Luby
+/// estimator, whose samples lie in `[0, U]` and have mean `P(∨ dᵢ)`, so
+/// Hoeffding needs only `U²` times the Monte Carlo count — strictly fewer
+/// draws whenever `U < 1`.
+fn estimate(sampler: &mut GroupSampler<'_>, eps: f64, delta: f64, rng: &CounterRng) -> (f64, u64) {
+    let total_weight = sampler.total_weight();
+    let karp_luby = total_weight < 1.0;
+    let width = if karp_luby { total_weight } else { 1.0 };
+    let draws = hoeffding_draws(eps, delta, width);
+    let hits = if karp_luby {
+        sampler.karp_luby(rng, draws)
+    } else {
+        sampler.monte_carlo(rng, draws)
+    };
+    ((width * hits as f64 / draws as f64).min(1.0), draws)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use maybms_core::Component;
+    use maybms_core::{Component, WsDescriptor};
 
     fn two_comp_set() -> (ComponentSet, ComponentId, ComponentId) {
         let mut cs = ComponentSet::new();
         let c0 = cs.add(Component::from_weights(&[1.0, 3.0]).unwrap());
         let c1 = cs.add(Component::uniform(3).unwrap());
         (cs, c0, c1)
+    }
+
+    /// A chain of `links` two-term descriptors `cᵢ=0 ∧ cᵢ₊₁=0` over
+    /// `alts`-way uniform components: one connected group.
+    fn chain(links: usize, alts: usize) -> (ComponentSet, Vec<WsDescriptor>) {
+        let mut cs = ComponentSet::new();
+        let ids: Vec<ComponentId> = (0..=links)
+            .map(|_| cs.add(Component::uniform(alts).unwrap()))
+            .collect();
+        let descs = (0..links)
+            .map(|i| {
+                WsDescriptor::single(ids[i], 0)
+                    .conjoin(&WsDescriptor::single(ids[i + 1], 0))
+                    .unwrap()
+            })
+            .collect();
+        (cs, descs)
+    }
+
+    /// Estimate the single group `descs` form, as `solve` would.
+    fn estimate_group(
+        cs: &ComponentSet,
+        descs: &[WsDescriptor],
+        eps: f64,
+        delta: f64,
+        seed: u64,
+    ) -> (f64, u64) {
+        let mut kernel = DnfKernel::new();
+        assert_eq!(
+            kernel.load(descs.iter().map(WsDescriptor::terms)),
+            Loaded::Groups(1)
+        );
+        let rng = CounterRng::new(seed, kernel.stream_key(0));
+        estimate(&mut kernel.sampler(cs, 0), eps, delta, &rng)
+    }
+
+    fn solve(
+        cs: &ComponentSet,
+        descs: &[WsDescriptor],
+        mode: Option<(ApproxConf, u64)>,
+        ceiling: u64,
+    ) -> (Result<f64, MayError>, ConfStats) {
+        let mut solver = RunSolver::new(cs, mode, ceiling);
+        let got = solver.solve(descs.iter().map(WsDescriptor::terms));
+        (got, solver.stats())
     }
 
     #[test]
@@ -529,25 +505,22 @@ mod tests {
     #[test]
     fn both_estimators_land_within_eps() {
         let (cs, c0, c1) = two_comp_set();
-        // Connected group (shares c0): U = P(c0=1) + P(c0=1 ∧ c1=2) > …
+        // Connected group (shares c0): U = 3/4 + 1/4 = 1, Monte Carlo.
         let descs = [
             WsDescriptor::single(c0, 1),
             WsDescriptor::single(c0, 1)
                 .conjoin(&WsDescriptor::single(c1, 2))
                 .unwrap(),
         ];
-        let refs: Vec<&WsDescriptor> = descs.iter().collect();
-        let exact = cs.prob_of_group(&refs);
+        let exact = cs.prob_of_dnf(&descs);
         for (eps, delta) in [(0.02, 0.01), (0.05, 0.05)] {
             for seed in 0..20u64 {
-                let mut stats = ConfStats::default();
-                let mut rng = CounterRng::new(seed, group_stream_key(&refs));
-                let est = GroupSampler::new(&cs, &refs).estimate(eps, delta, &mut rng, &mut stats);
+                let (est, draws) = estimate_group(&cs, &descs, eps, delta, seed);
                 assert!(
                     (est - exact).abs() <= eps,
                     "seed {seed}: |{est} - {exact}| > {eps}"
                 );
-                assert!(stats.samples_drawn > 0);
+                assert_eq!(draws, hoeffding_draws(eps, delta, 1.0));
             }
         }
     }
@@ -558,28 +531,12 @@ mod tests {
         // descriptor has probability 1/64, so U = 3/64 ≪ 1 and the
         // Karp–Luby estimator (width U) needs far fewer draws than plain
         // Monte Carlo (width 1) at the same (ε, δ).
-        let mut cs = ComponentSet::new();
-        let ids: Vec<ComponentId> = (0..4)
-            .map(|_| cs.add(Component::uniform(8).unwrap()))
-            .collect();
-        // Chain them into one connected group via two-term bridges.
-        let descs: Vec<WsDescriptor> = (0..3)
-            .map(|i| {
-                WsDescriptor::single(ids[i], 0)
-                    .conjoin(&WsDescriptor::single(ids[i + 1], 0))
-                    .unwrap()
-            })
-            .collect();
-        let refs: Vec<&WsDescriptor> = descs.iter().collect();
-        let sampler = GroupSampler::new(&cs, &refs);
-        assert!(sampler.total_weight < 1.0, "KL regime");
-        let exact = cs.prob_of_group(&refs);
-        let mut stats = ConfStats::default();
-        let mut rng = CounterRng::new(11, group_stream_key(&refs));
-        let est = sampler.estimate(0.01, 0.01, &mut rng, &mut stats);
+        let (cs, descs) = chain(3, 8);
+        let exact = cs.prob_of_dnf(&descs);
+        let (est, draws) = estimate_group(&cs, &descs, 0.01, 0.01, 11);
         assert!((est - exact).abs() <= 0.01, "|{est} - {exact}|");
-        // KL on width U < 1 needs fewer draws than MC would.
-        assert!(stats.samples_drawn < hoeffding_draws(0.01, 0.01, 1.0));
+        assert_eq!(draws, hoeffding_draws(0.01, 0.01, 3.0 / 64.0));
+        assert!(draws < hoeffding_draws(0.01, 0.01, 1.0));
     }
 
     #[test]
@@ -592,12 +549,12 @@ mod tests {
                 .conjoin(&WsDescriptor::single(c1, 0))
                 .unwrap(),
         ];
-        let mut stats = ConfStats::default();
-        let got = solve_run(&cs, &descs, None, &mut stats);
-        // Bit-identical: same group order, same per-group solver.
-        assert_eq!(got.to_bits(), cs.prob_of_dnf(&descs).to_bits());
+        let (got, stats) = solve(&cs, &descs, None, EXACT_STEP_CEILING);
+        // Bit-identical: same kernel, same group order.
+        assert_eq!(got.unwrap().to_bits(), cs.prob_of_dnf(&descs).to_bits());
         assert_eq!(stats.sampled_groups, 0);
-        assert!(stats.exact_groups >= 1);
+        assert_eq!(stats.exact_groups, 1);
+        assert!(stats.exact_steps > 0);
         // The two-term descriptor bridges c0 and c1: one group of three.
         assert_eq!(stats.largest_group, 3);
     }
@@ -613,10 +570,30 @@ mod tests {
             seed: 5,
             exact_limit: Some(0),
         };
-        let mut stats = ConfStats::default();
-        let got = solve_run(&cs, &descs, Some(&(approx, 0)), &mut stats);
+        let (got, stats) = solve(&cs, &descs, Some((approx, 0)), EXACT_STEP_CEILING);
+        let got = got.unwrap();
         assert!((got - exact).abs() <= 0.02, "|{got} - {exact}|");
         assert_eq!(stats.exact_groups, 0);
         assert_eq!(stats.sampled_groups, 2);
+        assert_eq!(stats.exact_steps, 0);
+    }
+
+    #[test]
+    fn exact_solve_gives_up_at_the_step_ceiling() {
+        // A 12-link chain takes a few dozen transitions; a ceiling of 10
+        // stops it with the typed error, one of 1000 does not.
+        let (cs, descs) = chain(12, 2);
+        let (got, _) = solve(&cs, &descs, None, 10);
+        match got {
+            Err(MayError::TooManySteps {
+                descriptors: 12,
+                steps,
+                limit: 10,
+            }) => assert!(steps > 10),
+            other => panic!("expected TooManySteps, got {other:?}"),
+        }
+        let (got, stats) = solve(&cs, &descs, None, 1000);
+        assert!((got.unwrap() - cs.prob_of_dnf_enumerate(&descs)).abs() < 1e-12);
+        assert!(stats.exact_steps <= 1000);
     }
 }

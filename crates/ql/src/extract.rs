@@ -4,8 +4,9 @@ use std::sync::Arc;
 
 use maybms_algebra::{EvalCtx, ExtOperator, ExtProps, Plan};
 use maybms_core::columnar::ColumnarURelation;
+use maybms_core::dnf::{DnfKernel, EXACT_STEP_CEILING};
 use maybms_core::parallel::{chunk_ranges, run_tasks};
-use maybms_core::{DescId, MayError, Schema, WsDescriptor};
+use maybms_core::{DescId, MayError, Schema};
 
 use crate::order::{run_bounds, sorted_row_ids};
 
@@ -163,34 +164,37 @@ impl ExtOperator for Certain {
         let bounds = run_bounds(r, &perm);
         let check_started = ctx.tracer.now();
         // A tuple is certain iff the disjunction of its descriptors covers
-        // all worlds. `covers_all_worlds` factorizes into connected
-        // descriptor groups and only enumerates within a group; the handles
-        // are resolved to descriptors once per distinct tuple, at this
-        // probabilistic-engine boundary. Runs are independent, so the
-        // coverage checks parallelize over morsels of runs; concatenating
-        // in task order keeps the output order sequential.
+        // all worlds: some connected descriptor group must cover every
+        // assignment of its own components, which the solver kernel decides
+        // by the same elimination walk `conf` uses, stopping at the first
+        // uncovered assignment. Each run's term lists go to it straight
+        // from the pool. Runs are independent, so the coverage checks
+        // parallelize over morsels of runs; concatenating in task order
+        // keeps the output order (and the first error) sequential.
         let workers = ctx.par.workers_for(perm.len());
         let pool = &ctx.pool;
         let components = &*ctx.components;
         let check_runs = |range: std::ops::Range<usize>| {
             let mut kept: Vec<u32> = Vec::new();
+            let mut kernel = DnfKernel::new();
             for &(start, end) in &bounds[range] {
-                let descs: Vec<WsDescriptor> = perm[start as usize..end as usize]
-                    .iter()
-                    .map(|&i| pool.to_descriptor(r.descs()[i as usize]))
-                    .collect();
-                if components.covers_all_worlds(&descs) {
-                    kept.push(perm[start as usize]);
+                let run = &perm[start as usize..end as usize];
+                let terms = run.iter().map(|&i| pool.terms(r.descs()[i as usize]));
+                if kernel.covers_all(components, terms, EXACT_STEP_CEILING)? {
+                    kept.push(run[0]);
                 }
             }
-            kept
+            Ok(kept)
         };
         let kept: Vec<u32> = if workers <= 1 {
-            check_runs(0..bounds.len())
+            check_runs(0..bounds.len())?
         } else {
             let morsels = chunk_ranges(bounds.len(), workers * 4);
             ctx.par_stats.note_stage(workers, morsels.len());
-            run_tasks(workers, morsels.len(), |t| check_runs(morsels[t].clone())).concat()
+            run_tasks(workers, morsels.len(), |t| check_runs(morsels[t].clone()))
+                .into_iter()
+                .collect::<Result<Vec<_>, MayError>>()?
+                .concat()
         };
         ctx.tracer
             .event("coverage-check", check_started, bounds.len() as u64);

@@ -111,7 +111,7 @@ fn explain_analyze_renders_the_census_conf_join() {
     let expected = "\
 analyzed plan:
   · scan-convert  (time=<T>ms items=7)
-  conf  (time=<T>ms rows=2 in=2 exact_groups=2 est_rows=2)
+  conf  (time=<T>ms rows=2 in=2 exact_groups=2 exact_steps=2 est_rows=2)
     project[city]  (time=<T>ms rows=2 in=2 est_rows=2)
       natural-join  (time=<T>ms rows=2 in=4 conjoins=2 est_rows=2)
         project[ssn]  (time=<T>ms rows=2 in=2 est_rows=2)

@@ -6,7 +6,7 @@
 //!    oracle on randomized plans — per world *and* on the aggregated
 //!    `conf` semantics.
 //! 2. `ComponentSet::prob_of_dnf` (connected-component factorization with
-//!    adaptive inclusion–exclusion) must agree with
+//!    per-group variable elimination) must agree with
 //!    `ComponentSet::prob_of_dnf_enumerate` (unfactorized brute force) on
 //!    adversarial shared-variable DNFs, and `covers_all_worlds` must agree
 //!    with brute-force coverage.

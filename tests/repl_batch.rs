@@ -1,9 +1,11 @@
-//! Batch-mode golden tests for the REPL's `\set` knob handling.
+//! Batch-mode golden tests for the REPL's hard errors.
 //!
-//! A mistyped knob used to be a silent no-op: the script kept running with
-//! whatever settings it *thought* it had changed. These tests pin the hard
-//! error — batch mode must stop with a non-zero exit and name the valid
-//! knobs — and the success path for the knobs the error message promises.
+//! A mistyped `\set` knob used to be a silent no-op: the script kept
+//! running with whatever settings it *thought* it had changed. These tests
+//! pin the hard error — batch mode must stop with a non-zero exit and name
+//! the valid knobs — and the success path for the knobs the error message
+//! promises; and they pin the one runtime error a well-typed query can
+//! still meet, the exact solver's step ceiling.
 //!
 //! Each test drives the actual `repl` example binary through `cargo run`
 //! (the example has no library form), so what is pinned is exactly what a
@@ -14,12 +16,18 @@ use std::process::{Command, Output};
 
 /// Run `cargo run --example repl -- --batch <script>` on a temp script.
 fn run_batch(name: &str, script: &str) -> Output {
+    run_batch_with(name, script, &[])
+}
+
+/// [`run_batch`] with extra `cargo run` flags (e.g. `--release`).
+fn run_batch_with(name: &str, script: &str, cargo_flags: &[&str]) -> Output {
     let path = std::env::temp_dir().join(format!("maybms-repl-batch-{name}.mayql"));
     std::fs::write(&path, script).expect("temp script is writable");
     let manifest: PathBuf = [env!("CARGO_MANIFEST_DIR"), "Cargo.toml"].iter().collect();
     let output = Command::new(std::env::var("CARGO").unwrap_or_else(|_| "cargo".into()))
         .args(["run", "--quiet", "--example", "repl", "--manifest-path"])
         .arg(&manifest)
+        .args(cargo_flags)
         .arg("--")
         .arg("--batch")
         .arg(&path)
@@ -96,4 +104,45 @@ fn valid_knobs_round_trip_in_batch_mode() {
     }
     // Set semantics: the four census readings hold three distinct ssns.
     assert!(stdout.contains("(3 rows)"), "the query ran: {stdout}");
+}
+
+/// Exact `CONF` is bounded work: a connected descriptor group whose
+/// elimination frontier is too wide stops at the solver's step ceiling with
+/// a typed runtime error (no span, so no caret diagnostic) instead of
+/// running and allocating without bound — while `CONF(eps, delta)` prices
+/// the same group over its cutover and estimates it.
+///
+/// The script welds 49 independent repairs of the census form: relation
+/// `i` is joined with relations `i + 20` and `i + 21`, so twenty descriptors
+/// stay open across the middle of the component order and the frontier
+/// holds 2²⁰ states. Reaching the ceiling takes 2²⁴ transitions, hence the
+/// release build.
+#[test]
+fn exact_conf_stops_at_the_step_ceiling_on_a_welded_group() {
+    let mut script = String::new();
+    for i in 1..=49 {
+        script += &format!("LET r{i} = REPAIR KEY name IN censusform WEIGHT BY w;\n");
+    }
+    let welds: Vec<String> = (1..=28)
+        .flat_map(|i| [(i, i + 20), (i, i + 21)])
+        .map(|(i, j)| format!("SELECT name FROM r{i}, r{j} WHERE ssn = 185"))
+        .collect();
+    script += &format!("LET welded = {};\n", welds.join(" UNION "));
+    script += "SELECT CONF(0.1, 0.1) name FROM welded;\n\\stats\nSELECT CONF name FROM welded;\n";
+
+    let out = run_batch_with("step-ceiling", &script, &["--release"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stdout.contains(
+            "0 groups exact in 0 steps, 2 sampled in 300 draws (largest group 56 descriptors)"
+        ),
+        "the approximate query sampled both tuples: {stdout}"
+    );
+    assert!(!out.status.success(), "the exact query must fail: {stdout}");
+    assert_eq!(
+        stderr,
+        "error: exact solve of a 56-descriptor group reached 16777218 steps, \
+         the limit is 16777216; CONF(eps, delta) estimates such groups instead\n"
+    );
 }
