@@ -76,7 +76,6 @@ use std::sync::Arc;
 
 use maybms_core::bloom::BlockedBloom;
 use maybms_core::columnar::{ColView, ColumnVec, ColumnarURelation, StrPool};
-use maybms_core::intern::ShardDelta;
 use maybms_core::obs::{metrics, ObsCounters, QueryTrace, SpanId, Tracer};
 use maybms_core::parallel::{chunk_ranges, run_tasks};
 use maybms_core::{
@@ -235,8 +234,6 @@ impl<'a> EvalCtx<'a> {
         let pool = self.pool.stats();
         ObsCounters {
             morsels: self.par_stats.morsels,
-            shard_entries: self.par_stats.shard_entries,
-            merge_nanos: self.par_stats.merge_nanos,
             intern_calls: pool.intern_calls,
             intern_hits: pool.intern_hits,
             conjoin_calls: pool.conjoin_calls,
@@ -288,8 +285,7 @@ pub struct ExecStats {
     pub dedups_elided: usize,
     /// The run's worker-thread budget ([`ParCfg::threads`]).
     pub threads: usize,
-    /// Parallelism counters: workers actually used, morsels dispatched,
-    /// pool-shard entries merged, merge time.
+    /// Parallelism counters: workers actually used, morsels dispatched.
     pub par: ParStats,
     /// Confidence-solver counters: groups solved exactly vs. by sampling,
     /// exact steps and draws spent, largest connected group seen.
@@ -788,13 +784,7 @@ fn run_impl(
         converted_rows += rel.len() as u64;
         scans.insert(
             name.to_string(),
-            ColumnarURelation::from_urelation_with(
-                rel,
-                &mut ctx.pool,
-                &mut ctx.strings,
-                &ctx.par,
-                &mut ctx.par_stats,
-            ),
+            ColumnarURelation::from_urelation(rel, &mut ctx.pool, &mut ctx.strings),
         );
     }
     ctx.tracer
@@ -1073,124 +1063,37 @@ fn eval_batch_inner<'s>(
             // hash of its key cells (computed in place — no key vector is
             // ever materialized).
             let r_rows: Vec<u32> = r.row_ids().collect();
-            let workers = ctx.par.workers_for(l.len().max(r_rows.len()));
+            let mut built = ChainedIndex::with_capacity(r_rows.len());
+            for (slot, &ri) in r_rows.iter().enumerate() {
+                built.insert(key_hash(&r_views, ri, |&(_, rc)| rc), slot);
+            }
+            // Probe with the left key cells; verify candidates column-wise.
+            // Matches are collected as (left row, right row, descriptor);
+            // the output columns are the input columns plus these match
+            // lists as rowid indirections. Sequential by design: the probe
+            // mints descriptors, and only the calling thread touches the
+            // pool.
             let mut l_idx: Vec<u32> = Vec::new();
             let mut r_idx: Vec<u32> = Vec::new();
             let mut descs: Vec<DescId> = Vec::new();
-            if workers <= 1 {
-                let mut built = ChainedIndex::with_capacity(r_rows.len());
-                for (slot, &ri) in r_rows.iter().enumerate() {
-                    built.insert(key_hash(&r_views, ri, |&(_, rc)| rc), slot);
-                }
-                // Probe with the left key cells; verify candidates
-                // column-wise. Matches are collected as (left row, right
-                // row, descriptor); the output columns are the input
-                // columns plus these match lists as rowid indirections.
-                for li in l.row_ids() {
-                    for slot in built.probe(key_hash(&l_views, li, |&(lc, _)| lc)) {
-                        let ri = r_rows[slot];
-                        let keys_match = jp.shared.iter().all(|&(lc, rc)| {
-                            l_views[lc].eq_cells(li as usize, &r_views[rc], ri as usize)
-                        });
-                        if !keys_match {
-                            continue; // hash collision, not an equi-match
-                        }
-                        // A joined tuple exists only in worlds where both
-                        // inputs exist: the conjunction of the descriptors.
-                        // Inconsistent descriptors denote no worlds — drop.
-                        if let Some(d) =
-                            ctx.pool.conjoin(l.descs[li as usize], r.descs[ri as usize])
-                        {
-                            l_idx.push(li);
-                            r_idx.push(ri);
-                            descs.push(d);
-                        }
+            for li in l.row_ids() {
+                for slot in built.probe(key_hash(&l_views, li, |&(lc, _)| lc)) {
+                    let ri = r_rows[slot];
+                    let keys_match = jp.shared.iter().all(|&(lc, rc)| {
+                        l_views[lc].eq_cells(li as usize, &r_views[rc], ri as usize)
+                    });
+                    if !keys_match {
+                        continue; // hash collision, not an equi-match
+                    }
+                    // A joined tuple exists only in worlds where both
+                    // inputs exist: the conjunction of the descriptors.
+                    // Inconsistent descriptors denote no worlds — drop.
+                    if let Some(d) = ctx.pool.conjoin(l.descs[li as usize], r.descs[ri as usize]) {
+                        l_idx.push(li);
+                        r_idx.push(ri);
+                        descs.push(d);
                     }
                 }
-            } else {
-                // Morsel-parallel partitioned hash join. Build rows are
-                // hashed in parallel, scattered into `2^k` partitions by
-                // the hash's *high* bits (bucket selection uses the low
-                // bits, so partitioning costs no entropy), and one
-                // `ChainedIndex` per partition is built concurrently —
-                // inserting in ascending slot order, so each chain yields
-                // the same relative order a single global index would.
-                // Probe morsels conjoin through private pool shards; the
-                // shards are absorbed in task order and the minted handles
-                // remapped, which makes the match list independent of
-                // scheduling.
-                let build_morsels = chunk_ranges(r_rows.len(), workers * 4);
-                let r_hashes: Vec<u64> = run_tasks(workers, build_morsels.len(), |t| {
-                    r_rows[build_morsels[t].clone()]
-                        .iter()
-                        .map(|&ri| key_hash(&r_views, ri, |&(_, rc)| rc))
-                        .collect::<Vec<_>>()
-                })
-                .concat();
-                let parts = workers.next_power_of_two();
-                let shift = 64 - parts.trailing_zeros();
-                let mut parted: Vec<Vec<u32>> = vec![Vec::new(); parts];
-                for (slot, &h) in r_hashes.iter().enumerate() {
-                    parted[(h >> shift) as usize].push(slot as u32);
-                }
-                let indexes: Vec<ChainedIndex> = run_tasks(workers, parts, |pi| {
-                    let members = &parted[pi];
-                    let mut idx = ChainedIndex::with_capacity(members.len());
-                    for (k, &slot) in members.iter().enumerate() {
-                        idx.insert(r_hashes[slot as usize], k);
-                    }
-                    idx
-                });
-                let l_rows: Vec<u32> = l.row_ids().collect();
-                let probe_morsels = chunk_ranges(l_rows.len(), workers * 4);
-                ctx.par_stats
-                    .note_stage(workers, build_morsels.len() + parts + probe_morsels.len());
-                let pool = &ctx.pool;
-                type ProbeOut = (Vec<u32>, Vec<u32>, Vec<DescId>, ShardDelta);
-                let results: Vec<ProbeOut> = run_tasks(workers, probe_morsels.len(), |t| {
-                    let mut shard = pool.shard();
-                    let mut l_v: Vec<u32> = Vec::new();
-                    let mut r_v: Vec<u32> = Vec::new();
-                    let mut d_v: Vec<DescId> = Vec::new();
-                    for &li in &l_rows[probe_morsels[t].clone()] {
-                        let h = key_hash(&l_views, li, |&(lc, _)| lc);
-                        let pi = (h >> shift) as usize;
-                        let members = &parted[pi];
-                        for k in indexes[pi].probe(h) {
-                            let ri = r_rows[members[k] as usize];
-                            let keys_match = jp.shared.iter().all(|&(lc, rc)| {
-                                l_views[lc].eq_cells(li as usize, &r_views[rc], ri as usize)
-                            });
-                            if !keys_match {
-                                continue; // hash collision, not an equi-match
-                            }
-                            if let Some(d) =
-                                shard.conjoin(l.descs[li as usize], r.descs[ri as usize])
-                            {
-                                l_v.push(li);
-                                r_v.push(ri);
-                                d_v.push(d);
-                            }
-                        }
-                    }
-                    (l_v, r_v, d_v, shard.into_delta())
-                });
-                let started = std::time::Instant::now();
-                let mut deltas = Vec::with_capacity(results.len());
-                let mut parts_out = Vec::with_capacity(results.len());
-                for (l_v, r_v, d_v, delta) in results {
-                    deltas.push(delta);
-                    parts_out.push((l_v, r_v, d_v));
-                }
-                let entries: u64 = deltas.iter().map(|d| d.len() as u64).sum();
-                let remaps = ctx.pool.absorb(deltas);
-                for ((l_v, r_v, d_v), remap) in parts_out.into_iter().zip(&remaps) {
-                    l_idx.extend_from_slice(&l_v);
-                    r_idx.extend_from_slice(&r_v);
-                    descs.extend(d_v.into_iter().map(|d| remap.remap(d)));
-                }
-                ctx.par_stats
-                    .note_merge(entries, started.elapsed().as_nanos() as u64);
             }
             drop(l_views);
             drop(r_views);
@@ -1223,6 +1126,7 @@ fn eval_batch_inner<'s>(
                     cols.push(LazyCol { col: c.col, ids });
                 }
             } else {
+                let workers = ctx.par.workers_for(l.len().max(r_rows.len()));
                 for c in &l.cols {
                     cols.push(LazyCol::dense(Cow::Owned(gather_eager(c, &l_idx, workers))));
                 }

@@ -186,9 +186,10 @@ pub trait ExtOperator: fmt::Debug + Send + Sync {
     /// [`ParCfg::workers_for`](maybms_core::ParCfg::workers_for)) and
     /// `ctx.par_stats` the counters to report into. Parallel implementations
     /// must stay deterministic — byte-identical output for every thread
-    /// count; mint descriptors through per-task
-    /// [`PoolShard`](maybms_core::intern::PoolShard)s absorbed in task
-    /// order, never through a shared lock.
+    /// count: tasks are pure functions of frozen inputs (they may *read*
+    /// `ctx.pool` and `ctx.strings`), their results are combined in task
+    /// order, and tasks do not mint descriptors or strings — the calling
+    /// thread does, before or after the fan-out.
     fn eval(
         &self,
         ctx: &mut EvalCtx<'_>,

@@ -411,40 +411,50 @@ fn main() {
     }
 
     // Morsel-driven parallelism: the three heaviest workloads at 10⁶ rows,
-    // each timed single-threaded (`_t1`) and at `MAYBMS_BENCH_THREADS`
-    // workers (`_tN`, default 4), with the output cardinality asserted
-    // equal — the parallel paths promise byte-identical results, so a row
-    // drift here is a correctness bug, not a perf delta. 10⁷ rows ride
-    // behind `MAYBMS_BENCH_HUGE=1`. This phase runs in quick mode too: the
-    // committed baseline carries per-row `"tol"` overrides because the
-    // speedup (or, on a single-core runner, the oversubscription overhead)
-    // is entirely a function of the host's core count.
+    // each timed single-threaded (`_t1`) and at `N` workers (`_tN`), with
+    // the output cardinality asserted equal — the parallel paths promise
+    // byte-identical results, so a row drift here is a correctness bug, not
+    // a perf delta. `N` is what the host has (`available_parallelism`, or
+    // `MAYBMS_BENCH_THREADS`), so a `_tN` row never prices oversubscription;
+    // with one hardware thread there is nothing to compare and the `_tN`
+    // rows are skipped. 10⁷ rows ride behind `MAYBMS_BENCH_HUGE=1`. This
+    // phase runs in quick mode too: the committed baseline carries per-row
+    // `"tol"` overrides because a fan-out's timing depends on how many of
+    // the host's cores are really free.
     let par_threads: usize = std::env::var("MAYBMS_BENCH_THREADS")
         .ok()
         .and_then(|v| v.parse().ok())
         .filter(|&t| t >= 1)
-        .unwrap_or(4);
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get()));
+    if par_threads == 1 {
+        eprintln!("note: one thread available, skipping the `_tN` rows of the parallel phase");
+    }
     let par_sizes: &[usize] = if std::env::var("MAYBMS_BENCH_HUGE").is_ok() {
         &[1_000_000, 10_000_000]
     } else {
         &[1_000_000]
     };
-    let t1 = ParCfg::with_threads(1);
-    let tn = ParCfg::with_threads(par_threads);
+    let par_pair =
+        |bench: &str, n: usize, ws: &WorldSet, f: &dyn Fn(&mut WorldSet, &ParCfg) -> usize| {
+            let (rows1, ms1) = bench_min(ws, |ws| f(ws, &ParCfg::with_threads(1)));
+            emit(&format!("{bench}_t1"), n, rows1, ms1);
+            if par_threads > 1 {
+                let tn = ParCfg::with_threads(par_threads);
+                let (rows_n, ms_n) = bench_min(ws, |ws| f(ws, &tn));
+                assert_eq!(
+                    rows1, rows_n,
+                    "{bench}: {par_threads} threads changed the result size"
+                );
+                emit(&format!("{bench}_t{par_threads}"), n, rows_n, ms_n);
+            }
+        };
 
     for &n in par_sizes {
         let ws = normalization_workload(&mut Rng::new(0xBE7C), n);
-        let (rows1, ms1) = bench_min(&ws, |ws| {
-            ws.normalize_with(&t1);
+        par_pair("normalize", n, &ws, &|ws, par| {
+            ws.normalize_with(par);
             ws.relations["r"].len()
         });
-        emit("normalize_t1", n, rows1, ms1);
-        let (rows_n, ms_n) = bench_min(&ws, |ws| {
-            ws.normalize_with(&tn);
-            ws.relations["r"].len()
-        });
-        assert_eq!(rows1, rows_n, "parallel normalize changed the result size");
-        emit(&format!("normalize_t{par_threads}"), n, rows_n, ms_n);
     }
 
     for &n in par_sizes {
@@ -452,36 +462,20 @@ fn main() {
         let plan = Plan::scan("r1")
             .join(Plan::scan("r2"))
             .join(Plan::scan("r3"));
-        let (rows1, ms1) = bench_min(&ws, |ws| {
-            run_with_opts(ws, &plan, &t1)
+        par_pair("join3", n, &ws, &|ws, par| {
+            run_with_opts(ws, &plan, par)
                 .expect("join workload is well-typed")
                 .len()
         });
-        emit("join3_t1", n, rows1, ms1);
-        let (rows_n, ms_n) = bench_min(&ws, |ws| {
-            run_with_opts(ws, &plan, &tn)
-                .expect("join workload is well-typed")
-                .len()
-        });
-        assert_eq!(rows1, rows_n, "parallel join changed the result size");
-        emit(&format!("join3_t{par_threads}"), n, rows_n, ms_n);
     }
 
     for &n in par_sizes {
         let ws = repair_workload(&mut Rng::new(0x4E9A), n);
         let plan = repair_key(Plan::scan("r"), &["k"], Some("w"));
-        let (rows1, ms1) = bench_min(&ws, |ws| {
-            run_with_opts(ws, &plan, &t1)
+        par_pair("repair_key", n, &ws, &|ws, par| {
+            run_with_opts(ws, &plan, par)
                 .expect("repair workload is well-typed")
                 .len()
         });
-        emit("repair_key_t1", n, rows1, ms1);
-        let (rows_n, ms_n) = bench_min(&ws, |ws| {
-            run_with_opts(ws, &plan, &tn)
-                .expect("repair workload is well-typed")
-                .len()
-        });
-        assert_eq!(rows1, rows_n, "parallel repair-key changed the result size");
-        emit(&format!("repair_key_t{par_threads}"), n, rows_n, ms_n);
     }
 }

@@ -25,9 +25,10 @@
 //! contradict their inputs. Baseline rows predating the field are accepted.
 //!
 //! A baseline row may additionally carry `"tol":<percent>`, a per-workload
-//! override of the global tolerance. The parallel-phase rows use it: their
-//! timings are entirely a function of the host's core count (a `_t4` row
-//! measured on a single-core box runs oversubscribed), so they need wider
+//! override of the global tolerance. The parallel-phase rows use it: a
+//! `_tN` row is measured at the recording host's own core count, and how
+//! many of those cores are really free differs from host to host (the
+//! committed `_t2` rows come from two shared vCPUs), so they need wider
 //! slack than the single-threaded micro-benchmarks.
 //!
 //! The JSON subset involved is flat and fully under our control, so the

@@ -19,6 +19,10 @@
 //!   so string equality — in joins, dedup, and group detection — is a `u32`
 //!   compare, never a byte compare.
 //!
+//! Both pools have one owner — the thread driving the run. Conversion
+//! ([`ColumnarURelation::from_urelation`]) is sequential by design; parallel
+//! stages only ever read the pools.
+//!
 //! `Null` is represented out of band: a column carries an optional validity
 //! mask, allocated lazily the first time a null is stored. The typed data
 //! slot under a null holds an unobservable sentinel. Pure `null`-typed
@@ -32,21 +36,11 @@
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
 
-use crate::intern::{DescId, DescriptorPool, ShardDelta};
-use crate::parallel::{chunk_ranges, run_tasks, ParCfg, ParStats};
+use crate::intern::{DescId, DescriptorPool};
 use crate::rel::Tuple;
 use crate::schema::Schema;
 use crate::urel::URelation;
 use crate::value::{Value, ValueType, F64};
-
-/// A sink for string interning: implemented by the run-global [`StrPool`]
-/// and the per-worker [`StrShard`], so columnar appends
-/// ([`ColumnVec::push`]) work identically inside and outside parallel
-/// stages.
-pub trait InternStr {
-    /// Intern a string, returning its stable code.
-    fn intern_str(&mut self, s: &str) -> u32;
-}
 
 /// FxHash of a string's bytes — the probe key for the pool's
 /// open-addressing tables. Computed once per intern and *stored* per code,
@@ -182,147 +176,6 @@ impl StrPool {
     pub fn get(&self, code: u32) -> &str {
         &self.strings[code as usize]
     }
-
-    /// A fresh per-worker append arena over this pool (the string analog of
-    /// [`DescriptorPool::shard`]): reads resolve against the base first,
-    /// new strings get codes numbered from `self.len()` upward.
-    pub fn shard(&self) -> StrShard<'_> {
-        StrShard {
-            base: self,
-            strings: Vec::new(),
-            hashes: Vec::new(),
-            slots: Vec::new(),
-        }
-    }
-
-    /// Deterministically merge worker shard deltas back into the pool, in
-    /// the order given (task order). Each shard string is re-interned, so
-    /// cross-shard duplicates converge to one global code; the returned
-    /// remaps translate each shard's local codes.
-    pub fn absorb(&mut self, deltas: Vec<StrDelta>) -> Vec<StrRemap> {
-        deltas
-            .into_iter()
-            .map(|delta| {
-                debug_assert!(
-                    delta.base_len as usize <= self.strings.len(),
-                    "shard built over a different (larger) pool"
-                );
-                let map = delta.strings.iter().map(|s| self.intern(s)).collect();
-                StrRemap {
-                    base_len: delta.base_len,
-                    map,
-                }
-            })
-            .collect()
-    }
-}
-
-impl InternStr for StrPool {
-    fn intern_str(&mut self, s: &str) -> u32 {
-        self.intern(s)
-    }
-}
-
-/// A per-worker append arena over a frozen [`StrPool`]; see
-/// [`StrPool::shard`].
-#[derive(Debug)]
-pub struct StrShard<'p> {
-    base: &'p StrPool,
-    strings: Vec<Box<str>>,
-    hashes: Vec<u64>,
-    slots: Vec<u32>,
-}
-
-impl StrShard<'_> {
-    /// Intern a string, returning its (base- or shard-) code. The shard's
-    /// own table stores *local* indices; codes are offset by the frozen
-    /// base length.
-    pub fn intern(&mut self, s: &str) -> u32 {
-        let h = str_hash(s);
-        if let Some(code) = table_lookup(
-            &self.base.slots,
-            &self.base.hashes,
-            &self.base.strings,
-            h,
-            s,
-        ) {
-            return code;
-        }
-        let local = match table_lookup(&self.slots, &self.hashes, &self.strings, h, s) {
-            Some(local) => local,
-            None => table_insert(&mut self.slots, &mut self.hashes, &mut self.strings, h, s),
-        };
-        self.base.strings.len() as u32 + local
-    }
-
-    /// The string behind a base or shard-local code.
-    pub fn get(&self, code: u32) -> &str {
-        let i = code as usize;
-        let b = self.base.strings.len();
-        if i < b {
-            &self.base.strings[i]
-        } else {
-            &self.strings[i - b]
-        }
-    }
-
-    /// Detach the locally minted strings for [`StrPool::absorb`].
-    pub fn into_delta(self) -> StrDelta {
-        StrDelta {
-            base_len: self.base.strings.len() as u32,
-            strings: self.strings,
-        }
-    }
-}
-
-impl InternStr for StrShard<'_> {
-    fn intern_str(&mut self, s: &str) -> u32 {
-        self.intern(s)
-    }
-}
-
-/// The detached local arena of one [`StrShard`].
-#[derive(Debug)]
-pub struct StrDelta {
-    base_len: u32,
-    strings: Vec<Box<str>>,
-}
-
-impl StrDelta {
-    /// Number of locally minted strings.
-    pub fn len(&self) -> usize {
-        self.strings.len()
-    }
-
-    /// True when the shard minted nothing.
-    pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
-    }
-}
-
-/// Translation of one shard's local string codes to global codes, as
-/// produced by [`StrPool::absorb`].
-#[derive(Clone, Debug)]
-pub struct StrRemap {
-    base_len: u32,
-    map: Vec<u32>,
-}
-
-impl StrRemap {
-    /// The global code for a (base or shard-local) code.
-    #[inline]
-    pub fn remap(&self, code: u32) -> u32 {
-        if code < self.base_len {
-            code
-        } else {
-            self.map[(code - self.base_len) as usize]
-        }
-    }
-
-    /// True when the shard minted nothing (every code passes through).
-    pub fn is_identity(&self) -> bool {
-        self.map.is_empty()
-    }
 }
 
 /// Typed contiguous storage for one column's values.
@@ -432,9 +285,7 @@ impl ColumnVec {
 
     /// Append a value. The value must match the column's storage type or be
     /// `Null`; anything else is a caller bug (the row was schema-checked).
-    /// Strings intern through any [`InternStr`] sink — the run-global
-    /// [`StrPool`] or a worker's [`StrShard`].
-    pub fn push<S: InternStr>(&mut self, v: &Value, strings: &mut S) {
+    pub fn push(&mut self, v: &Value, strings: &mut StrPool) {
         match (&mut self.data, v) {
             (ColumnData::Null(n), Value::Null) => {
                 *n += 1;
@@ -443,7 +294,7 @@ impl ColumnVec {
             (ColumnData::Bool(c), Value::Bool(b)) => c.push(*b),
             (ColumnData::Int(c), Value::Int(i)) => c.push(*i),
             (ColumnData::Float(c), Value::Float(f)) => c.push(f.get()),
-            (ColumnData::Str(c), Value::Str(s)) => c.push(strings.intern_str(s)),
+            (ColumnData::Str(c), Value::Str(s)) => c.push(strings.intern(s)),
             (data, Value::Null) => {
                 // A null in a typed column: push the sentinel, mark invalid.
                 match data {
@@ -673,31 +524,6 @@ impl ColumnVec {
         }
     }
 
-    /// Rewrite shard-local string codes to global ones after a
-    /// [`StrPool::absorb`]. Non-string columns are untouched; null cells
-    /// keep their unobservable sentinel.
-    pub fn remap_str_codes(&mut self, remap: &StrRemap) {
-        if remap.is_identity() {
-            return;
-        }
-        if let ColumnData::Str(codes) = &mut self.data {
-            match &self.validity {
-                None => {
-                    for c in codes.iter_mut() {
-                        *c = remap.remap(*c);
-                    }
-                }
-                Some(valid) => {
-                    for (c, &ok) in codes.iter_mut().zip(valid) {
-                        if ok {
-                            *c = remap.remap(*c);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     /// Append the cells of `src` at `idx` (in that order) to this column.
     /// Both columns must share the storage variant (union-compatible
     /// schemas guarantee it).
@@ -886,87 +712,6 @@ impl ColumnarURelation {
         out
     }
 
-    /// Parallel [`ColumnarURelation::from_urelation`]: rows are split into
-    /// contiguous chunks, each chunk is converted by a worker into its own
-    /// [`PoolShard`](crate::intern::PoolShard)/[`StrShard`] pair, the shards
-    /// are absorbed **in chunk order**, and the chunks' handles/codes are
-    /// remapped and concatenated — so the result (row order *and*, because
-    /// absorption hash-conses, the canonicality of every descriptor handle)
-    /// is identical to the sequential conversion up to handle numbering.
-    pub fn from_urelation_with(
-        u: &URelation,
-        pool: &mut DescriptorPool,
-        strings: &mut StrPool,
-        par: &ParCfg,
-        stats: &mut ParStats,
-    ) -> Self {
-        let workers = par.workers_for(u.len());
-        if workers <= 1 {
-            return ColumnarURelation::from_urelation(u, pool, strings);
-        }
-        let schema = u.schema().clone();
-        let rows = u.rows();
-        let ranges = chunk_ranges(rows.len(), workers);
-        stats.note_stage(workers, ranges.len());
-        let parts = run_tasks(workers, ranges.len(), |t| {
-            let mut ps = pool.shard();
-            let mut ss = strings.shard();
-            let range = ranges[t].clone();
-            let mut cols: Vec<ColumnVec> = schema
-                .columns()
-                .iter()
-                .map(|c| ColumnVec::new(c.ty))
-                .collect();
-            let mut descs = Vec::with_capacity(range.len());
-            for c in &mut cols {
-                c.reserve(range.len());
-            }
-            for (tuple, d) in &rows[range] {
-                for (c, v) in cols.iter_mut().zip(tuple.values()) {
-                    c.push(v, &mut ss);
-                }
-                descs.push(ps.intern(d));
-            }
-            (cols, descs, ps.into_delta(), ss.into_delta())
-        });
-
-        let merge_start = std::time::Instant::now();
-        let mut pool_deltas: Vec<ShardDelta> = Vec::with_capacity(parts.len());
-        let mut str_deltas: Vec<StrDelta> = Vec::with_capacity(parts.len());
-        let mut chunks: Vec<(Vec<ColumnVec>, Vec<DescId>)> = Vec::with_capacity(parts.len());
-        for (cols, descs, pd, sd) in parts {
-            pool_deltas.push(pd);
-            str_deltas.push(sd);
-            chunks.push((cols, descs));
-        }
-        let entries: u64 = pool_deltas.iter().map(|d| d.len() as u64).sum::<u64>()
-            + str_deltas.iter().map(|d| d.len() as u64).sum::<u64>();
-        let desc_remaps = pool.absorb(pool_deltas);
-        let str_remaps = strings.absorb(str_deltas);
-
-        let mut out = ColumnarURelation::new(schema);
-        for c in &mut out.cols {
-            c.reserve(rows.len());
-        }
-        out.descs.reserve(rows.len());
-        for (i, (mut cols, descs)) in chunks.into_iter().enumerate() {
-            for c in &mut cols {
-                c.remap_str_codes(&str_remaps[i]);
-            }
-            for (oc, c) in out.cols.iter_mut().zip(&cols) {
-                oc.extend_all(c);
-            }
-            if desc_remaps[i].is_identity() {
-                out.descs.extend_from_slice(&descs);
-            } else {
-                out.descs
-                    .extend(descs.iter().map(|&d| desc_remaps[i].remap(d)));
-            }
-        }
-        stats.note_merge(entries, merge_start.elapsed().as_nanos() as u64);
-        out
-    }
-
     /// Convert back to the row-oriented form, resolving descriptor handles
     /// and string codes. Row order is preserved exactly, so
     /// `to_urelation(from_urelation(u)) == u`.
@@ -1134,77 +879,6 @@ mod tests {
         assert_eq!(col.len(), 4);
         assert!(col.is_null(3));
         assert_eq!(col.value(3, &strings), Value::Null);
-    }
-
-    #[test]
-    fn parallel_conversion_matches_sequential() {
-        // Enough rows (with duplicated strings across chunks) to exercise
-        // shard creation, cross-shard convergence, and remapping.
-        let schema = Schema::of(&[("s", ValueType::Str), ("i", ValueType::Int)]).unwrap();
-        let mut u = URelation::new(schema);
-        for i in 0..257i64 {
-            let (t, d) = (
-                Tuple::new(vec![Value::str(format!("s{}", i % 7)), i.into()]),
-                WsDescriptor::single(ComponentId((i % 5) as u32), 1),
-            );
-            u.push(t, d).unwrap();
-        }
-        u.push(
-            Tuple::new(vec![Value::Null, Value::Null]),
-            WsDescriptor::tautology(),
-        )
-        .unwrap();
-
-        let mut pool_seq = DescriptorPool::new();
-        let mut strings_seq = StrPool::new();
-        let seq = ColumnarURelation::from_urelation(&u, &mut pool_seq, &mut strings_seq);
-
-        let mut pool_par = DescriptorPool::new();
-        let mut strings_par = StrPool::new();
-        let par = crate::parallel::ParCfg {
-            threads: 4,
-            min_rows: 1,
-        };
-        let mut stats = crate::parallel::ParStats::default();
-        let got = ColumnarURelation::from_urelation_with(
-            &u,
-            &mut pool_par,
-            &mut strings_par,
-            &par,
-            &mut stats,
-        );
-        assert_eq!(got.len(), seq.len());
-        // Row-oriented round trips agree exactly (the observable contract).
-        assert_eq!(
-            got.to_urelation(&pool_par, &strings_par),
-            seq.to_urelation(&pool_seq, &strings_seq)
-        );
-        // Handles stay canonical: re-interning an existing descriptor must
-        // not mint a new entry.
-        let before = pool_par.len();
-        pool_par.intern(&WsDescriptor::single(ComponentId(3), 1));
-        assert_eq!(pool_par.len(), before);
-        assert!(stats.workers_used > 1 && stats.morsels > 0);
-    }
-
-    #[test]
-    fn str_shard_roundtrip() {
-        let mut pool = StrPool::new();
-        let base_a = pool.intern("a");
-        let mut s1 = pool.shard();
-        let mut s2 = pool.shard();
-        assert_eq!(s1.intern("a"), base_a);
-        let x1 = s1.intern("x");
-        let x2 = s2.intern("x");
-        let y2 = s2.intern("y");
-        assert_eq!(s1.get(x1), "x");
-        assert_eq!(s2.get(y2), "y");
-        let remaps = pool.absorb(vec![s1.into_delta(), s2.into_delta()]);
-        assert_eq!(remaps[0].remap(x1), remaps[1].remap(x2));
-        assert_eq!(pool.get(remaps[1].remap(y2)), "y");
-        assert_eq!(remaps[0].remap(base_a), base_a);
-        // Re-interning after absorb stays canonical.
-        assert_eq!(pool.intern("x"), remaps[0].remap(x1));
     }
 
     #[test]

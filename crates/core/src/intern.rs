@@ -11,6 +11,12 @@
 //! reusable scratch buffer, so a consistent conjoin of small descriptors
 //! performs no allocation at all unless it mints a brand-new pool entry
 //! with more than [`INLINE_TERMS`] terms.
+//!
+//! A pool has exactly one owner. Parallel stages read it through `&self`
+//! (term lists, [`DescriptorPool::cmp_terms`],
+//! [`DescriptorPool::same_descriptor`]); every handle is minted by the
+//! owning thread, so pool traffic is a function of the plan and the data,
+//! never of the thread count.
 
 use std::cmp::Ordering;
 
@@ -175,20 +181,9 @@ impl DescriptorPool {
             self.stats.intern_hits += 1;
             return DescId::TAUTOLOGY;
         }
-        let before = self.entries.len();
-        let id = self.intern_stored(Stored::from_terms(terms));
-        if id.index() < before {
-            self.stats.intern_hits += 1;
-        }
-        id
-    }
-
-    /// Hash-cons a pre-built entry without touching the usage counters (the
-    /// shared tail of [`DescriptorPool::intern_terms`] and the shard
-    /// [`DescriptorPool::absorb`] path, which must not double-count the
-    /// shard's already-recorded calls).
-    fn intern_stored(&mut self, stored: Stored) -> DescId {
+        let stored = Stored::from_terms(terms);
         if let Some(&id) = self.index.get(&stored) {
+            self.stats.intern_hits += 1;
             return id;
         }
         let id = DescId(self.entries.len() as u32);
@@ -296,332 +291,6 @@ impl DescriptorPool {
         self.scratch = scratch;
         out
     }
-
-    /// A fresh per-worker append arena over this pool. The pool itself is
-    /// frozen while shards exist (they hold `&self`); every shard hands out
-    /// handles numbered from `self.len()` upward, so shard handles and base
-    /// handles never collide. Collect the shards' deltas and fold them back
-    /// with [`DescriptorPool::absorb`].
-    pub fn shard(&self) -> PoolShard<'_> {
-        PoolShard {
-            base: self,
-            entries: Vec::new(),
-            index: FxHashMap::default(),
-            scratch: Vec::new(),
-            stats: PoolStats::default(),
-        }
-    }
-
-    /// Deterministically merge worker shard deltas back into the pool.
-    ///
-    /// Deltas are absorbed **in the order given** (callers pass them in task
-    /// order, never in thread-completion order): each shard entry is
-    /// re-interned through the pool's hash-consing index, so two shards that
-    /// minted the same descriptor independently converge to one global
-    /// canonical handle. The returned remap tables translate each shard's
-    /// local handles to global ones; handles below the shard's base length
-    /// were global already and pass through unchanged.
-    ///
-    /// The shards' usage counters are folded into the pool's stats; the
-    /// re-interning itself is not counted (it is bookkeeping, not workload).
-    pub fn absorb(&mut self, deltas: Vec<ShardDelta>) -> Vec<DescRemap> {
-        deltas
-            .into_iter()
-            .map(|delta| {
-                debug_assert!(
-                    delta.base_len as usize <= self.entries.len(),
-                    "shard built over a different (larger) pool"
-                );
-                let map = delta
-                    .entries
-                    .into_iter()
-                    .map(|s| self.intern_stored(s))
-                    .collect();
-                self.stats.accumulate(&delta.stats);
-                DescRemap {
-                    base_len: delta.base_len,
-                    map,
-                }
-            })
-            .collect()
-    }
-}
-
-impl PoolStats {
-    /// Fold another pool's (or shard's) counters into this one.
-    pub fn accumulate(&mut self, other: &PoolStats) {
-        self.intern_calls += other.intern_calls;
-        self.intern_hits += other.intern_hits;
-        self.conjoin_calls += other.conjoin_calls;
-        self.conjoin_shortcuts += other.conjoin_shortcuts;
-        self.conjoin_inconsistent += other.conjoin_inconsistent;
-    }
-}
-
-/// A per-worker append arena over a frozen [`DescriptorPool`]: reads resolve
-/// against the base pool first, new descriptors land in a local arena with
-/// handles numbered from the base pool's length upward. Shards are cheap to
-/// create, are `Send` (each worker task owns its own), and are folded back
-/// into the base pool — deterministically — by [`DescriptorPool::absorb`].
-///
-/// The interning contract matches the pool's: [`PoolShard::intern_terms`]
-/// is canonical *within the run's frozen base plus this shard* (it consults
-/// the base index, then the local index), while [`PoolShard::conjoin`]
-/// appends without hash-consing exactly like
-/// [`DescriptorPool::conjoin`]. Absorption re-interns every shard entry, so
-/// cross-shard duplicates of canonical entries converge to one global
-/// handle.
-#[derive(Debug)]
-pub struct PoolShard<'p> {
-    base: &'p DescriptorPool,
-    entries: Vec<Stored>,
-    index: FxHashMap<Stored, DescId>,
-    scratch: Vec<(ComponentId, u16)>,
-    stats: PoolStats,
-}
-
-impl PoolShard<'_> {
-    /// Total descriptors visible through this shard (base + local).
-    pub fn len(&self) -> usize {
-        self.base.entries.len() + self.entries.len()
-    }
-
-    /// Never empty: the base pool holds at least the tautology.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// The term list behind a base or shard-local handle.
-    pub fn terms(&self, id: DescId) -> &[(ComponentId, u16)] {
-        let i = id.index();
-        let b = self.base.entries.len();
-        if i < b {
-            self.base.entries[i].terms()
-        } else {
-            self.entries[i - b].terms()
-        }
-    }
-
-    /// Intern a descriptor, returning its (base- or shard-) handle.
-    pub fn intern(&mut self, d: &WsDescriptor) -> DescId {
-        self.intern_terms(d.terms())
-    }
-
-    /// Shard counterpart of [`DescriptorPool::intern_terms`].
-    pub fn intern_terms(&mut self, terms: &[(ComponentId, u16)]) -> DescId {
-        debug_assert!(
-            terms.windows(2).all(|w| w[0].0 < w[1].0),
-            "intern_terms requires strictly sorted component ids"
-        );
-        self.stats.intern_calls += 1;
-        if terms.is_empty() {
-            self.stats.intern_hits += 1;
-            return DescId::TAUTOLOGY;
-        }
-        let stored = Stored::from_terms(terms);
-        if let Some(&id) = self.base.index.get(&stored) {
-            self.stats.intern_hits += 1;
-            return id;
-        }
-        if let Some(&id) = self.index.get(&stored) {
-            self.stats.intern_hits += 1;
-            return id;
-        }
-        let id = DescId(self.len() as u32);
-        self.entries.push(stored.clone());
-        self.index.insert(stored, id);
-        id
-    }
-
-    /// Intern the single assignment `component = alternative`.
-    pub fn single(&mut self, component: ComponentId, alternative: u16) -> DescId {
-        self.intern_terms(&[(component, alternative)])
-    }
-
-    /// Reconstruct the owned [`WsDescriptor`] for a handle.
-    pub fn to_descriptor(&self, id: DescId) -> WsDescriptor {
-        WsDescriptor::from_sorted_terms_unchecked(self.terms(id).to_vec())
-    }
-
-    /// Whether two handles denote the same descriptor (see
-    /// [`DescriptorPool::same_descriptor`]).
-    pub fn same_descriptor(&self, a: DescId, b: DescId) -> bool {
-        a == b || self.terms(a) == self.terms(b)
-    }
-
-    /// Canonical descriptor order on handles (see
-    /// [`DescriptorPool::cmp_terms`]).
-    pub fn cmp_terms(&self, a: DescId, b: DescId) -> Ordering {
-        if a == b {
-            return Ordering::Equal;
-        }
-        self.terms(a).cmp(self.terms(b))
-    }
-
-    /// Shard counterpart of [`DescriptorPool::conjoin`]: identical
-    /// shortcuts, and like the pool it *appends* a genuinely new result to
-    /// the local arena without hash-consing (absorption canonicalizes).
-    pub fn conjoin(&mut self, a: DescId, b: DescId) -> Option<DescId> {
-        self.stats.conjoin_calls += 1;
-        if a == b || b.is_tautology() {
-            self.stats.conjoin_shortcuts += 1;
-            return Some(a);
-        }
-        if a.is_tautology() {
-            self.stats.conjoin_shortcuts += 1;
-            return Some(b);
-        }
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        let merged = merge_sorted_terms(self.terms(a), self.terms(b), &mut scratch);
-        let result = if !merged {
-            self.stats.conjoin_inconsistent += 1;
-            None
-        } else if scratch.len() == self.terms(a).len() {
-            self.stats.conjoin_shortcuts += 1;
-            Some(a)
-        } else if scratch.len() == self.terms(b).len() {
-            self.stats.conjoin_shortcuts += 1;
-            Some(b)
-        } else {
-            let id = DescId(self.len() as u32);
-            self.entries.push(Stored::from_terms(&scratch));
-            Some(id)
-        };
-        self.scratch = scratch;
-        result
-    }
-
-    /// See [`DescriptorPool::is_subset`].
-    pub fn is_subset(&self, a: DescId, b: DescId) -> bool {
-        let (ta, tb) = (self.terms(a), self.terms(b));
-        ta.iter().all(|t| tb.binary_search(t).is_ok())
-    }
-
-    /// See [`DescriptorPool::without`] (canonical within base + shard).
-    pub fn without(&mut self, id: DescId, c: ComponentId) -> DescId {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        scratch.extend(self.terms(id).iter().copied().filter(|&(cc, _)| cc != c));
-        let out = self.intern_terms(&scratch);
-        self.scratch = scratch;
-        out
-    }
-
-    /// Detach the shard's local entries and counters for
-    /// [`DescriptorPool::absorb`]. Consumes the shard, releasing the base
-    /// borrow.
-    pub fn into_delta(self) -> ShardDelta {
-        ShardDelta {
-            base_len: self.base.entries.len() as u32,
-            entries: self.entries,
-            stats: self.stats,
-        }
-    }
-}
-
-/// The detached local arena of one [`PoolShard`], ready to be folded back
-/// into the base pool by [`DescriptorPool::absorb`].
-#[derive(Debug)]
-pub struct ShardDelta {
-    base_len: u32,
-    entries: Vec<Stored>,
-    stats: PoolStats,
-}
-
-impl ShardDelta {
-    /// Number of locally minted entries this delta carries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when the shard minted nothing.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
-
-/// Translation of one shard's local handles to global pool handles, as
-/// produced by [`DescriptorPool::absorb`].
-#[derive(Clone, Debug)]
-pub struct DescRemap {
-    base_len: u32,
-    map: Vec<DescId>,
-}
-
-impl DescRemap {
-    /// The global handle for a (base or shard-local) handle.
-    #[inline]
-    pub fn remap(&self, id: DescId) -> DescId {
-        if id.0 < self.base_len {
-            id
-        } else {
-            self.map[(id.0 - self.base_len) as usize]
-        }
-    }
-
-    /// True when the shard minted nothing (every handle passes through).
-    pub fn is_identity(&self) -> bool {
-        self.map.is_empty()
-    }
-}
-
-/// The descriptor operations the normalization fixpoint needs, abstracted
-/// over [`DescriptorPool`] and [`PoolShard`] so the per-tuple-group
-/// simplification can run inside worker shards. Method names are distinct
-/// from the inherent ones to keep concrete call sites unambiguous; the
-/// provided combinators mirror the inherent implementations exactly.
-pub trait DescInterner {
-    /// The sorted term list behind a handle.
-    fn terms_of(&self, id: DescId) -> &[(ComponentId, u16)];
-
-    /// Intern a sorted, conflict-free term list, canonically.
-    fn intern_sorted(&mut self, terms: &[(ComponentId, u16)]) -> DescId;
-
-    /// Canonical descriptor order on handles (term-list order).
-    fn order_terms(&self, a: DescId, b: DescId) -> Ordering {
-        if a == b {
-            return Ordering::Equal;
-        }
-        self.terms_of(a).cmp(self.terms_of(b))
-    }
-
-    /// True when every assignment of `a` also occurs in `b`.
-    fn subset_terms(&self, a: DescId, b: DescId) -> bool {
-        let (ta, tb) = (self.terms_of(a), self.terms_of(b));
-        ta.iter().all(|t| tb.binary_search(t).is_ok())
-    }
-
-    /// The canonical handle of `id` with any assignment to `c` removed.
-    fn drop_component(&mut self, id: DescId, c: ComponentId) -> DescId {
-        let terms: Vec<(ComponentId, u16)> = self
-            .terms_of(id)
-            .iter()
-            .copied()
-            .filter(|&(cc, _)| cc != c)
-            .collect();
-        self.intern_sorted(&terms)
-    }
-}
-
-impl DescInterner for DescriptorPool {
-    fn terms_of(&self, id: DescId) -> &[(ComponentId, u16)] {
-        self.terms(id)
-    }
-
-    fn intern_sorted(&mut self, terms: &[(ComponentId, u16)]) -> DescId {
-        self.intern_terms(terms)
-    }
-}
-
-impl DescInterner for PoolShard<'_> {
-    fn terms_of(&self, id: DescId) -> &[(ComponentId, u16)] {
-        self.terms(id)
-    }
-
-    fn intern_sorted(&mut self, terms: &[(ComponentId, u16)]) -> DescId {
-        self.intern_terms(terms)
-    }
 }
 
 #[cfg(test)]
@@ -666,69 +335,6 @@ mod tests {
         assert_eq!(pool.intern(&d), id);
         assert_eq!(pool.to_descriptor(id), d);
         assert_eq!(pool.spilled(), 1);
-    }
-
-    #[test]
-    fn shards_merge_deterministically() {
-        let mut pool = DescriptorPool::new();
-        let base = pool.intern(&WsDescriptor::single(ComponentId(0), 1));
-
-        let mut a = pool.shard();
-        let mut b = pool.shard();
-        // Both shards mint the same new descriptor plus one of their own.
-        let shared = WsDescriptor::single(ComponentId(7), 2);
-        let sa = a.intern(&shared);
-        let sb = b.intern(&shared);
-        let only_a = a.intern(&WsDescriptor::single(ComponentId(8), 0));
-        let only_b = b.intern(&WsDescriptor::single(ComponentId(9), 0));
-        // Base handles resolve through shards unchanged.
-        assert_eq!(a.intern(&WsDescriptor::single(ComponentId(0), 1)), base);
-        assert_eq!(a.terms(base), pool.terms(base));
-        assert!(sa.index() >= pool.len() && sb.index() >= pool.len());
-
-        let remaps = pool.absorb(vec![a.into_delta(), b.into_delta()]);
-        // The shared descriptor converges to one canonical global handle...
-        assert_eq!(remaps[0].remap(sa), remaps[1].remap(sb));
-        // ...every remapped handle resolves to the shard's content...
-        assert_eq!(
-            pool.to_descriptor(remaps[0].remap(only_a)),
-            WsDescriptor::single(ComponentId(8), 0)
-        );
-        assert_eq!(
-            pool.to_descriptor(remaps[1].remap(only_b)),
-            WsDescriptor::single(ComponentId(9), 0)
-        );
-        // ...base handles pass through, and the pool stays canonical.
-        assert_eq!(remaps[0].remap(base), base);
-        assert_eq!(remaps[0].remap(DescId::TAUTOLOGY), DescId::TAUTOLOGY);
-        assert_eq!(pool.intern(&shared), remaps[0].remap(sa));
-    }
-
-    #[test]
-    fn shard_conjoin_matches_pool_conjoin() {
-        let mut pool = DescriptorPool::new();
-        let d1 = pool.intern(&WsDescriptor::single(ComponentId(0), 1));
-        let d2 = pool.intern(&WsDescriptor::single(ComponentId(1), 0));
-        let conflict = pool.intern(&WsDescriptor::single(ComponentId(0), 2));
-
-        let mut shard = pool.shard();
-        let joined = shard.conjoin(d1, d2).expect("distinct components");
-        assert_eq!(
-            shard.to_descriptor(joined).terms(),
-            &[(ComponentId(0), 1), (ComponentId(1), 0)]
-        );
-        assert_eq!(shard.conjoin(d1, conflict), None);
-        assert_eq!(shard.conjoin(d1, DescId::TAUTOLOGY), Some(d1));
-        assert_eq!(shard.conjoin(DescId::TAUTOLOGY, d2), Some(d2));
-        // Subsumption shortcut returns the subsuming input's handle.
-        assert_eq!(shard.conjoin(joined, d1), Some(joined));
-
-        let remaps = pool.absorb(vec![shard.into_delta()]);
-        let global = remaps[0].remap(joined);
-        assert_eq!(
-            pool.terms(global),
-            &[(ComponentId(0), 1), (ComponentId(1), 0)]
-        );
     }
 
     #[test]

@@ -30,8 +30,8 @@ use crate::columnar::{ColumnarURelation, StrPool};
 use crate::component::ComponentSet;
 use crate::descriptor::{ComponentId, WsDescriptor};
 use crate::fxhash::FxHashMap;
-use crate::intern::{DescId, DescInterner, DescriptorPool, ShardDelta};
-use crate::parallel::{chunk_ranges, par_sort_by, run_tasks, ParCfg, ParStats};
+use crate::intern::{DescId, DescriptorPool};
+use crate::parallel::{chunk_ranges, par_sort_by, run_tasks, ParCfg};
 use crate::rel::Tuple;
 use crate::urel::URelation;
 use crate::world::WorldSet;
@@ -49,9 +49,8 @@ pub fn normalize(ws: &mut WorldSet) {
 }
 
 /// [`normalize`] with an explicit parallelism configuration. The result is
-/// byte-identical for every thread count: the parallel stages (conversion,
-/// canonical sort, per-tuple-group fixpoint) are deterministic, and the
-/// tuple groups the rewrites act on are independent by construction.
+/// byte-identical for every thread count: the one stage that fans out (the
+/// canonical sort) reproduces the sequential order exactly.
 pub fn normalize_with(ws: &mut WorldSet, par: &ParCfg) {
     let components = ws.components.clone();
     for rel in ws.relations.values_mut() {
@@ -83,16 +82,13 @@ pub fn normalize_relation(rel: &mut URelation, components: &ComponentSet) {
 
 /// [`normalize_relation`] with an explicit parallelism configuration.
 ///
-/// Above the morsel threshold three stages fan out, each deterministic:
-/// the columnar conversion (per-morsel pool shards, merged in task order),
-/// the canonical sort key build plus [`par_sort_by`] (which reproduces a
-/// stable sort exactly — and the comparator is a *total* order on surviving
-/// rows, so it equals the sequential unstable sort's output too), and the
-/// per-tuple-group fixpoint (groups are independent; each task simplifies
-/// its groups against a private [`PoolShard`](crate::intern::PoolShard) and
-/// the resulting handles are remapped after a task-ordered absorb). The
-/// strip memo and the emit pass stay sequential — both are cheap relative
-/// to the sort and fixpoint.
+/// Above the morsel threshold one stage fans out: the canonical sort key
+/// build plus [`par_sort_by`] (which reproduces a stable sort exactly — and
+/// the comparator is a *total* order on surviving rows, so it equals the
+/// sequential unstable sort's output too). Everything that mints pool
+/// entries — the columnar conversion, the strip memo, the per-tuple-group
+/// fixpoint — runs on the calling thread, which owns the pools; the emit
+/// pass is cheap relative to the sort.
 pub fn normalize_relation_with(rel: &mut URelation, components: &ComponentSet, par: &ParCfg) {
     if rel.is_empty() {
         return;
@@ -102,9 +98,7 @@ pub fn normalize_relation_with(rel: &mut URelation, components: &ComponentSet, p
     registry.normalize_rows_total.add(rel.len() as u64);
     let mut pool = DescriptorPool::new();
     let mut strings = StrPool::new();
-    let mut par_stats = ParStats::default();
-    let col =
-        ColumnarURelation::from_urelation_with(rel, &mut pool, &mut strings, par, &mut par_stats);
+    let col = ColumnarURelation::from_urelation(rel, &mut pool, &mut strings);
     let orig_ids: Vec<DescId> = col.descs().to_vec();
     let n = col.len();
     let workers = par.workers_for(n);
@@ -157,7 +151,6 @@ pub fn normalize_relation_with(rel: &mut URelation, components: &ComponentSet, p
                     .collect()
             } else {
                 let morsels = chunk_ranges(n, workers * 4);
-                par_stats.note_stage(workers, morsels.len());
                 run_tasks(workers, morsels.len(), |t| {
                     morsels[t]
                         .clone()
@@ -205,10 +198,7 @@ pub fn normalize_relation_with(rel: &mut URelation, components: &ComponentSet, p
     }
 
     // Per-tuple-group local fixpoint, exactly as in `normalize_rows` but on
-    // canonical handles. Only groups with more than one descriptor need it;
-    // they are independent of each other, so tasks simplify disjoint group
-    // ranges against private pool shards and the surviving handles are
-    // remapped into the global pool afterwards.
+    // canonical handles. Only groups with more than one descriptor need it.
     let multi: Vec<usize> = groups
         .iter()
         .enumerate()
@@ -216,56 +206,17 @@ pub fn normalize_relation_with(rel: &mut URelation, components: &ComponentSet, p
         .map(|(g, _)| g)
         .collect();
     let mut resolved: Vec<Vec<DescId>> = Vec::with_capacity(multi.len());
-    let group_ids = |g: usize| -> Vec<DescId> {
+    for &g in &multi {
         let (s, e) = groups[g];
-        perm[s..e].iter().map(|&i| descs[i as usize]).collect()
-    };
-    if workers <= 1 || multi.len() < 2 {
-        for &g in &multi {
-            let mut ids = group_ids(g);
-            loop {
-                ids.sort_unstable_by(|&a, &b| pool.cmp_terms(a, b));
-                ids.dedup();
-                if !simplify_disjunction_ids(&mut ids, &mut pool, components) {
-                    break;
-                }
-            }
-            resolved.push(ids);
-        }
-    } else {
-        let morsels = chunk_ranges(multi.len(), workers * 4);
-        par_stats.note_stage(workers, morsels.len());
-        let results: Vec<(Vec<Vec<DescId>>, ShardDelta)> = run_tasks(workers, morsels.len(), |t| {
-            let mut shard = pool.shard();
-            let lists: Vec<Vec<DescId>> = morsels[t]
-                .clone()
-                .map(|m| {
-                    let mut ids = group_ids(multi[m]);
-                    loop {
-                        ids.sort_unstable_by(|&a, &b| shard.cmp_terms(a, b));
-                        ids.dedup();
-                        if !simplify_disjunction_ids(&mut ids, &mut shard, components) {
-                            break;
-                        }
-                    }
-                    ids
-                })
-                .collect();
-            (lists, shard.into_delta())
-        });
-        let started = std::time::Instant::now();
-        let (lists, deltas): (Vec<_>, Vec<_>) = results.into_iter().unzip();
-        let entries: u64 = deltas.iter().map(|d| d.len() as u64).sum();
-        let remaps = pool.absorb(deltas);
-        for (task_lists, remap) in lists.into_iter().zip(&remaps) {
-            for mut ids in task_lists {
-                for id in &mut ids {
-                    *id = remap.remap(*id);
-                }
-                resolved.push(ids);
+        let mut ids: Vec<DescId> = perm[s..e].iter().map(|&i| descs[i as usize]).collect();
+        loop {
+            ids.sort_unstable_by(|&a, &b| pool.cmp_terms(a, b));
+            ids.dedup();
+            if !simplify_disjunction_ids(&mut ids, &mut pool, components) {
+                break;
             }
         }
-        par_stats.note_merge(entries, started.elapsed().as_nanos() as u64);
+        resolved.push(ids);
     }
 
     let mut out: Vec<(Tuple, WsDescriptor)> = Vec::with_capacity(perm.len());
@@ -321,13 +272,11 @@ pub fn normalize_relation_with(rel: &mut URelation, components: &ComponentSet, p
 
 /// Absorption and coverage merging on canonical descriptor handles — the
 /// handle-level mirror of [`simplify_disjunction`]. All ids must be interned
-/// (canonical in `pool`), so id equality is descriptor equality. Generic
-/// over [`DescInterner`] so the parallel fixpoint can run it against a
-/// per-task [`PoolShard`](crate::intern::PoolShard). Returns true when
-/// anything changed.
-fn simplify_disjunction_ids<P: DescInterner>(
+/// (canonical in `pool`), so id equality is descriptor equality. Returns
+/// true when anything changed.
+fn simplify_disjunction_ids(
     ids: &mut Vec<DescId>,
-    pool: &mut P,
+    pool: &mut DescriptorPool,
     components: &ComponentSet,
 ) -> bool {
     let mut changed = false;
@@ -340,7 +289,7 @@ fn simplify_disjunction_ids<P: DescInterner>(
             continue;
         }
         for b in 0..ids.len() {
-            if a != b && keep[b] && ids[a] != ids[b] && pool.subset_terms(ids[a], ids[b]) {
+            if a != b && keep[b] && ids[a] != ids[b] && pool.is_subset(ids[a], ids[b]) {
                 keep[b] = false;
                 changed = true;
             }
@@ -359,10 +308,10 @@ fn simplify_disjunction_ids<P: DescInterner>(
     'restart: loop {
         for idx in 0..ids.len() {
             let d = ids[idx];
-            for ti in 0..pool.terms_of(d).len() {
-                let c = pool.terms_of(d)[ti].0;
-                let is_variant = |pool: &P, x: DescId, a: u16| {
-                    let (tx, td) = (pool.terms_of(x), pool.terms_of(d));
+            for ti in 0..pool.terms(d).len() {
+                let c = pool.terms(d)[ti].0;
+                let is_variant = |pool: &DescriptorPool, x: DescId, a: u16| {
+                    let (tx, td) = (pool.terms(x), pool.terms(d));
                     tx.len() == td.len()
                         && tx.iter().zip(td).enumerate().all(|(k, (&xt, &dt))| {
                             if k == ti {
@@ -375,7 +324,7 @@ fn simplify_disjunction_ids<P: DescInterner>(
                 let n = components.get(c).alternatives();
                 if (0..n).all(|a| ids.iter().any(|&x| is_variant(pool, x, a))) {
                     ids.retain(|&x| !(0..n).any(|a| is_variant(pool, x, a)));
-                    ids.push(pool.drop_component(d, c));
+                    ids.push(pool.without(d, c));
                     changed = true;
                     continue 'restart;
                 }

@@ -38,11 +38,6 @@ use std::time::Instant;
 pub struct ObsCounters {
     /// Morsels (parallel tasks) dispatched.
     pub morsels: u64,
-    /// Pool entries (descriptors + strings) minted in worker shards and
-    /// merged back.
-    pub shard_entries: u64,
-    /// Nanoseconds spent in deterministic shard merge/remap steps.
-    pub merge_nanos: u64,
     /// Descriptor-pool intern calls.
     pub intern_calls: u64,
     /// Descriptor-pool intern calls answered from the pool (hits).
@@ -70,8 +65,6 @@ impl ObsCounters {
     pub fn since(&self, earlier: &ObsCounters) -> ObsCounters {
         ObsCounters {
             morsels: self.morsels.saturating_sub(earlier.morsels),
-            shard_entries: self.shard_entries.saturating_sub(earlier.shard_entries),
-            merge_nanos: self.merge_nanos.saturating_sub(earlier.merge_nanos),
             intern_calls: self.intern_calls.saturating_sub(earlier.intern_calls),
             intern_hits: self.intern_hits.saturating_sub(earlier.intern_hits),
             conjoin_calls: self.conjoin_calls.saturating_sub(earlier.conjoin_calls),
@@ -85,8 +78,6 @@ impl ObsCounters {
 
     fn add(&mut self, other: &ObsCounters) {
         self.morsels += other.morsels;
-        self.shard_entries += other.shard_entries;
-        self.merge_nanos += other.merge_nanos;
         self.intern_calls += other.intern_calls;
         self.intern_hits += other.intern_hits;
         self.conjoin_calls += other.conjoin_calls;
@@ -364,7 +355,6 @@ impl QueryTrace {
                         ann.push_str(&format!(" in={rows_in}"));
                     }
                     push_nonzero(&mut ann, "morsels", excl.morsels);
-                    push_nonzero(&mut ann, "shard_entries", excl.shard_entries);
                     push_nonzero(&mut ann, "interns", excl.intern_calls);
                     push_nonzero(&mut ann, "intern_hits", excl.intern_hits);
                     push_nonzero(&mut ann, "conjoins", excl.conjoin_calls);
@@ -414,8 +404,6 @@ impl QueryTrace {
             let c = &s.counters;
             for (key, v) in [
                 ("morsels", c.morsels),
-                ("shard_entries", c.shard_entries),
-                ("merge_nanos", c.merge_nanos),
                 ("intern_calls", c.intern_calls),
                 ("intern_hits", c.intern_hits),
                 ("conjoin_calls", c.conjoin_calls),

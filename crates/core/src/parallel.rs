@@ -9,18 +9,18 @@
 //!   or per-partition jobs);
 //! * a small pool of scoped worker threads pulls task indices from one
 //!   atomic counter ([`run_tasks`]);
-//! * each task produces a self-contained result (including, for stages that
-//!   mint descriptors or strings, its own pool shard delta), and results are
-//!   returned **in task order** — so the output of a parallel stage never
-//!   depends on which OS thread happened to run which task.
+//! * each task is a pure function of frozen inputs and results are returned
+//!   **in task order** — so the output of a parallel stage never depends on
+//!   which OS thread happened to run which task.
 //!
-//! Determinism is the load-bearing property. Every parallel stage in the
-//! engine is written so that, for a fixed input, its output is byte-identical
-//! for *any* thread count — the differential test machinery is the oracle
-//! (see the `parallel_differential` suite). Numeric descriptor handles and
-//! string codes may differ across thread counts; everything downstream
-//! compares descriptor and string *content*, and only the final
-//! row-oriented conversion is observable.
+//! Determinism is the load-bearing property, and the argument for it is one
+//! sentence: *no task mutates shared state; results are combined in task
+//! order*. In particular no task mints a descriptor or a string — the
+//! interning pools have a single owner, the calling thread — so the stages
+//! that mint (scan conversion, the join probe, normalize's fixpoint) are
+//! sequential by design, and pool contents, handle numbering and pool
+//! counters are identical for *any* thread count. The
+//! `parallel_differential` suite is the oracle.
 
 use std::cmp::Ordering;
 use std::ops::Range;
@@ -105,10 +105,7 @@ pub struct ParStats {
     pub workers_used: usize,
     /// Total morsels (tasks) dispatched across all parallel stages.
     pub morsels: u64,
-    /// Pool entries (descriptors + strings) minted inside worker shards and
-    /// merged back into the run-global pools.
-    pub shard_entries: u64,
-    /// Nanoseconds spent in the deterministic shard merge/remap steps.
+    /// Never written (no stage merges); the frozen `perfbench` adapter reads it.
     pub merge_nanos: u64,
 }
 
@@ -119,18 +116,10 @@ impl ParStats {
         self.morsels += morsels as u64;
     }
 
-    /// Record one shard merge (entries re-interned, time spent).
-    pub fn note_merge(&mut self, entries: u64, nanos: u64) {
-        self.shard_entries += entries;
-        self.merge_nanos += nanos;
-    }
-
     /// Fold another run's counters into this one.
     pub fn absorb(&mut self, other: &ParStats) {
         self.workers_used = self.workers_used.max(other.workers_used);
         self.morsels += other.morsels;
-        self.shard_entries += other.shard_entries;
-        self.merge_nanos += other.merge_nanos;
     }
 }
 
@@ -158,10 +147,10 @@ pub fn chunk_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
 ///
 /// Workers pull task indices from one shared atomic counter, so load
 /// balances dynamically; but because each task's result depends only on its
-/// own index (tasks own their state — e.g. a fresh pool shard per task, not
-/// per worker), the returned vector is identical no matter how tasks were
-/// scheduled. With `workers <= 1` or a single task everything runs inline on
-/// the calling thread. A panicking task propagates the panic.
+/// own index (tasks share nothing mutable), the returned vector is identical
+/// no matter how tasks were scheduled. With `workers <= 1` or a single task
+/// everything runs inline on the calling thread. A panicking task propagates
+/// the panic.
 pub fn run_tasks<R, F>(workers: usize, tasks: usize, f: F) -> Vec<R>
 where
     R: Send,

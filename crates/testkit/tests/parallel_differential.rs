@@ -1,36 +1,32 @@
 //! Differential tests for morsel-driven parallel execution.
 //!
 //! The engine's parallelism contract is *byte-identical output for every
-//! thread count*: numeric descriptor handles and string codes may differ
-//! internally, but everything observable — row order, descriptors,
+//! thread count*: everything observable — row order, descriptors,
 //! repair-key component numbering, normalize's canonical form, `conf`'s
-//! floating-point confidences — must be exactly equal. These tests are the
-//! oracle for that contract:
+//! floating-point confidences — must be exactly equal. And because the
+//! interning pools have a single owner (no worker task ever mints), the
+//! run's *pool traffic* — intern/conjoin counters, pool occupancy, spills,
+//! dictionary size — is a function of the plan and the data only, so it
+//! must be equal too. These tests are the oracle for that contract:
 //!
 //! * **plan execution** — generated plans mixing the positive relational
 //!   algebra with the uncertainty constructs run at `threads = 1` and
 //!   `threads = 4` (with the morsel threshold forced to 1 row so every
 //!   parallel code path fires on tiny inputs) and must produce equal
-//!   u-relations AND equal post-run world sets (component minting parity);
+//!   u-relations, equal post-run world sets (component minting parity)
+//!   AND equal pool statistics;
 //! * **normalization** — `normalize_with` agrees across thread counts on
 //!   randomized world sets;
-//! * **pool sharding** — descriptor/string shards built over a shared base
-//!   absorb back deterministically: every shard-local handle remaps to a
-//!   canonical global handle with identical content, and the merged pools
-//!   stay canonical;
 //! * **threshold crossing** — a ~6k-row workload under the *default*
 //!   morsel threshold (4096) agrees across thread counts, so the
 //!   inline/fan-out boundary itself cannot change results.
 //!
 //! A failing case prints its seed for exact replay.
 
-use maybms_algebra::{run_with_opts, Plan};
-use maybms_core::columnar::StrPool;
+use maybms_algebra::{run_with_stats_opts, ExecStats, Plan};
 use maybms_core::parallel::DEFAULT_MIN_ROWS;
 use maybms_core::rng::Rng;
-use maybms_core::{
-    ComponentId, DescriptorPool, ParCfg, Schema, Tuple, URelation, Value, ValueType, WorldSet,
-};
+use maybms_core::{ParCfg, Schema, Tuple, URelation, Value, ValueType, WorldSet};
 use maybms_ql::{conf, possible, repair_key};
 use maybms_testkit::{gen_uncertain_plan, gen_world_set, GenConfig};
 
@@ -38,9 +34,6 @@ use maybms_testkit::{gen_uncertain_plan, gen_world_set, GenConfig};
 const PLAN_CASES: usize = 160;
 /// Randomized world sets for the normalize parity loop.
 const NORMALIZE_CASES: usize = 50;
-
-/// Per-shard record of `(local handle, the terms it must keep resolving to)`.
-type MintedTerms = Vec<(maybms_core::DescId, Vec<(ComponentId, u16)>)>;
 
 /// A configuration that forces every parallel code path even on the tiny
 /// generated inputs: `min_rows = 1` disables the morsel threshold.
@@ -51,13 +44,29 @@ fn par(threads: usize) -> ParCfg {
     }
 }
 
+/// Pool traffic must not depend on the thread count: no task mints, so the
+/// counters, occupancy, spills and dictionary size are those of the
+/// sequential run.
+fn assert_same_pool_traffic(s1: &ExecStats, s4: &ExecStats, what: &str) {
+    assert_eq!(s1.pool, s4.pool, "{what}: pool counters differ");
+    assert_eq!(
+        s1.descriptors, s4.descriptors,
+        "{what}: pool occupancy differs"
+    );
+    assert_eq!(
+        s1.descriptors_spilled, s4.descriptors_spilled,
+        "{what}: spilled entries differ"
+    );
+    assert_eq!(s1.strings, s4.strings, "{what}: dictionary size differs");
+}
+
 fn run_both(ws: &WorldSet, plan: &Plan, seed: u64) {
     let mut ws1 = ws.clone();
     let mut ws4 = ws.clone();
-    let r1 = run_with_opts(&mut ws1, plan, &par(1));
-    let r4 = run_with_opts(&mut ws4, plan, &par(4));
+    let r1 = run_with_stats_opts(&mut ws1, plan, &par(1));
+    let r4 = run_with_stats_opts(&mut ws4, plan, &par(4));
     match (r1, r4) {
-        (Ok(a), Ok(b)) => {
+        (Ok((a, s1)), Ok((b, s4))) => {
             assert_eq!(
                 a, b,
                 "seed {seed}: results differ across thread counts\nplan:\n{plan}"
@@ -66,6 +75,7 @@ fn run_both(ws: &WorldSet, plan: &Plan, seed: u64) {
                 ws1, ws4,
                 "seed {seed}: post-run world sets differ (component minting)\nplan:\n{plan}"
             );
+            assert_same_pool_traffic(&s1, &s4, &format!("seed {seed}, plan:\n{plan}"));
         }
         (Err(e1), Err(e4)) => assert_eq!(
             e1.to_string(),
@@ -109,119 +119,6 @@ fn normalize_agrees_across_thread_counts() {
     }
 }
 
-/// Shards built over one base pool absorb back deterministically: each
-/// local handle remaps to a global handle with the *same term list*, base
-/// handles pass through untouched, identical content interned in different
-/// shards converges to one global handle, and the merged pool stays
-/// canonical (re-interning any entry's terms returns the same handle).
-#[test]
-fn pool_shard_merge_roundtrip() {
-    for case in 0..20u64 {
-        let seed = 0x00A6_2000 + case;
-        let mut rng = Rng::new(seed);
-        let mut pool = DescriptorPool::new();
-        // A populated base, so base-vs-local boundaries are exercised.
-        let gen_terms = |rng: &mut Rng| -> Vec<(ComponentId, u16)> {
-            let mut terms: Vec<(ComponentId, u16)> = (0..rng.below(4))
-                .map(|_| (ComponentId(rng.below(6) as u32), rng.below(3) as u16))
-                .collect();
-            terms.sort_unstable();
-            terms.dedup_by_key(|t| t.0);
-            terms
-        };
-        let base: Vec<_> = (0..10)
-            .map(|_| pool.intern_terms(&gen_terms(&mut rng)))
-            .collect();
-        // Several shards, each recording (local handle, expected terms).
-        let mut deltas = Vec::new();
-        let mut expected: Vec<MintedTerms> = Vec::new();
-        for _ in 0..3 {
-            let mut shard = pool.shard();
-            let mut minted = Vec::new();
-            for _ in 0..15 {
-                let terms = gen_terms(&mut rng);
-                let id = shard.intern_terms(&terms);
-                minted.push((id, terms));
-            }
-            expected.push(minted);
-            deltas.push(shard.into_delta());
-        }
-        let remaps = pool.absorb(deltas);
-        assert_eq!(remaps.len(), expected.len());
-        let mut globals = base.clone();
-        for (minted, remap) in expected.iter().zip(&remaps) {
-            for (local, terms) in minted {
-                let global = remap.remap(*local);
-                assert_eq!(
-                    pool.terms(global),
-                    &terms[..],
-                    "seed {seed}: remapped handle changed content"
-                );
-                globals.push(global);
-            }
-        }
-        // The merged pool is canonical: re-interning the terms of any handle
-        // we hold (base or remapped) is a hit on that same handle, so equal
-        // content minted in different shards converged to one global id.
-        for g in globals {
-            let terms = pool.terms(g).to_vec();
-            assert_eq!(
-                pool.intern_terms(&terms),
-                g,
-                "seed {seed}: merged pool not canonical"
-            );
-        }
-    }
-}
-
-/// String shards converge the same way: cross-shard duplicates merge to
-/// one code, base codes pass through, and the merged dictionary stays
-/// canonical.
-#[test]
-fn str_shard_merge_roundtrip() {
-    for case in 0..20u64 {
-        let seed = 0x00A6_3000 + case;
-        let mut rng = Rng::new(seed);
-        let mut pool = StrPool::new();
-        let base: Vec<u32> = (0..5).map(|i| pool.intern(&format!("base{i}"))).collect();
-        let mut deltas = Vec::new();
-        let mut expected: Vec<Vec<(u32, String)>> = Vec::new();
-        for _ in 0..3 {
-            let mut shard = pool.shard();
-            let mut minted = Vec::new();
-            for _ in 0..12 {
-                let s = format!("s{}", rng.below(8));
-                let code = shard.intern(&s);
-                minted.push((code, s));
-            }
-            expected.push(minted);
-            deltas.push(shard.into_delta());
-        }
-        let remaps = pool.absorb(deltas);
-        for (minted, remap) in expected.iter().zip(&remaps) {
-            for (local, s) in minted {
-                assert_eq!(
-                    pool.get(remap.remap(*local)),
-                    s.as_str(),
-                    "seed {seed}: remapped code changed content"
-                );
-            }
-        }
-        for (i, &b) in base.iter().enumerate() {
-            assert_eq!(pool.get(b), format!("base{i}"), "base codes pass through");
-        }
-        // Canonical after merge: re-interning any stored string is a hit.
-        for code in 0..pool.len() as u32 {
-            let s = pool.get(code).to_string();
-            assert_eq!(
-                pool.intern(&s),
-                code,
-                "seed {seed}: dictionary not canonical"
-            );
-        }
-    }
-}
-
 /// A workload big enough to cross the *default* morsel threshold, so the
 /// production inline/fan-out decision (not the test-forced `min_rows = 1`)
 /// is what gets compared: repair-key over ~6k rows, joined and measured
@@ -256,10 +153,11 @@ fn threshold_crossing_workload_agrees() {
     let mut ws4 = ws.clone();
     let p1 = ParCfg::with_threads(1);
     let p4 = ParCfg::with_threads(4);
-    let a = run_with_opts(&mut ws1, &plan, &p1).expect("threads=1 run succeeds");
-    let b = run_with_opts(&mut ws4, &plan, &p4).expect("threads=4 run succeeds");
+    let (a, s1) = run_with_stats_opts(&mut ws1, &plan, &p1).expect("threads=1 run succeeds");
+    let (b, s4) = run_with_stats_opts(&mut ws4, &plan, &p4).expect("threads=4 run succeeds");
     assert_eq!(a, b, "threshold-crossing run differs across thread counts");
     assert_eq!(ws1, ws4, "component minting differs across thread counts");
+    assert_same_pool_traffic(&s1, &s4, "threshold-crossing run");
 
     ws1.normalize_with(&p1);
     ws4.normalize_with(&p4);

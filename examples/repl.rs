@@ -614,11 +614,6 @@ impl Session {
             s.threads,
             s.par.morsels
         );
-        println!(
-            "  shard merges:    {} entries re-interned in {:.3} ms",
-            s.par.shard_entries,
-            s.par.merge_nanos as f64 / 1e6
-        );
         let c = s.conf;
         if c.exact_groups + c.sampled_groups > 0 {
             println!(
