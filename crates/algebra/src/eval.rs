@@ -45,8 +45,8 @@
 //! the next pipeline breaker (`Batch::into_dense_parts`: union inputs,
 //! extension-operator inputs, the final emit) — instead of k. All sweeps
 //! (predicates, row hashing, join keys) read through [`ColView`]s, which
-//! fold the indirection per cell access. `MAYBMS_LATE_MAT=0` restores
-//! eager per-join gathers; results are byte-identical either way.
+//! fold the indirection per cell access. This is how joins work — there is
+//! no eager per-join gather path beside it.
 //!
 //! # Sideways information passing (SIP)
 //!
@@ -58,9 +58,9 @@
 //! when that node's batch is produced, rows whose key cells cannot match
 //! any build row are pruned before they flow any further. False positives
 //! only keep rows the join itself drops, and pruning is class-closed under
-//! set-semantics dedup, so results are byte-identical with `MAYBMS_SIP=0`
-//! or `1`. Filters cascade: a pruned build side seeds the next filter down
-//! a join chain.
+//! set-semantics dedup, so results are byte-identical with
+//! [`ExecCfg::sip`] on or off. Filters cascade: a pruned build side seeds
+//! the next filter down a join chain.
 //!
 //! Schemas are validated once per operator when the output schema is
 //! derived. Extension operators (`repair-key`, `conf`, …) speak the
@@ -68,6 +68,12 @@
 //! [`ColumnarURelation`]s whose descriptors/strings live in the context's
 //! pools. Only the final result is converted back to a row-oriented
 //! [`URelation`], at the boundary of [`run`].
+//!
+//! # Configuration
+//!
+//! Everything a run can be told is one plain value, [`ExecCfg`] (thread
+//! budget, morsel threshold, SIP on/off), passed to [`run_with`]. Nothing in
+//! this crate reads the process environment.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
@@ -86,49 +92,27 @@ use maybms_core::{
 use crate::plan::Plan;
 use crate::sip::{plan_mints, shared_key_names, sip_target, SipFilter, SipStats, SIP_K};
 
-/// Environment knob gating sideways information passing: any value other
-/// than `0` (including unset) enables it.
-pub const SIP_ENV: &str = "MAYBMS_SIP";
-
-/// Environment knob gating late materialization: any value other than `0`
-/// (including unset) enables it.
-pub const LATE_MAT_ENV: &str = "MAYBMS_LATE_MAT";
-
-/// `true` unless the environment variable is set to `0` (on-by-default
-/// knob convention, matching `MAYBMS_COST_OPT`).
-fn env_on(key: &str) -> bool {
-    std::env::var(key).map_or(true, |v| v.trim() != "0")
-}
-
-/// The executor's run configuration: the thread budget plus the execution
-/// knobs. [`ExecCfg::from_env`] reads everything from the environment
-/// (`MAYBMS_THREADS`, [`SIP_ENV`], [`LATE_MAT_ENV`]); every knob
-/// combination produces byte-identical results — the knobs trade time, not
-/// answers.
-#[derive(Clone, Copy, Debug)]
+/// The executor's run configuration: the thread budget plus the one
+/// execution switch. A plain value the caller holds and passes to
+/// [`run_with`]; every combination produces byte-identical results — the
+/// fields trade time, not answers (the `sip_differential` and
+/// `parallel_differential` suites are the oracle).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ExecCfg {
     /// Worker-thread budget (see [`ParCfg`]).
     pub par: ParCfg,
     /// Sideways information passing: push Bloom filters from selective join
-    /// build sides into probe subtrees.
+    /// build sides into probe subtrees. On by default; `false` is the
+    /// differential baseline and the bench's disabled-path row.
     pub sip: bool,
-    /// Late materialization: join outputs carry rowid indirections; gathers
-    /// are fused at pipeline breakers.
-    pub late_mat: bool,
 }
 
-impl ExecCfg {
-    /// Read the whole configuration from the environment.
-    pub fn from_env() -> ExecCfg {
-        ExecCfg::with_par(ParCfg::from_env())
-    }
-
-    /// An explicit thread budget with the knobs from the environment.
-    pub fn with_par(par: ParCfg) -> ExecCfg {
+impl Default for ExecCfg {
+    /// The machine's parallelism ([`ParCfg::default`]) with SIP on.
+    fn default() -> ExecCfg {
         ExecCfg {
-            par,
-            sip: env_on(SIP_ENV),
-            late_mat: env_on(LATE_MAT_ENV),
+            par: ParCfg::default(),
+            sip: true,
         }
     }
 }
@@ -158,13 +142,11 @@ pub struct EvalCtx<'a> {
     /// evaluations (exact and sampled groups, steps, draws, largest group).
     pub conf_stats: ConfStats,
     /// The run's span recorder. Disabled (every call a cheap no-op) except
-    /// under [`run_traced`]; extension operators may record sub-phase
-    /// events through it ([`Tracer::now`] / [`Tracer::event`]).
+    /// when [`run_with`] is asked to trace; extension operators may record
+    /// sub-phase events through it ([`Tracer::now`] / [`Tracer::event`]).
     pub tracer: Tracer,
     /// Whether sideways information passing is enabled for this run.
     pub sip: bool,
-    /// Whether join outputs are late-materialized for this run.
-    pub late_mat: bool,
     /// Memoized results of extension operators, keyed by `Arc` identity.
     /// A shared (cloned) `repair-key` subtree must evaluate *once* per run:
     /// re-running it would mint fresh components for each occurrence and
@@ -183,28 +165,7 @@ pub struct EvalCtx<'a> {
 
 impl<'a> EvalCtx<'a> {
     /// Build a fresh context (with an empty extension-operator memo and
-    /// fresh interning pools). The thread budget and execution knobs come
-    /// from the environment ([`ExecCfg::from_env`]); use
-    /// [`EvalCtx::with_par`] or [`EvalCtx::with_exec`] to pass them
-    /// explicitly.
-    pub fn new(
-        relations: &'a BTreeMap<String, URelation>,
-        components: &'a mut ComponentSet,
-    ) -> Self {
-        EvalCtx::with_exec(relations, components, ExecCfg::from_env())
-    }
-
-    /// [`EvalCtx::new`] with an explicit parallelism configuration (the
-    /// other execution knobs come from the environment).
-    pub fn with_par(
-        relations: &'a BTreeMap<String, URelation>,
-        components: &'a mut ComponentSet,
-        par: ParCfg,
-    ) -> Self {
-        EvalCtx::with_exec(relations, components, ExecCfg::with_par(par))
-    }
-
-    /// [`EvalCtx::new`] with an explicit execution configuration.
+    /// fresh interning pools) for one run under `cfg`.
     pub fn with_exec(
         relations: &'a BTreeMap<String, URelation>,
         components: &'a mut ComponentSet,
@@ -220,7 +181,6 @@ impl<'a> EvalCtx<'a> {
             conf_stats: ConfStats::default(),
             tracer: Tracer::disabled(),
             sip: cfg.sip,
-            late_mat: cfg.late_mat,
             ext_cache: FxHashMap::default(),
             dedups_elided: 0,
             sip_filters: FxHashMap::default(),
@@ -257,7 +217,7 @@ impl<'a> EvalCtx<'a> {
 }
 
 /// Observability snapshot of one executor run, surfaced by
-/// [`run_with_stats`] (and the REPL's `\stats` meta-command). The descriptor
+/// [`run_with`] (and the REPL's `\stats` meta-command). The descriptor
 /// counters validate that representation changes keep interning behavior
 /// intact — e.g. a refactor that accidentally stopped sharing scan
 /// descriptors would show up as a hit-rate collapse.
@@ -298,7 +258,7 @@ pub struct ExecStats {
 impl ExecStats {
     /// Fold this run's counters into the process-wide registry
     /// ([`maybms_core::obs::metrics`]). Called once per completed run by
-    /// the `run_*` entry points.
+    /// [`run_with`].
     fn publish(&self) {
         let m = metrics();
         m.queries_total.inc();
@@ -653,39 +613,6 @@ impl<'s> Batch<'s> {
     }
 }
 
-/// Gather `idx` out of `col`, morsel-parallel above a fixed cutoff: each
-/// task gathers a contiguous slice of the indices and the partial columns
-/// are concatenated in task order, which is exactly `col.gather(idx)`.
-fn gather_par(col: &ColumnVec, idx: &[u32], workers: usize) -> ColumnVec {
-    const MIN_GATHER: usize = 8192;
-    if workers <= 1 || idx.len() < MIN_GATHER {
-        return col.gather(idx);
-    }
-    let morsels = chunk_ranges(idx.len(), workers);
-    let parts = run_tasks(workers, morsels.len(), |t| {
-        col.gather(&idx[morsels[t].clone()])
-    });
-    let mut parts = parts.into_iter();
-    let mut out = parts.next().expect("at least one morsel");
-    for p in parts {
-        out.extend_all(&p);
-    }
-    out
-}
-
-/// Eagerly gather `idx` (virtual rows) out of a possibly-indirected column
-/// — the `MAYBMS_LATE_MAT=0` join path, which folds any indirection already
-/// present into the index before gathering.
-fn gather_eager(c: &LazyCol<'_>, idx: &[u32], workers: usize) -> ColumnVec {
-    match &c.ids {
-        None => gather_par(&c.col, idx, workers),
-        Some(ids) => {
-            let folded: Vec<u32> = idx.iter().map(|&i| ids[i as usize]).collect();
-            gather_par(&c.col, &folded, workers)
-        }
-    }
-}
-
 /// Evaluate a plan against a world set. New components created by extension
 /// operators are added to `ws.components`; the base relations are untouched.
 ///
@@ -696,64 +623,18 @@ fn gather_eager(c: &LazyCol<'_>, idx: &[u32], workers: usize) -> ColumnVec {
 /// independent repairs — sharing is by `Arc` identity, which is what plan
 /// `clone()` preserves.
 pub fn run(ws: &mut WorldSet, plan: &Plan) -> Result<URelation, MayError> {
-    run_with_stats(ws, plan).map(|(result, _)| result)
+    run_with(ws, plan, &ExecCfg::default(), false).map(|(result, _, _)| result)
 }
 
-/// Like [`run`], additionally reporting the run's [`ExecStats`]. The thread
-/// budget comes from the environment ([`ParCfg::from_env`], i.e.
-/// `MAYBMS_THREADS`); [`run_with_stats_opts`] takes one explicitly.
-pub fn run_with_stats(ws: &mut WorldSet, plan: &Plan) -> Result<(URelation, ExecStats), MayError> {
-    run_with_stats_opts(ws, plan, &ParCfg::from_env())
-}
-
-/// [`run`] with an explicit parallelism configuration. The result is
-/// identical for every thread count (see the `parallel_differential` suite).
-pub fn run_with_opts(ws: &mut WorldSet, plan: &Plan, par: &ParCfg) -> Result<URelation, MayError> {
-    run_with_stats_opts(ws, plan, par).map(|(result, _)| result)
-}
-
-/// [`run_with_stats`] with an explicit parallelism configuration (the
-/// execution knobs still come from the environment).
-pub fn run_with_stats_opts(
-    ws: &mut WorldSet,
-    plan: &Plan,
-    par: &ParCfg,
-) -> Result<(URelation, ExecStats), MayError> {
-    run_with_stats_exec(ws, plan, &ExecCfg::with_par(*par))
-}
-
-/// [`run`] with a fully explicit execution configuration — the entry point
-/// the differential suites drive to pin byte-identical results across every
-/// `ExecCfg` combination.
-pub fn run_with_exec(ws: &mut WorldSet, plan: &Plan, cfg: &ExecCfg) -> Result<URelation, MayError> {
-    run_with_stats_exec(ws, plan, cfg).map(|(result, _)| result)
-}
-
-/// [`run_with_stats`] with a fully explicit execution configuration.
-pub fn run_with_stats_exec(
-    ws: &mut WorldSet,
-    plan: &Plan,
-    cfg: &ExecCfg,
-) -> Result<(URelation, ExecStats), MayError> {
-    run_impl(ws, plan, cfg, false).map(|(result, stats, _)| (result, stats))
-}
-
-/// [`run_with_stats_opts`] with per-node tracing enabled: additionally
-/// returns the run's [`QueryTrace`] — a span per evaluated plan node (plus
-/// operator sub-phases), each annotated with wall time, rows, and the
-/// counters the node incurred. The result relation is byte-identical to the
-/// untraced run's (the tracer only *observes*); the trace is what `EXPLAIN
-/// ANALYZE` renders and what [`QueryTrace::to_json`] exports for Perfetto.
-pub fn run_traced(
-    ws: &mut WorldSet,
-    plan: &Plan,
-    par: &ParCfg,
-) -> Result<(URelation, ExecStats, QueryTrace), MayError> {
-    run_impl(ws, plan, &ExecCfg::with_par(*par), true)
-        .map(|(result, stats, trace)| (result, stats, trace.expect("tracing was enabled")))
-}
-
-fn run_impl(
+/// [`run`] under an explicit configuration — the general entry point:
+/// returns the result, the run's [`ExecStats`], and, when `traced`, its
+/// [`QueryTrace`] — a span per evaluated plan node (plus operator
+/// sub-phases), each annotated with wall time, rows, and the counters the
+/// node incurred; the trace is what `EXPLAIN ANALYZE` renders and what
+/// [`QueryTrace::to_json`] exports for Perfetto. The result is
+/// byte-identical for every `cfg` and with tracing on or off (the tracer
+/// only *observes*); the differential suites drive this entry to pin that.
+pub fn run_with(
     ws: &mut WorldSet,
     plan: &Plan,
     cfg: &ExecCfg,
@@ -810,6 +691,32 @@ fn run_impl(
         std::mem::take(&mut ctx.tracer).finish(threads)
     });
     Ok((result, stats, trace))
+}
+
+/// [`run_with`] for the frozen `perfbench/src/engine.rs` adapter: a thread
+/// budget, SIP on, result only. The next `benchmark` PR moves the adapter to
+/// [`run_with`] and deletes this.
+pub fn run_with_opts(ws: &mut WorldSet, plan: &Plan, par: &ParCfg) -> Result<URelation, MayError> {
+    let cfg = ExecCfg {
+        par: *par,
+        sip: true,
+    };
+    run_with(ws, plan, &cfg, false).map(|(result, _, _)| result)
+}
+
+/// Traced [`run_with`] for the frozen `perfbench/src/engine.rs` adapter. The
+/// next `benchmark` PR moves the adapter to [`run_with`] and deletes this.
+pub fn run_traced(
+    ws: &mut WorldSet,
+    plan: &Plan,
+    par: &ParCfg,
+) -> Result<(URelation, ExecStats, QueryTrace), MayError> {
+    let cfg = ExecCfg {
+        par: *par,
+        sip: true,
+    };
+    run_with(ws, plan, &cfg, true)
+        .map(|(result, stats, trace)| (result, stats, trace.expect("tracing was requested")))
 }
 
 /// Collect the names of every base relation a plan (including extension
@@ -1097,46 +1004,30 @@ fn eval_batch_inner<'s>(
             }
             drop(l_views);
             drop(r_views);
+            // Late materialization: the output columns are the input
+            // columns plus the match lists as shared rowid indirections. An
+            // indirection already present composes — once per distinct
+            // input vector, not per column.
             let mut cols: Vec<LazyCol<'s>> = Vec::with_capacity(jp.schema.arity());
-            if ctx.late_mat {
-                // Late materialization: the output columns are the input
-                // columns plus the match lists as shared rowid
-                // indirections. An indirection already present composes —
-                // once per distinct input vector, not per column.
-                let l_ids = Arc::new(l_idx);
-                let r_ids = Arc::new(r_idx);
-                let mut memo: FxHashMap<(usize, usize), Arc<Vec<u32>>> = FxHashMap::default();
-                let mut compose = |old: &Option<Arc<Vec<u32>>>, new: &Arc<Vec<u32>>| match old {
-                    None => Arc::clone(new),
-                    Some(o) => Arc::clone(
-                        memo.entry((Arc::as_ptr(o) as usize, Arc::as_ptr(new) as usize))
-                            .or_insert_with(|| {
-                                Arc::new(new.iter().map(|&i| o[i as usize]).collect())
-                            }),
-                    ),
-                };
-                for c in l.cols {
-                    let ids = Some(compose(&c.ids, &l_ids));
-                    cols.push(LazyCol { col: c.col, ids });
-                }
-                let mut r_taken: Vec<Option<LazyCol<'s>>> = r.cols.into_iter().map(Some).collect();
-                for &rc in &jp.right_keep {
-                    let c = r_taken[rc].take().expect("right_keep indices are unique");
-                    let ids = Some(compose(&c.ids, &r_ids));
-                    cols.push(LazyCol { col: c.col, ids });
-                }
-            } else {
-                let workers = ctx.par.workers_for(l.len().max(r_rows.len()));
-                for c in &l.cols {
-                    cols.push(LazyCol::dense(Cow::Owned(gather_eager(c, &l_idx, workers))));
-                }
-                for &rc in &jp.right_keep {
-                    cols.push(LazyCol::dense(Cow::Owned(gather_eager(
-                        &r.cols[rc],
-                        &r_idx,
-                        workers,
-                    ))));
-                }
+            let l_ids = Arc::new(l_idx);
+            let r_ids = Arc::new(r_idx);
+            let mut memo: FxHashMap<(usize, usize), Arc<Vec<u32>>> = FxHashMap::default();
+            let mut compose = |old: &Option<Arc<Vec<u32>>>, new: &Arc<Vec<u32>>| match old {
+                None => Arc::clone(new),
+                Some(o) => Arc::clone(
+                    memo.entry((Arc::as_ptr(o) as usize, Arc::as_ptr(new) as usize))
+                        .or_insert_with(|| Arc::new(new.iter().map(|&i| o[i as usize]).collect())),
+                ),
+            };
+            for c in l.cols {
+                let ids = Some(compose(&c.ids, &l_ids));
+                cols.push(LazyCol { col: c.col, ids });
+            }
+            let mut r_taken: Vec<Option<LazyCol<'s>>> = r.cols.into_iter().map(Some).collect();
+            for &rc in &jp.right_keep {
+                let c = r_taken[rc].take().expect("right_keep indices are unique");
+                let ids = Some(compose(&c.ids, &r_ids));
+                cols.push(LazyCol { col: c.col, ids });
             }
             let mut out = Batch {
                 schema: Cow::Owned(jp.schema),

@@ -145,19 +145,6 @@ pub trait ExtOperator: fmt::Debug + Send + Sync {
         }
     }
 
-    /// Plan-time self-tuning hook, called once per node by the cost-based
-    /// phase with the node's estimated input rows and descriptor density.
-    /// An operator may return a replacement for itself (over the *same*
-    /// inputs) with runtime knobs pinned — e.g. `conf(eps, delta)` freezes
-    /// its exact/sampling cutover into the plan so execution no longer
-    /// consults the environment. Implementations must be idempotent
-    /// (returning `None` once the knob is pinned) and semantics-preserving
-    /// under an unchanged environment; `None` (the default) keeps the node.
-    fn plan_time_tuned(&self, est_input_rows: f64, est_nontrivial_frac: f64) -> Option<Plan> {
-        let _ = (est_input_rows, est_nontrivial_frac);
-        None
-    }
-
     /// Whether evaluating this operator may mint new components into the
     /// world set. Component minting is the *only* order-observable side
     /// effect of evaluation (component ids are numbered in minting order),

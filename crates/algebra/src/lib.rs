@@ -33,10 +33,9 @@
 //! descriptor-triviality) prove redundant. Extension operators opt into
 //! rewrites by declaring [`ext::ExtProps`]. On top of the rule fixpoint,
 //! [`optimize::optimize_with_stats`] runs a **cost-based phase** that
-//! reorders join trees (dynamic programming over subsets), distributes
-//! quantifiers over unions, and pins operator runtime knobs, driven by the
-//! catalog statistics a [`cost::StatsProvider`] serves to the cardinality
-//! estimator in [`cost`].
+//! reorders join trees (dynamic programming over subsets) and distributes
+//! quantifiers over unions, driven by the catalog statistics a
+//! [`cost::StatsProvider`] serves to the cardinality estimator in [`cost`].
 //!
 //! [`naive`] evaluates the same plans with the textbook single-world
 //! algebra, which is what the differential tests run inside each enumerated
@@ -53,8 +52,7 @@ pub mod sip;
 
 pub use cost::{estimate_preorder, plan_cost, CardEst, StatsProvider};
 pub use eval::{
-    infer_schema, run, run_traced, run_with_exec, run_with_opts, run_with_stats,
-    run_with_stats_exec, run_with_stats_opts, EvalCtx, ExecCfg, ExecStats, LATE_MAT_ENV, SIP_ENV,
+    infer_schema, run, run_traced, run_with, run_with_opts, EvalCtx, ExecCfg, ExecStats,
 };
 pub use ext::{ExtOperator, ExtProps};
 pub use optimize::{optimize, optimize_with_stats, PlanProps, SchemaProvider};

@@ -656,10 +656,9 @@ const DP_MAX_LEAVES: usize = 8;
 
 /// Optimize a plan with the rule fixpoint *and* the statistics-driven
 /// cost-based phase: join-tree reordering (exact DP up to
-/// `DP_MAX_LEAVES` (8) relations, greedy beyond), distribution of
+/// `DP_MAX_LEAVES` (8) relations, greedy beyond) and distribution of
 /// union-distributing quantifiers ([`ExtProps::distributes_over_union`])
-/// over unions, and per-operator plan-time tuning
-/// ([`ExtOperator::plan_time_tuned`]).
+/// over unions.
 ///
 /// The two phases interleave to a fixpoint: cost rewrites (e.g. the
 /// schema-restoring projection a reorder inserts) re-feed the rules, whose
@@ -674,7 +673,6 @@ const DP_MAX_LEAVES: usize = 8;
 /// estimates only ever pick among equivalent shapes.
 ///
 /// [`ExtProps::distributes_over_union`]: crate::ext::ExtProps::distributes_over_union
-/// [`ExtOperator::plan_time_tuned`]: crate::ext::ExtOperator::plan_time_tuned
 pub fn optimize_with_stats(
     plan: &Plan,
     schemas: &dyn SchemaProvider,
@@ -953,8 +951,8 @@ impl<'a> CostPass<'a> {
     }
 
     /// Sweep an extension node: rewrite its inputs (memoized by `Arc`
-    /// identity), then try the two cost-gated rewrites the operator
-    /// declares — distribution over a union input, and plan-time tuning.
+    /// identity), then try the cost-gated rewrite the operator declares —
+    /// distribution over a union input.
     fn rewrite_ext(&mut self, op: Arc<dyn ExtOperator>) -> Result<Plan, MayError> {
         let key = Arc::as_ptr(&op) as *const () as usize;
         if let Some(done) = self.memo.get(&key) {
@@ -972,7 +970,7 @@ impl<'a> CostPass<'a> {
         } else {
             self.rebuild_guarded(&op, rewritten, before)
         };
-        let node = self.distribute_or_tune(node)?;
+        let node = self.distribute(node);
         self.memo.insert(key, node.clone());
         Ok(node)
     }
@@ -1006,14 +1004,13 @@ impl<'a> CostPass<'a> {
         }
     }
 
-    /// Apply the operator-declared, estimate-gated rewrites to an extension
+    /// Apply the operator-declared, estimate-gated rewrite to an extension
     /// node: `op(A ∪ B) → op(A) ∪ op(B)` when the operator distributes over
     /// union and the split estimates ≥5% cheaper (each side elided outright
-    /// when provably certain and duplicate-free), else the operator's
-    /// [`ExtOperator::plan_time_tuned`] self-replacement.
-    fn distribute_or_tune(&mut self, node: Plan) -> Result<Plan, MayError> {
+    /// when provably certain and duplicate-free).
+    fn distribute(&mut self, node: Plan) -> Plan {
         let Plan::Ext(op) = node else {
-            return Ok(node);
+            return node;
         };
         let props = op.props();
         if props.distributes_over_union && op.inputs().len() == 1 {
@@ -1031,19 +1028,12 @@ impl<'a> CostPass<'a> {
                     let (_, cur_cost) = self.est(&current);
                     if cand_cost < cur_cost * COST_IMPROVEMENT {
                         self.rewrites += 1;
-                        return Ok(candidate);
+                        return candidate;
                     }
                 }
             }
         }
-        if let Some(first) = op.inputs().first() {
-            let (in_est, _) = self.est(first);
-            if let Some(tuned) = op.plan_time_tuned(in_est.rows, in_est.nontrivial_frac) {
-                self.rewrites += 1;
-                return Ok(tuned);
-            }
-        }
-        Ok(Plan::Ext(op))
+        Plan::Ext(op)
     }
 }
 

@@ -16,8 +16,7 @@
 use std::time::Instant;
 
 use maybms_algebra::{
-    col, lit, optimize, optimize_with_stats, run, run_traced, run_with_exec, run_with_opts,
-    ExecCfg, Plan, Predicate,
+    col, lit, optimize, optimize_with_stats, run, run_with, ExecCfg, Plan, Predicate,
 };
 use maybms_bench::{
     conf_chain_workload, conf_dense_workload, conf_disjoint_workload, join3_skewed_workload,
@@ -87,7 +86,8 @@ fn dump_trace(ws: &WorldSet, plan: &Plan, bench: &str, n: usize) {
     }
     let mut ws = ws.clone();
     let (_, _, trace) =
-        run_traced(&mut ws, plan, &ParCfg::from_env()).expect("bench workload is well-typed");
+        run_with(&mut ws, plan, &ExecCfg::default(), true).expect("bench workload is well-typed");
+    let trace = trace.expect("tracing was requested");
     let path = std::path::Path::new(&dir).join(format!("{bench}_{n}.json"));
     let written =
         std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&path, trace.to_json()));
@@ -259,21 +259,19 @@ fn main() {
             .join(Plan::scan("r3"))
             .join(Plan::scan("r4"))
             .join(Plan::scan("r5"));
-        let nosip = ExecCfg {
-            par: ParCfg::from_env(),
-            sip: false,
-            late_mat: true,
-        };
-        let sip = ExecCfg { sip: true, ..nosip };
+        let sip = ExecCfg::default();
+        let nosip = ExecCfg { sip: false, ..sip };
         let (rows, ms_nosip) = bench_min(&ws, |ws| {
-            run_with_exec(ws, &plan, &nosip)
+            run_with(ws, &plan, &nosip, false)
                 .expect("chain workload is well-typed")
+                .0
                 .len()
         });
         emit("join5_selective_nosip", n, rows, ms_nosip);
         let (rows_sip, ms_sip) = bench_min(&ws, |ws| {
-            run_with_exec(ws, &plan, &sip)
+            run_with(ws, &plan, &sip, false)
                 .expect("chain workload is well-typed")
+                .0
                 .len()
         });
         assert_eq!(rows, rows_sip, "SIP changed the result size");
@@ -434,12 +432,16 @@ fn main() {
     } else {
         &[1_000_000]
     };
+    let exec_at = |threads: usize| ExecCfg {
+        par: ParCfg::with_threads(threads),
+        sip: true,
+    };
     let par_pair =
-        |bench: &str, n: usize, ws: &WorldSet, f: &dyn Fn(&mut WorldSet, &ParCfg) -> usize| {
-            let (rows1, ms1) = bench_min(ws, |ws| f(ws, &ParCfg::with_threads(1)));
+        |bench: &str, n: usize, ws: &WorldSet, f: &dyn Fn(&mut WorldSet, &ExecCfg) -> usize| {
+            let (rows1, ms1) = bench_min(ws, |ws| f(ws, &exec_at(1)));
             emit(&format!("{bench}_t1"), n, rows1, ms1);
             if par_threads > 1 {
-                let tn = ParCfg::with_threads(par_threads);
+                let tn = exec_at(par_threads);
                 let (rows_n, ms_n) = bench_min(ws, |ws| f(ws, &tn));
                 assert_eq!(
                     rows1, rows_n,
@@ -451,8 +453,8 @@ fn main() {
 
     for &n in par_sizes {
         let ws = normalization_workload(&mut Rng::new(0xBE7C), n);
-        par_pair("normalize", n, &ws, &|ws, par| {
-            ws.normalize_with(par);
+        par_pair("normalize", n, &ws, &|ws, cfg| {
+            ws.normalize_with(&cfg.par);
             ws.relations["r"].len()
         });
     }
@@ -462,9 +464,10 @@ fn main() {
         let plan = Plan::scan("r1")
             .join(Plan::scan("r2"))
             .join(Plan::scan("r3"));
-        par_pair("join3", n, &ws, &|ws, par| {
-            run_with_opts(ws, &plan, par)
+        par_pair("join3", n, &ws, &|ws, cfg| {
+            run_with(ws, &plan, cfg, false)
                 .expect("join workload is well-typed")
+                .0
                 .len()
         });
     }
@@ -472,9 +475,10 @@ fn main() {
     for &n in par_sizes {
         let ws = repair_workload(&mut Rng::new(0x4E9A), n);
         let plan = repair_key(Plan::scan("r"), &["k"], Some("w"));
-        par_pair("repair_key", n, &ws, &|ws, par| {
-            run_with_opts(ws, &plan, par)
+        par_pair("repair_key", n, &ws, &|ws, cfg| {
+            run_with(ws, &plan, cfg, false)
                 .expect("repair workload is well-typed")
+                .0
                 .len()
         });
     }

@@ -41,11 +41,10 @@ use crate::world::WorldSet;
 /// Each relation goes through the *columnar* pipeline
 /// ([`normalize_relation`]); the row-oriented [`normalize_rows`] is kept as
 /// the reference implementation the columnar path is differentially tested
-/// against. The thread budget comes from the environment
-/// ([`ParCfg::from_env`], i.e. `MAYBMS_THREADS`); [`normalize_with`] takes
-/// it explicitly.
+/// against. The thread budget is [`ParCfg::default`] (the machine's
+/// available parallelism); [`normalize_with`] takes it explicitly.
 pub fn normalize(ws: &mut WorldSet) {
-    normalize_with(ws, &ParCfg::from_env());
+    normalize_with(ws, &ParCfg::default());
 }
 
 /// [`normalize`] with an explicit parallelism configuration. The result is

@@ -30,7 +30,10 @@ use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
 /// below this, thread spawn and merge overhead dominates any win.
 pub const DEFAULT_MIN_ROWS: usize = 4096;
 
-/// Parallel execution knobs threaded through the executor and normalizer.
+/// The thread budget passed explicitly through the executor and normalizer.
+/// A plain value: [`ParCfg::default`] is the machine's parallelism,
+/// [`ParCfg::with_threads`] sets a budget, and nothing reads the process
+/// environment.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ParCfg {
     /// Worker thread budget. `1` disables parallelism entirely (every stage
@@ -43,30 +46,18 @@ pub struct ParCfg {
 }
 
 impl Default for ParCfg {
+    /// The machine's available parallelism with the default morsel
+    /// threshold.
     fn default() -> Self {
-        ParCfg::from_env()
+        ParCfg::with_threads(
+            std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1),
+        )
     }
 }
 
 impl ParCfg {
-    /// The configuration the environment asks for: `MAYBMS_THREADS` when
-    /// set (and ≥ 1), otherwise the machine's available parallelism.
-    pub fn from_env() -> Self {
-        let threads = std::env::var("MAYBMS_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&t| t >= 1)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1)
-            });
-        ParCfg {
-            threads,
-            min_rows: DEFAULT_MIN_ROWS,
-        }
-    }
-
     /// Single-threaded configuration (all stages inline).
     pub fn sequential() -> Self {
         ParCfg {

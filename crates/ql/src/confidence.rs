@@ -24,8 +24,9 @@ use crate::order::{run_bounds, sorted_row_ids};
 //   order, and given up with a typed error past `EXACT_STEP_CEILING`
 //   transitions.
 // * `conf(eps, delta)` compares each group's exact cost bound
-//   (`DnfKernel::exact_cost`, which knows that width) against a cutover
-//   threshold: cheap groups keep the exact path (zero error), expensive
+//   (`DnfKernel::exact_cost`, which knows that width) against the node's
+//   cutover (`ApproxConf::exact_limit`, a plain field — nothing ambient is
+//   consulted): cheap groups keep the exact path (zero error), expensive
 //   groups are estimated by Monte Carlo over group assignments or by a
 //   Karp–Luby importance-sampled estimator — short-circuit bitset walks over
 //   the same layout — with the draw count derived from the per-group error
@@ -43,19 +44,11 @@ use crate::order::{run_bounds, sorted_row_ids};
 /// Name of the appended confidence column.
 pub const CONF_COLUMN: &str = "conf";
 
-/// Environment knob for the exact/sampling cutover: connected groups whose
-/// exact cost bound is ≤ this threshold are solved exactly even under
-/// `conf(eps, delta)`; larger groups are sampled. `0` forces sampling for
-/// every group. Only consulted by *approximate* conf nodes that carry no
-/// explicit override — plain exact `CONF` never samples, whatever the
-/// environment says.
-pub const CONF_EXACT_LIMIT_ENV: &str = "MAYBMS_CONF_EXACT_LIMIT";
-
-/// Default exact/sampling cutover threshold. Sampling a group costs on the
-/// order of a few hundred draws for typical (ε, δ) (e.g. ε = 0.05, δ = 0.05
-/// needs 738), each draw touching every group component — so groups whose
-/// exact bound is under a few thousand operations are cheaper to solve
-/// exactly, and exact means zero error.
+/// Default exact/sampling cutover threshold ([`ApproxConf::exact_limit`]).
+/// Sampling a group costs on the order of a few hundred draws for typical
+/// (ε, δ) (e.g. ε = 0.05, δ = 0.05 needs 738), each draw touching every
+/// group component — so groups whose exact bound is under a few thousand
+/// operations are cheaper to solve exactly, and exact means zero error.
 pub const DEFAULT_CONF_EXACT_LIMIT: u64 = 4096;
 
 /// Default sampling seed for `conf(eps, delta)` nodes built from SQL (which
@@ -72,20 +65,22 @@ pub struct ApproxConf {
     pub delta: f64,
     /// Sampling seed. Equal seeds give bit-identical results.
     pub seed: u64,
-    /// Exact/sampling cutover override; `None` defers to the
-    /// [`CONF_EXACT_LIMIT_ENV`] environment knob, then
-    /// [`DEFAULT_CONF_EXACT_LIMIT`].
-    pub exact_limit: Option<u64>,
+    /// Exact/sampling cutover: connected groups whose exact cost bound is
+    /// ≤ this threshold are solved exactly (zero error); larger groups are
+    /// sampled. `0` forces sampling for every group. Plain exact `CONF`
+    /// has no such field and never samples.
+    pub exact_limit: u64,
 }
 
 impl ApproxConf {
-    /// Approximation parameters with the default seed and cutover.
+    /// Approximation parameters with the default seed and cutover
+    /// ([`DEFAULT_CONF_EXACT_LIMIT`]).
     pub fn new(eps: f64, delta: f64) -> ApproxConf {
         ApproxConf {
             eps,
             delta,
             seed: DEFAULT_CONF_SEED,
-            exact_limit: None,
+            exact_limit: DEFAULT_CONF_EXACT_LIMIT,
         }
     }
 }
@@ -124,18 +119,6 @@ pub fn conf_approx_with(input: Plan, approx: ApproxConf) -> Plan {
     }))
 }
 
-/// The effective exact/sampling cutover when a node carries no override:
-/// the [`CONF_EXACT_LIMIT_ENV`] environment variable if it parses as a
-/// `u64`, otherwise [`DEFAULT_CONF_EXACT_LIMIT`].
-pub fn conf_exact_limit_from_env() -> u64 {
-    parse_exact_limit(std::env::var(CONF_EXACT_LIMIT_ENV).ok().as_deref())
-}
-
-fn parse_exact_limit(raw: Option<&str>) -> u64 {
-    raw.and_then(|v| v.trim().parse::<u64>().ok())
-        .unwrap_or(DEFAULT_CONF_EXACT_LIMIT)
-}
-
 impl ExtOperator for Conf {
     fn name(&self) -> &'static str {
         "conf"
@@ -159,10 +142,12 @@ impl ExtOperator for Conf {
             None => Some(format!("SELECT CONF * FROM {}", inputs[0])),
             // `CONF(eps, delta)` has no seed or cutover syntax, so only a
             // node still carrying the defaults has a faithful textual form.
-            Some(a) if a.seed == DEFAULT_CONF_SEED && a.exact_limit.is_none() => Some(format!(
-                "SELECT CONF({}, {}) * FROM {}",
-                a.eps, a.delta, inputs[0]
-            )),
+            Some(a) if a.seed == DEFAULT_CONF_SEED && a.exact_limit == DEFAULT_CONF_EXACT_LIMIT => {
+                Some(format!(
+                    "SELECT CONF({}, {}) * FROM {}",
+                    a.eps, a.delta, inputs[0]
+                ))
+            }
             Some(_) => None,
         }
     }
@@ -192,28 +177,6 @@ impl ExtOperator for Conf {
         }
     }
 
-    fn plan_time_tuned(&self, _est_input_rows: f64, _est_nontrivial_frac: f64) -> Option<Plan> {
-        // Freeze the exact/sampling cutover into approximate nodes at plan
-        // time, so execution no longer consults the environment per query.
-        // The pinned value is the same one `eval` would resolve — the
-        // environment knob (or its default), **not** anything derived from
-        // the estimates — so the cost-based plan is byte-identical to the
-        // rule-only plan on every world set: per-group exact-vs-sampling
-        // decisions cannot flip with estimation noise. Idempotent by
-        // construction: a node whose `exact_limit` is already set returns
-        // `None`.
-        match self.approx {
-            Some(a) if a.exact_limit.is_none() => Some(conf_approx_with(
-                self.input.clone(),
-                ApproxConf {
-                    exact_limit: Some(conf_exact_limit_from_env()),
-                    ..a
-                },
-            )),
-            _ => None,
-        }
-    }
-
     fn with_inputs(&self, mut inputs: Vec<Plan>) -> Option<Plan> {
         Some(Plan::Ext(Arc::new(Conf {
             input: inputs.remove(0),
@@ -239,11 +202,6 @@ impl ExtOperator for Conf {
     ) -> Result<ColumnarURelation, MayError> {
         let r = &inputs[0];
         let schema = self.output_schema(&[r.schema().clone()])?;
-        // Resolve the cutover once per evaluation: node override first, then
-        // the environment, then the default. Exact nodes ignore it entirely.
-        let mode: Option<(ApproxConf, u64)> = self
-            .approx
-            .map(|a| (a, a.exact_limit.unwrap_or_else(conf_exact_limit_from_env)));
         // Group the rows of each distinct tuple as one contiguous run of a
         // sorted id permutation; the value columns are gathered once at the
         // end and the `conf` column is built as a raw float vector.
@@ -263,7 +221,7 @@ impl ExtOperator for Conf {
         let solve_runs = |range: std::ops::Range<usize>| {
             let mut kept: Vec<u32> = Vec::with_capacity(range.len());
             let mut confs: Vec<f64> = Vec::with_capacity(range.len());
-            let mut solver = RunSolver::new(components, mode, EXACT_STEP_CEILING);
+            let mut solver = RunSolver::new(components, self.approx, EXACT_STEP_CEILING);
             for &(start, end) in &bounds[range] {
                 let run = &perm[start as usize..end as usize];
                 kept.push(run[0]);
@@ -304,9 +262,8 @@ impl ExtOperator for Conf {
 /// the counters of the runs solved so far.
 struct RunSolver<'a> {
     components: &'a ComponentSet,
-    /// `None` for exact `conf`; the parameters and the resolved cutover
-    /// otherwise.
-    mode: Option<(ApproxConf, u64)>,
+    /// `None` for exact `conf`; the approximation parameters otherwise.
+    mode: Option<ApproxConf>,
     /// Step ceiling per exactly solved group.
     ceiling: u64,
     kernel: DnfKernel,
@@ -316,7 +273,7 @@ struct RunSolver<'a> {
 }
 
 impl<'a> RunSolver<'a> {
-    fn new(components: &'a ComponentSet, mode: Option<(ApproxConf, u64)>, ceiling: u64) -> Self {
+    fn new(components: &'a ComponentSet, mode: Option<ApproxConf>, ceiling: u64) -> Self {
         RunSolver {
             components,
             mode,
@@ -356,8 +313,8 @@ impl<'a> RunSolver<'a> {
             Loaded::Groups(n) => n,
         };
         self.sampled.clear();
-        if let Some((_, limit)) = self.mode {
-            let limit = u128::from(limit);
+        if let Some(a) = self.mode {
+            let limit = u128::from(a.exact_limit);
             self.sampled
                 .extend((0..groups).map(|g| self.kernel.exact_cost(self.components, g) > limit));
         }
@@ -367,7 +324,7 @@ impl<'a> RunSolver<'a> {
             let len = self.kernel.group_len(g) as u64;
             self.stats.largest_group = self.stats.largest_group.max(len);
             let p = match self.mode {
-                Some((a, _)) if self.sampled[g] => {
+                Some(a) if self.sampled[g] => {
                     self.stats.sampled_groups += 1;
                     let rng = CounterRng::new(a.seed, self.kernel.stream_key(g));
                     let (est, draws) = estimate(
@@ -473,7 +430,7 @@ mod tests {
     fn solve(
         cs: &ComponentSet,
         descs: &[WsDescriptor],
-        mode: Option<(ApproxConf, u64)>,
+        mode: Option<ApproxConf>,
         ceiling: u64,
     ) -> (Result<f64, MayError>, ConfStats) {
         let mut solver = RunSolver::new(cs, mode, ceiling);
@@ -488,18 +445,6 @@ mod tests {
         // Width scales quadratically.
         assert_eq!(hoeffding_draws(0.05, 0.05, 0.5), 185);
         assert!(hoeffding_draws(0.5, 0.5, 1.0) >= 1);
-    }
-
-    #[test]
-    fn exact_limit_parse_falls_back_to_default() {
-        assert_eq!(parse_exact_limit(None), DEFAULT_CONF_EXACT_LIMIT);
-        assert_eq!(
-            parse_exact_limit(Some("not a number")),
-            DEFAULT_CONF_EXACT_LIMIT
-        );
-        assert_eq!(parse_exact_limit(Some("")), DEFAULT_CONF_EXACT_LIMIT);
-        assert_eq!(parse_exact_limit(Some("0")), 0);
-        assert_eq!(parse_exact_limit(Some(" 123 ")), 123);
     }
 
     #[test]
@@ -568,9 +513,9 @@ mod tests {
             eps: 0.02,
             delta: 0.01,
             seed: 5,
-            exact_limit: Some(0),
+            exact_limit: 0,
         };
-        let (got, stats) = solve(&cs, &descs, Some((approx, 0)), EXACT_STEP_CEILING);
+        let (got, stats) = solve(&cs, &descs, Some(approx), EXACT_STEP_CEILING);
         let got = got.unwrap();
         assert!((got - exact).abs() <= 0.02, "|{got} - {exact}|");
         assert_eq!(stats.exact_groups, 0);

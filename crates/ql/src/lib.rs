@@ -18,8 +18,8 @@
 //!   tuple and is the ground truth the sampling solver is measured against.
 //! * [`conf_approx`] — (ε, δ)-approximate tuple confidence
 //!   (`SELECT CONF(eps, delta) …`): connected groups whose exact cost bound
-//!   is under a cutover threshold ([`DEFAULT_CONF_EXACT_LIMIT`], overridable
-//!   per node or via `MAYBMS_CONF_EXACT_LIMIT`) keep the exact factorized
+//!   is under the node's cutover threshold ([`ApproxConf::exact_limit`],
+//!   default [`DEFAULT_CONF_EXACT_LIMIT`]) keep the exact factorized
 //!   path; larger groups are estimated by deterministic, content-keyed
 //!   Monte Carlo or Karp–Luby sampling with Hoeffding-derived draw counts.
 //!
@@ -32,8 +32,8 @@ mod order;
 mod repair;
 
 pub use confidence::{
-    conf, conf_approx, conf_approx_with, conf_exact_limit_from_env, ApproxConf, Conf, CONF_COLUMN,
-    CONF_EXACT_LIMIT_ENV, DEFAULT_CONF_EXACT_LIMIT, DEFAULT_CONF_SEED,
+    conf, conf_approx, conf_approx_with, ApproxConf, Conf, CONF_COLUMN, DEFAULT_CONF_EXACT_LIMIT,
+    DEFAULT_CONF_SEED,
 };
 pub use extract::{certain, possible, Certain, Possible};
 pub use repair::{repair_key, RepairKey};

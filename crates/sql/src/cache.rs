@@ -4,19 +4,19 @@
 //! fixpoint, cost-based join reordering — costs far more than a hash
 //! lookup, and interactive sessions re-issue the same statements (often
 //! verbatim, or differing only in whitespace). [`PlanCache`] memoizes the
-//! *optimized* plan keyed on three things, any of which invalidates the
+//! *optimized* plan keyed on two things, either of which invalidates the
 //! entry by missing instead of matching:
 //!
 //! * the **normalized query text** ([`normalize_query`]: whitespace
 //!   collapsed outside string literals — no case folding, so identifier
 //!   case is respected);
-//! * the **knob fingerprint** — the planner-relevant environment knobs
-//!   (`MAYBMS_COST_OPT`, `MAYBMS_SIP`, `MAYBMS_LATE_MAT`,
-//!   `MAYBMS_CONF_EXACT_LIMIT`), because a knob flip can change what the
-//!   optimizer emits or pins into the plan;
 //! * the **catalog fingerprint** ([`crate::Catalog::fingerprint`]) — names,
 //!   schemas, and statistics, because statistics drive the cost-based
-//!   phase.
+//!   phase. The catalog memoizes it, so a lookup hashes the query text and
+//!   compares two integers.
+//!
+//! Those two are everything the optimizer reads: compilation takes no
+//! setting ([`maybms_algebra::ExecCfg`] is execution-only).
 //!
 //! Entries also carry the plan's pre-order cardinality estimates, and the
 //! cache accepts *observed* per-node row counts back
@@ -25,14 +25,9 @@
 //! — a one-shot correction, cleared on use, so a genuinely changed workload
 //! re-grades itself instead of compounding stale factors.
 
-use std::hash::{BuildHasher, Hasher};
-
-use maybms_algebra::{Plan, LATE_MAT_ENV, SIP_ENV};
-use maybms_core::FxBuildHasher;
-use maybms_ql::CONF_EXACT_LIMIT_ENV;
+use maybms_algebra::Plan;
 
 use crate::catalog::Catalog;
-use crate::planner::COST_OPT_ENV;
 
 /// Default number of cached plans (evicting least-recently-used beyond it).
 pub const DEFAULT_PLAN_CACHE_CAP: usize = 64;
@@ -70,23 +65,10 @@ pub fn normalize_query(text: &str) -> String {
     out
 }
 
-/// Fingerprint of the environment knobs that influence compilation. Read
-/// per lookup — flipping a knob mid-session must miss the cache.
-fn knob_fingerprint() -> u64 {
-    let mut h = FxBuildHasher::default().build_hasher();
-    for key in [COST_OPT_ENV, SIP_ENV, LATE_MAT_ENV, CONF_EXACT_LIMIT_ENV] {
-        h.write(key.as_bytes());
-        h.write(std::env::var(key).unwrap_or_default().as_bytes());
-        h.write_u8(0);
-    }
-    h.finish()
-}
-
-/// The full cache key: normalized text plus the two fingerprints.
+/// The full cache key: normalized text plus the catalog fingerprint.
 #[derive(Clone, Debug, PartialEq, Eq)]
 struct CacheKey {
     text: String,
-    knobs: u64,
     catalog: u64,
 }
 
@@ -94,7 +76,6 @@ impl CacheKey {
     fn new(catalog: &Catalog, text: &str) -> CacheKey {
         CacheKey {
             text: normalize_query(text),
-            knobs: knob_fingerprint(),
             catalog: catalog.fingerprint(),
         }
     }
@@ -153,9 +134,9 @@ impl PlanCache {
         }
     }
 
-    /// Look up a compilation of `text` against `catalog` under the current
-    /// knobs. A hit refreshes the entry's LRU position and consumes any
-    /// pending one-shot estimate correction.
+    /// Look up a compilation of `text` against `catalog`. A hit refreshes
+    /// the entry's LRU position and consumes any pending one-shot estimate
+    /// correction.
     pub fn lookup(&mut self, catalog: &Catalog, text: &str) -> Option<CachedPlan> {
         let key = CacheKey::new(catalog, text);
         self.tick += 1;
@@ -304,6 +285,38 @@ mod tests {
         assert!(cache.lookup(&other, "SELECT a FROM r").is_none());
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.misses(), 2);
+    }
+
+    #[test]
+    fn catalog_changes_after_a_fingerprint_was_taken_miss() {
+        use maybms_core::RelationStats;
+        let stats = |rows: u64| RelationStats {
+            rows,
+            ..RelationStats::empty()
+        };
+        let mut cat = catalog();
+        cat.insert_stats("r", stats(10));
+        let mut cache = PlanCache::new(4);
+        cache.insert(&cat, "q", Plan::scan("r"), None);
+        let before = cat.fingerprint();
+        // The memoized fingerprint must not outlive a statistics change …
+        cat.insert_stats("r", stats(11));
+        assert_ne!(cat.fingerprint(), before);
+        assert!(cache.lookup(&cat, "q").is_none());
+        // … nor a new relation.
+        cache.insert(&cat, "q", Plan::scan("r"), None);
+        let before = cat.fingerprint();
+        cat.insert("s", Schema::of(&[("c", ValueType::Int)]).unwrap());
+        assert_ne!(cat.fingerprint(), before);
+        assert!(cache.lookup(&cat, "q").is_none());
+        // The key is content: an equal catalog built afresh (its memo still
+        // unfilled) compares equal and hits the entry of the filled one.
+        cache.insert(&cat, "q", Plan::scan("r"), None);
+        let mut rebuilt = catalog();
+        rebuilt.insert_stats("r", stats(11));
+        rebuilt.insert("s", Schema::of(&[("c", ValueType::Int)]).unwrap());
+        assert_eq!(rebuilt, cat);
+        assert!(cache.lookup(&rebuilt, "q").is_some());
     }
 
     #[test]

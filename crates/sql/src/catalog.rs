@@ -3,6 +3,7 @@
 
 use std::collections::BTreeMap;
 use std::hash::{BuildHasher, Hasher};
+use std::sync::OnceLock;
 
 use maybms_algebra::{SchemaProvider, StatsProvider};
 use maybms_core::{collect_stats, FxBuildHasher, RelationStats, Schema, WorldSet};
@@ -13,10 +14,21 @@ use maybms_core::{collect_stats, FxBuildHasher, RelationStats, Schema, WorldSet}
 /// [`WorldSet`] with [`Catalog::from_world_set`] — which collects statistics
 /// in the same pass — and refreshed whenever a relation is added (e.g. after
 /// a REPL `LET`).
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default)]
 pub struct Catalog {
     schemas: BTreeMap<String, Schema>,
     stats: BTreeMap<String, RelationStats>,
+    /// [`Catalog::fingerprint`], computed on first use and reset by every
+    /// mutation. Derived state: not part of equality.
+    fingerprint: OnceLock<u64>,
+}
+
+/// Catalogs are equal when their schemas and statistics are — whether or
+/// not either has computed its fingerprint yet.
+impl PartialEq for Catalog {
+    fn eq(&self, other: &Catalog) -> bool {
+        self.schemas == other.schemas && self.stats == other.stats
+    }
 }
 
 impl Catalog {
@@ -32,11 +44,13 @@ impl Catalog {
         let name = name.into();
         self.stats.remove(&name);
         self.schemas.insert(name, schema);
+        self.fingerprint.take();
     }
 
     /// Register (or replace) a relation's statistics.
     pub fn insert_stats(&mut self, name: impl Into<String>, stats: RelationStats) {
         self.stats.insert(name.into(), stats);
+        self.fingerprint.take();
     }
 
     /// The schemas *and statistics* of every relation in a world set, in
@@ -53,6 +67,7 @@ impl Catalog {
                 .iter()
                 .map(|(n, r)| (n.clone(), collect_stats(r, &ws.components)))
                 .collect(),
+            fingerprint: OnceLock::new(),
         }
     }
 
@@ -76,18 +91,22 @@ impl Catalog {
     /// so any catalog refresh that could change a compiled plan (a new
     /// relation, a schema change, statistics drift after a `LET`) misses the
     /// cache instead of serving a stale plan. `BTreeMap` iteration makes the
-    /// hash order deterministic.
+    /// hash order deterministic. Formatting every schema and statistic is
+    /// the expensive part of a cache lookup, so the value is memoized until
+    /// the next [`Catalog::insert`] / [`Catalog::insert_stats`].
     pub fn fingerprint(&self) -> u64 {
-        let mut h = FxBuildHasher::default().build_hasher();
-        for (name, schema) in &self.schemas {
-            h.write(name.as_bytes());
-            h.write(format!("{schema:?}").as_bytes());
-            if let Some(stats) = self.stats.get(name) {
-                h.write(format!("{stats:?}").as_bytes());
+        *self.fingerprint.get_or_init(|| {
+            let mut h = FxBuildHasher::default().build_hasher();
+            for (name, schema) in &self.schemas {
+                h.write(name.as_bytes());
+                h.write(format!("{schema:?}").as_bytes());
+                if let Some(stats) = self.stats.get(name) {
+                    h.write(format!("{stats:?}").as_bytes());
+                }
+                h.write_u8(0);
             }
-            h.write_u8(0);
-        }
-        h.finish()
+            h.finish()
+        })
     }
 }
 

@@ -16,10 +16,9 @@
 use std::fmt;
 
 use maybms_algebra::{
-    estimate_preorder, exec_order, run_traced, sip_decisions, ExecCfg, ExecStats, Plan,
-    StatsProvider,
+    estimate_preorder, exec_order, run_with, sip_decisions, ExecCfg, ExecStats, Plan, StatsProvider,
 };
-use maybms_core::{metrics, ParCfg, QueryTrace, Span, SpanKind, WorldSet};
+use maybms_core::{metrics, QueryTrace, Span, SpanKind, WorldSet};
 
 use crate::ast::Query;
 use crate::catalog::Catalog;
@@ -40,21 +39,22 @@ pub struct Explain {
     pub estimates: Option<Vec<f64>>,
     /// Plan-time sideways-information-passing decisions per node of
     /// `optimized`, in pre-order: `sip=bloom(keys, …)` on joins whose
-    /// estimated build side qualifies, `""` elsewhere. Empty when
-    /// `MAYBMS_SIP=0` (the runtime gate additionally checks the *actual*
-    /// build-side row count, so a rendered decision is the plan's intent,
-    /// not a promise).
+    /// estimated build side qualifies, `""` elsewhere. Empty when the
+    /// caller's [`ExecCfg::sip`] is off (the runtime gate additionally
+    /// checks the *actual* build-side row count, so a rendered decision is
+    /// the plan's intent, not a promise).
     pub sip: Vec<String>,
 }
 
-/// Analyze a parsed query and produce both plans.
-pub fn explain(catalog: &Catalog, query: &Query) -> Result<Explain, SqlError> {
+/// Analyze a parsed query and produce both plans, annotated for a run
+/// under `cfg`.
+pub fn explain(catalog: &Catalog, query: &Query, cfg: &ExecCfg) -> Result<Explain, SqlError> {
     let (lowered, _) = lower(catalog, query)?;
     let optimized = optimize_plan(catalog, &lowered, query.span())?;
     let estimates = catalog
         .has_stats()
         .then(|| estimate_preorder(&optimized, catalog, catalog));
-    let sip = if ExecCfg::from_env().sip {
+    let sip = if cfg.sip {
         sip_decisions(&optimized, catalog, catalog)
     } else {
         Vec::new()
@@ -128,23 +128,23 @@ pub struct ExplainAnalyze {
     pub sip_enabled: bool,
 }
 
-/// Compile `query`, execute it on `ws` with tracing enabled, and collect
-/// the annotated plan. Side effects are real: a `REPAIR KEY` inside the
-/// query mints components into `ws` exactly like a normal run — callers
-/// that must not disturb a session world set should pass a clone (the REPL
-/// does).
+/// Compile `query`, execute it on `ws` under `cfg` with tracing enabled,
+/// and collect the annotated plan. Side effects are real: a `REPAIR KEY`
+/// inside the query mints components into `ws` exactly like a normal run —
+/// callers that must not disturb a session world set should pass a clone
+/// (the REPL does).
 pub fn explain_analyze(
     catalog: &Catalog,
     ws: &mut WorldSet,
     query: &Query,
-    par: &ParCfg,
+    cfg: &ExecCfg,
 ) -> Result<ExplainAnalyze, SqlError> {
     let (lowered, _) = lower(catalog, query)?;
     let optimized = optimize_plan(catalog, &lowered, query.span())?;
     let estimates = catalog
         .has_stats()
         .then(|| estimate_preorder(&optimized, catalog, catalog));
-    explain_analyze_plan(ws, optimized, estimates, query.span(), par)
+    explain_analyze_plan(ws, optimized, estimates, query.span(), cfg)
 }
 
 /// The execution half of `EXPLAIN ANALYZE`, for callers that already hold a
@@ -156,17 +156,16 @@ pub fn explain_analyze_plan(
     optimized: Plan,
     estimates: Option<Vec<f64>>,
     span: crate::Span,
-    par: &ParCfg,
+    cfg: &ExecCfg,
 ) -> Result<ExplainAnalyze, SqlError> {
-    let sip_enabled = ExecCfg::from_env().sip;
-    let (_result, stats, trace) = run_traced(ws, &optimized, par)
+    let (_result, stats, trace) = run_with(ws, &optimized, cfg, true)
         .map_err(|e| SqlError::new(span, format!("execution failed: {e}")))?;
     let analyzed = ExplainAnalyze {
         optimized,
-        trace,
+        trace: trace.expect("tracing was requested"),
         stats,
         estimates,
-        sip_enabled,
+        sip_enabled: cfg.sip,
     };
     // Grade the estimates against the observed row counts while we have
     // both in hand: one q-error histogram sample per analyzed plan node.

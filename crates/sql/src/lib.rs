@@ -63,9 +63,7 @@ pub use cache::{normalize_query, CachedPlan, PlanCache, DEFAULT_PLAN_CACHE_CAP};
 pub use catalog::Catalog;
 pub use explain::{explain, explain_analyze, explain_analyze_plan, Explain, ExplainAnalyze};
 pub use parser::{parse_query, parse_script, parse_statement};
-pub use planner::{
-    analyze, compile, compile_unoptimized, cost_opt_enabled, lower, optimize_plan, COST_OPT_ENV,
-};
+pub use planner::{analyze, compile, compile_unoptimized, lower, optimize_plan};
 pub use span::{Span, SqlError};
 pub use unparse::{schema_of, to_mayql};
 
@@ -239,6 +237,22 @@ mod tests {
             .project(["ssn"])
             .rename([("name", "n")]);
         assert!(to_mayql(&catalog, &plan).is_err());
+    }
+
+    /// The cost phase (this catalog has statistics) rewrites nothing inside
+    /// a `CONF(eps, delta)` node, so the compiled plan still has the MayQL
+    /// form it was written in.
+    #[test]
+    fn compiled_approx_conf_keeps_its_mayql_form() {
+        let ws = census_world();
+        let catalog = Catalog::from_world_set(&ws);
+        let text = "SELECT CONF(0.1, 0.05) name FROM censusform";
+        let compiled = compile(&catalog, text).unwrap();
+        let lowered = compile_unoptimized(&catalog, text).unwrap();
+        assert_eq!(
+            to_mayql(&catalog, &compiled).unwrap(),
+            to_mayql(&catalog, &lowered).unwrap()
+        );
     }
 
     #[test]

@@ -48,32 +48,15 @@ pub fn compile_unoptimized(catalog: &Catalog, src: &str) -> Result<Plan, SqlErro
     lower(catalog, &query).map(|(plan, _)| plan)
 }
 
-/// Environment knob for the cost-based optimizer phase: set to `0` to run
-/// the rule fixpoint only (anything else — including unset — keeps the
-/// cost phase on). The REPL's `\set cost_opt on|off` round-trips through
-/// this variable so child evaluations agree with the session setting.
-pub const COST_OPT_ENV: &str = "MAYBMS_COST_OPT";
-
-/// Whether the cost-based phase is enabled: [`COST_OPT_ENV`] is anything
-/// but `0` (default on). The phase is additionally skipped per query when
-/// the catalog carries no statistics, in which case the rule-only and
-/// cost-based paths are the same function.
-pub fn cost_opt_enabled() -> bool {
-    std::env::var(COST_OPT_ENV).map_or(true, |v| v.trim() != "0")
-}
-
 /// Run the logical optimizer against the catalog — the rule fixpoint plus,
-/// when [`cost_opt_enabled`] and the catalog has statistics, the cost-based
-/// phase ([`maybms_algebra::optimize_with_stats`]) — converting optimizer
-/// errors (which should not occur on plans the lowering just type-checked)
-/// into spanned diagnostics.
+/// when the catalog has statistics, the cost-based phase
+/// ([`maybms_algebra::optimize_with_stats`], which is exactly the rule-only
+/// [`fn@maybms_algebra::optimize`] on a statistics-less catalog) —
+/// converting optimizer errors (which should not occur on plans the
+/// lowering just type-checked) into spanned diagnostics.
 pub fn optimize_plan(catalog: &Catalog, plan: &Plan, span: Span) -> Result<Plan, SqlError> {
-    let optimized = if cost_opt_enabled() {
-        maybms_algebra::optimize_with_stats(plan, catalog, catalog)
-    } else {
-        maybms_algebra::optimize(plan, catalog)
-    };
-    optimized.map_err(|e| SqlError::new(span, format!("optimizer: {e}")))
+    maybms_algebra::optimize_with_stats(plan, catalog, catalog)
+        .map_err(|e| SqlError::new(span, format!("optimizer: {e}")))
 }
 
 /// Semantic analysis only: the output schema of a query, or a spanned error

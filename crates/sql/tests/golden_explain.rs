@@ -6,6 +6,7 @@
 
 use std::collections::BTreeMap;
 
+use maybms_algebra::ExecCfg;
 use maybms_core::stats::{ColumnStats, RelationStats};
 use maybms_core::{Schema, ValueType};
 use maybms_sql::{explain, parse_query, Catalog};
@@ -32,7 +33,7 @@ fn census_catalog() -> Catalog {
 fn explain_text(query: &str) -> String {
     let catalog = census_catalog();
     let parsed = parse_query(query).expect("query parses");
-    explain(&catalog, &parsed)
+    explain(&catalog, &parsed, &ExecCfg::default())
         .expect("query analyzes")
         .to_string()
 }
@@ -45,7 +46,6 @@ fn explain_text(query: &str) -> String {
 /// into the probe subtree.
 #[test]
 fn explain_pushes_selection_below_the_join() {
-    std::env::set_var(maybms_algebra::SIP_ENV, "1");
     let text = explain_text("SELECT POSSIBLE city FROM census, homes WHERE name = 'Smith'");
     let expected = "\
 lowered plan:
@@ -145,11 +145,6 @@ optimized plan:
 /// `sip=bloom(ssn)` decision.
 #[test]
 fn explain_shows_estimates_and_reorders_with_stats() {
-    // This golden pins the *cost-optimized* shape; neutralize an ambient
-    // MAYBMS_COST_OPT=0 or MAYBMS_SIP=0 (the CI matrix runs the suite all
-    // ways).
-    std::env::set_var(maybms_sql::COST_OPT_ENV, "1");
-    std::env::set_var(maybms_algebra::SIP_ENV, "1");
     let mut catalog = census_catalog();
     let rel = |rows: u64, nontrivial: f64, cols: &[(&str, f64)]| RelationStats {
         rows,
@@ -179,7 +174,7 @@ fn explain_shows_estimates_and_reorders_with_stats() {
     catalog.insert_stats("homes", rel(50, 0.0, &[("ssn", 50.0), ("city", 20.0)]));
     let parsed = parse_query("SELECT POSSIBLE city FROM census, homes WHERE name = 'Smith'")
         .expect("query parses");
-    let text = explain(&catalog, &parsed)
+    let text = explain(&catalog, &parsed, &ExecCfg::default())
         .expect("query analyzes")
         .to_string();
     let expected = "\

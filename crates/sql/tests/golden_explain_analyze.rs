@@ -6,6 +6,7 @@
 //! so a change in operator traffic must update this expectation
 //! consciously.
 
+use maybms_algebra::ExecCfg;
 use maybms_core::{ParCfg, WorldSet};
 use maybms_sql::{compile, explain_analyze, parse_query, Catalog};
 
@@ -85,17 +86,15 @@ fn mask_times(s: &str) -> String {
 
 #[test]
 fn explain_analyze_renders_the_census_conf_join() {
-    // This golden pins the *cost-optimized, SIP-on* shape; neutralize an
-    // ambient MAYBMS_COST_OPT=0 or MAYBMS_SIP=0 (the CI matrix runs the
-    // suite all ways).
-    std::env::set_var(maybms_sql::COST_OPT_ENV, "1");
-    std::env::set_var(maybms_algebra::SIP_ENV, "1");
     let mut ws = census_world();
     let catalog = Catalog::from_world_set(&ws);
     let query = parse_query("SELECT CONF city FROM census, homes WHERE name = 'Smith'")
         .expect("query parses");
-    let analyzed = explain_analyze(&catalog, &mut ws, &query, &ParCfg::with_threads(1))
-        .expect("query executes");
+    let cfg = ExecCfg {
+        par: ParCfg::with_threads(1),
+        sip: true,
+    };
+    let analyzed = explain_analyze(&catalog, &mut ws, &query, &cfg).expect("query executes");
     // The cost phase reorders the join — the filtered census side (2
     // estimated rows) becomes the hash build (right) side — and every
     // node line carries the estimator's `est_rows=`, graded against the

@@ -56,7 +56,7 @@ impl Default for GenConfig {
 const COL_POOL: [&str; 4] = ["a", "b", "c", "d"];
 
 /// ε the generators use for `conf(eps, delta)` nodes. Modest on purpose:
-/// under a forced-sampling cutover (`MAYBMS_CONF_EXACT_LIMIT=0`) every
+/// under a forced-sampling cutover (`ApproxConf::exact_limit` 0) every
 /// generated group is estimated, and this budget needs only a few dozen
 /// draws per group.
 pub const GEN_CONF_EPS: f64 = 0.25;

@@ -24,7 +24,7 @@
 
 use std::collections::BTreeMap;
 
-use maybms_algebra::{run, run_with_opts, run_with_stats_opts, Plan};
+use maybms_algebra::{run, run_with, ExecCfg, Plan};
 use maybms_core::rng::Rng;
 use maybms_core::{
     connected_groups, Component, ParCfg, Schema, Tuple, URelation, Value, ValueType, WorldSet,
@@ -49,14 +49,17 @@ fn forced(seed: u64) -> ApproxConf {
         eps: EPS,
         delta: DELTA,
         seed,
-        exact_limit: Some(0),
+        exact_limit: 0,
     }
 }
 
-fn par(threads: usize) -> ParCfg {
-    ParCfg {
-        threads,
-        min_rows: 1,
+fn exec(threads: usize) -> ExecCfg {
+    ExecCfg {
+        par: ParCfg {
+            threads,
+            min_rows: 1,
+        },
+        sip: true,
     }
 }
 
@@ -200,8 +203,10 @@ fn sampling_is_bit_identical_across_thread_counts() {
             let ws = shaped_world(&mut rng, shape);
             let plan = conf_approx_with(Plan::scan("r"), forced(seed));
 
-            let r1 = run_with_opts(&mut ws.clone(), &plan, &par(1)).expect("threads=1 runs");
-            let r4 = run_with_opts(&mut ws.clone(), &plan, &par(4)).expect("threads=4 runs");
+            let (r1, _, _) =
+                run_with(&mut ws.clone(), &plan, &exec(1), false).expect("threads=1 runs");
+            let (r4, _, _) =
+                run_with(&mut ws.clone(), &plan, &exec(4), false).expect("threads=4 runs");
             assert_eq!(
                 r1, r4,
                 "{shape:?} seed {seed}: results differ across thread counts"
@@ -249,13 +254,14 @@ fn cutover_boundary_is_bitwise_exact_then_samples() {
 
             // Limit == cost: every group is exact, bitwise equal to `conf`.
             let at = ApproxConf {
-                exact_limit: Some(max_cost),
+                exact_limit: max_cost,
                 ..forced(seed)
             };
-            let (r_at, stats_at) = run_with_stats_opts(
+            let (r_at, stats_at, _) = run_with(
                 &mut ws.clone(),
                 &conf_approx_with(Plan::scan("r"), at),
-                &par(1),
+                &exec(1),
+                false,
             )
             .expect("boundary run");
             assert_eq!(
@@ -273,13 +279,14 @@ fn cutover_boundary_is_bitwise_exact_then_samples() {
 
             // Limit == cost − 1: the expensive group samples.
             let below = ApproxConf {
-                exact_limit: Some(max_cost - 1),
+                exact_limit: max_cost - 1,
                 ..forced(seed)
             };
-            let (r_below, stats_below) = run_with_stats_opts(
+            let (r_below, stats_below, _) = run_with(
                 &mut ws.clone(),
                 &conf_approx_with(Plan::scan("r"), below),
-                &par(1),
+                &exec(1),
+                false,
             )
             .expect("below-boundary run");
             assert!(
@@ -307,7 +314,7 @@ fn seeds_reproduce_and_stats_account_for_groups() {
         let ws = shaped_world(&mut rng, Shape::Dense);
         let plan = conf_approx_with(Plan::scan("r"), forced(seed));
 
-        let (a, stats) = run_with_stats_opts(&mut ws.clone(), &plan, &par(1)).expect("first run");
+        let (a, stats, _) = run_with(&mut ws.clone(), &plan, &exec(1), false).expect("first run");
         let b = run(&mut ws.clone(), &plan).expect("second run");
         assert_eq!(a, b, "seed {seed}: same seed must reproduce exactly");
 
@@ -371,12 +378,13 @@ fn mixed_exact_and_sampled_groups_within_one_tuple() {
             eps: EPS,
             delta: DELTA,
             seed,
-            exact_limit: Some(16), // 2 ≤ 16 < 256
+            exact_limit: 16, // 2 ≤ 16 < 256
         };
-        let (got, stats) = run_with_stats_opts(
+        let (got, stats, _) = run_with(
             &mut ws.clone(),
             &conf_approx_with(Plan::scan("r"), approx),
-            &par(1),
+            &exec(1),
+            false,
         )
         .expect("mixed run");
         assert_eq!(stats.conf.exact_groups, 1, "seed {seed}");
@@ -472,12 +480,13 @@ fn empirical_miss_rate_stays_under_delta_in_every_regime() {
                     eps,
                     delta: STAT_DELTA,
                     seed,
-                    exact_limit: Some(limit),
+                    exact_limit: limit,
                 },
             );
-            let (r1, stats) =
-                run_with_stats_opts(&mut ws.clone(), &plan, &par(1)).expect("threads=1 runs");
-            let r4 = run_with_opts(&mut ws.clone(), &plan, &par(4)).expect("threads=4 runs");
+            let (r1, stats, _) =
+                run_with(&mut ws.clone(), &plan, &exec(1), false).expect("threads=1 runs");
+            let (r4, _, _) =
+                run_with(&mut ws.clone(), &plan, &exec(4), false).expect("threads=4 runs");
             assert_eq!(r1, r4, "{name} seed {seed}: thread counts disagree");
             assert_eq!(stats.conf.sampled_groups, 4, "{name} seed {seed}");
             assert_eq!(stats.conf.exact_groups, 4 * (limit > 0) as u64, "{name}");

@@ -23,7 +23,7 @@
 //!
 //! A failing case prints its seed for exact replay.
 
-use maybms_algebra::{run_with_stats_opts, ExecStats, Plan};
+use maybms_algebra::{run_with, ExecCfg, ExecStats, Plan};
 use maybms_core::parallel::DEFAULT_MIN_ROWS;
 use maybms_core::rng::Rng;
 use maybms_core::{ParCfg, Schema, Tuple, URelation, Value, ValueType, WorldSet};
@@ -42,6 +42,11 @@ fn par(threads: usize) -> ParCfg {
         threads,
         min_rows: 1,
     }
+}
+
+/// SIP on (the default) under the given thread budget.
+fn exec(par: ParCfg) -> ExecCfg {
+    ExecCfg { par, sip: true }
 }
 
 /// Pool traffic must not depend on the thread count: no task mints, so the
@@ -63,10 +68,10 @@ fn assert_same_pool_traffic(s1: &ExecStats, s4: &ExecStats, what: &str) {
 fn run_both(ws: &WorldSet, plan: &Plan, seed: u64) {
     let mut ws1 = ws.clone();
     let mut ws4 = ws.clone();
-    let r1 = run_with_stats_opts(&mut ws1, plan, &par(1));
-    let r4 = run_with_stats_opts(&mut ws4, plan, &par(4));
+    let r1 = run_with(&mut ws1, plan, &exec(par(1)), false);
+    let r4 = run_with(&mut ws4, plan, &exec(par(4)), false);
     match (r1, r4) {
-        (Ok((a, s1)), Ok((b, s4))) => {
+        (Ok((a, s1, _)), Ok((b, s4, _))) => {
             assert_eq!(
                 a, b,
                 "seed {seed}: results differ across thread counts\nplan:\n{plan}"
@@ -153,8 +158,8 @@ fn threshold_crossing_workload_agrees() {
     let mut ws4 = ws.clone();
     let p1 = ParCfg::with_threads(1);
     let p4 = ParCfg::with_threads(4);
-    let (a, s1) = run_with_stats_opts(&mut ws1, &plan, &p1).expect("threads=1 run succeeds");
-    let (b, s4) = run_with_stats_opts(&mut ws4, &plan, &p4).expect("threads=4 run succeeds");
+    let (a, s1, _) = run_with(&mut ws1, &plan, &exec(p1), false).expect("threads=1 run succeeds");
+    let (b, s4, _) = run_with(&mut ws4, &plan, &exec(p4), false).expect("threads=4 run succeeds");
     assert_eq!(a, b, "threshold-crossing run differs across thread counts");
     assert_eq!(ws1, ws4, "component minting differs across thread counts");
     assert_same_pool_traffic(&s1, &s4, "threshold-crossing run");

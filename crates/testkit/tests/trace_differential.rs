@@ -1,6 +1,6 @@
 //! Differential tests for the observability layer: tracing must be a pure
-//! observer. A traced run (`run_traced`) and an untraced run
-//! (`run_with_stats_opts`) of the same plan on clones of the same world
+//! observer. A traced run and an untraced run (`run_with`, `traced` on and
+//! off) of the same plan on clones of the same world
 //! set must produce byte-identical u-relations and identical post-run
 //! world sets — at `threads = 1` and `threads = 4` with the morsel
 //! threshold forced to 1 row, so span bookkeeping is exercised under
@@ -12,7 +12,7 @@
 //!
 //! A failing case prints its seed for exact replay.
 
-use maybms_algebra::{run_traced, run_with_stats_opts};
+use maybms_algebra::{run_with, ExecCfg};
 use maybms_core::obs::SpanKind;
 use maybms_core::rng::Rng;
 use maybms_core::ParCfg;
@@ -21,10 +21,13 @@ use maybms_testkit::{gen_uncertain_plan, gen_world_set, GenConfig};
 const CASES: u64 = 120;
 
 /// Force every parallel code path even on tiny generated inputs.
-fn par(threads: usize) -> ParCfg {
-    ParCfg {
-        threads,
-        min_rows: 1,
+fn exec(threads: usize) -> ExecCfg {
+    ExecCfg {
+        par: ParCfg {
+            threads,
+            min_rows: 1,
+        },
+        sip: true,
     }
 }
 
@@ -36,13 +39,15 @@ fn traced_and_untraced_runs_are_byte_identical() {
         let ws = gen_world_set(&mut rng, &cfg);
         let plan = gen_uncertain_plan(&mut rng, &ws, 3);
         for threads in [1, 4] {
-            let cfg = par(threads);
+            let cfg = exec(threads);
             let mut ws_plain = ws.clone();
-            let (plain, _) = run_with_stats_opts(&mut ws_plain, &plan, &cfg)
+            let (plain, _, no_trace) = run_with(&mut ws_plain, &plan, &cfg, false)
                 .unwrap_or_else(|e| panic!("case {case}: untraced run failed: {e}"));
+            assert!(no_trace.is_none(), "case {case}: untraced run has no trace");
             let mut ws_traced = ws.clone();
-            let (traced, _, trace) = run_traced(&mut ws_traced, &plan, &cfg)
+            let (traced, _, trace) = run_with(&mut ws_traced, &plan, &cfg, true)
                 .unwrap_or_else(|e| panic!("case {case}: traced run failed: {e}"));
+            let trace = trace.expect("traced run returns its trace");
             assert_eq!(
                 plain, traced,
                 "case {case} (threads={threads}): tracing changed the result\nplan: {plan:?}"
@@ -72,8 +77,9 @@ fn traces_cover_every_plan_node_and_attribute_consistently() {
         let ws = gen_world_set(&mut rng, &cfg);
         let plan = gen_uncertain_plan(&mut rng, &ws, 3);
         let mut ws_eval = ws.clone();
-        let (result, _, trace) = run_traced(&mut ws_eval, &plan, &par(2))
+        let (result, _, trace) = run_with(&mut ws_eval, &plan, &exec(2), true)
             .unwrap_or_else(|e| panic!("case {case}: traced run failed: {e}"));
+        let trace = trace.expect("traced run returns its trace");
 
         // Shared Ext subtrees are evaluated once and cached, so the span
         // count can fall short of the static node count only by the size

@@ -12,7 +12,7 @@
 //!
 //! Run with `cargo run --example census`.
 
-use maybms::algebra::{col, lit, run, Plan, Predicate};
+use maybms::algebra::{col, lit, run, ExecCfg, Plan, Predicate};
 use maybms::core::{Relation, Schema, Tuple, URelation, Value, ValueType, WorldSet};
 use maybms::ql::{certain, conf, possible, repair_key};
 use maybms::sql::{compile, compile_unoptimized, explain, parse_query, to_mayql, Catalog};
@@ -135,7 +135,7 @@ fn main() {
     // on the filtered — smallest — intermediate.
     let q5 = "SELECT ssn FROM (SELECT POSSIBLE name, ssn FROM census) WHERE name = 'Smith'";
     let parsed = parse_query(q5).expect("q5 parses");
-    let ex = explain(&catalog, &parsed).expect("q5 analyzes");
+    let ex = explain(&catalog, &parsed, &ExecCfg::default()).expect("q5 analyzes");
     println!("\n== EXPLAIN {q5} ==");
     print!("{ex}");
 

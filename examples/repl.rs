@@ -31,20 +31,15 @@
 //! subsequent queries, `\trace last <file>` exports the last captured trace
 //! as Chrome trace-event JSON (open it in `chrome://tracing` or Perfetto),
 //! `\metrics` prints the process-wide metrics registry, `\set threads N`
-//! changes the session's worker budget (initially `MAYBMS_THREADS` or the
-//! machine's parallelism), `\set conf_exact_limit N` changes the cost
-//! cutover above which an approximate `CONF(eps, delta)` switches from
-//! exact per-group computation to sampling (initially
-//! `MAYBMS_CONF_EXACT_LIMIT` or 4096), `\set cost_opt on|off` toggles the
-//! statistics-driven cost-based plan phase (initially `MAYBMS_COST_OPT`,
-//! default on), `\set sip on|off` toggles Bloom-filter sideways information
-//! passing (initially `MAYBMS_SIP`, default on), `\set late_mat on|off`
-//! toggles late materialization in join pipelines (initially
-//! `MAYBMS_LATE_MAT`, default on), `\set plan_cache on|off` toggles the
-//! session's LRU cache of optimized plans, `\q` quits, `\help` shows the
-//! cheat sheet. A `\set` with an unknown knob or a malformed value is a
-//! hard error (it lists the valid knobs) — in batch mode it stops the run
-//! with a non-zero exit instead of silently continuing with stale settings.
+//! changes the session's worker budget (initially the machine's
+//! parallelism), `\set sip on|off` toggles Bloom-filter sideways information
+//! passing (initially on), `\set plan_cache on|off` toggles the session's
+//! LRU cache of optimized plans, `\q` quits, `\help` shows the cheat sheet.
+//! The first two write the session's `ExecCfg`, the one value every
+//! statement runs under. A `\set` with an unknown knob or a malformed value
+//! is a hard error (it lists the valid knobs) — in batch mode it stops the
+//! run with a non-zero exit instead of silently continuing with stale
+//! settings.
 //!
 //! In `--batch` mode the file is processed line by line exactly like an
 //! interactive session (`--` comments, `;` separators, `\`-meta commands —
@@ -58,18 +53,13 @@ use std::io::{BufRead, Write};
 use std::process::ExitCode;
 use std::time::Instant;
 
-use maybms::algebra::{
-    estimate_preorder, run_traced, run_with_stats_opts, ExecCfg, ExecStats, StatsProvider,
-    LATE_MAT_ENV, SIP_ENV,
-};
+use maybms::algebra::{estimate_preorder, run_with, ExecCfg, ExecStats, StatsProvider};
 use maybms::core::{
-    metrics, ParCfg, QueryTrace, Relation, Schema, Tuple, URelation, Value, ValueType, WorldSet,
+    metrics, QueryTrace, Relation, Schema, Tuple, URelation, Value, ValueType, WorldSet,
 };
-use maybms::ql::{conf_exact_limit_from_env, CONF_EXACT_LIMIT_ENV};
 use maybms::sql::lexer::{lex, TokenKind};
 use maybms::sql::{
-    cost_opt_enabled, explain, explain_analyze, explain_analyze_plan, parse_statement, Catalog,
-    PlanCache, Statement, COST_OPT_ENV,
+    explain, explain_analyze, explain_analyze_plan, parse_statement, Catalog, PlanCache, Statement,
 };
 
 fn main() -> ExitCode {
@@ -142,13 +132,17 @@ enum MetaOutcome {
     Quit,
 }
 
-/// One REPL session: the world set plus every knob and piece of
-/// last-query state the meta commands inspect. Interactive and batch mode
-/// drive the same session type, so `\timing`, `\trace`, `\stats`, … behave
-/// identically in both.
+/// One REPL session: the world set, the catalog collected from it, plus
+/// every knob and piece of last-query state the meta commands inspect.
+/// Interactive and batch mode drive the same session type, so `\timing`,
+/// `\trace`, `\stats`, … behave identically in both.
 struct Session {
     ws: WorldSet,
-    threads: usize,
+    /// Schemas and statistics of `ws`, rebuilt after each successful `LET`
+    /// (the only statement that changes a relation).
+    catalog: Catalog,
+    /// What every statement runs under (`\set threads`, `\set sip`).
+    exec: ExecCfg,
     timing: bool,
     trace: bool,
     /// Whether compiled plans are served from / inserted into `plan_cache`
@@ -163,8 +157,9 @@ struct Session {
 impl Session {
     fn new(ws: WorldSet) -> Session {
         Session {
+            catalog: Catalog::from_world_set(&ws),
             ws,
-            threads: ParCfg::from_env().threads,
+            exec: ExecCfg::default(),
             timing: false,
             trace: false,
             plan_cache_on: true,
@@ -297,23 +292,22 @@ impl Session {
     /// caret diagnostics as parse errors; runtime errors carry no span and
     /// print as a plain message.
     fn execute(&mut self, stmt: &Statement, src: &str) -> Result<(), String> {
-        let catalog = Catalog::from_world_set(&self.ws);
-        let par = ParCfg::with_threads(self.threads);
         match stmt {
             Statement::Query(query) => {
-                let (plan, _) = self.compile_cached(&catalog, query, src)?;
-                let result = self.run_plan(&plan, &par)?;
+                let (plan, _) = self.compile_cached(query, src)?;
+                let result = self.run_plan(&plan)?;
                 print!("{result}");
                 println!("({} rows)", result.len());
                 Ok(())
             }
             Statement::Let { name, query, .. } => {
-                let (plan, _) = self.compile_cached(&catalog, query, src)?;
-                let result = self.run_plan(&plan, &par)?;
+                let (plan, _) = self.compile_cached(query, src)?;
+                let result = self.run_plan(&plan)?;
                 let rows = result.len();
                 self.ws
                     .insert(name.name.clone(), result)
                     .map_err(|e| format!("error: {e}\n"))?;
+                self.catalog = Catalog::from_world_set(&self.ws);
                 println!("relation `{}` materialized ({rows} rows)", name.name);
                 Ok(())
             }
@@ -322,7 +316,8 @@ impl Session {
                 analyze: false,
                 ..
             } => {
-                let mut ex = explain(&catalog, query).map_err(|e| e.render(src))?;
+                let mut ex =
+                    explain(&self.catalog, query, &self.exec).map_err(|e| e.render(src))?;
                 // Route the estimates through the plan cache so a pending
                 // one-shot q-error correction (from a previous EXPLAIN
                 // ANALYZE of this query) shows up in the rendered
@@ -330,13 +325,13 @@ impl Session {
                 // original ones.
                 if self.plan_cache_on {
                     let key = query_text(query, src);
-                    match self.plan_cache.lookup(&catalog, key) {
+                    match self.plan_cache.lookup(&self.catalog, key) {
                         Some(hit) => {
                             ex.optimized = hit.plan;
                             ex.estimates = hit.estimates;
                         }
                         None => self.plan_cache.insert(
-                            &catalog,
+                            &self.catalog,
                             key,
                             ex.optimized.clone(),
                             ex.estimates.clone(),
@@ -356,11 +351,11 @@ impl Session {
                 // session world set.
                 let mut scratch = self.ws.clone();
                 let ex = if self.plan_cache_on {
-                    let (plan, ests) = self.compile_cached(&catalog, query, src)?;
-                    explain_analyze_plan(&mut scratch, plan, ests, query.span(), &par)
+                    let (plan, ests) = self.compile_cached(query, src)?;
+                    explain_analyze_plan(&mut scratch, plan, ests, query.span(), &self.exec)
                         .map_err(|e| e.render(src))?
                 } else {
-                    explain_analyze(&catalog, &mut scratch, query, &par)
+                    explain_analyze(&self.catalog, &mut scratch, query, &self.exec)
                         .map_err(|e| e.render(src))?
                 };
                 // Feed the observed per-node row counts back: the cached
@@ -369,8 +364,11 @@ impl Session {
                 if self.plan_cache_on {
                     let observed = ex.node_observations();
                     if !observed.is_empty() {
-                        self.plan_cache
-                            .note_observed(&catalog, query_text(query, src), &observed);
+                        self.plan_cache.note_observed(
+                            &self.catalog,
+                            query_text(query, src),
+                            &observed,
+                        );
                     }
                 }
                 print!("{ex}");
@@ -390,10 +388,10 @@ impl Session {
     #[allow(clippy::type_complexity)]
     fn compile_cached(
         &mut self,
-        catalog: &Catalog,
         query: &maybms::sql::Query,
         src: &str,
     ) -> Result<(maybms::algebra::Plan, Option<Vec<f64>>), String> {
+        let catalog = &self.catalog;
         if self.plan_cache_on {
             if let Some(hit) = self.plan_cache.lookup(catalog, query_text(query, src)) {
                 return Ok((hit.plan, hit.estimates));
@@ -418,27 +416,18 @@ impl Session {
 
     /// Run a compiled plan, traced or not per the session's `\trace` flag,
     /// updating the last-query state either way.
-    fn run_plan(
-        &mut self,
-        plan: &maybms::algebra::Plan,
-        par: &ParCfg,
-    ) -> Result<URelation, String> {
-        if self.trace {
-            let (result, stats, trace) =
-                run_traced(&mut self.ws, plan, par).map_err(|e| format!("error: {e}\n"))?;
+    fn run_plan(&mut self, plan: &maybms::algebra::Plan) -> Result<URelation, String> {
+        let (result, stats, trace) = run_with(&mut self.ws, plan, &self.exec, self.trace)
+            .map_err(|e| format!("error: {e}\n"))?;
+        self.last_stats = Some(stats);
+        if let Some(trace) = trace {
             println!(
                 "trace: {} spans captured (\\trace last <file> to export)",
                 trace.spans.len()
             );
-            self.last_stats = Some(stats);
             self.last_trace = Some(trace);
-            Ok(result)
-        } else {
-            let (result, stats) = run_with_stats_opts(&mut self.ws, plan, par)
-                .map_err(|e| format!("error: {e}\n"))?;
-            self.last_stats = Some(stats);
-            Ok(result)
         }
+        Ok(result)
     }
 
     /// Handle one `\`-meta command (shared by interactive and batch mode).
@@ -501,63 +490,25 @@ impl Session {
     /// `\set <knob> <value>`. Unknown knobs and malformed values are hard
     /// errors listing the valid knobs — never a silent no-op.
     fn set_cmd(&mut self, cmd: &str) -> Result<(), String> {
-        const VALID: &str = "valid knobs: threads <N>, conf_exact_limit <N>, \
-             cost_opt on|off, sip on|off, late_mat on|off, plan_cache on|off";
+        const VALID: &str = "valid knobs: threads <N>, sip on|off, plan_cache on|off";
         let mut parts = cmd.split_whitespace().skip(1);
         let knob = parts.next();
         let raw = parts.next();
         let number = raw.and_then(|v| v.parse::<usize>().ok());
         match (knob, raw, number) {
             (Some("threads"), Some(_), Some(n)) if n >= 1 => {
-                self.threads = n;
+                self.exec.par.threads = n;
                 println!("threads = {n}");
             }
-            (Some("conf_exact_limit"), Some(_), Some(n)) => {
-                // Read back through the env so the session's queries and
-                // the `\set` knob agree on one source of truth.
-                std::env::set_var(CONF_EXACT_LIMIT_ENV, n.to_string());
-                println!("conf_exact_limit = {}", conf_exact_limit_from_env());
-            }
-            (Some("cost_opt"), Some(v @ ("on" | "off")), _) => {
-                // Same one-source-of-truth pattern: the planner reads the
-                // env on every compile, so toggling it here takes effect
-                // for the very next statement.
-                std::env::set_var(COST_OPT_ENV, if v == "on" { "1" } else { "0" });
-                println!(
-                    "cost_opt = {}",
-                    if cost_opt_enabled() { "on" } else { "off" }
-                );
-            }
             (Some("sip"), Some(v @ ("on" | "off")), _) => {
-                std::env::set_var(SIP_ENV, if v == "on" { "1" } else { "0" });
-                println!(
-                    "sip = {}",
-                    if ExecCfg::from_env().sip { "on" } else { "off" }
-                );
-            }
-            (Some("late_mat"), Some(v @ ("on" | "off")), _) => {
-                std::env::set_var(LATE_MAT_ENV, if v == "on" { "1" } else { "0" });
-                println!(
-                    "late_mat = {}",
-                    if ExecCfg::from_env().late_mat {
-                        "on"
-                    } else {
-                        "off"
-                    }
-                );
+                self.exec.sip = v == "on";
+                println!("sip = {v}");
             }
             (Some("plan_cache"), Some(v @ ("on" | "off")), _) => {
                 self.plan_cache_on = v == "on";
                 println!("plan_cache = {v}");
             }
-            (
-                Some(
-                    knob @ ("threads" | "conf_exact_limit" | "cost_opt" | "sip" | "late_mat"
-                    | "plan_cache"),
-                ),
-                raw,
-                _,
-            ) => {
+            (Some(knob @ ("threads" | "sip" | "plan_cache")), raw, _) => {
                 return Err(match raw {
                     Some(v) => format!("error: \\set {knob}: invalid value `{v}`; {VALID}\n"),
                     None => format!("error: \\set {knob}: missing value; {VALID}\n"),
@@ -649,15 +600,11 @@ impl Session {
             self.plan_cache.misses(),
             self.plan_cache.len()
         );
-        let exec = ExecCfg::from_env();
         let on_off = |b: bool| if b { "on" } else { "off" };
         println!(
-            "session settings: threads = {}, conf_exact_limit = {}, cost_opt = {}, sip = {}, late_mat = {}, plan_cache = {}",
-            self.threads,
-            conf_exact_limit_from_env(),
-            on_off(cost_opt_enabled()),
-            on_off(exec.sip),
-            on_off(exec.late_mat),
+            "session settings: threads = {}, sip = {}, plan_cache = {}",
+            self.exec.par.threads,
+            on_off(self.exec.sip),
             on_off(self.plan_cache_on)
         );
     }
@@ -737,10 +684,7 @@ fn help() {
          \\trace on|off      trace subsequent queries\n  \
          \\trace last <file> export the last trace as Chrome trace JSON\n  \
          \\set threads <N>  worker-thread budget for query execution\n  \
-         \\set conf_exact_limit <N>  cost cutover for CONF(eps, delta); 0 forces sampling\n  \
-         \\set cost_opt on|off  cost-based join reordering (initially MAYBMS_COST_OPT)\n  \
-         \\set sip on|off  Bloom-filter sideways information passing (initially MAYBMS_SIP)\n  \
-         \\set late_mat on|off  late materialization in join pipelines (initially MAYBMS_LATE_MAT)\n  \
+         \\set sip on|off  Bloom-filter sideways information passing\n  \
          \\set plan_cache on|off  session LRU cache of optimized plans\n  \
          \\help    this help\n  \
          \\q       quit"

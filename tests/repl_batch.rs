@@ -52,14 +52,7 @@ fn unknown_set_knob_is_a_hard_error_listing_valid_knobs() {
         stderr.contains("unknown knob `nosuch`"),
         "stderr names the bad knob: {stderr}"
     );
-    for knob in [
-        "threads",
-        "conf_exact_limit",
-        "cost_opt",
-        "sip",
-        "late_mat",
-        "plan_cache",
-    ] {
+    for knob in ["threads", "sip", "plan_cache"] {
         assert!(
             stderr.contains(knob),
             "stderr lists valid knob `{knob}`: {stderr}"
@@ -71,6 +64,25 @@ fn unknown_set_knob_is_a_hard_error_listing_valid_knobs() {
         !stdout.contains("rows)"),
         "no query output after the failed \\set: {stdout}"
     );
+}
+
+/// A knob this REPL used to have is not a special case: setting it is the
+/// same unknown-knob hard error, not a silent no-op.
+#[test]
+fn a_removed_knob_is_an_unknown_knob() {
+    let out = run_batch(
+        "removed-knob",
+        "\\set late_mat off\nSELECT ssn FROM censusform;\n",
+    );
+    assert!(!out.status.success(), "a removed knob must exit non-zero");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown knob `late_mat`")
+            && stderr.contains("valid knobs: threads <N>, sip on|off, plan_cache on|off"),
+        "stderr names the knob and the valid ones: {stderr}"
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(!stdout.contains("rows)"), "no query ran: {stdout}");
 }
 
 #[test]
@@ -88,17 +100,19 @@ fn malformed_set_value_is_a_hard_error() {
 fn valid_knobs_round_trip_in_batch_mode() {
     let out = run_batch(
         "valid-knobs",
-        "\\set sip off\n\\set late_mat off\n\\set plan_cache off\n\
-         \\set sip on\nSELECT ssn FROM censusform;\n",
+        "\\set sip off\n\\set threads 3\n\\set plan_cache off\n\
+         \\set sip on\nSELECT ssn FROM censusform;\n\\stats\n",
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "valid knobs succeed: {stderr}");
     for echo in [
         "sip = off",
-        "late_mat = off",
+        "threads = 3",
         "plan_cache = off",
         "sip = on",
+        // `\stats` reads the same session value `\set` wrote.
+        "session settings: threads = 3, sip = on, plan_cache = off",
     ] {
         assert!(stdout.contains(echo), "stdout echoes `{echo}`: {stdout}");
     }
