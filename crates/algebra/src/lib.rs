@@ -55,7 +55,7 @@ pub use eval::{
     infer_schema, run, run_traced, run_with, run_with_opts, EvalCtx, ExecCfg, ExecStats,
 };
 pub use ext::{ExtOperator, ExtProps};
-pub use optimize::{optimize, optimize_with_stats, PlanProps, SchemaProvider};
+pub use optimize::{optimize, optimize_with_stats, SchemaProvider};
 pub use plan::Plan;
 pub use predicate::{col, lit, CmpOp, Operand, Predicate};
 pub use sip::{exec_order, sip_decisions, SipStats};

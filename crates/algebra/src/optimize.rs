@@ -20,10 +20,9 @@
 //!
 //! Rules fire only when a derived plan property proves them sound; the
 //! properties ([`Plan::schema_with`], [`Plan::is_distinct`],
-//! [`Plan::is_certain`], bundled by [`Plan::props_with`]) are computed
-//! structurally against a [`SchemaProvider`], so every layer that owns
-//! schemas (the executor's relation map, the MayQL catalog) can drive the
-//! optimizer.
+//! [`Plan::is_certain`]) are computed structurally against a
+//! [`SchemaProvider`], so every layer that owns schemas (the executor's
+//! relation map, the MayQL catalog) can drive the optimizer.
 //!
 //! Extension operators participate through two hooks on
 //! [`ExtOperator`]: [`props`][ExtOperator::props] declares the algebraic
@@ -83,19 +82,6 @@ impl SchemaProvider for BTreeMap<String, URelation> {
     }
 }
 
-/// The derived properties of a plan: its output schema plus the two
-/// structural facts the rewrite rules condition on.
-#[derive(Clone, Debug)]
-pub struct PlanProps {
-    /// The output schema.
-    pub schema: Schema,
-    /// Provably duplicate-free output (see [`Plan::is_distinct`]).
-    pub distinct: bool,
-    /// Provably certain output — every descriptor trivial (see
-    /// [`Plan::is_certain`]).
-    pub certain: bool,
-}
-
 impl Plan {
     /// Infer the plan's output schema against a [`SchemaProvider`] —
     /// the provider-generic form of [`crate::eval::infer_schema`].
@@ -131,16 +117,6 @@ impl Plan {
                 op.output_schema(&inputs)
             }
         }
-    }
-
-    /// All derived properties at once (schema, distinctness,
-    /// descriptor-triviality).
-    pub fn props_with(&self, schemas: &dyn SchemaProvider) -> Result<PlanProps, MayError> {
-        Ok(PlanProps {
-            schema: self.schema_with(schemas)?,
-            distinct: self.is_distinct(),
-            certain: self.is_certain(),
-        })
     }
 }
 

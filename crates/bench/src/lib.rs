@@ -176,7 +176,7 @@ pub fn conf_chain_workload(
 /// keep a dozen or more descriptors open across the middle of the component
 /// order, so the elimination's frontier is wide. With the bench shape (26
 /// binary components, 30 descriptors) the exact cost bound
-/// (`ComponentSet::group_exact_cost`) comes to 10⁵–10⁷ per tuple and the
+/// (`DnfKernel::exact_cost`) comes to 10⁵–10⁷ per tuple and the
 /// exact solve itself to 10⁴–10⁵ transitions, while the sampler pays a few
 /// hundred short draws.
 pub fn conf_dense_workload(

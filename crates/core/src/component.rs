@@ -1,7 +1,6 @@
 //! Components: the independent factors of a world-set decomposition.
 
 use std::borrow::Borrow;
-use std::collections::BTreeSet;
 
 use crate::descriptor::{ComponentId, WsDescriptor};
 use crate::dnf::{DnfKernel, Loaded};
@@ -194,16 +193,6 @@ impl ComponentSet {
         Ok(())
     }
 
-    /// Probability of the world set denoted by a single descriptor: the
-    /// product of the probabilities of its assignments (components are
-    /// independent).
-    pub fn prob_of_descriptor(&self, d: &WsDescriptor) -> f64 {
-        d.terms()
-            .iter()
-            .map(|&(c, a)| self.get(c).prob(a))
-            .product()
-    }
-
     /// Exact probability of a disjunction of descriptors, *factorized*.
     ///
     /// The descriptors are partitioned into connected groups over shared
@@ -218,10 +207,10 @@ impl ComponentSet {
     /// [`crate::dnf`], whose cost is exponential only in the group's
     /// *frontier width* — never in the total number of relevant components,
     /// and on chain- and tree-like groups not in the group's size either.
-    /// Exact `conf` remains #P-hard in general;
-    /// [`ComponentSet::prob_of_dnf_enumerate`] keeps the unfactorized brute
-    /// force as the differential-testing oracle. This is a convenience over
-    /// a throw-away [`DnfKernel`]; the `conf` operator keeps one per worker.
+    /// Exact `conf` remains #P-hard in general; `maybms-testkit` keeps the
+    /// unfactorized brute force as the differential-testing oracle. This is
+    /// a convenience over a throw-away [`DnfKernel`]; the `conf` operator
+    /// keeps one per worker.
     pub fn prob_of_dnf<D: Borrow<WsDescriptor>>(&self, descs: &[D]) -> f64 {
         let mut kernel = DnfKernel::new();
         match kernel.load(descs.iter().map(|d| d.borrow().terms())) {
@@ -230,7 +219,10 @@ impl ComponentSet {
             Loaded::Groups(groups) => {
                 let mut prob_none = 1.0;
                 for g in 0..groups {
-                    prob_none *= 1.0 - kernel.prob(self, g, u64::MAX).expect(NO_CEILING);
+                    prob_none *= 1.0
+                        - kernel
+                            .prob(self, g, u64::MAX)
+                            .expect("no step ceiling was set");
                     if prob_none == 0.0 {
                         break;
                     }
@@ -239,126 +231,12 @@ impl ComponentSet {
             }
         }
     }
-
-    /// Exact probability of a disjunction of descriptors by brute-force
-    /// enumeration of every assignment of every relevant component — the
-    /// original unfactorized algorithm, kept as the oracle that the
-    /// factorized [`ComponentSet::prob_of_dnf`] is tested against.
-    /// Exponential in the total number of relevant components.
-    pub fn prob_of_dnf_enumerate<D: Borrow<WsDescriptor>>(&self, descs: &[D]) -> f64 {
-        if descs.iter().any(|d| d.borrow().is_tautology()) {
-            return 1.0;
-        }
-        let refs: Vec<&WsDescriptor> = descs.iter().map(Borrow::borrow).collect();
-        let mut total = 0.0;
-        self.for_each_relevant_assignment(&refs, |assignment, prob| {
-            if refs.iter().any(|d| assignment_satisfies(assignment, d)) {
-                total += prob;
-            }
-        });
-        total
-    }
-
-    /// Whether the disjunction of `descs` covers *all* worlds — i.e. a tuple
-    /// with these descriptors is certain. Purely possibilistic: probabilities
-    /// are ignored, every combination of alternatives counts. Factorized
-    /// like [`ComponentSet::prob_of_dnf`] (see [`DnfKernel::covers_all`]);
-    /// each group check stops at the first uncovered assignment, so the
-    /// common "not certain" case is cheap.
-    pub fn covers_all_worlds<D: Borrow<WsDescriptor>>(&self, descs: &[D]) -> bool {
-        DnfKernel::new()
-            .covers_all(self, descs.iter().map(|d| d.borrow().terms()), u64::MAX)
-            .expect(NO_CEILING)
-    }
-
-    /// Cost bound for solving one connected group *exactly*
-    /// ([`DnfKernel::exact_cost`]):
-    /// `min(2^descriptors, Π alternative counts, Σ_s b_s · 2^{o_s})`,
-    /// saturating, the last term being the elimination's own transition
-    /// bound along the id order. The sampling confidence solver compares
-    /// this bound against its cutover threshold: groups under the threshold
-    /// keep the exact path, groups over it are estimated. A descriptor set
-    /// that is not connected prices as the sum over its groups.
-    pub fn group_exact_cost(&self, group: &[&WsDescriptor]) -> u128 {
-        let mut kernel = DnfKernel::new();
-        match kernel.load(group.iter().map(|d| d.terms())) {
-            Loaded::Empty | Loaded::Tautology => 1,
-            Loaded::Groups(groups) => (0..groups)
-                .map(|g| kernel.exact_cost(self, g))
-                .fold(0, u128::saturating_add),
-        }
-    }
-
-    /// Drive `f` over every combination of alternatives of the components
-    /// mentioned in `descs`, with the combination's probability. Only the
-    /// [`ComponentSet::prob_of_dnf_enumerate`] oracle enumerates.
-    fn for_each_relevant_assignment(
-        &self,
-        descs: &[&WsDescriptor],
-        mut f: impl FnMut(&[(ComponentId, u16)], f64),
-    ) {
-        let vars: Vec<ComponentId> = descs
-            .iter()
-            .flat_map(|d| d.terms().iter().map(|&(c, _)| c))
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        if vars.is_empty() {
-            f(&[], 1.0);
-            return;
-        }
-        let mut assignment: Vec<(ComponentId, u16)> = vars.iter().map(|&c| (c, 0)).collect();
-        loop {
-            let prob: f64 = assignment
-                .iter()
-                .map(|&(c, a)| self.get(c).prob(a))
-                .product();
-            f(&assignment, prob);
-            let mut i = vars.len();
-            loop {
-                if i == 0 {
-                    return;
-                }
-                i -= 1;
-                assignment[i].1 += 1;
-                if assignment[i].1 < self.get(vars[i]).alternatives() {
-                    break;
-                }
-                assignment[i].1 = 0;
-            }
-        }
-    }
-}
-
-/// Why the infallible wrappers may unwrap a kernel result.
-const NO_CEILING: &str = "no step ceiling was set";
-
-/// Partition descriptors into connected groups: two descriptors share a
-/// group iff they are linked by a chain of shared components. Groups are
-/// returned in first-occurrence order of their earliest descriptor, and
-/// each group lists its descriptors in input order — the partition and the
-/// order the confidence solver works in ([`DnfKernel::load`]), so both the
-/// float combination order and any content hashing downstream are
-/// deterministic across processes and thread counts. Tautologies, which
-/// mention no component, each form a group of their own.
-pub fn connected_groups<'d>(descs: &[&'d WsDescriptor]) -> Vec<Vec<&'d WsDescriptor>> {
-    let (tautologies, rest): (Vec<&WsDescriptor>, Vec<&WsDescriptor>) =
-        descs.iter().partition(|d| d.is_tautology());
-    let mut kernel = DnfKernel::new();
-    let mut groups: Vec<Vec<&WsDescriptor>> = match kernel.load(rest.iter().map(|d| d.terms())) {
-        Loaded::Groups(n) => (0..n)
-            .map(|g| kernel.group_descs(g).map(|i| rest[i]).collect())
-            .collect(),
-        Loaded::Empty | Loaded::Tautology => Vec::new(),
-    };
-    groups.extend(tautologies.into_iter().map(|d| vec![d]));
-    groups
 }
 
 /// Counters of one confidence-solver run (exact or sampling), surfaced
-/// through `ExecStats` and the REPL's `\stats` meta-command. Defined here —
-/// next to the group partition both solver paths share — so the executor
-/// crate can carry the counters without depending on `maybms-ql`.
+/// through `ExecStats` and the REPL's `\stats` meta-command. Defined here so
+/// the executor crate can carry the counters without depending on
+/// `maybms-ql`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ConfStats {
     /// Connected descriptor groups solved by the exact factorized path.
@@ -384,17 +262,6 @@ impl ConfStats {
         self.largest_group = self.largest_group.max(other.largest_group);
         self.exact_steps += other.exact_steps;
     }
-}
-
-/// Whether a (sorted) partial assignment satisfies a descriptor. Every
-/// component of `d` is guaranteed to occur in `assignment` by construction.
-fn assignment_satisfies(assignment: &[(ComponentId, u16)], d: &WsDescriptor) -> bool {
-    d.terms().iter().all(|&(c, a)| {
-        assignment
-            .binary_search_by_key(&c, |&(id, _)| id)
-            .map(|i| assignment[i].1 == a)
-            .unwrap_or(false)
-    })
 }
 
 #[cfg(test)]
@@ -431,57 +298,6 @@ mod tests {
             .map(|w| cs.prob_of_pick(w))
             .sum();
         assert!((cs.prob_of_dnf(&descs) - by_enum).abs() < 1e-12);
-    }
-
-    #[test]
-    fn coverage_detects_certain_tuples() {
-        let mut cs = ComponentSet::new();
-        let c0 = cs.add(Component::uniform(2).unwrap());
-        let both = vec![WsDescriptor::single(c0, 0), WsDescriptor::single(c0, 1)];
-        assert!(cs.covers_all_worlds(&both));
-        assert!(!cs.covers_all_worlds(&both[..1]));
-    }
-
-    #[test]
-    fn group_exact_cost_takes_the_cheaper_method() {
-        let mut cs = ComponentSet::new();
-        let c0 = cs.add(Component::uniform(2).unwrap());
-        let c1 = cs.add(Component::uniform(3).unwrap());
-        let d0 = WsDescriptor::single(c0, 0);
-        let d1 = WsDescriptor::single(c1, 1);
-        // One descriptor over one binary component: min(2¹, 2, 2·2⁰) = 2.
-        assert_eq!(cs.group_exact_cost(&[&d0]), 2);
-        // Two unconnected descriptors price as their groups' sum.
-        assert_eq!(cs.group_exact_cost(&[&d0, &d1]), 4);
-
-        // A 20-link chain over ternary components: 2²⁰ subsets, 3²¹
-        // assignments, but eliminating in id order holds one open descriptor
-        // at a time: first slot 2·2⁰, then twenty times 2·2¹.
-        let ids: Vec<ComponentId> = (0..21)
-            .map(|_| cs.add(Component::uniform(3).unwrap()))
-            .collect();
-        let chain: Vec<WsDescriptor> = (0..20)
-            .map(|i| {
-                WsDescriptor::single(ids[i], 0)
-                    .conjoin(&WsDescriptor::single(ids[i + 1], 0))
-                    .unwrap()
-            })
-            .collect();
-        let refs: Vec<&WsDescriptor> = chain.iter().collect();
-        assert_eq!(cs.group_exact_cost(&refs), 2 + 20 * 4);
-        // A short chain is still cheapest by subsets: 2³ < 2 + 3·4.
-        assert_eq!(cs.group_exact_cost(&refs[..3]), 8);
-        // A star: all twenty descriptors start at the hub and stay open, so
-        // the width term is as large as the subset count, 2²⁰.
-        let star: Vec<WsDescriptor> = (1..21)
-            .map(|i| {
-                WsDescriptor::single(ids[0], (i % 3) as u16)
-                    .conjoin(&WsDescriptor::single(ids[i], 1))
-                    .unwrap()
-            })
-            .collect();
-        let refs: Vec<&WsDescriptor> = star.iter().collect();
-        assert_eq!(cs.group_exact_cost(&refs), 1 << 20);
     }
 
     #[test]

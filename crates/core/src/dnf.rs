@@ -1055,8 +1055,9 @@ mod tests {
         };
         assert!(too_many(kernel.prob(&cs, 0, 100).unwrap_err()));
         assert!(too_many(kernel.covers(&cs, 0, 100).unwrap_err()));
-        let p = kernel.prob(&cs, 0, 1 << 14).unwrap();
-        assert!((p - cs.prob_of_dnf_enumerate(&descs)).abs() < 1e-15, "{p}");
+        // (`intern_differential` compares the value under this ceiling with
+        // the brute-force oracle.)
+        assert!(kernel.prob(&cs, 0, 1 << 14).is_ok());
         assert!(!kernel.covers(&cs, 0, 1 << 14).unwrap());
     }
 }

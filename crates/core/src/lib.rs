@@ -80,7 +80,7 @@ pub mod world;
 
 pub use bloom::BlockedBloom;
 pub use columnar::{ColView, ColumnData, ColumnVec, ColumnarURelation, StrPool};
-pub use component::{connected_groups, Component, ComponentSet, ConfStats, WorldPick};
+pub use component::{Component, ComponentSet, ConfStats, WorldPick};
 pub use descriptor::{ComponentId, WsDescriptor};
 pub use dnf::{DnfKernel, EXACT_STEP_CEILING};
 pub use error::MayError;

@@ -39,10 +39,11 @@ use crate::world::WorldSet;
 /// Normalize a world set in place. See the module docs for the rewrites.
 ///
 /// Each relation goes through the *columnar* pipeline
-/// ([`normalize_relation`]); the row-oriented [`normalize_rows`] is kept as
-/// the reference implementation the columnar path is differentially tested
-/// against. The thread budget is [`ParCfg::default`] (the machine's
-/// available parallelism); [`normalize_with`] takes it explicitly.
+/// ([`normalize_relation`]); `maybms-testkit` keeps the row-oriented
+/// `normalize_rows` as the reference implementation the columnar path is
+/// differentially tested against. The thread budget is [`ParCfg::default`]
+/// (the machine's available parallelism); [`normalize_with`] takes it
+/// explicitly.
 pub fn normalize(ws: &mut WorldSet) {
     normalize_with(ws, &ParCfg::default());
 }
@@ -58,8 +59,9 @@ pub fn normalize_with(ws: &mut WorldSet, par: &ParCfg) {
     gc_components(ws);
 }
 
-/// Columnar normalization of one relation, in place. Equivalent to
-/// `normalize_rows` on the same rows, but engineered for large relations:
+/// Columnar normalization of one relation, in place. Equivalent to the
+/// testkit's `normalize_rows` on the same rows, but engineered for large
+/// relations:
 ///
 /// 1. the relation is converted to [`ColumnarURelation`] form once, interning
 ///    every descriptor into a run-local [`DescriptorPool`];
@@ -196,8 +198,9 @@ pub fn normalize_relation_with(rel: &mut URelation, components: &ComponentSet, p
         }
     }
 
-    // Per-tuple-group local fixpoint, exactly as in `normalize_rows` but on
-    // canonical handles. Only groups with more than one descriptor need it.
+    // Per-tuple-group local fixpoint, exactly as in the reference
+    // `normalize_rows` but on canonical handles. Only groups with more than
+    // one descriptor need it.
     let multi: Vec<usize> = groups
         .iter()
         .enumerate()
@@ -269,10 +272,9 @@ pub fn normalize_relation_with(rel: &mut URelation, components: &ComponentSet, p
     rel.set_rows(out);
 }
 
-/// Absorption and coverage merging on canonical descriptor handles — the
-/// handle-level mirror of [`simplify_disjunction`]. All ids must be interned
-/// (canonical in `pool`), so id equality is descriptor equality. Returns
-/// true when anything changed.
+/// Absorption and coverage merging on canonical descriptor handles. All ids
+/// must be interned (canonical in `pool`), so id equality is descriptor
+/// equality. Returns true when anything changed.
 fn simplify_disjunction_ids(
     ids: &mut Vec<DescId>,
     pool: &mut DescriptorPool,
@@ -324,121 +326,6 @@ fn simplify_disjunction_ids(
                 if (0..n).all(|a| ids.iter().any(|&x| is_variant(pool, x, a))) {
                     ids.retain(|&x| !(0..n).any(|a| is_variant(pool, x, a)));
                     ids.push(pool.without(d, c));
-                    changed = true;
-                    continue 'restart;
-                }
-            }
-        }
-        break;
-    }
-    changed
-}
-
-/// Normalize one relation's rows against a component set.
-///
-/// The rewrites (dedup, absorption, coverage merging) only ever relate rows
-/// carrying the *same* tuple, so after one global sort each tuple group can
-/// be simplified to its own local fixpoint independently — the relation is
-/// never re-sorted or rebuilt per iteration, and tuples are moved (cloned
-/// only when a tuple keeps several descriptors), which is what keeps
-/// normalization linearithmic-plus-local-work on large relations.
-pub fn normalize_rows(
-    rows: Vec<(Tuple, WsDescriptor)>,
-    components: &ComponentSet,
-) -> Vec<(Tuple, WsDescriptor)> {
-    let mut rows: Vec<(Tuple, WsDescriptor)> = rows
-        .into_iter()
-        .map(|(t, d)| (t, strip_trivial(d, components)))
-        .collect();
-    rows.sort_unstable();
-    rows.dedup();
-
-    let mut out: Vec<(Tuple, WsDescriptor)> = Vec::with_capacity(rows.len());
-    let mut it = rows.into_iter().peekable();
-    while let Some((tuple, first_desc)) = it.next() {
-        let mut descs = vec![first_desc];
-        while it.peek().is_some_and(|(t, _)| *t == tuple) {
-            descs.push(it.next().expect("peeked").1);
-        }
-        if descs.len() > 1 {
-            // Local fixpoint: each pass re-sorts and dedups only this
-            // tuple's descriptors before trying the rewrites again.
-            loop {
-                descs.sort_unstable();
-                descs.dedup();
-                if !simplify_disjunction(&mut descs, components) {
-                    break;
-                }
-            }
-        }
-        // Emit in canonical (tuple, descriptor) order; the tuple is moved
-        // into the group's last row and cloned only for the rows before it.
-        let last = descs.len() - 1;
-        let mut ds = descs.into_iter();
-        for _ in 0..last {
-            out.push((tuple.clone(), ds.next().expect("before last")));
-        }
-        out.push((tuple, ds.next().expect("last descriptor")));
-    }
-    out
-}
-
-/// Remove assignments to components with a single alternative.
-fn strip_trivial(d: WsDescriptor, components: &ComponentSet) -> WsDescriptor {
-    if d.terms()
-        .iter()
-        .all(|&(c, _)| components.get(c).alternatives() > 1)
-    {
-        return d;
-    }
-    let terms: Vec<_> = d
-        .terms()
-        .iter()
-        .copied()
-        .filter(|&(c, _)| components.get(c).alternatives() > 1)
-        .collect();
-    WsDescriptor::from_terms(terms).expect("filtering terms cannot introduce conflicts")
-}
-
-/// Apply absorption and coverage merging to the descriptors of one tuple.
-/// Returns true when anything changed.
-fn simplify_disjunction(descs: &mut Vec<WsDescriptor>, components: &ComponentSet) -> bool {
-    let mut changed = false;
-
-    // Absorption: drop any descriptor that another (strictly more general)
-    // descriptor subsumes.
-    let mut keep = vec![true; descs.len()];
-    for a in 0..descs.len() {
-        if !keep[a] {
-            continue;
-        }
-        for b in 0..descs.len() {
-            if a != b && keep[b] && descs[a].is_subset_of(&descs[b]) && descs[a] != descs[b] {
-                keep[b] = false;
-                changed = true;
-            }
-        }
-    }
-    if changed {
-        let mut it = keep.iter();
-        descs.retain(|_| *it.next().expect("keep mask matches descs length"));
-    }
-
-    // Coverage merging: if `base ∧ c=a` is present for every alternative `a`
-    // of some component `c`, replace those rows with `base`.
-    'restart: loop {
-        for idx in 0..descs.len() {
-            let d = descs[idx].clone();
-            for &(c, _) in d.terms() {
-                let base = d.without(c);
-                let n = components.get(c).alternatives();
-                let variant = |a: u16| {
-                    base.conjoin(&WsDescriptor::single(c, a))
-                        .expect("base has no assignment for c")
-                };
-                if (0..n).all(|a| descs.contains(&variant(a))) {
-                    descs.retain(|x| !(0..n).any(|a| *x == variant(a)));
-                    descs.push(base);
                     changed = true;
                     continue 'restart;
                 }

@@ -36,13 +36,6 @@ impl Tuple {
     pub fn project(&self, idx: &[usize]) -> Tuple {
         Tuple(idx.iter().map(|&i| self.0[i].clone()).collect())
     }
-
-    /// Append a value, returning the extended tuple.
-    pub fn extended(&self, v: Value) -> Tuple {
-        let mut vs = self.0.clone();
-        vs.push(v);
-        Tuple(vs)
-    }
 }
 
 impl fmt::Display for Tuple {

@@ -231,16 +231,6 @@ impl JoinPlan {
             .collect()
     }
 
-    /// Whether two tuples agree on every shared column — the join condition,
-    /// checked in place without materializing either key vector. Hash joins
-    /// that bucket rows by a *hash* of the key use this to verify candidate
-    /// pairs, so the equi-join needs no per-row key allocation at all.
-    pub fn tuples_match(&self, l: &Tuple, r: &Tuple) -> bool {
-        self.shared
-            .iter()
-            .all(|&(li, ri)| l.values()[li] == r.values()[ri])
-    }
-
     /// Combine a matching pair of tuples into an output tuple. Allocates the
     /// output at its exact final arity (one allocation per row, not an
     /// allocate-then-grow).

@@ -7,9 +7,9 @@
 //! *optimized* plan keyed on two things, either of which invalidates the
 //! entry by missing instead of matching:
 //!
-//! * the **normalized query text** ([`normalize_query`]: whitespace
-//!   collapsed outside string literals — no case folding, so identifier
-//!   case is respected);
+//! * the **normalized query text** ([`normalize_query`]: whitespace and
+//!   `--` comments collapsed outside string literals — no case folding, so
+//!   identifier case is respected);
 //! * the **catalog fingerprint** ([`crate::Catalog::fingerprint`]) — names,
 //!   schemas, and statistics, because statistics drive the cost-based
 //!   phase. The catalog memoizes it, so a lookup hashes the query text and
@@ -19,11 +19,11 @@
 //! setting ([`maybms_algebra::ExecCfg`] is execution-only).
 //!
 //! Entries also carry the plan's pre-order cardinality estimates, and the
-//! cache accepts *observed* per-node row counts back
-//! ([`PlanCache::note_observed`], fed from `EXPLAIN ANALYZE`): the next hit
-//! on that entry serves estimates scaled by the observed q-error, **once**
-//! — a one-shot correction, cleared on use, so a genuinely changed workload
-//! re-grades itself instead of compounding stale factors.
+//! cache accepts *observed* per-node row counts back (from the session's
+//! `EXPLAIN ANALYZE`): the next hit on that entry serves estimates scaled by
+//! the observed q-error, **once** — a one-shot correction, cleared on use, so
+//! a genuinely changed workload re-grades itself instead of compounding stale
+//! factors.
 
 use maybms_algebra::Plan;
 
@@ -33,20 +33,28 @@ use crate::catalog::Catalog;
 pub const DEFAULT_PLAN_CACHE_CAP: usize = 64;
 
 /// Normalize query text for cache keying: collapse every run of whitespace
-/// outside single-quoted string literals to one space and trim the ends.
-/// Case is preserved — keywords are case-insensitive in MayQL, but folding
-/// would also fold identifiers and string contents, trading correctness for
-/// a few extra hits.
+/// and `--` comments outside single-quoted string literals to one space and
+/// trim the ends. Case is preserved — keywords are case-insensitive in MayQL,
+/// but folding would also fold identifiers and string contents, trading
+/// correctness for a few extra hits.
 pub fn normalize_query(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
     let mut in_str = false;
     let mut pending_space = false;
-    for ch in text.chars() {
+    let mut chars = text.chars().peekable();
+    while let Some(ch) = chars.next() {
         if in_str {
             out.push(ch);
             if ch == '\'' {
                 in_str = false;
             }
+            continue;
+        }
+        // A comment runs to the end of its line, as in the lexer; an
+        // apostrophe inside one opens no literal.
+        if ch == '-' && chars.peek() == Some(&'-') {
+            chars.find(|&c| c == '\n');
+            pending_space = true;
             continue;
         }
         if ch.is_whitespace() {
@@ -89,7 +97,7 @@ struct Entry {
     /// statistics at compile time).
     estimates: Option<Vec<f64>>,
     /// One-shot per-node correction factors (`observed / estimated`) from
-    /// the latest [`PlanCache::note_observed`]; consumed by the next hit.
+    /// the latest `note_observed`; consumed by the next hit.
     corrections: Option<Vec<f64>>,
     /// LRU clock value of the last touch.
     last_used: u64,
@@ -201,7 +209,7 @@ impl PlanCache {
     /// produces) back into the entry for `text`: the next hit serves
     /// estimates scaled by `observed / estimated`, once. No-op when the
     /// entry is gone or the shape does not match its estimate vector.
-    pub fn note_observed(&mut self, catalog: &Catalog, text: &str, observed: &[(f64, u64)]) {
+    pub(crate) fn note_observed(&mut self, catalog: &Catalog, text: &str, observed: &[(f64, u64)]) {
         let key = CacheKey::new(catalog, text);
         let Some(e) = self.entries.iter_mut().find(|e| e.key == key) else {
             return;
@@ -269,6 +277,13 @@ mod tests {
         );
         // Case is preserved.
         assert_eq!(normalize_query("select A from R"), "select A from R");
+        // A comment is formatting; an apostrophe inside one opens no literal,
+        // so the literal after it keeps its whitespace.
+        assert_eq!(
+            normalize_query("SELECT a FROM r -- it's a comment\nWHERE b = 'x  y' -- end"),
+            "SELECT a FROM r WHERE b = 'x  y'"
+        );
+        assert_eq!(normalize_query("a - -b"), "a - -b");
     }
 
     #[test]

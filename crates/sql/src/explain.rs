@@ -9,9 +9,9 @@
 //! analyzed node's q-error also feeds the process-wide
 //! `maybms_plan_q_error_milli` histogram in [`maybms_core::metrics`].
 //!
-//! The REPL's `EXPLAIN [ANALYZE] <query>` statements and the golden plan
-//! tests share this module, so what the tests pin is exactly what users
-//! see.
+//! [`crate::Session`]'s `EXPLAIN [ANALYZE] <query>` statements and the
+//! golden plan tests share this module, so what the tests pin is exactly
+//! what users see.
 
 use std::fmt;
 
@@ -128,30 +128,14 @@ pub struct ExplainAnalyze {
     pub sip_enabled: bool,
 }
 
-/// Compile `query`, execute it on `ws` under `cfg` with tracing enabled,
-/// and collect the annotated plan. Side effects are real: a `REPAIR KEY`
-/// inside the query mints components into `ws` exactly like a normal run —
-/// callers that must not disturb a session world set should pass a clone
-/// (the REPL does).
-pub fn explain_analyze(
-    catalog: &Catalog,
-    ws: &mut WorldSet,
-    query: &Query,
-    cfg: &ExecCfg,
-) -> Result<ExplainAnalyze, SqlError> {
-    let (lowered, _) = lower(catalog, query)?;
-    let optimized = optimize_plan(catalog, &lowered, query.span())?;
-    let estimates = catalog
-        .has_stats()
-        .then(|| estimate_preorder(&optimized, catalog, catalog));
-    explain_analyze_plan(ws, optimized, estimates, query.span(), cfg)
-}
-
-/// The execution half of `EXPLAIN ANALYZE`, for callers that already hold a
-/// compiled plan — notably the REPL's plan cache, which passes the *cached*
-/// estimates (with any pending one-shot q-error correction applied) so the
-/// rendered `est_rows=` reflect what the planner would use next time.
-pub fn explain_analyze_plan(
+/// `EXPLAIN ANALYZE` of a compiled plan: execute `optimized` on `ws` under
+/// `cfg` with tracing enabled and collect the annotated plan. The
+/// [`crate::Session`] passes the plan cache's estimates (with any pending
+/// one-shot q-error correction applied), so the rendered `est_rows=` reflect
+/// what the planner would use next time. Side effects are real: a `REPAIR
+/// KEY` inside the query mints components into `ws` exactly like a normal
+/// run, which is why the session passes a scratch clone of its world set.
+pub(crate) fn explain_analyze_plan(
     ws: &mut WorldSet,
     optimized: Plan,
     estimates: Option<Vec<f64>>,
@@ -232,7 +216,7 @@ impl ExplainAnalyze {
     /// *plan pre-order* — the alignment the plan cache's q-error feedback
     /// consumes. Empty when estimates are absent or the span tree diverges
     /// from the plan tree.
-    pub fn node_observations(&self) -> Vec<(f64, u64)> {
+    pub(crate) fn node_observations(&self) -> Vec<(f64, u64)> {
         let Some(ests) = &self.estimates else {
             return Vec::new();
         };

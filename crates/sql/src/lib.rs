@@ -29,24 +29,43 @@
 //!    the plan, a property the testkit checks on randomized plans together
 //!    with execution equivalence.
 //!
+//! 5. **[`session`]** — the engine's front door. A [`Session`] owns the
+//!    world set, the [`Catalog`] collected from it and a [`PlanCache`], and
+//!    [`Session::execute`] runs one statement (`SELECT …`, `LET x = …`,
+//!    `EXPLAIN [ANALYZE] …`) end to end. It is the one way in: the world set
+//!    cannot be changed behind the catalog's or the cache's back.
+//!
 //! ```
 //! use maybms_core::{Relation, Schema, Tuple, URelation, Value, ValueType, WorldSet};
-//! use maybms_sql::{compile, Catalog};
+//! use maybms_sql::{Outcome, Session};
 //!
 //! let schema = Schema::of(&[("name", ValueType::Str), ("ssn", ValueType::Int)]).unwrap();
 //! let rel = Relation::from_rows(
 //!     schema,
-//!     vec![Tuple::new(vec![Value::str("Smith"), Value::Int(185)])],
+//!     vec![
+//!         Tuple::new(vec![Value::str("Smith"), Value::Int(185)]),
+//!         Tuple::new(vec![Value::str("Smith"), Value::Int(785)]),
+//!     ],
 //! )
 //! .unwrap();
 //! let mut ws = WorldSet::new();
-//! ws.insert("census", URelation::from_certain(&rel)).unwrap();
+//! ws.insert("censusform", URelation::from_certain(&rel)).unwrap();
 //!
-//! let catalog = Catalog::from_world_set(&ws);
-//! let plan = compile(&catalog, "SELECT POSSIBLE ssn FROM census WHERE name = 'Smith'").unwrap();
-//! let result = maybms_algebra::run(&mut ws, &plan).unwrap();
-//! assert_eq!(result.len(), 1);
+//! let mut session = Session::new(ws);
+//! session.execute("LET census = REPAIR KEY name IN censusform;").unwrap();
+//! let src = "SELECT POSSIBLE ssn FROM census WHERE name = 'Smith'";
+//! match session.execute(src) {
+//!     Ok(executed) => {
+//!         let Outcome::Rows(result) = executed.outcome else { unreachable!() };
+//!         assert_eq!(result.len(), 2);
+//!     }
+//!     Err(e) => panic!("{}", e.render(src)),
+//! }
+//! assert_eq!(session.world().components.len(), 1);
 //! ```
+//!
+//! One level down, [`compile`] against a [`Catalog`] gives the optimized
+//! plan and `maybms_algebra::run` executes it.
 
 pub mod ast;
 pub mod cache;
@@ -55,15 +74,17 @@ pub mod explain;
 pub mod lexer;
 pub mod parser;
 pub mod planner;
+pub mod session;
 pub mod span;
 pub mod unparse;
 
 pub use ast::{Query, Statement};
 pub use cache::{normalize_query, CachedPlan, PlanCache, DEFAULT_PLAN_CACHE_CAP};
 pub use catalog::Catalog;
-pub use explain::{explain, explain_analyze, explain_analyze_plan, Explain, ExplainAnalyze};
-pub use parser::{parse_query, parse_script, parse_statement};
+pub use explain::{explain, Explain, ExplainAnalyze};
+pub use parser::{parse_query, parse_statement};
 pub use planner::{analyze, compile, compile_unoptimized, lower, optimize_plan};
+pub use session::{Executed, Outcome, Session, SessionError};
 pub use span::{Span, SqlError};
 pub use unparse::{schema_of, to_mayql};
 

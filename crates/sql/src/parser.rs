@@ -3,7 +3,6 @@
 //! Grammar (EBNF; keywords are case-insensitive and contextual):
 //!
 //! ```text
-//! script    := [ statement ] { ";" [ statement ] } ;
 //! statement := "LET" ident "=" query | "EXPLAIN" [ "ANALYZE" ] query | query ;
 //! query     := term { "UNION" term } ;
 //! term      := select | repair | "(" query ")" ;
@@ -66,23 +65,6 @@ pub fn parse_statement(src: &str) -> Result<Statement, SqlError> {
     p.eat(&TokenKind::Semi);
     p.expect_eof()?;
     Ok(s)
-}
-
-/// Parse a script: statements separated by `;` (empty statements are
-/// skipped, so trailing semicolons and blank lines are fine).
-pub fn parse_script(src: &str) -> Result<Vec<Statement>, SqlError> {
-    let mut p = Parser::new(src)?;
-    let mut out = Vec::new();
-    loop {
-        while p.eat(&TokenKind::Semi) {}
-        if p.at_eof() {
-            return Ok(out);
-        }
-        out.push(p.statement()?);
-        if !p.at_eof() {
-            p.expect(&TokenKind::Semi)?;
-        }
-    }
 }
 
 struct Parser {
@@ -657,13 +639,6 @@ mod tests {
         };
         assert_eq!(name.name, "census");
         assert!(matches!(query, Query::Repair(_)));
-    }
-
-    #[test]
-    fn scripts_split_on_semicolons() {
-        let stmts =
-            parse_script("-- demo\nLET x = SELECT * FROM r;\nSELECT a FROM x;\n;\n").unwrap();
-        assert_eq!(stmts.len(), 2);
     }
 
     #[test]

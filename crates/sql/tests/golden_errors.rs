@@ -1,10 +1,12 @@
 //! Golden tests for the front-end's error paths: each case pins the exact
 //! span *and* message (and, for the headline cases, the fully rendered
 //! caret diagnostic), so error quality is part of the crate's contract
-//! rather than an accident of the current implementation.
+//! rather than an accident of the current implementation. The last case pins
+//! the other rendering a [`Session`] produces: a runtime error, which has no
+//! span and prints as one plain line.
 
-use maybms_core::{Schema, ValueType};
-use maybms_sql::{compile, parse_query, Catalog, Span, SqlError};
+use maybms_core::{Relation, Schema, Tuple, URelation, Value, ValueType, WorldSet};
+use maybms_sql::{compile, parse_query, Catalog, Session, SessionError, Span, SqlError};
 
 /// `census(name str, ssn int, w int)` plus `r(a int, b int)`.
 fn catalog() -> Catalog {
@@ -248,4 +250,51 @@ fn unterminated_string_spans_to_eof() {
     let e = parse_query(src).expect_err("unterminated string");
     assert_eq!(e.span, Span::new(34, src.len()));
     assert_eq!(e.message, "unterminated string literal");
+}
+
+/// `REPAIR KEY` over an uncertain relation compiles and fails while running.
+/// Through a query it renders as a plain `error: …` line (the same shape
+/// `tests/repl_batch.rs` pins for the step ceiling, without a nested `cargo
+/// run`); through `EXPLAIN ANALYZE` it is anchored to the analyzed query.
+#[test]
+fn runtime_error_renders_without_a_caret() {
+    let schema =
+        Schema::of(&[("name", ValueType::Str), ("ssn", ValueType::Int)]).expect("distinct columns");
+    let rows = [("Smith", 185), ("Smith", 785), ("Brown", 185)];
+    let rel = Relation::from_rows(
+        schema,
+        rows.iter()
+            .map(|&(n, s)| Tuple::new(vec![Value::str(n), Value::Int(s)]))
+            .collect(),
+    )
+    .expect("rows match schema");
+    let mut ws = WorldSet::new();
+    ws.insert("form", URelation::from_certain(&rel))
+        .expect("certain relation is valid");
+    let mut session = Session::new(ws);
+    session
+        .execute("LET c = REPAIR KEY name IN form;")
+        .expect("repairing a certain relation runs");
+
+    let src = "SELECT ssn FROM (REPAIR KEY ssn IN c);";
+    let e = session.execute(src).expect_err("c is uncertain");
+    assert!(matches!(e, SessionError::Run(_)), "{e:?}");
+    assert_eq!(
+        e.render(src),
+        "error: input must be certain: repair-key expects a certain relation; \
+         apply possible/certain first\n"
+    );
+
+    let src = "EXPLAIN ANALYZE REPAIR KEY ssn IN c;";
+    let e = session.execute(src).expect_err("c is uncertain");
+    assert_eq!(
+        e.render(src),
+        concat!(
+            "error: execution failed: input must be certain: repair-key expects a certain \
+             relation; apply possible/certain first\n",
+            " --> line 1, column 17\n",
+            "  | EXPLAIN ANALYZE REPAIR KEY ssn IN c;\n",
+            "  |                 ^^^^^^^^^^^^^^^^^^^\n"
+        )
+    );
 }

@@ -1,6 +1,6 @@
 //! Golden test pinning the `EXPLAIN ANALYZE` rendering for the census
-//! join + `CONF` query — exactly what the REPL prints (both share
-//! [`maybms_sql::explain_analyze`]). Wall-clock values are masked to
+//! join + `CONF` query — exactly what the REPL prints (both go through
+//! [`maybms_sql::Session::execute`]). Wall-clock values are masked to
 //! `<T>` (they are the one nondeterministic ingredient); every row
 //! count, morsel count, and confidence-solver counter is pinned exactly,
 //! so a change in operator traffic must update this expectation
@@ -8,12 +8,10 @@
 
 use maybms_algebra::ExecCfg;
 use maybms_core::{ParCfg, WorldSet};
-use maybms_sql::{compile, explain_analyze, parse_query, Catalog};
+use maybms_sql::{Outcome, Session};
 
-/// The REPL's preloaded world with the repaired `census` relation
-/// materialized, mirroring `LET census = REPAIR KEY name IN censusform
-/// WEIGHT BY w;` on the demo world.
-fn census_world() -> WorldSet {
+/// The REPL's preloaded world.
+fn demo_world() -> WorldSet {
     use maybms_core::{Relation, Schema, Tuple, URelation, Value, ValueType};
     let schema = Schema::of(&[
         ("name", ValueType::Str),
@@ -51,13 +49,6 @@ fn census_world() -> WorldSet {
     .expect("rows match schema");
     ws.insert("homes", URelation::from_certain(&homes_rel))
         .expect("certain relation is valid");
-
-    let catalog = Catalog::from_world_set(&ws);
-    let repair =
-        compile(&catalog, "REPAIR KEY name IN censusform WEIGHT BY w").expect("repair compiles");
-    let census = maybms_algebra::run(&mut ws, &repair).expect("repair runs");
-    ws.insert("census", census)
-        .expect("repaired relation is valid");
     ws
 }
 
@@ -86,15 +77,20 @@ fn mask_times(s: &str) -> String {
 
 #[test]
 fn explain_analyze_renders_the_census_conf_join() {
-    let mut ws = census_world();
-    let catalog = Catalog::from_world_set(&ws);
-    let query = parse_query("SELECT CONF city FROM census, homes WHERE name = 'Smith'")
-        .expect("query parses");
-    let cfg = ExecCfg {
+    let mut session = Session::new(demo_world());
+    session.exec = ExecCfg {
         par: ParCfg::with_threads(1),
         sip: true,
     };
-    let analyzed = explain_analyze(&catalog, &mut ws, &query, &cfg).expect("query executes");
+    session
+        .execute("LET census = REPAIR KEY name IN censusform WEIGHT BY w;")
+        .expect("repair runs");
+    let executed = session
+        .execute("EXPLAIN ANALYZE SELECT CONF city FROM census, homes WHERE name = 'Smith';")
+        .expect("query executes");
+    let Outcome::Analyze(analyzed) = executed.outcome else {
+        panic!("expected an analyzed plan, got {:?}", executed.outcome);
+    };
     // The cost phase reorders the join — the filtered census side (2
     // estimated rows) becomes the hash build (right) side — and every
     // node line carries the estimator's `est_rows=`, graded against the

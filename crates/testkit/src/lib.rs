@@ -2,13 +2,16 @@
 //!
 //! Deterministic random generators for world sets and algebra plans, plus
 //! oracle helpers that compute `possible` / `certain` / `conf` semantics by
-//! brute-force world enumeration. The cross-layer differential tests live in
-//! this crate's `tests/` directory so that no layer needs a dev-dependency
-//! cycle.
+//! brute-force world enumeration, and ([`oracle`]) the reference
+//! implementations the engine itself no longer calls. The cross-layer
+//! differential tests live in this crate's `tests/` directory so that no
+//! layer needs a dev-dependency cycle.
 //!
 //! The generators use `maybms_core::rng` (a seeded SplitMix64) instead of
 //! `proptest`, which is unavailable offline; each test iterates over many
 //! derived seeds and reports the failing seed for exact replay.
+
+pub mod oracle;
 
 use std::collections::BTreeMap;
 

@@ -27,10 +27,10 @@ use std::collections::BTreeMap;
 use maybms_algebra::{run, run_with, ExecCfg, Plan};
 use maybms_core::rng::Rng;
 use maybms_core::{
-    connected_groups, Component, ParCfg, Schema, Tuple, URelation, Value, ValueType, WorldSet,
-    WsDescriptor,
+    Component, ParCfg, Schema, Tuple, URelation, Value, ValueType, WorldSet, WsDescriptor,
 };
 use maybms_ql::{conf, conf_approx_with, ApproxConf};
+use maybms_testkit::oracle::{connected_groups, group_exact_cost};
 use maybms_testkit::{conf_oracle, per_world_results};
 
 /// Seeds per shape; the issue's acceptance bar is ≥ 50.
@@ -240,7 +240,7 @@ fn cutover_boundary_is_bitwise_exact_then_samples() {
                     let refs: Vec<&WsDescriptor> = descs.iter().collect();
                     connected_groups(&refs)
                         .iter()
-                        .map(|g| ws.components.group_exact_cost(g))
+                        .map(|g| group_exact_cost(&ws.components, g))
                         .collect::<Vec<_>>()
                 })
                 .max()

@@ -8,10 +8,11 @@ use std::collections::BTreeMap;
 
 use maybms_algebra::{naive, run};
 use maybms_core::columnar::{ColumnarURelation, StrPool};
-use maybms_core::normalize::{normalize_relation, normalize_rows};
+use maybms_core::normalize::normalize_relation;
 use maybms_core::rng::Rng;
 use maybms_core::{DescriptorPool, Tuple, URelation, Value};
 use maybms_ql::{certain, conf, possible};
+use maybms_testkit::oracle::normalize_rows;
 use maybms_testkit::{
     certain_oracle, conf_oracle, gen_mixed_relation, gen_plan, gen_world_set, per_world_results,
     possible_oracle, GenConfig, WORLD_LIMIT,

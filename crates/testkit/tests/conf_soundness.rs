@@ -18,8 +18,14 @@
 //! A failing case prints its seed for exact replay; each shape's worst error
 //! is printed with `--nocapture`.
 
+use maybms_algebra::{run, Plan};
 use maybms_core::rng::Rng;
-use maybms_core::{Component, ComponentId, ComponentSet, WsDescriptor};
+use maybms_core::{
+    Component, ComponentId, ComponentSet, Schema, Tuple, URelation, Value, ValueType, WorldSet,
+    WsDescriptor,
+};
+use maybms_ql::conf;
+use maybms_testkit::oracle::{covers_all_worlds, prob_of_dnf_enumerate};
 
 /// Cases per shape.
 const CASES: u64 = 120;
@@ -197,11 +203,39 @@ fn exact_conf_is_within_1e13_of_the_integer_ratio() {
             // The same walk without probabilities: certain iff every
             // assignment satisfies.
             assert_eq!(
-                cs.covers_all_worlds(&descs),
+                covers_all_worlds(&cs, &descs),
                 satisfying == total,
                 "{shape:?} case {case}: coverage"
             );
         }
         println!("{shape:?}: worst |prob_of_dnf - oracle| over {CASES} cases = {worst:e}");
     }
+}
+
+/// The exact `conf` operator end to end on one tuple whose twelve descriptors
+/// chain thirteen coins (`cᵢ=0 ∧ cᵢ₊₁=0`), against the brute-force oracle.
+/// (`maybms-ql`'s own unit test pins that this solve fits a 1000-step
+/// ceiling and that a 10-step one stops it.)
+#[test]
+fn exact_conf_of_a_chain_matches_brute_force() {
+    let mut ws = WorldSet::new();
+    let ids: Vec<ComponentId> = (0..=12)
+        .map(|_| ws.components.add(Component::uniform(2).expect("n > 0")))
+        .collect();
+    let descs: Vec<WsDescriptor> = (0..12)
+        .map(|i| WsDescriptor::from_terms(vec![(ids[i], 0), (ids[i + 1], 0)]).expect("distinct"))
+        .collect();
+    let mut rel = URelation::new(Schema::of(&[("k", ValueType::Int)]).expect("one column"));
+    for d in &descs {
+        rel.push(Tuple::new(vec![Value::Int(0)]), d.clone())
+            .expect("row matches schema");
+    }
+    ws.insert("r", rel).expect("descriptors are valid");
+    let out = run(&mut ws, &conf(Plan::scan("r"))).expect("conf runs");
+    let [(tuple, _)] = out.rows() else {
+        panic!("one distinct tuple, got {out}");
+    };
+    let got = tuple.values()[1].as_f64().expect("conf is a float");
+    let oracle = prob_of_dnf_enumerate(&ws.components, &descs);
+    assert!((got - oracle).abs() < 1e-12, "|{got} - {oracle}|");
 }

@@ -6,18 +6,20 @@
 //!    oracle on randomized plans — per world *and* on the aggregated
 //!    `conf` semantics.
 //! 2. `ComponentSet::prob_of_dnf` (connected-component factorization with
-//!    per-group variable elimination) must agree with
-//!    `ComponentSet::prob_of_dnf_enumerate` (unfactorized brute force) on
-//!    adversarial shared-variable DNFs, and `covers_all_worlds` must agree
-//!    with brute-force coverage.
+//!    per-group variable elimination) must agree with the testkit's
+//!    `prob_of_dnf_enumerate` (unfactorized brute force) on adversarial
+//!    shared-variable DNFs — also when solved under a step ceiling — and
+//!    `covers_all_worlds` must agree with brute-force coverage.
 //! 3. `DescriptorPool` round-trips descriptors and mirrors
 //!    `WsDescriptor::conjoin` exactly, including the non-canonical handles
 //!    minted by pool conjunction.
 
 use maybms_algebra::{naive, run};
+use maybms_core::dnf::{DnfKernel, Loaded};
 use maybms_core::rng::Rng;
 use maybms_core::{Component, ComponentSet, DescriptorPool, WorldSet, WsDescriptor};
 use maybms_ql::conf;
+use maybms_testkit::oracle::{covers_all_worlds, prob_of_dnf_enumerate};
 use maybms_testkit::{
     conf_oracle, gen_descriptor, gen_plan, gen_world_set, per_world_results, GenConfig, WORLD_LIMIT,
 };
@@ -141,7 +143,7 @@ fn dnf_factorization_matches_brute_force() {
         }
 
         let fast = cs.prob_of_dnf(&descs);
-        let brute = cs.prob_of_dnf_enumerate(&descs);
+        let brute = prob_of_dnf_enumerate(&cs, &descs);
         assert!(
             (fast - brute).abs() < EPS,
             "case {case}: factorized {fast} vs brute {brute}\ndescs: {descs:?}"
@@ -154,7 +156,7 @@ fn dnf_factorization_matches_brute_force() {
             .iter()
             .all(|w| descs.iter().any(|d| d.satisfied_by(w)));
         assert_eq!(
-            cs.covers_all_worlds(&descs),
+            covers_all_worlds(&cs, &descs),
             covered_brute,
             "case {case}: coverage disagrees\ndescs: {descs:?}"
         );
@@ -175,11 +177,38 @@ fn disjoint_blocks_multiply() {
         WsDescriptor::from_terms(vec![(c[1], 0)]).expect("distinct"),
         WsDescriptor::from_terms(vec![(c[2], 1), (c[3], 0)]).expect("distinct"),
     ];
-    let pa = cs.prob_of_dnf_enumerate(&descs[..2]);
-    let pb = cs.prob_of_dnf_enumerate(&descs[2..]);
+    let pa = prob_of_dnf_enumerate(&cs, &descs[..2]);
+    let pb = prob_of_dnf_enumerate(&cs, &descs[2..]);
     let expected = 1.0 - (1.0 - pa) * (1.0 - pb);
     assert!((cs.prob_of_dnf(&descs) - expected).abs() < EPS);
-    assert!((cs.prob_of_dnf_enumerate(&descs) - expected).abs() < EPS);
+    assert!((prob_of_dnf_enumerate(&cs, &descs) - expected).abs() < EPS);
+}
+
+/// A wide-frontier group solved under a step ceiling that it fits: sixteen
+/// coins, links among the first eight, and each of them paired with the coin
+/// eight positions on, so eight descriptors stay open across the middle. (The
+/// kernel's own unit test pins that ceilings below the group's work stop it.)
+#[test]
+fn a_solve_under_a_sufficient_ceiling_matches_brute_force() {
+    let mut cs = ComponentSet::new();
+    let c: Vec<_> = (0..16)
+        .map(|_| cs.add(Component::uniform(2).expect("positive")))
+        .collect();
+    let pair = |a: usize, b: usize, alt: u16| {
+        WsDescriptor::from_terms(vec![(c[a], alt), (c[b], alt)]).expect("distinct")
+    };
+    let mut descs: Vec<WsDescriptor> = (0..7).map(|i| pair(i, i + 1, 1)).collect();
+    descs.extend((0..8).map(|i| pair(i, i + 8, 0)));
+    let mut kernel = DnfKernel::new();
+    assert_eq!(
+        kernel.load(descs.iter().map(WsDescriptor::terms)),
+        Loaded::Groups(1)
+    );
+    let p = kernel.prob(&cs, 0, 1 << 14).expect("fits the ceiling");
+    assert!(
+        (p - prob_of_dnf_enumerate(&cs, &descs)).abs() < 1e-15,
+        "{p}"
+    );
 }
 
 /// Pool round-trip and conjunction against the owned-descriptor semantics,

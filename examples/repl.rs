@@ -33,13 +33,13 @@
 //! `\metrics` prints the process-wide metrics registry, `\set threads N`
 //! changes the session's worker budget (initially the machine's
 //! parallelism), `\set sip on|off` toggles Bloom-filter sideways information
-//! passing (initially on), `\set plan_cache on|off` toggles the session's
-//! LRU cache of optimized plans, `\q` quits, `\help` shows the cheat sheet.
-//! The first two write the session's `ExecCfg`, the one value every
-//! statement runs under. A `\set` with an unknown knob or a malformed value
-//! is a hard error (it lists the valid knobs) — in batch mode it stops the
-//! run with a non-zero exit instead of silently continuing with stale
-//! settings.
+//! passing (initially on), `\q` quits, `\help` shows the cheat sheet. Both
+//! knobs write the session's `ExecCfg`, the one value every statement runs
+//! under. A `\set` with an unknown knob or a malformed value is a hard error
+//! (it lists the valid knobs) — in batch mode it stops the run with a
+//! non-zero exit instead of silently continuing with stale settings.
+//!
+//! The engine is `maybms::sql::Session`; this file is the I/O around it.
 //!
 //! In `--batch` mode the file is processed line by line exactly like an
 //! interactive session (`--` comments, `;` separators, `\`-meta commands —
@@ -53,18 +53,16 @@ use std::io::{BufRead, Write};
 use std::process::ExitCode;
 use std::time::Instant;
 
-use maybms::algebra::{estimate_preorder, run_with, ExecCfg, ExecStats, StatsProvider};
+use maybms::algebra::ExecStats;
 use maybms::core::{
     metrics, QueryTrace, Relation, Schema, Tuple, URelation, Value, ValueType, WorldSet,
 };
 use maybms::sql::lexer::{lex, TokenKind};
-use maybms::sql::{
-    explain, explain_analyze, explain_analyze_plan, parse_statement, Catalog, PlanCache, Statement,
-};
+use maybms::sql::{Executed, Outcome, Session};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().collect();
-    let mut session = Session::new(demo_world());
+    let mut session = Repl::new(demo_world());
     match args.get(1).map(String::as_str) {
         Some("--batch") => {
             let Some(path) = args.get(2) else {
@@ -132,38 +130,22 @@ enum MetaOutcome {
     Quit,
 }
 
-/// One REPL session: the world set, the catalog collected from it, plus
-/// every knob and piece of last-query state the meta commands inspect.
-/// Interactive and batch mode drive the same session type, so `\timing`,
+/// One REPL session: the engine plus the last-query state the meta commands
+/// inspect. Interactive and batch mode drive the same type, so `\timing`,
 /// `\trace`, `\stats`, … behave identically in both.
-struct Session {
-    ws: WorldSet,
-    /// Schemas and statistics of `ws`, rebuilt after each successful `LET`
-    /// (the only statement that changes a relation).
-    catalog: Catalog,
-    /// What every statement runs under (`\set threads`, `\set sip`).
-    exec: ExecCfg,
+struct Repl {
+    /// Runs every statement; `\set` writes its `exec`, `\trace` its `trace`.
+    engine: Session,
     timing: bool,
-    trace: bool,
-    /// Whether compiled plans are served from / inserted into `plan_cache`
-    /// (`\set plan_cache on|off`). The cache itself persists across
-    /// toggles, so flipping the knob off and on keeps warm entries.
-    plan_cache_on: bool,
-    plan_cache: PlanCache,
     last_stats: Option<ExecStats>,
     last_trace: Option<QueryTrace>,
 }
 
-impl Session {
-    fn new(ws: WorldSet) -> Session {
-        Session {
-            catalog: Catalog::from_world_set(&ws),
-            ws,
-            exec: ExecCfg::default(),
+impl Repl {
+    fn new(ws: WorldSet) -> Repl {
+        Repl {
+            engine: Session::new(ws),
             timing: false,
-            trace: false,
-            plan_cache_on: true,
-            plan_cache: PlanCache::default(),
             last_stats: None,
             last_trace: None,
         }
@@ -266,168 +248,45 @@ impl Session {
         ExitCode::SUCCESS
     }
 
-    /// Parse and execute one complete statement, honoring `\timing`.
+    /// Execute one complete statement, print what it produced and — under
+    /// `\timing` — how long the engine took. Errors come back rendered
+    /// against `src`: front-end errors with a caret diagnostic, runtime
+    /// errors (which carry no span) as a plain message.
     fn run_statement(&mut self, src: &str) -> Result<(), String> {
-        match parse_statement(src) {
-            Err(e) => Err(e.render(src)),
-            Ok(stmt) => {
-                let start = Instant::now();
-                let outcome = self.execute(&stmt, src);
-                if self.timing {
-                    println!("Time: {:.3} ms", start.elapsed().as_secs_f64() * 1e3);
-                }
-                outcome
-            }
+        let start = Instant::now();
+        let executed = self.engine.execute(src);
+        let elapsed = start.elapsed();
+        let shown = executed
+            .map(|executed| self.show(executed))
+            .map_err(|e| e.render(src));
+        if self.timing {
+            println!("Time: {:.3} ms", elapsed.as_secs_f64() * 1e3);
         }
+        shown
     }
 
-    /// Compile and run one statement, printing its result. A `LET`
-    /// registers the result as a relation instead, so its components are
-    /// shared by every later query that scans it; an `EXPLAIN` prints the
-    /// lowered and the optimized plan without evaluating, and `EXPLAIN
-    /// ANALYZE` executes against a scratch copy of the world set (so its
-    /// repairs don't mint session components) and prints the annotated
-    /// plan. Queries run through the logical optimizer by default. `src` is
-    /// the statement's source text, so semantic errors render with the same
-    /// caret diagnostics as parse errors; runtime errors carry no span and
-    /// print as a plain message.
-    fn execute(&mut self, stmt: &Statement, src: &str) -> Result<(), String> {
-        match stmt {
-            Statement::Query(query) => {
-                let (plan, _) = self.compile_cached(query, src)?;
-                let result = self.run_plan(&plan)?;
-                print!("{result}");
-                println!("({} rows)", result.len());
-                Ok(())
-            }
-            Statement::Let { name, query, .. } => {
-                let (plan, _) = self.compile_cached(query, src)?;
-                let result = self.run_plan(&plan)?;
-                let rows = result.len();
-                self.ws
-                    .insert(name.name.clone(), result)
-                    .map_err(|e| format!("error: {e}\n"))?;
-                self.catalog = Catalog::from_world_set(&self.ws);
-                println!("relation `{}` materialized ({rows} rows)", name.name);
-                Ok(())
-            }
-            Statement::Explain {
-                query,
-                analyze: false,
-                ..
-            } => {
-                let mut ex =
-                    explain(&self.catalog, query, &self.exec).map_err(|e| e.render(src))?;
-                // Route the estimates through the plan cache so a pending
-                // one-shot q-error correction (from a previous EXPLAIN
-                // ANALYZE of this query) shows up in the rendered
-                // `est_rows=` — the planner's corrected beliefs, not its
-                // original ones.
-                if self.plan_cache_on {
-                    let key = query_text(query, src);
-                    match self.plan_cache.lookup(&self.catalog, key) {
-                        Some(hit) => {
-                            ex.optimized = hit.plan;
-                            ex.estimates = hit.estimates;
-                        }
-                        None => self.plan_cache.insert(
-                            &self.catalog,
-                            key,
-                            ex.optimized.clone(),
-                            ex.estimates.clone(),
-                        ),
-                    }
-                }
-                print!("{ex}");
-                Ok(())
-            }
-            Statement::Explain {
-                query,
-                analyze: true,
-                ..
-            } => {
-                // Scratch copy: the analyzed run's side effects (repair-key
-                // components, materialized pools) must not leak into the
-                // session world set.
-                let mut scratch = self.ws.clone();
-                let ex = if self.plan_cache_on {
-                    let (plan, ests) = self.compile_cached(query, src)?;
-                    explain_analyze_plan(&mut scratch, plan, ests, query.span(), &self.exec)
-                        .map_err(|e| e.render(src))?
-                } else {
-                    explain_analyze(&self.catalog, &mut scratch, query, &self.exec)
-                        .map_err(|e| e.render(src))?
-                };
-                // Feed the observed per-node row counts back: the cached
-                // entry's next estimates are scaled by the measured
-                // q-error, once.
-                if self.plan_cache_on {
-                    let observed = ex.node_observations();
-                    if !observed.is_empty() {
-                        self.plan_cache.note_observed(
-                            &self.catalog,
-                            query_text(query, src),
-                            &observed,
-                        );
-                    }
-                }
-                print!("{ex}");
-                self.last_stats = Some(ex.stats);
-                self.last_trace = Some(ex.trace);
-                Ok(())
-            }
-        }
-    }
-
-    /// Compile one query to its optimized plan — through the session plan
-    /// cache when it is on. The cache key is the query's source slice, so
-    /// `SELECT …`, `LET x = SELECT …`, and `EXPLAIN [ANALYZE] SELECT …` of
-    /// the same query text share one entry. Returns the plan and its
-    /// pre-order cardinality estimates (corrected by the latest observed
-    /// run when a one-shot q-error correction was pending).
-    #[allow(clippy::type_complexity)]
-    fn compile_cached(
-        &mut self,
-        query: &maybms::sql::Query,
-        src: &str,
-    ) -> Result<(maybms::algebra::Plan, Option<Vec<f64>>), String> {
-        let catalog = &self.catalog;
-        if self.plan_cache_on {
-            if let Some(hit) = self.plan_cache.lookup(catalog, query_text(query, src)) {
-                return Ok((hit.plan, hit.estimates));
-            }
-        }
-        let (plan, _) = maybms::sql::lower(catalog, query).map_err(|e| e.render(src))?;
-        let plan =
-            maybms::sql::optimize_plan(catalog, &plan, query.span()).map_err(|e| e.render(src))?;
-        let estimates = catalog
-            .has_stats()
-            .then(|| estimate_preorder(&plan, catalog, catalog));
-        if self.plan_cache_on {
-            self.plan_cache.insert(
-                catalog,
-                query_text(query, src),
-                plan.clone(),
-                estimates.clone(),
-            );
-        }
-        Ok((plan, estimates))
-    }
-
-    /// Run a compiled plan, traced or not per the session's `\trace` flag,
-    /// updating the last-query state either way.
-    fn run_plan(&mut self, plan: &maybms::algebra::Plan) -> Result<URelation, String> {
-        let (result, stats, trace) = run_with(&mut self.ws, plan, &self.exec, self.trace)
-            .map_err(|e| format!("error: {e}\n"))?;
-        self.last_stats = Some(stats);
-        if let Some(trace) = trace {
+    /// Print what a statement produced and keep what `\stats` and `\trace
+    /// last` report.
+    fn show(&mut self, executed: Executed) {
+        self.last_stats = executed.stats.or(self.last_stats);
+        if let Some(trace) = executed.trace {
             println!(
                 "trace: {} spans captured (\\trace last <file> to export)",
                 trace.spans.len()
             );
             self.last_trace = Some(trace);
         }
-        Ok(result)
+        match executed.outcome {
+            Outcome::Rows(result) => println!("{result}({} rows)", result.len()),
+            Outcome::Stored { name, rows } => {
+                println!("relation `{name}` materialized ({rows} rows)");
+            }
+            Outcome::Explain(ex) => print!("{ex}"),
+            Outcome::Analyze(ex) => {
+                print!("{ex}");
+                self.last_trace = Some(ex.trace);
+            }
+        }
     }
 
     /// Handle one `\`-meta command (shared by interactive and batch mode).
@@ -459,11 +318,11 @@ impl Session {
         let mut parts = cmd.split_whitespace().skip(1);
         match (parts.next(), parts.next()) {
             (Some("on"), None) => {
-                self.trace = true;
+                self.engine.trace = true;
                 println!("Tracing is on.");
             }
             (Some("off"), None) => {
-                self.trace = false;
+                self.engine.trace = false;
                 println!("Tracing is off.");
             }
             (Some("last"), Some(file)) => match &self.last_trace {
@@ -480,7 +339,7 @@ impl Session {
             },
             (None, None) => println!(
                 "Tracing is {}; {} trace captured.",
-                if self.trace { "on" } else { "off" },
+                if self.engine.trace { "on" } else { "off" },
                 if self.last_trace.is_some() { "a" } else { "no" }
             ),
             _ => println!("usage: \\trace on|off  or  \\trace last <file>"),
@@ -490,25 +349,21 @@ impl Session {
     /// `\set <knob> <value>`. Unknown knobs and malformed values are hard
     /// errors listing the valid knobs — never a silent no-op.
     fn set_cmd(&mut self, cmd: &str) -> Result<(), String> {
-        const VALID: &str = "valid knobs: threads <N>, sip on|off, plan_cache on|off";
+        const VALID: &str = "valid knobs: threads <N>, sip on|off";
         let mut parts = cmd.split_whitespace().skip(1);
         let knob = parts.next();
         let raw = parts.next();
         let number = raw.and_then(|v| v.parse::<usize>().ok());
         match (knob, raw, number) {
             (Some("threads"), Some(_), Some(n)) if n >= 1 => {
-                self.exec.par.threads = n;
+                self.engine.exec.par.threads = n;
                 println!("threads = {n}");
             }
             (Some("sip"), Some(v @ ("on" | "off")), _) => {
-                self.exec.sip = v == "on";
+                self.engine.exec.sip = v == "on";
                 println!("sip = {v}");
             }
-            (Some("plan_cache"), Some(v @ ("on" | "off")), _) => {
-                self.plan_cache_on = v == "on";
-                println!("plan_cache = {v}");
-            }
-            (Some(knob @ ("threads" | "sip" | "plan_cache")), raw, _) => {
+            (Some(knob @ ("threads" | "sip")), raw, _) => {
                 return Err(match raw {
                     Some(v) => format!("error: \\set {knob}: invalid value `{v}`; {VALID}\n"),
                     None => format!("error: \\set {knob}: missing value; {VALID}\n"),
@@ -594,23 +449,24 @@ impl Session {
     /// printed whether or not a query has run yet, so the session state is
     /// always inspectable.
     fn print_cache_and_settings(&self) {
+        let cache = self.engine.plan_cache();
         println!(
             "plan cache: {} hits, {} misses, {} entries",
-            self.plan_cache.hits(),
-            self.plan_cache.misses(),
-            self.plan_cache.len()
+            cache.hits(),
+            cache.misses(),
+            cache.len()
         );
-        let on_off = |b: bool| if b { "on" } else { "off" };
+        let exec = &self.engine.exec;
         println!(
-            "session settings: threads = {}, sip = {}, plan_cache = {}",
-            self.exec.par.threads,
-            on_off(self.exec.sip),
-            on_off(self.plan_cache_on)
+            "session settings: threads = {}, sip = {}",
+            exec.par.threads,
+            if exec.sip { "on" } else { "off" }
         );
     }
 
     fn describe(&self) {
-        for (name, rel) in &self.ws.relations {
+        let ws = self.engine.world();
+        for (name, rel) in &ws.relations {
             let cols: Vec<String> = rel
                 .schema()
                 .columns()
@@ -619,7 +475,7 @@ impl Session {
                 .collect();
             println!("{name}({}) — {} rows", cols.join(", "), rel.len());
         }
-        println!("components in the world set: {}", self.ws.components.len());
+        println!("components in the world set: {}", ws.components.len());
     }
 }
 
@@ -644,13 +500,6 @@ fn statement_complete(buffer: &str, last_line: &str) -> bool {
         Ok(tokens) => tokens.len() >= 2 && tokens[tokens.len() - 2].kind == TokenKind::Semi,
         Err(_) => last_line.trim().ends_with(';'),
     }
-}
-
-/// The query's exact source slice — the plan cache's key text (the cache
-/// normalizes whitespace itself).
-fn query_text<'a>(query: &maybms::sql::Query, src: &'a str) -> &'a str {
-    let span = query.span();
-    &src[span.start.min(src.len())..span.end.min(src.len())]
 }
 
 /// A statement's source collapsed to one echo line: comments dropped,
@@ -685,7 +534,6 @@ fn help() {
          \\trace last <file> export the last trace as Chrome trace JSON\n  \
          \\set threads <N>  worker-thread budget for query execution\n  \
          \\set sip on|off  Bloom-filter sideways information passing\n  \
-         \\set plan_cache on|off  session LRU cache of optimized plans\n  \
          \\help    this help\n  \
          \\q       quit"
     );

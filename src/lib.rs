@@ -12,8 +12,9 @@
 //! * [`ql`] (`maybms-ql`) — the paper's uncertainty constructs as plan
 //!   operators: `repair-key`, `possible`, `certain`, and exact `conf`;
 //! * [`sql`] (`maybms-sql`) — the MayQL textual front-end: lexer, parser,
-//!   catalog-based semantic analysis, lowering to plans, and the MayQL
-//!   pretty-printer.
+//!   catalog-based semantic analysis, lowering to plans, the MayQL
+//!   pretty-printer, and [`sql::Session`], the one entry point that runs
+//!   statements against a world set.
 //!
 //! Run the paper's census running example with
 //! `cargo run --example census`, or drive the engine interactively with
