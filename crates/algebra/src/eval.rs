@@ -14,8 +14,9 @@
 //! [`DescriptorPool`] — both owned by the [`EvalCtx`] — so equality anywhere
 //! in the executor is an integer compare. Concretely:
 //!
-//! * **Scan** borrows the pre-converted columnar relation (base relations
-//!   are converted once per run, up front) — no per-operator copies.
+//! * **Scan** borrows the relation's columnar image as imported into the
+//!   run's pools (see *Stored relations and their images* below) — no
+//!   per-operator copies, and no per-run conversion of the rows.
 //! * **Select** is a predicate *sweep*: the bound predicate is evaluated
 //!   cell-wise over the input's rows and emits a selection vector. No row
 //!   or column is materialized.
@@ -34,6 +35,23 @@
 //! * **Dedup** (after project/join/union) hashes rows cell-wise — reading
 //!   through the rowid views — into a `ChainedIndex` and emits the
 //!   selection vector of first occurrences; it never rebuilds columns.
+//!
+//! # Stored relations and their images
+//!
+//! A world set stores rows (`Vec<(Tuple, WsDescriptor)>` per [`URelation`]).
+//! Each relation memoises its columnar image beside them
+//! ([`URelation::image`]): typed columns over relation-local string and
+//! descriptor dictionaries, converted from the rows by the first scan after
+//! they last changed, shared by clones of the relation, dropped by whatever
+//! writes the rows (a `LET` re-binding a name, `normalize`). A run never
+//! converts rows itself: before the plan starts, [`run_with`] imports the
+//! image of every scanned name into the run's pools
+//! ([`maybms_core::ColumnarImage::scan`]) — one intern per *distinct*
+//! descriptor and string, one table lookup per row for the descriptor column
+//! and each string column. That is all a scan copies. `Int`/`Float`/`Bool`/
+//! `Null` columns are borrowed from the image, and so is the descriptor
+//! column of a certain relation: a certain relation without string columns
+//! scans without copying or interning anything. The pools stay per-run.
 //!
 //! # Late materialization
 //!
@@ -86,7 +104,7 @@ use maybms_core::obs::{metrics, ObsCounters, QueryTrace, SpanId, Tracer};
 use maybms_core::parallel::{chunk_ranges, run_tasks};
 use maybms_core::{
     ComponentSet, ConfStats, DescId, DescriptorPool, FxBuildHasher, FxHashMap, MayError, ParCfg,
-    ParStats, PoolStats, Schema, URelation, WorldSet,
+    ParStats, PoolStats, Scan, Schema, URelation, WorldSet,
 };
 
 use crate::plan::Plan;
@@ -399,7 +417,7 @@ impl<'s> LazyCol<'s> {
 }
 
 /// The executor's unit of data flow: columnar storage (borrowed from the
-/// per-run scan conversions until an operator materializes new columns),
+/// run's scans until an operator materializes new columns),
 /// per-column rowid indirections deferred by joins, plus an optional
 /// selection vector restricting which virtual rows are live.
 struct Batch<'s> {
@@ -415,14 +433,14 @@ struct Batch<'s> {
 }
 
 impl<'s> Batch<'s> {
-    /// Borrow a converted base relation (the Scan fast path).
-    fn from_ref(rel: &'s ColumnarURelation) -> Batch<'s> {
+    /// Borrow a scanned base relation (the Scan fast path).
+    fn from_ref(rel: &'s Scan<'_>) -> Batch<'s> {
         Batch {
             schema: Cow::Borrowed(rel.schema()),
             cols: rel
                 .columns()
                 .iter()
-                .map(|c| LazyCol::dense(Cow::Borrowed(c)))
+                .map(|c| LazyCol::dense(Cow::Borrowed(&**c)))
                 .collect(),
             descs: Cow::Borrowed(rel.descs()),
             sel: None,
@@ -649,24 +667,20 @@ pub fn run_with(
     if traced {
         ctx.tracer = Tracer::enabled();
     }
-    // Convert every scanned base relation to columnar form once, up front.
-    // The conversions live outside the context so batches can borrow them
-    // while operators keep mutable access to the pools.
+    // Import every scanned base relation's image into the run's pools once,
+    // up front. The scans live outside the context so batches can borrow
+    // them while operators keep mutable access to the pools.
     let convert_started = ctx.tracer.now();
     let mut names = BTreeSet::new();
     collect_scans(plan, &mut names);
-    let mut scans: BTreeMap<String, ColumnarURelation> = BTreeMap::new();
+    let mut scans: BTreeMap<&str, Scan<'_>> = BTreeMap::new();
     let mut converted_rows = 0u64;
     for name in names {
-        let rel = ctx
-            .relations
+        let rel = relations
             .get(name)
             .ok_or_else(|| MayError::UnknownRelation(name.to_string()))?;
         converted_rows += rel.len() as u64;
-        scans.insert(
-            name.to_string(),
-            ColumnarURelation::from_urelation(rel, &mut ctx.pool, &mut ctx.strings),
-        );
+        scans.insert(name, rel.image().scan(&mut ctx.pool, &mut ctx.strings));
     }
     ctx.tracer
         .event("scan-convert", convert_started, converted_rows);
@@ -838,7 +852,7 @@ fn apply_sip(plan: &Plan, b: &mut Batch<'_>, ctx: &mut EvalCtx<'_>) {
 /// a traced span's `rows_out` reflects the pruning).
 fn eval_batch<'s>(
     plan: &Plan,
-    scans: &'s BTreeMap<String, ColumnarURelation>,
+    scans: &'s BTreeMap<&str, Scan<'_>>,
     ctx: &mut EvalCtx<'_>,
 ) -> Result<Batch<'s>, MayError> {
     if !ctx.tracer.is_enabled() {
@@ -869,13 +883,13 @@ fn eval_batch<'s>(
 /// operator is sound on the compact representation.
 fn eval_batch_inner<'s>(
     plan: &Plan,
-    scans: &'s BTreeMap<String, ColumnarURelation>,
+    scans: &'s BTreeMap<&str, Scan<'_>>,
     ctx: &mut EvalCtx<'_>,
 ) -> Result<Batch<'s>, MayError> {
     match plan {
         Plan::Scan(name) => {
             let rel = scans
-                .get(name)
+                .get(name.as_str())
                 .ok_or_else(|| MayError::UnknownRelation(name.clone()))?;
             Ok(Batch::from_ref(rel))
         }

@@ -6,9 +6,14 @@
 //!
 //! Each workload is timed as the minimum of [`RUNS`] repetitions on a fresh
 //! clone of the generated world set, which keeps single-core timing noise
-//! out of the committed baseline. `MAYBMS_BENCH_QUICK=1` selects the small
-//! sizes only (the CI regression gate runs in that mode; see
-//! `src/bin/bench_check.rs`). `MAYBMS_BENCH_TRACE=<dir>` additionally
+//! out of the committed baseline. The clone is taken before the source was
+//! ever scanned, so it carries no columnar image and every such row is a
+//! **cold** row: its scans convert rows to columns. The `_warm` twins
+//! (`join3_warm`, `join3_columnar_warm`, `mayql_e2e_warm`) build the source's
+//! images first, untimed, so their clones share them — the other side of the
+//! memo, and what a long-lived session pays per statement.
+//! `MAYBMS_BENCH_QUICK=1` selects the small sizes only (the CI regression
+//! gate runs in that mode; see `src/bin/bench_check.rs`). `MAYBMS_BENCH_TRACE=<dir>` additionally
 //! re-executes each plan-driven workload once with span tracing on and
 //! dumps a Chrome trace-event JSON per workload into `<dir>` — the timed
 //! runs themselves always execute with tracing disabled.
@@ -24,7 +29,7 @@ use maybms_bench::{
     repair_workload,
 };
 use maybms_core::rng::Rng;
-use maybms_core::{world_set_stats, ParCfg, WorldSet};
+use maybms_core::{world_set_stats, ColumnarURelation, DescriptorPool, ParCfg, StrPool, WorldSet};
 use maybms_ql::{conf, conf_approx, possible, repair_key};
 use maybms_sql::{compile, Catalog};
 
@@ -52,6 +57,16 @@ fn emit(bench: &str, n: usize, rows_out: usize, millis: f64) {
 /// Time `f` on a fresh clone of `ws` per run; report the fastest run.
 fn bench_min(ws: &WorldSet, f: impl FnMut(&mut WorldSet) -> usize) -> (usize, f64) {
     bench_min_runs(ws, RUNS, f)
+}
+
+/// [`bench_min`] on clones that share the source's columnar images: builds
+/// them on the source first, untimed. The source stays warm afterwards, so
+/// a workload's cold row must be timed before its warm one.
+fn bench_min_warm(ws: &WorldSet, f: impl FnMut(&mut WorldSet) -> usize) -> (usize, f64) {
+    for rel in ws.relations.values() {
+        rel.image();
+    }
+    bench_min(ws, f)
 }
 
 /// [`bench_min`] with an explicit repetition count — the deterministic
@@ -129,11 +144,12 @@ fn main() {
         let plan = Plan::scan("r1")
             .join(Plan::scan("r2"))
             .join(Plan::scan("r3"));
-        let (rows, ms) = bench_min(&ws, |ws| {
-            run(ws, &plan).expect("join workload is well-typed").len()
-        });
+        let join = |ws: &mut WorldSet| run(ws, &plan).expect("join workload is well-typed").len();
+        let (rows, ms) = bench_min(&ws, join);
         emit("join3", n, rows, ms);
         dump_trace(&ws, &plan, "join3", n);
+        let (rows, ms) = bench_min_warm(&ws, join);
+        emit("join3_warm", n, rows, ms);
     }
 
     // The columnar-specific join shape: a selection sweep on `r1` feeding a
@@ -145,11 +161,36 @@ fn main() {
             .select(Predicate::lt(col("a"), lit((n / 2) as i64)))
             .join(Plan::scan("r2"))
             .join(Plan::scan("r3"));
-        let (rows, ms) = bench_min(&ws, |ws| {
-            run(ws, &plan).expect("join workload is well-typed").len()
-        });
+        let join = |ws: &mut WorldSet| run(ws, &plan).expect("join workload is well-typed").len();
+        let (rows, ms) = bench_min(&ws, join);
         emit("join3_columnar", n, rows, ms);
         dump_trace(&ws, &plan, "join3_columnar", n);
+        let (rows, ms) = bench_min_warm(&ws, join);
+        emit("join3_columnar_warm", n, rows, ms);
+
+        // The layer under the pair above: making the three relations
+        // available to a run, by converting their rows (what a cold scan
+        // does once, and every scan did before relations kept an image)
+        // against importing their images into the run's pools.
+        let (rows, ms) = bench_min(&ws, |ws| {
+            let (mut pool, mut strings) = (DescriptorPool::new(), StrPool::new());
+            ws.relations
+                .values()
+                .map(|rel| {
+                    let c = ColumnarURelation::from_urelation(rel, &mut pool, &mut strings);
+                    std::hint::black_box(c).len()
+                })
+                .sum()
+        });
+        emit("from_urelation", n, rows, ms);
+        let (rows, ms) = bench_min(&ws, |ws| {
+            let (mut pool, mut strings) = (DescriptorPool::new(), StrPool::new());
+            ws.relations
+                .values()
+                .map(|rel| std::hint::black_box(rel.image().scan(&mut pool, &mut strings)).len())
+                .sum()
+        });
+        emit("image_scan", n, rows, ms);
     }
 
     // The same 3-way join driven through the MayQL front-end: parse,
@@ -160,11 +201,14 @@ fn main() {
         let ws = join_workload(&mut Rng::new(0x10A0), n);
         let text = "SELECT * FROM r1, r2, r3";
         let catalog = Catalog::from_world_set(&ws);
-        let (rows, ms) = bench_min(&ws, |ws| {
+        let e2e = |ws: &mut WorldSet| {
             let plan = compile(&catalog, text).expect("bench query is valid MayQL");
             run(ws, &plan).expect("bench query is well-typed").len()
-        });
+        };
+        let (rows, ms) = bench_min(&ws, e2e);
         emit("mayql_e2e", n, rows, ms);
+        let (rows, ms) = bench_min_warm(&ws, e2e);
+        emit("mayql_e2e_warm", n, rows, ms);
     }
 
     // A selective predicate (10% of `r1`) written *above* the 3-way join —

@@ -21,7 +21,9 @@
 //!
 //! Both pools have one owner — the thread driving the run. Conversion
 //! ([`ColumnarURelation::from_urelation`]) is sequential by design; parallel
-//! stages only ever read the pools.
+//! stages only ever read the pools. The engine converts a stored relation's
+//! rows in one place only — the build of its memoised [`crate::image`] — and
+//! scans import that image into the run's pools by dictionary.
 //!
 //! `Null` is represented out of band: a column carries an optional validity
 //! mask, allocated lazily the first time a null is stored. The typed data
@@ -33,6 +35,7 @@
 //! [`ColumnarURelation::to_urelation`] round-trip rows exactly — the
 //! conversion boundary the per-world oracle and the REPL display sit behind.
 
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
 
@@ -485,6 +488,32 @@ impl ColumnVec {
         }
     }
 
+    /// A copy of a `Str` column with every code sent through `map` (old code
+    /// → new code) — how a [`crate::image::ColumnarImage`] moves a string
+    /// column from its own dictionary into a run's. The sentinel under a
+    /// `NULL` cell is carried over as is, never looked up: a column of nothing
+    /// but `NULL`s has no dictionary entry for it to index.
+    pub(crate) fn with_str_codes(&self, map: &[u32]) -> ColumnVec {
+        let ColumnData::Str(codes) = &self.data else {
+            unreachable!(
+                "only string columns carry dictionary codes: {:?}",
+                self.data
+            )
+        };
+        let mapped = match &self.validity {
+            None => codes.iter().map(|&c| map[c as usize]).collect(),
+            Some(valid) => codes
+                .iter()
+                .zip(valid)
+                .map(|(&c, &v)| if v { map[c as usize] } else { c })
+                .collect(),
+        };
+        ColumnVec {
+            data: ColumnData::Str(mapped),
+            validity: self.validity.clone(),
+        }
+    }
+
     /// A new column holding the cells at `idx`, in that order (the
     /// vectorized shuffle joins and selection materialization are built on).
     pub fn gather(&self, idx: &[u32]) -> ColumnVec {
@@ -653,6 +682,26 @@ impl<'a> ColView<'a> {
     }
 }
 
+/// Compare rows `i` and `j` of a set of equally long columns under the
+/// lexicographic [`Tuple`] order.
+pub(crate) fn cmp_rows<C: Borrow<ColumnVec>>(
+    cols: &[C],
+    i: usize,
+    j: usize,
+    strings: &StrPool,
+) -> Ordering {
+    cols.iter()
+        .map(|c| c.borrow().cmp_cells(i, c.borrow(), j, strings))
+        .find(|o| o.is_ne())
+        .unwrap_or(Ordering::Equal)
+}
+
+/// Whether rows `i` and `j` of a set of equally long columns agree on every
+/// column.
+pub(crate) fn rows_eq<C: Borrow<ColumnVec>>(cols: &[C], i: usize, j: usize) -> bool {
+    cols.iter().all(|c| c.borrow().eq_cells(i, c.borrow(), j))
+}
+
 /// A u-relation in columnar form: the schema, one [`ColumnVec`] per
 /// attribute, and the dense descriptor column as [`DescId`] handles into a
 /// [`DescriptorPool`]. String cells are codes into a [`StrPool`]. Both pools
@@ -773,18 +822,12 @@ impl ColumnarURelation {
     /// Compare two rows' value columns (not descriptors) under the
     /// lexicographic [`Tuple`] order.
     pub fn cmp_rows(&self, i: usize, j: usize, strings: &StrPool) -> Ordering {
-        for c in &self.cols {
-            let o = c.cmp_cells(i, c, j, strings);
-            if o != Ordering::Equal {
-                return o;
-            }
-        }
-        Ordering::Equal
+        cmp_rows(&self.cols, i, j, strings)
     }
 
     /// Whether two rows agree on every value column.
     pub fn rows_eq(&self, i: usize, j: usize) -> bool {
-        self.cols.iter().all(|c| c.eq_cells(i, c, j))
+        rows_eq(&self.cols, i, j)
     }
 
     /// A new relation holding the rows at `idx` in that order, with a

@@ -203,6 +203,14 @@ impl DescriptorPool {
         self.entries[id.index()].terms()
     }
 
+    /// The term list of every entry, in handle order (the tautology's empty
+    /// list first) — the pool's whole content without its index, which is
+    /// what a [`crate::image::ColumnarImage`] keeps of the pool it was built
+    /// into.
+    pub(crate) fn term_lists(&self) -> impl Iterator<Item = &[(ComponentId, u16)]> {
+        self.entries.iter().map(Stored::terms)
+    }
+
     /// Reconstruct the owned [`WsDescriptor`] for a handle.
     pub fn to_descriptor(&self, id: DescId) -> WsDescriptor {
         WsDescriptor::from_sorted_terms_unchecked(self.terms(id).to_vec())

@@ -30,6 +30,10 @@
 //!   plus the dense [`DescId`] column, with exact row↔columnar conversion;
 //!   this is what the vectorized executor in `maybms-algebra` and the
 //!   columnar normalization path scan;
+//! * [`image`] — the memoised columnar image of a stored relation: built
+//!   from the rows once per version of them, shared by clones, and imported
+//!   into a run's pools by dictionary ([`ColumnarImage::scan`]) instead of
+//!   re-converted by row;
 //! * [`dnf`] — the compiled descriptor-group kernel, the one solver behind
 //!   exact `conf`, `conf(eps, delta)` and `certain`: variable elimination
 //!   over alive-descriptor bitsets, the exact/sampling cutover price, and
@@ -65,6 +69,7 @@ pub mod descriptor;
 pub mod dnf;
 pub mod error;
 pub mod fxhash;
+pub mod image;
 pub mod intern;
 pub mod naive;
 pub mod normalize;
@@ -85,6 +90,7 @@ pub use descriptor::{ComponentId, WsDescriptor};
 pub use dnf::{DnfKernel, EXACT_STEP_CEILING};
 pub use error::MayError;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
+pub use image::{ColumnarImage, Scan};
 pub use intern::{DescId, DescriptorPool, PoolStats};
 pub use obs::{metrics, Metrics, ObsCounters, QueryTrace, Span, SpanId, SpanKind, Tracer};
 pub use parallel::{ParCfg, ParStats};

@@ -25,8 +25,9 @@
 //! and the remaining components are renumbered densely.
 
 use std::cmp::Ordering;
+use std::sync::Arc;
 
-use crate::columnar::{ColumnarURelation, StrPool};
+use crate::columnar::StrPool;
 use crate::component::ComponentSet;
 use crate::descriptor::{ComponentId, WsDescriptor};
 use crate::fxhash::FxHashMap;
@@ -63,8 +64,9 @@ pub fn normalize_with(ws: &mut WorldSet, par: &ParCfg) {
 /// testkit's `normalize_rows` on the same rows, but engineered for large
 /// relations:
 ///
-/// 1. the relation is converted to [`ColumnarURelation`] form once, interning
-///    every descriptor into a run-local [`DescriptorPool`];
+/// 1. the relation's columnar image ([`URelation::image`]) is imported into
+///    a run-local [`DescriptorPool`] — into empty pools, so every column is
+///    read where it lies;
 /// 2. trivial-assignment stripping is **memoized per distinct descriptor
 ///    handle** instead of re-filtering term vectors per row;
 /// 3. the canonical sort orders a `u32` permutation vector with column-wise
@@ -87,7 +89,7 @@ pub fn normalize_relation(rel: &mut URelation, components: &ComponentSet) {
 /// build plus [`par_sort_by`] (which reproduces a stable sort exactly — and
 /// the comparator is a *total* order on surviving rows, so it equals the
 /// sequential unstable sort's output too). Everything that mints pool
-/// entries — the columnar conversion, the strip memo, the per-tuple-group
+/// entries — the image import, the strip memo, the per-tuple-group
 /// fixpoint — runs on the calling thread, which owns the pools; the emit
 /// pass is cheap relative to the sort.
 pub fn normalize_relation_with(rel: &mut URelation, components: &ComponentSet, par: &ParCfg) {
@@ -99,7 +101,9 @@ pub fn normalize_relation_with(rel: &mut URelation, components: &ComponentSet, p
     registry.normalize_rows_total.add(rel.len() as u64);
     let mut pool = DescriptorPool::new();
     let mut strings = StrPool::new();
-    let col = ColumnarURelation::from_urelation(rel, &mut pool, &mut strings);
+    // Held by its own handle: taking the rows below drops the relation's.
+    let image = Arc::clone(rel.image());
+    let col = image.scan(&mut pool, &mut strings);
     let orig_ids: Vec<DescId> = col.descs().to_vec();
     let n = col.len();
     let workers = par.workers_for(n);

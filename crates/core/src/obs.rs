@@ -624,6 +624,11 @@ pub struct Metrics {
     pub sip_rows_tested_total: Counter,
     /// Probe-side rows pruned by a SIP Bloom filter before reaching a join.
     pub sip_rows_pruned_total: Counter,
+    /// Scans (and normalization passes) that found no columnar image beside
+    /// the relation's rows and converted them — the cold ones.
+    pub scan_images_built_total: Counter,
+    /// Scans (and normalization passes) served by an image already built.
+    pub scan_images_reused_total: Counter,
 }
 
 impl Metrics {
@@ -632,7 +637,7 @@ impl Metrics {
     /// histograms.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        let counters: [(&str, &Counter); 15] = [
+        let counters: [(&str, &Counter); 17] = [
             ("maybms_queries_total", &self.queries_total),
             ("maybms_query_rows_total", &self.query_rows_total),
             ("maybms_par_tasks_total", &self.par_tasks_total),
@@ -672,6 +677,14 @@ impl Metrics {
             ),
             ("maybms_sip_rows_tested_total", &self.sip_rows_tested_total),
             ("maybms_sip_rows_pruned_total", &self.sip_rows_pruned_total),
+            (
+                "maybms_scan_images_built_total",
+                &self.scan_images_built_total,
+            ),
+            (
+                "maybms_scan_images_reused_total",
+                &self.scan_images_reused_total,
+            ),
         ];
         for (name, c) in counters {
             out.push_str(&format!("{name} {}\n", c.get()));
@@ -934,6 +947,8 @@ mod tests {
         assert!(text.contains("maybms_queries_total 1\n"));
         assert!(text.contains("maybms_query_wall_nanos_count 1\n"));
         assert!(text.contains("maybms_query_wall_nanos{quantile=\"0.5\"}"));
+        assert!(text.contains("maybms_scan_images_built_total 0\n"));
+        assert!(text.contains("maybms_scan_images_reused_total 0\n"));
         // The global registry is reachable and monotonic.
         let before = metrics().queries_total.get();
         metrics().queries_total.inc();

@@ -2,10 +2,12 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::{Arc, OnceLock};
 
 use crate::component::WorldPick;
 use crate::descriptor::WsDescriptor;
 use crate::error::MayError;
+use crate::image::ColumnarImage;
 use crate::rel::{Relation, Tuple};
 use crate::schema::Schema;
 
@@ -15,36 +17,80 @@ use crate::schema::Schema;
 /// The same tuple may occur in several rows with different descriptors; its
 /// world set is then the *disjunction* of the descriptors. Instantiating a
 /// u-relation in a world yields a plain set-semantics [`Relation`].
-#[derive(Clone, Debug, PartialEq, Eq)]
+///
+/// The rows are the stored form. Beside them sits a memo of their columnar
+/// form ([`URelation::image`]) that is no part of the relation's value:
+/// equality and `{:?}` ignore it, a clone shares whatever is built, and it
+/// cannot outlive the rows it was built from — the fields are private and
+/// every `&mut` way to the rows goes through one private accessor that drops
+/// it first.
+#[derive(Clone)]
 pub struct URelation {
     schema: Schema,
     rows: Vec<(Tuple, WsDescriptor)>,
+    image: OnceLock<Arc<ColumnarImage>>,
+}
+
+impl PartialEq for URelation {
+    fn eq(&self, other: &Self) -> bool {
+        self.schema == other.schema && self.rows == other.rows
+    }
+}
+
+impl Eq for URelation {}
+
+impl fmt::Debug for URelation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("URelation")
+            .field("schema", &self.schema)
+            .field("rows", &self.rows)
+            .finish()
+    }
 }
 
 impl URelation {
     /// An empty u-relation over the given schema.
     pub fn new(schema: Schema) -> Self {
-        URelation {
-            schema,
-            rows: Vec::new(),
+        URelation::from_rows_unchecked(schema, Vec::new())
+    }
+
+    /// The rows, for writing: the only `&mut` path to them, and it forgets
+    /// the columnar image first, so a stale image cannot exist.
+    fn rows_mut(&mut self) -> &mut Vec<(Tuple, WsDescriptor)> {
+        self.image.take();
+        &mut self.rows
+    }
+
+    /// The rows as typed columns, converted on the first call after the rows
+    /// last changed and shared from then on (see [`ColumnarImage`]).
+    pub fn image(&self) -> &Arc<ColumnarImage> {
+        let mut built = false;
+        let image = self.image.get_or_init(|| {
+            built = true;
+            Arc::new(ColumnarImage::build(self))
+        });
+        let registry = crate::obs::metrics();
+        if built {
+            registry.scan_images_built_total.inc();
+        } else {
+            registry.scan_images_reused_total.inc();
         }
+        image
     }
 
     /// Lift a certain relation: every tuple holds in all worlds.
     pub fn from_certain(r: &Relation) -> Self {
-        URelation {
-            schema: r.schema().clone(),
-            rows: r
-                .tuples()
-                .map(|t| (t.clone(), WsDescriptor::tautology()))
-                .collect(),
-        }
+        let rows = r
+            .tuples()
+            .map(|t| (t.clone(), WsDescriptor::tautology()))
+            .collect();
+        URelation::from_rows_unchecked(r.schema().clone(), rows)
     }
 
     /// Append a row, checking the tuple against the schema.
     pub fn push(&mut self, tuple: Tuple, desc: WsDescriptor) -> Result<(), MayError> {
         self.schema.check(&tuple)?;
-        self.rows.push((tuple, desc));
+        self.rows_mut().push((tuple, desc));
         Ok(())
     }
 
@@ -60,7 +106,7 @@ impl URelation {
             self.schema.check(&tuple).is_ok(),
             "push_unchecked received a tuple that violates the schema"
         );
-        self.rows.push((tuple, desc));
+        self.rows_mut().push((tuple, desc));
     }
 
     /// Build a u-relation from rows that are schema-correct by construction
@@ -70,7 +116,11 @@ impl URelation {
             rows.iter().all(|(t, _)| schema.check(t).is_ok()),
             "from_rows_unchecked received a tuple that violates the schema"
         );
-        URelation { schema, rows }
+        URelation {
+            schema,
+            rows,
+            image: OnceLock::new(),
+        }
     }
 
     /// Decompose into schema and rows (used by the zero-copy executor to
@@ -82,6 +132,7 @@ impl URelation {
     /// Reserve capacity for at least `additional` more rows (e.g. before a
     /// bulk union).
     pub fn reserve(&mut self, additional: usize) {
+        // Capacity is not content: the image stays.
         self.rows.reserve(additional);
     }
 
@@ -112,8 +163,9 @@ impl URelation {
 
     /// Sort rows canonically and drop exact duplicates.
     pub fn dedup(&mut self) {
-        self.rows.sort_unstable();
-        self.rows.dedup();
+        let rows = self.rows_mut();
+        rows.sort_unstable();
+        rows.dedup();
     }
 
     /// Group the descriptors of each distinct tuple (the tuple's world set is
@@ -141,12 +193,12 @@ impl URelation {
 
     /// Replace the rows wholesale (used by normalization).
     pub(crate) fn set_rows(&mut self, rows: Vec<(Tuple, WsDescriptor)>) {
-        self.rows = rows;
+        *self.rows_mut() = rows;
     }
 
     /// Move the rows out (used by normalization).
     pub(crate) fn take_rows(&mut self) -> Vec<(Tuple, WsDescriptor)> {
-        std::mem::take(&mut self.rows)
+        std::mem::take(self.rows_mut())
     }
 }
 
@@ -157,5 +209,92 @@ impl fmt::Display for URelation {
             writeln!(f, "{t} | {d}")?;
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::columnar::{ColumnarURelation, StrPool};
+    use crate::descriptor::ComponentId;
+    use crate::intern::DescriptorPool;
+    use crate::value::{Value, ValueType};
+
+    fn sample() -> URelation {
+        let schema = Schema::of(&[("a", ValueType::Int), ("s", ValueType::Str)]).unwrap();
+        let mut u = URelation::new(schema);
+        for (a, s, d) in [
+            (2, "y", WsDescriptor::single(ComponentId(0), 1)),
+            (1, "x", WsDescriptor::tautology()),
+            (2, "y", WsDescriptor::single(ComponentId(0), 1)),
+        ] {
+            u.push(Tuple::new(vec![Value::Int(a), Value::str(s)]), d)
+                .unwrap();
+        }
+        u
+    }
+
+    fn row() -> (Tuple, WsDescriptor) {
+        (
+            Tuple::new(vec![Value::Int(9), Value::str("z")]),
+            WsDescriptor::tautology(),
+        )
+    }
+
+    fn has_image(u: &URelation) -> bool {
+        u.image.get().is_some()
+    }
+
+    #[test]
+    fn the_image_is_no_part_of_the_value() {
+        let (cold, warm) = (sample(), sample());
+        warm.image();
+        assert!(has_image(&warm) && !has_image(&cold));
+        assert_eq!(cold, warm);
+        assert_eq!(format!("{cold:?}"), format!("{warm:?}"));
+        assert_eq!(format!("{cold:#?}"), format!("{warm:#?}"));
+    }
+
+    #[test]
+    fn a_clone_shares_the_image_and_a_write_drops_only_its_own() {
+        let original = sample();
+        let image = Arc::clone(original.image());
+        type Write = fn(&mut URelation);
+        let writes: [(&str, Write); 5] = [
+            ("push", |u| {
+                let (t, d) = row();
+                u.push(t, d).unwrap()
+            }),
+            ("push_unchecked", |u| {
+                let (t, d) = row();
+                u.push_unchecked(t, d)
+            }),
+            ("dedup", URelation::dedup),
+            ("set_rows", |u| u.set_rows(vec![row()])),
+            ("take_rows", |u| drop(u.take_rows())),
+        ];
+        for (name, write) in writes {
+            let mut clone = original.clone();
+            assert!(Arc::ptr_eq(clone.image(), &image), "{name}");
+            write(&mut clone);
+            assert!(!has_image(&clone), "{name} must drop the clone's image");
+            assert!(Arc::ptr_eq(original.image(), &image), "{name}");
+            // What the next scan builds is the image of the new rows.
+            let (mut pool, mut strings) = (DescriptorPool::new(), StrPool::new());
+            let fresh = ColumnarURelation::from_urelation(&clone, &mut pool, &mut strings);
+            let rebuilt = clone.image().scan(&mut pool, &mut strings);
+            assert_eq!(rebuilt.len(), fresh.len(), "{name}");
+            assert_eq!(rebuilt.descs(), fresh.descs(), "{name}");
+            assert_eq!(fresh.to_urelation(&pool, &strings), clone, "{name}");
+            for i in 0..fresh.len() {
+                for (a, b) in rebuilt.columns().iter().zip(fresh.columns()) {
+                    assert!(a.eq_cells(i, b, i), "{name}: row {i}");
+                }
+            }
+        }
+        // Capacity is not content.
+        let mut clone = original.clone();
+        clone.reserve(64);
+        assert!(Arc::ptr_eq(clone.image(), &image));
     }
 }

@@ -67,9 +67,9 @@ pub const GEN_CONF_EPS: f64 = 0.25;
 /// δ the generators use for `conf(eps, delta)` nodes.
 pub const GEN_CONF_DELTA: f64 = 0.1;
 
-/// Generate a small random world set: a few weighted components and a few
-/// integer relations whose rows carry random (consistent) descriptors.
-pub fn gen_world_set(rng: &mut Rng, cfg: &GenConfig) -> WorldSet {
+/// A world set of up to `cfg.max_components` weighted components (2–3
+/// alternatives each) and no relations yet.
+fn gen_components(rng: &mut Rng, cfg: &GenConfig) -> WorldSet {
     let mut ws = WorldSet::new();
     let n_comps = rng.below(cfg.max_components + 1);
     for _ in 0..n_comps {
@@ -78,6 +78,13 @@ pub fn gen_world_set(rng: &mut Rng, cfg: &GenConfig) -> WorldSet {
         ws.components
             .add(Component::from_weights(&weights).expect("weights are positive"));
     }
+    ws
+}
+
+/// Generate a small random world set: a few weighted components and a few
+/// integer relations whose rows carry random (consistent) descriptors.
+pub fn gen_world_set(rng: &mut Rng, cfg: &GenConfig) -> WorldSet {
+    let mut ws = gen_components(rng, cfg);
     for ri in 0..cfg.relations {
         let arity = rng.range(1, cfg.max_arity);
         let start = rng.below(COL_POOL.len() - arity + 1);
@@ -159,6 +166,72 @@ pub fn gen_mixed_relation(rng: &mut Rng, ws: &WorldSet) -> URelation {
             .expect("generated tuple matches schema");
     }
     rel
+}
+
+/// Typed column pool of [`gen_typed_world_set`]: a name always has one
+/// type, so natural joins between generated relations stay well-typed.
+const TYPED_COL_POOL: [(&str, ValueType); 5] = [
+    ("a", ValueType::Int),
+    ("b", ValueType::Str),
+    ("c", ValueType::Int),
+    ("d", ValueType::Float),
+    ("e", ValueType::Bool),
+];
+
+/// [`gen_world_set`] with string, float and boolean columns beside the int
+/// ones, and `NULL`s sprinkled into all of them — the relations the MayQL
+/// generator ([`gen_query`]) needs to reach the columnar layer's string
+/// dictionaries and validity masks (it compares int columns only, but joins,
+/// projects, repairs and quantifies over whatever the schemas hold).
+pub fn gen_typed_world_set(rng: &mut Rng, cfg: &GenConfig) -> WorldSet {
+    let mut ws = gen_components(rng, cfg);
+    for ri in 0..cfg.relations {
+        let arity = rng.range(1, cfg.max_arity.min(TYPED_COL_POOL.len()));
+        let start = rng.below(TYPED_COL_POOL.len() - arity + 1);
+        let schema =
+            Schema::of(&TYPED_COL_POOL[start..start + arity]).expect("pool names are distinct");
+        let mut rel = URelation::new(schema.clone());
+        for _ in 0..rng.below(cfg.max_rows + 1) {
+            let tuple = Tuple::new(
+                schema
+                    .columns()
+                    .iter()
+                    .map(|c| match c.ty {
+                        _ if rng.chance(0.15) => Value::Null,
+                        ValueType::Int => Value::Int(rng.below(cfg.domain as usize) as i64),
+                        ValueType::Str => Value::str(format!("s{}", rng.below(3))),
+                        ValueType::Float => Value::float(rng.below(3) as f64 * 0.5),
+                        ValueType::Bool => Value::Bool(rng.chance(0.5)),
+                        ValueType::Null => Value::Null,
+                    })
+                    .collect(),
+            );
+            let desc = gen_descriptor(rng, &ws);
+            rel.push(tuple, desc)
+                .expect("generated tuple matches schema");
+        }
+        ws.insert(format!("r{ri}"), rel)
+            .expect("generated descriptors are valid");
+    }
+    ws
+}
+
+/// The same world set with every relation rebuilt from its rows alone, so
+/// none carries a columnar image (a plain `clone` shares the ones built):
+/// what a differential test compares a long-lived, warm world set against.
+pub fn without_images(ws: &WorldSet) -> WorldSet {
+    WorldSet {
+        components: ws.components.clone(),
+        relations: ws
+            .relations
+            .iter()
+            .map(|(name, rel)| {
+                let cold =
+                    URelation::from_rows_unchecked(rel.schema().clone(), rel.rows().to_vec());
+                (name.clone(), cold)
+            })
+            .collect(),
+    }
 }
 
 /// A random consistent descriptor over the world set's components (possibly
