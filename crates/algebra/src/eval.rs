@@ -11,8 +11,10 @@
 //! [`DescId`] column, with an optional **selection vector** of row ids on
 //! top. Strings are dictionary codes into a run-global
 //! [`StrPool`] and descriptors are handles into a run-global
-//! [`DescriptorPool`] — both owned by the [`EvalCtx`] — so equality anywhere
-//! in the executor is an integer compare. Concretely:
+//! [`DescriptorPool`] — both owned by the [`EvalCtx`] — so string equality
+//! anywhere in the executor is an integer compare, and descriptor equality
+//! one integer compare or a short slice compare
+//! ([`DescriptorPool::same_descriptor`]). Concretely:
 //!
 //! * **Scan** borrows the relation's columnar image as imported into the
 //!   run's pools (see *Stored relations and their images* below) — no
@@ -42,16 +44,21 @@
 //! Each relation memoises its columnar image beside them
 //! ([`URelation::image`]): typed columns over relation-local string and
 //! descriptor dictionaries, converted from the rows by the first scan after
-//! they last changed, shared by clones of the relation, dropped by whatever
-//! writes the rows (a `LET` re-binding a name, `normalize`). A run never
-//! converts rows itself: before the plan starts, [`run_with`] imports the
-//! image of every scanned name into the run's pools
-//! ([`maybms_core::ColumnarImage::scan`]) — one intern per *distinct*
-//! descriptor and string, one table lookup per row for the descriptor column
-//! and each string column. That is all a scan copies. `Int`/`Float`/`Bool`/
-//! `Null` columns are borrowed from the image, and so is the descriptor
-//! column of a certain relation: a certain relation without string columns
-//! scans without copying or interning anything. The pools stay per-run.
+//! they last changed, shared with clones of the relation (taken before or
+//! after that scan), dropped by whatever writes the rows (a `LET` re-binding
+//! a name, `normalize`). A run never converts rows itself: before the plan
+//! starts, [`run_with`] imports the image of every scanned name into the
+//! run's pools ([`maybms_core::ColumnarImage::scan`]) — by *appending* the
+//! image's dictionaries, which have the pools' own flat layout, never by
+//! interning: two array copies and one add per row for the descriptors; for
+//! the strings a wholesale copy into an empty pool, else one probe per
+//! *distinct* string by its stored hash and one table lookup per row of each
+//! string column. That is all a scan copies. `Int`/`Float`/`Bool`/`Null`
+//! columns are borrowed from the image, and so are the coded columns of the
+//! first relation of a run and the descriptor column of a certain relation.
+//! Two relations carrying the same descriptor get two handles for it, so
+//! handles are compared with [`DescriptorPool::same_descriptor`] — as
+//! conjunction results always had to be. The pools stay per-run.
 //!
 //! # Late materialization
 //!
@@ -214,6 +221,7 @@ impl<'a> EvalCtx<'a> {
             morsels: self.par_stats.morsels,
             intern_calls: pool.intern_calls,
             intern_hits: pool.intern_hits,
+            imported: pool.imported,
             conjoin_calls: pool.conjoin_calls,
             exact_groups: self.conf_stats.exact_groups,
             sampled_groups: self.conf_stats.sampled_groups,
@@ -236,9 +244,9 @@ impl<'a> EvalCtx<'a> {
 
 /// Observability snapshot of one executor run, surfaced by
 /// [`run_with`] (and the REPL's `\stats` meta-command). The descriptor
-/// counters validate that representation changes keep interning behavior
-/// intact — e.g. a refactor that accidentally stopped sharing scan
-/// descriptors would show up as a hit-rate collapse.
+/// counters validate that representation changes keep pool traffic intact
+/// — e.g. a scan that went back to interning would show up as
+/// `pool.intern_calls` on a read-only run, where it is 0.
 ///
 /// Every completed run also folds this snapshot into the process-wide
 /// [`maybms_core::obs::metrics`] registry, so `ExecStats` is the per-run
@@ -248,10 +256,10 @@ impl<'a> EvalCtx<'a> {
 pub struct ExecStats {
     /// Wall-clock time of the whole run, in nanoseconds.
     pub wall_nanos: u64,
-    /// Distinct descriptors in the run's pool (occupancy, ≥ 1).
+    /// Entries in the run's descriptor pool (occupancy, ≥ 1; an upper
+    /// bound on the distinct descriptors — imports and conjunctions append
+    /// without looking up).
     pub descriptors: usize,
-    /// Pool entries that spilled past the inline-term capacity.
-    pub descriptors_spilled: usize,
     /// Intern/conjoin counters of the descriptor pool.
     pub pool: PoolStats,
     /// Distinct strings in the run's dictionary.
@@ -682,14 +690,17 @@ pub fn run_with(
         converted_rows += rel.len() as u64;
         scans.insert(name, rel.image().scan(&mut ctx.pool, &mut ctx.strings));
     }
+    let imported = ObsCounters {
+        imported: ctx.pool.stats().imported,
+        ..ObsCounters::default()
+    };
     ctx.tracer
-        .event("scan-convert", convert_started, converted_rows);
+        .event_with("scan-convert", convert_started, converted_rows, imported);
     let batch = eval_batch(plan, &scans, &mut ctx)?;
     let result = batch.into_columnar().to_urelation(&ctx.pool, &ctx.strings);
     let stats = ExecStats {
         wall_nanos: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
         descriptors: ctx.pool.len(),
-        descriptors_spilled: ctx.pool.spilled(),
         pool: ctx.pool.stats(),
         strings: ctx.strings.len(),
         output_rows: result.len(),

@@ -12,7 +12,7 @@
 //! pattern the flat U-relational representation of the paper rewards: the
 //! annotation column and the value columns are scanned independently.
 //!
-//! Two interning pools give the columnar form its compact cells:
+//! Two pools — flat arenas both — give the columnar form its compact cells:
 //!
 //! * descriptors are handles into a [`DescriptorPool`] (see [`crate::intern`]);
 //! * strings are codes into a [`StrPool`] shared by *all* columns of a run,
@@ -23,7 +23,7 @@
 //! ([`ColumnarURelation::from_urelation`]) is sequential by design; parallel
 //! stages only ever read the pools. The engine converts a stored relation's
 //! rows in one place only — the build of its memoised [`crate::image`] — and
-//! scans import that image into the run's pools by dictionary.
+//! a scan appends that image's dictionaries to the run's pools.
 //!
 //! `Null` is represented out of band: a column carries an optional validity
 //! mask, allocated lazily the first time a null is stored. The typed data
@@ -39,97 +39,20 @@ use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
 
-use crate::intern::{DescId, DescriptorPool};
+use crate::intern::{fold_hash, span, DescId, DescriptorPool, Slots};
 use crate::rel::Tuple;
 use crate::schema::Schema;
 use crate::urel::URelation;
 use crate::value::{Value, ValueType, F64};
 
-/// FxHash of a string's bytes — the probe key for the pool's
-/// open-addressing tables. Computed once per intern and *stored* per code,
-/// so probes compare hashes before touching string bytes.
-///
-/// The xor-fold finalizer matters: FxHash's last step is a multiply, whose
-/// low bits depend only on the low bytes of the input, and the tables mask
-/// the *low* bits for the bucket index. Folding the well-mixed high half
-/// down keeps short common-prefix keys ("k123"…) from collapsing into a
-/// handful of probe chains.
+/// FxHash of a string's bytes — the probe key for the pool's hash index.
+/// Computed once per distinct string and *stored* per code, so probes compare
+/// hashes before touching string bytes and an import never re-hashes.
 #[inline]
 fn str_hash(s: &str) -> u64 {
-    use std::hash::Hasher as _;
     let mut h = crate::fxhash::FxHasher::default();
     h.write(s.as_bytes());
-    let h = h.finish();
-    h ^ (h >> 32)
-}
-
-/// Probe an open-addressing code table for `s` (hash `h`). `slots` holds
-/// codes into `hashes`/`strings` (`u32::MAX` = empty), linear probing.
-#[inline]
-fn table_lookup(
-    slots: &[u32],
-    hashes: &[u64],
-    strings: &[Box<str>],
-    h: u64,
-    s: &str,
-) -> Option<u32> {
-    if slots.is_empty() {
-        return None;
-    }
-    let mask = slots.len() - 1;
-    let mut i = (h as usize) & mask;
-    loop {
-        let e = slots[i];
-        if e == u32::MAX {
-            return None;
-        }
-        let c = e as usize;
-        if hashes[c] == h && &*strings[c] == s {
-            return Some(e);
-        }
-        i = (i + 1) & mask;
-    }
-}
-
-/// Place `code` (hash `h`) into the first free slot of its probe sequence.
-#[inline]
-fn table_place(slots: &mut [u32], h: u64, code: u32) {
-    let mask = slots.len() - 1;
-    let mut i = (h as usize) & mask;
-    while slots[i] != u32::MAX {
-        i = (i + 1) & mask;
-    }
-    slots[i] = code;
-}
-
-/// Rebuild the table over all current codes at ≤ 50% load.
-fn table_rebuild(slots: &mut Vec<u32>, hashes: &[u64]) {
-    let cap = (hashes.len() * 2).next_power_of_two().max(16);
-    slots.clear();
-    slots.resize(cap, u32::MAX);
-    for (c, &h) in hashes.iter().enumerate() {
-        table_place(slots, h, c as u32);
-    }
-}
-
-/// Append a new string to parallel `strings`/`hashes` columns and index it,
-/// growing the table at 7/8 load. Returns the new code.
-fn table_insert(
-    slots: &mut Vec<u32>,
-    hashes: &mut Vec<u64>,
-    strings: &mut Vec<Box<str>>,
-    h: u64,
-    s: &str,
-) -> u32 {
-    let code = strings.len() as u32;
-    strings.push(s.into());
-    hashes.push(h);
-    if (strings.len() + 1) * 8 > slots.len() * 7 {
-        table_rebuild(slots, hashes);
-    } else {
-        table_place(slots, h, code);
-    }
-    code
+    fold_hash(h.finish())
 }
 
 /// A run-scoped string dictionary: every distinct string is stored once and
@@ -137,17 +60,19 @@ fn table_insert(
 /// the pool that issued them; within one pool, code equality *is* string
 /// equality, which is what makes string joins and dedup integer-cheap.
 ///
-/// The index is a hand-rolled open-addressing table (codes only; the
-/// strings and their hashes live in parallel dense columns) rather than a
-/// `HashMap<Box<str>, u32>`: interning is the hot inner loop of every
-/// scan conversion, and the table halves the per-probe cache misses (hash
-/// compare before byte compare, no duplicate boxed key) — worth ~2× on
-/// string-heavy scans.
+/// A flat arena like the [`DescriptorPool`]: all bytes in one `String`, a
+/// table of running ends, each string's hash beside it, and a hash index
+/// built when a string is first looked up — a pool that only receives one
+/// relation's dictionary (the first scan of a run) never hashes.
 #[derive(Clone, Debug, Default)]
 pub struct StrPool {
-    strings: Vec<Box<str>>,
+    /// The distinct strings' bytes, concatenated in code order.
+    bytes: String,
+    /// `ends[c]` is where string `c` ends in `bytes`.
+    ends: Vec<u32>,
+    /// `hashes[c]` is [`str_hash`] of string `c`.
     hashes: Vec<u64>,
-    slots: Vec<u32>,
+    slots: Slots,
 }
 
 impl StrPool {
@@ -158,26 +83,61 @@ impl StrPool {
 
     /// Number of distinct interned strings.
     pub fn len(&self) -> usize {
-        self.strings.len()
+        self.ends.len()
     }
 
     /// True when no string has been interned yet.
     pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
+        self.ends.is_empty()
     }
 
     /// Intern a string, returning its stable code.
     pub fn intern(&mut self, s: &str) -> u32 {
-        let h = str_hash(s);
-        match table_lookup(&self.slots, &self.hashes, &self.strings, h, s) {
-            Some(code) => code,
-            None => table_insert(&mut self.slots, &mut self.hashes, &mut self.strings, h, s),
+        self.intern_hashed(s, str_hash(s))
+    }
+
+    /// [`StrPool::intern`] for a string whose [`str_hash`] is already known.
+    fn intern_hashed(&mut self, s: &str, h: u64) -> u32 {
+        self.slots
+            .reserve_one(self.hashes.len(), |c| self.hashes[c]);
+        let is_s = |c: usize| self.hashes[c] == h && &self.bytes[span(&self.ends, c)] == s;
+        self.slots.find(h, is_s).unwrap_or_else(|free| {
+            let code = u32::try_from(self.ends.len()).expect("string arena fits in u32");
+            self.bytes.push_str(s);
+            self.ends
+                .push(u32::try_from(self.bytes.len()).expect("string arena fits in u32"));
+            self.hashes.push(h);
+            self.slots.fill(free, code);
+            code
+        })
+    }
+
+    /// Make every string of `other` — a relation image's dictionary —
+    /// available here. Returns the table from `other`'s codes to this pool's,
+    /// or `None` when they read the same here: always when this pool was
+    /// empty (`other` is copied wholesale, nothing is hashed), and whenever
+    /// the probes — by `other`'s stored hashes — hand its codes back.
+    pub(crate) fn import(&mut self, other: &StrPool) -> Option<Vec<u32>> {
+        if self.is_empty() {
+            *self = other.clone();
+            return None;
         }
+        let map: Vec<u32> = (0..other.len())
+            .map(|c| self.intern_hashed(&other.bytes[span(&other.ends, c)], other.hashes[c]))
+            .collect();
+        let same_codes = map.iter().enumerate().all(|(c, &m)| m as usize == c);
+        (!same_codes).then_some(map)
+    }
+
+    /// Forget the hash index (the next intern call would rebuild it) — what a
+    /// [`crate::image::ColumnarImage`] does to the pools it keeps.
+    pub(crate) fn drop_index(&mut self) {
+        self.slots = Slots::default();
     }
 
     /// The string behind a code.
     pub fn get(&self, code: u32) -> &str {
-        &self.strings[code as usize]
+        &self.bytes[span(&self.ends, code as usize)]
     }
 }
 

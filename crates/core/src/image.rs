@@ -9,20 +9,21 @@
 //!
 //! An image is self-contained plain data. Its string cells are codes into a
 //! *relation-local* dictionary and its descriptor column holds relation-local
-//! ids (id 0 is the tautology, as in every pool); the two dictionaries are
-//! flat arrays without a hash index, because nothing ever looks a value *up*
-//! in an image. A run re-expresses the image in its own pools with
-//! [`ColumnarImage::scan`]: one intern per **distinct** descriptor and
-//! string, then one table lookup per row — and whatever already reads the
-//! same in the run's pools (every non-string column; the descriptor column
-//! of a certain relation; any coded column when the run's pool happened to
-//! hand out the image's own codes) is borrowed, not copied.
+//! ids (id 0 is the tautology, as in every pool). The two dictionaries are
+//! the very pools the rows were converted into, minus their hash indexes —
+//! nothing ever looks a value *up* in an image — and a pool is a flat arena,
+//! so a run takes an image in with [`ColumnarImage::scan`] by *appending* the
+//! dictionaries to its own pools (`DescriptorPool::import`,
+//! `StrPool::import`): no intern call, no allocation per entry. Whatever
+//! then reads the same in the run's pools (every non-string column; the
+//! descriptor column of a certain relation; any coded column when the run's
+//! pool was empty or hands the image's own codes back) is borrowed, not
+//! copied.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
 
 use crate::columnar::{self, ColumnData, ColumnVec, ColumnarURelation, StrPool};
-use crate::descriptor::ComponentId;
 use crate::intern::{DescId, DescriptorPool};
 use crate::schema::Schema;
 use crate::urel::URelation;
@@ -31,99 +32,46 @@ use crate::urel::URelation;
 /// the module docs.
 #[derive(Debug)]
 pub struct ColumnarImage {
-    schema: Schema,
-    /// One column per attribute; `Str` cells are indexes into `str_ends`.
-    cols: Vec<ColumnVec>,
-    /// Per row, the local id of its descriptor (an index into `desc_ends`).
-    descs: Vec<DescId>,
-    /// The distinct descriptors' term lists, concatenated in local-id order.
-    desc_terms: Vec<(ComponentId, u16)>,
-    /// `desc_ends[i]` is where local descriptor `i` ends in `desc_terms`
-    /// (it starts where `i - 1` ends). Entry 0 is the tautology: it ends at 0.
-    desc_ends: Vec<u32>,
-    /// The distinct strings' bytes, concatenated in local-code order.
-    str_bytes: String,
-    /// `str_ends[c]` is where local string `c` ends in `str_bytes`.
-    str_ends: Vec<u32>,
-}
-
-/// The range of the flat array that entry `i` of its running-end table
-/// `ends` covers.
-#[inline]
-fn span(ends: &[u32], i: usize) -> std::ops::Range<usize> {
-    let start = if i == 0 { 0 } else { ends[i - 1] as usize };
-    start..ends[i] as usize
+    /// The rows: `Str` cells are codes into `strings`, descriptors handles
+    /// into `pool`.
+    rel: ColumnarURelation,
+    /// The distinct descriptors, each once (the build interned them).
+    pool: DescriptorPool,
+    /// The distinct strings of all `Str` columns.
+    strings: StrPool,
 }
 
 impl ColumnarImage {
     /// Convert a relation's rows — the one row → column conversion site of
-    /// the engine. The conversion interns into throw-away pools; only their
-    /// contents are kept, flattened, and the hash tables die here.
+    /// the engine. The conversion interns into throw-away pools; the image
+    /// keeps their arenas as they are, and the hash tables die here.
     pub(crate) fn build(u: &URelation) -> ColumnarImage {
         let mut pool = DescriptorPool::new();
         let mut strings = StrPool::new();
-        let (schema, cols, descs) =
-            ColumnarURelation::from_urelation(u, &mut pool, &mut strings).into_parts();
-        let mut desc_terms = Vec::new();
-        let mut desc_ends = Vec::with_capacity(pool.len());
-        for terms in pool.term_lists() {
-            desc_terms.extend_from_slice(terms);
-            desc_ends.push(u32::try_from(desc_terms.len()).expect("descriptor terms fit in u32"));
-        }
-        let mut str_bytes = String::new();
-        let mut str_ends = Vec::with_capacity(strings.len());
-        for code in 0..strings.len() as u32 {
-            str_bytes.push_str(strings.get(code));
-            str_ends.push(u32::try_from(str_bytes.len()).expect("string bytes fit in u32"));
-        }
-        ColumnarImage {
-            schema,
-            cols,
-            descs,
-            desc_terms,
-            desc_ends,
-            str_bytes,
-            str_ends,
-        }
+        let rel = ColumnarURelation::from_urelation(u, &mut pool, &mut strings);
+        pool.drop_index();
+        strings.drop_index();
+        ColumnarImage { rel, pool, strings }
     }
 
-    /// Re-express the image in a run's pools. Interns each distinct
-    /// descriptor and string once, then maps the coded columns row by row;
-    /// columns whose codes come out unchanged are borrowed from the image.
+    /// Re-express the image in a run's pools: append its dictionaries to
+    /// them, then move the coded columns whose codes changed by that; the
+    /// others are borrowed from the image.
     pub fn scan<'a>(&'a self, pool: &mut DescriptorPool, strings: &mut StrPool) -> Scan<'a> {
-        // Local id → run id. The run's pool hands out the image's own ids
-        // when it was empty before this scan (the first relation of a run,
-        // normalization's private pool); the column is then borrowed as is.
-        let mut desc_map = Vec::with_capacity(self.desc_ends.len());
-        desc_map.push(DescId::TAUTOLOGY);
-        for i in 1..self.desc_ends.len() {
-            desc_map.push(pool.intern_terms(&self.desc_terms[span(&self.desc_ends, i)]));
-        }
-        let same_ids = desc_map.iter().enumerate().all(|(i, d)| d.index() == i);
-        // An empty relation has nothing to map and a certain one maps only
-        // the tautology: neither indexes past entry 0.
-        let descs = if same_ids {
-            Cow::Borrowed(self.descs.as_slice())
-        } else {
-            Cow::Owned(self.descs.iter().map(|d| desc_map[d.index()]).collect())
-        };
-
-        let str_map: Vec<u32> = (0..self.str_ends.len())
-            .map(|c| strings.intern(&self.str_bytes[span(&self.str_ends, c)]))
-            .collect();
-        let same_codes = str_map.iter().enumerate().all(|(c, &m)| m as usize == c);
+        let str_map = strings.import(&self.strings);
         let cols = self
-            .cols
+            .rel
+            .columns()
             .iter()
-            .map(|col| match col.data() {
-                ColumnData::Str(_) if !same_codes => Cow::Owned(col.with_str_codes(&str_map)),
+            .map(|col| match (&str_map, col.data()) {
+                (Some(map), ColumnData::Str(_)) => Cow::Owned(col.with_str_codes(map)),
                 _ => Cow::Borrowed(col),
             })
             .collect();
         Scan {
-            schema: &self.schema,
+            schema: self.rel.schema(),
             cols,
-            descs,
+            descs: pool.import(&self.pool, self.rel.descs()),
         }
     }
 }
@@ -179,7 +127,7 @@ impl Scan<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::descriptor::WsDescriptor;
+    use crate::descriptor::{ComponentId, WsDescriptor};
     use crate::rel::Tuple;
     use crate::value::{Value, ValueType};
 
@@ -209,8 +157,8 @@ mod tests {
         u
     }
 
-    /// Run pools that already hold other entries, so no image code or id
-    /// survives the import unchanged.
+    /// Run pools that already hold other entries, so no image code or id of
+    /// an uncertain relation survives the import unchanged.
     fn busy_pools() -> (DescriptorPool, StrPool) {
         let (mut pool, mut strings) = (DescriptorPool::new(), StrPool::new());
         pool.single(ComponentId(7), 1);
@@ -238,7 +186,7 @@ mod tests {
             (None, None, WsDescriptor::tautology()),
             (None, None, d),
         ]);
-        assert!(u.image().str_ends.is_empty());
+        assert!(u.image().strings.is_empty());
         roundtrips(&u);
     }
 
@@ -255,7 +203,7 @@ mod tests {
             (None, None, WsDescriptor::single(ComponentId(1), 0)),
         ]);
         // One dictionary for the whole relation: "x" and "y", once each.
-        assert_eq!(u.image().str_ends.len(), 2);
+        assert_eq!(u.image().strings.len(), 2);
         roundtrips(&u);
     }
 
@@ -263,22 +211,27 @@ mod tests {
     fn an_empty_relation_scans_to_an_empty_relation() {
         let u = str_relation(&[]);
         let (mut pool, mut strings) = busy_pools();
+        let before = (pool.len(), strings.len());
         let scan = u.image().scan(&mut pool, &mut strings);
         assert!(scan.is_empty());
+        // Nothing to append, so nothing to move: borrowed in a busy pool too.
         assert!(matches!(scan.descs, Cow::Borrowed(_)));
+        assert_eq!((pool.len(), strings.len()), before);
+        assert_eq!(pool.stats().imported, 0);
         roundtrips(&u);
     }
 
     #[test]
     fn a_scan_copies_only_what_it_must_recode() {
-        let u = str_relation(&[
+        let rows = [
             (
                 Some("a"),
                 Some("b"),
                 WsDescriptor::single(ComponentId(0), 0),
             ),
             (Some("b"), None, WsDescriptor::single(ComponentId(0), 1)),
-        ]);
+        ];
+        let u = str_relation(&rows);
         let borrowed = |scan: &Scan<'_>| -> Vec<bool> {
             scan.cols
                 .iter()
@@ -289,20 +242,29 @@ mod tests {
         // Busy pools: the string columns and the descriptor column are
         // re-coded, the int column is read where it lies.
         let (mut pool, mut strings) = busy_pools();
-        let before = pool.stats().intern_calls;
+        let before = pool.stats();
         let scan = u.image().scan(&mut pool, &mut strings);
         assert_eq!(borrowed(&scan), [false, false, true, false]);
-        // One intern per distinct descriptor, not per row.
-        assert_eq!(pool.stats().intern_calls - before, 2);
-        // Empty pools hand out the image's own codes: nothing is copied.
-        let scan = u
-            .image()
-            .scan(&mut DescriptorPool::new(), &mut StrPool::new());
+        // The dictionary is appended — one entry per distinct descriptor,
+        // not per row — and nothing is interned. Handles are the pool's
+        // business; what they denote is the contract.
+        assert_eq!(pool.stats().intern_calls, before.intern_calls);
+        assert_eq!(pool.stats().imported - before.imported, 2);
+        for (&id, (_, _, d)) in scan.descs().iter().zip(&rows) {
+            assert_eq!(pool.terms(id), d.terms());
+        }
+        // Empty pools read the image's own codes: nothing is copied, nothing
+        // interned, hashed or probed.
+        let (mut pool, mut strings) = (DescriptorPool::new(), StrPool::new());
+        let scan = u.image().scan(&mut pool, &mut strings);
         assert_eq!(borrowed(&scan), [true, true, true, true]);
+        assert_eq!(pool.stats().intern_calls, 0);
+        assert_eq!((pool.len(), strings.len()), (3, 2));
         // A certain relation keeps its descriptor column in any pool.
         let certain = str_relation(&[(Some("a"), None, WsDescriptor::tautology())]);
         let (mut pool, mut strings) = busy_pools();
         let scan = certain.image().scan(&mut pool, &mut strings);
         assert_eq!(borrowed(&scan), [false, false, true, true]);
+        assert_eq!(pool.stats().intern_calls, 1, "busy_pools' own");
     }
 }

@@ -1,16 +1,25 @@
-//! Descriptor interning: map each distinct [`WsDescriptor`] to a dense
-//! `u32` handle so the hot executor paths (conjoin, dedup, hash join)
-//! key on integers instead of re-allocating sorted term vectors.
+//! Descriptor interning: map each [`WsDescriptor`] to a dense `u32` handle
+//! so the hot executor paths (conjoin, dedup, hash join) key on integers
+//! instead of re-allocating sorted term vectors.
 //!
-//! A [`DescriptorPool`] canonicalizes descriptors: equal descriptors always
-//! receive the same [`DescId`], so handle equality *is* descriptor equality.
-//! The dominant 0-, 1-, and 2-term descriptors (tautologies, base-table
-//! annotations, and binary-join conjunctions) are stored inline without any
-//! heap allocation; longer descriptors spill to a boxed slice. Conjunction
-//! of two interned descriptors merges their sorted term lists through a
-//! reusable scratch buffer, so a consistent conjoin of small descriptors
-//! performs no allocation at all unless it mints a brand-new pool entry
-//! with more than [`INLINE_TERMS`] terms.
+//! A [`DescriptorPool`] is a flat arena: every entry's term list lies in one
+//! vector, one after the other, and a table of running ends says where each
+//! stops. Entry 0 is the tautology. Nothing is allocated per entry: a stored
+//! relation's dictionary enters a run as two array copies
+//! (`DescriptorPool::import`: append, not intern) and a conjunction is
+//! merged into the arena's tail, then kept or truncated
+//! ([`DescriptorPool::conjoin`]).
+//!
+//! Equal handles always denote equal descriptors. The converse holds only
+//! among handles that came through [`DescriptorPool::intern`] /
+//! [`DescriptorPool::intern_terms`] or through one import into a fresh pool
+//! (normalization's private pool): conjunction results and further imported
+//! dictionaries are appended without a lookup, so an equal descriptor may
+//! sit under another handle. Consumers compare descriptors with
+//! [`DescriptorPool::same_descriptor`], [`DescriptorPool::cmp_terms`] or the
+//! term lists — never raw handles. The hash index interning needs is built
+//! on the first intern call, over whatever the arena holds by then; a run
+//! that only scans, joins and deduplicates never builds one.
 //!
 //! A pool has exactly one owner. Parallel stages read it through `&self`
 //! (term lists, [`DescriptorPool::cmp_terms`],
@@ -18,24 +27,24 @@
 //! owning thread, so pool traffic is a function of the plan and the data,
 //! never of the thread count.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
+use std::hash::Hasher as _;
+use std::ops::Range;
 
-use crate::descriptor::{merge_sorted_terms, ComponentId, WsDescriptor};
-use crate::fxhash::FxHashMap;
+use crate::descriptor::{ComponentId, WsDescriptor};
 
-/// Maximum number of terms stored inline in a pool entry.
-pub const INLINE_TERMS: usize = 2;
-
-/// A handle to an interned [`WsDescriptor`] in a [`DescriptorPool`].
+/// A handle to a [`WsDescriptor`] in a [`DescriptorPool`].
 ///
-/// Handles are only meaningful relative to the pool that issued them.
-/// Within one pool, `a == b` iff the underlying descriptors are equal.
+/// Handles are only meaningful relative to the pool that issued them. Within
+/// one pool `a == b` implies equal descriptors; the converse holds only for
+/// canonical handles (see the module docs).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DescId(u32);
 
 impl DescId {
     /// The handle of the tautology (the all-worlds descriptor). Every pool
-    /// interns the tautology at slot 0 on construction.
+    /// holds the tautology at slot 0 from construction.
     pub const TAUTOLOGY: DescId = DescId(0);
 
     /// True for the tautology handle.
@@ -49,43 +58,78 @@ impl DescId {
     }
 }
 
-/// Compact storage for one interned descriptor. Construction is canonical:
-/// term lists of length ≤ [`INLINE_TERMS`] are always `Inline` (padded with
-/// a fixed sentinel), longer ones always `Spilled` — so the derived
-/// `Eq`/`Hash` agree with logical term-list equality.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-enum Stored {
-    /// Up to [`INLINE_TERMS`] terms, no heap allocation.
-    Inline {
-        len: u8,
-        terms: [(ComponentId, u16); INLINE_TERMS],
-    },
-    /// More than [`INLINE_TERMS`] terms.
-    Spilled(Box<[(ComponentId, u16)]>),
+/// The range of a flat arena that entry `i` of its running-end table `ends`
+/// covers: it starts where entry `i - 1` ends.
+#[inline]
+pub(crate) fn span(ends: &[u32], i: usize) -> Range<usize> {
+    let start = if i == 0 { 0 } else { ends[i - 1] as usize };
+    start..ends[i] as usize
 }
 
-const PAD: (ComponentId, u16) = (ComponentId(0), 0);
+/// Fold a finished FxHash down for a table that masks the *low* bits for the
+/// bucket index: FxHash's last step is a multiply, whose low bits depend only
+/// on the low bytes of the input, so short common-prefix keys ("k123"…)
+/// would otherwise collapse into a handful of probe chains.
+#[inline]
+pub(crate) fn fold_hash(h: u64) -> u64 {
+    h ^ (h >> 32)
+}
 
-impl Stored {
-    fn from_terms(terms: &[(ComponentId, u16)]) -> Stored {
-        if terms.len() <= INLINE_TERMS {
-            let mut inline = [PAD; INLINE_TERMS];
-            inline[..terms.len()].copy_from_slice(terms);
-            Stored::Inline {
-                len: terms.len() as u8,
-                terms: inline,
+/// The hash index of an arena: an open-addressing table of entry numbers
+/// (`u32::MAX` = empty, linear probing, at most 7/8 full). It holds neither
+/// keys nor hashes — the arena's owner supplies both — and starts out empty:
+/// [`Slots::reserve_one`] builds it when something is first looked up.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Slots(Vec<u32>);
+
+impl Slots {
+    /// Make room to place one entry beside the `len` the arena holds. When
+    /// the table is too small for that — it always is before the first call —
+    /// it is rebuilt over all `len` entries, in entry order, so of two equal
+    /// entries the lookup finds the earlier.
+    pub(crate) fn reserve_one(&mut self, len: usize, hash_of: impl Fn(usize) -> u64) {
+        if (len + 1) * 8 <= self.0.len() * 7 {
+            return;
+        }
+        self.0.clear();
+        self.0
+            .resize(((len + 1) * 2).next_power_of_two().max(16), u32::MAX);
+        for e in 0..u32::try_from(len).expect("entry numbers fit in u32") {
+            let free = self.find(hash_of(e as usize), |_| false).unwrap_err();
+            self.0[free] = e;
+        }
+    }
+
+    /// Walk `h`'s probe sequence: `Ok` the first entry `is_match` accepts, or
+    /// `Err` the free slot the walk ended at, for [`Slots::fill`].
+    #[inline]
+    pub(crate) fn find(&self, h: u64, is_match: impl Fn(usize) -> bool) -> Result<u32, usize> {
+        let mask = self.0.len() - 1;
+        let mut i = (h as usize) & mask;
+        loop {
+            match self.0[i] {
+                u32::MAX => return Err(i),
+                e if is_match(e as usize) => return Ok(e),
+                _ => i = (i + 1) & mask,
             }
-        } else {
-            Stored::Spilled(terms.to_vec().into_boxed_slice())
         }
     }
 
-    fn terms(&self) -> &[(ComponentId, u16)] {
-        match self {
-            Stored::Inline { len, terms } => &terms[..*len as usize],
-            Stored::Spilled(b) => b,
-        }
+    /// Put `entry` into the free slot a [`Slots::find`] since the last
+    /// [`Slots::reserve_one`] ended at.
+    #[inline]
+    pub(crate) fn fill(&mut self, free: usize, entry: u32) {
+        self.0[free] = entry;
     }
+}
+
+#[inline]
+fn terms_hash(terms: &[(ComponentId, u16)]) -> u64 {
+    let mut h = crate::fxhash::FxHasher::default();
+    for &(c, a) in terms {
+        h.write_u64(u64::from(c.0) << 16 | u64::from(a));
+    }
+    fold_hash(h.finish())
 }
 
 /// Occupancy and hit statistics of a [`DescriptorPool`], exposed for
@@ -99,6 +143,9 @@ pub struct PoolStats {
     /// Intern calls answered from the index (or the tautology fast path)
     /// without minting a new entry.
     pub intern_hits: u64,
+    /// Dictionary entries appended by [`crate::image::ColumnarImage::scan`]
+    /// — what the run's scans brought in without an intern call.
+    pub imported: u64,
     /// Calls to [`DescriptorPool::conjoin`].
     pub conjoin_calls: u64,
     /// Conjoin calls resolved without minting an entry: tautology unit,
@@ -108,17 +155,19 @@ pub struct PoolStats {
     pub conjoin_inconsistent: u64,
 }
 
-/// An interner for world-set descriptors. See the module docs.
+/// A flat arena of world-set descriptors with a lazily built intern index.
+/// See the module docs.
 #[derive(Clone, Debug)]
 pub struct DescriptorPool {
-    entries: Vec<Stored>,
-    index: FxHashMap<Stored, DescId>,
-    /// Scratch buffer for conjunction, reused across calls.
-    scratch: Vec<(ComponentId, u16)>,
+    /// Every entry's term list, concatenated in handle order.
+    terms: Vec<(ComponentId, u16)>,
+    /// `ends[i]` is where entry `i` ends in `terms`. Entry 0 is the
+    /// tautology: it ends at 0, and it is the only empty entry.
+    ends: Vec<u32>,
+    /// The intern index; see [`Slots`].
+    slots: Slots,
     /// Running usage counters; see [`PoolStats`].
     stats: PoolStats,
-    /// Number of entries stored as [`Stored::Spilled`].
-    spilled: usize,
 }
 
 impl Default for DescriptorPool {
@@ -128,26 +177,22 @@ impl Default for DescriptorPool {
 }
 
 impl DescriptorPool {
-    /// A fresh pool with the tautology pre-interned as [`DescId::TAUTOLOGY`].
+    /// A fresh pool holding the tautology as [`DescId::TAUTOLOGY`].
     pub fn new() -> Self {
-        let taut = Stored::from_terms(&[]);
-        let mut index = FxHashMap::default();
-        index.insert(taut.clone(), DescId::TAUTOLOGY);
         DescriptorPool {
-            entries: vec![taut],
-            index,
-            scratch: Vec::new(),
+            terms: Vec::new(),
+            ends: vec![0],
+            slots: Slots::default(),
             stats: PoolStats::default(),
-            spilled: 0,
         }
     }
 
-    /// Number of distinct interned descriptors (≥ 1: the tautology).
+    /// Number of entries (≥ 1: the tautology).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.ends.len()
     }
 
-    /// Always false: the tautology is pre-interned.
+    /// Always false: the tautology is always present.
     pub fn is_empty(&self) -> bool {
         false
     }
@@ -157,14 +202,13 @@ impl DescriptorPool {
         self.stats
     }
 
-    /// Number of entries that spilled to the heap (more than
-    /// [`INLINE_TERMS`] terms). Maintained as a counter, so stats snapshots
-    /// never sweep the pool.
-    pub fn spilled(&self) -> usize {
-        self.spilled
+    /// Forget the hash index (the next intern call would rebuild it) — what a
+    /// [`crate::image::ColumnarImage`] does to the pools it keeps.
+    pub(crate) fn drop_index(&mut self) {
+        self.slots = Slots::default();
     }
 
-    /// Intern a descriptor, returning its stable handle.
+    /// Intern a descriptor, returning its canonical handle.
     pub fn intern(&mut self, d: &WsDescriptor) -> DescId {
         self.intern_terms(d.terms())
     }
@@ -176,21 +220,47 @@ impl DescriptorPool {
             terms.windows(2).all(|w| w[0].0 < w[1].0),
             "intern_terms requires strictly sorted component ids"
         );
+        let tail = self.terms.len();
+        self.terms.extend_from_slice(terms);
+        self.intern_tail(tail)
+    }
+
+    /// Intern the term list lying unsealed at the arena's tail, from `tail`
+    /// on: the handle of an equal indexed entry (the tail is dropped), or the
+    /// tail sealed as a new, indexed entry.
+    fn intern_tail(&mut self, tail: usize) -> DescId {
         self.stats.intern_calls += 1;
-        if terms.is_empty() {
+        if tail == self.terms.len() {
             self.stats.intern_hits += 1;
             return DescId::TAUTOLOGY;
         }
-        let stored = Stored::from_terms(terms);
-        if let Some(&id) = self.index.get(&stored) {
-            self.stats.intern_hits += 1;
-            return id;
+        let (sealed, new) = self.terms.split_at(tail);
+        let ends = &self.ends;
+        self.slots
+            .reserve_one(ends.len(), |e| terms_hash(&sealed[span(ends, e)]));
+        match self
+            .slots
+            .find(terms_hash(new), |e| &sealed[span(ends, e)] == new)
+        {
+            Ok(e) => {
+                self.stats.intern_hits += 1;
+                self.terms.truncate(tail);
+                DescId(e)
+            }
+            Err(free) => {
+                let id = self.seal();
+                self.slots.fill(free, id.0);
+                id
+            }
         }
-        let id = DescId(self.entries.len() as u32);
-        self.spilled += matches!(stored, Stored::Spilled(_)) as usize;
-        self.entries.push(stored.clone());
-        self.index.insert(stored, id);
-        id
+    }
+
+    /// Close the entry whose terms were just appended to the arena.
+    fn seal(&mut self) -> DescId {
+        let id = u32::try_from(self.ends.len()).expect("descriptor arena fits in u32");
+        self.ends
+            .push(u32::try_from(self.terms.len()).expect("descriptor arena fits in u32"));
+        DescId(id)
     }
 
     /// Intern the single assignment `component = alternative`.
@@ -198,17 +268,35 @@ impl DescriptorPool {
         self.intern_terms(&[(component, alternative)])
     }
 
-    /// The term list of an interned descriptor, sorted by component id.
-    pub fn terms(&self, id: DescId) -> &[(ComponentId, u16)] {
-        self.entries[id.index()].terms()
+    /// Append every entry of `other` — a relation image's dictionary — after
+    /// this pool's own, without looking any of them up: two copies, no
+    /// hashing. Returns `descs`, a column of `other`'s handles, as this pool's
+    /// handles: each but the tautology moved up by the entries that were here
+    /// before, or the column itself when that is none (a fresh pool) or
+    /// `other` holds nothing but the tautology.
+    pub(crate) fn import<'a>(
+        &mut self,
+        other: &DescriptorPool,
+        descs: &'a [DescId],
+    ) -> Cow<'a, [DescId]> {
+        let base = u32::try_from(self.len() - 1).expect("descriptor arena fits in u32");
+        let shift = u32::try_from(self.terms.len()).expect("descriptor arena fits in u32");
+        self.terms.extend_from_slice(&other.terms);
+        // Checked once for the whole batch: it is the last shifted end.
+        let end = u32::try_from(self.terms.len()).expect("descriptor arena fits in u32");
+        self.ends.extend(other.ends[1..].iter().map(|e| e + shift));
+        debug_assert_eq!(self.ends.last(), Some(&end));
+        self.stats.imported += other.len() as u64 - 1;
+        if base == 0 || other.len() == 1 {
+            return Cow::Borrowed(descs);
+        }
+        let rebased = |d: &DescId| DescId(d.0 + if d.0 == 0 { 0 } else { base });
+        Cow::Owned(descs.iter().map(rebased).collect())
     }
 
-    /// The term list of every entry, in handle order (the tautology's empty
-    /// list first) — the pool's whole content without its index, which is
-    /// what a [`crate::image::ColumnarImage`] keeps of the pool it was built
-    /// into.
-    pub(crate) fn term_lists(&self) -> impl Iterator<Item = &[(ComponentId, u16)]> {
-        self.entries.iter().map(Stored::terms)
+    /// The term list of a descriptor, sorted by component id.
+    pub fn terms(&self, id: DescId) -> &[(ComponentId, u16)] {
+        &self.terms[span(&self.ends, id.index())]
     }
 
     /// Reconstruct the owned [`WsDescriptor`] for a handle.
@@ -216,11 +304,9 @@ impl DescriptorPool {
         WsDescriptor::from_sorted_terms_unchecked(self.terms(id).to_vec())
     }
 
-    /// Whether two handles denote the same descriptor. Handles minted by
-    /// [`DescriptorPool::intern`] are canonical (equal descriptors share one
-    /// handle), so `a == b` suffices for them; handles minted by
-    /// [`DescriptorPool::conjoin`] may be fresh duplicates, which this
-    /// resolves with a term-list comparison.
+    /// Whether two handles denote the same descriptor: equal handles do, and
+    /// so may distinct ones (conjunction results, imported dictionaries),
+    /// which this resolves with a term-list comparison.
     pub fn same_descriptor(&self, a: DescId, b: DescId) -> bool {
         a == b || self.terms(a) == self.terms(b)
     }
@@ -235,19 +321,17 @@ impl DescriptorPool {
         self.terms(a).cmp(self.terms(b))
     }
 
-    /// Conjoin two interned descriptors. Returns `None` when they assign
-    /// different alternatives to the same component (the empty world set).
+    /// Conjoin two descriptors. Returns `None` when they assign different
+    /// alternatives to the same component (the empty world set).
     ///
-    /// Merges through the pool's scratch buffer: no allocation unless the
-    /// result is a descriptor with more than [`INLINE_TERMS`] terms. When one
-    /// input subsumes the other, that input's handle is returned directly.
-    /// Otherwise the result is *appended* to the pool without consulting the
-    /// intern index: in join-heavy workloads conjunction results are almost
-    /// always brand-new, so hash-consing each one costs a lookup-plus-insert
-    /// per output row for nearly no sharing. The price is that an equal
-    /// descriptor may exist under another handle — consumers that
-    /// deduplicate must compare with [`DescriptorPool::same_descriptor`]
-    /// (or hash/compare term lists), not raw handles.
+    /// The two sorted term lists are merged straight into the arena's tail.
+    /// An inconsistent merge is truncated away; so is one no longer than an
+    /// input — that input subsumes the other and its handle is returned.
+    /// Anything else is sealed as a new entry *without* consulting the intern
+    /// index: in join-heavy workloads conjunction results are almost always
+    /// brand-new, so hash-consing each one costs a lookup-plus-insert per
+    /// output row for nearly no sharing. The price is that an equal
+    /// descriptor may exist under another handle — see the module docs.
     pub fn conjoin(&mut self, a: DescId, b: DescId) -> Option<DescId> {
         self.stats.conjoin_calls += 1;
         if a == b || b.is_tautology() {
@@ -258,28 +342,31 @@ impl DescriptorPool {
             self.stats.conjoin_shortcuts += 1;
             return Some(b);
         }
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        let merged = merge_sorted_terms(self.terms(a), self.terms(b), &mut scratch);
-        let result = if !merged {
-            self.stats.conjoin_inconsistent += 1;
-            None
-        } else if scratch.len() == self.terms(a).len() {
-            // merged ⊇ a and equal length ⟹ merged == a (b ⊆ a).
+        let (ra, rb) = (span(&self.ends, a.index()), span(&self.ends, b.index()));
+        let tail = self.terms.len();
+        self.terms.reserve(ra.len() + rb.len());
+        let (mut i, mut j) = (ra.start, rb.start);
+        while i < ra.end && j < rb.end {
+            let (x, y) = (self.terms[i], self.terms[j]);
+            if x.0 == y.0 && x.1 != y.1 {
+                self.terms.truncate(tail);
+                self.stats.conjoin_inconsistent += 1;
+                return None;
+            }
+            self.terms.push(if x.0 <= y.0 { x } else { y });
+            i += usize::from(x.0 <= y.0);
+            j += usize::from(y.0 <= x.0);
+        }
+        self.terms.extend_from_within(i..ra.end);
+        self.terms.extend_from_within(j..rb.end);
+        // merged ⊇ a and equal length ⟹ merged == a (b ⊆ a); likewise for b.
+        let merged = self.terms.len() - tail;
+        if merged == ra.len() || merged == rb.len() {
+            self.terms.truncate(tail);
             self.stats.conjoin_shortcuts += 1;
-            Some(a)
-        } else if scratch.len() == self.terms(b).len() {
-            self.stats.conjoin_shortcuts += 1;
-            Some(b)
-        } else {
-            let id = DescId(self.entries.len() as u32);
-            let stored = Stored::from_terms(&scratch);
-            self.spilled += matches!(stored, Stored::Spilled(_)) as usize;
-            self.entries.push(stored);
-            Some(id)
-        };
-        self.scratch = scratch;
-        result
+            return Some(if merged == ra.len() { a } else { b });
+        }
+        Some(self.seal())
     }
 
     /// True when every assignment of `a` also occurs in `b` — i.e. `b`
@@ -292,12 +379,14 @@ impl DescriptorPool {
     /// The canonical handle of `id` with any assignment to `c` removed.
     /// Goes through the intern index, so the result compares by handle.
     pub fn without(&mut self, id: DescId, c: ComponentId) -> DescId {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        scratch.extend(self.terms(id).iter().copied().filter(|&(cc, _)| cc != c));
-        let out = self.intern_terms(&scratch);
-        self.scratch = scratch;
-        out
+        let tail = self.terms.len();
+        for k in span(&self.ends, id.index()) {
+            let t = self.terms[k];
+            if t.0 != c {
+                self.terms.push(t);
+            }
+        }
+        self.intern_tail(tail)
     }
 }
 
@@ -334,7 +423,7 @@ mod tests {
     }
 
     #[test]
-    fn spills_beyond_inline_capacity() {
+    fn long_descriptors_round_trip() {
         let mut pool = DescriptorPool::new();
         let terms: Vec<_> = (0..5).map(|i| (ComponentId(i), (i % 2) as u16)).collect();
         let d = WsDescriptor::from_terms(terms.clone()).expect("distinct components");
@@ -342,7 +431,55 @@ mod tests {
         assert_eq!(pool.terms(id), terms.as_slice());
         assert_eq!(pool.intern(&d), id);
         assert_eq!(pool.to_descriptor(id), d);
-        assert_eq!(pool.spilled(), 1);
+        assert_eq!(pool.len(), 2);
+    }
+
+    #[test]
+    fn the_index_is_built_late_and_covers_what_came_before_it() {
+        let mut dict = DescriptorPool::new();
+        let ids: Vec<DescId> = (0..40).map(|i| dict.single(ComponentId(i), 1)).collect();
+        // Into a fresh pool the handles read the same, and the first intern
+        // call finds every imported entry.
+        let mut fresh = DescriptorPool::new();
+        assert!(matches!(
+            fresh.import(&dict, &ids),
+            std::borrow::Cow::Borrowed(_)
+        ));
+        assert_eq!(fresh.stats().imported, 40);
+        assert_eq!(fresh.stats().intern_calls, 0);
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(fresh.single(ComponentId(i as u32), 1), id);
+        }
+        assert_eq!(fresh.len(), 41);
+        // Into a busy pool they move up by what was there; the tautology
+        // does not. An import after the index exists appends all the same.
+        let mut busy = DescriptorPool::new();
+        let own = busy.single(ComponentId(3), 1);
+        let column = [ids[3], DescId::TAUTOLOGY, ids[0]];
+        let moved = busy.import(&dict, &column);
+        assert_eq!(busy.len(), 42);
+        assert_eq!(moved[1], DescId::TAUTOLOGY);
+        assert_eq!(busy.terms(moved[2]), dict.terms(ids[0]));
+        assert_ne!(moved[0], own);
+        assert!(busy.same_descriptor(moved[0], own));
+        // Interning finds the earlier of two equal entries.
+        assert_eq!(busy.single(ComponentId(3), 1), own);
+    }
+
+    #[test]
+    fn a_dropped_conjunction_leaves_no_trace_in_the_arena() {
+        let mut pool = DescriptorPool::new();
+        let a = pool.single(ComponentId(0), 1);
+        let b = pool.single(ComponentId(1), 0);
+        let ab = pool.conjoin(a, b).expect("consistent");
+        let conflict = pool.single(ComponentId(1), 2);
+        let (len, arena) = (pool.len(), pool.terms.len());
+        assert_eq!(pool.conjoin(ab, conflict), None);
+        assert_eq!(pool.conjoin(ab, a), Some(ab));
+        assert_eq!(pool.conjoin(b, ab), Some(ab));
+        assert_eq!((pool.len(), pool.terms.len()), (len, arena));
+        assert_eq!(pool.stats().conjoin_inconsistent, 1);
+        assert_eq!(pool.stats().conjoin_shortcuts, 2);
     }
 
     #[test]

@@ -21,19 +21,20 @@
 //!   named u-relations) with exhaustive **world enumeration**, which serves as
 //!   the *naive oracle* that the algebra layer is differentially tested
 //!   against;
-//! * [`intern`] — the descriptor pool: each distinct descriptor is mapped to
-//!   a dense `u32` [`DescId`] (with inline storage for the dominant 0/1/2-term
-//!   cases), so the executor conjoins, hashes, and deduplicates on integers
-//!   instead of re-allocating sorted term vectors;
+//! * [`intern`] — the descriptor pool: a flat arena of term lists addressed
+//!   by dense `u32` [`DescId`]s (no allocation per entry, the intern index
+//!   built only when something is interned), so the executor conjoins,
+//!   hashes, and deduplicates on integers instead of re-allocating sorted
+//!   term vectors;
 //! * [`columnar`] — the columnar execution form of a u-relation: one typed
 //!   vector per attribute (strings dictionary-encoded through a [`StrPool`])
 //!   plus the dense [`DescId`] column, with exact row↔columnar conversion;
 //!   this is what the vectorized executor in `maybms-algebra` and the
 //!   columnar normalization path scan;
 //! * [`image`] — the memoised columnar image of a stored relation: built
-//!   from the rows once per version of them, shared by clones, and imported
-//!   into a run's pools by dictionary ([`ColumnarImage::scan`]) instead of
-//!   re-converted by row;
+//!   from the rows once per version of them, shared by clones, and taken
+//!   into a run by appending its dictionaries to the run's pools
+//!   ([`ColumnarImage::scan`]) instead of re-converted by row;
 //! * [`dnf`] — the compiled descriptor-group kernel, the one solver behind
 //!   exact `conf`, `conf(eps, delta)` and `certain`: variable elimination
 //!   over alive-descriptor bitsets, the exact/sampling cutover price, and

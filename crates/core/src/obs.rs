@@ -42,6 +42,8 @@ pub struct ObsCounters {
     pub intern_calls: u64,
     /// Descriptor-pool intern calls answered from the pool (hits).
     pub intern_hits: u64,
+    /// Descriptor dictionary entries the scans appended to the pool.
+    pub imported: u64,
     /// Descriptor conjunction (`conjoin`) calls.
     pub conjoin_calls: u64,
     /// Confidence groups solved by the exact factorized path.
@@ -67,6 +69,7 @@ impl ObsCounters {
             morsels: self.morsels.saturating_sub(earlier.morsels),
             intern_calls: self.intern_calls.saturating_sub(earlier.intern_calls),
             intern_hits: self.intern_hits.saturating_sub(earlier.intern_hits),
+            imported: self.imported.saturating_sub(earlier.imported),
             conjoin_calls: self.conjoin_calls.saturating_sub(earlier.conjoin_calls),
             exact_groups: self.exact_groups.saturating_sub(earlier.exact_groups),
             sampled_groups: self.sampled_groups.saturating_sub(earlier.sampled_groups),
@@ -80,6 +83,7 @@ impl ObsCounters {
         self.morsels += other.morsels;
         self.intern_calls += other.intern_calls;
         self.intern_hits += other.intern_hits;
+        self.imported += other.imported;
         self.conjoin_calls += other.conjoin_calls;
         self.exact_groups += other.exact_groups;
         self.sampled_groups += other.sampled_groups;
@@ -229,6 +233,18 @@ impl Tracer {
     /// the currently open span. `started` comes from [`Tracer::now`]; when
     /// it is `None` the call is a no-op.
     pub fn event(&mut self, label: &str, started: Option<Instant>, items: u64) {
+        self.event_with(label, started, items, ObsCounters::default());
+    }
+
+    /// [`Tracer::event`] for a phase that also reports counters of its own
+    /// (the nonzero ones render after `items=`).
+    pub fn event_with(
+        &mut self,
+        label: &str,
+        started: Option<Instant>,
+        items: u64,
+        counters: ObsCounters,
+    ) {
         let Some(started) = started else { return };
         if !self.enabled {
             return;
@@ -242,7 +258,7 @@ impl Tracer {
             start_nanos,
             dur_nanos: nanos_u64(started.elapsed()),
             rows_out: items,
-            counters: ObsCounters::default(),
+            counters,
         });
     }
 
@@ -341,11 +357,9 @@ impl QueryTrace {
                 SpanKind::Phase => {
                     out.push_str("· ");
                     out.push_str(&s.label);
-                    out.push_str(&format!(
-                        "  (time={} items={})",
-                        fmt_ms(s.dur_nanos),
-                        s.rows_out
-                    ));
+                    let mut ann = format!("time={} items={}", fmt_ms(s.dur_nanos), s.rows_out);
+                    push_nonzero(&mut ann, "imported", s.counters.imported);
+                    out.push_str(&format!("  ({ann})"));
                 }
                 SpanKind::Node => {
                     out.push_str(&s.label);
@@ -406,6 +420,7 @@ impl QueryTrace {
                 ("morsels", c.morsels),
                 ("intern_calls", c.intern_calls),
                 ("intern_hits", c.intern_hits),
+                ("imported", c.imported),
                 ("conjoin_calls", c.conjoin_calls),
                 ("exact_groups", c.exact_groups),
                 ("sampled_groups", c.sampled_groups),

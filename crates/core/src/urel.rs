@@ -20,15 +20,16 @@ use crate::schema::Schema;
 ///
 /// The rows are the stored form. Beside them sits a memo of their columnar
 /// form ([`URelation::image`]) that is no part of the relation's value:
-/// equality and `{:?}` ignore it, a clone shares whatever is built, and it
-/// cannot outlive the rows it was built from — the fields are private and
-/// every `&mut` way to the rows goes through one private accessor that drops
-/// it first.
+/// equality and `{:?}` ignore it, a clone shares the memo *cell* — so
+/// whichever of the two is scanned first builds the image for both — and it
+/// cannot outlive the rows it was built from: the fields are private and
+/// every `&mut` way to the rows goes through one private accessor that
+/// leaves the cell to the other holders and takes an empty one first.
 #[derive(Clone)]
 pub struct URelation {
     schema: Schema,
     rows: Vec<(Tuple, WsDescriptor)>,
-    image: OnceLock<Arc<ColumnarImage>>,
+    image: Arc<OnceLock<Arc<ColumnarImage>>>,
 }
 
 impl PartialEq for URelation {
@@ -55,9 +56,13 @@ impl URelation {
     }
 
     /// The rows, for writing: the only `&mut` path to them, and it forgets
-    /// the columnar image first, so a stale image cannot exist.
+    /// the columnar image first, so a stale image cannot exist. A cell that
+    /// clones share stays theirs; the writer gets an empty one of its own.
     fn rows_mut(&mut self) -> &mut Vec<(Tuple, WsDescriptor)> {
-        self.image.take();
+        match Arc::get_mut(&mut self.image) {
+            Some(cell) => drop(cell.take()),
+            None => self.image = Arc::default(),
+        }
         &mut self.rows
     }
 
@@ -119,7 +124,7 @@ impl URelation {
         URelation {
             schema,
             rows,
-            image: OnceLock::new(),
+            image: Arc::default(),
         }
     }
 
@@ -257,8 +262,13 @@ mod tests {
 
     #[test]
     fn a_clone_shares_the_image_and_a_write_drops_only_its_own() {
+        // The cell is shared, not just its content: a clone taken before the
+        // first scan builds the image for the original too.
         let original = sample();
-        let image = Arc::clone(original.image());
+        let early_clone = original.clone();
+        assert!(!has_image(&original));
+        let image = Arc::clone(early_clone.image());
+        assert!(Arc::ptr_eq(original.image(), &image));
         type Write = fn(&mut URelation);
         let writes: [(&str, Write); 5] = [
             ("push", |u| {
@@ -279,14 +289,23 @@ mod tests {
             write(&mut clone);
             assert!(!has_image(&clone), "{name} must drop the clone's image");
             assert!(Arc::ptr_eq(original.image(), &image), "{name}");
-            // What the next scan builds is the image of the new rows.
+            assert!(Arc::ptr_eq(early_clone.image(), &image), "{name}");
+            // What the next scan builds is the image of the new rows: the
+            // same rows as a fresh conversion gives, descriptor for
+            // descriptor (handles are each pool's own business).
             let (mut pool, mut strings) = (DescriptorPool::new(), StrPool::new());
             let fresh = ColumnarURelation::from_urelation(&clone, &mut pool, &mut strings);
+            let before = pool.stats().intern_calls;
             let rebuilt = clone.image().scan(&mut pool, &mut strings);
+            assert_eq!(pool.stats().intern_calls, before, "{name}: an import");
             assert_eq!(rebuilt.len(), fresh.len(), "{name}");
-            assert_eq!(rebuilt.descs(), fresh.descs(), "{name}");
             assert_eq!(fresh.to_urelation(&pool, &strings), clone, "{name}");
             for i in 0..fresh.len() {
+                assert_eq!(
+                    pool.terms(rebuilt.descs()[i]),
+                    pool.terms(fresh.descs()[i]),
+                    "{name}: row {i}"
+                );
                 for (a, b) in rebuilt.columns().iter().zip(fresh.columns()) {
                     assert!(a.eq_cells(i, b, i), "{name}: row {i}");
                 }
@@ -296,5 +315,10 @@ mod tests {
         let mut clone = original.clone();
         clone.reserve(64);
         assert!(Arc::ptr_eq(clone.image(), &image));
+        // A sole owner's write empties its cell in place.
+        let mut alone = sample();
+        alone.image();
+        alone.dedup();
+        assert!(!has_image(&alone));
     }
 }

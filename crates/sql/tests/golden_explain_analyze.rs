@@ -103,9 +103,11 @@ fn explain_analyze_renders_the_census_conf_join() {
     // and the closing `sip:` line counts the filter. The pruned scan is
     // also the one node where the observed count diverges from the
     // estimate (3 estimated, 2 after pruning), hence q_error max 1.50.
+    // `imported=4` on the scan-convert line: census's four descriptors were
+    // appended to the run's pool — and no line reads `interns=`.
     let expected = "\
 analyzed plan:
-  · scan-convert  (time=<T>ms items=7)
+  · scan-convert  (time=<T>ms items=7 imported=4)
   conf  (time=<T>ms rows=2 in=2 exact_groups=2 exact_steps=2 est_rows=2)
     project[city]  (time=<T>ms rows=2 in=2 est_rows=2)
       natural-join  (time=<T>ms rows=2 in=4 conjoins=2 est_rows=2)

@@ -5,7 +5,7 @@
 //! repair-key component numbering, normalize's canonical form, `conf`'s
 //! floating-point confidences — must be exactly equal. And because the
 //! interning pools have a single owner (no worker task ever mints), the
-//! run's *pool traffic* — intern/conjoin counters, pool occupancy, spills,
+//! run's *pool traffic* — intern/import/conjoin counters, pool occupancy,
 //! dictionary size — is a function of the plan and the data only, so it
 //! must be equal too. These tests are the oracle for that contract:
 //!
@@ -50,17 +50,12 @@ fn exec(par: ParCfg) -> ExecCfg {
 }
 
 /// Pool traffic must not depend on the thread count: no task mints, so the
-/// counters, occupancy, spills and dictionary size are those of the
-/// sequential run.
+/// counters, occupancy and dictionary size are those of the sequential run.
 fn assert_same_pool_traffic(s1: &ExecStats, s4: &ExecStats, what: &str) {
     assert_eq!(s1.pool, s4.pool, "{what}: pool counters differ");
     assert_eq!(
         s1.descriptors, s4.descriptors,
         "{what}: pool occupancy differs"
-    );
-    assert_eq!(
-        s1.descriptors_spilled, s4.descriptors_spilled,
-        "{what}: spilled entries differ"
     );
     assert_eq!(s1.strings, s4.strings, "{what}: dictionary size differs");
 }

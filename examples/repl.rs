@@ -391,12 +391,10 @@ impl Repl {
         let p = s.pool;
         println!("last query:");
         println!("  wall time:       {:.3} ms", s.wall_nanos as f64 / 1e6);
+        println!("  descriptor pool: {} entries", s.descriptors);
         println!(
-            "  descriptor pool: {} distinct ({} spilled past inline capacity)",
-            s.descriptors, s.descriptors_spilled
-        );
-        println!(
-            "  interning:       {} hits / {} calls ({:.1}% shared)",
+            "  interning:       {} imported by scans, {} hits / {} calls ({:.1}% shared)",
+            p.imported,
             p.intern_hits,
             p.intern_calls,
             if p.intern_calls == 0 {
