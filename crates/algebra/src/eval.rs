@@ -40,17 +40,19 @@
 //!
 //! # Stored relations and their images
 //!
-//! A world set stores rows (`Vec<(Tuple, WsDescriptor)>` per [`URelation`]).
-//! Each relation memoises its columnar image beside them
-//! ([`URelation::image`]): typed columns over relation-local string and
-//! descriptor dictionaries, converted from the rows by the first scan after
-//! they last changed, shared with clones of the relation (taken before or
-//! after that scan), dropped by whatever writes the rows (a `LET` re-binding
-//! a name, `normalize`). A run never converts rows itself: before the plan
-//! starts, [`run_with`] imports the image of every scanned name into the
-//! run's pools ([`maybms_core::ColumnarImage::scan`]) — by *appending* the
-//! image's dictionaries, which have the pools' own flat layout, never by
-//! interning: two array copies and one add per row for the descriptors; for
+//! A stored [`URelation`] is its rows, its columnar image
+//! ([`URelation::image`]: typed columns over relation-local string and
+//! descriptor dictionaries), or both. A relation loaded from rows converts
+//! them the first time anything reads its image; a relation that is a run's
+//! answer — every `LET` result — is born with its image and builds rows only
+//! if someone reads them. The image is shared with clones of the relation
+//! and dropped by whatever writes its rows (`normalize`; a `LET` re-binding
+//! a name replaces the relation whole). A run never converts rows itself:
+//! before the plan starts, [`run_with`] imports the image of every scanned
+//! name into the run's pools ([`maybms_core::ColumnarImage::scan`]) — by
+//! *appending* the image's dictionaries, which have the pools' own flat
+//! layout, never by interning: two array copies and one add per row for the
+//! descriptors; for
 //! the strings a wholesale copy into an empty pool, else one probe per
 //! *distinct* string by its stored hash and one table lookup per row of each
 //! string column. That is all a scan copies. `Int`/`Float`/`Bool`/`Null`
@@ -59,6 +61,17 @@
 //! Two relations carrying the same descriptor get two handles for it, so
 //! handles are compared with [`DescriptorPool::same_descriptor`] — as
 //! conjunction results always had to be. The pools stay per-run.
+//!
+//! The way out mirrors the way in. When the plan is done, [`run_with`]
+//! re-expresses the answer's columns over dictionaries of their own
+//! ([`maybms_core::ColumnarImage::from_run`]: one intern call per distinct
+//! descriptor handle of the answer, into the image's fresh pool — never the
+//! run's; strings copied by code, none hashed) and returns a relation born
+//! with that image. It is field for field the image a conversion of the
+//! answer's rows would build, so the next statement's scan, `normalize` and
+//! the statistics cannot tell a `LET` result from a loaded relation — and no
+//! `Tuple` or `WsDescriptor` is allocated unless the caller reads
+//! [`URelation::rows`].
 //!
 //! # Late materialization
 //!
@@ -91,8 +104,8 @@
 //! derived. Extension operators (`repair-key`, `conf`, …) speak the
 //! columnar ABI too: [`crate::ext::ExtOperator::eval`] receives and returns
 //! [`ColumnarURelation`]s whose descriptors/strings live in the context's
-//! pools. Only the final result is converted back to a row-oriented
-//! [`URelation`], at the boundary of [`run`].
+//! pools. Nothing is converted to rows: the final result leaves [`run`] as
+//! a [`URelation`] holding its columnar image.
 //!
 //! # Configuration
 //!
@@ -110,8 +123,8 @@ use maybms_core::columnar::{ColView, ColumnVec, ColumnarURelation, StrPool};
 use maybms_core::obs::{metrics, ObsCounters, QueryTrace, SpanId, Tracer};
 use maybms_core::parallel::{chunk_ranges, run_tasks};
 use maybms_core::{
-    ComponentSet, ConfStats, DescId, DescriptorPool, FxBuildHasher, FxHashMap, MayError, ParCfg,
-    ParStats, PoolStats, Scan, Schema, URelation, WorldSet,
+    ColumnarImage, ComponentSet, ConfStats, DescId, DescriptorPool, FxBuildHasher, FxHashMap,
+    MayError, ParCfg, ParStats, PoolStats, Scan, Schema, URelation, WorldSet,
 };
 
 use crate::plan::Plan;
@@ -688,6 +701,12 @@ pub fn run_with(
             .get(name)
             .ok_or_else(|| MayError::UnknownRelation(name.to_string()))?;
         converted_rows += rel.len() as u64;
+        // Counted here, where a run scans: a cold scan converts the rows.
+        if rel.has_image() {
+            metrics().scan_images_reused_total.inc();
+        } else {
+            metrics().scan_images_built_total.inc();
+        }
         scans.insert(name, rel.image().scan(&mut ctx.pool, &mut ctx.strings));
     }
     let imported = ObsCounters {
@@ -697,7 +716,10 @@ pub fn run_with(
     ctx.tracer
         .event_with("scan-convert", convert_started, converted_rows, imported);
     let batch = eval_batch(plan, &scans, &mut ctx)?;
-    let result = batch.into_columnar().to_urelation(&ctx.pool, &ctx.strings);
+    // The answer leaves as columns: its image, over dictionaries of its own.
+    // Rows are built if and when someone reads them.
+    let answer = ColumnarImage::from_run(batch.into_columnar(), &ctx.pool, &ctx.strings);
+    let result = URelation::from_image(answer);
     let stats = ExecStats {
         wall_nanos: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
         descriptors: ctx.pool.len(),

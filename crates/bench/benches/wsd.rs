@@ -5,13 +5,13 @@
 //! object per line (see crate docs for why this is not criterion).
 //!
 //! Each workload is timed as the minimum of [`RUNS`] repetitions on a fresh
-//! clone of the generated world set, which keeps single-core timing noise
-//! out of the committed baseline. The clone is taken before the source was
-//! ever scanned, so it carries no columnar image and every such row is a
-//! **cold** row: its scans convert rows to columns. The `_warm` twins
-//! (`join3_warm`, `join3_columnar_warm`, `mayql_e2e_warm`) build the source's
-//! images first, untimed, so their clones share them — the other side of the
-//! memo, and what a long-lived session pays per statement.
+//! copy of the generated world set, which keeps single-core timing noise
+//! out of the committed baseline. The copy is rebuilt from the rows alone
+//! (`maybms_testkit::without_images`), so it carries no columnar image and
+//! every such row is a **cold** row: its scans convert rows to columns. The
+//! `_warm` twins (`join3_warm`, `join3_columnar_warm`, `mayql_e2e_warm`) run
+//! on plain clones, which share the images `WorldSet::insert` built — the
+//! other side of the memo, and what a long-lived session pays per statement.
 //! `MAYBMS_BENCH_QUICK=1` selects the small sizes only (the CI regression
 //! gate runs in that mode; see `src/bin/bench_check.rs`). `MAYBMS_BENCH_TRACE=<dir>` additionally
 //! re-executes each plan-driven workload once with span tracing on and
@@ -32,6 +32,7 @@ use maybms_core::rng::Rng;
 use maybms_core::{world_set_stats, ColumnarURelation, DescriptorPool, ParCfg, StrPool, WorldSet};
 use maybms_ql::{conf, conf_approx, possible, repair_key};
 use maybms_sql::{compile, Catalog};
+use maybms_testkit::without_images;
 
 /// Repetitions per workload; the minimum is reported.
 const RUNS: usize = 3;
@@ -54,19 +55,15 @@ fn emit(bench: &str, n: usize, rows_out: usize, millis: f64) {
     );
 }
 
-/// Time `f` on a fresh clone of `ws` per run; report the fastest run.
+/// Time `f` on a fresh cold copy of `ws` per run; report the fastest run.
 fn bench_min(ws: &WorldSet, f: impl FnMut(&mut WorldSet) -> usize) -> (usize, f64) {
     bench_min_runs(ws, RUNS, f)
 }
 
-/// [`bench_min`] on clones that share the source's columnar images: builds
-/// them on the source first, untimed. The source stays warm afterwards, so
-/// a workload's cold row must be timed before its warm one.
+/// [`bench_min`] on clones, which share the source's columnar images
+/// (`WorldSet::insert` built them when the workload was generated).
 fn bench_min_warm(ws: &WorldSet, f: impl FnMut(&mut WorldSet) -> usize) -> (usize, f64) {
-    for rel in ws.relations.values() {
-        rel.image();
-    }
-    bench_min(ws, f)
+    timed(RUNS, || ws.clone(), f)
 }
 
 /// [`bench_min`] with an explicit repetition count — the deterministic
@@ -74,12 +71,21 @@ fn bench_min_warm(ws: &WorldSet, f: impl FnMut(&mut WorldSet) -> usize) -> (usiz
 fn bench_min_runs(
     ws: &WorldSet,
     runs: usize,
+    f: impl FnMut(&mut WorldSet) -> usize,
+) -> (usize, f64) {
+    timed(runs, || without_images(ws), f)
+}
+
+/// The fastest of `runs` runs of `f`, each on its own untimed `fresh()` copy.
+fn timed(
+    runs: usize,
+    fresh: impl Fn() -> WorldSet,
     mut f: impl FnMut(&mut WorldSet) -> usize,
 ) -> (usize, f64) {
     let mut best = f64::INFINITY;
     let mut rows = 0;
     for _ in 0..runs {
-        let mut ws = ws.clone();
+        let mut ws = fresh();
         let start = Instant::now();
         rows = f(&mut ws);
         best = best.min(start.elapsed().as_secs_f64() * 1e3);
@@ -183,7 +189,7 @@ fn main() {
                 .sum()
         });
         emit("from_urelation", n, rows, ms);
-        let (rows, ms) = bench_min(&ws, |ws| {
+        let (rows, ms) = bench_min_warm(&ws, |ws| {
             let (mut pool, mut strings) = (DescriptorPool::new(), StrPool::new());
             ws.relations
                 .values()

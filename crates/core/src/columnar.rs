@@ -135,6 +135,38 @@ impl StrPool {
         self.slots = Slots::default();
     }
 
+    /// The inverse of [`StrPool::import`]: a fresh dictionary of just the
+    /// strings the `Str` columns among `cols` use, in the order a row by row
+    /// conversion of those columns would first meet them, and the table from
+    /// this pool's codes to its codes (`u32::MAX` for a string no cell
+    /// uses). Distinct codes are distinct strings, so each string is copied
+    /// with its stored hash and nothing is hashed or probed.
+    pub(crate) fn localize(&self, cols: &[ColumnVec]) -> (StrPool, Vec<u32>) {
+        let mut local = StrPool::new();
+        let mut map = vec![u32::MAX; self.len()];
+        let coded: Vec<(&[u32], &ColumnVec)> = cols
+            .iter()
+            .filter_map(|col| match &col.data {
+                ColumnData::Str(codes) => Some((codes.as_slice(), col)),
+                _ => None,
+            })
+            .collect();
+        for i in 0..coded.first().map_or(0, |(codes, _)| codes.len()) {
+            for (codes, col) in &coded {
+                let code = codes[i] as usize;
+                if !col.is_null(i) && map[code] == u32::MAX {
+                    map[code] = u32::try_from(local.len()).expect("string arena fits in u32");
+                    local.bytes.push_str(self.get(codes[i]));
+                    local
+                        .ends
+                        .push(u32::try_from(local.bytes.len()).expect("string arena fits in u32"));
+                    local.hashes.push(self.hashes[code]);
+                }
+            }
+        }
+        (local, map)
+    }
+
     /// The string behind a code.
     pub fn get(&self, code: u32) -> &str {
         &self.bytes[span(&self.ends, code as usize)]
@@ -451,8 +483,9 @@ impl ColumnVec {
     /// A copy of a `Str` column with every code sent through `map` (old code
     /// → new code) — how a [`crate::image::ColumnarImage`] moves a string
     /// column from its own dictionary into a run's. The sentinel under a
-    /// `NULL` cell is carried over as is, never looked up: a column of nothing
-    /// but `NULL`s has no dictionary entry for it to index.
+    /// `NULL` cell is never looked up — a column of nothing but `NULL`s has no
+    /// dictionary entry for it to index — and comes out as the 0 a row
+    /// conversion stores there.
     pub(crate) fn with_str_codes(&self, map: &[u32]) -> ColumnVec {
         let ColumnData::Str(codes) = &self.data else {
             unreachable!(
@@ -465,7 +498,7 @@ impl ColumnVec {
             Some(valid) => codes
                 .iter()
                 .zip(valid)
-                .map(|(&c, &v)| if v { map[c as usize] } else { c })
+                .map(|(&c, &v)| if v { map[c as usize] } else { 0 })
                 .collect(),
         };
         ColumnVec {

@@ -171,12 +171,12 @@ impl ComponentSet {
             .product()
     }
 
-    /// Check that a descriptor only references components of this set, with
-    /// in-range alternatives. This is the invariant every stored u-relation
-    /// must satisfy (enforced by `WorldSet::insert`); evaluation preserves
-    /// it because conjunction never invents terms.
-    pub fn validate_descriptor(&self, d: &WsDescriptor) -> Result<(), MayError> {
-        for &(c, a) in d.terms() {
+    /// Check that a descriptor's term list only references components of
+    /// this set, with in-range alternatives. This is the invariant every
+    /// stored u-relation must satisfy (enforced by `WorldSet::insert`);
+    /// evaluation preserves it because conjunction never invents terms.
+    pub fn validate_terms(&self, terms: &[(ComponentId, u16)]) -> Result<(), MayError> {
+        for &(c, a) in terms {
             if c.0 as usize >= self.comps.len() {
                 return Err(MayError::InvalidDescriptor(format!(
                     "{c} does not exist (only {} components)",

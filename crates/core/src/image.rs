@@ -1,44 +1,66 @@
-//! The memoised columnar image of a stored relation.
+//! The columnar image of a stored relation.
 //!
-//! A [`URelation`] stores rows. Every consumer that wants columns — the
-//! executor's scans, normalization — reads the relation's [`ColumnarImage`]
-//! instead of converting the rows again: the image is built on the first
-//! [`URelation::image`] call, shared by clones of the relation, and dropped
-//! by every method that can change the rows, so it is always the image of
-//! the rows it sits beside.
+//! A [`URelation`] is its rows, its [`ColumnarImage`], or both — at least
+//! one, and when both, each is exactly what the other converts to. Every
+//! consumer that wants columns — the executor's scans, normalization, the
+//! statistics, the validation in [`crate::WorldSet::insert`] — reads the
+//! image, which exists from one of two moments on:
+//!
+//! * a relation that was built from rows converts them on the first
+//!   [`URelation::image`] call (`ColumnarImage::build`, the engine's one
+//!   rows → columns site);
+//! * a relation that is a run's answer is *born* with its image
+//!   ([`ColumnarImage::from_run`]): the run's output columns re-coded over
+//!   relation-local dictionaries. Its rows are built only if someone asks
+//!   for them ([`URelation::rows`], the engine's one columns → rows site).
+//!
+//! A seeded image is what `build` would have made of the same rows — the
+//! same cells, the same string codes and descriptor ids, the same two
+//! dictionaries in the same order — so no consumer can tell which way an
+//! image came to be. It is shared by clones of the relation and dropped by
+//! every method that can change the rows (after they were built), so it is
+//! always the image of the relation it belongs to; whatever is memoised
+//! *inside* it (the statistics summary) dies with it, at that one site.
 //!
 //! An image is self-contained plain data. Its string cells are codes into a
 //! *relation-local* dictionary and its descriptor column holds relation-local
 //! ids (id 0 is the tautology, as in every pool). The two dictionaries are
-//! the very pools the rows were converted into, minus their hash indexes —
-//! nothing ever looks a value *up* in an image — and a pool is a flat arena,
-//! so a run takes an image in with [`ColumnarImage::scan`] by *appending* the
-//! dictionaries to its own pools (`DescriptorPool::import`,
-//! `StrPool::import`): no intern call, no allocation per entry. Whatever
-//! then reads the same in the run's pools (every non-string column; the
-//! descriptor column of a certain relation; any coded column when the run's
-//! pool was empty or hands the image's own codes back) is borrowed, not
-//! copied.
+//! pools minus their hash indexes — nothing ever looks a value *up* in an
+//! image — and a pool is a flat arena, so a run takes an image in with
+//! [`ColumnarImage::scan`] by *appending* the dictionaries to its own pools
+//! (`DescriptorPool::import`, `StrPool::import`): no intern call, no
+//! allocation per entry. Whatever then reads the same in the run's pools
+//! (every non-string column; the descriptor column of a certain relation;
+//! any coded column when the run's pool was empty or hands the image's own
+//! codes back) is borrowed, not copied.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
+use std::fmt;
+use std::sync::OnceLock;
 
 use crate::columnar::{self, ColumnData, ColumnVec, ColumnarURelation, StrPool};
+use crate::descriptor::WsDescriptor;
 use crate::intern::{DescId, DescriptorPool};
+use crate::rel::Tuple;
 use crate::schema::Schema;
+use crate::stats::ImageStats;
 use crate::urel::URelation;
 
-/// A relation's rows as typed columns over relation-local dictionaries. See
-/// the module docs.
+/// A relation as typed columns over relation-local dictionaries. See the
+/// module docs.
 #[derive(Debug)]
 pub struct ColumnarImage {
     /// The rows: `Str` cells are codes into `strings`, descriptors handles
     /// into `pool`.
     rel: ColumnarURelation,
-    /// The distinct descriptors, each once (the build interned them).
+    /// The distinct descriptors, each once, in order of first occurrence.
     pool: DescriptorPool,
-    /// The distinct strings of all `Str` columns.
+    /// The distinct strings of all `Str` columns, in the order a row by row
+    /// walk first meets them.
     strings: StrPool,
+    /// What [`crate::stats::collect`] found here, kept for the next call.
+    stats: OnceLock<ImageStats>,
 }
 
 impl ColumnarImage {
@@ -51,7 +73,93 @@ impl ColumnarImage {
         let rel = ColumnarURelation::from_urelation(u, &mut pool, &mut strings);
         pool.drop_index();
         strings.drop_index();
-        ColumnarImage { rel, pool, strings }
+        ColumnarImage {
+            rel,
+            pool,
+            strings,
+            stats: OnceLock::new(),
+        }
+    }
+
+    /// The image of a run's answer: `rel`, whose descriptor column and `Str`
+    /// cells refer to the run's `pool` and `strings`, re-coded over
+    /// dictionaries of its own — the inverse of [`ColumnarImage::scan`], and
+    /// field for field what `ColumnarImage::build` makes of the rows `rel`
+    /// converts to. One intern call per distinct handle of the answer goes
+    /// to the image's fresh pool, none to the run's; strings are copied by
+    /// code with their stored hashes. Every other column moves in as it is.
+    pub fn from_run(
+        rel: ColumnarURelation,
+        pool: &DescriptorPool,
+        strings: &StrPool,
+    ) -> ColumnarImage {
+        let (schema, mut cols, descs) = rel.into_parts();
+        let (local_pool, descs) = pool.localize(&descs);
+        let (local_strings, codes) = strings.localize(&cols);
+        for col in &mut cols {
+            if matches!(col.data(), ColumnData::Str(_)) {
+                *col = col.with_str_codes(&codes);
+            }
+        }
+        ColumnarImage {
+            rel: ColumnarURelation::from_parts(schema, cols, descs),
+            pool: local_pool,
+            strings: local_strings,
+            stats: OnceLock::new(),
+        }
+    }
+
+    /// The rows this image is the image of — what [`URelation::rows`] calls
+    /// when nobody has built them yet, and the engine's one columns → rows
+    /// site.
+    pub(crate) fn to_rows(&self) -> Vec<(Tuple, WsDescriptor)> {
+        self.rel.to_urelation(&self.pool, &self.strings).into_rows()
+    }
+
+    /// The columns: `Str` cells are codes into [`ColumnarImage::strings`],
+    /// the descriptor column holds handles into
+    /// [`ColumnarImage::descriptors`].
+    pub fn columns(&self) -> &ColumnarURelation {
+        &self.rel
+    }
+
+    /// The relation's distinct descriptors, in order of first occurrence
+    /// after the tautology.
+    pub fn descriptors(&self) -> &DescriptorPool {
+        &self.pool
+    }
+
+    /// The distinct strings of the relation's `Str` columns.
+    pub fn strings(&self) -> &StrPool {
+        &self.strings
+    }
+
+    /// The cell the statistics of this image are memoised in.
+    pub(crate) fn stats_memo(&self) -> &OnceLock<ImageStats> {
+        &self.stats
+    }
+
+    /// Write the rows as [`URelation`]'s `Display` does — `(v, …) | d` per
+    /// line — straight from the cells.
+    pub(crate) fn fmt_rows(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for i in 0..self.rel.len() {
+            f.write_str("(")?;
+            for (c, col) in self.rel.columns().iter().enumerate() {
+                let sep = if c > 0 { ", " } else { "" };
+                write!(f, "{sep}{}", col.value(i, &self.strings))?;
+            }
+            f.write_str(") | ")?;
+            let terms = self.pool.terms(self.rel.descs()[i]);
+            if terms.is_empty() {
+                f.write_str("⊤")?;
+            }
+            for (k, (c, alt)) in terms.iter().enumerate() {
+                let sep = if k > 0 { " ∧ " } else { "" };
+                write!(f, "{sep}{c}={alt}")?;
+            }
+            f.write_str("\n")?;
+        }
+        Ok(())
     }
 
     /// Re-express the image in a run's pools: append its dictionaries to
@@ -219,6 +327,61 @@ mod tests {
         assert_eq!((pool.len(), strings.len()), before);
         assert_eq!(pool.stats().imported, 0);
         roundtrips(&u);
+    }
+
+    #[test]
+    fn an_answer_s_image_is_the_one_a_conversion_of_its_rows_builds() {
+        let both = WsDescriptor::from_terms(vec![(ComponentId(0), 0), (ComponentId(1), 1)]);
+        let both = both.unwrap();
+        let u = str_relation(&[
+            (Some("b"), Some("a"), both.clone()),
+            (None, Some("c"), WsDescriptor::tautology()),
+            (Some("a"), None, both),
+            (
+                Some("c"),
+                Some("b"),
+                WsDescriptor::single(ComponentId(1), 1),
+            ),
+        ]);
+        // The run's pools hold more than the answer uses, in another order,
+        // and the one descriptor rows 0 and 2 share under two handles.
+        let (mut pool, mut strings) = busy_pools();
+        for s in ["c", "a"] {
+            strings.intern(s);
+        }
+        let (x, y) = (
+            pool.single(ComponentId(0), 0),
+            pool.single(ComponentId(1), 1),
+        );
+        let (schema, cols, mut descs) =
+            ColumnarURelation::from_urelation(&u, &mut pool, &mut strings).into_parts();
+        descs[2] = pool.conjoin(x, y).unwrap();
+        assert!(descs[0] != descs[2] && pool.same_descriptor(descs[0], descs[2]));
+        let answer = ColumnarURelation::from_parts(schema, cols, descs);
+        let before = pool.stats();
+        let seeded = ColumnarImage::from_run(answer, &pool, &strings);
+        assert_eq!(
+            pool.stats(),
+            before,
+            "nothing is interned in the run's pool"
+        );
+        let built = ColumnarImage::build(&u);
+        assert_eq!(format!("{:?}", seeded.rel), format!("{:?}", built.rel));
+        assert_eq!(seeded.rel.descs()[0], seeded.rel.descs()[2]);
+        assert_eq!(seeded.pool.len(), 3);
+        assert_eq!(seeded.pool.all_terms(), built.pool.all_terms());
+        for &id in built.rel.descs() {
+            assert_eq!(seeded.pool.terms(id), built.pool.terms(id));
+        }
+        // Bytes, ends and stored hashes, in first-occurrence order by row:
+        // b, a, c.
+        assert_eq!(
+            format!("{:?}", seeded.strings),
+            format!("{:?}", built.strings)
+        );
+        assert_eq!(seeded.strings.get(0), "b");
+        assert_eq!(seeded.to_rows(), u.rows());
+        roundtrips(&URelation::from_image(seeded));
     }
 
     #[test]

@@ -83,6 +83,17 @@ pub(crate) fn fold_hash(h: u64) -> u64 {
 pub(crate) struct Slots(Vec<u32>);
 
 impl Slots {
+    /// An empty table that [`Slots::reserve_one`] will not have to rebuild
+    /// before the arena holds `entries` entries.
+    pub(crate) fn with_room_for(entries: usize) -> Slots {
+        Slots(vec![u32::MAX; Slots::table_len(entries)])
+    }
+
+    /// The table length that keeps `len` entries and one more under 7/8.
+    fn table_len(len: usize) -> usize {
+        ((len + 1) * 2).next_power_of_two().max(16)
+    }
+
     /// Make room to place one entry beside the `len` the arena holds. When
     /// the table is too small for that — it always is before the first call —
     /// it is rebuilt over all `len` entries, in entry order, so of two equal
@@ -92,8 +103,7 @@ impl Slots {
             return;
         }
         self.0.clear();
-        self.0
-            .resize(((len + 1) * 2).next_power_of_two().max(16), u32::MAX);
+        self.0.resize(Slots::table_len(len), u32::MAX);
         for e in 0..u32::try_from(len).expect("entry numbers fit in u32") {
             let free = self.find(hash_of(e as usize), |_| false).unwrap_err();
             self.0[free] = e;
@@ -292,6 +302,40 @@ impl DescriptorPool {
         }
         let rebased = |d: &DescId| DescId(d.0 + if d.0 == 0 { 0 } else { base });
         Cow::Owned(descs.iter().map(rebased).collect())
+    }
+
+    /// The inverse of [`DescriptorPool::import`]: a fresh dictionary of just
+    /// the descriptors the column `descs` of this pool's handles uses, and
+    /// the column as that dictionary's handles. Each distinct handle is
+    /// interned once, in order of first occurrence, so handles that denote
+    /// one descriptor here collapse — the dictionary and the column are what
+    /// interning the rows' descriptors one by one into a fresh pool gives.
+    /// The intern calls are the new dictionary's, not this pool's, and its
+    /// index is dropped again: nothing looks a value up in an image.
+    pub(crate) fn localize(&self, descs: &[DescId]) -> (DescriptorPool, Vec<DescId>) {
+        let mut local = DescriptorPool::new();
+        // Sized once for the most entries there can be, so no intern call
+        // rebuilds the index.
+        local.slots = Slots::with_room_for(descs.len().min(self.len()));
+        let mut seen = vec![u32::MAX; self.len()];
+        seen[0] = 0;
+        let column = descs
+            .iter()
+            .map(|d| {
+                let slot = &mut seen[d.index()];
+                if *slot == u32::MAX {
+                    *slot = local.intern_terms(self.terms(*d)).0;
+                }
+                DescId(*slot)
+            })
+            .collect();
+        local.drop_index();
+        (local, column)
+    }
+
+    /// Every entry's term list, one after the other in handle order.
+    pub(crate) fn all_terms(&self) -> &[(ComponentId, u16)] {
+        &self.terms
     }
 
     /// The term list of a descriptor, sorted by component id.

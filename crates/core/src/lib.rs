@@ -31,10 +31,11 @@
 //!   plus the dense [`DescId`] column, with exact row↔columnar conversion;
 //!   this is what the vectorized executor in `maybms-algebra` and the
 //!   columnar normalization path scan;
-//! * [`image`] — the memoised columnar image of a stored relation: built
-//!   from the rows once per version of them, shared by clones, and taken
-//!   into a run by appending its dictionaries to the run's pools
-//!   ([`ColumnarImage::scan`]) instead of re-converted by row;
+//! * [`image`] — the columnar image of a stored relation: converted from
+//!   its rows once per version of them, or — for a run's answer — what the
+//!   relation is born with ([`ColumnarImage::from_run`]), rows built only if
+//!   someone reads them; shared by clones, and taken into a run by appending
+//!   its dictionaries to the run's pools ([`ColumnarImage::scan`]);
 //! * [`dnf`] — the compiled descriptor-group kernel, the one solver behind
 //!   exact `conf`, `conf(eps, delta)` and `certain`: variable elimination
 //!   over alive-descriptor bitsets, the exact/sampling cutover price, and
@@ -44,9 +45,10 @@
 //!   unreferenced components;
 //! * [`naive`] — plain (single-world) implementations of the positive
 //!   relational algebra used by the per-world oracle;
-//! * [`stats`] — one-pass per-relation statistics (KMV distinct-count
-//!   sketches, min/max, descriptor density) that the cost-based optimizer
-//!   phase in `maybms-algebra` plans against;
+//! * [`stats`] — per-relation statistics (KMV distinct-count sketches,
+//!   min/max, descriptor density), read off the columnar image and memoised
+//!   inside it, that the cost-based optimizer phase in `maybms-algebra`
+//!   plans against;
 //! * [`obs`] — observability: the per-query [`Tracer`]/[`QueryTrace`] span
 //!   machinery behind `EXPLAIN ANALYZE` and Chrome-trace export, plus the
 //!   process-wide [`metrics`] registry (counters and log-linear histograms)

@@ -639,11 +639,19 @@ pub struct Metrics {
     pub sip_rows_tested_total: Counter,
     /// Probe-side rows pruned by a SIP Bloom filter before reaching a join.
     pub sip_rows_pruned_total: Counter,
-    /// Scans (and normalization passes) that found no columnar image beside
-    /// the relation's rows and converted them — the cold ones.
+    /// Scans of a run that found the relation without a columnar image and
+    /// converted its rows — the cold ones. Counted where a run scans, so
+    /// normalization, statistics and `WorldSet::insert` reading an image are
+    /// not scans.
     pub scan_images_built_total: Counter,
-    /// Scans (and normalization passes) served by an image already built.
+    /// Scans of a run served by an image already there.
     pub scan_images_reused_total: Counter,
+    /// Relations born with their image — a run's answer — rather than
+    /// converted from rows.
+    pub images_seeded_total: Counter,
+    /// Times a relation that held only its image had to build rows because
+    /// someone read them: who still reads rows, as a number.
+    pub rows_materialized_total: Counter,
 }
 
 impl Metrics {
@@ -652,7 +660,7 @@ impl Metrics {
     /// histograms.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        let counters: [(&str, &Counter); 17] = [
+        let counters: [(&str, &Counter); 19] = [
             ("maybms_queries_total", &self.queries_total),
             ("maybms_query_rows_total", &self.query_rows_total),
             ("maybms_par_tasks_total", &self.par_tasks_total),
@@ -699,6 +707,11 @@ impl Metrics {
             (
                 "maybms_scan_images_reused_total",
                 &self.scan_images_reused_total,
+            ),
+            ("maybms_images_seeded_total", &self.images_seeded_total),
+            (
+                "maybms_rows_materialized_total",
+                &self.rows_materialized_total,
             ),
         ];
         for (name, c) in counters {
@@ -964,6 +977,8 @@ mod tests {
         assert!(text.contains("maybms_query_wall_nanos{quantile=\"0.5\"}"));
         assert!(text.contains("maybms_scan_images_built_total 0\n"));
         assert!(text.contains("maybms_scan_images_reused_total 0\n"));
+        assert!(text.contains("maybms_images_seeded_total 0\n"));
+        assert!(text.contains("maybms_rows_materialized_total 0\n"));
         // The global registry is reachable and monotonic.
         let before = metrics().queries_total.get();
         metrics().queries_total.inc();

@@ -1,14 +1,16 @@
 //! Per-relation statistics for cost-based planning.
 //!
-//! One pass over a u-relation produces a [`RelationStats`]: the row count,
-//! per-column distinct-count estimates (a KMV sketch — the k minimum hash
-//! values — plus exact min/max), and a descriptor-density summary (the
-//! fraction of rows whose descriptor is non-trivial, and the mean number of
-//! alternatives of the components the relation references). The `sql`
-//! catalog caches one per base relation at materialization time and the
-//! cost-based optimizer phase in `maybms-algebra` consumes them through its
-//! `StatsProvider` trait; `maybms-core` itself attaches no planning
-//! semantics to the numbers.
+//! One pass over a u-relation's columnar image produces a [`RelationStats`]:
+//! the row count, per-column distinct-count estimates (a KMV sketch — the k
+//! minimum hash values — plus exact min/max), and a descriptor-density
+//! summary (the fraction of rows whose descriptor is non-trivial, and the
+//! mean number of alternatives of the components the relation references).
+//! All of it but that last mean — which depends on the component set, not on
+//! the relation — is memoised inside the image, so a relation is summarised
+//! once per version of its rows. The `sql` catalog collects one per base
+//! relation at every refresh and the cost-based optimizer phase in
+//! `maybms-algebra` consumes them through its `StatsProvider` trait;
+//! `maybms-core` itself attaches no planning semantics to the numbers.
 //!
 //! ## KMV accuracy
 //!
@@ -21,8 +23,11 @@
 use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 
+use crate::columnar::{ColumnData, ColumnVec, StrPool};
 use crate::component::ComponentSet;
+use crate::descriptor::ComponentId;
 use crate::fxhash::{FxHashSet, FxHasher};
+use crate::image::ColumnarImage;
 use crate::urel::URelation;
 use crate::value::Value;
 use crate::world::WorldSet;
@@ -128,67 +133,136 @@ impl RelationStats {
     }
 }
 
-/// Collect [`RelationStats`] for one u-relation in a single pass over its
-/// rows. `comps` resolves the alternative counts of referenced components.
-pub fn collect(rel: &URelation, comps: &ComponentSet) -> RelationStats {
-    let names = rel.schema().names();
-    let mut sketches: Vec<KmvSketch> = names.iter().map(|_| KmvSketch::new()).collect();
-    let mut min_max: Vec<Option<(Value, Value)>> = vec![None; names.len()];
-    let mut nontrivial = 0u64;
-    let mut referenced: FxHashSet<u32> = FxHashSet::default();
-    for (tuple, desc) in rel.rows() {
-        for (i, v) in tuple.values().iter().enumerate() {
-            sketches[i].observe(v);
-            match &mut min_max[i] {
-                None => min_max[i] = Some((v.clone(), v.clone())),
-                Some((lo, hi)) => {
-                    if v < lo {
-                        *lo = v.clone();
-                    }
-                    if v > hi {
-                        *hi = v.clone();
-                    }
-                }
-            }
-        }
-        if !desc.is_tautology() {
-            nontrivial += 1;
-            for &(c, _) in desc.terms() {
-                referenced.insert(c.0);
-            }
+/// What [`collect`] reads off a relation's columnar image and keeps inside
+/// it: everything but the alternative counts of the components the relation
+/// references, which belong to the [`ComponentSet`] of the moment.
+#[derive(Debug)]
+pub(crate) struct ImageStats {
+    columns: BTreeMap<String, ColumnStats>,
+    /// Rows carrying a non-trivial descriptor.
+    nontrivial: u64,
+    /// The components the relation's descriptors mention, ascending.
+    referenced: Vec<ComponentId>,
+}
+
+impl ImageStats {
+    fn of(image: &ColumnarImage) -> ImageStats {
+        let rel = image.columns();
+        let mut referenced: Vec<ComponentId> = image
+            .descriptors()
+            .all_terms()
+            .iter()
+            .map(|&(c, _)| c)
+            .collect();
+        referenced.sort_unstable();
+        referenced.dedup();
+        ImageStats {
+            columns: rel
+                .schema()
+                .names()
+                .into_iter()
+                .zip(rel.columns())
+                .map(|(name, col)| (name.to_string(), column_stats(col, image.strings())))
+                .collect(),
+            nontrivial: rel.descs().iter().filter(|d| !d.is_tautology()).count() as u64,
+            referenced,
         }
     }
-    let rows = rel.len() as u64;
-    let mean_alternatives = if referenced.is_empty() {
-        0.0
-    } else {
-        referenced
-            .iter()
-            .map(|&c| comps.get(crate::descriptor::ComponentId(c)).alternatives() as f64)
-            .sum::<f64>()
-            / referenced.len() as f64
+}
+
+/// Hand every non-`NULL` cell of a column to `f`; whether it has `NULL`s.
+fn for_each_valid<T: Copy>(col: &ColumnVec, cells: &[T], mut f: impl FnMut(T)) -> bool {
+    let mut nulls = false;
+    for (i, &cell) in cells.iter().enumerate() {
+        if col.is_null(i) {
+            nulls = true;
+        } else {
+            f(cell);
+        }
+    }
+    nulls
+}
+
+/// One column's sketch estimate and extremes, in a typed loop over its
+/// cells. `NULL`s and dictionary strings are observed once each however many
+/// cells hold them: a KMV sketch is a set of hashes and the extremes are
+/// extremes of the set of values, so neither can tell.
+fn column_stats(col: &ColumnVec, strings: &StrPool) -> ColumnStats {
+    let mut sketch = KmvSketch::new();
+    // Over the non-`NULL` cells.
+    let mut range: Option<(Value, Value)> = None;
+    let mut observe = |v: Value| {
+        sketch.observe(&v);
+        match &mut range {
+            None => range = Some((v.clone(), v)),
+            Some((lo, _)) if v < *lo => *lo = v,
+            Some((_, hi)) if v > *hi => *hi = v,
+            Some(_) => {}
+        }
     };
+    let nulls = match col.data() {
+        ColumnData::Null(n) => *n > 0,
+        ColumnData::Bool(cells) => for_each_valid(col, cells, |b| observe(Value::Bool(b))),
+        ColumnData::Int(cells) => for_each_valid(col, cells, |x| observe(Value::Int(x))),
+        ColumnData::Float(cells) => for_each_valid(col, cells, |x| observe(Value::float(x))),
+        ColumnData::Str(codes) => {
+            // The dictionary is the relation's, not the column's: find the
+            // strings this column uses, then visit each once.
+            let mut used = vec![false; strings.len()];
+            let nulls = for_each_valid(col, codes, |code| used[code as usize] = true);
+            for code in (0..strings.len() as u32).filter(|&c| used[c as usize]) {
+                observe(Value::str(strings.get(code)));
+            }
+            nulls
+        }
+    };
+    if nulls {
+        sketch.observe(&Value::Null);
+    }
+    // `NULL` orders before every other value.
+    let min_max = match (nulls, range) {
+        (false, range) => range,
+        (true, None) => Some((Value::Null, Value::Null)),
+        (true, Some((_, hi))) => Some((Value::Null, hi)),
+    };
+    ColumnStats {
+        distinct: sketch.estimate(),
+        min_max,
+    }
+}
+
+/// Collect [`RelationStats`] for one u-relation. `comps` resolves the
+/// alternative counts of referenced components.
+///
+/// The statistics are read off the relation's columnar image (building it if
+/// the relation has none yet), and all of them but `mean_alternatives` are
+/// memoised *inside* that image: a second call — a catalog refresh after a
+/// `LET` that did not touch this relation — costs one lookup per referenced
+/// component. The memo is shared by clones and goes when the image goes, on
+/// the relation's one `&mut` path.
+pub fn collect(rel: &URelation, comps: &ComponentSet) -> RelationStats {
+    let image = rel.image();
+    let memo = image.stats_memo().get_or_init(|| ImageStats::of(image));
+    let rows = image.columns().len() as u64;
+    // A sum of small integers: exact, whatever the order.
+    let alternatives: f64 = memo
+        .referenced
+        .iter()
+        .map(|&c| f64::from(comps.get(c).alternatives()))
+        .sum();
     RelationStats {
         rows,
-        columns: names
-            .into_iter()
-            .zip(sketches.iter().zip(min_max))
-            .map(|(name, (sk, mm))| {
-                (
-                    name.to_string(),
-                    ColumnStats {
-                        distinct: sk.estimate(),
-                        min_max: mm,
-                    },
-                )
-            })
-            .collect(),
+        columns: memo.columns.clone(),
         nontrivial_frac: if rows == 0 {
             0.0
         } else {
-            nontrivial as f64 / rows as f64
+            memo.nontrivial as f64 / rows as f64
         },
-        mean_alternatives,
+        mean_alternatives: if memo.referenced.is_empty() {
+            0.0
+        } else {
+            alternatives / memo.referenced.len() as f64
+        },
     }
 }
 

@@ -29,14 +29,16 @@ impl WorldSet {
         WorldSet::default()
     }
 
-    /// Insert or replace a relation, validating every row's descriptor
-    /// against the current component set (unknown components or
-    /// out-of-range alternatives are rejected here rather than panicking
-    /// during later enumeration or confidence computation).
+    /// Insert or replace a relation, validating its descriptors against the
+    /// current component set (unknown components or out-of-range
+    /// alternatives are rejected here rather than panicking during later
+    /// enumeration or confidence computation). Each *distinct* descriptor is
+    /// checked once, off the relation's image — whose dictionary is in order
+    /// of first occurrence, so the term reported is the first offending
+    /// row's.
     pub fn insert(&mut self, name: impl Into<String>, rel: URelation) -> Result<(), MayError> {
-        for (_, d) in rel.rows() {
-            self.components.validate_descriptor(d)?;
-        }
+        self.components
+            .validate_terms(rel.image().descriptors().all_terms())?;
         self.relations.insert(name.into(), rel);
         Ok(())
     }
@@ -99,9 +101,11 @@ impl WorldSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::columnar::ColumnarURelation;
     use crate::component::Component;
     use crate::descriptor::{ComponentId, WsDescriptor};
     use crate::error::MayError;
+    use crate::image::ColumnarImage;
     use crate::rel::Tuple;
     use crate::schema::Schema;
     use crate::value::ValueType;
@@ -134,5 +138,19 @@ mod tests {
         );
         ws.insert("ok", one_col_rel(WsDescriptor::single(c, 1)))
             .unwrap();
+        // Of several offending rows the first is named, however the relation
+        // came to be: from rows, or born with its image as a run's answer.
+        let mut rel = one_col_rel(WsDescriptor::single(c, 1));
+        for bad in [WsDescriptor::single(c, 7), WsDescriptor::single(c, 2)] {
+            rel.push(Tuple::new(vec![2.into()]), bad).unwrap();
+        }
+        let (mut pool, mut strings) = Default::default();
+        let columns = ColumnarURelation::from_urelation(&rel, &mut pool, &mut strings);
+        let answer = URelation::from_image(ColumnarImage::from_run(columns, &pool, &strings));
+        for rel in [rel, answer] {
+            let err = ws.insert("r", rel).unwrap_err();
+            let message = "invalid descriptor: c0=7 is out of range (c0 has 2 alternatives)";
+            assert_eq!(err.to_string(), message);
+        }
     }
 }

@@ -2,7 +2,7 @@
 //! against.
 
 use std::collections::BTreeMap;
-use std::hash::{BuildHasher, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::OnceLock;
 
 use maybms_algebra::{SchemaProvider, StatsProvider};
@@ -91,19 +91,28 @@ impl Catalog {
     /// so any catalog refresh that could change a compiled plan (a new
     /// relation, a schema change, statistics drift after a `LET`) misses the
     /// cache instead of serving a stale plan. `BTreeMap` iteration makes the
-    /// hash order deterministic. Formatting every schema and statistic is
-    /// the expensive part of a cache lookup, so the value is memoized until
-    /// the next [`Catalog::insert`] / [`Catalog::insert_stats`].
+    /// hash order deterministic. The fields are hashed as they are (floats
+    /// by their bits), and the value is memoized until the next
+    /// [`Catalog::insert`] / [`Catalog::insert_stats`] — every `LET` builds
+    /// a new catalog, so the first lookup after it pays for this once.
     pub fn fingerprint(&self) -> u64 {
         *self.fingerprint.get_or_init(|| {
             let mut h = FxBuildHasher::default().build_hasher();
             for (name, schema) in &self.schemas {
-                h.write(name.as_bytes());
-                h.write(format!("{schema:?}").as_bytes());
-                if let Some(stats) = self.stats.get(name) {
-                    h.write(format!("{stats:?}").as_bytes());
+                name.hash(&mut h);
+                schema.hash(&mut h);
+                let stats = self.stats.get(name);
+                stats.is_some().hash(&mut h);
+                if let Some(stats) = stats {
+                    stats.rows.hash(&mut h);
+                    stats.nontrivial_frac.to_bits().hash(&mut h);
+                    stats.mean_alternatives.to_bits().hash(&mut h);
+                    for (column, c) in &stats.columns {
+                        column.hash(&mut h);
+                        c.distinct.to_bits().hash(&mut h);
+                        c.min_max.hash(&mut h);
+                    }
                 }
-                h.write_u8(0);
             }
             h.finish()
         })

@@ -8,6 +8,9 @@
 //!   [`ComponentSet::prob_of_dnf`];
 //! * [`normalize_rows`] — row-at-a-time normalization of one relation,
 //!   against the columnar `maybms_core::normalize::normalize_relation`;
+//! * [`stats_by_rows`] — a relation's statistics by one walk over its rows,
+//!   against `maybms_core::collect_stats`, which reads the columnar image
+//!   and memoises;
 //! * [`covers_all_worlds`], [`group_exact_cost`], [`connected_groups`] —
 //!   one-call forms of the [`DnfKernel`] coverage check, cutover price and
 //!   group partition, as the suites address them.
@@ -16,7 +19,76 @@ use std::borrow::Borrow;
 use std::collections::BTreeSet;
 
 use maybms_core::dnf::{DnfKernel, Loaded};
-use maybms_core::{ComponentId, ComponentSet, Tuple, WsDescriptor};
+use maybms_core::{
+    ColumnStats, ComponentId, ComponentSet, FxHashSet, KmvSketch, RelationStats, Tuple, URelation,
+    Value, WsDescriptor,
+};
+
+/// [`RelationStats`] for one u-relation in a single pass over its rows, one
+/// sketch observation per cell — how `maybms_core::collect_stats` worked
+/// until it moved onto the columnar image, kept as the oracle it must agree
+/// with in every field, the `f64`s bit for bit.
+pub fn stats_by_rows(rel: &URelation, comps: &ComponentSet) -> RelationStats {
+    let names = rel.schema().names();
+    let mut sketches: Vec<KmvSketch> = names.iter().map(|_| KmvSketch::new()).collect();
+    let mut min_max: Vec<Option<(Value, Value)>> = vec![None; names.len()];
+    let mut nontrivial = 0u64;
+    let mut referenced: FxHashSet<u32> = FxHashSet::default();
+    for (tuple, desc) in rel.rows() {
+        for (i, v) in tuple.values().iter().enumerate() {
+            sketches[i].observe(v);
+            match &mut min_max[i] {
+                None => min_max[i] = Some((v.clone(), v.clone())),
+                Some((lo, hi)) => {
+                    if v < lo {
+                        *lo = v.clone();
+                    }
+                    if v > hi {
+                        *hi = v.clone();
+                    }
+                }
+            }
+        }
+        if !desc.is_tautology() {
+            nontrivial += 1;
+            for &(c, _) in desc.terms() {
+                referenced.insert(c.0);
+            }
+        }
+    }
+    let rows = rel.len() as u64;
+    let mean_alternatives = if referenced.is_empty() {
+        0.0
+    } else {
+        referenced
+            .iter()
+            .map(|&c| comps.get(ComponentId(c)).alternatives() as f64)
+            .sum::<f64>()
+            / referenced.len() as f64
+    };
+    RelationStats {
+        rows,
+        columns: names
+            .into_iter()
+            .zip(sketches.iter().zip(min_max))
+            .map(|(name, (sk, mm))| {
+                (
+                    name.to_string(),
+                    ColumnStats {
+                        distinct: sk.estimate(),
+                        min_max: mm,
+                    },
+                )
+            })
+            .collect(),
+        nontrivial_frac: if rows == 0 {
+            0.0
+        } else {
+            nontrivial as f64 / rows as f64
+        },
+        mean_alternatives,
+    }
+}
 
 /// Exact probability of a disjunction of descriptors by brute-force
 /// enumeration of every assignment of every relevant component — the

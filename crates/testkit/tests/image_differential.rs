@@ -18,6 +18,12 @@
 //! After every step the warm session must agree **byte for byte** with a cold
 //! one started on [`without_images`] of the world set as it stood before the
 //! step — same rows in the same order, same `{:?}`, same world set afterwards.
+//! And every stored relation must be *stored as if built*: a `LET` result
+//! keeps the image its run seeded it with and never converts, so that image
+//! must be the one a conversion of its rows builds — same cells, same string
+//! codes and descriptor ids, same two dictionaries — and the statistics read
+//! off it must be those of a walk over the rows
+//! ([`maybms_testkit::oracle::stats_by_rows`]), every field, floats by `==`.
 //! Relations hold strings, floats, booleans and `NULL`s beside ints
 //! ([`gen_typed_world_set`]), and the walks run at 1, 2 and 4 threads with the
 //! morsel threshold off.
@@ -27,9 +33,11 @@
 use maybms_algebra::{run, ExecCfg, Plan};
 use maybms_core::rng::Rng;
 use maybms_core::{
-    ComponentId, ParCfg, Schema, Tuple, URelation, Value, ValueType, WorldSet, WsDescriptor,
+    collect_stats, ColumnarImage, ComponentId, ParCfg, Schema, Tuple, URelation, Value, ValueType,
+    WorldSet, WsDescriptor,
 };
 use maybms_sql::{Outcome, Session, SessionError};
+use maybms_testkit::oracle::stats_by_rows;
 use maybms_testkit::{gen_query, gen_typed_world_set, without_images, GenConfig};
 
 const SEEDS: u64 = 210;
@@ -83,14 +91,61 @@ fn assert_identical<T: PartialEq + std::fmt::Debug>(warm: &T, cold: &T, at: &str
     assert_eq!(format!("{warm:?}"), format!("{cold:?}"), "{at}");
 }
 
+/// Field for field: the same cells (strings by code), the same descriptor
+/// column, and two dictionaries holding the same entries in the same order.
+fn assert_same_image(got: &ColumnarImage, want: &ColumnarImage, at: &str) {
+    let (g, w) = (got.columns(), want.columns());
+    assert_eq!(g.schema(), w.schema(), "{at}");
+    assert_eq!(g.descs(), w.descs(), "{at}: descriptor ids");
+    for (c, (x, y)) in g.columns().iter().zip(w.columns()).enumerate() {
+        assert_eq!(
+            std::mem::discriminant(x.data()),
+            std::mem::discriminant(y.data()),
+            "{at}: column {c}"
+        );
+        for i in 0..g.len() {
+            assert!(x.eq_cells(i, y, i), "{at}: cell ({i}, {c})");
+        }
+    }
+    // Every dictionary entry is some row's, so the rows reach all of them.
+    assert_eq!(got.descriptors().len(), want.descriptors().len(), "{at}");
+    for &id in g.descs() {
+        let (x, y) = (got.descriptors().terms(id), want.descriptors().terms(id));
+        assert_eq!(x, y, "{at}: descriptor {id:?}");
+    }
+    assert_eq!(got.strings().len(), want.strings().len(), "{at}");
+    for code in 0..got.strings().len() as u32 {
+        let (x, y) = (got.strings().get(code), want.strings().get(code));
+        assert_eq!(x, y, "{at}: string {code}");
+    }
+}
+
+/// Every relation of the world set is stored as if built from its rows: its
+/// image — seeded by the run that answered a `LET`, or converted — is the one
+/// a conversion builds, and its statistics are the row walk's.
+fn assert_stored_as_built(ws: &WorldSet, at: &str) {
+    for (name, rel) in &ws.relations {
+        // A clone shares the image and builds rows of its own: the walk's
+        // relation stays the way its statement left it.
+        let rel = rel.clone();
+        let at = format!("{at}\nrelation {name}");
+        let rebuilt = URelation::from_rows_unchecked(rel.schema().clone(), rel.rows().to_vec());
+        assert_same_image(rel.image(), rebuilt.image(), &at);
+        let stats = collect_stats(&rel, &ws.components);
+        assert_eq!(stats, stats_by_rows(&rel, &ws.components), "{at}");
+        assert_eq!(stats, collect_stats(&rebuilt, &ws.components), "{at}");
+    }
+}
+
 /// Run `stmt` on the warm session and on a cold one started from the warm
 /// world set's rows alone; both must produce the same thing and leave the
-/// same world set.
+/// same world set, stored as if built.
 fn step(warm: &mut Session, stmt: &str, at: &str) {
     let mut cold = session(without_images(warm.world()), warm.exec.par.threads);
     let (got, want) = (rows(warm.execute(stmt)), rows(cold.execute(stmt)));
     assert_identical(&got, &want, at);
     assert_identical(warm.world(), cold.world(), at);
+    assert_stored_as_built(warm.world(), at);
 }
 
 #[test]
@@ -113,6 +168,7 @@ fn a_warm_world_set_answers_like_one_rebuilt_from_its_rows() {
                     warm.normalize();
                     cold.normalize_with(&warm.exec.par);
                     assert_identical(warm.world(), &cold, &format!("{at}\nnormalize"));
+                    assert_stored_as_built(warm.world(), &format!("{at}\nnormalize"));
                 }
                 1..=3 => {
                     let name = if rng.chance(0.4) {
@@ -160,6 +216,83 @@ fn a_warm_world_set_answers_like_one_rebuilt_from_its_rows() {
             }
         }
     }
+}
+
+/// The answers a random walk stores rarely or never, each stored by a `LET`
+/// and held to the same two checks as the walk's. The walks' relations have
+/// one `Str` column; here two share a dictionary, and meet their strings in a
+/// different order by row than by column.
+#[test]
+fn a_let_result_is_stored_as_the_image_a_conversion_of_its_rows_builds() {
+    let cell = |s: Option<&str>| s.map_or(Value::Null, Value::str);
+    let mut ws = WorldSet::new();
+    for _ in 0..2 {
+        ws.components
+            .add(maybms_core::Component::uniform(2).unwrap());
+    }
+    let on = |c: u32, a: u16| WsDescriptor::single(ComponentId(c), a);
+    let both = WsDescriptor::from_terms(vec![(ComponentId(0), 1), (ComponentId(1), 0)]).unwrap();
+    let schema = |cols: &[(&str, ValueType)]| Schema::of(cols).unwrap();
+    let (str_ty, int_ty) = (ValueType::Str, ValueType::Int);
+    let mut l = URelation::new(schema(&[("k", str_ty), ("v", str_ty), ("a", int_ty)]));
+    for (k, v, a, d) in [
+        (Some("x"), Some("y"), 1, on(0, 0)),
+        (Some("z"), Some("x"), 2, on(0, 0)),
+        (None, Some("z"), 3, both.clone()),
+        (Some("y"), None, 4, WsDescriptor::tautology()),
+        (Some("x"), Some("y"), 5, on(0, 1)),
+    ] {
+        l.push(Tuple::new(vec![cell(k), cell(v), Value::Int(a)]), d)
+            .unwrap();
+    }
+    ws.insert("l", l).unwrap();
+    let mut r = URelation::new(schema(&[("k", str_ty), ("b", int_ty)]));
+    for (k, b, d) in [
+        (Some("x"), 10, on(1, 1)),
+        (Some("x"), 11, on(1, 1)),
+        (Some("z"), 12, WsDescriptor::tautology()),
+        (None, 13, on(1, 0)),
+    ] {
+        r.push(Tuple::new(vec![cell(k), Value::Int(b)]), d).unwrap();
+    }
+    ws.insert("r", r).unwrap();
+    let mut n = URelation::new(schema(&[("k", str_ty), ("c", int_ty)]));
+    for (c, d) in [(30, WsDescriptor::tautology()), (40, on(0, 0))] {
+        n.push(Tuple::new(vec![Value::Null, Value::Int(c)]), d)
+            .unwrap();
+    }
+    ws.insert("n", n).unwrap();
+
+    let mut warm = session(ws, 1);
+    for (stmt, rows) in [
+        // A string-keyed join: `c0=0 ∧ c1=1` and `c0=1 ∧ c1=1` are conjoined
+        // twice each, under four run handles; the stored dictionary holds
+        // each once.
+        ("LET j = SELECT * FROM l, r", 6),
+        // `LET` of `LET`, twice: a seeded image scanned, joined, seeded again.
+        ("LET jj = SELECT * FROM j, (SELECT k, c FROM n)", 1),
+        (
+            "LET u = SELECT k, v FROM j UNION SELECT v AS k, k AS v FROM l",
+            9,
+        ),
+        ("LET top = SELECT POSSIBLE k, v FROM u", 7),
+        ("LET none = SELECT * FROM u WHERE k = 'nobody'", 0),
+        ("LET nulls = SELECT k FROM n", 2),
+        ("LET j = SELECT * FROM top, nulls", 4),
+    ] {
+        step(&mut warm, stmt, stmt);
+        let name = stmt.split_whitespace().nth(1).unwrap();
+        assert!(warm.world().relations.contains_key(name), "{stmt} failed");
+        assert_eq!(warm.world().relations[name].len(), rows, "{stmt}");
+    }
+    let stored = &warm.world().relations;
+    assert_eq!(
+        stored["u"].image().descriptors().len(),
+        6,
+        "⊤ and five more"
+    );
+    assert_eq!(stored["top"].image().descriptors().len(), 1, "all-⊤");
+    assert!(stored["nulls"].image().strings().is_empty(), "all-NULL");
 }
 
 /// `NULL` as a join and dedup key, through string columns whose `NULL` cells
