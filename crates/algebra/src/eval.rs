@@ -238,6 +238,7 @@ impl<'a> EvalCtx<'a> {
             conjoin_calls: pool.conjoin_calls,
             exact_groups: self.conf_stats.exact_groups,
             sampled_groups: self.conf_stats.sampled_groups,
+            karp_luby_groups: self.conf_stats.karp_luby_groups,
             exact_steps: self.conf_stats.exact_steps,
             samples_drawn: self.conf_stats.samples_drawn,
             busy_nanos: metrics().par_busy_nanos.get(),
@@ -309,6 +310,8 @@ impl ExecStats {
         m.pool_conjoin_calls_total.add(self.pool.conjoin_calls);
         m.conf_exact_groups_total.add(self.conf.exact_groups);
         m.conf_sampled_groups_total.add(self.conf.sampled_groups);
+        m.conf_karp_luby_groups_total
+            .add(self.conf.karp_luby_groups);
         m.conf_exact_steps_total.add(self.conf.exact_steps);
         m.conf_samples_drawn_total.add(self.conf.samples_drawn);
         m.sip_filters_built_total.add(self.sip.filters_built);

@@ -243,6 +243,9 @@ pub struct ConfStats {
     pub exact_groups: u64,
     /// Connected descriptor groups solved by sampling.
     pub sampled_groups: u64,
+    /// Sampled groups estimated by Karp–Luby (`U < 1`); the other sampled
+    /// groups took plain Monte Carlo.
+    pub karp_luby_groups: u64,
     /// Total Monte Carlo / Karp–Luby draws across all sampled groups.
     pub samples_drawn: u64,
     /// Largest connected group seen, in descriptors.
@@ -258,6 +261,7 @@ impl ConfStats {
     pub fn absorb(&mut self, other: &ConfStats) {
         self.exact_groups += other.exact_groups;
         self.sampled_groups += other.sampled_groups;
+        self.karp_luby_groups += other.karp_luby_groups;
         self.samples_drawn += other.samples_drawn;
         self.largest_group = self.largest_group.max(other.largest_group);
         self.exact_steps += other.exact_steps;

@@ -11,8 +11,9 @@
 //!   group holds, by forward variable elimination;
 //! * [`DnfKernel::covers`] — whether the group holds in every world, by the
 //!   same walk without probabilities;
-//! * [`DnfKernel::sampler`] — Monte Carlo / Karp–Luby draws over the same
-//!   layout, for groups [`DnfKernel::exact_cost`] prices above the cutover.
+//! * [`DnfKernel::sampler`] — Monte Carlo / Karp–Luby draws, sixty-four to
+//!   a machine word, over the same by-slot term lists, for groups
+//!   [`DnfKernel::exact_cost`] prices above the cutover.
 //!
 //! **Layout.** The tuple's distinct components, ascending by id, are its
 //! *slots*; a union-find over slots yields the groups (in first-occurrence
@@ -40,8 +41,9 @@
 //! **Determinism.** Frontier order, merge order and hit order are functions
 //! of the group's content alone (states are kept in first-generation order),
 //! so results are bit-identical for every thread count and every plan that
-//! feeds the same descriptors in canonical order. Sampling draws are read
-//! at fixed positions of a content-keyed [`CounterRng`] stream.
+//! feeds the same descriptors in canonical order. Sampling reads a
+//! content-keyed [`CounterRng`] stream front to back, in an order the group's
+//! content fixes.
 
 use crate::component::ComponentSet;
 use crate::descriptor::ComponentId;
@@ -54,6 +56,15 @@ use crate::rng::{mix64, CounterRng};
 /// allocating frontier states) without bound. 2²⁴ transitions are a few
 /// hundred milliseconds and at most ≈ 400 MB of frontier.
 pub const EXACT_STEP_CEILING: u64 = 1 << 24;
+
+/// Ceiling on the draws one sampled group may ask for, the sampling side's
+/// counterpart of [`EXACT_STEP_CEILING`]: the `conf(eps, delta)` operator
+/// knows the count before the first draw (Hoeffding's, from ε, δ and the
+/// group's weight) and returns [`MayError::TooManyDraws`] past this instead
+/// of starting a loop that `ε = 10⁻⁹` would keep busy for years. 2²⁶ draws
+/// of a 26-slot, 30-descriptor weld take 0.17 s by Monte Carlo and ≈ 1 s by
+/// Karp–Luby, and allow ε down to ≈ 1.7·10⁻⁴ at δ = 0.05.
+pub const SAMPLE_DRAW_CEILING: u64 = 1 << 26;
 
 type Term = (ComponentId, u16);
 
@@ -118,19 +129,19 @@ pub struct DnfKernel {
     br_off: Vec<u32>,
     br_mask: Vec<u64>,
     br_prob: Vec<f64>,
-    /// Running sum of `br_prob` within the slot.
-    br_cdf: Vec<f64>,
-    /// Per term: the branch of its alternative.
-    term_branch: Vec<u32>,
 
     // Elimination frontiers and the index that merges equal states.
     cur: Frontier,
     next: Frontier,
     table: Vec<u32>,
 
-    // Sampling scratch.
-    alive: Vec<u64>,
+    // Sampling scratch, one block of draws at a time.
+    /// Running sum of the sampled group's `P(dᵢ)`; the last entry is `U`.
     weights: Vec<f64>,
+    /// Per descriptor, the lanes whose assignment has not falsified it.
+    sat: Vec<u64>,
+    /// Per descriptor, the lanes in which Karp–Luby picked it.
+    picked: Vec<u64>,
 
     steps: u64,
 }
@@ -211,15 +222,6 @@ fn intersects(a: &[u64], b: &[u64]) -> bool {
 #[inline]
 fn hash_words(words: &[u64]) -> usize {
     words.iter().fold(0, |h, &w| mix64(h ^ w)) as usize
-}
-
-/// The branch a uniform draw `u ∈ (0, 1]` selects from one slot's running
-/// sums: the first whose sum reaches `u` (the last one when rounding left
-/// the total a hair under `u`). Counted rather than searched — the outcome
-/// is a coin flip no branch predictor learns.
-#[inline]
-fn pick(cdf: &[f64], u: f64) -> usize {
-    cdf[..cdf.len() - 1].iter().filter(|&&c| c < u).count()
 }
 
 /// "No entry" in the group labels and in the state index.
@@ -488,8 +490,6 @@ impl DnfKernel {
         self.br_off.clear();
         self.br_mask.clear();
         self.br_prob.clear();
-        self.br_cdf.clear();
-        self.term_branch.resize(self.term_slot.len(), 0);
         for j in 0..n {
             let s = self.slots_of(g)[j];
             let comp = components.get(self.component_of(s));
@@ -504,14 +504,12 @@ impl DnfKernel {
                 let b = self.br_prob.len();
                 mass += comp.prob(alt);
                 self.br_prob.push(comp.prob(alt));
-                self.br_cdf.push(mass);
                 self.br_mask.resize((b + 1) * w, 0);
                 while start < runs.end && self.term_alt[self.slot_terms[start] as usize] == alt {
                     let t = self.slot_terms[start] as usize;
                     let bit = self.term_desc[t] as usize;
                     self.br_mask[b * w + bit / 64] |= 1 << (bit % 64);
                     self.touch[j * w + bit / 64] |= 1 << (bit % 64);
-                    self.term_branch[t] = b as u32;
                     start += 1;
                 }
             }
@@ -519,7 +517,6 @@ impl DnfKernel {
             if mentioned < usize::from(comp.alternatives()) {
                 // The rest branch: every unmentioned alternative at once.
                 self.br_prob.push((1.0 - mass).max(0.0));
-                self.br_cdf.push(1.0);
                 self.br_mask.resize(self.br_prob.len() * w, 0);
             }
             // A choice never falsifies a descriptor that skips the slot.
@@ -716,21 +713,30 @@ impl DnfKernel {
         Ok((hit, true))
     }
 
-    /// A sampling view of group `g`.
-    pub fn sampler(&mut self, components: &ComponentSet, g: usize) -> GroupSampler<'_> {
-        self.compile(components, g);
-        // P(dᵢ): the product of its terms' branch probabilities.
+    /// A sampling view of group `g`. It reads the by-slot term lists and the
+    /// components' probabilities; the exact path's bitsets are not built.
+    pub fn sampler<'k>(&'k mut self, components: &'k ComponentSet, g: usize) -> GroupSampler<'k> {
+        self.ensure_by_slot();
+        // Running sums of P(dᵢ), the product of its terms' probabilities.
         self.weights.clear();
+        let mut total = 0.0;
         for i in self.desc_range(g) {
-            let p = self
+            let p: f64 = self
                 .terms_of(self.group_descs[i])
-                .map(|t| self.br_prob[self.term_branch[t] as usize])
+                .map(|t| {
+                    components
+                        .get(self.component_of(self.term_slot[t]))
+                        .prob(self.term_alt[t])
+                })
                 .product();
-            self.weights.push(p);
+            total += p;
+            self.weights.push(total);
         }
-        self.alive.clear();
-        self.alive.resize(self.full.len(), 0);
-        GroupSampler { kernel: self, g }
+        GroupSampler {
+            kernel: self,
+            components,
+            g,
+        }
     }
 }
 
@@ -769,129 +775,161 @@ impl Frontier {
     }
 }
 
-/// Sampling draws over one compiled group. Both walks read slot `s` of draw
-/// `j` at a fixed position of the caller's stream, AND the drawn branch's
-/// compat set into the alive set, and stop as soon as the draw is decided —
-/// slots never reached cannot change the outcome, so each draw is still an
-/// independent sample of the group's full assignment.
+/// Most words a sampler works on at a time: its scratch is this many words
+/// per descriptor at most, whatever ε asks for.
+const BLOCK_WORDS: usize = 8;
+
+/// Bit-sliced sampling of one group. Draw `ℓ` is *lane* `ℓ mod 64` — one bit
+/// — of word `ℓ / 64`, and a *block* of up to eight words (512 draws) is
+/// sampled at once: slot by slot, each branch some descriptor mentions gets
+/// the mask of lanes that drew it (sequential conditional Bernoullis,
+/// `p_b / (1 − Σ earlier)`, by [`CounterRng::bernoulli64`]; lanes no mentioned
+/// branch takes drew an unmentioned alternative), and every term ANDs its
+/// branch's mask into its descriptor's lanes. A descriptor's surviving lanes
+/// are the draws that satisfy it. Every slot is sampled in every lane, so a
+/// lane is an independent sample of the group's full assignment, and the
+/// stream is read front to back in an order only the group's content and the
+/// draw count decide.
 #[derive(Debug)]
 pub struct GroupSampler<'k> {
     kernel: &'k mut DnfKernel,
+    components: &'k ComponentSet,
     g: usize,
 }
 
 impl GroupSampler<'_> {
+    /// Number of descriptors in the group.
+    pub fn descriptors(&self) -> usize {
+        self.kernel.weights.len()
+    }
+
     /// `U = Σ P(dᵢ)` over the group's descriptors, the Karp–Luby normalizer.
     pub fn total_weight(&self) -> f64 {
-        self.kernel.weights.iter().sum()
-    }
-
-    /// One draw: walk the group's slots from the tracked descriptors in
-    /// `alive`, at each slot some tracked descriptor mentions AND-ing in the
-    /// compat set of a branch — the one `own` (a descriptor's terms, in slot
-    /// order) clamps the slot to, else the one stream position `base + slot`
-    /// selects — until a tracked descriptor closes unfalsified (`true`) or
-    /// none is left (`false`). Monomorphized for one-word bitsets, the
-    /// common case, where this loop is all a sampled tuple's time.
-    fn walk<const ONE_WORD: bool>(
-        &mut self,
-        rng: &CounterRng,
-        base: u64,
-        own: std::ops::Range<usize>,
-    ) -> bool {
-        let k = &mut *self.kernel;
-        let w = if ONE_WORD { 1 } else { k.full.len() };
-        let mut own = own.peekable();
-        for j in 0..k.br_off.len() - 1 {
-            let clamped = own.next_if(|&t| k.slot_local[k.term_slot[t] as usize] as usize == j);
-            if !intersects(&k.alive[..w], &k.touch[j * w..(j + 1) * w]) {
-                continue;
-            }
-            let b = match clamped {
-                Some(t) => k.term_branch[t] as usize,
-                None => {
-                    let (lo, hi) = (k.br_off[j] as usize, k.br_off[j + 1] as usize);
-                    lo + pick(&k.br_cdf[lo..hi], rng.unit_at(base + j as u64))
-                }
-            };
-            let (mut any, mut closing) = (0, 0);
-            for ((x, &compat), &close) in k.alive[..w]
-                .iter_mut()
-                .zip(&k.br_mask[b * w..(b + 1) * w])
-                .zip(&k.close[j * w..(j + 1) * w])
-            {
-                *x &= compat;
-                any |= *x;
-                closing |= *x & close;
-            }
-            if closing != 0 {
-                return true;
-            }
-            if any == 0 {
-                return false;
-            }
-        }
-        unreachable!("a tracked descriptor is falsified or satisfied by its last slot")
-    }
-
-    fn draw(&mut self, rng: &CounterRng, base: u64, own: std::ops::Range<usize>) -> bool {
-        if self.kernel.full.len() == 1 {
-            self.walk::<true>(rng, base, own)
-        } else {
-            self.walk::<false>(rng, base, own)
-        }
+        *self
+            .kernel
+            .weights
+            .last()
+            .expect("a group has a descriptor")
     }
 
     /// Plain Monte Carlo: how many of `draws` independent assignments
-    /// satisfy some descriptor. Draw `j` reads slot `s` at stream position
-    /// `j·n + s` (`n` = the group's slots).
+    /// satisfy some descriptor.
     pub fn monte_carlo(&mut self, rng: &CounterRng, draws: u64) -> u64 {
-        let n = self.kernel.br_off.len() as u64 - 1;
-        let mut hits = 0;
-        for draw in 0..draws {
-            let k = &mut *self.kernel;
-            k.alive.copy_from_slice(&k.full);
-            hits += u64::from(self.draw(rng, draw * n, 0..0));
+        self.sample(rng, draws, false)
+    }
+
+    /// Karp–Luby: each lane picks descriptor `i` with probability `P(dᵢ)/U`,
+    /// its slots are clamped to `i`'s own alternatives and the others
+    /// sampled, and the lane is a hit iff no earlier-indexed descriptor is
+    /// satisfied as well — so `U · hits / draws` estimates the group's
+    /// probability from samples in `[0, U]`.
+    pub fn karp_luby(&mut self, rng: &CounterRng, draws: u64) -> u64 {
+        self.sample(rng, draws, true)
+    }
+
+    fn sample(&mut self, rng: &CounterRng, draws: u64, karp_luby: bool) -> u64 {
+        let (k, total) = (self.descriptors(), self.total_weight());
+        let kn = &mut *self.kernel;
+        let (mut pos, mut hits, mut left) = (0, 0, draws);
+        while left > 0 {
+            let lanes = left.min(64 * BLOCK_WORDS as u64) as usize;
+            left -= lanes as u64;
+            let w = lanes.div_ceil(64);
+            let row = |d: u32| d as usize * w..(d as usize + 1) * w;
+            // The last word's lanes past the draw count never draw a branch:
+            // they satisfy nothing, pick nothing and count for nothing.
+            let mut valid = [u64::MAX; BLOCK_WORDS];
+            if lanes % 64 != 0 {
+                valid[w - 1] = (1 << (lanes % 64)) - 1;
+            }
+            kn.sat.clear();
+            kn.sat.resize(k * w, u64::MAX);
+            if karp_luby {
+                kn.picked.clear();
+                kn.picked.resize(k * w, 0);
+                for lane in 0..lanes {
+                    let x = rng.unit_at(pos) * total;
+                    pos += 1;
+                    // The first descriptor whose running sum reaches `x`
+                    // (the last when rounding left `U` a hair under it).
+                    let i = kn.weights.partition_point(|&c| c < x).min(k - 1);
+                    kn.picked[i * w + lane / 64] |= 1 << (lane % 64);
+                }
+            }
+            for &s in &kn.group_slots
+                [kn.group_slot_off[self.g] as usize..kn.group_slot_off[self.g + 1] as usize]
+            {
+                let s = s as usize;
+                let comp = self.components.get(ComponentId(kn.slots[s]));
+                let terms =
+                    &kn.slot_terms[kn.slot_term_off[s] as usize..kn.slot_term_off[s + 1] as usize];
+                // Lanes whose picked descriptor fixes this slot.
+                let mut clamped = [0; BLOCK_WORDS];
+                if karp_luby {
+                    for &t in terms {
+                        or_into(&mut clamped, &kn.picked[row(kn.term_desc[t as usize])]);
+                    }
+                }
+                // Lanes no earlier branch drew, the branches so far and
+                // their mass.
+                let mut free = valid;
+                let (mut mentioned, mut taken) = (0, 0.0);
+                let mut rest = terms;
+                while let Some(&first) = rest.first() {
+                    let alt = kn.term_alt[first as usize];
+                    let same = |&&t: &&u32| kn.term_alt[t as usize] == alt;
+                    let (branch, after) = rest.split_at(rest.iter().take_while(same).count());
+                    rest = after;
+                    mentioned += 1;
+                    let p = comp.prob(alt);
+                    // The last of a slot's alternatives takes what is left.
+                    let cond = if mentioned == comp.alternatives() {
+                        1.0
+                    } else {
+                        p / (1.0 - taken)
+                    };
+                    taken += p;
+                    let mut lane = [0; BLOCK_WORDS];
+                    for i in 0..w {
+                        let drew = rng.bernoulli64(&mut pos, cond) & free[i];
+                        free[i] &= !drew;
+                        lane[i] = drew & !clamped[i];
+                    }
+                    if karp_luby {
+                        for &t in branch {
+                            or_into(&mut lane, &kn.picked[row(kn.term_desc[t as usize])]);
+                        }
+                    }
+                    for &t in branch {
+                        for (x, &l) in kn.sat[row(kn.term_desc[t as usize])].iter_mut().zip(&lane) {
+                            *x &= l;
+                        }
+                    }
+                }
+            }
+            // Monte Carlo counts the lanes some descriptor holds in;
+            // Karp–Luby those whose pick has no satisfied predecessor.
+            let (mut seen, mut alone) = ([0; BLOCK_WORDS], [0; BLOCK_WORDS]);
+            for d in 0..k as u32 {
+                if karp_luby {
+                    for ((a, &s), &p) in alone.iter_mut().zip(&seen).zip(&kn.picked[row(d)]) {
+                        *a |= p & !s;
+                    }
+                }
+                or_into(&mut seen, &kn.sat[row(d)]);
+            }
+            let hit = if karp_luby { alone } else { seen };
+            hits += hit.iter().map(|x| u64::from(x.count_ones())).sum::<u64>();
         }
         hits
     }
+}
 
-    /// Karp–Luby: per draw, pick descriptor `i` with probability `P(dᵢ)/U`,
-    /// clamp its slots to its own alternatives, sample the others, and count
-    /// a hit iff no earlier-indexed descriptor is satisfied as well — so
-    /// `U · hits / draws` estimates the group's probability from samples in
-    /// `[0, U]`. Only the descriptors before `i` are tracked; the walk stops
-    /// when one of them closes (no hit) or none is left (hit). Draw `j`
-    /// reads the pick at stream position `j·(n + 1)` and slot `s` at
-    /// `j·(n + 1) + 1 + s`.
-    pub fn karp_luby(&mut self, rng: &CounterRng, draws: u64) -> u64 {
-        let total = self.total_weight();
-        let n = self.kernel.br_off.len() as u64 - 1;
-        let mut hits = 0;
-        for draw in 0..draws {
-            let k = &mut *self.kernel;
-            let base = draw * (n + 1);
-            let mut x = rng.unit_at(base) * total;
-            let mut i = 0;
-            while i + 1 < k.weights.len() && x > k.weights[i] {
-                x -= k.weights[i];
-                i += 1;
-            }
-            if i == 0 {
-                hits += 1; // no earlier descriptor
-                continue;
-            }
-            for (word, alive) in k.alive.iter_mut().enumerate() {
-                *alive = match word.cmp(&(i / 64)) {
-                    std::cmp::Ordering::Less => u64::MAX,
-                    std::cmp::Ordering::Equal => (1 << (i % 64)) - 1,
-                    std::cmp::Ordering::Greater => 0,
-                };
-            }
-            let own = k.terms_of(k.descs_of(self.g)[i]);
-            hits += u64::from(!self.draw(rng, base + 1, own));
-        }
-        hits
+/// `into[i] |= from[i]` over `from`'s length.
+#[inline]
+fn or_into(into: &mut [u64; BLOCK_WORDS], from: &[u64]) {
+    for (x, &y) in into.iter_mut().zip(from) {
+        *x |= y;
     }
 }
 

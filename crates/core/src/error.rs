@@ -39,6 +39,18 @@ pub enum MayError {
         /// The ceiling that was passed.
         limit: u64,
     },
+    /// One sampled descriptor group (`conf(eps, delta)`) would need more
+    /// draws than the sampler's ceiling allows.
+    TooManyDraws {
+        /// Descriptors in the group.
+        descriptors: usize,
+        /// Draws the requested (ε, δ) asks of the group.
+        draws: u64,
+        /// The ceiling that was passed.
+        limit: u64,
+    },
+    /// `conf(eps, delta)` was given an ε or a δ outside `(0, 1)`.
+    InvalidApprox(String),
     /// The operation is not supported by this evaluator.
     Unsupported(String),
 }
@@ -71,6 +83,18 @@ impl fmt::Display for MayError {
                      the limit is {limit}; CONF(eps, delta) estimates such groups instead"
                 )
             }
+            MayError::TooManyDraws {
+                descriptors,
+                draws,
+                limit,
+            } => {
+                write!(
+                    f,
+                    "sampling a {descriptors}-descriptor group to the requested (eps, delta) \
+                     takes {draws} draws, the limit is {limit}; ask for a larger eps"
+                )
+            }
+            MayError::InvalidApprox(m) => write!(f, "invalid CONF(eps, delta): {m}"),
             MayError::Unsupported(m) => write!(f, "unsupported operation: {m}"),
         }
     }

@@ -50,6 +50,9 @@ pub struct ObsCounters {
     pub exact_groups: u64,
     /// Confidence groups estimated by sampling.
     pub sampled_groups: u64,
+    /// Sampled confidence groups that took the Karp–Luby estimator (the
+    /// rest took plain Monte Carlo).
+    pub karp_luby_groups: u64,
     /// Elimination steps spent on exactly solved confidence groups.
     pub exact_steps: u64,
     /// Monte Carlo / Karp–Luby draws performed.
@@ -73,6 +76,9 @@ impl ObsCounters {
             conjoin_calls: self.conjoin_calls.saturating_sub(earlier.conjoin_calls),
             exact_groups: self.exact_groups.saturating_sub(earlier.exact_groups),
             sampled_groups: self.sampled_groups.saturating_sub(earlier.sampled_groups),
+            karp_luby_groups: self
+                .karp_luby_groups
+                .saturating_sub(earlier.karp_luby_groups),
             exact_steps: self.exact_steps.saturating_sub(earlier.exact_steps),
             samples_drawn: self.samples_drawn.saturating_sub(earlier.samples_drawn),
             busy_nanos: self.busy_nanos.saturating_sub(earlier.busy_nanos),
@@ -87,6 +93,7 @@ impl ObsCounters {
         self.conjoin_calls += other.conjoin_calls;
         self.exact_groups += other.exact_groups;
         self.sampled_groups += other.sampled_groups;
+        self.karp_luby_groups += other.karp_luby_groups;
         self.exact_steps += other.exact_steps;
         self.samples_drawn += other.samples_drawn;
         self.busy_nanos += other.busy_nanos;
@@ -374,6 +381,7 @@ impl QueryTrace {
                     push_nonzero(&mut ann, "conjoins", excl.conjoin_calls);
                     push_nonzero(&mut ann, "exact_groups", excl.exact_groups);
                     push_nonzero(&mut ann, "sampled_groups", excl.sampled_groups);
+                    push_nonzero(&mut ann, "karp_luby", excl.karp_luby_groups);
                     push_nonzero(&mut ann, "exact_steps", excl.exact_steps);
                     push_nonzero(&mut ann, "draws", excl.samples_drawn);
                     if excl.morsels > 0 && s.dur_nanos > 0 {
@@ -424,6 +432,7 @@ impl QueryTrace {
                 ("conjoin_calls", c.conjoin_calls),
                 ("exact_groups", c.exact_groups),
                 ("sampled_groups", c.sampled_groups),
+                ("karp_luby_groups", c.karp_luby_groups),
                 ("exact_steps", c.exact_steps),
                 ("samples_drawn", c.samples_drawn),
                 ("busy_nanos", c.busy_nanos),
@@ -620,6 +629,8 @@ pub struct Metrics {
     pub conf_exact_groups_total: Counter,
     /// Confidence groups estimated by sampling.
     pub conf_sampled_groups_total: Counter,
+    /// Sampled confidence groups that took the Karp–Luby estimator.
+    pub conf_karp_luby_groups_total: Counter,
     /// Elimination steps spent on exactly solved confidence groups.
     pub conf_exact_steps_total: Counter,
     /// Sampling draws performed by the confidence solver.
@@ -660,7 +671,7 @@ impl Metrics {
     /// histograms.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        let counters: [(&str, &Counter); 19] = [
+        let counters: [(&str, &Counter); 20] = [
             ("maybms_queries_total", &self.queries_total),
             ("maybms_query_rows_total", &self.query_rows_total),
             ("maybms_par_tasks_total", &self.par_tasks_total),
@@ -684,6 +695,10 @@ impl Metrics {
             (
                 "maybms_conf_sampled_groups_total",
                 &self.conf_sampled_groups_total,
+            ),
+            (
+                "maybms_conf_karp_luby_groups_total",
+                &self.conf_karp_luby_groups_total,
             ),
             (
                 "maybms_conf_exact_steps_total",
@@ -979,6 +994,7 @@ mod tests {
         assert!(text.contains("maybms_scan_images_reused_total 0\n"));
         assert!(text.contains("maybms_images_seeded_total 0\n"));
         assert!(text.contains("maybms_rows_materialized_total 0\n"));
+        assert!(text.contains("maybms_conf_karp_luby_groups_total 0\n"));
         // The global registry is reachable and monotonic.
         let before = metrics().queries_total.get();
         metrics().queries_total.inc();

@@ -113,9 +113,48 @@ impl CounterRng {
 
     /// Draw `index` of this stream as a uniform float in `(0, 1]` (never
     /// zero; same mapping as [`Rng::unit_f64`]). The sampling confidence
-    /// solver reads its draws this way, at positions fixed by draw and slot.
+    /// solver picks a Karp–Luby lane's descriptor this way.
     pub fn unit_at(&self, index: u64) -> f64 {
         ((self.nth(index) >> 11) + 1) as f64 / (1u64 << 53) as f64
+    }
+
+    /// Sixty-four independent Bernoulli(`p`) draws, one per bit, read from
+    /// `*pos` on (which is advanced past the words used).
+    ///
+    /// Lane `ℓ`'s uniform is the binary fraction whose `i`-th digit is bit
+    /// `ℓ` of the `i`-th word read, and the lane is set iff that fraction is
+    /// below `p` — which is decided at the first digit where the two differ,
+    /// so the digits of `p` are compared most significant first against
+    /// successive words until no lane is still tied: one word for `p = ½`,
+    /// about seven (`log₂ 64 + 1.3`) in general, never more than 64. `p` is
+    /// taken as `⌊p · 2⁶⁴⌋ / 2⁶⁴` — exact for `p ≥ 2⁻¹¹`, short by less than
+    /// `2⁻⁶⁴` below — and a lane is set with exactly that probability.
+    /// `p ≤ 0` (and NaN) gives no lane and `p ≥ 1` every lane, without
+    /// reading the stream.
+    pub fn bernoulli64(&self, pos: &mut u64, p: f64) -> u64 {
+        if p >= 1.0 {
+            return u64::MAX;
+        }
+        if p.is_nan() || p <= 0.0 {
+            return 0;
+        }
+        let mut digits = (p * 18_446_744_073_709_551_616.0) as u64;
+        let (mut set, mut tied) = (0, u64::MAX);
+        while tied != 0 && digits != 0 {
+            let word = self.nth(*pos);
+            *pos += 1;
+            if digits >> 63 == 1 {
+                // `p` has a 1 here: lanes that drew 0 are below it.
+                set |= tied & !word;
+                tied &= word;
+            } else {
+                // `p` has a 0 here: lanes that drew 1 are above it.
+                tied &= !word;
+            }
+            digits <<= 1;
+        }
+        // Lanes still tied when `p` runs out of digits equal it: not below.
+        set
     }
 }
 
@@ -164,6 +203,49 @@ mod tests {
             CounterRng::new(7, 100).nth(0)
         );
         assert_ne!(CounterRng::new(7, 99).nth(0), CounterRng::new(8, 99).nth(0));
+    }
+
+    #[test]
+    fn bernoulli64_lanes_are_fair_independent_and_frugal() {
+        let r = CounterRng::new(11, 5);
+        const WORDS: u64 = 1 << 16; // 4.2 million lanes per p
+        let tiny = 0.5f64.powi(20);
+        for p in [0.5, 0.25, 1.0 / 3.0, 0.1, 1.0 - tiny, tiny] {
+            let (mut pos, mut set, mut agree) = (0, 0u64, 0u64);
+            for _ in 0..WORDS {
+                let w = r.bernoulli64(&mut pos, p);
+                set += u64::from(w.count_ones());
+                // Lanes ℓ and ℓ + 1 agree: 63 pairs a word.
+                agree += u64::from((!(w ^ (w >> 1)) << 1).count_ones());
+            }
+            let lanes = (64 * WORDS) as f64;
+            let sigma = (p * (1.0 - p) / lanes).sqrt();
+            let freq = set as f64 / lanes;
+            assert!((freq - p).abs() <= 5.0 * sigma, "p = {p}: {freq}");
+            // Independent lanes agree with probability q = p² + (1 − p)²;
+            // neighbouring pairs share a lane, hence the covariance term.
+            let pairs = (63 * WORDS) as f64;
+            let q = p * p + (1.0 - p) * (1.0 - p);
+            let cov = p.powi(3) + (1.0 - p).powi(3) - q * q;
+            let sigma = ((q * (1.0 - q) + 2.0 * cov) / pairs).sqrt();
+            let freq = agree as f64 / pairs;
+            assert!((freq - q).abs() <= 5.0 * sigma, "p = {p}: agree {freq}");
+            // One word decides p = ½; otherwise the tie halves per word.
+            let words = pos as f64 / WORDS as f64;
+            if p == 0.5 {
+                assert_eq!(pos, WORDS);
+            } else {
+                assert!((2.0..9.0).contains(&words), "p = {p}: {words} words");
+            }
+        }
+        // The ends read nothing.
+        let mut pos = 7;
+        assert_eq!(r.bernoulli64(&mut pos, 0.0), 0);
+        assert_eq!(r.bernoulli64(&mut pos, -1.0), 0);
+        assert_eq!(r.bernoulli64(&mut pos, f64::NAN), 0);
+        assert_eq!(r.bernoulli64(&mut pos, 1.0), u64::MAX);
+        assert_eq!(r.bernoulli64(&mut pos, 1.5), u64::MAX);
+        assert_eq!(pos, 7);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use maybms_algebra::{EvalCtx, ExtOperator, ExtProps, Plan};
 use maybms_core::columnar::{ColumnVec, ColumnarURelation};
-use maybms_core::dnf::{DnfKernel, GroupSampler, Loaded, EXACT_STEP_CEILING};
+use maybms_core::dnf::{DnfKernel, GroupSampler, Loaded, EXACT_STEP_CEILING, SAMPLE_DRAW_CEILING};
 use maybms_core::parallel::{chunk_ranges, run_tasks};
 use maybms_core::rng::CounterRng;
 use maybms_core::{
@@ -28,9 +28,10 @@ use crate::order::{run_bounds, sorted_row_ids};
 //   cutover (`ApproxConf::exact_limit`, a plain field — nothing ambient is
 //   consulted): cheap groups keep the exact path (zero error), expensive
 //   groups are estimated by Monte Carlo over group assignments or by a
-//   Karp–Luby importance-sampled estimator — short-circuit bitset walks over
-//   the same layout — with the draw count derived from the per-group error
-//   budget via a Hoeffding bound. The result is within ε of the exact
+//   Karp–Luby importance-sampled estimator — sixty-four draws to a machine
+//   word over the same by-slot layout — with the draw count derived from the
+//   per-group error budget via a Hoeffding bound and refused with a typed
+//   error past `SAMPLE_DRAW_CEILING`. The result is within ε of the exact
 //   confidence with probability ≥ 1 − δ, per output tuple.
 //
 // Sampling is deterministic: each group's draws come from a counter-based
@@ -82,6 +83,21 @@ impl ApproxConf {
             seed: DEFAULT_CONF_SEED,
             exact_limit: DEFAULT_CONF_EXACT_LIMIT,
         }
+    }
+
+    /// ε and δ must be probabilities strictly inside `(0, 1)`. The MayQL
+    /// planner checks the literals it lowers; this is the same check for
+    /// nodes built through [`conf_approx_with`], where a NaN ε would
+    /// otherwise draw once and return a number with no guarantee behind it.
+    fn validate(&self) -> Result<(), MayError> {
+        for (what, v) in [("eps", self.eps), ("delta", self.delta)] {
+            if !(v > 0.0 && v < 1.0) {
+                return Err(MayError::InvalidApprox(format!(
+                    "{what} must be in (0, 1), got {v}"
+                )));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -200,6 +216,9 @@ impl ExtOperator for Conf {
         ctx: &mut EvalCtx<'_>,
         inputs: Vec<ColumnarURelation>,
     ) -> Result<ColumnarURelation, MayError> {
+        if let Some(approx) = &self.approx {
+            approx.validate()?;
+        }
         let r = &inputs[0];
         let schema = self.output_schema(&[r.schema().clone()])?;
         // Group the rows of each distinct tuple as one contiguous run of a
@@ -325,16 +344,14 @@ impl<'a> RunSolver<'a> {
             self.stats.largest_group = self.stats.largest_group.max(len);
             let p = match self.mode {
                 Some(a) if self.sampled[g] => {
-                    self.stats.sampled_groups += 1;
                     let rng = CounterRng::new(a.seed, self.kernel.stream_key(g));
-                    let (est, draws) = estimate(
+                    estimate(
                         &mut self.kernel.sampler(self.components, g),
                         a.eps / budget_ways,
                         a.delta / budget_ways,
                         &rng,
-                    );
-                    self.stats.samples_drawn += draws;
-                    est
+                        &mut self.stats,
+                    )?
                 }
                 _ => {
                     self.stats.exact_groups += 1;
@@ -359,7 +376,9 @@ fn hoeffding_draws(eps: f64, delta: f64, width: f64) -> u64 {
 }
 
 /// Estimate one group's `P(∨ dᵢ)` to within `eps` with probability
-/// ≥ `1 − delta`; returns the estimate and the draws it took.
+/// ≥ `1 − delta`, counting the group, its estimator and its draws into
+/// `stats` — or refuse, before the first draw, a count past
+/// [`SAMPLE_DRAW_CEILING`].
 ///
 /// Two estimators, both unbiased, chosen by cost: when `U = Σ P(dᵢ) ≥ 1`,
 /// plain Monte Carlo over group assignments (indicator in `[0, 1]`, so
@@ -368,17 +387,33 @@ fn hoeffding_draws(eps: f64, delta: f64, width: f64) -> u64 {
 /// estimator, whose samples lie in `[0, U]` and have mean `P(∨ dᵢ)`, so
 /// Hoeffding needs only `U²` times the Monte Carlo count — strictly fewer
 /// draws whenever `U < 1`.
-fn estimate(sampler: &mut GroupSampler<'_>, eps: f64, delta: f64, rng: &CounterRng) -> (f64, u64) {
+fn estimate(
+    sampler: &mut GroupSampler<'_>,
+    eps: f64,
+    delta: f64,
+    rng: &CounterRng,
+    stats: &mut ConfStats,
+) -> Result<f64, MayError> {
     let total_weight = sampler.total_weight();
     let karp_luby = total_weight < 1.0;
     let width = if karp_luby { total_weight } else { 1.0 };
     let draws = hoeffding_draws(eps, delta, width);
+    if draws > SAMPLE_DRAW_CEILING {
+        return Err(MayError::TooManyDraws {
+            descriptors: sampler.descriptors(),
+            draws,
+            limit: SAMPLE_DRAW_CEILING,
+        });
+    }
+    stats.sampled_groups += 1;
+    stats.karp_luby_groups += u64::from(karp_luby);
+    stats.samples_drawn += draws;
     let hits = if karp_luby {
         sampler.karp_luby(rng, draws)
     } else {
         sampler.monte_carlo(rng, draws)
     };
-    ((width * hits as f64 / draws as f64).min(1.0), draws)
+    Ok((width * hits as f64 / draws as f64).min(1.0))
 }
 
 #[cfg(test)]
@@ -424,7 +459,10 @@ mod tests {
             Loaded::Groups(1)
         );
         let rng = CounterRng::new(seed, kernel.stream_key(0));
-        estimate(&mut kernel.sampler(cs, 0), eps, delta, &rng)
+        let mut stats = ConfStats::default();
+        let est = estimate(&mut kernel.sampler(cs, 0), eps, delta, &rng, &mut stats)
+            .expect("under the draw ceiling");
+        (est, stats.samples_drawn)
     }
 
     fn solve(
@@ -520,7 +558,78 @@ mod tests {
         assert!((got - exact).abs() <= 0.02, "|{got} - {exact}|");
         assert_eq!(stats.exact_groups, 0);
         assert_eq!(stats.sampled_groups, 2);
+        // P = 1/4 and 1/3: both singletons weigh under 1.
+        assert_eq!(stats.karp_luby_groups, 2);
         assert_eq!(stats.exact_steps, 0);
+    }
+
+    #[test]
+    fn a_draw_count_past_the_ceiling_is_refused_before_the_first_draw() {
+        // ln(2/0.5) / (2 · 10⁻¹⁸) ≈ 6.9·10¹⁷ Monte Carlo draws for the chain
+        // (U = 12/4 ≥ 1); nothing is counted as sampled.
+        let (cs, descs) = chain(12, 2);
+        let approx = ApproxConf {
+            eps: 1e-9,
+            delta: 0.5,
+            seed: 0,
+            exact_limit: 0,
+        };
+        let (got, stats) = solve(&cs, &descs, Some(approx), EXACT_STEP_CEILING);
+        assert_eq!(
+            got,
+            Err(MayError::TooManyDraws {
+                descriptors: 12,
+                draws: hoeffding_draws(1e-9, 0.5, 1.0),
+                limit: SAMPLE_DRAW_CEILING,
+            })
+        );
+        assert_eq!((stats.sampled_groups, stats.samples_drawn), (0, 0));
+        // An ε whose square underflows asks for "infinitely many": still typed.
+        let approx = ApproxConf {
+            eps: 1e-200,
+            ..approx
+        };
+        let (got, _) = solve(&cs, &descs, Some(approx), EXACT_STEP_CEILING);
+        assert!(matches!(
+            got,
+            Err(MayError::TooManyDraws {
+                draws: u64::MAX,
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn eps_and_delta_outside_the_unit_interval_are_rejected_by_eval() {
+        use maybms_core::{Tuple, URelation, Value, WorldSet};
+        let mut ws = WorldSet::new();
+        let c = ws.components.add(Component::uniform(2).unwrap());
+        let mut rel = URelation::new(Schema::of(&[("a", ValueType::Int)]).unwrap());
+        rel.push(Tuple::new(vec![Value::Int(0)]), WsDescriptor::single(c, 0))
+            .unwrap();
+        ws.insert("r", rel).unwrap();
+        let run = |eps: f64, delta: f64| {
+            let approx = ApproxConf {
+                exact_limit: 0,
+                ..ApproxConf::new(eps, delta)
+            };
+            maybms_algebra::run(&mut ws.clone(), &conf_approx_with(Plan::scan("r"), approx))
+        };
+        assert!(run(0.1, 0.1).is_ok());
+        for bad in [f64::NAN, 0.0, 1.0, -0.1, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(
+                run(bad, 0.1),
+                Err(MayError::InvalidApprox(format!(
+                    "eps must be in (0, 1), got {bad}"
+                ))),
+            );
+            assert_eq!(
+                run(0.1, bad),
+                Err(MayError::InvalidApprox(format!(
+                    "delta must be in (0, 1), got {bad}"
+                ))),
+            );
+        }
     }
 
     #[test]

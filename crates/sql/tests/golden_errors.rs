@@ -1,9 +1,9 @@
 //! Golden tests for the front-end's error paths: each case pins the exact
 //! span *and* message (and, for the headline cases, the fully rendered
 //! caret diagnostic), so error quality is part of the crate's contract
-//! rather than an accident of the current implementation. The last case pins
-//! the other rendering a [`Session`] produces: a runtime error, which has no
-//! span and prints as one plain line.
+//! rather than an accident of the current implementation. The last two cases
+//! pin the other rendering a [`Session`] produces: a runtime error, which has
+//! no span and prints as one plain line.
 
 use maybms_core::{Relation, Schema, Tuple, URelation, Value, ValueType, WorldSet};
 use maybms_sql::{compile, parse_query, Catalog, Session, SessionError, Span, SqlError};
@@ -296,5 +296,44 @@ fn runtime_error_renders_without_a_caret() {
             "  | EXPLAIN ANALYZE REPAIR KEY ssn IN c;\n",
             "  |                 ^^^^^^^^^^^^^^^^^^^\n"
         )
+    );
+}
+
+/// `CONF(eps, delta)` is bounded work: a sampled group knows its Hoeffding
+/// draw count before the first draw, and one past `SAMPLE_DRAW_CEILING` (2²⁶)
+/// is a typed runtime error. The group is a star of thirteen descriptors
+/// `hub = i mod 2 ∧ leafᵢ = 1` over coins: it prices 2¹³, over the cutover,
+/// weighs 13/4 ≥ 1 (Monte Carlo), and ε = 10⁻⁴ at δ = ½ asks it for
+/// ⌈ln 4 / 2ε²⌉ draws.
+#[test]
+fn sampled_conf_past_the_draw_ceiling_is_a_runtime_error() {
+    use maybms_core::{Component, WsDescriptor};
+    let mut ws = WorldSet::new();
+    let mut coin = || {
+        ws.components
+            .add(Component::uniform(2).expect("two alternatives"))
+    };
+    let hub = coin();
+    let mut rel = URelation::new(Schema::of(&[("a", ValueType::Int)]).expect("one column"));
+    for i in 0..13 {
+        let d = WsDescriptor::single(hub, i % 2)
+            .conjoin(&WsDescriptor::single(coin(), 1))
+            .expect("distinct components");
+        rel.push(Tuple::new(vec![Value::Int(0)]), d)
+            .expect("tuple matches schema");
+    }
+    ws.insert("star", rel).expect("descriptors are valid");
+    let mut session = Session::new(ws);
+
+    session
+        .execute("SELECT CONF(0.1, 0.5) a FROM star;")
+        .expect("a few dozen draws are fine");
+    let src = "SELECT CONF(0.0001, 0.5) a FROM star;";
+    let e = session.execute(src).expect_err("69 million draws are not");
+    assert!(matches!(e, SessionError::Run(_)), "{e:?}");
+    assert_eq!(
+        e.render(src),
+        "error: sampling a 13-descriptor group to the requested (eps, delta) takes \
+         69314719 draws, the limit is 67108864; ask for a larger eps\n"
     );
 }

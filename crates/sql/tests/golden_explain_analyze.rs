@@ -1,6 +1,6 @@
-//! Golden test pinning the `EXPLAIN ANALYZE` rendering for the census
-//! join + `CONF` query — exactly what the REPL prints (both go through
-//! [`maybms_sql::Session::execute`]). Wall-clock values are masked to
+//! Golden tests pinning the `EXPLAIN ANALYZE` rendering for the census
+//! join + `CONF` query and for a sampled `CONF(eps, delta)` — exactly what
+//! the REPL prints (both go through [`maybms_sql::Session::execute`]). Wall-clock values are masked to
 //! `<T>` (they are the one nondeterministic ingredient); every row
 //! count, morsel count, and confidence-solver counter is pinned exactly,
 //! so a change in operator traffic must update this expectation
@@ -120,6 +120,63 @@ analyzed plan:
 execution: total=<T>ms rows=2 threads=1
 sip: filters=1 tested=3 pruned=1
 estimation: nodes=7 q_error median=1.00 max=1.50
+";
+    assert_eq!(mask_times(&analyzed.to_string()), expected);
+}
+
+/// `stars(a)`: per tuple one *star* of thirteen descriptors
+/// `hub = i mod h ∧ leafᵢ = 1` — thirteen descriptors open from the hub on,
+/// so the group prices 2¹³, over the default cutover, and is sampled. Tuple
+/// 0's hub is three-way over eight-way leaves (`U = 13/24`: Karp–Luby), tuple
+/// 1's is a coin over coins (`U = 13/4`: Monte Carlo).
+fn star_world() -> WorldSet {
+    use maybms_core::{Component, Schema, Tuple, URelation, Value, ValueType, WsDescriptor};
+    let mut ws = WorldSet::new();
+    let mut rel = URelation::new(Schema::of(&[("a", ValueType::Int)]).expect("one column"));
+    for (a, (hub_alts, leaf_alts)) in [(3, 8), (2, 2)].into_iter().enumerate() {
+        let mut comp = |n| {
+            ws.components
+                .add(Component::uniform(n).expect("n ≥ 1 alternatives"))
+        };
+        let hub = comp(hub_alts);
+        for i in 0..13 {
+            let d = WsDescriptor::single(hub, (i % hub_alts) as u16)
+                .conjoin(&WsDescriptor::single(comp(leaf_alts), 1))
+                .expect("distinct components");
+            rel.push(Tuple::new(vec![Value::Int(a as i64)]), d)
+                .expect("tuple matches schema");
+        }
+    }
+    ws.insert("stars", rel).expect("descriptors are valid");
+    ws
+}
+
+/// The estimator a sampled group took is on the `conf` line: two groups
+/// sampled, one of them by Karp–Luby, in 150 Monte Carlo draws
+/// (⌈ln 20 / 0.02⌉) plus 44 Karp–Luby ones (that count times `U²`).
+#[test]
+fn explain_analyze_names_the_estimator_of_sampled_groups() {
+    let mut session = Session::new(star_world());
+    session.exec = ExecCfg {
+        par: ParCfg::with_threads(1),
+        sip: true,
+    };
+    let executed = session
+        .execute("EXPLAIN ANALYZE SELECT CONF(0.1, 0.1) a FROM stars;")
+        .expect("query executes");
+    let Outcome::Analyze(analyzed) = executed.outcome else {
+        panic!("expected an analyzed plan, got {:?}", executed.outcome);
+    };
+    let expected = "\
+analyzed plan:
+  · scan-convert  (time=<T>ms items=26 imported=26)
+  conf(eps=0.1, delta=0.1)  (time=<T>ms rows=2 in=26 sampled_groups=2 karp_luby=1 draws=194 est_rows=2)
+    project[a]  (time=<T>ms rows=26 in=26 est_rows=26)
+      scan[stars]  (time=<T>ms rows=26 est_rows=26)
+    · canonical-sort  (time=<T>ms items=26)
+    · solve  (time=<T>ms items=2)
+execution: total=<T>ms rows=2 threads=1
+estimation: nodes=3 q_error median=1.00 max=1.00
 ";
     assert_eq!(mask_times(&analyzed.to_string()), expected);
 }

@@ -11,6 +11,9 @@
 //! * [`stats_by_rows`] — a relation's statistics by one walk over its rows,
 //!   against `maybms_core::collect_stats`, which reads the columnar image
 //!   and memoises;
+//! * [`monte_carlo_scalar`], [`karp_luby_scalar`] — sampling one draw at a
+//!   time, one inverse-CDF pick per component, against the bit-sliced
+//!   `maybms_core::dnf::GroupSampler`;
 //! * [`covers_all_worlds`], [`group_exact_cost`], [`connected_groups`] —
 //!   one-call forms of the [`DnfKernel`] coverage check, cutover price and
 //!   group partition, as the suites address them.
@@ -19,9 +22,10 @@ use std::borrow::Borrow;
 use std::collections::BTreeSet;
 
 use maybms_core::dnf::{DnfKernel, Loaded};
+use maybms_core::rng::CounterRng;
 use maybms_core::{
-    ColumnStats, ComponentId, ComponentSet, FxHashSet, KmvSketch, RelationStats, Tuple, URelation,
-    Value, WsDescriptor,
+    ColumnStats, Component, ComponentId, ComponentSet, FxHashSet, KmvSketch, RelationStats, Tuple,
+    URelation, Value, WsDescriptor,
 };
 
 /// [`RelationStats`] for one u-relation in a single pass over its rows, one
@@ -139,6 +143,101 @@ pub fn group_exact_cost(cs: &ComponentSet, group: &[&WsDescriptor]) -> u128 {
     }
 }
 
+/// The components `descs` mention, ascending: the *slots* of a draw.
+fn relevant_components(descs: &[&WsDescriptor]) -> Vec<ComponentId> {
+    let distinct: BTreeSet<ComponentId> = descs
+        .iter()
+        .flat_map(|d| d.terms().iter().map(|&(c, _)| c))
+        .collect();
+    distinct.into_iter().collect()
+}
+
+/// The alternative a uniform draw `u ∈ (0, 1]` selects: the first whose
+/// running probability sum reaches `u` (the last one when rounding left the
+/// total a hair under `u`).
+fn pick_alternative(comp: &Component, u: f64) -> u16 {
+    let mut sum = 0.0;
+    for a in 0..comp.alternatives() - 1 {
+        sum += comp.prob(a);
+        if u <= sum {
+            return a;
+        }
+    }
+    comp.alternatives() - 1
+}
+
+/// Reference Monte Carlo over one descriptor group, a draw at a time: draw
+/// `j` assigns every relevant component (slot `s` from stream position
+/// `j·n + s`, `n` slots) and hits iff the assignment satisfies some
+/// descriptor. Returns the hits. An independent sampler of the distribution
+/// `GroupSampler::monte_carlo` samples — the two read the stream differently,
+/// so they agree in distribution, not draw for draw.
+pub fn monte_carlo_scalar(
+    cs: &ComponentSet,
+    descs: &[&WsDescriptor],
+    rng: &CounterRng,
+    draws: u64,
+) -> u64 {
+    let slots = relevant_components(descs);
+    let n = slots.len() as u64;
+    let mut hits = 0;
+    for j in 0..draws {
+        let world: Vec<(ComponentId, u16)> = (0..n)
+            .map(|s| {
+                let c = slots[s as usize];
+                (c, pick_alternative(cs.get(c), rng.unit_at(j * n + s)))
+            })
+            .collect();
+        hits += u64::from(descs.iter().any(|d| assignment_satisfies(&world, d)));
+    }
+    hits
+}
+
+/// Reference Karp–Luby over one descriptor group, a draw at a time: draw `j`
+/// picks descriptor `i` with probability `P(dᵢ)/U` (stream position
+/// `j·(n + 1)`), fixes `i`'s components to `i`'s alternatives, samples the
+/// others (slot `s` from position `j·(n + 1) + 1 + s`) and hits iff no
+/// earlier descriptor is satisfied too. Returns the hits; `U · hits / draws`
+/// estimates the group's probability.
+pub fn karp_luby_scalar(
+    cs: &ComponentSet,
+    descs: &[&WsDescriptor],
+    rng: &CounterRng,
+    draws: u64,
+) -> u64 {
+    let slots = relevant_components(descs);
+    let n = slots.len() as u64;
+    let weights: Vec<f64> = descs.iter().map(|d| descriptor_prob(cs, d)).collect();
+    let total: f64 = weights.iter().sum();
+    let mut hits = 0;
+    for j in 0..draws {
+        let base = j * (n + 1);
+        let mut x = rng.unit_at(base) * total;
+        let mut i = 0;
+        while i + 1 < weights.len() && x > weights[i] {
+            x -= weights[i];
+            i += 1;
+        }
+        let own = descs[i].terms();
+        let world: Vec<(ComponentId, u16)> = (0..n)
+            .map(|s| {
+                let c = slots[s as usize];
+                match own.binary_search_by_key(&c, |&(id, _)| id) {
+                    Ok(t) => own[t],
+                    Err(_) => (c, pick_alternative(cs.get(c), rng.unit_at(base + 1 + s))),
+                }
+            })
+            .collect();
+        hits += u64::from(!descs[..i].iter().any(|d| assignment_satisfies(&world, d)));
+    }
+    hits
+}
+
+/// `P(d)`: the product of its assignments' probabilities.
+pub fn descriptor_prob(cs: &ComponentSet, d: &WsDescriptor) -> f64 {
+    d.terms().iter().map(|&(c, a)| cs.get(c).prob(a)).product()
+}
+
 /// Drive `f` over every combination of alternatives of the components
 /// mentioned in `descs`, with the combination's probability. Only the
 /// [`prob_of_dnf_enumerate`] oracle enumerates.
@@ -147,12 +246,7 @@ fn for_each_relevant_assignment(
     descs: &[&WsDescriptor],
     mut f: impl FnMut(&[(ComponentId, u16)], f64),
 ) {
-    let vars: Vec<ComponentId> = descs
-        .iter()
-        .flat_map(|d| d.terms().iter().map(|&(c, _)| c))
-        .collect::<BTreeSet<_>>()
-        .into_iter()
-        .collect();
+    let vars = relevant_components(descs);
     if vars.is_empty() {
         f(&[], 1.0);
         return;

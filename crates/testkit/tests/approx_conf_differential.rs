@@ -18,7 +18,7 @@
 //!   and the executor's confidence counters account for every group;
 //! * **the guarantee, measured** — over 300 sampling seeds per estimator
 //!   regime the empirical miss rate stays ≤ δ, with one estimate per
-//!   regime pinned to the stream layout.
+//!   regime pinned to the sampler's lane layout.
 //!
 //! A failing case prints its seed for exact replay.
 
@@ -444,22 +444,27 @@ fn chain_world(links: usize, alts: usize, singleton: bool) -> WorldSet {
 /// for plain Monte Carlo (`U ≥ 1`), for Karp–Luby (`U < 1`), and for tuples
 /// that mix an exactly solved group with a sampled one. Every run is
 /// bit-identical at one and four threads, and one estimate per regime is
-/// pinned: draw `j` reads slot `s` at a fixed position of the group's
-/// content-keyed stream, so these digits move only when that layout, the
-/// stream key or the branch order changes — which must be deliberate.
+/// pinned to the lane layout: draw `ℓ` is bit `ℓ mod 64` of word `ℓ / 64`,
+/// and a block of ≤ 8 words reads the group's content-keyed stream front to
+/// back — under Karp–Luby one word per lane's pick first, then slot by slot
+/// (ascending component id), branch by branch (ascending alternative), word
+/// by word, the words `bernoulli64` needs to settle that branch's 64 lanes.
+/// These digits move only when that order, the digit comparison, the stream
+/// key or the Hoeffding count (150 and 225 draws here) changes — which must
+/// be deliberate.
 #[test]
 fn empirical_miss_rate_stays_under_delta_in_every_regime() {
     // (name, world, ε, cutover, the seed-0 estimate of tuple 0)
     let regimes = [
         // P(dᵢ) = (1/3)² and twelve links: U = 4/3, 150 Monte Carlo draws.
-        ("monte-carlo", chain_world(12, 2, false), 0.1, 0, 0.66),
+        ("monte-carlo", chain_world(12, 2, false), 0.1, 0, 0.72),
         // P(dᵢ) = (1/7)² and twelve links: U = 12/49, 225 Karp–Luby draws.
         (
             "karp-luby",
             chain_world(12, 4, false),
             0.02,
             0,
-            0.20353741496598632,
+            0.1970068027210884,
         ),
         // The singleton prices 2 and stays exact; the chain prices 50.
         (
@@ -467,7 +472,7 @@ fn empirical_miss_rate_stays_under_delta_in_every_regime() {
             chain_world(12, 2, true),
             0.1,
             2,
-            0.7733333333333333,
+            0.8133333333333332,
         ),
     ];
     for (name, ws, eps, limit, pinned) in regimes {

@@ -421,8 +421,8 @@ impl Repl {
         let c = s.conf;
         if c.exact_groups + c.sampled_groups > 0 {
             println!(
-                "  confidence:      {} groups exact in {} steps, {} sampled in {} draws (largest group {} descriptors)",
-                c.exact_groups, c.exact_steps, c.sampled_groups, c.samples_drawn, c.largest_group
+                "  confidence:      {} groups exact in {} steps, {} sampled in {} draws ({} by Karp–Luby), largest group {} descriptors",
+                c.exact_groups, c.exact_steps, c.sampled_groups, c.samples_drawn, c.karp_luby_groups, c.largest_group
             );
         }
         let sip = s.sip;

@@ -4,8 +4,9 @@
 //! running with whatever settings it *thought* it had changed. These tests
 //! pin the hard error — batch mode must stop with a non-zero exit and name
 //! the valid knobs — and the success path for the knobs the error message
-//! promises; and they pin the one runtime error a well-typed query can
-//! still meet, the exact solver's step ceiling.
+//! promises; and they pin the two runtime errors a well-typed query can
+//! still meet, the exact solver's step ceiling and the sampler's draw
+//! ceiling.
 //!
 //! Each test drives the actual `repl` example binary through `cargo run`:
 //! the subject is the example's own `\set` handling and exit status, which
@@ -124,7 +125,10 @@ fn valid_knobs_round_trip_in_batch_mode() {
 /// elimination frontier is too wide stops at the solver's step ceiling with
 /// a typed runtime error (no span, so no caret diagnostic) instead of
 /// running and allocating without bound — while `CONF(eps, delta)` prices
-/// the same group over its cutover and estimates it.
+/// the same group over its cutover and estimates it, unless ε asks for more
+/// draws than the sampler's own ceiling: `CONF(0.0001, 0.5)` wants
+/// ⌈ln 4 / 2ε²⌉ = 69 314 719 of them, past 2²⁶, and is refused before the
+/// first (as `CONF(1e-9, 0.5)`'s 6.9·10¹⁷ are).
 ///
 /// The script welds 49 independent repairs of the census form: relation
 /// `i` is joined with relations `i + 20` and `i + 21`, so twenty descriptors
@@ -142,14 +146,28 @@ fn exact_conf_stops_at_the_step_ceiling_on_a_welded_group() {
         .map(|(i, j)| format!("SELECT name FROM r{i}, r{j} WHERE ssn = 185"))
         .collect();
     script += &format!("LET welded = {};\n", welds.join(" UNION "));
-    script += "SELECT CONF(0.1, 0.1) name FROM welded;\n\\stats\nSELECT CONF name FROM welded;\n";
+    let approx = format!("{script}SELECT CONF(0.1, 0.1) name FROM welded;\n\\stats\n");
 
+    let out = run_batch_with(
+        "draw-ceiling",
+        &format!("{approx}SELECT CONF(0.0001, 0.5) name FROM welded;\n"),
+        &["--release"],
+    );
+    assert!(!out.status.success(), "the ε = 0.0001 query must fail");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stderr),
+        "error: sampling a 56-descriptor group to the requested (eps, delta) takes \
+         69314719 draws, the limit is 67108864; ask for a larger eps\n"
+    );
+
+    let script = format!("{approx}SELECT CONF name FROM welded;\n");
     let out = run_batch_with("step-ceiling", &script, &["--release"]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
         stdout.contains(
-            "0 groups exact in 0 steps, 2 sampled in 300 draws (largest group 56 descriptors)"
+            "0 groups exact in 0 steps, 2 sampled in 300 draws (0 by Karp–Luby), \
+             largest group 56 descriptors"
         ),
         "the approximate query sampled both tuples: {stdout}"
     );
