@@ -121,7 +121,6 @@ use std::sync::Arc;
 use maybms_core::bloom::BlockedBloom;
 use maybms_core::columnar::{ColView, ColumnVec, ColumnarURelation, StrPool};
 use maybms_core::obs::{metrics, ObsCounters, QueryTrace, SpanId, Tracer};
-use maybms_core::parallel::{chunk_ranges, run_tasks};
 use maybms_core::{
     ColumnarImage, ComponentSet, ConfStats, DescId, DescriptorPool, FxBuildHasher, FxHashMap,
     MayError, ParCfg, ParStats, PoolStats, Scan, Schema, URelation, WorldSet,
@@ -170,9 +169,10 @@ pub struct EvalCtx<'a> {
     /// The run's string dictionary. Every string cell of every columnar
     /// relation in the run is a code into this pool.
     pub strings: StrPool,
-    /// The run's parallelism configuration. Operators (including extension
-    /// operators) consult [`ParCfg::workers_for`] before fanning a stage out
-    /// over morsels; results are deterministic for every thread count.
+    /// The run's parallelism configuration. The built-in operators never
+    /// read it; the two extension operators that fan out (`conf`,
+    /// `certain`) consult [`ParCfg::workers_for`] first, and results are
+    /// deterministic for every thread count.
     pub par: ParCfg,
     /// Parallelism counters accumulated across the run's stages.
     pub par_stats: ParStats,
@@ -415,8 +415,7 @@ impl Iterator for RowIds<'_> {
 /// per distinct input vector) instead of gathering; the single fused gather
 /// happens at the next pipeline breaker ([`Batch::into_dense_parts`]).
 /// The id vectors are `Arc`'d because every left (resp. right-kept) column
-/// of a join shares one vector, and because batches must stay `Sync` for
-/// the morsel-parallel sweeps.
+/// of a join shares one vector.
 struct LazyCol<'s> {
     /// The stored cells. Dense columns have one cell per virtual row;
     /// indirected columns are addressed through `ids`.
@@ -547,58 +546,6 @@ impl<'s> Batch<'s> {
             }
         }
         self.sel = Some(kept);
-    }
-
-    /// [`Batch::dedup`], morsel-parallel above the threshold. Rows are
-    /// hashed in parallel, scattered into `2^k` partitions by the *high*
-    /// bits of the row hash (the [`ChainedIndex`] buckets use the low bits,
-    /// so partitioning costs no bucket entropy), and each partition keeps
-    /// its first occurrences independently. Duplicates always share a hash,
-    /// hence a partition, so the union of the partition survivors is
-    /// exactly the sequential kept set; re-sorting the surviving positions
-    /// restores the sequential output order.
-    fn dedup_with(&mut self, pool: &DescriptorPool, par: &ParCfg, stats: &mut ParStats) {
-        let n = self.len();
-        let workers = par.workers_for(n);
-        if workers <= 1 {
-            self.dedup(pool);
-            return;
-        }
-        let rows: Vec<u32> = self.row_ids().collect();
-        let morsels = chunk_ranges(n, workers * 4);
-        let hashes: Vec<u64> = run_tasks(workers, morsels.len(), |t| {
-            morsels[t]
-                .clone()
-                .map(|p| self.row_hash(rows[p], pool))
-                .collect::<Vec<_>>()
-        })
-        .concat();
-        let parts = workers.next_power_of_two();
-        let shift = 64 - parts.trailing_zeros();
-        let mut parted: Vec<Vec<u32>> = vec![Vec::new(); parts];
-        for (p, &h) in hashes.iter().enumerate() {
-            parted[(h >> shift) as usize].push(p as u32);
-        }
-        stats.note_stage(workers, morsels.len() + parts);
-        let kept_parts: Vec<Vec<u32>> = run_tasks(workers, parts, |pi| {
-            let members = &parted[pi];
-            let mut index = ChainedIndex::with_capacity(members.len());
-            let mut kept: Vec<u32> = Vec::new();
-            for &pos in members {
-                let h = hashes[pos as usize];
-                let dup = index
-                    .probe(h)
-                    .any(|k| self.rows_eq(rows[kept[k] as usize], rows[pos as usize], pool));
-                if !dup {
-                    index.insert(h, kept.len());
-                    kept.push(pos);
-                }
-            }
-            kept
-        });
-        let mut kept: Vec<u32> = kept_parts.concat();
-        kept.sort_unstable();
-        self.sel = Some(kept.into_iter().map(|p| rows[p as usize]).collect());
     }
 
     /// Apply the selection vector *and* every pending rowid indirection in
@@ -935,28 +882,11 @@ fn eval_batch_inner<'s>(
             // through the rowid views.
             let bound = predicate.bind(&b.schema)?;
             let views: Vec<ColView<'_>> = b.cols.iter().map(LazyCol::view).collect();
-            let workers = ctx.par.workers_for(b.len());
             let strings = &ctx.strings;
-            let sel: Vec<u32> = if workers <= 1 {
-                b.row_ids()
-                    .filter(|&i| bound.matches_views(&views, i as usize, strings))
-                    .collect()
-            } else {
-                // Morsel-parallel sweep: each task filters a contiguous
-                // range of the live rows; concatenating in task order keeps
-                // the output order sequential.
-                let rows: Vec<u32> = b.row_ids().collect();
-                let morsels = chunk_ranges(rows.len(), workers * 4);
-                ctx.par_stats.note_stage(workers, morsels.len());
-                run_tasks(workers, morsels.len(), |t| {
-                    rows[morsels[t].clone()]
-                        .iter()
-                        .copied()
-                        .filter(|&i| bound.matches_views(&views, i as usize, strings))
-                        .collect::<Vec<_>>()
-                })
-                .concat()
-            };
+            let sel: Vec<u32> = b
+                .row_ids()
+                .filter(|&i| bound.matches_views(&views, i as usize, strings))
+                .collect();
             drop(views);
             b.sel = Some(sel);
             Ok(b)
@@ -985,7 +915,7 @@ fn eval_batch_inner<'s>(
             if permutation && input.is_distinct() {
                 ctx.dedups_elided += 1;
             } else {
-                out.dedup_with(&ctx.pool, &ctx.par, &mut ctx.par_stats);
+                out.dedup(&ctx.pool);
             }
             Ok(out)
         }
@@ -1095,7 +1025,7 @@ fn eval_batch_inner<'s>(
             {
                 ctx.dedups_elided += 1;
             } else {
-                out.dedup_with(&ctx.pool, &ctx.par, &mut ctx.par_stats);
+                out.dedup(&ctx.pool);
             }
             Ok(out)
         }
@@ -1139,7 +1069,7 @@ fn eval_batch_inner<'s>(
                 descs: Cow::Owned(descs),
                 sel: None,
             };
-            out.dedup_with(&ctx.pool, &ctx.par, &mut ctx.par_stats);
+            out.dedup(&ctx.pool);
             Ok(out)
         }
         Plan::Rename { input, renames } => {

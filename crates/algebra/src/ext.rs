@@ -168,15 +168,17 @@ pub trait ExtOperator: fmt::Debug + Send + Sync {
     /// Evaluate on the columnar WSD representation (see the trait docs for
     /// the ABI).
     ///
-    /// Implementations may fan work out over morsels: `ctx.par` carries the
-    /// run's thread budget (gate stages on
-    /// [`ParCfg::workers_for`](maybms_core::ParCfg::workers_for)) and
-    /// `ctx.par_stats` the counters to report into. Parallel implementations
-    /// must stay deterministic — byte-identical output for every thread
-    /// count: tasks are pure functions of frozen inputs (they may *read*
-    /// `ctx.pool` and `ctx.strings`), their results are combined in task
-    /// order, and tasks do not mint descriptors or strings — the calling
-    /// thread does, before or after the fan-out.
+    /// `ctx.par` carries the run's thread budget and `ctx.par_stats` the
+    /// counters a fan-out reports into. `conf` and `certain` are the two
+    /// operators that fan out (over `maybms_core::parallel::run_tasks`,
+    /// gated on [`ParCfg::workers_for`](maybms_core::ParCfg::workers_for));
+    /// CI refuses a third caller until it shows a two-thread win on the
+    /// `perfbench` ledger. A parallel implementation must stay
+    /// deterministic — byte-identical output for every thread count: tasks
+    /// are pure functions of frozen inputs (they may *read* `ctx.pool` and
+    /// `ctx.strings`), their results are combined in task order, and tasks
+    /// do not mint descriptors or strings — the calling thread does, before
+    /// or after the fan-out.
     fn eval(
         &self,
         ctx: &mut EvalCtx<'_>,

@@ -458,55 +458,29 @@ fn main() {
         emit("conf_dense", n, rows, ms);
     }
 
-    // Morsel-driven parallelism: the three heaviest workloads at 10⁶ rows,
-    // each timed single-threaded (`_t1`) and at `N` workers (`_tN`), with
-    // the output cardinality asserted equal — the parallel paths promise
-    // byte-identical results, so a row drift here is a correctness bug, not
-    // a perf delta. `N` is what the host has (`available_parallelism`, or
-    // `MAYBMS_BENCH_THREADS`), so a `_tN` row never prices oversubscription;
-    // with one hardware thread there is nothing to compare and the `_tN`
-    // rows are skipped. 10⁷ rows ride behind `MAYBMS_BENCH_HUGE=1`. This
-    // phase runs in quick mode too: the committed baseline carries per-row
-    // `"tol"` overrides because a fan-out's timing depends on how many of
-    // the host's cores are really free.
-    let par_threads: usize = std::env::var("MAYBMS_BENCH_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&t| t >= 1)
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |p| p.get()));
-    if par_threads == 1 {
-        eprintln!("note: one thread available, skipping the `_tN` rows of the parallel phase");
-    }
+    // The three heaviest workloads at 10⁶ rows (10⁷ ride behind
+    // `MAYBMS_BENCH_HUGE=1`), pinned to one thread as the `_t1` in their
+    // names says — though none holds a `conf` or `certain`, the only
+    // operators that read the budget. This phase runs in quick mode too;
+    // the committed baseline carries per-row `"tol"` overrides because a
+    // second-long run on shared cores varies more than the small rows do.
     let par_sizes: &[usize] = if std::env::var("MAYBMS_BENCH_HUGE").is_ok() {
         &[1_000_000, 10_000_000]
     } else {
         &[1_000_000]
     };
-    let exec_at = |threads: usize| ExecCfg {
-        par: ParCfg::with_threads(threads),
+    let one_thread = ExecCfg {
+        par: ParCfg::with_threads(1),
         sip: true,
     };
-    let par_pair =
-        |bench: &str, n: usize, ws: &WorldSet, f: &dyn Fn(&mut WorldSet, &ExecCfg) -> usize| {
-            let (rows1, ms1) = bench_min(ws, |ws| f(ws, &exec_at(1)));
-            emit(&format!("{bench}_t1"), n, rows1, ms1);
-            if par_threads > 1 {
-                let tn = exec_at(par_threads);
-                let (rows_n, ms_n) = bench_min(ws, |ws| f(ws, &tn));
-                assert_eq!(
-                    rows1, rows_n,
-                    "{bench}: {par_threads} threads changed the result size"
-                );
-                emit(&format!("{bench}_t{par_threads}"), n, rows_n, ms_n);
-            }
-        };
 
     for &n in par_sizes {
         let ws = normalization_workload(&mut Rng::new(0xBE7C), n);
-        par_pair("normalize", n, &ws, &|ws, cfg| {
-            ws.normalize_with(&cfg.par);
+        let (rows, ms) = bench_min(&ws, |ws| {
+            ws.normalize();
             ws.relations["r"].len()
         });
+        emit("normalize_t1", n, rows, ms);
     }
 
     for &n in par_sizes {
@@ -514,22 +488,24 @@ fn main() {
         let plan = Plan::scan("r1")
             .join(Plan::scan("r2"))
             .join(Plan::scan("r3"));
-        par_pair("join3", n, &ws, &|ws, cfg| {
-            run_with(ws, &plan, cfg, false)
+        let (rows, ms) = bench_min(&ws, |ws| {
+            run_with(ws, &plan, &one_thread, false)
                 .expect("join workload is well-typed")
                 .0
                 .len()
         });
+        emit("join3_t1", n, rows, ms);
     }
 
     for &n in par_sizes {
         let ws = repair_workload(&mut Rng::new(0x4E9A), n);
         let plan = repair_key(Plan::scan("r"), &["k"], Some("w"));
-        par_pair("repair_key", n, &ws, &|ws, cfg| {
-            run_with(ws, &plan, cfg, false)
+        let (rows, ms) = bench_min(&ws, |ws| {
+            run_with(ws, &plan, &one_thread, false)
                 .expect("repair workload is well-typed")
                 .0
                 .len()
         });
+        emit("repair_key_t1", n, rows, ms);
     }
 }

@@ -25,11 +25,9 @@
 //! contradict their inputs. Baseline rows predating the field are accepted.
 //!
 //! A baseline row may additionally carry `"tol":<percent>`, a per-workload
-//! override of the global tolerance. The parallel-phase rows use it: a
-//! `_tN` row is measured at the recording host's own core count, and how
-//! many of those cores are really free differs from host to host (the
-//! committed `_t2` rows come from two shared vCPUs), so they need wider
-//! slack than the single-threaded micro-benchmarks.
+//! override of the global tolerance. The 10⁶-row `_t1` rows use it: a
+//! second-long run on shared cores varies more from host to host than the
+//! micro-benchmarks do.
 //!
 //! The JSON subset involved is flat and fully under our control, so the
 //! parser below is a few string splits rather than a dependency (the build

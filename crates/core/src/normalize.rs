@@ -32,7 +32,6 @@ use crate::component::ComponentSet;
 use crate::descriptor::{ComponentId, WsDescriptor};
 use crate::fxhash::FxHashMap;
 use crate::intern::{DescId, DescriptorPool};
-use crate::parallel::{chunk_ranges, par_sort_by, run_tasks, ParCfg};
 use crate::rel::Tuple;
 use crate::urel::URelation;
 use crate::world::WorldSet;
@@ -42,20 +41,11 @@ use crate::world::WorldSet;
 /// Each relation goes through the *columnar* pipeline
 /// ([`normalize_relation`]); `maybms-testkit` keeps the row-oriented
 /// `normalize_rows` as the reference implementation the columnar path is
-/// differentially tested against. The thread budget is [`ParCfg::default`]
-/// (the machine's available parallelism); [`normalize_with`] takes it
-/// explicitly.
+/// differentially tested against.
 pub fn normalize(ws: &mut WorldSet) {
-    normalize_with(ws, &ParCfg::default());
-}
-
-/// [`normalize`] with an explicit parallelism configuration. The result is
-/// byte-identical for every thread count: the one stage that fans out (the
-/// canonical sort) reproduces the sequential order exactly.
-pub fn normalize_with(ws: &mut WorldSet, par: &ParCfg) {
     let components = ws.components.clone();
     for rel in ws.relations.values_mut() {
-        normalize_relation_with(rel, &components, par);
+        normalize_relation(rel, &components);
     }
     gc_components(ws);
 }
@@ -80,19 +70,6 @@ pub fn normalize_with(ws: &mut WorldSet, par: &ParCfg) {
 ///    original tuples (and, where a row survived unchanged, its original
 ///    descriptor) instead of re-materializing them from the columns.
 pub fn normalize_relation(rel: &mut URelation, components: &ComponentSet) {
-    normalize_relation_with(rel, components, &ParCfg::sequential());
-}
-
-/// [`normalize_relation`] with an explicit parallelism configuration.
-///
-/// Above the morsel threshold one stage fans out: the canonical sort key
-/// build plus [`par_sort_by`] (which reproduces a stable sort exactly — and
-/// the comparator is a *total* order on surviving rows, so it equals the
-/// sequential unstable sort's output too). Everything that mints pool
-/// entries — the image import, the strip memo, the per-tuple-group
-/// fixpoint — runs on the calling thread, which owns the pools; the emit
-/// pass is cheap relative to the sort.
-pub fn normalize_relation_with(rel: &mut URelation, components: &ComponentSet, par: &ParCfg) {
     if rel.is_empty() {
         return;
     }
@@ -106,7 +83,6 @@ pub fn normalize_relation_with(rel: &mut URelation, components: &ComponentSet, p
     let col = image.scan(&mut pool, &mut strings);
     let orig_ids: Vec<DescId> = col.descs().to_vec();
     let n = col.len();
-    let workers = par.workers_for(n);
     // The original rows, each taken at most once during the emit pass below
     // (the columns hold independent copies of the values).
     let mut rows: Vec<Option<(Tuple, WsDescriptor)>> =
@@ -149,22 +125,9 @@ pub fn normalize_relation_with(rel: &mut URelation, components: &ComponentSet, p
     // with the permutation entry; ties fall back to the full column-wise
     // comparison.
     let mut keyed: Vec<(u64, u32)> = match col.columns().first() {
-        Some(first) => {
-            if workers <= 1 {
-                (0..n)
-                    .map(|i| (first.sort_prefix(i, &strings), i as u32))
-                    .collect()
-            } else {
-                let morsels = chunk_ranges(n, workers * 4);
-                run_tasks(workers, morsels.len(), |t| {
-                    morsels[t]
-                        .clone()
-                        .map(|i| (first.sort_prefix(i, &strings), i as u32))
-                        .collect::<Vec<_>>()
-                })
-                .concat()
-            }
-        }
+        Some(first) => (0..n)
+            .map(|i| (first.sort_prefix(i, &strings), i as u32))
+            .collect(),
         // Zero-arity relation: every tuple is ().
         None => (0..n).map(|i| (0, i as u32)).collect(),
     };
@@ -174,15 +137,7 @@ pub fn normalize_relation_with(rel: &mut URelation, components: &ComponentSet, p
                 .then_with(|| pool.cmp_terms(descs[i as usize], descs[j as usize]))
         })
     };
-    if workers <= 1 {
-        keyed.sort_unstable_by(by_canonical);
-    } else {
-        // Rows that compare equal here are full `(tuple, descriptor)`
-        // duplicates (the very rows the dedup below removes), so the
-        // stable parallel sort and the sequential unstable sort produce
-        // the same surviving permutation.
-        par_sort_by(&mut keyed, workers, by_canonical);
-    }
+    keyed.sort_unstable_by(by_canonical);
     let mut perm: Vec<u32> = keyed.into_iter().map(|(_, i)| i).collect();
     perm.dedup_by(|&mut i, &mut j| {
         descs[i as usize] == descs[j as usize] && col.rows_eq(i as usize, j as usize)

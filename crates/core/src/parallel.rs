@@ -1,12 +1,15 @@
-//! Morsel-driven parallelism primitives shared by the executor and the
-//! normalization pipeline.
+//! The fan-out primitive behind the engine's two parallel stages: the
+//! per-tuple `conf` solve (`maybms-ql`'s `confidence`) and the `certain`
+//! coverage check (`extract`). Every other stage — scan, select, join,
+//! dedup, every sort, `repair-key`, `normalize` — runs on the calling
+//! thread for every thread budget.
 //!
 //! The container this project builds in has no registry access, so there is
-//! no rayon: everything here is built on [`std::thread::scope`]. The model
+//! no rayon: [`run_tasks`] is built on [`std::thread::scope`]. The model
 //! is deliberately simple and deterministic:
 //!
-//! * work is split into **tasks** (usually contiguous row ranges — morsels,
-//!   or per-partition jobs);
+//! * the tuple runs of a sorted input are split into **tasks** (contiguous
+//!   ranges of runs — morsels, [`chunk_ranges`]);
 //! * a small pool of scoped worker threads pulls task indices from one
 //!   atomic counter ([`run_tasks`]);
 //! * each task is a pure function of frozen inputs and results are returned
@@ -16,22 +19,19 @@
 //! Determinism is the load-bearing property, and the argument for it is one
 //! sentence: *no task mutates shared state; results are combined in task
 //! order*. In particular no task mints a descriptor or a string — the
-//! interning pools have a single owner, the calling thread — so the stages
-//! that mint (scan conversion, the join probe, normalize's fixpoint) are
-//! sequential by design, and pool contents, handle numbering and pool
-//! counters are identical for *any* thread count. The
-//! `parallel_differential` suite is the oracle.
+//! interning pools have a single owner, the calling thread — so pool
+//! contents, handle numbering and pool counters are identical for *any*
+//! thread count. The `parallel_differential` suite is the oracle.
 
-use std::cmp::Ordering;
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Default minimum row count before a stage bothers to go parallel:
-/// below this, thread spawn and merge overhead dominates any win.
+/// below this, thread spawn overhead dominates any win.
 pub const DEFAULT_MIN_ROWS: usize = 4096;
 
-/// The thread budget passed explicitly through the executor and normalizer.
-/// A plain value: [`ParCfg::default`] is the machine's parallelism,
+/// The thread budget passed explicitly through the executor. A plain
+/// value: [`ParCfg::default`] is the machine's parallelism,
 /// [`ParCfg::with_threads`] sets a budget, and nothing reads the process
 /// environment.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,9 +39,9 @@ pub struct ParCfg {
     /// Worker thread budget. `1` disables parallelism entirely (every stage
     /// runs inline on the calling thread).
     pub threads: usize,
-    /// Minimum number of rows (or tasks) a stage must process before it
-    /// fans out. Tests set this to `1` to force the parallel code paths on
-    /// tiny generated inputs.
+    /// Minimum number of rows a stage must process before it fans out.
+    /// Tests set this to `1` to force the parallel code paths on tiny
+    /// generated inputs.
     pub min_rows: usize,
 }
 
@@ -58,14 +58,6 @@ impl Default for ParCfg {
 }
 
 impl ParCfg {
-    /// Single-threaded configuration (all stages inline).
-    pub fn sequential() -> Self {
-        ParCfg {
-            threads: 1,
-            min_rows: DEFAULT_MIN_ROWS,
-        }
-    }
-
     /// A configuration with an explicit thread budget and the default
     /// morsel threshold.
     pub fn with_threads(threads: usize) -> Self {
@@ -101,10 +93,15 @@ pub struct ParStats {
 }
 
 impl ParStats {
-    /// Record one parallel stage's fan-out.
+    /// Record a stage about to call [`run_tasks`]`(workers, morsels, …)`:
+    /// the threads that call spawns (`workers.min(morsels)`, not the budget)
+    /// and its tasks — nothing when it will run inline.
     pub fn note_stage(&mut self, workers: usize, morsels: usize) {
-        self.workers_used = self.workers_used.max(workers);
-        self.morsels += morsels as u64;
+        let spawned = workers.min(morsels);
+        if spawned > 1 {
+            self.workers_used = self.workers_used.max(spawned);
+            self.morsels += morsels as u64;
+        }
     }
 
     /// Fold another run's counters into this one.
@@ -164,7 +161,7 @@ where
                 let started = std::time::Instant::now();
                 let mut done: Vec<(usize, R)> = Vec::new();
                 loop {
-                    let t = cursor.fetch_add(1, AtomicOrdering::Relaxed);
+                    let t = cursor.fetch_add(1, Ordering::Relaxed);
                     if t >= tasks {
                         break;
                     }
@@ -192,71 +189,9 @@ where
         .collect()
 }
 
-/// Sort `v` with up to `workers` threads. The result is exactly what
-/// `v.sort_by(cmp)` produces (a **stable** sort): chunks are stable-sorted
-/// in parallel, then adjacent sorted runs are merged pairwise with a
-/// left-biased merge, which preserves the original relative order of
-/// elements the comparator considers equal. Callers that need the
-/// single-thread fast path of `sort_unstable_by` should branch on
-/// `workers <= 1` themselves.
-pub fn par_sort_by<T, F>(v: &mut Vec<T>, workers: usize, cmp: F)
-where
-    T: Send + Sync + Copy,
-    F: Fn(&T, &T) -> Ordering + Sync,
-{
-    let n = v.len();
-    if workers <= 1 || n < 2 {
-        v.sort_by(|a, b| cmp(a, b));
-        return;
-    }
-    let chunk = n.div_ceil(workers.min(n));
-    std::thread::scope(|scope| {
-        for part in v.chunks_mut(chunk) {
-            let cmp = &cmp;
-            scope.spawn(move || part.sort_by(|a, b| cmp(a, b)));
-        }
-    });
-    let mut runs: Vec<Vec<T>> = v.chunks(chunk).map(<[T]>::to_vec).collect();
-    while runs.len() > 1 {
-        // Merge adjacent pairs left-to-right; a trailing odd run carries
-        // over unchanged, keeping the run sequence order-preserving (and
-        // with it the stability of the whole sort).
-        let mut next: Vec<Option<Vec<T>>> = Vec::new();
-        let pairs = runs.len() / 2;
-        let merged = run_tasks(workers, pairs, |p| {
-            merge_sorted(&runs[2 * p], &runs[2 * p + 1], &cmp)
-        });
-        next.extend(merged.into_iter().map(Some));
-        if runs.len() % 2 == 1 {
-            next.push(runs.pop());
-        }
-        runs = next.into_iter().map(|r| r.expect("run present")).collect();
-    }
-    *v = runs.pop().expect("at least one run");
-}
-
-/// Left-biased merge of two sorted slices (equal elements keep `a` first).
-fn merge_sorted<T: Copy>(a: &[T], b: &[T], cmp: &impl Fn(&T, &T) -> Ordering) -> Vec<T> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if cmp(&a[i], &b[j]) != Ordering::Greater {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::Rng;
 
     #[test]
     fn chunk_ranges_cover_exactly() {
@@ -284,23 +219,6 @@ mod tests {
     }
 
     #[test]
-    fn par_sort_matches_stable_sort() {
-        let mut rng = Rng::new(0x5027);
-        for n in [0usize, 1, 2, 100, 4097] {
-            // Key with few distinct values so ties (and thus stability) are
-            // actually exercised; the payload records the original index.
-            let data: Vec<(u64, u32)> = (0..n).map(|i| (rng.next_u64() % 7, i as u32)).collect();
-            let mut expect = data.clone();
-            expect.sort_by_key(|e| e.0);
-            for workers in [2usize, 3, 4] {
-                let mut got = data.clone();
-                par_sort_by(&mut got, workers, |a, b| a.0.cmp(&b.0));
-                assert_eq!(got, expect, "n={n} workers={workers}");
-            }
-        }
-    }
-
-    #[test]
     fn workers_for_honors_threshold() {
         let par = ParCfg {
             threads: 4,
@@ -308,6 +226,6 @@ mod tests {
         };
         assert_eq!(par.workers_for(99), 1);
         assert_eq!(par.workers_for(100), 4);
-        assert_eq!(ParCfg::sequential().workers_for(1_000_000), 1);
+        assert_eq!(ParCfg::with_threads(1).workers_for(1_000_000), 1);
     }
 }

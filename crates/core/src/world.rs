@@ -91,10 +91,10 @@ impl WorldSet {
         normalize::normalize(self);
     }
 
-    /// [`normalize`](Self::normalize) with an explicit parallelism
-    /// configuration; the result is identical for every thread count.
-    pub fn normalize_with(&mut self, par: &crate::parallel::ParCfg) {
-        normalize::normalize_with(self, par);
+    /// [`normalize`](Self::normalize); no stage of it reads the thread
+    /// budget. Kept because the frozen `perfbench` adapter calls it.
+    pub fn normalize_with(&mut self, _par: &crate::parallel::ParCfg) {
+        self.normalize();
     }
 }
 

@@ -633,6 +633,37 @@ mod tests {
     }
 
     #[test]
+    fn a_single_tuple_run_reports_no_fan_out() {
+        use maybms_algebra::{run_with, ExecCfg};
+        use maybms_core::parallel::DEFAULT_MIN_ROWS;
+        use maybms_core::{ParCfg, Tuple, URelation, Value, WorldSet};
+        // Enough rows to pass the morsel threshold, but all of one tuple:
+        // one run is one task, which `run_tasks` runs inline.
+        let mut ws = WorldSet::new();
+        let c = ws.components.add(Component::uniform(2).unwrap());
+        let mut rel = URelation::new(Schema::of(&[("a", ValueType::Int)]).unwrap());
+        for i in 0..DEFAULT_MIN_ROWS {
+            let alt = (i % 2) as u16;
+            rel.push(
+                Tuple::new(vec![Value::Int(0)]),
+                WsDescriptor::single(c, alt),
+            )
+            .unwrap();
+        }
+        ws.insert("r", rel).unwrap();
+        let cfg = ExecCfg {
+            par: ParCfg::with_threads(4),
+            sip: true,
+        };
+        for plan in [conf(Plan::scan("r")), crate::certain(Plan::scan("r"))] {
+            let (out, stats, _) = run_with(&mut ws.clone(), &plan, &cfg, false).unwrap();
+            assert_eq!(out.len(), 1);
+            assert!(stats.par.workers_used <= 1, "{:?}", stats.par);
+            assert_eq!(stats.par.morsels, 0);
+        }
+    }
+
+    #[test]
     fn exact_solve_gives_up_at_the_step_ceiling() {
         // A 12-link chain takes a few dozen transitions; a ceiling of 10
         // stops it with the typed error, one of 1000 does not.

@@ -10,21 +10,17 @@
 //! The order is *total on content*: ties on the tuple fall through to the
 //! descriptor's term list. Rows that still compare equal are exact
 //! `(tuple, descriptor)` duplicates, so every operator's output is
-//! independent of how a sort arranges them — which is what lets the
-//! parallel sort (stable) and the sequential fast path (unstable) coexist
-//! without an observable difference, and what pins the order in which
-//! `conf` feeds descriptors into the probability computation (floating
-//! point is not associative; a content-total order keeps the result
-//! bit-identical across thread counts).
+//! independent of how the (unstable) sort arranges them — and the order in
+//! which `conf` feeds descriptors into the probability computation is
+//! pinned (floating point is not associative; a content-total order keeps
+//! the result bit-identical however the runs are later split over workers).
 
 use maybms_algebra::EvalCtx;
 use maybms_core::columnar::ColumnarURelation;
-use maybms_core::parallel::par_sort_by;
 
 /// Row ids of `r` sorted into canonical `(tuple, descriptor)` order. Takes
-/// the whole evaluation context: the sort reads the pools and parallelism
-/// knobs and records a `canonical-sort` trace phase under the calling
-/// operator's span.
+/// the whole evaluation context: the sort reads the pools and records a
+/// `canonical-sort` trace phase under the calling operator's span.
 pub(crate) fn sorted_row_ids(r: &ColumnarURelation, ctx: &mut EvalCtx<'_>) -> Vec<u32> {
     let started = ctx.tracer.now();
     let mut perm: Vec<u32> = (0..r.len() as u32).collect();
@@ -35,13 +31,7 @@ pub(crate) fn sorted_row_ids(r: &ColumnarURelation, ctx: &mut EvalCtx<'_>) -> Ve
         r.cmp_rows(i as usize, j as usize, strings)
             .then_with(|| pool.cmp_terms(descs[i as usize], descs[j as usize]))
     };
-    let workers = ctx.par.workers_for(perm.len());
-    if workers <= 1 {
-        perm.sort_unstable_by(cmp);
-    } else {
-        ctx.par_stats.note_stage(workers, workers);
-        par_sort_by(&mut perm, workers, cmp);
-    }
+    perm.sort_unstable_by(cmp);
     ctx.tracer
         .event("canonical-sort", started, perm.len() as u64);
     perm

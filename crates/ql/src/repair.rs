@@ -126,10 +126,8 @@ impl ExtOperator for RepairKey {
         // order, then a *stable* re-sort by the key columns — groups appear
         // in ascending key order, and within a group the members keep their
         // ascending full-tuple order, so alternative numbering is identical
-        // across runs over equal inputs. `par_sort_by` reproduces a stable
-        // sort exactly, so the parallel path preserves that numbering;
-        // component minting stays sequential (in group order), keeping the
-        // minted `ComponentId`s identical across thread counts.
+        // across runs over equal inputs; components are minted in group
+        // order, so the minted `ComponentId`s are too.
         let mut perm = sorted_row_ids(r, ctx);
         perm.dedup_by(|&mut i, &mut j| r.rows_eq(i as usize, j as usize));
         let key_sort_started = ctx.tracer.now();
@@ -144,13 +142,7 @@ impl ExtOperator for RepairKey {
                 .find(|o| *o != std::cmp::Ordering::Equal)
                 .unwrap_or(std::cmp::Ordering::Equal)
         };
-        let workers = ctx.par.workers_for(perm.len());
-        if workers <= 1 {
-            perm.sort_by(by_key);
-        } else {
-            ctx.par_stats.note_stage(workers, workers);
-            maybms_core::parallel::par_sort_by(&mut perm, workers, by_key);
-        }
+        perm.sort_by(by_key);
         ctx.tracer
             .event("key-sort", key_sort_started, perm.len() as u64);
         let key_eq = |i: u32, j: u32| {

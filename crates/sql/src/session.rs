@@ -214,12 +214,12 @@ impl Session {
         })
     }
 
-    /// Normalize the world set in place (`WorldSet::normalize_with` under
-    /// the session's thread budget) — the one world-set operation without a
-    /// MayQL form. Normalization rewrites descriptors and drops components,
-    /// so the catalog's statistics are collected again.
+    /// Normalize the world set in place (`WorldSet::normalize`) — the one
+    /// world-set operation without a MayQL form. Normalization rewrites
+    /// descriptors and drops components, so the catalog's statistics are
+    /// collected again.
     pub fn normalize(&mut self) {
-        self.ws.normalize_with(&self.exec.par);
+        self.ws.normalize();
         self.catalog = Catalog::from_world_set(&self.ws);
     }
 

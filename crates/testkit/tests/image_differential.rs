@@ -166,7 +166,7 @@ fn a_warm_world_set_answers_like_one_rebuilt_from_its_rows() {
                 0 => {
                     let mut cold = without_images(warm.world());
                     warm.normalize();
-                    cold.normalize_with(&warm.exec.par);
+                    cold.normalize();
                     assert_identical(warm.world(), &cold, &format!("{at}\nnormalize"));
                     assert_stored_as_built(warm.world(), &format!("{at}\nnormalize"));
                 }

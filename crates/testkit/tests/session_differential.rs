@@ -152,7 +152,7 @@ fn a_session_never_disagrees_with_a_cold_engine() {
             match rng.below(10) {
                 0 => {
                     session.normalize();
-                    expected.normalize_with(&session.exec.par);
+                    expected.normalize();
                 }
                 1 | 2 => {
                     let name = match rng.below(3) {
