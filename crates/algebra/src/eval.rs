@@ -45,9 +45,10 @@
 //! descriptor dictionaries), or both. A relation loaded from rows converts
 //! them the first time anything reads its image; a relation that is a run's
 //! answer — every `LET` result — is born with its image and builds rows only
-//! if someone reads them. The image is shared with clones of the relation
-//! and dropped by whatever writes its rows (`normalize`; a `LET` re-binding
-//! a name replaces the relation whole). A run never converts rows itself:
+//! if someone reads them; so is every relation `normalize` rewrites. The
+//! image is shared with clones of the relation and dropped by whatever
+//! writes its rows; a `LET` re-binding a name and `normalize` replace the
+//! relation whole. A run never converts rows itself:
 //! before the plan starts, [`run_with`] imports the image of every scanned
 //! name into the run's pools ([`maybms_core::ColumnarImage::scan`]) — by
 //! *appending* the image's dictionaries, which have the pools' own flat

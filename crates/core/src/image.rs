@@ -9,10 +9,11 @@
 //! * a relation that was built from rows converts them on the first
 //!   [`URelation::image`] call (`ColumnarImage::build`, the engine's one
 //!   rows → columns site);
-//! * a relation that is a run's answer is *born* with its image
-//!   ([`ColumnarImage::from_run`]): the run's output columns re-coded over
-//!   relation-local dictionaries. Its rows are built only if someone asks
-//!   for them ([`URelation::rows`], the engine's one columns → rows site).
+//! * a relation that is a run's answer, or normalization's output, is *born*
+//!   with its image ([`ColumnarImage::from_run`]): the output columns
+//!   re-coded over relation-local dictionaries. Its rows are built only if
+//!   someone asks for them ([`URelation::rows`], the engine's one
+//!   columns → rows site).
 //!
 //! A seeded image is what `build` would have made of the same rows — the
 //! same cells, the same string codes and descriptor ids, the same two
@@ -20,7 +21,10 @@
 //! image came to be. It is shared by clones of the relation and dropped by
 //! every method that can change the rows (after they were built), so it is
 //! always the image of the relation it belongs to; whatever is memoised
-//! *inside* it (the statistics summary) dies with it, at that one site.
+//! *inside* it (the statistics summary) dies with it, at that one site. The
+//! one change made to an image in place is normalization's component
+//! renumbering (`ColumnarImage::renumber_components`), on images it has
+//! just made and nobody else holds.
 //!
 //! An image is self-contained plain data. Its string cells are codes into a
 //! *relation-local* dictionary and its descriptor column holds relation-local
@@ -132,6 +136,15 @@ impl ColumnarImage {
     /// The distinct strings of the relation's `Str` columns.
     pub fn strings(&self) -> &StrPool {
         &self.strings
+    }
+
+    /// Renumber the components the descriptor dictionary mentions
+    /// ([`DescriptorPool::renumber_components`]) — normalization's garbage
+    /// collection, on an image nobody else holds yet. The statistics memo
+    /// names components too, so it goes.
+    pub(crate) fn renumber_components(&mut self, remap: &[u32]) {
+        self.pool.renumber_components(remap);
+        self.stats = OnceLock::new();
     }
 
     /// The cell the statistics of this image are memoised in.

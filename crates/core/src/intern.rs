@@ -338,6 +338,17 @@ impl DescriptorPool {
         &self.terms
     }
 
+    /// Send every component id through `remap` (old id → new id), in place.
+    /// The map must be increasing on the ids the pool mentions, so each term
+    /// list stays sorted and distinct entries stay distinct; the hash index,
+    /// which keys on the old ids, is dropped.
+    pub(crate) fn renumber_components(&mut self, remap: &[u32]) {
+        for (c, _) in &mut self.terms {
+            *c = ComponentId(remap[c.0 as usize]);
+        }
+        self.drop_index();
+    }
+
     /// The term list of a descriptor, sorted by component id.
     pub fn terms(&self, id: DescId) -> &[(ComponentId, u16)] {
         &self.terms[span(&self.ends, id.index())]

@@ -23,16 +23,21 @@
 //!
 //! Finally, components referenced by no relation are **garbage collected**
 //! and the remaining components are renumbered densely.
+//!
+//! Normalization reads each relation's columnar image and writes a new one:
+//! it never builds a relation's rows. Every rewrite above is a rewrite of the
+//! descriptor column alone — the value cells of each output row are those of
+//! some input row — so the output is a gather of the input's columns with a
+//! new descriptor column, re-coded into an image of its own by
+//! [`ColumnarImage::from_run`]. Garbage collection then renumbers component
+//! ids in those new images' descriptor dictionaries, before any other holder
+//! can see them.
 
-use std::cmp::Ordering;
-use std::sync::Arc;
-
-use crate::columnar::StrPool;
 use crate::component::ComponentSet;
-use crate::descriptor::{ComponentId, WsDescriptor};
+use crate::descriptor::ComponentId;
 use crate::fxhash::FxHashMap;
+use crate::image::ColumnarImage;
 use crate::intern::{DescId, DescriptorPool};
-use crate::rel::Tuple;
 use crate::urel::URelation;
 use crate::world::WorldSet;
 
@@ -43,50 +48,56 @@ use crate::world::WorldSet;
 /// `normalize_rows` as the reference implementation the columnar path is
 /// differentially tested against.
 pub fn normalize(ws: &mut WorldSet) {
-    let components = ws.components.clone();
-    for rel in ws.relations.values_mut() {
-        normalize_relation(rel, &components);
+    let mut images: Vec<Option<ColumnarImage>> = ws
+        .relations
+        .values()
+        .map(|rel| normalize_image(rel, &ws.components))
+        .collect();
+    gc_components(&mut ws.components, &mut images);
+    for (rel, image) in ws.relations.values_mut().zip(images) {
+        if let Some(image) = image {
+            *rel = URelation::from_image(image);
+        }
     }
-    gc_components(ws);
 }
 
-/// Columnar normalization of one relation, in place. Equivalent to the
-/// testkit's `normalize_rows` on the same rows, but engineered for large
-/// relations:
+/// Columnar normalization of one relation, in place: the relation becomes
+/// the image `normalize_image` makes of it (an empty one stays as it is).
+/// Equivalent to the testkit's `normalize_rows` on the same rows.
+pub fn normalize_relation(rel: &mut URelation, components: &ComponentSet) {
+    if let Some(image) = normalize_image(rel, components) {
+        *rel = URelation::from_image(image);
+    }
+}
+
+/// The image of `rel` normalized, or `None` when `rel` is empty. Engineered
+/// for large relations:
 ///
-/// 1. the relation's columnar image ([`URelation::image`]) is imported into
-///    a run-local [`DescriptorPool`] — into empty pools, so every column is
-///    read where it lies;
+/// 1. the relation's descriptor dictionary ([`URelation::image`]) is
+///    appended to a fresh [`DescriptorPool`], so its handles read the same
+///    there and stay canonical; the value columns are read where they lie;
 /// 2. trivial-assignment stripping is **memoized per distinct descriptor
 ///    handle** instead of re-filtering term vectors per row;
 /// 3. the canonical sort orders a `u32` permutation vector with column-wise
-///    typed comparisons — rows are never moved, and no `(Tuple, WsDescriptor)`
-///    pairs are shuffled through memory;
+///    typed comparisons — no cell is moved or materialized;
 /// 4. the per-tuple-group fixpoint (dedup, absorption, coverage merging)
 ///    runs on canonical [`DescId`]s, so descriptor equality inside a group is
 ///    an integer compare;
-/// 5. the surviving rows are emitted in one pass, in the same canonical
-///    `(tuple, descriptor)` order the reference path produces — *moving* the
-///    original tuples (and, where a row survived unchanged, its original
-///    descriptor) instead of re-materializing them from the columns.
-pub fn normalize_relation(rel: &mut URelation, components: &ComponentSet) {
+/// 5. the output is two columns — each output row's source row and its
+///    descriptor — in the same canonical order the reference path produces,
+///    gathered and re-coded into a fresh image.
+fn normalize_image(rel: &URelation, components: &ComponentSet) -> Option<ColumnarImage> {
     if rel.is_empty() {
-        return;
+        return None;
     }
     let registry = crate::obs::metrics();
     registry.normalize_runs_total.inc();
     registry.normalize_rows_total.add(rel.len() as u64);
+    let image = rel.image();
+    let (col, strings) = (image.columns(), image.strings());
     let mut pool = DescriptorPool::new();
-    let mut strings = StrPool::new();
-    // Held by its own handle: taking the rows below drops the relation's.
-    let image = Arc::clone(rel.image());
-    let col = image.scan(&mut pool, &mut strings);
-    let orig_ids: Vec<DescId> = col.descs().to_vec();
+    let orig_ids = pool.import(image.descriptors(), col.descs());
     let n = col.len();
-    // The original rows, each taken at most once during the emit pass below
-    // (the columns hold independent copies of the values).
-    let mut rows: Vec<Option<(Tuple, WsDescriptor)>> =
-        rel.take_rows().into_iter().map(Some).collect();
 
     // Memoized trivial-assignment stripping: handles are canonical, so each
     // distinct descriptor is stripped (and re-interned) exactly once.
@@ -126,14 +137,14 @@ pub fn normalize_relation(rel: &mut URelation, components: &ComponentSet) {
     // comparison.
     let mut keyed: Vec<(u64, u32)> = match col.columns().first() {
         Some(first) => (0..n)
-            .map(|i| (first.sort_prefix(i, &strings), i as u32))
+            .map(|i| (first.sort_prefix(i, strings), i as u32))
             .collect(),
         // Zero-arity relation: every tuple is ().
         None => (0..n).map(|i| (0, i as u32)).collect(),
     };
     let by_canonical = |&(ka, i): &(u64, u32), &(kb, j): &(u64, u32)| {
         ka.cmp(&kb).then_with(|| {
-            col.cmp_rows(i as usize, j as usize, &strings)
+            col.cmp_rows(i as usize, j as usize, strings)
                 .then_with(|| pool.cmp_terms(descs[i as usize], descs[j as usize]))
         })
     };
@@ -143,92 +154,42 @@ pub fn normalize_relation(rel: &mut URelation, components: &ComponentSet) {
         descs[i as usize] == descs[j as usize] && col.rows_eq(i as usize, j as usize)
     });
 
-    // Tuple-group boundaries over the canonical permutation.
-    let mut groups: Vec<(usize, usize)> = Vec::new();
-    {
-        let mut start = 0;
-        while start < perm.len() {
-            let mut end = start + 1;
-            while end < perm.len() && col.rows_eq(perm[start] as usize, perm[end] as usize) {
-                end += 1;
-            }
-            groups.push((start, end));
-            start = end;
+    // Per tuple group — a run of equal tuples in the canonical permutation —
+    // the group's first row stands for its tuple, once per descriptor that
+    // survives. A group of one keeps its stripped descriptor; a larger one
+    // goes to a local fixpoint, exactly as in the reference `normalize_rows`
+    // but on canonical handles.
+    let mut reps: Vec<u32> = Vec::with_capacity(perm.len());
+    let mut out: Vec<DescId> = Vec::with_capacity(perm.len());
+    let mut start = 0;
+    while start < perm.len() {
+        let rep = perm[start];
+        let mut end = start + 1;
+        while end < perm.len() && col.rows_eq(rep as usize, perm[end] as usize) {
+            end += 1;
         }
-    }
-
-    // Per-tuple-group local fixpoint, exactly as in the reference
-    // `normalize_rows` but on canonical handles. Only groups with more than
-    // one descriptor need it.
-    let multi: Vec<usize> = groups
-        .iter()
-        .enumerate()
-        .filter(|&(_, &(s, e))| e - s > 1)
-        .map(|(g, _)| g)
-        .collect();
-    let mut resolved: Vec<Vec<DescId>> = Vec::with_capacity(multi.len());
-    for &g in &multi {
-        let (s, e) = groups[g];
-        let mut ids: Vec<DescId> = perm[s..e].iter().map(|&i| descs[i as usize]).collect();
-        loop {
-            ids.sort_unstable_by(|&a, &b| pool.cmp_terms(a, b));
-            ids.dedup();
-            if !simplify_disjunction_ids(&mut ids, &mut pool, components) {
-                break;
-            }
-        }
-        resolved.push(ids);
-    }
-
-    let mut out: Vec<(Tuple, WsDescriptor)> = Vec::with_capacity(perm.len());
-    let mut mi = 0;
-    for (g, &(start, end)) in groups.iter().enumerate() {
-        let single;
-        let ids: &[DescId] = if mi < multi.len() && multi[mi] == g {
-            mi += 1;
-            &resolved[mi - 1]
+        if end - start == 1 {
+            reps.push(rep);
+            out.push(descs[rep as usize]);
         } else {
-            // Singleton group: its one stripped descriptor survives as-is.
-            single = [descs[perm[start] as usize]];
-            &single
-        };
-        // Move the representative row out; its tuple is the group's tuple.
-        let (tuple, rep_desc) = rows[perm[start] as usize]
-            .take()
-            .expect("each source row is taken at most once");
-        let mut rep_desc = Some(rep_desc);
-        // Emit the group's descriptors in canonical order, reusing an
-        // original descriptor whenever a surviving id belongs to a source
-        // row whose descriptor was not rewritten by stripping. Group rows
-        // and surviving ids are both sorted by term list, so one forward
-        // pointer finds each reusable row.
-        let mut p = start;
-        let last = ids.len() - 1;
-        for (k, &id) in ids.iter().enumerate() {
-            while p < end && pool.cmp_terms(descs[perm[p] as usize], id) == Ordering::Less {
-                p += 1;
-            }
-            let mut reused = None;
-            if p < end && descs[perm[p] as usize] == id {
-                let row = perm[p] as usize;
-                p += 1;
-                if orig_ids[row] == id {
-                    reused = if row == perm[start] as usize {
-                        rep_desc.take()
-                    } else {
-                        rows[row].take().map(|(_, d)| d)
-                    };
+            let mut ids: Vec<DescId> = perm[start..end]
+                .iter()
+                .map(|&i| descs[i as usize])
+                .collect();
+            loop {
+                ids.sort_unstable_by(|&a, &b| pool.cmp_terms(a, b));
+                ids.dedup();
+                if !simplify_disjunction_ids(&mut ids, &mut pool, components) {
+                    break;
                 }
             }
-            let desc = reused.unwrap_or_else(|| pool.to_descriptor(id));
-            if k == last {
-                out.push((tuple, desc));
-                break;
-            }
-            out.push((tuple.clone(), desc));
+            reps.extend(std::iter::repeat(rep).take(ids.len()));
+            out.extend(ids);
         }
+        start = end;
     }
-    rel.set_rows(out);
+    let gathered = col.gather_with_descs(&reps, out);
+    Some(ColumnarImage::from_run(gathered, &pool, strings))
 }
 
 /// Absorption and coverage merging on canonical descriptor handles. All ids
@@ -295,50 +256,32 @@ fn simplify_disjunction_ids(
     changed
 }
 
-/// Drop components no relation references and renumber the rest densely.
-/// Reference detection is a linear sweep over a dense mark vector (one flag
-/// per component) — no ordered-set construction on the hot path.
-fn gc_components(ws: &mut WorldSet) {
-    let total = ws.components.len();
+/// Drop components no image references and renumber the rest densely, in
+/// ascending order. The images are normalization's own, not yet wrapped in
+/// a relation, so nobody else holds them. Reference detection is one pass
+/// over each image's distinct descriptors, not its rows; renumbering maps
+/// their dictionaries in place. A dense renumbering is monotone and
+/// injective, so every term list stays sorted, distinct descriptors stay
+/// distinct and first-occurrence order holds: each image is still the one a
+/// conversion of its renumbered rows builds.
+fn gc_components(components: &mut ComponentSet, images: &mut [Option<ColumnarImage>]) {
+    let total = components.len();
     let mut used = vec![false; total];
-    let mut used_count = 0;
-    for rel in ws.relations.values() {
-        for (_, d) in rel.rows() {
-            for &(c, _) in d.terms() {
-                let slot = &mut used[c.0 as usize];
-                if !*slot {
-                    *slot = true;
-                    used_count += 1;
-                }
-            }
+    for image in images.iter().flatten() {
+        for &(c, _) in image.descriptors().all_terms() {
+            used[c.0 as usize] = true;
         }
     }
-    if used_count == total {
+    if used.iter().all(|&u| u) {
         return;
     }
-    // Dense renumbering in ascending component order.
-    let mut remap_table = vec![u32::MAX; total];
-    let mut new_set = ComponentSet::new();
-    for (old, &is_used) in used.iter().enumerate() {
-        if is_used {
-            let new = new_set.add(ws.components.get(ComponentId(old as u32)).clone());
-            remap_table[old] = new.0;
-        }
+    let mut remap = vec![u32::MAX; total];
+    let mut kept = ComponentSet::new();
+    for (old, _) in used.iter().enumerate().filter(|&(_, &u)| u) {
+        remap[old] = kept.add(components.get(ComponentId(old as u32)).clone()).0;
     }
-    let remap = |c: ComponentId| ComponentId(remap_table[c.0 as usize]);
-    for rel in ws.relations.values_mut() {
-        let rows = rel
-            .take_rows()
-            .into_iter()
-            .map(|(t, d)| {
-                let terms: Vec<_> = d.terms().iter().map(|&(c, a)| (remap(c), a)).collect();
-                (
-                    t,
-                    WsDescriptor::from_terms(terms).expect("renumbering keeps consistency"),
-                )
-            })
-            .collect();
-        rel.set_rows(rows);
+    for image in images.iter_mut().flatten() {
+        image.renumber_components(&remap);
     }
-    ws.components = new_set;
+    *components = kept;
 }

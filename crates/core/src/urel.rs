@@ -22,8 +22,10 @@ use crate::schema::Schema;
 /// both — **at least one is always set**, and each is built from the other
 /// the first time someone asks for it: a relation made of rows converts them
 /// on the first [`URelation::image`] call, a relation that is a run's answer
-/// ([`URelation::from_image`]) builds rows on the first [`URelation::rows`]
-/// call and never if nobody reads them. Which of the two is there is no part
+/// or a normalization's output ([`URelation::from_image`]) builds rows on the
+/// first [`URelation::rows`] call and never if nobody reads them. Rows are
+/// written only by the builders below (`push`, `push_unchecked`, `dedup`);
+/// normalization replaces a relation with the image it computes. Which of the two is there is no part
 /// of the relation's value: equality and `{:?}` go by the rows, `{}` prints
 /// the same either way. A clone shares the image *cell* — so whichever of
 /// the two is scanned first builds the image for both — and the image cannot
@@ -61,8 +63,9 @@ impl URelation {
         URelation::from_rows_unchecked(schema, Vec::new())
     }
 
-    /// The relation a run's answer is: born with its image
-    /// ([`ColumnarImage::from_run`]), rows built if and when they are read.
+    /// The relation a run's answer or a normalized relation is: born with
+    /// its image ([`ColumnarImage::from_run`]), rows built if and when they
+    /// are read.
     pub fn from_image(image: ColumnarImage) -> Self {
         crate::obs::metrics().images_seeded_total.inc();
         URelation {
@@ -229,16 +232,6 @@ impl URelation {
         }
         r
     }
-
-    /// Replace the rows wholesale (used by normalization).
-    pub(crate) fn set_rows(&mut self, rows: Vec<(Tuple, WsDescriptor)>) {
-        *self.rows_mut() = rows;
-    }
-
-    /// Move the rows out (used by normalization).
-    pub(crate) fn take_rows(&mut self) -> Vec<(Tuple, WsDescriptor)> {
-        std::mem::take(self.rows_mut())
-    }
 }
 
 impl fmt::Display for URelation {
@@ -347,6 +340,35 @@ mod tests {
     }
 
     #[test]
+    fn normalizing_an_answer_builds_no_rows() {
+        let mut ws = crate::world::WorldSet::new();
+        ws.components.add(Component::uniform(2).unwrap());
+        // Referenced by nothing: collected.
+        ws.components.add(Component::uniform(3).unwrap());
+        ws.relations.insert("r".into(), as_an_answer(&sample()));
+        ws.normalize();
+        let r = &ws.relations["r"];
+        assert!(has_image(r) && !has_rows(r));
+        assert_eq!((r.len(), ws.components.len()), (2, 1));
+        let mut answer = as_an_answer(&sample());
+        crate::normalize::normalize_relation(&mut answer, &ws.components);
+        assert!(has_image(&answer) && !has_rows(&answer));
+        // The duplicate row went; what is left reads in canonical order.
+        let want = [
+            (
+                Tuple::new(vec![Value::Int(1), Value::str("x")]),
+                WsDescriptor::tautology(),
+            ),
+            (
+                Tuple::new(vec![Value::Int(2), Value::str("y")]),
+                WsDescriptor::single(ComponentId(0), 1),
+            ),
+        ];
+        assert_eq!(answer.rows(), want);
+        assert_eq!(r.rows(), want);
+    }
+
+    #[test]
     fn display_reads_the_same_off_rows_and_off_the_image() {
         let schema = Schema::of(&[
             ("s", ValueType::Str),
@@ -407,7 +429,7 @@ mod tests {
         let collected = collect(&early_clone, &comps);
         assert!(original.image().stats_memo().get().is_some());
         type Write = fn(&mut URelation);
-        let writes: [(&str, Write); 5] = [
+        let writes: [(&str, Write); 3] = [
             ("push", |u| {
                 let (t, d) = row();
                 u.push(t, d).unwrap()
@@ -417,8 +439,6 @@ mod tests {
                 u.push_unchecked(t, d)
             }),
             ("dedup", URelation::dedup),
-            ("set_rows", |u| u.set_rows(vec![row()])),
-            ("take_rows", |u| drop(u.take_rows())),
         ];
         for (name, write) in writes {
             let mut clone = original.clone();

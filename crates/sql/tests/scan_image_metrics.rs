@@ -66,4 +66,18 @@ fn the_first_scan_builds_the_image_and_the_second_reuses_it() {
     assert_eq!(counts(), [1, 4, 5, 1]);
     assert_eq!(stored.len(), 3);
     assert_eq!(counts(), [1, 4, 5, 1]);
+
+    // Normalization reads every image and seeds a new one per non-empty
+    // relation, builds no rows, and the catalog refresh and the next scan
+    // both find the new image.
+    let non_empty = session
+        .world()
+        .relations
+        .values()
+        .filter(|r| !r.is_empty())
+        .count() as u64;
+    session.normalize();
+    assert_eq!(counts(), [1, 4, 5 + non_empty, 1]);
+    session.execute("SELECT a FROM r").unwrap();
+    assert_eq!(counts(), [1, 5, 6 + non_empty, 1]);
 }

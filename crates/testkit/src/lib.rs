@@ -18,8 +18,8 @@ use std::collections::BTreeMap;
 use maybms_algebra::{col, lit, naive, CmpOp, Operand, Plan, Predicate};
 use maybms_core::rng::Rng;
 use maybms_core::{
-    Component, MayError, Relation, Schema, Tuple, URelation, Value, ValueType, WorldSet,
-    WsDescriptor,
+    ColumnarImage, ColumnarURelation, Component, ComponentId, DescriptorPool, MayError, Relation,
+    Schema, StrPool, Tuple, URelation, Value, ValueType, WorldSet, WsDescriptor,
 };
 use maybms_ql::{certain, conf, conf_approx, possible, repair_key};
 
@@ -232,6 +232,54 @@ pub fn without_images(ws: &WorldSet) -> WorldSet {
             })
             .collect(),
     }
+}
+
+/// `u` the way a run hands it back: converted into run pools that already
+/// hold other entries, then re-expressed as an image of its own
+/// (`ColumnarImage::from_run`). It has no rows until someone reads them.
+pub fn as_an_answer(u: &URelation) -> URelation {
+    let (mut pool, mut strings) = (DescriptorPool::new(), StrPool::new());
+    pool.single(ComponentId(1 << 20), 1);
+    strings.intern("someone else's");
+    let columns = ColumnarURelation::from_urelation(u, &mut pool, &mut strings);
+    URelation::from_image(ColumnarImage::from_run(columns, &pool, &strings))
+}
+
+/// Field for field: the same cells (strings by code), the same descriptor
+/// column, and two dictionaries holding the same entries in the same order.
+pub fn assert_same_image(got: &ColumnarImage, want: &ColumnarImage, at: &str) {
+    let (g, w) = (got.columns(), want.columns());
+    assert_eq!(g.schema(), w.schema(), "{at}");
+    assert_eq!(g.descs(), w.descs(), "{at}: descriptor ids");
+    for (c, (x, y)) in g.columns().iter().zip(w.columns()).enumerate() {
+        assert_eq!(
+            std::mem::discriminant(x.data()),
+            std::mem::discriminant(y.data()),
+            "{at}: column {c}"
+        );
+        for i in 0..g.len() {
+            assert!(x.eq_cells(i, y, i), "{at}: cell ({i}, {c})");
+        }
+    }
+    // Every dictionary entry is some row's, so the rows reach all of them.
+    assert_eq!(got.descriptors().len(), want.descriptors().len(), "{at}");
+    for &id in g.descs() {
+        let (x, y) = (got.descriptors().terms(id), want.descriptors().terms(id));
+        assert_eq!(x, y, "{at}: descriptor {id:?}");
+    }
+    assert_eq!(got.strings().len(), want.strings().len(), "{at}");
+    for code in 0..got.strings().len() as u32 {
+        let (x, y) = (got.strings().get(code), want.strings().get(code));
+        assert_eq!(x, y, "{at}: string {code}");
+    }
+}
+
+/// `rel`'s image is the one a conversion of its rows builds. Reads the rows
+/// of a clone, so `rel` itself stays as it was.
+pub fn assert_image_as_built(rel: &URelation, at: &str) {
+    let rel = rel.clone();
+    let rebuilt = URelation::from_rows_unchecked(rel.schema().clone(), rel.rows().to_vec());
+    assert_same_image(rel.image(), rebuilt.image(), at);
 }
 
 /// A random consistent descriptor over the world set's components (possibly

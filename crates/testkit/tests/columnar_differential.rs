@@ -14,8 +14,8 @@ use maybms_core::{DescriptorPool, Tuple, URelation, Value};
 use maybms_ql::{certain, conf, possible};
 use maybms_testkit::oracle::normalize_rows;
 use maybms_testkit::{
-    certain_oracle, conf_oracle, gen_mixed_relation, gen_plan, gen_world_set, per_world_results,
-    possible_oracle, GenConfig, WORLD_LIMIT,
+    as_an_answer, assert_image_as_built, certain_oracle, conf_oracle, gen_mixed_relation, gen_plan,
+    gen_world_set, per_world_results, possible_oracle, GenConfig, WORLD_LIMIT,
 };
 
 const CASES: u64 = 120;
@@ -153,7 +153,9 @@ fn columnar_uncertainty_ops_match_oracles() {
 
 /// The columnar normalization pipeline must emit byte-identical rows to the
 /// row-oriented reference rewrite — including on mixed-type relations with
-/// strings, floats, and nulls.
+/// strings, floats, and nulls — and emit them as an image: the one a
+/// conversion of those rows builds, field for field. Each relation goes in
+/// twice, built from rows and born as a run's answer out of busy pools.
 #[test]
 fn columnar_normalize_matches_reference() {
     let cfg = GenConfig::default();
@@ -165,18 +167,22 @@ fn columnar_normalize_matches_reference() {
             .relations
             .values()
             .chain(std::iter::once(&mixed))
-            .cloned()
+            .flat_map(|rel| [rel.clone(), as_an_answer(rel)])
             .collect::<Vec<URelation>>();
 
         for rel in relations {
-            let expected = normalize_rows(rel.rows().to_vec(), &ws.components);
+            // Normalized before anyone reads the answer's rows.
             let mut got = rel.clone();
             normalize_relation(&mut got, &ws.components);
+            let expected = normalize_rows(rel.rows().to_vec(), &ws.components);
+            let at = format!("case {case}: normalized\n{rel}");
+            assert!(got.is_empty() || got.has_image(), "{at}: no image");
             assert_eq!(
                 got.rows(),
                 expected.as_slice(),
                 "case {case}: columnar normalize diverged from reference on\n{rel}"
             );
+            assert_image_as_built(&got, &at);
         }
     }
 }

@@ -9,7 +9,8 @@
 //! * queries: joins, self-joins that scan one name twice, unions,
 //!   `POSSIBLE` / `CERTAIN` / `CONF`, `REPAIR KEY`;
 //! * `LET` onto fresh names and onto names already bound (scanned or not);
-//! * `Session::normalize`, which reads every image and replaces every row;
+//! * `Session::normalize`, which reads every image and seeds a new one per
+//!   non-empty relation;
 //! * clone-then-mutate: the world set is cloned (sharing the images), one
 //!   relation of the clone is written through a public `&mut` method, and the
 //!   walk continues on the clone — after checking the original still answers
@@ -33,12 +34,14 @@
 use maybms_algebra::{run, ExecCfg, Plan};
 use maybms_core::rng::Rng;
 use maybms_core::{
-    collect_stats, ColumnarImage, ComponentId, ParCfg, Schema, Tuple, URelation, Value, ValueType,
-    WorldSet, WsDescriptor,
+    collect_stats, ComponentId, ParCfg, Schema, Tuple, URelation, Value, ValueType, WorldSet,
+    WsDescriptor,
 };
 use maybms_sql::{Outcome, Session, SessionError};
 use maybms_testkit::oracle::stats_by_rows;
-use maybms_testkit::{gen_query, gen_typed_world_set, without_images, GenConfig};
+use maybms_testkit::{
+    assert_same_image, gen_query, gen_typed_world_set, without_images, GenConfig,
+};
 
 const SEEDS: u64 = 210;
 const STEPS: usize = 14;
@@ -89,35 +92,6 @@ fn rows(result: Result<maybms_sql::Executed, SessionError>) -> Result<Option<URe
 fn assert_identical<T: PartialEq + std::fmt::Debug>(warm: &T, cold: &T, at: &str) {
     assert_eq!(warm, cold, "{at}");
     assert_eq!(format!("{warm:?}"), format!("{cold:?}"), "{at}");
-}
-
-/// Field for field: the same cells (strings by code), the same descriptor
-/// column, and two dictionaries holding the same entries in the same order.
-fn assert_same_image(got: &ColumnarImage, want: &ColumnarImage, at: &str) {
-    let (g, w) = (got.columns(), want.columns());
-    assert_eq!(g.schema(), w.schema(), "{at}");
-    assert_eq!(g.descs(), w.descs(), "{at}: descriptor ids");
-    for (c, (x, y)) in g.columns().iter().zip(w.columns()).enumerate() {
-        assert_eq!(
-            std::mem::discriminant(x.data()),
-            std::mem::discriminant(y.data()),
-            "{at}: column {c}"
-        );
-        for i in 0..g.len() {
-            assert!(x.eq_cells(i, y, i), "{at}: cell ({i}, {c})");
-        }
-    }
-    // Every dictionary entry is some row's, so the rows reach all of them.
-    assert_eq!(got.descriptors().len(), want.descriptors().len(), "{at}");
-    for &id in g.descs() {
-        let (x, y) = (got.descriptors().terms(id), want.descriptors().terms(id));
-        assert_eq!(x, y, "{at}: descriptor {id:?}");
-    }
-    assert_eq!(got.strings().len(), want.strings().len(), "{at}");
-    for code in 0..got.strings().len() as u32 {
-        let (x, y) = (got.strings().get(code), want.strings().get(code));
-        assert_eq!(x, y, "{at}: string {code}");
-    }
 }
 
 /// Every relation of the world set is stored as if built from its rows: its

@@ -213,8 +213,8 @@ fn neither_new_rows_nor_new_components_are_served_a_stale_memo() {
     assert_eq!(collect_stats(&rel, &wider), stats_by_rows(&rel, &wider));
     assert_eq!(collect_stats(&rel, &wider).mean_alternatives, 6.5);
     assert_eq!(collect_stats(&rel, &comps), before);
-    // Each public way to write rows; `normalize` (which takes the rows out
-    // and sets new ones) after them.
+    // Each public way to write rows; `normalize` (which replaces the
+    // relation with a new image) after them.
     let extra = rel.rows()[0].0.clone();
     rel.push(extra.clone(), WsDescriptor::single(ComponentId(1), 3))
         .unwrap();
