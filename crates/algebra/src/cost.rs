@@ -118,12 +118,12 @@ pub(crate) fn join_step_cost(left_rows: f64, right_rows: f64, out_rows: f64) -> 
     left_rows + 2.0 * right_rows + out_rows
 }
 
-/// Set-canonical estimate of a natural join over `leaves` (any subset of a
-/// flattened join tree): `Π rows / Π_c max(ndv_c)^(k_c − 1)` over columns
-/// `c` shared by `k_c` leaves. Deliberately *order-invariant* — the same
-/// leaf set estimates identically regardless of join order — which is what
-/// makes the DP in the reorder phase well-defined and its choice stable
-/// across re-optimization.
+/// Estimate of a natural join over `leaves`: `Π rows / Π_c
+/// max(ndv_c)^(k_c − 1)` over columns `c` shared by `k_c` leaves.
+/// *Order-invariant* — the same inputs estimate identically in either
+/// order. The reorder phase calls it on pairs: every join node, in the
+/// current shape and in the greedy search alike, is estimated from its two
+/// children.
 pub(crate) fn join_set_est(leaves: &[&CardEst]) -> CardEst {
     let mut rows = 1.0f64;
     let mut by_col: BTreeMap<&str, Vec<(f64, f64)>> = BTreeMap::new(); // (ndv, rows)

@@ -8,36 +8,14 @@ use maybms_core::{MayError, Schema};
 use crate::eval::EvalCtx;
 use crate::plan::Plan;
 
-/// Algebraic properties of an extension operator, consulted by the logical
-/// optimizer ([`mod@crate::optimize`]). The defaults are maximally conservative
-/// — an operator that declares nothing is treated as an opaque barrier no
-/// rewrite crosses — so implementing [`ExtOperator::props`] is opt-in and
-/// omitting it is always sound, merely slower.
+/// Plan properties of an extension operator. The optimizer
+/// ([`mod@crate::optimize`]) treats every extension operator as a barrier
+/// and rewrites only its inputs; these properties feed the derived plan
+/// properties ([`Plan::is_distinct`], [`Plan::is_certain`]) its rules test,
+/// the cost model, and the input-rewrite guard. The defaults claim nothing,
+/// so omitting [`ExtOperator::props`] is always sound, merely slower.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExtProps {
-    /// Selections commute with the operator: `σ_p(op(R)) = op(σ_p(R))`
-    /// whenever every column of `p` exists in the operator's *input* schema.
-    /// True for `possible`/`certain` (they decide per tuple whether it
-    /// occurs in some/every world) and for `conf` (a tuple's confidence
-    /// depends only on its own descriptors, so dropping other tuples first
-    /// changes nothing — and the input-schema guard keeps predicates over
-    /// the appended `conf` column from crossing).
-    ///
-    /// Only operators that are deterministic and mint no components may
-    /// declare either commutation flag: a commuted rewrite is inherently
-    /// per-occurrence, so a shared (`Arc`-identical) node can split into
-    /// distinct rebuilt nodes that the executor evaluates separately.
-    pub commutes_with_select: bool,
-    /// Projections commute with the operator: `π_c(op(R)) = op(π_c(R))`.
-    /// True for `possible` (a projected tuple is in *some* world iff some
-    /// extension of it is); **false for `certain`** — two rows differing
-    /// only in a dropped column, under descriptors that jointly cover all
-    /// worlds, make the projected tuple certain while neither full tuple
-    /// is — and false for `conf` (projection changes which rows count as
-    /// one tuple) and `repair-key` (grouping and weights read columns a
-    /// projection could drop). The sharing caveat on
-    /// [`commutes_with_select`](ExtProps::commutes_with_select) applies.
-    pub commutes_with_project: bool,
     /// The operator's input must stay a normalized certain relation
     /// (duplicate-free, every descriptor trivial) — `repair-key`'s
     /// contract. The optimizer refuses any input rewrite that cannot be
@@ -48,21 +26,6 @@ pub struct ExtProps {
     /// Every output row carries the trivial descriptor (the result is a
     /// certain relation).
     pub certain_output: bool,
-    /// On an input that is provably certain and duplicate-free the operator
-    /// is the identity (up to row order) and can be elided: `possible` and
-    /// `certain` of a certain set are that set.
-    pub identity_on_certain: bool,
-    /// The operator distributes over union *as a set*:
-    /// `op(A ∪ B) ≡ op(A) ∪ op(B)` (the executor's union output is
-    /// duplicate-free, so set equality is what plan equivalence means
-    /// here). True for `possible` — a tuple is possible in a union iff it
-    /// is possible in some side; **false for `certain`** (a tuple can be
-    /// certain in `A ∪ B` with neither side covering all worlds alone),
-    /// for `conf` (probabilities of the sides do not combine by union),
-    /// and for `repair-key` (grouping is global). Consulted only by the
-    /// cost-based phase: distributing is a pure locality/size trade, so it
-    /// fires only where the estimates say the split is cheaper.
-    pub distributes_over_union: bool,
 }
 
 /// An operator plugged into the plan IR from a higher layer.
@@ -109,17 +72,17 @@ pub trait ExtOperator: fmt::Debug + Send + Sync {
         None
     }
 
-    /// The operator's algebraic properties (see [`ExtProps`]). The default
-    /// declares nothing, which makes the operator an opaque barrier to the
-    /// optimizer.
+    /// The operator's plan properties (see [`ExtProps`]). The default
+    /// claims nothing: the output may hold duplicates and uncertain rows,
+    /// and the input has no normalization contract.
     fn props(&self) -> ExtProps {
         ExtProps::default()
     }
 
     /// Rebuild this operator (same parameters) over new input plans, in
     /// [`inputs`] order. Returning `None` (the default) marks the operator
-    /// opaque to plan rewrites: the optimizer will neither optimize its
-    /// inputs nor commute anything across it. Implementations must return a
+    /// opaque to plan rewrites: the optimizer leaves its inputs as they
+    /// are. Implementations must return a
     /// plan that evaluates exactly like the original on inputs that evaluate
     /// exactly like the originals.
     ///

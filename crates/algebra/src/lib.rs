@@ -26,16 +26,15 @@
 //! `maybms-ql` uses it for `repair-key`, `possible`, `certain`, and `conf`.
 //!
 //! Between lowering and execution sits the **logical optimizer**
-//! ([`mod@optimize`]): a fixpoint rewriter that pushes selections through
-//! projections, renames, unions, join inputs, and commuting uncertainty
-//! operators, prunes projections down to the columns consumers need, and
-//! elides operators that derived plan properties (schema, distinctness,
-//! descriptor-triviality) prove redundant. Extension operators opt into
-//! rewrites by declaring [`ext::ExtProps`]. On top of the rule fixpoint,
+//! ([`mod@optimize`]): a fixpoint rewriter that pushes selections into join
+//! inputs, prunes projections down to the columns consumers need, and
+//! collapses or elides projections that derived plan properties (schema,
+//! distinctness) prove redundant. Extension operators are barriers whose
+//! inputs are rewritten in place. On top of the rule fixpoint,
 //! [`optimize::optimize_with_stats`] runs a **cost-based phase** that
-//! reorders join trees (dynamic programming over subsets) and distributes
-//! quantifiers over unions, driven by the catalog statistics a
-//! [`cost::StatsProvider`] serves to the cardinality estimator in [`cost`].
+//! reorders join trees (a greedy cheapest-pair search), driven by the
+//! catalog statistics a [`cost::StatsProvider`] serves to the cardinality
+//! estimator in [`cost`].
 //!
 //! [`naive`] evaluates the same plans with the textbook single-world
 //! algebra, which is what the differential tests run inside each enumerated

@@ -1,22 +1,19 @@
 //! The logical plan optimizer: an algebraic rewrite layer between lowering
 //! and execution.
 //!
-//! The paper's central claim is that its uncertainty constructs form a
-//! *compositional algebra*: `possible` and `certain` commute with the
-//! positive relational algebra, and selections and projections rewrite
-//! across operator boundaries exactly as in a classical optimizer. This
-//! module exploits that: [`optimize`] runs a small fixpoint rewriter over
-//! [`Plan`]s whose rules are justified one-for-one by algebraic
-//! equivalences on world-set decompositions:
+//! The paper's claim is that queries over incomplete information compile to
+//! ordinary relational plans over u-relations, and selections and
+//! projections rewrite exactly as in a classical optimizer: they read and
+//! drop tuple cells, never descriptors. [`optimize`] runs a small fixpoint
+//! rewriter over [`Plan`]s. It keeps the rules that change a benchmark plan,
+//! each justified by an algebraic equivalence on world-set decompositions:
 //!
 //! | rule | equivalence | why it is sound on WSDs |
 //! |------|-------------|--------------------------|
-//! | selection pushdown | `σ_p(π(R)) = π(σ_p(R))`, `σ_p(ρ(R)) = ρ(σ_{p'}(R))`, `σ_p(R ∪ S) = σ_p(R) ∪ σ_p(S)`, `σ_p(R ⋈ S) = σ_p(R) ⋈ S` for `cols(p) ⊆ R` | selection reads tuple cells only and never touches descriptors |
-//! | selection merge | `σ_p(σ_q(R)) = σ_{p∧q}(R)` | one sweep, and `∧` splits at the next join |
+//! | selection into a join input | `σ_p(R ⋈ S) = σ_p(R) ⋈ S` for `cols(p) ⊆ R`, per conjunct | selection reads tuple cells only and never touches descriptors |
 //! | projection collapse | `π_a(π_b(R)) = π_a(R)` for `a ⊆ b` | both sides deduplicate under the outer projection |
+//! | identity-projection elision | `π_names(R) = R` for duplicate-free `R` | the projection neither reorders nor deduplicates anything |
 //! | projection pruning | `π_a(R ⋈ S) = π_a(π_{a∪keys}(R) ⋈ π_{a∪keys}(S))` | rows collapsed early are exact `(tuple, descriptor)` duplicates in the projected space, which the enclosing projection collapses anyway |
-//! | quantifier commuting | `σ_p(possible(R)) = possible(σ_p(R))`, same for `certain` and `conf`; `π_c(possible(R)) = possible(π_c(R))` — π does **not** commute with `certain` | declared per operator via [`ExtOperator::props`]; world-collapsing then runs on the smallest intermediate |
-//! | quantifier elision | `possible(R) = certain(R) = R` when `R` is provably certain and duplicate-free | every descriptor is trivial, so "some world" and "every world" both mean "the relation itself" |
 //!
 //! Rules fire only when a derived plan property proves them sound; the
 //! properties ([`Plan::schema_with`], [`Plan::is_distinct`],
@@ -24,30 +21,19 @@
 //! [`SchemaProvider`], so every layer that owns schemas (the executor's
 //! relation map, the MayQL catalog) can drive the optimizer.
 //!
-//! Extension operators participate through two hooks on
-//! [`ExtOperator`]: [`props`][ExtOperator::props] declares the algebraic
-//! properties above, and [`with_inputs`][ExtOperator::with_inputs] rebuilds
-//! the operator over rewritten inputs. Operators that implement neither are
-//! opaque barriers — sound, just never rewritten across.
+//! Extension operators are barriers: no selection or projection crosses
+//! one, and only their inputs are rewritten, through
+//! [`with_inputs`][ExtOperator::with_inputs]. An operator that does not
+//! implement it is opaque — its inputs stay as they are.
 //!
 //! **Sharing discipline.** Within one plan, a *shared* extension subtree
 //! (the same `Arc`, e.g. a `repair-key` used on both sides of a join) must
 //! stay shared: the executor evaluates shared subtrees once so both
-//! occurrences see the same minted components. The rewriter therefore
-//! memoizes pure input rewrites of extension nodes by `Arc` identity —
-//! every occurrence of a shared node maps to one rewritten node. The
-//! exception is *commuted* rewrites (a selection or projection crossing
-//! into the operator), which are inherently per-occurrence: each occurrence
-//! absorbs its own surrounding predicate, so a shared node may split into
-//! distinct rebuilt nodes. That is exactly why declaring
-//! [`commutes_with_select`]/[`commutes_with_project`] is restricted to
-//! deterministic operators that mint nothing — splitting such a node
-//! duplicates work at worst, never meaning. Operators that declare
+//! occurrences see the same minted components. Every extension rewrite is
+//! a pure input rewrite, memoized by `Arc` identity, so every occurrence of
+//! a shared node maps to one rewritten node. Operators that declare
 //! [`ExtProps::requires_normalized_input`] additionally get a guard: their
 //! inputs are only replaced by rewrites that preserve provable certainty.
-//!
-//! [`commutes_with_select`]: crate::ext::ExtProps::commutes_with_select
-//! [`commutes_with_project`]: crate::ext::ExtProps::commutes_with_project
 //!
 //! [`ExtProps::requires_normalized_input`]: crate::ext::ExtProps::requires_normalized_input
 
@@ -56,7 +42,7 @@ use std::sync::Arc;
 
 use maybms_core::{FxHashMap, MayError, Schema, URelation};
 
-use crate::cost::StatsProvider;
+use crate::cost::{join_set_est, join_step_cost, CardEst, StatsProvider};
 use crate::ext::ExtOperator;
 use crate::plan::Plan;
 use crate::predicate::Predicate;
@@ -124,11 +110,11 @@ impl Plan {
 /// cap only guards against a pathological rule interaction cycling forever.
 const MAX_PASSES: usize = 8;
 
-/// Optimize a plan: run the pushdown/commuting rules and the projection
-/// pruner to fixpoint. The result evaluates to the same u-relation as the
-/// input (up to row order) on every world set whose base relations match
-/// the provider's schemas; the differential test suite checks exactly that
-/// on randomized plans and world sets.
+/// Optimize a plan: run selection pushdown and the projection pruner to
+/// fixpoint. The result evaluates to the same u-relation as the input (up
+/// to row order) on every world set whose base relations match the
+/// provider's schemas; the differential test suite checks exactly that on
+/// randomized plans and world sets.
 pub fn optimize(plan: &Plan, schemas: &dyn SchemaProvider) -> Result<Plan, MayError> {
     let mut p = plan.clone();
     for _ in 0..MAX_PASSES {
@@ -142,8 +128,41 @@ pub fn optimize(plan: &Plan, schemas: &dyn SchemaProvider) -> Result<Plan, MayEr
     Ok(p)
 }
 
-/// One rewrite pass: a pushdown/commuting sweep followed by a projection
-/// pruning sweep, with per-pass memoization of extension-node rewrites.
+/// The memo key of an extension node: its `Arc` identity.
+fn memo_key(op: &Arc<dyn ExtOperator>) -> usize {
+    Arc::as_ptr(op) as *const () as usize
+}
+
+/// Rebuild an extension operator over its swept `inputs`. The operator is
+/// kept as it was, and `rewrites` rolled back to `before`, when the sweep
+/// changed nothing below it, when it has no rebuild hook, or when it
+/// requires normalized input and a rewritten input lost its provable
+/// certainty.
+fn rebuild(
+    op: &Arc<dyn ExtOperator>,
+    inputs: Vec<Plan>,
+    rewrites: &mut usize,
+    before: usize,
+) -> Plan {
+    let preserved = || {
+        !op.props().requires_normalized_input
+            || op
+                .inputs()
+                .iter()
+                .zip(&inputs)
+                .all(|(orig, new)| !orig.is_certain() || new.is_certain())
+    };
+    if *rewrites > before && preserved() {
+        if let Some(rebuilt) = op.with_inputs(inputs) {
+            return rebuilt;
+        }
+    }
+    *rewrites = before;
+    Plan::Ext(Arc::clone(op))
+}
+
+/// One rewrite pass: a pushdown sweep followed by a projection pruning
+/// sweep, with per-pass memoization of extension-node rewrites.
 struct Pass<'a> {
     schemas: &'a dyn SchemaProvider,
     /// Rules fired this pass (drives the fixpoint loop).
@@ -151,7 +170,7 @@ struct Pass<'a> {
     /// Pushdown results for extension nodes, by `Arc` identity — a shared
     /// subtree rewrites to one shared result.
     push_memo: FxHashMap<usize, Plan>,
-    /// Pruning results for barrier extension nodes, by `Arc` identity.
+    /// Pruning results for extension nodes, by `Arc` identity.
     prune_memo: FxHashMap<usize, Plan>,
 }
 
@@ -186,11 +205,9 @@ impl<'a> Pass<'a> {
         }
     }
 
-    /// The pushdown/commuting sweep: selections sink toward scans (through
-    /// projections, renames, unions, into join inputs, and across
-    /// commuting extension operators), adjacent selections merge, nested
-    /// projections collapse, and redundant operators (identity projections,
-    /// quantifiers over certain duplicate-free inputs) are elided.
+    /// The pushdown sweep: selections sink into join inputs, nested
+    /// projections collapse, and identity projections over duplicate-free
+    /// inputs are elided.
     fn pushdown(&mut self, plan: Plan) -> Result<Plan, MayError> {
         match plan {
             Plan::Scan(_) => Ok(plan),
@@ -219,12 +236,7 @@ impl<'a> Pass<'a> {
                 Ok(Plan::Project { input, columns })
             }
             Plan::Rename { mut input, renames } => {
-                let inner = self.pushdown(*input)?;
-                if renames.is_empty() {
-                    self.rewrites += 1;
-                    return Ok(inner);
-                }
-                *input = inner;
+                *input = self.pushdown(*input)?;
                 Ok(Plan::Rename { input, renames })
             }
             Plan::NaturalJoin { left, right } => {
@@ -235,209 +247,75 @@ impl<'a> Pass<'a> {
         }
     }
 
-    /// Push one selection as deep as its column set allows. `input` has
-    /// already been swept by [`Pass::pushdown`].
+    /// Push one selection into the join directly below it: each conjunct
+    /// sinks into the side that has all of its columns; conjuncts spanning
+    /// both sides, and selections over anything but a join, stay where they
+    /// are. `input` has already been swept by [`Pass::pushdown`].
     fn push_select(&mut self, input: Plan, pred: Predicate) -> Result<Plan, MayError> {
-        if matches!(pred, Predicate::True) {
+        let Plan::NaturalJoin { left, right } = input else {
+            return Ok(input.select(pred));
+        };
+        let ls = left.schema_with(self.schemas)?;
+        let rs = right.schema_with(self.schemas)?;
+        let mut parts = Vec::new();
+        conjuncts(pred, &mut parts);
+        let (mut to_l, mut to_r, mut keep) = (Vec::new(), Vec::new(), Vec::new());
+        for c in parts {
+            let mut cols = BTreeSet::new();
+            c.columns(&mut cols);
+            if cols.iter().all(|n| ls.col_index(n).is_ok()) {
+                to_l.push(c);
+            } else if cols.iter().all(|n| rs.col_index(n).is_ok()) {
+                to_r.push(c);
+            } else {
+                keep.push(c);
+            }
+        }
+        if !to_l.is_empty() || !to_r.is_empty() {
             self.rewrites += 1;
-            return Ok(input);
         }
-        match input {
-            // σ_p(σ_q(X)) → σ_{q∧p}(X): one sweep, and the conjunction
-            // splits per side at the next join below.
-            Plan::Select {
-                input: i2,
-                predicate: q,
-            } => {
-                self.rewrites += 1;
-                self.push_select(*i2, Predicate::And(vec![q, pred]))
-            }
-            // σ_p(π_c(X)) → π_c(σ_p(X)): p only reads columns of c.
-            Plan::Project { input: i2, columns } => {
-                self.rewrites += 1;
-                Ok(self.push_select(*i2, pred)?.project(columns))
-            }
-            // σ_p(ρ(X)) → ρ(σ_{p'}(X)) with p's columns mapped back
-            // through the renaming (simultaneously, so swaps resolve).
-            Plan::Rename { input: i2, renames } => {
-                self.rewrites += 1;
-                let back: FxHashMap<&str, &str> = renames
-                    .iter()
-                    .map(|(o, n)| (n.as_str(), o.as_str()))
-                    .collect();
-                let pred = pred
-                    .map_columns(&|c| back.get(c).map_or_else(|| c.to_string(), |o| o.to_string()));
-                Ok(self.push_select(*i2, pred)?.rename(renames))
-            }
-            // σ_p(X ∪ Y) → σ_p(X) ∪ σ_p(Y).
-            Plan::Union { left, right } => {
-                self.rewrites += 1;
-                let l = self.push_select(*left, pred.clone())?;
-                let r = self.push_select(*right, pred)?;
-                Ok(l.union(r))
-            }
-            // σ_p(X ⋈ Y): each conjunct sinks into the side that has all
-            // of its columns; conjuncts spanning both sides stay above.
-            Plan::NaturalJoin { left, right } => {
-                let ls = left.schema_with(self.schemas)?;
-                let rs = right.schema_with(self.schemas)?;
-                let mut parts = Vec::new();
-                conjuncts(pred, &mut parts);
-                let (mut to_l, mut to_r, mut keep) = (Vec::new(), Vec::new(), Vec::new());
-                for c in parts {
-                    let mut cols = BTreeSet::new();
-                    c.columns(&mut cols);
-                    if cols.iter().all(|n| ls.col_index(n).is_ok()) {
-                        to_l.push(c);
-                    } else if cols.iter().all(|n| rs.col_index(n).is_ok()) {
-                        to_r.push(c);
-                    } else {
-                        keep.push(c);
-                    }
-                }
-                if to_l.is_empty() && to_r.is_empty() {
-                    let joined = left.join(*right);
-                    return Ok(match and_of(keep) {
-                        Some(p) => joined.select(p),
-                        None => joined,
-                    });
-                }
-                self.rewrites += 1;
-                let l = match and_of(to_l) {
-                    Some(p) => self.push_select(*left, p)?,
-                    None => *left,
-                };
-                let r = match and_of(to_r) {
-                    Some(p) => self.push_select(*right, p)?,
-                    None => *right,
-                };
-                let joined = l.join(r);
-                Ok(match and_of(keep) {
-                    Some(p) => joined.select(p),
-                    None => joined,
-                })
-            }
-            // σ_p(op(X)) → op(σ_p(X)) when the operator declares the
-            // commutation, applied per conjunct: conjuncts reading only
-            // columns of op's *input* cross, conjuncts over produced
-            // columns (e.g. `conf`) stay above.
-            Plan::Ext(op) => {
-                let mut pred = pred;
-                let props = op.props();
-                if props.commutes_with_select && op.inputs().len() == 1 {
-                    let in_schema = op.inputs()[0].schema_with(self.schemas)?;
-                    let mut parts = Vec::new();
-                    conjuncts(pred, &mut parts);
-                    let (mut cross, mut keep) = (Vec::new(), Vec::new());
-                    for c in parts {
-                        let mut cols = BTreeSet::new();
-                        c.columns(&mut cols);
-                        if cols.iter().all(|n| in_schema.col_index(n).is_ok()) {
-                            cross.push(c);
-                        } else {
-                            keep.push(c);
-                        }
-                    }
-                    if let Some(p) = and_of(cross.clone()) {
-                        let before = self.rewrites;
-                        let pushed = self.push_select(op.inputs()[0].clone(), p)?;
-                        if let Some(rebuilt) = op.with_inputs(vec![pushed]) {
-                            self.rewrites += 1;
-                            return Ok(match and_of(keep) {
-                                Some(q) => rebuilt.select(q),
-                                None => rebuilt,
-                            });
-                        }
-                        // No rebuild hook: roll back and keep σ above.
-                        self.rewrites = before;
-                    }
-                    cross.extend(keep);
-                    pred = and_of(cross).expect("conjuncts of a non-True predicate");
-                }
-                let before = self.rewrites;
-                let node = self.push_ext(op)?;
-                if self.rewrites > before {
-                    // The node changed shape (e.g. a quantifier elided);
-                    // the selection may sink further into the new shape.
-                    self.push_select(node, pred)
-                } else {
-                    Ok(node.select(pred))
-                }
-            }
-            other @ Plan::Scan(_) => Ok(other.select(pred)),
-        }
+        let l = match and_of(to_l) {
+            Some(p) => self.push_select(*left, p)?,
+            None => *left,
+        };
+        let r = match and_of(to_r) {
+            Some(p) => self.push_select(*right, p)?,
+            None => *right,
+        };
+        let joined = l.join(r);
+        Ok(match and_of(keep) {
+            Some(p) => joined.select(p),
+            None => joined,
+        })
     }
 
-    /// Sweep an extension node: rewrite its inputs (memoized by `Arc`
-    /// identity so shared subtrees stay shared) and elide the operator
-    /// entirely when its properties prove it the identity.
+    /// Sweep an extension node's inputs, memoized by `Arc` identity so
+    /// shared subtrees stay shared.
     fn push_ext(&mut self, op: Arc<dyn ExtOperator>) -> Result<Plan, MayError> {
-        let key = Arc::as_ptr(&op) as *const () as usize;
+        let key = memo_key(&op);
         if let Some(done) = self.push_memo.get(&key) {
             return Ok(done.clone());
         }
         let before = self.rewrites;
-        let rewritten = op
+        let swept = op
             .inputs()
             .into_iter()
             .cloned()
             .map(|p| self.pushdown(p))
             .collect::<Result<Vec<_>, _>>()?;
-        let node = if self.rewrites == before {
-            Plan::Ext(Arc::clone(&op))
-        } else {
-            self.rebuild(&op, rewritten, before)
-        };
-        if let Plan::Ext(op2) = &node {
-            let props = op2.props();
-            if props.identity_on_certain && op2.inputs().len() == 1 {
-                let input = op2.inputs()[0];
-                if input.is_certain() && input.is_distinct() {
-                    let out = input.clone();
-                    self.rewrites += 1;
-                    self.push_memo.insert(key, out.clone());
-                    return Ok(out);
-                }
-            }
-        }
+        let node = rebuild(&op, swept, &mut self.rewrites, before);
         self.push_memo.insert(key, node.clone());
         Ok(node)
-    }
-
-    /// Rebuild an extension operator over rewritten inputs, refusing the
-    /// rewrite (and rolling the rewrite count back to `before`) when the
-    /// operator has no rebuild hook, or when it requires normalized input
-    /// and a rewritten input lost its provable certainty.
-    fn rebuild(&mut self, op: &Arc<dyn ExtOperator>, inputs: Vec<Plan>, before: usize) -> Plan {
-        if op.props().requires_normalized_input {
-            let preserved = op
-                .inputs()
-                .iter()
-                .zip(&inputs)
-                .all(|(orig, new)| !orig.is_certain() || new.is_certain());
-            if !preserved {
-                self.rewrites = before;
-                return Plan::Ext(Arc::clone(op));
-            }
-        }
-        match op.with_inputs(inputs) {
-            Some(rebuilt) => rebuilt,
-            None => {
-                self.rewrites = before;
-                Plan::Ext(Arc::clone(op))
-            }
-        }
     }
 
     /// The projection pruning sweep (top-down): `required` is the set of
     /// columns some enclosing projection will keep — `None` means all.
     /// Requirements flow through selections (plus their predicate columns),
-    /// renames (mapped back), unions, and commuting extension operators,
-    /// and at a join each input is narrowed to its required columns plus
-    /// the join keys, so the join materializes (gathers) only columns a
-    /// consumer needs. Narrowing is sound because every `required` set
-    /// originates at a projection, whose set semantics collapse exactly the
-    /// rows the early narrowing collapses.
+    /// renames (mapped back) and unions, and at a join each input is
+    /// narrowed to its required columns plus the join keys, so the join
+    /// materializes (gathers) only columns a consumer needs. Narrowing is
+    /// sound because every `required` set originates at a projection, whose
+    /// set semantics collapse exactly the rows the early narrowing collapses.
     fn prune(&mut self, plan: Plan, required: Option<&BTreeSet<String>>) -> Result<Plan, MayError> {
         match plan {
             Plan::Scan(_) => Ok(plan),
@@ -454,31 +332,12 @@ impl<'a> Pass<'a> {
                 Ok(Plan::Select { input, predicate })
             }
             Plan::Project { mut input, columns } => {
-                let cols = match required {
-                    Some(req) => {
-                        let kept: Vec<String> = columns
-                            .iter()
-                            .filter(|c| req.contains(*c))
-                            .cloned()
-                            .collect();
-                        if kept.len() != columns.len() && !kept.is_empty() {
-                            self.rewrites += 1;
-                            kept
-                        } else {
-                            columns
-                        }
-                    }
-                    None => columns,
-                };
-                let req2: BTreeSet<String> = cols.iter().cloned().collect();
+                let req2: BTreeSet<String> = columns.iter().cloned().collect();
                 *input = self.prune(*input, Some(&req2))?;
-                Ok(Plan::Project {
-                    input,
-                    columns: cols,
-                })
+                Ok(Plan::Project { input, columns })
             }
-            Plan::Rename { input, renames } => {
-                let input = match required {
+            Plan::Rename { mut input, renames } => {
+                *input = match required {
                     None => self.prune(*input, None)?,
                     Some(req) => {
                         // The rename node itself is metadata-only, so every
@@ -502,14 +361,7 @@ impl<'a> Pass<'a> {
                         self.prune(*input, Some(&req2))?
                     }
                 };
-                if renames.is_empty() {
-                    self.rewrites += 1;
-                    return Ok(input);
-                }
-                Ok(Plan::Rename {
-                    input: Box::new(input),
-                    renames,
-                })
+                Ok(Plan::Rename { input, renames })
             }
             Plan::NaturalJoin { left, right } => {
                 let Some(req) = required else {
@@ -549,29 +401,15 @@ impl<'a> Pass<'a> {
                     None => Ok(l.union(r)),
                 }
             }
-            Plan::Ext(op) => self.prune_ext(op, required),
+            Plan::Ext(op) => self.prune_ext(op),
         }
     }
 
-    /// Prune across an extension node: commuting operators pass the
-    /// requirement through to their input; barrier operators restart the
-    /// requirement at `None` (their full input is a consumer), memoized by
-    /// `Arc` identity.
-    fn prune_ext(
-        &mut self,
-        op: Arc<dyn ExtOperator>,
-        required: Option<&BTreeSet<String>>,
-    ) -> Result<Plan, MayError> {
-        let props = op.props();
-        if props.commutes_with_project && op.inputs().len() == 1 {
-            let before = self.rewrites;
-            let pruned = self.prune(op.inputs()[0].clone(), required)?;
-            if self.rewrites == before {
-                return Ok(Plan::Ext(op));
-            }
-            return Ok(self.rebuild(&op, vec![pruned], before));
-        }
-        let key = Arc::as_ptr(&op) as *const () as usize;
+    /// Prune below an extension node. The operator is a barrier, so its
+    /// full input is a consumer: the requirement restarts at `None`,
+    /// memoized by `Arc` identity.
+    fn prune_ext(&mut self, op: Arc<dyn ExtOperator>) -> Result<Plan, MayError> {
+        let key = memo_key(&op);
         if let Some(done) = self.prune_memo.get(&key) {
             return Ok(done.clone());
         }
@@ -582,11 +420,7 @@ impl<'a> Pass<'a> {
             .cloned()
             .map(|p| self.prune(p, None))
             .collect::<Result<Vec<_>, _>>()?;
-        let node = if self.rewrites == before {
-            Plan::Ext(Arc::clone(&op))
-        } else {
-            self.rebuild(&op, pruned, before)
-        };
+        let node = rebuild(&op, pruned, &mut self.rewrites, before);
         self.prune_memo.insert(key, node.clone());
         Ok(node)
     }
@@ -622,19 +456,12 @@ impl<'a> Pass<'a> {
 /// [`optimize_with_stats`] converge: every accepted rewrite decreases the
 /// estimated cost by ≥5%, so the rules↔cost loop cannot oscillate between
 /// estimate-equivalent shapes, and a plan the cost phase already chose
-/// re-estimates as optimal and is left alone.
+/// re-estimates as no worse and is left alone.
 const COST_IMPROVEMENT: f64 = 0.95;
 
-/// Dynamic programming over join subsets is exact up to this many leaves
-/// (3ⁿ ≈ 6.5k subproblems at 8); larger join trees fall back to a greedy
-/// cheapest-pair heuristic.
-const DP_MAX_LEAVES: usize = 8;
-
 /// Optimize a plan with the rule fixpoint *and* the statistics-driven
-/// cost-based phase: join-tree reordering (exact DP up to
-/// `DP_MAX_LEAVES` (8) relations, greedy beyond) and distribution of
-/// union-distributing quantifiers ([`ExtProps::distributes_over_union`])
-/// over unions.
+/// cost-based phase, which reorders join trees by a greedy cheapest-pair
+/// search.
 ///
 /// The two phases interleave to a fixpoint: cost rewrites (e.g. the
 /// schema-restoring projection a reorder inserts) re-feed the rules, whose
@@ -647,8 +474,6 @@ const DP_MAX_LEAVES: usize = 8;
 /// evaluates to the same u-relation as the input (up to row order) on every
 /// world set matching the provider's schemas, whatever the statistics say —
 /// estimates only ever pick among equivalent shapes.
-///
-/// [`ExtProps::distributes_over_union`]: crate::ext::ExtProps::distributes_over_union
 pub fn optimize_with_stats(
     plan: &Plan,
     schemas: &dyn SchemaProvider,
@@ -682,8 +507,8 @@ pub fn optimize_with_stats(
 }
 
 /// The shape of a join tree over flattened leaves, kept so the current
-/// plan's cost can be estimated with the same per-subset formula the DP
-/// uses (otherwise the comparison would be apples to oranges).
+/// plan's cost can be estimated with the same pairwise composition the
+/// search uses (otherwise the comparison would be apples to oranges).
 enum JoinShape {
     /// A non-join leaf, by index into the flattened leaf list.
     Leaf(usize),
@@ -707,11 +532,77 @@ fn flatten_join(plan: Plan, leaves: &mut Vec<Plan>) -> JoinShape {
     }
 }
 
+/// The estimate and join-step cost of a join shape, each node estimated
+/// from its two children exactly as [`greedy_best`] estimates a merge
+/// (leaf subtree costs are common to every shape and cancel).
+fn shape_cost(shape: &JoinShape, ests: &[CardEst]) -> (CardEst, f64) {
+    match shape {
+        JoinShape::Leaf(i) => (ests[*i].clone(), 0.0),
+        JoinShape::Node(l, r) => {
+            let (el, cl) = shape_cost(l, ests);
+            let (er, cr) = shape_cost(r, ests);
+            let out = join_set_est(&[&el, &er]);
+            let step = join_step_cost(el.rows, er.rows, out.rows);
+            (out, cl + cr + step)
+        }
+    }
+}
+
+/// Rebuild the plan of a join shape over its leaves.
+fn rebuild_shape(shape: &JoinShape, leaves: &[Plan]) -> Plan {
+    match shape {
+        JoinShape::Leaf(i) => leaves[*i].clone(),
+        JoinShape::Node(l, r) => rebuild_shape(l, leaves).join(rebuild_shape(r, leaves)),
+    }
+}
+
+/// The join-order search: repeatedly merge the pair of partial trees with
+/// the cheapest join step (both orientations — the cost model is
+/// asymmetric, the right side is the hash build side). Returns the chosen
+/// tree and its join-step cost.
+fn greedy_best(leaves: &[Plan], ests: &[CardEst]) -> (f64, Plan) {
+    let mut parts: Vec<(f64, Plan, CardEst)> = leaves
+        .iter()
+        .zip(ests)
+        .map(|(l, e)| (0.0, l.clone(), e.clone()))
+        .collect();
+    while parts.len() > 1 {
+        let mut pick = (0usize, 1usize, f64::INFINITY);
+        for i in 0..parts.len() {
+            for j in 0..parts.len() {
+                if i == j {
+                    continue;
+                }
+                let out = join_set_est(&[&parts[i].2, &parts[j].2]).rows;
+                let step = join_step_cost(parts[i].2.rows, parts[j].2.rows, out);
+                let cost = parts[i].0 + parts[j].0 + step;
+                if cost < pick.2 {
+                    pick = (i, j, cost);
+                }
+            }
+        }
+        let (i, j, cost) = pick;
+        let (hi, lo) = (i.max(j), i.min(j));
+        let (_, pj, ej) = parts.swap_remove(hi);
+        let (_, pi, ei) = parts.swap_remove(lo);
+        // `swap_remove(hi)` first keeps `lo`'s index valid; reassemble
+        // in (i = probe, j = build) orientation.
+        let (pl, pr, el, er) = if hi == j {
+            (pi, pj, ei, ej)
+        } else {
+            (pj, pi, ej, ei)
+        };
+        let joined_est = join_set_est(&[&el, &er]);
+        parts.push((cost, pl.join(pr), joined_est));
+    }
+    let (cost, plan, _) = parts.pop().expect("one tree remains");
+    (cost, plan)
+}
+
 /// One cost-based sweep (bottom-up). Separate from [`Pass`] because its
 /// rewrites are chosen by estimate comparison, not proved-sound rule
-/// matching — the soundness argument here is that every candidate is an
-/// algebraic equivalence (join trees over the same leaf set, quantifier
-/// distribution declared by the operator) and the estimates only *select*.
+/// matching — the soundness argument here is that every candidate is a
+/// join tree over the same leaf set, and the estimates only *select*.
 struct CostPass<'a> {
     schemas: &'a dyn SchemaProvider,
     stats: &'a dyn StatsProvider,
@@ -723,10 +614,6 @@ struct CostPass<'a> {
 }
 
 impl<'a> CostPass<'a> {
-    fn est(&self, plan: &Plan) -> (crate::cost::CardEst, f64) {
-        crate::cost::plan_cost(plan, self.schemas, self.stats)
-    }
-
     fn rewrite(&mut self, plan: Plan) -> Result<Plan, MayError> {
         match plan {
             Plan::Scan(_) => Ok(plan),
@@ -758,16 +645,13 @@ impl<'a> CostPass<'a> {
         }
     }
 
-    /// Reorder a maximal join tree. The candidate search scores every shape
-    /// with the *set-canonical* estimate ([`crate::cost::join_set_est`]) —
-    /// the same leaf subset always estimates the same cardinality, whatever
-    /// the order — so the DP's principle of optimality holds, and a shape
-    /// the search already chose re-scores as optimal on later sweeps
-    /// (stability). A rewrite fires only when the best shape beats the
-    /// current one by the [`COST_IMPROVEMENT`] margin; the original output
-    /// column order is restored with a projection when the new shape's
-    /// schema permutes it (sound: join output is duplicate-free, and a
-    /// full-width projection of a duplicate-free input drops nothing).
+    /// Reorder a maximal join tree. [`greedy_best`] proposes a shape, and
+    /// the current shape is scored with the same pairwise estimates
+    /// ([`shape_cost`]); the rewrite fires only when the proposal beats it
+    /// by the [`COST_IMPROVEMENT`] margin. The original output column order
+    /// is restored with a projection when the new shape's schema permutes
+    /// it (sound: join output is duplicate-free, and a full-width
+    /// projection of a duplicate-free input drops nothing).
     fn reorder_join(&mut self, plan: Plan) -> Result<Plan, MayError> {
         let orig_names: Vec<String> = plan
             .schema_with(self.schemas)?
@@ -781,50 +665,12 @@ impl<'a> CostPass<'a> {
             .into_iter()
             .map(|l| self.rewrite(l))
             .collect::<Result<Vec<_>, _>>()?;
-        let ests: Vec<crate::cost::CardEst> = leaves.iter().map(|l| self.est(l).0).collect();
-        let n = leaves.len();
-
-        // Cardinality of every leaf subset, via the order-invariant
-        // formula; index = bitmask over leaves (n ≤ DP_MAX_LEAVES), or
-        // computed on demand for the greedy path.
-        let set_rows = |mask: usize| -> f64 {
-            let subset: Vec<&crate::cost::CardEst> = (0..n)
-                .filter(|i| mask & (1 << i) != 0)
-                .map(|i| &ests[i])
-                .collect();
-            crate::cost::join_set_est(&subset).rows
-        };
-
-        // Join-step cost of the current shape under the same estimates
-        // (leaf subtree costs are common to every shape and cancel).
-        fn shape_cost(shape: &JoinShape, set_rows: &dyn Fn(usize) -> f64) -> (usize, f64) {
-            match shape {
-                JoinShape::Leaf(i) => (1 << i, 0.0),
-                JoinShape::Node(l, r) => {
-                    let (ml, cl) = shape_cost(l, set_rows);
-                    let (mr, cr) = shape_cost(r, set_rows);
-                    let mask = ml | mr;
-                    let step =
-                        crate::cost::join_step_cost(set_rows(ml), set_rows(mr), set_rows(mask));
-                    (mask, cl + cr + step)
-                }
-            }
-        }
-        let (full_mask, current_cost) = shape_cost(&shape, &set_rows);
-
-        let (best_cost, best_plan) = if n <= DP_MAX_LEAVES {
-            self.dp_best(&leaves, &set_rows, full_mask)
-        } else {
-            self.greedy_best(&leaves, &ests)
-        };
-
-        fn rebuild_shape(shape: &JoinShape, leaves: &[Plan]) -> Plan {
-            match shape {
-                JoinShape::Leaf(i) => leaves[*i].clone(),
-                JoinShape::Node(l, r) => rebuild_shape(l, leaves).join(rebuild_shape(r, leaves)),
-            }
-        }
-
+        let ests: Vec<CardEst> = leaves
+            .iter()
+            .map(|l| crate::cost::plan_cost(l, self.schemas, self.stats).0)
+            .collect();
+        let (_, current_cost) = shape_cost(&shape, &ests);
+        let (best_cost, best_plan) = greedy_best(&leaves, &ests);
         if best_cost < current_cost * COST_IMPROVEMENT {
             let best_names: Vec<String> = best_plan
                 .schema_with(self.schemas)?
@@ -843,94 +689,9 @@ impl<'a> CostPass<'a> {
         }
     }
 
-    /// Exact bushy DP over leaf subsets: `best[mask]` is the cheapest join
-    /// tree over that subset; every split into two non-empty halves is
-    /// tried in both orientations (the cost model is asymmetric — the right
-    /// side is the hash build side).
-    fn dp_best(
-        &self,
-        leaves: &[Plan],
-        set_rows: &dyn Fn(usize) -> f64,
-        full_mask: usize,
-    ) -> (f64, Plan) {
-        let n = leaves.len();
-        let mut best: Vec<Option<(f64, Plan)>> = vec![None; 1 << n];
-        for (i, leaf) in leaves.iter().enumerate() {
-            best[1 << i] = Some((0.0, leaf.clone()));
-        }
-        for mask in 1usize..(1 << n) {
-            if mask.count_ones() < 2 {
-                continue;
-            }
-            let rows_out = set_rows(mask);
-            let mut acc: Option<(f64, Plan)> = None;
-            // Enumerate ordered splits (sub = left/probe, rest = right/
-            // build); `(sub - 1) & mask` walks every proper submask.
-            let mut sub = (mask - 1) & mask;
-            while sub != 0 {
-                let rest = mask ^ sub;
-                if let (Some((cl, pl)), Some((cr, pr))) = (&best[sub], &best[rest]) {
-                    let step = crate::cost::join_step_cost(set_rows(sub), set_rows(rest), rows_out);
-                    let cost = cl + cr + step;
-                    if acc.as_ref().map_or(true, |(c, _)| cost < *c) {
-                        acc = Some((cost, pl.clone().join(pr.clone())));
-                    }
-                }
-                sub = (sub - 1) & mask;
-            }
-            best[mask] = acc;
-        }
-        best[full_mask]
-            .clone()
-            .expect("every leaf subset has a join tree")
-    }
-
-    /// Greedy fallback beyond [`DP_MAX_LEAVES`]: repeatedly merge the pair
-    /// of partial trees with the cheapest join step (both orientations).
-    fn greedy_best(&self, leaves: &[Plan], ests: &[crate::cost::CardEst]) -> (f64, Plan) {
-        let mut parts: Vec<(f64, Plan, crate::cost::CardEst)> = leaves
-            .iter()
-            .zip(ests)
-            .map(|(l, e)| (0.0, l.clone(), e.clone()))
-            .collect();
-        while parts.len() > 1 {
-            let mut pick = (0usize, 1usize, f64::INFINITY, 0.0f64);
-            for i in 0..parts.len() {
-                for j in 0..parts.len() {
-                    if i == j {
-                        continue;
-                    }
-                    let out = crate::cost::join_set_est(&[&parts[i].2, &parts[j].2]).rows;
-                    let step = crate::cost::join_step_cost(parts[i].2.rows, parts[j].2.rows, out);
-                    let cost = parts[i].0 + parts[j].0 + step;
-                    if cost < pick.2 {
-                        pick = (i, j, cost, out);
-                    }
-                }
-            }
-            let (i, j, cost, _) = pick;
-            let (hi, lo) = (i.max(j), i.min(j));
-            let (_, pj, ej) = parts.swap_remove(hi);
-            let (_, pi, ei) = parts.swap_remove(lo);
-            // `swap_remove(hi)` first keeps `lo`'s index valid; reassemble
-            // in (i = probe, j = build) orientation.
-            let (pl, pr, el, er) = if hi == j {
-                (pi, pj, ei, ej)
-            } else {
-                (pj, pi, ej, ei)
-            };
-            let joined_est = crate::cost::join_set_est(&[&el, &er]);
-            parts.push((cost, pl.join(pr), joined_est));
-        }
-        let (cost, plan, _) = parts.pop().expect("one tree remains");
-        (cost, plan)
-    }
-
-    /// Sweep an extension node: rewrite its inputs (memoized by `Arc`
-    /// identity), then try the cost-gated rewrite the operator declares —
-    /// distribution over a union input.
+    /// Sweep an extension node's inputs, memoized by `Arc` identity.
     fn rewrite_ext(&mut self, op: Arc<dyn ExtOperator>) -> Result<Plan, MayError> {
-        let key = Arc::as_ptr(&op) as *const () as usize;
+        let key = memo_key(&op);
         if let Some(done) = self.memo.get(&key) {
             return Ok(done.clone());
         }
@@ -941,75 +702,9 @@ impl<'a> CostPass<'a> {
             .cloned()
             .map(|p| self.rewrite(p))
             .collect::<Result<Vec<_>, _>>()?;
-        let node = if self.rewrites == before {
-            Plan::Ext(Arc::clone(&op))
-        } else {
-            self.rebuild_guarded(&op, rewritten, before)
-        };
-        let node = self.distribute(node);
+        let node = rebuild(&op, rewritten, &mut self.rewrites, before);
         self.memo.insert(key, node.clone());
         Ok(node)
-    }
-
-    /// [`Pass::rebuild`]'s guard, replayed for the cost phase: refuse input
-    /// replacement when the operator has no rebuild hook or requires
-    /// normalized input and a rewritten input lost provable certainty.
-    fn rebuild_guarded(
-        &mut self,
-        op: &Arc<dyn ExtOperator>,
-        inputs: Vec<Plan>,
-        before: usize,
-    ) -> Plan {
-        if op.props().requires_normalized_input {
-            let preserved = op
-                .inputs()
-                .iter()
-                .zip(&inputs)
-                .all(|(orig, new)| !orig.is_certain() || new.is_certain());
-            if !preserved {
-                self.rewrites = before;
-                return Plan::Ext(Arc::clone(op));
-            }
-        }
-        match op.with_inputs(inputs) {
-            Some(rebuilt) => rebuilt,
-            None => {
-                self.rewrites = before;
-                Plan::Ext(Arc::clone(op))
-            }
-        }
-    }
-
-    /// Apply the operator-declared, estimate-gated rewrite to an extension
-    /// node: `op(A ∪ B) → op(A) ∪ op(B)` when the operator distributes over
-    /// union and the split estimates ≥5% cheaper (each side elided outright
-    /// when provably certain and duplicate-free).
-    fn distribute(&mut self, node: Plan) -> Plan {
-        let Plan::Ext(op) = node else {
-            return node;
-        };
-        let props = op.props();
-        if props.distributes_over_union && op.inputs().len() == 1 {
-            if let Plan::Union { left, right } = op.inputs()[0] {
-                let side = |input: &Plan| -> Option<Plan> {
-                    if props.identity_on_certain && input.is_certain() && input.is_distinct() {
-                        return Some(input.clone());
-                    }
-                    op.with_inputs(vec![input.clone()])
-                };
-                if let (Some(l), Some(r)) = (side(left), side(right)) {
-                    let candidate = l.union(r);
-                    let current = Plan::Ext(Arc::clone(&op));
-                    let (_, cand_cost) = self.est(&candidate);
-                    let (_, cur_cost) = self.est(&current);
-                    if cand_cost < cur_cost * COST_IMPROVEMENT {
-                        self.rewrites += 1;
-                        return candidate;
-                    }
-                }
-            }
-        }
-        Plan::Ext(op)
     }
 }
 
@@ -1170,30 +865,6 @@ mod tests {
             opt(plan),
             "select[a < c]\n  natural-join\n    select[a < 3]\n      scan[r1]\n    select[c = 1]\n      scan[r2]\n"
         );
-    }
-
-    #[test]
-    fn selection_crosses_projection_rename_and_union() {
-        let plan = Plan::scan("r1")
-            .rename([("a", "x")])
-            .union(Plan::scan("r1").rename([("a", "x")]))
-            .project(["x"])
-            .select(Predicate::eq(col("x"), lit(7)));
-        // The selection sinks below rename (mapped back to `a`) and union;
-        // the projection narrows each union side, leaving the top-level
-        // projection an identity over a distinct input — elided.
-        assert_eq!(
-            opt(plan),
-            "union\n  project[x]\n    rename[a -> x]\n      select[a = 7]\n        scan[r1]\n  project[x]\n    rename[a -> x]\n      select[a = 7]\n        scan[r1]\n"
-        );
-    }
-
-    #[test]
-    fn adjacent_selections_merge() {
-        let plan = Plan::scan("r1")
-            .select(Predicate::lt(col("a"), lit(3)))
-            .select(Predicate::lt(col("b"), lit(5)));
-        assert_eq!(opt(plan), "select[a < 3 AND b < 5]\n  scan[r1]\n");
     }
 
     #[test]

@@ -122,7 +122,7 @@ impl Plan {
     /// deduplicates after projection, join, and union; selection and
     /// renaming preserve distinctness; a base scan is unknown (u-relations
     /// may hold duplicates), so `false`. Extension operators answer through
-    /// [`ExtOperator::props`]. Both the optimizer (redundant-operator
+    /// [`ExtOperator::props`]. Both the optimizer (identity-projection
     /// elision) and the executor (dedup elision) consult this.
     pub fn is_distinct(&self) -> bool {
         match self {

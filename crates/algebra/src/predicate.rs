@@ -188,28 +188,6 @@ impl Predicate {
         }
     }
 
-    /// Rewrite every column reference through `f` (a *simultaneous*
-    /// substitution, so swapping renames resolve correctly). Used to carry a
-    /// predicate across a `Rename`: pushing `σ_p` below `rename[old → new]`
-    /// maps each `new` in `p` back to its `old`.
-    pub fn map_columns(&self, f: &impl Fn(&str) -> String) -> Predicate {
-        let operand = |op: &Operand| match op {
-            Operand::Column(n) => Operand::Column(f(n)),
-            lit => lit.clone(),
-        };
-        match self {
-            Predicate::True => Predicate::True,
-            Predicate::Compare { op, lhs, rhs } => Predicate::Compare {
-                op: *op,
-                lhs: operand(lhs),
-                rhs: operand(rhs),
-            },
-            Predicate::And(ps) => Predicate::And(ps.iter().map(|p| p.map_columns(f)).collect()),
-            Predicate::Or(ps) => Predicate::Or(ps.iter().map(|p| p.map_columns(f)).collect()),
-            Predicate::Not(p) => Predicate::Not(Box::new(p.map_columns(f))),
-        }
-    }
-
     /// Resolve column names against a schema once, for repeated evaluation.
     pub fn bind(&self, schema: &Schema) -> Result<BoundPredicate, MayError> {
         Ok(match self {

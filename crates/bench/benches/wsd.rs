@@ -1,8 +1,8 @@
 //! Timings for WSD normalization, a 3-way natural join, `repair-key`,
 //! exact and (ε, δ)-approximate `conf`, the end-to-end MayQL pipeline
-//! (parse + analyze/lower + execute), and the logical optimizer (`join3_filtered` and
-//! `possible_pushdown`, each timed raw and optimized), printed as one JSON
-//! object per line (see crate docs for why this is not criterion).
+//! (parse + analyze/lower + execute), and the logical optimizer
+//! (`join3_filtered`, timed raw and optimized), printed as one JSON object
+//! per line (see crate docs for why this is not criterion).
 //!
 //! Each workload is timed as the minimum of [`RUNS`] repetitions on a fresh
 //! copy of the generated world set, which keeps single-core timing noise
@@ -30,7 +30,7 @@ use maybms_bench::{
 };
 use maybms_core::rng::Rng;
 use maybms_core::{world_set_stats, ColumnarURelation, DescriptorPool, ParCfg, StrPool, WorldSet};
-use maybms_ql::{conf, conf_approx, possible, repair_key};
+use maybms_ql::{conf, conf_approx, repair_key};
 use maybms_sql::{compile, Catalog};
 use maybms_testkit::without_images;
 
@@ -246,7 +246,7 @@ fn main() {
     // The cost-based phase's headline case: the textual join order
     // `(r1 ⋈ r2) ⋈ r3` materializes a ~n²/2000-row zipf-keyed blowup
     // before the selective `c` hop shrinks it; with catalog statistics the
-    // DP reorder starts from `r2 ⋈ r3` (~n/100 rows) instead. The rule
+    // reorder starts from `r2 ⋈ r3` (~n/100 rows) instead. The rule
     // optimizer alone cannot fix this (there is no filter to push — the
     // asymmetry lives entirely in the data), so `join3_skewed_raw` times
     // the rule-optimized text order and `join3_skewed` the cost-optimized
@@ -359,31 +359,6 @@ fn main() {
         assert_eq!(rows, rows_opt, "cost optimization changed the result size");
         emit("selective_right", n, rows_opt, ms);
         dump_trace(&ws, &optimized, "selective_right", n);
-    }
-
-    // A filter above `POSSIBLE` over a join: raw, the executor joins
-    // everything, world-collapses (sorts) everything, then filters;
-    // optimized, the selection commutes through `possible` and into the
-    // join's left input, so the collapse sorts a tenth of the rows.
-    for &n in sizes {
-        let ws = join_workload(&mut Rng::new(0x9055), n);
-        let plan = possible(Plan::scan("r1").join(Plan::scan("r2")))
-            .select(Predicate::lt(col("a"), lit((n / 10) as i64)));
-        let (rows, ms) = bench_min(&ws, |ws| {
-            run(ws, &plan)
-                .expect("possible workload is well-typed")
-                .len()
-        });
-        emit("possible_pushdown_raw", n, rows, ms);
-        let optimized = optimize(&plan, &ws.relations).expect("plan optimizes");
-        let (rows_opt, ms) = bench_min(&ws, |ws| {
-            run(ws, &optimized)
-                .expect("optimized plan is well-typed")
-                .len()
-        });
-        assert_eq!(rows, rows_opt, "optimization changed the result size");
-        emit("possible_pushdown", n, rows_opt, ms);
-        dump_trace(&ws, &optimized, "possible_pushdown", n);
     }
 
     for &n in sizes {

@@ -38,9 +38,8 @@ use crate::order::{run_bounds, sorted_row_ids};
 // stream keyed on the *content* of the group's descriptors (component ids
 // and alternatives), so the estimate for a tuple does not depend on thread
 // count, morsel boundaries, or which other tuples are present — the same
-// byte-stability contract the exact executor upholds, and the reason the
-// optimizer may commute selections through approximate `conf` exactly as it
-// does through exact `conf`.
+// byte-stability contract the exact executor upholds: a selection that
+// drops other tuples upstream leaves a surviving tuple's estimate alone.
 
 /// Name of the appended confidence column.
 pub const CONF_COLUMN: &str = "conf";
@@ -170,26 +169,9 @@ impl ExtOperator for Conf {
 
     fn props(&self) -> ExtProps {
         ExtProps {
-            // A tuple's confidence depends only on its own descriptors, so
-            // removing *other* tuples first changes nothing: σ commutes as
-            // long as the predicate reads input columns (the optimizer's
-            // input-schema guard keeps predicates over the appended `conf`
-            // column above). This holds for the approximate solver too — and
-            // not merely in distribution: sampling streams are keyed on
-            // descriptor-group content, so a surviving tuple's estimate is
-            // bit-identical before and after the rewrite. Projection does
-            // NOT commute — it changes which rows count as one tuple, and
-            // with them the disjunctions.
-            commutes_with_select: true,
-            commutes_with_project: false,
             requires_normalized_input: false,
             distinct_output: true,
             certain_output: true,
-            // Not an identity even on certain input: it appends a column.
-            identity_on_certain: false,
-            // Probabilities of the two sides do not combine by union (a
-            // tuple's descriptors can span both).
-            distributes_over_union: false,
         }
     }
 

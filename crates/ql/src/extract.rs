@@ -10,22 +10,13 @@ use maybms_core::{DescId, MayError, Schema};
 
 use crate::order::{run_bounds, sorted_row_ids};
 
-/// The algebraic properties shared by `possible` and `certain`: both
-/// commute with selection (they decide per tuple, before or after rows are
-/// filtered), both emit distinct certain rows, and both are the identity
-/// on an input that is already certain and duplicate-free. Projection
-/// commutation differs between the two — see each operator's `props`.
-fn extract_props() -> ExtProps {
-    ExtProps {
-        commutes_with_select: true,
-        commutes_with_project: false,
-        requires_normalized_input: false,
-        distinct_output: true,
-        certain_output: true,
-        identity_on_certain: true,
-        distributes_over_union: false,
-    }
-}
+/// The plan properties shared by `possible` and `certain`: both emit
+/// distinct certain rows.
+const EXTRACT_PROPS: ExtProps = ExtProps {
+    requires_normalized_input: false,
+    distinct_output: true,
+    certain_output: true,
+};
 
 /// The `possible R` operator: the tuples of `R` that occur in at least one
 /// world. The result is a certain relation.
@@ -53,19 +44,7 @@ impl ExtOperator for Possible {
     }
 
     fn props(&self) -> ExtProps {
-        ExtProps {
-            // π commutes with ∃-world semantics: a projected tuple occurs
-            // in some world iff some extension of it does.
-            commutes_with_project: true,
-            // ∃-world also distributes over union: a tuple is possible in
-            // `A ∪ B` iff it is possible in `A` or in `B`, and the union's
-            // set semantics absorb the duplicate collapse. (`certain` does
-            // not distribute — coverage can need descriptors from both
-            // sides.) The cost phase splits only where the estimates say
-            // the two smaller sorts beat one big one.
-            distributes_over_union: true,
-            ..extract_props()
-        }
+        EXTRACT_PROPS
     }
 
     fn with_inputs(&self, mut inputs: Vec<Plan>) -> Option<Plan> {
@@ -126,13 +105,7 @@ impl ExtOperator for Certain {
     }
 
     fn props(&self) -> ExtProps {
-        // π does NOT commute with ∀-world semantics: two rows that differ
-        // only in a projected-away column, under descriptors that jointly
-        // cover all worlds, make the projected tuple certain even though
-        // neither full tuple is — `certain(π_k(R))` can be strictly larger
-        // than `π_k(certain(R))`. `extract_props` already declares no
-        // projection commutation; this operator keeps it that way.
-        extract_props()
+        EXTRACT_PROPS
     }
 
     fn estimate_rows(&self, _input_rows: f64, input_distinct: f64, nontrivial_frac: f64) -> f64 {

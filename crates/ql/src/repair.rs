@@ -59,18 +59,11 @@ impl ExtOperator for RepairKey {
 
     fn props(&self) -> ExtProps {
         ExtProps {
-            // Nothing commutes across repair-key: a selection below it
-            // would change which tuples form a key group (and with them the
-            // alternatives and their weights), and a projection could drop
-            // key or weight columns. It is a rewrite barrier; only its
-            // input is optimized, under the normalized-input guard.
-            commutes_with_select: false,
-            commutes_with_project: false,
+            // Only the input is optimized, and only by rewrites that keep
+            // it provably certain.
             requires_normalized_input: true,
             distinct_output: true,
             certain_output: false,
-            identity_on_certain: false,
-            distributes_over_union: false,
         }
     }
 

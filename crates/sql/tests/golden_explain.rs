@@ -67,34 +67,10 @@ optimized plan:
     assert_eq!(text, expected);
 }
 
-/// The outer selection and projection commute *through* `possible` (the
-/// paper's equivalences), so the world-collapse runs on the filtered,
-/// projected — smallest — intermediate; the then-redundant outer
-/// projection is elided.
-#[test]
-fn explain_commutes_possible_inward() {
-    let text = explain_text(
-        "SELECT ssn FROM (SELECT POSSIBLE name, ssn FROM census) WHERE name = 'Smith'",
-    );
-    let expected = "\
-lowered plan:
-  project[ssn]
-    select[name = 'Smith']
-      possible
-        project[name, ssn]
-          scan[census]
-optimized plan:
-  possible
-    project[ssn]
-      select[name = 'Smith']
-        scan[census]
-";
-    assert_eq!(text, expected);
-}
-
-/// `repair-key` is a rewrite barrier: selections must not cross it (they
-/// would change the key groups and the repair weights), so the filter
-/// stays put and the plan survives optimization unchanged.
+/// Every extension operator is a rewrite barrier, and for `repair-key` no
+/// other choice is sound: a selection below it would change the key groups
+/// and the repair weights. The filter stays put and the plan survives
+/// optimization unchanged.
 #[test]
 fn explain_leaves_repair_key_alone() {
     let text = explain_text(
@@ -115,10 +91,9 @@ optimized plan:
     assert_eq!(text, expected);
 }
 
-/// Approximate confidence renders its (ε, δ) parameters in the plan tree
-/// and commutes with selections exactly like exact `conf` — the sampling
-/// streams are keyed on descriptor-group content, so the rewrite cannot
-/// perturb the estimates.
+/// Approximate confidence renders its (ε, δ) parameters in the plan tree.
+/// Like every extension operator it is a barrier, so the optimized plan is
+/// the lowered one.
 #[test]
 fn explain_shows_approx_conf_parameters() {
     let text =
@@ -131,8 +106,8 @@ lowered plan:
         scan[census]
 optimized plan:
   project[ssn]
-    conf(eps=0.05, delta=0.01)
-      select[ssn = 1]
+    select[ssn = 1]
+      conf(eps=0.05, delta=0.01)
         scan[census]
 ";
     assert_eq!(text, expected);
@@ -193,32 +168,6 @@ optimized plan:
         project[ssn]  (est_rows=5)
           select[name = 'Smith']  (est_rows=5)
             scan[census]  (est_rows=1000)
-";
-    assert_eq!(text, expected);
-}
-
-/// A predicate over the `conf` column an enclosing `CONF` produced cannot
-/// commute (it reads a produced column), while a predicate over input
-/// columns does.
-#[test]
-fn explain_guards_conf_column_predicates() {
-    let text = explain_text(
-        "SELECT name FROM (SELECT CONF name, ssn FROM census) WHERE conf > 0.5 AND name = 'Smith'",
-    );
-    let expected = "\
-lowered plan:
-  project[name]
-    select[conf > 0.5 AND name = 'Smith']
-      conf
-        project[name, ssn]
-          scan[census]
-optimized plan:
-  project[name]
-    select[conf > 0.5]
-      conf
-        project[name, ssn]
-          select[name = 'Smith']
-            scan[census]
 ";
     assert_eq!(text, expected);
 }

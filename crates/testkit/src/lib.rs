@@ -425,11 +425,10 @@ pub fn wrap_uncertainty(rng: &mut Rng, ws: &WorldSet, plan: Plan) -> Plan {
 /// uncertainty constructs (not only beneath them, as [`wrap_uncertainty`]
 /// does): a random RA plan is wrapped in a random uncertainty operator and
 /// then extended with up to three more selection / projection / join /
-/// quantifier layers. This is the shape the logical optimizer's commuting
-/// rules fire on — selections above `possible`/`certain`/`conf`,
-/// projections above quantifiers, filters above joins of collapsed
-/// subplans — so the optimizer differential suite generates its cases
-/// here.
+/// quantifier layers: selections and projections above
+/// `possible`/`certain`/`conf` (which the optimizer must leave there) and
+/// filters above joins of collapsed subplans (which it sinks) — so the
+/// optimizer differential suite generates its cases here.
 pub fn gen_uncertain_plan(rng: &mut Rng, ws: &WorldSet, depth: usize) -> Plan {
     let base = gen_plan(rng, ws, depth);
     let mut plan = wrap_uncertainty(rng, ws, base);

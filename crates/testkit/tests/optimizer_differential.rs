@@ -279,6 +279,36 @@ fn cost_optimized_plans_execute_identically() {
     );
 }
 
+/// Regression: a join of more than 64 relations once broke planning. The
+/// join-order search indexed leaf subsets by `1 << leaf`, which overflows
+/// at the 65th leaf: a panic in a debug build, a reorder scored on wrapped
+/// masks in release. A 65-relation chain must plan with its schema kept and
+/// re-plan to itself. It is planned only, never executed.
+#[test]
+fn joins_of_more_than_64_relations_plan() {
+    let seed = 0x0071_3000;
+    let mut rng = Rng::new(seed);
+    let ws = chain_world(&mut rng, 65);
+    let stats = world_set_stats(&ws);
+    let plan = (1..65).fold(Plan::scan("r0"), |p, i| p.join(Plan::scan(format!("r{i}"))));
+
+    let cost = optimize_with_stats(&plan, &ws.relations, &stats)
+        .unwrap_or_else(|e| panic!("seed {seed}: cost phase failed: {e}"));
+    assert_eq!(
+        infer_schema(&plan, &ws.relations).expect("the chain is well-typed"),
+        infer_schema(&cost, &ws.relations)
+            .unwrap_or_else(|e| panic!("seed {seed}: cost plan is ill-typed: {e}\n{cost}")),
+        "seed {seed}: output schema changed"
+    );
+    let twice =
+        optimize_with_stats(&cost, &ws.relations, &stats).expect("re-optimization succeeds");
+    assert_eq!(
+        cost.to_string(),
+        twice.to_string(),
+        "seed {seed}: cost optimization is not idempotent"
+    );
+}
+
 #[test]
 fn default_compile_path_matches_unoptimized_compile() {
     let cfg = GenConfig::default();

@@ -130,9 +130,9 @@ fn main() {
     print!("{clash_conf}");
 
     // What the optimizer does when a filter sits above a POSSIBLE
-    // subquery: the selection commutes *through* `possible` (the paper's
-    // equivalence σ ∘ possible = possible ∘ σ), so world-collapsing runs
-    // on the filtered — smallest — intermediate.
+    // subquery: nothing. Every uncertainty operator is a rewrite barrier,
+    // so the selection stays above `possible` and only `possible`'s input
+    // is optimized.
     let q5 = "SELECT ssn FROM (SELECT POSSIBLE name, ssn FROM census) WHERE name = 'Smith'";
     let parsed = parse_query(q5).expect("q5 parses");
     let ex = explain(&catalog, &parsed, &ExecCfg::default()).expect("q5 analyzes");
