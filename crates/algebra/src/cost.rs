@@ -332,8 +332,9 @@ pub fn plan_cost(
 
 /// Estimated output rows for every node of `plan`, in pre-order (node
 /// before children, children left to right) — the order both the plan
-/// pretty-printer and the tracer's node spans use. This is what `EXPLAIN`
-/// and `EXPLAIN ANALYZE` thread into their renderings as `est_rows=`.
+/// pretty-printer and the tracer's node spans use. `EXPLAIN` and `EXPLAIN
+/// ANALYZE` call it for the plan they render (`est_rows=`); it costs one
+/// [`plan_cost`] per node, so nothing else in the engine does.
 pub fn estimate_preorder(
     plan: &Plan,
     schemas: &dyn SchemaProvider,
@@ -482,7 +483,6 @@ mod tests {
                 })
                 .collect(),
             nontrivial_frac: 0.0,
-            mean_alternatives: 0.0,
         }
     }
 

@@ -12,12 +12,11 @@
 //! |------|-------------|--------------------------|
 //! | selection into a join input | `σ_p(R ⋈ S) = σ_p(R) ⋈ S` for `cols(p) ⊆ R`, per conjunct | selection reads tuple cells only and never touches descriptors |
 //! | projection collapse | `π_a(π_b(R)) = π_a(R)` for `a ⊆ b` | both sides deduplicate under the outer projection |
-//! | identity-projection elision | `π_names(R) = R` for duplicate-free `R` | the projection neither reorders nor deduplicates anything |
 //! | projection pruning | `π_a(R ⋈ S) = π_a(π_{a∪keys}(R) ⋈ π_{a∪keys}(S))` | rows collapsed early are exact `(tuple, descriptor)` duplicates in the projected space, which the enclosing projection collapses anyway |
 //!
 //! Rules fire only when a derived plan property proves them sound; the
-//! properties ([`Plan::schema_with`], [`Plan::is_distinct`],
-//! [`Plan::is_certain`]) are computed structurally against a
+//! properties ([`Plan::schema_with`], [`Plan::is_certain`]) are computed
+//! structurally against a
 //! [`SchemaProvider`], so every layer that owns schemas (the executor's
 //! relation map, the MayQL catalog) can drive the optimizer.
 //!
@@ -205,9 +204,8 @@ impl<'a> Pass<'a> {
         }
     }
 
-    /// The pushdown sweep: selections sink into join inputs, nested
-    /// projections collapse, and identity projections over duplicate-free
-    /// inputs are elided.
+    /// The pushdown sweep: selections sink into join inputs and nested
+    /// projections collapse.
     fn pushdown(&mut self, plan: Plan) -> Result<Plan, MayError> {
         match plan {
             Plan::Scan(_) => Ok(plan),
@@ -222,15 +220,6 @@ impl<'a> Pass<'a> {
                 while let Plan::Project { input: i2, .. } = inner {
                     self.rewrites += 1;
                     inner = *i2; // already swept as part of this pass
-                }
-                // An identity projection over a provably duplicate-free
-                // input neither reorders nor deduplicates anything.
-                if inner.is_distinct() {
-                    let schema = inner.schema_with(self.schemas)?;
-                    if schema.names() == columns.iter().map(String::as_str).collect::<Vec<_>>() {
-                        self.rewrites += 1;
-                        return Ok(inner);
-                    }
                 }
                 *input = inner;
                 Ok(Plan::Project { input, columns })
@@ -755,7 +744,6 @@ mod tests {
                 })
                 .collect(),
             nontrivial_frac: 0.0,
-            mean_alternatives: 0.0,
         };
         let mut m = BTreeMap::new();
         m.insert(
@@ -879,12 +867,9 @@ mod tests {
     }
 
     #[test]
-    fn nested_projections_collapse_and_identity_projection_elides() {
+    fn nested_projections_collapse() {
         let plan = Plan::scan("r1").project(["a", "b"]).project(["a"]);
         assert_eq!(opt(plan), "project[a]\n  scan[r1]\n");
-        // π over a distinct input keeping all columns in order is elided.
-        let plan = Plan::scan("r1").project(["b", "a"]).project(["b", "a"]);
-        assert_eq!(opt(plan), "project[b, a]\n  scan[r1]\n");
     }
 
     #[test]

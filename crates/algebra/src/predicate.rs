@@ -4,7 +4,7 @@ use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
 
-use maybms_core::columnar::{ColView, ColumnVec, StrPool};
+use maybms_core::columnar::{ColView, StrPool};
 use maybms_core::{MayError, Schema, Tuple, Value};
 
 /// A comparison operator.
@@ -309,37 +309,12 @@ impl BoundPredicate {
     }
 
     /// Evaluate against row `row` of a columnar batch (`cols` in schema
-    /// order) — no tuple is materialized; each comparison reads two cells in
-    /// place. Semantically identical to [`BoundPredicate::matches`] on the
-    /// row's tuple: cell comparisons implement the same total [`Value`]
-    /// order, including the variant-rank ordering of mixed-type operands.
-    pub fn matches_cols(&self, cols: &[&ColumnVec], row: usize, strings: &StrPool) -> bool {
-        match self {
-            BoundPredicate::True => true,
-            BoundPredicate::Compare { op, lhs, rhs } => {
-                let ord = match (lhs, rhs) {
-                    (BoundOperand::Index(i), BoundOperand::Index(j)) => {
-                        cols[*i].cmp_cells(row, cols[*j], row, strings)
-                    }
-                    (BoundOperand::Index(i), BoundOperand::Literal(v)) => {
-                        cols[*i].cmp_cell_value(row, v, strings)
-                    }
-                    (BoundOperand::Literal(v), BoundOperand::Index(j)) => {
-                        cols[*j].cmp_cell_value(row, v, strings).reverse()
-                    }
-                    (BoundOperand::Literal(a), BoundOperand::Literal(b)) => a.cmp(b),
-                };
-                op.holds(ord)
-            }
-            BoundPredicate::And(ps) => ps.iter().all(|p| p.matches_cols(cols, row, strings)),
-            BoundPredicate::Or(ps) => ps.iter().any(|p| p.matches_cols(cols, row, strings)),
-            BoundPredicate::Not(p) => !p.matches_cols(cols, row, strings),
-        }
-    }
-
-    /// [`BoundPredicate::matches_cols`] over rowid-indirected column views —
-    /// the late-materialization sweep path, where a column may be read
-    /// through a deferred join gather instead of dense storage.
+    /// order, each a rowid-indirected view, so a column may be read through
+    /// a deferred join gather instead of dense storage) — no tuple is
+    /// materialized; each comparison reads two cells in place. Semantically
+    /// identical to [`BoundPredicate::matches`] on the row's tuple: cell
+    /// comparisons implement the same total [`Value`] order, including the
+    /// variant-rank ordering of mixed-type operands.
     pub fn matches_views(&self, cols: &[ColView<'_>], row: usize, strings: &StrPool) -> bool {
         match self {
             BoundPredicate::True => true,

@@ -21,13 +21,13 @@
 //!   child carries all key columns; it stops at scans, unions, and
 //!   extension operators and applies to that node's output.
 //! * [`sip_decisions`] — the plan-time rendering for `EXPLAIN`, driven by
-//!   the cost model's cardinality estimates (the runtime gate uses the
-//!   *actual* build-side row count, which is strictly better information).
+//!   the cost model's cardinality estimates, which `EXPLAIN` computes and
+//!   passes in (the runtime gate uses the *actual* build-side row count,
+//!   which is strictly better information).
 
 use maybms_core::bloom::BlockedBloom;
 use maybms_core::Schema;
 
-use crate::cost::{estimate_preorder, StatsProvider};
 use crate::optimize::SchemaProvider;
 use crate::plan::Plan;
 
@@ -142,17 +142,14 @@ pub(crate) fn sip_target<'p>(
 
 /// The plan-time SIP decisions for `EXPLAIN`: one string per plan node in
 /// pre-order (the printed line order), empty for nodes without a decision.
-/// A natural-join line gets `sip=bloom(col, …)` when the cost model
-/// estimates its build side at or below the build cutoff, the sides share
-/// key columns, and the mint guard allows build-first evaluation.
-pub fn sip_decisions(
-    plan: &Plan,
-    schemas: &dyn SchemaProvider,
-    stats: &dyn StatsProvider,
-) -> Vec<String> {
-    let ests = estimate_preorder(plan, schemas, stats);
+/// `ests` are the nodes' estimated output rows in the same order
+/// ([`crate::estimate_preorder`]). A natural-join line gets
+/// `sip=bloom(col, …)` when its build side is estimated at or below the
+/// build cutoff, the sides share key columns, and the mint guard allows
+/// build-first evaluation.
+pub fn sip_decisions(plan: &Plan, ests: &[f64], schemas: &dyn SchemaProvider) -> Vec<String> {
     let mut out = vec![String::new(); plan.node_count()];
-    annotate(plan, 0, &ests, schemas, &mut out);
+    annotate(plan, 0, ests, schemas, &mut out);
     out
 }
 

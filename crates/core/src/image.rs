@@ -141,10 +141,9 @@ impl ColumnarImage {
     /// Renumber the components the descriptor dictionary mentions
     /// ([`DescriptorPool::renumber_components`]) — normalization's garbage
     /// collection, on an image nobody else holds yet. The statistics memo
-    /// names components too, so it goes.
+    /// names no component, so it stays.
     pub(crate) fn renumber_components(&mut self, remap: &[u32]) {
         self.pool.renumber_components(remap);
-        self.stats = OnceLock::new();
     }
 
     /// The cell the statistics of this image are memoised in.

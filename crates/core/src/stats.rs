@@ -2,14 +2,13 @@
 //!
 //! One pass over a u-relation's columnar image produces a [`RelationStats`]:
 //! the row count, per-column distinct-count estimates (a KMV sketch — the k
-//! minimum hash values — plus exact min/max), and a descriptor-density
-//! summary (the fraction of rows whose descriptor is non-trivial, and the
-//! mean number of alternatives of the components the relation references).
-//! All of it but that last mean — which depends on the component set, not on
-//! the relation — is memoised inside the image, so a relation is summarised
-//! once per version of its rows. The `sql` catalog collects one per base
-//! relation at every refresh and the cost-based optimizer phase in
-//! `maybms-algebra` consumes them through its `StatsProvider` trait;
+//! minimum hash values — plus exact min/max), and the descriptor density
+//! (the fraction of rows whose descriptor is non-trivial). That is exactly
+//! what the cost model in `maybms-algebra` reads, and all of it is a
+//! function of the image's cells alone, so it is memoised inside the image:
+//! a relation is summarised once per version of its rows. The `sql` catalog
+//! collects one per base relation at every refresh and the cost-based
+//! optimizer phase consumes them through its `StatsProvider` trait;
 //! `maybms-core` itself attaches no planning semantics to the numbers.
 //!
 //! ## KMV accuracy
@@ -24,8 +23,6 @@ use std::collections::BTreeMap;
 use std::hash::{Hash, Hasher};
 
 use crate::columnar::{ColumnData, ColumnVec, StrPool};
-use crate::component::ComponentSet;
-use crate::descriptor::ComponentId;
 use crate::fxhash::{FxHashSet, FxHasher};
 use crate::image::ColumnarImage;
 use crate::urel::URelation;
@@ -116,9 +113,6 @@ pub struct RelationStats {
     pub columns: BTreeMap<String, ColumnStats>,
     /// Fraction of rows carrying a non-trivial (non-tautology) descriptor.
     pub nontrivial_frac: f64,
-    /// Mean alternative count over the components the relation references
-    /// (0.0 when every descriptor is trivial).
-    pub mean_alternatives: f64,
 }
 
 impl RelationStats {
@@ -128,34 +122,22 @@ impl RelationStats {
             rows: 0,
             columns: BTreeMap::new(),
             nontrivial_frac: 0.0,
-            mean_alternatives: 0.0,
         }
     }
 }
 
 /// What [`collect`] reads off a relation's columnar image and keeps inside
-/// it: everything but the alternative counts of the components the relation
-/// references, which belong to the [`ComponentSet`] of the moment.
+/// it.
 #[derive(Debug)]
 pub(crate) struct ImageStats {
     columns: BTreeMap<String, ColumnStats>,
     /// Rows carrying a non-trivial descriptor.
     nontrivial: u64,
-    /// The components the relation's descriptors mention, ascending.
-    referenced: Vec<ComponentId>,
 }
 
 impl ImageStats {
     fn of(image: &ColumnarImage) -> ImageStats {
         let rel = image.columns();
-        let mut referenced: Vec<ComponentId> = image
-            .descriptors()
-            .all_terms()
-            .iter()
-            .map(|&(c, _)| c)
-            .collect();
-        referenced.sort_unstable();
-        referenced.dedup();
         ImageStats {
             columns: rel
                 .schema()
@@ -165,7 +147,6 @@ impl ImageStats {
                 .map(|(name, col)| (name.to_string(), column_stats(col, image.strings())))
                 .collect(),
             nontrivial: rel.descs().iter().filter(|d| !d.is_tautology()).count() as u64,
-            referenced,
         }
     }
 }
@@ -231,25 +212,17 @@ fn column_stats(col: &ColumnVec, strings: &StrPool) -> ColumnStats {
     }
 }
 
-/// Collect [`RelationStats`] for one u-relation. `comps` resolves the
-/// alternative counts of referenced components.
+/// Collect [`RelationStats`] for one u-relation.
 ///
 /// The statistics are read off the relation's columnar image (building it if
-/// the relation has none yet), and all of them but `mean_alternatives` are
-/// memoised *inside* that image: a second call — a catalog refresh after a
-/// `LET` that did not touch this relation — costs one lookup per referenced
-/// component. The memo is shared by clones and goes when the image goes, on
-/// the relation's one `&mut` path.
-pub fn collect(rel: &URelation, comps: &ComponentSet) -> RelationStats {
+/// the relation has none yet) and memoised *inside* that image: a second
+/// call — a catalog refresh after a `LET` that did not touch this relation —
+/// clones the memo. The memo is shared by clones and goes when the image
+/// goes, on the relation's one `&mut` path.
+pub fn collect(rel: &URelation) -> RelationStats {
     let image = rel.image();
     let memo = image.stats_memo().get_or_init(|| ImageStats::of(image));
     let rows = image.columns().len() as u64;
-    // A sum of small integers: exact, whatever the order.
-    let alternatives: f64 = memo
-        .referenced
-        .iter()
-        .map(|&c| f64::from(comps.get(c).alternatives()))
-        .sum();
     RelationStats {
         rows,
         columns: memo.columns.clone(),
@@ -258,11 +231,6 @@ pub fn collect(rel: &URelation, comps: &ComponentSet) -> RelationStats {
         } else {
             memo.nontrivial as f64 / rows as f64
         },
-        mean_alternatives: if memo.referenced.is_empty() {
-            0.0
-        } else {
-            alternatives / memo.referenced.len() as f64
-        },
     }
 }
 
@@ -270,7 +238,7 @@ pub fn collect(rel: &URelation, comps: &ComponentSet) -> RelationStats {
 pub fn world_set_stats(ws: &WorldSet) -> BTreeMap<String, RelationStats> {
     ws.relations
         .iter()
-        .map(|(name, rel)| (name.clone(), collect(rel, &ws.components)))
+        .map(|(name, rel)| (name.clone(), collect(rel)))
         .collect()
 }
 
@@ -323,7 +291,7 @@ mod tests {
             )
             .unwrap();
         }
-        let stats = collect(&rel, &ws.components);
+        let stats = collect(&rel);
         assert_eq!(stats.rows, 10);
         assert_eq!(stats.columns["a"].distinct, 3.0);
         assert_eq!(stats.columns["b"].distinct, 5.0);
@@ -332,14 +300,13 @@ mod tests {
             Some((Value::Int(0), Value::Int(2)))
         );
         assert!((stats.nontrivial_frac - 0.5).abs() < 1e-12);
-        assert_eq!(stats.mean_alternatives, 4.0);
     }
 
     #[test]
     fn empty_relation_has_empty_stats() {
         let schema = Schema::of(&[("a", ValueType::Int)]).unwrap();
         let rel = URelation::new(schema);
-        let stats = collect(&rel, &ComponentSet::new());
+        let stats = collect(&rel);
         assert_eq!(stats.rows, 0);
         assert_eq!(stats.columns["a"].distinct, 0.0);
         assert_eq!(stats.columns["a"].min_max, None);

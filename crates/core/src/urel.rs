@@ -248,7 +248,7 @@ impl fmt::Display for URelation {
 mod tests {
     use super::*;
     use crate::columnar::{ColumnarURelation, StrPool};
-    use crate::component::{Component, ComponentSet};
+    use crate::component::Component;
     use crate::descriptor::ComponentId;
     use crate::intern::DescriptorPool;
     use crate::stats::collect;
@@ -423,10 +423,8 @@ mod tests {
         assert!(!has_image(&original));
         let image = Arc::clone(early_clone.image());
         assert!(Arc::ptr_eq(original.image(), &image));
-        let mut comps = ComponentSet::new();
-        comps.add(Component::uniform(3).unwrap());
         assert!(image.stats_memo().get().is_none());
-        let collected = collect(&early_clone, &comps);
+        let collected = collect(&early_clone);
         assert!(original.image().stats_memo().get().is_some());
         type Write = fn(&mut URelation);
         let writes: [(&str, Write); 3] = [
@@ -451,9 +449,9 @@ mod tests {
             // new rows, and the other holders keep theirs.
             let fresh =
                 URelation::from_rows_unchecked(clone.schema().clone(), clone.rows().to_vec());
-            assert_ne!(collect(&clone, &comps), collected, "{name}");
-            assert_eq!(collect(&clone, &comps), collect(&fresh, &comps), "{name}");
-            assert_eq!(collect(&original, &comps), collected, "{name}");
+            assert_ne!(collect(&clone), collected, "{name}");
+            assert_eq!(collect(&clone), collect(&fresh), "{name}");
+            assert_eq!(collect(&original), collected, "{name}");
             // What the next scan builds is the image of the new rows: the
             // same rows as a fresh conversion gives, descriptor for
             // descriptor (handles are each pool's own business).

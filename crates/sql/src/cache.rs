@@ -18,12 +18,9 @@
 //! Those two are everything the optimizer reads: compilation takes no
 //! setting ([`maybms_algebra::ExecCfg`] is execution-only).
 //!
-//! Entries also carry the plan's pre-order cardinality estimates, and the
-//! cache accepts *observed* per-node row counts back (from the session's
-//! `EXPLAIN ANALYZE`): the next hit on that entry serves estimates scaled by
-//! the observed q-error, **once** — a one-shot correction, cleared on use, so
-//! a genuinely changed workload re-grades itself instead of compounding stale
-//! factors.
+//! An entry is the plan and nothing else. Cardinality estimates are not
+//! stored: no optimizer call reads them back, and `EXPLAIN [ANALYZE]`
+//! ([`mod@crate::explain`]) estimates the plan it renders when it renders it.
 
 use maybms_algebra::Plan;
 
@@ -93,26 +90,16 @@ impl CacheKey {
 struct Entry {
     key: CacheKey,
     plan: Plan,
-    /// Pre-order cardinality estimates of `plan` (when the catalog had
-    /// statistics at compile time).
-    estimates: Option<Vec<f64>>,
-    /// One-shot per-node correction factors (`observed / estimated`) from
-    /// the latest `note_observed`; consumed by the next hit.
-    corrections: Option<Vec<f64>>,
     /// LRU clock value of the last touch.
     last_used: u64,
 }
 
-/// A cache hit: the plan (cloned — plans are cheap trees of `Arc`'d
-/// extension operators) plus its estimates, with any pending one-shot
-/// q-error correction already applied.
+/// A cache hit: the plan, cloned — plans are cheap trees of `Arc`'d
+/// extension operators.
 #[derive(Clone, Debug)]
 pub struct CachedPlan {
     /// The optimized plan.
     pub plan: Plan,
-    /// Pre-order estimates, corrected by the latest observation when one
-    /// was pending.
-    pub estimates: Option<Vec<f64>>,
 }
 
 /// The LRU plan cache. See the module docs for the keying discipline.
@@ -143,8 +130,7 @@ impl PlanCache {
     }
 
     /// Look up a compilation of `text` against `catalog`. A hit refreshes
-    /// the entry's LRU position and consumes any pending one-shot estimate
-    /// correction.
+    /// the entry's LRU position.
     pub fn lookup(&mut self, catalog: &Catalog, text: &str) -> Option<CachedPlan> {
         let key = CacheKey::new(catalog, text);
         self.tick += 1;
@@ -153,15 +139,8 @@ impl PlanCache {
             Some(e) => {
                 self.hits += 1;
                 e.last_used = tick;
-                let estimates = match (e.estimates.clone(), e.corrections.take()) {
-                    (Some(ests), Some(corr)) if ests.len() == corr.len() => {
-                        Some(ests.iter().zip(&corr).map(|(&e, &c)| e * c).collect())
-                    }
-                    (ests, _) => ests,
-                };
                 Some(CachedPlan {
                     plan: e.plan.clone(),
-                    estimates,
                 })
             }
             None => {
@@ -173,13 +152,14 @@ impl PlanCache {
 
     /// Store a fresh compilation, evicting the least-recently-used entry
     /// when the cache is full. An existing entry for the same key is
-    /// replaced (its correction state reset).
+    /// replaced. `_estimates` is ignored — estimates are not cached — and
+    /// stays only because `perfbench`'s adapter names this signature.
     pub fn insert(
         &mut self,
         catalog: &Catalog,
         text: &str,
         plan: Plan,
-        estimates: Option<Vec<f64>>,
+        _estimates: Option<Vec<f64>>,
     ) {
         let key = CacheKey::new(catalog, text);
         self.tick += 1;
@@ -198,34 +178,8 @@ impl PlanCache {
         self.entries.push(Entry {
             key,
             plan,
-            estimates,
-            corrections: None,
             last_used: self.tick,
         });
-    }
-
-    /// Feed observed per-node row counts (plan pre-order, as
-    /// `(estimate, observed)` pairs — the shape `ExplainAnalyze::node_observations`
-    /// produces) back into the entry for `text`: the next hit serves
-    /// estimates scaled by `observed / estimated`, once. No-op when the
-    /// entry is gone or the shape does not match its estimate vector.
-    pub(crate) fn note_observed(&mut self, catalog: &Catalog, text: &str, observed: &[(f64, u64)]) {
-        let key = CacheKey::new(catalog, text);
-        let Some(e) = self.entries.iter_mut().find(|e| e.key == key) else {
-            return;
-        };
-        let Some(ests) = &e.estimates else {
-            return;
-        };
-        if ests.len() != observed.len() || observed.is_empty() {
-            return;
-        }
-        e.corrections = Some(
-            observed
-                .iter()
-                .map(|&(est, actual)| (actual as f64).max(1.0) / est.max(1.0))
-                .collect(),
-        );
     }
 
     /// Cache hits so far.
@@ -347,19 +301,5 @@ mod tests {
         assert!(cache.lookup(&cat, "q1").is_some());
         assert!(cache.lookup(&cat, "q2").is_none());
         assert!(cache.lookup(&cat, "q3").is_some());
-    }
-
-    #[test]
-    fn observed_rows_correct_the_next_estimates_once() {
-        let cat = catalog();
-        let mut cache = PlanCache::new(4);
-        cache.insert(&cat, "q", Plan::scan("r"), Some(vec![10.0, 100.0]));
-        // Observed 20 and 50 rows: factors 2.0 and 0.5.
-        cache.note_observed(&cat, "q", &[(10.0, 20), (100.0, 50)]);
-        let hit = cache.lookup(&cat, "q").expect("cached");
-        assert_eq!(hit.estimates, Some(vec![20.0, 50.0]));
-        // One-shot: the correction is consumed.
-        let hit = cache.lookup(&cat, "q").expect("cached");
-        assert_eq!(hit.estimates, Some(vec![10.0, 100.0]));
     }
 }

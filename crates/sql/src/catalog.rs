@@ -65,7 +65,7 @@ impl Catalog {
             stats: ws
                 .relations
                 .iter()
-                .map(|(n, r)| (n.clone(), collect_stats(r, &ws.components)))
+                .map(|(n, r)| (n.clone(), collect_stats(r)))
                 .collect(),
             fingerprint: OnceLock::new(),
         }
@@ -106,7 +106,6 @@ impl Catalog {
                 if let Some(stats) = stats {
                     stats.rows.hash(&mut h);
                     stats.nontrivial_frac.to_bits().hash(&mut h);
-                    stats.mean_alternatives.to_bits().hash(&mut h);
                     for (column, c) in &stats.columns {
                         column.hash(&mut h);
                         c.distinct.to_bits().hash(&mut h);

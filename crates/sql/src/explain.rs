@@ -9,6 +9,12 @@
 //! analyzed node's q-error also feeds the process-wide
 //! `maybms_plan_q_error_milli` histogram in [`maybms_core::metrics`].
 //!
+//! This module is where estimates are computed, and nothing stores them:
+//! each statement estimates the plan it renders from the catalog it was
+//! compiled against, so a repeated `EXPLAIN ANALYZE` renders the same
+//! numbers and a plain `EXPLAIN` shows what the estimator says, whatever ran
+//! before it.
+//!
 //! [`crate::Session`]'s `EXPLAIN [ANALYZE] <query>` statements and the
 //! golden plan tests share this module, so what the tests pin is exactly
 //! what users see.
@@ -51,18 +57,18 @@ pub struct Explain {
 pub fn explain(catalog: &Catalog, query: &Query, cfg: &ExecCfg) -> Result<Explain, SqlError> {
     let (lowered, _) = lower(catalog, query)?;
     let optimized = optimize_plan(catalog, &lowered, query.span())?;
-    let estimates = catalog
-        .has_stats()
-        .then(|| estimate_preorder(&optimized, catalog, catalog));
+    // The SIP decisions read the estimates even when the catalog has no
+    // statistics (the defaults then stand in); only real ones are shown.
+    let ests = estimate_preorder(&optimized, catalog, catalog);
     let sip = if cfg.sip {
-        sip_decisions(&optimized, catalog, catalog)
+        sip_decisions(&optimized, &ests, catalog)
     } else {
         Vec::new()
     };
     Ok(Explain {
         lowered,
         optimized,
-        estimates,
+        estimates: catalog.has_stats().then_some(ests),
         sip,
     })
 }
@@ -128,20 +134,22 @@ pub struct ExplainAnalyze {
     pub sip_enabled: bool,
 }
 
-/// `EXPLAIN ANALYZE` of a compiled plan: execute `optimized` on `ws` under
-/// `cfg` with tracing enabled and collect the annotated plan. The
-/// [`crate::Session`] passes the plan cache's estimates (with any pending
-/// one-shot q-error correction applied), so the rendered `est_rows=` reflect
-/// what the planner would use next time. Side effects are real: a `REPAIR
-/// KEY` inside the query mints components into `ws` exactly like a normal
-/// run, which is why the session passes a scratch clone of its world set.
+/// `EXPLAIN ANALYZE` of a plan compiled against `catalog`: execute
+/// `optimized` on `ws` under `cfg` with tracing enabled and collect the
+/// annotated plan, with the estimator's `est_rows=` for it read off
+/// `catalog`. Side effects are real: a `REPAIR KEY` inside the query mints
+/// components into `ws` exactly like a normal run, which is why the session
+/// passes a scratch clone of its world set.
 pub(crate) fn explain_analyze_plan(
     ws: &mut WorldSet,
+    catalog: &Catalog,
     optimized: Plan,
-    estimates: Option<Vec<f64>>,
     span: crate::Span,
     cfg: &ExecCfg,
 ) -> Result<ExplainAnalyze, SqlError> {
+    let estimates = catalog
+        .has_stats()
+        .then(|| estimate_preorder(&optimized, catalog, catalog));
     let (_result, stats, trace) = run_with(ws, &optimized, cfg, true)
         .map_err(|e| SqlError::new(span, format!("execution failed: {e}")))?;
     let analyzed = ExplainAnalyze {
@@ -176,31 +184,23 @@ fn fmt_est(est: f64) -> String {
 }
 
 impl ExplainAnalyze {
-    /// The *node* spans of the trace, in execution order, but only when the
-    /// span tree matches the plan tree node-for-node (a shared extension
-    /// subtree executed once diverges — annotation then degrades to none
-    /// rather than mislabeling nodes).
-    fn node_spans(&self) -> Option<Vec<&Span>> {
+    /// Pair each node span with its estimate, in *execution* order (the
+    /// order the rendered span tree prints). Under SIP, execution order
+    /// differs from plan pre-order — [`exec_order`] maps between them.
+    /// Empty when estimates are absent or the span tree does not match the
+    /// plan tree node-for-node (a shared extension subtree executed once
+    /// diverges — annotation then degrades to none rather than mislabeling
+    /// nodes).
+    fn node_estimates(&self) -> Vec<(f64, u64)> {
+        let Some(ests) = &self.estimates else {
+            return Vec::new();
+        };
         let nodes: Vec<&Span> = self
             .trace
             .spans
             .iter()
             .filter(|s| s.kind == SpanKind::Node)
             .collect();
-        (nodes.len() == self.optimized.node_count()).then_some(nodes)
-    }
-
-    /// Pair each node span with its estimate, in *execution* order (the
-    /// order the rendered span tree prints). Under SIP, execution order
-    /// differs from plan pre-order — [`exec_order`] maps between them.
-    /// Empty when estimates are absent or the span tree diverges.
-    fn node_estimates(&self) -> Vec<(f64, u64)> {
-        let Some(ests) = &self.estimates else {
-            return Vec::new();
-        };
-        let Some(nodes) = self.node_spans() else {
-            return Vec::new();
-        };
         if nodes.len() != ests.len() {
             return Vec::new();
         }
@@ -210,28 +210,6 @@ impl ExplainAnalyze {
             .zip(nodes)
             .map(|(&pre, s)| (ests[pre], s.rows_out))
             .collect()
-    }
-
-    /// Pair each plan node's estimate with its observed output rows, in
-    /// *plan pre-order* — the alignment the plan cache's q-error feedback
-    /// consumes. Empty when estimates are absent or the span tree diverges
-    /// from the plan tree.
-    pub(crate) fn node_observations(&self) -> Vec<(f64, u64)> {
-        let Some(ests) = &self.estimates else {
-            return Vec::new();
-        };
-        let Some(nodes) = self.node_spans() else {
-            return Vec::new();
-        };
-        if nodes.len() != ests.len() {
-            return Vec::new();
-        }
-        let order = exec_order(&self.optimized, self.sip_enabled);
-        let mut out = vec![(0.0, 0u64); nodes.len()];
-        for (&pre, s) in order.iter().zip(nodes) {
-            out[pre] = (ests[pre], s.rows_out);
-        }
-        out
     }
 }
 

@@ -9,10 +9,15 @@
 //! relation), and the [`PlanCache`], whose keys include that catalog's
 //! fingerprint. The world set is not mutably reachable from outside, so a
 //! plan is never compiled or served against a stale catalog.
+//!
+//! The cache holds plans only. A query or `LET` compiles through it and
+//! estimates nothing; `EXPLAIN` compiles afresh and leaves the cache alone;
+//! `EXPLAIN ANALYZE` runs the plan a query would run (through the cache) and
+//! estimates it where it renders it ([`mod@crate::explain`]).
 
 use std::fmt;
 
-use maybms_algebra::{estimate_preorder, run_with, ExecCfg, ExecStats, Plan, StatsProvider};
+use maybms_algebra::{run_with, ExecCfg, ExecStats, Plan};
 use maybms_core::{MayError, QueryTrace, URelation, WorldSet};
 
 use crate::ast::{Query, Statement};
@@ -146,12 +151,12 @@ impl Session {
     /// allowed).
     ///
     /// Queries compile through the plan cache, keyed on the query's own
-    /// source slice — so `SELECT …`, `LET x = SELECT …` and `EXPLAIN
-    /// [ANALYZE] SELECT …` of one query text share an entry. `EXPLAIN
-    /// ANALYZE` runs against a scratch copy of the world set (the components
-    /// its repairs mint must not leak into the session) and feeds the
-    /// observed row counts back to the cache, whose next hit on the query
-    /// serves estimates corrected by them, once.
+    /// source slice — so `SELECT …`, `LET x = SELECT …` and `EXPLAIN ANALYZE
+    /// SELECT …` of one query text share an entry. `EXPLAIN ANALYZE` runs
+    /// against a scratch copy of the world set (the components its repairs
+    /// mint must not leak into the session). Plain `EXPLAIN` compiles
+    /// without the cache: it shows the lowered plan too, which the cache
+    /// does not keep.
     pub fn execute(&mut self, src: &str) -> Result<Executed, SessionError> {
         let (outcome, stats, trace) = match parse_statement(src)? {
             Statement::Query(query) => {
@@ -170,23 +175,7 @@ impl Session {
                 analyze: false,
                 ..
             } => {
-                let mut ex = explain(&self.catalog, &query, &self.exec)?;
-                // Through the cache, so a one-shot correction pending from an
-                // `EXPLAIN ANALYZE` of this query shows in `est_rows=`: the
-                // planner's corrected beliefs, not its original ones.
-                let key = query_text(&query, src);
-                match self.plan_cache.lookup(&self.catalog, key) {
-                    Some(hit) => {
-                        ex.optimized = hit.plan;
-                        ex.estimates = hit.estimates;
-                    }
-                    None => self.plan_cache.insert(
-                        &self.catalog,
-                        key,
-                        ex.optimized.clone(),
-                        ex.estimates.clone(),
-                    ),
-                }
+                let ex = explain(&self.catalog, &query, &self.exec)?;
                 (Outcome::Explain(ex), None, None)
             }
             Statement::Explain {
@@ -194,15 +183,15 @@ impl Session {
                 analyze: true,
                 ..
             } => {
-                let (plan, estimates) = self.compile_cached(&query, src)?;
+                let plan = self.compile_cached(&query, src)?;
                 let mut scratch = self.ws.clone();
-                let ex =
-                    explain_analyze_plan(&mut scratch, plan, estimates, query.span(), &self.exec)?;
-                let observed = ex.node_observations();
-                if !observed.is_empty() {
-                    let key = query_text(&query, src);
-                    self.plan_cache.note_observed(&self.catalog, key, &observed);
-                }
+                let ex = explain_analyze_plan(
+                    &mut scratch,
+                    &self.catalog,
+                    plan,
+                    query.span(),
+                    &self.exec,
+                )?;
                 let stats = ex.stats;
                 (Outcome::Analyze(ex), Some(stats), None)
             }
@@ -223,26 +212,17 @@ impl Session {
         self.catalog = Catalog::from_world_set(&self.ws);
     }
 
-    /// The optimized plan of `query` and its pre-order cardinality
-    /// estimates, from the plan cache when it holds them.
-    fn compile_cached(
-        &mut self,
-        query: &Query,
-        src: &str,
-    ) -> Result<(Plan, Option<Vec<f64>>), SqlError> {
+    /// The optimized plan of `query`, from the plan cache when it holds it.
+    fn compile_cached(&mut self, query: &Query, src: &str) -> Result<Plan, SqlError> {
         let catalog = &self.catalog;
         let key = query_text(query, src);
         if let Some(hit) = self.plan_cache.lookup(catalog, key) {
-            return Ok((hit.plan, hit.estimates));
+            return Ok(hit.plan);
         }
         let (plan, _) = lower(catalog, query)?;
         let plan = optimize_plan(catalog, &plan, query.span())?;
-        let estimates = catalog
-            .has_stats()
-            .then(|| estimate_preorder(&plan, catalog, catalog));
-        self.plan_cache
-            .insert(catalog, key, plan.clone(), estimates.clone());
-        Ok((plan, estimates))
+        self.plan_cache.insert(catalog, key, plan.clone(), None);
+        Ok(plan)
     }
 
     /// Compile `query` and run it on the session's world set.
@@ -251,7 +231,7 @@ impl Session {
         query: &Query,
         src: &str,
     ) -> Result<(URelation, ExecStats, Option<QueryTrace>), SessionError> {
-        let (plan, _) = self.compile_cached(query, src)?;
+        let plan = self.compile_cached(query, src)?;
         Ok(run_with(&mut self.ws, &plan, &self.exec, self.trace)?)
     }
 }

@@ -136,7 +136,6 @@ fn explain_shows_estimates_and_reorders_with_stats() {
             })
             .collect::<BTreeMap<_, _>>(),
         nontrivial_frac: nontrivial,
-        mean_alternatives: if nontrivial > 0.0 { 2.0 } else { 0.0 },
     };
     catalog.insert_stats(
         "census",

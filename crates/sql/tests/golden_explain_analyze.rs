@@ -122,6 +122,27 @@ sip: filters=1 tested=3 pruned=1
 estimation: nodes=7 q_error median=1.00 max=1.50
 ";
     assert_eq!(mask_times(&analyzed.to_string()), expected);
+    // Nothing the run observed is kept: the same statement, now served from
+    // the plan cache, renders the same estimates and the same grades …
+    let again = session
+        .execute("EXPLAIN ANALYZE SELECT CONF city FROM census, homes WHERE name = 'Smith';")
+        .expect("query executes");
+    let Outcome::Analyze(analyzed) = again.outcome else {
+        panic!("expected an analyzed plan, got {:?}", again.outcome);
+    };
+    assert_eq!(mask_times(&analyzed.to_string()), expected);
+    // … and a plain `EXPLAIN` after it shows the estimator's own number
+    // for the scan the filter pruned, not the count the run saw.
+    let explained = session
+        .execute("EXPLAIN SELECT CONF city FROM census, homes WHERE name = 'Smith';")
+        .expect("query compiles");
+    let Outcome::Explain(explained) = explained.outcome else {
+        panic!("expected a plan, got {:?}", explained.outcome);
+    };
+    assert!(
+        explained.to_string().contains("scan[homes]  (est_rows=3)"),
+        "{explained}"
+    );
 }
 
 /// `stars(a)`: per tuple one *star* of thirteen descriptors

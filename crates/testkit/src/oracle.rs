@@ -24,20 +24,19 @@ use std::collections::BTreeSet;
 use maybms_core::dnf::{DnfKernel, Loaded};
 use maybms_core::rng::CounterRng;
 use maybms_core::{
-    ColumnStats, Component, ComponentId, ComponentSet, FxHashSet, KmvSketch, RelationStats, Tuple,
-    URelation, Value, WsDescriptor,
+    ColumnStats, Component, ComponentId, ComponentSet, KmvSketch, RelationStats, Tuple, URelation,
+    Value, WsDescriptor,
 };
 
 /// [`RelationStats`] for one u-relation in a single pass over its rows, one
 /// sketch observation per cell — how `maybms_core::collect_stats` worked
 /// until it moved onto the columnar image, kept as the oracle it must agree
 /// with in every field, the `f64`s bit for bit.
-pub fn stats_by_rows(rel: &URelation, comps: &ComponentSet) -> RelationStats {
+pub fn stats_by_rows(rel: &URelation) -> RelationStats {
     let names = rel.schema().names();
     let mut sketches: Vec<KmvSketch> = names.iter().map(|_| KmvSketch::new()).collect();
     let mut min_max: Vec<Option<(Value, Value)>> = vec![None; names.len()];
     let mut nontrivial = 0u64;
-    let mut referenced: FxHashSet<u32> = FxHashSet::default();
     for (tuple, desc) in rel.rows() {
         for (i, v) in tuple.values().iter().enumerate() {
             sketches[i].observe(v);
@@ -55,21 +54,9 @@ pub fn stats_by_rows(rel: &URelation, comps: &ComponentSet) -> RelationStats {
         }
         if !desc.is_tautology() {
             nontrivial += 1;
-            for &(c, _) in desc.terms() {
-                referenced.insert(c.0);
-            }
         }
     }
     let rows = rel.len() as u64;
-    let mean_alternatives = if referenced.is_empty() {
-        0.0
-    } else {
-        referenced
-            .iter()
-            .map(|&c| comps.get(ComponentId(c)).alternatives() as f64)
-            .sum::<f64>()
-            / referenced.len() as f64
-    };
     RelationStats {
         rows,
         columns: names
@@ -90,7 +77,6 @@ pub fn stats_by_rows(rel: &URelation, comps: &ComponentSet) -> RelationStats {
         } else {
             nontrivial as f64 / rows as f64
         },
-        mean_alternatives,
     }
 }
 

@@ -105,9 +105,9 @@ fn assert_stored_as_built(ws: &WorldSet, at: &str) {
         let at = format!("{at}\nrelation {name}");
         let rebuilt = URelation::from_rows_unchecked(rel.schema().clone(), rel.rows().to_vec());
         assert_same_image(rel.image(), rebuilt.image(), &at);
-        let stats = collect_stats(&rel, &ws.components);
-        assert_eq!(stats, stats_by_rows(&rel, &ws.components), "{at}");
-        assert_eq!(stats, collect_stats(&rebuilt, &ws.components), "{at}");
+        let stats = collect_stats(&rel);
+        assert_eq!(stats, stats_by_rows(&rel), "{at}");
+        assert_eq!(stats, collect_stats(&rebuilt), "{at}");
     }
 }
 

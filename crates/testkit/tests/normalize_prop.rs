@@ -86,7 +86,7 @@ fn gc_renumbers_only_the_images_normalize_made() {
             .relations
             .values()
             .map(|r| {
-                let stats = collect_stats(r, &original.components);
+                let stats = collect_stats(r);
                 (Arc::clone(r.image()), stats)
             })
             .collect();
@@ -102,14 +102,14 @@ fn gc_renumbers_only_the_images_normalize_made() {
             let at = format!("case {case}: normalized {name}");
             assert!(rel.is_empty() || rel.has_image(), "{at}: no image");
             assert_image_as_built(rel, &at);
-            let stats = collect_stats(rel, &clone.components);
-            assert_eq!(stats, stats_by_rows(rel, &clone.components), "{at}");
+            let stats = collect_stats(rel);
+            assert_eq!(stats, stats_by_rows(rel), "{at}");
         }
         assert_eq!(original, copy, "case {case}");
         for ((name, rel), (image, stats)) in original.relations.iter().zip(&warm) {
             let at = format!("case {case}: original {name}");
             assert!(Arc::ptr_eq(rel.image(), image), "{at}");
-            assert_eq!(&collect_stats(rel, &original.components), stats, "{at}");
+            assert_eq!(&collect_stats(rel), stats, "{at}");
             assert_image_as_built(rel, &at);
         }
     }

@@ -1,8 +1,8 @@
 //! `collect_stats` ≡ a walk over the rows.
 //!
 //! Statistics are read off a relation's columnar image — typed column loops,
-//! one sketch observation per distinct dictionary string — and everything but
-//! `mean_alternatives` is memoised inside that image. The oracle
+//! one sketch observation per distinct dictionary string — and memoised
+//! inside that image. The oracle
 //! ([`stats_by_rows`]) is the row walk they replaced: one observation per
 //! cell, nothing kept. The two must agree in **every field, the `f64`s by
 //! `==`**, or a plan's `est_rows=` moves.
@@ -12,8 +12,8 @@
 //! NaN, −0.0, `NULL`s in every column type, a `null`-typed column, one string
 //! under two `Str` columns, domains past the sketch's exact range — over
 //! certain and uncertain relations, born from rows and born from a run; the
-//! memo's two ways to go stale (the rows change; the component set changes);
-//! and the empty relation.
+//! memo's one way to go stale (the rows change); normalization, which
+//! renumbers the components; and the empty relation.
 
 use maybms_algebra::{run, Plan};
 use maybms_core::rng::Rng;
@@ -27,17 +27,17 @@ use maybms_testkit::oracle::stats_by_rows;
 /// run that scans it (born with its image, rows never built until the oracle
 /// asks) — must collect what the oracle walks.
 fn assert_collects_like_a_row_walk(rel: &URelation, comps: &ComponentSet, at: &str) {
-    let want = stats_by_rows(rel, comps);
-    assert_eq!(collect_stats(rel, comps), want, "{at}: from rows");
+    let want = stats_by_rows(rel);
+    assert_eq!(collect_stats(rel), want, "{at}: from rows");
     // A second call is served by the memo.
-    assert_eq!(collect_stats(rel, comps), want, "{at}: memoised");
+    assert_eq!(collect_stats(rel), want, "{at}: memoised");
     let mut ws = WorldSet {
         components: comps.clone(),
         ..WorldSet::default()
     };
     ws.insert("r", rel.clone()).expect("valid descriptors");
     let answer = run(&mut ws, &Plan::scan("r")).expect("a scan runs");
-    assert_eq!(collect_stats(&answer, comps), want, "{at}: from a run");
+    assert_eq!(collect_stats(&answer), want, "{at}: from a run");
     assert_eq!(&answer, rel, "{at}");
 }
 
@@ -128,7 +128,7 @@ fn value_domain_edges_collect_like_a_row_walk() {
         let rel = edge_relation(uncertain);
         let at = format!("uncertain = {uncertain}");
         assert_collects_like_a_row_walk(&rel, &comps, &at);
-        let stats = collect_stats(&rel, &comps);
+        let stats = collect_stats(&rel);
         // One string under two columns counts in both; `NULL` is a value.
         assert_eq!(stats.columns["s"].distinct, 5.0, "{at}");
         assert_eq!(stats.columns["t"].distinct, 5.0, "{at}");
@@ -144,7 +144,6 @@ fn value_domain_edges_collect_like_a_row_walk() {
             Some((Value::Null, last_nan)),
             "{at}: NULL < -NaN < -inf < -0.0 < 0.0 < NaN < NaN with a payload bit"
         );
-        assert_eq!(stats.mean_alternatives, if uncertain { 2.5 } else { 0.0 });
     }
     // All-`NULL` typed columns, and no rows at all.
     let schema = Schema::of(&[("s", ValueType::Str), ("i", ValueType::Int)]).unwrap();
@@ -192,7 +191,7 @@ fn estimated_domains_collect_like_a_row_walk() {
             rel.push(Tuple::new(values), desc).unwrap();
         }
         assert_collects_like_a_row_walk(&rel, &comps, &format!("seed {seed}"));
-        let stats = collect_stats(&rel, &comps);
+        let stats = collect_stats(&rel);
         assert_eq!(stats.columns["t"].distinct, 200.0, "seed {seed}");
         assert!(
             stats.columns["s"].distinct > 256.0,
@@ -207,38 +206,30 @@ fn estimated_domains_collect_like_a_row_walk() {
 fn neither_new_rows_nor_new_components_are_served_a_stale_memo() {
     let comps = components(&[2, 5, 3]);
     let mut rel = edge_relation(true);
-    let before = collect_stats(&rel, &comps);
-    // Same relation, same memo, other alternative counts.
-    let wider = components(&[6, 5, 7]);
-    assert_eq!(collect_stats(&rel, &wider), stats_by_rows(&rel, &wider));
-    assert_eq!(collect_stats(&rel, &wider).mean_alternatives, 6.5);
-    assert_eq!(collect_stats(&rel, &comps), before);
+    let before = collect_stats(&rel);
     // Each public way to write rows; `normalize` (which replaces the
     // relation with a new image) after them.
     let extra = rel.rows()[0].0.clone();
     rel.push(extra.clone(), WsDescriptor::single(ComponentId(1), 3))
         .unwrap();
-    assert_eq!(collect_stats(&rel, &comps), stats_by_rows(&rel, &comps));
-    assert_ne!(collect_stats(&rel, &comps), before);
+    assert_eq!(collect_stats(&rel), stats_by_rows(&rel));
+    assert_ne!(collect_stats(&rel), before);
     rel.push_unchecked(extra, WsDescriptor::single(ComponentId(1), 3));
-    assert_eq!(collect_stats(&rel, &comps), stats_by_rows(&rel, &comps));
-    assert_eq!(collect_stats(&rel, &comps).rows, 9);
+    assert_eq!(collect_stats(&rel), stats_by_rows(&rel));
+    assert_eq!(collect_stats(&rel).rows, 9);
     rel.dedup();
-    assert_eq!(collect_stats(&rel, &comps), stats_by_rows(&rel, &comps));
-    assert_eq!(collect_stats(&rel, &comps).rows, 8);
+    assert_eq!(collect_stats(&rel), stats_by_rows(&rel));
+    assert_eq!(collect_stats(&rel).rows, 8);
     let mut ws = WorldSet {
         components: comps,
         ..WorldSet::default()
     };
     ws.insert("r", rel).unwrap();
-    assert_eq!(collect_stats(&ws.relations["r"], &ws.components).rows, 8);
+    assert_eq!(collect_stats(&ws.relations["r"]).rows, 8);
     // The pushed row's tuple is also the first row's, which holds in every
     // world: normalization absorbs it.
     ws.normalize();
     let rel = &ws.relations["r"];
-    assert_eq!(
-        collect_stats(rel, &ws.components),
-        stats_by_rows(rel, &ws.components)
-    );
-    assert_eq!(collect_stats(rel, &ws.components).rows, 7);
+    assert_eq!(collect_stats(rel), stats_by_rows(rel));
+    assert_eq!(collect_stats(rel).rows, 7);
 }
