@@ -35,7 +35,6 @@
 //! [`ColumnarURelation::to_urelation`] round-trip rows exactly — the
 //! conversion boundary the per-world oracle and the REPL display sit behind.
 
-use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
 
@@ -422,44 +421,65 @@ impl ColumnVec {
         }
     }
 
-    /// An order-preserving coarse `u64` key of the cell: if
-    /// `sort_prefix(i) < sort_prefix(j)` then cell `i` orders strictly
-    /// before cell `j` under the total [`Value`] order (the converse does
-    /// not hold — equal prefixes must fall back to [`ColumnVec::cmp_cells`]).
-    /// Sorting large permutations on `(prefix, row)` pairs turns almost
-    /// every comparison into one integer compare.
+    /// Order-preserving `u64` keys of every cell, and whether they are
+    /// exact. A strictly smaller key always means a strictly smaller cell
+    /// under the total [`Value`] order; when the keys are exact, equal keys
+    /// also mean equal cells, so the keys alone order the column.
     ///
-    /// Layout: 3 high bits of variant rank, then 61 bits of value prefix
-    /// (sign-flipped ints, `total_cmp`-ordered float bits, the first bytes
-    /// of the string, truncated — truncation only loses *resolution*, never
-    /// order).
-    pub fn sort_prefix(&self, i: usize, strings: &StrPool) -> u64 {
-        if self.is_null(i) {
-            return 0;
-        }
-        let (rank, v) = match &self.data {
-            ColumnData::Null(_) => (0u64, 0u64),
-            ColumnData::Bool(b) => (1, b[i] as u64),
-            ColumnData::Int(x) => (2, (x[i] as u64) ^ (1 << 63)),
-            ColumnData::Float(f) => {
-                let bits = f[i].to_bits();
-                // The standard total_cmp-compatible monotone map.
-                let ordered = if bits & (1 << 63) != 0 {
-                    !bits
-                } else {
-                    bits | (1 << 63)
-                };
-                (3, ordered)
-            }
-            ColumnData::Str(c) => {
-                let s = strings.get(c[i]).as_bytes();
-                let mut buf = [0u8; 8];
-                let take = s.len().min(8);
-                buf[..take].copy_from_slice(&s[..take]);
-                (4, u64::from_be_bytes(buf))
+    /// `NULL` keys as 0, below every other cell. Exact: `Null` and `Bool`
+    /// columns, non-null `Int` (sign-flipped bits) and `Float`
+    /// (`total_cmp`-monotone bits), and `Str` (each string's rank among the
+    /// column's distinct strings, ranked once per call). An `Int` or `Float`
+    /// column with a `NULL` in it keys each value as 1 + its top 63 bits,
+    /// which is coarse: cells that differ only in the lowest bit tie.
+    pub fn sort_keys(&self, strings: &StrPool) -> (Vec<u64>, bool) {
+        let int = |x: i64| (x as u64) ^ (1 << 63);
+        // The standard total_cmp-compatible monotone map.
+        let float = |f: f64| {
+            let bits = f.to_bits();
+            if bits >> 63 == 1 {
+                !bits
+            } else {
+                bits | (1 << 63)
             }
         };
-        (rank << 61) | (v >> 3)
+        match (&self.data, &self.validity) {
+            (ColumnData::Null(n), _) => (vec![0; *n], true),
+            (ColumnData::Bool(b), _) => {
+                let key = |(i, &b): (usize, &bool)| if self.is_null(i) { 0 } else { 1 + b as u64 };
+                (b.iter().enumerate().map(key).collect(), true)
+            }
+            (ColumnData::Int(x), None) => (x.iter().map(|&x| int(x)).collect(), true),
+            (ColumnData::Float(f), None) => (f.iter().map(|&f| float(f)).collect(), true),
+            (ColumnData::Int(x), Some(v)) => (coarse(x.iter().map(|&x| int(x)), v), false),
+            (ColumnData::Float(f), Some(v)) => (coarse(f.iter().map(|&f| float(f)), v), false),
+            (ColumnData::Str(codes), _) => {
+                // Rank only the codes the column uses (the pool may hold a
+                // whole run's dictionary); a cell's key is 1 + its string's
+                // rank. Codes are interned, so distinct codes are distinct
+                // strings.
+                let mut used: Vec<u32> = (0..codes.len())
+                    .filter(|&i| !self.is_null(i))
+                    .map(|i| codes[i])
+                    .collect();
+                used.sort_unstable();
+                used.dedup();
+                let mut by_str: Vec<u32> = (0..used.len() as u32).collect();
+                by_str.sort_unstable_by_key(|&k| strings.get(used[k as usize]));
+                let mut rank = vec![0u64; used.len()];
+                for (r, &k) in by_str.iter().enumerate() {
+                    rank[k as usize] = 1 + r as u64;
+                }
+                let key = |(i, c): (usize, &u32)| {
+                    if self.is_null(i) {
+                        0
+                    } else {
+                        rank[used.binary_search(c).unwrap()]
+                    }
+                };
+                (codes.iter().enumerate().map(key).collect(), true)
+            }
+        }
     }
 
     /// Feed the cell at `i` into a hasher, consistently with
@@ -675,24 +695,143 @@ impl<'a> ColView<'a> {
     }
 }
 
+/// The coarse keys of a nullable column: 0 under `NULL`, else 1 + the top 63
+/// bits of the cell's exact key.
+fn coarse(keys: impl Iterator<Item = u64>, valid: &[bool]) -> Vec<u64> {
+    keys.zip(valid)
+        .map(|(k, &v)| if v { 1 + (k >> 1) } else { 0 })
+        .collect()
+}
+
 /// Compare rows `i` and `j` of a set of equally long columns under the
 /// lexicographic [`Tuple`] order.
-pub(crate) fn cmp_rows<C: Borrow<ColumnVec>>(
-    cols: &[C],
-    i: usize,
-    j: usize,
-    strings: &StrPool,
-) -> Ordering {
+fn cmp_rows(cols: &[ColumnVec], i: usize, j: usize, strings: &StrPool) -> Ordering {
     cols.iter()
-        .map(|c| c.borrow().cmp_cells(i, c.borrow(), j, strings))
+        .map(|c| c.cmp_cells(i, c, j, strings))
         .find(|o| o.is_ne())
         .unwrap_or(Ordering::Equal)
 }
 
 /// Whether rows `i` and `j` of a set of equally long columns agree on every
 /// column.
-pub(crate) fn rows_eq<C: Borrow<ColumnVec>>(cols: &[C], i: usize, j: usize) -> bool {
-    cols.iter().all(|c| c.borrow().eq_cells(i, c.borrow(), j))
+fn rows_eq(cols: &[ColumnVec], i: usize, j: usize) -> bool {
+    cols.iter().all(|c| c.eq_cells(i, c, j))
+}
+
+/// The canonical `(tuple, descriptor)` order of a relation's rows — the
+/// order `normalize` writes and `possible`, `certain`, `conf` and
+/// `repair-key` group by: tuples under the lexicographic [`Tuple`] order,
+/// ties by descriptor term list ([`DescriptorPool::cmp_terms`]), and exact
+/// `(tuple, descriptor)` duplicates by row id. Returns the row ids in that
+/// order and the `(start, end)` bounds in it of each distinct tuple's run.
+///
+/// `cols` are the value columns, `descs` the descriptor column as handles
+/// into `pool`. Each row is keyed by [`ColumnVec::sort_keys`] of the leading
+/// columns, packed (less each column's minimum) while their widths fit in 64
+/// bits. Keys are radix-sorted on their significant bytes — unless they
+/// already ascend — and only rows with equal keys are compared: by their
+/// cells (when the key does not cover the whole tuple exactly), then by
+/// descriptor.
+pub fn canonical_order(
+    cols: &[ColumnVec],
+    descs: &[DescId],
+    pool: &DescriptorPool,
+    strings: &StrPool,
+) -> (Vec<u32>, Vec<(u32, u32)>) {
+    let n = descs.len();
+    // A relation without columns has one tuple, `()`: every key is 0.
+    let mut entries: Vec<(u64, u32)> = match cols {
+        [] => (0..n as u32).map(|i| (0, i)).collect(),
+        _ => Vec::new(),
+    };
+    // Bits packed so far, and whether the key is the whole tuple, exactly.
+    let (mut width, mut exact) = (0, true);
+    for col in cols {
+        let (keys, col_exact) = col.sort_keys(strings);
+        let (min, max) = keys
+            .iter()
+            .fold((u64::MAX, 0), |(lo, hi), &k| (lo.min(k), hi.max(k)));
+        let w = 64 - max.saturating_sub(min).leading_zeros();
+        if width + w > 64 {
+            exact = false;
+            break;
+        }
+        if width == 0 {
+            // Nothing packed yet: the columns so far hold one value each.
+            entries = keys.into_iter().map(|k| k - min).zip(0..).collect();
+        } else {
+            for (e, k) in entries.iter_mut().zip(keys) {
+                e.0 = e.0 << w | (k - min);
+            }
+        }
+        width += w;
+        if !col_exact {
+            exact = false;
+            break;
+        }
+    }
+    if entries.windows(2).any(|w| w[0].0 > w[1].0) {
+        radix_sort(&mut entries, width);
+    }
+    // Order each run of equal keys.
+    let cmp = |&(_, i): &(u64, u32), &(_, j): &(u64, u32)| {
+        let cells = if exact {
+            Ordering::Equal
+        } else {
+            cmp_rows(cols, i as usize, j as usize, strings)
+        };
+        cells
+            .then_with(|| pool.cmp_terms(descs[i as usize], descs[j as usize]))
+            .then(i.cmp(&j))
+    };
+    let mut start = 0;
+    while start < n {
+        let mut end = start + 1;
+        while end < n && entries[end].0 == entries[start].0 {
+            end += 1;
+        }
+        entries[start..end].sort_unstable_by(cmp);
+        start = end;
+    }
+    let mut runs = Vec::new();
+    let mut start = 0;
+    for k in 1..=n {
+        let (key, i) = entries[start];
+        let same_tuple = k < n
+            && entries[k].0 == key
+            && (exact || rows_eq(cols, i as usize, entries[k].1 as usize));
+        if !same_tuple {
+            runs.push((start as u32, k as u32));
+            start = k;
+        }
+    }
+    (entries.into_iter().map(|(_, i)| i).collect(), runs)
+}
+
+/// Sort `(key, row)` entries by key, stably: one counting pass per byte of
+/// the `width` significant bits, skipping a byte every key shares.
+fn radix_sort(entries: &mut Vec<(u64, u32)>, width: u32) {
+    let mut scratch = vec![(0, 0); entries.len()];
+    for shift in (0..width).step_by(8) {
+        let digit = |k: u64| (k >> shift) as u8 as usize;
+        let mut counts = [0usize; 256];
+        for &(k, _) in entries.iter() {
+            counts[digit(k)] += 1;
+        }
+        if counts.contains(&entries.len()) {
+            continue;
+        }
+        let mut at = 0;
+        for c in &mut counts {
+            (*c, at) = (at, at + *c);
+        }
+        for &e in entries.iter() {
+            let d = digit(e.0);
+            scratch[counts[d]] = e;
+            counts[d] += 1;
+        }
+        std::mem::swap(entries, &mut scratch);
+    }
 }
 
 /// A u-relation in columnar form: the schema, one [`ColumnVec`] per
@@ -818,11 +957,6 @@ impl ColumnarURelation {
         cmp_rows(&self.cols, i, j, strings)
     }
 
-    /// Whether two rows agree on every value column.
-    pub fn rows_eq(&self, i: usize, j: usize) -> bool {
-        rows_eq(&self.cols, i, j)
-    }
-
     /// A new relation holding the rows at `idx` in that order, with a
     /// replacement descriptor column (`descs.len()` must equal `idx.len()`).
     pub fn gather_with_descs(&self, idx: &[u32], descs: Vec<DescId>) -> Self {
@@ -888,7 +1022,7 @@ mod tests {
             for j in 0..u.len() {
                 let (ti, tj) = (&u.rows()[i].0, &u.rows()[j].0);
                 assert_eq!(c.cmp_rows(i, j, &strings), ti.cmp(tj), "rows {i},{j}");
-                assert_eq!(c.rows_eq(i, j), ti == tj);
+                assert_eq!(rows_eq(c.columns(), i, j), ti == tj);
                 for (k, col) in c.columns().iter().enumerate() {
                     assert_eq!(
                         col.cmp_cell_value(i, tj.get(k), &strings),

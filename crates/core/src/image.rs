@@ -39,11 +39,10 @@
 //! codes back) is borrowed, not copied.
 
 use std::borrow::Cow;
-use std::cmp::Ordering;
 use std::fmt;
 use std::sync::OnceLock;
 
-use crate::columnar::{self, ColumnData, ColumnVec, ColumnarURelation, StrPool};
+use crate::columnar::{ColumnData, ColumnVec, ColumnarURelation, StrPool};
 use crate::descriptor::WsDescriptor;
 use crate::intern::{DescId, DescriptorPool};
 use crate::rel::Tuple;
@@ -230,17 +229,6 @@ impl Scan<'_> {
     /// True when there are no rows.
     pub fn is_empty(&self) -> bool {
         self.descs.is_empty()
-    }
-
-    /// Compare two rows' value columns (not descriptors) under the
-    /// lexicographic [`crate::rel::Tuple`] order.
-    pub fn cmp_rows(&self, i: usize, j: usize, strings: &StrPool) -> Ordering {
-        columnar::cmp_rows(&self.cols, i, j, strings)
-    }
-
-    /// Whether two rows agree on every value column.
-    pub fn rows_eq(&self, i: usize, j: usize) -> bool {
-        columnar::rows_eq(&self.cols, i, j)
     }
 }
 

@@ -33,6 +33,7 @@
 //! ids in those new images' descriptor dictionaries, before any other holder
 //! can see them.
 
+use crate::columnar::canonical_order;
 use crate::component::ComponentSet;
 use crate::descriptor::ComponentId;
 use crate::fxhash::FxHashMap;
@@ -78,8 +79,9 @@ pub fn normalize_relation(rel: &mut URelation, components: &ComponentSet) {
 ///    there and stay canonical; the value columns are read where they lie;
 /// 2. trivial-assignment stripping is **memoized per distinct descriptor
 ///    handle** instead of re-filtering term vectors per row;
-/// 3. the canonical sort orders a `u32` permutation vector with column-wise
-///    typed comparisons — no cell is moved or materialized;
+/// 3. [`canonical_order`] — the one the query operators group by — orders
+///    the row ids on integer keys and groups them into tuple runs; no cell
+///    is moved or materialized;
 /// 4. the per-tuple-group fixpoint (dedup, absorption, coverage merging)
 ///    runs on canonical [`DescId`]s, so descriptor equality inside a group is
 ///    an integer compare;
@@ -97,7 +99,6 @@ fn normalize_image(rel: &URelation, components: &ComponentSet) -> Option<Columna
     let (col, strings) = (image.columns(), image.strings());
     let mut pool = DescriptorPool::new();
     let orig_ids = pool.import(image.descriptors(), col.descs());
-    let n = col.len();
 
     // Memoized trivial-assignment stripping: handles are canonical, so each
     // distinct descriptor is stripped (and re-interned) exactly once.
@@ -130,52 +131,22 @@ fn normalize_image(rel: &URelation, components: &ComponentSet) -> Option<Columna
         })
         .collect();
 
-    // Canonical (tuple, descriptor) order on a permutation vector. Each row
-    // is paired with the first column's order-preserving prefix key, so the
-    // bulk of the comparisons is one integer compare on data that travels
-    // with the permutation entry; ties fall back to the full column-wise
-    // comparison.
-    let mut keyed: Vec<(u64, u32)> = match col.columns().first() {
-        Some(first) => (0..n)
-            .map(|i| (first.sort_prefix(i, strings), i as u32))
-            .collect(),
-        // Zero-arity relation: every tuple is ().
-        None => (0..n).map(|i| (0, i as u32)).collect(),
-    };
-    let by_canonical = |&(ka, i): &(u64, u32), &(kb, j): &(u64, u32)| {
-        ka.cmp(&kb).then_with(|| {
-            col.cmp_rows(i as usize, j as usize, strings)
-                .then_with(|| pool.cmp_terms(descs[i as usize], descs[j as usize]))
-        })
-    };
-    keyed.sort_unstable_by(by_canonical);
-    let mut perm: Vec<u32> = keyed.into_iter().map(|(_, i)| i).collect();
-    perm.dedup_by(|&mut i, &mut j| {
-        descs[i as usize] == descs[j as usize] && col.rows_eq(i as usize, j as usize)
-    });
-
-    // Per tuple group — a run of equal tuples in the canonical permutation —
-    // the group's first row stands for its tuple, once per descriptor that
+    // Per tuple group — a run of equal tuples in the canonical order — the
+    // group's first row stands for its tuple, once per descriptor that
     // survives. A group of one keeps its stripped descriptor; a larger one
     // goes to a local fixpoint, exactly as in the reference `normalize_rows`
-    // but on canonical handles.
-    let mut reps: Vec<u32> = Vec::with_capacity(perm.len());
-    let mut out: Vec<DescId> = Vec::with_capacity(perm.len());
-    let mut start = 0;
-    while start < perm.len() {
-        let rep = perm[start];
-        let mut end = start + 1;
-        while end < perm.len() && col.rows_eq(rep as usize, perm[end] as usize) {
-            end += 1;
-        }
-        if end - start == 1 {
+    // but on canonical handles (its first round drops exact duplicates).
+    let (perm, runs) = canonical_order(col.columns(), &descs, &pool, strings);
+    let mut reps: Vec<u32> = Vec::with_capacity(runs.len());
+    let mut out: Vec<DescId> = Vec::with_capacity(runs.len());
+    for (start, end) in runs {
+        let group = &perm[start as usize..end as usize];
+        let rep = group[0];
+        if group.len() == 1 {
             reps.push(rep);
             out.push(descs[rep as usize]);
         } else {
-            let mut ids: Vec<DescId> = perm[start..end]
-                .iter()
-                .map(|&i| descs[i as usize])
-                .collect();
+            let mut ids: Vec<DescId> = group.iter().map(|&i| descs[i as usize]).collect();
             loop {
                 ids.sort_unstable_by(|&a, &b| pool.cmp_terms(a, b));
                 ids.dedup();
@@ -186,7 +157,6 @@ fn normalize_image(rel: &URelation, components: &ComponentSet) -> Option<Columna
             reps.extend(std::iter::repeat(rep).take(ids.len()));
             out.extend(ids);
         }
-        start = end;
     }
     let gathered = col.gather_with_descs(&reps, out);
     Some(ColumnarImage::from_run(gathered, &pool, strings))

@@ -12,7 +12,7 @@ use maybms_core::{
     Column, ComponentId, ComponentSet, ConfStats, DescId, MayError, Schema, ValueType,
 };
 
-use crate::order::{run_bounds, sorted_row_ids};
+use crate::tuple_runs;
 
 // `Conf::eval` computes P(t) = P(d₁ ∨ … ∨ dₙ) per distinct tuple. The
 // disjunction factorizes into connected descriptor groups over shared
@@ -206,8 +206,7 @@ impl ExtOperator for Conf {
         // Group the rows of each distinct tuple as one contiguous run of a
         // sorted id permutation; the value columns are gathered once at the
         // end and the `conf` column is built as a raw float vector.
-        let perm = sorted_row_ids(r, ctx);
-        let bounds = run_bounds(r, &perm);
+        let (perm, bounds) = tuple_runs(r, ctx);
         let solve_started = ctx.tracer.now();
         // P(t in DB) = P(d₁ ∨ … ∨ dₙ) over the components the descriptors
         // mention (they are independent of all others). Each run's term

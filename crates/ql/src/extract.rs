@@ -8,7 +8,7 @@ use maybms_core::dnf::{DnfKernel, EXACT_STEP_CEILING};
 use maybms_core::parallel::{chunk_ranges, run_tasks};
 use maybms_core::{DescId, MayError, Schema};
 
-use crate::order::{run_bounds, sorted_row_ids};
+use crate::tuple_runs;
 
 /// The plan properties shared by `possible` and `certain`: both emit
 /// distinct certain rows.
@@ -68,13 +68,18 @@ impl ExtOperator for Possible {
         // Descriptors are consistent by construction (conjoin rejects
         // contradictions), so every annotated tuple is possible: the result
         // is the distinct tuples in canonical order, all certain. A sort of
-        // row ids plus a column-wise gather — no per-row tuples.
-        let mut perm = sorted_row_ids(r, ctx);
+        // row ids plus a column-wise gather of each run's first row — no
+        // per-row tuples.
+        let (perm, runs) = tuple_runs(r, ctx);
         let started = ctx.tracer.now();
-        perm.dedup_by(|&mut i, &mut j| r.rows_eq(i as usize, j as usize));
-        let descs = vec![DescId::TAUTOLOGY; perm.len()];
-        let out = r.gather_with_descs(&perm, descs);
-        ctx.tracer.event("dedup-gather", started, perm.len() as u64);
+        let firsts: Vec<u32> = runs
+            .iter()
+            .map(|&(start, _)| perm[start as usize])
+            .collect();
+        let descs = vec![DescId::TAUTOLOGY; firsts.len()];
+        let out = r.gather_with_descs(&firsts, descs);
+        ctx.tracer
+            .event("dedup-gather", started, firsts.len() as u64);
         Ok(out)
     }
 }
@@ -133,8 +138,7 @@ impl ExtOperator for Certain {
         inputs: Vec<ColumnarURelation>,
     ) -> Result<ColumnarURelation, MayError> {
         let r = &inputs[0];
-        let perm = sorted_row_ids(r, ctx);
-        let bounds = run_bounds(r, &perm);
+        let (perm, bounds) = tuple_runs(r, ctx);
         let check_started = ctx.tracer.now();
         // A tuple is certain iff the disjunction of its descriptors covers
         // all worlds: some connected descriptor group must cover every

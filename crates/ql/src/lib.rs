@@ -24,12 +24,17 @@
 //!   Monte Carlo or Karp–Luby sampling with Hoeffding-derived draw counts.
 //!
 //! All five compose freely with the positive relational algebra of
-//! `maybms-algebra`: they are ordinary plan nodes.
+//! `maybms-algebra`: they are ordinary plan nodes. Each is that plan plus
+//! one grouping step — bringing the rows of each distinct tuple together —
+//! and the step is core's [`canonical_order`], the same sort `normalize`
+//! runs, so the operators keep no row order of their own.
 
 mod confidence;
 mod extract;
-mod order;
 mod repair;
+
+use maybms_algebra::EvalCtx;
+use maybms_core::columnar::{canonical_order, ColumnarURelation};
 
 pub use confidence::{
     conf, conf_approx, conf_approx_with, ApproxConf, Conf, CONF_COLUMN, DEFAULT_CONF_EXACT_LIMIT,
@@ -37,3 +42,16 @@ pub use confidence::{
 };
 pub use extract::{certain, possible, Certain, Possible};
 pub use repair::{repair_key, RepairKey};
+
+/// The row ids of `r` in canonical `(tuple, descriptor)` order and each
+/// tuple's run in them, timed as the operator's `canonical-sort` phase
+/// (`perfbench`'s ledger keys on that label). The order is total on
+/// content, so no output depends on how the input rows were arranged — and
+/// `conf` feeds each tuple's descriptors to the solver in a pinned order
+/// (floating point is not associative).
+fn tuple_runs(r: &ColumnarURelation, ctx: &mut EvalCtx<'_>) -> (Vec<u32>, Vec<(u32, u32)>) {
+    let started = ctx.tracer.now();
+    let order = canonical_order(r.columns(), r.descs(), &ctx.pool, &ctx.strings);
+    ctx.tracer.event("canonical-sort", started, r.len() as u64);
+    order
+}

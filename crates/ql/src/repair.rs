@@ -6,7 +6,7 @@ use maybms_algebra::{EvalCtx, ExtOperator, ExtProps, Plan};
 use maybms_core::columnar::ColumnarURelation;
 use maybms_core::{Component, DescId, MayError, Schema};
 
-use crate::order::sorted_row_ids;
+use crate::tuple_runs;
 
 /// The `repair key A₁..Aₖ in R [weight by W]` operator.
 ///
@@ -121,8 +121,11 @@ impl ExtOperator for RepairKey {
         // ascending full-tuple order, so alternative numbering is identical
         // across runs over equal inputs; components are minted in group
         // order, so the minted `ComponentId`s are too.
-        let mut perm = sorted_row_ids(r, ctx);
-        perm.dedup_by(|&mut i, &mut j| r.rows_eq(i as usize, j as usize));
+        let (sorted, runs) = tuple_runs(r, ctx);
+        let mut perm: Vec<u32> = runs
+            .iter()
+            .map(|&(start, _)| sorted[start as usize])
+            .collect();
         let key_sort_started = ctx.tracer.now();
         let strings = &ctx.strings;
         let by_key = |&i: &u32, &j: &u32| {

@@ -4,35 +4,54 @@
 //! and uncertainty constructs, and the columnar normalization path must
 //! produce byte-identical rows to the row-oriented reference rewrite.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 use maybms_algebra::{naive, run};
-use maybms_core::columnar::{ColumnarURelation, StrPool};
+use maybms_core::columnar::{canonical_order, ColumnarURelation, StrPool};
 use maybms_core::normalize::normalize_relation;
 use maybms_core::rng::Rng;
-use maybms_core::{DescriptorPool, Tuple, URelation, Value};
+use maybms_core::{ComponentId, DescriptorPool, Tuple, URelation, Value, WorldSet, WsDescriptor};
 use maybms_ql::{certain, conf, possible};
 use maybms_testkit::oracle::normalize_rows;
 use maybms_testkit::{
-    as_an_answer, assert_image_as_built, certain_oracle, conf_oracle, gen_mixed_relation, gen_plan,
-    gen_world_set, per_world_results, possible_oracle, GenConfig, WORLD_LIMIT,
+    as_an_answer, assert_image_as_built, certain_oracle, conf_oracle, gen_descriptor,
+    gen_mixed_relation, gen_plan, gen_world_set, per_world_results, possible_oracle, GenConfig,
+    WORLD_LIMIT,
 };
 
 const CASES: u64 = 120;
 const EPS: f64 = 1e-9;
 
 /// Row → columnar → row must reproduce the relation exactly — tuples, row
-/// order, descriptors, nulls, and float bit patterns included — and the
-/// coarse sort key must never contradict the full cell order.
+/// order, descriptors, nulls, and float bit patterns included; the sort keys
+/// must never contradict the full cell order; and the canonical order must
+/// be the rows' `(Tuple, WsDescriptor)` order, ties by row id.
 #[test]
 fn row_columnar_roundtrip_is_exact() {
     for case in 0..200u64 {
         let mut rng = Rng::new(0xC01_0000 ^ case);
         let ws = gen_world_set(&mut rng, &GenConfig::default());
-        let rel = gen_mixed_relation(&mut rng, &ws);
+        let mut rel = gen_mixed_relation(&mut rng, &ws);
+        // Odd cases grow to 65–200 rows, enough for long runs of equal keys
+        // and several radix digits; every fourth case arrives already in
+        // canonical order.
+        if case % 2 == 1 && !rel.is_empty() {
+            let n = rng.range(65, 200);
+            rel = grown(&mut rng, &ws, &rel, n);
+        }
+        if case % 4 == 3 {
+            let mut rows = rel.rows().to_vec();
+            rows.sort();
+            rel = URelation::from_rows_unchecked(rel.schema().clone(), rows);
+        }
 
         let mut pool = DescriptorPool::new();
         let mut strings = StrPool::new();
+        // Codes out of string order: these strings are coded first.
+        for s in ["s4", "shared8-s3", "s1"] {
+            strings.intern(s);
+        }
         let col = ColumnarURelation::from_urelation(&rel, &mut pool, &mut strings);
         assert_eq!(col.len(), rel.len(), "case {case}: row count drifted");
         assert_eq!(
@@ -42,6 +61,11 @@ fn row_columnar_roundtrip_is_exact() {
         );
 
         // Cell accessors must mirror the tuple values and their total order.
+        let keys: Vec<(Vec<u64>, bool)> = col
+            .columns()
+            .iter()
+            .map(|c| c.sort_keys(&strings))
+            .collect();
         for i in 0..rel.len() {
             let (ti, _) = &rel.rows()[i];
             assert_eq!(col.tuple_at(i, &strings), *ti, "case {case}: row {i}");
@@ -52,21 +76,70 @@ fn row_columnar_roundtrip_is_exact() {
                     ti.cmp(tj),
                     "case {case}: cmp_rows({i},{j})"
                 );
-                for (k, c) in col.columns().iter().enumerate() {
-                    // The sort prefix is a *coarse* order: strictly smaller
-                    // prefix must mean strictly smaller cell.
-                    let (pi, pj) = (c.sort_prefix(i, &strings), c.sort_prefix(j, &strings));
-                    if pi < pj {
+                for (k, (keys, exact)) in keys.iter().enumerate() {
+                    // A strictly smaller key must mean a strictly smaller
+                    // cell; on an exact column, equal keys equal cells.
+                    let cells = ti.get(k).cmp(tj.get(k));
+                    if keys[i] < keys[j] {
                         assert_eq!(
-                            ti.get(k).cmp(tj.get(k)),
-                            std::cmp::Ordering::Less,
-                            "case {case}: sort_prefix contradicts cell order at ({i},{j},{k})"
+                            cells,
+                            Ordering::Less,
+                            "case {case}: sort key contradicts cell order at ({i},{j},{k})"
+                        );
+                    }
+                    if *exact && keys[i] == keys[j] {
+                        assert_eq!(
+                            cells,
+                            Ordering::Equal,
+                            "case {case}: exact sort key ties unequal cells at ({i},{j},{k})"
                         );
                     }
                 }
             }
         }
+
+        let (perm, runs) = canonical_order(col.columns(), col.descs(), &pool, &strings);
+        let row = |i: u32| &rel.rows()[i as usize];
+        let mut expected: Vec<u32> = (0..rel.len() as u32).collect();
+        expected.sort_by(|&i, &j| row(i).cmp(row(j)));
+        assert_eq!(perm, expected, "case {case}: canonical order\n{rel}");
+        let mut expected_runs = Vec::new();
+        for k in 1..=perm.len() {
+            let start = expected_runs.last().map_or(0, |&(_, end)| end);
+            if k == perm.len() || row(perm[k]).0 != row(perm[start as usize]).0 {
+                expected_runs.push((start, k as u32));
+            }
+        }
+        assert_eq!(runs, expected_runs, "case {case}: tuple runs\n{rel}");
     }
+}
+
+/// `n` rows drawn from `rel`'s, each with its strings behind a shared 8-byte
+/// prefix and a fresh descriptor — half of them two terms sharing the first.
+fn grown(rng: &mut Rng, ws: &WorldSet, rel: &URelation, n: usize) -> URelation {
+    let mut out = URelation::new(rel.schema().clone());
+    let comps = ws.components.len();
+    for _ in 0..n {
+        let (t, _) = rng.pick(rel.rows());
+        let t = Tuple::new(
+            t.values()
+                .iter()
+                .map(|v| match v {
+                    Value::Str(s) => Value::str(format!("shared8-{s}")),
+                    v => v.clone(),
+                })
+                .collect(),
+        );
+        let d = if comps > 1 && rng.chance(0.5) {
+            let second = ComponentId(rng.range(1, comps - 1) as u32);
+            WsDescriptor::from_terms(vec![(ComponentId(0), 0), (second, rng.below(2) as u16)])
+                .expect("distinct components cannot conflict")
+        } else {
+            gen_descriptor(rng, ws)
+        };
+        out.push(t, d).expect("drawn tuples match the schema");
+    }
+    out
 }
 
 /// The columnar executor, instantiated in each world, must equal the naive
