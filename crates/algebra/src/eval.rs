@@ -121,7 +121,7 @@ use std::sync::Arc;
 
 use maybms_core::bloom::BlockedBloom;
 use maybms_core::columnar::{ColView, ColumnVec, ColumnarURelation, StrPool};
-use maybms_core::obs::{metrics, ObsCounters, QueryTrace, SpanId, Tracer};
+use maybms_core::obs::{ObsCounters, QueryTrace, SpanId, Tracer};
 use maybms_core::{
     ColumnarImage, ComponentSet, ConfStats, DescId, DescriptorPool, FxBuildHasher, FxHashMap,
     MayError, ParCfg, ParStats, PoolStats, Scan, Schema, URelation, WorldSet,
@@ -242,7 +242,7 @@ impl<'a> EvalCtx<'a> {
             karp_luby_groups: self.conf_stats.karp_luby_groups,
             exact_steps: self.conf_stats.exact_steps,
             samples_drawn: self.conf_stats.samples_drawn,
-            busy_nanos: metrics().par_busy_nanos.get(),
+            busy_nanos: self.par_stats.busy_nanos,
         }
     }
 
@@ -261,12 +261,8 @@ impl<'a> EvalCtx<'a> {
 /// [`run_with`] (and the REPL's `\stats` meta-command). The descriptor
 /// counters validate that representation changes keep pool traffic intact
 /// — e.g. a scan that went back to interning would show up as
-/// `pool.intern_calls` on a read-only run, where it is 0.
-///
-/// Every completed run also folds this snapshot into the process-wide
-/// [`maybms_core::obs::metrics`] registry, so `ExecStats` is the per-run
-/// *view* and the registry is the durable store (the substrate for a
-/// server's `/metrics` endpoint).
+/// `pool.intern_calls` on a read-only run, where it is 0. A client sums runs
+/// with [`ExecStats::absorb`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExecStats {
     /// Wall-clock time of the whole run, in nanoseconds.
@@ -294,30 +290,37 @@ pub struct ExecStats {
     /// Sideways-information-passing counters: filters built, probe rows
     /// tested and pruned.
     pub sip: SipStats,
+    /// Scans that found their relation without a columnar image and
+    /// converted its rows. Only a run's scans count: statistics,
+    /// normalization and `WorldSet::insert` reading an image are not scans.
+    pub cold_scans: u64,
+    /// Scans served by an image already there.
+    pub warm_scans: u64,
 }
 
 impl ExecStats {
-    /// Fold this run's counters into the process-wide registry
-    /// ([`maybms_core::obs::metrics`]). Called once per completed run by
-    /// [`run_with`].
-    fn publish(&self) {
-        let m = metrics();
-        m.queries_total.inc();
-        m.query_rows_total.add(self.output_rows as u64);
-        m.query_wall_nanos.observe(self.wall_nanos);
-        m.query_rows.observe(self.output_rows as u64);
-        m.pool_intern_calls_total.add(self.pool.intern_calls);
-        m.pool_intern_hits_total.add(self.pool.intern_hits);
-        m.pool_conjoin_calls_total.add(self.pool.conjoin_calls);
-        m.conf_exact_groups_total.add(self.conf.exact_groups);
-        m.conf_sampled_groups_total.add(self.conf.sampled_groups);
-        m.conf_karp_luby_groups_total
-            .add(self.conf.karp_luby_groups);
-        m.conf_exact_steps_total.add(self.conf.exact_steps);
-        m.conf_samples_drawn_total.add(self.conf.samples_drawn);
-        m.sip_filters_built_total.add(self.sip.filters_built);
-        m.sip_rows_tested_total.add(self.sip.probe_rows_tested);
-        m.sip_rows_pruned_total.add(self.sip.probe_rows_pruned);
+    /// Fold another run's counters into this one: counts and times add up,
+    /// the budget and the peaks keep their maximum.
+    pub fn absorb(&mut self, other: &ExecStats) {
+        self.wall_nanos += other.wall_nanos;
+        self.descriptors += other.descriptors;
+        self.pool.intern_calls += other.pool.intern_calls;
+        self.pool.intern_hits += other.pool.intern_hits;
+        self.pool.imported += other.pool.imported;
+        self.pool.conjoin_calls += other.pool.conjoin_calls;
+        self.pool.conjoin_shortcuts += other.pool.conjoin_shortcuts;
+        self.pool.conjoin_inconsistent += other.pool.conjoin_inconsistent;
+        self.strings += other.strings;
+        self.output_rows += other.output_rows;
+        self.dedups_elided += other.dedups_elided;
+        self.threads = self.threads.max(other.threads);
+        self.par.absorb(&other.par);
+        self.conf.absorb(&other.conf);
+        self.sip.filters_built += other.sip.filters_built;
+        self.sip.probe_rows_tested += other.sip.probe_rows_tested;
+        self.sip.probe_rows_pruned += other.sip.probe_rows_pruned;
+        self.cold_scans += other.cold_scans;
+        self.warm_scans += other.warm_scans;
     }
 }
 
@@ -647,6 +650,7 @@ pub fn run_with(
     collect_scans(plan, &mut names);
     let mut scans: BTreeMap<&str, Scan<'_>> = BTreeMap::new();
     let mut converted_rows = 0u64;
+    let (mut cold_scans, mut warm_scans) = (0, 0);
     for name in names {
         let rel = relations
             .get(name)
@@ -654,9 +658,9 @@ pub fn run_with(
         converted_rows += rel.len() as u64;
         // Counted here, where a run scans: a cold scan converts the rows.
         if rel.has_image() {
-            metrics().scan_images_reused_total.inc();
+            warm_scans += 1;
         } else {
-            metrics().scan_images_built_total.inc();
+            cold_scans += 1;
         }
         scans.insert(name, rel.image().scan(&mut ctx.pool, &mut ctx.strings));
     }
@@ -682,8 +686,9 @@ pub fn run_with(
         par: ctx.par_stats,
         conf: ctx.conf_stats,
         sip: ctx.sip_stats,
+        cold_scans,
+        warm_scans,
     };
-    stats.publish();
     let trace = traced.then(|| {
         let threads = ctx.par.threads;
         std::mem::take(&mut ctx.tracer).finish(threads)

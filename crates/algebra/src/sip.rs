@@ -52,8 +52,7 @@ pub(crate) struct SipFilter {
 }
 
 /// Per-run SIP counters, surfaced through
-/// [`ExecStats`](crate::eval::ExecStats), `EXPLAIN ANALYZE`, and the
-/// process-wide metrics registry.
+/// [`ExecStats`](crate::eval::ExecStats) and `EXPLAIN ANALYZE`.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SipStats {
     /// Bloom filters built and registered.

@@ -50,9 +50,8 @@
 //!   inside it, that the cost-based optimizer phase in `maybms-algebra`
 //!   plans against;
 //! * [`obs`] — observability: the per-query [`Tracer`]/[`QueryTrace`] span
-//!   machinery behind `EXPLAIN ANALYZE` and Chrome-trace export, plus the
-//!   process-wide [`metrics`] registry (counters and log-linear histograms)
-//!   that every executor run feeds;
+//!   machinery behind `EXPLAIN ANALYZE` and Chrome-trace export, over
+//!   counters that belong to the run;
 //! * [`rng`] — tiny deterministic PRNGs: a sequential SplitMix64 so that
 //!   property tests and benches need no external crates (the container has
 //!   no registry access, so `proptest`/`criterion` are intentionally not
@@ -95,7 +94,7 @@ pub use error::MayError;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
 pub use image::{ColumnarImage, Scan};
 pub use intern::{DescId, DescriptorPool, PoolStats};
-pub use obs::{metrics, Metrics, ObsCounters, QueryTrace, Span, SpanId, SpanKind, Tracer};
+pub use obs::{ObsCounters, QueryTrace, Span, SpanId, SpanKind, Tracer};
 pub use parallel::{ParCfg, ParStats};
 pub use rel::{Relation, Tuple};
 pub use schema::{Column, Schema};

@@ -92,9 +92,6 @@ fn normalize_image(rel: &URelation, components: &ComponentSet) -> Option<Columna
     if rel.is_empty() {
         return None;
     }
-    let registry = crate::obs::metrics();
-    registry.normalize_runs_total.inc();
-    registry.normalize_rows_total.add(rel.len() as u64);
     let image = rel.image();
     let (col, strings) = (image.columns(), image.strings());
     let mut pool = DescriptorPool::new();

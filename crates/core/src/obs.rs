@@ -1,21 +1,17 @@
-//! Observability: per-query trace spans and a process-wide metrics registry.
+//! Observability: per-query trace spans.
 //!
-//! Two complementary instruments live here, both dependency-free:
-//!
-//! * [`Tracer`] — a per-run recorder producing a [`QueryTrace`]: a tree of
-//!   spans, one per plan node (plus leaf *phase* spans for interesting
-//!   sub-steps such as canonical sorts or the confidence solve). Each span
-//!   records wall time, output rows, and a delta of the run's counters
-//!   ([`ObsCounters`]) between span enter and exit, so pool traffic, morsel
-//!   fan-out, and conf-solver work are *attributed to the node that incurred
-//!   them* instead of being pooled run-wide. Traces render as an annotated
-//!   plan tree (`EXPLAIN ANALYZE`) and export as Chrome trace-event JSON
-//!   ([`QueryTrace::to_json`]) loadable in `chrome://tracing` or Perfetto.
-//! * [`Metrics`] — a process-wide registry of monotonic counters and
-//!   log-linear histograms on plain `AtomicU64`s, reachable from anywhere
-//!   via [`metrics`]. Every executor run publishes its `ExecStats` into it,
-//!   making the per-run struct a *view* over the durable registry — the
-//!   substrate a future server's `/metrics` endpoint will render.
+//! One instrument lives here, dependency-free: [`Tracer`], a per-run
+//! recorder producing a [`QueryTrace`] — a tree of spans, one per plan node
+//! (plus leaf *phase* spans for interesting sub-steps such as canonical
+//! sorts or the confidence solve). Each span records wall time, output rows,
+//! and a delta of the run's counters ([`ObsCounters`]) between span enter
+//! and exit, so pool traffic, morsel fan-out, worker busy time and
+//! conf-solver work are *attributed to the node that incurred them* instead
+//! of being pooled run-wide. Every counter belongs to the run, so a span
+//! sees only its own run's work. Traces render as an annotated plan tree
+//! (`EXPLAIN ANALYZE`) and export as Chrome trace-event JSON
+//! ([`QueryTrace::to_json`]) loadable in `chrome://tracing` or Perfetto.
+//! Run-wide totals are the executor's `ExecStats`.
 //!
 //! The tracer is built to be cheap when disabled: every instrumentation
 //! site first checks [`Tracer::is_enabled`] (one branch on a bool) and only
@@ -23,17 +19,15 @@
 //! handful of such branches per plan node — noise next to evaluating even a
 //! single morsel.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 use std::time::Instant;
 
 // ---------------------------------------------------------------------------
 // Counter snapshots
 // ---------------------------------------------------------------------------
 
-/// A point-in-time snapshot of the run-scoped (and one global) counters the
-/// tracer attributes to spans. Spans store the *delta* between the enter and
-/// exit snapshots, so each node is charged only for what happened inside it.
+/// A point-in-time snapshot of the run's counters the tracer attributes to
+/// spans. Spans store the *delta* between the enter and exit snapshots, so
+/// each node is charged only for what happened inside it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ObsCounters {
     /// Morsels (parallel tasks) dispatched.
@@ -57,31 +51,28 @@ pub struct ObsCounters {
     pub exact_steps: u64,
     /// Monte Carlo / Karp–Luby draws performed.
     pub samples_drawn: u64,
-    /// Worker busy nanoseconds (from the global registry — see
-    /// [`Metrics::par_busy_nanos`]); drives the occupancy annotation.
+    /// Nanoseconds the run's fan-out workers spent busy
+    /// (`ParStats::busy_nanos`); drives the occupancy annotation.
     pub busy_nanos: u64,
 }
 
 impl ObsCounters {
-    /// The per-field difference `self - earlier`, saturating at zero.
-    /// (`busy_nanos` reads a *global* counter, so concurrent runs can make
-    /// an individual window non-monotonic; saturation keeps deltas sane.)
+    /// The per-field difference `self - earlier`. Every counter is the run's
+    /// own and only grows, so `earlier` never exceeds `self`.
     #[must_use]
     pub fn since(&self, earlier: &ObsCounters) -> ObsCounters {
         ObsCounters {
-            morsels: self.morsels.saturating_sub(earlier.morsels),
-            intern_calls: self.intern_calls.saturating_sub(earlier.intern_calls),
-            intern_hits: self.intern_hits.saturating_sub(earlier.intern_hits),
-            imported: self.imported.saturating_sub(earlier.imported),
-            conjoin_calls: self.conjoin_calls.saturating_sub(earlier.conjoin_calls),
-            exact_groups: self.exact_groups.saturating_sub(earlier.exact_groups),
-            sampled_groups: self.sampled_groups.saturating_sub(earlier.sampled_groups),
-            karp_luby_groups: self
-                .karp_luby_groups
-                .saturating_sub(earlier.karp_luby_groups),
-            exact_steps: self.exact_steps.saturating_sub(earlier.exact_steps),
-            samples_drawn: self.samples_drawn.saturating_sub(earlier.samples_drawn),
-            busy_nanos: self.busy_nanos.saturating_sub(earlier.busy_nanos),
+            morsels: self.morsels - earlier.morsels,
+            intern_calls: self.intern_calls - earlier.intern_calls,
+            intern_hits: self.intern_hits - earlier.intern_hits,
+            imported: self.imported - earlier.imported,
+            conjoin_calls: self.conjoin_calls - earlier.conjoin_calls,
+            exact_groups: self.exact_groups - earlier.exact_groups,
+            sampled_groups: self.sampled_groups - earlier.sampled_groups,
+            karp_luby_groups: self.karp_luby_groups - earlier.karp_luby_groups,
+            exact_steps: self.exact_steps - earlier.exact_steps,
+            samples_drawn: self.samples_drawn - earlier.samples_drawn,
+            busy_nanos: self.busy_nanos - earlier.busy_nanos,
         }
     }
 
@@ -320,8 +311,7 @@ impl QueryTrace {
     }
 
     /// Counters of span `i` *exclusive* of its direct children — what the
-    /// node itself incurred. (Children's inclusive counters are subtracted,
-    /// saturating: the global busy counter can race across windows.)
+    /// node itself incurred: its inclusive counters less its children's.
     pub fn exclusive(&self, i: usize) -> ObsCounters {
         let mut child_sum = ObsCounters::default();
         let me = i as u32;
@@ -477,336 +467,9 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-// ---------------------------------------------------------------------------
-// Metrics registry
-// ---------------------------------------------------------------------------
-
-/// A monotonically increasing counter.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// A zeroed counter (`const`, so registries can be `static`).
-    pub const fn new() -> Self {
-        Counter(AtomicU64::new(0))
-    }
-
-    /// Add `n` to the counter.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        if n != 0 {
-            self.0.fetch_add(n, Ordering::Relaxed);
-        }
-    }
-
-    /// Increment by one.
-    #[inline]
-    pub fn inc(&self) {
-        self.0.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// Linear buckets below `2^LINEAR_BITS`; above that, each power-of-two
-/// octave splits into `1 << SUB_BITS` sub-buckets (HdrHistogram-style
-/// log-linear layout). Relative bucket width is ≤ 25% everywhere.
-const LINEAR_BITS: u32 = 2;
-const SUB_BITS: u32 = 2;
-const SUBS: usize = 1 << SUB_BITS; // 4 sub-buckets per octave
-const BUCKETS: usize = SUBS + (64 - LINEAR_BITS as usize) * SUBS; // 252
-
-/// A lock-free log-linear histogram of `u64` samples (no deps: fixed
-/// `AtomicU64` buckets). Records exact `count`/`sum` and bucketed
-/// quantiles with ≤ 25% relative error.
-#[derive(Debug)]
-pub struct Histogram {
-    count: AtomicU64,
-    sum: AtomicU64,
-    buckets: [AtomicU64; BUCKETS],
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram::new()
-    }
-}
-
-impl Histogram {
-    fn new() -> Self {
-        Histogram {
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-        }
-    }
-
-    fn bucket_index(v: u64) -> usize {
-        if v < (1 << LINEAR_BITS) {
-            return v as usize;
-        }
-        let octave = 63 - v.leading_zeros(); // >= LINEAR_BITS
-        let sub = ((v >> (octave - SUB_BITS)) & (SUBS as u64 - 1)) as usize;
-        SUBS + (octave - LINEAR_BITS) as usize * SUBS + sub
-    }
-
-    /// The smallest value mapping to bucket `idx` (used as the reported
-    /// quantile value — a ≤ 25% underestimate by construction).
-    fn bucket_floor(idx: usize) -> u64 {
-        if idx < SUBS {
-            return idx as u64;
-        }
-        let octave = LINEAR_BITS + ((idx - SUBS) / SUBS) as u32;
-        let sub = ((idx - SUBS) % SUBS) as u64;
-        (1u64 << octave) + sub * (1u64 << (octave - SUB_BITS))
-    }
-
-    /// Record one sample.
-    pub fn observe(&self, v: u64) {
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        self.buckets[Self::bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Number of recorded samples.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of recorded samples.
-    pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
-    }
-
-    /// Approximate `q`-quantile (0 ≤ q ≤ 1): the floor of the first bucket
-    /// whose cumulative count reaches `q · count`. Zero when empty.
-    pub fn quantile(&self, q: f64) -> u64 {
-        let count = self.count();
-        if count == 0 {
-            return 0;
-        }
-        let target = ((q.clamp(0.0, 1.0) * count as f64).ceil() as u64).max(1);
-        let mut seen = 0;
-        for (idx, b) in self.buckets.iter().enumerate() {
-            seen += b.load(Ordering::Relaxed);
-            if seen >= target {
-                return Self::bucket_floor(idx);
-            }
-        }
-        Self::bucket_floor(BUCKETS - 1)
-    }
-}
-
-/// The process-wide metrics registry. Obtain the global instance with
-/// [`metrics`]; all fields are lock-free and safe to touch from worker
-/// threads. Counter names follow prometheus conventions so a future server
-/// can expose [`Metrics::render`] at `/metrics` unchanged.
-#[derive(Debug, Default)]
-pub struct Metrics {
-    /// Executor runs completed.
-    pub queries_total: Counter,
-    /// Rows produced by completed runs.
-    pub query_rows_total: Counter,
-    /// Wall time per run, nanoseconds.
-    pub query_wall_nanos: Histogram,
-    /// Output rows per run.
-    pub query_rows: Histogram,
-    /// Parallel tasks (morsels) executed by the worker pool.
-    pub par_tasks_total: Counter,
-    /// Nanoseconds workers spent busy inside [`crate::parallel::run_tasks`]
-    /// fan-outs (only counted when a stage actually went parallel).
-    pub par_busy_nanos: Counter,
-    /// Descriptor-pool intern calls across all runs.
-    pub pool_intern_calls_total: Counter,
-    /// Descriptor-pool intern hits across all runs.
-    pub pool_intern_hits_total: Counter,
-    /// Descriptor conjoin calls across all runs.
-    pub pool_conjoin_calls_total: Counter,
-    /// Confidence groups solved exactly.
-    pub conf_exact_groups_total: Counter,
-    /// Confidence groups estimated by sampling.
-    pub conf_sampled_groups_total: Counter,
-    /// Sampled confidence groups that took the Karp–Luby estimator.
-    pub conf_karp_luby_groups_total: Counter,
-    /// Elimination steps spent on exactly solved confidence groups.
-    pub conf_exact_steps_total: Counter,
-    /// Sampling draws performed by the confidence solver.
-    pub conf_samples_drawn_total: Counter,
-    /// Normalization passes run.
-    pub normalize_runs_total: Counter,
-    /// Rows entering normalization passes.
-    pub normalize_rows_total: Counter,
-    /// Cardinality-estimation error per analyzed plan node, as the q-error
-    /// `max(est/actual, actual/est)` scaled by 1000 (so the histogram's
-    /// integer buckets resolve sub-10% mis-estimates; 1000 = perfect).
-    /// Fed by `EXPLAIN ANALYZE`, which is where estimates meet actuals.
-    pub plan_q_error_milli: Histogram,
-    /// Bloom filters built for sideways information passing.
-    pub sip_filters_built_total: Counter,
-    /// Probe-side rows tested against a pushed-down SIP Bloom filter.
-    pub sip_rows_tested_total: Counter,
-    /// Probe-side rows pruned by a SIP Bloom filter before reaching a join.
-    pub sip_rows_pruned_total: Counter,
-    /// Scans of a run that found the relation without a columnar image and
-    /// converted its rows — the cold ones. Counted where a run scans, so
-    /// normalization, statistics and `WorldSet::insert` reading an image are
-    /// not scans.
-    pub scan_images_built_total: Counter,
-    /// Scans of a run served by an image already there.
-    pub scan_images_reused_total: Counter,
-    /// Relations born with their image — a run's answer — rather than
-    /// converted from rows.
-    pub images_seeded_total: Counter,
-    /// Times a relation that held only its image had to build rows because
-    /// someone read them: who still reads rows, as a number.
-    pub rows_materialized_total: Counter,
-}
-
-impl Metrics {
-    /// Render the registry in prometheus-flavoured text: `name value` lines
-    /// for counters; `_count`/`_sum` plus `quantile`-labelled lines for
-    /// histograms.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let counters: [(&str, &Counter); 20] = [
-            ("maybms_queries_total", &self.queries_total),
-            ("maybms_query_rows_total", &self.query_rows_total),
-            ("maybms_par_tasks_total", &self.par_tasks_total),
-            ("maybms_par_busy_nanos", &self.par_busy_nanos),
-            (
-                "maybms_pool_intern_calls_total",
-                &self.pool_intern_calls_total,
-            ),
-            (
-                "maybms_pool_intern_hits_total",
-                &self.pool_intern_hits_total,
-            ),
-            (
-                "maybms_pool_conjoin_calls_total",
-                &self.pool_conjoin_calls_total,
-            ),
-            (
-                "maybms_conf_exact_groups_total",
-                &self.conf_exact_groups_total,
-            ),
-            (
-                "maybms_conf_sampled_groups_total",
-                &self.conf_sampled_groups_total,
-            ),
-            (
-                "maybms_conf_karp_luby_groups_total",
-                &self.conf_karp_luby_groups_total,
-            ),
-            (
-                "maybms_conf_exact_steps_total",
-                &self.conf_exact_steps_total,
-            ),
-            (
-                "maybms_conf_samples_drawn_total",
-                &self.conf_samples_drawn_total,
-            ),
-            ("maybms_normalize_runs_total", &self.normalize_runs_total),
-            (
-                "maybms_sip_filters_built_total",
-                &self.sip_filters_built_total,
-            ),
-            ("maybms_sip_rows_tested_total", &self.sip_rows_tested_total),
-            ("maybms_sip_rows_pruned_total", &self.sip_rows_pruned_total),
-            (
-                "maybms_scan_images_built_total",
-                &self.scan_images_built_total,
-            ),
-            (
-                "maybms_scan_images_reused_total",
-                &self.scan_images_reused_total,
-            ),
-            ("maybms_images_seeded_total", &self.images_seeded_total),
-            (
-                "maybms_rows_materialized_total",
-                &self.rows_materialized_total,
-            ),
-        ];
-        for (name, c) in counters {
-            out.push_str(&format!("{name} {}\n", c.get()));
-        }
-        out.push_str(&format!(
-            "maybms_normalize_rows_total {}\n",
-            self.normalize_rows_total.get()
-        ));
-        let histograms: [(&str, &Histogram); 3] = [
-            ("maybms_query_wall_nanos", &self.query_wall_nanos),
-            ("maybms_query_rows", &self.query_rows),
-            ("maybms_plan_q_error_milli", &self.plan_q_error_milli),
-        ];
-        for (name, h) in histograms {
-            out.push_str(&format!("{name}_count {}\n", h.count()));
-            out.push_str(&format!("{name}_sum {}\n", h.sum()));
-            for q in [0.5, 0.9, 0.99] {
-                out.push_str(&format!("{name}{{quantile=\"{q}\"}} {}\n", h.quantile(q)));
-            }
-        }
-        out
-    }
-}
-
-static METRICS: OnceLock<Metrics> = OnceLock::new();
-
-/// The process-wide [`Metrics`] registry (created on first use).
-pub fn metrics() -> &'static Metrics {
-    METRICS.get_or_init(Metrics::default)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counters_are_monotonic() {
-        let c = Counter::new();
-        c.inc();
-        c.add(41);
-        c.add(0);
-        assert_eq!(c.get(), 42);
-    }
-
-    #[test]
-    fn histogram_buckets_are_monotone_and_cover_u64() {
-        // Bucket index must be non-decreasing in the value and the floor of
-        // each bucket must map back into it.
-        let mut values: Vec<u64> = (0..64)
-            .flat_map(|shift| [0u64, 1, 3].map(|off| (1u64 << shift).saturating_add(off)))
-            .collect();
-        values.extend(0..16u64);
-        values.sort_unstable();
-        let mut prev = 0;
-        for v in values {
-            let idx = Histogram::bucket_index(v);
-            assert!(idx >= prev, "monotone at {v}");
-            prev = idx;
-            assert!(idx < BUCKETS);
-            let floor = Histogram::bucket_floor(idx);
-            assert_eq!(Histogram::bucket_index(floor), idx, "floor of {v}");
-            assert!(floor <= v, "floor {floor} exceeds {v}");
-        }
-    }
-
-    #[test]
-    fn histogram_quantiles_have_bounded_relative_error() {
-        let h = Histogram::new();
-        for v in 1..=1000u64 {
-            h.observe(v);
-        }
-        assert_eq!(h.count(), 1000);
-        assert_eq!(h.sum(), 500_500);
-        for (q, exact) in [(0.5, 500u64), (0.9, 900), (0.99, 990)] {
-            let got = h.quantile(q);
-            let err = (got as f64 - exact as f64).abs() / exact as f64;
-            assert!(err <= 0.25, "q={q}: got {got}, exact {exact}");
-        }
-    }
 
     #[test]
     fn spans_nest_and_attribute_counter_deltas() {
@@ -979,25 +642,5 @@ mod tests {
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("\"morsels\":4"));
         assert!(json.contains("O\\\"Brien\\\\"));
-    }
-
-    #[test]
-    fn registry_renders_every_series() {
-        let m = Metrics::default();
-        m.queries_total.inc();
-        m.query_wall_nanos.observe(1_000_000);
-        let text = m.render();
-        assert!(text.contains("maybms_queries_total 1\n"));
-        assert!(text.contains("maybms_query_wall_nanos_count 1\n"));
-        assert!(text.contains("maybms_query_wall_nanos{quantile=\"0.5\"}"));
-        assert!(text.contains("maybms_scan_images_built_total 0\n"));
-        assert!(text.contains("maybms_scan_images_reused_total 0\n"));
-        assert!(text.contains("maybms_images_seeded_total 0\n"));
-        assert!(text.contains("maybms_rows_materialized_total 0\n"));
-        assert!(text.contains("maybms_conf_karp_luby_groups_total 0\n"));
-        // The global registry is reachable and monotonic.
-        let before = metrics().queries_total.get();
-        metrics().queries_total.inc();
-        assert!(metrics().queries_total.get() > before);
     }
 }

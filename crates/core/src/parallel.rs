@@ -80,7 +80,8 @@ impl ParCfg {
 }
 
 /// Parallelism counters of one executor run, surfaced through `ExecStats`
-/// and the REPL's `\stats` meta-command.
+/// and the REPL's `\stats` meta-command. [`run_tasks`] writes them, once
+/// per fan-out, so they count only the run's own workers.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ParStats {
     /// Maximum number of workers any stage fanned out to (1 = everything
@@ -90,24 +91,17 @@ pub struct ParStats {
     pub morsels: u64,
     /// Never written (no stage merges); the frozen `perfbench` adapter reads it.
     pub merge_nanos: u64,
+    /// Nanoseconds the fan-outs' workers spent busy, summed over workers —
+    /// the tracer's `occ=` annotation divides it by wall time × threads.
+    pub busy_nanos: u64,
 }
 
 impl ParStats {
-    /// Record a stage about to call [`run_tasks`]`(workers, morsels, …)`:
-    /// the threads that call spawns (`workers.min(morsels)`, not the budget)
-    /// and its tasks — nothing when it will run inline.
-    pub fn note_stage(&mut self, workers: usize, morsels: usize) {
-        let spawned = workers.min(morsels);
-        if spawned > 1 {
-            self.workers_used = self.workers_used.max(spawned);
-            self.morsels += morsels as u64;
-        }
-    }
-
     /// Fold another run's counters into this one.
     pub fn absorb(&mut self, other: &ParStats) {
         self.workers_used = self.workers_used.max(other.workers_used);
         self.morsels += other.morsels;
+        self.busy_nanos += other.busy_nanos;
     }
 }
 
@@ -131,15 +125,16 @@ pub fn chunk_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
 }
 
 /// Run `tasks` task closures on up to `workers` scoped threads, returning
-/// the results **in task order**.
+/// the results **in task order**, and record the fan-out in `stats`: the
+/// threads it spawned, its tasks and its workers' busy time.
 ///
 /// Workers pull task indices from one shared atomic counter, so load
 /// balances dynamically; but because each task's result depends only on its
 /// own index (tasks share nothing mutable), the returned vector is identical
 /// no matter how tasks were scheduled. With `workers <= 1` or a single task
-/// everything runs inline on the calling thread. A panicking task propagates
-/// the panic.
-pub fn run_tasks<R, F>(workers: usize, tasks: usize, f: F) -> Vec<R>
+/// everything runs inline on the calling thread and `stats` is untouched. A
+/// panicking task propagates the panic.
+pub fn run_tasks<R, F>(stats: &mut ParStats, workers: usize, tasks: usize, f: F) -> Vec<R>
 where
     R: Send,
     F: Fn(usize) -> R + Sync,
@@ -178,11 +173,9 @@ where
             }
         }
     });
-    // One registry update per fan-out (not per task): worker occupancy and
-    // task throughput for the tracer's `occ=` annotation and `/metrics`.
-    let m = crate::obs::metrics();
-    m.par_tasks_total.add(tasks as u64);
-    m.par_busy_nanos.add(busy_nanos);
+    stats.workers_used = stats.workers_used.max(workers);
+    stats.morsels += tasks as u64;
+    stats.busy_nanos += busy_nanos;
     slots
         .into_iter()
         .map(|r| r.expect("every task index below `tasks` was claimed"))
@@ -212,10 +205,14 @@ mod tests {
 
     #[test]
     fn run_tasks_returns_in_task_order() {
-        let results = run_tasks(4, 37, |t| t * t);
+        let mut stats = ParStats::default();
+        let results = run_tasks(&mut stats, 4, 37, |t| t * t);
         assert_eq!(results, (0..37).map(|t| t * t).collect::<Vec<_>>());
-        // Inline path agrees.
-        assert_eq!(run_tasks(1, 5, |t| t + 1), vec![1, 2, 3, 4, 5]);
+        assert_eq!((stats.workers_used, stats.morsels), (4, 37));
+        // Inline path agrees, and records nothing.
+        let mut inline = ParStats::default();
+        assert_eq!(run_tasks(&mut inline, 1, 5, |t| t + 1), vec![1, 2, 3, 4, 5]);
+        assert_eq!(inline, ParStats::default());
     }
 
     #[test]

@@ -67,7 +67,6 @@ impl URelation {
     /// its image ([`ColumnarImage::from_run`]), rows built if and when they
     /// are read.
     pub fn from_image(image: ColumnarImage) -> Self {
-        crate::obs::metrics().images_seeded_total.inc();
         URelation {
             schema: image.columns().schema().clone(),
             rows: OnceLock::new(),
@@ -102,6 +101,12 @@ impl URelation {
     /// builds it, and counts as cold).
     pub fn has_image(&self) -> bool {
         self.image.get().is_some()
+    }
+
+    /// Whether the rows are there already (a relation born with its image
+    /// builds them on the first [`URelation::rows`] call).
+    pub fn has_rows(&self) -> bool {
+        self.rows.get().is_some()
     }
 
     /// Lift a certain relation: every tuple holds in all worlds.
@@ -167,7 +172,6 @@ impl URelation {
     /// born with an image and nobody has read its rows before.
     pub fn rows(&self) -> &[(Tuple, WsDescriptor)] {
         self.rows.get_or_init(|| {
-            crate::obs::metrics().rows_materialized_total.inc();
             self.image
                 .get()
                 .expect("a relation holds its rows or its image")
@@ -283,23 +287,15 @@ mod tests {
         strings.intern("someone else's");
         let columns = ColumnarURelation::from_urelation(u, &mut pool, &mut strings);
         let answer = URelation::from_image(ColumnarImage::from_run(columns, &pool, &strings));
-        assert!(has_image(&answer) && !has_rows(&answer));
+        assert!(answer.has_image() && !answer.has_rows());
         answer
-    }
-
-    fn has_image(u: &URelation) -> bool {
-        u.image.get().is_some()
-    }
-
-    fn has_rows(u: &URelation) -> bool {
-        u.rows.get().is_some()
     }
 
     #[test]
     fn the_image_is_no_part_of_the_value() {
         let (cold, warm) = (sample(), sample());
         warm.image();
-        assert!(has_image(&warm) && !has_image(&cold));
+        assert!(warm.has_image() && !cold.has_image());
         assert_eq!(cold, warm);
         assert_eq!(format!("{cold:?}"), format!("{warm:?}"));
         assert_eq!(format!("{cold:#?}"), format!("{warm:#?}"));
@@ -317,9 +313,9 @@ mod tests {
         assert!(!answer.is_empty() && !answer.is_certain());
         assert_eq!(answer.schema(), rows_built.schema());
         assert_eq!(answer.to_string(), rows_built.to_string());
-        assert!(!has_rows(&answer), "none of the above reads rows");
+        assert!(!answer.has_rows(), "none of the above reads rows");
         assert_eq!(answer.rows(), rows_built.rows());
-        assert!(has_rows(&answer) && has_image(&answer));
+        assert!(answer.has_rows() && answer.has_image());
         // A certain and an empty one, by the image alone.
         let mut certain = URelation::new(rows_built.schema().clone());
         assert!(as_an_answer(&certain).is_empty());
@@ -330,13 +326,13 @@ mod tests {
         let mut written = as_an_answer(&rows_built);
         let (t, d) = row();
         written.push(t.clone(), d.clone()).unwrap();
-        assert!(has_rows(&written) && !has_image(&written));
+        assert!(written.has_rows() && !written.has_image());
         assert_eq!(written.rows()[..3], *rows_built.rows());
         assert_eq!(written.rows()[3], (t, d));
         // Capacity is not content, though reserving it takes rows to hold it.
         let mut roomy = as_an_answer(&rows_built);
         roomy.reserve(8);
-        assert!(has_rows(&roomy) && has_image(&roomy));
+        assert!(roomy.has_rows() && roomy.has_image());
     }
 
     #[test]
@@ -348,11 +344,11 @@ mod tests {
         ws.relations.insert("r".into(), as_an_answer(&sample()));
         ws.normalize();
         let r = &ws.relations["r"];
-        assert!(has_image(r) && !has_rows(r));
+        assert!(r.has_image() && !r.has_rows());
         assert_eq!((r.len(), ws.components.len()), (2, 1));
         let mut answer = as_an_answer(&sample());
         crate::normalize::normalize_relation(&mut answer, &ws.components);
-        assert!(has_image(&answer) && !has_rows(&answer));
+        assert!(answer.has_image() && !answer.has_rows());
         // The duplicate row went; what is left reads in canonical order.
         let want = [
             (
@@ -408,7 +404,7 @@ mod tests {
         assert_eq!(u.to_string(), expected);
         let answer = as_an_answer(&u);
         assert_eq!(answer.to_string(), expected);
-        assert!(!has_rows(&answer));
+        assert!(!answer.has_rows());
         let empty = URelation::new(u.schema().clone());
         assert_eq!(as_an_answer(&empty).to_string(), empty.to_string());
     }
@@ -420,7 +416,7 @@ mod tests {
         // before the first collect shares the statistics memoised inside.
         let original = sample();
         let early_clone = original.clone();
-        assert!(!has_image(&original));
+        assert!(!original.has_image());
         let image = Arc::clone(early_clone.image());
         assert!(Arc::ptr_eq(original.image(), &image));
         assert!(image.stats_memo().get().is_none());
@@ -442,7 +438,7 @@ mod tests {
             let mut clone = original.clone();
             assert!(Arc::ptr_eq(clone.image(), &image), "{name}");
             write(&mut clone);
-            assert!(!has_image(&clone), "{name} must drop the clone's image");
+            assert!(!clone.has_image(), "{name} must drop the clone's image");
             assert!(Arc::ptr_eq(original.image(), &image), "{name}");
             assert!(Arc::ptr_eq(early_clone.image(), &image), "{name}");
             // The memo went with the image: the statistics are those of the
@@ -481,6 +477,6 @@ mod tests {
         let mut alone = sample();
         alone.image();
         alone.dedup();
-        assert!(!has_image(&alone));
+        assert!(!alone.has_image());
     }
 }

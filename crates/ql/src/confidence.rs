@@ -235,8 +235,9 @@ impl ExtOperator for Conf {
             (kept, confs)
         } else {
             let morsels = chunk_ranges(bounds.len(), workers * 4);
-            ctx.par_stats.note_stage(workers, morsels.len());
-            let parts = run_tasks(workers, morsels.len(), |t| solve_runs(morsels[t].clone()));
+            let parts = run_tasks(&mut ctx.par_stats, workers, morsels.len(), |t| {
+                solve_runs(morsels[t].clone())
+            });
             let mut kept: Vec<u32> = Vec::with_capacity(bounds.len());
             let mut confs: Vec<f64> = Vec::with_capacity(bounds.len());
             // Task order: the first failing run's error wins, as it would

@@ -167,11 +167,12 @@ impl ExtOperator for Certain {
             check_runs(0..bounds.len())?
         } else {
             let morsels = chunk_ranges(bounds.len(), workers * 4);
-            ctx.par_stats.note_stage(workers, morsels.len());
-            run_tasks(workers, morsels.len(), |t| check_runs(morsels[t].clone()))
-                .into_iter()
-                .collect::<Result<Vec<_>, MayError>>()?
-                .concat()
+            run_tasks(&mut ctx.par_stats, workers, morsels.len(), |t| {
+                check_runs(morsels[t].clone())
+            })
+            .into_iter()
+            .collect::<Result<Vec<_>, MayError>>()?
+            .concat()
         };
         ctx.tracer
             .event("coverage-check", check_started, bounds.len() as u64);

@@ -5,9 +5,7 @@
 //! When the catalog carries relation statistics, both statements also show
 //! the cost model's per-node cardinality estimates (`est_rows=`), and
 //! `EXPLAIN ANALYZE` closes with a q-error summary comparing them against
-//! the observed row counts — the planner grading its own homework. Each
-//! analyzed node's q-error also feeds the process-wide
-//! `maybms_plan_q_error_milli` histogram in [`maybms_core::metrics`].
+//! the observed row counts — the planner grading its own homework.
 //!
 //! This module is where estimates are computed, and nothing stores them:
 //! each statement estimates the plan it renders from the catalog it was
@@ -24,7 +22,7 @@ use std::fmt;
 use maybms_algebra::{
     estimate_preorder, exec_order, run_with, sip_decisions, ExecCfg, ExecStats, Plan, StatsProvider,
 };
-use maybms_core::{metrics, QueryTrace, Span, SpanKind, WorldSet};
+use maybms_core::{QueryTrace, Span, SpanKind, WorldSet};
 
 use crate::ast::Query;
 use crate::catalog::Catalog;
@@ -152,20 +150,13 @@ pub(crate) fn explain_analyze_plan(
         .then(|| estimate_preorder(&optimized, catalog, catalog));
     let (_result, stats, trace) = run_with(ws, &optimized, cfg, true)
         .map_err(|e| SqlError::new(span, format!("execution failed: {e}")))?;
-    let analyzed = ExplainAnalyze {
+    Ok(ExplainAnalyze {
         optimized,
         trace: trace.expect("tracing was requested"),
         stats,
         estimates,
         sip_enabled: cfg.sip,
-    };
-    // Grade the estimates against the observed row counts while we have
-    // both in hand: one q-error histogram sample per analyzed plan node.
-    for (est, actual) in analyzed.node_estimates() {
-        let q = q_error(est, actual);
-        metrics().plan_q_error_milli.observe((q * 1000.0) as u64);
-    }
-    Ok(analyzed)
+    })
 }
 
 /// The q-error of one estimate: `max(est/actual, actual/est)` with both

@@ -1,12 +1,29 @@
-//! The `\metrics` counters that say what a scan found and who still reads
-//! rows. Alone in its own test binary: the registry is process-wide, and
-//! exact deltas need a process nobody else scans in.
+//! What a scan found and who still reads rows, read off each run's
+//! `ExecStats` (cold and warm scans) and off the relations themselves
+//! (`has_image` / `has_rows`).
 
-use maybms_algebra::{run, Plan};
-use maybms_core::{
-    metrics, Relation, Schema, Tuple, URelation, Value, ValueType, WorldSet, WsDescriptor,
-};
-use maybms_sql::{Outcome, Session};
+use maybms_algebra::{run_with, ExecCfg, ExecStats, Plan};
+use maybms_core::{Relation, Schema, Tuple, URelation, Value, ValueType, WorldSet, WsDescriptor};
+use maybms_sql::{Executed, Outcome, Session};
+
+/// Cold and warm scans of one run.
+fn scans(stats: &ExecStats) -> [u64; 2] {
+    [stats.cold_scans, stats.warm_scans]
+}
+
+/// The answer of a query statement and its run's scans.
+fn answer(executed: Executed) -> (URelation, [u64; 2]) {
+    let scanned = scans(&executed.stats.expect("a query runs a plan"));
+    let Outcome::Rows(rows) = executed.outcome else {
+        panic!("a query answers with rows");
+    };
+    (rows, scanned)
+}
+
+/// Born with its image, and no row built since.
+fn image_only(rel: &URelation) -> bool {
+    rel.has_image() && !rel.has_rows()
+}
 
 #[test]
 fn the_first_scan_builds_the_image_and_the_second_reuses_it() {
@@ -18,66 +35,59 @@ fn the_first_scan_builds_the_image_and_the_second_reuses_it() {
         URelation::from_certain(&Relation::from_rows(schema, rows).unwrap()),
     )
     .unwrap();
-    let registry = metrics();
-    // Scans cold, scans warm, images seeded by a run, row builds.
-    let counts = || {
-        [
-            registry.scan_images_built_total.get(),
-            registry.scan_images_reused_total.get(),
-            registry.images_seeded_total.get(),
-            registry.rows_materialized_total.get(),
-        ]
-    };
     // `insert` read the image (it validates the distinct descriptors): that
     // built it, and is no scan.
     assert!(ws.relations["r"].has_image());
-    assert_eq!(counts(), [0, 0, 0, 0]);
     // A write in place leaves rows without an image: the next scan is cold.
     let r = ws.relations.get_mut("r").unwrap();
     r.push(Tuple::new(vec![Value::Int(3)]), WsDescriptor::tautology())
         .unwrap();
     assert!(!r.has_image());
     let scan = Plan::scan("r");
-    let first = run(&mut ws, &scan).unwrap();
-    assert_eq!(counts(), [1, 0, 1, 0]);
-    run(&mut ws, &scan).unwrap();
-    assert_eq!(counts(), [1, 1, 2, 0]);
-    // An answer is born with its image; counting or printing it builds no
-    // rows, reading them does, once.
+    let cfg = ExecCfg::default();
+    let (first, stats, _) = run_with(&mut ws, &scan, &cfg, false).unwrap();
+    assert_eq!(scans(&stats), [1, 0]);
+    assert!(image_only(&first), "a run's answer is born with its image");
+    let (second, stats, _) = run_with(&mut ws, &scan, &cfg, false).unwrap();
+    assert_eq!(scans(&stats), [0, 1]);
+    assert!(image_only(&second));
+    // Counting or printing an answer builds no rows; reading them does,
+    // once.
     assert_eq!((first.len(), first.is_certain()), (4, true));
     assert_eq!(first.to_string().lines().count(), 5);
-    assert_eq!(counts(), [1, 1, 2, 0]);
+    assert!(image_only(&first));
     assert_eq!(first.rows().len(), 4);
-    assert_eq!(first.rows().len(), 4);
-    assert_eq!(counts(), [1, 1, 2, 1]);
+    assert!(first.has_rows() && first.has_image());
+    assert!(std::ptr::eq(first.rows(), first.rows()));
 
     // A session collects statistics off every image at start-up and after a
     // `LET`, so its scans are warm — of a `LET` result too, which is stored
     // as the image it was born with and never converted.
     let mut session = Session::new(ws);
-    session.execute("SELECT a FROM r WHERE a > 0").unwrap();
-    assert_eq!(counts(), [1, 2, 3, 1]);
-    session
+    let (filtered, scanned) = answer(session.execute("SELECT a FROM r WHERE a > 0").unwrap());
+    assert_eq!(scanned, [0, 1]);
+    assert!(image_only(&filtered));
+    let stored = session
         .execute("LET r = SELECT a FROM r WHERE a > 0")
         .unwrap();
-    let Outcome::Rows(stored) = session.execute("SELECT a FROM r").unwrap().outcome else {
-        panic!("a query answers with rows");
-    };
-    assert_eq!(counts(), [1, 4, 5, 1]);
-    assert_eq!(stored.len(), 3);
-    assert_eq!(counts(), [1, 4, 5, 1]);
+    assert_eq!(scans(&stored.stats.unwrap()), [0, 1]);
+    assert!(image_only(&session.world().relations["r"]));
+    let (reread, scanned) = answer(session.execute("SELECT a FROM r").unwrap());
+    assert_eq!(scanned, [0, 1]);
+    assert!(image_only(&reread));
+    assert_eq!(reread.len(), 3);
+    assert!(image_only(&reread));
 
-    // Normalization reads every image and seeds a new one per non-empty
+    // Normalization reads every image and makes a new one per non-empty
     // relation, builds no rows, and the catalog refresh and the next scan
     // both find the new image.
-    let non_empty = session
-        .world()
-        .relations
-        .values()
-        .filter(|r| !r.is_empty())
-        .count() as u64;
     session.normalize();
-    assert_eq!(counts(), [1, 4, 5 + non_empty, 1]);
-    session.execute("SELECT a FROM r").unwrap();
-    assert_eq!(counts(), [1, 5, 6 + non_empty, 1]);
+    let world = session.world();
+    assert!(world.relations.values().any(|r| !r.is_empty()));
+    for (name, rel) in &world.relations {
+        assert!(rel.is_empty() || image_only(rel), "{name} after normalize");
+    }
+    let (normalized, scanned) = answer(session.execute("SELECT a FROM r").unwrap());
+    assert_eq!(scanned, [0, 1]);
+    assert!(image_only(&normalized));
 }

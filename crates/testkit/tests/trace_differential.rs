@@ -8,14 +8,18 @@
 //! one span per plan node (at least — operators add `·` sub-phases), a
 //! root whose `rows_out` is the result cardinality, and counter
 //! attribution that never loses mass (a child's inclusive counters never
-//! exceed its parent's).
+//! exceed its parent's). Every counter a span reads is its own run's, so
+//! runs on other threads leave a trace untouched.
 //!
 //! A failing case prints its seed for exact replay.
 
-use maybms_algebra::{run_with, ExecCfg};
-use maybms_core::obs::SpanKind;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+use maybms_algebra::{run_with, ExecCfg, Plan};
+use maybms_core::obs::{ObsCounters, SpanKind};
 use maybms_core::rng::Rng;
-use maybms_core::ParCfg;
+use maybms_core::{ParCfg, Schema, Tuple, URelation, Value, ValueType, WorldSet, WsDescriptor};
+use maybms_ql::{conf, possible, repair_key};
 use maybms_testkit::{gen_uncertain_plan, gen_world_set, GenConfig};
 
 const CASES: u64 = 120;
@@ -122,9 +126,21 @@ fn traces_cover_every_plan_node_and_attribute_consistently() {
                     "case {case}: span {i} escapes its parent's interval"
                 );
             }
+            // The children's inclusive counters fit in their parent's, field
+            // by field, summed exactly.
+            let mut child_sum = [0u64; 11];
+            for child in trace.spans.iter().filter(|c| c.parent == Some(i as u32)) {
+                for (sum, v) in child_sum.iter_mut().zip(fields(&child.counters)) {
+                    *sum += v;
+                }
+            }
+            let own = fields(&span.counters);
+            assert!(
+                child_sum.iter().zip(own).all(|(&sum, v)| sum <= v),
+                "case {case}: children of span {i} sum to {child_sum:?}, more than {own:?}"
+            );
             // Counter attribution never goes negative: exclusive counters
-            // are inclusive minus children, saturating — but for a
-            // single-query trace the children's sums must genuinely fit.
+            // are inclusive minus children, and the children's sums fit.
             if span.kind == SpanKind::Node {
                 let ex = trace.exclusive(i);
                 assert!(
@@ -135,5 +151,111 @@ fn traces_cover_every_plan_node_and_attribute_consistently() {
                 );
             }
         }
+    }
+}
+
+/// Every counter of a span, in declaration order.
+fn fields(c: &ObsCounters) -> [u64; 11] {
+    [
+        c.morsels,
+        c.intern_calls,
+        c.intern_hits,
+        c.imported,
+        c.conjoin_calls,
+        c.exact_groups,
+        c.sampled_groups,
+        c.karp_luby_groups,
+        c.exact_steps,
+        c.samples_drawn,
+        c.busy_nanos,
+    ]
+}
+
+/// `CONF` over a repair of `rows` rows: 1 + `rows` / 4 tuple runs to solve,
+/// so a two-thread budget fans the solve out.
+fn conf_workload(rows: usize) -> (WorldSet, Plan) {
+    let mut rng = Rng::new(0xB05E);
+    let schema = Schema::of(&[
+        ("a", ValueType::Int),
+        ("b", ValueType::Int),
+        ("w", ValueType::Int),
+    ])
+    .expect("distinct columns");
+    let mut rel = URelation::new(schema);
+    for i in 0..rows {
+        let tuple = Tuple::new(vec![
+            Value::Int((i / 4) as i64),
+            Value::Int(rng.below(50) as i64),
+            Value::Int(1 + rng.below(3) as i64),
+        ]);
+        rel.push(tuple, WsDescriptor::tautology())
+            .expect("tuple matches schema");
+    }
+    let mut ws = WorldSet::new();
+    ws.insert("big", rel).expect("certain relation is valid");
+    let repaired = repair_key(possible(Plan::scan("big")), &["a"], Some("w"));
+    (ws, conf(repaired.project(["b"])))
+}
+
+/// While another thread keeps fanning `CONF` solves out over two workers,
+/// traced one-thread runs see none of those workers' busy time: not in any
+/// span and not in their `ExecStats`.
+#[test]
+fn concurrent_fan_outs_do_not_leak_into_a_trace() {
+    let (bg_ws, bg_plan) = conf_workload(400);
+    let stop = AtomicBool::new(false);
+    let fanned_out = AtomicU64::new(0);
+    std::thread::scope(|scope| {
+        let background = scope.spawn(|| {
+            while !stop.load(Ordering::Relaxed) {
+                let (_, stats, _) = run_with(&mut bg_ws.clone(), &bg_plan, &exec(2), false)
+                    .expect("background run succeeds");
+                assert!(stats.par.busy_nanos > 0, "the background run fans out");
+                fanned_out.fetch_add(1, Ordering::Relaxed);
+            }
+        });
+        // Stops the background loop however this thread leaves the scope,
+        // a failed assertion included (the scope joins it before reporting).
+        let _stop = StopOnDrop(&stop);
+        let (conf_ws, conf_plan) = conf_workload(400);
+        let cfg = GenConfig::default();
+        let mut case = 0u64;
+        // At least 40 cases, and on until 20 background fan-outs ran
+        // alongside them (or the background thread stopped on a failure,
+        // which the scope then reports).
+        let overlapped = fanned_out.load(Ordering::Relaxed) + 20;
+        while case < 40
+            || (fanned_out.load(Ordering::Relaxed) < overlapped && !background.is_finished())
+        {
+            let mut rng = Rng::new(0xC0C0 ^ case);
+            let ws = gen_world_set(&mut rng, &cfg);
+            let plan = gen_uncertain_plan(&mut rng, &ws, 3);
+            for (ws, plan) in [(&ws, &plan), (&conf_ws, &conf_plan)] {
+                let (_, stats, trace) = run_with(&mut ws.clone(), plan, &exec(1), true)
+                    .unwrap_or_else(|e| panic!("case {case}: traced run failed: {e}"));
+                assert_eq!(
+                    stats.par.busy_nanos, 0,
+                    "case {case}: a one-thread run counted busy workers"
+                );
+                let trace = trace.expect("traced run returns its trace");
+                for (i, span) in trace.spans.iter().enumerate() {
+                    assert_eq!(
+                        span.counters.busy_nanos, 0,
+                        "case {case}: span {i} ({}) counted another run's workers",
+                        span.label
+                    );
+                }
+            }
+            case += 1;
+        }
+    });
+}
+
+/// Sets its flag when dropped.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
     }
 }

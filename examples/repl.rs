@@ -26,11 +26,12 @@
 //! Meta commands: `\d` lists the relations, `\stats` shows the last query's
 //! executor statistics (descriptor-pool occupancy and hit rates,
 //! string-dictionary size, elided dedups, parallelism, confidence-solver
-//! and SIP counters, plan-cache hit rate), `\timing` toggles per-statement
-//! wall-clock reporting, `\trace on|off` toggles span tracing for
-//! subsequent queries, `\trace last <file>` exports the last captured trace
-//! as Chrome trace-event JSON (open it in `chrome://tracing` or Perfetto),
-//! `\metrics` prints the process-wide metrics registry, `\set threads N`
+//! and SIP counters, cold and warm scans, plan-cache hit rate), `\timing`
+//! toggles per-statement wall-clock reporting, `\trace on|off` toggles span
+//! tracing for subsequent queries, `\trace last <file>` exports the last
+//! captured trace as Chrome trace-event JSON (open it in `chrome://tracing`
+//! or Perfetto), `\metrics` prints the session's totals (the same counters
+//! summed over every run so far), `\set threads N`
 //! changes the session's worker budget (initially the machine's
 //! parallelism), `\set sip on|off` toggles Bloom-filter sideways information
 //! passing (initially on), `\q` quits, `\help` shows the cheat sheet. Both
@@ -54,9 +55,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use maybms::algebra::ExecStats;
-use maybms::core::{
-    metrics, QueryTrace, Relation, Schema, Tuple, URelation, Value, ValueType, WorldSet,
-};
+use maybms::core::{QueryTrace, Relation, Schema, Tuple, URelation, Value, ValueType, WorldSet};
 use maybms::sql::lexer::{lex, TokenKind};
 use maybms::sql::{Executed, Outcome, Session};
 
@@ -139,6 +138,10 @@ struct Repl {
     timing: bool,
     last_stats: Option<ExecStats>,
     last_trace: Option<QueryTrace>,
+    /// Every run's stats folded together, and how many runs that is — what
+    /// `\metrics` prints.
+    totals: ExecStats,
+    runs: u64,
 }
 
 impl Repl {
@@ -148,6 +151,8 @@ impl Repl {
             timing: false,
             last_stats: None,
             last_trace: None,
+            totals: ExecStats::default(),
+            runs: 0,
         }
     }
 
@@ -268,7 +273,11 @@ impl Repl {
     /// Print what a statement produced and keep what `\stats` and `\trace
     /// last` report.
     fn show(&mut self, executed: Executed) {
-        self.last_stats = executed.stats.or(self.last_stats);
+        if let Some(stats) = &executed.stats {
+            self.totals.absorb(stats);
+            self.runs += 1;
+            self.last_stats = Some(*stats);
+        }
         if let Some(trace) = executed.trace {
             println!(
                 "trace: {} spans captured (\\trace last <file> to export)",
@@ -298,7 +307,10 @@ impl Repl {
             "\\q" | "\\quit" => return Ok(MetaOutcome::Quit),
             "\\d" => self.describe(),
             "\\stats" => self.stats(),
-            "\\metrics" => print!("{}", metrics().render()),
+            "\\metrics" => print_stats(
+                &format!("session totals ({} runs):", self.runs),
+                &self.totals,
+            ),
             "\\timing" => {
                 self.timing = !self.timing;
                 println!("Timing is {}.", if self.timing { "on" } else { "off" });
@@ -378,68 +390,13 @@ impl Repl {
     }
 
     /// Print the last query's executor statistics (the `\stats`
-    /// meta-command): descriptor-pool occupancy with intern/conjoin hit
-    /// rates, and the string dictionary size — the observability window
-    /// into the columnar execution core. Before any query has run, the
-    /// session's knobs are still reported so the state stays inspectable.
+    /// meta-command). Before any query has run, the session's knobs are
+    /// still reported so the state stays inspectable.
     fn stats(&self) {
-        let Some(s) = &self.last_stats else {
-            println!("no query executed yet");
-            self.print_cache_and_settings();
-            return;
-        };
-        let p = s.pool;
-        println!("last query:");
-        println!("  wall time:       {:.3} ms", s.wall_nanos as f64 / 1e6);
-        println!("  descriptor pool: {} entries", s.descriptors);
-        println!(
-            "  interning:       {} imported by scans, {} hits / {} calls ({:.1}% shared)",
-            p.imported,
-            p.intern_hits,
-            p.intern_calls,
-            if p.intern_calls == 0 {
-                0.0
-            } else {
-                p.intern_hits as f64 / p.intern_calls as f64 * 100.0
-            }
-        );
-        println!(
-            "  conjunctions:    {} calls ({} shortcut, {} inconsistent)",
-            p.conjoin_calls, p.conjoin_shortcuts, p.conjoin_inconsistent
-        );
-        println!("  string dict:     {} distinct strings", s.strings);
-        println!(
-            "  dedups elided:   {} (proven redundant by plan properties)",
-            s.dedups_elided
-        );
-        println!(
-            "  parallelism:     {} workers used of {} budgeted, {} morsels",
-            s.par.workers_used.max(1),
-            s.threads,
-            s.par.morsels
-        );
-        let c = s.conf;
-        if c.exact_groups + c.sampled_groups > 0 {
-            println!(
-                "  confidence:      {} groups exact in {} steps, {} sampled in {} draws ({} by Karp–Luby), largest group {} descriptors",
-                c.exact_groups, c.exact_steps, c.sampled_groups, c.samples_drawn, c.karp_luby_groups, c.largest_group
-            );
+        match &self.last_stats {
+            Some(s) => print_stats("last query:", s),
+            None => println!("no query executed yet"),
         }
-        let sip = s.sip;
-        if sip.filters_built > 0 {
-            println!(
-                "  sip:             {} filters built, {} probe rows tested, {} pruned ({:.1}%)",
-                sip.filters_built,
-                sip.probe_rows_tested,
-                sip.probe_rows_pruned,
-                if sip.probe_rows_tested == 0 {
-                    0.0
-                } else {
-                    sip.probe_rows_pruned as f64 / sip.probe_rows_tested as f64 * 100.0
-                }
-            );
-        }
-        println!("  output:          {} rows", s.output_rows);
         self.print_cache_and_settings();
     }
 
@@ -475,6 +432,69 @@ impl Repl {
         }
         println!("components in the world set: {}", ws.components.len());
     }
+}
+
+/// Print executor statistics under `header` — one run's for `\stats`, the
+/// session's totals for `\metrics`: descriptor-pool occupancy with
+/// intern/conjoin hit rates, the string dictionary size, parallelism,
+/// confidence-solver and SIP counters, and what the scans found.
+fn print_stats(header: &str, s: &ExecStats) {
+    let p = s.pool;
+    println!("{header}");
+    println!("  wall time:       {:.3} ms", s.wall_nanos as f64 / 1e6);
+    println!("  descriptor pool: {} entries", s.descriptors);
+    println!(
+        "  interning:       {} imported by scans, {} hits / {} calls ({:.1}% shared)",
+        p.imported,
+        p.intern_hits,
+        p.intern_calls,
+        if p.intern_calls == 0 {
+            0.0
+        } else {
+            p.intern_hits as f64 / p.intern_calls as f64 * 100.0
+        }
+    );
+    println!(
+        "  conjunctions:    {} calls ({} shortcut, {} inconsistent)",
+        p.conjoin_calls, p.conjoin_shortcuts, p.conjoin_inconsistent
+    );
+    println!("  string dict:     {} distinct strings", s.strings);
+    println!(
+        "  dedups elided:   {} (proven redundant by plan properties)",
+        s.dedups_elided
+    );
+    println!(
+        "  parallelism:     {} workers used of {} budgeted, {} morsels",
+        s.par.workers_used.max(1),
+        s.threads,
+        s.par.morsels
+    );
+    let c = s.conf;
+    if c.exact_groups + c.sampled_groups > 0 {
+        println!(
+            "  confidence:      {} groups exact in {} steps, {} sampled in {} draws ({} by Karp–Luby), largest group {} descriptors",
+            c.exact_groups, c.exact_steps, c.sampled_groups, c.samples_drawn, c.karp_luby_groups, c.largest_group
+        );
+    }
+    let sip = s.sip;
+    if sip.filters_built > 0 {
+        println!(
+            "  sip:             {} filters built, {} probe rows tested, {} pruned ({:.1}%)",
+            sip.filters_built,
+            sip.probe_rows_tested,
+            sip.probe_rows_pruned,
+            if sip.probe_rows_tested == 0 {
+                0.0
+            } else {
+                sip.probe_rows_pruned as f64 / sip.probe_rows_tested as f64 * 100.0
+            }
+        );
+    }
+    println!(
+        "  scans:           {} cold, {} warm",
+        s.cold_scans, s.warm_scans
+    );
+    println!("  output:          {} rows", s.output_rows);
 }
 
 /// Whether the buffer holds no statement text yet — empty, whitespace, or
@@ -526,7 +546,7 @@ fn help() {
          meta commands:\n  \
          \\d       list relations and schemas\n  \
          \\stats   executor statistics of the last query\n  \
-         \\metrics the process-wide metrics registry (counters, histograms)\n  \
+         \\metrics the same statistics summed over the session's runs\n  \
          \\timing  toggle wall-clock reporting per statement\n  \
          \\trace on|off      trace subsequent queries\n  \
          \\trace last <file> export the last trace as Chrome trace JSON\n  \
