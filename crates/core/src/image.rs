@@ -23,8 +23,8 @@
 //! always the image of the relation it belongs to; whatever is memoised
 //! *inside* it (the statistics summary) dies with it, at that one site. The
 //! one change made to an image in place is normalization's component
-//! renumbering (`ColumnarImage::renumber_components`), on images it has
-//! just made and nobody else holds.
+//! renumbering (`ColumnarImage::renumber_components`), on an image nobody
+//! else holds: one it has just made, or a copy of one it kept.
 //!
 //! An image is self-contained plain data. Its string cells are codes into a
 //! *relation-local* dictionary and its descriptor column holds relation-local
@@ -52,7 +52,7 @@ use crate::urel::URelation;
 
 /// A relation as typed columns over relation-local dictionaries. See the
 /// module docs.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct ColumnarImage {
     /// The rows: `Str` cells are codes into `strings`, descriptors handles
     /// into `pool`.
@@ -139,8 +139,8 @@ impl ColumnarImage {
 
     /// Renumber the components the descriptor dictionary mentions
     /// ([`DescriptorPool::renumber_components`]) — normalization's garbage
-    /// collection, on an image nobody else holds yet. The statistics memo
-    /// names no component, so it stays.
+    /// collection, on an image nobody else holds (`URelation::image_mut`).
+    /// The statistics memo names no component, so it stays.
     pub(crate) fn renumber_components(&mut self, remap: &[u32]) {
         self.pool.renumber_components(remap);
     }

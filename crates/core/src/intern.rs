@@ -12,14 +12,19 @@
 //!
 //! Equal handles always denote equal descriptors. The converse holds only
 //! among handles that came through [`DescriptorPool::intern`] /
-//! [`DescriptorPool::intern_terms`] or through one import into a fresh pool
-//! (normalization's private pool): conjunction results and further imported
-//! dictionaries are appended without a lookup, so an equal descriptor may
-//! sit under another handle. Consumers compare descriptors with
-//! [`DescriptorPool::same_descriptor`], [`DescriptorPool::cmp_terms`] or the
-//! term lists — never raw handles. The hash index interning needs is built
-//! on the first intern call, over whatever the arena holds by then; a run
-//! that only scans, joins and deduplicates never builds one.
+//! [`DescriptorPool::intern_terms`], [`DescriptorPool::fresh_single`] or
+//! one import into a fresh pool (normalization's private pool). A
+//! descriptor over a component minted after every other entry (what
+//! `repair-key` makes) can equal no entry, so `fresh_single` seals it
+//! without a lookup and [`PoolStats::intern_calls`] does not count it; it is
+//! canonical all the same, because the index — built before or after — holds
+//! it. Conjunction results and further imported dictionaries are appended
+//! without a lookup, so an equal descriptor may sit under another handle.
+//! Consumers compare descriptors with [`DescriptorPool::same_descriptor`],
+//! [`DescriptorPool::cmp_terms`] or the term lists — never raw handles. The
+//! hash index interning needs is built on the first intern call, over
+//! whatever the arena holds by then; a run that only scans, joins and
+//! deduplicates never builds one.
 //!
 //! A pool has exactly one owner. Parallel stages read it through `&self`
 //! (term lists, [`DescriptorPool::cmp_terms`],
@@ -94,6 +99,12 @@ impl Slots {
         ((len + 1) * 2).next_power_of_two().max(16)
     }
 
+    /// Whether the table exists: something has been looked up since the
+    /// arena was made or the index last dropped.
+    pub(crate) fn is_built(&self) -> bool {
+        !self.0.is_empty()
+    }
+
     /// Make room to place one entry beside the `len` the arena holds. When
     /// the table is too small for that — it always is before the first call —
     /// it is rebuilt over all `len` entries, in entry order, so of two equal
@@ -148,7 +159,8 @@ fn terms_hash(terms: &[(ComponentId, u16)]) -> u64 {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Calls to [`DescriptorPool::intern`] / [`DescriptorPool::intern_terms`]
-    /// (tautology fast path included).
+    /// (tautology fast path included; [`DescriptorPool::fresh_single`] is no
+    /// lookup and not counted).
     pub intern_calls: u64,
     /// Intern calls answered from the index (or the tautology fast path)
     /// without minting a new entry.
@@ -276,6 +288,29 @@ impl DescriptorPool {
     /// Intern the single assignment `component = alternative`.
     pub fn single(&mut self, component: ComponentId, alternative: u16) -> DescId {
         self.intern_terms(&[(component, alternative)])
+    }
+
+    /// The canonical handle of `component = alternative` for a component no
+    /// entry mentions but the other alternatives this method sealed — one
+    /// minted after everything the pool holds, so no entry can equal the
+    /// descriptor: it is sealed without a lookup, and no intern call is
+    /// counted. It is placed in the intern index if one was built, and any
+    /// index built later covers it, so [`DescriptorPool::single`] on the
+    /// same term returns this handle.
+    pub fn fresh_single(&mut self, component: ComponentId, alternative: u16) -> DescId {
+        let term = [(component, alternative)];
+        let free = self.slots.is_built().then(|| {
+            let (sealed, ends) = (&self.terms, &self.ends);
+            self.slots
+                .reserve_one(ends.len(), |e| terms_hash(&sealed[span(ends, e)]));
+            self.slots.find(terms_hash(&term), |_| false).unwrap_err()
+        });
+        self.terms.extend_from_slice(&term);
+        let id = self.seal();
+        if let Some(free) = free {
+            self.slots.fill(free, id.0);
+        }
+        id
     }
 
     /// Append every entry of `other` — a relation image's dictionary — after
@@ -519,6 +554,32 @@ mod tests {
         assert!(busy.same_descriptor(moved[0], own));
         // Interning finds the earlier of two equal entries.
         assert_eq!(busy.single(ComponentId(3), 1), own);
+    }
+
+    #[test]
+    fn a_fresh_component_s_handles_are_canonical_without_a_lookup() {
+        // Without an index yet, and with one built (and rebuilt by growth)
+        // before the fresh entries arrive.
+        for index_first in [false, true] {
+            let mut pool = DescriptorPool::new();
+            let old: Vec<DescId> = (0..10).map(|i| pool.single(ComponentId(i), 1)).collect();
+            if !index_first {
+                pool.drop_index();
+            }
+            let calls = pool.stats();
+            let fresh: Vec<DescId> = (0..20)
+                .map(|alt| pool.fresh_single(ComponentId(10), alt))
+                .collect();
+            assert_eq!(pool.stats(), calls, "no intern call is counted");
+            for (alt, &id) in fresh.iter().enumerate() {
+                assert_eq!(pool.terms(id), [(ComponentId(10), alt as u16)]);
+                assert_eq!(pool.single(ComponentId(10), alt as u16), id);
+            }
+            for (i, &id) in old.iter().enumerate() {
+                assert_eq!(pool.single(ComponentId(i as u32), 1), id);
+            }
+            assert_eq!(pool.len(), 31, "every lookup hit");
+        }
     }
 
     #[test]

@@ -29,9 +29,22 @@
 //! descriptor column alone — the value cells of each output row are those of
 //! some input row — so the output is a gather of the input's columns with a
 //! new descriptor column, re-coded into an image of its own by
-//! [`ColumnarImage::from_run`]. Garbage collection then renumbers component
-//! ids in those new images' descriptor dictionaries, before any other holder
-//! can see them.
+//! [`ColumnarImage::from_run`].
+//!
+//! A relation already in normal form — each output row is the input row at
+//! the same position, under the same descriptor — is **kept**: the same
+//! image `Arc`, its memoised statistics and its rows, if built. That is
+//! byte-identical to rebuilding it, because an image's dictionaries are
+//! already distinct and in order of first occurrence, so `from_run` of the
+//! identity gather would reproduce the image field for field.
+//!
+//! Garbage collection then renumbers component ids in the images'
+//! descriptor dictionaries: in place in the images normalization just made,
+//! and in a copy of a kept image (`URelation::image_mut`), so no image
+//! another holder can reach ever changes.
+
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 
 use crate::columnar::canonical_order;
 use crate::component::ComponentSet;
@@ -49,36 +62,31 @@ use crate::world::WorldSet;
 /// `normalize_rows` as the reference implementation the columnar path is
 /// differentially tested against.
 pub fn normalize(ws: &mut WorldSet) {
-    let mut images: Vec<Option<ColumnarImage>> = ws
-        .relations
-        .values()
-        .map(|rel| normalize_image(rel, &ws.components))
-        .collect();
-    gc_components(&mut ws.components, &mut images);
-    for (rel, image) in ws.relations.values_mut().zip(images) {
-        if let Some(image) = image {
-            *rel = URelation::from_image(image);
-        }
+    for rel in ws.relations.values_mut() {
+        normalize_relation(rel, &ws.components);
     }
+    gc_components(&mut ws.components, &mut ws.relations);
 }
 
 /// Columnar normalization of one relation, in place: the relation becomes
-/// the image `normalize_image` makes of it (an empty one stays as it is).
-/// Equivalent to the testkit's `normalize_rows` on the same rows.
+/// the image `normalize_image` makes of it, or stays as it is when it is
+/// already in normal form (an empty one always is). Equivalent to the
+/// testkit's `normalize_rows` on the same rows.
 pub fn normalize_relation(rel: &mut URelation, components: &ComponentSet) {
     if let Some(image) = normalize_image(rel, components) {
         *rel = URelation::from_image(image);
     }
 }
 
-/// The image of `rel` normalized, or `None` when `rel` is empty. Engineered
-/// for large relations:
+/// The image of `rel` normalized, or `None` when `rel` is already in normal
+/// form. Engineered for large relations:
 ///
 /// 1. the relation's descriptor dictionary ([`URelation::image`]) is
 ///    appended to a fresh [`DescriptorPool`], so its handles read the same
 ///    there and stay canonical; the value columns are read where they lie;
-/// 2. trivial-assignment stripping is **memoized per distinct descriptor
-///    handle** instead of re-filtering term vectors per row;
+/// 2. trivial-assignment stripping is checked once over the dictionary's
+///    terms, and only when some term needs it is it **memoized per distinct
+///    descriptor handle** instead of re-filtering term vectors per row;
 /// 3. [`canonical_order`] — the one the query operators group by — orders
 ///    the row ids on integer keys and groups them into tuple runs; no cell
 ///    is moved or materialized;
@@ -86,8 +94,10 @@ pub fn normalize_relation(rel: &mut URelation, components: &ComponentSet) {
 ///    runs on canonical [`DescId`]s, so descriptor equality inside a group is
 ///    an integer compare;
 /// 5. the output is two columns — each output row's source row and its
-///    descriptor — in the same canonical order the reference path produces,
-///    gathered and re-coded into a fresh image.
+///    descriptor — in the same canonical order the reference path produces.
+///    When they are the input's rows in input order under the input's
+///    handles the relation is normal already; otherwise they are gathered
+///    and re-coded into a fresh image.
 fn normalize_image(rel: &URelation, components: &ComponentSet) -> Option<ColumnarImage> {
     if rel.is_empty() {
         return None;
@@ -96,37 +106,34 @@ fn normalize_image(rel: &URelation, components: &ComponentSet) -> Option<Columna
     let (col, strings) = (image.columns(), image.strings());
     let mut pool = DescriptorPool::new();
     let orig_ids = pool.import(image.descriptors(), col.descs());
+    let trivial = |c: ComponentId| components.get(c).alternatives() == 1;
 
-    // Memoized trivial-assignment stripping: handles are canonical, so each
-    // distinct descriptor is stripped (and re-interned) exactly once.
-    let mut strip_memo: FxHashMap<DescId, DescId> = FxHashMap::default();
-    let mut strip_buf: Vec<(ComponentId, u16)> = Vec::new();
-    let descs: Vec<DescId> = orig_ids
+    // Every dictionary entry is some row's, so when no term names a
+    // single-alternative component no row has anything to strip. Otherwise
+    // the stripping is memoized: handles are canonical, so each distinct
+    // descriptor is stripped (and re-interned) exactly once.
+    let descs: Cow<'_, [DescId]> = if !image
+        .descriptors()
+        .all_terms()
         .iter()
-        .map(|&d| {
-            if let Some(&s) = strip_memo.get(&d) {
-                return s;
-            }
-            let stripped = if pool
-                .terms(d)
-                .iter()
-                .all(|&(c, _)| components.get(c).alternatives() > 1)
-            {
-                d
-            } else {
+        .any(|&(c, _)| trivial(c))
+    {
+        Cow::Borrowed(&orig_ids)
+    } else {
+        let mut strip_memo: FxHashMap<DescId, DescId> = FxHashMap::default();
+        let mut strip_buf: Vec<(ComponentId, u16)> = Vec::new();
+        let stripped = orig_ids.iter().map(|&d| {
+            *strip_memo.entry(d).or_insert_with(|| {
+                if !pool.terms(d).iter().any(|&(c, _)| trivial(c)) {
+                    return d;
+                }
                 strip_buf.clear();
-                strip_buf.extend(
-                    pool.terms(d)
-                        .iter()
-                        .copied()
-                        .filter(|&(c, _)| components.get(c).alternatives() > 1),
-                );
+                strip_buf.extend(pool.terms(d).iter().copied().filter(|&(c, _)| !trivial(c)));
                 pool.intern_terms(&strip_buf)
-            };
-            strip_memo.insert(d, stripped);
-            stripped
-        })
-        .collect();
+            })
+        });
+        Cow::Owned(stripped.collect())
+    };
 
     // Per tuple group — a run of equal tuples in the canonical order — the
     // group's first row stands for its tuple, once per descriptor that
@@ -154,6 +161,9 @@ fn normalize_image(rel: &URelation, components: &ComponentSet) -> Option<Columna
             reps.extend(std::iter::repeat(rep).take(ids.len()));
             out.extend(ids);
         }
+    }
+    if reps.iter().copied().eq(0..col.len() as u32) && out[..] == orig_ids[..] {
+        return None;
     }
     let gathered = col.gather_with_descs(&reps, out);
     Some(ColumnarImage::from_run(gathered, &pool, strings))
@@ -223,19 +233,20 @@ fn simplify_disjunction_ids(
     changed
 }
 
-/// Drop components no image references and renumber the rest densely, in
-/// ascending order. The images are normalization's own, not yet wrapped in
-/// a relation, so nobody else holds them. Reference detection is one pass
-/// over each image's distinct descriptors, not its rows; renumbering maps
-/// their dictionaries in place. A dense renumbering is monotone and
-/// injective, so every term list stays sorted, distinct descriptors stay
-/// distinct and first-occurrence order holds: each image is still the one a
-/// conversion of its renumbered rows builds.
-fn gc_components(components: &mut ComponentSet, images: &mut [Option<ColumnarImage>]) {
+/// Drop components no relation references and renumber the rest densely,
+/// in ascending order. Reference detection is one pass over each image's
+/// distinct descriptors, not its rows; renumbering maps their dictionaries
+/// — of the images that mention a component whose id changes — through
+/// [`URelation::image_mut`]: in place in an image normalization just made,
+/// which nobody else holds, and in a copy of a kept one. A dense renumbering
+/// is monotone and injective, so every term list stays sorted, distinct
+/// descriptors stay distinct and first-occurrence order holds: each image is
+/// still the one a conversion of its renumbered rows builds.
+fn gc_components(components: &mut ComponentSet, relations: &mut BTreeMap<String, URelation>) {
     let total = components.len();
     let mut used = vec![false; total];
-    for image in images.iter().flatten() {
-        for &(c, _) in image.descriptors().all_terms() {
+    for rel in relations.values().filter(|r| !r.is_empty()) {
+        for &(c, _) in rel.image().descriptors().all_terms() {
             used[c.0 as usize] = true;
         }
     }
@@ -247,8 +258,11 @@ fn gc_components(components: &mut ComponentSet, images: &mut [Option<ColumnarIma
     for (old, _) in used.iter().enumerate().filter(|&(_, &u)| u) {
         remap[old] = kept.add(components.get(ComponentId(old as u32)).clone()).0;
     }
-    for image in images.iter_mut().flatten() {
-        image.renumber_components(&remap);
+    for rel in relations.values_mut().filter(|r| !r.is_empty()) {
+        let terms = rel.image().descriptors().all_terms();
+        if terms.iter().any(|&(c, _)| remap[c.0 as usize] != c.0) {
+            rel.image_mut().renumber_components(&remap);
+        }
     }
     *components = kept;
 }

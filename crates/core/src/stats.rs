@@ -128,7 +128,7 @@ impl RelationStats {
 
 /// What [`collect`] reads off a relation's columnar image and keeps inside
 /// it.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub(crate) struct ImageStats {
     columns: BTreeMap<String, ColumnStats>,
     /// Rows carrying a non-trivial descriptor.

@@ -1,4 +1,9 @@
 //! U-relations: relations whose tuples carry world-set descriptors.
+//!
+//! A [`URelation`] is two shared cells — its rows and its columnar image —
+//! either of which may be unbuilt. Clones share both, so copying a world set
+//! (a snapshot, `EXPLAIN ANALYZE`'s scratch run) copies no row and builds
+//! nothing twice; a write copies what it changes, for the writer alone.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -24,19 +29,21 @@ use crate::schema::Schema;
 /// on the first [`URelation::image`] call, a relation that is a run's answer
 /// or a normalization's output ([`URelation::from_image`]) builds rows on the
 /// first [`URelation::rows`] call and never if nobody reads them. Rows are
-/// written only by the builders below (`push`, `push_unchecked`, `dedup`);
-/// normalization replaces a relation with the image it computes. Which of the two is there is no part
-/// of the relation's value: equality and `{:?}` go by the rows, `{}` prints
-/// the same either way. A clone shares the image *cell* — so whichever of
-/// the two is scanned first builds the image for both — and the image cannot
-/// outlive the relation it was made for: the fields are private and every
-/// `&mut` way to the rows goes through one private accessor that builds the
-/// rows if they are not there yet, then leaves the cell to the other holders
-/// and takes an empty one.
+/// written only by the builders below (`push`, `push_unchecked`, `dedup`,
+/// `reserve`). Which of the two is there is no part of the relation's value:
+/// equality and `{:?}` go by the rows, `{}` prints the same either way.
+///
+/// A clone shares both *cells* — so whichever holder builds the image or the
+/// rows builds them for all, and cloning a relation copies no row. Both are
+/// copy-on-write: every `&mut` way to the rows goes through one private
+/// accessor that builds the rows if they are not there yet, leaves the image
+/// cell to the other holders and takes an empty one, and copies the rows if
+/// another holder shares them. So an image cannot outlive the rows it was
+/// made of, and a write is seen by the writer alone.
 #[derive(Clone)]
 pub struct URelation {
     schema: Schema,
-    rows: OnceLock<Vec<(Tuple, WsDescriptor)>>,
+    rows: Arc<OnceLock<Vec<(Tuple, WsDescriptor)>>>,
     image: Arc<OnceLock<Arc<ColumnarImage>>>,
 }
 
@@ -69,7 +76,7 @@ impl URelation {
     pub fn from_image(image: ColumnarImage) -> Self {
         URelation {
             schema: image.columns().schema().clone(),
-            rows: OnceLock::new(),
+            rows: Arc::default(),
             image: Arc::new(OnceLock::from(Arc::new(image))),
         }
     }
@@ -77,8 +84,8 @@ impl URelation {
     /// The rows, for writing: the only `&mut` path to them. It builds them
     /// first if only the image is there, and then forgets the image — and
     /// with it everything memoised inside it — so a stale image cannot
-    /// exist. A cell that clones share stays theirs; the writer gets an
-    /// empty one of its own.
+    /// exist. An image cell that clones share stays theirs; the writer gets
+    /// an empty one of its own.
     fn rows_mut(&mut self) -> &mut Vec<(Tuple, WsDescriptor)> {
         // While there is an image to build them from.
         self.rows();
@@ -86,7 +93,27 @@ impl URelation {
             Some(cell) => drop(cell.take()),
             None => self.image = Arc::default(),
         }
-        self.rows.get_mut().expect("built before the image went")
+        self.own_rows()
+    }
+
+    /// The built rows as this relation's own: copied first if a clone
+    /// shares them.
+    fn own_rows(&mut self) -> &mut Vec<(Tuple, WsDescriptor)> {
+        Arc::make_mut(&mut self.rows)
+            .get_mut()
+            .expect("the caller built them")
+    }
+
+    /// The image, for writing — normalization's component renumbering. The
+    /// rows go (they would name the old ids), and an image or an image cell
+    /// that another holder can reach is copied first, so no other holder
+    /// sees the write.
+    pub(crate) fn image_mut(&mut self) -> &mut ColumnarImage {
+        let image = Arc::clone(self.image());
+        self.rows = Arc::default();
+        self.image = Arc::new(OnceLock::from(image));
+        let cell = Arc::get_mut(&mut self.image).expect("a cell of its own");
+        Arc::make_mut(cell.get_mut().expect("set on the line above"))
     }
 
     /// The relation as typed columns: the image it was born with, or the
@@ -149,7 +176,7 @@ impl URelation {
         );
         URelation {
             schema,
-            rows: OnceLock::from(rows),
+            rows: Arc::new(OnceLock::from(rows)),
             image: Arc::default(),
         }
     }
@@ -159,8 +186,7 @@ impl URelation {
     pub fn reserve(&mut self, additional: usize) {
         // Capacity is not content: the image stays.
         self.rows();
-        let rows = self.rows.get_mut().expect("built on the line above");
-        rows.reserve(additional);
+        self.own_rows().reserve(additional);
     }
 
     /// The schema.
@@ -179,9 +205,11 @@ impl URelation {
         })
     }
 
-    /// The rows of a relation that has them, by value.
+    /// The rows of a relation that has them, by value: moved out, or copied
+    /// if a clone shares them.
     pub(crate) fn into_rows(self) -> Vec<(Tuple, WsDescriptor)> {
-        self.rows
+        Arc::try_unwrap(self.rows)
+            .unwrap_or_else(|shared| (*shared).clone())
             .into_inner()
             .expect("only called on relations built from rows")
     }
@@ -422,6 +450,15 @@ mod tests {
         assert!(image.stats_memo().get().is_none());
         let collected = collect(&early_clone);
         assert!(original.image().stats_memo().get().is_some());
+        // So are the rows: cloning copies none, and rows built through one
+        // clone are there for the original.
+        let rows = original.rows().as_ptr();
+        assert_eq!(early_clone.rows().as_ptr(), rows);
+        let answer = as_an_answer(&original);
+        let reader = answer.clone();
+        assert_eq!(reader.rows(), original.rows());
+        assert!(answer.has_rows());
+        assert_eq!(answer.rows().as_ptr(), reader.rows().as_ptr());
         type Write = fn(&mut URelation);
         let writes: [(&str, Write); 3] = [
             ("push", |u| {
@@ -441,6 +478,10 @@ mod tests {
             assert!(!clone.has_image(), "{name} must drop the clone's image");
             assert!(Arc::ptr_eq(original.image(), &image), "{name}");
             assert!(Arc::ptr_eq(early_clone.image(), &image), "{name}");
+            // The writer copied the rows; the other holders keep theirs.
+            assert_ne!(clone.rows().as_ptr(), rows, "{name}");
+            assert_eq!(original.rows().as_ptr(), rows, "{name}");
+            assert_eq!(early_clone.rows(), sample().rows(), "{name}");
             // The memo went with the image: the statistics are those of the
             // new rows, and the other holders keep theirs.
             let fresh =
@@ -469,10 +510,16 @@ mod tests {
                 }
             }
         }
-        // Capacity is not content.
+        // Capacity is not content: the image stays, the rows are copied.
         let mut clone = original.clone();
         clone.reserve(64);
         assert!(Arc::ptr_eq(clone.image(), &image));
+        assert_ne!(clone.rows().as_ptr(), rows);
+        assert_eq!((original.rows().as_ptr(), original.rows().len()), (rows, 3));
+        assert_eq!(clone, original);
+        // Taking the rows of a shared relation copies them.
+        assert_eq!(original.clone().into_rows(), original.rows());
+        assert_eq!(original.rows().as_ptr(), rows);
         // A sole owner's write empties its cell in place.
         let mut alone = sample();
         alone.image();

@@ -1,4 +1,14 @@
 //! `repair-key`: turn key violations into alternative worlds.
+//!
+//! This is where incomplete data enters the engine, and it pays only for
+//! what is new. Each alternative's descriptor names a component minted by
+//! this run, so no descriptor already in the run's pool can equal it: it is
+//! sealed without an intern lookup
+//! ([`maybms_core::DescriptorPool::fresh_single`]) and the run counts no
+//! intern call for it. The answer is the input's distinct tuples, grouped
+//! by key; when the key columns lead the schema that is canonical order, so
+//! the stored result is already in normal form and `normalize` keeps it as
+//! it is.
 
 use std::sync::Arc;
 
@@ -150,6 +160,7 @@ impl ExtOperator for RepairKey {
         let mint_started = ctx.tracer.now();
         let mut groups_minted = 0u64;
         let mut descs: Vec<DescId> = Vec::with_capacity(perm.len());
+        let mut weights: Vec<f64> = Vec::new();
         let mut start = 0;
         while start < perm.len() {
             let mut end = start + 1;
@@ -163,28 +174,30 @@ impl ExtOperator for RepairKey {
                 start = end;
                 continue;
             }
-            let weights: Vec<f64> = match weight_idx {
-                None => vec![1.0; group.len()],
-                Some(wi) => group
-                    .iter()
-                    .map(|&row| {
-                        r.column(wi).cell_f64(row as usize).ok_or_else(|| {
+            weights.clear();
+            match weight_idx {
+                None => weights.resize(group.len(), 1.0),
+                Some(wi) => {
+                    for &row in group {
+                        let w = r.column(wi).cell_f64(row as usize).ok_or_else(|| {
                             MayError::InvalidWeight(format!(
                                 "non-numeric weight {} in tuple {}",
                                 r.column(wi).value(row as usize, &ctx.strings),
                                 r.tuple_at(row as usize, &ctx.strings)
                             ))
-                        })
-                    })
-                    .collect::<Result<_, _>>()?,
-            };
+                        })?;
+                        weights.push(w);
+                    }
+                }
+            }
             // Propagate as-is: InvalidComponent already distinguishes bad
             // weights from e.g. a key group exceeding the alternative limit.
             let component = Component::from_weights(&weights)?;
             let cid = ctx.components.add(component);
             groups_minted += 1;
+            // Minted a moment ago: no lookup (see the module docs).
             for alt in 0..group.len() {
-                descs.push(ctx.pool.single(cid, alt as u16));
+                descs.push(ctx.pool.fresh_single(cid, alt as u16));
             }
             start = end;
         }

@@ -91,3 +91,31 @@ fn the_first_scan_builds_the_image_and_the_second_reuses_it() {
     assert_eq!(scanned, [0, 1]);
     assert!(image_only(&normalized));
 }
+
+/// `REPAIR KEY` over a certain relation seals each alternative's descriptor
+/// without an intern lookup: its components are minted by the run, so no
+/// pool entry can equal one. The run reports no intern call, and the stored
+/// result — already in normal form — is kept by `normalize` as it is.
+#[test]
+fn repair_key_mints_without_a_lookup() {
+    let schema = Schema::of(&[("k", ValueType::Int), ("v", ValueType::Int)]).unwrap();
+    let rows = [(1, 10), (1, 11), (2, 20), (3, 30), (3, 31), (3, 32)]
+        .map(|(k, v)| Tuple::new(vec![Value::Int(k), Value::Int(v)]));
+    let mut ws = WorldSet::new();
+    ws.insert(
+        "form",
+        URelation::from_certain(&Relation::from_rows(schema, rows.to_vec()).unwrap()),
+    )
+    .unwrap();
+    let mut session = Session::new(ws);
+    let stored = session.execute("LET x = REPAIR KEY k IN form").unwrap();
+    let pool = stored.stats.expect("a LET runs a plan").pool;
+    assert_eq!((pool.intern_calls, pool.intern_hits), (0, 0));
+    let x = &session.world().relations["x"];
+    assert_eq!((x.len(), session.world().components.len()), (6, 2));
+    let image = std::sync::Arc::clone(x.image());
+    session.normalize();
+    let x = &session.world().relations["x"];
+    assert!(std::sync::Arc::ptr_eq(x.image(), &image));
+    assert!(image_only(x));
+}

@@ -4,9 +4,14 @@
 
 use std::sync::Arc;
 
+use maybms_algebra::{run, Plan};
 use maybms_core::collect_stats;
 use maybms_core::rng::Rng;
-use maybms_testkit::oracle::stats_by_rows;
+use maybms_core::{
+    Component, ComponentId, Schema, Tuple, URelation, Value, ValueType, WorldSet, WsDescriptor,
+};
+use maybms_ql::repair_key;
+use maybms_testkit::oracle::{normalize_rows, stats_by_rows};
 use maybms_testkit::{
     assert_image_as_built, gen_world_set, without_images, GenConfig, WORLD_LIMIT,
 };
@@ -114,4 +119,100 @@ fn gc_renumbers_only_the_images_normalize_made() {
         }
     }
     assert!(renumbered >= 10, "only {renumbered} cases renumbered");
+}
+
+/// A relation already in normal form stays as it is — the same image `Arc`
+/// (and the statistics memoised inside it) and its rows, if built — unless
+/// garbage collection renumbers a component it mentions; then it gets a
+/// renumbered copy and holders of the old image keep it unchanged. The
+/// others are rebuilt, and everything reads as the reference normalizes it.
+#[test]
+fn normalize_keeps_what_is_already_normal() {
+    let int = |x: i64| Value::Int(x);
+    let schema = Schema::of(&[("k", ValueType::Int), ("v", ValueType::Int)]).unwrap();
+    // Certain rows, in the order given.
+    let certain = |rows: &[(i64, i64)]| {
+        let rows = rows
+            .iter()
+            .map(|&(k, v)| (Tuple::new(vec![int(k), int(v)]), WsDescriptor::tautology()));
+        URelation::from_rows_unchecked(schema.clone(), rows.collect())
+    };
+    let mut ws = WorldSet::new();
+    // A duplicate row: rebuilt without it. Certain, so `repair-key` takes it.
+    let form = certain(&[
+        (1, 10),
+        (1, 11),
+        (2, 20),
+        (3, 30),
+        (3, 31),
+        (3, 32),
+        (3, 30),
+    ]);
+    ws.insert("form", form).unwrap();
+    // Distinct, out of canonical order: rebuilt in order.
+    ws.insert("shuffled", certain(&[(2, 0), (1, 0)])).unwrap();
+    // A repair's answer is normal: it mints c0 (key 1) and c1 (key 3).
+    let plan = repair_key(Plan::scan("form"), &["k"], None);
+    let census = run(&mut ws, &plan).unwrap();
+    ws.insert("census", census).unwrap();
+    // c2 is referenced by nothing, so c3 becomes c2; `moved` is normal.
+    ws.components.add(Component::uniform(2).unwrap());
+    let c3 = ws.components.add(Component::uniform(2).unwrap());
+    let mut moved = URelation::new(schema.clone());
+    for (k, alt) in [(1, 0), (2, 1)] {
+        moved
+            .push(
+                Tuple::new(vec![int(k), int(0)]),
+                WsDescriptor::single(c3, alt),
+            )
+            .unwrap();
+    }
+    ws.insert("moved", moved).unwrap();
+
+    let census = &ws.relations["census"];
+    assert_eq!(census.len(), 6);
+    let census_stats = collect_stats(census);
+    census.rows();
+    let images: Vec<_> = ws
+        .relations
+        .values()
+        .map(|r| Arc::clone(r.image()))
+        .collect();
+    let before = ws.clone();
+    ws.normalize();
+
+    assert_eq!(ws.components.len(), 3);
+    let at = |name: &str| (&ws.relations[name], &before.relations[name]);
+    let (census, _) = at("census");
+    assert!(Arc::ptr_eq(census.image(), &images[0]), "census is kept");
+    assert!(census.has_rows(), "with its rows");
+    assert_eq!(collect_stats(census), census_stats);
+    for (i, name) in [(1, "form"), (3, "shuffled")] {
+        let (after, _) = at(name);
+        assert!(!Arc::ptr_eq(after.image(), &images[i]), "{name} is rebuilt");
+        assert!(after.has_image() && !after.has_rows(), "{name}");
+    }
+    assert_eq!(at("form").0.len(), 6);
+    let (moved, old) = at("moved");
+    assert!(
+        !Arc::ptr_eq(moved.image(), &images[2]),
+        "moved is renumbered"
+    );
+    assert!(Arc::ptr_eq(old.image(), &images[2]), "in a copy");
+    assert_eq!(old.rows()[0].1, WsDescriptor::single(c3, 0));
+    assert_eq!(moved.rows()[0].1, WsDescriptor::single(ComponentId(2), 0));
+    for (name, rel) in &ws.relations {
+        assert_image_as_built(rel, name);
+        assert_image_as_built(&before.relations[name], name);
+        // The reference, with c3 read as c2.
+        let want: Vec<_> =
+            normalize_rows(before.relations[name].rows().to_vec(), &before.components)
+                .into_iter()
+                .map(|(t, d)| {
+                    let terms = d.terms().iter().map(|&(c, a)| (ComponentId(c.0.min(2)), a));
+                    (t, WsDescriptor::from_terms(terms.collect()).unwrap())
+                })
+                .collect();
+        assert_eq!(rel.rows(), want, "{name}");
+    }
 }
