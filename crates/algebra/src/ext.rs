@@ -12,9 +12,9 @@ use crate::plan::Plan;
 /// ([`mod@crate::optimize`]) treats every extension operator as a barrier
 /// and rewrites only its inputs; these properties feed the derived plan
 /// properties ([`Plan::is_distinct`], [`Plan::is_certain`]) its rules test,
-/// the cost model, and the input-rewrite guard. The defaults claim nothing,
-/// so omitting [`ExtOperator::props`] is always sound, merely slower.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+/// the cost model, and the input-rewrite guard. Every operator declares
+/// its own: claiming a property it lacks is unsound.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ExtProps {
     /// The operator's input must stay a normalized certain relation
     /// (duplicate-free, every descriptor trivial) — `repair-key`'s
@@ -51,46 +51,25 @@ pub trait ExtOperator: fmt::Debug + Send + Sync {
     fn name(&self) -> &'static str;
 
     /// One-line description including the operator's parameters, used by the
-    /// plan tree printer (`Display` for [`Plan`]). Defaults to [`name`].
+    /// plan tree printer (`Display` for [`Plan`]) — the form `EXPLAIN`
+    /// prints and the one tests compare plans by; an operator has no other
+    /// textual form. Defaults to [`name`].
     ///
     /// [`name`]: ExtOperator::name
     fn describe(&self) -> String {
         self.name().to_string()
     }
 
-    /// Render this operator as MayQL query text, given its input plans
-    /// already rendered as MayQL *from-items* (a bare relation name or a
-    /// parenthesized subquery), in [`inputs`] order. Returning `None` (the
-    /// default) marks the operator as having no textual form; the MayQL
-    /// unparser reports it as unsupported. Implementations must produce text
-    /// that parses and lowers back to an equivalent operator — the roundtrip
-    /// property the `maybms-sql` tests enforce.
-    ///
-    /// [`inputs`]: ExtOperator::inputs
-    fn unparse_mayql(&self, inputs: &[String]) -> Option<String> {
-        let _ = inputs;
-        None
-    }
-
-    /// The operator's plan properties (see [`ExtProps`]). The default
-    /// claims nothing: the output may hold duplicates and uncertain rows,
-    /// and the input has no normalization contract.
-    fn props(&self) -> ExtProps {
-        ExtProps::default()
-    }
+    /// The operator's plan properties (see [`ExtProps`]).
+    fn props(&self) -> ExtProps;
 
     /// Rebuild this operator (same parameters) over new input plans, in
-    /// [`inputs`] order. Returning `None` (the default) marks the operator
-    /// opaque to plan rewrites: the optimizer leaves its inputs as they
-    /// are. Implementations must return a
-    /// plan that evaluates exactly like the original on inputs that evaluate
-    /// exactly like the originals.
+    /// [`inputs`] order — how the optimizer rewrites an operator's inputs.
+    /// The result must evaluate exactly like the original on inputs that
+    /// evaluate exactly like the originals.
     ///
     /// [`inputs`]: ExtOperator::inputs
-    fn with_inputs(&self, inputs: Vec<Plan>) -> Option<Plan> {
-        let _ = inputs;
-        None
-    }
+    fn with_inputs(&self, inputs: Vec<Plan>) -> Plan;
 
     /// Plan-time cardinality hint for the cost-based phase: estimated output
     /// rows given the estimated input rows, the estimated number of distinct

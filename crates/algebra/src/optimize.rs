@@ -22,8 +22,7 @@
 //!
 //! Extension operators are barriers: no selection or projection crosses
 //! one, and only their inputs are rewritten, through
-//! [`with_inputs`][ExtOperator::with_inputs]. An operator that does not
-//! implement it is opaque — its inputs stay as they are.
+//! [`with_inputs`][ExtOperator::with_inputs].
 //!
 //! **Sharing discipline.** Within one plan, a *shared* extension subtree
 //! (the same `Arc`, e.g. a `repair-key` used on both sides of a join) must
@@ -134,9 +133,8 @@ fn memo_key(op: &Arc<dyn ExtOperator>) -> usize {
 
 /// Rebuild an extension operator over its swept `inputs`. The operator is
 /// kept as it was, and `rewrites` rolled back to `before`, when the sweep
-/// changed nothing below it, when it has no rebuild hook, or when it
-/// requires normalized input and a rewritten input lost its provable
-/// certainty.
+/// changed nothing below it, or when it requires normalized input and a
+/// rewritten input lost its provable certainty.
 fn rebuild(
     op: &Arc<dyn ExtOperator>,
     inputs: Vec<Plan>,
@@ -152,9 +150,7 @@ fn rebuild(
                 .all(|(orig, new)| !orig.is_certain() || new.is_certain())
     };
     if *rewrites > before && preserved() {
-        if let Some(rebuilt) = op.with_inputs(inputs) {
-            return rebuilt;
-        }
+        return op.with_inputs(inputs);
     }
     *rewrites = before;
     Plan::Ext(Arc::clone(op))

@@ -152,21 +152,6 @@ impl ExtOperator for Conf {
         false
     }
 
-    fn unparse_mayql(&self, inputs: &[String]) -> Option<String> {
-        match &self.approx {
-            None => Some(format!("SELECT CONF * FROM {}", inputs[0])),
-            // `CONF(eps, delta)` has no seed or cutover syntax, so only a
-            // node still carrying the defaults has a faithful textual form.
-            Some(a) if a.seed == DEFAULT_CONF_SEED && a.exact_limit == DEFAULT_CONF_EXACT_LIMIT => {
-                Some(format!(
-                    "SELECT CONF({}, {}) * FROM {}",
-                    a.eps, a.delta, inputs[0]
-                ))
-            }
-            Some(_) => None,
-        }
-    }
-
     fn props(&self) -> ExtProps {
         ExtProps {
             requires_normalized_input: false,
@@ -175,11 +160,11 @@ impl ExtOperator for Conf {
         }
     }
 
-    fn with_inputs(&self, mut inputs: Vec<Plan>) -> Option<Plan> {
-        Some(Plan::Ext(Arc::new(Conf {
+    fn with_inputs(&self, mut inputs: Vec<Plan>) -> Plan {
+        Plan::Ext(Arc::new(Conf {
             input: inputs.remove(0),
             approx: self.approx,
-        })))
+        }))
     }
 
     fn inputs(&self) -> Vec<&Plan> {

@@ -35,10 +35,6 @@ impl ExtOperator for Possible {
         "possible"
     }
 
-    fn unparse_mayql(&self, inputs: &[String]) -> Option<String> {
-        Some(format!("SELECT POSSIBLE * FROM {}", inputs[0]))
-    }
-
     fn mints_components(&self) -> bool {
         false // pure: reads descriptors, never creates components
     }
@@ -47,8 +43,8 @@ impl ExtOperator for Possible {
         EXTRACT_PROPS
     }
 
-    fn with_inputs(&self, mut inputs: Vec<Plan>) -> Option<Plan> {
-        Some(possible(inputs.remove(0)))
+    fn with_inputs(&self, mut inputs: Vec<Plan>) -> Plan {
+        possible(inputs.remove(0))
     }
 
     fn inputs(&self) -> Vec<&Plan> {
@@ -101,10 +97,6 @@ impl ExtOperator for Certain {
         "certain"
     }
 
-    fn unparse_mayql(&self, inputs: &[String]) -> Option<String> {
-        Some(format!("SELECT CERTAIN * FROM {}", inputs[0]))
-    }
-
     fn mints_components(&self) -> bool {
         false // pure: consults component coverage, never creates components
     }
@@ -120,8 +112,8 @@ impl ExtOperator for Certain {
         (input_distinct * (1.0 - nontrivial_frac.clamp(0.0, 1.0))).max(1.0)
     }
 
-    fn with_inputs(&self, mut inputs: Vec<Plan>) -> Option<Plan> {
-        Some(certain(inputs.remove(0)))
+    fn with_inputs(&self, mut inputs: Vec<Plan>) -> Plan {
+        certain(inputs.remove(0))
     }
 
     fn inputs(&self) -> Vec<&Plan> {

@@ -58,15 +58,6 @@ impl ExtOperator for RepairKey {
         }
     }
 
-    fn unparse_mayql(&self, inputs: &[String]) -> Option<String> {
-        let mut s = format!("REPAIR KEY {} IN {}", self.key.join(", "), inputs[0]);
-        if let Some(w) = &self.weight {
-            s.push_str(" WEIGHT BY ");
-            s.push_str(w);
-        }
-        Some(s)
-    }
-
     fn props(&self) -> ExtProps {
         ExtProps {
             // Only the input is optimized, and only by rewrites that keep
@@ -83,9 +74,9 @@ impl ExtOperator for RepairKey {
         input_rows
     }
 
-    fn with_inputs(&self, mut inputs: Vec<Plan>) -> Option<Plan> {
+    fn with_inputs(&self, mut inputs: Vec<Plan>) -> Plan {
         let key: Vec<&str> = self.key.iter().map(String::as_str).collect();
-        Some(repair_key(inputs.remove(0), &key, self.weight.as_deref()))
+        repair_key(inputs.remove(0), &key, self.weight.as_deref())
     }
 
     fn inputs(&self) -> Vec<&Plan> {

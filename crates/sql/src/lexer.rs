@@ -12,8 +12,8 @@ use crate::span::{Span, SqlError};
 pub enum TokenKind {
     /// An identifier (or contextual keyword): `[A-Za-z_][A-Za-z0-9_]*`.
     Ident(String),
-    /// An integer literal.
-    Int(i64),
+    /// An integer literal's magnitude (the parser applies a `-` and checks).
+    Int(u64),
     /// A float literal (`1.5`, `0.25`, `2e-3`).
     Float(f64),
     /// A single-quoted string literal (`''` escapes a quote).

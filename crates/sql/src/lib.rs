@@ -23,13 +23,10 @@
 //!    carrying the exact source [`Span`]. [`compile`] then runs the logical
 //!    optimizer ([`fn@maybms_algebra::optimize`]) by default;
 //!    [`compile_unoptimized`] exposes the raw lowering, and [`fn@explain`]
-//!    (the `EXPLAIN <query>` statement) renders both plans.
-//! 4. **[`unparse`]** — the pretty-printer back from plans to MayQL text;
-//!    `compile_unoptimized(catalog, to_mayql(catalog, plan)?)` reproduces
-//!    the plan, a property the testkit checks on randomized plans together
-//!    with execution equivalence.
-//!
-//! 5. **[`session`]** — the engine's front door. A [`Session`] owns the
+//!    (the `EXPLAIN <query>` statement) renders both plans. The path runs
+//!    one way, text → plan: lowering is checked against hand-built plans
+//!    by their `Display` trees, the form `EXPLAIN` prints.
+//! 4. **[`session`]** — the engine's front door. A [`Session`] owns the
 //!    world set, the [`Catalog`] collected from it and a [`PlanCache`], and
 //!    [`Session::execute`] runs one statement (`SELECT …`, `LET x = …`,
 //!    `EXPLAIN [ANALYZE] …`) end to end. It is the one way in: the world set
@@ -76,7 +73,6 @@ pub mod parser;
 pub mod planner;
 pub mod session;
 pub mod span;
-pub mod unparse;
 
 pub use ast::{Query, Statement};
 pub use cache::{normalize_query, CachedPlan, PlanCache, DEFAULT_PLAN_CACHE_CAP};
@@ -86,13 +82,12 @@ pub use parser::{parse_query, parse_statement};
 pub use planner::{analyze, compile, compile_unoptimized, lower, optimize_plan};
 pub use session::{Executed, Outcome, Session, SessionError};
 pub use span::{Span, SqlError};
-pub use unparse::{schema_of, to_mayql};
 
 #[cfg(test)]
 mod tests {
     use maybms_algebra::{col, lit, run, Plan, Predicate};
     use maybms_core::{Relation, Schema, Tuple, URelation, Value, ValueType, WorldSet};
-    use maybms_ql::{conf, possible, repair_key};
+    use maybms_ql::{possible, repair_key};
 
     use super::*;
 
@@ -129,10 +124,7 @@ mod tests {
         let parsed =
             compile_unoptimized(&catalog, "REPAIR KEY name IN censusform WEIGHT BY w").unwrap();
         let hand = repair_key(Plan::scan("censusform"), &["name"], Some("w"));
-        assert_eq!(
-            to_mayql(&catalog, &parsed).unwrap(),
-            to_mayql(&catalog, &hand).unwrap()
-        );
+        assert_eq!(parsed.to_string(), hand.to_string());
         // Both evaluate to the same u-relation (components minted in the
         // same deterministic order on separate world-set clones).
         let a = run(&mut ws.clone(), &parsed).unwrap();
@@ -154,10 +146,7 @@ mod tests {
                 .select(Predicate::eq(col("name"), lit("Smith")))
                 .project(["ssn"]),
         );
-        assert_eq!(
-            to_mayql(&catalog, &parsed).unwrap(),
-            to_mayql(&catalog, &hand).unwrap()
-        );
+        assert_eq!(parsed.to_string(), hand.to_string());
     }
 
     #[test]
@@ -179,42 +168,7 @@ mod tests {
         let hand = Plan::scan("censusform")
             .project(["name", "ssn"])
             .rename([("name", "n1")]);
-        assert_eq!(
-            to_mayql(&catalog, &parsed).unwrap(),
-            to_mayql(&catalog, &hand).unwrap()
-        );
-    }
-
-    #[test]
-    fn unparse_is_a_fixpoint_on_the_census_queries() {
-        let ws = census_world();
-        let catalog = Catalog::from_world_set(&ws);
-        let plans = [
-            repair_key(Plan::scan("censusform"), &["name"], Some("w")),
-            possible(
-                Plan::scan("censusform")
-                    .select(Predicate::eq(col("name"), lit("Smith")))
-                    .project(["ssn"]),
-            ),
-            conf(Plan::scan("censusform").project(["name", "ssn"])),
-            Plan::scan("censusform")
-                .project(["name", "ssn"])
-                .rename([("name", "n1")])
-                .join(
-                    Plan::scan("censusform")
-                        .project(["name", "ssn"])
-                        .rename([("name", "n2")]),
-                )
-                .select(Predicate::lt(col("n1"), col("n2"))),
-        ];
-        for plan in &plans {
-            let text = to_mayql(&catalog, plan).unwrap();
-            let reparsed = compile_unoptimized(&catalog, &text).unwrap();
-            assert_eq!(to_mayql(&catalog, &reparsed).unwrap(), text);
-            let a = run(&mut ws.clone(), plan).unwrap();
-            let b = run(&mut ws.clone(), &reparsed).unwrap();
-            assert_eq!(a, b, "execution differs for {text}");
-        }
+        assert_eq!(parsed.to_string(), hand.to_string());
     }
 
     /// `compile` (the default path) optimizes: the census filter query
@@ -240,29 +194,9 @@ mod tests {
         assert_eq!(a, b);
     }
 
-    #[test]
-    fn unparse_rejects_plans_without_a_compilable_form() {
-        let ws = census_world();
-        let catalog = Catalog::from_world_set(&ws);
-        // The executor tolerates mixed-type comparisons through `Value`'s
-        // total order, but MayQL rejects them as ill-typed — so this plan
-        // has no roundtrippable text and `to_mayql` must say so rather
-        // than emit text that fails to compile.
-        let plan = Plan::scan("censusform").select(Predicate::lt(col("name"), col("ssn")));
-        assert!(to_mayql(&catalog, &plan).is_err());
-        // A rename whose source is not among the projected columns is
-        // ill-typed (the executor rejects it); the aliased-select-list
-        // collapse must not silently drop the pair and print a *different*
-        // valid plan.
-        let plan = Plan::scan("censusform")
-            .project(["ssn"])
-            .rename([("name", "n")]);
-        assert!(to_mayql(&catalog, &plan).is_err());
-    }
-
     /// The cost phase (this catalog has statistics) rewrites nothing inside
-    /// a `CONF(eps, delta)` node, so the compiled plan still has the MayQL
-    /// form it was written in.
+    /// a `CONF(eps, delta)` node, so the compiled plan prints as the plan
+    /// the query lowered to.
     #[test]
     fn compiled_approx_conf_keeps_its_mayql_form() {
         let ws = census_world();
@@ -270,10 +204,7 @@ mod tests {
         let text = "SELECT CONF(0.1, 0.05) name FROM censusform";
         let compiled = compile(&catalog, text).unwrap();
         let lowered = compile_unoptimized(&catalog, text).unwrap();
-        assert_eq!(
-            to_mayql(&catalog, &compiled).unwrap(),
-            to_mayql(&catalog, &lowered).unwrap()
-        );
+        assert_eq!(compiled.to_string(), lowered.to_string());
     }
 
     #[test]

@@ -47,6 +47,11 @@ const RESERVED: &[&str] = &[
     "BY", "LET",
 ];
 
+/// How many levels a query may nest: a `(`, `NOT`, `REPAIR KEY … IN`, and each
+/// `UNION` or `FROM` item after the first is one. It bounds every later pass's
+/// recursion: 64 is half the depth that overflows a 2 MiB debug thread.
+pub const MAX_NESTING: usize = 64;
+
 /// Parse one query; the whole input (up to an optional trailing `;`) must be
 /// consumed.
 pub fn parse_query(src: &str) -> Result<Query, SqlError> {
@@ -67,16 +72,23 @@ pub fn parse_statement(src: &str) -> Result<Statement, SqlError> {
     Ok(s)
 }
 
-struct Parser {
+struct Parser<'a> {
+    src: &'a str,
     tokens: Vec<Token>,
     pos: usize,
+    /// Levels open here, and the deepest level reached (see [`Parser::reach`]).
+    depth: usize,
+    peak: usize,
 }
 
-impl Parser {
-    fn new(src: &str) -> Result<Parser, SqlError> {
+impl<'a> Parser<'a> {
+    fn new(src: &'a str) -> Result<Parser<'a>, SqlError> {
         Ok(Parser {
+            src,
             tokens: lex(src)?,
             pos: 0,
+            depth: 0,
+            peak: 0,
         })
     }
 
@@ -168,6 +180,27 @@ impl Parser {
         }
     }
 
+    /// Parse `f` one level deeper (an error ends the parse: only success closes it).
+    fn nested<T>(&mut self, f: fn(&mut Self) -> Result<T, SqlError>) -> Result<T, SqlError> {
+        self.depth += 1;
+        self.reach(self.depth)?;
+        let t = f(self)?;
+        self.depth -= 1;
+        Ok(t)
+    }
+
+    /// Note that the tree reaches `level`, or fail at the token just consumed.
+    /// A `UNION` or join reaches `peak + 1`: it goes above the chain parsed
+    /// since `peak` was reset to `depth`.
+    fn reach(&mut self, level: usize) -> Result<(), SqlError> {
+        if level > MAX_NESTING {
+            let msg = format!("query nests deeper than {MAX_NESTING} levels");
+            return Err(SqlError::new(self.prev_span(), msg));
+        }
+        self.peak = self.peak.max(level);
+        Ok(())
+    }
+
     /// A non-reserved identifier.
     fn ident(&mut self) -> Result<Ident, SqlError> {
         match &self.peek().kind {
@@ -215,14 +248,17 @@ impl Parser {
     }
 
     fn query(&mut self) -> Result<Query, SqlError> {
+        let outer = std::mem::replace(&mut self.peak, self.depth);
         let mut q = self.term()?;
         while self.eat_kw("UNION") {
-            let right = self.term()?;
+            self.reach(self.peak + 1)?;
+            let right = self.nested(Self::term)?;
             q = Query::Union {
                 left: Box::new(q),
                 right: Box::new(right),
             };
         }
+        self.peak = self.peak.max(outer);
         Ok(q)
     }
 
@@ -231,7 +267,7 @@ impl Parser {
             return Ok(Query::Repair(self.repair()?));
         }
         if self.eat(&TokenKind::LParen) {
-            let q = self.query()?;
+            let q = self.nested(Self::query)?;
             self.expect(&TokenKind::RParen)?;
             return Ok(q);
         }
@@ -251,10 +287,13 @@ impl Parser {
             SelectList::Items(items)
         };
         self.expect_kw("FROM")?;
+        let outer = std::mem::replace(&mut self.peak, self.depth);
         let mut from = vec![self.parse_from_item()?];
         while self.eat(&TokenKind::Comma) {
-            from.push(self.parse_from_item()?);
+            self.reach(self.peak + 1)?;
+            from.push(self.nested(Self::parse_from_item)?);
         }
+        self.peak = self.peak.max(outer);
         let filter = if self.eat_kw("WHERE") {
             Some(self.expr()?)
         } else {
@@ -361,12 +400,12 @@ impl Parser {
             }
             if !self.is_kw_at(off, "SELECT") && !self.is_kw_at(off, "REPAIR") {
                 self.advance(); // the `(`
-                let item = self.parse_from_item()?;
+                let item = self.nested(Self::parse_from_item)?;
                 self.expect(&TokenKind::RParen)?;
                 return Ok(item);
             }
             let l = self.advance().span;
-            let query = self.query()?;
+            let query = self.nested(Self::query)?;
             let r = self.expect(&TokenKind::RParen)?;
             return Ok(FromItem::Subquery {
                 query: Box::new(query),
@@ -384,7 +423,7 @@ impl Parser {
             key.push(self.ident()?);
         }
         self.expect_kw("IN")?;
-        let input = Box::new(self.parse_from_item()?);
+        let input = Box::new(self.nested(Self::parse_from_item)?);
         let weight = if self.eat_kw("WEIGHT") {
             self.expect_kw("BY")?;
             Some(self.ident()?)
@@ -425,7 +464,7 @@ impl Parser {
 
     fn not_expr(&mut self) -> Result<Expr, SqlError> {
         if self.eat_kw("NOT") {
-            Ok(Expr::Not(Box::new(self.not_expr()?)))
+            Ok(Expr::Not(Box::new(self.nested(Self::not_expr)?)))
         } else {
             self.atom()
         }
@@ -433,7 +472,7 @@ impl Parser {
 
     fn atom(&mut self) -> Result<Expr, SqlError> {
         if self.eat(&TokenKind::LParen) {
-            let e = self.expr()?;
+            let e = self.nested(Self::expr)?;
             self.expect(&TokenKind::RParen)?;
             return Ok(e);
         }
@@ -478,10 +517,8 @@ impl Parser {
                 match self.peek().kind.clone() {
                     TokenKind::Int(v) => {
                         let span = minus.join(self.advance().span);
-                        Ok(Scalar::Literal {
-                            value: Value::Int(-v),
-                            span,
-                        })
+                        let value = self.int(0i64.checked_sub_unsigned(v), span)?;
+                        Ok(Scalar::Literal { value, span })
                     }
                     TokenKind::Float(v) => {
                         let span = minus.join(self.advance().span);
@@ -496,10 +533,11 @@ impl Parser {
                     )),
                 }
             }
-            TokenKind::Int(v) => Ok(Scalar::Literal {
-                value: Value::Int(v),
-                span: self.advance().span,
-            }),
+            TokenKind::Int(v) => {
+                let span = self.advance().span;
+                let value = self.int(i64::try_from(v).ok(), span)?;
+                Ok(Scalar::Literal { value, span })
+            }
             TokenKind::Float(v) => Ok(Scalar::Literal {
                 value: Value::float(v),
                 span: self.advance().span,
@@ -526,6 +564,13 @@ impl Parser {
                 format!("expected a column or literal, found {other}"),
             )),
         }
+    }
+
+    /// The integer literal at `span`, if its signed value fits `i64`.
+    fn int(&self, value: Option<i64>, span: Span) -> Result<Value, SqlError> {
+        let text = &self.src[span.start..span.end];
+        let e = || SqlError::new(span, format!("integer literal `{text}` out of range"));
+        value.map(Value::Int).ok_or_else(e)
     }
 }
 
@@ -713,6 +758,29 @@ mod tests {
             panic!("expected explicit items")
         };
         assert_eq!(items[0].column.name, "explain");
+    }
+
+    /// A `UNION` or `FROM` chain puts its node above the operands already
+    /// parsed, so their height counts: 32 parentheses under 32 unions reach
+    /// the cap, under 33 they pass it, though no more than 33 levels are
+    /// ever open at once.
+    #[test]
+    fn chains_count_the_height_of_their_first_operand() {
+        let deep = format!("{}SELECT * FROM r{}", "(".repeat(32), ")".repeat(32));
+        let union = |k: usize| format!("{deep}{}", " UNION SELECT * FROM r".repeat(k));
+        assert!(parse_query(&union(32)).is_ok());
+        let src = union(33);
+        let e = parse_query(&src).unwrap_err();
+        assert_eq!(e.message, "query nests deeper than 64 levels");
+        let last = src.rfind("UNION").unwrap();
+        assert_eq!(e.span, Span::new(last, last + 5));
+
+        let from = |k: usize| format!("SELECT * FROM ({deep}){}", ", r".repeat(k));
+        assert!(parse_query(&from(31)).is_ok());
+        let src = from(32);
+        let e = parse_query(&src).unwrap_err();
+        assert_eq!(e.message, "query nests deeper than 64 levels");
+        assert_eq!(e.span, Span::new(src.len() - 3, src.len() - 2));
     }
 
     #[test]

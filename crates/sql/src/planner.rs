@@ -6,7 +6,7 @@
 //! checks, and union-compatibility checks all fire with the exact source
 //! span of the offending construct. The lowering is *minimal* — no `Select`
 //! node without a `WHERE`, no `Project` for `*`, no `Rename` without `AS` —
-//! which is what makes `parse(print(plan))` reproduce the plan exactly.
+//! so a query's plan can be written down by hand and compared with it.
 //!
 //! AST → plan mapping:
 //!
@@ -40,9 +40,8 @@ pub fn compile(catalog: &Catalog, src: &str) -> Result<Plan, SqlError> {
 }
 
 /// Parse and lower without optimizing: exactly the plan the minimal
-/// lowering produces. The MayQL pretty-printer's fixpoint property
-/// (`print ∘ lower ∘ parse` is the identity on printed text) holds for
-/// *this* path; the optimizer deliberately rewrites plan shapes.
+/// lowering produces, which the tests compare with hand-built plans by
+/// their `Display` trees (the optimizer deliberately rewrites plan shapes).
 pub fn compile_unoptimized(catalog: &Catalog, src: &str) -> Result<Plan, SqlError> {
     let query = crate::parser::parse_query(src)?;
     lower(catalog, &query).map(|(plan, _)| plan)

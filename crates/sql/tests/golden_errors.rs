@@ -6,7 +6,9 @@
 //! no span and prints as one plain line.
 
 use maybms_core::{Relation, Schema, Tuple, URelation, Value, ValueType, WorldSet};
-use maybms_sql::{compile, parse_query, Catalog, Session, SessionError, Span, SqlError};
+use maybms_sql::ast::{Expr, Query, Scalar};
+use maybms_sql::parser::MAX_NESTING;
+use maybms_sql::{compile, parse_query, Catalog, Outcome, Session, SessionError, Span, SqlError};
 
 /// `census(name str, ssn int, w int)` plus `r(a int, b int)`.
 fn catalog() -> Catalog {
@@ -250,6 +252,155 @@ fn unterminated_string_spans_to_eof() {
     let e = parse_query(src).expect_err("unterminated string");
     assert_eq!(e.span, Span::new(34, src.len()));
     assert_eq!(e.message, "unterminated string literal");
+}
+
+/// `-9223372036854775808` is `i64::MIN`: the lexer carries the literal's
+/// magnitude unsigned and the parser negates it with a check, so the one
+/// negative value without a positive twin is writable, and one past either
+/// end is rejected with the same message, spanning the literal as written.
+#[test]
+fn integer_literals_cover_the_i64_range() {
+    let src = "SELECT ssn FROM census WHERE ssn = -9223372036854775808";
+    let q = parse_query(src).expect("i64::MIN is a literal");
+    let Query::Select(sel) = q else {
+        panic!("expected a select")
+    };
+    let Some(Expr::Compare { rhs, .. }) = sel.filter else {
+        panic!("expected a comparison")
+    };
+    assert!(
+        matches!(rhs, Scalar::Literal { value: Value::Int(i64::MIN), span }
+            if span == span_of(src, "-9223372036854775808")),
+        "{rhs:?}"
+    );
+    compile(&catalog(), src).expect("i64::MIN compiles");
+
+    for literal in ["-9223372036854775809", "9223372036854775808"] {
+        let src = format!("SELECT ssn FROM census WHERE ssn = {literal}");
+        let e = parse_query(&src).expect_err("out of range");
+        assert_eq!(e.span, span_of(&src, literal));
+        assert_eq!(
+            e.message,
+            format!("integer literal `{literal}` out of range")
+        );
+    }
+}
+
+/// A query nests at most `MAX_NESTING` (64) levels: at 64 nested
+/// subqueries it compiles, at 65 the parser stops at the 65th `(`.
+#[test]
+fn nesting_past_the_cap_is_a_parse_error() {
+    let nest = |depth: usize| {
+        format!(
+            "SELECT *\nFROM\n{}census{}",
+            "(SELECT * FROM\n".repeat(depth),
+            ")".repeat(depth)
+        )
+    };
+    assert_eq!(MAX_NESTING, 64);
+    compile(&catalog(), &nest(64)).expect("64 levels compile");
+    let src = nest(65);
+    let e = err(&src);
+    assert_eq!(e.message, "query nests deeper than 64 levels");
+    assert_eq!(
+        e.render(&src),
+        concat!(
+            "error: query nests deeper than 64 levels\n",
+            " --> line 67, column 1\n",
+            "  | (SELECT * FROM\n",
+            "  | ^\n"
+        )
+    );
+}
+
+/// Every construct that nests the tree counts toward the cap, so none of
+/// them can be repeated into a stack overflow: each query here nests
+/// 100 000 levels, and `Session::execute` on the default test thread
+/// returns the spanned error.
+#[test]
+fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+    let n = 100_000;
+    let queries = [
+        format!(
+            "SELECT * FROM {}census{}",
+            "(SELECT * FROM ".repeat(n),
+            ")".repeat(n)
+        ),
+        format!("{}SELECT * FROM census{}", "(".repeat(n), ")".repeat(n)),
+        format!("SELECT * FROM {}census{}", "(".repeat(n), ")".repeat(n)),
+        format!(
+            "SELECT * FROM census WHERE {}ssn = 185{}",
+            "(".repeat(n),
+            ")".repeat(n)
+        ),
+        format!("SELECT * FROM census WHERE {}ssn = 185", "NOT ".repeat(n)),
+        format!("{}census", "REPAIR KEY name IN ".repeat(n)),
+        vec!["SELECT * FROM census"; n].join(" UNION "),
+        format!("SELECT * FROM {}", vec!["census"; n].join(", ")),
+    ];
+    let mut session = Session::new(WorldSet::new());
+    for src in &queries {
+        let e = session.execute(src).expect_err("too deep");
+        let SessionError::Sql(e) = e else {
+            panic!("expected a front-end error, got {e:?}")
+        };
+        assert_eq!(e.message, "query nests deeper than 64 levels");
+    }
+}
+
+/// At the cap every shape still runs end to end — lowered, optimized,
+/// executed, printed and dropped — on the default test thread: the parse
+/// depth bounds every later recursion. (`REPAIR KEY` over a repair fails
+/// at run time, as it does at any depth: its input is uncertain.)
+#[test]
+fn queries_at_the_cap_run() {
+    let n = MAX_NESTING;
+    let schema =
+        Schema::of(&[("name", ValueType::Str), ("ssn", ValueType::Int)]).expect("distinct columns");
+    let rows = [("Smith", 185), ("Smith", 785), ("Brown", 185)];
+    let rel = Relation::from_rows(
+        schema,
+        rows.iter()
+            .map(|&(n, s)| Tuple::new(vec![Value::str(n), Value::Int(s)]))
+            .collect(),
+    )
+    .expect("rows match schema");
+    let mut ws = WorldSet::new();
+    ws.insert("census", URelation::from_certain(&rel))
+        .expect("certain relation is valid");
+    let mut session = Session::new(ws);
+    let queries = [
+        format!(
+            "SELECT POSSIBLE * FROM {}census{}",
+            "(SELECT POSSIBLE * FROM ".repeat(n),
+            ")".repeat(n)
+        ),
+        format!(
+            "SELECT * FROM census WHERE {}ssn = 185{}",
+            "(".repeat(n),
+            ")".repeat(n)
+        ),
+        format!("SELECT * FROM census WHERE {}ssn = 185", "NOT ".repeat(n)),
+        vec!["SELECT * FROM census"; n + 1].join(" UNION "),
+        format!("SELECT * FROM {}", vec!["census"; n + 1].join(", ")),
+    ];
+    for src in &queries {
+        let executed = session
+            .execute(src)
+            .unwrap_or_else(|e| panic!("{}", e.render(src)));
+        let Outcome::Rows(result) = executed.outcome else {
+            panic!("expected rows")
+        };
+        assert!(result.len() <= 3);
+        session
+            .execute(&format!("EXPLAIN {src}"))
+            .unwrap_or_else(|e| panic!("{}", e.render(src)));
+    }
+    let src = format!("{}census", "REPAIR KEY name IN ".repeat(n));
+    let e = session
+        .execute(&src)
+        .expect_err("a repair's input is uncertain");
+    assert!(matches!(e, SessionError::Run(_)), "{e:?}");
 }
 
 /// `REPAIR KEY` over an uncertain relation compiles and fails while running.

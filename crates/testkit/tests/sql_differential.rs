@@ -1,18 +1,9 @@
-//! Differential tests for the MayQL front-end.
+//! Differential tests for the MayQL front-end, on randomized world sets.
 //!
-//! Two directions, both on randomized world sets:
-//!
-//! * **text vs. hand-built plan** — `gen_query` emits a random MayQL string
-//!   together with the plan it must lower to, built independently of the
-//!   parser; the parsed plan must be equivalent and both must execute to
-//!   the same u-relation.
-//! * **unparse/reparse roundtrip** — random plans (including the
-//!   uncertainty operators) are pretty-printed with `to_mayql`, re-parsed,
-//!   and re-printed: the text must be a fixpoint and both plans must
-//!   execute identically.
-//!
-//! Plan equivalence is compared through the canonical MayQL printing, which
-//! is injective on the minimal plan shapes the planner emits. Execution
+//! `gen_query` emits a random MayQL string together with the plan it must
+//! lower to, built independently of the parser; the parsed plan must print
+//! the same `Display` tree as the hand-built one (the form `EXPLAIN`
+//! prints), and both must execute to the same u-relation. Execution
 //! comparison runs each plan on its own clone of the world set: extension
 //! operators mint components deterministically, so equivalent plans produce
 //! identical descriptors, not merely isomorphic ones. A failing case prints
@@ -21,10 +12,10 @@
 use maybms_algebra::run;
 use maybms_core::rng::Rng;
 use maybms_core::{URelation, WorldSet};
-use maybms_sql::{compile_unoptimized, to_mayql, Catalog};
-use maybms_testkit::{gen_plan, gen_query, gen_world_set, wrap_uncertainty, GenConfig};
+use maybms_sql::{compile_unoptimized, Catalog};
+use maybms_testkit::{gen_query, gen_world_set, GenConfig};
 
-/// ≥ 100 cases each, per the acceptance bar of the MayQL front-end issue.
+/// Randomized cases per test (at least 100).
 const CASES: usize = 120;
 
 fn execute(ws: &WorldSet, plan: &maybms_algebra::Plan, context: &str) -> URelation {
@@ -43,17 +34,14 @@ fn parsed_text_matches_hand_built_plan() {
         let seed = 0x5A11_0000 + case as u64;
         let mut rng = Rng::new(seed);
         let ws = gen_world_set(&mut rng, &cfg);
-        let (text, hand_built) = gen_query(&mut rng, &ws, 2);
+        let (text, hand_built) = gen_query(&mut rng, &ws, 3);
         let catalog = Catalog::from_world_set(&ws);
 
         let parsed = compile_unoptimized(&catalog, &text)
             .unwrap_or_else(|e| panic!("seed {seed}: {text}\n{}", e.render(&text)));
-        let printed_parsed =
-            to_mayql(&catalog, &parsed).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-        let printed_hand =
-            to_mayql(&catalog, &hand_built).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
         assert_eq!(
-            printed_parsed, printed_hand,
+            parsed.to_string(),
+            hand_built.to_string(),
             "seed {seed}: parsed plan diverges from hand-built plan for: {text}"
         );
 
@@ -63,34 +51,6 @@ fn parsed_text_matches_hand_built_plan() {
             &hand_built,
             &format!("seed {seed}, hand-built: {text}"),
         );
-        assert_eq!(a, b, "seed {seed}: execution differs for: {text}");
-    }
-}
-
-#[test]
-fn unparse_reparse_roundtrip() {
-    let cfg = GenConfig::default();
-    for case in 0..CASES {
-        let seed = 0x0F1C_0000 + case as u64;
-        let mut rng = Rng::new(seed);
-        let ws = gen_world_set(&mut rng, &cfg);
-        let plan = gen_plan(&mut rng, &ws, 3);
-        let plan = wrap_uncertainty(&mut rng, &ws, plan);
-        let catalog = Catalog::from_world_set(&ws);
-
-        let text = to_mayql(&catalog, &plan)
-            .unwrap_or_else(|e| panic!("seed {seed}: unparse failed: {e}\nplan:\n{plan}"));
-        let reparsed = compile_unoptimized(&catalog, &text)
-            .unwrap_or_else(|e| panic!("seed {seed}: {text}\n{}", e.render(&text)));
-        let text2 = to_mayql(&catalog, &reparsed)
-            .unwrap_or_else(|e| panic!("seed {seed}: re-unparse failed: {e}"));
-        assert_eq!(
-            text2, text,
-            "seed {seed}: printing is not a fixpoint (plan shapes diverged)"
-        );
-
-        let a = execute(&ws, &plan, &format!("seed {seed}, original: {text}"));
-        let b = execute(&ws, &reparsed, &format!("seed {seed}, reparsed: {text}"));
         assert_eq!(a, b, "seed {seed}: execution differs for: {text}");
     }
 }
@@ -131,9 +91,6 @@ fn weighted_repair_text_matches_hand_built() {
     let text = "repair key name in censusform weight by w";
     let parsed = compile_unoptimized(&catalog, text).expect("repair parses");
     let hand = repair_key(Plan::scan("censusform"), &["name"], Some("w"));
-    assert_eq!(
-        to_mayql(&catalog, &parsed).expect("parsed has MayQL form"),
-        to_mayql(&catalog, &hand).expect("hand-built has MayQL form"),
-    );
+    assert_eq!(parsed.to_string(), hand.to_string());
     assert_eq!(execute(&ws, &parsed, text), execute(&ws, &hand, text));
 }
