@@ -19,24 +19,28 @@
 //! * **Scan** borrows the relation's columnar image as imported into the
 //!   run's pools (see *Stored relations and their images* below) — no
 //!   per-operator copies, and no per-run conversion of the rows.
-//! * **Select** is a predicate *sweep*: the bound predicate is evaluated
-//!   cell-wise over the input's rows and emits a selection vector. No row
-//!   or column is materialized.
+//! * **Select** narrows the selection vector a conjunct at a time
+//!   ([`crate::predicate::BoundPredicate::retain_views`]): a `column op
+//!   literal` conjunct on a non-string column is one typed loop
+//!   ([`ColView::retain_cmp`]), anything else is evaluated per row, cells
+//!   read in place. No row or column is materialized.
 //! * **Project** and **Rename** are column-pointer shuffles: projection
 //!   moves column references into the output order (set semantics enforced
 //!   by a selection-vector dedup), renaming swaps the schema.
-//! * **NaturalJoin** builds a flat `ChainedIndex` over the build side's
-//!   key columns (hashing cells in place — no key tuples), probes with the
-//!   left key cells, verifies candidates column-wise, conjoins descriptors
+//! * **NaturalJoin** hashes both sides' key columns up front — one
+//!   [`ColView::hash_into`] sweep per key column, no key tuples — builds a
+//!   flat `ChainedIndex` over the right side's hashes, probes with the left
+//!   ones, verifies candidates column-wise, conjoins descriptors
 //!   through the pool, and emits **late-materialized** output columns: each
 //!   output column is the input column plus a shared rowid indirection
 //!   (`LazyCol`), so the join moves no cell data at all.
 //! * **Union** concatenates column-wise (a dense `memcpy`-style extend when
 //!   no selection or indirection is pending) and dedups via a fresh
 //!   selection vector.
-//! * **Dedup** (after project/join/union) hashes rows cell-wise — reading
-//!   through the rowid views — into a `ChainedIndex` and emits the
-//!   selection vector of first occurrences; it never rebuilds columns.
+//! * **Dedup** (after project/join/union) hashes every live row a column
+//!   at a time — reading through the rowid views — plus its descriptor's
+//!   terms, then keeps first occurrences through a `ChainedIndex` and emits
+//!   their selection vector; it never rebuilds columns.
 //!
 //! # Stored relations and their images
 //!
@@ -84,7 +88,8 @@
 //! the next pipeline breaker (`Batch::into_dense_parts`: union inputs,
 //! extension-operator inputs, the final emit) — instead of k. All sweeps
 //! (predicates, row hashing, join keys) read through [`ColView`]s, which
-//! fold the indirection per cell access. This is how joins work — there is
+//! fold the indirection into each cell access (a typed sweep dispatches on
+//! it once per column). This is how joins work — there is
 //! no eager per-join gather path beside it.
 //!
 //! # Sideways information passing (SIP)
@@ -92,7 +97,8 @@
 //! When a join's build (right) side turns out small (its *actual* row
 //! count, known at runtime, is at most the [`crate::sip`] cutoff) and the
 //! mint guard allows evaluating it first, the join builds a
-//! [`BlockedBloom`] over the build side's key cells and registers it
+//! [`BlockedBloom`] over the build side's key hashes (the join's own,
+//! [`ColView::hash_into`] a key column at a time) and registers it
 //! against a node of the probe subtree (chosen by `sip_target` in [`crate::sip`]);
 //! when that node's batch is produced, rows whose key cells cannot match
 //! any build row are pruned before they flow any further. False positives
@@ -116,15 +122,15 @@
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
-use std::hash::{BuildHasher, Hasher};
 use std::sync::Arc;
 
 use maybms_core::bloom::BlockedBloom;
 use maybms_core::columnar::{ColView, ColumnVec, ColumnarURelation, StrPool};
+use maybms_core::fxhash::fx_step;
 use maybms_core::obs::{ObsCounters, QueryTrace, SpanId, Tracer};
 use maybms_core::{
-    ColumnarImage, ComponentSet, ConfStats, DescId, DescriptorPool, FxBuildHasher, FxHashMap,
-    MayError, ParCfg, ParStats, PoolStats, Scan, Schema, URelation, WorldSet,
+    ColumnarImage, ComponentSet, ConfStats, DescId, DescriptorPool, FxHashMap, MayError, ParCfg,
+    ParStats, PoolStats, Scan, Schema, URelation, WorldSet,
 };
 
 use crate::plan::Plan;
@@ -504,19 +510,18 @@ impl<'s> Batch<'s> {
         }
     }
 
-    /// Hash the cells and descriptor terms of one row (descriptor *content*,
-    /// not handle — handles minted by `conjoin` are not canonical).
-    #[inline]
-    fn row_hash(&self, i: u32, pool: &DescriptorPool) -> u64 {
-        let mut h = FxBuildHasher::default().build_hasher();
-        for c in &self.cols {
-            c.view().hash_cell(i as usize, &mut h);
+    /// Fold the key cells `key` of every live row into one hash per live
+    /// row, in [`Batch::row_ids`] order — a [`ColView::hash_into`] sweep per
+    /// key column. Equal keys hash equally (on either side of a join: both
+    /// sides' columns encode into the run's pools).
+    fn key_hashes(&self, key: impl IntoIterator<Item = usize>) -> Vec<u64> {
+        let mut hashes = vec![0; self.len()];
+        for c in key {
+            self.cols[c]
+                .view()
+                .hash_into(self.sel.as_deref(), &mut hashes);
         }
-        for &(c, a) in pool.terms(self.descs[i as usize]) {
-            h.write_u32(c.0);
-            h.write_u16(a);
-        }
-        h.finish()
+        hashes
     }
 
     /// Whether two rows carry equal cells and equal descriptors.
@@ -531,21 +536,37 @@ impl<'s> Batch<'s> {
 
     /// Drop duplicate `(tuple, descriptor)` rows, keeping first occurrences
     /// in order — by *shrinking the selection vector*, never touching the
-    /// columns. A hash-and-verify pass over a [`ChainedIndex`]: candidates
-    /// that collide on the row hash are verified cell-wise plus
+    /// columns. Every row's hash comes first, a column at a time; then a
+    /// hash-and-verify pass over a [`ChainedIndex`]: candidates that collide
+    /// on the row hash are verified cell-wise plus
     /// [`DescriptorPool::same_descriptor`].
     fn dedup(&mut self, pool: &DescriptorPool) {
         let n = self.len();
         if n < 2 {
             return;
         }
+        // Each row's cells, then its descriptor's terms (the descriptor's
+        // *content*, not its handle — handles minted by `conjoin` are not
+        // canonical), two words a term.
+        let mut hashes = self.key_hashes(0..self.cols.len());
+        for (h, i) in hashes.iter_mut().zip(self.row_ids()) {
+            for &(c, a) in pool.terms(self.descs[i as usize]) {
+                *h = fx_step(fx_step(*h, c.0 as u64), a as u64);
+            }
+        }
+        // The index holds positions among the live rows, so a candidate's
+        // hash is compared before its cells.
+        let live = self.sel.as_deref();
+        let row = |j: usize| live.map_or(j as u32, |s| s[j]);
         let mut index = ChainedIndex::with_capacity(n);
         let mut kept: Vec<u32> = Vec::with_capacity(n);
-        for i in self.row_ids() {
-            let h = self.row_hash(i, pool);
-            let dup = index.probe(h).any(|k| self.rows_eq(kept[k], i, pool));
+        for (j, &h) in hashes.iter().enumerate() {
+            let i = row(j);
+            let dup = index
+                .probe(h)
+                .any(|k| hashes[k] == h && self.rows_eq(row(k), i, pool));
             if !dup {
-                index.insert(h, kept.len());
+                index.insert(h, j);
                 kept.push(i);
             }
         }
@@ -775,20 +796,16 @@ fn maybe_register_sip(probe: &Plan, build: &Batch<'_>, ctx: &mut EvalCtx<'_>) {
     }
     // Hash every live build row's key cells — in `keys` order, the same
     // order `apply_sip` hashes the probe cells — into the filter.
-    let mut build_views = Vec::with_capacity(keys.len());
+    let mut build_cols = Vec::with_capacity(keys.len());
     for k in &keys {
         match build.schema.col_index(k) {
-            Ok(i) => build_views.push(build.cols[i].view()),
+            Ok(i) => build_cols.push(i),
             Err(_) => return,
         }
     }
     let mut bloom = BlockedBloom::with_capacity(build.len().max(1), SIP_K);
-    for ri in build.row_ids() {
-        let mut h = FxBuildHasher::default().build_hasher();
-        for v in &build_views {
-            v.hash_cell(ri as usize, &mut h);
-        }
-        bloom.insert(h.finish());
+    for h in build.key_hashes(build_cols) {
+        bloom.insert(h);
     }
     ctx.sip_filters
         .entry(target as *const Plan as usize)
@@ -799,9 +816,9 @@ fn maybe_register_sip(probe: &Plan, build: &Batch<'_>, ctx: &mut EvalCtx<'_>) {
 
 /// Apply any SIP filters registered against this plan node to its freshly
 /// produced batch: probe rows whose key-cell hash the filter rules out are
-/// dropped from the selection vector. Sequential by design — the sweep is a
-/// hash-and-test per row, and survivor order must match the unfiltered
-/// order exactly.
+/// dropped from the selection vector. Sequential by design — the key
+/// columns are hashed a column at a time, then each hash is tested, and
+/// survivor order must match the unfiltered order exactly.
 fn apply_sip(plan: &Plan, b: &mut Batch<'_>, ctx: &mut EvalCtx<'_>) {
     if ctx.sip_filters.is_empty() {
         return;
@@ -811,21 +828,15 @@ fn apply_sip(plan: &Plan, b: &mut Batch<'_>, ctx: &mut EvalCtx<'_>) {
         return;
     };
     for f in &filters {
-        let views: Vec<ColView<'_>> = f.key_cols.iter().map(|&c| b.cols[c].view()).collect();
-        let mut kept: Vec<u32> = Vec::with_capacity(b.len());
+        let hashes = b.key_hashes(f.key_cols.iter().copied());
+        let kept: Vec<u32> = b
+            .row_ids()
+            .zip(hashes)
+            .filter_map(|(i, h)| f.bloom.may_contain(h).then_some(i))
+            .collect();
         let tested = b.len() as u64;
-        for i in b.row_ids() {
-            let mut h = FxBuildHasher::default().build_hasher();
-            for v in &views {
-                v.hash_cell(i as usize, &mut h);
-            }
-            if f.bloom.may_contain(h.finish()) {
-                kept.push(i);
-            }
-        }
         ctx.sip_stats.probe_rows_tested += tested;
         ctx.sip_stats.probe_rows_pruned += tested - kept.len() as u64;
-        drop(views);
         b.sel = Some(kept);
     }
 }
@@ -884,16 +895,16 @@ fn eval_batch_inner<'s>(
         }
         Plan::Select { input, predicate } => {
             let mut b = eval_batch(input, scans, ctx)?;
-            // Bound once per relation; the sweep below reads cells in place
-            // through the rowid views.
+            // Bound once per relation; the sweep below narrows the live rows
+            // a conjunct at a time, reading cells in place through the rowid
+            // views.
             let bound = predicate.bind(&b.schema)?;
+            let mut sel = b
+                .sel
+                .take()
+                .unwrap_or_else(|| (0..b.descs.len() as u32).collect());
             let views: Vec<ColView<'_>> = b.cols.iter().map(LazyCol::view).collect();
-            let strings = &ctx.strings;
-            let sel: Vec<u32> = b
-                .row_ids()
-                .filter(|&i| bound.matches_views(&views, i as usize, strings))
-                .collect();
-            drop(views);
+            bound.retain_views(&views, &mut sel, &ctx.strings);
             b.sel = Some(sel);
             Ok(b)
         }
@@ -944,37 +955,32 @@ fn eval_batch_inner<'s>(
             let jp = l.schema.natural_join(&r.schema)?;
             let l_views: Vec<ColView<'_>> = l.cols.iter().map(LazyCol::view).collect();
             let r_views: Vec<ColView<'_>> = r.cols.iter().map(LazyCol::view).collect();
-            let hasher = FxBuildHasher::default();
-            let key_hash = |views: &[ColView<'_>], row: u32, side: fn(&(usize, usize)) -> usize| {
-                let mut h = hasher.build_hasher();
-                for s in &jp.shared {
-                    views[side(s)].hash_cell(row as usize, &mut h);
-                }
-                h.finish()
-            };
             // Build on the right side: bucket each live right row by the
-            // hash of its key cells (computed in place — no key vector is
-            // ever materialized).
+            // hash of its key cells, both sides' keys hashed up front a
+            // column at a time (no key vector is ever materialized).
             let r_rows: Vec<u32> = r.row_ids().collect();
+            let r_hashes = r.key_hashes(jp.shared.iter().map(|&(_, rc)| rc));
+            let l_hashes = l.key_hashes(jp.shared.iter().map(|&(lc, _)| lc));
             let mut built = ChainedIndex::with_capacity(r_rows.len());
-            for (slot, &ri) in r_rows.iter().enumerate() {
-                built.insert(key_hash(&r_views, ri, |&(_, rc)| rc), slot);
+            for (slot, &h) in r_hashes.iter().enumerate() {
+                built.insert(h, slot);
             }
-            // Probe with the left key cells; verify candidates column-wise.
-            // Matches are collected as (left row, right row, descriptor);
-            // the output columns are the input columns plus these match
-            // lists as rowid indirections. Sequential by design: the probe
-            // mints descriptors, and only the calling thread touches the
-            // pool.
+            // Probe with the left key hashes; verify candidates column-wise
+            // (after their kept hashes agree). Matches are collected as
+            // (left row, right row, descriptor); the output columns are the
+            // input columns plus these match lists as rowid indirections.
+            // Sequential by design: the probe mints descriptors, and only
+            // the calling thread touches the pool.
             let mut l_idx: Vec<u32> = Vec::new();
             let mut r_idx: Vec<u32> = Vec::new();
             let mut descs: Vec<DescId> = Vec::new();
-            for li in l.row_ids() {
-                for slot in built.probe(key_hash(&l_views, li, |&(lc, _)| lc)) {
+            for (li, h) in l.row_ids().zip(l_hashes) {
+                for slot in built.probe(h) {
                     let ri = r_rows[slot];
-                    let keys_match = jp.shared.iter().all(|&(lc, rc)| {
-                        l_views[lc].eq_cells(li as usize, &r_views[rc], ri as usize)
-                    });
+                    let keys_match = r_hashes[slot] == h
+                        && jp.shared.iter().all(|&(lc, rc)| {
+                            l_views[lc].eq_cells(li as usize, &r_views[rc], ri as usize)
+                        });
                     if !keys_match {
                         continue; // hash collision, not an equi-match
                     }

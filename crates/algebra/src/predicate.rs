@@ -338,6 +338,39 @@ impl BoundPredicate {
             BoundPredicate::Not(p) => !p.matches_views(cols, row, strings),
         }
     }
+
+    /// Narrow `rows` — virtual row ids of a columnar batch, in order — to
+    /// the rows that satisfy the predicate, keeping their order: the
+    /// selection-vector form of [`BoundPredicate::matches_views`], with the
+    /// same semantics. A conjunction narrows the vector one conjunct at a
+    /// time, and a `column op literal` comparison on a non-string column is
+    /// one typed loop ([`ColView::retain_cmp`]); `OR`, `NOT`, column against
+    /// column and string order stay row-wise on `matches_views`.
+    pub fn retain_views(&self, cols: &[ColView<'_>], rows: &mut Vec<u32>, strings: &StrPool) {
+        let swept = match self {
+            BoundPredicate::True => true,
+            BoundPredicate::And(ps) => {
+                for p in ps {
+                    p.retain_views(cols, rows, strings);
+                }
+                true
+            }
+            BoundPredicate::Compare {
+                op,
+                lhs: BoundOperand::Index(i),
+                rhs: BoundOperand::Literal(v),
+            } => cols[*i].retain_cmp(rows, v, |ord| op.holds(ord)),
+            BoundPredicate::Compare {
+                op,
+                lhs: BoundOperand::Literal(v),
+                rhs: BoundOperand::Index(j),
+            } => cols[*j].retain_cmp(rows, v, |ord| op.holds(ord.reverse())),
+            _ => false,
+        };
+        if !swept {
+            rows.retain(|&r| self.matches_views(cols, r as usize, strings));
+        }
+    }
 }
 
 #[cfg(test)]

@@ -7,8 +7,10 @@
 //! attribute one contiguous typed vector ([`ColumnVec`]) — `i64` for ints,
 //! `f64` for floats, `bool` for booleans, dictionary codes for strings — and
 //! one dense [`DescId`] vector for the world-set-descriptor column. Operators
-//! sweep whole columns (predicate evaluation, hash-key computation, gathers)
-//! instead of re-materializing tuples per row, which is exactly the access
+//! sweep whole columns — `column op literal` filters
+//! ([`ColView::retain_cmp`]), hash keys ([`ColView::hash_into`]: one typed
+//! loop per key column, not a dispatch per cell), gathers — instead of
+//! re-materializing tuples per row, which is exactly the access
 //! pattern the flat U-relational representation of the paper rewards: the
 //! annotation column and the value columns are scanned independently.
 //!
@@ -36,8 +38,9 @@
 //! conversion boundary the per-world oracle and the REPL display sit behind.
 
 use std::cmp::Ordering;
-use std::hash::{Hash, Hasher};
+use std::hash::Hasher;
 
+use crate::fxhash::fx_step;
 use crate::intern::{fold_hash, span, DescId, DescriptorPool, Slots};
 use crate::rel::Tuple;
 use crate::schema::Schema;
@@ -341,14 +344,9 @@ impl ColumnVec {
     #[inline]
     fn rank(&self, i: usize) -> u8 {
         if self.is_null(i) {
-            return 0;
-        }
-        match &self.data {
-            ColumnData::Null(_) => 0,
-            ColumnData::Bool(_) => 1,
-            ColumnData::Int(_) => 2,
-            ColumnData::Float(_) => 3,
-            ColumnData::Str(_) => 4,
+            0
+        } else {
+            data_rank(&self.data)
         }
     }
 
@@ -400,14 +398,7 @@ impl ColumnVec {
     /// Compare cell `i` against a literal [`Value`], under the same total
     /// order as [`ColumnVec::cmp_cells`].
     pub fn cmp_cell_value(&self, i: usize, v: &Value, strings: &StrPool) -> Ordering {
-        let rank_of = |v: &Value| match v {
-            Value::Null => 0u8,
-            Value::Bool(_) => 1,
-            Value::Int(_) => 2,
-            Value::Float(_) => 3,
-            Value::Str(_) => 4,
-        };
-        let (ra, rb) = (self.rank(i), rank_of(v));
+        let (ra, rb) = (self.rank(i), value_rank(v));
         if ra != rb {
             return ra.cmp(&rb);
         }
@@ -479,24 +470,6 @@ impl ColumnVec {
                 };
                 (codes.iter().enumerate().map(key).collect(), true)
             }
-        }
-    }
-
-    /// Feed the cell at `i` into a hasher, consistently with
-    /// [`ColumnVec::eq_cells`]: equal cells hash equally (nulls hash to a
-    /// fixed tag; strings hash by code, valid within one pool).
-    #[inline]
-    pub fn hash_cell<H: Hasher>(&self, i: usize, state: &mut H) {
-        if self.is_null(i) {
-            state.write_u8(0);
-            return;
-        }
-        match &self.data {
-            ColumnData::Null(_) => state.write_u8(0),
-            ColumnData::Bool(v) => v[i].hash(state),
-            ColumnData::Int(v) => v[i].hash(state),
-            ColumnData::Float(v) => v[i].to_bits().hash(state),
-            ColumnData::Str(v) => v[i].hash(state),
         }
     }
 
@@ -660,13 +633,6 @@ impl<'a> ColView<'a> {
         self.col.value(self.phys(i), strings)
     }
 
-    /// Hash the cell at virtual row `i` (consistent with
-    /// [`ColumnVec::hash_cell`]).
-    #[inline]
-    pub fn hash_cell<H: Hasher>(&self, i: usize, state: &mut H) {
-        self.col.hash_cell(self.phys(i), state)
-    }
-
     /// Whether the cell at virtual row `i` equals `other`'s cell at virtual
     /// row `j`, under [`Value`] equality.
     #[inline]
@@ -692,6 +658,143 @@ impl<'a> ColView<'a> {
     #[inline]
     pub fn cmp_cell_value(&self, i: usize, v: &Value, strings: &StrPool) -> Ordering {
         self.col.cmp_cell_value(self.phys(i), v, strings)
+    }
+
+    /// Fold the cell of each listed virtual row into that row's slot of
+    /// `hashes` — one typed sweep per column: the storage variant, the
+    /// validity mask and the rowid map are dispatched once, not per cell.
+    /// `rows` lists the virtual rows, one per slot (`None`: all of
+    /// `0..hashes.len()`).
+    ///
+    /// A cell is one [`fx_step`] word, consistent with
+    /// [`ColumnVec::eq_cells`]: the `i64`, string code or `bool` as a
+    /// `u64`, a float's bits, `0` for `NULL` (strings by code, so valid
+    /// within one pool). Slots that start at `0` and fold a row's key
+    /// columns in order end as the hash an [`FxHasher`] fed the same words
+    /// finishes with.
+    ///
+    /// [`FxHasher`]: crate::fxhash::FxHasher
+    pub fn hash_into(&self, rows: Option<&[u32]>, hashes: &mut [u64]) {
+        debug_assert_eq!(rows.map_or(hashes.len(), <[u32]>::len), hashes.len());
+        match &self.col.data {
+            ColumnData::Null(_) => self.fold(rows, hashes, |_| 0),
+            ColumnData::Bool(v) => self.fold_valid(rows, hashes, |p| v[p] as u64),
+            ColumnData::Int(v) => self.fold_valid(rows, hashes, |p| v[p] as u64),
+            ColumnData::Float(v) => self.fold_valid(rows, hashes, |p| v[p].to_bits()),
+            ColumnData::Str(v) => self.fold_valid(rows, hashes, |p| v[p] as u64),
+        }
+    }
+
+    /// [`ColView::fold`] with the word `0` under every `NULL` cell.
+    #[inline(always)]
+    fn fold_valid(&self, rows: Option<&[u32]>, hashes: &mut [u64], word: impl Fn(usize) -> u64) {
+        match &self.col.validity {
+            None => self.fold(rows, hashes, word),
+            Some(valid) => self.fold(rows, hashes, |p| if valid[p] { word(p) } else { 0 }),
+        }
+    }
+
+    /// Fold `word` of each listed row's physical row into its slot.
+    #[inline(always)]
+    fn fold(&self, rows: Option<&[u32]>, hashes: &mut [u64], word: impl Fn(usize) -> u64) {
+        let step = |h: &mut u64, p: usize| *h = fx_step(*h, word(p));
+        match (rows, self.ids) {
+            (None, None) => hashes.iter_mut().enumerate().for_each(|(p, h)| step(h, p)),
+            (None, Some(ids)) => hashes
+                .iter_mut()
+                .zip(ids)
+                .for_each(|(h, &p)| step(h, p as usize)),
+            (Some(rows), None) => hashes
+                .iter_mut()
+                .zip(rows)
+                .for_each(|(h, &r)| step(h, r as usize)),
+            (Some(rows), Some(ids)) => hashes
+                .iter_mut()
+                .zip(rows)
+                .for_each(|(h, &r)| step(h, ids[r as usize] as usize)),
+        }
+    }
+
+    /// Keep the virtual rows of `rows` whose cell `c` satisfies
+    /// `keep(c.cmp(v))` under the total [`Value`] order, in order — what
+    /// [`ColView::cmp_cell_value`] decides per row, as one typed loop over
+    /// the selection vector. `NULL` and a literal of another variant
+    /// compare by rank, floats by `total_cmp`. A string column is left to
+    /// the caller (returns `false`, `rows` untouched): ordering strings
+    /// reads the pool's bytes, and looking a literal's code up would build
+    /// the pool's hash index.
+    pub fn retain_cmp(
+        &self,
+        rows: &mut Vec<u32>,
+        v: &Value,
+        keep: impl Fn(Ordering) -> bool,
+    ) -> bool {
+        let at_null = keep(0.cmp(&value_rank(v)));
+        match (&self.col.data, v) {
+            (ColumnData::Str(_), _) => return false,
+            (ColumnData::Bool(a), Value::Bool(b)) => {
+                self.retain(rows, at_null, |p| keep(a[p].cmp(b)))
+            }
+            (ColumnData::Int(a), Value::Int(b)) => {
+                self.retain(rows, at_null, |p| keep(a[p].cmp(b)))
+            }
+            (ColumnData::Float(a), Value::Float(b)) => {
+                let b = b.get();
+                self.retain(rows, at_null, |p| keep(a[p].total_cmp(&b)))
+            }
+            // Every non-null cell has the column's rank and the literal
+            // another: one outcome for all of them.
+            (data, _) => {
+                let k = keep(data_rank(data).cmp(&value_rank(v)));
+                self.retain(rows, at_null, |_| k)
+            }
+        }
+        true
+    }
+
+    /// [`ColView::retain_phys`] keeping a `NULL` cell when `at_null` says so.
+    #[inline(always)]
+    fn retain(&self, rows: &mut Vec<u32>, at_null: bool, keep_cell: impl Fn(usize) -> bool) {
+        match &self.col.validity {
+            None => self.retain_phys(rows, keep_cell),
+            Some(valid) => {
+                self.retain_phys(rows, |p| if valid[p] { keep_cell(p) } else { at_null })
+            }
+        }
+    }
+
+    /// Keep the rows whose physical row passes `keep`.
+    #[inline(always)]
+    fn retain_phys(&self, rows: &mut Vec<u32>, keep: impl Fn(usize) -> bool) {
+        match self.ids {
+            None => rows.retain(|&r| keep(r as usize)),
+            Some(ids) => rows.retain(|&r| keep(ids[r as usize] as usize)),
+        }
+    }
+}
+
+/// The [`Value`] variant rank of a column's non-null cells.
+#[inline]
+fn data_rank(data: &ColumnData) -> u8 {
+    match data {
+        ColumnData::Null(_) => 0,
+        ColumnData::Bool(_) => 1,
+        ColumnData::Int(_) => 2,
+        ColumnData::Float(_) => 3,
+        ColumnData::Str(_) => 4,
+    }
+}
+
+/// The [`Value`] variant rank of a literal (`Null < Bool < Int < Float <
+/// Str`).
+#[inline]
+fn value_rank(v: &Value) -> u8 {
+    match v {
+        Value::Null => 0,
+        Value::Bool(_) => 1,
+        Value::Int(_) => 2,
+        Value::Float(_) => 3,
+        Value::Str(_) => 4,
     }
 }
 

@@ -28,8 +28,17 @@ pub struct FxHasher {
 impl FxHasher {
     #[inline]
     fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(K);
+        self.hash = fx_step(self.hash, word);
     }
+}
+
+/// One FxHash step: `word` folded into `hash`, exactly as [`FxHasher`] folds
+/// each word it is written. A value a sweep builds by folding words into `0`
+/// is the hash an [`FxHasher`] fed the same words finishes with — how
+/// [`crate::columnar::ColView::hash_into`] hashes a whole column at a time.
+#[inline]
+pub fn fx_step(hash: u64, word: u64) -> u64 {
+    (hash.rotate_left(5) ^ word).wrapping_mul(K)
 }
 
 impl Hasher for FxHasher {

@@ -181,8 +181,10 @@ const TYPED_COL_POOL: [(&str, ValueType); 5] = [
 /// [`gen_world_set`] with string, float and boolean columns beside the int
 /// ones, and `NULL`s sprinkled into all of them — the relations the MayQL
 /// generator ([`gen_query`]) needs to reach the columnar layer's string
-/// dictionaries and validity masks (it compares int columns only, but joins,
-/// projects, repairs and quantifies over whatever the schemas hold).
+/// dictionaries and validity masks (it compares int columns with each other
+/// and float and string columns with literals, and joins, projects, repairs
+/// and quantifies over whatever the schemas hold). Floats include `-0.0` and
+/// `NaN`, so a float join key meets both.
 pub fn gen_typed_world_set(rng: &mut Rng, cfg: &GenConfig) -> WorldSet {
     let mut ws = gen_components(rng, cfg);
     for ri in 0..cfg.relations {
@@ -200,7 +202,11 @@ pub fn gen_typed_world_set(rng: &mut Rng, cfg: &GenConfig) -> WorldSet {
                         _ if rng.chance(0.15) => Value::Null,
                         ValueType::Int => Value::Int(rng.below(cfg.domain as usize) as i64),
                         ValueType::Str => Value::str(format!("s{}", rng.below(3))),
-                        ValueType::Float => Value::float(rng.below(3) as f64 * 0.5),
+                        // `-0.0` and `NaN` beside `0.0`: float join
+                        // keys, dedup and SIP hash floats by their bits.
+                        ValueType::Float => {
+                            Value::float(*rng.pick(&[0.0, 0.5, 1.0, -0.0, f64::NAN]))
+                        }
                         ValueType::Bool => Value::Bool(rng.chance(0.5)),
                         ValueType::Null => Value::Null,
                     })
@@ -350,7 +356,18 @@ fn gen_plan_inner(rng: &mut Rng, ws: &WorldSet, depth: usize) -> Plan {
             };
             input.project(keep)
         }
-        3 => gen_plan_inner(rng, ws, depth - 1).join(gen_plan_inner(rng, ws, depth - 1)),
+        3 => {
+            let left = gen_plan_inner(rng, ws, depth - 1);
+            let right = gen_plan_inner(rng, ws, depth - 1);
+            // Over `gen_typed_world_set` an alias `z` may name columns of two
+            // types, which no join accepts: keep the left side alone then.
+            let typed = plan_schema(&left, ws).natural_join(&plan_schema(&right, ws));
+            if typed.is_ok() {
+                left.join(right)
+            } else {
+                left
+            }
+        }
         4 => {
             // Union requires identical schemas; derive both sides from one
             // subplan so compatibility is guaranteed.
@@ -512,7 +529,8 @@ pub fn gen_uncertain_plan(rng: &mut Rng, ws: &WorldSet, depth: usize) -> Plan {
 /// plan, then execute both.
 ///
 /// Generated queries are always semantically valid for `ws`: columns come
-/// from tracked schemas, comparisons stay within `int` columns, `UNION`
+/// from tracked schemas, comparisons stay within `int` columns or set a
+/// `float` / `str` column against a literal of its type (or `NULL`), `UNION`
 /// sides share a schema by construction, `CONF` is only applied where no
 /// `conf` column pre-exists, and `REPAIR KEY` inputs are certified with
 /// `SELECT POSSIBLE`.
@@ -649,6 +667,44 @@ fn gen_select_block(rng: &mut Rng, ws: &WorldSet, depth: usize) -> (String, Plan
         ))
     } else {
         None
+    };
+    // And over `gen_typed_world_set`: a float or string column against a
+    // literal of its type or `NULL`, the literal on either side.
+    let typed_cols: Vec<&maybms_core::Column> = schema
+        .columns()
+        .iter()
+        .filter(|c| matches!(c.ty, ValueType::Float | ValueType::Str))
+        .collect();
+    let filter = if !typed_cols.is_empty() && rng.chance(0.5) {
+        let c = rng.pick(&typed_cols);
+        let v = match c.ty {
+            _ if rng.chance(0.1) => Value::Null,
+            ValueType::Float => Value::float(*rng.pick(&[-0.0, 0.0, 0.5, 1.0])),
+            _ => Value::str(format!("s{}", rng.below(3))),
+        };
+        let op = *rng.pick(&[
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ]);
+        let (name, v) = (col(c.name.as_str()), lit(v));
+        let (text, pred) = if rng.chance(0.5) {
+            (format!("{name} {op} {v}"), Predicate::cmp(op, name, v))
+        } else {
+            (format!("{v} {op} {name}"), Predicate::cmp(op, v, name))
+        };
+        Some(match filter {
+            Some((t0, p0)) => (
+                format!("{t0} {} {text}", kw(rng, "and")),
+                Predicate::And(vec![p0, pred]),
+            ),
+            None => (text, pred),
+        })
+    } else {
+        filter
     };
     if let Some((_, pred)) = &filter {
         plan = plan.select(pred.clone());

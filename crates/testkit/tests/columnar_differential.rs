@@ -1,17 +1,23 @@
 //! Differential tests for the columnar execution core: the row↔columnar
 //! conversion must round-trip exactly over every value type, the columnar
 //! executor must agree with the enumerate-all-worlds oracle on random plans
-//! and uncertainty constructs, and the columnar normalization path must
-//! produce byte-identical rows to the row-oriented reference rewrite.
+//! and uncertainty constructs, the columnar normalization path must
+//! produce byte-identical rows to the row-oriented reference rewrite, and
+//! the column-at-a-time sweeps (key hashing, `column op literal` filters)
+//! must equal their per-row references.
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::hash::{BuildHasher, Hash, Hasher};
 
-use maybms_algebra::{naive, run};
-use maybms_core::columnar::{canonical_order, ColumnarURelation, StrPool};
+use maybms_algebra::predicate::BoundPredicate;
+use maybms_algebra::{col, lit, naive, run, CmpOp, Operand, Predicate};
+use maybms_core::columnar::{canonical_order, ColView, ColumnData, ColumnarURelation, StrPool};
 use maybms_core::normalize::normalize_relation;
 use maybms_core::rng::Rng;
-use maybms_core::{ComponentId, DescriptorPool, Tuple, URelation, Value, WorldSet, WsDescriptor};
+use maybms_core::{
+    ComponentId, DescriptorPool, FxBuildHasher, Tuple, URelation, Value, WorldSet, WsDescriptor,
+};
 use maybms_ql::{certain, conf, possible};
 use maybms_testkit::oracle::normalize_rows;
 use maybms_testkit::{
@@ -111,6 +117,161 @@ fn row_columnar_roundtrip_is_exact() {
             }
         }
         assert_eq!(runs, expected_runs, "case {case}: tuple runs\n{rel}");
+    }
+}
+
+/// The per-cell FxHash fold the executor hashed join keys, dedup rows and
+/// SIP keys with before the column sweeps: each cell written into one
+/// hasher — `NULL` as a `0u8`, a float by its bits, anything else through
+/// its `Hash` impl. `ColView::hash_into` must reproduce it bit for bit.
+fn reference_hash(views: &[ColView<'_>], row: usize) -> u64 {
+    let mut h = FxBuildHasher::default().build_hasher();
+    for v in views {
+        let (c, p) = (v.col(), v.phys(row));
+        if c.is_null(p) {
+            h.write_u8(0);
+            continue;
+        }
+        match c.data() {
+            ColumnData::Null(_) => h.write_u8(0),
+            ColumnData::Bool(x) => x[p].hash(&mut h),
+            ColumnData::Int(x) => x[p].hash(&mut h),
+            ColumnData::Float(x) => x[p].to_bits().hash(&mut h),
+            ColumnData::Str(x) => x[p].hash(&mut h),
+        }
+    }
+    h.finish()
+}
+
+/// Literals of every variant, `NaN`, both zeros and `NULL` among them.
+fn sweep_literals() -> Vec<Value> {
+    vec![
+        Value::Null,
+        Value::Bool(false),
+        Value::Bool(true),
+        Value::Int(-1),
+        Value::Int(0),
+        Value::Int(2),
+        Value::float(-0.0),
+        Value::float(0.0),
+        Value::float(0.5),
+        Value::float(-1.5),
+        Value::float(f64::NAN),
+        Value::str("s1"),
+    ]
+}
+
+const OPS: [CmpOp; 6] = [
+    CmpOp::Eq,
+    CmpOp::Ne,
+    CmpOp::Lt,
+    CmpOp::Le,
+    CmpOp::Gt,
+    CmpOp::Ge,
+];
+
+/// The column sweeps equal their per-row references over every storage
+/// variant — `NULL`s, `NaN`, `-0.0` and `0.0` included — read dense,
+/// through a selection vector, and through a row-id map (with a selection
+/// on top): `ColView::hash_into` equals the old per-cell FxHash fold for
+/// single- and multi-column keys, and `BoundPredicate::retain_views` keeps
+/// exactly the rows `matches_views` accepts, for all six operators, the
+/// literal on either side, literals of every variant, and conjunctions of
+/// swept and row-wise leaves.
+#[test]
+fn column_sweeps_match_per_row_references() {
+    let literals = sweep_literals();
+    for case in 0..CASES {
+        let mut rng = Rng::new(0xC01_5EE9 ^ case);
+        let ws = gen_world_set(&mut rng, &GenConfig::default());
+        let mut rel = gen_mixed_relation(&mut rng, &ws);
+        if case % 2 == 1 && !rel.is_empty() {
+            let n = rng.range(20, 80);
+            rel = grown(&mut rng, &ws, &rel, n);
+        }
+        let (mut pool, mut strings) = (DescriptorPool::new(), StrPool::new());
+        let c = ColumnarURelation::from_urelation(&rel, &mut pool, &mut strings);
+        let n = c.len();
+        let arity = c.columns().len();
+        // A row-id map drawing rows with repeats, as a join's does.
+        let ids: Vec<u32> = match n {
+            0 => Vec::new(),
+            _ => (0..rng.range(1, 2 * n))
+                .map(|_| rng.below(n) as u32)
+                .collect(),
+        };
+        let dense: Vec<ColView<'_>> = c.columns().iter().map(ColView::dense).collect();
+        let mapped: Vec<ColView<'_>> = c
+            .columns()
+            .iter()
+            .map(|col| ColView::with_ids(col, Some(&ids)))
+            .collect();
+        for (views, len) in [(&dense, n), (&mapped, ids.len())] {
+            let sel: Vec<u32> = (0..len as u32).filter(|_| rng.chance(0.6)).collect();
+            for rows in [None, Some(sel.as_slice())] {
+                let live: Vec<u32> =
+                    rows.map_or_else(|| (0..len as u32).collect(), <[u32]>::to_vec);
+                let at = format!("case {case}: {len} rows, selection {rows:?}\n{rel}");
+
+                // Hashing: each single column, then a random multi-column key.
+                let mut keys: Vec<Vec<usize>> = (0..arity).map(|k| vec![k]).collect();
+                keys.push((0..rng.range(2, 4)).map(|_| rng.below(arity)).collect());
+                for key in &keys {
+                    let mut got = vec![0u64; live.len()];
+                    for &k in key {
+                        views[k].hash_into(rows, &mut got);
+                    }
+                    let key_views: Vec<ColView<'_>> = key.iter().map(|&k| views[k]).collect();
+                    let want: Vec<u64> = live
+                        .iter()
+                        .map(|&r| reference_hash(&key_views, r as usize))
+                        .collect();
+                    assert_eq!(got, want, "{at}: key {key:?}");
+                }
+
+                // σ: every operator against every literal, on either side.
+                let schema = c.schema();
+                let sweep = |pred: &Predicate| {
+                    let bound: BoundPredicate = pred.bind(schema).expect("columns exist");
+                    let mut got = live.clone();
+                    bound.retain_views(views, &mut got, &strings);
+                    let want: Vec<u32> = live
+                        .iter()
+                        .copied()
+                        .filter(|&r| bound.matches_views(views, r as usize, &strings))
+                        .collect();
+                    assert_eq!(got, want, "{at}: {pred}");
+                };
+                let names: Vec<String> = schema.names().iter().map(|s| s.to_string()).collect();
+                let mut leaves = Vec::new();
+                for name in &names {
+                    for v in &literals {
+                        for op in OPS {
+                            let leaf = Predicate::cmp(op, col(name.as_str()), lit(v.clone()));
+                            sweep(&leaf);
+                            sweep(&Predicate::cmp(op, lit(v.clone()), col(name.as_str())));
+                            leaves.push(leaf);
+                        }
+                    }
+                }
+                // Conjunctions mixing swept leaves with row-wise ones
+                // (column against column, `OR`, `NOT`).
+                for _ in 0..8 {
+                    let mut conjuncts: Vec<Predicate> = (0..rng.range(1, 3))
+                        .map(|_| rng.pick(&leaves).clone())
+                        .collect();
+                    let (a, b) = (rng.pick(&names).clone(), rng.pick(&names).clone());
+                    let op = *rng.pick(&OPS);
+                    conjuncts.push(Predicate::cmp(op, Operand::Column(a), Operand::Column(b)));
+                    conjuncts.push(Predicate::Not(Box::new(rng.pick(&leaves).clone())));
+                    conjuncts.push(Predicate::Or(vec![
+                        rng.pick(&leaves).clone(),
+                        rng.pick(&leaves).clone(),
+                    ]));
+                    sweep(&Predicate::And(conjuncts));
+                }
+            }
+        }
     }
 }
 

@@ -9,8 +9,8 @@ use maybms_core::rng::Rng;
 use maybms_core::{Relation, Schema, Tuple, URelation, Value, ValueType, WorldSet};
 use maybms_ql::{certain, conf, possible, repair_key};
 use maybms_testkit::{
-    certain_oracle, conf_oracle, gen_plan, gen_world_set, per_world_results, possible_oracle,
-    GenConfig, WORLD_LIMIT,
+    certain_oracle, conf_oracle, gen_plan, gen_typed_world_set, gen_world_set, per_world_results,
+    possible_oracle, GenConfig, WORLD_LIMIT,
 };
 
 const CASES: u64 = 150;
@@ -20,10 +20,22 @@ const EPS: f64 = 1e-9;
 /// union/intersection/probability-mass aggregation over the worlds.
 #[test]
 fn extraction_operators_match_world_aggregation() {
+    extraction_cases(0x905_51B1E, gen_world_set);
+}
+
+/// The same over relations with string, float, boolean and `NULL` cells
+/// ([`gen_typed_world_set`]): the inner plans join, dedup and filter on
+/// float keys holding `-0.0`, `0.0` and `NaN`.
+#[test]
+fn extraction_operators_match_world_aggregation_on_typed_relations() {
+    extraction_cases(0x905_7A9ED, gen_typed_world_set);
+}
+
+fn extraction_cases(seed: u64, gen_ws: fn(&mut Rng, &GenConfig) -> WorldSet) {
     let cfg = GenConfig::default();
     for case in 0..CASES {
-        let mut rng = Rng::new(0x905_51B1E ^ case);
-        let ws = gen_world_set(&mut rng, &cfg);
+        let mut rng = Rng::new(seed ^ case);
+        let ws = gen_ws(&mut rng, &cfg);
         let inner = gen_plan(&mut rng, &ws, 2);
         let worlds = per_world_results(&ws, &inner).expect("oracle evaluates");
         let schema = worlds

@@ -9,18 +9,21 @@
 //! identical descriptors, not merely isomorphic ones. A failing case prints
 //! its seed (and query text) for exact replay.
 
-use maybms_algebra::run;
+use maybms_algebra::{naive, run};
 use maybms_core::rng::Rng;
-use maybms_core::{URelation, WorldSet};
+use maybms_core::{MayError, URelation, WorldSet};
 use maybms_sql::{compile_unoptimized, Catalog};
-use maybms_testkit::{gen_query, gen_world_set, GenConfig};
+use maybms_testkit::{gen_query, gen_typed_world_set, gen_world_set, GenConfig, WORLD_LIMIT};
 
 /// Randomized cases per test (at least 100).
 const CASES: usize = 120;
 
+fn execute_raw(ws: &WorldSet, plan: &maybms_algebra::Plan, context: &str) -> URelation {
+    run(&mut ws.clone(), plan).unwrap_or_else(|e| panic!("{context}: {e}"))
+}
+
 fn execute(ws: &WorldSet, plan: &maybms_algebra::Plan, context: &str) -> URelation {
-    let mut ws = ws.clone();
-    let mut result = run(&mut ws, plan).unwrap_or_else(|e| panic!("{context}: {e}"));
+    let mut result = execute_raw(ws, plan, context);
     // Sort-and-dedup so the comparison is order-insensitive (evaluation is
     // deterministic, but equivalence shouldn't depend on that).
     result.dedup();
@@ -29,11 +32,30 @@ fn execute(ws: &WorldSet, plan: &maybms_algebra::Plan, context: &str) -> URelati
 
 #[test]
 fn parsed_text_matches_hand_built_plan() {
-    let cfg = GenConfig::default();
+    parsed_text_cases(0x5A11_0000, gen_world_set, &GenConfig::default());
+}
+
+/// The same over relations with string, float, boolean and `NULL` cells
+/// ([`gen_typed_world_set`]), whose `WHERE` clauses also set float and
+/// string columns against literals on either side. A plan without
+/// uncertainty constructs must moreover agree, world by world, with the
+/// naive single-world evaluation. Relations reach the pool's full width, so
+/// the float column `d` is often a join key.
+#[test]
+fn parsed_text_matches_hand_built_plan_on_typed_relations() {
+    let cfg = GenConfig {
+        max_arity: 5,
+        max_rows: 8,
+        ..GenConfig::default()
+    };
+    parsed_text_cases(0x5A11_7000, gen_typed_world_set, &cfg);
+}
+
+fn parsed_text_cases(seed0: u64, gen_ws: fn(&mut Rng, &GenConfig) -> WorldSet, cfg: &GenConfig) {
     for case in 0..CASES {
-        let seed = 0x5A11_0000 + case as u64;
+        let seed = seed0 + case as u64;
         let mut rng = Rng::new(seed);
-        let ws = gen_world_set(&mut rng, &cfg);
+        let ws = gen_ws(&mut rng, cfg);
         let (text, hand_built) = gen_query(&mut rng, &ws, 3);
         let catalog = Catalog::from_world_set(&ws);
 
@@ -52,6 +74,20 @@ fn parsed_text_matches_hand_built_plan() {
             &format!("seed {seed}, hand-built: {text}"),
         );
         assert_eq!(a, b, "seed {seed}: execution differs for: {text}");
+
+        let result = execute_raw(&ws, &parsed, &format!("seed {seed}: {text}"));
+        for (pick, db, _) in ws.enumerate(WORLD_LIMIT).expect("small world set") {
+            match naive::eval(&parsed, &db) {
+                Ok(expected) => assert_eq!(
+                    result.instantiate(&pick),
+                    expected,
+                    "seed {seed}: world {pick:?} disagrees with the oracle for: {text}"
+                ),
+                // `POSSIBLE`, `CONF`, `REPAIR KEY`: no single-world meaning.
+                Err(MayError::Unsupported(_)) => break,
+                Err(e) => panic!("seed {seed}: naive eval failed: {e}\n{text}"),
+            }
+        }
     }
 }
 
