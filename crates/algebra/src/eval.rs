@@ -16,9 +16,9 @@
 //! one integer compare or a short slice compare
 //! ([`DescriptorPool::same_descriptor`]). Concretely:
 //!
-//! * **Scan** borrows the relation's columnar image as imported into the
-//!   run's pools (see *Stored relations and their images* below) — no
-//!   per-operator copies, and no per-run conversion of the rows.
+//! * **Scan** borrows the relation's columns as imported into the run's
+//!   pools (see *Stored relations* below) — no per-operator copies, and no
+//!   per-run conversion of rows.
 //! * **Select** narrows the selection vector a conjunct at a time
 //!   ([`crate::predicate::BoundPredicate::retain_views`]): a `column op
 //!   literal` conjunct on a non-string column is one typed loop
@@ -42,39 +42,32 @@
 //!   terms, then keeps first occurrences through a `ChainedIndex` and emits
 //!   their selection vector; it never rebuilds columns.
 //!
-//! # Stored relations and their images
+//! # Stored relations
 //!
-//! A stored [`URelation`] is its rows, its columnar image
-//! ([`URelation::image`]: typed columns over relation-local string and
-//! descriptor dictionaries), or both. A relation loaded from rows converts
-//! them the first time anything reads its image; a relation that is a run's
-//! answer — every `LET` result — is born with its image and builds rows only
-//! if someone reads them; so is every relation `normalize` rewrites. The
-//! image is shared with clones of the relation and dropped by whatever
-//! writes its rows; a `LET` re-binding a name and `normalize` replace the
-//! relation whole. A run never converts rows itself:
-//! before the plan starts, [`run_with`] imports the image of every scanned
-//! name into the run's pools ([`maybms_core::ColumnarImage::scan`]) — by
-//! *appending* the image's dictionaries, which have the pools' own flat
-//! layout, never by interning: two array copies and one add per row for the
-//! descriptors; for
-//! the strings a wholesale copy into an empty pool, else one probe per
-//! *distinct* string by its stored hash and one table lookup per row of each
-//! string column. That is all a scan copies. `Int`/`Float`/`Bool`/`Null`
-//! columns are borrowed from the image, and so are the coded columns of the
-//! first relation of a run and the descriptor column of a certain relation.
-//! Two relations carrying the same descriptor get two handles for it, so
-//! handles are compared with [`DescriptorPool::same_descriptor`] — as
-//! conjunction results always had to be. The pools stay per-run.
+//! A stored [`URelation`] is typed columns over relation-local string and
+//! descriptor dictionaries ([`URelation::columns`]), whether it was pushed
+//! row by row or is a run's answer; its rows are built only if someone reads
+//! them. A run converts no rows: before the plan starts, [`run_with`]
+//! imports every scanned name into the run's pools ([`URelation::scan`]) —
+//! by *appending* the relation's dictionaries, which have the pools' own
+//! flat layout, never by interning: two array copies and one add per row
+//! for the descriptors; for the strings a wholesale copy into an empty pool,
+//! else one probe per *distinct* string by its stored hash and one table
+//! lookup per row of each string column. That is all a scan copies.
+//! `Int`/`Float`/`Bool`/`Null` columns are borrowed from the relation, and
+//! so are the coded columns of the first relation of a run and the
+//! descriptor column of a certain relation. Two relations carrying the same
+//! descriptor get two handles for it, so handles are compared with
+//! [`DescriptorPool::same_descriptor`] — as conjunction results always had
+//! to be. The pools stay per-run.
 //!
 //! The way out mirrors the way in. When the plan is done, [`run_with`]
-//! re-expresses the answer's columns over dictionaries of their own
-//! ([`maybms_core::ColumnarImage::from_run`]: one intern call per distinct
-//! descriptor handle of the answer, into the image's fresh pool — never the
-//! run's; strings copied by code, none hashed) and returns a relation born
-//! with that image. It is field for field the image a conversion of the
-//! answer's rows would build, so the next statement's scan, `normalize` and
-//! the statistics cannot tell a `LET` result from a loaded relation — and no
+//! re-codes the answer's columns over dictionaries of their own
+//! ([`URelation::from_run`]: one intern call per distinct descriptor handle
+//! of the answer, into the answer's fresh pool — never the run's; strings
+//! copied by code, none hashed). The answer is field for field what pushing
+//! its rows would make, so the next statement's scan, `normalize` and the
+//! statistics cannot tell a `LET` result from a loaded relation — and no
 //! `Tuple` or `WsDescriptor` is allocated unless the caller reads
 //! [`URelation::rows`].
 //!
@@ -112,7 +105,7 @@
 //! columnar ABI too: [`crate::ext::ExtOperator::eval`] receives and returns
 //! [`ColumnarURelation`]s whose descriptors/strings live in the context's
 //! pools. Nothing is converted to rows: the final result leaves [`run`] as
-//! a [`URelation`] holding its columnar image.
+//! a [`URelation`] of columns.
 //!
 //! # Configuration
 //!
@@ -129,8 +122,8 @@ use maybms_core::columnar::{ColView, ColumnVec, ColumnarURelation, StrPool};
 use maybms_core::fxhash::fx_step;
 use maybms_core::obs::{ObsCounters, QueryTrace, SpanId, Tracer};
 use maybms_core::{
-    ColumnarImage, ComponentSet, ConfStats, DescId, DescriptorPool, FxHashMap, MayError, ParCfg,
-    ParStats, PoolStats, Scan, Schema, URelation, WorldSet,
+    ComponentSet, ConfStats, DescId, DescriptorPool, FxHashMap, MayError, ParCfg, ParStats,
+    PoolStats, Scan, Schema, URelation, WorldSet,
 };
 
 use crate::plan::Plan;
@@ -296,12 +289,6 @@ pub struct ExecStats {
     /// Sideways-information-passing counters: filters built, probe rows
     /// tested and pruned.
     pub sip: SipStats,
-    /// Scans that found their relation without a columnar image and
-    /// converted its rows. Only a run's scans count: statistics,
-    /// normalization and `WorldSet::insert` reading an image are not scans.
-    pub cold_scans: u64,
-    /// Scans served by an image already there.
-    pub warm_scans: u64,
 }
 
 impl ExecStats {
@@ -325,8 +312,6 @@ impl ExecStats {
         self.sip.filters_built += other.sip.filters_built;
         self.sip.probe_rows_tested += other.sip.probe_rows_tested;
         self.sip.probe_rows_pruned += other.sip.probe_rows_pruned;
-        self.cold_scans += other.cold_scans;
-        self.warm_scans += other.warm_scans;
     }
 }
 
@@ -663,7 +648,7 @@ pub fn run_with(
     if traced {
         ctx.tracer = Tracer::enabled();
     }
-    // Import every scanned base relation's image into the run's pools once,
+    // Import every scanned base relation into the run's pools once,
     // up front. The scans live outside the context so batches can borrow
     // them while operators keep mutable access to the pools.
     let convert_started = ctx.tracer.now();
@@ -671,19 +656,12 @@ pub fn run_with(
     collect_scans(plan, &mut names);
     let mut scans: BTreeMap<&str, Scan<'_>> = BTreeMap::new();
     let mut converted_rows = 0u64;
-    let (mut cold_scans, mut warm_scans) = (0, 0);
     for name in names {
         let rel = relations
             .get(name)
             .ok_or_else(|| MayError::UnknownRelation(name.to_string()))?;
         converted_rows += rel.len() as u64;
-        // Counted here, where a run scans: a cold scan converts the rows.
-        if rel.has_image() {
-            warm_scans += 1;
-        } else {
-            cold_scans += 1;
-        }
-        scans.insert(name, rel.image().scan(&mut ctx.pool, &mut ctx.strings));
+        scans.insert(name, rel.scan(&mut ctx.pool, &mut ctx.strings));
     }
     let imported = ObsCounters {
         imported: ctx.pool.stats().imported,
@@ -692,10 +670,9 @@ pub fn run_with(
     ctx.tracer
         .event_with("scan-convert", convert_started, converted_rows, imported);
     let batch = eval_batch(plan, &scans, &mut ctx)?;
-    // The answer leaves as columns: its image, over dictionaries of its own.
-    // Rows are built if and when someone reads them.
-    let answer = ColumnarImage::from_run(batch.into_columnar(), &ctx.pool, &ctx.strings);
-    let result = URelation::from_image(answer);
+    // The answer leaves as columns, over dictionaries of its own. Rows are
+    // built if and when someone reads them.
+    let result = URelation::from_run(batch.into_columnar(), &ctx.pool, &ctx.strings);
     let stats = ExecStats {
         wall_nanos: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
         descriptors: ctx.pool.len(),
@@ -707,8 +684,6 @@ pub fn run_with(
         par: ctx.par_stats,
         conf: ctx.conf_stats,
         sip: ctx.sip_stats,
-        cold_scans,
-        warm_scans,
     };
     let trace = traced.then(|| {
         let threads = ctx.par.threads;

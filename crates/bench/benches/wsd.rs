@@ -6,12 +6,13 @@
 //!
 //! Each workload is timed as the minimum of [`RUNS`] repetitions on a fresh
 //! copy of the generated world set, which keeps single-core timing noise
-//! out of the committed baseline. The copy is rebuilt from the rows alone
-//! (`maybms_testkit::without_images`), so it carries no columnar image and
-//! every such row is a **cold** row: its scans convert rows to columns. The
-//! `_warm` twins (`join3_warm`, `join3_columnar_warm`, `mayql_e2e_warm`) run
-//! on plain clones, which share the images `WorldSet::insert` built — the
-//! other side of the memo, and what a long-lived session pays per statement.
+//! out of the committed baseline. The copy is rebuilt from the rows by push
+//! (`maybms_testkit::rebuilt_by_push`), so it shares no relation body with
+//! the source — none of its rows or statistics memos; scans read its columns
+//! as they read any stored relation's. The `_warm` twins (`join3_warm`,
+//! `join3_columnar_warm`, `mayql_e2e_warm`) run on plain clones, which share
+//! the source's bodies and memos — what a long-lived session pays per
+//! statement.
 //! `MAYBMS_BENCH_QUICK=1` selects the small sizes only (the CI regression
 //! gate runs in that mode; see `src/bin/bench_check.rs`). `MAYBMS_BENCH_TRACE=<dir>` additionally
 //! re-executes each plan-driven workload once with span tracing on and
@@ -32,7 +33,7 @@ use maybms_core::rng::Rng;
 use maybms_core::{world_set_stats, ColumnarURelation, DescriptorPool, ParCfg, StrPool, WorldSet};
 use maybms_ql::{conf, conf_approx, repair_key};
 use maybms_sql::{compile, Catalog};
-use maybms_testkit::without_images;
+use maybms_testkit::rebuilt_by_push;
 
 /// Repetitions per workload; the minimum is reported.
 const RUNS: usize = 3;
@@ -55,13 +56,13 @@ fn emit(bench: &str, n: usize, rows_out: usize, millis: f64) {
     );
 }
 
-/// Time `f` on a fresh cold copy of `ws` per run; report the fastest run.
+/// Time `f` on a fresh copy of `ws` rebuilt by push per run; report the
+/// fastest run.
 fn bench_min(ws: &WorldSet, f: impl FnMut(&mut WorldSet) -> usize) -> (usize, f64) {
     bench_min_runs(ws, RUNS, f)
 }
 
-/// [`bench_min`] on clones, which share the source's columnar images
-/// (`WorldSet::insert` built them when the workload was generated).
+/// [`bench_min`] on clones, which share the source's relation bodies.
 fn bench_min_warm(ws: &WorldSet, f: impl FnMut(&mut WorldSet) -> usize) -> (usize, f64) {
     timed(RUNS, || ws.clone(), f)
 }
@@ -73,7 +74,7 @@ fn bench_min_runs(
     runs: usize,
     f: impl FnMut(&mut WorldSet) -> usize,
 ) -> (usize, f64) {
-    timed(runs, || without_images(ws), f)
+    timed(runs, || rebuilt_by_push(ws), f)
 }
 
 /// The fastest of `runs` runs of `f`, each on its own untimed `fresh()` copy.
@@ -175,10 +176,17 @@ fn main() {
         emit("join3_columnar_warm", n, rows, ms);
 
         // The layer under the pair above: making the three relations
-        // available to a run, by converting their rows (what a cold scan
-        // does once, and every scan did before relations kept an image)
-        // against importing their images into the run's pools.
-        let (rows, ms) = bench_min(&ws, |ws| {
+        // available to a run, by converting their rows (what every scan did
+        // before relations were stored as columns; the rows are built
+        // untimed) against importing their columns into the run's pools.
+        let with_rows = || {
+            let copy = rebuilt_by_push(&ws);
+            for rel in copy.relations.values() {
+                rel.rows();
+            }
+            copy
+        };
+        let (rows, ms) = timed(RUNS, with_rows, |ws| {
             let (mut pool, mut strings) = (DescriptorPool::new(), StrPool::new());
             ws.relations
                 .values()
@@ -193,7 +201,7 @@ fn main() {
             let (mut pool, mut strings) = (DescriptorPool::new(), StrPool::new());
             ws.relations
                 .values()
-                .map(|rel| std::hint::black_box(rel.image().scan(&mut pool, &mut strings)).len())
+                .map(|rel| std::hint::black_box(rel.scan(&mut pool, &mut strings)).len())
                 .sum()
         });
         emit("image_scan", n, rows, ms);

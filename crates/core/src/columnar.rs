@@ -21,11 +21,10 @@
 //!   so string equality — in joins, dedup, and group detection — is a `u32`
 //!   compare, never a byte compare.
 //!
-//! Both pools have one owner — the thread driving the run. Conversion
-//! ([`ColumnarURelation::from_urelation`]) is sequential by design; parallel
-//! stages only ever read the pools. The engine converts a stored relation's
-//! rows in one place only — the build of its memoised [`crate::image`] — and
-//! a scan appends that image's dictionaries to the run's pools.
+//! Both pools have one owner — the thread driving the run; parallel stages
+//! only ever read the pools. A stored [`URelation`] *is* a columnar relation
+//! over dictionaries of its own, and a scan appends those dictionaries to the
+//! run's pools ([`URelation::scan`]); the engine converts no rows.
 //!
 //! `Null` is represented out of band: a column carries an optional validity
 //! mask, allocated lazily the first time a null is stored. The typed data
@@ -40,6 +39,7 @@
 use std::cmp::Ordering;
 use std::hash::Hasher;
 
+use crate::descriptor::WsDescriptor;
 use crate::fxhash::fx_step;
 use crate::intern::{fold_hash, span, DescId, DescriptorPool, Slots};
 use crate::rel::Tuple;
@@ -114,7 +114,7 @@ impl StrPool {
         })
     }
 
-    /// Make every string of `other` — a relation image's dictionary —
+    /// Make every string of `other` — a stored relation's dictionary —
     /// available here. Returns the table from `other`'s codes to this pool's,
     /// or `None` when they read the same here: always when this pool was
     /// empty (`other` is copied wholesale, nothing is hashed), and whenever
@@ -131,8 +131,8 @@ impl StrPool {
         (!same_codes).then_some(map)
     }
 
-    /// Forget the hash index (the next intern call would rebuild it) — what a
-    /// [`crate::image::ColumnarImage`] does to the pools it keeps.
+    /// Forget the hash index (the next intern call would rebuild it) — what
+    /// [`crate::WorldSet::insert`] does to a stored relation's dictionaries.
     pub(crate) fn drop_index(&mut self) {
         self.slots = Slots::default();
     }
@@ -474,8 +474,8 @@ impl ColumnVec {
     }
 
     /// A copy of a `Str` column with every code sent through `map` (old code
-    /// → new code) — how a [`crate::image::ColumnarImage`] moves a string
-    /// column from its own dictionary into a run's. The sentinel under a
+    /// → new code) — how [`URelation::scan`] moves a string column from a
+    /// stored relation's dictionary into a run's. The sentinel under a
     /// `NULL` cell is never looked up — a column of nothing but `NULL`s has no
     /// dictionary entry for it to index — and comes out as the 0 a row
     /// conversion stores there.
@@ -979,31 +979,45 @@ impl ColumnarURelation {
         }
     }
 
-    /// Convert a row-oriented u-relation, interning descriptors and strings
-    /// into the supplied pools. Row order is preserved exactly.
+    /// Convert a u-relation's rows, interning descriptors and strings into
+    /// the supplied pools. Row order is preserved exactly.
     pub fn from_urelation(u: &URelation, pool: &mut DescriptorPool, strings: &mut StrPool) -> Self {
         let mut out = ColumnarURelation::new(u.schema().clone());
-        for c in &mut out.cols {
-            c.reserve(u.len());
-        }
-        out.descs.reserve(u.len());
+        out.reserve(u.len());
         for (t, d) in u.rows() {
-            for (c, v) in out.cols.iter_mut().zip(t.values()) {
-                c.push(v, strings);
-            }
-            out.descs.push(pool.intern(d));
+            out.push_row(t, d, pool, strings);
         }
         out
     }
 
-    /// Convert back to the row-oriented form, resolving descriptor handles
-    /// and string codes. Row order is preserved exactly, so
+    /// Append one row: a cell per column, then the interned descriptor — the
+    /// step [`URelation::push`] takes too.
+    pub(crate) fn push_row(
+        &mut self,
+        t: &Tuple,
+        d: &WsDescriptor,
+        pool: &mut DescriptorPool,
+        strings: &mut StrPool,
+    ) {
+        for (c, v) in self.cols.iter_mut().zip(t.values()) {
+            c.push(v, strings);
+        }
+        self.descs.push(pool.intern(d));
+    }
+
+    /// Reserve capacity for `additional` more rows.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        for c in &mut self.cols {
+            c.reserve(additional);
+        }
+        self.descs.reserve(additional);
+    }
+
+    /// The same rows as a [`URelation`] of their own
+    /// ([`URelation::from_run`] of a copy), so
     /// `to_urelation(from_urelation(u)) == u`.
     pub fn to_urelation(&self, pool: &DescriptorPool, strings: &StrPool) -> URelation {
-        let rows = (0..self.len())
-            .map(|i| (self.tuple_at(i, strings), pool.to_descriptor(self.descs[i])))
-            .collect();
-        URelation::from_rows_unchecked(self.schema.clone(), rows)
+        URelation::from_run(self.clone(), pool, strings)
     }
 
     /// Decompose into schema, value columns, and descriptor column (used by
@@ -1075,7 +1089,7 @@ impl ColumnarURelation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::descriptor::{ComponentId, WsDescriptor};
+    use crate::descriptor::ComponentId;
     use crate::value::ValueType;
 
     fn mixed_relation() -> URelation {

@@ -5,7 +5,8 @@
 //! A [`DescriptorPool`] is a flat arena: every entry's term list lies in one
 //! vector, one after the other, and a table of running ends says where each
 //! stops. Entry 0 is the tautology. Nothing is allocated per entry: a stored
-//! relation's dictionary enters a run as two array copies
+//! relation's descriptor dictionary — itself a pool, filled by interning as
+//! rows are pushed — enters a run as two array copies
 //! (`DescriptorPool::import`: append, not intern) and a conjunction is
 //! merged into the arena's tail, then kept or truncated
 //! ([`DescriptorPool::conjoin`]).
@@ -165,7 +166,7 @@ pub struct PoolStats {
     /// Intern calls answered from the index (or the tautology fast path)
     /// without minting a new entry.
     pub intern_hits: u64,
-    /// Dictionary entries appended by [`crate::image::ColumnarImage::scan`]
+    /// Dictionary entries appended by [`crate::URelation::scan`]
     /// — what the run's scans brought in without an intern call.
     pub imported: u64,
     /// Calls to [`DescriptorPool::conjoin`].
@@ -224,8 +225,8 @@ impl DescriptorPool {
         self.stats
     }
 
-    /// Forget the hash index (the next intern call would rebuild it) — what a
-    /// [`crate::image::ColumnarImage`] does to the pools it keeps.
+    /// Forget the hash index (the next intern call would rebuild it) — what
+    /// [`crate::WorldSet::insert`] does to a stored relation's dictionaries.
     pub(crate) fn drop_index(&mut self) {
         self.slots = Slots::default();
     }
@@ -313,7 +314,7 @@ impl DescriptorPool {
         id
     }
 
-    /// Append every entry of `other` — a relation image's dictionary — after
+    /// Append every entry of `other` — a stored relation's dictionary — after
     /// this pool's own, without looking any of them up: two copies, no
     /// hashing. Returns `descs`, a column of `other`'s handles, as this pool's
     /// handles: each but the tautology moved up by the entries that were here
@@ -346,7 +347,7 @@ impl DescriptorPool {
     /// one descriptor here collapse — the dictionary and the column are what
     /// interning the rows' descriptors one by one into a fresh pool gives.
     /// The intern calls are the new dictionary's, not this pool's, and its
-    /// index is dropped again: nothing looks a value up in an image.
+    /// index is dropped again: nothing looks a value up in a stored relation.
     pub(crate) fn localize(&self, descs: &[DescId]) -> (DescriptorPool, Vec<DescId>) {
         let mut local = DescriptorPool::new();
         // Sized once for the most entries there can be, so no intern call

@@ -13,7 +13,11 @@
 //! one alternative for every component. Tuples of an uncertain relation
 //! ([`urel::URelation`]) are annotated with **world-set descriptors**
 //! ([`descriptor::WsDescriptor`]) — conjunctions of component assignments —
-//! that say in exactly which worlds the tuple appears.
+//! that say in exactly which worlds the tuple appears. A u-relation is
+//! stored as one table of typed columns plus its descriptor column, over
+//! dictionaries of its own; a run takes it in by appending those
+//! dictionaries to the run's pools ([`URelation::scan`]), and its rows are
+//! built only for whoever reads them ([`URelation::rows`]).
 //!
 //! The crate also provides:
 //!
@@ -29,13 +33,8 @@
 //! * [`columnar`] — the columnar execution form of a u-relation: one typed
 //!   vector per attribute (strings dictionary-encoded through a [`StrPool`])
 //!   plus the dense [`DescId`] column, with exact row↔columnar conversion;
-//!   this is what the vectorized executor in `maybms-algebra` and the
-//!   columnar normalization path scan;
-//! * [`image`] — the columnar image of a stored relation: converted from
-//!   its rows once per version of them, or — for a run's answer — what the
-//!   relation is born with ([`ColumnarImage::from_run`]), rows built only if
-//!   someone reads them; shared by clones, and taken into a run by appending
-//!   its dictionaries to the run's pools ([`ColumnarImage::scan`]);
+//!   this is what a stored relation is, and what the vectorized executor in
+//!   `maybms-algebra` and normalization operate on;
 //! * [`dnf`] — the compiled descriptor-group kernel, the one solver behind
 //!   exact `conf`, `conf(eps, delta)` and `certain`: variable elimination
 //!   over alive-descriptor bitsets, the exact/sampling cutover price, and
@@ -46,9 +45,9 @@
 //! * [`naive`] — plain (single-world) implementations of the positive
 //!   relational algebra used by the per-world oracle;
 //! * [`stats`] — per-relation statistics (KMV distinct-count sketches,
-//!   min/max, descriptor density), read off the columnar image and memoised
-//!   inside it, that the cost-based optimizer phase in `maybms-algebra`
-//!   plans against;
+//!   min/max, descriptor density), read off a relation's columns and
+//!   memoised beside them, that the cost-based optimizer phase in
+//!   `maybms-algebra` plans against;
 //! * [`obs`] — observability: the per-query [`Tracer`]/[`QueryTrace`] span
 //!   machinery behind `EXPLAIN ANALYZE` and Chrome-trace export, over
 //!   counters that belong to the run;
@@ -71,7 +70,6 @@ pub mod descriptor;
 pub mod dnf;
 pub mod error;
 pub mod fxhash;
-pub mod image;
 pub mod intern;
 pub mod naive;
 pub mod normalize;
@@ -92,13 +90,12 @@ pub use descriptor::{ComponentId, WsDescriptor};
 pub use dnf::{DnfKernel, EXACT_STEP_CEILING};
 pub use error::MayError;
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
-pub use image::{ColumnarImage, Scan};
 pub use intern::{DescId, DescriptorPool, PoolStats};
 pub use obs::{ObsCounters, QueryTrace, Span, SpanId, SpanKind, Tracer};
 pub use parallel::{ParCfg, ParStats};
 pub use rel::{Relation, Tuple};
 pub use schema::{Column, Schema};
 pub use stats::{collect as collect_stats, world_set_stats, ColumnStats, KmvSketch, RelationStats};
-pub use urel::URelation;
+pub use urel::{Scan, URelation};
 pub use value::{Value, ValueType, F64};
 pub use world::WorldSet;

@@ -24,24 +24,24 @@
 //! Finally, components referenced by no relation are **garbage collected**
 //! and the remaining components are renumbered densely.
 //!
-//! Normalization reads each relation's columnar image and writes a new one:
-//! it never builds a relation's rows. Every rewrite above is a rewrite of the
+//! Normalization reads each relation's columns and writes new ones: it never
+//! builds a relation's rows. Every rewrite above is a rewrite of the
 //! descriptor column alone — the value cells of each output row are those of
 //! some input row — so the output is a gather of the input's columns with a
-//! new descriptor column, re-coded into an image of its own by
-//! [`ColumnarImage::from_run`].
+//! new descriptor column, re-coded over dictionaries of its own by
+//! [`URelation::from_run`].
 //!
 //! A relation already in normal form — each output row is the input row at
 //! the same position, under the same descriptor — is **kept**: the same
-//! image `Arc`, its memoised statistics and its rows, if built. That is
-//! byte-identical to rebuilding it, because an image's dictionaries are
+//! body, its memoised statistics and its rows, if built. That is
+//! byte-identical to rebuilding it, because a relation's dictionaries are
 //! already distinct and in order of first occurrence, so `from_run` of the
-//! identity gather would reproduce the image field for field.
+//! identity gather would reproduce it field for field.
 //!
-//! Garbage collection then renumbers component ids in the images'
-//! descriptor dictionaries: in place in the images normalization just made,
-//! and in a copy of a kept image (`URelation::image_mut`), so no image
-//! another holder can reach ever changes.
+//! Garbage collection then renumbers component ids in the relations'
+//! descriptor dictionaries (`URelation::renumber_components`): in place in
+//! the relations normalization just made, and in a copy of a kept one, so no
+//! body another holder can reach ever changes.
 
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -50,7 +50,6 @@ use crate::columnar::canonical_order;
 use crate::component::ComponentSet;
 use crate::descriptor::ComponentId;
 use crate::fxhash::FxHashMap;
-use crate::image::ColumnarImage;
 use crate::intern::{DescId, DescriptorPool};
 use crate::urel::URelation;
 use crate::world::WorldSet;
@@ -69,19 +68,19 @@ pub fn normalize(ws: &mut WorldSet) {
 }
 
 /// Columnar normalization of one relation, in place: the relation becomes
-/// the image `normalize_image` makes of it, or stays as it is when it is
-/// already in normal form (an empty one always is). Equivalent to the
-/// testkit's `normalize_rows` on the same rows.
+/// what `normalized` makes of it, or stays as it is when it is already in
+/// normal form (an empty one always is). Equivalent to the testkit's
+/// `normalize_rows` on the same rows.
 pub fn normalize_relation(rel: &mut URelation, components: &ComponentSet) {
-    if let Some(image) = normalize_image(rel, components) {
-        *rel = URelation::from_image(image);
+    if let Some(normal) = normalized(rel, components) {
+        *rel = normal;
     }
 }
 
-/// The image of `rel` normalized, or `None` when `rel` is already in normal
-/// form. Engineered for large relations:
+/// `rel` normalized, or `None` when `rel` is already in normal form.
+/// Engineered for large relations:
 ///
-/// 1. the relation's descriptor dictionary ([`URelation::image`]) is
+/// 1. the relation's descriptor dictionary ([`URelation::descriptors`]) is
 ///    appended to a fresh [`DescriptorPool`], so its handles read the same
 ///    there and stay canonical; the value columns are read where they lie;
 /// 2. trivial-assignment stripping is checked once over the dictionary's
@@ -97,22 +96,21 @@ pub fn normalize_relation(rel: &mut URelation, components: &ComponentSet) {
 ///    descriptor — in the same canonical order the reference path produces.
 ///    When they are the input's rows in input order under the input's
 ///    handles the relation is normal already; otherwise they are gathered
-///    and re-coded into a fresh image.
-fn normalize_image(rel: &URelation, components: &ComponentSet) -> Option<ColumnarImage> {
+///    and re-coded over fresh dictionaries.
+fn normalized(rel: &URelation, components: &ComponentSet) -> Option<URelation> {
     if rel.is_empty() {
         return None;
     }
-    let image = rel.image();
-    let (col, strings) = (image.columns(), image.strings());
+    let (col, strings) = (rel.columns(), rel.strings());
     let mut pool = DescriptorPool::new();
-    let orig_ids = pool.import(image.descriptors(), col.descs());
+    let orig_ids = pool.import(rel.descriptors(), col.descs());
     let trivial = |c: ComponentId| components.get(c).alternatives() == 1;
 
     // Every dictionary entry is some row's, so when no term names a
     // single-alternative component no row has anything to strip. Otherwise
     // the stripping is memoized: handles are canonical, so each distinct
     // descriptor is stripped (and re-interned) exactly once.
-    let descs: Cow<'_, [DescId]> = if !image
+    let descs: Cow<'_, [DescId]> = if !rel
         .descriptors()
         .all_terms()
         .iter()
@@ -166,7 +164,7 @@ fn normalize_image(rel: &URelation, components: &ComponentSet) -> Option<Columna
         return None;
     }
     let gathered = col.gather_with_descs(&reps, out);
-    Some(ColumnarImage::from_run(gathered, &pool, strings))
+    Some(URelation::from_run(gathered, &pool, strings))
 }
 
 /// Absorption and coverage merging on canonical descriptor handles. All ids
@@ -234,19 +232,20 @@ fn simplify_disjunction_ids(
 }
 
 /// Drop components no relation references and renumber the rest densely,
-/// in ascending order. Reference detection is one pass over each image's
-/// distinct descriptors, not its rows; renumbering maps their dictionaries
-/// — of the images that mention a component whose id changes — through
-/// [`URelation::image_mut`]: in place in an image normalization just made,
-/// which nobody else holds, and in a copy of a kept one. A dense renumbering
-/// is monotone and injective, so every term list stays sorted, distinct
-/// descriptors stay distinct and first-occurrence order holds: each image is
-/// still the one a conversion of its renumbered rows builds.
+/// in ascending order. Reference detection is one pass over each relation's
+/// distinct descriptors, not its rows; renumbering maps the dictionaries of
+/// the relations that mention a component whose id changes
+/// ([`URelation::renumber_components`]): in place in a relation
+/// normalization just made, which nobody else holds, and in a copy of a kept
+/// one. A dense renumbering is monotone and injective, so every term list
+/// stays sorted, distinct descriptors stay distinct and first-occurrence
+/// order holds: each relation is still what pushing its renumbered rows
+/// makes.
 fn gc_components(components: &mut ComponentSet, relations: &mut BTreeMap<String, URelation>) {
     let total = components.len();
     let mut used = vec![false; total];
     for rel in relations.values().filter(|r| !r.is_empty()) {
-        for &(c, _) in rel.image().descriptors().all_terms() {
+        for &(c, _) in rel.descriptors().all_terms() {
             used[c.0 as usize] = true;
         }
     }
@@ -259,9 +258,9 @@ fn gc_components(components: &mut ComponentSet, relations: &mut BTreeMap<String,
         remap[old] = kept.add(components.get(ComponentId(old as u32)).clone()).0;
     }
     for rel in relations.values_mut().filter(|r| !r.is_empty()) {
-        let terms = rel.image().descriptors().all_terms();
+        let terms = rel.descriptors().all_terms();
         if terms.iter().any(|&(c, _)| remap[c.0 as usize] != c.0) {
-            rel.image_mut().renumber_components(&remap);
+            rel.renumber_components(&remap);
         }
     }
     *components = kept;

@@ -1,12 +1,12 @@
 //! Per-relation statistics for cost-based planning.
 //!
-//! One pass over a u-relation's columnar image produces a [`RelationStats`]:
+//! One pass over a u-relation's columns produces a [`RelationStats`]:
 //! the row count, per-column distinct-count estimates (a KMV sketch — the k
 //! minimum hash values — plus exact min/max), and the descriptor density
 //! (the fraction of rows whose descriptor is non-trivial). That is exactly
 //! what the cost model in `maybms-algebra` reads, and all of it is a
-//! function of the image's cells alone, so it is memoised inside the image:
-//! a relation is summarised once per version of its rows. The `sql` catalog
+//! function of the cells alone, so it is memoised beside them: a relation is
+//! summarised once per version of its contents. The `sql` catalog
 //! collects one per base relation at every refresh and the cost-based
 //! optimizer phase consumes them through its `StatsProvider` trait;
 //! `maybms-core` itself attaches no planning semantics to the numbers.
@@ -24,7 +24,6 @@ use std::hash::{Hash, Hasher};
 
 use crate::columnar::{ColumnData, ColumnVec, StrPool};
 use crate::fxhash::{FxHashSet, FxHasher};
-use crate::image::ColumnarImage;
 use crate::urel::URelation;
 use crate::value::Value;
 use crate::world::WorldSet;
@@ -126,25 +125,24 @@ impl RelationStats {
     }
 }
 
-/// What [`collect`] reads off a relation's columnar image and keeps inside
-/// it.
+/// What [`collect`] reads off a relation's columns and keeps beside them.
 #[derive(Clone, Debug)]
-pub(crate) struct ImageStats {
+pub(crate) struct StatsMemo {
     columns: BTreeMap<String, ColumnStats>,
     /// Rows carrying a non-trivial descriptor.
     nontrivial: u64,
 }
 
-impl ImageStats {
-    fn of(image: &ColumnarImage) -> ImageStats {
-        let rel = image.columns();
-        ImageStats {
+impl StatsMemo {
+    fn of(u: &URelation) -> StatsMemo {
+        let rel = u.columns();
+        StatsMemo {
             columns: rel
                 .schema()
                 .names()
                 .into_iter()
                 .zip(rel.columns())
-                .map(|(name, col)| (name.to_string(), column_stats(col, image.strings())))
+                .map(|(name, col)| (name.to_string(), column_stats(col, u.strings())))
                 .collect(),
             nontrivial: rel.descs().iter().filter(|d| !d.is_tautology()).count() as u64,
         }
@@ -214,15 +212,13 @@ fn column_stats(col: &ColumnVec, strings: &StrPool) -> ColumnStats {
 
 /// Collect [`RelationStats`] for one u-relation.
 ///
-/// The statistics are read off the relation's columnar image (building it if
-/// the relation has none yet) and memoised *inside* that image: a second
-/// call — a catalog refresh after a `LET` that did not touch this relation —
-/// clones the memo. The memo is shared by clones and goes when the image
-/// goes, on the relation's one `&mut` path.
+/// The statistics are read off the relation's columns and memoised beside
+/// them: a second call — a catalog refresh after a `LET` that did not touch
+/// this relation — clones the memo. The memo is shared by clones and goes
+/// when the contents change, on the relation's one `&mut` path.
 pub fn collect(rel: &URelation) -> RelationStats {
-    let image = rel.image();
-    let memo = image.stats_memo().get_or_init(|| ImageStats::of(image));
-    let rows = image.columns().len() as u64;
+    let memo = rel.stats_memo().get_or_init(|| StatsMemo::of(rel));
+    let rows = rel.len() as u64;
     RelationStats {
         rows,
         columns: memo.columns.clone(),

@@ -1,20 +1,56 @@
 //! U-relations: relations whose tuples carry world-set descriptors.
 //!
-//! A [`URelation`] is two shared cells — its rows and its columnar image —
-//! either of which may be unbuilt. Clones share both, so copying a world set
-//! (a snapshot, `EXPLAIN ANALYZE`'s scratch run) copies no row and builds
-//! nothing twice; a write copies what it changes, for the writer alone.
+//! A [`URelation`] is one shared body, stored the way MayBMS stores a
+//! u-relation — as one table of the tuple's columns plus the descriptor
+//! column: typed columns ([`ColumnarURelation`]) whose string cells are
+//! codes into a *relation-local* string dictionary and whose descriptor
+//! column holds ids into a relation-local descriptor dictionary (id 0 is the
+//! tautology, as in every pool). Both dictionaries hold each entry once, in
+//! order of first occurrence by row. Every consumer that wants columns — the
+//! executor's scans, normalization, the statistics, the validation in
+//! [`crate::WorldSet::insert`] — reads them where they lie.
+//!
+//! A relation comes to be in one of two ways, and no consumer can tell which:
+//!
+//! * built row by row ([`URelation::push`]): each row is appended to the
+//!   columns by the one per-row step [`ColumnarURelation::from_urelation`]
+//!   takes too — a cell per column, the descriptor interned;
+//! * as a run's answer or normalization's output ([`URelation::from_run`]):
+//!   columns over a run's pools, re-coded over dictionaries of their own —
+//!   field for field what pushing the same rows makes.
+//!
+//! Rows are derived: [`URelation::rows`] builds them on its first call (the
+//! engine's one columns → rows site) and keeps them in a memo beside the
+//! statistics memo ([`crate::stats::collect`]). Clones share the body, so
+//! copying a world set (a snapshot, `EXPLAIN ANALYZE`'s scratch run) copies
+//! no cell and builds nothing twice. A write copies the body for the writer
+//! alone (`Arc::make_mut`) and clears its rows memo, and a content write its
+//! statistics memo too; normalization's component renumbering keeps the
+//! statistics, which name no component.
+//!
+//! The dictionaries are pools, and a pool is a flat arena, so a run takes a
+//! relation in with [`URelation::scan`] by *appending* them to its own pools
+//! (`DescriptorPool::import`, `StrPool::import`): no intern call, no
+//! allocation per entry. Whatever then reads the same in the run's pools
+//! (every non-string column; the descriptor column of a certain relation;
+//! any coded column when the run's pool was empty or hands the relation's
+//! own codes back) is borrowed, not copied. Nothing looks a value *up* in a
+//! stored relation, so [`crate::WorldSet::insert`] drops the intern indexes
+//! pushing built.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
+use crate::columnar::{ColumnData, ColumnVec, ColumnarURelation, StrPool};
 use crate::component::WorldPick;
 use crate::descriptor::WsDescriptor;
 use crate::error::MayError;
-use crate::image::ColumnarImage;
+use crate::intern::{DescId, DescriptorPool};
 use crate::rel::{Relation, Tuple};
 use crate::schema::Schema;
+use crate::stats::StatsMemo;
 
 /// An uncertain relation: each row is a tuple plus the world-set descriptor
 /// of the worlds in which the tuple appears.
@@ -23,33 +59,47 @@ use crate::schema::Schema;
 /// world set is then the *disjunction* of the descriptors. Instantiating a
 /// u-relation in a world yields a plain set-semantics [`Relation`].
 ///
-/// A relation holds its rows, its columnar image ([`URelation::image`]), or
-/// both — **at least one is always set**, and each is built from the other
-/// the first time someone asks for it: a relation made of rows converts them
-/// on the first [`URelation::image`] call, a relation that is a run's answer
-/// or a normalization's output ([`URelation::from_image`]) builds rows on the
-/// first [`URelation::rows`] call and never if nobody reads them. Rows are
-/// written only by the builders below (`push`, `push_unchecked`, `dedup`,
-/// `reserve`). Which of the two is there is no part of the relation's value:
-/// equality and `{:?}` go by the rows, `{}` prints the same either way.
-///
-/// A clone shares both *cells* — so whichever holder builds the image or the
-/// rows builds them for all, and cloning a relation copies no row. Both are
-/// copy-on-write: every `&mut` way to the rows goes through one private
-/// accessor that builds the rows if they are not there yet, leaves the image
-/// cell to the other holders and takes an empty one, and copies the rows if
-/// another holder shares them. So an image cannot outlive the rows it was
-/// made of, and a write is seen by the writer alone.
+/// Stored as columns (see the module docs). Equality and `{:?}` go by the
+/// rows, so neither depends on the dictionaries' codes.
 #[derive(Clone)]
 pub struct URelation {
-    schema: Schema,
-    rows: Arc<OnceLock<Vec<(Tuple, WsDescriptor)>>>,
-    image: Arc<OnceLock<Arc<ColumnarImage>>>,
+    body: Arc<Body>,
+}
+
+/// What a [`URelation`] is, shared by its clones.
+#[derive(Debug)]
+struct Body {
+    /// The rows: `Str` cells are codes into `strings`, descriptors ids into
+    /// `pool`.
+    rel: ColumnarURelation,
+    /// The distinct descriptors, in order of first occurrence.
+    pool: DescriptorPool,
+    /// The distinct strings of all `Str` columns, in the order a row by row
+    /// walk first meets them.
+    strings: StrPool,
+    /// What [`crate::stats::collect`] found here, kept for the next call.
+    stats: OnceLock<StatsMemo>,
+    /// What [`URelation::rows`] built, kept for the next call.
+    rows: OnceLock<Vec<(Tuple, WsDescriptor)>>,
+}
+
+impl Clone for Body {
+    /// A body is copied only to be written, and every write clears the rows
+    /// memo: so it copies none.
+    fn clone(&self) -> Body {
+        Body {
+            rel: self.rel.clone(),
+            pool: self.pool.clone(),
+            strings: self.strings.clone(),
+            stats: self.stats.clone(),
+            rows: OnceLock::new(),
+        }
+    }
 }
 
 impl PartialEq for URelation {
     fn eq(&self, other: &Self) -> bool {
-        self.schema == other.schema && self.rows() == other.rows()
+        self.schema() == other.schema() && self.rows() == other.rows()
     }
 }
 
@@ -58,7 +108,7 @@ impl Eq for URelation {}
 impl fmt::Debug for URelation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("URelation")
-            .field("schema", &self.schema)
+            .field("schema", self.schema())
             .field("rows", &self.rows())
             .finish()
     }
@@ -67,159 +117,151 @@ impl fmt::Debug for URelation {
 impl URelation {
     /// An empty u-relation over the given schema.
     pub fn new(schema: Schema) -> Self {
-        URelation::from_rows_unchecked(schema, Vec::new())
+        let (pool, strings) = (DescriptorPool::new(), StrPool::new());
+        URelation::from_run(ColumnarURelation::new(schema), &pool, &strings)
     }
 
-    /// The relation a run's answer or a normalized relation is: born with
-    /// its image ([`ColumnarImage::from_run`]), rows built if and when they
-    /// are read.
-    pub fn from_image(image: ColumnarImage) -> Self {
+    /// The relation a run's answer is: `rel`, whose descriptor column and
+    /// `Str` cells refer to the run's `pool` and `strings`, re-coded over
+    /// dictionaries of its own — the inverse of [`URelation::scan`], and
+    /// field for field what pushing the rows `rel` holds makes. One intern
+    /// call per distinct handle of the answer goes to the relation's fresh
+    /// pool, none to the run's; strings are copied by code with their stored
+    /// hashes. Every other column moves in as it is.
+    pub fn from_run(rel: ColumnarURelation, pool: &DescriptorPool, strings: &StrPool) -> Self {
+        let (schema, mut cols, descs) = rel.into_parts();
+        let (local_pool, descs) = pool.localize(&descs);
+        let (local_strings, codes) = strings.localize(&cols);
+        for col in &mut cols {
+            if matches!(col.data(), ColumnData::Str(_)) {
+                *col = col.with_str_codes(&codes);
+            }
+        }
         URelation {
-            schema: image.columns().schema().clone(),
-            rows: Arc::default(),
-            image: Arc::new(OnceLock::from(Arc::new(image))),
+            body: Arc::new(Body {
+                rel: ColumnarURelation::from_parts(schema, cols, descs),
+                pool: local_pool,
+                strings: local_strings,
+                stats: OnceLock::new(),
+                rows: OnceLock::new(),
+            }),
         }
     }
 
-    /// The rows, for writing: the only `&mut` path to them. It builds them
-    /// first if only the image is there, and then forgets the image — and
-    /// with it everything memoised inside it — so a stale image cannot
-    /// exist. An image cell that clones share stays theirs; the writer gets
-    /// an empty one of its own.
-    fn rows_mut(&mut self) -> &mut Vec<(Tuple, WsDescriptor)> {
-        // While there is an image to build them from.
-        self.rows();
-        match Arc::get_mut(&mut self.image) {
-            Some(cell) => drop(cell.take()),
-            None => self.image = Arc::default(),
-        }
-        self.own_rows()
+    /// The body, for writing: the only `&mut` path to it. Copied first if a
+    /// clone shares it, so the write is the writer's alone; the rows memo is
+    /// cleared.
+    fn body_mut(&mut self) -> &mut Body {
+        let body = Arc::make_mut(&mut self.body);
+        body.rows.take();
+        body
     }
 
-    /// The built rows as this relation's own: copied first if a clone
-    /// shares them.
-    fn own_rows(&mut self) -> &mut Vec<(Tuple, WsDescriptor)> {
-        Arc::make_mut(&mut self.rows)
-            .get_mut()
-            .expect("the caller built them")
-    }
-
-    /// The image, for writing — normalization's component renumbering. The
-    /// rows go (they would name the old ids), and an image or an image cell
-    /// that another holder can reach is copied first, so no other holder
-    /// sees the write.
-    pub(crate) fn image_mut(&mut self) -> &mut ColumnarImage {
-        let image = Arc::clone(self.image());
-        self.rows = Arc::default();
-        self.image = Arc::new(OnceLock::from(image));
-        let cell = Arc::get_mut(&mut self.image).expect("a cell of its own");
-        Arc::make_mut(cell.get_mut().expect("set on the line above"))
-    }
-
-    /// The relation as typed columns: the image it was born with, or the
-    /// rows converted on the first call after they last changed; shared from
-    /// then on (see [`ColumnarImage`]).
-    pub fn image(&self) -> &Arc<ColumnarImage> {
-        self.image
-            .get_or_init(|| Arc::new(ColumnarImage::build(self)))
-    }
-
-    /// Whether the columnar image is there already (a scan that finds none
-    /// builds it, and counts as cold).
-    pub fn has_image(&self) -> bool {
-        self.image.get().is_some()
-    }
-
-    /// Whether the rows are there already (a relation born with its image
-    /// builds them on the first [`URelation::rows`] call).
-    pub fn has_rows(&self) -> bool {
-        self.rows.get().is_some()
+    /// Append `(tuple, desc)` to the columns, clearing both memos.
+    fn append(&mut self, tuple: &Tuple, desc: &WsDescriptor) {
+        let body = self.body_mut();
+        body.stats.take();
+        body.rel
+            .push_row(tuple, desc, &mut body.pool, &mut body.strings);
     }
 
     /// Lift a certain relation: every tuple holds in all worlds.
     pub fn from_certain(r: &Relation) -> Self {
-        let rows = r
-            .tuples()
-            .map(|t| (t.clone(), WsDescriptor::tautology()))
-            .collect();
-        URelation::from_rows_unchecked(r.schema().clone(), rows)
+        let mut u = URelation::new(r.schema().clone());
+        u.reserve(r.len());
+        for t in r.tuples() {
+            u.append(t, &WsDescriptor::tautology());
+        }
+        u
     }
 
     /// Append a row, checking the tuple against the schema.
     pub fn push(&mut self, tuple: Tuple, desc: WsDescriptor) -> Result<(), MayError> {
-        self.schema.check(&tuple)?;
-        self.rows_mut().push((tuple, desc));
+        self.schema().check(&tuple)?;
+        self.append(&tuple, &desc);
         Ok(())
     }
 
     /// Append a row *without* re-checking the tuple against the schema.
     ///
-    /// The bulk path for hot loops whose tuples are schema-correct by
-    /// construction — projections of checked tuples, join combinations of
-    /// checked tuples, or rows taken from a relation with the same schema.
+    /// The bulk path for loops whose tuples are schema-correct by
+    /// construction — rows taken from a relation with the same schema, say.
     /// The caller is responsible for that invariant; it is re-verified in
     /// debug builds only.
     pub fn push_unchecked(&mut self, tuple: Tuple, desc: WsDescriptor) {
         debug_assert!(
-            self.schema.check(&tuple).is_ok(),
+            self.schema().check(&tuple).is_ok(),
             "push_unchecked received a tuple that violates the schema"
         );
-        self.rows_mut().push((tuple, desc));
-    }
-
-    /// Build a u-relation from rows that are schema-correct by construction
-    /// (see [`URelation::push_unchecked`]); re-verified in debug builds only.
-    pub fn from_rows_unchecked(schema: Schema, rows: Vec<(Tuple, WsDescriptor)>) -> Self {
-        debug_assert!(
-            rows.iter().all(|(t, _)| schema.check(t).is_ok()),
-            "from_rows_unchecked received a tuple that violates the schema"
-        );
-        URelation {
-            schema,
-            rows: Arc::new(OnceLock::from(rows)),
-            image: Arc::default(),
-        }
+        self.append(&tuple, &desc);
     }
 
     /// Reserve capacity for at least `additional` more rows (e.g. before a
-    /// bulk union).
+    /// bulk load).
     pub fn reserve(&mut self, additional: usize) {
-        // Capacity is not content: the image stays.
-        self.rows();
-        self.own_rows().reserve(additional);
+        // Capacity is not content: the statistics stay.
+        self.body_mut().rel.reserve(additional);
     }
 
     /// The schema.
     pub fn schema(&self) -> &Schema {
-        &self.schema
+        self.body.rel.schema()
     }
 
-    /// The annotated rows — built from the image, once, if the relation was
-    /// born with an image and nobody has read its rows before.
+    /// The annotated rows, built from the columns on the first call and kept.
     pub fn rows(&self) -> &[(Tuple, WsDescriptor)] {
-        self.rows.get_or_init(|| {
-            self.image
-                .get()
-                .expect("a relation holds its rows or its image")
-                .to_rows()
+        let b = &*self.body;
+        b.rows.get_or_init(|| {
+            let descs = b.rel.descs().iter();
+            let rows = descs
+                .enumerate()
+                .map(|(i, &d)| (b.rel.tuple_at(i, &b.strings), b.pool.to_descriptor(d)));
+            rows.collect()
         })
     }
 
-    /// The rows of a relation that has them, by value: moved out, or copied
-    /// if a clone shares them.
-    pub(crate) fn into_rows(self) -> Vec<(Tuple, WsDescriptor)> {
-        Arc::try_unwrap(self.rows)
-            .unwrap_or_else(|shared| (*shared).clone())
-            .into_inner()
-            .expect("only called on relations built from rows")
+    /// The columns: `Str` cells are codes into [`URelation::strings`], the
+    /// descriptor column holds ids into [`URelation::descriptors`].
+    pub fn columns(&self) -> &ColumnarURelation {
+        &self.body.rel
+    }
+
+    /// The relation's distinct descriptors, in order of first occurrence
+    /// after the tautology.
+    pub fn descriptors(&self) -> &DescriptorPool {
+        &self.body.pool
+    }
+
+    /// The distinct strings of the relation's `Str` columns.
+    pub fn strings(&self) -> &StrPool {
+        &self.body.strings
+    }
+
+    /// The cell the statistics of this relation are memoised in.
+    pub(crate) fn stats_memo(&self) -> &OnceLock<StatsMemo> {
+        &self.body.stats
+    }
+
+    /// Renumber the components the descriptor dictionary mentions
+    /// ([`DescriptorPool::renumber_components`]) — normalization's garbage
+    /// collection. The statistics name no component, so they stay.
+    pub(crate) fn renumber_components(&mut self, remap: &[u32]) {
+        self.body_mut().pool.renumber_components(remap);
+    }
+
+    /// Drop the dictionaries' intern indexes, which pushing built and
+    /// nothing reads again — unless a clone shares the body, which is not
+    /// worth a copy.
+    pub(crate) fn drop_indexes(&mut self) {
+        if let Some(body) = Arc::get_mut(&mut self.body) {
+            body.pool.drop_index();
+            body.strings.drop_index();
+        }
     }
 
     /// Number of annotated rows (not distinct tuples).
     pub fn len(&self) -> usize {
-        match self.rows.get() {
-            Some(rows) => rows.len(),
-            None => self.image().columns().len(),
-        }
+        self.body.rel.len()
     }
 
     /// True when there are no rows.
@@ -229,17 +271,20 @@ impl URelation {
 
     /// True when every row holds in all worlds.
     pub fn is_certain(&self) -> bool {
-        match self.rows.get() {
-            Some(rows) => rows.iter().all(|(_, d)| d.is_tautology()),
-            None => self.image().columns().is_certain(),
-        }
+        self.body.rel.is_certain()
     }
 
     /// Sort rows canonically and drop exact duplicates.
     pub fn dedup(&mut self) {
-        let rows = self.rows_mut();
+        let mut rows = self.rows().to_vec();
         rows.sort_unstable();
         rows.dedup();
+        let mut out = URelation::new(self.schema().clone());
+        out.reserve(rows.len());
+        for (t, d) in rows {
+            out.push_unchecked(t, d);
+        }
+        *self = out;
     }
 
     /// Group the descriptors of each distinct tuple (the tuple's world set is
@@ -255,7 +300,7 @@ impl URelation {
     /// The plain relation this u-relation denotes in the world picked by
     /// `pick`.
     pub fn instantiate(&self, pick: &WorldPick) -> Relation {
-        let mut r = Relation::new(self.schema.clone());
+        let mut r = Relation::new(self.schema().clone());
         for (t, d) in self.rows() {
             if d.satisfied_by(pick) {
                 // Tuples were schema-checked on the way in.
@@ -264,25 +309,98 @@ impl URelation {
         }
         r
     }
+
+    /// Re-express the relation in a run's pools: append its dictionaries to
+    /// them, then move the coded columns whose codes changed by that; the
+    /// others are borrowed.
+    pub fn scan<'a>(&'a self, pool: &mut DescriptorPool, strings: &mut StrPool) -> Scan<'a> {
+        let b = &*self.body;
+        let str_map = strings.import(&b.strings);
+        let cols = b
+            .rel
+            .columns()
+            .iter()
+            .map(|col| match (&str_map, col.data()) {
+                (Some(map), ColumnData::Str(_)) => Cow::Owned(col.with_str_codes(map)),
+                _ => Cow::Borrowed(col),
+            })
+            .collect();
+        Scan {
+            schema: b.rel.schema(),
+            cols,
+            descs: pool.import(&b.pool, b.rel.descs()),
+        }
+    }
 }
 
+/// Written straight from the cells: the header, then `(v, …) | d` per row.
 impl fmt::Display for URelation {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "{} | ws-descriptor", self.schema.names().join(" | "))?;
-        match self.rows.get() {
-            Some(rows) => rows.iter().try_for_each(|(t, d)| writeln!(f, "{t} | {d}")),
-            None => self.image().fmt_rows(f),
+        writeln!(f, "{} | ws-descriptor", self.schema().names().join(" | "))?;
+        let (rel, pool) = (&self.body.rel, &self.body.pool);
+        for (i, &d) in rel.descs().iter().enumerate() {
+            f.write_str("(")?;
+            for (c, col) in rel.columns().iter().enumerate() {
+                let sep = if c > 0 { ", " } else { "" };
+                write!(f, "{sep}{}", col.value(i, &self.body.strings))?;
+            }
+            f.write_str(") | ")?;
+            let terms = pool.terms(d);
+            if terms.is_empty() {
+                f.write_str("⊤")?;
+            }
+            for (k, (c, alt)) in terms.iter().enumerate() {
+                let sep = if k > 0 { " ∧ " } else { "" };
+                write!(f, "{sep}{c}={alt}")?;
+            }
+            f.write_str("\n")?;
         }
+        Ok(())
+    }
+}
+
+/// A [`URelation`] re-expressed in one run's pools: the unit a scan hands to
+/// operators. Columns the run reads exactly as the relation stores them are
+/// borrowed; only re-coded ones are owned.
+#[derive(Debug)]
+pub struct Scan<'a> {
+    schema: &'a Schema,
+    cols: Vec<Cow<'a, ColumnVec>>,
+    descs: Cow<'a, [DescId]>,
+}
+
+impl Scan<'_> {
+    /// The schema.
+    pub fn schema(&self) -> &Schema {
+        self.schema
+    }
+
+    /// The value columns, in schema order.
+    pub fn columns(&self) -> &[Cow<'_, ColumnVec>] {
+        &self.cols
+    }
+
+    /// The descriptor column, as handles into the run's pool.
+    pub fn descs(&self) -> &[DescId] {
+        &self.descs
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.descs.len()
+    }
+
+    /// True when there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.descs.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::columnar::{ColumnarURelation, StrPool};
     use crate::component::Component;
     use crate::descriptor::ComponentId;
-    use crate::intern::DescriptorPool;
     use crate::stats::collect;
     use crate::value::{Value, ValueType};
 
@@ -307,60 +425,166 @@ mod tests {
         )
     }
 
-    /// `u` the way a run hands it back: converted into busy run pools, then
-    /// re-expressed as an image of its own. No rows.
-    fn as_an_answer(u: &URelation) -> URelation {
+    /// Run pools that already hold other entries, so no code or id of an
+    /// uncertain relation survives an import unchanged.
+    fn busy_pools() -> (DescriptorPool, StrPool) {
         let (mut pool, mut strings) = (DescriptorPool::new(), StrPool::new());
         pool.single(ComponentId(7), 1);
         strings.intern("someone else's");
+        (pool, strings)
+    }
+
+    /// `u` the way a run hands it back: converted into busy run pools, then
+    /// re-coded over dictionaries of its own.
+    fn as_an_answer(u: &URelation) -> URelation {
+        let (mut pool, mut strings) = busy_pools();
         let columns = ColumnarURelation::from_urelation(u, &mut pool, &mut strings);
-        let answer = URelation::from_image(ColumnarImage::from_run(columns, &pool, &strings));
-        assert!(answer.has_image() && !answer.has_rows());
-        answer
+        URelation::from_run(columns, &pool, &strings)
+    }
+
+    fn has_rows(u: &URelation) -> bool {
+        u.body.rows.get().is_some()
+    }
+
+    fn has_stats(u: &URelation) -> bool {
+        u.body.stats.get().is_some()
+    }
+
+    /// The same cells, descriptor ids and dictionaries, entry for entry.
+    fn assert_same_body(got: &URelation, want: &URelation) {
+        let (g, w) = (&got.body, &want.body);
+        assert_eq!(format!("{:?}", g.rel), format!("{:?}", w.rel));
+        assert_eq!(g.pool.len(), w.pool.len());
+        assert_eq!(g.pool.all_terms(), w.pool.all_terms());
+        for &id in w.rel.descs() {
+            assert_eq!(g.pool.terms(id), w.pool.terms(id));
+        }
+        assert_eq!(g.strings.len(), w.strings.len());
+        for code in 0..w.strings.len() as u32 {
+            assert_eq!(g.strings.get(code), w.strings.get(code));
+        }
     }
 
     #[test]
     fn the_image_is_no_part_of_the_value() {
-        let (cold, warm) = (sample(), sample());
-        warm.image();
-        assert!(warm.has_image() && !cold.has_image());
-        assert_eq!(cold, warm);
-        assert_eq!(format!("{cold:?}"), format!("{warm:?}"));
-        assert_eq!(format!("{cold:#?}"), format!("{warm:#?}"));
-        // Nor is which of the two a relation was born with.
-        let answer = as_an_answer(&cold);
-        assert_eq!(answer, cold);
-        assert_eq!(format!("{answer:#?}"), format!("{cold:#?}"));
+        let pushed = sample();
+        let answer = as_an_answer(&pushed);
+        assert_same_body(&answer, &pushed);
+        assert_eq!(answer, pushed);
+        assert_eq!(format!("{answer:#?}"), format!("{pushed:#?}"));
+        assert_eq!(answer.to_string(), pushed.to_string());
     }
 
     #[test]
     fn an_answer_builds_rows_only_for_who_reads_them() {
-        let rows_built = sample();
-        let answer = as_an_answer(&rows_built);
+        let pushed = sample();
+        let answer = as_an_answer(&pushed);
         assert_eq!(answer.len(), 3);
         assert!(!answer.is_empty() && !answer.is_certain());
-        assert_eq!(answer.schema(), rows_built.schema());
-        assert_eq!(answer.to_string(), rows_built.to_string());
-        assert!(!answer.has_rows(), "none of the above reads rows");
-        assert_eq!(answer.rows(), rows_built.rows());
-        assert!(answer.has_rows() && answer.has_image());
-        // A certain and an empty one, by the image alone.
-        let mut certain = URelation::new(rows_built.schema().clone());
-        assert!(as_an_answer(&certain).is_empty());
+        assert_eq!(answer.schema(), pushed.schema());
+        assert_eq!(answer.to_string(), pushed.to_string());
+        let mut pushed = pushed;
+        pushed.reserve(1);
+        assert!(
+            !has_rows(&answer) && !has_rows(&pushed),
+            "nothing above reads rows"
+        );
+        // Read once, kept: the second read is the same vector.
+        let rows = answer.rows().as_ptr();
+        assert_eq!(answer.rows(), pushed.rows());
+        assert_eq!(answer.rows().as_ptr(), rows);
+        // A certain and an empty one.
+        let mut certain = URelation::new(pushed.schema().clone());
+        assert!(as_an_answer(&certain).is_empty() && certain.is_certain());
         let (t, d) = row();
         certain.push(t, d).unwrap();
         assert!(as_an_answer(&certain).is_certain());
-        // A write builds the rows first, appends, and drops the image.
-        let mut written = as_an_answer(&rows_built);
+        // A push appends to the columns.
+        let mut written = as_an_answer(&pushed);
         let (t, d) = row();
         written.push(t.clone(), d.clone()).unwrap();
-        assert!(written.has_rows() && !written.has_image());
-        assert_eq!(written.rows()[..3], *rows_built.rows());
+        assert_eq!(written.rows()[..3], *pushed.rows());
         assert_eq!(written.rows()[3], (t, d));
-        // Capacity is not content, though reserving it takes rows to hold it.
-        let mut roomy = as_an_answer(&rows_built);
-        roomy.reserve(8);
-        assert!(roomy.has_rows() && roomy.has_image());
+    }
+
+    #[test]
+    fn a_clone_shares_the_image_and_a_write_drops_only_its_own() {
+        let original = sample();
+        let reader = original.clone();
+        let collected = collect(&original);
+        let rows = reader.rows().as_ptr();
+        // A clone shares the body, and with it both memos.
+        assert!(Arc::ptr_eq(&original.body, &reader.body));
+        assert!(has_stats(&reader) && has_rows(&original));
+        type Write = fn(&mut URelation);
+        let writes: [(&str, Write); 4] = [
+            ("push", |u| {
+                let (t, d) = row();
+                u.push(t, d).unwrap()
+            }),
+            ("push_unchecked", |u| {
+                let (t, d) = row();
+                u.push_unchecked(t, d)
+            }),
+            ("dedup", URelation::dedup),
+            ("reserve", |u| u.reserve(64)),
+        ];
+        for (name, write) in writes {
+            let mut clone = original.clone();
+            write(&mut clone);
+            assert!(!Arc::ptr_eq(&clone.body, &original.body), "{name}");
+            assert!(!has_rows(&clone), "{name} clears the writer's rows");
+            // Capacity is not content: the statistics stay.
+            assert_eq!(has_stats(&clone), name == "reserve", "{name}");
+            // The other holders keep their body and both memos.
+            assert!(Arc::ptr_eq(&original.body, &reader.body), "{name}");
+            assert!(has_stats(&original) && has_rows(&original), "{name}");
+            assert_eq!(original.rows().as_ptr(), rows, "{name}");
+            assert_eq!(original, sample(), "{name}");
+            assert_eq!(collect(&original), collected, "{name}");
+            // The writer is what pushing its rows from scratch makes.
+            let mut fresh = URelation::new(clone.schema().clone());
+            for (t, d) in clone.rows() {
+                fresh.push(t.clone(), d.clone()).unwrap();
+            }
+            assert_same_body(&clone, &fresh);
+            assert_eq!(collect(&clone), collect(&fresh), "{name}");
+        }
+        // A sole owner writes in place.
+        let mut alone = sample();
+        let body = Arc::as_ptr(&alone.body);
+        alone.rows();
+        let (t, d) = row();
+        alone.push(t, d).unwrap();
+        assert_eq!(Arc::as_ptr(&alone.body), body);
+        assert!(!has_rows(&alone));
+    }
+
+    #[test]
+    fn renumbering_keeps_the_statistics() {
+        let mut ws = crate::world::WorldSet::new();
+        // Referenced by nothing: collected, so `c1` becomes `c0`.
+        ws.components.add(Component::uniform(3).unwrap());
+        ws.components.add(Component::uniform(2).unwrap());
+        let schema = Schema::of(&[("a", ValueType::Int)]).unwrap();
+        let mut u = URelation::new(schema);
+        for (a, d) in [
+            (1, WsDescriptor::single(ComponentId(1), 0)),
+            (2, WsDescriptor::tautology()),
+        ] {
+            u.push(Tuple::new(vec![Value::Int(a)]), d).unwrap();
+        }
+        ws.insert("r", u.clone()).unwrap();
+        let collected = collect(&u);
+        u.rows();
+        ws.normalize();
+        let r = &ws.relations["r"];
+        assert!(has_stats(r) && !has_rows(r));
+        assert_eq!(collect(r), collected);
+        assert_eq!(r.rows()[0].1, WsDescriptor::single(ComponentId(0), 0));
+        // The holder of the old body keeps it.
+        assert!(has_rows(&u));
+        assert_eq!(u.rows()[0].1, WsDescriptor::single(ComponentId(1), 0));
     }
 
     #[test]
@@ -372,11 +596,11 @@ mod tests {
         ws.relations.insert("r".into(), as_an_answer(&sample()));
         ws.normalize();
         let r = &ws.relations["r"];
-        assert!(r.has_image() && !r.has_rows());
+        assert!(!has_rows(r));
         assert_eq!((r.len(), ws.components.len()), (2, 1));
         let mut answer = as_an_answer(&sample());
         crate::normalize::normalize_relation(&mut answer, &ws.components);
-        assert!(answer.has_image() && !answer.has_rows());
+        assert!(!has_rows(&answer));
         // The duplicate row went; what is left reads in canonical order.
         let want = [
             (
@@ -430,100 +654,188 @@ mod tests {
                         (NULL, 1.5, true, NULL) | ⊤\n\
                         (, NULL, false, NULL) | c3=2\n";
         assert_eq!(u.to_string(), expected);
-        let answer = as_an_answer(&u);
-        assert_eq!(answer.to_string(), expected);
-        assert!(!answer.has_rows());
+        assert!(!has_rows(&u));
+        assert_eq!(as_an_answer(&u).to_string(), expected);
         let empty = URelation::new(u.schema().clone());
-        assert_eq!(as_an_answer(&empty).to_string(), empty.to_string());
+        assert_eq!(empty.to_string(), "s | f | b | n | ws-descriptor\n");
+    }
+
+    /// A scan as a standalone relation, copying what it borrows.
+    fn scanned(scan: Scan<'_>, pool: &DescriptorPool, strings: &StrPool) -> URelation {
+        let cols = scan.cols.into_iter().map(Cow::into_owned).collect();
+        ColumnarURelation::from_parts(scan.schema.clone(), cols, scan.descs.into_owned())
+            .to_urelation(pool, strings)
+    }
+
+    fn str_relation(rows: &[(Option<&str>, Option<&str>, WsDescriptor)]) -> URelation {
+        let schema = Schema::of(&[
+            ("k", ValueType::Str),
+            ("v", ValueType::Str),
+            ("n", ValueType::Int),
+        ])
+        .unwrap();
+        let mut u = URelation::new(schema);
+        let cell = |s: Option<&str>| s.map_or(Value::Null, Value::str);
+        for (i, (k, v, d)) in rows.iter().enumerate() {
+            u.push(
+                Tuple::new(vec![cell(*k), cell(*v), Value::Int(i as i64)]),
+                d.clone(),
+            )
+            .unwrap();
+        }
+        u
+    }
+
+    fn roundtrips(u: &URelation) {
+        // Into empty pools (everything borrowed) and into busy ones
+        // (everything coded is re-coded).
+        for (mut pool, mut strings) in [(DescriptorPool::new(), StrPool::new()), busy_pools()] {
+            let scan = u.scan(&mut pool, &mut strings);
+            assert_eq!(scan.len(), u.len());
+            let back = scanned(scan, &pool, &strings);
+            assert_eq!(&back, u);
+            assert_eq!(format!("{back:?}"), format!("{u:?}"));
+        }
     }
 
     #[test]
-    fn a_clone_shares_the_image_and_a_write_drops_only_its_own() {
-        // The cell is shared, not just its content: a clone taken before the
-        // first scan builds the image for the original too — and one taken
-        // before the first collect shares the statistics memoised inside.
-        let original = sample();
-        let early_clone = original.clone();
-        assert!(!original.has_image());
-        let image = Arc::clone(early_clone.image());
-        assert!(Arc::ptr_eq(original.image(), &image));
-        assert!(image.stats_memo().get().is_none());
-        let collected = collect(&early_clone);
-        assert!(original.image().stats_memo().get().is_some());
-        // So are the rows: cloning copies none, and rows built through one
-        // clone are there for the original.
-        let rows = original.rows().as_ptr();
-        assert_eq!(early_clone.rows().as_ptr(), rows);
-        let answer = as_an_answer(&original);
-        let reader = answer.clone();
-        assert_eq!(reader.rows(), original.rows());
-        assert!(answer.has_rows());
-        assert_eq!(answer.rows().as_ptr(), reader.rows().as_ptr());
-        type Write = fn(&mut URelation);
-        let writes: [(&str, Write); 3] = [
-            ("push", |u| {
-                let (t, d) = row();
-                u.push(t, d).unwrap()
-            }),
-            ("push_unchecked", |u| {
-                let (t, d) = row();
-                u.push_unchecked(t, d)
-            }),
-            ("dedup", URelation::dedup),
-        ];
-        for (name, write) in writes {
-            let mut clone = original.clone();
-            assert!(Arc::ptr_eq(clone.image(), &image), "{name}");
-            write(&mut clone);
-            assert!(!clone.has_image(), "{name} must drop the clone's image");
-            assert!(Arc::ptr_eq(original.image(), &image), "{name}");
-            assert!(Arc::ptr_eq(early_clone.image(), &image), "{name}");
-            // The writer copied the rows; the other holders keep theirs.
-            assert_ne!(clone.rows().as_ptr(), rows, "{name}");
-            assert_eq!(original.rows().as_ptr(), rows, "{name}");
-            assert_eq!(early_clone.rows(), sample().rows(), "{name}");
-            // The memo went with the image: the statistics are those of the
-            // new rows, and the other holders keep theirs.
-            let fresh =
-                URelation::from_rows_unchecked(clone.schema().clone(), clone.rows().to_vec());
-            assert_ne!(collect(&clone), collected, "{name}");
-            assert_eq!(collect(&clone), collect(&fresh), "{name}");
-            assert_eq!(collect(&original), collected, "{name}");
-            // What the next scan builds is the image of the new rows: the
-            // same rows as a fresh conversion gives, descriptor for
-            // descriptor (handles are each pool's own business).
-            let (mut pool, mut strings) = (DescriptorPool::new(), StrPool::new());
-            let fresh = ColumnarURelation::from_urelation(&clone, &mut pool, &mut strings);
-            let before = pool.stats().intern_calls;
-            let rebuilt = clone.image().scan(&mut pool, &mut strings);
-            assert_eq!(pool.stats().intern_calls, before, "{name}: an import");
-            assert_eq!(rebuilt.len(), fresh.len(), "{name}");
-            assert_eq!(fresh.to_urelation(&pool, &strings), clone, "{name}");
-            for i in 0..fresh.len() {
-                assert_eq!(
-                    pool.terms(rebuilt.descs()[i]),
-                    pool.terms(fresh.descs()[i]),
-                    "{name}: row {i}"
-                );
-                for (a, b) in rebuilt.columns().iter().zip(fresh.columns()) {
-                    assert!(a.eq_cells(i, b, i), "{name}: row {i}");
-                }
-            }
+    fn an_all_null_string_column_has_no_dictionary_to_index() {
+        let d = WsDescriptor::single(ComponentId(0), 1);
+        let u = str_relation(&[
+            (None, None, d.clone()),
+            (None, None, WsDescriptor::tautology()),
+            (None, None, d),
+        ]);
+        assert!(u.strings().is_empty());
+        roundtrips(&u);
+    }
+
+    #[test]
+    fn nulls_mixed_with_strings_keep_their_places() {
+        let u = str_relation(&[
+            (None, Some("x"), WsDescriptor::tautology()),
+            (Some("y"), None, WsDescriptor::single(ComponentId(1), 0)),
+            (
+                Some("x"),
+                Some("y"),
+                WsDescriptor::single(ComponentId(0), 2),
+            ),
+            (None, None, WsDescriptor::single(ComponentId(1), 0)),
+        ]);
+        // One dictionary for the whole relation: "x" and "y", once each.
+        assert_eq!(u.strings().len(), 2);
+        roundtrips(&u);
+    }
+
+    #[test]
+    fn an_empty_relation_scans_to_an_empty_relation() {
+        let u = str_relation(&[]);
+        let (mut pool, mut strings) = busy_pools();
+        let before = (pool.len(), strings.len());
+        let scan = u.scan(&mut pool, &mut strings);
+        assert!(scan.is_empty());
+        // Nothing to append, so nothing to move: borrowed in a busy pool too.
+        assert!(matches!(scan.descs, Cow::Borrowed(_)));
+        assert_eq!((pool.len(), strings.len()), before);
+        assert_eq!(pool.stats().imported, 0);
+        roundtrips(&u);
+    }
+
+    #[test]
+    fn an_answer_s_image_is_the_one_a_conversion_of_its_rows_builds() {
+        let both = WsDescriptor::from_terms(vec![(ComponentId(0), 0), (ComponentId(1), 1)]);
+        let both = both.unwrap();
+        let mut u = str_relation(&[
+            (Some("b"), Some("a"), both.clone()),
+            (None, Some("c"), WsDescriptor::tautology()),
+            (Some("a"), None, both),
+            (
+                Some("c"),
+                Some("b"),
+                WsDescriptor::single(ComponentId(1), 1),
+            ),
+        ]);
+        // The run's pools hold more than the answer uses, in another order,
+        // and the one descriptor rows 0 and 2 share under two handles.
+        let (mut pool, mut strings) = busy_pools();
+        for s in ["c", "a"] {
+            strings.intern(s);
         }
-        // Capacity is not content: the image stays, the rows are copied.
-        let mut clone = original.clone();
-        clone.reserve(64);
-        assert!(Arc::ptr_eq(clone.image(), &image));
-        assert_ne!(clone.rows().as_ptr(), rows);
-        assert_eq!((original.rows().as_ptr(), original.rows().len()), (rows, 3));
-        assert_eq!(clone, original);
-        // Taking the rows of a shared relation copies them.
-        assert_eq!(original.clone().into_rows(), original.rows());
-        assert_eq!(original.rows().as_ptr(), rows);
-        // A sole owner's write empties its cell in place.
-        let mut alone = sample();
-        alone.image();
-        alone.dedup();
-        assert!(!alone.has_image());
+        let (x, y) = (
+            pool.single(ComponentId(0), 0),
+            pool.single(ComponentId(1), 1),
+        );
+        let (schema, cols, mut descs) =
+            ColumnarURelation::from_urelation(&u, &mut pool, &mut strings).into_parts();
+        descs[2] = pool.conjoin(x, y).unwrap();
+        assert!(descs[0] != descs[2] && pool.same_descriptor(descs[0], descs[2]));
+        let answer = ColumnarURelation::from_parts(schema, cols, descs);
+        let before = pool.stats();
+        let seeded = URelation::from_run(answer, &pool, &strings);
+        assert_eq!(
+            pool.stats(),
+            before,
+            "nothing is interned in the run's pool"
+        );
+        assert_same_body(&seeded, &u);
+        assert_eq!(seeded.columns().descs()[0], seeded.columns().descs()[2]);
+        assert_eq!(seeded.descriptors().len(), 3);
+        // Bytes, ends and stored hashes, in first-occurrence order by row:
+        // b, a, c — and no index, once `insert` dropped the pushed one's.
+        u.drop_indexes();
+        assert_eq!(
+            format!("{:?}", seeded.strings()),
+            format!("{:?}", u.strings())
+        );
+        assert_eq!(seeded.strings().get(0), "b");
+        assert_eq!(seeded.rows(), u.rows());
+        roundtrips(&seeded);
+    }
+
+    #[test]
+    fn a_scan_copies_only_what_it_must_recode() {
+        let rows = [
+            (
+                Some("a"),
+                Some("b"),
+                WsDescriptor::single(ComponentId(0), 0),
+            ),
+            (Some("b"), None, WsDescriptor::single(ComponentId(0), 1)),
+        ];
+        let u = str_relation(&rows);
+        let borrowed = |scan: &Scan<'_>| -> Vec<bool> {
+            scan.cols
+                .iter()
+                .map(|c| matches!(c, Cow::Borrowed(_)))
+                .chain([matches!(scan.descs, Cow::Borrowed(_))])
+                .collect()
+        };
+        // Busy pools: the string columns and the descriptor column are
+        // re-coded, the int column is read where it lies.
+        let (mut pool, mut strings) = busy_pools();
+        let before = pool.stats();
+        let scan = u.scan(&mut pool, &mut strings);
+        assert_eq!(borrowed(&scan), [false, false, true, false]);
+        // The dictionary is appended — one entry per distinct descriptor,
+        // not per row — and nothing is interned. Handles are the pool's
+        // business; what they denote is the contract.
+        assert_eq!(pool.stats().intern_calls, before.intern_calls);
+        assert_eq!(pool.stats().imported - before.imported, 2);
+        for (&id, (_, _, d)) in scan.descs().iter().zip(&rows) {
+            assert_eq!(pool.terms(id), d.terms());
+        }
+        // Empty pools read the relation's own codes: nothing is copied,
+        // nothing interned, hashed or probed.
+        let (mut pool, mut strings) = (DescriptorPool::new(), StrPool::new());
+        let scan = u.scan(&mut pool, &mut strings);
+        assert_eq!(borrowed(&scan), [true, true, true, true]);
+        assert_eq!(pool.stats().intern_calls, 0);
+        assert_eq!((pool.len(), strings.len()), (3, 2));
+        // A certain relation keeps its descriptor column in any pool.
+        let certain = str_relation(&[(Some("a"), None, WsDescriptor::tautology())]);
+        let (mut pool, mut strings) = busy_pools();
+        let scan = certain.scan(&mut pool, &mut strings);
+        assert_eq!(borrowed(&scan), [false, false, true, true]);
+        assert_eq!(pool.stats().intern_calls, 1, "busy_pools' own");
     }
 }

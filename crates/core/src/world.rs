@@ -33,12 +33,14 @@ impl WorldSet {
     /// current component set (unknown components or out-of-range
     /// alternatives are rejected here rather than panicking during later
     /// enumeration or confidence computation). Each *distinct* descriptor is
-    /// checked once, off the relation's image — whose dictionary is in order
-    /// of first occurrence, so the term reported is the first offending
-    /// row's.
-    pub fn insert(&mut self, name: impl Into<String>, rel: URelation) -> Result<(), MayError> {
+    /// checked once, off the relation's descriptor dictionary — which is in
+    /// order of first occurrence, so the term reported is the first offending
+    /// row's. The stored relation keeps no intern index: nothing looks a
+    /// value up in it.
+    pub fn insert(&mut self, name: impl Into<String>, mut rel: URelation) -> Result<(), MayError> {
         self.components
-            .validate_terms(rel.image().descriptors().all_terms())?;
+            .validate_terms(rel.descriptors().all_terms())?;
+        rel.drop_indexes();
         self.relations.insert(name.into(), rel);
         Ok(())
     }
@@ -105,7 +107,6 @@ mod tests {
     use crate::component::Component;
     use crate::descriptor::{ComponentId, WsDescriptor};
     use crate::error::MayError;
-    use crate::image::ColumnarImage;
     use crate::rel::Tuple;
     use crate::schema::Schema;
     use crate::value::ValueType;
@@ -139,14 +140,14 @@ mod tests {
         ws.insert("ok", one_col_rel(WsDescriptor::single(c, 1)))
             .unwrap();
         // Of several offending rows the first is named, however the relation
-        // came to be: from rows, or born with its image as a run's answer.
+        // came to be: pushed, or as a run's answer.
         let mut rel = one_col_rel(WsDescriptor::single(c, 1));
         for bad in [WsDescriptor::single(c, 7), WsDescriptor::single(c, 2)] {
             rel.push(Tuple::new(vec![2.into()]), bad).unwrap();
         }
         let (mut pool, mut strings) = Default::default();
         let columns = ColumnarURelation::from_urelation(&rel, &mut pool, &mut strings);
-        let answer = URelation::from_image(ColumnarImage::from_run(columns, &pool, &strings));
+        let answer = URelation::from_run(columns, &pool, &strings);
         for rel in [rel, answer] {
             let err = ws.insert("r", rel).unwrap_err();
             let message = "invalid descriptor: c0=7 is out of range (c0 has 2 alternatives)";

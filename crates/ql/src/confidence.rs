@@ -88,11 +88,18 @@ impl ApproxConf {
     /// planner checks the literals it lowers; this is the same check for
     /// nodes built through [`conf_approx_with`], where a NaN ε would
     /// otherwise draw once and return a number with no guarantee behind it.
+    /// A value whose plain form runs long is echoed in exponent form.
     fn validate(&self) -> Result<(), MayError> {
         for (what, v) in [("eps", self.eps), ("delta", self.delta)] {
             if !(v > 0.0 && v < 1.0) {
+                let got = v.to_string();
+                let got = if got.len() > 20 {
+                    format!("{v:e}")
+                } else {
+                    got
+                };
                 return Err(MayError::InvalidApprox(format!(
-                    "{what} must be in (0, 1), got {v}"
+                    "{what} must be in (0, 1), got {got}"
                 )));
             }
         }
@@ -597,6 +604,9 @@ mod tests {
                 ))),
             );
         }
+        // Not the 309 digits of its plain form.
+        let huge = MayError::InvalidApprox("eps must be in (0, 1), got 1e308".into());
+        assert_eq!(run(1e308, 0.1), Err(huge));
     }
 
     #[test]

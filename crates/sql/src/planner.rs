@@ -237,16 +237,22 @@ fn conf_schema(schema: Schema, span: Span) -> Result<Schema, SqlError> {
 
 /// `CONF(eps, delta)` arguments must be probabilities strictly inside
 /// `(0, 1)`: 0 would demand an exact answer from a sampler, 1 makes the
-/// guarantee vacuous.
+/// guarantee vacuous. A value whose plain form runs long (`1e308` has 309
+/// digits) is echoed in exponent form.
 fn check_unit_interval(v: f64, span: Span, what: &str) -> Result<(), SqlError> {
     if v.is_finite() && v > 0.0 && v < 1.0 {
-        Ok(())
-    } else {
-        Err(SqlError::new(
-            span,
-            format!("CONF {what} must be in (0, 1), got {v}"),
-        ))
+        return Ok(());
     }
+    let got = v.to_string();
+    let got = if got.len() > 20 {
+        format!("{v:e}")
+    } else {
+        got
+    };
+    Err(SqlError::new(
+        span,
+        format!("CONF {what} must be in (0, 1), got {got}"),
+    ))
 }
 
 fn lower_expr(schema: &Schema, expr: &Expr) -> Result<Predicate, SqlError> {

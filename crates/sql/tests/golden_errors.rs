@@ -234,6 +234,29 @@ fn conf_approx_delta_out_of_range() {
     assert_eq!(e.message, "CONF eps must be in (0, 1), got 0");
 }
 
+/// A value far out of range is echoed in exponent form, not as the 309
+/// digits of its plain form.
+#[test]
+fn conf_approx_huge_eps_is_echoed_short() {
+    let src = "SELECT CONF(1e308, 0.5) * FROM census";
+    let e = err(src);
+    assert_eq!(e.span, span_of(src, "1e308"));
+    assert_eq!(
+        e.render(src),
+        concat!(
+            "error: CONF eps must be in (0, 1), got 1e308\n",
+            " --> line 1, column 13\n",
+            "  | SELECT CONF(1e308, 0.5) * FROM census\n",
+            "  |             ^^^^^\n"
+        )
+    );
+    let src = "SELECT CONF(0.1, 2.5e300) * FROM census";
+    assert_eq!(
+        err(src).message,
+        "CONF delta must be in (0, 1), got 2.5e300"
+    );
+}
+
 #[test]
 fn parse_error_has_token_span() {
     let src = "SELECT FROM census";

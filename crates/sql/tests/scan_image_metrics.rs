@@ -1,95 +1,94 @@
-//! What a scan found and who still reads rows, read off each run's
-//! `ExecStats` (cold and warm scans) and off the relations themselves
-//! (`has_image` / `has_rows`).
+//! What a scan takes from a stored relation and what a run interns, read off
+//! each run's `ExecStats` and off the relations themselves.
 
 use maybms_algebra::{run_with, ExecCfg, ExecStats, Plan};
-use maybms_core::{Relation, Schema, Tuple, URelation, Value, ValueType, WorldSet, WsDescriptor};
+use maybms_core::{
+    DescriptorPool, Relation, Schema, StrPool, Tuple, URelation, Value, ValueType, WorldSet,
+    WsDescriptor,
+};
 use maybms_sql::{Executed, Outcome, Session};
 
-/// Cold and warm scans of one run.
-fn scans(stats: &ExecStats) -> [u64; 2] {
-    [stats.cold_scans, stats.warm_scans]
+/// Intern calls and imported dictionary entries of one run.
+fn interning(stats: &ExecStats) -> [u64; 2] {
+    [stats.pool.intern_calls, stats.pool.imported]
 }
 
-/// The answer of a query statement and its run's scans.
+/// The answer of a query statement and its run's interning.
 fn answer(executed: Executed) -> (URelation, [u64; 2]) {
-    let scanned = scans(&executed.stats.expect("a query runs a plan"));
+    let interned = interning(&executed.stats.expect("a query runs a plan"));
     let Outcome::Rows(rows) = executed.outcome else {
         panic!("a query answers with rows");
     };
-    (rows, scanned)
+    (rows, interned)
 }
 
-/// Born with its image, and no row built since.
-fn image_only(rel: &URelation) -> bool {
-    rel.has_image() && !rel.has_rows()
+/// A scan into fresh pools borrows every column of the relation's body.
+fn scan_borrows(rel: &URelation) -> bool {
+    let (mut pool, mut strings) = (DescriptorPool::new(), StrPool::new());
+    let scan = rel.scan(&mut pool, &mut strings);
+    let cols = scan.columns().iter().zip(rel.columns().columns());
+    cols.into_iter().all(|(s, c)| std::ptr::eq(&**s, c))
+        && std::ptr::eq(scan.descs(), rel.columns().descs())
 }
 
 #[test]
 fn the_first_scan_builds_the_image_and_the_second_reuses_it() {
-    let schema = Schema::of(&[("a", ValueType::Int)]).unwrap();
-    let rows = (0..3).map(|a| Tuple::new(vec![Value::Int(a)])).collect();
+    let schema = Schema::of(&[("a", ValueType::Int), ("s", ValueType::Str)]).unwrap();
+    let rows = (0..3)
+        .map(|a| Tuple::new(vec![Value::Int(a), Value::str(format!("s{a}"))]))
+        .collect();
     let mut ws = WorldSet::new();
     ws.insert(
         "r",
         URelation::from_certain(&Relation::from_rows(schema, rows).unwrap()),
     )
     .unwrap();
-    // `insert` read the image (it validates the distinct descriptors): that
-    // built it, and is no scan.
-    assert!(ws.relations["r"].has_image());
-    // A write in place leaves rows without an image: the next scan is cold.
+    // A write in place appends to the columns; a scan still borrows them.
     let r = ws.relations.get_mut("r").unwrap();
-    r.push(Tuple::new(vec![Value::Int(3)]), WsDescriptor::tautology())
-        .unwrap();
-    assert!(!r.has_image());
+    let row = Tuple::new(vec![Value::Int(3), Value::str("s3")]);
+    r.push(row, WsDescriptor::tautology()).unwrap();
+    assert!(scan_borrows(r));
     let scan = Plan::scan("r");
     let cfg = ExecCfg::default();
-    let (first, stats, _) = run_with(&mut ws, &scan, &cfg, false).unwrap();
-    assert_eq!(scans(&stats), [1, 0]);
-    assert!(image_only(&first), "a run's answer is born with its image");
-    let (second, stats, _) = run_with(&mut ws, &scan, &cfg, false).unwrap();
-    assert_eq!(scans(&stats), [0, 1]);
-    assert!(image_only(&second));
-    // Counting or printing an answer builds no rows; reading them does,
-    // once.
+    // A read-only run appends the dictionaries and interns nothing: the
+    // tautology is every pool's entry 0, so a certain relation imports none.
+    for _ in 0..2 {
+        let (answer, stats, _) = run_with(&mut ws, &scan, &cfg, false).unwrap();
+        assert_eq!(interning(&stats), [0, 0]);
+        assert_eq!(stats.strings, 4);
+        assert!(scan_borrows(&answer));
+    }
+    // Reading rows builds them once.
+    let (first, _, _) = run_with(&mut ws, &scan, &cfg, false).unwrap();
     assert_eq!((first.len(), first.is_certain()), (4, true));
     assert_eq!(first.to_string().lines().count(), 5);
-    assert!(image_only(&first));
     assert_eq!(first.rows().len(), 4);
-    assert!(first.has_rows() && first.has_image());
     assert!(std::ptr::eq(first.rows(), first.rows()));
 
-    // A session collects statistics off every image at start-up and after a
-    // `LET`, so its scans are warm — of a `LET` result too, which is stored
-    // as the image it was born with and never converted.
+    // A `LET` result is scanned like a loaded relation.
     let mut session = Session::new(ws);
-    let (filtered, scanned) = answer(session.execute("SELECT a FROM r WHERE a > 0").unwrap());
-    assert_eq!(scanned, [0, 1]);
-    assert!(image_only(&filtered));
+    let (filtered, interned) = answer(session.execute("SELECT a FROM r WHERE a > 0").unwrap());
+    assert_eq!(interned, [0, 0]);
+    assert!(scan_borrows(&filtered));
     let stored = session
         .execute("LET r = SELECT a FROM r WHERE a > 0")
         .unwrap();
-    assert_eq!(scans(&stored.stats.unwrap()), [0, 1]);
-    assert!(image_only(&session.world().relations["r"]));
-    let (reread, scanned) = answer(session.execute("SELECT a FROM r").unwrap());
-    assert_eq!(scanned, [0, 1]);
-    assert!(image_only(&reread));
+    assert_eq!(interning(&stored.stats.unwrap()), [0, 0]);
+    assert!(scan_borrows(&session.world().relations["r"]));
+    let (reread, interned) = answer(session.execute("SELECT a FROM r").unwrap());
+    assert_eq!(interned, [0, 0]);
     assert_eq!(reread.len(), 3);
-    assert!(image_only(&reread));
 
-    // Normalization reads every image and makes a new one per non-empty
-    // relation, builds no rows, and the catalog refresh and the next scan
-    // both find the new image.
+    // So is a normalized one.
     session.normalize();
     let world = session.world();
     assert!(world.relations.values().any(|r| !r.is_empty()));
     for (name, rel) in &world.relations {
-        assert!(rel.is_empty() || image_only(rel), "{name} after normalize");
+        assert!(scan_borrows(rel), "{name} after normalize");
     }
-    let (normalized, scanned) = answer(session.execute("SELECT a FROM r").unwrap());
-    assert_eq!(scanned, [0, 1]);
-    assert!(image_only(&normalized));
+    let (normalized, interned) = answer(session.execute("SELECT a FROM r").unwrap());
+    assert_eq!(interned, [0, 0]);
+    assert!(scan_borrows(&normalized));
 }
 
 /// `REPAIR KEY` over a certain relation seals each alternative's descriptor
@@ -113,9 +112,13 @@ fn repair_key_mints_without_a_lookup() {
     assert_eq!((pool.intern_calls, pool.intern_hits), (0, 0));
     let x = &session.world().relations["x"];
     assert_eq!((x.len(), session.world().components.len()), (6, 2));
-    let image = std::sync::Arc::clone(x.image());
+    // Its columns live in its body: the same address is the same body.
+    let body: *const _ = x.columns();
     session.normalize();
     let x = &session.world().relations["x"];
-    assert!(std::sync::Arc::ptr_eq(x.image(), &image));
-    assert!(image_only(x));
+    assert!(std::ptr::eq(x.columns(), body));
+    // Scanned again, the five minted descriptors (key 2's row is certain)
+    // are imported, not interned.
+    let (_, interned) = answer(session.execute("SELECT * FROM x").unwrap());
+    assert_eq!(interned, [0, 5]);
 }

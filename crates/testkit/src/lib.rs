@@ -18,8 +18,8 @@ use std::collections::BTreeMap;
 use maybms_algebra::{col, lit, naive, CmpOp, Operand, Plan, Predicate};
 use maybms_core::rng::Rng;
 use maybms_core::{
-    ColumnarImage, ColumnarURelation, Component, ComponentId, DescriptorPool, MayError, Relation,
-    Schema, StrPool, Tuple, URelation, Value, ValueType, WorldSet, WsDescriptor,
+    ColumnarURelation, Component, ComponentId, DescriptorPool, MayError, Relation, Schema, StrPool,
+    Tuple, URelation, Value, ValueType, WorldSet, WsDescriptor,
 };
 use maybms_ql::{certain, conf, conf_approx, possible, repair_key};
 
@@ -222,39 +222,61 @@ pub fn gen_typed_world_set(rng: &mut Rng, cfg: &GenConfig) -> WorldSet {
     ws
 }
 
-/// The same world set with every relation rebuilt from its rows alone, so
-/// none carries a columnar image (a plain `clone` shares the ones built):
-/// what a differential test compares a long-lived, warm world set against.
-pub fn without_images(ws: &WorldSet) -> WorldSet {
+/// `rel` rebuilt from its rows by [`URelation::push`], sharing nothing
+/// with `rel` (a plain `clone` shares its body and both memos).
+pub fn pushed(rel: &URelation) -> URelation {
+    let mut out = URelation::new(rel.schema().clone());
+    out.reserve(rel.len());
+    for (t, d) in rel.rows() {
+        out.push_unchecked(t.clone(), d.clone());
+    }
+    out
+}
+
+/// The same world set with every relation rebuilt from its rows by
+/// [`pushed`]: what a differential test compares a long-lived world set —
+/// whose relations are runs' answers, normalized, renumbered, written —
+/// against.
+pub fn rebuilt_by_push(ws: &WorldSet) -> WorldSet {
     WorldSet {
         components: ws.components.clone(),
         relations: ws
             .relations
             .iter()
-            .map(|(name, rel)| {
-                let cold =
-                    URelation::from_rows_unchecked(rel.schema().clone(), rel.rows().to_vec());
-                (name.clone(), cold)
-            })
+            .map(|(name, rel)| (name.clone(), pushed(rel)))
             .collect(),
     }
 }
 
 /// `u` the way a run hands it back: converted into run pools that already
-/// hold other entries, then re-expressed as an image of its own
-/// (`ColumnarImage::from_run`). It has no rows until someone reads them.
+/// hold other entries, then re-coded over dictionaries of its own
+/// ([`URelation::from_run`]). It has no rows until someone reads them.
 pub fn as_an_answer(u: &URelation) -> URelation {
     let (mut pool, mut strings) = (DescriptorPool::new(), StrPool::new());
     pool.single(ComponentId(1 << 20), 1);
     strings.intern("someone else's");
     let columns = ColumnarURelation::from_urelation(u, &mut pool, &mut strings);
-    URelation::from_image(ColumnarImage::from_run(columns, &pool, &strings))
+    URelation::from_run(columns, &pool, &strings)
 }
 
 /// Field for field: the same cells (strings by code), the same descriptor
 /// column, and two dictionaries holding the same entries in the same order.
-pub fn assert_same_image(got: &ColumnarImage, want: &ColumnarImage, at: &str) {
-    let (g, w) = (got.columns(), want.columns());
+pub fn assert_same_image(got: &URelation, want: &URelation, at: &str) {
+    assert_same_columns(
+        got,
+        (want.columns(), want.descriptors(), want.strings()),
+        at,
+    );
+}
+
+/// [`assert_same_image`] against columns over the pools `want` names.
+pub fn assert_same_columns(
+    got: &URelation,
+    want: (&ColumnarURelation, &DescriptorPool, &StrPool),
+    at: &str,
+) {
+    let (w, want_pool, want_strings) = want;
+    let g = got.columns();
     assert_eq!(g.schema(), w.schema(), "{at}");
     assert_eq!(g.descs(), w.descs(), "{at}: descriptor ids");
     for (c, (x, y)) in g.columns().iter().zip(w.columns()).enumerate() {
@@ -268,24 +290,21 @@ pub fn assert_same_image(got: &ColumnarImage, want: &ColumnarImage, at: &str) {
         }
     }
     // Every dictionary entry is some row's, so the rows reach all of them.
-    assert_eq!(got.descriptors().len(), want.descriptors().len(), "{at}");
+    assert_eq!(got.descriptors().len(), want_pool.len(), "{at}");
     for &id in g.descs() {
-        let (x, y) = (got.descriptors().terms(id), want.descriptors().terms(id));
+        let (x, y) = (got.descriptors().terms(id), want_pool.terms(id));
         assert_eq!(x, y, "{at}: descriptor {id:?}");
     }
-    assert_eq!(got.strings().len(), want.strings().len(), "{at}");
+    assert_eq!(got.strings().len(), want_strings.len(), "{at}");
     for code in 0..got.strings().len() as u32 {
-        let (x, y) = (got.strings().get(code), want.strings().get(code));
+        let (x, y) = (got.strings().get(code), want_strings.get(code));
         assert_eq!(x, y, "{at}: string {code}");
     }
 }
 
-/// `rel`'s image is the one a conversion of its rows builds. Reads the rows
-/// of a clone, so `rel` itself stays as it was.
+/// `rel` is field for field what pushing its rows makes.
 pub fn assert_image_as_built(rel: &URelation, at: &str) {
-    let rel = rel.clone();
-    let rebuilt = URelation::from_rows_unchecked(rel.schema().clone(), rel.rows().to_vec());
-    assert_same_image(rel.image(), rebuilt.image(), at);
+    assert_same_image(rel, &pushed(rel), at);
 }
 
 /// A random consistent descriptor over the world set's components (possibly

@@ -1,29 +1,30 @@
-//! Cold ≡ warm: a relation's memoised columnar image never changes an answer.
+//! Stored ≡ pushed: how a relation came to be never changes an answer.
 //!
-//! Every stored relation keeps the columnar image its first scan built
-//! (`URelation::image`), shares it with its clones, and drops it when its
-//! rows change. Each seed walks one long-lived [`Session`] — whose relations
-//! therefore carry whatever images earlier steps left behind — through a
-//! random interleaving of everything that builds, shares or drops one:
+//! A stored relation is columns over dictionaries of its own, whether it was
+//! pushed row by row, is a run's answer, or was normalized, renumbered or
+//! written since; clones share it, with its rows and statistics memos. Each
+//! seed walks one long-lived [`Session`] — whose relations therefore are
+//! whatever earlier steps left behind — through a random interleaving of
+//! everything that makes, shares or writes one:
 //!
 //! * queries: joins, self-joins that scan one name twice, unions,
 //!   `POSSIBLE` / `CERTAIN` / `CONF`, `REPAIR KEY`;
 //! * `LET` onto fresh names and onto names already bound (scanned or not);
-//! * `Session::normalize`, which reads every image and seeds a new one per
-//!   non-empty relation;
-//! * clone-then-mutate: the world set is cloned (sharing the images), one
+//! * `Session::normalize`, which reads every relation and makes a new one per
+//!   relation not in normal form;
+//! * clone-then-mutate: the world set is cloned (sharing every body), one
 //!   relation of the clone is written through a public `&mut` method, and the
 //!   walk continues on the clone — after checking the original still answers
 //!   as before.
 //!
-//! After every step the warm session must agree **byte for byte** with a cold
-//! one started on [`without_images`] of the world set as it stood before the
-//! step — same rows in the same order, same `{:?}`, same world set afterwards.
-//! And every stored relation must be *stored as if built*: a `LET` result
-//! keeps the image its run seeded it with and never converts, so that image
-//! must be the one a conversion of its rows builds — same cells, same string
-//! codes and descriptor ids, same two dictionaries — and the statistics read
-//! off it must be those of a walk over the rows
+//! After every step the session must agree **byte for byte** with one
+//! started on [`rebuilt_by_push`] of the world set as it stood before the
+//! step — every relation rebuilt from `rows()` by `push` — same rows in the
+//! same order, same `{:?}`, same world set afterwards. And every stored
+//! relation must be *stored as if pushed*: a `LET` result keeps the columns
+//! its run re-coded, so they must be what pushing its rows makes — same
+//! cells, same string codes and descriptor ids, same two dictionaries — and
+//! the statistics read off them must be those of a walk over the rows
 //! ([`maybms_testkit::oracle::stats_by_rows`]), every field, floats by `==`.
 //! Relations hold strings, floats, booleans and `NULL`s beside ints
 //! ([`gen_typed_world_set`]), and the walks run at 1, 2 and 4 threads with the
@@ -40,7 +41,7 @@ use maybms_core::{
 use maybms_sql::{Outcome, Session, SessionError};
 use maybms_testkit::oracle::stats_by_rows;
 use maybms_testkit::{
-    assert_same_image, gen_query, gen_typed_world_set, without_images, GenConfig,
+    assert_same_image, gen_query, gen_typed_world_set, pushed, rebuilt_by_push, GenConfig,
 };
 
 const SEEDS: u64 = 210;
@@ -94,28 +95,25 @@ fn assert_identical<T: PartialEq + std::fmt::Debug>(warm: &T, cold: &T, at: &str
     assert_eq!(format!("{warm:?}"), format!("{cold:?}"), "{at}");
 }
 
-/// Every relation of the world set is stored as if built from its rows: its
-/// image — seeded by the run that answered a `LET`, or converted — is the one
-/// a conversion builds, and its statistics are the row walk's.
+/// Every relation of the world set is stored as if pushed: its columns —
+/// re-coded by the run that answered a `LET`, normalized, or pushed — are
+/// what pushing its rows makes, and its statistics are the row walk's.
 fn assert_stored_as_built(ws: &WorldSet, at: &str) {
     for (name, rel) in &ws.relations {
-        // A clone shares the image and builds rows of its own: the walk's
-        // relation stays the way its statement left it.
-        let rel = rel.clone();
         let at = format!("{at}\nrelation {name}");
-        let rebuilt = URelation::from_rows_unchecked(rel.schema().clone(), rel.rows().to_vec());
-        assert_same_image(rel.image(), rebuilt.image(), &at);
-        let stats = collect_stats(&rel);
-        assert_eq!(stats, stats_by_rows(&rel), "{at}");
+        let rebuilt = pushed(rel);
+        assert_same_image(rel, &rebuilt, &at);
+        let stats = collect_stats(rel);
+        assert_eq!(stats, stats_by_rows(rel), "{at}");
         assert_eq!(stats, collect_stats(&rebuilt), "{at}");
     }
 }
 
-/// Run `stmt` on the warm session and on a cold one started from the warm
-/// world set's rows alone; both must produce the same thing and leave the
-/// same world set, stored as if built.
+/// Run `stmt` on the walk's session and on one started from its world set
+/// rebuilt by push; both must produce the same thing and leave the same
+/// world set, stored as if pushed.
 fn step(warm: &mut Session, stmt: &str, at: &str) {
-    let mut cold = session(without_images(warm.world()), warm.exec.par.threads);
+    let mut cold = session(rebuilt_by_push(warm.world()), warm.exec.par.threads);
     let (got, want) = (rows(warm.execute(stmt)), rows(cold.execute(stmt)));
     assert_identical(&got, &want, at);
     assert_identical(warm.world(), cold.world(), at);
@@ -138,7 +136,7 @@ fn a_warm_world_set_answers_like_one_rebuilt_from_its_rows() {
             let at = format!("seed {seed} step {step_no} ({threads} threads)\n{query}");
             match rng.below(10) {
                 0 => {
-                    let mut cold = without_images(warm.world());
+                    let mut cold = rebuilt_by_push(warm.world());
                     warm.normalize();
                     cold.normalize();
                     assert_identical(warm.world(), &cold, &format!("{at}\nnormalize"));
@@ -153,8 +151,8 @@ fn a_warm_world_set_answers_like_one_rebuilt_from_its_rows() {
                         (*rng.pick(&names)).clone()
                     };
                     // Size the result on a throw-away copy first (the probe
-                    // itself warms nothing the walk keeps).
-                    let probe = rows(session(without_images(warm.world()), 1).execute(&query));
+                    // itself fills no memo the walk keeps).
+                    let probe = rows(session(rebuilt_by_push(warm.world()), 1).execute(&query));
                     let small = matches!(&probe, Ok(Some(r)) if r.len() <= MAX_STORED_ROWS);
                     let stmt = if small {
                         format!("LET {name} = {query}")
@@ -260,19 +258,15 @@ fn a_let_result_is_stored_as_the_image_a_conversion_of_its_rows_builds() {
         assert_eq!(warm.world().relations[name].len(), rows, "{stmt}");
     }
     let stored = &warm.world().relations;
-    assert_eq!(
-        stored["u"].image().descriptors().len(),
-        6,
-        "⊤ and five more"
-    );
-    assert_eq!(stored["top"].image().descriptors().len(), 1, "all-⊤");
-    assert!(stored["nulls"].image().strings().is_empty(), "all-NULL");
+    assert_eq!(stored["u"].descriptors().len(), 6, "⊤ and five more");
+    assert_eq!(stored["top"].descriptors().len(), 1, "all-⊤");
+    assert!(stored["nulls"].strings().is_empty(), "all-NULL");
 }
 
 /// `NULL` as a join and dedup key, through string columns whose `NULL` cells
 /// sit on a dictionary code that means something else (or nothing): `NULL`
 /// joins `NULL`, and `NULL` rows collapse under set semantics like any value
-/// (one row of ROADMAP 5e's table, pinned on a warm and on a cold scan).
+/// (one row of ROADMAP 5e's table, pinned on a first and a second run).
 #[test]
 fn null_string_keys_join_and_dedup_like_any_value() {
     let cell = |s: Option<&str>| s.map_or(Value::Null, Value::str);
@@ -333,8 +327,9 @@ fn null_string_keys_join_and_dedup_like_any_value() {
         (null_join, null_join_rows),
         (dedup, dedup_rows),
     ] {
-        // Twice on one world set: the first run scans cold, the second warm.
-        for pass in ["cold", "warm"] {
+        // Twice on one world set: the first run fills the statistics and
+        // rows memos nothing reads, the second finds them filled.
+        for pass in ["first", "second"] {
             let got = run(&mut ws, &plan).unwrap();
             assert_eq!(got.rows(), want.as_slice(), "{pass}: {plan}");
         }

@@ -2,21 +2,26 @@
 //! induced probability distribution over database *instances* exactly (up to
 //! float tolerance), while never growing the representation.
 
-use std::sync::Arc;
-
 use maybms_algebra::{run, Plan};
 use maybms_core::collect_stats;
 use maybms_core::rng::Rng;
 use maybms_core::{
-    Component, ComponentId, Schema, Tuple, URelation, Value, ValueType, WorldSet, WsDescriptor,
+    ColumnarURelation, Component, ComponentId, Schema, Tuple, URelation, Value, ValueType,
+    WorldSet, WsDescriptor,
 };
 use maybms_ql::repair_key;
 use maybms_testkit::oracle::{normalize_rows, stats_by_rows};
 use maybms_testkit::{
-    assert_image_as_built, gen_world_set, without_images, GenConfig, WORLD_LIMIT,
+    assert_image_as_built, gen_world_set, rebuilt_by_push, GenConfig, WORLD_LIMIT,
 };
 
 const CASES: u64 = 200;
+
+/// Which body a relation holds: its columns live in it, so their address
+/// names it while a holder keeps it alive.
+fn body(rel: &URelation) -> *const ColumnarURelation {
+    rel.columns()
+}
 const EPS: f64 = 1e-9;
 
 #[test]
@@ -71,12 +76,12 @@ fn normalization_is_idempotent() {
     }
 }
 
-/// Garbage collection renumbers components in the images normalization made
-/// and in nothing else. A world set cloned before the normalize shares every
-/// image with the clone; after it, the original still holds the same images
-/// (the same `Arc`s, still the images of its rows) with the same statistics
-/// and equals a copy of itself, while each of the clone's relations holds a
-/// new image that is the one a conversion of its renumbered rows builds.
+/// Garbage collection renumbers components in the relations normalization
+/// made and in nothing else. A world set cloned before the normalize shares
+/// every relation's body with the clone; after it, the original still holds
+/// the same bodies (still what pushing its rows makes) with the same
+/// statistics and equals a copy of itself, while each of the clone's
+/// relations is what pushing its renumbered rows makes.
 #[test]
 fn gc_renumbers_only_the_images_normalize_made() {
     let cfg = GenConfig::default();
@@ -86,16 +91,13 @@ fn gc_renumbers_only_the_images_normalize_made() {
     for case in 0..CASES {
         let mut rng = Rng::new(0x6C_4E04 ^ case);
         let original = gen_world_set(&mut rng, &cfg);
-        // Warm: every image built and every statistics memo filled.
+        // Every statistics memo filled.
         let warm: Vec<_> = original
             .relations
             .values()
-            .map(|r| {
-                let stats = collect_stats(r);
-                (Arc::clone(r.image()), stats)
-            })
+            .map(|r| (body(r), collect_stats(r)))
             .collect();
-        let copy = without_images(&original);
+        let copy = rebuilt_by_push(&original);
         let mut clone = original.clone();
         clone.normalize();
         let moved = clone
@@ -105,15 +107,14 @@ fn gc_renumbers_only_the_images_normalize_made() {
         renumbered += usize::from(moved);
         for (name, rel) in &clone.relations {
             let at = format!("case {case}: normalized {name}");
-            assert!(rel.is_empty() || rel.has_image(), "{at}: no image");
             assert_image_as_built(rel, &at);
             let stats = collect_stats(rel);
             assert_eq!(stats, stats_by_rows(rel), "{at}");
         }
         assert_eq!(original, copy, "case {case}");
-        for ((name, rel), (image, stats)) in original.relations.iter().zip(&warm) {
+        for ((name, rel), (was, stats)) in original.relations.iter().zip(&warm) {
             let at = format!("case {case}: original {name}");
-            assert!(Arc::ptr_eq(rel.image(), image), "{at}");
+            assert_eq!(body(rel), *was, "{at}");
             assert_eq!(&collect_stats(rel), stats, "{at}");
             assert_image_as_built(rel, &at);
         }
@@ -121,21 +122,23 @@ fn gc_renumbers_only_the_images_normalize_made() {
     assert!(renumbered >= 10, "only {renumbered} cases renumbered");
 }
 
-/// A relation already in normal form stays as it is — the same image `Arc`
-/// (and the statistics memoised inside it) and its rows, if built — unless
-/// garbage collection renumbers a component it mentions; then it gets a
-/// renumbered copy and holders of the old image keep it unchanged. The
-/// others are rebuilt, and everything reads as the reference normalizes it.
+/// A relation already in normal form stays as it is — the same body, its
+/// statistics and its rows, if built — unless garbage collection renumbers a
+/// component it mentions; then it gets a renumbered copy and holders of the
+/// old body keep it unchanged. The others are rebuilt, and everything reads
+/// as the reference normalizes it.
 #[test]
 fn normalize_keeps_what_is_already_normal() {
     let int = |x: i64| Value::Int(x);
     let schema = Schema::of(&[("k", ValueType::Int), ("v", ValueType::Int)]).unwrap();
     // Certain rows, in the order given.
     let certain = |rows: &[(i64, i64)]| {
-        let rows = rows
-            .iter()
-            .map(|&(k, v)| (Tuple::new(vec![int(k), int(v)]), WsDescriptor::tautology()));
-        URelation::from_rows_unchecked(schema.clone(), rows.collect())
+        let mut u = URelation::new(schema.clone());
+        for &(k, v) in rows {
+            let t = Tuple::new(vec![int(k), int(v)]);
+            u.push(t, WsDescriptor::tautology()).unwrap();
+        }
+        u
     };
     let mut ws = WorldSet::new();
     // A duplicate row: rebuilt without it. Certain, so `repair-key` takes it.
@@ -172,33 +175,25 @@ fn normalize_keeps_what_is_already_normal() {
     let census = &ws.relations["census"];
     assert_eq!(census.len(), 6);
     let census_stats = collect_stats(census);
-    census.rows();
-    let images: Vec<_> = ws
-        .relations
-        .values()
-        .map(|r| Arc::clone(r.image()))
-        .collect();
+    let census_rows = census.rows().as_ptr();
+    let bodies: Vec<_> = ws.relations.values().map(body).collect();
     let before = ws.clone();
     ws.normalize();
 
     assert_eq!(ws.components.len(), 3);
     let at = |name: &str| (&ws.relations[name], &before.relations[name]);
     let (census, _) = at("census");
-    assert!(Arc::ptr_eq(census.image(), &images[0]), "census is kept");
-    assert!(census.has_rows(), "with its rows");
+    assert_eq!(body(census), bodies[0], "census is kept");
+    assert_eq!(census.rows().as_ptr(), census_rows, "with its rows");
     assert_eq!(collect_stats(census), census_stats);
     for (i, name) in [(1, "form"), (3, "shuffled")] {
         let (after, _) = at(name);
-        assert!(!Arc::ptr_eq(after.image(), &images[i]), "{name} is rebuilt");
-        assert!(after.has_image() && !after.has_rows(), "{name}");
+        assert_ne!(body(after), bodies[i], "{name} is rebuilt");
     }
     assert_eq!(at("form").0.len(), 6);
     let (moved, old) = at("moved");
-    assert!(
-        !Arc::ptr_eq(moved.image(), &images[2]),
-        "moved is renumbered"
-    );
-    assert!(Arc::ptr_eq(old.image(), &images[2]), "in a copy");
+    assert_ne!(body(moved), bodies[2], "moved is renumbered");
+    assert_eq!(body(old), bodies[2], "in a copy");
     assert_eq!(old.rows()[0].1, WsDescriptor::single(c3, 0));
     assert_eq!(moved.rows()[0].1, WsDescriptor::single(ComponentId(2), 0));
     for (name, rel) in &ws.relations {

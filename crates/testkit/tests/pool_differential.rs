@@ -191,7 +191,7 @@ fn scans_append_dictionaries_and_round_trip_the_rows() {
             }
             let scans: Vec<(usize, Scan<'_>)> = order
                 .iter()
-                .map(|&r| (r, rels[r].image().scan(&mut pool, &mut strings)))
+                .map(|&r| (r, rels[r].scan(&mut pool, &mut strings)))
                 .collect();
             assert_eq!(
                 pool.stats().intern_calls,
@@ -238,7 +238,7 @@ fn interning_after_an_import_into_a_fresh_pool_finds_the_imported_handles() {
         let u = str_relation(&rows);
 
         let (mut pool, mut strings) = (DescriptorPool::new(), StrPool::new());
-        let scan = u.image().scan(&mut pool, &mut strings);
+        let scan = u.scan(&mut pool, &mut strings);
         assert!(matches!(scan.columns()[0], Cow::Borrowed(_)), "case {case}");
         let handles: Vec<DescId> = scan.descs().to_vec();
         let len = pool.len();
@@ -257,7 +257,7 @@ fn interning_after_an_import_into_a_fresh_pool_finds_the_imported_handles() {
         // A busy pool gives other handles for the same descriptors.
         let (mut pool, mut strings) = (DescriptorPool::new(), StrPool::new());
         let own = pool.intern(&rows[0].2);
-        let scan = u.image().scan(&mut pool, &mut strings);
+        let scan = u.scan(&mut pool, &mut strings);
         for (&id, (_, _, d)) in scan.descs().iter().zip(&rows) {
             assert_eq!(pool.terms(id), d.terms(), "case {case}: {d}");
             assert_eq!(id.is_tautology(), d.is_tautology(), "case {case}");

@@ -86,9 +86,21 @@ fn extraction_cases(seed: u64, gen_ws: fn(&mut Rng, &GenConfig) -> WorldSet) {
 /// distribution over maximal key repairs.
 #[test]
 fn repair_key_induces_the_repair_distribution() {
+    repair_cases(0x4E9A_114B, ValueType::Int);
+}
+
+/// The same on a float key holding `0.0`, `-0.0`, `NaN` and `0.5`: the key
+/// groups are those of the tuple order, in which `-0.0` and `0.0` differ and
+/// `NaN` equals itself.
+#[test]
+fn repair_key_induces_the_repair_distribution_on_float_keys() {
+    repair_cases(0x4E9A_F10A, ValueType::Float);
+}
+
+fn repair_cases(seed: u64, key: ValueType) {
     for case in 0..CASES {
-        let mut rng = Rng::new(0x4E9A_114B ^ case);
-        let (ws, key_cols, weighted) = gen_certain_db(&mut rng);
+        let mut rng = Rng::new(seed ^ case);
+        let (ws, key_cols, weighted) = gen_certain_db(&mut rng, key);
         let key_refs: Vec<&str> = key_cols.iter().map(String::as_str).collect();
         let plan = repair_key(
             Plan::scan("r"),
@@ -248,19 +260,19 @@ fn conf_as_map(u: &URelation) -> BTreeMap<Tuple, f64> {
         .collect()
 }
 
-/// A random certain relation r(k, v, w) with small key groups, plus whether
-/// to exercise the weighted variant.
-fn gen_certain_db(rng: &mut Rng) -> (WorldSet, Vec<String>, bool) {
-    let schema = Schema::of(&[
-        ("k", ValueType::Int),
-        ("v", ValueType::Int),
-        ("w", ValueType::Int),
-    ])
-    .expect("distinct columns");
+/// A random certain relation r(k, v, w) with small key groups, keys of type
+/// `key`, plus whether to exercise the weighted variant.
+fn gen_certain_db(rng: &mut Rng, key: ValueType) -> (WorldSet, Vec<String>, bool) {
+    let schema = Schema::of(&[("k", key), ("v", ValueType::Int), ("w", ValueType::Int)])
+        .expect("distinct columns");
     let mut rel = Relation::new(schema);
     for _ in 0..rng.range(1, 7) {
+        let k = match key {
+            ValueType::Float => Value::float(*rng.pick(&[0.0, -0.0, f64::NAN, 0.5])),
+            _ => Value::Int(rng.below(3) as i64),
+        };
         rel.insert(Tuple::new(vec![
-            Value::Int(rng.below(3) as i64),
+            k,
             Value::Int(rng.below(4) as i64),
             Value::Int(rng.range(1, 5) as i64),
         ]))

@@ -26,7 +26,7 @@
 //! Meta commands: `\d` lists the relations, `\stats` shows the last query's
 //! executor statistics (descriptor-pool occupancy and hit rates,
 //! string-dictionary size, elided dedups, parallelism, confidence-solver
-//! and SIP counters, cold and warm scans, plan-cache hit rate), `\timing`
+//! and SIP counters, plan-cache hit rate), `\timing`
 //! toggles per-statement wall-clock reporting, `\trace on|off` toggles span
 //! tracing for subsequent queries, `\trace last <file>` exports the last
 //! captured trace as Chrome trace-event JSON (open it in `chrome://tracing`
@@ -490,10 +490,6 @@ fn print_stats(header: &str, s: &ExecStats) {
             }
         );
     }
-    println!(
-        "  scans:           {} cold, {} warm",
-        s.cold_scans, s.warm_scans
-    );
     println!("  output:          {} rows", s.output_rows);
 }
 
