@@ -1,9 +1,6 @@
 //! `conf`: exact and (ε, δ)-approximate tuple confidence from component
 //! probabilities.
 
-use std::sync::Arc;
-
-use maybms_algebra::{EvalCtx, ExtOperator, ExtProps, Plan};
 use maybms_core::columnar::{ColumnVec, ColumnarURelation};
 use maybms_core::dnf::{DnfKernel, GroupSampler, Loaded, EXACT_STEP_CEILING, SAMPLE_DRAW_CEILING};
 use maybms_core::parallel::{chunk_ranges, run_tasks};
@@ -12,9 +9,10 @@ use maybms_core::{
     Column, ComponentId, ComponentSet, ConfStats, DescId, MayError, Schema, ValueType,
 };
 
-use crate::tuple_runs;
+use crate::eval::EvalCtx;
+use crate::uncertain::tuple_runs;
 
-// `Conf::eval` computes P(t) = P(d₁ ∨ … ∨ dₙ) per distinct tuple. The
+// `conf` computes P(t) = P(d₁ ∨ … ∨ dₙ) per distinct tuple. The
 // disjunction factorizes into connected descriptor groups over shared
 // components (`P = 1 − Π(1 − P_group)` by independence), and one compiled
 // kernel (`maybms_core::dnf`) serves every group, on both paths:
@@ -52,7 +50,7 @@ pub const CONF_COLUMN: &str = "conf";
 pub const DEFAULT_CONF_EXACT_LIMIT: u64 = 4096;
 
 /// Default sampling seed for `conf(eps, delta)` nodes built from SQL (which
-/// has no seed syntax). Tests vary the seed through [`conf_approx_with`].
+/// has no seed syntax). Tests vary the seed through [`crate::conf_approx_with`].
 pub const DEFAULT_CONF_SEED: u64 = 0x5EED_C0FF_EE00_0007;
 
 /// Parameters of an (ε, δ)-approximate confidence computation.
@@ -86,7 +84,7 @@ impl ApproxConf {
 
     /// ε and δ must be probabilities strictly inside `(0, 1)`. The MayQL
     /// planner checks the literals it lowers; this is the same check for
-    /// nodes built through [`conf_approx_with`], where a NaN ε would
+    /// nodes built through [`crate::conf_approx_with`], where a NaN ε would
     /// otherwise draw once and return a number with no guarantee behind it.
     /// A value whose plain form runs long is echoed in exponent form.
     fn validate(&self) -> Result<(), MayError> {
@@ -107,148 +105,80 @@ impl ApproxConf {
     }
 }
 
-/// The `conf R` operator: for every distinct tuple of `R`, the probability
-/// of the worlds containing it, appended as a `conf` column — exact, or
-/// (ε, δ)-approximate when built by [`conf_approx`]. The result is a certain
-/// relation (the confidences themselves are facts about the world set, not
-/// uncertain data).
-#[derive(Debug)]
-pub struct Conf {
-    input: Plan,
+/// The schema `conf` outputs over `input`: the input's columns plus
+/// [`CONF_COLUMN`]. `Schema::new` rejects an input that already has one.
+pub(crate) fn with_conf_column(input: &Schema) -> Result<Schema, MayError> {
+    let mut cols = input.columns().to_vec();
+    cols.push(Column::new(CONF_COLUMN, ValueType::Float));
+    Schema::new(cols)
+}
+
+/// `conf r`: for every distinct tuple of `r`, the probability of the worlds
+/// containing it, appended as a [`CONF_COLUMN`] — exact when `approx` is
+/// `None`. The result is a certain relation (the confidences themselves are
+/// facts about the world set, not uncertain data).
+pub(crate) fn conf(
+    ctx: &mut EvalCtx<'_>,
+    r: &ColumnarURelation,
     approx: Option<ApproxConf>,
-}
-
-/// Build an exact `conf` plan node.
-pub fn conf(input: Plan) -> Plan {
-    Plan::Ext(Arc::new(Conf {
-        input,
-        approx: None,
-    }))
-}
-
-/// Build an (ε, δ)-approximate `conf` plan node with the default seed and
-/// cutover (what `SELECT CONF(eps, delta) …` lowers to).
-pub fn conf_approx(input: Plan, eps: f64, delta: f64) -> Plan {
-    conf_approx_with(input, ApproxConf::new(eps, delta))
-}
-
-/// Build an (ε, δ)-approximate `conf` plan node with explicit seed and
-/// cutover control.
-pub fn conf_approx_with(input: Plan, approx: ApproxConf) -> Plan {
-    Plan::Ext(Arc::new(Conf {
-        input,
-        approx: Some(approx),
-    }))
-}
-
-impl ExtOperator for Conf {
-    fn name(&self) -> &'static str {
-        "conf"
+) -> Result<ColumnarURelation, MayError> {
+    if let Some(approx) = &approx {
+        approx.validate()?;
     }
-
-    fn describe(&self) -> String {
-        match &self.approx {
-            None => "conf".to_string(),
-            Some(a) => format!("conf(eps={}, delta={})", a.eps, a.delta),
+    let schema = with_conf_column(r.schema())?;
+    // Group the rows of each distinct tuple as one contiguous run of a
+    // sorted id permutation; the value columns are gathered once at the
+    // end and the `conf` column is built as a raw float vector.
+    let (perm, bounds) = tuple_runs(r, ctx);
+    let solve_started = ctx.tracer.now();
+    // P(t in DB) = P(d₁ ∨ … ∨ dₙ) over the components the descriptors
+    // mention (they are independent of all others). Each run's term
+    // lists go to the solver straight from the pool, no descriptor is
+    // cloned. Each run is independent, the canonical order is total on
+    // descriptor content, and sampling streams are pure functions of
+    // group content — so the per-run solves parallelize over morsels of
+    // runs with bit-exact results for every thread count.
+    let workers = ctx.par.workers_for(perm.len());
+    let pool = &ctx.pool;
+    let components = &*ctx.components;
+    let solve_runs = |range: std::ops::Range<usize>| {
+        let mut kept: Vec<u32> = Vec::with_capacity(range.len());
+        let mut confs: Vec<f64> = Vec::with_capacity(range.len());
+        let mut solver = RunSolver::new(components, approx, EXACT_STEP_CEILING);
+        for &(start, end) in &bounds[range] {
+            let run = &perm[start as usize..end as usize];
+            kept.push(run[0]);
+            confs.push(solver.solve(run.iter().map(|&i| pool.terms(r.descs()[i as usize])))?);
         }
-    }
-
-    fn mints_components(&self) -> bool {
-        // Pure: reads component probabilities (sampling streams are
-        // content-keyed), never creates components.
-        false
-    }
-
-    fn props(&self) -> ExtProps {
-        ExtProps {
-            requires_normalized_input: false,
-            distinct_output: true,
-            certain_output: true,
-        }
-    }
-
-    fn with_inputs(&self, mut inputs: Vec<Plan>) -> Plan {
-        Plan::Ext(Arc::new(Conf {
-            input: inputs.remove(0),
-            approx: self.approx,
-        }))
-    }
-
-    fn inputs(&self) -> Vec<&Plan> {
-        vec![&self.input]
-    }
-
-    fn output_schema(&self, inputs: &[Schema]) -> Result<Schema, MayError> {
-        let mut cols = inputs[0].columns().to_vec();
-        cols.push(Column::new(CONF_COLUMN, ValueType::Float));
-        // Schema::new rejects an input that already has a `conf` column.
-        Schema::new(cols)
-    }
-
-    fn eval(
-        &self,
-        ctx: &mut EvalCtx<'_>,
-        inputs: Vec<ColumnarURelation>,
-    ) -> Result<ColumnarURelation, MayError> {
-        if let Some(approx) = &self.approx {
-            approx.validate()?;
-        }
-        let r = &inputs[0];
-        let schema = self.output_schema(&[r.schema().clone()])?;
-        // Group the rows of each distinct tuple as one contiguous run of a
-        // sorted id permutation; the value columns are gathered once at the
-        // end and the `conf` column is built as a raw float vector.
-        let (perm, bounds) = tuple_runs(r, ctx);
-        let solve_started = ctx.tracer.now();
-        // P(t in DB) = P(d₁ ∨ … ∨ dₙ) over the components the descriptors
-        // mention (they are independent of all others). Each run's term
-        // lists go to the solver straight from the pool, no descriptor is
-        // cloned. Each run is independent, the canonical order is total on
-        // descriptor content, and sampling streams are pure functions of
-        // group content — so the per-run solves parallelize over morsels of
-        // runs with bit-exact results for every thread count.
-        let workers = ctx.par.workers_for(perm.len());
-        let pool = &ctx.pool;
-        let components = &*ctx.components;
-        let solve_runs = |range: std::ops::Range<usize>| {
-            let mut kept: Vec<u32> = Vec::with_capacity(range.len());
-            let mut confs: Vec<f64> = Vec::with_capacity(range.len());
-            let mut solver = RunSolver::new(components, self.approx, EXACT_STEP_CEILING);
-            for &(start, end) in &bounds[range] {
-                let run = &perm[start as usize..end as usize];
-                kept.push(run[0]);
-                confs.push(solver.solve(run.iter().map(|&i| pool.terms(r.descs()[i as usize])))?);
-            }
-            Ok((kept, confs, solver.stats()))
-        };
-        let (kept, confs) = if workers <= 1 {
-            let (kept, confs, stats) = solve_runs(0..bounds.len())?;
+        Ok((kept, confs, solver.stats()))
+    };
+    let (kept, confs) = if workers <= 1 {
+        let (kept, confs, stats) = solve_runs(0..bounds.len())?;
+        ctx.conf_stats.absorb(&stats);
+        (kept, confs)
+    } else {
+        let morsels = chunk_ranges(bounds.len(), workers * 4);
+        let parts = run_tasks(&mut ctx.par_stats, workers, morsels.len(), |t| {
+            solve_runs(morsels[t].clone())
+        });
+        let mut kept: Vec<u32> = Vec::with_capacity(bounds.len());
+        let mut confs: Vec<f64> = Vec::with_capacity(bounds.len());
+        // Task order: the first failing run's error wins, as it would
+        // sequentially.
+        for part in parts {
+            let (k, c, stats) = part?;
+            kept.extend_from_slice(&k);
+            confs.extend_from_slice(&c);
             ctx.conf_stats.absorb(&stats);
-            (kept, confs)
-        } else {
-            let morsels = chunk_ranges(bounds.len(), workers * 4);
-            let parts = run_tasks(&mut ctx.par_stats, workers, morsels.len(), |t| {
-                solve_runs(morsels[t].clone())
-            });
-            let mut kept: Vec<u32> = Vec::with_capacity(bounds.len());
-            let mut confs: Vec<f64> = Vec::with_capacity(bounds.len());
-            // Task order: the first failing run's error wins, as it would
-            // sequentially.
-            for part in parts {
-                let (k, c, stats) = part?;
-                kept.extend_from_slice(&k);
-                confs.extend_from_slice(&c);
-                ctx.conf_stats.absorb(&stats);
-            }
-            (kept, confs)
-        };
-        ctx.tracer
-            .event("solve", solve_started, bounds.len() as u64);
-        let mut cols: Vec<ColumnVec> = r.columns().iter().map(|c| c.gather(&kept)).collect();
-        cols.push(ColumnVec::from_floats(confs));
-        let descs = vec![DescId::TAUTOLOGY; kept.len()];
-        Ok(ColumnarURelation::from_parts(schema, cols, descs))
-    }
+        }
+        (kept, confs)
+    };
+    ctx.tracer
+        .event("solve", solve_started, bounds.len() as u64);
+    let mut cols: Vec<ColumnVec> = r.columns().iter().map(|c| c.gather(&kept)).collect();
+    cols.push(ColumnVec::from_floats(confs));
+    let descs = vec![DescId::TAUTOLOGY; kept.len()];
+    Ok(ColumnarURelation::from_parts(schema, cols, descs))
 }
 
 /// One worker's solver: the kernel with its reusable buffers, the mode, and
@@ -393,6 +323,7 @@ fn estimate(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{conf, conf_approx_with, Plan};
     use maybms_core::{Component, WsDescriptor};
 
     fn two_comp_set() -> (ComponentSet, ComponentId, ComponentId) {
@@ -587,7 +518,7 @@ mod tests {
                 exact_limit: 0,
                 ..ApproxConf::new(eps, delta)
             };
-            maybms_algebra::run(&mut ws.clone(), &conf_approx_with(Plan::scan("r"), approx))
+            crate::run(&mut ws.clone(), &conf_approx_with(Plan::scan("r"), approx))
         };
         assert!(run(0.1, 0.1).is_ok());
         for bad in [f64::NAN, 0.0, 1.0, -0.1, f64::INFINITY, f64::NEG_INFINITY] {
@@ -611,7 +542,7 @@ mod tests {
 
     #[test]
     fn a_single_tuple_run_reports_no_fan_out() {
-        use maybms_algebra::{run_with, ExecCfg};
+        use crate::{run_with, ExecCfg};
         use maybms_core::parallel::DEFAULT_MIN_ROWS;
         use maybms_core::{ParCfg, Tuple, URelation, Value, WorldSet};
         // Enough rows to pass the morsel threshold, but all of one tuple:

@@ -15,8 +15,7 @@
 //! * **quantifiers** — output bounds from descriptor density: the
 //!   world-collapsing operators emit at most one row per distinct tuple,
 //!   `certain` additionally keeps only the `1 − nontrivial_frac` certain
-//!   slice (each [`crate::ext::ExtOperator`] refines its own bound through
-//!   [`crate::ext::ExtOperator::estimate_rows`]).
+//!   slice, and `repair-key` keeps every row ([`crate::UOp::estimate_rows`]).
 //!
 //! The cost model charges rows moved plus `n·log n` for the operators that
 //! canonically sort (union dedup and the world-collapsing quantifiers);
@@ -285,23 +284,8 @@ pub fn plan_cost(
             let cost = lc + rc + sort_cost(rows);
             (est, cost)
         }
-        Plan::Ext(op) => {
-            let mut in_cost = 0.0;
-            let mut in_est: Option<CardEst> = None;
-            for input in op.inputs() {
-                let (e, c) = plan_cost(input, schemas, stats);
-                in_cost += c;
-                if in_est.is_none() {
-                    in_est = Some(e);
-                }
-            }
-            let in_est = in_est.unwrap_or(CardEst {
-                rows: 0.0,
-                ndv: BTreeMap::new(),
-                ranges: BTreeMap::new(),
-                nontrivial_frac: 0.0,
-            });
-            let props = op.props();
+        Plan::Uncertain { op, input } => {
+            let (in_est, in_cost) = plan_cost(input, schemas, stats);
             let rows = op
                 .estimate_rows(
                     in_est.rows,
@@ -317,13 +301,14 @@ pub fn plan_cost(
                     .map(|(c, &d)| (c.clone(), d.min(rows.max(1.0))))
                     .collect(),
                 ranges: in_est.ranges.clone(),
-                nontrivial_frac: if props.certain_output {
+                nontrivial_frac: if op.certain_output() {
                     0.0
                 } else {
                     in_est.nontrivial_frac
                 },
             };
-            // Every ql operator canonical-sorts its input; that dominates.
+            // Every uncertainty operator canonical-sorts its input; that
+            // dominates.
             let cost = in_cost + sort_cost(in_est.rows) + rows;
             (est, cost)
         }

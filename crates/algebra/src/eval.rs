@@ -9,12 +9,12 @@
 //! Instead they evaluate on `Batch`es over the columnar form of
 //! `maybms-core`: one typed [`ColumnVec`] per attribute plus a dense
 //! [`DescId`] column, with an optional **selection vector** of row ids on
-//! top. Strings are dictionary codes into a run-global
-//! [`StrPool`] and descriptors are handles into a run-global
-//! [`DescriptorPool`] — both owned by the [`EvalCtx`] — so string equality
-//! anywhere in the executor is an integer compare, and descriptor equality
-//! one integer compare or a short slice compare
-//! ([`DescriptorPool::same_descriptor`]). Concretely:
+//! top. Strings are dictionary codes into a run-global [`StrPool`] and
+//! descriptors are handles into a run-global [`DescriptorPool`] — both
+//! owned by the run's evaluation context — so string equality anywhere in
+//! the executor is an integer compare, and descriptor equality one integer
+//! compare or a short slice compare ([`DescriptorPool::same_descriptor`]).
+//! Concretely:
 //!
 //! * **Scan** borrows the relation's columns as imported into the run's
 //!   pools (see *Stored relations* below) — no per-operator copies, and no
@@ -79,7 +79,7 @@
 //! vector) instead of gathering, so a k-way join chain performs **one**
 //! gather per source column — fused with the pending selection vector at
 //! the next pipeline breaker (`Batch::into_dense_parts`: union inputs,
-//! extension-operator inputs, the final emit) — instead of k. All sweeps
+//! uncertainty-operator inputs, the final emit) — instead of k. All sweeps
 //! (predicates, row hashing, join keys) read through [`ColView`]s, which
 //! fold the indirection into each cell access (a typed sweep dispatches on
 //! it once per column). This is how joins work — there is
@@ -101,11 +101,14 @@
 //! the next filter down a join chain.
 //!
 //! Schemas are validated once per operator when the output schema is
-//! derived. Extension operators (`repair-key`, `conf`, …) speak the
-//! columnar ABI too: [`crate::ext::ExtOperator::eval`] receives and returns
-//! [`ColumnarURelation`]s whose descriptors/strings live in the context's
-//! pools. Nothing is converted to rows: the final result leaves [`run`] as
-//! a [`URelation`] of columns.
+//! derived. The uncertainty operators (`repair-key`, `possible`, `certain`,
+//! `conf`; [`crate::UOp`]) are columnar too: each receives its input as one
+//! dense [`ColumnarURelation`] whose descriptors/strings live in the run's
+//! pools and returns one, which the plan above reads like any batch. Every
+//! plan node evaluates exactly once per run — the optimizer never
+//! duplicates a subtree, so each `REPAIR KEY` of a query mints its own
+//! components. Nothing is converted to rows: the final result leaves
+//! [`run`] as a [`URelation`] of columns.
 //!
 //! # Configuration
 //!
@@ -155,41 +158,35 @@ impl Default for ExecCfg {
 }
 
 /// Evaluation context handed to operators: the base relations (read-only),
-/// the component set (mutable, so extension operators like `repair-key` can
-/// mint new components), and the run's interning pools.
-pub struct EvalCtx<'a> {
+/// the component set (mutable, so `repair-key` can mint new components),
+/// and the run's interning pools.
+pub(crate) struct EvalCtx<'a> {
     /// The base u-relations, by name.
-    pub relations: &'a BTreeMap<String, URelation>,
+    pub(crate) relations: &'a BTreeMap<String, URelation>,
     /// The components of the world set.
-    pub components: &'a mut ComponentSet,
+    pub(crate) components: &'a mut ComponentSet,
     /// The run's descriptor interner. Every [`DescId`] flowing through the
-    /// executor — including those inside extension-operator inputs and
+    /// executor — including those inside uncertainty-operator inputs and
     /// results — resolves against this pool.
-    pub pool: DescriptorPool,
+    pub(crate) pool: DescriptorPool,
     /// The run's string dictionary. Every string cell of every columnar
     /// relation in the run is a code into this pool.
-    pub strings: StrPool,
-    /// The run's parallelism configuration. The built-in operators never
-    /// read it; the two extension operators that fan out (`conf`,
-    /// `certain`) consult [`ParCfg::workers_for`] first, and results are
-    /// deterministic for every thread count.
-    pub par: ParCfg,
+    pub(crate) strings: StrPool,
+    /// The run's parallelism configuration. Only the two operators that fan
+    /// out (`conf`, `certain`) read it, through [`ParCfg::workers_for`], and
+    /// results are deterministic for every thread count.
+    pub(crate) par: ParCfg,
     /// Parallelism counters accumulated across the run's stages.
-    pub par_stats: ParStats,
+    pub(crate) par_stats: ParStats,
     /// Confidence-solver counters accumulated across the run's `conf`
     /// evaluations (exact and sampled groups, steps, draws, largest group).
-    pub conf_stats: ConfStats,
+    pub(crate) conf_stats: ConfStats,
     /// The run's span recorder. Disabled (every call a cheap no-op) except
-    /// when [`run_with`] is asked to trace; extension operators may record
+    /// when [`run_with`] is asked to trace; the uncertainty operators record
     /// sub-phase events through it ([`Tracer::now`] / [`Tracer::event`]).
-    pub tracer: Tracer,
+    pub(crate) tracer: Tracer,
     /// Whether sideways information passing is enabled for this run.
-    pub sip: bool,
-    /// Memoized results of extension operators, keyed by `Arc` identity.
-    /// A shared (cloned) `repair-key` subtree must evaluate *once* per run:
-    /// re-running it would mint fresh components for each occurrence and
-    /// silently decorrelate what the plan author shares deliberately.
-    ext_cache: FxHashMap<usize, ColumnarURelation>,
+    pub(crate) sip: bool,
     /// Dedup sweeps skipped because a plan property proved them redundant
     /// (surfaced through [`ExecStats::dedups_elided`]).
     dedups_elided: usize,
@@ -202,9 +199,9 @@ pub struct EvalCtx<'a> {
 }
 
 impl<'a> EvalCtx<'a> {
-    /// Build a fresh context (with an empty extension-operator memo and
-    /// fresh interning pools) for one run under `cfg`.
-    pub fn with_exec(
+    /// Build a fresh context (with fresh interning pools) for one run under
+    /// `cfg`.
+    fn with_exec(
         relations: &'a BTreeMap<String, URelation>,
         components: &'a mut ComponentSet,
         cfg: ExecCfg,
@@ -219,7 +216,6 @@ impl<'a> EvalCtx<'a> {
             conf_stats: ConfStats::default(),
             tracer: Tracer::disabled(),
             sip: cfg.sip,
-            ext_cache: FxHashMap::default(),
             dedups_elided: 0,
             sip_filters: FxHashMap::default(),
             sip_stats: SipStats::default(),
@@ -465,7 +461,7 @@ impl<'s> Batch<'s> {
         }
     }
 
-    /// Take ownership of an extension operator's (or cached) result.
+    /// Take ownership of an uncertainty operator's result.
     fn from_owned(rel: ColumnarURelation) -> Batch<'s> {
         let (schema, cols, descs) = rel.into_parts();
         Batch {
@@ -612,15 +608,14 @@ impl<'s> Batch<'s> {
     }
 }
 
-/// Evaluate a plan against a world set. New components created by extension
-/// operators are added to `ws.components`; the base relations are untouched.
+/// Evaluate a plan against a world set. New components minted by
+/// `repair-key` are added to `ws.components`; the base relations are
+/// untouched.
 ///
-/// Within one `run`, a *shared* extension subtree (the same `Arc`, e.g. a
-/// cloned `repair-key` plan used on both sides of a join) is evaluated once
-/// and its result reused, so both occurrences refer to the same components.
-/// Two structurally equal but separately constructed subtrees remain
-/// independent repairs — sharing is by `Arc` identity, which is what plan
-/// `clone()` preserves.
+/// Every node evaluates once, so two `repair-key` nodes are two independent
+/// repairs even when they are equal. To repair once and use the result
+/// twice, store it (`ws.insert`) and scan it twice — the components then
+/// belong to the stored relation.
 pub fn run(ws: &mut WorldSet, plan: &Plan) -> Result<URelation, MayError> {
     run_with(ws, plan, &ExecCfg::default(), false).map(|(result, _, _)| result)
 }
@@ -718,24 +713,19 @@ pub fn run_traced(
         .map(|(result, stats, trace)| (result, stats, trace.expect("tracing was requested")))
 }
 
-/// Collect the names of every base relation a plan (including extension
-/// subtrees) scans.
+/// Collect the names of every base relation a plan scans.
 fn collect_scans<'p>(plan: &'p Plan, names: &mut BTreeSet<&'p str>) {
     match plan {
         Plan::Scan(name) => {
             names.insert(name);
         }
-        Plan::Select { input, .. } | Plan::Project { input, .. } | Plan::Rename { input, .. } => {
-            collect_scans(input, names)
-        }
+        Plan::Select { input, .. }
+        | Plan::Project { input, .. }
+        | Plan::Rename { input, .. }
+        | Plan::Uncertain { input, .. } => collect_scans(input, names),
         Plan::NaturalJoin { left, right } | Plan::Union { left, right } => {
             collect_scans(left, names);
             collect_scans(right, names);
-        }
-        Plan::Ext(op) => {
-            for input in op.inputs() {
-                collect_scans(input, names);
-            }
         }
     }
 }
@@ -820,9 +810,8 @@ fn apply_sip(plan: &Plan, b: &mut Batch<'_>, ctx: &mut EvalCtx<'_>) {
 /// branch on the tracer's enabled bool before delegating to
 /// [`eval_batch_inner`] — this is the whole per-node cost of having the
 /// tracer compiled in. The traced path opens a span labelled exactly like
-/// the `EXPLAIN` tree line (a memoized extension subtree is labelled
-/// `… (cached)` so the span tree reflects what actually executed) and
-/// charges the node the counter delta across its evaluation. Either path
+/// the `EXPLAIN` tree line and charges the node the counter delta across
+/// its evaluation. Either path
 /// applies pending SIP filters to the node's output before it flows up (so
 /// a traced span's `rows_out` reflects the pruning).
 fn eval_batch<'s>(
@@ -835,14 +824,7 @@ fn eval_batch<'s>(
         apply_sip(plan, &mut b, ctx);
         return Ok(b);
     }
-    let mut label = plan.node_label();
-    if let Plan::Ext(op) = plan {
-        let key = Arc::as_ptr(op) as *const () as usize;
-        if ctx.ext_cache.contains_key(&key) {
-            label.push_str(" (cached)");
-        }
-    }
-    let span = ctx.span_enter(label);
+    let span = ctx.span_enter(plan.node_label());
     let mut result = eval_batch_inner(plan, scans, ctx);
     if let Ok(b) = result.as_mut() {
         apply_sip(plan, b, ctx);
@@ -1065,28 +1047,9 @@ fn eval_batch_inner<'s>(
             b.schema = Cow::Owned(b.schema.rename(renames)?);
             Ok(b)
         }
-        Plan::Ext(op) => {
-            let key = Arc::as_ptr(op) as *const () as usize;
-            if let Some(cached) = ctx.ext_cache.get(&key) {
-                return Ok(Batch::from_owned(cached.clone()));
-            }
-            let mut inputs = Vec::new();
-            for p in op.inputs() {
-                inputs.push(eval_batch(p, scans, ctx)?.into_columnar());
-            }
-            let result = op.eval(ctx, inputs)?;
-            ctx.ext_cache.insert(key, result.clone());
-            Ok(Batch::from_owned(result))
+        Plan::Uncertain { op, input } => {
+            let input = eval_batch(input, scans, ctx)?.into_columnar();
+            Ok(Batch::from_owned(op.eval(ctx, input)?))
         }
     }
-}
-
-/// Infer the output schema of a plan without evaluating it. This is the
-/// relation-map convenience form of [`Plan::schema_with`], which accepts
-/// any [`crate::optimize::SchemaProvider`].
-pub fn infer_schema(
-    plan: &Plan,
-    relations: &BTreeMap<String, URelation>,
-) -> Result<Schema, MayError> {
-    plan.schema_with(relations)
 }

@@ -21,15 +21,19 @@
 //! docs for the operator contract), converting to the row-oriented
 //! representation only at the boundary of [`eval::run`].
 //!
-//! The IR is open: [`ext::ExtOperator`] lets higher layers add operators with
-//! access to the component set (the extension ABI is columnar too).
-//! `maybms-ql` uses it for `repair-key`, `possible`, `certain`, and `conf`.
+//! The IR is closed: besides the positive algebra, [`Plan::Uncertain`]
+//! carries the paper's four uncertainty operators ([`UOp`]: `repair-key`,
+//! `possible`, `certain`, `conf`), which evaluate beside the executor with
+//! access to the component set — that is how `repair-key` mints components
+//! and `certain`/`conf` read their probabilities. [`repair_key`],
+//! [`possible`], [`certain`], [`conf`], [`conf_approx`] and
+//! [`conf_approx_with`] build them.
 //!
 //! Between lowering and execution sits the **logical optimizer**
 //! ([`mod@optimize`]): a fixpoint rewriter that pushes selections into join
 //! inputs, prunes projections down to the columns consumers need, and
 //! collapses or elides projections that derived plan properties (schema,
-//! distinctness) prove redundant. Extension operators are barriers whose
+//! distinctness) prove redundant. Uncertainty operators are barriers whose
 //! inputs are rewritten in place. On top of the rule fixpoint,
 //! [`optimize::optimize_with_stats`] runs a **cost-based phase** that
 //! reorders join trees (a greedy cheapest-pair search), driven by the
@@ -40,21 +44,23 @@
 //! algebra, which is what the differential tests run inside each enumerated
 //! world.
 
+mod confidence;
 pub mod cost;
 pub mod eval;
-pub mod ext;
+mod extract;
 pub mod naive;
 pub mod optimize;
 pub mod plan;
 pub mod predicate;
+mod repair;
 pub mod sip;
+pub mod uncertain;
 
+pub use confidence::{ApproxConf, CONF_COLUMN, DEFAULT_CONF_EXACT_LIMIT, DEFAULT_CONF_SEED};
 pub use cost::{estimate_preorder, plan_cost, CardEst, StatsProvider};
-pub use eval::{
-    infer_schema, run, run_traced, run_with, run_with_opts, EvalCtx, ExecCfg, ExecStats,
-};
-pub use ext::{ExtOperator, ExtProps};
+pub use eval::{run, run_traced, run_with, run_with_opts, ExecCfg, ExecStats};
 pub use optimize::{optimize, optimize_with_stats, SchemaProvider};
 pub use plan::Plan;
 pub use predicate::{col, lit, CmpOp, Operand, Predicate};
 pub use sip::{exec_order, sip_decisions, SipStats};
+pub use uncertain::{certain, conf, conf_approx, conf_approx_with, possible, repair_key, UOp};

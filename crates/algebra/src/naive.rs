@@ -11,7 +11,7 @@ use crate::plan::Plan;
 /// Evaluate a plan against one fully instantiated world with the textbook
 /// single-world algebra from `maybms_core::naive`.
 ///
-/// Extension operators are rejected: constructs like `possible` or `conf`
+/// Uncertainty operators are rejected: constructs like `possible` or `conf`
 /// have *world-set* semantics and cannot be computed inside a single world —
 /// their oracles aggregate over the enumeration instead (see
 /// `maybms-testkit`).
@@ -30,7 +30,7 @@ pub fn eval(plan: &Plan, db: &BTreeMap<String, Relation>) -> Result<Relation, Ma
         Plan::NaturalJoin { left, right } => ops::natural_join(&eval(left, db)?, &eval(right, db)?),
         Plan::Union { left, right } => ops::union(&eval(left, db)?, &eval(right, db)?),
         Plan::Rename { input, renames } => ops::rename(&eval(input, db)?, renames),
-        Plan::Ext(op) => Err(MayError::Unsupported(format!(
+        Plan::Uncertain { op, .. } => Err(MayError::Unsupported(format!(
             "operator {} has world-set semantics and cannot run inside a single world",
             op.name()
         ))),

@@ -20,30 +20,25 @@
 //! [`SchemaProvider`], so every layer that owns schemas (the executor's
 //! relation map, the MayQL catalog) can drive the optimizer.
 //!
-//! Extension operators are barriers: no selection or projection crosses
-//! one, and only their inputs are rewritten, through
-//! [`with_inputs`][ExtOperator::with_inputs].
+//! Uncertainty operators ([`Plan::Uncertain`]) are barriers: no selection
+//! or projection crosses one, and only their input is rewritten. A
+//! `repair-key` input must stay a normalized certain relation, so it is
+//! only replaced by a rewrite that keeps it provably certain.
 //!
-//! **Sharing discipline.** Within one plan, a *shared* extension subtree
-//! (the same `Arc`, e.g. a `repair-key` used on both sides of a join) must
-//! stay shared: the executor evaluates shared subtrees once so both
-//! occurrences see the same minted components. Every extension rewrite is
-//! a pure input rewrite, memoized by `Arc` identity, so every occurrence of
-//! a shared node maps to one rewritten node. Operators that declare
-//! [`ExtProps::requires_normalized_input`] additionally get a guard: their
-//! inputs are only replaced by rewrites that preserve provable certainty.
-//!
-//! [`ExtProps::requires_normalized_input`]: crate::ext::ExtProps::requires_normalized_input
+//! **No rewrite duplicates a subtree.** Every rule moves, wraps or drops
+//! nodes, and the join reorder rebuilds a tree over the same leaves, each
+//! once. So every node of the optimized plan, `repair-key`s included,
+//! evaluates exactly as often as in the lowered plan, and each minted
+//! component stays where the query put it.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
-use maybms_core::{FxHashMap, MayError, Schema, URelation};
+use maybms_core::{MayError, Schema, URelation};
 
 use crate::cost::{join_set_est, join_step_cost, CardEst, StatsProvider};
-use crate::ext::ExtOperator;
 use crate::plan::Plan;
 use crate::predicate::Predicate;
+use crate::uncertain::UOp;
 
 /// A source of base-relation schemas, the only context the optimizer (and
 /// plan schema inference) needs. Implemented for the executor's relation
@@ -67,8 +62,8 @@ impl SchemaProvider for BTreeMap<String, URelation> {
 }
 
 impl Plan {
-    /// Infer the plan's output schema against a [`SchemaProvider`] —
-    /// the provider-generic form of [`crate::eval::infer_schema`].
+    /// Infer the plan's output schema against a [`SchemaProvider`] (the
+    /// executor's relation map, a name → schema map, the MayQL catalog).
     pub fn schema_with(&self, schemas: &dyn SchemaProvider) -> Result<Schema, MayError> {
         match self {
             Plan::Scan(name) => schemas
@@ -92,14 +87,7 @@ impl Plan {
                 Ok(l)
             }
             Plan::Rename { input, renames } => Ok(input.schema_with(schemas)?.rename(renames)?),
-            Plan::Ext(op) => {
-                let inputs = op
-                    .inputs()
-                    .into_iter()
-                    .map(|p| p.schema_with(schemas))
-                    .collect::<Result<Vec<_>, _>>()?;
-                op.output_schema(&inputs)
-            }
+            Plan::Uncertain { op, input } => op.output_schema(&input.schema_with(schemas)?),
         }
     }
 }
@@ -126,47 +114,26 @@ pub fn optimize(plan: &Plan, schemas: &dyn SchemaProvider) -> Result<Plan, MayEr
     Ok(p)
 }
 
-/// The memo key of an extension node: its `Arc` identity.
-fn memo_key(op: &Arc<dyn ExtOperator>) -> usize {
-    Arc::as_ptr(op) as *const () as usize
-}
-
-/// Rebuild an extension operator over its swept `inputs`. The operator is
-/// kept as it was, and `rewrites` rolled back to `before`, when the sweep
-/// changed nothing below it, or when it requires normalized input and a
-/// rewritten input lost its provable certainty.
-fn rebuild(
-    op: &Arc<dyn ExtOperator>,
-    inputs: Vec<Plan>,
-    rewrites: &mut usize,
-    before: usize,
-) -> Plan {
-    let preserved = || {
-        !op.props().requires_normalized_input
-            || op
-                .inputs()
-                .iter()
-                .zip(&inputs)
-                .all(|(orig, new)| !orig.is_certain() || new.is_certain())
-    };
-    if *rewrites > before && preserved() {
-        return op.with_inputs(inputs);
+/// Rebuild an uncertainty operator over its `swept` input. The original
+/// `input` is kept, and `rewrites` rolled back to `before`, when the sweep
+/// fired no rule below the operator, or when the operator is `repair-key`
+/// and the swept input lost the provable certainty the original had.
+fn rebuild(op: UOp, input: Box<Plan>, swept: Plan, rewrites: &mut usize, before: usize) -> Plan {
+    let certain_kept =
+        !matches!(op, UOp::RepairKey { .. }) || !input.is_certain() || swept.is_certain();
+    if *rewrites > before && certain_kept {
+        return op.over(swept);
     }
     *rewrites = before;
-    Plan::Ext(Arc::clone(op))
+    Plan::Uncertain { op, input }
 }
 
 /// One rewrite pass: a pushdown sweep followed by a projection pruning
-/// sweep, with per-pass memoization of extension-node rewrites.
+/// sweep.
 struct Pass<'a> {
     schemas: &'a dyn SchemaProvider,
     /// Rules fired this pass (drives the fixpoint loop).
     rewrites: usize,
-    /// Pushdown results for extension nodes, by `Arc` identity — a shared
-    /// subtree rewrites to one shared result.
-    push_memo: FxHashMap<usize, Plan>,
-    /// Pruning results for extension nodes, by `Arc` identity.
-    prune_memo: FxHashMap<usize, Plan>,
 }
 
 /// Flatten a predicate's top-level conjunction into conjuncts.
@@ -195,8 +162,6 @@ impl<'a> Pass<'a> {
         Pass {
             schemas,
             rewrites: 0,
-            push_memo: FxHashMap::default(),
-            prune_memo: FxHashMap::default(),
         }
     }
 
@@ -228,7 +193,11 @@ impl<'a> Pass<'a> {
                 Ok(self.pushdown(*left)?.join(self.pushdown(*right)?))
             }
             Plan::Union { left, right } => Ok(self.pushdown(*left)?.union(self.pushdown(*right)?)),
-            Plan::Ext(op) => self.push_ext(op),
+            Plan::Uncertain { op, input } => {
+                let before = self.rewrites;
+                let swept = self.pushdown((*input).clone())?;
+                Ok(rebuild(op, input, swept, &mut self.rewrites, before))
+            }
         }
     }
 
@@ -272,25 +241,6 @@ impl<'a> Pass<'a> {
             Some(p) => joined.select(p),
             None => joined,
         })
-    }
-
-    /// Sweep an extension node's inputs, memoized by `Arc` identity so
-    /// shared subtrees stay shared.
-    fn push_ext(&mut self, op: Arc<dyn ExtOperator>) -> Result<Plan, MayError> {
-        let key = memo_key(&op);
-        if let Some(done) = self.push_memo.get(&key) {
-            return Ok(done.clone());
-        }
-        let before = self.rewrites;
-        let swept = op
-            .inputs()
-            .into_iter()
-            .cloned()
-            .map(|p| self.pushdown(p))
-            .collect::<Result<Vec<_>, _>>()?;
-        let node = rebuild(&op, swept, &mut self.rewrites, before);
-        self.push_memo.insert(key, node.clone());
-        Ok(node)
     }
 
     /// The projection pruning sweep (top-down): `required` is the set of
@@ -386,28 +336,14 @@ impl<'a> Pass<'a> {
                     None => Ok(l.union(r)),
                 }
             }
-            Plan::Ext(op) => self.prune_ext(op),
+            // A barrier: the operator consumes its whole input, so the
+            // requirement restarts at `None`.
+            Plan::Uncertain { op, input } => {
+                let before = self.rewrites;
+                let pruned = self.prune((*input).clone(), None)?;
+                Ok(rebuild(op, input, pruned, &mut self.rewrites, before))
+            }
         }
-    }
-
-    /// Prune below an extension node. The operator is a barrier, so its
-    /// full input is a consumer: the requirement restarts at `None`,
-    /// memoized by `Arc` identity.
-    fn prune_ext(&mut self, op: Arc<dyn ExtOperator>) -> Result<Plan, MayError> {
-        let key = memo_key(&op);
-        if let Some(done) = self.prune_memo.get(&key) {
-            return Ok(done.clone());
-        }
-        let before = self.rewrites;
-        let pruned = op
-            .inputs()
-            .into_iter()
-            .cloned()
-            .map(|p| self.prune(p, None))
-            .collect::<Result<Vec<_>, _>>()?;
-        let node = rebuild(&op, pruned, &mut self.rewrites, before);
-        self.prune_memo.insert(key, node.clone());
-        Ok(node)
     }
 
     /// Wrap `plan` in a projection onto `required` (in schema order) when
@@ -474,7 +410,6 @@ pub fn optimize_with_stats(
             schemas,
             stats,
             rewrites: 0,
-            memo: FxHashMap::default(),
         };
         let c = pass.rewrite(p.clone())?;
         if pass.rewrites == 0 {
@@ -593,9 +528,6 @@ struct CostPass<'a> {
     stats: &'a dyn StatsProvider,
     /// Cost-based rewrites fired this sweep (drives the outer fixpoint).
     rewrites: usize,
-    /// Rewrites of extension nodes by `Arc` identity, so shared subtrees
-    /// stay shared (see the module docs' sharing discipline).
-    memo: FxHashMap<usize, Plan>,
 }
 
 impl<'a> CostPass<'a> {
@@ -626,7 +558,11 @@ impl<'a> CostPass<'a> {
                 Ok(Plan::Union { left, right })
             }
             Plan::NaturalJoin { .. } => self.reorder_join(plan),
-            Plan::Ext(op) => self.rewrite_ext(op),
+            Plan::Uncertain { op, input } => {
+                let before = self.rewrites;
+                let rewritten = self.rewrite((*input).clone())?;
+                Ok(rebuild(op, input, rewritten, &mut self.rewrites, before))
+            }
         }
     }
 
@@ -672,24 +608,6 @@ impl<'a> CostPass<'a> {
         } else {
             Ok(rebuild_shape(&shape, &leaves))
         }
-    }
-
-    /// Sweep an extension node's inputs, memoized by `Arc` identity.
-    fn rewrite_ext(&mut self, op: Arc<dyn ExtOperator>) -> Result<Plan, MayError> {
-        let key = memo_key(&op);
-        if let Some(done) = self.memo.get(&key) {
-            return Ok(done.clone());
-        }
-        let before = self.rewrites;
-        let rewritten = op
-            .inputs()
-            .into_iter()
-            .cloned()
-            .map(|p| self.rewrite(p))
-            .collect::<Result<Vec<_>, _>>()?;
-        let node = rebuild(&op, rewritten, &mut self.rewrites, before);
-        self.memo.insert(key, node.clone());
-        Ok(node)
     }
 }
 

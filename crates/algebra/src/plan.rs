@@ -1,18 +1,17 @@
 //! The logical plan IR for the positive relational algebra.
 
 use std::fmt;
-use std::sync::Arc;
 
-use crate::ext::ExtOperator;
 use crate::predicate::Predicate;
+use crate::uncertain::UOp;
 
 /// A logical query plan over the relations of a
 /// [`maybms_core::world::WorldSet`].
 ///
-/// The core variants are exactly the positive relational algebra of the
-/// paper. The [`Plan::Ext`] variant keeps the IR open for higher layers:
-/// `maybms-ql` plugs `repair-key`, `possible`, `certain`, and `conf` in as
-/// [`ExtOperator`]s without this crate knowing about them.
+/// The variants are exactly the paper's algebra: the positive relational
+/// algebra, plus [`Plan::Uncertain`] for its four uncertainty operators
+/// (`repair-key`, `possible`, `certain`, `conf`). The set is closed; every
+/// input is a boxed subtree of its own, so no node is shared.
 #[derive(Clone, Debug)]
 pub enum Plan {
     /// Read a named base relation.
@@ -52,8 +51,13 @@ pub enum Plan {
         /// `(old, new)` name pairs.
         renames: Vec<(String, String)>,
     },
-    /// An extension operator (see [`ExtOperator`]).
-    Ext(Arc<dyn ExtOperator>),
+    /// An uncertainty operator (see [`UOp`]).
+    Uncertain {
+        /// The operator and its parameters.
+        op: UOp,
+        /// Input plan.
+        input: Box<Plan>,
+    },
 }
 
 impl Plan {
@@ -121,15 +125,18 @@ impl Plan {
     /// `(tuple, descriptor)` rows. Derived structurally: the executor
     /// deduplicates after projection, join, and union; selection and
     /// renaming preserve distinctness; a base scan is unknown (u-relations
-    /// may hold duplicates), so `false`. Extension operators answer through
-    /// [`ExtOperator::props`]. Both the optimizer (identity-projection
-    /// elision) and the executor (dedup elision) consult this.
+    /// may hold duplicates), so `false`; every uncertainty operator emits
+    /// one row per distinct tuple (`repair-key` one per distinct input
+    /// tuple). Both the optimizer (identity-projection elision) and the
+    /// executor (dedup elision) consult this.
     pub fn is_distinct(&self) -> bool {
         match self {
             Plan::Scan(_) => false,
             Plan::Select { input, .. } | Plan::Rename { input, .. } => input.is_distinct(),
-            Plan::Project { .. } | Plan::NaturalJoin { .. } | Plan::Union { .. } => true,
-            Plan::Ext(op) => op.props().distinct_output,
+            Plan::Project { .. }
+            | Plan::NaturalJoin { .. }
+            | Plan::Union { .. }
+            | Plan::Uncertain { .. } => true,
         }
     }
 
@@ -148,7 +155,7 @@ impl Plan {
             Plan::NaturalJoin { left, right } | Plan::Union { left, right } => {
                 left.is_certain() && right.is_certain()
             }
-            Plan::Ext(op) => op.props().certain_output,
+            Plan::Uncertain { op, .. } => op.certain_output(),
         }
     }
 
@@ -168,28 +175,27 @@ impl Plan {
                     renames.iter().map(|(o, n)| format!("{o} -> {n}")).collect();
                 format!("rename[{}]", pairs.join(", "))
             }
-            Plan::Ext(op) => op.describe(),
+            Plan::Uncertain { op, .. } => op.label(),
         }
     }
 
-    /// Direct children of this node (extension operators report theirs via
-    /// [`ExtOperator::inputs`]).
+    /// Direct children of this node.
     pub fn children(&self) -> Vec<&Plan> {
         match self {
             Plan::Scan(_) => Vec::new(),
             Plan::Select { input, .. }
             | Plan::Project { input, .. }
-            | Plan::Rename { input, .. } => vec![input],
+            | Plan::Rename { input, .. }
+            | Plan::Uncertain { input, .. } => vec![input],
             Plan::NaturalJoin { left, right } | Plan::Union { left, right } => {
                 vec![left, right]
             }
-            Plan::Ext(op) => op.inputs(),
         }
     }
 
-    /// Total number of operator nodes in the tree. A traced run produces at
-    /// least one span per node (node ids are execution pre-order indices),
-    /// which the trace smoke tests assert against.
+    /// Total number of operator nodes in the tree. A traced run produces
+    /// exactly one span per node (node ids are execution pre-order indices),
+    /// which the trace tests assert.
     pub fn node_count(&self) -> usize {
         1 + self
             .children()
@@ -211,9 +217,8 @@ impl Plan {
 }
 
 /// An indented operator tree, independent of `Debug` formatting: one
-/// operator per line with its parameters, children indented below it.
-/// Extension operators contribute their own line via
-/// [`ExtOperator::describe`].
+/// operator per line with its parameters ([`Plan::node_label`]), children
+/// indented below it.
 impl fmt::Display for Plan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         self.fmt_tree(f, 0)

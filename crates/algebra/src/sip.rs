@@ -19,7 +19,7 @@
 //!   (set-semantics dedup classes agree on key cells, so pruning is
 //!   class-closed), `rename` (key names remapped), and into whichever join
 //!   child carries all key columns; it stops at scans, unions, and
-//!   extension operators and applies to that node's output.
+//!   uncertainty operators and applies to that node's output.
 //! * [`sip_decisions`] — the plan-time rendering for `EXPLAIN`, driven by
 //!   the cost model's cardinality estimates, which `EXPLAIN` computes and
 //!   passes in (the runtime gate uses the *actual* build-side row count,
@@ -75,7 +75,7 @@ pub(crate) fn plan_mints(plan: &Plan) -> bool {
         Plan::NaturalJoin { left, right } | Plan::Union { left, right } => {
             plan_mints(left) || plan_mints(right)
         }
-        Plan::Ext(op) => op.mints_components() || op.inputs().into_iter().any(plan_mints),
+        Plan::Uncertain { op, input } => op.mints_components() || plan_mints(input),
     }
 }
 
@@ -135,7 +135,7 @@ pub(crate) fn sip_target<'p>(
             }
         }
         // Barriers: apply the filter to this node's output.
-        Plan::Scan(_) | Plan::Union { .. } | Plan::Ext(_) => Some((plan, keys)),
+        Plan::Scan(_) | Plan::Union { .. } | Plan::Uncertain { .. } => Some((plan, keys)),
     }
 }
 

@@ -234,9 +234,7 @@ impl ComponentSet {
 }
 
 /// Counters of one confidence-solver run (exact or sampling), surfaced
-/// through `ExecStats` and the REPL's `\stats` meta-command. Defined here so
-/// the executor crate can carry the counters without depending on
-/// `maybms-ql`.
+/// through `ExecStats` and the REPL's `\stats` meta-command.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ConfStats {
     /// Connected descriptor groups solved by the exact factorized path.

@@ -58,10 +58,9 @@
 //!   functions of `(seed, stream, index)` — the determinism backbone of the
 //!   sampling confidence solver.
 //!
-//! Layering: `maybms-core` knows nothing about query plans. The algebra IR
-//! and its WSD-level executor live in `maybms-algebra`, and the paper's
-//! uncertainty constructs (`repair-key`, `possible`, `certain`, `conf`) live
-//! in `maybms-ql`.
+//! Layering: `maybms-core` knows nothing about query plans. The algebra IR,
+//! its WSD-level executor and the paper's uncertainty constructs
+//! (`repair-key`, `possible`, `certain`, `conf`) live in `maybms-algebra`.
 
 pub mod bloom;
 pub mod columnar;

@@ -1,6 +1,6 @@
 //! The fan-out primitive behind the engine's two parallel stages: the
-//! per-tuple `conf` solve (`maybms-ql`'s `confidence`) and the `certain`
-//! coverage check (`extract`). Every other stage — scan, select, join,
+//! per-tuple `conf` solve (`maybms-algebra`'s `confidence`) and the
+//! `certain` coverage check (`extract`). Every other stage — scan, select, join,
 //! dedup, every sort, `repair-key`, `normalize` — runs on the calling
 //! thread for every thread budget.
 //!

@@ -94,8 +94,8 @@ struct Entry {
     last_used: u64,
 }
 
-/// A cache hit: the plan, cloned — plans are cheap trees of `Arc`'d
-/// extension operators.
+/// A cache hit: the plan, cloned — a plan is a small tree of boxed
+/// operator nodes that names its relations and holds none of their data.
 #[derive(Clone, Debug)]
 pub struct CachedPlan {
     /// The optimized plan.

@@ -22,7 +22,7 @@ use std::fmt;
 use maybms_algebra::{
     estimate_preorder, exec_order, run_with, sip_decisions, ExecCfg, ExecStats, Plan, StatsProvider,
 };
-use maybms_core::{QueryTrace, Span, SpanKind, WorldSet};
+use maybms_core::{QueryTrace, SpanKind, WorldSet};
 
 use crate::ast::Query;
 use crate::catalog::Catalog;
@@ -178,23 +178,13 @@ impl ExplainAnalyze {
     /// Pair each node span with its estimate, in *execution* order (the
     /// order the rendered span tree prints). Under SIP, execution order
     /// differs from plan pre-order — [`exec_order`] maps between them.
-    /// Empty when estimates are absent or the span tree does not match the
-    /// plan tree node-for-node (a shared extension subtree executed once
-    /// diverges — annotation then degrades to none rather than mislabeling
-    /// nodes).
+    /// Every plan node opens exactly one span, so the two trees match node
+    /// for node. Empty when estimates are absent.
     fn node_estimates(&self) -> Vec<(f64, u64)> {
         let Some(ests) = &self.estimates else {
             return Vec::new();
         };
-        let nodes: Vec<&Span> = self
-            .trace
-            .spans
-            .iter()
-            .filter(|s| s.kind == SpanKind::Node)
-            .collect();
-        if nodes.len() != ests.len() {
-            return Vec::new();
-        }
+        let nodes = self.trace.spans.iter().filter(|s| s.kind == SpanKind::Node);
         let order = exec_order(&self.optimized, self.sip_enabled);
         order
             .iter()

@@ -85,9 +85,8 @@ pub use span::{Span, SqlError};
 
 #[cfg(test)]
 mod tests {
-    use maybms_algebra::{col, lit, run, Plan, Predicate};
+    use maybms_algebra::{col, lit, possible, repair_key, run, Plan, Predicate};
     use maybms_core::{Relation, Schema, Tuple, URelation, Value, ValueType, WorldSet};
-    use maybms_ql::{possible, repair_key};
 
     use super::*;
 

@@ -21,9 +21,10 @@
 //! | `q₁ UNION q₂`                    | `Union`                             |
 //! | `REPAIR KEY k IN q WEIGHT BY w`  | `repair-key{k; w}`                  |
 
-use maybms_algebra::{Operand, Plan, Predicate};
+use maybms_algebra::{
+    certain, conf, conf_approx, possible, repair_key, Operand, Plan, Predicate, CONF_COLUMN,
+};
 use maybms_core::{Column, Schema, Value, ValueType};
-use maybms_ql::{certain, conf, conf_approx, possible, repair_key, CONF_COLUMN};
 
 use crate::ast::{Expr, FromItem, Quantifier, Query, Repair, Scalar, SelectList, SelectQuery};
 use crate::catalog::Catalog;

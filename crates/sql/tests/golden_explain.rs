@@ -67,7 +67,7 @@ optimized plan:
     assert_eq!(text, expected);
 }
 
-/// Every extension operator is a rewrite barrier, and for `repair-key` no
+/// Every uncertainty operator is a rewrite barrier, and for `repair-key` no
 /// other choice is sound: a selection below it would change the key groups
 /// and the repair weights. The filter stays put and the plan survives
 /// optimization unchanged.
@@ -92,7 +92,7 @@ optimized plan:
 }
 
 /// Approximate confidence renders its (ε, δ) parameters in the plan tree.
-/// Like every extension operator it is a barrier, so the optimized plan is
+/// Like every uncertainty operator it is a barrier, so the optimized plan is
 /// the lowered one.
 #[test]
 fn explain_shows_approx_conf_parameters() {

@@ -418,7 +418,8 @@ fn gen_plan_inner(rng: &mut Rng, ws: &WorldSet, depth: usize) -> Plan {
 
 /// Schema of a generated plan (generated plans are always well-typed).
 fn plan_schema(plan: &Plan, ws: &WorldSet) -> Schema {
-    maybms_algebra::infer_schema(plan, &ws.relations).expect("generated plans are well-typed")
+    plan.schema_with(&ws.relations)
+        .expect("generated plans are well-typed")
 }
 
 /// Wrap a generated plan in a random uncertainty construct (`possible`,

@@ -21,7 +21,7 @@
 //! are compared exactly, not merely isomorphically. A failing case prints
 //! its seed and both plan trees for exact replay.
 
-use maybms_algebra::{infer_schema, optimize, optimize_with_stats, run, Plan};
+use maybms_algebra::{optimize, optimize_with_stats, run, Plan};
 use maybms_core::rng::Rng;
 use maybms_core::{world_set_stats, URelation, WorldSet};
 use maybms_sql::{compile, compile_unoptimized, Catalog};
@@ -53,8 +53,10 @@ fn optimized_plans_execute_identically() {
 
         // The optimizer must never change what a plan *means* statically…
         assert_eq!(
-            infer_schema(&plan, &ws.relations).expect("generated plans are well-typed"),
-            infer_schema(&optimized, &ws.relations)
+            plan.schema_with(&ws.relations)
+                .expect("generated plans are well-typed"),
+            optimized
+                .schema_with(&ws.relations)
                 .unwrap_or_else(|e| panic!("seed {seed}: optimized plan is ill-typed: {e}")),
             "seed {seed}: output schema changed\nplan:\n{plan}\noptimized:\n{optimized}"
         );
@@ -146,7 +148,8 @@ fn swap_renames_survive_projection_pruning() {
         .rename([("a", "b"), ("b", "a")])
         .project(["a"]);
     let optimized = optimize(&plan, &ws.relations).unwrap();
-    infer_schema(&optimized, &ws.relations)
+    optimized
+        .schema_with(&ws.relations)
         .unwrap_or_else(|e| panic!("optimized plan is ill-typed: {e}\n{optimized}"));
     let a = execute(&ws, &plan, "swap rename, original");
     let b = execute(&ws, &optimized, "swap rename, optimized");
@@ -238,10 +241,12 @@ fn cost_optimized_plans_execute_identically() {
         let cost = optimize_with_stats(&plan, &ws.relations, &stats)
             .unwrap_or_else(|e| panic!("seed {seed}: cost phase failed: {e}\nplan:\n{plan}"));
 
-        let schema = infer_schema(&plan, &ws.relations).expect("generated plans are well-typed");
+        let schema = plan
+            .schema_with(&ws.relations)
+            .expect("generated plans are well-typed");
         assert_eq!(
             schema,
-            infer_schema(&cost, &ws.relations)
+            cost.schema_with(&ws.relations)
                 .unwrap_or_else(|e| panic!("seed {seed}: cost plan is ill-typed: {e}\n{cost}")),
             "seed {seed}: output schema changed\nplan:\n{plan}\ncost:\n{cost}"
         );
@@ -296,8 +301,9 @@ fn joins_of_more_than_64_relations_plan() {
     let cost = optimize_with_stats(&plan, &ws.relations, &stats)
         .unwrap_or_else(|e| panic!("seed {seed}: cost phase failed: {e}"));
     assert_eq!(
-        infer_schema(&plan, &ws.relations).expect("the chain is well-typed"),
-        infer_schema(&cost, &ws.relations)
+        plan.schema_with(&ws.relations)
+            .expect("the chain is well-typed"),
+        cost.schema_with(&ws.relations)
             .unwrap_or_else(|e| panic!("seed {seed}: cost plan is ill-typed: {e}\n{cost}")),
         "seed {seed}: output schema changed"
     );

@@ -26,7 +26,7 @@
 //!
 //! A failing case prints its seed for exact replay.
 
-use maybms_algebra::{run_with, ExecCfg, ExecStats, Plan};
+use maybms_algebra::{run_with, ExecCfg, ExecStats, Plan, UOp};
 use maybms_core::parallel::DEFAULT_MIN_ROWS;
 use maybms_core::rng::Rng;
 use maybms_core::{ParCfg, Schema, Tuple, URelation, Value, ValueType, WorldSet};
@@ -66,8 +66,13 @@ fn assert_same_pool_traffic(s1: &ExecStats, s4: &ExecStats, what: &str) {
 
 /// Whether the tree holds one of the two operators that fan out.
 fn has_fan_out_node(plan: &Plan) -> bool {
-    matches!(plan, Plan::Ext(op) if matches!(op.name(), "conf" | "certain"))
-        || plan.children().into_iter().any(has_fan_out_node)
+    matches!(
+        plan,
+        Plan::Uncertain {
+            op: UOp::Conf(_) | UOp::Certain,
+            ..
+        }
+    ) || plan.children().into_iter().any(has_fan_out_node)
 }
 
 /// Run `plan` at one and at four threads, compare everything observable,

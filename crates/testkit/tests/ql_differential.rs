@@ -8,6 +8,7 @@ use maybms_algebra::{run, Plan};
 use maybms_core::rng::Rng;
 use maybms_core::{Relation, Schema, Tuple, URelation, Value, ValueType, WorldSet};
 use maybms_ql::{certain, conf, possible, repair_key};
+use maybms_sql::{Outcome, Session};
 use maybms_testkit::{
     certain_oracle, conf_oracle, gen_plan, gen_typed_world_set, gen_world_set, per_world_results,
     possible_oracle, GenConfig, WORLD_LIMIT,
@@ -181,13 +182,18 @@ fn conf_sums_to_one_per_repaired_key_group() {
     assert!((t10.0.get(3).as_f64().expect("float") - 1.0 / 8.0).abs() < EPS);
 }
 
-/// A cloned (`Arc`-shared) repair-key subtree used twice in one plan must
-/// evaluate once: both occurrences refer to the same components, so a
-/// natural self-join is the identity and confidences are unchanged. Without
-/// memoization each occurrence would mint fresh components and the join
-/// would wrongly multiply probabilities.
+/// In MayQL every `REPAIR KEY` is a repair of its own, and a repair is
+/// shared by storing it with `LET`. Over r = {(1, 10), (1, 11)}:
+///
+/// * two `REPAIR KEY k IN r` items in one `FROM` mint two components, and a
+///   tuple of their natural join needs both repairs to pick it: 0.25;
+/// * a `LET` relation scanned twice carries one component, so its
+///   self-join is the relation itself: 0.5.
+///
+/// Both answers must equal the oracle's: the join evaluated in every world
+/// of a world set that stores the repairs.
 #[test]
-fn shared_repair_subtree_evaluates_once() {
+fn repair_key_items_are_independent_and_let_relations_share() {
     let schema =
         Schema::of(&[("k", ValueType::Int), ("v", ValueType::Int)]).expect("distinct columns");
     let rows = vec![
@@ -199,18 +205,28 @@ fn shared_repair_subtree_evaluates_once() {
     ws.insert("r", URelation::from_certain(&rel))
         .expect("certain relation is valid");
 
-    let repaired = repair_key(Plan::scan("r"), &["k"], None);
-    let self_join = repaired.clone().join(repaired.clone());
-    let result = run(&mut ws, &conf(self_join)).expect("conf over self-join runs");
+    // Two repairs in one FROM; the oracle stores them as `a` and `b`.
+    let mut session = Session::new(ws.clone());
+    let got = conf_of(
+        &mut session,
+        "SELECT CONF * FROM REPAIR KEY k IN r, REPAIR KEY k IN r",
+    );
+    assert_eq!(session.world().components.len(), 2);
+    let mut stored = Session::new(ws.clone());
+    execute(&mut stored, "LET a = REPAIR KEY k IN r");
+    execute(&mut stored, "LET b = REPAIR KEY k IN r");
+    let worlds = per_world_results(stored.world(), &Plan::scan("a").join(Plan::scan("b")))
+        .expect("oracle evaluates");
+    assert_conf_matches(&got, &conf_oracle(&worlds), 0.25);
 
-    // One key group => exactly one component minted, despite two occurrences.
-    assert_eq!(ws.components.len(), 1);
-    for (t, p) in conf_as_map(&result) {
-        assert!(
-            (p - 0.5).abs() < EPS,
-            "conf({t}) = {p}, expected 0.5 (not 0.25)"
-        );
-    }
+    // One repair, stored and scanned twice.
+    let mut session = Session::new(ws);
+    execute(&mut session, "LET rr = REPAIR KEY k IN r");
+    let got = conf_of(&mut session, "SELECT CONF * FROM rr, rr");
+    assert_eq!(session.world().components.len(), 1);
+    let worlds = per_world_results(session.world(), &Plan::scan("rr").join(Plan::scan("rr")))
+        .expect("oracle evaluates");
+    assert_conf_matches(&got, &conf_oracle(&worlds), 0.5);
 }
 
 /// `repair-key` refuses uncertain inputs.
@@ -237,6 +253,41 @@ fn repair_key_rejects_uncertain_input() {
 }
 
 // ---- helpers ----
+
+fn execute(session: &mut Session, src: &str) -> Outcome {
+    match session.execute(src) {
+        Ok(executed) => executed.outcome,
+        Err(e) => panic!("{}", e.render(src)),
+    }
+}
+
+/// Run a `SELECT CONF` query and return its confidences by tuple.
+fn conf_of(session: &mut Session, src: &str) -> BTreeMap<Tuple, f64> {
+    let Outcome::Rows(result) = execute(session, src) else {
+        panic!("{src}: not a query result");
+    };
+    conf_as_map(&result)
+}
+
+/// `got` holds the oracle's tuples, each with the oracle's confidence,
+/// which is `expected`.
+fn assert_conf_matches(got: &BTreeMap<Tuple, f64>, want: &BTreeMap<Tuple, f64>, expected: f64) {
+    assert_eq!(
+        got.keys().collect::<Vec<_>>(),
+        want.keys().collect::<Vec<_>>()
+    );
+    for (t, p) in got {
+        assert!(
+            (p - want[t]).abs() < EPS,
+            "conf({t}) = {p}, oracle {}",
+            want[t]
+        );
+        assert!(
+            (p - expected).abs() < EPS,
+            "conf({t}) = {p}, expected {expected}"
+        );
+    }
+}
 
 fn as_relation(u: &URelation) -> Relation {
     let mut r = Relation::new(u.schema().clone());

@@ -118,7 +118,7 @@ fn assert_matches_world_oracle(ws: &WorldSet, plan: &Plan, result: &URelation, s
 /// 120 generated plans, each rooted at a natural join (the operator SIP
 /// instruments), with generated subtrees on both sides — uncertainty
 /// operators included, so the mint guard and the filter-descent barriers
-/// (unions, extension operators) all get exercised.
+/// (unions, uncertainty operators) all get exercised.
 #[test]
 fn generated_join_plans_agree_across_sip_and_with_the_world_oracle() {
     let cfg = GenConfig::default();

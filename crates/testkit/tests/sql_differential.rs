@@ -4,7 +4,7 @@
 //! lower to, built independently of the parser; the parsed plan must print
 //! the same `Display` tree as the hand-built one (the form `EXPLAIN`
 //! prints), and both must execute to the same u-relation. Execution
-//! comparison runs each plan on its own clone of the world set: extension
+//! comparison runs each plan on its own clone of the world set: uncertainty
 //! operators mint components deterministically, so equivalent plans produce
 //! identical descriptors, not merely isomorphic ones. A failing case prints
 //! its seed (and query text) for exact replay.

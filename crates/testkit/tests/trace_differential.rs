@@ -85,15 +85,12 @@ fn traces_cover_every_plan_node_and_attribute_consistently() {
             .unwrap_or_else(|e| panic!("case {case}: traced run failed: {e}"));
         let trace = trace.expect("traced run returns its trace");
 
-        // Shared Ext subtrees are evaluated once and cached, so the span
-        // count can fall short of the static node count only by the size
-        // of the skipped (cached) subtrees — but never below 1, and for
-        // the generated plans (no sharing across clones with the same
-        // Arc identity after gen) it must cover every node.
+        // Every plan node evaluates exactly once, so it opens exactly one
+        // span.
         let nodes = plan.node_count();
         let spans = trace.node_span_count();
-        assert!(
-            spans >= 1 && spans <= nodes,
+        assert_eq!(
+            spans, nodes,
             "case {case}: {spans} node spans for {nodes} plan nodes\nplan: {plan:?}"
         );
 

@@ -7,10 +7,11 @@
 //!   tuples, components, world-set descriptors, u-relations, world
 //!   enumeration, and normalization;
 //! * [`algebra`] (`maybms-algebra`) — the logical plan IR and the executor
-//!   for the positive relational algebra, evaluated directly on the compact
-//!   WSD representation;
-//! * [`ql`] (`maybms-ql`) — the paper's uncertainty constructs as plan
-//!   operators: `repair-key`, `possible`, `certain`, and exact `conf`;
+//!   for the positive relational algebra plus the paper's uncertainty
+//!   operators (`repair-key`, `possible`, `certain`, `conf`), evaluated
+//!   directly on the compact WSD representation;
+//! * [`ql`] (`maybms-ql`) — the uncertainty constructs' constructors,
+//!   re-exported by name;
 //! * [`sql`] (`maybms-sql`) — the MayQL textual front-end: lexer, parser,
 //!   catalog-based semantic analysis, lowering to plans, the MayQL
 //!   pretty-printer, and [`sql::Session`], the one entry point that runs
