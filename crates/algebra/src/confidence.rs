@@ -561,7 +561,6 @@ mod tests {
         ws.insert("r", rel).unwrap();
         let cfg = ExecCfg {
             par: ParCfg::with_threads(4),
-            sip: true,
         };
         for plan in [conf(Plan::scan("r")), crate::certain(Plan::scan("r"))] {
             let (out, stats, _) = run_with(&mut ws.clone(), &plan, &cfg, false).unwrap();

@@ -85,21 +85,6 @@
 //! it once per column). This is how joins work — there is
 //! no eager per-join gather path beside it.
 //!
-//! # Sideways information passing (SIP)
-//!
-//! When a join's build (right) side turns out small (its *actual* row
-//! count, known at runtime, is at most the [`crate::sip`] cutoff) and the
-//! mint guard allows evaluating it first, the join builds a
-//! [`BlockedBloom`] over the build side's key hashes (the join's own,
-//! [`ColView::hash_into`] a key column at a time) and registers it
-//! against a node of the probe subtree (chosen by `sip_target` in [`crate::sip`]);
-//! when that node's batch is produced, rows whose key cells cannot match
-//! any build row are pruned before they flow any further. False positives
-//! only keep rows the join itself drops, and pruning is class-closed under
-//! set-semantics dedup, so results are byte-identical with
-//! [`ExecCfg::sip`] on or off. Filters cascade: a pruned build side seeds
-//! the next filter down a join chain.
-//!
 //! Schemas are validated once per operator when the output schema is
 //! derived. The uncertainty operators (`repair-key`, `possible`, `certain`,
 //! `conf`; [`crate::UOp`]) are columnar too: each receives its input as one
@@ -113,14 +98,13 @@
 //! # Configuration
 //!
 //! Everything a run can be told is one plain value, [`ExecCfg`] (thread
-//! budget, morsel threshold, SIP on/off), passed to [`run_with`]. Nothing in
+//! budget, morsel threshold), passed to [`run_with`]. Nothing in
 //! this crate reads the process environment.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use maybms_core::bloom::BlockedBloom;
 use maybms_core::columnar::{ColView, ColumnVec, ColumnarURelation, StrPool};
 use maybms_core::fxhash::fx_step;
 use maybms_core::obs::{ObsCounters, QueryTrace, SpanId, Tracer};
@@ -130,39 +114,21 @@ use maybms_core::{
 };
 
 use crate::plan::Plan;
-use crate::sip::{plan_mints, shared_key_names, sip_target, SipFilter, SipStats, SIP_K};
 
-/// The executor's run configuration: the thread budget plus the one
-/// execution switch. A plain value the caller holds and passes to
-/// [`run_with`]; every combination produces byte-identical results — the
-/// fields trade time, not answers (the `sip_differential` and
-/// `parallel_differential` suites are the oracle).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// The executor's run configuration: the thread budget. A plain value the
+/// caller holds and passes to [`run_with`]; every budget produces
+/// byte-identical results — it trades time, not answers (the
+/// `parallel_differential` and `join_differential` suites are the oracle).
+/// The default is the machine's parallelism ([`ParCfg::default`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecCfg {
     /// Worker-thread budget (see [`ParCfg`]).
     pub par: ParCfg,
-    /// Sideways information passing: push Bloom filters from selective join
-    /// build sides into probe subtrees. On by default; `false` is the
-    /// differential baseline and the bench's disabled-path row.
-    pub sip: bool,
 }
 
-impl Default for ExecCfg {
-    /// The machine's parallelism ([`ParCfg::default`]) with SIP on.
-    fn default() -> ExecCfg {
-        ExecCfg {
-            par: ParCfg::default(),
-            sip: true,
-        }
-    }
-}
-
-/// Evaluation context handed to operators: the base relations (read-only),
-/// the component set (mutable, so `repair-key` can mint new components),
-/// and the run's interning pools.
+/// Evaluation context handed to operators: the component set (mutable, so
+/// `repair-key` can mint new components) and the run's interning pools.
 pub(crate) struct EvalCtx<'a> {
-    /// The base u-relations, by name.
-    pub(crate) relations: &'a BTreeMap<String, URelation>,
     /// The components of the world set.
     pub(crate) components: &'a mut ComponentSet,
     /// The run's descriptor interner. Every [`DescId`] flowing through the
@@ -185,29 +151,16 @@ pub(crate) struct EvalCtx<'a> {
     /// when [`run_with`] is asked to trace; the uncertainty operators record
     /// sub-phase events through it ([`Tracer::now`] / [`Tracer::event`]).
     pub(crate) tracer: Tracer,
-    /// Whether sideways information passing is enabled for this run.
-    pub(crate) sip: bool,
     /// Dedup sweeps skipped because a plan property proved them redundant
     /// (surfaced through [`ExecStats::dedups_elided`]).
     dedups_elided: usize,
-    /// SIP filters pending application, keyed by target plan-node address
-    /// (plan children are boxed, so node addresses are stable and unique
-    /// for the duration of a run). Several joins may target the same node.
-    sip_filters: FxHashMap<usize, Vec<SipFilter>>,
-    /// SIP counters accumulated across the run.
-    sip_stats: SipStats,
 }
 
 impl<'a> EvalCtx<'a> {
     /// Build a fresh context (with fresh interning pools) for one run under
     /// `cfg`.
-    fn with_exec(
-        relations: &'a BTreeMap<String, URelation>,
-        components: &'a mut ComponentSet,
-        cfg: ExecCfg,
-    ) -> Self {
+    fn with_exec(components: &'a mut ComponentSet, cfg: ExecCfg) -> Self {
         EvalCtx {
-            relations,
             components,
             pool: DescriptorPool::new(),
             strings: StrPool::new(),
@@ -215,10 +168,7 @@ impl<'a> EvalCtx<'a> {
             par_stats: ParStats::default(),
             conf_stats: ConfStats::default(),
             tracer: Tracer::disabled(),
-            sip: cfg.sip,
             dedups_elided: 0,
-            sip_filters: FxHashMap::default(),
-            sip_stats: SipStats::default(),
         }
     }
 
@@ -282,9 +232,22 @@ pub struct ExecStats {
     /// Confidence-solver counters: groups solved exactly vs. by sampling,
     /// exact steps and draws spent, largest connected group seen.
     pub conf: ConfStats,
-    /// Sideways-information-passing counters: filters built, probe rows
-    /// tested and pruned.
+    /// Never written (the executor passes no information sideways); the
+    /// frozen `perfbench` adapter reads it.
     pub sip: SipStats,
+}
+
+/// The counters of the sideways information passing the executor no longer
+/// does. Never written; kept because the frozen `perfbench` adapter reads
+/// [`ExecStats::sip`].
+#[derive(Clone, Copy, Debug, Default)]
+pub struct SipStats {
+    /// Always 0.
+    pub filters_built: u64,
+    /// Always 0.
+    pub probe_rows_tested: u64,
+    /// Always 0.
+    pub probe_rows_pruned: u64,
 }
 
 impl ExecStats {
@@ -305,9 +268,6 @@ impl ExecStats {
         self.threads = self.threads.max(other.threads);
         self.par.absorb(&other.par);
         self.conf.absorb(&other.conf);
-        self.sip.filters_built += other.sip.filters_built;
-        self.sip.probe_rows_tested += other.sip.probe_rows_tested;
-        self.sip.probe_rows_pruned += other.sip.probe_rows_pruned;
     }
 }
 
@@ -639,7 +599,7 @@ pub fn run_with(
         components,
         relations,
     } = ws;
-    let mut ctx = EvalCtx::with_exec(relations, components, *cfg);
+    let mut ctx = EvalCtx::with_exec(components, *cfg);
     if traced {
         ctx.tracer = Tracer::enabled();
     }
@@ -678,7 +638,7 @@ pub fn run_with(
         threads: ctx.par.threads,
         par: ctx.par_stats,
         conf: ctx.conf_stats,
-        sip: ctx.sip_stats,
+        sip: SipStats::default(),
     };
     let trace = traced.then(|| {
         let threads = ctx.par.threads;
@@ -688,13 +648,10 @@ pub fn run_with(
 }
 
 /// [`run_with`] for the frozen `perfbench/src/engine.rs` adapter: a thread
-/// budget, SIP on, result only. The next `benchmark` PR moves the adapter to
+/// budget, result only. The next `benchmark` PR moves the adapter to
 /// [`run_with`] and deletes this.
 pub fn run_with_opts(ws: &mut WorldSet, plan: &Plan, par: &ParCfg) -> Result<URelation, MayError> {
-    let cfg = ExecCfg {
-        par: *par,
-        sip: true,
-    };
+    let cfg = ExecCfg { par: *par };
     run_with(ws, plan, &cfg, false).map(|(result, _, _)| result)
 }
 
@@ -705,10 +662,7 @@ pub fn run_traced(
     plan: &Plan,
     par: &ParCfg,
 ) -> Result<(URelation, ExecStats, QueryTrace), MayError> {
-    let cfg = ExecCfg {
-        par: *par,
-        sip: true,
-    };
+    let cfg = ExecCfg { par: *par };
     run_with(ws, plan, &cfg, true)
         .map(|(result, stats, trace)| (result, stats, trace.expect("tracing was requested")))
 }
@@ -730,105 +684,23 @@ fn collect_scans<'p>(plan: &'p Plan, names: &mut BTreeSet<&'p str>) {
     }
 }
 
-/// Build a Bloom filter over `build`'s key cells and register it against
-/// the right node of the `probe` subtree, if this join qualifies for SIP:
-/// the build side's *actual* row count is within the cutoff, the sides
-/// share key columns, and the target descent succeeds. Called by the join
-/// arm after evaluating the build side, before evaluating the probe side.
-fn maybe_register_sip(probe: &Plan, build: &Batch<'_>, ctx: &mut EvalCtx<'_>) {
-    if build.len() > crate::sip::SIP_MAX_BUILD {
-        return;
-    }
-    let Ok(probe_schema) = probe.schema_with(ctx.relations) else {
-        return;
-    };
-    let keys = shared_key_names(&probe_schema, &build.schema);
-    if keys.is_empty() {
-        return;
-    }
-    let Some((target, target_keys)) = sip_target(probe, keys.clone(), ctx.relations) else {
-        return;
-    };
-    let Ok(target_schema) = target.schema_with(ctx.relations) else {
-        return;
-    };
-    let mut key_cols = Vec::with_capacity(target_keys.len());
-    for k in &target_keys {
-        match target_schema.col_index(k) {
-            Ok(i) => key_cols.push(i),
-            Err(_) => return,
-        }
-    }
-    // Hash every live build row's key cells — in `keys` order, the same
-    // order `apply_sip` hashes the probe cells — into the filter.
-    let mut build_cols = Vec::with_capacity(keys.len());
-    for k in &keys {
-        match build.schema.col_index(k) {
-            Ok(i) => build_cols.push(i),
-            Err(_) => return,
-        }
-    }
-    let mut bloom = BlockedBloom::with_capacity(build.len().max(1), SIP_K);
-    for h in build.key_hashes(build_cols) {
-        bloom.insert(h);
-    }
-    ctx.sip_filters
-        .entry(target as *const Plan as usize)
-        .or_default()
-        .push(SipFilter { bloom, key_cols });
-    ctx.sip_stats.filters_built += 1;
-}
-
-/// Apply any SIP filters registered against this plan node to its freshly
-/// produced batch: probe rows whose key-cell hash the filter rules out are
-/// dropped from the selection vector. Sequential by design — the key
-/// columns are hashed a column at a time, then each hash is tested, and
-/// survivor order must match the unfiltered order exactly.
-fn apply_sip(plan: &Plan, b: &mut Batch<'_>, ctx: &mut EvalCtx<'_>) {
-    if ctx.sip_filters.is_empty() {
-        return;
-    }
-    let key = plan as *const Plan as usize;
-    let Some(filters) = ctx.sip_filters.remove(&key) else {
-        return;
-    };
-    for f in &filters {
-        let hashes = b.key_hashes(f.key_cols.iter().copied());
-        let kept: Vec<u32> = b
-            .row_ids()
-            .zip(hashes)
-            .filter_map(|(i, h)| f.bloom.may_contain(h).then_some(i))
-            .collect();
-        let tested = b.len() as u64;
-        ctx.sip_stats.probe_rows_tested += tested;
-        ctx.sip_stats.probe_rows_pruned += tested - kept.len() as u64;
-        b.sel = Some(kept);
-    }
-}
-
 /// Span-wrapping entry for each plan node: the untraced path is a single
 /// branch on the tracer's enabled bool before delegating to
 /// [`eval_batch_inner`] — this is the whole per-node cost of having the
 /// tracer compiled in. The traced path opens a span labelled exactly like
 /// the `EXPLAIN` tree line and charges the node the counter delta across
-/// its evaluation. Either path
-/// applies pending SIP filters to the node's output before it flows up (so
-/// a traced span's `rows_out` reflects the pruning).
+/// its evaluation. Children evaluate in plan order (a join's left side
+/// before its right), so a trace's node spans open in plan pre-order.
 fn eval_batch<'s>(
     plan: &Plan,
     scans: &'s BTreeMap<&str, Scan<'_>>,
     ctx: &mut EvalCtx<'_>,
 ) -> Result<Batch<'s>, MayError> {
     if !ctx.tracer.is_enabled() {
-        let mut b = eval_batch_inner(plan, scans, ctx)?;
-        apply_sip(plan, &mut b, ctx);
-        return Ok(b);
+        return eval_batch_inner(plan, scans, ctx);
     }
     let span = ctx.span_enter(plan.node_label());
-    let mut result = eval_batch_inner(plan, scans, ctx);
-    if let Ok(b) = result.as_mut() {
-        apply_sip(plan, b, ctx);
-    }
+    let result = eval_batch_inner(plan, scans, ctx);
     let rows_out = result.as_ref().map(Batch::len).unwrap_or(0);
     ctx.span_exit(span, rows_out as u64);
     result
@@ -894,21 +766,8 @@ fn eval_batch_inner<'s>(
             Ok(out)
         }
         Plan::NaturalJoin { left, right } => {
-            // SIP: when the mint guard allows reordering, evaluate the
-            // build (right) side first and — if it turns out selective —
-            // push a Bloom filter over its key cells into the probe
-            // subtree before the probe side runs at all.
-            let sip_ok = ctx.sip && !(plan_mints(left) && plan_mints(right));
-            let (l, r) = if sip_ok {
-                let r = eval_batch(right, scans, ctx)?;
-                maybe_register_sip(left, &r, ctx);
-                let l = eval_batch(left, scans, ctx)?;
-                (l, r)
-            } else {
-                let l = eval_batch(left, scans, ctx)?;
-                let r = eval_batch(right, scans, ctx)?;
-                (l, r)
-            };
+            let l = eval_batch(left, scans, ctx)?;
+            let r = eval_batch(right, scans, ctx)?;
             let jp = l.schema.natural_join(&r.schema)?;
             let l_views: Vec<ColView<'_>> = l.cols.iter().map(LazyCol::view).collect();
             let r_views: Vec<ColView<'_>> = r.cols.iter().map(LazyCol::view).collect();

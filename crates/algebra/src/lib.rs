@@ -53,14 +53,12 @@ pub mod optimize;
 pub mod plan;
 pub mod predicate;
 mod repair;
-pub mod sip;
 pub mod uncertain;
 
 pub use confidence::{ApproxConf, CONF_COLUMN, DEFAULT_CONF_EXACT_LIMIT, DEFAULT_CONF_SEED};
 pub use cost::{estimate_preorder, plan_cost, CardEst, StatsProvider};
-pub use eval::{run, run_traced, run_with, run_with_opts, ExecCfg, ExecStats};
+pub use eval::{run, run_traced, run_with, run_with_opts, ExecCfg, ExecStats, SipStats};
 pub use optimize::{optimize, optimize_with_stats, SchemaProvider};
 pub use plan::Plan;
 pub use predicate::{col, lit, CmpOp, Operand, Predicate};
-pub use sip::{exec_order, sip_decisions, SipStats};
 pub use uncertain::{certain, conf, conf_approx, conf_approx_with, possible, repair_key, UOp};

@@ -17,12 +17,12 @@
 //!
 //! Each is a [`UOp`] over one input plan ([`Plan::Uncertain`]), and this
 //! module answers for all of them what the optimizer, the cost model and the
-//! executor ask: label, output schema, certainty of the output, whether
-//! evaluation mints components, a row estimate, and evaluation itself. Each
-//! operator is its input plus one grouping step — bringing the rows of each
-//! distinct tuple together — and the step is core's [`canonical_order`], the
-//! same sort `normalize` runs, so the operators keep no row order of their
-//! own. New constructs become new variants here.
+//! executor ask: label, output schema, certainty of the output, a row
+//! estimate, and evaluation itself. Each operator is its input plus one
+//! grouping step — bringing the rows of each distinct tuple together — and
+//! the step is core's [`canonical_order`], the same sort `normalize` runs,
+//! so the operators keep no row order of their own. New constructs become
+//! new variants here.
 
 use maybms_core::columnar::{canonical_order, ColumnarURelation};
 use maybms_core::{MayError, Schema};
@@ -144,14 +144,6 @@ impl UOp {
     /// an uncertain one. (All four emit duplicate-free rows.)
     pub fn certain_output(&self) -> bool {
         !matches!(self, UOp::RepairKey { .. })
-    }
-
-    /// Whether evaluating this operator mints new components. Minting is
-    /// the only order-observable effect of evaluation (component ids are
-    /// numbered in minting order), so the executor consults this before
-    /// evaluating a join's build side first. Only `repair-key` mints.
-    pub fn mints_components(&self) -> bool {
-        matches!(self, UOp::RepairKey { .. })
     }
 
     /// Estimated output rows, given the input's estimated rows, distinct

@@ -26,8 +26,7 @@ use maybms_algebra::{
 };
 use maybms_bench::{
     conf_chain_workload, conf_dense_workload, conf_disjoint_workload, join3_skewed_workload,
-    join5_selective_workload, join_columnar_workload, join_workload, normalization_workload,
-    repair_workload,
+    join_columnar_workload, join_workload, normalization_workload, repair_workload,
 };
 use maybms_core::rng::Rng;
 use maybms_core::{world_set_stats, ColumnarURelation, DescriptorPool, ParCfg, StrPool, WorldSet};
@@ -302,48 +301,6 @@ fn main() {
         dump_trace(&ws, &optimized, "join3_skewed", n);
     }
 
-    // Sideways information passing: a 5-way chain whose tail keeps one key
-    // in a hundred. Without SIP every hop materializes the full n rows
-    // before `r5` discards 99%; with SIP the Bloom filter built from `r5`
-    // prunes `r4`'s scan, the pruned `r4` seeds the next filter into `r3`,
-    // and so on down the chain. Both runs use the same late-materialized
-    // pipeline, so the delta isolates the filter cascade. At 10⁴+ rows SIP
-    // must win outright with identical output — that assertion is the CI
-    // bench smoke for sideways information passing.
-    for &n in sizes {
-        let ws = join5_selective_workload(n);
-        let plan = Plan::scan("r1")
-            .join(Plan::scan("r2"))
-            .join(Plan::scan("r3"))
-            .join(Plan::scan("r4"))
-            .join(Plan::scan("r5"));
-        let sip = ExecCfg::default();
-        let nosip = ExecCfg { sip: false, ..sip };
-        let (rows, ms_nosip) = bench_min(&ws, |ws| {
-            run_with(ws, &plan, &nosip, false)
-                .expect("chain workload is well-typed")
-                .0
-                .len()
-        });
-        emit("join5_selective_nosip", n, rows, ms_nosip);
-        let (rows_sip, ms_sip) = bench_min(&ws, |ws| {
-            run_with(ws, &plan, &sip, false)
-                .expect("chain workload is well-typed")
-                .0
-                .len()
-        });
-        assert_eq!(rows, rows_sip, "SIP changed the result size");
-        if n >= 10_000 {
-            assert!(
-                ms_sip < ms_nosip,
-                "SIP join5_selective ({ms_sip:.3} ms) should beat the unfiltered \
-                 pipeline ({ms_nosip:.3} ms) at n={n}"
-            );
-        }
-        emit("join5_selective", n, rows_sip, ms_sip);
-        dump_trace(&ws, &plan, "join5_selective", n);
-    }
-
     // A selective filter on the *last* relation of the chain: the rules
     // push it into `r3`'s scan, but only the cost phase knows the filtered
     // side is now tiny and reorders the join so it participates first.
@@ -454,7 +411,6 @@ fn main() {
     };
     let one_thread = ExecCfg {
         par: ParCfg::with_threads(1),
-        sip: true,
     };
 
     for &n in par_sizes {

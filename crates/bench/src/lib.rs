@@ -358,39 +358,6 @@ pub fn join3_skewed_workload(rng: &mut Rng, n: usize) -> WorldSet {
     ws
 }
 
-/// Build the sideways-information-passing showcase: a certain 5-way chain
-/// `r1(a,b) ⋈ r2(b,c) ⋈ r3(c,d) ⋈ r4(d,e) ⋈ r5(e,f)` where `r1`–`r4`
-/// cover the full `0..n` key space one row per key, and the tail `r5`
-/// keeps only one key in a hundred (`n/100` rows at `key = i·100`).
-///
-/// Without SIP every intermediate join materializes all `n` rows before
-/// the tail discards 99% of them; with SIP the Bloom filter built from
-/// `r5` prunes `r4`'s scan to ~`n/100` rows, the pruned `r4` seeds the
-/// next filter into `r3`, and so on down the chain — the cascading case
-/// the `join5_selective` bench asserts a win on. Deterministic (no rng):
-/// the key pattern *is* the workload.
-pub fn join5_selective_workload(n: usize) -> WorldSet {
-    let mut ws = WorldSet::new();
-    let cols = [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "f")];
-    for (i, &(k1, k2)) in cols.iter().enumerate() {
-        let schema =
-            Schema::of(&[(k1, ValueType::Int), (k2, ValueType::Int)]).expect("distinct columns");
-        let mut rel = URelation::new(schema);
-        let rows = if i == 4 { (n / 100).max(1) } else { n };
-        for r in 0..rows {
-            let key = if i == 4 { r * 100 } else { r };
-            rel.push(
-                Tuple::new(vec![Value::Int(key as i64), Value::Int(key as i64)]),
-                WsDescriptor::tautology(),
-            )
-            .expect("schema ok");
-        }
-        ws.insert(format!("r{}", i + 1), rel)
-            .expect("certain relation is valid");
-    }
-    ws
-}
-
 /// Build a world set with three chained relations `r1(a,b)`, `r2(b,c)`,
 /// `r3(c,d)` of `n` uncertain rows each, with join keys drawn from a domain
 /// of size `n` so a 3-way natural join stays roughly linear in output size.

@@ -62,7 +62,6 @@
 //! its WSD-level executor and the paper's uncertainty constructs
 //! (`repair-key`, `possible`, `certain`, `conf`) live in `maybms-algebra`.
 
-pub mod bloom;
 pub mod columnar;
 pub mod component;
 pub mod descriptor;
@@ -82,7 +81,6 @@ pub mod urel;
 pub mod value;
 pub mod world;
 
-pub use bloom::BlockedBloom;
 pub use columnar::{ColView, ColumnData, ColumnVec, ColumnarURelation, StrPool};
 pub use component::{Component, ComponentSet, ConfStats, WorldPick};
 pub use descriptor::{ComponentId, WsDescriptor};

@@ -19,9 +19,7 @@
 
 use std::fmt;
 
-use maybms_algebra::{
-    estimate_preorder, exec_order, run_with, sip_decisions, ExecCfg, ExecStats, Plan, StatsProvider,
-};
+use maybms_algebra::{estimate_preorder, run_with, ExecCfg, ExecStats, Plan, StatsProvider};
 use maybms_core::{QueryTrace, SpanKind, WorldSet};
 
 use crate::ast::Query;
@@ -41,33 +39,19 @@ pub struct Explain {
     /// plan tree's printed line order); `None` when the catalog has no
     /// statistics to estimate from.
     pub estimates: Option<Vec<f64>>,
-    /// Plan-time sideways-information-passing decisions per node of
-    /// `optimized`, in pre-order: `sip=bloom(keys, …)` on joins whose
-    /// estimated build side qualifies, `""` elsewhere. Empty when the
-    /// caller's [`ExecCfg::sip`] is off (the runtime gate additionally
-    /// checks the *actual* build-side row count, so a rendered decision is
-    /// the plan's intent, not a promise).
-    pub sip: Vec<String>,
 }
 
-/// Analyze a parsed query and produce both plans, annotated for a run
-/// under `cfg`.
-pub fn explain(catalog: &Catalog, query: &Query, cfg: &ExecCfg) -> Result<Explain, SqlError> {
+/// Analyze a parsed query and produce both plans.
+pub fn explain(catalog: &Catalog, query: &Query) -> Result<Explain, SqlError> {
     let (lowered, _) = lower(catalog, query)?;
     let optimized = optimize_plan(catalog, &lowered, query.span())?;
-    // The SIP decisions read the estimates even when the catalog has no
-    // statistics (the defaults then stand in); only real ones are shown.
-    let ests = estimate_preorder(&optimized, catalog, catalog);
-    let sip = if cfg.sip {
-        sip_decisions(&optimized, &ests, catalog)
-    } else {
-        Vec::new()
-    };
+    let estimates = catalog
+        .has_stats()
+        .then(|| estimate_preorder(&optimized, catalog, catalog));
     Ok(Explain {
         lowered,
         optimized,
-        estimates: catalog.has_stats().then_some(ests),
-        sip,
+        estimates,
     })
 }
 
@@ -84,25 +68,13 @@ impl fmt::Display for Explain {
         writeln!(f, "lowered plan:")?;
         tree(f, &self.lowered)?;
         writeln!(f, "optimized plan:")?;
-        if self.estimates.is_none() && self.sip.iter().all(String::is_empty) {
+        let Some(ests) = &self.estimates else {
             return tree(f, &self.optimized);
-        }
+        };
         // One printed line per plan node, in the same pre-order the
-        // estimator and the SIP decision walk; each line carries whichever
-        // annotations exist.
-        for (i, line) in self.optimized.to_string().lines().enumerate() {
-            let mut ann: Vec<String> = Vec::new();
-            if let Some(ests) = &self.estimates {
-                ann.push(format!("est_rows={}", fmt_est(ests[i])));
-            }
-            if let Some(s) = self.sip.get(i).filter(|s| !s.is_empty()) {
-                ann.push(s.clone());
-            }
-            if ann.is_empty() {
-                writeln!(f, "  {line}")?;
-            } else {
-                writeln!(f, "  {line}  ({})", ann.join(" "))?;
-            }
+        // estimator walks.
+        for (line, est) in self.optimized.to_string().lines().zip(ests) {
+            writeln!(f, "  {line}  (est_rows={})", fmt_est(*est))?;
         }
         Ok(())
     }
@@ -125,11 +97,6 @@ pub struct ExplainAnalyze {
     /// Estimated output rows per node of `optimized`, in pre-order;
     /// `None` when the catalog has no statistics.
     pub estimates: Option<Vec<f64>>,
-    /// Whether sideways information passing was enabled for the traced run.
-    /// SIP evaluates join build sides before probe sides, so it changes the
-    /// *order* node spans appear in the trace — estimate alignment has to
-    /// replay that order ([`exec_order`]).
-    pub sip_enabled: bool,
 }
 
 /// `EXPLAIN ANALYZE` of a plan compiled against `catalog`: execute
@@ -155,7 +122,6 @@ pub(crate) fn explain_analyze_plan(
         trace: trace.expect("tracing was requested"),
         stats,
         estimates,
-        sip_enabled: cfg.sip,
     })
 }
 
@@ -175,21 +141,18 @@ fn fmt_est(est: f64) -> String {
 }
 
 impl ExplainAnalyze {
-    /// Pair each node span with its estimate, in *execution* order (the
-    /// order the rendered span tree prints). Under SIP, execution order
-    /// differs from plan pre-order — [`exec_order`] maps between them.
-    /// Every plan node opens exactly one span, so the two trees match node
-    /// for node. Empty when estimates are absent.
+    /// Pair each node span with its estimate. Every plan node opens
+    /// exactly one span, and children evaluate in plan order, so node
+    /// spans arrive in plan pre-order — the estimates' order, and the order
+    /// the rendered span tree prints. Empty when estimates are absent.
     fn node_estimates(&self) -> Vec<(f64, u64)> {
         let Some(ests) = &self.estimates else {
             return Vec::new();
         };
         let nodes = self.trace.spans.iter().filter(|s| s.kind == SpanKind::Node);
-        let order = exec_order(&self.optimized, self.sip_enabled);
-        order
-            .iter()
+        ests.iter()
             .zip(nodes)
-            .map(|(&pre, s)| (ests[pre], s.rows_out))
+            .map(|(&e, s)| (e, s.rows_out))
             .collect()
     }
 }
@@ -227,15 +190,6 @@ impl fmt::Display for ExplainAnalyze {
             self.stats.output_rows,
             self.trace.threads
         )?;
-        if self.stats.sip.filters_built > 0 {
-            writeln!(
-                f,
-                "sip: filters={} tested={} pruned={}",
-                self.stats.sip.filters_built,
-                self.stats.sip.probe_rows_tested,
-                self.stats.sip.probe_rows_pruned
-            )?;
-        }
         if !node_ests.is_empty() {
             let mut qs: Vec<f64> = node_ests.iter().map(|&(e, a)| q_error(e, a)).collect();
             qs.sort_by(|a, b| a.partial_cmp(b).expect("q-errors are finite"));

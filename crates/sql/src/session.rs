@@ -175,7 +175,7 @@ impl Session {
                 analyze: false,
                 ..
             } => {
-                let ex = explain(&self.catalog, &query, &self.exec)?;
+                let ex = explain(&self.catalog, &query)?;
                 (Outcome::Explain(ex), None, None)
             }
             Statement::Explain {

@@ -6,7 +6,6 @@
 
 use std::collections::BTreeMap;
 
-use maybms_algebra::ExecCfg;
 use maybms_core::stats::{ColumnStats, RelationStats};
 use maybms_core::{Schema, ValueType};
 use maybms_sql::{explain, parse_query, Catalog};
@@ -33,17 +32,14 @@ fn census_catalog() -> Catalog {
 fn explain_text(query: &str) -> String {
     let catalog = census_catalog();
     let parsed = parse_query(query).expect("query parses");
-    explain(&catalog, &parsed, &ExecCfg::default())
+    explain(&catalog, &parsed)
         .expect("query analyzes")
         .to_string()
 }
 
 /// The selective predicate sinks below the join into the `census` side,
 /// and projection pruning narrows the join to the columns consumed above
-/// (the join key `ssn` plus the projected `city`). The join line carries
-/// the plan-time SIP decision: without statistics the build side defaults
-/// under the cutoff, so a Bloom filter over `ssn` will be pushed sideways
-/// into the probe subtree.
+/// (the join key `ssn` plus the projected `city`).
 #[test]
 fn explain_pushes_selection_below_the_join() {
     let text = explain_text("SELECT POSSIBLE city FROM census, homes WHERE name = 'Smith'");
@@ -58,7 +54,7 @@ lowered plan:
 optimized plan:
   possible
     project[city]
-      natural-join  (sip=bloom(ssn))
+      natural-join
         project[ssn]
           select[name = 'Smith']
             scan[census]
@@ -115,9 +111,7 @@ optimized plan:
 
 /// With statistics registered, `EXPLAIN` renders the cost model's
 /// `est_rows=` on every optimized-plan node, and the cost phase moves the
-/// selective census side to the hash build (right) side of the join — whose
-/// estimated 5 rows are under the SIP cutoff, so the join also renders its
-/// `sip=bloom(ssn)` decision.
+/// selective census side to the hash build (right) side of the join.
 #[test]
 fn explain_shows_estimates_and_reorders_with_stats() {
     let mut catalog = census_catalog();
@@ -148,7 +142,7 @@ fn explain_shows_estimates_and_reorders_with_stats() {
     catalog.insert_stats("homes", rel(50, 0.0, &[("ssn", 50.0), ("city", 20.0)]));
     let parsed = parse_query("SELECT POSSIBLE city FROM census, homes WHERE name = 'Smith'")
         .expect("query parses");
-    let text = explain(&catalog, &parsed, &ExecCfg::default())
+    let text = explain(&catalog, &parsed)
         .expect("query analyzes")
         .to_string();
     let expected = "\
@@ -162,7 +156,7 @@ lowered plan:
 optimized plan:
   possible  (est_rows=5)
     project[city]  (est_rows=5)
-      natural-join  (est_rows=5 sip=bloom(ssn))
+      natural-join  (est_rows=5)
         scan[homes]  (est_rows=50)
         project[ssn]  (est_rows=5)
           select[name = 'Smith']  (est_rows=5)

@@ -80,7 +80,6 @@ fn explain_analyze_renders_the_census_conf_join() {
     let mut session = Session::new(demo_world());
     session.exec = ExecCfg {
         par: ParCfg::with_threads(1),
-        sip: true,
     };
     session
         .execute("LET census = REPAIR KEY name IN censusform WEIGHT BY w;")
@@ -94,15 +93,9 @@ fn explain_analyze_renders_the_census_conf_join() {
     // The cost phase reorders the join — the filtered census side (2
     // estimated rows) becomes the hash build (right) side — and every
     // node line carries the estimator's `est_rows=`, graded against the
-    // observed counts by the closing `estimation:` line. With SIP on, the
-    // executor evaluates the build side *first* (the trace tree renders
-    // children in execution order, so the census subtree prints above
-    // `scan[homes]`) and pushes a Bloom filter over the two Smith ssns
-    // into the homes scan: one of its three rows (ssn 186) is pruned
-    // before the join sees it — `rows=2` at the scan, `in=4` at the join,
-    // and the closing `sip:` line counts the filter. The pruned scan is
-    // also the one node where the observed count diverges from the
-    // estimate (3 estimated, 2 after pruning), hence q_error max 1.50.
+    // observed counts by the closing `estimation:` line. Children evaluate
+    // in plan order, so `scan[homes]` (the probe side) prints above the
+    // census subtree, and every observed count meets its estimate.
     // `imported=4` on the scan-convert line: census's four descriptors were
     // appended to the run's pool — and no line reads `interns=`.
     let expected = "\
@@ -110,16 +103,15 @@ analyzed plan:
   · scan-convert  (time=<T>ms items=7 imported=4)
   conf  (time=<T>ms rows=2 in=2 exact_groups=2 exact_steps=2 est_rows=2)
     project[city]  (time=<T>ms rows=2 in=2 est_rows=2)
-      natural-join  (time=<T>ms rows=2 in=4 conjoins=2 est_rows=2)
+      natural-join  (time=<T>ms rows=2 in=5 conjoins=2 est_rows=2)
+        scan[homes]  (time=<T>ms rows=3 est_rows=3)
         project[ssn]  (time=<T>ms rows=2 in=2 est_rows=2)
           select[name = 'Smith']  (time=<T>ms rows=2 in=4 est_rows=2)
             scan[census]  (time=<T>ms rows=4 est_rows=4)
-        scan[homes]  (time=<T>ms rows=2 est_rows=3)
     · canonical-sort  (time=<T>ms items=2)
     · solve  (time=<T>ms items=2)
 execution: total=<T>ms rows=2 threads=1
-sip: filters=1 tested=3 pruned=1
-estimation: nodes=7 q_error median=1.00 max=1.50
+estimation: nodes=7 q_error median=1.00 max=1.00
 ";
     assert_eq!(mask_times(&analyzed.to_string()), expected);
     // Nothing the run observed is kept: the same statement, now served from
@@ -132,7 +124,7 @@ estimation: nodes=7 q_error median=1.00 max=1.50
     };
     assert_eq!(mask_times(&analyzed.to_string()), expected);
     // … and a plain `EXPLAIN` after it shows the estimator's own number
-    // for the scan the filter pruned, not the count the run saw.
+    // for the scan.
     let explained = session
         .execute("EXPLAIN SELECT CONF city FROM census, homes WHERE name = 'Smith';")
         .expect("query compiles");
@@ -180,7 +172,6 @@ fn explain_analyze_names_the_estimator_of_sampled_groups() {
     let mut session = Session::new(star_world());
     session.exec = ExecCfg {
         par: ParCfg::with_threads(1),
-        sip: true,
     };
     let executed = session
         .execute("EXPLAIN ANALYZE SELECT CONF(0.1, 0.1) a FROM stars;")

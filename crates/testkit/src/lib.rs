@@ -203,7 +203,7 @@ pub fn gen_typed_world_set(rng: &mut Rng, cfg: &GenConfig) -> WorldSet {
                         ValueType::Int => Value::Int(rng.below(cfg.domain as usize) as i64),
                         ValueType::Str => Value::str(format!("s{}", rng.below(3))),
                         // `-0.0` and `NaN` beside `0.0`: float join
-                        // keys, dedup and SIP hash floats by their bits.
+                        // keys and dedup hash floats by their bits.
                         ValueType::Float => {
                             Value::float(*rng.pick(&[0.0, 0.5, 1.0, -0.0, f64::NAN]))
                         }

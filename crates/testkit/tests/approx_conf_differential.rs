@@ -59,7 +59,6 @@ fn exec(threads: usize) -> ExecCfg {
             threads,
             min_rows: 1,
         },
-        sip: true,
     }
 }
 

@@ -57,7 +57,6 @@ fn session(ws: WorldSet, threads: usize) -> Session {
             threads,
             min_rows: 1,
         },
-        sip: true,
     };
     session
 }

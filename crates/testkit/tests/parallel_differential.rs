@@ -48,9 +48,9 @@ fn par(threads: usize) -> ParCfg {
     }
 }
 
-/// SIP on (the default) under the given thread budget.
+/// The given thread budget as a run configuration.
 fn exec(par: ParCfg) -> ExecCfg {
-    ExecCfg { par, sip: true }
+    ExecCfg { par }
 }
 
 /// Pool traffic must not depend on the thread count: no task mints, so the

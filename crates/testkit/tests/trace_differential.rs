@@ -5,8 +5,9 @@
 //! world sets — at `threads = 1` and `threads = 4` with the morsel
 //! threshold forced to 1 row, so span bookkeeping is exercised under
 //! every parallel code path. The trace itself must be structurally sound:
-//! one span per plan node (at least — operators add `·` sub-phases), a
-//! root whose `rows_out` is the result cardinality, and counter
+//! one span per plan node (operators add `·` sub-phases), opened in plan
+//! pre-order under its plan parent, a root whose `rows_out` is the result
+//! cardinality, and counter
 //! attribution that never loses mass (a child's inclusive counters never
 //! exceed its parent's). Every counter a span reads is its own run's, so
 //! runs on other threads leave a trace untouched.
@@ -31,7 +32,6 @@ fn exec(threads: usize) -> ExecCfg {
             threads,
             min_rows: 1,
         },
-        sip: true,
     }
 }
 
@@ -86,12 +86,26 @@ fn traces_cover_every_plan_node_and_attribute_consistently() {
         let trace = trace.expect("traced run returns its trace");
 
         // Every plan node evaluates exactly once, so it opens exactly one
-        // span.
-        let nodes = plan.node_count();
-        let spans = trace.node_span_count();
+        // span; children evaluate in plan order — a join's left side before
+        // its right — so the node spans are the plan's nodes in pre-order,
+        // each under its plan parent. `EXPLAIN ANALYZE` pairs the `i`-th
+        // node span with the `i`-th pre-order estimate on the strength of
+        // this.
+        let mut expected = Vec::new();
+        preorder(&plan, None, &mut expected);
+        // Each node span's label and the node index of its parent span.
+        let mut node_of_span = vec![None; trace.spans.len()];
+        let mut got = Vec::new();
+        for (i, span) in trace.spans.iter().enumerate() {
+            if span.kind == SpanKind::Node {
+                node_of_span[i] = Some(got.len());
+                let parent = span.parent.and_then(|p| node_of_span[p as usize]);
+                got.push((span.label.clone(), parent));
+            }
+        }
         assert_eq!(
-            spans, nodes,
-            "case {case}: {spans} node spans for {nodes} plan nodes\nplan: {plan:?}"
+            got, expected,
+            "case {case}: node spans are not the plan in pre-order\nplan:\n{plan}"
         );
 
         let root = trace
@@ -148,6 +162,16 @@ fn traces_cover_every_plan_node_and_attribute_consistently() {
                 );
             }
         }
+    }
+}
+
+/// The plan's nodes in pre-order: each node's label and the pre-order index
+/// of its parent.
+fn preorder(plan: &Plan, parent: Option<usize>, out: &mut Vec<(String, Option<usize>)>) {
+    let me = out.len();
+    out.push((plan.node_label(), parent));
+    for child in plan.children() {
+        preorder(child, Some(me), out);
     }
 }
 

@@ -26,17 +26,16 @@
 //! Meta commands: `\d` lists the relations, `\stats` shows the last query's
 //! executor statistics (descriptor-pool occupancy and hit rates,
 //! string-dictionary size, elided dedups, parallelism, confidence-solver
-//! and SIP counters, plan-cache hit rate), `\timing`
+//! counters, plan-cache hit rate), `\timing`
 //! toggles per-statement wall-clock reporting, `\trace on|off` toggles span
 //! tracing for subsequent queries, `\trace last <file>` exports the last
 //! captured trace as Chrome trace-event JSON (open it in `chrome://tracing`
 //! or Perfetto), `\metrics` prints the session's totals (the same counters
 //! summed over every run so far), `\set threads N`
 //! changes the session's worker budget (initially the machine's
-//! parallelism), `\set sip on|off` toggles Bloom-filter sideways information
-//! passing (initially on), `\q` quits, `\help` shows the cheat sheet. Both
-//! knobs write the session's `ExecCfg`, the one value every statement runs
-//! under. A `\set` with an unknown knob or a malformed value is a hard error
+//! parallelism), `\q` quits, `\help` shows the cheat sheet. The knob writes
+//! the session's `ExecCfg`, the one value every statement runs under. A
+//! `\set` with an unknown knob or a malformed value is a hard error
 //! (it lists the valid knobs) — in batch mode it stops the run with a
 //! non-zero exit instead of silently continuing with stale settings.
 //!
@@ -361,7 +360,7 @@ impl Repl {
     /// `\set <knob> <value>`. Unknown knobs and malformed values are hard
     /// errors listing the valid knobs — never a silent no-op.
     fn set_cmd(&mut self, cmd: &str) -> Result<(), String> {
-        const VALID: &str = "valid knobs: threads <N>, sip on|off";
+        const VALID: &str = "valid knobs: threads <N>";
         let mut parts = cmd.split_whitespace().skip(1);
         let knob = parts.next();
         let raw = parts.next();
@@ -371,11 +370,7 @@ impl Repl {
                 self.engine.exec.par.threads = n;
                 println!("threads = {n}");
             }
-            (Some("sip"), Some(v @ ("on" | "off")), _) => {
-                self.engine.exec.sip = v == "on";
-                println!("sip = {v}");
-            }
-            (Some(knob @ ("threads" | "sip")), raw, _) => {
+            (Some(knob @ "threads"), raw, _) => {
                 return Err(match raw {
                     Some(v) => format!("error: \\set {knob}: invalid value `{v}`; {VALID}\n"),
                     None => format!("error: \\set {knob}: missing value; {VALID}\n"),
@@ -411,11 +406,9 @@ impl Repl {
             cache.misses(),
             cache.len()
         );
-        let exec = &self.engine.exec;
         println!(
-            "session settings: threads = {}, sip = {}",
-            exec.par.threads,
-            if exec.sip { "on" } else { "off" }
+            "session settings: threads = {}",
+            self.engine.exec.par.threads
         );
     }
 
@@ -437,7 +430,7 @@ impl Repl {
 /// Print executor statistics under `header` — one run's for `\stats`, the
 /// session's totals for `\metrics`: descriptor-pool occupancy with
 /// intern/conjoin hit rates, the string dictionary size, parallelism,
-/// confidence-solver and SIP counters, and what the scans found.
+/// confidence-solver counters, and what the scans found.
 fn print_stats(header: &str, s: &ExecStats) {
     let p = s.pool;
     println!("{header}");
@@ -474,20 +467,6 @@ fn print_stats(header: &str, s: &ExecStats) {
         println!(
             "  confidence:      {} groups exact in {} steps, {} sampled in {} draws ({} by Karp–Luby), largest group {} descriptors",
             c.exact_groups, c.exact_steps, c.sampled_groups, c.samples_drawn, c.karp_luby_groups, c.largest_group
-        );
-    }
-    let sip = s.sip;
-    if sip.filters_built > 0 {
-        println!(
-            "  sip:             {} filters built, {} probe rows tested, {} pruned ({:.1}%)",
-            sip.filters_built,
-            sip.probe_rows_tested,
-            sip.probe_rows_pruned,
-            if sip.probe_rows_tested == 0 {
-                0.0
-            } else {
-                sip.probe_rows_pruned as f64 / sip.probe_rows_tested as f64 * 100.0
-            }
         );
     }
     println!("  output:          {} rows", s.output_rows);
@@ -547,7 +526,6 @@ fn help() {
          \\trace on|off      trace subsequent queries\n  \
          \\trace last <file> export the last trace as Chrome trace JSON\n  \
          \\set threads <N>  worker-thread budget for query execution\n  \
-         \\set sip on|off  Bloom-filter sideways information passing\n  \
          \\help    this help\n  \
          \\q       quit"
     );
