@@ -3,7 +3,7 @@
 
 use maybms_core::columnar::{ColumnVec, ColumnarURelation};
 use maybms_core::dnf::{DnfKernel, GroupSampler, Loaded, EXACT_STEP_CEILING, SAMPLE_DRAW_CEILING};
-use maybms_core::parallel::{chunk_ranges, run_tasks};
+use maybms_core::parallel::run_tasks;
 use maybms_core::rng::CounterRng;
 use maybms_core::{
     Column, ComponentId, ComponentSet, ConfStats, DescId, MayError, Schema, ValueType,
@@ -152,27 +152,17 @@ pub(crate) fn conf(
         }
         Ok((kept, confs, solver.stats()))
     };
-    let (kept, confs) = if workers <= 1 {
-        let (kept, confs, stats) = solve_runs(0..bounds.len())?;
+    let parts = run_tasks(&mut ctx.par_stats, workers, bounds.len(), solve_runs);
+    let mut kept: Vec<u32> = Vec::with_capacity(bounds.len());
+    let mut confs: Vec<f64> = Vec::with_capacity(bounds.len());
+    // Task order: the first failing run's error wins, as it would
+    // sequentially.
+    for part in parts {
+        let (k, c, stats) = part?;
+        kept.extend_from_slice(&k);
+        confs.extend_from_slice(&c);
         ctx.conf_stats.absorb(&stats);
-        (kept, confs)
-    } else {
-        let morsels = chunk_ranges(bounds.len(), workers * 4);
-        let parts = run_tasks(&mut ctx.par_stats, workers, morsels.len(), |t| {
-            solve_runs(morsels[t].clone())
-        });
-        let mut kept: Vec<u32> = Vec::with_capacity(bounds.len());
-        let mut confs: Vec<f64> = Vec::with_capacity(bounds.len());
-        // Task order: the first failing run's error wins, as it would
-        // sequentially.
-        for part in parts {
-            let (k, c, stats) = part?;
-            kept.extend_from_slice(&k);
-            confs.extend_from_slice(&c);
-            ctx.conf_stats.absorb(&stats);
-        }
-        (kept, confs)
-    };
+    }
     ctx.tracer
         .event("solve", solve_started, bounds.len() as u64);
     let mut cols: Vec<ColumnVec> = r.columns().iter().map(|c| c.gather(&kept)).collect();

@@ -1,5 +1,5 @@
-//! Cardinality estimation and the cost model behind the cost-based
-//! optimizer phase (see [`crate::optimize::optimize_with_stats`]).
+//! Cardinality estimation behind the cost-based optimizer phase (see
+//! [`crate::optimize::optimize_with_stats`]) and `EXPLAIN`'s `est_rows=`.
 //!
 //! Estimates are classical System-R style, computed bottom-up over a
 //! [`Plan`] from the per-relation [`RelationStats`] a [`StatsProvider`]
@@ -17,11 +17,9 @@
 //!   `certain` additionally keeps only the `1 − nontrivial_frac` certain
 //!   slice, and `repair-key` keeps every row ([`crate::UOp::estimate_rows`]).
 //!
-//! The cost model charges rows moved plus `n·log n` for the operators that
-//! canonically sort (union dedup and the world-collapsing quantifiers);
-//! join charges its build side double (hash-table construction) so the
-//! planner prefers small build sides. Absolute values are meaningless —
-//! only comparisons between candidate plans for the *same* query are.
+//! The join order is chosen on estimates alone: `join_step_cost` charges
+//! one pairwise hash join its probe side, its build side double (hash-table
+//! construction, so the planner prefers small build sides) and its output.
 //!
 //! Everything here is estimation-only: nothing in this module rewrites
 //! plans, and a missing statistic degrades to a default, never an error.
@@ -104,12 +102,6 @@ impl CardEst {
     }
 }
 
-/// `n·log₂(n)` with a floor, the sort term of the cost model.
-fn sort_cost(n: f64) -> f64 {
-    let n = n.max(1.0);
-    n * (1.0 + n.max(2.0).log2())
-}
-
 /// The estimated cost of one pairwise hash join step: probe the left,
 /// build on the right (doubled — table construction), materialize the
 /// output.
@@ -173,22 +165,42 @@ pub(crate) fn join_set_est(leaves: &[&CardEst]) -> CardEst {
     }
 }
 
-/// Estimate a plan bottom-up, returning the root's [`CardEst`] and the
-/// subtree's total estimated cost. Infallible: unknown relations or
-/// statistics degrade to defaults.
-pub fn plan_cost(
+/// Estimate a plan bottom-up, returning the root's [`CardEst`].
+/// Infallible: unknown relations or statistics degrade to defaults.
+pub fn estimate(plan: &Plan, schemas: &dyn SchemaProvider, stats: &dyn StatsProvider) -> CardEst {
+    estimate_into(plan, schemas, stats, &mut Vec::new())
+}
+
+/// Estimated output rows for every node of `plan`, in pre-order (node
+/// before children, children left to right) — the order both the plan
+/// pretty-printer and the tracer's node spans use. `EXPLAIN` and `EXPLAIN
+/// ANALYZE` call it for the plan they render (`est_rows=`); nothing else in
+/// the engine does.
+pub fn estimate_preorder(
     plan: &Plan,
     schemas: &dyn SchemaProvider,
     stats: &dyn StatsProvider,
-) -> (CardEst, f64) {
-    match plan {
-        Plan::Scan(name) => {
-            let est = scan_est(name, schemas, stats);
-            let cost = est.rows;
-            (est, cost)
-        }
+) -> Vec<f64> {
+    let mut rows = Vec::with_capacity(plan.node_count());
+    estimate_into(plan, schemas, stats, &mut rows);
+    rows
+}
+
+/// [`estimate`], one bottom-up walk that also records each node's rows in
+/// `out`, in pre-order.
+fn estimate_into(
+    plan: &Plan,
+    schemas: &dyn SchemaProvider,
+    stats: &dyn StatsProvider,
+    out: &mut Vec<f64>,
+) -> CardEst {
+    let slot = out.len();
+    out.push(0.0);
+    let mut child = |input: &Plan| estimate_into(input, schemas, stats, out);
+    let est = match plan {
+        Plan::Scan(name) => scan_est(name, schemas, stats),
         Plan::Select { input, predicate } => {
-            let (in_est, in_cost) = plan_cost(input, schemas, stats);
+            let in_est = child(input);
             let sel = selectivity(predicate, &in_est).clamp(0.0, 1.0);
             let rows = in_est.rows * sel;
             let ndv = in_est
@@ -196,16 +208,15 @@ pub fn plan_cost(
                 .iter()
                 .map(|(c, &d)| (c.clone(), d.min(rows.max(1.0))))
                 .collect();
-            let est = CardEst {
+            CardEst {
                 rows,
                 ndv,
-                ranges: in_est.ranges.clone(),
+                ranges: in_est.ranges,
                 nontrivial_frac: in_est.nontrivial_frac,
-            };
-            (est, in_cost + in_est.rows)
+            }
         }
         Plan::Project { input, columns } => {
-            let (in_est, in_cost) = plan_cost(input, schemas, stats);
+            let in_est = child(input);
             let kept = CardEst {
                 rows: in_est.rows,
                 ndv: columns
@@ -224,11 +235,10 @@ pub fn plan_cost(
             let d = kept.distinct_tuples();
             let f = in_est.nontrivial_frac.clamp(0.0, 1.0);
             let rows = (d + (in_est.rows - d).max(0.0) * f).min(in_est.rows);
-            let est = CardEst { rows, ..kept };
-            (est, in_cost + 2.0 * in_est.rows)
+            CardEst { rows, ..kept }
         }
         Plan::Rename { input, renames } => {
-            let (in_est, in_cost) = plan_cost(input, schemas, stats);
+            let in_est = child(input);
             let renamed = |name: &str| -> String {
                 renames
                     .iter()
@@ -236,7 +246,7 @@ pub fn plan_cost(
                     .map(|(_, new)| new.clone())
                     .unwrap_or_else(|| name.to_string())
             };
-            let est = CardEst {
+            CardEst {
                 rows: in_est.rows,
                 ndv: in_est.ndv.iter().map(|(c, &d)| (renamed(c), d)).collect(),
                 ranges: in_est
@@ -245,19 +255,16 @@ pub fn plan_cost(
                     .map(|(c, &r)| (renamed(c), r))
                     .collect(),
                 nontrivial_frac: in_est.nontrivial_frac,
-            };
-            (est, in_cost)
+            }
         }
         Plan::NaturalJoin { left, right } => {
-            let (l, lc) = plan_cost(left, schemas, stats);
-            let (r, rc) = plan_cost(right, schemas, stats);
-            let est = join_set_est(&[&l, &r]);
-            let cost = lc + rc + join_step_cost(l.rows, r.rows, est.rows);
-            (est, cost)
+            let l = child(left);
+            let r = child(right);
+            join_set_est(&[&l, &r])
         }
         Plan::Union { left, right } => {
-            let (l, lc) = plan_cost(left, schemas, stats);
-            let (r, rc) = plan_cost(right, schemas, stats);
+            let l = child(left);
+            let r = child(right);
             let rows = (l.rows + r.rows).min(MAX_ROWS);
             let mut ndv = l.ndv.clone();
             for (c, &d) in &r.ndv {
@@ -275,17 +282,15 @@ pub fn plan_cost(
                     .or_insert((lo, hi));
             }
             let total = (l.rows + r.rows).max(1.0);
-            let est = CardEst {
+            CardEst {
                 rows,
                 ndv,
                 ranges,
                 nontrivial_frac: (l.rows * l.nontrivial_frac + r.rows * r.nontrivial_frac) / total,
-            };
-            let cost = lc + rc + sort_cost(rows);
-            (est, cost)
+            }
         }
         Plan::Uncertain { op, input } => {
-            let (in_est, in_cost) = plan_cost(input, schemas, stats);
+            let in_est = child(input);
             let rows = op
                 .estimate_rows(
                     in_est.rows,
@@ -293,54 +298,24 @@ pub fn plan_cost(
                     in_est.nontrivial_frac,
                 )
                 .clamp(0.0, MAX_ROWS);
-            let est = CardEst {
+            CardEst {
                 rows,
                 ndv: in_est
                     .ndv
                     .iter()
                     .map(|(c, &d)| (c.clone(), d.min(rows.max(1.0))))
                     .collect(),
-                ranges: in_est.ranges.clone(),
+                ranges: in_est.ranges,
                 nontrivial_frac: if op.certain_output() {
                     0.0
                 } else {
                     in_est.nontrivial_frac
                 },
-            };
-            // Every uncertainty operator canonical-sorts its input; that
-            // dominates.
-            let cost = in_cost + sort_cost(in_est.rows) + rows;
-            (est, cost)
+            }
         }
-    }
-}
-
-/// Estimated output rows for every node of `plan`, in pre-order (node
-/// before children, children left to right) — the order both the plan
-/// pretty-printer and the tracer's node spans use. `EXPLAIN` and `EXPLAIN
-/// ANALYZE` call it for the plan they render (`est_rows=`); it costs one
-/// [`plan_cost`] per node, so nothing else in the engine does.
-pub fn estimate_preorder(
-    plan: &Plan,
-    schemas: &dyn SchemaProvider,
-    stats: &dyn StatsProvider,
-) -> Vec<f64> {
-    let mut out = Vec::with_capacity(plan.node_count());
-    walk_preorder(plan, schemas, stats, &mut out);
-    out
-}
-
-fn walk_preorder(
-    plan: &Plan,
-    schemas: &dyn SchemaProvider,
-    stats: &dyn StatsProvider,
-    out: &mut Vec<f64>,
-) {
-    let (est, _) = plan_cost(plan, schemas, stats);
-    out.push(est.rows);
-    for child in plan.children() {
-        walk_preorder(child, schemas, stats, out);
-    }
+    };
+    out[slot] = est.rows;
+    est
 }
 
 fn scan_est(name: &str, schemas: &dyn SchemaProvider, stats: &dyn StatsProvider) -> CardEst {
@@ -506,7 +481,7 @@ mod tests {
     fn equality_selectivity_uses_distinct_counts() {
         let (schemas, stats) = fixture();
         let plan = Plan::scan("r1").select(Predicate::eq(col("b"), lit(7i64)));
-        let (est, _) = plan_cost(&plan, &schemas, &stats);
+        let est = estimate(&plan, &schemas, &stats);
         assert!((est.rows - 100.0).abs() < 1e-6, "rows = {}", est.rows);
     }
 
@@ -514,7 +489,7 @@ mod tests {
     fn range_selectivity_interpolates() {
         let (schemas, stats) = fixture();
         let plan = Plan::scan("r1").select(Predicate::lt(col("a"), lit(1_000i64)));
-        let (est, _) = plan_cost(&plan, &schemas, &stats);
+        let est = estimate(&plan, &schemas, &stats);
         assert!(
             (est.rows - 1_000.0).abs() < 5.0,
             "expected ~10% of rows, got {}",
@@ -526,7 +501,7 @@ mod tests {
     fn join_rows_follow_distinct_count_ratio() {
         let (schemas, stats) = fixture();
         let plan = Plan::scan("r1").join(Plan::scan("r2"));
-        let (est, _) = plan_cost(&plan, &schemas, &stats);
+        let est = estimate(&plan, &schemas, &stats);
         // 10⁴ · 10³ / max(100, 100) = 10⁵
         assert!((est.rows - 100_000.0).abs() < 1e-6, "rows = {}", est.rows);
     }
@@ -534,8 +509,8 @@ mod tests {
     #[test]
     fn join_set_estimate_is_order_invariant() {
         let (schemas, stats) = fixture();
-        let (a, _) = plan_cost(&Plan::scan("r1"), &schemas, &stats);
-        let (b, _) = plan_cost(&Plan::scan("r2"), &schemas, &stats);
+        let a = estimate(&Plan::scan("r1"), &schemas, &stats);
+        let b = estimate(&Plan::scan("r2"), &schemas, &stats);
         let ab = join_set_est(&[&a, &b]);
         let ba = join_set_est(&[&b, &a]);
         assert_eq!(ab.rows, ba.rows);
@@ -546,7 +521,7 @@ mod tests {
     fn stats_less_scans_fall_back_to_defaults() {
         let (schemas, _) = fixture();
         let stats: BTreeMap<String, RelationStats> = BTreeMap::new();
-        let (est, _) = plan_cost(&Plan::scan("r1"), &schemas, &stats);
+        let est = estimate(&Plan::scan("r1"), &schemas, &stats);
         assert_eq!(est.rows, DEFAULT_SCAN_ROWS);
         assert!(est.ndv.contains_key("a"));
     }

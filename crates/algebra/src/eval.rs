@@ -1,46 +1,49 @@
 //! The WSD-level executor: evaluates plans on u-relations without expanding
 //! worlds.
 //!
-//! # The columnar, selection-vector execution core
+//! # The columnar execution core: one row map per column
 //!
 //! Operators do not shuttle row-oriented [`URelation`]s (which would
 //! deep-clone every tuple and every descriptor term vector at every step),
 //! nor per-row `(Cow<Tuple>, DescId)` pairs as earlier revisions did.
 //! Instead they evaluate on `Batch`es over the columnar form of
-//! `maybms-core`: one typed [`ColumnVec`] per attribute plus a dense
-//! [`DescId`] column, with an optional **selection vector** of row ids on
-//! top. Strings are dictionary codes into a run-global [`StrPool`] and
-//! descriptors are handles into a run-global [`DescriptorPool`] — both
-//! owned by the run's evaluation context — so string equality anywhere in
-//! the executor is an integer compare, and descriptor equality one integer
-//! compare or a short slice compare ([`DescriptorPool::same_descriptor`]).
-//! Concretely:
+//! `maybms-core`: one typed [`ColumnVec`] per attribute, each with an
+//! optional **row map** (virtual row `i` reads physical row `ids[i]`), plus
+//! a dense [`DescId`] column — the batch's rows. Strings are dictionary
+//! codes into a run-global [`StrPool`] and descriptors are handles into a
+//! run-global [`DescriptorPool`] — both owned by the run's evaluation
+//! context — so string equality anywhere in the executor is an integer
+//! compare, and descriptor equality one integer compare or a short slice
+//! compare ([`DescriptorPool::same_descriptor`]). Every operator that drops
+//! or repeats rows keeps them through `Batch::restrict`, which gathers the
+//! descriptor column and composes each column's map. Concretely:
 //!
 //! * **Scan** borrows the relation's columns as imported into the run's
 //!   pools (see *Stored relations* below) — no per-operator copies, and no
 //!   per-run conversion of rows.
-//! * **Select** narrows the selection vector a conjunct at a time
+//! * **Select** narrows a row list a conjunct at a time
 //!   ([`crate::predicate::BoundPredicate::retain_views`]): a `column op
 //!   literal` conjunct on a non-string column is one typed loop
 //!   ([`ColView::retain_cmp`]), anything else is evaluated per row, cells
-//!   read in place. No row or column is materialized.
+//!   read in place. The batch restricts to the survivors; no cell is
+//!   copied.
 //! * **Project** and **Rename** are column-pointer shuffles: projection
 //!   moves column references into the output order (set semantics enforced
-//!   by a selection-vector dedup), renaming swaps the schema.
+//!   by a dedup), renaming swaps the schema.
 //! * **NaturalJoin** hashes both sides' key columns up front — one
 //!   [`ColView::hash_into`] sweep per key column, no key tuples — builds a
 //!   flat `ChainedIndex` over the right side's hashes, probes with the left
 //!   ones, verifies candidates column-wise, conjoins descriptors
 //!   through the pool, and emits **late-materialized** output columns: each
-//!   output column is the input column plus a shared rowid indirection
-//!   (`LazyCol`), so the join moves no cell data at all.
-//! * **Union** concatenates column-wise (a dense `memcpy`-style extend when
-//!   no selection or indirection is pending) and dedups via a fresh
-//!   selection vector.
-//! * **Dedup** (after project/join/union) hashes every live row a column
-//!   at a time — reading through the rowid views — plus its descriptor's
-//!   terms, then keeps first occurrences through a `ChainedIndex` and emits
-//!   their selection vector; it never rebuilds columns.
+//!   side's columns are restricted to its match list, so the join moves no
+//!   cell data at all.
+//! * **Union** concatenates column-wise (a dense `memcpy`-style extend for
+//!   a column without a map, a gather-extend through it otherwise) and
+//!   dedups.
+//! * **Dedup** (after project/join/union) hashes every row a column at a
+//!   time — reading through the row maps — plus its descriptor's terms,
+//!   then keeps first occurrences through a `ChainedIndex` and restricts
+//!   the batch to them; it never rebuilds columns.
 //!
 //! # Stored relations
 //!
@@ -73,17 +76,16 @@
 //!
 //! # Late materialization
 //!
-//! A join output column is a `LazyCol`: the input column plus an optional
-//! `Arc`'d rowid vector (virtual row `i` lives at physical row `ids[i]`).
-//! Stacked joins *compose* indirections (memoized per distinct input
-//! vector) instead of gathering, so a k-way join chain performs **one**
-//! gather per source column — fused with the pending selection vector at
-//! the next pipeline breaker (`Batch::into_dense_parts`: union inputs,
-//! uncertainty-operator inputs, the final emit) — instead of k. All sweeps
-//! (predicates, row hashing, join keys) read through [`ColView`]s, which
-//! fold the indirection into each cell access (a typed sweep dispatches on
-//! it once per column). This is how joins work — there is
-//! no eager per-join gather path beside it.
+//! A column's row map is an `Arc`'d `u32` vector shared by every column
+//! restricted by the same row list. Restricting a mapped column *composes*
+//! maps (memoized per distinct map) instead of gathering, so a k-way join
+//! chain — or a σ or dedup over a join — performs **one** gather per
+//! source column, at the next pipeline breaker (`Batch::into_dense_parts`:
+//! union inputs, uncertainty-operator inputs, the final emit), instead of
+//! k. All sweeps (predicates, row hashing, join keys) read through
+//! [`ColView`]s, which fold the map into each cell access (a typed sweep
+//! dispatches on it once per column). This is how every row-keeping
+//! operator works — there is no eager gather path beside it.
 //!
 //! Schemas are validated once per operator when the output schema is
 //! derived. The uncertainty operators (`repair-key`, `possible`, `certain`,
@@ -333,77 +335,69 @@ impl Iterator for ChainIter<'_> {
     }
 }
 
-/// Iterator over a batch's live row ids: a dense range, or the selection
-/// vector when one is pending.
-enum RowIds<'s> {
-    Dense(std::ops::Range<u32>),
-    Sel(std::slice::Iter<'s, u32>),
-}
-
-impl Iterator for RowIds<'_> {
-    type Item = u32;
-
-    #[inline]
-    fn next(&mut self) -> Option<u32> {
-        match self {
-            RowIds::Dense(r) => r.next(),
-            RowIds::Sel(it) => it.next().copied(),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            RowIds::Dense(r) => r.size_hint(),
-            RowIds::Sel(it) => it.size_hint(),
-        }
-    }
-}
-
 /// One output column of a batch: the stored column plus an optional shared
-/// rowid indirection — *virtual* row `i` lives at *physical* row `ids[i]`.
-/// A join emits its output columns as the input columns plus the match-list
-/// indirection (composing with any indirection already present, memoized
-/// per distinct input vector) instead of gathering; the single fused gather
-/// happens at the next pipeline breaker ([`Batch::into_dense_parts`]).
-/// The id vectors are `Arc`'d because every left (resp. right-kept) column
-/// of a join shares one vector.
+/// row map — *virtual* row `i` lives at *physical* row `ids[i]`. Every
+/// operator that keeps a subset or a multiset of rows (σ, dedup, ⋈) gives
+/// the columns a map through [`Batch::restrict`] instead of gathering; the
+/// one gather per column happens at the next pipeline breaker
+/// ([`Batch::into_dense_parts`]). The maps are `Arc`'d because every column
+/// restricted by one row list shares one map.
 struct LazyCol<'s> {
     /// The stored cells. Dense columns have one cell per virtual row;
-    /// indirected columns are addressed through `ids`.
+    /// mapped columns are addressed through `ids`.
     col: Cow<'s, ColumnVec>,
-    /// The virtual→physical rowid map, `None` when the column is dense.
-    /// When present, `ids.len()` equals the batch's virtual row count.
+    /// The virtual→physical row map, `None` when the column is dense.
+    /// When present, `ids.len()` equals the batch's row count.
     ids: Option<Arc<Vec<u32>>>,
 }
 
 impl<'s> LazyCol<'s> {
-    /// A column with no indirection.
+    /// A column with no row map.
     fn dense(col: Cow<'s, ColumnVec>) -> LazyCol<'s> {
         LazyCol { col, ids: None }
     }
 
-    /// A cell-addressable view folding the indirection (the read handle
-    /// every sweep goes through).
+    /// A cell-addressable view folding the row map (the read handle every
+    /// sweep goes through).
     #[inline]
     fn view(&self) -> ColView<'_> {
         ColView::with_ids(&self.col, self.ids.as_deref().map(Vec::as_slice))
     }
 }
 
+/// Keep the virtual rows `rows` (in output order) of every column in
+/// `cols`: a dense column takes `rows` as its map, a mapped one `rows`
+/// composed with the map it had — built once per distinct map (memoized by
+/// `Arc` address), so columns that shared a map share the composition. The
+/// keys are the maps the columns hold on entry, all alive at once, so no two
+/// distinct maps share an address.
+fn restrict_cols(cols: &mut [LazyCol<'_>], rows: Vec<u32>) {
+    let rows = Arc::new(rows);
+    let mut composed: FxHashMap<usize, Arc<Vec<u32>>> = FxHashMap::default();
+    for c in cols {
+        let ids = match &c.ids {
+            None => Arc::clone(&rows),
+            Some(old) => Arc::clone(
+                composed
+                    .entry(Arc::as_ptr(old) as usize)
+                    .or_insert_with(|| Arc::new(rows.iter().map(|&i| old[i as usize]).collect())),
+            ),
+        };
+        c.ids = Some(ids);
+    }
+}
+
 /// The executor's unit of data flow: columnar storage (borrowed from the
-/// run's scans until an operator materializes new columns),
-/// per-column rowid indirections deferred by joins, plus an optional
-/// selection vector restricting which virtual rows are live.
+/// run's scans until an operator materializes new columns), each column
+/// with an optional row map deferred by σ, dedup or a join. The batch's
+/// rows are its descriptor column.
 struct Batch<'s> {
     schema: Cow<'s, Schema>,
     cols: Vec<LazyCol<'s>>,
-    /// Descriptor handles, always dense over the *virtual* rows (joins
-    /// materialize conjoined descriptors eagerly — they are single `u32`
-    /// handles, not cell data, so deferring them buys nothing).
+    /// Descriptor handles, one per row, always dense (an operator that
+    /// keeps rows gathers them — they are single `u32` handles, not cell
+    /// data, so deferring them buys nothing).
     descs: Cow<'s, [DescId]>,
-    /// Live virtual row ids, in output order. `None` means all rows
-    /// `0..descs.len()`.
-    sel: Option<Vec<u32>>,
 }
 
 impl<'s> Batch<'s> {
@@ -417,7 +411,6 @@ impl<'s> Batch<'s> {
                 .map(|c| LazyCol::dense(Cow::Borrowed(&**c)))
                 .collect(),
             descs: Cow::Borrowed(rel.descs()),
-            sel: None,
         }
     }
 
@@ -431,52 +424,46 @@ impl<'s> Batch<'s> {
                 .map(|c| LazyCol::dense(Cow::Owned(c)))
                 .collect(),
             descs: Cow::Owned(descs),
-            sel: None,
         }
     }
 
-    /// Number of live rows.
+    /// Number of rows.
     fn len(&self) -> usize {
-        match &self.sel {
-            Some(s) => s.len(),
-            None => self.descs.len(),
-        }
+        self.descs.len()
     }
 
-    /// The live virtual row ids, in output order.
-    fn row_ids(&self) -> RowIds<'_> {
-        match &self.sel {
-            Some(s) => RowIds::Sel(s.iter()),
-            None => RowIds::Dense(0..self.descs.len() as u32),
-        }
+    /// Keep the rows `rows` (row ids, in output order, repeats allowed):
+    /// gather the descriptor column and restrict every column's row map
+    /// ([`restrict_cols`]). The one way an operator drops or repeats rows.
+    fn restrict(&mut self, rows: Vec<u32>) {
+        self.descs = Cow::Owned(rows.iter().map(|&i| self.descs[i as usize]).collect());
+        restrict_cols(&mut self.cols, rows);
     }
 
-    /// Fold the key cells `key` of every live row into one hash per live
-    /// row, in [`Batch::row_ids`] order — a [`ColView::hash_into`] sweep per
-    /// key column. Equal keys hash equally (on either side of a join: both
-    /// sides' columns encode into the run's pools).
+    /// Fold the key cells `key` of every row into one hash per row — a
+    /// [`ColView::hash_into`] sweep per key column. Equal keys hash equally
+    /// (on either side of a join: both sides' columns encode into the run's
+    /// pools).
     fn key_hashes(&self, key: impl IntoIterator<Item = usize>) -> Vec<u64> {
         let mut hashes = vec![0; self.len()];
         for c in key {
-            self.cols[c]
-                .view()
-                .hash_into(self.sel.as_deref(), &mut hashes);
+            self.cols[c].view().hash_into(&mut hashes);
         }
         hashes
     }
 
     /// Whether two rows carry equal cells and equal descriptors.
     #[inline]
-    fn rows_eq(&self, a: u32, b: u32, pool: &DescriptorPool) -> bool {
-        pool.same_descriptor(self.descs[a as usize], self.descs[b as usize])
+    fn rows_eq(&self, a: usize, b: usize, pool: &DescriptorPool) -> bool {
+        pool.same_descriptor(self.descs[a], self.descs[b])
             && self.cols.iter().all(|c| {
                 let v = c.view();
-                v.eq_cells(a as usize, &v, b as usize)
+                v.eq_cells(a, &v, b)
             })
     }
 
     /// Drop duplicate `(tuple, descriptor)` rows, keeping first occurrences
-    /// in order — by *shrinking the selection vector*, never touching the
+    /// in order — by restricting to the kept rows, never touching the
     /// columns. Every row's hash comes first, a column at a time; then a
     /// hash-and-verify pass over a [`ChainedIndex`]: candidates that collide
     /// on the row hash are verified cell-wise plus
@@ -490,74 +477,41 @@ impl<'s> Batch<'s> {
         // *content*, not its handle — handles minted by `conjoin` are not
         // canonical), two words a term.
         let mut hashes = self.key_hashes(0..self.cols.len());
-        for (h, i) in hashes.iter_mut().zip(self.row_ids()) {
-            for &(c, a) in pool.terms(self.descs[i as usize]) {
+        for (h, &d) in hashes.iter_mut().zip(self.descs.iter()) {
+            for &(c, a) in pool.terms(d) {
                 *h = fx_step(fx_step(*h, c.0 as u64), a as u64);
             }
         }
-        // The index holds positions among the live rows, so a candidate's
-        // hash is compared before its cells.
-        let live = self.sel.as_deref();
-        let row = |j: usize| live.map_or(j as u32, |s| s[j]);
         let mut index = ChainedIndex::with_capacity(n);
         let mut kept: Vec<u32> = Vec::with_capacity(n);
-        for (j, &h) in hashes.iter().enumerate() {
-            let i = row(j);
+        for (i, &h) in hashes.iter().enumerate() {
             let dup = index
                 .probe(h)
-                .any(|k| hashes[k] == h && self.rows_eq(row(k), i, pool));
+                .any(|k| hashes[k] == h && self.rows_eq(k, i, pool));
             if !dup {
-                index.insert(h, j);
-                kept.push(i);
+                index.insert(h, i);
+                kept.push(i as u32);
             }
         }
-        self.sel = Some(kept);
+        if kept.len() < n {
+            self.restrict(kept);
+        }
     }
 
-    /// Apply the selection vector *and* every pending rowid indirection in
-    /// one fused pass, yielding dense owned columns and descriptors — the
-    /// pipeline breaker where deferred join gathers finally happen, once
-    /// per column. When nothing is pending, borrowed columns are cloned (a
-    /// contiguous `memcpy` per column) and owned ones move. Columns sharing
-    /// an id vector share the composed `sel ∘ ids` index (memoized by `Arc`
-    /// address).
+    /// Apply every pending row map, yielding dense owned columns and
+    /// descriptors — the pipeline breaker where deferred gathers finally
+    /// happen, one per mapped column. Dense borrowed columns are cloned (a
+    /// contiguous `memcpy` per column) and owned ones move.
     fn into_dense_parts(self) -> (Cow<'s, Schema>, Vec<ColumnVec>, Vec<DescId>) {
-        let Batch {
-            schema,
-            cols,
-            descs,
-            sel,
-        } = self;
-        if sel.is_none() && cols.iter().all(|c| c.ids.is_none()) {
-            return (
-                schema,
-                cols.into_iter().map(|c| c.col.into_owned()).collect(),
-                descs.into_owned(),
-            );
-        }
-        let out_descs: Vec<DescId> = match &sel {
-            Some(s) => s.iter().map(|&i| descs[i as usize]).collect(),
-            None => descs.into_owned(),
-        };
-        let mut fused: FxHashMap<usize, Vec<u32>> = FxHashMap::default();
-        let out_cols = cols
+        let cols = self
+            .cols
             .into_iter()
-            .map(|c| {
-                let LazyCol { col, ids } = c;
-                match (&sel, ids) {
-                    (None, None) => col.into_owned(),
-                    (Some(s), None) => col.gather(s),
-                    (None, Some(ids)) => col.gather(&ids),
-                    (Some(s), Some(ids)) => {
-                        let idx = fused
-                            .entry(Arc::as_ptr(&ids) as usize)
-                            .or_insert_with(|| s.iter().map(|&i| ids[i as usize]).collect());
-                        col.gather(idx)
-                    }
-                }
+            .map(|c| match c.ids {
+                None => c.col.into_owned(),
+                Some(ids) => c.col.gather(&ids),
             })
             .collect();
-        (schema, out_cols, out_descs)
+        (self.schema, cols, self.descs.into_owned())
     }
 
     /// Materialize as a standalone columnar relation (descriptors and string
@@ -724,17 +678,17 @@ fn eval_batch_inner<'s>(
         }
         Plan::Select { input, predicate } => {
             let mut b = eval_batch(input, scans, ctx)?;
-            // Bound once per relation; the sweep below narrows the live rows
-            // a conjunct at a time, reading cells in place through the rowid
-            // views.
+            // Bound once per relation; the sweep below narrows a row list a
+            // conjunct at a time, reading cells in place through the row
+            // maps, and the batch keeps the survivors.
             let bound = predicate.bind(&b.schema)?;
-            let mut sel = b
-                .sel
-                .take()
-                .unwrap_or_else(|| (0..b.descs.len() as u32).collect());
+            let mut rows: Vec<u32> = (0..b.len() as u32).collect();
             let views: Vec<ColView<'_>> = b.cols.iter().map(LazyCol::view).collect();
-            bound.retain_views(&views, &mut sel, &ctx.strings);
-            b.sel = Some(sel);
+            bound.retain_views(&views, &mut rows, &ctx.strings);
+            drop(views);
+            if rows.len() < b.len() {
+                b.restrict(rows);
+            }
             Ok(b)
         }
         Plan::Project { input, columns } => {
@@ -756,7 +710,6 @@ fn eval_batch_inner<'s>(
                 schema: Cow::Owned(schema),
                 cols,
                 descs: b.descs,
-                sel: b.sel,
             };
             if permutation && input.is_distinct() {
                 ctx.dedups_elided += 1;
@@ -771,77 +724,62 @@ fn eval_batch_inner<'s>(
             let jp = l.schema.natural_join(&r.schema)?;
             let l_views: Vec<ColView<'_>> = l.cols.iter().map(LazyCol::view).collect();
             let r_views: Vec<ColView<'_>> = r.cols.iter().map(LazyCol::view).collect();
-            // Build on the right side: bucket each live right row by the
-            // hash of its key cells, both sides' keys hashed up front a
-            // column at a time (no key vector is ever materialized).
-            let r_rows: Vec<u32> = r.row_ids().collect();
+            // Build on the right side: bucket each right row by the hash of
+            // its key cells, both sides' keys hashed up front a column at a
+            // time (no key vector is ever materialized).
             let r_hashes = r.key_hashes(jp.shared.iter().map(|&(_, rc)| rc));
             let l_hashes = l.key_hashes(jp.shared.iter().map(|&(lc, _)| lc));
-            let mut built = ChainedIndex::with_capacity(r_rows.len());
-            for (slot, &h) in r_hashes.iter().enumerate() {
-                built.insert(h, slot);
+            let mut built = ChainedIndex::with_capacity(r.len());
+            for (ri, &h) in r_hashes.iter().enumerate() {
+                built.insert(h, ri);
             }
             // Probe with the left key hashes; verify candidates column-wise
             // (after their kept hashes agree). Matches are collected as
-            // (left row, right row, descriptor); the output columns are the
-            // input columns plus these match lists as rowid indirections.
+            // (left row, right row, descriptor); each side's columns then
+            // keep their match list.
             // Sequential by design: the probe mints descriptors, and only
             // the calling thread touches the pool.
             let mut l_idx: Vec<u32> = Vec::new();
             let mut r_idx: Vec<u32> = Vec::new();
             let mut descs: Vec<DescId> = Vec::new();
-            for (li, h) in l.row_ids().zip(l_hashes) {
-                for slot in built.probe(h) {
-                    let ri = r_rows[slot];
-                    let keys_match = r_hashes[slot] == h
-                        && jp.shared.iter().all(|&(lc, rc)| {
-                            l_views[lc].eq_cells(li as usize, &r_views[rc], ri as usize)
-                        });
+            for (li, &h) in l_hashes.iter().enumerate() {
+                for ri in built.probe(h) {
+                    let keys_match = r_hashes[ri] == h
+                        && jp
+                            .shared
+                            .iter()
+                            .all(|&(lc, rc)| l_views[lc].eq_cells(li, &r_views[rc], ri));
                     if !keys_match {
                         continue; // hash collision, not an equi-match
                     }
                     // A joined tuple exists only in worlds where both
                     // inputs exist: the conjunction of the descriptors.
                     // Inconsistent descriptors denote no worlds — drop.
-                    if let Some(d) = ctx.pool.conjoin(l.descs[li as usize], r.descs[ri as usize]) {
-                        l_idx.push(li);
-                        r_idx.push(ri);
+                    if let Some(d) = ctx.pool.conjoin(l.descs[li], r.descs[ri]) {
+                        l_idx.push(li as u32);
+                        r_idx.push(ri as u32);
                         descs.push(d);
                     }
                 }
             }
             drop(l_views);
             drop(r_views);
-            // Late materialization: the output columns are the input
-            // columns plus the match lists as shared rowid indirections. An
-            // indirection already present composes — once per distinct
-            // input vector, not per column.
-            let mut cols: Vec<LazyCol<'s>> = Vec::with_capacity(jp.schema.arity());
-            let l_ids = Arc::new(l_idx);
-            let r_ids = Arc::new(r_idx);
-            let mut memo: FxHashMap<(usize, usize), Arc<Vec<u32>>> = FxHashMap::default();
-            let mut compose = |old: &Option<Arc<Vec<u32>>>, new: &Arc<Vec<u32>>| match old {
-                None => Arc::clone(new),
-                Some(o) => Arc::clone(
-                    memo.entry((Arc::as_ptr(o) as usize, Arc::as_ptr(new) as usize))
-                        .or_insert_with(|| Arc::new(new.iter().map(|&i| o[i as usize]).collect())),
-                ),
-            };
-            for c in l.cols {
-                let ids = Some(compose(&c.ids, &l_ids));
-                cols.push(LazyCol { col: c.col, ids });
-            }
+            // Late materialization: each side's columns keep their match
+            // list as a row map, so the join moves no cell data.
+            let mut cols = l.cols;
+            restrict_cols(&mut cols, l_idx);
             let mut r_taken: Vec<Option<LazyCol<'s>>> = r.cols.into_iter().map(Some).collect();
-            for &rc in &jp.right_keep {
-                let c = r_taken[rc].take().expect("right_keep indices are unique");
-                let ids = Some(compose(&c.ids, &r_ids));
-                cols.push(LazyCol { col: c.col, ids });
-            }
+            let mut r_cols: Vec<LazyCol<'s>> = jp
+                .right_keep
+                .iter()
+                .map(|&rc| r_taken[rc].take().expect("right_keep indices are unique"))
+                .collect();
+            restrict_cols(&mut r_cols, r_idx);
+            cols.append(&mut r_cols);
             let mut out = Batch {
                 schema: Cow::Owned(jp.schema),
                 cols,
                 descs: Cow::Owned(descs),
-                sel: None,
             };
             // Dedup elision: joining certain, duplicate-free inputs cannot
             // produce duplicates — distinct row pairs differ in some kept
@@ -862,32 +800,16 @@ fn eval_batch_inner<'s>(
             let r = eval_batch(right, scans, ctx)?;
             l.schema.union_compatible(&r.schema)?;
             // Concatenate column-wise: densify the left side (moves owned
-            // columns, memcpys borrowed ones, fuses pending gathers), then
-            // append the right side's live rows per column — folding any
-            // right-side indirection into the extend index (memoized per
-            // distinct id vector).
+            // columns, memcpys borrowed ones, applies pending row maps), then
+            // append the right side's rows per column through its row map.
             let (schema, mut cols, mut descs) = l.into_dense_parts();
-            let mut fused: FxHashMap<usize, Vec<u32>> = FxHashMap::default();
             for (c, rc) in cols.iter_mut().zip(&r.cols) {
-                match (&r.sel, &rc.ids) {
-                    (None, None) => c.extend_all(&rc.col),
-                    (Some(sel), None) => c.extend_gather(&rc.col, sel),
-                    (sel, Some(ids)) => {
-                        let idx =
-                            fused
-                                .entry(Arc::as_ptr(ids) as usize)
-                                .or_insert_with(|| match sel {
-                                    Some(s) => s.iter().map(|&i| ids[i as usize]).collect(),
-                                    None => ids.as_ref().clone(),
-                                });
-                        c.extend_gather(&rc.col, idx);
-                    }
+                match &rc.ids {
+                    None => c.extend_all(&rc.col),
+                    Some(ids) => c.extend_gather(&rc.col, ids),
                 }
             }
-            match &r.sel {
-                Some(sel) => descs.extend(sel.iter().map(|&i| r.descs[i as usize])),
-                None => descs.extend_from_slice(&r.descs),
-            }
+            descs.extend_from_slice(&r.descs);
             let mut out = Batch {
                 schema,
                 cols: cols
@@ -895,14 +817,13 @@ fn eval_batch_inner<'s>(
                     .map(|c| LazyCol::dense(Cow::Owned(c)))
                     .collect(),
                 descs: Cow::Owned(descs),
-                sel: None,
             };
             out.dedup(&ctx.pool);
             Ok(out)
         }
         Plan::Rename { input, renames } => {
             let mut b = eval_batch(input, scans, ctx)?;
-            // Only the schema changes; columns and selection move through.
+            // Only the schema changes; columns and row maps move through.
             b.schema = Cow::Owned(b.schema.rename(renames)?);
             Ok(b)
         }

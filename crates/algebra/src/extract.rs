@@ -2,7 +2,7 @@
 
 use maybms_core::columnar::ColumnarURelation;
 use maybms_core::dnf::{DnfKernel, EXACT_STEP_CEILING};
-use maybms_core::parallel::{chunk_ranges, run_tasks};
+use maybms_core::parallel::run_tasks;
 use maybms_core::{DescId, MayError};
 
 use crate::eval::EvalCtx;
@@ -60,17 +60,10 @@ pub(crate) fn certain(
         }
         Ok(kept)
     };
-    let kept: Vec<u32> = if workers <= 1 {
-        check_runs(0..bounds.len())?
-    } else {
-        let morsels = chunk_ranges(bounds.len(), workers * 4);
-        run_tasks(&mut ctx.par_stats, workers, morsels.len(), |t| {
-            check_runs(morsels[t].clone())
-        })
+    let kept: Vec<u32> = run_tasks(&mut ctx.par_stats, workers, bounds.len(), check_runs)
         .into_iter()
         .collect::<Result<Vec<_>, MayError>>()?
-        .concat()
-    };
+        .concat();
     ctx.tracer
         .event("coverage-check", check_started, bounds.len() as u64);
     let descs = vec![DescId::TAUTOLOGY; kept.len()];

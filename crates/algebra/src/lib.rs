@@ -17,9 +17,10 @@
 //! databases and plans.
 //!
 //! The executor is **columnar and vectorized**: plans evaluate on batches of
-//! typed column vectors with selection vectors on top (see [`eval`]'s module
-//! docs for the operator contract), converting to the row-oriented
-//! representation only at the boundary of [`eval::run`].
+//! typed column vectors, each read through an optional row map that σ,
+//! dedup and joins restrict instead of copying cells (see [`eval`]'s module
+//! docs for the operator contract); a run's answer leaves [`eval::run`] as
+//! columns.
 //!
 //! The IR is closed: besides the positive algebra, [`Plan::Uncertain`]
 //! carries the paper's four uncertainty operators ([`UOp`]: `repair-key`,
@@ -56,7 +57,7 @@ mod repair;
 pub mod uncertain;
 
 pub use confidence::{ApproxConf, CONF_COLUMN, DEFAULT_CONF_EXACT_LIMIT, DEFAULT_CONF_SEED};
-pub use cost::{estimate_preorder, plan_cost, CardEst, StatsProvider};
+pub use cost::{estimate, estimate_preorder, CardEst, StatsProvider};
 pub use eval::{run, run_traced, run_with, run_with_opts, ExecCfg, ExecStats, SipStats};
 pub use optimize::{optimize, optimize_with_stats, SchemaProvider};
 pub use plan::Plan;

@@ -588,7 +588,7 @@ impl<'a> CostPass<'a> {
             .collect::<Result<Vec<_>, _>>()?;
         let ests: Vec<CardEst> = leaves
             .iter()
-            .map(|l| crate::cost::plan_cost(l, self.schemas, self.stats).0)
+            .map(|l| crate::cost::estimate(l, self.schemas, self.stats))
             .collect();
         let (_, current_cost) = shape_cost(&shape, &ests);
         let (best_cost, best_plan) = greedy_best(&leaves, &ests);

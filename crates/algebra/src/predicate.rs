@@ -341,10 +341,10 @@ impl BoundPredicate {
 
     /// Narrow `rows` — virtual row ids of a columnar batch, in order — to
     /// the rows that satisfy the predicate, keeping their order: the
-    /// selection-vector form of [`BoundPredicate::matches_views`], with the
-    /// same semantics. A conjunction narrows the vector one conjunct at a
-    /// time, and a `column op literal` comparison on a non-string column is
-    /// one typed loop ([`ColView::retain_cmp`]); `OR`, `NOT`, column against
+    /// row-list form of [`BoundPredicate::matches_views`], with the same
+    /// semantics. A conjunction narrows the list one conjunct at a time,
+    /// and a `column op literal` comparison on a non-string column is one
+    /// typed loop ([`ColView::retain_cmp`]); `OR`, `NOT`, column against
     /// column and string order stay row-wise on `matches_views`.
     pub fn retain_views(&self, cols: &[ColView<'_>], rows: &mut Vec<u32>, strings: &StrPool) {
         let swept = match self {

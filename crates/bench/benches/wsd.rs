@@ -160,7 +160,7 @@ fn main() {
 
     // The columnar-specific join shape: a selection sweep on `r1` feeding a
     // string-keyed hop (`b`) and an int-keyed hop (`c`) — dictionary-coded
-    // string equality and the selection-vector machinery under load.
+    // string equality and the row-map machinery under load.
     for &n in sizes {
         let ws = join_columnar_workload(&mut Rng::new(0xC01A), n);
         let plan = Plan::scan("r1")

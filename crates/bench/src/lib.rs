@@ -257,8 +257,8 @@ pub fn repair_workload(rng: &mut Rng, n: usize) -> WorldSet {
 /// *strings* (drawn from a domain of `n` distinct values, so one join hop
 /// matches on dictionary codes) and `a`/`c` are ints. The intended plan
 /// filters `r1` on `a` before joining, so the workload covers: predicate
-/// sweep → selection vector, string-keyed hash join, int-keyed hash join,
-/// and selection-vector dedup — the paths `join3` (all-int, no filter)
+/// sweep → row map, string-keyed hash join, int-keyed hash join, and a
+/// dedup through row maps — the paths `join3` (all-int, no filter)
 /// leaves cold.
 pub fn join_columnar_workload(rng: &mut Rng, n: usize) -> WorldSet {
     let mut ws = WorldSet::new();

@@ -501,7 +501,7 @@ impl ColumnVec {
     }
 
     /// A new column holding the cells at `idx`, in that order (the
-    /// vectorized shuffle joins and selection materialization are built on).
+    /// vectorized shuffle the executor's pipeline breakers are built on).
     pub fn gather(&self, idx: &[u32]) -> ColumnVec {
         let data = match &self.data {
             ColumnData::Null(_) => ColumnData::Null(idx.len()),
@@ -572,14 +572,15 @@ impl ColumnVec {
     }
 }
 
-/// A read-only view of a column through an optional rowid indirection —
-/// the composable unit of **late materialization**. `ids = None` views the
+/// A read-only view of a column through an optional row map — the
+/// composable unit of **late materialization**. `ids = None` views the
 /// column as stored; `ids = Some(v)` views virtual row `i` as physical row
-/// `v[i]`, which is exactly what a deferred join gather denotes. Every
-/// accessor mirrors its [`ColumnVec`] counterpart so operators (predicate
-/// sweeps, hash/dedup passes, join-key probes) can read through the view
-/// without ever materializing the gather; the single fused gather happens
-/// at a pipeline breaker, from the composed index, not from the view.
+/// `v[i]`, which is what a deferred selection, dedup or join gather
+/// denotes. Every accessor mirrors its [`ColumnVec`] counterpart so
+/// operators (predicate sweeps, hash/dedup passes, join-key probes) can
+/// read through the view without ever materializing the gather; the one
+/// gather happens at a pipeline breaker, from the composed map, not from
+/// the view.
 ///
 /// Lifetime rule: a view borrows both the column and the id vector, so it
 /// is strictly a *within-operator* read handle — batches store the `Arc`'d
@@ -660,11 +661,10 @@ impl<'a> ColView<'a> {
         self.col.cmp_cell_value(self.phys(i), v, strings)
     }
 
-    /// Fold the cell of each listed virtual row into that row's slot of
-    /// `hashes` — one typed sweep per column: the storage variant, the
-    /// validity mask and the rowid map are dispatched once, not per cell.
-    /// `rows` lists the virtual rows, one per slot (`None`: all of
-    /// `0..hashes.len()`).
+    /// Fold the cell of virtual row `i` into slot `i` of `hashes`, for
+    /// every `i` below `hashes.len()` — one typed sweep per column: the
+    /// storage variant, the validity mask and the row map are dispatched
+    /// once, not per cell.
     ///
     /// A cell is one [`fx_step`] word, consistent with
     /// [`ColumnVec::eq_cells`]: the `i64`, string code or `bool` as a
@@ -674,51 +674,43 @@ impl<'a> ColView<'a> {
     /// finishes with.
     ///
     /// [`FxHasher`]: crate::fxhash::FxHasher
-    pub fn hash_into(&self, rows: Option<&[u32]>, hashes: &mut [u64]) {
-        debug_assert_eq!(rows.map_or(hashes.len(), <[u32]>::len), hashes.len());
+    pub fn hash_into(&self, hashes: &mut [u64]) {
+        debug_assert_eq!(self.ids.map_or(hashes.len(), <[u32]>::len), hashes.len());
         match &self.col.data {
-            ColumnData::Null(_) => self.fold(rows, hashes, |_| 0),
-            ColumnData::Bool(v) => self.fold_valid(rows, hashes, |p| v[p] as u64),
-            ColumnData::Int(v) => self.fold_valid(rows, hashes, |p| v[p] as u64),
-            ColumnData::Float(v) => self.fold_valid(rows, hashes, |p| v[p].to_bits()),
-            ColumnData::Str(v) => self.fold_valid(rows, hashes, |p| v[p] as u64),
+            ColumnData::Null(_) => self.fold(hashes, |_| 0),
+            ColumnData::Bool(v) => self.fold_valid(hashes, |p| v[p] as u64),
+            ColumnData::Int(v) => self.fold_valid(hashes, |p| v[p] as u64),
+            ColumnData::Float(v) => self.fold_valid(hashes, |p| v[p].to_bits()),
+            ColumnData::Str(v) => self.fold_valid(hashes, |p| v[p] as u64),
         }
     }
 
     /// [`ColView::fold`] with the word `0` under every `NULL` cell.
     #[inline(always)]
-    fn fold_valid(&self, rows: Option<&[u32]>, hashes: &mut [u64], word: impl Fn(usize) -> u64) {
+    fn fold_valid(&self, hashes: &mut [u64], word: impl Fn(usize) -> u64) {
         match &self.col.validity {
-            None => self.fold(rows, hashes, word),
-            Some(valid) => self.fold(rows, hashes, |p| if valid[p] { word(p) } else { 0 }),
+            None => self.fold(hashes, word),
+            Some(valid) => self.fold(hashes, |p| if valid[p] { word(p) } else { 0 }),
         }
     }
 
-    /// Fold `word` of each listed row's physical row into its slot.
+    /// Fold `word` of each virtual row's physical row into its slot.
     #[inline(always)]
-    fn fold(&self, rows: Option<&[u32]>, hashes: &mut [u64], word: impl Fn(usize) -> u64) {
+    fn fold(&self, hashes: &mut [u64], word: impl Fn(usize) -> u64) {
         let step = |h: &mut u64, p: usize| *h = fx_step(*h, word(p));
-        match (rows, self.ids) {
-            (None, None) => hashes.iter_mut().enumerate().for_each(|(p, h)| step(h, p)),
-            (None, Some(ids)) => hashes
+        match self.ids {
+            None => hashes.iter_mut().enumerate().for_each(|(p, h)| step(h, p)),
+            Some(ids) => hashes
                 .iter_mut()
                 .zip(ids)
                 .for_each(|(h, &p)| step(h, p as usize)),
-            (Some(rows), None) => hashes
-                .iter_mut()
-                .zip(rows)
-                .for_each(|(h, &r)| step(h, r as usize)),
-            (Some(rows), Some(ids)) => hashes
-                .iter_mut()
-                .zip(rows)
-                .for_each(|(h, &r)| step(h, ids[r as usize] as usize)),
         }
     }
 
     /// Keep the virtual rows of `rows` whose cell `c` satisfies
     /// `keep(c.cmp(v))` under the total [`Value`] order, in order — what
     /// [`ColView::cmp_cell_value`] decides per row, as one typed loop over
-    /// the selection vector. `NULL` and a literal of another variant
+    /// the row list. `NULL` and a literal of another variant
     /// compare by rank, floats by `total_cmp`. A string column is left to
     /// the caller (returns `false`, `rows` untouched): ordering strings
     /// reads the pool's bytes, and looking a literal's code up would build

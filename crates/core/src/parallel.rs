@@ -9,7 +9,7 @@
 //! is deliberately simple and deterministic:
 //!
 //! * the tuple runs of a sorted input are split into **tasks** (contiguous
-//!   ranges of runs — morsels, [`chunk_ranges`]);
+//!   ranges of runs — morsels, four per worker);
 //! * a small pool of scoped worker threads pulls task indices from one
 //!   atomic counter ([`run_tasks`]);
 //! * each task is a pure function of frozen inputs and results are returned
@@ -107,7 +107,7 @@ impl ParStats {
 
 /// Split `0..n` into at most `parts` contiguous, non-empty, near-equal
 /// ranges (fewer when `n < parts`).
-pub fn chunk_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
+fn chunk_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
     if n == 0 {
         return Vec::new();
     }
@@ -124,24 +124,27 @@ pub fn chunk_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Run `tasks` task closures on up to `workers` scoped threads, returning
-/// the results **in task order**, and record the fan-out in `stats`: the
-/// threads it spawned, its tasks and its workers' busy time.
+/// Run `f` over the runs `0..n`, split into morsels of contiguous runs
+/// (four per worker) on up to `workers` scoped threads, returning one result
+/// per morsel **in morsel order**, and record the fan-out in `stats`: the
+/// threads it spawned, its morsels and its workers' busy time.
 ///
-/// Workers pull task indices from one shared atomic counter, so load
-/// balances dynamically; but because each task's result depends only on its
-/// own index (tasks share nothing mutable), the returned vector is identical
-/// no matter how tasks were scheduled. With `workers <= 1` or a single task
-/// everything runs inline on the calling thread and `stats` is untouched. A
-/// panicking task propagates the panic.
-pub fn run_tasks<R, F>(stats: &mut ParStats, workers: usize, tasks: usize, f: F) -> Vec<R>
+/// Workers pull morsel indices from one shared atomic counter, so load
+/// balances dynamically; but because each morsel's result depends only on
+/// its own range (morsels share nothing mutable), the returned vector is
+/// identical no matter how morsels were scheduled. With `workers <= 1` or a
+/// single morsel, `f(0..n)` runs inline on the calling thread and `stats` is
+/// untouched. A panicking morsel propagates the panic.
+pub fn run_tasks<R, F>(stats: &mut ParStats, workers: usize, n: usize, f: F) -> Vec<R>
 where
     R: Send,
-    F: Fn(usize) -> R + Sync,
+    F: Fn(Range<usize>) -> R + Sync,
 {
-    if workers <= 1 || tasks <= 1 {
-        return (0..tasks).map(f).collect();
+    let morsels = chunk_ranges(n, workers * 4);
+    if workers <= 1 || morsels.len() <= 1 {
+        return vec![f(0..n)];
     }
+    let tasks = morsels.len();
     let cursor = AtomicUsize::new(0);
     let mut slots: Vec<Option<R>> = Vec::new();
     slots.resize_with(tasks, || None);
@@ -151,7 +154,7 @@ where
         let mut handles = Vec::with_capacity(workers);
         for _ in 0..workers {
             let cursor = &cursor;
-            let f = &f;
+            let (f, morsels) = (&f, &morsels);
             handles.push(scope.spawn(move || {
                 let started = std::time::Instant::now();
                 let mut done: Vec<(usize, R)> = Vec::new();
@@ -160,7 +163,7 @@ where
                     if t >= tasks {
                         break;
                     }
-                    done.push((t, f(t)));
+                    done.push((t, f(morsels[t].clone())));
                 }
                 (done, started.elapsed())
             }));
@@ -205,13 +208,22 @@ mod tests {
 
     #[test]
     fn run_tasks_returns_in_task_order() {
+        let squares = |runs: Range<usize>| runs.map(|t| t * t).collect::<Vec<_>>();
         let mut stats = ParStats::default();
-        let results = run_tasks(&mut stats, 4, 37, |t| t * t);
-        assert_eq!(results, (0..37).map(|t| t * t).collect::<Vec<_>>());
-        assert_eq!((stats.workers_used, stats.morsels), (4, 37));
-        // Inline path agrees, and records nothing.
+        let results = run_tasks(&mut stats, 4, 37, squares);
+        assert_eq!(
+            results,
+            chunk_ranges(37, 16)
+                .into_iter()
+                .map(squares)
+                .collect::<Vec<_>>()
+        );
+        assert_eq!(results.concat(), squares(0..37));
+        assert_eq!((stats.workers_used, stats.morsels), (4, 16));
+        // Inline path agrees — one worker, or one run — and records nothing.
         let mut inline = ParStats::default();
-        assert_eq!(run_tasks(&mut inline, 1, 5, |t| t + 1), vec![1, 2, 3, 4, 5]);
+        assert_eq!(run_tasks(&mut inline, 1, 37, squares), vec![squares(0..37)]);
+        assert_eq!(run_tasks(&mut inline, 4, 1, squares), vec![squares(0..1)]);
         assert_eq!(inline, ParStats::default());
     }
 

@@ -192,7 +192,7 @@ impl fmt::Display for ExplainAnalyze {
         )?;
         if !node_ests.is_empty() {
             let mut qs: Vec<f64> = node_ests.iter().map(|&(e, a)| q_error(e, a)).collect();
-            qs.sort_by(|a, b| a.partial_cmp(b).expect("q-errors are finite"));
+            qs.sort_by(f64::total_cmp);
             let median = qs[qs.len() / 2];
             let max = qs[qs.len() - 1];
             writeln!(

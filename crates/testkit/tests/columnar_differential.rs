@@ -177,12 +177,12 @@ const OPS: [CmpOp; 6] = [
 
 /// The column sweeps equal their per-row references over every storage
 /// variant — `NULL`s, `NaN`, `-0.0` and `0.0` included — read dense,
-/// through a selection vector, and through a row-id map (with a selection
-/// on top): `ColView::hash_into` equals the old per-cell FxHash fold for
-/// single- and multi-column keys, and `BoundPredicate::retain_views` keeps
-/// exactly the rows `matches_views` accepts, for all six operators, the
-/// literal on either side, literals of every variant, and conjunctions of
-/// swept and row-wise leaves.
+/// through a row-id map, and with a selection on top of either (folded
+/// into the view's map): `ColView::hash_into` equals the old per-cell
+/// FxHash fold for single- and multi-column keys, and
+/// `BoundPredicate::retain_views` keeps exactly the rows `matches_views`
+/// accepts, for all six operators, the literal on either side, literals of
+/// every variant, and conjunctions of swept and row-wise leaves.
 #[test]
 fn column_sweeps_match_per_row_references() {
     let literals = sweep_literals();
@@ -205,26 +205,31 @@ fn column_sweeps_match_per_row_references() {
                 .map(|_| rng.below(n) as u32)
                 .collect(),
         };
-        let dense: Vec<ColView<'_>> = c.columns().iter().map(ColView::dense).collect();
-        let mapped: Vec<ColView<'_>> = c
-            .columns()
-            .iter()
-            .map(|col| ColView::with_ids(col, Some(&ids)))
-            .collect();
-        for (views, len) in [(&dense, n), (&mapped, ids.len())] {
+        for (map, len) in [(None, n), (Some(&ids), ids.len())] {
+            // A selection on top, folded into the view's map as the
+            // executor's `Batch::restrict` folds it.
             let sel: Vec<u32> = (0..len as u32).filter(|_| rng.chance(0.6)).collect();
-            for rows in [None, Some(sel.as_slice())] {
-                let live: Vec<u32> =
-                    rows.map_or_else(|| (0..len as u32).collect(), <[u32]>::to_vec);
-                let at = format!("case {case}: {len} rows, selection {rows:?}\n{rel}");
+            let selected: Vec<u32> = match map {
+                None => sel.clone(),
+                Some(ids) => sel.iter().map(|&i| ids[i as usize]).collect(),
+            };
+            for (map, len) in [(map, len), (Some(&selected), sel.len())] {
+                let views: Vec<ColView<'_>> = c
+                    .columns()
+                    .iter()
+                    .map(|col| ColView::with_ids(col, map.map(Vec::as_slice)))
+                    .collect();
+                let views = &views;
+                let live: Vec<u32> = (0..len as u32).collect();
+                let at = format!("case {case}: {len} rows, row map {map:?}\n{rel}");
 
                 // Hashing: each single column, then a random multi-column key.
                 let mut keys: Vec<Vec<usize>> = (0..arity).map(|k| vec![k]).collect();
                 keys.push((0..rng.range(2, 4)).map(|_| rng.below(arity)).collect());
                 for key in &keys {
-                    let mut got = vec![0u64; live.len()];
+                    let mut got = vec![0u64; len];
                     for &k in key {
-                        views[k].hash_into(rows, &mut got);
+                        views[k].hash_into(&mut got);
                     }
                     let key_views: Vec<ColView<'_>> = key.iter().map(|&k| views[k]).collect();
                     let want: Vec<u64> = live
@@ -310,7 +315,7 @@ fn grown(rng: &mut Rng, ws: &WorldSet, rel: &URelation, n: usize) -> URelation {
 
 /// The columnar executor, instantiated in each world, must equal the naive
 /// single-world algebra run inside that world — the central soundness
-/// property, re-checked against the selection-vector operators.
+/// property, re-checked against the row-map operators.
 #[test]
 fn columnar_executor_matches_world_oracle() {
     let cfg = GenConfig::default();
