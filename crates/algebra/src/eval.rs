@@ -64,15 +64,20 @@
 //! [`DescriptorPool::same_descriptor`] — as conjunction results always had
 //! to be. The pools stay per-run.
 //!
-//! The way out mirrors the way in. When the plan is done, [`run_with`]
-//! re-codes the answer's columns over dictionaries of their own
-//! ([`URelation::from_run`]: one intern call per distinct descriptor handle
-//! of the answer, into the answer's fresh pool — never the run's; strings
-//! copied by code, none hashed). The answer is field for field what pushing
-//! its rows would make, so the next statement's scan, `normalize` and the
-//! statistics cannot tell a `LET` result from a loaded relation — and no
-//! `Tuple` or `WsDescriptor` is allocated unless the caller reads
-//! [`URelation::rows`].
+//! The way out takes nothing back. When the plan is done, [`run_with`]
+//! moves the run's two pools into the answer beside its output columns
+//! ([`URelation::from_run`]): nothing is copied, interned or re-coded, and
+//! [`ExecStats`] reads its pool counters off the pools the answer now holds.
+//! A `SELECT` answer is read and dropped in that form — its rows, `{}` and
+//! statistics read either kind of dictionary. Only a world set that stores
+//! it re-codes it over dictionaries of its own (`WorldSet::insert`, or
+//! `normalize` for an answer put into `ws.relations` directly): field for
+//! field what pushing its rows would make, so the next statement's scan,
+//! `normalize` and the statistics cannot tell a `LET` result from a loaded
+//! relation — and no `Tuple` or `WsDescriptor` is allocated unless the
+//! caller reads [`URelation::rows`]. A run that fails truncates the
+//! component set back to its length at the start: the components its
+//! repairs minted go with it.
 //!
 //! # Late materialization
 //!
@@ -553,6 +558,7 @@ pub fn run_with(
         components,
         relations,
     } = ws;
+    let minted_from = components.len();
     let mut ctx = EvalCtx::with_exec(components, *cfg);
     if traced {
         ctx.tracer = Tracer::enabled();
@@ -578,15 +584,24 @@ pub fn run_with(
     };
     ctx.tracer
         .event_with("scan-convert", convert_started, converted_rows, imported);
-    let batch = eval_batch(plan, &scans, &mut ctx)?;
-    // The answer leaves as columns, over dictionaries of its own. Rows are
-    // built if and when someone reads them.
-    let result = URelation::from_run(batch.into_columnar(), &ctx.pool, &ctx.strings);
+    // A failed run leaves the world set as it found it: the components its
+    // repairs minted go with it.
+    let batch = eval_batch(plan, &scans, &mut ctx).map_err(|e| {
+        ctx.components.truncate(minted_from);
+        e
+    })?;
+    // The answer leaves as columns, over the run's pools. Rows are built if
+    // and when someone reads them.
+    let (pool, strings) = (
+        std::mem::take(&mut ctx.pool),
+        std::mem::take(&mut ctx.strings),
+    );
+    let result = URelation::from_run(batch.into_columnar(), pool, strings);
     let stats = ExecStats {
         wall_nanos: u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
-        descriptors: ctx.pool.len(),
-        pool: ctx.pool.stats(),
-        strings: ctx.strings.len(),
+        descriptors: result.descriptors().len(),
+        pool: result.descriptors().stats(),
+        strings: result.strings().len(),
         output_rows: result.len(),
         dedups_elided: ctx.dedups_elided,
         threads: ctx.par.threads,

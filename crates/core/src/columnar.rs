@@ -1005,11 +1005,11 @@ impl ColumnarURelation {
         self.descs.reserve(additional);
     }
 
-    /// The same rows as a [`URelation`] of their own
-    /// ([`URelation::from_run`] of a copy), so
+    /// The same rows as a [`URelation`] over dictionaries of their own
+    /// ([`URelation::recoded`] of a copy), so
     /// `to_urelation(from_urelation(u)) == u`.
     pub fn to_urelation(&self, pool: &DescriptorPool, strings: &StrPool) -> URelation {
-        URelation::from_run(self.clone(), pool, strings)
+        URelation::recoded(self.clone(), pool, strings)
     }
 
     /// Decompose into schema, value columns, and descriptor column (used by

@@ -97,6 +97,12 @@ impl ComponentSet {
         id
     }
 
+    /// Drop every component from id `len` on — the ones a failed statement
+    /// minted, which nothing references.
+    pub fn truncate(&mut self, len: usize) {
+        self.comps.truncate(len);
+    }
+
     /// The component with the given id.
     pub fn get(&self, id: ComponentId) -> &Component {
         &self.comps[id.0 as usize]

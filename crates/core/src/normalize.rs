@@ -29,14 +29,15 @@
 //! descriptor column alone — the value cells of each output row are those of
 //! some input row — so the output is a gather of the input's columns with a
 //! new descriptor column, re-coded over dictionaries of its own by
-//! [`URelation::from_run`].
+//! [`URelation::recoded`].
 //!
 //! A relation already in normal form — each output row is the input row at
 //! the same position, under the same descriptor — is **kept**: the same
 //! body, its memoised statistics and its rows, if built. That is
 //! byte-identical to rebuilding it, because a relation's dictionaries are
-//! already distinct and in order of first occurrence, so `from_run` of the
-//! identity gather would reproduce it field for field.
+//! already distinct and in order of first occurrence, so `recoded` of the
+//! identity gather would reproduce it field for field. (A run's answer put
+//! straight into a world set is re-coded first; it is kept as that.)
 //!
 //! Garbage collection then renumbers component ids in the relations'
 //! descriptor dictionaries (`URelation::renumber_components`): in place in
@@ -69,9 +70,12 @@ pub fn normalize(ws: &mut WorldSet) {
 
 /// Columnar normalization of one relation, in place: the relation becomes
 /// what `normalized` makes of it, or stays as it is when it is already in
-/// normal form (an empty one always is). Equivalent to the testkit's
-/// `normalize_rows` on the same rows.
+/// normal form (an empty one always is). A run's answer is re-coded over
+/// dictionaries of its own first: the steps below compare canonical handles
+/// and garbage collection reads the dictionary's entries as the relation's.
+/// Equivalent to the testkit's `normalize_rows` on the same rows.
 pub fn normalize_relation(rel: &mut URelation, components: &ComponentSet) {
+    rel.own_dictionaries();
     if let Some(normal) = normalized(rel, components) {
         *rel = normal;
     }
@@ -164,7 +168,7 @@ fn normalized(rel: &URelation, components: &ComponentSet) -> Option<URelation> {
         return None;
     }
     let gathered = col.gather_with_descs(&reps, out);
-    Some(URelation::from_run(gathered, &pool, strings))
+    Some(URelation::recoded(gathered, &pool, strings))
 }
 
 /// Absorption and coverage merging on canonical descriptor handles. All ids

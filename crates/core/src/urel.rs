@@ -5,19 +5,24 @@
 //! column: typed columns ([`ColumnarURelation`]) whose string cells are
 //! codes into a *relation-local* string dictionary and whose descriptor
 //! column holds ids into a relation-local descriptor dictionary (id 0 is the
-//! tautology, as in every pool). Both dictionaries hold each entry once, in
-//! order of first occurrence by row. Every consumer that wants columns — the
-//! executor's scans, normalization, the statistics, the validation in
-//! [`crate::WorldSet::insert`] — reads them where they lie.
+//! tautology, as in every pool). A stored relation's dictionaries hold each
+//! entry once, in order of first occurrence by row. Every consumer that
+//! wants columns — the executor's scans, normalization, the statistics, the
+//! validation in [`crate::WorldSet::insert`] — reads them where they lie.
 //!
-//! A relation comes to be in one of two ways, and no consumer can tell which:
+//! A relation comes to be in one of two ways:
 //!
 //! * built row by row ([`URelation::push`]): each row is appended to the
 //!   columns by the one per-row step [`ColumnarURelation::from_urelation`]
 //!   takes too — a cell per column, the descriptor interned;
-//! * as a run's answer or normalization's output ([`URelation::from_run`]):
-//!   columns over a run's pools, re-coded over dictionaries of their own —
-//!   field for field what pushing the same rows makes.
+//! * as a run's answer ([`URelation::from_run`]): columns over the run's
+//!   pools, which move in as they are. They hold whatever else the run met,
+//!   and one descriptor may sit under several handles, so a body records
+//!   whether its dictionaries are its own. Rows, `{}`, `==`, the statistics
+//!   and a scan read either kind; the two places that want a relation's own
+//!   dictionaries — [`crate::WorldSet::insert`] and normalization — re-code
+//!   an answer over them first, field for field what pushing the same rows
+//!   makes ([`URelation::recoded`] is that re-coding as a constructor).
 //!
 //! Rows are derived: [`URelation::rows`] builds them on its first call (the
 //! engine's one columns → rows site) and keeps them in a memo beside the
@@ -72,11 +77,14 @@ struct Body {
     /// The rows: `Str` cells are codes into `strings`, descriptors ids into
     /// `pool`.
     rel: ColumnarURelation,
-    /// The distinct descriptors, in order of first occurrence.
+    /// The descriptors the rows carry.
     pool: DescriptorPool,
-    /// The distinct strings of all `Str` columns, in the order a row by row
-    /// walk first meets them.
+    /// The strings of all `Str` columns.
     strings: StrPool,
+    /// Whether `pool` and `strings` are the relation's own — each entry
+    /// once, in the order a row by row walk first meets them — or a run's
+    /// pools ([`URelation::from_run`]).
+    own: bool,
     /// What [`crate::stats::collect`] found here, kept for the next call.
     stats: OnceLock<StatsMemo>,
     /// What [`URelation::rows`] built, kept for the next call.
@@ -91,6 +99,7 @@ impl Clone for Body {
             rel: self.rel.clone(),
             pool: self.pool.clone(),
             strings: self.strings.clone(),
+            own: self.own,
             stats: self.stats.clone(),
             rows: OnceLock::new(),
         }
@@ -118,34 +127,57 @@ impl URelation {
     /// An empty u-relation over the given schema.
     pub fn new(schema: Schema) -> Self {
         let (pool, strings) = (DescriptorPool::new(), StrPool::new());
-        URelation::from_run(ColumnarURelation::new(schema), &pool, &strings)
+        URelation::with_body(ColumnarURelation::new(schema), pool, strings, true)
     }
 
-    /// The relation a run's answer is: `rel`, whose descriptor column and
-    /// `Str` cells refer to the run's `pool` and `strings`, re-coded over
-    /// dictionaries of its own — the inverse of [`URelation::scan`], and
-    /// field for field what pushing the rows `rel` holds makes. One intern
-    /// call per distinct handle of the answer goes to the relation's fresh
-    /// pool, none to the run's; strings are copied by code with their stored
-    /// hashes. Every other column moves in as it is.
-    pub fn from_run(rel: ColumnarURelation, pool: &DescriptorPool, strings: &StrPool) -> Self {
-        let (schema, mut cols, descs) = rel.into_parts();
-        let (local_pool, descs) = pool.localize(&descs);
-        let (local_strings, codes) = strings.localize(&cols);
-        for col in &mut cols {
-            if matches!(col.data(), ColumnData::Str(_)) {
-                *col = col.with_str_codes(&codes);
-            }
-        }
+    fn with_body(
+        rel: ColumnarURelation,
+        pool: DescriptorPool,
+        strings: StrPool,
+        own: bool,
+    ) -> Self {
         URelation {
             body: Arc::new(Body {
-                rel: ColumnarURelation::from_parts(schema, cols, descs),
-                pool: local_pool,
-                strings: local_strings,
+                rel,
+                pool,
+                strings,
+                own,
                 stats: OnceLock::new(),
                 rows: OnceLock::new(),
             }),
         }
+    }
+
+    /// The relation a run's answer is: `rel`, whose descriptor column and
+    /// `Str` cells refer to the run's `pool` and `strings`, which move in as
+    /// they are — nothing is copied or re-coded. Those dictionaries are not
+    /// the relation's own (see the module docs) until something that needs
+    /// them to be re-codes them.
+    pub fn from_run(rel: ColumnarURelation, pool: DescriptorPool, strings: StrPool) -> Self {
+        URelation::with_body(rel, pool, strings, false)
+    }
+
+    /// `rel`, whose descriptor column and `Str` cells refer to `pool` and
+    /// `strings`, re-coded over dictionaries of its own — the inverse of
+    /// [`URelation::scan`], and field for field what pushing the rows `rel`
+    /// holds makes.
+    pub fn recoded(rel: ColumnarURelation, pool: &DescriptorPool, strings: &StrPool) -> Self {
+        let (rel, pool, strings) = recode(rel, pool, strings);
+        URelation::with_body(rel, pool, strings, true)
+    }
+
+    /// Re-code a run's answer over dictionaries of its own, in place; the
+    /// memos stay, since the rows do. A relation whose dictionaries are its
+    /// own already is left as it is.
+    pub(crate) fn own_dictionaries(&mut self) {
+        if self.body.own {
+            return;
+        }
+        let b = Arc::make_mut(&mut self.body);
+        let empty = ColumnarURelation::new(b.rel.schema().clone());
+        let rel = std::mem::replace(&mut b.rel, empty);
+        (b.rel, b.pool, b.strings) = recode(rel, &b.pool, &b.strings);
+        b.own = true;
     }
 
     /// The body, for writing: the only `&mut` path to it. Copied first if a
@@ -226,13 +258,16 @@ impl URelation {
         &self.body.rel
     }
 
-    /// The relation's distinct descriptors, in order of first occurrence
-    /// after the tautology.
+    /// The descriptor dictionary. A relation pushed, loaded or stored holds
+    /// each of its descriptors once, in order of first occurrence after the
+    /// tautology; a run's answer holds the run's pool (see the module docs).
     pub fn descriptors(&self) -> &DescriptorPool {
         &self.body.pool
     }
 
-    /// The distinct strings of the relation's `Str` columns.
+    /// The string dictionary of the `Str` columns: each string once, the
+    /// relation's alone in order of first occurrence unless it is a run's
+    /// answer, which holds the run's.
     pub fn strings(&self) -> &StrPool {
         &self.body.strings
     }
@@ -331,6 +366,27 @@ impl URelation {
             descs: pool.import(&b.pool, b.rel.descs()),
         }
     }
+}
+
+/// `rel` over `pool` and `strings` re-coded over dictionaries of its own:
+/// one intern call per distinct handle, into the fresh pool — never
+/// `pool`; strings copied by code with their stored hashes. Every other
+/// column moves as it is.
+fn recode(
+    rel: ColumnarURelation,
+    pool: &DescriptorPool,
+    strings: &StrPool,
+) -> (ColumnarURelation, DescriptorPool, StrPool) {
+    let (schema, mut cols, descs) = rel.into_parts();
+    let (local_pool, descs) = pool.localize(&descs);
+    let (local_strings, codes) = strings.localize(&cols);
+    for col in &mut cols {
+        if matches!(col.data(), ColumnData::Str(_)) {
+            *col = col.with_str_codes(&codes);
+        }
+    }
+    let rel = ColumnarURelation::from_parts(schema, cols, descs);
+    (rel, local_pool, local_strings)
 }
 
 /// Written straight from the cells: the header, then `(v, …) | d` per row.
@@ -434,12 +490,12 @@ mod tests {
         (pool, strings)
     }
 
-    /// `u` the way a run hands it back: converted into busy run pools, then
-    /// re-coded over dictionaries of its own.
+    /// `u` the way a run hands it back: converted into busy run pools, which
+    /// move in with it.
     fn as_an_answer(u: &URelation) -> URelation {
         let (mut pool, mut strings) = busy_pools();
         let columns = ColumnarURelation::from_urelation(u, &mut pool, &mut strings);
-        URelation::from_run(columns, &pool, &strings)
+        URelation::from_run(columns, pool, strings)
     }
 
     fn has_rows(u: &URelation) -> bool {
@@ -469,10 +525,20 @@ mod tests {
     fn the_image_is_no_part_of_the_value() {
         let pushed = sample();
         let answer = as_an_answer(&pushed);
-        assert_same_body(&answer, &pushed);
+        assert!(!answer.body.own && pushed.body.own);
         assert_eq!(answer, pushed);
         assert_eq!(format!("{answer:#?}"), format!("{pushed:#?}"));
         assert_eq!(answer.to_string(), pushed.to_string());
+        assert_eq!(collect(&answer), collect(&pushed));
+        // Re-coded, it is what pushing its rows makes; its memos stay.
+        let mut stored = answer;
+        stored.own_dictionaries();
+        assert!(stored.body.own && has_rows(&stored) && has_stats(&stored));
+        assert_same_body(&stored, &pushed);
+        // A relation whose dictionaries are its own is left as it is.
+        let body = Arc::as_ptr(&stored.body);
+        stored.own_dictionaries();
+        assert_eq!(Arc::as_ptr(&stored.body), body);
     }
 
     #[test]
@@ -771,13 +837,18 @@ mod tests {
         assert!(descs[0] != descs[2] && pool.same_descriptor(descs[0], descs[2]));
         let answer = ColumnarURelation::from_parts(schema, cols, descs);
         let before = pool.stats();
-        let seeded = URelation::from_run(answer, &pool, &strings);
+        let seeded = URelation::recoded(answer.clone(), &pool, &strings);
         assert_eq!(
             pool.stats(),
             before,
             "nothing is interned in the run's pool"
         );
         assert_same_body(&seeded, &u);
+        // Moved in whole, then re-coded in place: the same body.
+        let mut moved = URelation::from_run(answer, pool, strings);
+        assert!(moved.descriptors().len() > seeded.descriptors().len());
+        moved.own_dictionaries();
+        assert_same_body(&moved, &seeded);
         assert_eq!(seeded.columns().descs()[0], seeded.columns().descs()[2]);
         assert_eq!(seeded.descriptors().len(), 3);
         // Bytes, ends and stored hashes, in first-occurrence order by row:

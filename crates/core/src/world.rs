@@ -32,12 +32,14 @@ impl WorldSet {
     /// Insert or replace a relation, validating its descriptors against the
     /// current component set (unknown components or out-of-range
     /// alternatives are rejected here rather than panicking during later
-    /// enumeration or confidence computation). Each *distinct* descriptor is
-    /// checked once, off the relation's descriptor dictionary — which is in
-    /// order of first occurrence, so the term reported is the first offending
-    /// row's. The stored relation keeps no intern index: nothing looks a
-    /// value up in it.
+    /// enumeration or confidence computation). A run's answer is first
+    /// re-coded over dictionaries of its own (a pushed relation has them
+    /// already). Each *distinct* descriptor is then checked once, off the
+    /// relation's descriptor dictionary — which is in order of first
+    /// occurrence, so the term reported is the first offending row's. The
+    /// stored relation keeps no intern index: nothing looks a value up in it.
     pub fn insert(&mut self, name: impl Into<String>, mut rel: URelation) -> Result<(), MayError> {
+        rel.own_dictionaries();
         self.components
             .validate_terms(rel.descriptors().all_terms())?;
         rel.drop_indexes();
@@ -147,7 +149,7 @@ mod tests {
         }
         let (mut pool, mut strings) = Default::default();
         let columns = ColumnarURelation::from_urelation(&rel, &mut pool, &mut strings);
-        let answer = URelation::from_run(columns, &pool, &strings);
+        let answer = URelation::from_run(columns, pool, strings);
         for rel in [rel, answer] {
             let err = ws.insert("r", rel).unwrap_err();
             let message = "invalid descriptor: c0=7 is out of range (c0 has 2 alternatives)";

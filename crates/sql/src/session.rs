@@ -164,9 +164,13 @@ impl Session {
                 (Outcome::Rows(result), Some(stats), trace)
             }
             Statement::Let { name, query, .. } => {
+                let minted_from = self.ws.components.len();
                 let (result, stats, trace) = self.run_query(&query, src)?;
                 let (name, rows) = (name.name, result.len());
-                self.ws.insert(name.clone(), result)?;
+                if let Err(e) = self.ws.insert(name.clone(), result) {
+                    self.ws.components.truncate(minted_from);
+                    return Err(e.into());
+                }
                 self.catalog = Catalog::from_world_set(&self.ws);
                 (Outcome::Stored { name, rows }, Some(stats), trace)
             }

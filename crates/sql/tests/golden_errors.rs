@@ -511,3 +511,63 @@ fn sampled_conf_past_the_draw_ceiling_is_a_runtime_error() {
          69314719 draws, the limit is 67108864; ask for a larger eps\n"
     );
 }
+
+/// A statement that fails leaves the world set as it found it. `REPAIR KEY
+/// … WEIGHT BY w` mints Brown's component, then fails on Green's all-zero
+/// weights; through a `LET` and through a query the minted component goes
+/// with the failure, so every later statement reads — and stores — byte for
+/// byte what it does in a session that never ran the failing ones.
+#[test]
+fn a_failed_statement_leaves_no_components_behind() {
+    let census = || {
+        let schema = Schema::of(&[
+            ("name", ValueType::Str),
+            ("ssn", ValueType::Int),
+            ("w", ValueType::Int),
+        ])
+        .expect("distinct columns");
+        let rows = [
+            ("Brown", 185, 1),
+            ("Brown", 186, 1),
+            ("Green", 201, 0),
+            ("Green", 202, 0),
+            ("Smith", 185, 3),
+            ("Smith", 785, 1),
+        ];
+        let rows = rows
+            .iter()
+            .map(|&(n, s, w)| Tuple::new(vec![Value::str(n), Value::Int(s), Value::Int(w)]))
+            .collect();
+        let rel = Relation::from_rows(schema, rows).expect("rows match schema");
+        let mut ws = WorldSet::new();
+        ws.insert("t", URelation::from_certain(&rel))
+            .expect("certain relation is valid");
+        ws
+    };
+    let (mut failed, mut fresh) = (Session::new(census()), Session::new(census()));
+    for src in [
+        "LET x = REPAIR KEY name IN t WEIGHT BY w;",
+        "SELECT CONF * FROM (REPAIR KEY name IN t WEIGHT BY w);",
+    ] {
+        let e = failed.execute(src).expect_err("Green's weights sum to 0");
+        assert!(matches!(e, SessionError::Run(_)), "{src}: {e:?}");
+        assert_eq!(failed.world().components.len(), 0, "{src}");
+        assert!(!failed.world().relations.contains_key("x"), "{src}");
+    }
+    for src in [
+        "LET y = REPAIR KEY name IN t;",
+        "SELECT CONF * FROM y;",
+        "SELECT POSSIBLE name, ssn FROM y WHERE ssn > 185;",
+    ] {
+        let (got, want) = (failed.execute(src), fresh.execute(src));
+        let (got, want) = (got.expect(src).outcome, want.expect(src).outcome);
+        assert_eq!(format!("{got:?}"), format!("{want:?}"), "{src}");
+        assert_eq!(
+            format!("{:?}", failed.world()),
+            format!("{:?}", fresh.world()),
+            "{src}"
+        );
+    }
+    // `y` is over `c0`–`c2`, the three components a fresh session mints.
+    assert_eq!(failed.world().components.len(), 3);
+}

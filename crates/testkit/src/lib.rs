@@ -18,8 +18,8 @@ use std::collections::BTreeMap;
 use maybms_algebra::{col, lit, naive, CmpOp, Operand, Plan, Predicate};
 use maybms_core::rng::Rng;
 use maybms_core::{
-    ColumnarURelation, Component, ComponentId, DescriptorPool, MayError, Relation, Schema, StrPool,
-    Tuple, URelation, Value, ValueType, WorldSet, WsDescriptor,
+    ColumnarURelation, Component, ComponentId, ComponentSet, DescriptorPool, MayError, Relation,
+    Schema, StrPool, Tuple, URelation, Value, ValueType, WorldSet, WsDescriptor,
 };
 use maybms_ql::{certain, conf, conf_approx, possible, repair_key};
 
@@ -248,15 +248,37 @@ pub fn rebuilt_by_push(ws: &WorldSet) -> WorldSet {
     }
 }
 
+/// The certain twin of a world set: every relation's rows, in order, each
+/// under `⊤`, and no components — the one-world database that holds every
+/// tuple any world of `ws` holds. A positive query (no `REPAIR KEY`, `CONF`
+/// or `CERTAIN`) is monotone, so its answer over the twin contains every
+/// tuple it possibly answers over `ws`; running both times what the
+/// descriptors cost.
+pub fn certain_twin(ws: &WorldSet) -> WorldSet {
+    let relations = ws.relations.iter().map(|(name, rel)| {
+        let mut twin = URelation::new(rel.schema().clone());
+        twin.reserve(rel.len());
+        for (t, _) in rel.rows() {
+            twin.push_unchecked(t.clone(), WsDescriptor::tautology());
+        }
+        (name.clone(), twin)
+    });
+    WorldSet {
+        components: ComponentSet::new(),
+        relations: relations.collect(),
+    }
+}
+
 /// `u` the way a run hands it back: converted into run pools that already
-/// hold other entries, then re-coded over dictionaries of its own
-/// ([`URelation::from_run`]). It has no rows until someone reads them.
+/// hold other entries, which move in with it ([`URelation::from_run`]). Its
+/// dictionaries are not its own until `WorldSet::insert` or normalization
+/// re-codes them, and it has no rows until someone reads them.
 pub fn as_an_answer(u: &URelation) -> URelation {
     let (mut pool, mut strings) = (DescriptorPool::new(), StrPool::new());
     pool.single(ComponentId(1 << 20), 1);
     strings.intern("someone else's");
     let columns = ColumnarURelation::from_urelation(u, &mut pool, &mut strings);
-    URelation::from_run(columns, &pool, &strings)
+    URelation::from_run(columns, pool, strings)
 }
 
 /// Field for field: the same cells (strings by code), the same descriptor

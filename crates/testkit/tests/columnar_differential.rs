@@ -17,8 +17,8 @@ use maybms_core::columnar::{canonical_order, ColView, ColumnData, ColumnarURelat
 use maybms_core::normalize::normalize_relation;
 use maybms_core::rng::Rng;
 use maybms_core::{
-    ComponentId, DescriptorPool, FxBuildHasher, Schema, Tuple, URelation, Value, ValueType,
-    WorldSet, WsDescriptor,
+    ComponentId, ComponentSet, DescriptorPool, FxBuildHasher, Schema, Tuple, URelation, Value,
+    ValueType, WorldSet, WsDescriptor,
 };
 use maybms_ql::{certain, conf, possible};
 use maybms_testkit::oracle::normalize_rows;
@@ -398,7 +398,8 @@ fn columnar_uncertainty_ops_match_oracles() {
 /// A relation built by `push` is `from_urelation` of the same rows into
 /// fresh pools, field for field: the same cells (`NULL`, `NaN` and `-0.0`
 /// among them), the same descriptor ids, the same two dictionaries entry for
-/// entry. So is a run's answer over the same rows.
+/// entry. So is a run's answer over the same rows once a world set stores
+/// it.
 #[test]
 fn pushing_is_the_conversion() {
     let cfg = GenConfig {
@@ -410,15 +411,16 @@ fn pushing_is_the_conversion() {
         let ws = gen_typed_world_set(&mut rng, &cfg);
         for (name, rel) in &ws.relations {
             let at = format!("case {case}: {name}");
-            assert_converts(&pushed(rel), &at);
-            assert_converts(rel, &at);
+            assert_converts(&pushed(rel), &ws.components, &at);
+            assert_converts(rel, &ws.components, &at);
         }
     }
 }
 
-/// `rel` is what converting its rows into fresh pools gives, and what a
-/// run's answer over them is.
-fn assert_converts(rel: &URelation, at: &str) {
+/// `rel` is what converting its rows into fresh pools gives; a run's answer
+/// over the same rows reads as `rel` does, and a world set stores it as
+/// `rel`, field for field. `components` are those `rel`'s descriptors name.
+fn assert_converts(rel: &URelation, components: &ComponentSet, at: &str) {
     let (mut pool, mut strings) = (DescriptorPool::new(), StrPool::new());
     let converted = ColumnarURelation::from_urelation(rel, &mut pool, &mut strings);
     assert_eq!(
@@ -427,7 +429,15 @@ fn assert_converts(rel: &URelation, at: &str) {
         "{at}"
     );
     assert_same_columns(rel, (&converted, &pool, &strings), at);
-    assert_same_image(&as_an_answer(rel), rel, at);
+    let answer = as_an_answer(rel);
+    assert_eq!(answer.rows(), rel.rows(), "{at}");
+    assert_eq!(answer.to_string(), rel.to_string(), "{at}");
+    let mut ws = WorldSet {
+        components: components.clone(),
+        ..WorldSet::new()
+    };
+    ws.insert("r", as_an_answer(rel)).unwrap();
+    assert_same_image(&ws.relations["r"], rel, at);
 }
 
 /// The dictionary edges: the empty string, strings that are prefixes of one
@@ -447,7 +457,7 @@ fn dictionary_edges_push_convert_and_scan_exactly() {
         let tuple = Tuple::new(vec![Value::str(s), Value::str(t), Value::Null]);
         rel.push(tuple, WsDescriptor::tautology()).unwrap();
     }
-    assert_converts(&rel, "edges");
+    assert_converts(&rel, &ComponentSet::new(), "edges");
     // In first-occurrence order by row, each string once for both columns.
     let strings = rel.strings();
     let entries: Vec<&str> = (0..strings.len() as u32).map(|c| strings.get(c)).collect();

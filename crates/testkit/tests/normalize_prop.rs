@@ -12,7 +12,8 @@ use maybms_core::{
 use maybms_ql::repair_key;
 use maybms_testkit::oracle::{normalize_rows, stats_by_rows};
 use maybms_testkit::{
-    assert_image_as_built, gen_world_set, rebuilt_by_push, GenConfig, WORLD_LIMIT,
+    assert_image_as_built, assert_same_image, gen_plan, gen_uncertain_plan, gen_world_set,
+    rebuilt_by_push, GenConfig, WORLD_LIMIT,
 };
 
 const CASES: u64 = 200;
@@ -74,6 +75,45 @@ fn normalization_is_idempotent() {
         ws.normalize();
         assert_eq!(ws, once, "case {case}: normalize is not idempotent");
     }
+}
+
+/// A run's answer put straight into a world set — past `WorldSet::insert`,
+/// which would re-code it — carries the run's pools, which hold every
+/// scanned relation's descriptors and every conjunction under handles of
+/// their own. Normalizing it gives what normalizing the stored copy gives,
+/// field for field and with the same garbage collection, and a second
+/// normalize changes nothing.
+#[test]
+fn a_run_s_answer_normalizes_as_its_stored_copy() {
+    let cfg = GenConfig::default();
+    let mut answers = 0;
+    for case in 0..CASES {
+        let mut rng = Rng::new(0xA45_4E04 ^ case);
+        let mut ws = gen_world_set(&mut rng, &cfg);
+        let plan = if case % 2 == 0 {
+            gen_plan(&mut rng, &ws, 2)
+        } else {
+            gen_uncertain_plan(&mut rng, &ws, 2)
+        };
+        let Ok(answer) = run(&mut ws, &plan) else {
+            continue;
+        };
+        answers += 1;
+        let (mut raw, mut stored) = (ws.clone(), ws);
+        raw.relations.insert("q".into(), answer.clone());
+        stored.insert("q", answer).unwrap();
+        raw.normalize();
+        stored.normalize();
+        let at = format!("case {case}: {plan}");
+        assert_eq!(format!("{raw:?}"), format!("{stored:?}"), "{at}");
+        for (name, rel) in &raw.relations {
+            assert_same_image(rel, &stored.relations[name], &format!("{at}: {name}"));
+        }
+        let once = raw.clone();
+        raw.normalize();
+        assert_eq!(raw, once, "{at}: normalize is not idempotent");
+    }
+    assert!(answers >= CASES as usize / 2, "only {answers} plans ran");
 }
 
 /// Garbage collection renumbers components in the relations normalization

@@ -4,14 +4,14 @@
 
 use std::collections::BTreeMap;
 
-use maybms_algebra::{run, Plan};
+use maybms_algebra::{run, Plan, UOp};
 use maybms_core::rng::Rng;
 use maybms_core::{Relation, Schema, Tuple, URelation, Value, ValueType, WorldSet};
 use maybms_ql::{certain, conf, possible, repair_key};
 use maybms_sql::{Outcome, Session};
 use maybms_testkit::{
-    certain_oracle, conf_oracle, gen_plan, gen_typed_world_set, gen_world_set, per_world_results,
-    possible_oracle, GenConfig, WORLD_LIMIT,
+    certain_oracle, certain_twin, conf_oracle, gen_plan, gen_query, gen_typed_world_set,
+    gen_world_set, per_world_results, possible_oracle, GenConfig, WORLD_LIMIT,
 };
 
 const CASES: u64 = 150;
@@ -394,4 +394,54 @@ fn repair_oracle(
             choice[i] = 0;
         }
     }
+}
+
+/// Whether `plan` is positive: no `repair-key`, `conf` or `certain` — the
+/// monotone queries.
+fn positive(plan: &Plan) -> bool {
+    let own = !matches!(plan, Plan::Uncertain { op, .. } if !matches!(op, UOp::Possible));
+    own && plan.children().into_iter().all(positive)
+}
+
+/// The containment law of the certain twin: a positive query's possible
+/// answers over a world set lie within its answer over the world set's
+/// certain twin, which holds every tuple of every world. Over generated
+/// MayQL queries, on plain and on typed relations.
+#[test]
+fn possible_answers_lie_within_the_certain_twin_s() {
+    let cfg = GenConfig::default();
+    let mut checked = 0;
+    for case in 0..CASES {
+        let gen_ws = [gen_world_set, gen_typed_world_set][(case % 2) as usize];
+        let mut rng = Rng::new(0x7_A1A ^ case);
+        let ws = gen_ws(&mut rng, &cfg);
+        let (query, plan) = gen_query(&mut rng, &ws, 2);
+        if !positive(&plan) {
+            continue;
+        }
+        let twin = certain_twin(&ws);
+        let rows = |ws: WorldSet, src: String| match Session::new(ws).execute(&src) {
+            Ok(executed) => match executed.outcome {
+                Outcome::Rows(rel) => rel,
+                other => panic!("case {case}: {other:?}"),
+            },
+            Err(e) => panic!("case {case}: {src}: {e}"),
+        };
+        let possible = rows(ws, format!("SELECT POSSIBLE * FROM ({query})"));
+        let over_twin = rows(twin, query.clone());
+        assert!(over_twin.is_certain(), "case {case}: {query}");
+        let twin_tuples: std::collections::BTreeSet<&Tuple> =
+            over_twin.rows().iter().map(|(t, _)| t).collect();
+        for (t, _) in possible.rows() {
+            assert!(
+                twin_tuples.contains(t),
+                "case {case}: {query}\n{t:?} is possible but not in the twin's answer"
+            );
+        }
+        checked += 1;
+    }
+    assert!(
+        checked >= CASES as usize / 3,
+        "only {checked} positive queries"
+    );
 }
