@@ -33,7 +33,8 @@ use crate::plan::Plan;
 use crate::predicate::{CmpOp, Operand, Predicate};
 
 /// Serves per-relation statistics to the cost-based phase. Implemented by
-/// the `sql` catalog and by plain stats maps (tests, benches).
+/// the executor's relation map (each relation serves its own,
+/// [`maybms_core::URelation::stats`]) and by the `sql` catalog over it.
 pub trait StatsProvider {
     /// Statistics of the named base relation, if collected.
     fn relation_stats(&self, name: &str) -> Option<&RelationStats>;
@@ -41,15 +42,6 @@ pub trait StatsProvider {
     /// Whether any relation has statistics at all — callers skip the
     /// cost-based phase entirely on a stats-less provider.
     fn has_stats(&self) -> bool;
-}
-
-impl StatsProvider for BTreeMap<String, RelationStats> {
-    fn relation_stats(&self, name: &str) -> Option<&RelationStats> {
-        self.get(name)
-    }
-    fn has_stats(&self) -> bool {
-        !self.is_empty()
-    }
 }
 
 /// Assumed cardinality of a base relation without statistics.
@@ -424,6 +416,16 @@ mod tests {
 
     use super::*;
     use crate::predicate::{col, lit};
+
+    /// Hand-made statistics, for the fixtures here and in `optimize`.
+    impl StatsProvider for BTreeMap<String, RelationStats> {
+        fn relation_stats(&self, name: &str) -> Option<&RelationStats> {
+            self.get(name)
+        }
+        fn has_stats(&self) -> bool {
+            !self.is_empty()
+        }
+    }
 
     type ColSpec<'a> = (&'a str, f64, Option<(i64, i64)>);
 

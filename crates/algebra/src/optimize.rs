@@ -33,7 +33,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use maybms_core::{MayError, Schema, URelation};
+use maybms_core::{MayError, RelationStats, Schema, URelation};
 
 use crate::cost::{join_set_est, join_step_cost, CardEst, StatsProvider};
 use crate::plan::Plan;
@@ -58,6 +58,18 @@ impl SchemaProvider for BTreeMap<String, Schema> {
 impl SchemaProvider for BTreeMap<String, URelation> {
     fn base_schema(&self, name: &str) -> Option<&Schema> {
         self.get(name).map(|r| r.schema())
+    }
+}
+
+/// The relations serve their own statistics, collected on first read. A
+/// map whose relations are all empty has none to plan by: it plans
+/// rule-only.
+impl StatsProvider for BTreeMap<String, URelation> {
+    fn relation_stats(&self, name: &str) -> Option<&RelationStats> {
+        self.get(name).map(|r| &**r.stats())
+    }
+    fn has_stats(&self) -> bool {
+        self.values().any(|r| !r.is_empty())
     }
 }
 

@@ -29,7 +29,7 @@ use maybms_bench::{
     join_columnar_workload, join_workload, normalization_workload, repair_workload,
 };
 use maybms_core::rng::Rng;
-use maybms_core::{world_set_stats, ColumnarURelation, DescriptorPool, ParCfg, StrPool, WorldSet};
+use maybms_core::{ColumnarURelation, DescriptorPool, ParCfg, StrPool, WorldSet};
 use maybms_ql::{conf, conf_approx, repair_key};
 use maybms_sql::{compile, Catalog};
 use maybms_testkit::rebuilt_by_push;
@@ -272,8 +272,8 @@ fn main() {
                 .len()
         });
         emit("join3_skewed_raw", n, rows, ms_raw);
-        let stats = world_set_stats(&ws);
-        let optimized = optimize_with_stats(&plan, &ws.relations, &stats).expect("plan optimizes");
+        let optimized =
+            optimize_with_stats(&plan, &ws.relations, &ws.relations).expect("plan optimizes");
         assert_ne!(
             rules_only.to_string(),
             optimized.to_string(),
@@ -314,8 +314,8 @@ fn main() {
             run(ws, &plan).expect("join workload is well-typed").len()
         });
         emit("selective_right_raw", n, rows, ms);
-        let stats = world_set_stats(&ws);
-        let optimized = optimize_with_stats(&plan, &ws.relations, &stats).expect("plan optimizes");
+        let optimized =
+            optimize_with_stats(&plan, &ws.relations, &ws.relations).expect("plan optimizes");
         let (rows_opt, ms) = bench_min(&ws, |ws| {
             run(ws, &optimized)
                 .expect("optimized plan is well-typed")

@@ -92,7 +92,7 @@ pub use obs::{ObsCounters, QueryTrace, Span, SpanId, SpanKind, Tracer};
 pub use parallel::{ParCfg, ParStats};
 pub use rel::{Relation, Tuple};
 pub use schema::{Column, Schema};
-pub use stats::{collect as collect_stats, world_set_stats, ColumnStats, KmvSketch, RelationStats};
+pub use stats::{collect as collect_stats, ColumnStats, KmvSketch, RelationStats};
 pub use urel::{Scan, URelation};
 pub use value::{Value, ValueType, F64};
 pub use world::WorldSet;

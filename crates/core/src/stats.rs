@@ -5,11 +5,14 @@
 //! minimum hash values — plus exact min/max), and the descriptor density
 //! (the fraction of rows whose descriptor is non-trivial). That is exactly
 //! what the cost model in `maybms-algebra` reads, and all of it is a
-//! function of the cells alone, so it is memoised beside them: a relation is
-//! summarised once per version of its contents. The `sql` catalog
-//! collects one per base relation at every refresh and the cost-based
-//! optimizer phase consumes them through its `StatsProvider` trait;
-//! `maybms-core` itself attaches no planning semantics to the numbers.
+//! function of the cells alone, so it lives beside them: a relation holds
+//! its statistics once per version of its contents
+//! ([`URelation::stats`]), collected on the first read and shared by every
+//! clone. Nothing else keeps a copy — the `sql` catalog is the world set's
+//! relations, the optimizer reads the statistics through its
+//! `StatsProvider` trait, and the plan cache keeps the shared handle of
+//! what each plan read. `maybms-core` itself attaches no planning semantics
+//! to the numbers.
 //!
 //! ## KMV accuracy
 //!
@@ -26,7 +29,6 @@ use crate::columnar::{ColumnData, ColumnVec, StrPool};
 use crate::fxhash::{FxHashSet, FxHasher};
 use crate::urel::URelation;
 use crate::value::Value;
-use crate::world::WorldSet;
 
 /// Minima kept per KMV sketch (relative standard error ≈ 1/√(k − 2) ≈ 6%).
 pub const KMV_K: usize = 256;
@@ -103,7 +105,7 @@ pub struct ColumnStats {
     pub min_max: Option<(Value, Value)>,
 }
 
-/// One relation's statistics, collected in a single pass by [`collect`].
+/// One relation's statistics, collected in a single pass over its columns.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RelationStats {
     /// Number of stored rows (duplicates included).
@@ -115,28 +117,14 @@ pub struct RelationStats {
 }
 
 impl RelationStats {
-    /// Stats of an empty certain relation (no rows, no columns observed).
-    pub fn empty() -> Self {
-        RelationStats {
-            rows: 0,
-            columns: BTreeMap::new(),
-            nontrivial_frac: 0.0,
-        }
-    }
-}
-
-/// What [`collect`] reads off a relation's columns and keeps beside them.
-#[derive(Clone, Debug)]
-pub(crate) struct StatsMemo {
-    columns: BTreeMap<String, ColumnStats>,
-    /// Rows carrying a non-trivial descriptor.
-    nontrivial: u64,
-}
-
-impl StatsMemo {
-    fn of(u: &URelation) -> StatsMemo {
+    /// Read the statistics off a relation's columns — what
+    /// [`URelation::stats`] keeps.
+    pub(crate) fn of(u: &URelation) -> RelationStats {
         let rel = u.columns();
-        StatsMemo {
+        let rows = rel.len() as u64;
+        let nontrivial = rel.descs().iter().filter(|d| !d.is_tautology()).count();
+        RelationStats {
+            rows,
             columns: rel
                 .schema()
                 .names()
@@ -144,7 +132,11 @@ impl StatsMemo {
                 .zip(rel.columns())
                 .map(|(name, col)| (name.to_string(), column_stats(col, u.strings())))
                 .collect(),
-            nontrivial: rel.descs().iter().filter(|d| !d.is_tautology()).count() as u64,
+            nontrivial_frac: if rows == 0 {
+                0.0
+            } else {
+                nontrivial as f64 / rows as f64
+            },
         }
     }
 }
@@ -210,32 +202,11 @@ fn column_stats(col: &ColumnVec, strings: &StrPool) -> ColumnStats {
     }
 }
 
-/// Collect [`RelationStats`] for one u-relation.
-///
-/// The statistics are read off the relation's columns and memoised beside
-/// them: a second call — a catalog refresh after a `LET` that did not touch
-/// this relation — clones the memo. The memo is shared by clones and goes
-/// when the contents change, on the relation's one `&mut` path.
+/// An owned copy of one u-relation's statistics ([`URelation::stats`]),
+/// for a caller that compares or keeps them by value. The engine borrows
+/// the shared ones instead.
 pub fn collect(rel: &URelation) -> RelationStats {
-    let memo = rel.stats_memo().get_or_init(|| StatsMemo::of(rel));
-    let rows = rel.len() as u64;
-    RelationStats {
-        rows,
-        columns: memo.columns.clone(),
-        nontrivial_frac: if rows == 0 {
-            0.0
-        } else {
-            memo.nontrivial as f64 / rows as f64
-        },
-    }
-}
-
-/// [`collect`] for every relation of a world set.
-pub fn world_set_stats(ws: &WorldSet) -> BTreeMap<String, RelationStats> {
-    ws.relations
-        .iter()
-        .map(|(name, rel)| (name.clone(), collect(rel)))
-        .collect()
+    RelationStats::clone(rel.stats())
 }
 
 #[cfg(test)]
@@ -246,6 +217,7 @@ mod tests {
     use crate::rel::Tuple;
     use crate::schema::Schema;
     use crate::value::ValueType;
+    use crate::world::WorldSet;
 
     #[test]
     fn small_domains_are_exact() {

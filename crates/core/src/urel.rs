@@ -26,7 +26,7 @@
 //!
 //! Rows are derived: [`URelation::rows`] builds them on its first call (the
 //! engine's one columns → rows site) and keeps them in a memo beside the
-//! statistics memo ([`crate::stats::collect`]). Clones share the body, so
+//! statistics memo ([`URelation::stats`]). Clones share the body, so
 //! copying a world set (a snapshot, `EXPLAIN ANALYZE`'s scratch run) copies
 //! no cell and builds nothing twice. A write copies the body for the writer
 //! alone (`Arc::make_mut`) and clears its rows memo, and a content write its
@@ -55,7 +55,7 @@ use crate::error::MayError;
 use crate::intern::{DescId, DescriptorPool};
 use crate::rel::{Relation, Tuple};
 use crate::schema::Schema;
-use crate::stats::StatsMemo;
+use crate::stats::RelationStats;
 
 /// An uncertain relation: each row is a tuple plus the world-set descriptor
 /// of the worlds in which the tuple appears.
@@ -85,8 +85,8 @@ struct Body {
     /// once, in the order a row by row walk first meets them — or a run's
     /// pools ([`URelation::from_run`]).
     own: bool,
-    /// What [`crate::stats::collect`] found here, kept for the next call.
-    stats: OnceLock<StatsMemo>,
+    /// What [`URelation::stats`] read off `rel`, kept for the next call.
+    stats: OnceLock<Arc<RelationStats>>,
     /// What [`URelation::rows`] built, kept for the next call.
     rows: OnceLock<Vec<(Tuple, WsDescriptor)>>,
 }
@@ -272,9 +272,14 @@ impl URelation {
         &self.body.strings
     }
 
-    /// The cell the statistics of this relation are memoised in.
-    pub(crate) fn stats_memo(&self) -> &OnceLock<StatsMemo> {
-        &self.body.stats
+    /// The relation's statistics ([`RelationStats`]): read off the columns
+    /// on the first call and kept beside them, shared by every clone, until
+    /// a content write drops them. The one copy there is — the planner and
+    /// the plan cache borrow or share it.
+    pub fn stats(&self) -> &Arc<RelationStats> {
+        self.body
+            .stats
+            .get_or_init(|| Arc::new(RelationStats::of(self)))
     }
 
     /// Renumber the components the descriptor dictionary mentions

@@ -1,30 +1,41 @@
-//! A catalog-keyed LRU cache of optimized plans.
+//! An LRU cache of optimized plans, keyed on what each plan was compiled
+//! from.
 //!
 //! Compiling a MayQL statement — parse, semantic analysis, logical rewrite
-//! fixpoint, cost-based join reordering — costs far more than a hash
-//! lookup, and interactive sessions re-issue the same statements (often
-//! verbatim, or differing only in whitespace). [`PlanCache`] memoizes the
-//! *optimized* plan keyed on two things, either of which invalidates the
-//! entry by missing instead of matching:
+//! fixpoint, cost-based join reordering — costs far more than a lookup, and
+//! interactive sessions re-issue the same statements (often verbatim, or
+//! differing only in whitespace). [`PlanCache`] memoizes the *optimized*
+//! plan keyed on three things, any of which invalidates the entry by
+//! missing instead of matching:
 //!
 //! * the **normalized query text** ([`normalize_query`]: whitespace and
 //!   `--` comments collapsed outside string literals — no case folding, so
 //!   identifier case is respected);
-//! * the **catalog fingerprint** ([`crate::Catalog::fingerprint`]) — names,
-//!   schemas, and statistics, because statistics drive the cost-based
-//!   phase. The catalog memoizes it, so a lookup hashes the query text and
-//!   compares two integers.
+//! * **each relation the plan scans**, with its schema and its statistics
+//!   (they drive the cost-based phase);
+//! * whether the catalog has statistics at all
+//!   ([`maybms_algebra::StatsProvider::has_stats`]: whether the cost-based
+//!   phase runs).
 //!
-//! Those two are everything the optimizer reads: compilation takes no
-//! setting ([`maybms_algebra::ExecCfg`] is execution-only).
+//! Those are everything the optimizer reads: compilation takes no setting
+//! ([`maybms_algebra::ExecCfg`] is execution-only). So a `LET` of a relation
+//! a plan does not scan keeps the plan, and so does a relation re-created
+//! with equal contents. Schemas and statistics compare by value, with a
+//! pointer comparison first: a relation's statistics are one shared copy
+//! ([`maybms_core::URelation::stats`]), which an entry shares too. An entry
+//! holds no relation, so a cached plan never keeps a replaced relation's
+//! rows alive.
 //!
-//! An entry is the plan and nothing else. Cardinality estimates are not
-//! stored: no optimizer call reads them back, and `EXPLAIN [ANALYZE]`
+//! An entry is the plan and its key. Cardinality estimates are not stored:
+//! no optimizer call reads them back, and `EXPLAIN [ANALYZE]`
 //! ([`mod@crate::explain`]) estimates the plan it renders when it renders it.
 
-use maybms_algebra::Plan;
+use std::sync::Arc;
 
-use crate::catalog::Catalog;
+use maybms_algebra::{Plan, StatsProvider};
+use maybms_core::{RelationStats, Schema};
+
+use crate::catalog::{same_stats, Catalog};
 
 /// Default number of cached plans (evicting least-recently-used beyond it).
 pub const DEFAULT_PLAN_CACHE_CAP: usize = 64;
@@ -70,28 +81,43 @@ pub fn normalize_query(text: &str) -> String {
     out
 }
 
-/// The full cache key: normalized text plus the catalog fingerprint.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct CacheKey {
-    text: String,
-    catalog: u64,
+/// One relation a cached plan scans, as the optimizer read it.
+struct Read {
+    name: String,
+    schema: Schema,
+    stats: Arc<RelationStats>,
 }
 
-impl CacheKey {
-    fn new(catalog: &Catalog, text: &str) -> CacheKey {
-        CacheKey {
-            text: normalize_query(text),
-            catalog: catalog.fingerprint(),
-        }
-    }
-}
-
-/// One cached compilation.
+/// One cached compilation and what it was compiled from.
 struct Entry {
-    key: CacheKey,
+    /// The normalized query text.
+    text: String,
+    reads: Vec<Read>,
+    has_stats: bool,
     plan: Plan,
     /// LRU clock value of the last touch.
     last_used: u64,
+}
+
+impl Entry {
+    /// Whether `catalog` shows the entry's plan what it was compiled
+    /// against.
+    fn compiled_against(&self, catalog: &Catalog) -> bool {
+        self.has_stats == catalog.has_stats()
+            && self.reads.iter().all(|read| {
+                catalog.relation(&read.name).is_some_and(|rel| {
+                    rel.schema() == &read.schema && same_stats(rel.stats(), &read.stats)
+                })
+            })
+    }
+}
+
+/// The names of the relations `plan` scans, each once.
+fn scans(plan: &Plan, names: &mut Vec<String>) {
+    match plan {
+        Plan::Scan(name) if !names.contains(name) => names.push(name.clone()),
+        plan => plan.children().into_iter().for_each(|c| scans(c, names)),
+    }
 }
 
 /// A cache hit: the plan, cloned — a plan is a small tree of boxed
@@ -132,10 +158,14 @@ impl PlanCache {
     /// Look up a compilation of `text` against `catalog`. A hit refreshes
     /// the entry's LRU position.
     pub fn lookup(&mut self, catalog: &Catalog, text: &str) -> Option<CachedPlan> {
-        let key = CacheKey::new(catalog, text);
+        let text = normalize_query(text);
         self.tick += 1;
         let tick = self.tick;
-        match self.entries.iter_mut().find(|e| e.key == key) {
+        let hit = self
+            .entries
+            .iter_mut()
+            .find(|e| e.text == text && e.compiled_against(catalog));
+        match hit {
             Some(e) => {
                 self.hits += 1;
                 e.last_used = tick;
@@ -150,10 +180,12 @@ impl PlanCache {
         }
     }
 
-    /// Store a fresh compilation, evicting the least-recently-used entry
-    /// when the cache is full. An existing entry for the same key is
-    /// replaced. `_estimates` is ignored — estimates are not cached — and
-    /// stays only because `perfbench`'s adapter names this signature.
+    /// Store a fresh compilation of `text` against `catalog`, evicting the
+    /// least-recently-used entry when the cache is full. An existing entry
+    /// for the same key is replaced; a plan that scans a relation the
+    /// catalog lacks was not compiled against it and is not stored.
+    /// `_estimates` is ignored — estimates are not cached — and stays only
+    /// because `perfbench`'s adapter names this signature.
     pub fn insert(
         &mut self,
         catalog: &Catalog,
@@ -161,9 +193,24 @@ impl PlanCache {
         plan: Plan,
         _estimates: Option<Vec<f64>>,
     ) {
-        let key = CacheKey::new(catalog, text);
+        let mut names = Vec::new();
+        scans(&plan, &mut names);
+        let reads = names.into_iter().map(|name| {
+            let rel = catalog.relation(&name)?;
+            let (schema, stats) = (rel.schema().clone(), Arc::clone(rel.stats()));
+            Some(Read {
+                name,
+                schema,
+                stats,
+            })
+        });
+        let Some(reads) = reads.collect() else {
+            return;
+        };
+        let text = normalize_query(text);
         self.tick += 1;
-        self.entries.retain(|e| e.key != key);
+        self.entries
+            .retain(|e| !(e.text == text && e.compiled_against(catalog)));
         if self.entries.len() >= self.cap {
             if let Some(lru) = self
                 .entries
@@ -176,7 +223,9 @@ impl PlanCache {
             }
         }
         self.entries.push(Entry {
-            key,
+            text,
+            reads,
+            has_stats: catalog.has_stats(),
             plan,
             last_used: self.tick,
         });
@@ -205,17 +254,34 @@ impl PlanCache {
 
 #[cfg(test)]
 mod tests {
-    use maybms_core::{Schema, ValueType};
+    use maybms_core::{Tuple, URelation, Value, ValueType, WorldSet, WsDescriptor};
 
     use super::*;
 
+    /// `r(a, b)` holding `(i, i)` for each `i` in `rows`.
+    fn relation(rows: std::ops::Range<i64>) -> URelation {
+        let schema = Schema::of(&[("a", ValueType::Int), ("b", ValueType::Int)]).unwrap();
+        let mut r = URelation::new(schema);
+        for i in rows {
+            r.push(
+                Tuple::new(vec![Value::Int(i), Value::Int(i)]),
+                WsDescriptor::tautology(),
+            )
+            .unwrap();
+        }
+        r
+    }
+
+    fn catalog_of(relations: Vec<(&str, URelation)>) -> Catalog {
+        let mut ws = WorldSet::new();
+        for (name, r) in relations {
+            ws.insert(name, r).unwrap();
+        }
+        Catalog::from_world_set(&ws)
+    }
+
     fn catalog() -> Catalog {
-        let mut c = Catalog::new();
-        c.insert(
-            "r",
-            Schema::of(&[("a", ValueType::Int), ("b", ValueType::Int)]).unwrap(),
-        );
-        c
+        catalog_of(vec![("r", relation(0..10))])
     }
 
     #[test]
@@ -241,51 +307,56 @@ mod tests {
     }
 
     #[test]
-    fn hits_require_equal_text_and_catalog() {
+    fn hits_require_equal_text_and_what_the_plan_read() {
         let cat = catalog();
         let mut cache = PlanCache::new(4);
         assert!(cache.lookup(&cat, "SELECT a FROM r").is_none());
         cache.insert(&cat, "SELECT a FROM r", Plan::scan("r"), None);
         // Whitespace variants share an entry.
         assert!(cache.lookup(&cat, "SELECT  a  FROM  r").is_some());
-        // A changed catalog misses.
-        let mut other = catalog();
-        other.insert("s", Schema::of(&[("c", ValueType::Int)]).unwrap());
-        assert!(cache.lookup(&other, "SELECT a FROM r").is_none());
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 2);
+        // A relation the plan does not scan is no part of its key.
+        let other = catalog_of(vec![("r", relation(0..10)), ("s", relation(0..3))]);
+        assert!(cache.lookup(&other, "SELECT a FROM r").is_some());
+        // The scanned relation with other contents, and without any: misses.
+        let changed = catalog_of(vec![("r", relation(0..11))]);
+        assert!(cache.lookup(&changed, "SELECT a FROM r").is_none());
+        assert!(cache
+            .lookup(&Catalog::default(), "SELECT a FROM r")
+            .is_none());
+        assert_eq!(cache.hits(), 2);
+        assert_eq!(cache.misses(), 3);
     }
 
     #[test]
-    fn catalog_changes_after_a_fingerprint_was_taken_miss() {
-        use maybms_core::RelationStats;
-        let stats = |rows: u64| RelationStats {
-            rows,
-            ..RelationStats::empty()
-        };
-        let mut cat = catalog();
-        cat.insert_stats("r", stats(10));
+    fn the_key_is_schema_and_statistics_by_value() {
+        let cat = catalog();
         let mut cache = PlanCache::new(4);
         cache.insert(&cat, "q", Plan::scan("r"), None);
-        let before = cat.fingerprint();
-        // The memoized fingerprint must not outlive a statistics change …
-        cat.insert_stats("r", stats(11));
-        assert_ne!(cat.fingerprint(), before);
-        assert!(cache.lookup(&cat, "q").is_none());
-        // … nor a new relation.
-        cache.insert(&cat, "q", Plan::scan("r"), None);
-        let before = cat.fingerprint();
-        cat.insert("s", Schema::of(&[("c", ValueType::Int)]).unwrap());
-        assert_ne!(cat.fingerprint(), before);
-        assert!(cache.lookup(&cat, "q").is_none());
-        // The key is content: an equal catalog built afresh (its memo still
-        // unfilled) compares equal and hits the entry of the filled one.
-        cache.insert(&cat, "q", Plan::scan("r"), None);
-        let mut rebuilt = catalog();
-        rebuilt.insert_stats("r", stats(11));
-        rebuilt.insert("s", Schema::of(&[("c", ValueType::Int)]).unwrap());
-        assert_eq!(rebuilt, cat);
+        // Built afresh with equal contents: its own statistics, equal ones.
+        let rebuilt = catalog();
+        let (old, new) = (cat.relation("r").unwrap(), rebuilt.relation("r").unwrap());
+        assert!(!Arc::ptr_eq(old.stats(), new.stats()));
         assert!(cache.lookup(&rebuilt, "q").is_some());
+        // The same rows under other column names.
+        let schema = Schema::of(&[("a", ValueType::Int), ("c", ValueType::Int)]).unwrap();
+        let mut renamed = URelation::new(schema);
+        for (t, d) in relation(0..10).rows() {
+            renamed.push(t.clone(), d.clone()).unwrap();
+        }
+        assert!(cache
+            .lookup(&catalog_of(vec![("r", renamed)]), "q")
+            .is_none());
+        // An empty `r`: no statistics to plan by, another key.
+        let empty = catalog_of(vec![("r", relation(0..0))]);
+        assert!(!empty.has_stats());
+        assert!(cache.lookup(&empty, "q").is_none());
+        cache.insert(&empty, "q", Plan::scan("r"), None);
+        assert!(cache.lookup(&empty, "q").is_some());
+        assert!(cache.lookup(&cat, "q").is_some());
+        assert_eq!(cache.len(), 2);
+        // A plan over a relation the catalog lacks is not stored.
+        cache.insert(&cat, "q2", Plan::scan("nowhere"), None);
+        assert_eq!(cache.len(), 2);
     }
 
     #[test]

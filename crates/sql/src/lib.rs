@@ -27,7 +27,7 @@
 //!    one way, text → plan: lowering is checked against hand-built plans
 //!    by their `Display` trees, the form `EXPLAIN` prints.
 //! 4. **[`session`]** — the engine's front door. A [`Session`] owns the
-//!    world set, the [`Catalog`] collected from it and a [`PlanCache`], and
+//!    world set, the [`Catalog`] over it and a [`PlanCache`], and
 //!    [`Session::execute`] runs one statement (`SELECT …`, `LET x = …`,
 //!    `EXPLAIN [ANALYZE] …`) end to end. It is the one way in: the world set
 //!    cannot be changed behind the catalog's or the cache's back.

@@ -3,12 +3,13 @@
 //!
 //! A client hands the session statement text and gets an [`Executed`] back;
 //! it never assembles a catalog, a plan cache and an executor call itself.
-//! The session keeps three things in step that callers used to keep in step
-//! by convention: the [`WorldSet`], the [`Catalog`] collected from it
-//! (schemas and statistics, rebuilt after every statement that changes a
-//! relation), and the [`PlanCache`], whose keys include that catalog's
-//! fingerprint. The world set is not mutably reachable from outside, so a
-//! plan is never compiled or served against a stale catalog.
+//! The session keeps two things in step that callers used to keep in step
+//! by convention: the [`WorldSet`] with the [`Catalog`] over it (handles to
+//! its relations, re-derived after every statement that changes a relation)
+//! and the [`PlanCache`], whose entries key on the schema and statistics of
+//! each relation their plan scans. The world set is not mutably reachable
+//! from outside, so a plan is never compiled or served against a stale
+//! catalog.
 //!
 //! The cache holds plans only. A query or `LET` compiles through it and
 //! estimates nothing; `EXPLAIN` compiles afresh and leaves the cache alone;
@@ -106,8 +107,8 @@ pub struct Executed {
     pub trace: Option<QueryTrace>,
 }
 
-/// One client's engine: a world set, the catalog collected from it, and a
-/// cache of the plans compiled against that catalog.
+/// One client's engine: a world set, the catalog over it, and a cache of
+/// the plans compiled against that catalog.
 pub struct Session {
     ws: WorldSet,
     catalog: Catalog,
@@ -119,8 +120,9 @@ pub struct Session {
 }
 
 impl Session {
-    /// Start a session on a loaded world set (collects the catalog's
-    /// statistics) with the default [`ExecCfg`] and tracing off.
+    /// Start a session on a loaded world set with the default [`ExecCfg`]
+    /// and tracing off. Statistics are collected when a plan first reads
+    /// them.
     pub fn new(ws: WorldSet) -> Session {
         Session {
             catalog: Catalog::from_world_set(&ws),
@@ -136,8 +138,7 @@ impl Session {
         &self.ws
     }
 
-    /// Schemas and statistics of [`Session::world`], as the planner sees
-    /// them.
+    /// The relations of [`Session::world`], as the planner sees them.
     pub fn catalog(&self) -> &Catalog {
         &self.catalog
     }
@@ -209,9 +210,10 @@ impl Session {
 
     /// Normalize the world set in place (`WorldSet::normalize`) — the one
     /// world-set operation without a MayQL form. Normalization rewrites
-    /// descriptors and drops components, so the catalog's statistics are
-    /// collected again.
+    /// relations, so the catalog is re-derived; it lets go of the relations
+    /// first, or renumbering a relation's components would copy it.
     pub fn normalize(&mut self) {
+        self.catalog = Catalog::default();
         self.ws.normalize();
         self.catalog = Catalog::from_world_set(&self.ws);
     }
@@ -318,5 +320,54 @@ mod tests {
         // Re-spaced, unchanged catalog: a hit.
         session.execute("SELECT  a\nFROM r").unwrap();
         assert_eq!(session.plan_cache().hits(), 1);
+    }
+
+    /// A plan keys on the relations it scans: a `LET` of another relation
+    /// leaves it cached.
+    #[test]
+    fn a_let_of_an_unrelated_relation_keeps_the_plan() {
+        let mut session = session_over(&[(1, "p"), (2, "q")]);
+        session.execute("SELECT a FROM r").unwrap();
+        session
+            .execute("LET s = SELECT a FROM r WHERE a = 2")
+            .unwrap();
+        assert_eq!(session.plan_cache().hits(), 0);
+        assert_eq!(ints(session.execute("SELECT a FROM r").unwrap()).len(), 2);
+        assert_eq!(session.plan_cache().hits(), 1);
+    }
+
+    /// A relation re-created with equal contents is a new body with new
+    /// statistics of equal value: the plans over it still hit.
+    #[test]
+    fn a_relation_recreated_with_equal_contents_keeps_its_plans() {
+        let mut session = session_over(&[(1, "p"), (2, "q")]);
+        let stats = |s: &Session| s.catalog().relation("t").unwrap().stats().clone();
+        session.execute("LET t = SELECT a, b FROM r").unwrap();
+        session.execute("SELECT a FROM t WHERE a = 1").unwrap();
+        let before = stats(&session);
+        session.execute("LET t = SELECT a, b FROM r").unwrap();
+        assert!(!std::sync::Arc::ptr_eq(&before, &stats(&session)));
+        assert_eq!(session.plan_cache().hits(), 1);
+        let got = session.execute("SELECT a FROM t WHERE a = 1").unwrap();
+        assert_eq!(ints(got), [Value::Int(1)]);
+        assert_eq!(session.plan_cache().hits(), 2);
+    }
+
+    /// Same schema, same row count, other statistics: the plan misses.
+    #[test]
+    fn equal_schemas_with_other_statistics_miss() {
+        let mut session = session_over(&[(1, "p"), (2, "q")]);
+        session
+            .execute("LET t = SELECT a, b FROM r WHERE a = 1")
+            .unwrap();
+        session.execute("SELECT a FROM t").unwrap();
+        session
+            .execute("LET t = SELECT a, b FROM r WHERE a = 2")
+            .unwrap();
+        assert_eq!(
+            ints(session.execute("SELECT a FROM t").unwrap()),
+            [Value::Int(2)]
+        );
+        assert_eq!(session.plan_cache().hits(), 0);
     }
 }

@@ -10,23 +10,20 @@ use maybms_sql::ast::{Expr, Query, Scalar};
 use maybms_sql::parser::MAX_NESTING;
 use maybms_sql::{compile, parse_query, Catalog, Outcome, Session, SessionError, Span, SqlError};
 
-/// `census(name str, ssn int, w int)` plus `r(a int, b int)`.
+/// `census(name str, ssn int, w int)` plus `r(a int, b int)`, both empty.
 fn catalog() -> Catalog {
-    let mut c = Catalog::new();
-    c.insert(
-        "census",
-        Schema::of(&[
-            ("name", ValueType::Str),
-            ("ssn", ValueType::Int),
-            ("w", ValueType::Int),
-        ])
-        .expect("distinct columns"),
-    );
-    c.insert(
-        "r",
-        Schema::of(&[("a", ValueType::Int), ("b", ValueType::Int)]).expect("distinct columns"),
-    );
-    c
+    let mut ws = WorldSet::new();
+    let census = Schema::of(&[
+        ("name", ValueType::Str),
+        ("ssn", ValueType::Int),
+        ("w", ValueType::Int),
+    ])
+    .expect("distinct columns");
+    let r = Schema::of(&[("a", ValueType::Int), ("b", ValueType::Int)]).expect("distinct columns");
+    ws.insert("census", URelation::new(census))
+        .expect("no descriptors");
+    ws.insert("r", URelation::new(r)).expect("no descriptors");
+    Catalog::from_world_set(&ws)
 }
 
 /// The span of `needle` within `src` (first occurrence), so the expected

@@ -4,29 +4,45 @@
 //! (both share [`maybms_sql::explain`]), so a rewrite-rule change that
 //! shifts plan shapes must update these expectations consciously.
 
-use std::collections::BTreeMap;
-
-use maybms_core::stats::{ColumnStats, RelationStats};
-use maybms_core::{Schema, ValueType};
+use maybms_core::{
+    Component, ComponentId, Schema, Tuple, URelation, Value, ValueType, WorldSet, WsDescriptor,
+};
 use maybms_sql::{explain, parse_query, Catalog};
 
 /// The REPL's preloaded world: the raw census readings, the repaired
-/// `census` relation a `LET` materializes, and the certain `homes` lookup.
+/// `census` relation a `LET` materializes, and the certain `homes` lookup —
+/// schemas only, every relation empty, so the optimizer plans by its rules.
 fn census_catalog() -> Catalog {
-    let mut catalog = Catalog::new();
-    let census = Schema::of(&[
+    census_world(
+        URelation::new(census_schema()),
+        URelation::new(homes_schema()),
+    )
+}
+
+fn census_schema() -> Schema {
+    Schema::of(&[
         ("name", ValueType::Str),
         ("ssn", ValueType::Int),
         ("w", ValueType::Int),
     ])
-    .expect("distinct columns");
-    catalog.insert("censusform", census.clone());
-    catalog.insert("census", census);
-    catalog.insert(
-        "homes",
-        Schema::of(&[("ssn", ValueType::Int), ("city", ValueType::Str)]).expect("distinct columns"),
-    );
-    catalog
+    .expect("distinct columns")
+}
+
+fn homes_schema() -> Schema {
+    Schema::of(&[("ssn", ValueType::Int), ("city", ValueType::Str)]).expect("distinct columns")
+}
+
+/// The three relations over `census` and `homes`, with an empty
+/// `censusform`.
+fn census_world(census: URelation, homes: URelation) -> Catalog {
+    let mut ws = WorldSet::new();
+    ws.components
+        .add(Component::uniform(2).expect("two alternatives"));
+    ws.insert("censusform", URelation::new(census_schema()))
+        .expect("no descriptors");
+    ws.insert("census", census).expect("valid descriptors");
+    ws.insert("homes", homes).expect("certain");
+    Catalog::from_world_set(&ws)
 }
 
 fn explain_text(query: &str) -> String {
@@ -109,37 +125,34 @@ optimized plan:
     assert_eq!(text, expected);
 }
 
-/// With statistics registered, `EXPLAIN` renders the cost model's
+/// With rows in the relations, `EXPLAIN` renders the cost model's
 /// `est_rows=` on every optimized-plan node, and the cost phase moves the
 /// selective census side to the hash build (right) side of the join.
 #[test]
 fn explain_shows_estimates_and_reorders_with_stats() {
-    let mut catalog = census_catalog();
-    let rel = |rows: u64, nontrivial: f64, cols: &[(&str, f64)]| RelationStats {
-        rows,
-        columns: cols
-            .iter()
-            .map(|&(name, ndv)| {
-                (
-                    name.to_string(),
-                    ColumnStats {
-                        distinct: ndv,
-                        min_max: None,
-                    },
-                )
-            })
-            .collect::<BTreeMap<_, _>>(),
-        nontrivial_frac: nontrivial,
-    };
-    catalog.insert_stats(
-        "census",
-        rel(
-            1_000,
-            1.0,
-            &[("name", 200.0), ("ssn", 1_000.0), ("w", 10.0)],
-        ),
-    );
-    catalog.insert_stats("homes", rel(50, 0.0, &[("ssn", 50.0), ("city", 20.0)]));
+    // 1 000 readings, each in some worlds only: 200 names, 1 000 ssns and
+    // 10 weights.
+    let mut census = URelation::new(census_schema());
+    for i in 0..1_000 {
+        let values = vec![
+            Value::str(format!("n{}", i % 200)),
+            Value::Int(i),
+            Value::Int(i % 10),
+        ];
+        let desc = WsDescriptor::single(ComponentId(0), (i % 2) as u16);
+        census
+            .push(Tuple::new(values), desc)
+            .expect("schema-correct");
+    }
+    // 50 certain homes: 50 ssns in 20 cities.
+    let mut homes = URelation::new(homes_schema());
+    for i in 0..50 {
+        let values = vec![Value::Int(i), Value::str(format!("c{}", i % 20))];
+        homes
+            .push(Tuple::new(values), WsDescriptor::tautology())
+            .expect("schema-correct");
+    }
+    let catalog = census_world(census, homes);
     let parsed = parse_query("SELECT POSSIBLE city FROM census, homes WHERE name = 'Smith'")
         .expect("query parses");
     let text = explain(&catalog, &parsed)

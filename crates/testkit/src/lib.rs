@@ -181,9 +181,9 @@ const TYPED_COL_POOL: [(&str, ValueType); 5] = [
 /// [`gen_world_set`] with string, float and boolean columns beside the int
 /// ones, and `NULL`s sprinkled into all of them — the relations the MayQL
 /// generator ([`gen_query`]) needs to reach the columnar layer's string
-/// dictionaries and validity masks (it compares int columns with each other
-/// and float and string columns with literals, and joins, projects, repairs
-/// and quantifies over whatever the schemas hold). Floats include `-0.0` and
+/// dictionaries and validity masks (it compares columns with columns of
+/// their type and with literals, and joins, projects, repairs and
+/// quantifies over whatever the schemas hold). Floats include `-0.0` and
 /// `NaN`, so a float join key meets both.
 pub fn gen_typed_world_set(rng: &mut Rng, cfg: &GenConfig) -> WorldSet {
     let mut ws = gen_components(rng, cfg);
@@ -571,11 +571,11 @@ pub fn gen_uncertain_plan(rng: &mut Rng, ws: &WorldSet, depth: usize) -> Plan {
 /// plan, then execute both.
 ///
 /// Generated queries are always semantically valid for `ws`: columns come
-/// from tracked schemas, comparisons stay within `int` columns or set a
-/// `float` / `str` column against a literal of its type (or `NULL`), `UNION`
-/// sides share a schema by construction, `CONF` is only applied where no
-/// `conf` column pre-exists, and `REPAIR KEY` inputs are certified with
-/// `SELECT POSSIBLE`.
+/// from tracked schemas, comparisons (alone, under `OR`, under `NOT`) stay
+/// within `int` columns or set a `float` / `str` column against a column or
+/// literal of its type (or `NULL`), `UNION` sides share a schema by
+/// construction, `CONF` is only applied where no `conf` column pre-exists,
+/// and `REPAIR KEY` inputs are certified with `SELECT POSSIBLE`.
 pub fn gen_query(rng: &mut Rng, ws: &WorldSet, depth: usize) -> (String, Plan) {
     let (text, plan, _) = gen_query_inner(rng, ws, depth);
     (text, plan)
@@ -666,6 +666,38 @@ fn gen_base_select(rng: &mut Rng, ws: &WorldSet) -> (String, Plan, Schema) {
     (text, Plan::scan(name), schema)
 }
 
+/// Every comparison operator.
+const CMP_OPS: [CmpOp; 6] = [
+    CmpOp::Eq,
+    CmpOp::Ne,
+    CmpOp::Lt,
+    CmpOp::Le,
+    CmpOp::Gt,
+    CmpOp::Ge,
+];
+
+/// One comparison from `atom`, or a disjunction of two, or the negation of
+/// either — the shapes behind the cost model's `OR` and `NOT`
+/// selectivities — written so it parses back to the same predicate
+/// whatever `AND` joins it to: a disjunction in parentheses, a negation
+/// binding tighter than `AND`.
+fn gen_compound(
+    rng: &mut Rng,
+    mut atom: impl FnMut(&mut Rng) -> (String, Predicate),
+) -> (String, Predicate) {
+    let (mut text, mut pred) = atom(rng);
+    if rng.chance(0.3) {
+        let (t2, p2) = atom(rng);
+        text = format!("({text} {} {t2})", kw(rng, "or"));
+        pred = Predicate::Or(vec![pred, p2]);
+    }
+    if rng.chance(0.2) {
+        text = format!("{} {text}", kw(rng, "not"));
+        pred = Predicate::Not(Box::new(pred));
+    }
+    (text, pred)
+}
+
 /// A full select block: joins, optional filter, projection with optional
 /// `AS` alias, optional quantifier.
 fn gen_select_block(rng: &mut Rng, ws: &WorldSet, depth: usize) -> (String, Plan, Schema) {
@@ -684,60 +716,59 @@ fn gen_select_block(rng: &mut Rng, ws: &WorldSet, depth: usize) -> (String, Plan
         from_texts.push(t);
     }
 
-    // WHERE: an int-typed comparison (literal or column on the right).
+    // WHERE: an int-typed comparison (literal or column on the right), or
+    // a disjunction or negation of such.
     let int_cols = int_columns(&schema);
     let filter = if !int_cols.is_empty() && rng.chance(0.5) {
-        let c = rng.pick(&int_cols).clone();
-        let op = *rng.pick(&[
-            CmpOp::Eq,
-            CmpOp::Ne,
-            CmpOp::Lt,
-            CmpOp::Le,
-            CmpOp::Gt,
-            CmpOp::Ge,
-        ]);
-        let (rhs_text, rhs): (String, Operand) = if rng.chance(0.5) {
-            let k = rng.below(4) as i64;
-            (k.to_string(), lit(k))
-        } else {
-            let rc = rng.pick(&int_cols).clone();
-            (rc.clone(), col(rc))
-        };
-        Some((
-            format!("{c} {op} {rhs_text}"),
-            Predicate::cmp(op, col(c), rhs),
-        ))
+        Some(gen_compound(rng, |rng| {
+            let c = rng.pick(&int_cols).clone();
+            let op = *rng.pick(&CMP_OPS);
+            let (rhs_text, rhs): (String, Operand) = if rng.chance(0.5) {
+                let k = rng.below(4) as i64;
+                (k.to_string(), lit(k))
+            } else {
+                let rc = rng.pick(&int_cols).clone();
+                (rc.clone(), col(rc))
+            };
+            (
+                format!("{c} {op} {rhs_text}"),
+                Predicate::cmp(op, col(c), rhs),
+            )
+        }))
     } else {
         None
     };
     // And over `gen_typed_world_set`: a float or string column against a
-    // literal of its type or `NULL`, the literal on either side.
+    // column of its type (itself included), a literal of its type or
+    // `NULL`, the column on either side — or a disjunction or negation of
+    // such.
     let typed_cols: Vec<&maybms_core::Column> = schema
         .columns()
         .iter()
         .filter(|c| matches!(c.ty, ValueType::Float | ValueType::Str))
         .collect();
     let filter = if !typed_cols.is_empty() && rng.chance(0.5) {
-        let c = rng.pick(&typed_cols);
-        let v = match c.ty {
-            _ if rng.chance(0.1) => Value::Null,
-            ValueType::Float => Value::float(*rng.pick(&[-0.0, 0.0, 0.5, 1.0])),
-            _ => Value::str(format!("s{}", rng.below(3))),
-        };
-        let op = *rng.pick(&[
-            CmpOp::Eq,
-            CmpOp::Ne,
-            CmpOp::Lt,
-            CmpOp::Le,
-            CmpOp::Gt,
-            CmpOp::Ge,
-        ]);
-        let (name, v) = (col(c.name.as_str()), lit(v));
-        let (text, pred) = if rng.chance(0.5) {
-            (format!("{name} {op} {v}"), Predicate::cmp(op, name, v))
-        } else {
-            (format!("{v} {op} {name}"), Predicate::cmp(op, v, name))
-        };
+        let (text, pred) = gen_compound(rng, |rng| {
+            let c = rng.pick(&typed_cols);
+            let other = if rng.chance(0.3) {
+                let same: Vec<&&maybms_core::Column> =
+                    typed_cols.iter().filter(|o| o.ty == c.ty).collect();
+                col(rng.pick(&same).name.as_str())
+            } else {
+                lit(match c.ty {
+                    _ if rng.chance(0.1) => Value::Null,
+                    ValueType::Float => Value::float(*rng.pick(&[-0.0, 0.0, 0.5, 1.0])),
+                    _ => Value::str(format!("s{}", rng.below(3))),
+                })
+            };
+            let op = *rng.pick(&CMP_OPS);
+            let (l, r) = if rng.chance(0.5) {
+                (col(c.name.as_str()), other)
+            } else {
+                (other, col(c.name.as_str()))
+            };
+            (format!("{l} {op} {r}"), Predicate::cmp(op, l, r))
+        });
         Some(match filter {
             Some((t0, p0)) => (
                 format!("{t0} {} {text}", kw(rng, "and")),

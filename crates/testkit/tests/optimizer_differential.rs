@@ -23,7 +23,7 @@
 
 use maybms_algebra::{optimize, optimize_with_stats, run, Plan};
 use maybms_core::rng::Rng;
-use maybms_core::{world_set_stats, URelation, WorldSet};
+use maybms_core::{URelation, WorldSet};
 use maybms_sql::{compile, compile_unoptimized, Catalog};
 use maybms_testkit::{gen_query, gen_uncertain_plan, gen_world_set, GenConfig};
 
@@ -212,7 +212,6 @@ fn cost_optimized_plans_execute_identically() {
         let mut rng = Rng::new(seed);
         let k = rng.range(4, 7);
         let ws = chain_world(&mut rng, k);
-        let stats = world_set_stats(&ws);
 
         // A scrambled left-deep join over all k relations, with `possible`
         // or `certain` wrapped around random prefixes (conf's appended
@@ -238,7 +237,7 @@ fn cost_optimized_plans_execute_identically() {
 
         let rules = optimize(&plan, &ws.relations)
             .unwrap_or_else(|e| panic!("seed {seed}: optimize failed: {e}\nplan:\n{plan}"));
-        let cost = optimize_with_stats(&plan, &ws.relations, &stats)
+        let cost = optimize_with_stats(&plan, &ws.relations, &ws.relations)
             .unwrap_or_else(|e| panic!("seed {seed}: cost phase failed: {e}\nplan:\n{plan}"));
 
         let schema = plan
@@ -263,8 +262,8 @@ fn cost_optimized_plans_execute_identically() {
             "seed {seed}: cost-optimized differs from rule-only\nplan:\n{plan}\nrules:\n{rules}\ncost:\n{cost}"
         );
 
-        let twice =
-            optimize_with_stats(&cost, &ws.relations, &stats).expect("re-optimization succeeds");
+        let twice = optimize_with_stats(&cost, &ws.relations, &ws.relations)
+            .expect("re-optimization succeeds");
         assert_eq!(
             cost.to_string(),
             twice.to_string(),
@@ -295,10 +294,9 @@ fn joins_of_more_than_64_relations_plan() {
     let seed = 0x0071_3000;
     let mut rng = Rng::new(seed);
     let ws = chain_world(&mut rng, 65);
-    let stats = world_set_stats(&ws);
     let plan = (1..65).fold(Plan::scan("r0"), |p, i| p.join(Plan::scan(format!("r{i}"))));
 
-    let cost = optimize_with_stats(&plan, &ws.relations, &stats)
+    let cost = optimize_with_stats(&plan, &ws.relations, &ws.relations)
         .unwrap_or_else(|e| panic!("seed {seed}: cost phase failed: {e}"));
     assert_eq!(
         plan.schema_with(&ws.relations)
@@ -308,7 +306,7 @@ fn joins_of_more_than_64_relations_plan() {
         "seed {seed}: output schema changed"
     );
     let twice =
-        optimize_with_stats(&cost, &ws.relations, &stats).expect("re-optimization succeeds");
+        optimize_with_stats(&cost, &ws.relations, &ws.relations).expect("re-optimization succeeds");
     assert_eq!(
         cost.to_string(),
         twice.to_string(),

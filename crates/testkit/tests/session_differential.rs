@@ -1,12 +1,13 @@
 //! Stale-state property test through the engine's one door.
 //!
-//! A [`Session`] keeps a world set, the catalog collected from it, and a plan
-//! cache keyed on query text plus catalog fingerprint. Each seed drives one
-//! session through a random interleaving of everything that can make one of
-//! the three stale against the others:
+//! A [`Session`] keeps a world set, the catalog over it, and a plan cache
+//! keyed on query text plus the schema and statistics of each relation a
+//! plan scans. Each seed drives one session through a random interleaving
+//! of everything that can make one of the three stale against the others:
 //!
 //! * `LET` under fresh names and under names already bound (a base relation,
-//!   an earlier `LET`) — new schemas, new statistics, a new fingerprint;
+//!   an earlier `LET`) — new schemas and new statistics for the plans that
+//!   scan the name, none for the plans that do not;
 //! * queries (`POSSIBLE` / `CERTAIN` / `CONF` among them) repeated verbatim,
 //!   re-spaced, re-cased and trailed by a comment — cache hits, and distinct
 //!   keys for one plan;
@@ -15,11 +16,11 @@
 //! * `Session::normalize`, which rewrites descriptors and drops components.
 //!
 //! After every statement the session must agree with a **cold engine**: a
-//! clone of the world set as it stood before the statement, a catalog
-//! collected from that clone, `compile` with no cache, `run`. Results, the
-//! world set afterwards, and `session.catalog()` against a freshly collected
-//! catalog are all compared. The long seeds run enough distinct query texts
-//! to fill the 64-entry cache and evict from it.
+//! clone of the world set as it stood before the statement, the catalog
+//! over that clone, `compile` with no cache, `run`. Results, the world set
+//! afterwards, and `session.catalog()` against a fresh catalog over the
+//! world set are all compared. The long seeds run enough distinct query
+//! texts to fill the 64-entry cache and evict from it.
 //!
 //! A failing case prints its seed and the statement for exact replay.
 
