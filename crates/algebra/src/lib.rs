@@ -31,15 +31,15 @@
 //! [`conf_approx_with`] build them.
 //!
 //! Between lowering and execution sits the **logical optimizer**
-//! ([`mod@optimize`]): a fixpoint rewriter that pushes selections into join
-//! inputs, prunes projections down to the columns consumers need, and
-//! collapses or elides projections that derived plan properties (schema,
-//! distinctness) prove redundant. Uncertainty operators are barriers whose
-//! inputs are rewritten in place. On top of the rule fixpoint,
-//! [`optimize::optimize_with_stats`] runs a **cost-based phase** that
-//! reorders join trees (a greedy cheapest-pair search), driven by the
-//! catalog statistics a [`cost::StatsProvider`] serves to the cardinality
-//! estimator in [`cost`].
+//! ([`mod@optimize`]): two sweeps, each run once, that push selections into
+//! join inputs, prune projections down to the columns consumers need, and
+//! collapse projections that derived plan properties (schema) prove
+//! redundant. Uncertainty operators are barriers whose inputs are
+//! rewritten in place. After the rules, [`optimize::optimize_with_stats`]
+//! runs a **cost-based phase** once: it reorders join trees (a greedy
+//! cheapest-pair search), driven by the catalog statistics a
+//! [`cost::StatsProvider`] serves to the cardinality estimator in
+//! [`cost`], and where it reordered, the rules sweep once more.
 //!
 //! [`naive`] evaluates the same plans with the textbook single-world
 //! algebra, which is what the differential tests run inside each enumerated

@@ -4,9 +4,10 @@
 //! The paper's claim is that queries over incomplete information compile to
 //! ordinary relational plans over u-relations, and selections and
 //! projections rewrite exactly as in a classical optimizer: they read and
-//! drop tuple cells, never descriptors. [`optimize`] runs a small fixpoint
-//! rewriter over [`Plan`]s. It keeps the rules that change a benchmark plan,
-//! each justified by an algebraic equivalence on world-set decompositions:
+//! drop tuple cells, never descriptors. [`optimize`] rewrites [`Plan`]s in
+//! two sweeps, each run once: selections sink, then projections prune. It
+//! keeps the rules that change a benchmark plan, each justified by an
+//! algebraic equivalence on world-set decompositions:
 //!
 //! | rule | equivalence | why it is sound on WSDs |
 //! |------|-------------|--------------------------|
@@ -104,48 +105,40 @@ impl Plan {
     }
 }
 
-/// Upper bound on rewrite passes; real plans converge in two or three, the
-/// cap only guards against a pathological rule interaction cycling forever.
-const MAX_PASSES: usize = 8;
-
-/// Optimize a plan: run selection pushdown and the projection pruner to
-/// fixpoint. The result evaluates to the same u-relation as the input (up
-/// to row order) on every world set whose base relations match the
-/// provider's schemas; the differential test suite checks exactly that on
-/// randomized plans and world sets.
+/// Optimize a plan by the rules alone: one selection-pushdown sweep, then
+/// one projection-pruning sweep. Each sweep finishes its rule in one walk
+/// (a selection sinks as far as it goes, a narrowing merges into the
+/// projection it meets), so a second round of both finds nothing: the
+/// result is its own optimization. It evaluates to the same u-relation as
+/// the input (up to row order) on every world set whose base relations
+/// match the provider's schemas; the differential test suite checks exactly
+/// that on randomized plans and world sets.
 pub fn optimize(plan: &Plan, schemas: &dyn SchemaProvider) -> Result<Plan, MayError> {
-    let mut p = plan.clone();
-    for _ in 0..MAX_PASSES {
-        let mut pass = Pass::new(schemas);
-        p = pass.pushdown(p)?;
-        p = pass.prune(p, None)?;
-        if pass.rewrites == 0 {
-            break;
-        }
-    }
-    Ok(p)
+    Sweep { schemas }.rules(plan.clone())
 }
 
-/// Rebuild an uncertainty operator over its `swept` input. The original
-/// `input` is kept, and `rewrites` rolled back to `before`, when the sweep
-/// fired no rule below the operator, or when the operator is `repair-key`
-/// and the swept input lost the provable certainty the original had.
-fn rebuild(op: UOp, input: Box<Plan>, swept: Plan, rewrites: &mut usize, before: usize) -> Plan {
-    let certain_kept =
-        !matches!(op, UOp::RepairKey { .. }) || !input.is_certain() || swept.is_certain();
-    if *rewrites > before && certain_kept {
-        return op.over(swept);
+/// An uncertainty operator over its rewritten input `swept`. A
+/// `repair-key` input must stay a normalized certain relation:
+/// `certain_input` is the original input when it was provably certain
+/// ([`certain_input`]), and it stays if the rewrite lost that.
+fn rebuild(op: UOp, certain_input: Option<Box<Plan>>, swept: Plan) -> Plan {
+    match certain_input {
+        Some(input) if !swept.is_certain() => Plan::Uncertain { op, input },
+        _ => op.over(swept),
     }
-    *rewrites = before;
-    Plan::Uncertain { op, input }
 }
 
-/// One rewrite pass: a pushdown sweep followed by a projection pruning
-/// sweep.
-struct Pass<'a> {
+/// The input [`rebuild`] falls back to: a `repair-key`'s provably certain
+/// input.
+fn certain_input(op: &UOp, input: &Plan) -> Option<Box<Plan>> {
+    (matches!(op, UOp::RepairKey { .. }) && input.is_certain()).then(|| Box::new(input.clone()))
+}
+
+/// The optimizer's sweeps over one provider's schemas: the rules
+/// ([`Sweep::pushdown`], [`Sweep::prune`]) and the cost-based join reorder
+/// ([`Sweep::reorder`]).
+struct Sweep<'a> {
     schemas: &'a dyn SchemaProvider,
-    /// Rules fired this pass (drives the fixpoint loop).
-    rewrites: usize,
 }
 
 /// Flatten a predicate's top-level conjunction into conjuncts.
@@ -169,17 +162,16 @@ fn and_of(mut ps: Vec<Predicate>) -> Option<Predicate> {
     }
 }
 
-impl<'a> Pass<'a> {
-    fn new(schemas: &'a dyn SchemaProvider) -> Self {
-        Pass {
-            schemas,
-            rewrites: 0,
-        }
+impl Sweep<'_> {
+    /// The rules: pushdown, then pruning.
+    fn rules(&self, plan: Plan) -> Result<Plan, MayError> {
+        let pushed = self.pushdown(plan)?;
+        self.prune(pushed, None)
     }
 
     /// The pushdown sweep: selections sink into join inputs and nested
     /// projections collapse.
-    fn pushdown(&mut self, plan: Plan) -> Result<Plan, MayError> {
+    fn pushdown(&self, plan: Plan) -> Result<Plan, MayError> {
         match plan {
             Plan::Scan(_) => Ok(plan),
             Plan::Select { input, predicate } => {
@@ -191,8 +183,7 @@ impl<'a> Pass<'a> {
                 // π_a(π_b(X)) → π_a(X): `a ⊆ b` by typing, and both sides
                 // deduplicate under the outer projection.
                 while let Plan::Project { input: i2, .. } = inner {
-                    self.rewrites += 1;
-                    inner = *i2; // already swept as part of this pass
+                    inner = *i2; // already swept
                 }
                 *input = inner;
                 Ok(Plan::Project { input, columns })
@@ -206,9 +197,8 @@ impl<'a> Pass<'a> {
             }
             Plan::Union { left, right } => Ok(self.pushdown(*left)?.union(self.pushdown(*right)?)),
             Plan::Uncertain { op, input } => {
-                let before = self.rewrites;
-                let swept = self.pushdown((*input).clone())?;
-                Ok(rebuild(op, input, swept, &mut self.rewrites, before))
+                let certain = certain_input(&op, &input);
+                Ok(rebuild(op, certain, self.pushdown(*input)?))
             }
         }
     }
@@ -216,8 +206,8 @@ impl<'a> Pass<'a> {
     /// Push one selection into the join directly below it: each conjunct
     /// sinks into the side that has all of its columns; conjuncts spanning
     /// both sides, and selections over anything but a join, stay where they
-    /// are. `input` has already been swept by [`Pass::pushdown`].
-    fn push_select(&mut self, input: Plan, pred: Predicate) -> Result<Plan, MayError> {
+    /// are. `input` has already been swept by [`Sweep::pushdown`].
+    fn push_select(&self, input: Plan, pred: Predicate) -> Result<Plan, MayError> {
         let Plan::NaturalJoin { left, right } = input else {
             return Ok(input.select(pred));
         };
@@ -236,9 +226,6 @@ impl<'a> Pass<'a> {
             } else {
                 keep.push(c);
             }
-        }
-        if !to_l.is_empty() || !to_r.is_empty() {
-            self.rewrites += 1;
         }
         let l = match and_of(to_l) {
             Some(p) => self.push_select(*left, p)?,
@@ -263,7 +250,7 @@ impl<'a> Pass<'a> {
     /// materializes (gathers) only columns a consumer needs. Narrowing is
     /// sound because every `required` set originates at a projection, whose
     /// set semantics collapse exactly the rows the early narrowing collapses.
-    fn prune(&mut self, plan: Plan, required: Option<&BTreeSet<String>>) -> Result<Plan, MayError> {
+    fn prune(&self, plan: Plan, required: Option<&BTreeSet<String>>) -> Result<Plan, MayError> {
         match plan {
             Plan::Scan(_) => Ok(plan),
             Plan::Select {
@@ -312,9 +299,7 @@ impl<'a> Pass<'a> {
             }
             Plan::NaturalJoin { left, right } => {
                 let Some(req) = required else {
-                    let l = self.prune(*left, None)?;
-                    let r = self.prune(*right, None)?;
-                    return Ok(l.join(r));
+                    return Ok(self.prune(*left, None)?.join(self.prune(*right, None)?));
                 };
                 let ls = left.schema_with(self.schemas)?;
                 let rs = right.schema_with(self.schemas)?;
@@ -331,37 +316,47 @@ impl<'a> Pass<'a> {
                         .collect()
                 };
                 let (lreq, rreq) = (side_req(&ls), side_req(&rs));
-                let l = self.prune(*left, Some(&lreq))?;
-                let l = self.narrow(l, &lreq)?;
-                let r = self.prune(*right, Some(&rreq))?;
-                let r = self.narrow(r, &rreq)?;
-                Ok(l.join(r))
+                Ok(self.narrow(*left, &lreq)?.join(self.narrow(*right, &rreq)?))
             }
-            Plan::Union { left, right } => {
-                let l = self.prune(*left, required)?;
-                let r = self.prune(*right, required)?;
-                match required {
-                    // Both sides narrow to the same required subset (their
-                    // schemas are union-compatible), keeping the union
-                    // union-compatible.
-                    Some(req) => Ok(self.narrow(l, req)?.union(self.narrow(r, req)?)),
-                    None => Ok(l.union(r)),
-                }
-            }
+            Plan::Union { left, right } => match required {
+                // Both sides narrow to the same required subset (their
+                // schemas are union-compatible), keeping the union
+                // union-compatible.
+                Some(req) => Ok(self.narrow(*left, req)?.union(self.narrow(*right, req)?)),
+                None => Ok(self.prune(*left, None)?.union(self.prune(*right, None)?)),
+            },
             // A barrier: the operator consumes its whole input, so the
             // requirement restarts at `None`.
             Plan::Uncertain { op, input } => {
-                let before = self.rewrites;
-                let pruned = self.prune((*input).clone(), None)?;
-                Ok(rebuild(op, input, pruned, &mut self.rewrites, before))
+                let certain = certain_input(&op, &input);
+                Ok(rebuild(op, certain, self.prune(*input, None)?))
             }
         }
     }
 
-    /// Wrap `plan` in a projection onto `required` (in schema order) when
-    /// that drops at least one column; otherwise return it unchanged. Never
-    /// narrows to zero columns.
-    fn narrow(&mut self, plan: Plan, required: &BTreeSet<String>) -> Result<Plan, MayError> {
+    /// Prune a join or union input to the `required` columns and narrow it
+    /// to them: wrap it in a projection onto `required` (in schema order)
+    /// when that drops at least one column, never down to zero columns. A
+    /// projection input is narrowed in place before it is pruned —
+    /// `π_a(π_b(X)) = π_a(X)` — so what lies below it is pruned to the
+    /// narrowed columns, and no projection is wrapped in a second one.
+    fn narrow(&self, plan: Plan, required: &BTreeSet<String>) -> Result<Plan, MayError> {
+        let plan = match plan {
+            Plan::Project { input, columns } => {
+                let keep: Vec<String> = columns
+                    .iter()
+                    .filter(|c| required.contains(*c))
+                    .cloned()
+                    .collect();
+                if keep.is_empty() {
+                    Plan::Project { input, columns }
+                } else {
+                    input.project(keep)
+                }
+            }
+            other => other,
+        };
+        let plan = self.prune(plan, Some(required))?;
         let schema = plan.schema_with(self.schemas)?;
         let keep: Vec<String> = schema
             .names()
@@ -372,38 +367,39 @@ impl<'a> Pass<'a> {
         if keep.len() == schema.arity() || keep.is_empty() {
             return Ok(plan);
         }
-        // Idempotence: a projection that already implements the narrowing
-        // must not be wrapped again.
-        if let Plan::Project { columns, .. } = &plan {
-            if *columns == keep {
-                return Ok(plan);
-            }
-        }
-        self.rewrites += 1;
         Ok(plan.project(keep))
     }
 }
 
-/// A cost-based rewrite must beat the current shape's estimated cost by at
-/// least this factor to fire. The strict margin is what makes
-/// [`optimize_with_stats`] converge: every accepted rewrite decreases the
-/// estimated cost by ≥5%, so the rules↔cost loop cannot oscillate between
-/// estimate-equivalent shapes, and a plan the cost phase already chose
-/// re-estimates as no worse and is left alone.
+/// A reorder must beat the current shape's estimated cost by at least this
+/// factor to fire. This is the near-tie policy: a shape within 5 % of what
+/// the search proposes stays, so estimate-equivalent shapes never trade
+/// places, and re-planning a join tree the search already ordered — which
+/// proposes the same shape again, or one within the margin — leaves it
+/// alone.
 const COST_IMPROVEMENT: f64 = 0.95;
 
-/// Optimize a plan with the rule fixpoint *and* the statistics-driven
-/// cost-based phase, which reorders join trees by a greedy cheapest-pair
-/// search.
+/// Optimize a plan by the rules *and* the statistics-driven join reorder,
+/// in a fixed sequence of sweeps, each run once:
 ///
-/// The two phases interleave to a fixpoint: cost rewrites (e.g. the
-/// schema-restoring projection a reorder inserts) re-feed the rules, whose
-/// output re-feeds the cost phase, until a whole round changes nothing.
-/// That exit condition makes the function **idempotent** — running it on
-/// its own output returns the output unchanged — which the differential
-/// suite asserts. With a stats-less provider this is exactly [`optimize`].
+/// 1. pushdown and 2. pruning — exactly [`optimize`];
+/// 3. when the provider has statistics, one greedy cheapest-pair search per
+///    maximal join tree, which replaces the tree when it beats the current
+///    shape by a 5 % margin (the near-tie policy);
+/// 4. when a reorder fired, pushdown and pruning once more, over the
+///    reordered plan: the projection that restores a reordered tree's
+///    column order merges into an enclosing one, and the new shape's join
+///    inputs narrow to what is consumed above them.
 ///
-/// Like the rule phase, every rewrite is meaning-preserving: the result
+/// Re-planning the result leaves it unchanged on the differential suite's
+/// join chains (which assert it) and on every statement of the `perfbench`
+/// workloads and the plan corpus. It is not a fixpoint by construction:
+/// where step 4 narrows a reordered tree into smaller ones, or the greedy
+/// search breaks a tie differently over the reordered leaves, a second call
+/// can still find a cheaper order (about 2 in 1 000 randomly generated
+/// plans). With a stats-less provider this is exactly [`optimize`].
+///
+/// Like the rules, every rewrite is meaning-preserving: the result
 /// evaluates to the same u-relation as the input (up to row order) on every
 /// world set matching the provider's schemas, whatever the statistics say —
 /// estimates only ever pick among equivalent shapes.
@@ -412,35 +408,21 @@ pub fn optimize_with_stats(
     schemas: &dyn SchemaProvider,
     stats: &dyn StatsProvider,
 ) -> Result<Plan, MayError> {
-    let mut p = optimize(plan, schemas)?;
+    let planned = optimize(plan, schemas)?;
     if !stats.has_stats() {
-        return Ok(p);
+        return Ok(planned);
     }
-    let mut prev = p.to_string();
-    for _ in 0..MAX_PASSES {
-        let mut pass = CostPass {
-            schemas,
-            stats,
-            rewrites: 0,
-        };
-        let c = pass.rewrite(p.clone())?;
-        if pass.rewrites == 0 {
-            return Ok(p);
-        }
-        let r = optimize(&c, schemas)?;
-        let cur = r.to_string();
-        p = r;
-        if cur == prev {
-            return Ok(p);
-        }
-        prev = cur;
+    let sweep = Sweep { schemas };
+    match sweep.reorder(&planned, stats)? {
+        Some(reordered) => sweep.rules(reordered),
+        None => Ok(planned),
     }
-    Ok(p)
 }
 
-/// The shape of a join tree over flattened leaves, kept so the current
-/// plan's cost can be estimated with the same pairwise composition the
-/// search uses (otherwise the comparison would be apples to oranges).
+/// The shape of a join tree over flattened leaves: the current plan's and
+/// the search's candidates alike, so both are estimated with the same
+/// pairwise composition (otherwise the comparison would be apples to
+/// oranges).
 enum JoinShape {
     /// A non-join leaf, by index into the flattened leaf list.
     Leaf(usize),
@@ -450,11 +432,11 @@ enum JoinShape {
 
 /// Tear a maximal join tree into its non-join leaves (left to right),
 /// returning the original shape over leaf indices.
-fn flatten_join(plan: Plan, leaves: &mut Vec<Plan>) -> JoinShape {
+fn flatten_join<'p>(plan: &'p Plan, leaves: &mut Vec<&'p Plan>) -> JoinShape {
     match plan {
         Plan::NaturalJoin { left, right } => {
-            let l = flatten_join(*left, leaves);
-            let r = flatten_join(*right, leaves);
+            let l = flatten_join(left, leaves);
+            let r = flatten_join(right, leaves);
             JoinShape::Node(Box::new(l), Box::new(r))
         }
         other => {
@@ -480,23 +462,23 @@ fn shape_cost(shape: &JoinShape, ests: &[CardEst]) -> (CardEst, f64) {
     }
 }
 
-/// Rebuild the plan of a join shape over its leaves.
-fn rebuild_shape(shape: &JoinShape, leaves: &[Plan]) -> Plan {
+/// Build the plan of a join shape over its leaves.
+fn rebuild_shape(shape: &JoinShape, leaves: &[&Plan]) -> Plan {
     match shape {
         JoinShape::Leaf(i) => leaves[*i].clone(),
         JoinShape::Node(l, r) => rebuild_shape(l, leaves).join(rebuild_shape(r, leaves)),
     }
 }
 
-/// The join-order search: repeatedly merge the pair of partial trees with
-/// the cheapest join step (both orientations — the cost model is
-/// asymmetric, the right side is the hash build side). Returns the chosen
-/// tree and its join-step cost.
-fn greedy_best(leaves: &[Plan], ests: &[CardEst]) -> (f64, Plan) {
-    let mut parts: Vec<(f64, Plan, CardEst)> = leaves
+/// The join-order search over leaves estimated as `ests`: repeatedly merge
+/// the pair of partial trees with the cheapest join step (both orientations
+/// — the cost model is asymmetric, the right side is the hash build side).
+/// Returns the chosen shape's join-step cost and the shape.
+fn greedy_best(ests: &[CardEst]) -> (f64, JoinShape) {
+    let mut parts: Vec<(f64, JoinShape, CardEst)> = ests
         .iter()
-        .zip(ests)
-        .map(|(l, e)| (0.0, l.clone(), e.clone()))
+        .enumerate()
+        .map(|(i, e)| (0.0, JoinShape::Leaf(i), e.clone()))
         .collect();
     while parts.len() > 1 {
         let mut pick = (0usize, 1usize, f64::INFINITY);
@@ -515,111 +497,106 @@ fn greedy_best(leaves: &[Plan], ests: &[CardEst]) -> (f64, Plan) {
         }
         let (i, j, cost) = pick;
         let (hi, lo) = (i.max(j), i.min(j));
-        let (_, pj, ej) = parts.swap_remove(hi);
-        let (_, pi, ei) = parts.swap_remove(lo);
+        let (_, sj, ej) = parts.swap_remove(hi);
+        let (_, si, ei) = parts.swap_remove(lo);
         // `swap_remove(hi)` first keeps `lo`'s index valid; reassemble
         // in (i = probe, j = build) orientation.
-        let (pl, pr, el, er) = if hi == j {
-            (pi, pj, ei, ej)
+        let (sl, sr, el, er) = if hi == j {
+            (si, sj, ei, ej)
         } else {
-            (pj, pi, ej, ei)
+            (sj, si, ej, ei)
         };
         let joined_est = join_set_est(&[&el, &er]);
-        parts.push((cost, pl.join(pr), joined_est));
+        parts.push((
+            cost,
+            JoinShape::Node(Box::new(sl), Box::new(sr)),
+            joined_est,
+        ));
     }
-    let (cost, plan, _) = parts.pop().expect("one tree remains");
-    (cost, plan)
+    let (cost, shape, _) = parts.pop().expect("one tree remains");
+    (cost, shape)
 }
 
-/// One cost-based sweep (bottom-up). Separate from [`Pass`] because its
-/// rewrites are chosen by estimate comparison, not proved-sound rule
-/// matching — the soundness argument here is that every candidate is a
-/// join tree over the same leaf set, and the estimates only *select*.
-struct CostPass<'a> {
-    schemas: &'a dyn SchemaProvider,
-    stats: &'a dyn StatsProvider,
-    /// Cost-based rewrites fired this sweep (drives the outer fixpoint).
-    rewrites: usize,
-}
-
-impl<'a> CostPass<'a> {
-    fn rewrite(&mut self, plan: Plan) -> Result<Plan, MayError> {
-        match plan {
-            Plan::Scan(_) => Ok(plan),
-            Plan::Select {
-                mut input,
-                predicate,
-            } => {
-                *input = self.rewrite(*input)?;
-                Ok(Plan::Select { input, predicate })
+impl Sweep<'_> {
+    /// The cost-based sweep (bottom-up): every maximal join tree is
+    /// reordered by [`Sweep::reorder_join`]. Its rewrites are chosen by
+    /// estimate comparison, not proved-sound rule matching — the soundness
+    /// argument is that every candidate is a join tree over the same leaf
+    /// set, and the estimates only *select*. `None` when no tree was
+    /// reordered, so an unchanged subtree is never rebuilt.
+    fn reorder(&self, plan: &Plan, stats: &dyn StatsProvider) -> Result<Option<Plan>, MayError> {
+        Ok(match plan {
+            Plan::Scan(_) => None,
+            Plan::Select { input, predicate } => self
+                .reorder(input, stats)?
+                .map(|i| i.select(predicate.clone())),
+            Plan::Project { input, columns } => self
+                .reorder(input, stats)?
+                .map(|i| i.project(columns.clone())),
+            Plan::Rename { input, renames } => self
+                .reorder(input, stats)?
+                .map(|i| i.rename(renames.clone())),
+            Plan::Union { left, right } => {
+                match (self.reorder(left, stats)?, self.reorder(right, stats)?) {
+                    (None, None) => None,
+                    (l, r) => Some(
+                        l.unwrap_or_else(|| (**left).clone())
+                            .union(r.unwrap_or_else(|| (**right).clone())),
+                    ),
+                }
             }
-            Plan::Project { mut input, columns } => {
-                *input = self.rewrite(*input)?;
-                Ok(Plan::Project { input, columns })
-            }
-            Plan::Rename { mut input, renames } => {
-                *input = self.rewrite(*input)?;
-                Ok(Plan::Rename { input, renames })
-            }
-            Plan::Union {
-                mut left,
-                mut right,
-            } => {
-                *left = self.rewrite(*left)?;
-                *right = self.rewrite(*right)?;
-                Ok(Plan::Union { left, right })
-            }
-            Plan::NaturalJoin { .. } => self.reorder_join(plan),
-            Plan::Uncertain { op, input } => {
-                let before = self.rewrites;
-                let rewritten = self.rewrite((*input).clone())?;
-                Ok(rebuild(op, input, rewritten, &mut self.rewrites, before))
-            }
-        }
+            Plan::NaturalJoin { .. } => self.reorder_join(plan, stats)?,
+            Plan::Uncertain { op, input } => self
+                .reorder(input, stats)?
+                .map(|swept| rebuild(op.clone(), certain_input(op, input), swept)),
+        })
     }
 
-    /// Reorder a maximal join tree. [`greedy_best`] proposes a shape, and
-    /// the current shape is scored with the same pairwise estimates
-    /// ([`shape_cost`]); the rewrite fires only when the proposal beats it
-    /// by the [`COST_IMPROVEMENT`] margin. The original output column order
-    /// is restored with a projection when the new shape's schema permutes
-    /// it (sound: join output is duplicate-free, and a full-width
-    /// projection of a duplicate-free input drops nothing).
-    fn reorder_join(&mut self, plan: Plan) -> Result<Plan, MayError> {
-        let orig_names: Vec<String> = plan
-            .schema_with(self.schemas)?
-            .names()
-            .into_iter()
-            .map(str::to_string)
-            .collect();
+    /// Reorder a maximal join tree, its leaves first. [`greedy_best`]
+    /// proposes a shape, and the current shape is scored with the same
+    /// pairwise estimates ([`shape_cost`]); the rewrite fires only when the
+    /// proposal beats it by the [`COST_IMPROVEMENT`] margin. The original
+    /// output column order is restored with a projection when the new
+    /// shape's schema permutes it (sound: join output is duplicate-free,
+    /// and a full-width projection of a duplicate-free input drops
+    /// nothing).
+    fn reorder_join(
+        &self,
+        plan: &Plan,
+        stats: &dyn StatsProvider,
+    ) -> Result<Option<Plan>, MayError> {
         let mut leaves = Vec::new();
         let shape = flatten_join(plan, &mut leaves);
-        let leaves = leaves
-            .into_iter()
-            .map(|l| self.rewrite(l))
+        let swept = leaves
+            .iter()
+            .map(|l| self.reorder(l, stats))
             .collect::<Result<Vec<_>, _>>()?;
+        let leaves: Vec<&Plan> = leaves
+            .into_iter()
+            .zip(&swept)
+            .map(|(l, s)| s.as_ref().unwrap_or(l))
+            .collect();
         let ests: Vec<CardEst> = leaves
             .iter()
-            .map(|l| crate::cost::estimate(l, self.schemas, self.stats))
+            .map(|l| crate::cost::estimate(l, self.schemas, stats))
             .collect();
         let (_, current_cost) = shape_cost(&shape, &ests);
-        let (best_cost, best_plan) = greedy_best(&leaves, &ests);
+        let (best_cost, best_shape) = greedy_best(&ests);
         if best_cost < current_cost * COST_IMPROVEMENT {
-            let best_names: Vec<String> = best_plan
-                .schema_with(self.schemas)?
-                .names()
-                .into_iter()
-                .map(str::to_string)
-                .collect();
-            self.rewrites += 1;
-            if best_names == orig_names {
-                Ok(best_plan)
+            let names = |p: &Plan| -> Result<Vec<String>, MayError> {
+                let schema = p.schema_with(self.schemas)?;
+                Ok(schema.names().into_iter().map(str::to_string).collect())
+            };
+            let best = rebuild_shape(&best_shape, &leaves);
+            let orig_names = names(plan)?;
+            return Ok(Some(if names(&best)? == orig_names {
+                best
             } else {
-                Ok(best_plan.project(orig_names))
-            }
-        } else {
-            Ok(rebuild_shape(&shape, &leaves))
+                best.project(orig_names)
+            }));
         }
+        let changed = swept.iter().any(Option::is_some);
+        Ok(changed.then(|| rebuild_shape(&shape, &leaves)))
     }
 }
 
@@ -717,6 +694,23 @@ mod tests {
         );
         let sch = best.schema_with(&schemas()).expect("schema");
         assert_eq!(sch.names(), vec!["b", "c", "a"]);
+    }
+
+    #[test]
+    fn restoring_projections_merge_into_the_projection_above() {
+        // Both joins reorder, and each new shape permutes its columns: the
+        // inner one's restoring projection merges into the narrowing
+        // `project[d, b]` above it, the outer one's into `project[a, d]`,
+        // and the re-narrowed shape has no projection directly over a
+        // projection.
+        let plan = Plan::scan("r3")
+            .join(Plan::scan("r2"))
+            .join(Plan::scan("r1"))
+            .project(["a", "d"]);
+        assert_eq!(
+            opt_cost(&plan).to_string(),
+            "project[a, d]\n  natural-join\n    scan[r1]\n    project[d, b]\n      natural-join\n        scan[r2]\n        scan[r3]\n"
+        );
     }
 
     #[test]

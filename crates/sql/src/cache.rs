@@ -1,12 +1,12 @@
 //! An LRU cache of optimized plans, keyed on what each plan was compiled
 //! from.
 //!
-//! Compiling a MayQL statement — parse, semantic analysis, logical rewrite
-//! fixpoint, cost-based join reordering — costs far more than a lookup, and
-//! interactive sessions re-issue the same statements (often verbatim, or
-//! differing only in whitespace). [`PlanCache`] memoizes the *optimized*
-//! plan keyed on three things, any of which invalidates the entry by
-//! missing instead of matching:
+//! Compiling a MayQL statement — parse, semantic analysis, the logical
+//! rewrite sweeps, cost-based join reordering — costs far more than a
+//! lookup, and interactive sessions re-issue the same statements (often
+//! verbatim, or differing only in whitespace). [`PlanCache`] memoizes the
+//! *optimized* plan keyed on three things, any of which invalidates the
+//! entry by missing instead of matching:
 //!
 //! * the **normalized query text** ([`normalize_query`]: whitespace and
 //!   `--` comments collapsed outside string literals — no case folding, so

@@ -48,7 +48,7 @@ pub fn compile_unoptimized(catalog: &Catalog, src: &str) -> Result<Plan, SqlErro
     lower(catalog, &query).map(|(plan, _)| plan)
 }
 
-/// Run the logical optimizer against the catalog — the rule fixpoint plus,
+/// Run the logical optimizer against the catalog — the rule sweeps plus,
 /// when the catalog has statistics, the cost-based phase
 /// ([`maybms_algebra::optimize_with_stats`], which is exactly the rule-only
 /// [`fn@maybms_algebra::optimize`] on a statistics-less catalog) —
