@@ -342,17 +342,8 @@ impl Sweep<'_> {
     /// narrowed columns, and no projection is wrapped in a second one.
     fn narrow(&self, plan: Plan, required: &BTreeSet<String>) -> Result<Plan, MayError> {
         let plan = match plan {
-            Plan::Project { input, columns } => {
-                let keep: Vec<String> = columns
-                    .iter()
-                    .filter(|c| required.contains(*c))
-                    .cloned()
-                    .collect();
-                if keep.is_empty() {
-                    Plan::Project { input, columns }
-                } else {
-                    input.project(keep)
-                }
+            Plan::Project { input, columns } if columns.iter().any(|c| required.contains(c)) => {
+                input.project(columns.into_iter().filter(|c| required.contains(c)))
             }
             other => other,
         };
