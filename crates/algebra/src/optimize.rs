@@ -464,7 +464,10 @@ fn rebuild_shape(shape: &JoinShape, leaves: &[&Plan]) -> Plan {
 /// The join-order search over leaves estimated as `ests`: repeatedly merge
 /// the pair of partial trees with the cheapest join step (both orientations
 /// — the cost model is asymmetric, the right side is the hash build side).
-/// Returns the chosen shape's join-step cost and the shape.
+/// An exact cost tie goes to the smaller build side (the smaller hash
+/// table), then to the smaller estimated output, so leaf order decides only
+/// between candidates whose estimates are identical. Returns the chosen
+/// shape's join-step cost and the shape.
 fn greedy_best(ests: &[CardEst]) -> (f64, JoinShape) {
     let mut parts: Vec<(f64, JoinShape, CardEst)> = ests
         .iter()
@@ -472,7 +475,8 @@ fn greedy_best(ests: &[CardEst]) -> (f64, JoinShape) {
         .map(|(i, e)| (0.0, JoinShape::Leaf(i), e.clone()))
         .collect();
     while parts.len() > 1 {
-        let mut pick = (0usize, 1usize, f64::INFINITY);
+        // (cost, build rows, output rows), compared in that order.
+        let mut pick = (0usize, 1usize, [f64::INFINITY; 3]);
         for i in 0..parts.len() {
             for j in 0..parts.len() {
                 if i == j {
@@ -480,13 +484,13 @@ fn greedy_best(ests: &[CardEst]) -> (f64, JoinShape) {
                 }
                 let out = join_set_est(&[&parts[i].2, &parts[j].2]).rows;
                 let step = join_step_cost(parts[i].2.rows, parts[j].2.rows, out);
-                let cost = parts[i].0 + parts[j].0 + step;
-                if cost < pick.2 {
-                    pick = (i, j, cost);
+                let rank = [parts[i].0 + parts[j].0 + step, parts[j].2.rows, out];
+                if rank < pick.2 {
+                    pick = (i, j, rank);
                 }
             }
         }
-        let (i, j, cost) = pick;
+        let (i, j, [cost, ..]) = pick;
         let (hi, lo) = (i.max(j), i.min(j));
         let (_, sj, ej) = parts.swap_remove(hi);
         let (_, si, ei) = parts.swap_remove(lo);
@@ -739,6 +743,44 @@ mod tests {
         let plan = Plan::scan("r2").join(Plan::scan("r3"));
         let best = opt_cost(&plan);
         assert_eq!(best.to_string(), "natural-join\n  scan[r2]\n  scan[r3]\n");
+    }
+
+    /// `a ⋈ b` and `a ⋈ c` (probe `a`) tie on cost at 700 — 400 + 2·100 +
+    /// 100 against 400 + 2·50 + 200 — and every other pair costs more; the
+    /// smaller build side wins in whatever order the leaves come.
+    #[test]
+    fn exact_cost_ties_do_not_depend_on_leaf_order() {
+        let est = |rows: f64, ndv: &[(&str, f64)]| CardEst {
+            rows,
+            ndv: ndv.iter().map(|&(c, n)| (c.to_string(), n)).collect(),
+            ranges: BTreeMap::new(),
+            nontrivial_frac: 0.0,
+        };
+        let leaves = [
+            ("a", est(400.0, &[("m", 400.0), ("k", 100.0)])),
+            ("b", est(100.0, &[("m", 100.0)])),
+            ("c", est(50.0, &[("k", 50.0)])),
+        ];
+        fn text(shape: &JoinShape, names: &[&str]) -> String {
+            match shape {
+                JoinShape::Leaf(i) => names[*i].to_string(),
+                JoinShape::Node(l, r) => format!("({} {})", text(l, names), text(r, names)),
+            }
+        }
+        for order in [
+            [0, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ] {
+            let names: Vec<&str> = order.iter().map(|&i| leaves[i].0).collect();
+            let ests: Vec<CardEst> = order.iter().map(|&i| leaves[i].1.clone()).collect();
+            let (cost, shape) = greedy_best(&ests);
+            assert_eq!(text(&shape, &names), "((a c) b)", "leaf order {names:?}");
+            assert_eq!(cost, 700.0 + (200.0 + 2.0 * 100.0 + 100.0));
+        }
     }
 
     #[test]

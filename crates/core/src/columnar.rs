@@ -1,10 +1,11 @@
 //! Columnar u-relation storage: one typed vector per attribute plus a dense
 //! descriptor column.
 //!
-//! The row-oriented [`URelation`] stores `Vec<(Tuple, WsDescriptor)>` — every
-//! row is its own heap allocation and every scan chases one pointer per row.
-//! The execution core instead operates on a [`ColumnarURelation`]: per
-//! attribute one contiguous typed vector ([`ColumnVec`]) — `i64` for ints,
+//! A [`URelation`]'s body is a [`ColumnarURelation`] over its dictionaries;
+//! its rows (`Vec<(Tuple, WsDescriptor)>`, one heap allocation per row) are
+//! a memo built only when someone reads them. The execution core
+//! operates on columnar relations throughout: per attribute one contiguous
+//! typed vector ([`ColumnVec`]) — `i64` for ints,
 //! `f64` for floats, `bool` for booleans, dictionary codes for strings — and
 //! one dense [`DescId`] vector for the world-set-descriptor column. Operators
 //! sweep whole columns — `column op literal` filters

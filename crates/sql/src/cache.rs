@@ -4,13 +4,19 @@
 //! Compiling a MayQL statement — parse, semantic analysis, the logical
 //! rewrite sweeps, cost-based join reordering — costs far more than a
 //! lookup, and interactive sessions re-issue the same statements (often
-//! verbatim, or differing only in whitespace). [`PlanCache`] memoizes the
-//! *optimized* plan keyed on three things, any of which invalidates the
-//! entry by missing instead of matching:
+//! verbatim, or differing only in layout and keyword case). [`PlanCache`]
+//! memoizes the *optimized* plan keyed on three things, any of which
+//! invalidates the entry by missing instead of matching:
 //!
-//! * the **normalized query text** ([`normalize_query`]: whitespace and
-//!   `--` comments collapsed outside string literals — no case folding, so
-//!   identifier case is respected);
+//! * the **query's tokens**, as [`lex`] reads them: whitespace and `--`
+//!   comments are gone, each token is spelled as written (identifiers and
+//!   string contents keep their case; a number keeps its spelling, so `1`
+//!   and `1.0` differ), and the reserved keywords are upper-cased. A
+//!   reserved word can never be a name, so its case changes no plan;
+//!   contextual words (`CONF`, `POSSIBLE`, …) can be and keep theirs. The
+//!   tokens are joined by single spaces, so the key lexes back to the
+//!   query's tokens: two queries share a key only when their tokens differ
+//!   in nothing but the case of reserved words;
 //! * **each relation the plan scans**, with its schema and its statistics
 //!   (they drive the cost-based phase);
 //! * whether the catalog has statistics at all
@@ -36,49 +42,30 @@ use maybms_algebra::{Plan, StatsProvider};
 use maybms_core::{RelationStats, Schema};
 
 use crate::catalog::{same_stats, Catalog};
+use crate::lexer::{lex, TokenKind};
+use crate::parser::is_reserved;
 
 /// Default number of cached plans (evicting least-recently-used beyond it).
 pub const DEFAULT_PLAN_CACHE_CAP: usize = 64;
 
-/// Normalize query text for cache keying: collapse every run of whitespace
-/// and `--` comments outside single-quoted string literals to one space and
-/// trim the ends. Case is preserved — keywords are case-insensitive in MayQL,
-/// but folding would also fold identifiers and string contents, trading
-/// correctness for a few extra hits.
-pub fn normalize_query(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    let mut in_str = false;
-    let mut pending_space = false;
-    let mut chars = text.chars().peekable();
-    while let Some(ch) = chars.next() {
-        if in_str {
-            out.push(ch);
-            if ch == '\'' {
-                in_str = false;
-            }
-            continue;
+/// The key text of `text` (see the module docs); `None` when it does not
+/// lex.
+fn key(text: &str) -> Option<String> {
+    let mut key = String::with_capacity(text.len());
+    for token in lex(text).ok()? {
+        if token.kind == TokenKind::Eof {
+            break;
         }
-        // A comment runs to the end of its line, as in the lexer; an
-        // apostrophe inside one opens no literal.
-        if ch == '-' && chars.peek() == Some(&'-') {
-            chars.find(|&c| c == '\n');
-            pending_space = true;
-            continue;
+        if !key.is_empty() {
+            key.push(' ');
         }
-        if ch.is_whitespace() {
-            pending_space = true;
-            continue;
-        }
-        if pending_space && !out.is_empty() {
-            out.push(' ');
-        }
-        pending_space = false;
-        out.push(ch);
-        if ch == '\'' {
-            in_str = true;
+        let start = key.len();
+        key.push_str(&text[token.span.start..token.span.end]);
+        if matches!(&token.kind, TokenKind::Ident(word) if is_reserved(word)) {
+            key[start..].make_ascii_uppercase();
         }
     }
-    out
+    Some(key)
 }
 
 /// One relation a cached plan scans, as the optimizer read it.
@@ -90,7 +77,7 @@ struct Read {
 
 /// One cached compilation and what it was compiled from.
 struct Entry {
-    /// The normalized query text.
+    /// The query's [`key`].
     text: String,
     reads: Vec<Read>,
     has_stats: bool,
@@ -156,15 +143,15 @@ impl PlanCache {
     }
 
     /// Look up a compilation of `text` against `catalog`. A hit refreshes
-    /// the entry's LRU position.
+    /// the entry's LRU position; text that does not lex misses.
     pub fn lookup(&mut self, catalog: &Catalog, text: &str) -> Option<CachedPlan> {
-        let text = normalize_query(text);
+        let text = key(text);
         self.tick += 1;
         let tick = self.tick;
         let hit = self
             .entries
             .iter_mut()
-            .find(|e| e.text == text && e.compiled_against(catalog));
+            .find(|e| text.as_ref() == Some(&e.text) && e.compiled_against(catalog));
         match hit {
             Some(e) => {
                 self.hits += 1;
@@ -183,9 +170,10 @@ impl PlanCache {
     /// Store a fresh compilation of `text` against `catalog`, evicting the
     /// least-recently-used entry when the cache is full. An existing entry
     /// for the same key is replaced; a plan that scans a relation the
-    /// catalog lacks was not compiled against it and is not stored.
-    /// `_estimates` is ignored — estimates are not cached — and stays only
-    /// because `perfbench`'s adapter names this signature.
+    /// catalog lacks was not compiled against it and is not stored, nor is
+    /// text that does not lex (it has no key). `_estimates` is ignored —
+    /// estimates are not cached — and stays only because `perfbench`'s
+    /// adapter names this signature.
     pub fn insert(
         &mut self,
         catalog: &Catalog,
@@ -204,10 +192,9 @@ impl PlanCache {
                 stats,
             })
         });
-        let Some(reads) = reads.collect() else {
+        let (Some(reads), Some(text)) = (reads.collect(), key(text)) else {
             return;
         };
-        let text = normalize_query(text);
         self.tick += 1;
         self.entries
             .retain(|e| !(e.text == text && e.compiled_against(catalog)));
@@ -286,24 +273,86 @@ mod tests {
 
     #[test]
     fn normalization_collapses_whitespace_outside_strings() {
-        assert_eq!(
-            normalize_query("  SELECT  a\n FROM\tr  "),
-            "SELECT a FROM r"
-        );
+        let key = |text| key(text).expect("the text lexes");
+        assert_eq!(key("  SELECT  a\n FROM\tr  "), "SELECT a FROM r");
         // Whitespace inside string literals is content, not formatting.
         assert_eq!(
-            normalize_query("SELECT a FROM r WHERE b = 'two  words'"),
+            key("SELECT a FROM r WHERE b='two  words'"),
             "SELECT a FROM r WHERE b = 'two  words'"
         );
-        // Case is preserved.
-        assert_eq!(normalize_query("select A from R"), "select A from R");
         // A comment is formatting; an apostrophe inside one opens no literal,
         // so the literal after it keeps its whitespace.
         assert_eq!(
-            normalize_query("SELECT a FROM r -- it's a comment\nWHERE b = 'x  y' -- end"),
+            key("SELECT a FROM r -- it's a comment\nWHERE b = 'x  y' -- end"),
             "SELECT a FROM r WHERE b = 'x  y'"
         );
-        assert_eq!(normalize_query("a - -b"), "a - -b");
+        assert_eq!(key("a - -b"), "a - - b");
+        assert_eq!(key("a --b"), "a");
+    }
+
+    /// Comments and runs of whitespace do not split an entry, and neither
+    /// does the case of a reserved keyword; text that does not lex has no
+    /// entry.
+    #[test]
+    fn layout_and_reserved_keyword_case_share_an_entry() {
+        let cat = catalog();
+        let mut cache = PlanCache::new(4);
+        let text = "SELECT a FROM r WHERE b = 1 AND a = 'x' OR NOT a = 'y'";
+        cache.insert(&cat, text, Plan::scan("r"), None);
+        for variant in [
+            "select a from r where b = 1 and a = 'x' or not a = 'y'",
+            "Select a\n  From r -- the only relation\n\twHeRe b=1 And a='x' oR nOT a='y'",
+        ] {
+            assert!(cache.lookup(&cat, variant).is_some(), "{variant}");
+        }
+        assert!(cache
+            .lookup(&cat, "SELECT a FROM r WHERE b = 'open")
+            .is_none());
+        cache.insert(&cat, "SELECT 'open", Plan::scan("r"), None);
+        assert_eq!(cache.len(), 1);
+        assert_eq!((cache.hits(), cache.misses()), (2, 1));
+    }
+
+    /// Identifier case, string contents (inner whitespace, case, `''`
+    /// escapes) and a number's kind each keep entries apart, and so does
+    /// the case of a contextual keyword, which can be a name.
+    #[test]
+    fn names_strings_escapes_and_number_kinds_keep_entries_apart() {
+        let cat = catalog();
+        for (a, b) in [
+            ("SELECT a FROM r", "SELECT A FROM r"),
+            ("SELECT a FROM r", "SELECT a FROM R"),
+            ("SELECT CONF a FROM r", "SELECT conf a FROM r"),
+            (
+                "SELECT a FROM r WHERE b = 'x'",
+                "SELECT a FROM r WHERE b = 'X'",
+            ),
+            (
+                "SELECT a FROM r WHERE b = 'x y'",
+                "SELECT a FROM r WHERE b = 'x  y'",
+            ),
+            (
+                "SELECT a FROM r WHERE b = 'it''s'",
+                "SELECT a FROM r WHERE b = 'its'",
+            ),
+            (
+                "SELECT a FROM r WHERE b = 'a'' ''b'",
+                "SELECT a FROM r WHERE b = 'a' 'b'",
+            ),
+            (
+                "SELECT a FROM r WHERE b = 1",
+                "SELECT a FROM r WHERE b = 1.0",
+            ),
+            (
+                "SELECT a FROM r WHERE b = 1",
+                "SELECT a FROM r WHERE b = 1e0",
+            ),
+        ] {
+            let mut cache = PlanCache::new(4);
+            cache.insert(&cat, a, Plan::scan("r"), None);
+            assert!(cache.lookup(&cat, b).is_none(), "{a} / {b}");
+            assert!(cache.lookup(&cat, a).is_some(), "{a}");
+        }
     }
 
     #[test]

@@ -104,7 +104,7 @@ pub struct ExplainAnalyze {
 /// annotated plan, with the estimator's `est_rows=` for it read off
 /// `catalog`. Side effects are real: a `REPAIR KEY` inside the query mints
 /// components into `ws` exactly like a normal run, which is why the session
-/// passes a scratch clone of its world set.
+/// truncates its component set back to its length before the call.
 pub(crate) fn explain_analyze_plan(
     ws: &mut WorldSet,
     catalog: &Catalog,

@@ -75,7 +75,7 @@ pub mod session;
 pub mod span;
 
 pub use ast::{Query, Statement};
-pub use cache::{normalize_query, CachedPlan, PlanCache, DEFAULT_PLAN_CACHE_CAP};
+pub use cache::{CachedPlan, PlanCache, DEFAULT_PLAN_CACHE_CAP};
 pub use catalog::Catalog;
 pub use explain::{explain, Explain, ExplainAnalyze};
 pub use parser::{parse_query, parse_statement};

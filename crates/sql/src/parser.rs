@@ -574,7 +574,8 @@ impl<'a> Parser<'a> {
     }
 }
 
-fn is_reserved(name: &str) -> bool {
+/// Whether `name` is a reserved keyword, in any case.
+pub(crate) fn is_reserved(name: &str) -> bool {
     RESERVED.iter().any(|kw| name.eq_ignore_ascii_case(kw))
 }
 

@@ -151,13 +151,13 @@ impl Session {
     /// Parse, compile and run one statement (an optional trailing `;` is
     /// allowed).
     ///
-    /// Queries compile through the plan cache, keyed on the query's own
-    /// source slice — so `SELECT …`, `LET x = SELECT …` and `EXPLAIN ANALYZE
-    /// SELECT …` of one query text share an entry. `EXPLAIN ANALYZE` runs
-    /// against a scratch copy of the world set (the components its repairs
-    /// mint must not leak into the session). Plain `EXPLAIN` compiles
-    /// without the cache: it shows the lowered plan too, which the cache
-    /// does not keep.
+    /// Queries compile through the plan cache, keyed on the tokens of the
+    /// query's own source slice — so `SELECT …`, `LET x = SELECT …` and
+    /// `EXPLAIN ANALYZE SELECT …` of one query text share an entry.
+    /// `EXPLAIN ANALYZE` runs on the session's world set and then drops the
+    /// components its repairs minted, as a failed run does: they must not
+    /// leak into the session. Plain `EXPLAIN` compiles without the cache: it
+    /// shows the lowered plan too, which the cache does not keep.
     pub fn execute(&mut self, src: &str) -> Result<Executed, SessionError> {
         let (outcome, stats, trace) = match parse_statement(src)? {
             Statement::Query(query) => {
@@ -189,14 +189,16 @@ impl Session {
                 ..
             } => {
                 let plan = self.compile_cached(&query, src)?;
-                let mut scratch = self.ws.clone();
+                let minted_from = self.ws.components.len();
                 let ex = explain_analyze_plan(
-                    &mut scratch,
+                    &mut self.ws,
                     &self.catalog,
                     plan,
                     query.span(),
                     &self.exec,
-                )?;
+                );
+                self.ws.components.truncate(minted_from);
+                let ex = ex?;
                 let stats = ex.stats;
                 (Outcome::Analyze(ex), Some(stats), None)
             }
@@ -242,8 +244,8 @@ impl Session {
     }
 }
 
-/// The query's exact source slice — the plan cache's key text (the cache
-/// normalizes whitespace and comments itself).
+/// The query's exact source slice — the text the plan cache keys on (it
+/// drops whitespace and comments itself, by lexing).
 fn query_text<'a>(query: &Query, src: &'a str) -> &'a str {
     let span = query.span();
     &src[span.start.min(src.len())..span.end.min(src.len())]

@@ -11,8 +11,9 @@
 //! * queries (`POSSIBLE` / `CERTAIN` / `CONF` among them) repeated verbatim,
 //!   re-spaced, re-cased and trailed by a comment — cache hits, and distinct
 //!   keys for one plan;
-//! * `EXPLAIN ANALYZE`, which compiles through the cache and runs on a
-//!   scratch copy, and `EXPLAIN`, which compiles without it;
+//! * `EXPLAIN ANALYZE`, which compiles through the cache and runs on the
+//!   session's world set, then drops what it minted, and `EXPLAIN`, which
+//!   compiles without it;
 //! * `Session::normalize`, which rewrites descriptors and drops components.
 //!
 //! After every statement the session must agree with a **cold engine**: a

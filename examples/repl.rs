@@ -19,9 +19,10 @@
 //! components across several later queries. `EXPLAIN <query>;` shows the
 //! lowered and the optimized plan instead of evaluating (queries themselves
 //! always run through the optimizer); `EXPLAIN ANALYZE <query>;` *executes*
-//! the query with tracing on (against a scratch copy of the session world
-//! set) and prints the optimized plan annotated per node with wall time,
-//! rows, morsel fan-out, pool traffic, and confidence-solver counters.
+//! the query with tracing on (on the session's world set, dropping the
+//! components its repairs mint) and prints the optimized plan annotated
+//! per node with wall time, rows, morsel fan-out, pool traffic, and
+//! confidence-solver counters.
 //!
 //! Meta commands: `\d` lists the relations, `\stats` shows the last query's
 //! executor statistics (descriptor-pool occupancy and hit rates,
@@ -495,19 +496,35 @@ fn statement_complete(buffer: &str, last_line: &str) -> bool {
     }
 }
 
-/// A statement's source collapsed to one echo line: comments dropped,
-/// whitespace normalized, trailing `;` removed.
+/// A statement's source as one echo line, rebuilt from its tokens without
+/// its final `;`: a gap between two tokens that holds a comment or a line
+/// break prints as one space, any other gap as written. Source the lexer
+/// rejects (it is about to fail with a diagnostic) prints its words
+/// separated by single spaces.
 fn statement_text(src: &str) -> String {
-    let without_comments: Vec<&str> = src
-        .lines()
-        .map(|l| l.find("--").map_or(l, |i| &l[..i]).trim())
-        .filter(|l| !l.is_empty())
-        .collect();
-    without_comments
-        .join(" ")
-        .trim_end_matches(';')
-        .trim()
-        .to_string()
+    let Ok(tokens) = lex(src) else {
+        let words: Vec<&str> = src.split_whitespace().collect();
+        return words.join(" ").trim_end_matches(';').trim_end().to_string();
+    };
+    // The `;` that ended the statement is the echo's own; the lexer's last
+    // token is its end of input.
+    let mut end = tokens.len() - 1;
+    if end > 0 && tokens[end - 1].kind == TokenKind::Semi {
+        end -= 1;
+    }
+    let mut echo = String::new();
+    for (i, token) in tokens[..end].iter().enumerate() {
+        if i > 0 {
+            let gap = &src[tokens[i - 1].span.end..token.span.start];
+            echo.push_str(if gap.contains("--") || gap.contains('\n') {
+                " "
+            } else {
+                gap
+            });
+        }
+        echo.push_str(&src[token.span.start..token.span.end]);
+    }
+    echo
 }
 
 fn help() {

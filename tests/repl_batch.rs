@@ -87,6 +87,30 @@ fn a_removed_knob_is_an_unknown_knob() {
     }
 }
 
+/// The echo of a statement is rebuilt from its tokens: a `--` inside a
+/// string literal is content, a comment or a line break between two tokens
+/// prints as one space, and any other gap as written.
+#[test]
+fn the_echo_keeps_string_literals_whole() {
+    let out = run_batch(
+        "echo",
+        "SELECT name FROM censusform WHERE name = 'a--b';\n\
+         SELECT name -- the reading's name\n  FROM censusform\tWHERE ssn  = 185 ;\n",
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    for echo in [
+        "mayql> SELECT name FROM censusform WHERE name = 'a--b';\n",
+        "mayql> SELECT name FROM censusform\tWHERE ssn  = 185;\n",
+    ] {
+        assert!(stdout.contains(echo), "stdout echoes `{echo}`: {stdout}");
+    }
+}
+
 #[test]
 fn malformed_set_value_is_a_hard_error() {
     let out = run_batch("bad-value", "\\set threads maybe\n");
