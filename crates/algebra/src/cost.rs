@@ -2,9 +2,9 @@
 //! [`crate::optimize::optimize_with_stats`]) and `EXPLAIN`'s `est_rows=`.
 //!
 //! Estimates are classical System-R style, computed bottom-up over a
-//! [`Plan`] from the per-relation [`RelationStats`] a [`StatsProvider`]
-//! serves (in the full system, the `sql` catalog, which collects them at
-//! scan/`LET` materialization):
+//! [`Plan`] from the per-relation statistics its [`Relations`] serve
+//! ([`maybms_core::RelationStats`]: each relation's own, collected the
+//! first time the planner reads it; an empty relation's read 0 rows):
 //!
 //! * **selections** — independence-assumption selectivities: `c = lit` is
 //!   `1/ndv(c)`, column-column equality `1/max(ndv)`, ranges interpolate
@@ -28,23 +28,9 @@
 
 use std::collections::BTreeMap;
 
-use maybms_core::stats::RelationStats;
-
-use crate::optimize::SchemaProvider;
+use crate::optimize::Relations;
 use crate::plan::Plan;
 use crate::predicate::{CmpOp, Operand, Predicate};
-
-/// Serves per-relation statistics to the cost-based phase. Implemented by
-/// the executor's relation map (each relation serves its own,
-/// [`maybms_core::URelation::stats`]) and by the `sql` catalog over it.
-pub trait StatsProvider {
-    /// Statistics of the named base relation, if collected.
-    fn relation_stats(&self, name: &str) -> Option<&RelationStats>;
-
-    /// Whether any relation has statistics at all — callers skip the
-    /// cost-based phase entirely on a stats-less provider.
-    fn has_stats(&self) -> bool;
-}
 
 /// Assumed cardinality of a base relation without statistics.
 const DEFAULT_SCAN_ROWS: f64 = 1_000.0;
@@ -161,8 +147,8 @@ pub(crate) fn join_set_est(leaves: &[&CardEst]) -> CardEst {
 
 /// Estimate a plan bottom-up, returning the root's [`CardEst`].
 /// Infallible: unknown relations or statistics degrade to defaults.
-pub fn estimate(plan: &Plan, schemas: &dyn SchemaProvider, stats: &dyn StatsProvider) -> CardEst {
-    estimate_into(plan, schemas, stats, &mut Vec::new())
+pub fn estimate(plan: &Plan, relations: &dyn Relations) -> CardEst {
+    estimate_into(plan, relations, &mut Vec::new())
 }
 
 /// Estimated output rows for every node of `plan`, in pre-order (node
@@ -170,29 +156,20 @@ pub fn estimate(plan: &Plan, schemas: &dyn SchemaProvider, stats: &dyn StatsProv
 /// pretty-printer and the tracer's node spans use. `EXPLAIN` and `EXPLAIN
 /// ANALYZE` call it for the plan they render (`est_rows=`); nothing else in
 /// the engine does.
-pub fn estimate_preorder(
-    plan: &Plan,
-    schemas: &dyn SchemaProvider,
-    stats: &dyn StatsProvider,
-) -> Vec<f64> {
+pub fn estimate_preorder(plan: &Plan, relations: &dyn Relations) -> Vec<f64> {
     let mut rows = Vec::with_capacity(plan.node_count());
-    estimate_into(plan, schemas, stats, &mut rows);
+    estimate_into(plan, relations, &mut rows);
     rows
 }
 
 /// [`estimate`], one bottom-up walk that also records each node's rows in
 /// `out`, in pre-order.
-fn estimate_into(
-    plan: &Plan,
-    schemas: &dyn SchemaProvider,
-    stats: &dyn StatsProvider,
-    out: &mut Vec<f64>,
-) -> CardEst {
+fn estimate_into(plan: &Plan, relations: &dyn Relations, out: &mut Vec<f64>) -> CardEst {
     let slot = out.len();
     out.push(0.0);
-    let mut child = |input: &Plan| estimate_into(input, schemas, stats, out);
+    let mut child = |input: &Plan| estimate_into(input, relations, out);
     let est = match plan {
-        Plan::Scan(name) => scan_est(name, schemas, stats),
+        Plan::Scan(name) => scan_est(name, relations),
         Plan::Select { input, predicate } => {
             let in_est = child(input);
             let sel = selectivity(predicate, &in_est).clamp(0.0, 1.0);
@@ -312,8 +289,8 @@ fn estimate_into(
     est
 }
 
-fn scan_est(name: &str, schemas: &dyn SchemaProvider, stats: &dyn StatsProvider) -> CardEst {
-    if let Some(rs) = stats.relation_stats(name) {
+fn scan_est(name: &str, relations: &dyn Relations) -> CardEst {
+    if let Some(rs) = relations.stats(name) {
         let rows = rs.rows as f64;
         return CardEst {
             rows,
@@ -339,8 +316,8 @@ fn scan_est(name: &str, schemas: &dyn SchemaProvider, stats: &dyn StatsProvider)
         };
     }
     // No statistics: default cardinality, all columns distinct.
-    let ndv = schemas
-        .base_schema(name)
+    let ndv = relations
+        .schema(name)
         .map(|s| {
             s.names()
                 .into_iter()
@@ -412,22 +389,13 @@ fn compare_selectivity(op: CmpOp, lhs: &Operand, rhs: &Operand, est: &CardEst) -
 #[cfg(test)]
 mod tests {
     use std::collections::BTreeMap;
+    use std::sync::Arc;
 
     use maybms_core::stats::{ColumnStats, RelationStats};
     use maybms_core::{Schema, Value, ValueType};
 
     use super::*;
     use crate::predicate::{col, lit};
-
-    /// Hand-made statistics, for the fixtures here and in `optimize`.
-    impl StatsProvider for BTreeMap<String, RelationStats> {
-        fn relation_stats(&self, name: &str) -> Option<&RelationStats> {
-            self.get(name)
-        }
-        fn has_stats(&self) -> bool {
-            !self.is_empty()
-        }
-    }
 
     type ColSpec<'a> = (&'a str, f64, Option<(i64, i64)>);
 
@@ -450,50 +418,49 @@ mod tests {
         }
     }
 
-    fn fixture() -> (BTreeMap<String, Schema>, BTreeMap<String, RelationStats>) {
-        let mut schemas = BTreeMap::new();
-        let mut stats = BTreeMap::new();
-        schemas.insert(
+    /// `r1` and `r2`, each with hand-made statistics (the fixture's
+    /// [`Relations`] impl is in `optimize`'s tests).
+    fn fixture() -> BTreeMap<String, (Schema, Arc<RelationStats>)> {
+        let mut rels = BTreeMap::new();
+        rels.insert(
             "r1".to_string(),
-            Schema::of(&[("a", ValueType::Int), ("b", ValueType::Int)]).unwrap(),
-        );
-        schemas.insert(
-            "r2".to_string(),
-            Schema::of(&[("b", ValueType::Int), ("c", ValueType::Int)]).unwrap(),
-        );
-        stats.insert(
-            "r1".to_string(),
-            rel_stats(
-                10_000,
-                &[
-                    ("a", 10_000.0, Some((0, 9_999))),
-                    ("b", 100.0, Some((0, 99))),
-                ],
+            (
+                Schema::of(&[("a", ValueType::Int), ("b", ValueType::Int)]).unwrap(),
+                Arc::new(rel_stats(
+                    10_000,
+                    &[
+                        ("a", 10_000.0, Some((0, 9_999))),
+                        ("b", 100.0, Some((0, 99))),
+                    ],
+                )),
             ),
         );
-        stats.insert(
+        rels.insert(
             "r2".to_string(),
-            rel_stats(
-                1_000,
-                &[("b", 100.0, Some((0, 99))), ("c", 1_000.0, Some((0, 999)))],
+            (
+                Schema::of(&[("b", ValueType::Int), ("c", ValueType::Int)]).unwrap(),
+                Arc::new(rel_stats(
+                    1_000,
+                    &[("b", 100.0, Some((0, 99))), ("c", 1_000.0, Some((0, 999)))],
+                )),
             ),
         );
-        (schemas, stats)
+        rels
     }
 
     #[test]
     fn equality_selectivity_uses_distinct_counts() {
-        let (schemas, stats) = fixture();
+        let rels = fixture();
         let plan = Plan::scan("r1").select(Predicate::eq(col("b"), lit(7i64)));
-        let est = estimate(&plan, &schemas, &stats);
+        let est = estimate(&plan, &rels);
         assert!((est.rows - 100.0).abs() < 1e-6, "rows = {}", est.rows);
     }
 
     #[test]
     fn range_selectivity_interpolates() {
-        let (schemas, stats) = fixture();
+        let rels = fixture();
         let plan = Plan::scan("r1").select(Predicate::lt(col("a"), lit(1_000i64)));
-        let est = estimate(&plan, &schemas, &stats);
+        let est = estimate(&plan, &rels);
         assert!(
             (est.rows - 1_000.0).abs() < 5.0,
             "expected ~10% of rows, got {}",
@@ -503,18 +470,18 @@ mod tests {
 
     #[test]
     fn join_rows_follow_distinct_count_ratio() {
-        let (schemas, stats) = fixture();
+        let rels = fixture();
         let plan = Plan::scan("r1").join(Plan::scan("r2"));
-        let est = estimate(&plan, &schemas, &stats);
+        let est = estimate(&plan, &rels);
         // 10⁴ · 10³ / max(100, 100) = 10⁵
         assert!((est.rows - 100_000.0).abs() < 1e-6, "rows = {}", est.rows);
     }
 
     #[test]
     fn join_set_estimate_is_order_invariant() {
-        let (schemas, stats) = fixture();
-        let a = estimate(&Plan::scan("r1"), &schemas, &stats);
-        let b = estimate(&Plan::scan("r2"), &schemas, &stats);
+        let rels = fixture();
+        let a = estimate(&Plan::scan("r1"), &rels);
+        let b = estimate(&Plan::scan("r2"), &rels);
         let ab = join_set_est(&[&a, &b]);
         let ba = join_set_est(&[&b, &a]);
         assert_eq!(ab.rows, ba.rows);
@@ -523,21 +490,23 @@ mod tests {
 
     #[test]
     fn stats_less_scans_fall_back_to_defaults() {
-        let (schemas, _) = fixture();
-        let stats: BTreeMap<String, RelationStats> = BTreeMap::new();
-        let est = estimate(&Plan::scan("r1"), &schemas, &stats);
+        let schemas: BTreeMap<String, Schema> = fixture()
+            .into_iter()
+            .map(|(name, (schema, _))| (name, schema))
+            .collect();
+        let est = estimate(&Plan::scan("r1"), &schemas);
         assert_eq!(est.rows, DEFAULT_SCAN_ROWS);
         assert!(est.ndv.contains_key("a"));
     }
 
     #[test]
     fn preorder_estimates_cover_every_node() {
-        let (schemas, stats) = fixture();
+        let rels = fixture();
         let plan = Plan::scan("r1")
             .join(Plan::scan("r2"))
             .select(Predicate::eq(col("c"), lit(1i64)))
             .project(["a"]);
-        let ests = estimate_preorder(&plan, &schemas, &stats);
+        let ests = estimate_preorder(&plan, &rels);
         assert_eq!(ests.len(), plan.node_count());
         // Pre-order: project, select, join, scan r1, scan r2.
         assert_eq!(ests[3], 10_000.0);

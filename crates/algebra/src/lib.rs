@@ -37,9 +37,9 @@
 //! redundant. Uncertainty operators are barriers whose inputs are
 //! rewritten in place. After the rules, [`optimize::optimize_with_stats`]
 //! runs a **cost-based phase** once: it reorders join trees (a greedy
-//! cheapest-pair search), driven by the catalog statistics a
-//! [`cost::StatsProvider`] serves to the cardinality estimator in
-//! [`cost`], and where it reordered, the rules sweep once more.
+//! cheapest-pair search), driven by the statistics each relation serves
+//! through [`Relations`] to the cardinality estimator in [`cost`], and
+//! where it reordered, the rules sweep once more.
 //!
 //! [`naive`] evaluates the same plans with the textbook single-world
 //! algebra, which is what the differential tests run inside each enumerated
@@ -57,9 +57,9 @@ mod repair;
 pub mod uncertain;
 
 pub use confidence::{ApproxConf, CONF_COLUMN, DEFAULT_CONF_EXACT_LIMIT, DEFAULT_CONF_SEED};
-pub use cost::{estimate, estimate_preorder, CardEst, StatsProvider};
+pub use cost::{estimate, estimate_preorder, CardEst};
 pub use eval::{run, run_traced, run_with, run_with_opts, ExecCfg, ExecStats, SipStats};
-pub use optimize::{optimize, optimize_with_stats, SchemaProvider};
+pub use optimize::{optimize, optimize_with_stats, Relations};
 pub use plan::Plan;
 pub use predicate::{col, lit, CmpOp, Operand, Predicate};
 pub use uncertain::{certain, conf, conf_approx, conf_approx_with, possible, repair_key, UOp};

@@ -17,9 +17,9 @@
 //!
 //! Rules fire only when a derived plan property proves them sound; the
 //! properties ([`Plan::schema_with`], [`Plan::is_certain`]) are computed
-//! structurally against a
-//! [`SchemaProvider`], so every layer that owns schemas (the executor's
-//! relation map, the MayQL catalog) can drive the optimizer.
+//! structurally against the [`Relations`] a plan names — the world set's
+//! relation map, or the MayQL catalog over it — whose statistics also drive
+//! the cost-based join reorder ([`optimize_with_stats`]).
 //!
 //! Uncertainty operators ([`Plan::Uncertain`]) are barriers: no selection
 //! or projection crosses one, and only their input is rewritten. A
@@ -33,74 +33,67 @@
 //! component stays where the query put it.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use maybms_core::{MayError, RelationStats, Schema, URelation};
 
-use crate::cost::{join_set_est, join_step_cost, CardEst, StatsProvider};
+use crate::cost::{join_set_est, join_step_cost, CardEst};
 use crate::plan::Plan;
 use crate::predicate::Predicate;
 use crate::uncertain::UOp;
 
-/// A source of base-relation schemas, the only context the optimizer (and
-/// plan schema inference) needs. Implemented for the executor's relation
-/// map, for a plain name → schema map, and — in `maybms-sql` — for the
-/// MayQL catalog.
-pub trait SchemaProvider {
-    /// The schema of the named base relation, if known.
-    fn base_schema(&self, name: &str) -> Option<&Schema>;
+/// The relations a plan names, as the planner reads them: each one's
+/// schema and its shared statistics, by name. This is all the optimizer,
+/// the estimator and plan schema inference read. Implemented for the world
+/// set's relation map, where each relation serves its own statistics
+/// ([`URelation::stats`], collected on first read), and — in `maybms-sql` —
+/// for the catalog over it.
+pub trait Relations {
+    /// The schema of the named relation, if there is one.
+    fn schema(&self, name: &str) -> Option<&Schema>;
+
+    /// The statistics of the named relation, if there is one.
+    fn stats(&self, name: &str) -> Option<&Arc<RelationStats>>;
 }
 
-impl SchemaProvider for BTreeMap<String, Schema> {
-    fn base_schema(&self, name: &str) -> Option<&Schema> {
-        self.get(name)
+impl Relations for BTreeMap<String, URelation> {
+    fn schema(&self, name: &str) -> Option<&Schema> {
+        self.get(name).map(URelation::schema)
     }
-}
-
-impl SchemaProvider for BTreeMap<String, URelation> {
-    fn base_schema(&self, name: &str) -> Option<&Schema> {
-        self.get(name).map(|r| r.schema())
-    }
-}
-
-/// The relations serve their own statistics, collected on first read. A
-/// map whose relations are all empty has none to plan by: it plans
-/// rule-only.
-impl StatsProvider for BTreeMap<String, URelation> {
-    fn relation_stats(&self, name: &str) -> Option<&RelationStats> {
-        self.get(name).map(|r| &**r.stats())
-    }
-    fn has_stats(&self) -> bool {
-        self.values().any(|r| !r.is_empty())
+    fn stats(&self, name: &str) -> Option<&Arc<RelationStats>> {
+        self.get(name).map(URelation::stats)
     }
 }
 
 impl Plan {
-    /// Infer the plan's output schema against a [`SchemaProvider`] (the
-    /// executor's relation map, a name → schema map, the MayQL catalog).
-    pub fn schema_with(&self, schemas: &dyn SchemaProvider) -> Result<Schema, MayError> {
+    /// Infer the plan's output schema against the [`Relations`] it names
+    /// (the world set's relation map, the MayQL catalog).
+    pub fn schema_with(&self, relations: &dyn Relations) -> Result<Schema, MayError> {
         match self {
-            Plan::Scan(name) => schemas
-                .base_schema(name)
+            Plan::Scan(name) => relations
+                .schema(name)
                 .cloned()
                 .ok_or_else(|| MayError::UnknownRelation(name.clone())),
             Plan::Select { input, predicate } => {
-                let s = input.schema_with(schemas)?;
+                let s = input.schema_with(relations)?;
                 // Bind to surface unknown-column errors at planning time.
                 predicate.bind(&s)?;
                 Ok(s)
             }
-            Plan::Project { input, columns } => Ok(input.schema_with(schemas)?.project(columns)?.0),
+            Plan::Project { input, columns } => {
+                Ok(input.schema_with(relations)?.project(columns)?.0)
+            }
             Plan::NaturalJoin { left, right } => Ok(left
-                .schema_with(schemas)?
-                .natural_join(&right.schema_with(schemas)?)?
+                .schema_with(relations)?
+                .natural_join(&right.schema_with(relations)?)?
                 .schema),
             Plan::Union { left, right } => {
-                let l = left.schema_with(schemas)?;
-                l.union_compatible(&right.schema_with(schemas)?)?;
+                let l = left.schema_with(relations)?;
+                l.union_compatible(&right.schema_with(relations)?)?;
                 Ok(l)
             }
-            Plan::Rename { input, renames } => Ok(input.schema_with(schemas)?.rename(renames)?),
-            Plan::Uncertain { op, input } => op.output_schema(&input.schema_with(schemas)?),
+            Plan::Rename { input, renames } => Ok(input.schema_with(relations)?.rename(renames)?),
+            Plan::Uncertain { op, input } => op.output_schema(&input.schema_with(relations)?),
         }
     }
 }
@@ -111,10 +104,10 @@ impl Plan {
 /// projection it meets), so a second round of both finds nothing: the
 /// result is its own optimization. It evaluates to the same u-relation as
 /// the input (up to row order) on every world set whose base relations
-/// match the provider's schemas; the differential test suite checks exactly
+/// match the relations' schemas; the differential test suite checks exactly
 /// that on randomized plans and world sets.
-pub fn optimize(plan: &Plan, schemas: &dyn SchemaProvider) -> Result<Plan, MayError> {
-    Sweep { schemas }.rules(plan.clone())
+pub fn optimize(plan: &Plan, relations: &dyn Relations) -> Result<Plan, MayError> {
+    Sweep { relations }.rules(plan.clone())
 }
 
 /// An uncertainty operator over its rewritten input `swept`. A
@@ -134,11 +127,11 @@ fn certain_input(op: &UOp, input: &Plan) -> Option<Box<Plan>> {
     (matches!(op, UOp::RepairKey { .. }) && input.is_certain()).then(|| Box::new(input.clone()))
 }
 
-/// The optimizer's sweeps over one provider's schemas: the rules
+/// The optimizer's sweeps over one set of relations: the rules
 /// ([`Sweep::pushdown`], [`Sweep::prune`]) and the cost-based join reorder
 /// ([`Sweep::reorder`]).
 struct Sweep<'a> {
-    schemas: &'a dyn SchemaProvider,
+    relations: &'a dyn Relations,
 }
 
 /// Flatten a predicate's top-level conjunction into conjuncts.
@@ -211,8 +204,8 @@ impl Sweep<'_> {
         let Plan::NaturalJoin { left, right } = input else {
             return Ok(input.select(pred));
         };
-        let ls = left.schema_with(self.schemas)?;
-        let rs = right.schema_with(self.schemas)?;
+        let ls = left.schema_with(self.relations)?;
+        let rs = right.schema_with(self.relations)?;
         let mut parts = Vec::new();
         conjuncts(pred, &mut parts);
         let (mut to_l, mut to_r, mut keep) = (Vec::new(), Vec::new(), Vec::new());
@@ -301,8 +294,8 @@ impl Sweep<'_> {
                 let Some(req) = required else {
                     return Ok(self.prune(*left, None)?.join(self.prune(*right, None)?));
                 };
-                let ls = left.schema_with(self.schemas)?;
-                let rs = right.schema_with(self.schemas)?;
+                let ls = left.schema_with(self.relations)?;
+                let rs = right.schema_with(self.relations)?;
                 let shared: BTreeSet<&str> = ls
                     .names()
                     .into_iter()
@@ -348,7 +341,7 @@ impl Sweep<'_> {
             other => other,
         };
         let plan = self.prune(plan, Some(required))?;
-        let schema = plan.schema_with(self.schemas)?;
+        let schema = plan.schema_with(self.relations)?;
         let keep: Vec<String> = schema
             .names()
             .into_iter()
@@ -374,9 +367,9 @@ const COST_IMPROVEMENT: f64 = 0.95;
 /// in a fixed sequence of sweeps, each run once:
 ///
 /// 1. pushdown and 2. pruning — exactly [`optimize`];
-/// 3. when the provider has statistics, one greedy cheapest-pair search per
-///    maximal join tree, which replaces the tree when it beats the current
-///    shape by a 5 % margin (the near-tie policy);
+/// 3. one greedy cheapest-pair search per maximal join tree, which
+///    replaces the tree when it beats the current shape by a 5 % margin
+///    (the near-tie policy);
 /// 4. when a reorder fired, pushdown and pruning once more, over the
 ///    reordered plan: the projection that restores a reordered tree's
 ///    column order merges into an enclosing one, and the new shape's join
@@ -388,23 +381,19 @@ const COST_IMPROVEMENT: f64 = 0.95;
 /// where step 4 narrows a reordered tree into smaller ones, or the greedy
 /// search breaks a tie differently over the reordered leaves, a second call
 /// can still find a cheaper order (about 2 in 1 000 randomly generated
-/// plans). With a stats-less provider this is exactly [`optimize`].
+/// plans). Over empty relations every scan estimates 0 rows, so every
+/// shape costs 0, no reorder fires and the result is exactly [`optimize`]'s
+/// — unless a `certain` leaf's one-row estimate floor makes one order
+/// cheaper, which is still an order over the same leaves.
 ///
 /// Like the rules, every rewrite is meaning-preserving: the result
 /// evaluates to the same u-relation as the input (up to row order) on every
-/// world set matching the provider's schemas, whatever the statistics say —
+/// world set matching the relations' schemas, whatever the statistics say —
 /// estimates only ever pick among equivalent shapes.
-pub fn optimize_with_stats(
-    plan: &Plan,
-    schemas: &dyn SchemaProvider,
-    stats: &dyn StatsProvider,
-) -> Result<Plan, MayError> {
-    let planned = optimize(plan, schemas)?;
-    if !stats.has_stats() {
-        return Ok(planned);
-    }
-    let sweep = Sweep { schemas };
-    match sweep.reorder(&planned, stats)? {
+pub fn optimize_with_stats(plan: &Plan, relations: &dyn Relations) -> Result<Plan, MayError> {
+    let planned = optimize(plan, relations)?;
+    let sweep = Sweep { relations };
+    match sweep.reorder(&planned)? {
         Some(reordered) => sweep.rules(reordered),
         None => Ok(planned),
     }
@@ -519,30 +508,28 @@ impl Sweep<'_> {
     /// argument is that every candidate is a join tree over the same leaf
     /// set, and the estimates only *select*. `None` when no tree was
     /// reordered, so an unchanged subtree is never rebuilt.
-    fn reorder(&self, plan: &Plan, stats: &dyn StatsProvider) -> Result<Option<Plan>, MayError> {
+    fn reorder(&self, plan: &Plan) -> Result<Option<Plan>, MayError> {
         Ok(match plan {
             Plan::Scan(_) => None,
-            Plan::Select { input, predicate } => self
-                .reorder(input, stats)?
-                .map(|i| i.select(predicate.clone())),
-            Plan::Project { input, columns } => self
-                .reorder(input, stats)?
-                .map(|i| i.project(columns.clone())),
-            Plan::Rename { input, renames } => self
-                .reorder(input, stats)?
-                .map(|i| i.rename(renames.clone())),
-            Plan::Union { left, right } => {
-                match (self.reorder(left, stats)?, self.reorder(right, stats)?) {
-                    (None, None) => None,
-                    (l, r) => Some(
-                        l.unwrap_or_else(|| (**left).clone())
-                            .union(r.unwrap_or_else(|| (**right).clone())),
-                    ),
-                }
+            Plan::Select { input, predicate } => {
+                self.reorder(input)?.map(|i| i.select(predicate.clone()))
             }
-            Plan::NaturalJoin { .. } => self.reorder_join(plan, stats)?,
+            Plan::Project { input, columns } => {
+                self.reorder(input)?.map(|i| i.project(columns.clone()))
+            }
+            Plan::Rename { input, renames } => {
+                self.reorder(input)?.map(|i| i.rename(renames.clone()))
+            }
+            Plan::Union { left, right } => match (self.reorder(left)?, self.reorder(right)?) {
+                (None, None) => None,
+                (l, r) => Some(
+                    l.unwrap_or_else(|| (**left).clone())
+                        .union(r.unwrap_or_else(|| (**right).clone())),
+                ),
+            },
+            Plan::NaturalJoin { .. } => self.reorder_join(plan)?,
             Plan::Uncertain { op, input } => self
-                .reorder(input, stats)?
+                .reorder(input)?
                 .map(|swept| rebuild(op.clone(), certain_input(op, input), swept)),
         })
     }
@@ -555,16 +542,12 @@ impl Sweep<'_> {
     /// shape's schema permutes it (sound: join output is duplicate-free,
     /// and a full-width projection of a duplicate-free input drops
     /// nothing).
-    fn reorder_join(
-        &self,
-        plan: &Plan,
-        stats: &dyn StatsProvider,
-    ) -> Result<Option<Plan>, MayError> {
+    fn reorder_join(&self, plan: &Plan) -> Result<Option<Plan>, MayError> {
         let mut leaves = Vec::new();
         let shape = flatten_join(plan, &mut leaves);
         let swept = leaves
             .iter()
-            .map(|l| self.reorder(l, stats))
+            .map(|l| self.reorder(l))
             .collect::<Result<Vec<_>, _>>()?;
         let leaves: Vec<&Plan> = leaves
             .into_iter()
@@ -573,13 +556,13 @@ impl Sweep<'_> {
             .collect();
         let ests: Vec<CardEst> = leaves
             .iter()
-            .map(|l| crate::cost::estimate(l, self.schemas, stats))
+            .map(|l| crate::cost::estimate(l, self.relations))
             .collect();
         let (_, current_cost) = shape_cost(&shape, &ests);
         let (best_cost, best_shape) = greedy_best(&ests);
         if best_cost < current_cost * COST_IMPROVEMENT {
             let names = |p: &Plan| -> Result<Vec<String>, MayError> {
-                let schema = p.schema_with(self.schemas)?;
+                let schema = p.schema_with(self.relations)?;
                 Ok(schema.names().into_iter().map(str::to_string).collect())
             };
             let best = rebuild_shape(&best_shape, &leaves);
@@ -600,6 +583,28 @@ mod tests {
     use super::*;
     use crate::predicate::{col, lit};
     use maybms_core::ValueType;
+
+    /// Schemas alone, for fixtures: no relation has statistics, so every
+    /// scan estimates the defaults.
+    impl Relations for BTreeMap<String, Schema> {
+        fn schema(&self, name: &str) -> Option<&Schema> {
+            self.get(name)
+        }
+        fn stats(&self, _: &str) -> Option<&Arc<RelationStats>> {
+            None
+        }
+    }
+
+    /// Hand-made statistics beside each schema, for the fixtures here and
+    /// in `cost`.
+    impl Relations for BTreeMap<String, (Schema, Arc<RelationStats>)> {
+        fn schema(&self, name: &str) -> Option<&Schema> {
+            self.get(name).map(|(schema, _)| schema)
+        }
+        fn stats(&self, name: &str) -> Option<&Arc<RelationStats>> {
+            self.get(name).map(|(_, stats)| stats)
+        }
+    }
 
     fn schemas() -> BTreeMap<String, Schema> {
         let mut m = BTreeMap::new();
@@ -625,8 +630,8 @@ mod tests {
     /// Statistics making `r1` large (10⁴ rows), `r2` medium (10³), `r3`
     /// tiny (10), with join keys `b` (ndv 100) and `c` (ndv 10³ in r2,
     /// 10 in r3).
-    fn stats() -> BTreeMap<String, maybms_core::RelationStats> {
-        use maybms_core::stats::{ColumnStats, RelationStats};
+    fn stats() -> BTreeMap<String, (Schema, Arc<RelationStats>)> {
+        use maybms_core::stats::ColumnStats;
         let rel = |rows: u64, cols: &[(&str, f64)]| RelationStats {
             rows,
             columns: cols
@@ -643,21 +648,21 @@ mod tests {
                 .collect(),
             nontrivial_frac: 0.0,
         };
-        let mut m = BTreeMap::new();
-        m.insert(
-            "r1".to_string(),
-            rel(10_000, &[("a", 10_000.0), ("b", 100.0)]),
-        );
-        m.insert(
-            "r2".to_string(),
-            rel(1_000, &[("b", 100.0), ("c", 1_000.0)]),
-        );
-        m.insert("r3".to_string(), rel(10, &[("c", 10.0), ("d", 10.0)]));
-        m
+        let mut stats = BTreeMap::new();
+        stats.insert("r1", rel(10_000, &[("a", 10_000.0), ("b", 100.0)]));
+        stats.insert("r2", rel(1_000, &[("b", 100.0), ("c", 1_000.0)]));
+        stats.insert("r3", rel(10, &[("c", 10.0), ("d", 10.0)]));
+        schemas()
+            .into_iter()
+            .map(|(name, schema)| {
+                let rs = Arc::new(stats.remove(name.as_str()).expect("a fixture relation"));
+                (name, (schema, rs))
+            })
+            .collect()
     }
 
     fn opt_cost(plan: &Plan) -> Plan {
-        optimize_with_stats(plan, &schemas(), &stats()).expect("optimizes")
+        optimize_with_stats(plan, &stats()).expect("optimizes")
     }
 
     #[test]
@@ -729,12 +734,31 @@ mod tests {
         }
     }
 
+    /// Over empty relations every estimate is 0, so every shape costs the
+    /// same and the join reorder keeps the rules' plan.
     #[test]
-    fn without_stats_the_cost_phase_is_a_no_op() {
-        let empty: BTreeMap<String, maybms_core::RelationStats> = BTreeMap::new();
-        let plan = Plan::scan("r2").join(Plan::scan("r1"));
-        let with = optimize_with_stats(&plan, &schemas(), &empty).expect("optimizes");
-        assert_eq!(with.to_string(), opt(plan));
+    fn over_empty_relations_the_plan_is_the_rules_plan() {
+        let empty: BTreeMap<String, URelation> = schemas()
+            .into_iter()
+            .map(|(name, schema)| (name, URelation::new(schema)))
+            .collect();
+        for plan in [
+            Plan::scan("r1")
+                .join(Plan::scan("r2"))
+                .join(Plan::scan("r3")),
+            Plan::scan("r3")
+                .join(Plan::scan("r2"))
+                .join(Plan::scan("r1")),
+            Plan::scan("r2").join(Plan::scan("r1")),
+            Plan::scan("r3")
+                .join(Plan::scan("r2"))
+                .join(Plan::scan("r1"))
+                .project(["a", "d"]),
+        ] {
+            let rules = optimize(&plan, &empty).expect("optimizes");
+            let cost = optimize_with_stats(&plan, &empty).expect("optimizes");
+            assert_eq!(cost.to_string(), rules.to_string(), "{plan}");
+        }
     }
 
     #[test]

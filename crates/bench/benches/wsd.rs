@@ -272,8 +272,7 @@ fn main() {
                 .len()
         });
         emit("join3_skewed_raw", n, rows, ms_raw);
-        let optimized =
-            optimize_with_stats(&plan, &ws.relations, &ws.relations).expect("plan optimizes");
+        let optimized = optimize_with_stats(&plan, &ws.relations).expect("plan optimizes");
         assert_ne!(
             rules_only.to_string(),
             optimized.to_string(),
@@ -314,8 +313,7 @@ fn main() {
             run(ws, &plan).expect("join workload is well-typed").len()
         });
         emit("selective_right_raw", n, rows, ms);
-        let optimized =
-            optimize_with_stats(&plan, &ws.relations, &ws.relations).expect("plan optimizes");
+        let optimized = optimize_with_stats(&plan, &ws.relations).expect("plan optimizes");
         let (rows_opt, ms) = bench_min(&ws, |ws| {
             run(ws, &optimized)
                 .expect("optimized plan is well-typed")

@@ -8,9 +8,9 @@
 //! function of the cells alone, so it lives beside them: a relation holds
 //! its statistics once per version of its contents
 //! ([`URelation::stats`]), collected on the first read and shared by every
-//! clone. Nothing else keeps a copy — the `sql` catalog is the world set's
-//! relations, the optimizer reads the statistics through its
-//! `StatsProvider` trait, and the plan cache keeps the shared handle of
+//! clone. Nothing else keeps a copy — the optimizer reads the statistics
+//! through `maybms_algebra::Relations`, which the world set's relation map
+//! implements, and the plan cache keeps the shared handle of
 //! what each plan read. `maybms-core` itself attaches no planning semantics
 //! to the numbers.
 //!

@@ -507,7 +507,7 @@ mod tests {
         u.body.rows.get().is_some()
     }
 
-    fn has_stats(u: &URelation) -> bool {
+    fn stats_memoised(u: &URelation) -> bool {
         u.body.stats.get().is_some()
     }
 
@@ -538,7 +538,7 @@ mod tests {
         // Re-coded, it is what pushing its rows makes; its memos stay.
         let mut stored = answer;
         stored.own_dictionaries();
-        assert!(stored.body.own && has_rows(&stored) && has_stats(&stored));
+        assert!(stored.body.own && has_rows(&stored) && stats_memoised(&stored));
         assert_same_body(&stored, &pushed);
         // A relation whose dictionaries are its own is left as it is.
         let body = Arc::as_ptr(&stored.body);
@@ -586,7 +586,7 @@ mod tests {
         let rows = reader.rows().as_ptr();
         // A clone shares the body, and with it both memos.
         assert!(Arc::ptr_eq(&original.body, &reader.body));
-        assert!(has_stats(&reader) && has_rows(&original));
+        assert!(stats_memoised(&reader) && has_rows(&original));
         type Write = fn(&mut URelation);
         let writes: [(&str, Write); 4] = [
             ("push", |u| {
@@ -606,10 +606,10 @@ mod tests {
             assert!(!Arc::ptr_eq(&clone.body, &original.body), "{name}");
             assert!(!has_rows(&clone), "{name} clears the writer's rows");
             // Capacity is not content: the statistics stay.
-            assert_eq!(has_stats(&clone), name == "reserve", "{name}");
+            assert_eq!(stats_memoised(&clone), name == "reserve", "{name}");
             // The other holders keep their body and both memos.
             assert!(Arc::ptr_eq(&original.body, &reader.body), "{name}");
-            assert!(has_stats(&original) && has_rows(&original), "{name}");
+            assert!(stats_memoised(&original) && has_rows(&original), "{name}");
             assert_eq!(original.rows().as_ptr(), rows, "{name}");
             assert_eq!(original, sample(), "{name}");
             assert_eq!(collect(&original), collected, "{name}");
@@ -650,7 +650,7 @@ mod tests {
         u.rows();
         ws.normalize();
         let r = &ws.relations["r"];
-        assert!(has_stats(r) && !has_rows(r));
+        assert!(stats_memoised(r) && !has_rows(r));
         assert_eq!(collect(r), collected);
         assert_eq!(r.rows()[0].1, WsDescriptor::single(ComponentId(0), 0));
         // The holder of the old body keeps it.

@@ -5,7 +5,7 @@
 //! rewrite sweeps, cost-based join reordering — costs far more than a
 //! lookup, and interactive sessions re-issue the same statements (often
 //! verbatim, or differing only in layout and keyword case). [`PlanCache`]
-//! memoizes the *optimized* plan keyed on three things, any of which
+//! memoizes the *optimized* plan keyed on two things, either of which
 //! invalidates the entry by missing instead of matching:
 //!
 //! * the **query's tokens**, as [`lex`] reads them: whitespace and `--`
@@ -18,10 +18,7 @@
 //!   query's tokens: two queries share a key only when their tokens differ
 //!   in nothing but the case of reserved words;
 //! * **each relation the plan scans**, with its schema and its statistics
-//!   (they drive the cost-based phase);
-//! * whether the catalog has statistics at all
-//!   ([`maybms_algebra::StatsProvider::has_stats`]: whether the cost-based
-//!   phase runs).
+//!   (they drive the cost-based phase), as [`Relations`] serves them.
 //!
 //! Those are everything the optimizer reads: compilation takes no setting
 //! ([`maybms_algebra::ExecCfg`] is execution-only). So a `LET` of a relation
@@ -38,10 +35,9 @@
 
 use std::sync::Arc;
 
-use maybms_algebra::{Plan, StatsProvider};
+use maybms_algebra::{Plan, Relations};
 use maybms_core::{RelationStats, Schema};
 
-use crate::catalog::{same_stats, Catalog};
 use crate::lexer::{lex, TokenKind};
 use crate::parser::is_reserved;
 
@@ -80,22 +76,22 @@ struct Entry {
     /// The query's [`key`].
     text: String,
     reads: Vec<Read>,
-    has_stats: bool,
     plan: Plan,
     /// LRU clock value of the last touch.
     last_used: u64,
 }
 
 impl Entry {
-    /// Whether `catalog` shows the entry's plan what it was compiled
-    /// against.
-    fn compiled_against(&self, catalog: &Catalog) -> bool {
-        self.has_stats == catalog.has_stats()
-            && self.reads.iter().all(|read| {
-                catalog.relation(&read.name).is_some_and(|rel| {
-                    rel.schema() == &read.schema && same_stats(rel.stats(), &read.stats)
-                })
-            })
+    /// Whether `relations` show the entry's plan what it was compiled
+    /// against. Statistics are one shared copy per relation, so a pointer
+    /// comparison settles most reads before the value comparison.
+    fn compiled_against(&self, relations: &dyn Relations) -> bool {
+        self.reads.iter().all(|read| {
+            relations.schema(&read.name) == Some(&read.schema)
+                && relations
+                    .stats(&read.name)
+                    .is_some_and(|s| Arc::ptr_eq(s, &read.stats) || s == &read.stats)
+        })
     }
 }
 
@@ -142,16 +138,16 @@ impl PlanCache {
         }
     }
 
-    /// Look up a compilation of `text` against `catalog`. A hit refreshes
-    /// the entry's LRU position; text that does not lex misses.
-    pub fn lookup(&mut self, catalog: &Catalog, text: &str) -> Option<CachedPlan> {
+    /// Look up a compilation of `text` against `relations`. A hit
+    /// refreshes the entry's LRU position; text that does not lex misses.
+    pub fn lookup(&mut self, relations: &dyn Relations, text: &str) -> Option<CachedPlan> {
         let text = key(text);
         self.tick += 1;
         let tick = self.tick;
         let hit = self
             .entries
             .iter_mut()
-            .find(|e| text.as_ref() == Some(&e.text) && e.compiled_against(catalog));
+            .find(|e| text.as_ref() == Some(&e.text) && e.compiled_against(relations));
         match hit {
             Some(e) => {
                 self.hits += 1;
@@ -167,16 +163,16 @@ impl PlanCache {
         }
     }
 
-    /// Store a fresh compilation of `text` against `catalog`, evicting the
-    /// least-recently-used entry when the cache is full. An existing entry
-    /// for the same key is replaced; a plan that scans a relation the
-    /// catalog lacks was not compiled against it and is not stored, nor is
-    /// text that does not lex (it has no key). `_estimates` is ignored —
-    /// estimates are not cached — and stays only because `perfbench`'s
-    /// adapter names this signature.
+    /// Store a fresh compilation of `text` against `relations`, evicting
+    /// the least-recently-used entry when the cache is full. An existing
+    /// entry for the same key is replaced; a plan that scans a relation
+    /// `relations` lack was not compiled against them and is not stored,
+    /// nor is text that does not lex (it has no key). `_estimates` is
+    /// ignored — estimates are not cached — and stays only because
+    /// `perfbench`'s adapter names this signature.
     pub fn insert(
         &mut self,
-        catalog: &Catalog,
+        relations: &dyn Relations,
         text: &str,
         plan: Plan,
         _estimates: Option<Vec<f64>>,
@@ -184,8 +180,8 @@ impl PlanCache {
         let mut names = Vec::new();
         scans(&plan, &mut names);
         let reads = names.into_iter().map(|name| {
-            let rel = catalog.relation(&name)?;
-            let (schema, stats) = (rel.schema().clone(), Arc::clone(rel.stats()));
+            let schema = relations.schema(&name)?.clone();
+            let stats = Arc::clone(relations.stats(&name)?);
             Some(Read {
                 name,
                 schema,
@@ -197,7 +193,7 @@ impl PlanCache {
         };
         self.tick += 1;
         self.entries
-            .retain(|e| !(e.text == text && e.compiled_against(catalog)));
+            .retain(|e| !(e.text == text && e.compiled_against(relations)));
         if self.entries.len() >= self.cap {
             if let Some(lru) = self
                 .entries
@@ -212,7 +208,6 @@ impl PlanCache {
         self.entries.push(Entry {
             text,
             reads,
-            has_stats: catalog.has_stats(),
             plan,
             last_used: self.tick,
         });
@@ -244,6 +239,7 @@ mod tests {
     use maybms_core::{Tuple, URelation, Value, ValueType, WorldSet, WsDescriptor};
 
     use super::*;
+    use crate::catalog::Catalog;
 
     /// `r(a, b)` holding `(i, i)` for each `i` in `rows`.
     fn relation(rows: std::ops::Range<i64>) -> URelation {
@@ -383,8 +379,10 @@ mod tests {
         cache.insert(&cat, "q", Plan::scan("r"), None);
         // Built afresh with equal contents: its own statistics, equal ones.
         let rebuilt = catalog();
-        let (old, new) = (cat.relation("r").unwrap(), rebuilt.relation("r").unwrap());
-        assert!(!Arc::ptr_eq(old.stats(), new.stats()));
+        assert!(!Arc::ptr_eq(
+            cat.stats("r").unwrap(),
+            rebuilt.stats("r").unwrap()
+        ));
         assert!(cache.lookup(&rebuilt, "q").is_some());
         // The same rows under other column names.
         let schema = Schema::of(&[("a", ValueType::Int), ("c", ValueType::Int)]).unwrap();
@@ -395,9 +393,8 @@ mod tests {
         assert!(cache
             .lookup(&catalog_of(vec![("r", renamed)]), "q")
             .is_none());
-        // An empty `r`: no statistics to plan by, another key.
+        // An empty `r`: other statistics (no rows), another key.
         let empty = catalog_of(vec![("r", relation(0..0))]);
-        assert!(!empty.has_stats());
         assert!(cache.lookup(&empty, "q").is_none());
         cache.insert(&empty, "q", Plan::scan("r"), None);
         assert!(cache.lookup(&empty, "q").is_some());

@@ -2,16 +2,16 @@
 //! and `EXPLAIN ANALYZE`: execute with tracing on and annotate the
 //! optimized plan with per-node observations.
 //!
-//! When the catalog carries relation statistics, both statements also show
-//! the cost model's per-node cardinality estimates (`est_rows=`), and
-//! `EXPLAIN ANALYZE` closes with a q-error summary comparing them against
-//! the observed row counts — the planner grading its own homework.
+//! Both statements also show the cost model's per-node cardinality
+//! estimates (`est_rows=`; over empty relations they read 0), and `EXPLAIN
+//! ANALYZE` closes with a q-error summary comparing them against the
+//! observed row counts — the planner grading its own homework.
 //!
 //! This module is where estimates are computed, and nothing stores them:
-//! each statement estimates the plan it renders from the catalog it was
-//! compiled against, so a repeated `EXPLAIN ANALYZE` renders the same
-//! numbers and a plain `EXPLAIN` shows what the estimator says, whatever ran
-//! before it.
+//! each statement estimates the plan it renders from the relations it was
+//! compiled against — `EXPLAIN ANALYZE` before it runs the plan — so a
+//! repeated `EXPLAIN ANALYZE` renders the same numbers and a plain
+//! `EXPLAIN` shows what the estimator says, whatever ran before it.
 //!
 //! [`crate::Session`]'s `EXPLAIN [ANALYZE] <query>` statements and the
 //! golden plan tests share this module, so what the tests pin is exactly
@@ -19,11 +19,10 @@
 
 use std::fmt;
 
-use maybms_algebra::{estimate_preorder, run_with, ExecCfg, ExecStats, Plan, StatsProvider};
+use maybms_algebra::{estimate_preorder, run_with, ExecCfg, ExecStats, Plan, Relations};
 use maybms_core::{QueryTrace, SpanKind, WorldSet};
 
 use crate::ast::Query;
-use crate::catalog::Catalog;
 use crate::planner::{lower, optimize_plan};
 use crate::span::SqlError;
 
@@ -36,18 +35,15 @@ pub struct Explain {
     /// The plan after the algebraic rewrite passes.
     pub optimized: Plan,
     /// Estimated output rows per node of `optimized`, in pre-order (the
-    /// plan tree's printed line order); `None` when the catalog has no
-    /// statistics to estimate from.
-    pub estimates: Option<Vec<f64>>,
+    /// plan tree's printed line order).
+    pub estimates: Vec<f64>,
 }
 
 /// Analyze a parsed query and produce both plans.
-pub fn explain(catalog: &Catalog, query: &Query) -> Result<Explain, SqlError> {
-    let (lowered, _) = lower(catalog, query)?;
-    let optimized = optimize_plan(catalog, &lowered, query.span())?;
-    let estimates = catalog
-        .has_stats()
-        .then(|| estimate_preorder(&optimized, catalog, catalog));
+pub fn explain(relations: &dyn Relations, query: &Query) -> Result<Explain, SqlError> {
+    let (lowered, _) = lower(relations, query)?;
+    let optimized = optimize_plan(relations, &lowered, query.span())?;
+    let estimates = estimate_preorder(&optimized, relations);
     Ok(Explain {
         lowered,
         optimized,
@@ -56,7 +52,7 @@ pub fn explain(catalog: &Catalog, query: &Query) -> Result<Explain, SqlError> {
 }
 
 /// The REPL rendering: both operator trees, indented under their headers;
-/// the optimized tree's lines carry `est_rows=` when estimates exist.
+/// the optimized tree's lines carry `est_rows=`.
 impl fmt::Display for Explain {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let tree = |f: &mut fmt::Formatter<'_>, plan: &Plan| -> fmt::Result {
@@ -68,12 +64,9 @@ impl fmt::Display for Explain {
         writeln!(f, "lowered plan:")?;
         tree(f, &self.lowered)?;
         writeln!(f, "optimized plan:")?;
-        let Some(ests) = &self.estimates else {
-            return tree(f, &self.optimized);
-        };
         // One printed line per plan node, in the same pre-order the
         // estimator walks.
-        for (line, est) in self.optimized.to_string().lines().zip(ests) {
+        for (line, est) in self.optimized.to_string().lines().zip(&self.estimates) {
             writeln!(f, "  {line}  (est_rows={})", fmt_est(*est))?;
         }
         Ok(())
@@ -94,27 +87,23 @@ pub struct ExplainAnalyze {
     pub trace: QueryTrace,
     /// The run's flat summary counters.
     pub stats: ExecStats,
-    /// Estimated output rows per node of `optimized`, in pre-order;
-    /// `None` when the catalog has no statistics.
-    pub estimates: Option<Vec<f64>>,
+    /// Estimated output rows per node of `optimized`, in pre-order.
+    pub estimates: Vec<f64>,
 }
 
-/// `EXPLAIN ANALYZE` of a plan compiled against `catalog`: execute
-/// `optimized` on `ws` under `cfg` with tracing enabled and collect the
-/// annotated plan, with the estimator's `est_rows=` for it read off
-/// `catalog`. Side effects are real: a `REPAIR KEY` inside the query mints
-/// components into `ws` exactly like a normal run, which is why the session
-/// truncates its component set back to its length before the call.
+/// `EXPLAIN ANALYZE` of a plan compiled against `ws`'s relations: estimate
+/// `optimized` against them (`est_rows=`), then execute it on `ws` under
+/// `cfg` with tracing enabled and collect the annotated plan. Side effects
+/// are real: a `REPAIR KEY` inside the query mints components into `ws`
+/// exactly like a normal run, which is why the session truncates its
+/// component set back to its length before the call.
 pub(crate) fn explain_analyze_plan(
     ws: &mut WorldSet,
-    catalog: &Catalog,
     optimized: Plan,
     span: crate::Span,
     cfg: &ExecCfg,
 ) -> Result<ExplainAnalyze, SqlError> {
-    let estimates = catalog
-        .has_stats()
-        .then(|| estimate_preorder(&optimized, catalog, catalog));
+    let estimates = estimate_preorder(&optimized, &ws.relations);
     let (_result, stats, trace) = run_with(ws, &optimized, cfg, true)
         .map_err(|e| SqlError::new(span, format!("execution failed: {e}")))?;
     Ok(ExplainAnalyze {
@@ -144,13 +133,11 @@ impl ExplainAnalyze {
     /// Pair each node span with its estimate. Every plan node opens
     /// exactly one span, and children evaluate in plan order, so node
     /// spans arrive in plan pre-order — the estimates' order, and the order
-    /// the rendered span tree prints. Empty when estimates are absent.
+    /// the rendered span tree prints.
     fn node_estimates(&self) -> Vec<(f64, u64)> {
-        let Some(ests) = &self.estimates else {
-            return Vec::new();
-        };
         let nodes = self.trace.spans.iter().filter(|s| s.kind == SpanKind::Node);
-        ests.iter()
+        self.estimates
+            .iter()
             .zip(nodes)
             .map(|(&e, s)| (e, s.rows_out))
             .collect()
@@ -159,9 +146,9 @@ impl ExplainAnalyze {
 
 /// The REPL rendering: the executed span tree (which mirrors the optimized
 /// plan tree, plus `·`-marked operator sub-phases), each node annotated
-/// with wall time, row counts, estimated rows (when the catalog has
-/// statistics), and the counters it incurred, followed by a one-line
-/// execution summary and — with estimates — a q-error summary.
+/// with wall time, row counts, estimated rows and the counters it
+/// incurred, followed by a one-line execution summary and a q-error
+/// summary.
 impl fmt::Display for ExplainAnalyze {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let node_ests = self.node_estimates();

@@ -213,8 +213,11 @@ pub fn lex(src: &str) -> Result<Vec<Token>, SqlError> {
                 let text = &src[start..i];
                 let span = Span::new(start, i);
                 let kind = if is_float {
-                    TokenKind::Float(text.parse().map_err(|_| {
-                        SqlError::new(span, format!("invalid float literal `{text}`"))
+                    // Digit-only text always parses; past `f64`'s range it
+                    // parses to infinity, which MayQL cannot write back.
+                    let v = text.parse::<f64>().ok().filter(|v| v.is_finite());
+                    TokenKind::Float(v.ok_or_else(|| {
+                        SqlError::new(span, format!("float literal `{text}` out of range"))
                     })?)
                 } else {
                     TokenKind::Int(text.parse().map_err(|_| {

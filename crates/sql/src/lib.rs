@@ -16,8 +16,10 @@
 //!    (like the `conf` column) stay usable as identifiers.
 //! 2. **[`parser`]** — recursive descent into the typed [`ast`] (the module
 //!    docs give the full EBNF grammar).
-//! 3. **[`planner`]** — semantic analysis against a [`Catalog`] of relation
-//!    schemas fused with lowering to the [`maybms_algebra::Plan`] IR;
+//! 3. **[`planner`]** — semantic analysis against the relations a query
+//!    names ([`maybms_algebra::Relations`]: a world set's relation map, or a
+//!    [`Catalog`] over one) fused with lowering to the
+//!    [`maybms_algebra::Plan`] IR;
 //!    unresolved names, ill-typed comparisons, non-compatible unions, and
 //!    non-numeric `WEIGHT BY` columns are rejected with [`SqlError`]s
 //!    carrying the exact source [`Span`]. [`compile`] then runs the logical
@@ -27,10 +29,10 @@
 //!    one way, text → plan: lowering is checked against hand-built plans
 //!    by their `Display` trees, the form `EXPLAIN` prints.
 //! 4. **[`session`]** — the engine's front door. A [`Session`] owns the
-//!    world set, the [`Catalog`] over it and a [`PlanCache`], and
-//!    [`Session::execute`] runs one statement (`SELECT …`, `LET x = …`,
-//!    `EXPLAIN [ANALYZE] …`) end to end. It is the one way in: the world set
-//!    cannot be changed behind the catalog's or the cache's back.
+//!    world set and a [`PlanCache`], plans against the world set's
+//!    relations, and [`Session::execute`] runs one statement (`SELECT …`,
+//!    `LET x = …`, `EXPLAIN [ANALYZE] …`) end to end. It is the one way in:
+//!    the world set cannot be changed behind the cache's back.
 //!
 //! ```
 //! use maybms_core::{Relation, Schema, Tuple, URelation, Value, ValueType, WorldSet};
@@ -61,8 +63,9 @@
 //! assert_eq!(session.world().components.len(), 1);
 //! ```
 //!
-//! One level down, [`compile`] against a [`Catalog`] gives the optimized
-//! plan and `maybms_algebra::run` executes it.
+//! One level down, [`compile`] against a world set's relations (or a
+//! [`Catalog`]) gives the optimized plan and `maybms_algebra::run` executes
+//! it.
 
 pub mod ast;
 pub mod cache;

@@ -1,5 +1,6 @@
-//! Semantic analysis and lowering: resolve a parsed [`Query`] against a
-//! [`Catalog`] and produce an executable [`Plan`].
+//! Semantic analysis and lowering: resolve a parsed [`Query`] against the
+//! [`Relations`] it names (a world set's relation map, or a
+//! [`crate::Catalog`] over one) and produce an executable [`Plan`].
 //!
 //! Analysis and lowering run in one bottom-up pass: every subquery's output
 //! schema is computed while its plan is built, so name resolution, type
@@ -22,56 +23,55 @@
 //! | `REPAIR KEY k IN q WEIGHT BY w`  | `repair-key{k; w}`                  |
 
 use maybms_algebra::{
-    certain, conf, conf_approx, possible, repair_key, Operand, Plan, Predicate, CONF_COLUMN,
+    certain, conf, conf_approx, possible, repair_key, Operand, Plan, Predicate, Relations,
+    CONF_COLUMN,
 };
 use maybms_core::{Column, Schema, Value, ValueType};
 
 use crate::ast::{Expr, FromItem, Quantifier, Query, Repair, Scalar, SelectList, SelectQuery};
-use crate::catalog::Catalog;
 use crate::span::{Span, SqlError};
 
 /// Parse, lower, and **optimize** in one step: the executable plan for a
 /// MayQL query string. This is the planner's default path — the logical
 /// optimizer ([`fn@maybms_algebra::optimize`]) runs on every compiled query;
 /// use [`compile_unoptimized`] to see (or pin in tests) the raw lowering.
-pub fn compile(catalog: &Catalog, src: &str) -> Result<Plan, SqlError> {
+pub fn compile(relations: &dyn Relations, src: &str) -> Result<Plan, SqlError> {
     let query = crate::parser::parse_query(src)?;
-    let (plan, _) = lower(catalog, &query)?;
-    optimize_plan(catalog, &plan, query.span())
+    let (plan, _) = lower(relations, &query)?;
+    optimize_plan(relations, &plan, query.span())
 }
 
 /// Parse and lower without optimizing: exactly the plan the minimal
 /// lowering produces, which the tests compare with hand-built plans by
 /// their `Display` trees (the optimizer deliberately rewrites plan shapes).
-pub fn compile_unoptimized(catalog: &Catalog, src: &str) -> Result<Plan, SqlError> {
+pub fn compile_unoptimized(relations: &dyn Relations, src: &str) -> Result<Plan, SqlError> {
     let query = crate::parser::parse_query(src)?;
-    lower(catalog, &query).map(|(plan, _)| plan)
+    lower(relations, &query).map(|(plan, _)| plan)
 }
 
-/// Run the logical optimizer against the catalog — the rule sweeps plus,
-/// when the catalog has statistics, the cost-based phase
-/// ([`maybms_algebra::optimize_with_stats`], which is exactly the rule-only
-/// [`fn@maybms_algebra::optimize`] on a statistics-less catalog) —
-/// converting optimizer errors (which should not occur on plans the
-/// lowering just type-checked) into spanned diagnostics.
-pub fn optimize_plan(catalog: &Catalog, plan: &Plan, span: Span) -> Result<Plan, SqlError> {
-    maybms_algebra::optimize_with_stats(plan, catalog, catalog)
+/// Run the logical optimizer against `relations` — the rule sweeps, then
+/// the cost-based join reorder on their statistics
+/// ([`maybms_algebra::optimize_with_stats`]) — converting optimizer errors
+/// (which should not occur on plans the lowering just type-checked) into
+/// spanned diagnostics.
+pub fn optimize_plan(relations: &dyn Relations, plan: &Plan, span: Span) -> Result<Plan, SqlError> {
+    maybms_algebra::optimize_with_stats(plan, relations)
         .map_err(|e| SqlError::new(span, format!("optimizer: {e}")))
 }
 
 /// Semantic analysis only: the output schema of a query, or a spanned error
 /// for unresolved names, ill-typed comparisons, or incompatible unions.
-pub fn analyze(catalog: &Catalog, query: &Query) -> Result<Schema, SqlError> {
-    lower(catalog, query).map(|(_, schema)| schema)
+pub fn analyze(relations: &dyn Relations, query: &Query) -> Result<Schema, SqlError> {
+    lower(relations, query).map(|(_, schema)| schema)
 }
 
 /// Lower a parsed query to a plan plus its output schema.
-pub fn lower(catalog: &Catalog, query: &Query) -> Result<(Plan, Schema), SqlError> {
+pub fn lower(relations: &dyn Relations, query: &Query) -> Result<(Plan, Schema), SqlError> {
     match query {
-        Query::Select(s) => lower_select(catalog, s),
+        Query::Select(s) => lower_select(relations, s),
         Query::Union { left, right } => {
-            let (lp, ls) = lower(catalog, left)?;
-            let (rp, rs) = lower(catalog, right)?;
+            let (lp, ls) = lower(relations, left)?;
+            let (rp, rs) = lower(relations, right)?;
             if ls != rs {
                 return Err(SqlError::new(
                     right.span(),
@@ -84,26 +84,26 @@ pub fn lower(catalog: &Catalog, query: &Query) -> Result<(Plan, Schema), SqlErro
             }
             Ok((lp.union(rp), ls))
         }
-        Query::Repair(r) => lower_repair(catalog, r),
+        Query::Repair(r) => lower_repair(relations, r),
     }
 }
 
-fn lower_from_item(catalog: &Catalog, item: &FromItem) -> Result<(Plan, Schema), SqlError> {
+fn lower_from_item(relations: &dyn Relations, item: &FromItem) -> Result<(Plan, Schema), SqlError> {
     match item {
-        FromItem::Relation(id) => match catalog.schema(&id.name) {
+        FromItem::Relation(id) => match relations.schema(&id.name) {
             Some(schema) => Ok((Plan::scan(&id.name), schema.clone())),
             None => Err(SqlError::new(
                 id.span,
                 format!("unknown relation `{}`", id.name),
             )),
         },
-        FromItem::Subquery { query, .. } => lower(catalog, query),
-        FromItem::Repair(r) => lower_repair(catalog, r),
+        FromItem::Subquery { query, .. } => lower(relations, query),
+        FromItem::Repair(r) => lower_repair(relations, r),
     }
 }
 
-fn lower_repair(catalog: &Catalog, repair: &Repair) -> Result<(Plan, Schema), SqlError> {
-    let (plan, schema) = lower_from_item(catalog, &repair.input)?;
+fn lower_repair(relations: &dyn Relations, repair: &Repair) -> Result<(Plan, Schema), SqlError> {
+    let (plan, schema) = lower_from_item(relations, &repair.input)?;
     for k in &repair.key {
         resolve_column(&schema, k.span, &k.name)?;
     }
@@ -125,13 +125,16 @@ fn lower_repair(catalog: &Catalog, repair: &Repair) -> Result<(Plan, Schema), Sq
     Ok((repair_key(plan, &key, weight), schema))
 }
 
-fn lower_select(catalog: &Catalog, select: &SelectQuery) -> Result<(Plan, Schema), SqlError> {
+fn lower_select(
+    relations: &dyn Relations,
+    select: &SelectQuery,
+) -> Result<(Plan, Schema), SqlError> {
     // FROM: natural-join the items left to right.
     let mut items = select.from.iter();
     let first = items.next().expect("the parser requires one from-item");
-    let (mut plan, mut schema) = lower_from_item(catalog, first)?;
+    let (mut plan, mut schema) = lower_from_item(relations, first)?;
     for item in items {
-        let (p, s) = lower_from_item(catalog, item)?;
+        let (p, s) = lower_from_item(relations, item)?;
         let joined = schema
             .natural_join(&s)
             .map_err(|e| SqlError::new(item.span(), e.to_string()))?;

@@ -2,14 +2,13 @@
 //! statements against it.
 //!
 //! A client hands the session statement text and gets an [`Executed`] back;
-//! it never assembles a catalog, a plan cache and an executor call itself.
-//! The session keeps two things in step that callers used to keep in step
-//! by convention: the [`WorldSet`] with the [`Catalog`] over it (handles to
-//! its relations, re-derived after every statement that changes a relation)
-//! and the [`PlanCache`], whose entries key on the schema and statistics of
-//! each relation their plan scans. The world set is not mutably reachable
-//! from outside, so a plan is never compiled or served against a stale
-//! catalog.
+//! it never assembles a plan cache and an executor call itself. The session
+//! plans against its [`WorldSet`]'s relations themselves
+//! ([`maybms_algebra::Relations`]), so there is no second view of them to
+//! keep in step, and its [`PlanCache`] keys each entry on the schema and
+//! statistics of each relation the entry's plan scans. The world set is
+//! not mutably reachable from outside, so a plan is never compiled or
+//! served against relations other than the ones it runs on.
 //!
 //! The cache holds plans only. A query or `LET` compiles through it and
 //! estimates nothing; `EXPLAIN` compiles afresh and leaves the cache alone;
@@ -23,7 +22,6 @@ use maybms_core::{MayError, QueryTrace, URelation, WorldSet};
 
 use crate::ast::{Query, Statement};
 use crate::cache::PlanCache;
-use crate::catalog::Catalog;
 use crate::explain::{explain, explain_analyze_plan, Explain, ExplainAnalyze};
 use crate::parser::parse_statement;
 use crate::planner::{lower, optimize_plan};
@@ -107,11 +105,10 @@ pub struct Executed {
     pub trace: Option<QueryTrace>,
 }
 
-/// One client's engine: a world set, the catalog over it, and a cache of
-/// the plans compiled against that catalog.
+/// One client's engine: a world set and a cache of the plans compiled
+/// against its relations.
 pub struct Session {
     ws: WorldSet,
-    catalog: Catalog,
     plan_cache: PlanCache,
     /// What every statement runs under.
     pub exec: ExecCfg,
@@ -125,7 +122,6 @@ impl Session {
     /// them.
     pub fn new(ws: WorldSet) -> Session {
         Session {
-            catalog: Catalog::from_world_set(&ws),
             ws,
             plan_cache: PlanCache::default(),
             exec: ExecCfg::default(),
@@ -136,11 +132,6 @@ impl Session {
     /// The session's world set.
     pub fn world(&self) -> &WorldSet {
         &self.ws
-    }
-
-    /// The relations of [`Session::world`], as the planner sees them.
-    pub fn catalog(&self) -> &Catalog {
-        &self.catalog
     }
 
     /// The session's plan cache (its hit, miss and entry counts).
@@ -172,7 +163,6 @@ impl Session {
                     self.ws.components.truncate(minted_from);
                     return Err(e.into());
                 }
-                self.catalog = Catalog::from_world_set(&self.ws);
                 (Outcome::Stored { name, rows }, Some(stats), trace)
             }
             Statement::Explain {
@@ -180,7 +170,7 @@ impl Session {
                 analyze: false,
                 ..
             } => {
-                let ex = explain(&self.catalog, &query)?;
+                let ex = explain(&self.ws.relations, &query)?;
                 (Outcome::Explain(ex), None, None)
             }
             Statement::Explain {
@@ -190,13 +180,7 @@ impl Session {
             } => {
                 let plan = self.compile_cached(&query, src)?;
                 let minted_from = self.ws.components.len();
-                let ex = explain_analyze_plan(
-                    &mut self.ws,
-                    &self.catalog,
-                    plan,
-                    query.span(),
-                    &self.exec,
-                );
+                let ex = explain_analyze_plan(&mut self.ws, plan, query.span(), &self.exec);
                 self.ws.components.truncate(minted_from);
                 let ex = ex?;
                 let stats = ex.stats;
@@ -211,25 +195,21 @@ impl Session {
     }
 
     /// Normalize the world set in place (`WorldSet::normalize`) — the one
-    /// world-set operation without a MayQL form. Normalization rewrites
-    /// relations, so the catalog is re-derived; it lets go of the relations
-    /// first, or renumbering a relation's components would copy it.
+    /// world-set operation without a MayQL form.
     pub fn normalize(&mut self) {
-        self.catalog = Catalog::default();
         self.ws.normalize();
-        self.catalog = Catalog::from_world_set(&self.ws);
     }
 
     /// The optimized plan of `query`, from the plan cache when it holds it.
     fn compile_cached(&mut self, query: &Query, src: &str) -> Result<Plan, SqlError> {
-        let catalog = &self.catalog;
+        let relations = &self.ws.relations;
         let key = query_text(query, src);
-        if let Some(hit) = self.plan_cache.lookup(catalog, key) {
+        if let Some(hit) = self.plan_cache.lookup(relations, key) {
             return Ok(hit.plan);
         }
-        let (plan, _) = lower(catalog, query)?;
-        let plan = optimize_plan(catalog, &plan, query.span())?;
-        self.plan_cache.insert(catalog, key, plan.clone(), None);
+        let (plan, _) = lower(relations, query)?;
+        let plan = optimize_plan(relations, &plan, query.span())?;
+        self.plan_cache.insert(relations, key, plan.clone(), None);
         Ok(plan)
     }
 
@@ -313,13 +293,12 @@ mod tests {
             stored.outcome,
             Outcome::Stored { ref name, rows: 1 } if name == "r"
         ));
-        assert_eq!(session.catalog(), &Catalog::from_world_set(session.world()));
         assert_eq!(
             ints(session.execute("SELECT a FROM r").unwrap()),
             [Value::Int(2)]
         );
         assert_eq!(session.plan_cache().hits(), 0);
-        // Re-spaced, unchanged catalog: a hit.
+        // Re-spaced, unchanged relations: a hit.
         session.execute("SELECT  a\nFROM r").unwrap();
         assert_eq!(session.plan_cache().hits(), 1);
     }
@@ -343,7 +322,7 @@ mod tests {
     #[test]
     fn a_relation_recreated_with_equal_contents_keeps_its_plans() {
         let mut session = session_over(&[(1, "p"), (2, "q")]);
-        let stats = |s: &Session| s.catalog().relation("t").unwrap().stats().clone();
+        let stats = |s: &Session| s.world().relations["t"].stats().clone();
         session.execute("LET t = SELECT a, b FROM r").unwrap();
         session.execute("SELECT a FROM t WHERE a = 1").unwrap();
         let before = stats(&session);

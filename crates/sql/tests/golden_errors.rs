@@ -306,6 +306,20 @@ fn integer_literals_cover_the_i64_range() {
     }
 }
 
+/// A float literal past `f64`'s range is rejected, spanning the literal as
+/// written, instead of running as infinity (and printing in `EXPLAIN` as
+/// `inf`, which is not MayQL).
+#[test]
+fn float_literals_past_the_f64_range_are_rejected() {
+    for literal in ["1e999", "1.5e309", "2E+400"] {
+        let src = format!("SELECT name FROM census WHERE ssn < {literal}");
+        let e = parse_query(&src).expect_err("out of range");
+        assert_eq!(e.span, span_of(&src, literal));
+        assert_eq!(e.message, format!("float literal `{literal}` out of range"));
+    }
+    parse_query("SELECT name FROM census WHERE ssn < 1e308").expect("1e308 is a literal");
+}
+
 /// A query nests at most `MAX_NESTING` (64) levels: at 64 nested
 /// subqueries it compiles, at 65 the parser stops at the 65th `(`.
 #[test]

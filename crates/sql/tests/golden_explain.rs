@@ -11,7 +11,9 @@ use maybms_sql::{explain, parse_query, Catalog};
 
 /// The REPL's preloaded world: the raw census readings, the repaired
 /// `census` relation a `LET` materializes, and the certain `homes` lookup —
-/// schemas only, every relation empty, so the optimizer plans by its rules.
+/// schemas only, every relation empty. Empty relations have statistics too
+/// (0 rows), so every optimized-plan line carries `(est_rows=0)`; every
+/// join shape then costs 0, no reorder fires, and the plans are the rules'.
 fn census_catalog() -> Catalog {
     census_world(
         URelation::new(census_schema()),
@@ -68,13 +70,13 @@ lowered plan:
           scan[census]
           scan[homes]
 optimized plan:
-  possible
-    project[city]
-      natural-join
-        project[ssn]
-          select[name = 'Smith']
-            scan[census]
-        scan[homes]
+  possible  (est_rows=0)
+    project[city]  (est_rows=0)
+      natural-join  (est_rows=0)
+        project[ssn]  (est_rows=0)
+          select[name = 'Smith']  (est_rows=0)
+            scan[census]  (est_rows=0)
+        scan[homes]  (est_rows=0)
 ";
     assert_eq!(text, expected);
 }
@@ -95,10 +97,10 @@ lowered plan:
       repair-key[key=name; weight=w]
         scan[censusform]
 optimized plan:
-  project[ssn]
-    select[name = 'Smith']
-      repair-key[key=name; weight=w]
-        scan[censusform]
+  project[ssn]  (est_rows=0)
+    select[name = 'Smith']  (est_rows=0)
+      repair-key[key=name; weight=w]  (est_rows=0)
+        scan[censusform]  (est_rows=0)
 ";
     assert_eq!(text, expected);
 }
@@ -117,10 +119,10 @@ lowered plan:
       conf(eps=0.05, delta=0.01)
         scan[census]
 optimized plan:
-  project[ssn]
-    select[ssn = 1]
-      conf(eps=0.05, delta=0.01)
-        scan[census]
+  project[ssn]  (est_rows=0)
+    select[ssn = 1]  (est_rows=0)
+      conf(eps=0.05, delta=0.01)  (est_rows=0)
+        scan[census]  (est_rows=0)
 ";
     assert_eq!(text, expected);
 }

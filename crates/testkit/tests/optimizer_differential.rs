@@ -237,7 +237,7 @@ fn cost_optimized_plans_execute_identically() {
 
         let rules = optimize(&plan, &ws.relations)
             .unwrap_or_else(|e| panic!("seed {seed}: optimize failed: {e}\nplan:\n{plan}"));
-        let cost = optimize_with_stats(&plan, &ws.relations, &ws.relations)
+        let cost = optimize_with_stats(&plan, &ws.relations)
             .unwrap_or_else(|e| panic!("seed {seed}: cost phase failed: {e}\nplan:\n{plan}"));
 
         let schema = plan
@@ -262,8 +262,7 @@ fn cost_optimized_plans_execute_identically() {
             "seed {seed}: cost-optimized differs from rule-only\nplan:\n{plan}\nrules:\n{rules}\ncost:\n{cost}"
         );
 
-        let twice = optimize_with_stats(&cost, &ws.relations, &ws.relations)
-            .expect("re-optimization succeeds");
+        let twice = optimize_with_stats(&cost, &ws.relations).expect("re-optimization succeeds");
         assert_eq!(
             cost.to_string(),
             twice.to_string(),
@@ -296,7 +295,7 @@ fn joins_of_more_than_64_relations_plan() {
     let ws = chain_world(&mut rng, 65);
     let plan = (1..65).fold(Plan::scan("r0"), |p, i| p.join(Plan::scan(format!("r{i}"))));
 
-    let cost = optimize_with_stats(&plan, &ws.relations, &ws.relations)
+    let cost = optimize_with_stats(&plan, &ws.relations)
         .unwrap_or_else(|e| panic!("seed {seed}: cost phase failed: {e}"));
     assert_eq!(
         plan.schema_with(&ws.relations)
@@ -305,8 +304,7 @@ fn joins_of_more_than_64_relations_plan() {
             .unwrap_or_else(|e| panic!("seed {seed}: cost plan is ill-typed: {e}\n{cost}")),
         "seed {seed}: output schema changed"
     );
-    let twice =
-        optimize_with_stats(&cost, &ws.relations, &ws.relations).expect("re-optimization succeeds");
+    let twice = optimize_with_stats(&cost, &ws.relations).expect("re-optimization succeeds");
     assert_eq!(
         cost.to_string(),
         twice.to_string(),
