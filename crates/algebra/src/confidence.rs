@@ -553,7 +553,7 @@ mod tests {
             par: ParCfg::with_threads(4),
         };
         for plan in [conf(Plan::scan("r")), crate::certain(Plan::scan("r"))] {
-            let (out, stats, _) = run_with(&mut ws.clone(), &plan, &cfg, false).unwrap();
+            let (out, _, stats, _) = run_with(&mut ws.clone(), &plan, &cfg, false).unwrap();
             assert_eq!(out.len(), 1);
             assert!(stats.par.workers_used <= 1, "{:?}", stats.par);
             assert_eq!(stats.par.morsels, 0);

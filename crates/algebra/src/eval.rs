@@ -75,9 +75,9 @@
 //! field what pushing its rows would make, so the next statement's scan,
 //! `normalize` and the statistics cannot tell a `LET` result from a loaded
 //! relation — and no `Tuple` or `WsDescriptor` is allocated unless the
-//! caller reads [`URelation::rows`]. A run that fails truncates the
-//! component set back to its length at the start: the components its
-//! repairs minted go with it.
+//! caller reads [`URelation::rows`]. A run leaves the world set as it found
+//! it: [`run_with`] moves the components its repairs minted out again and
+//! hands them back beside the answer, or drops them with the error.
 //!
 //! # Late materialization
 //!
@@ -116,8 +116,8 @@ use maybms_core::columnar::{ColView, ColumnVec, ColumnarURelation, StrPool};
 use maybms_core::fxhash::fx_step;
 use maybms_core::obs::{ObsCounters, QueryTrace, SpanId, Tracer};
 use maybms_core::{
-    ComponentSet, ConfStats, DescId, DescriptorPool, FxHashMap, MayError, ParCfg, ParStats,
-    PoolStats, Scan, Schema, URelation, WorldSet,
+    Component, ComponentSet, ConfStats, DescId, DescriptorPool, FxHashMap, MayError, ParCfg,
+    ParStats, PoolStats, Scan, Schema, URelation, WorldSet,
 };
 
 use crate::plan::Plan;
@@ -527,32 +527,41 @@ impl<'s> Batch<'s> {
     }
 }
 
-/// Evaluate a plan against a world set. New components minted by
-/// `repair-key` are added to `ws.components`; the base relations are
-/// untouched.
+/// Evaluate a plan against a world set and commit what it minted: the
+/// components its `repair-key` nodes created are appended to
+/// `ws.components`, so the answer's descriptors can be read against `ws` and
+/// the answer stored with `ws.insert`. The base relations are untouched.
 ///
 /// Every node evaluates once, so two `repair-key` nodes are two independent
 /// repairs even when they are equal. To repair once and use the result
 /// twice, store it (`ws.insert`) and scan it twice — the components then
 /// belong to the stored relation.
 pub fn run(ws: &mut WorldSet, plan: &Plan) -> Result<URelation, MayError> {
-    run_with(ws, plan, &ExecCfg::default(), false).map(|(result, _, _)| result)
+    run_committed(ws, plan, &ExecCfg::default(), false).map(|(result, _, _)| result)
 }
 
 /// [`run`] under an explicit configuration — the general entry point:
-/// returns the result, the run's [`ExecStats`], and, when `traced`, its
-/// [`QueryTrace`] — a span per evaluated plan node (plus operator
-/// sub-phases), each annotated with wall time, rows, and the counters the
-/// node incurred; the trace is what `EXPLAIN ANALYZE` renders and what
-/// [`QueryTrace::to_json`] exports for Perfetto. The result is
-/// byte-identical for every `cfg` and with tracing on or off (the tracer
-/// only *observes*); the differential suites drive this entry to pin that.
+/// returns the result, the components the run minted, the run's
+/// [`ExecStats`], and, when `traced`, its [`QueryTrace`] — a span per
+/// evaluated plan node (plus operator sub-phases), each annotated with wall
+/// time, rows, and the counters the node incurred; the trace is what
+/// `EXPLAIN ANALYZE` renders and what [`QueryTrace::to_json`] exports for
+/// Perfetto. The result is byte-identical for every `cfg` and with tracing
+/// on or off (the tracer only *observes*); the differential suites drive
+/// this entry to pin that.
+///
+/// A run leaves `ws` as it found it: the components its `repair-key` nodes
+/// mint (ids from the starting `ws.components.len()` up) are moved out of
+/// `ws.components` before it returns. On success they come back beside the
+/// answer, whose descriptors name them; the caller commits them with it
+/// (`WorldSet::commit`, a MayQL `LET`) or drops them (a read). On failure
+/// they drop with the error, so there is nothing to roll back.
 pub fn run_with(
     ws: &mut WorldSet,
     plan: &Plan,
     cfg: &ExecCfg,
     traced: bool,
-) -> Result<(URelation, ExecStats, Option<QueryTrace>), MayError> {
+) -> Result<(URelation, Vec<Component>, ExecStats, Option<QueryTrace>), MayError> {
     let started = std::time::Instant::now();
     let WorldSet {
         components,
@@ -584,12 +593,11 @@ pub fn run_with(
     };
     ctx.tracer
         .event_with("scan-convert", convert_started, converted_rows, imported);
-    // A failed run leaves the world set as it found it: the components its
-    // repairs minted go with it.
-    let batch = eval_batch(plan, &scans, &mut ctx).map_err(|e| {
-        ctx.components.truncate(minted_from);
-        e
-    })?;
+    // The world set leaves the run as it came in: what the repairs minted
+    // goes with the answer, or with the error.
+    let batch = eval_batch(plan, &scans, &mut ctx);
+    let minted = ctx.components.split_off(minted_from);
+    let batch = batch?;
     // The answer leaves as columns, over the run's pools. Rows are built if
     // and when someone reads them.
     let (pool, strings) = (
@@ -613,26 +621,41 @@ pub fn run_with(
         let threads = ctx.par.threads;
         std::mem::take(&mut ctx.tracer).finish(threads)
     });
+    Ok((result, minted, stats, trace))
+}
+
+/// [`run_with`], with the minted components appended to `ws.components` —
+/// the contract of the result-only entry points, whose callers store or read
+/// the answer against `ws`.
+fn run_committed(
+    ws: &mut WorldSet,
+    plan: &Plan,
+    cfg: &ExecCfg,
+    traced: bool,
+) -> Result<(URelation, ExecStats, Option<QueryTrace>), MayError> {
+    let (result, minted, stats, trace) = run_with(ws, plan, cfg, traced)?;
+    ws.components.extend(minted);
     Ok((result, stats, trace))
 }
 
 /// [`run_with`] for the frozen `perfbench/src/engine.rs` adapter: a thread
-/// budget, result only. The next `benchmark` PR moves the adapter to
-/// [`run_with`] and deletes this.
+/// budget, result only, minted components committed as [`run`] does. The
+/// next `benchmark` PR moves the adapter to [`run_with`] and deletes this.
 pub fn run_with_opts(ws: &mut WorldSet, plan: &Plan, par: &ParCfg) -> Result<URelation, MayError> {
     let cfg = ExecCfg { par: *par };
-    run_with(ws, plan, &cfg, false).map(|(result, _, _)| result)
+    run_committed(ws, plan, &cfg, false).map(|(result, _, _)| result)
 }
 
-/// Traced [`run_with`] for the frozen `perfbench/src/engine.rs` adapter. The
-/// next `benchmark` PR moves the adapter to [`run_with`] and deletes this.
+/// Traced [`run_with`] for the frozen `perfbench/src/engine.rs` adapter,
+/// minted components committed as [`run`] does. The next `benchmark` PR
+/// moves the adapter to [`run_with`] and deletes this.
 pub fn run_traced(
     ws: &mut WorldSet,
     plan: &Plan,
     par: &ParCfg,
 ) -> Result<(URelation, ExecStats, QueryTrace), MayError> {
     let cfg = ExecCfg { par: *par };
-    run_with(ws, plan, &cfg, true)
+    run_committed(ws, plan, &cfg, true)
         .map(|(result, stats, trace)| (result, stats, trace.expect("tracing was requested")))
 }
 

@@ -106,7 +106,7 @@ fn dump_trace(ws: &WorldSet, plan: &Plan, bench: &str, n: usize) {
         return;
     }
     let mut ws = ws.clone();
-    let (_, _, trace) =
+    let (_, _, _, trace) =
         run_with(&mut ws, plan, &ExecCfg::default(), true).expect("bench workload is well-typed");
     let trace = trace.expect("tracing was requested");
     let path = std::path::Path::new(&dir).join(format!("{bench}_{n}.json"));

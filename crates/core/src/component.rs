@@ -97,10 +97,10 @@ impl ComponentSet {
         id
     }
 
-    /// Drop every component from id `len` on — the ones a failed statement
-    /// minted, which nothing references.
-    pub fn truncate(&mut self, len: usize) {
-        self.comps.truncate(len);
+    /// Move every component from id `at` on out of the set, in id order —
+    /// the ones a run minted (see `maybms_algebra::run_with`).
+    pub fn split_off(&mut self, at: usize) -> Vec<Component> {
+        self.comps.split_off(at)
     }
 
     /// The component with the given id.
@@ -178,21 +178,28 @@ impl ComponentSet {
     }
 
     /// Check that a descriptor's term list only references components of
-    /// this set, with in-range alternatives. This is the invariant every
-    /// stored u-relation must satisfy (enforced by `WorldSet::insert`);
-    /// evaluation preserves it because conjunction never invents terms.
-    pub fn validate_terms(&self, terms: &[(ComponentId, u16)]) -> Result<(), MayError> {
+    /// this set followed by `minted` (ids from [`len`](Self::len) on), with
+    /// in-range alternatives. This is the invariant every stored u-relation
+    /// must satisfy (enforced by `WorldSet::commit`); evaluation preserves
+    /// it because conjunction never invents terms.
+    pub fn validate_terms(
+        &self,
+        minted: &[Component],
+        terms: &[(ComponentId, u16)],
+    ) -> Result<(), MayError> {
+        let base = self.comps.len();
         for &(c, a) in terms {
-            if c.0 as usize >= self.comps.len() {
+            let i = c.0 as usize;
+            let Some(comp) = self.comps.get(i).or_else(|| minted.get(i - base)) else {
                 return Err(MayError::InvalidDescriptor(format!(
                     "{c} does not exist (only {} components)",
-                    self.comps.len()
+                    base + minted.len()
                 )));
-            }
-            if a >= self.get(c).alternatives() {
+            };
+            if a >= comp.alternatives() {
                 return Err(MayError::InvalidDescriptor(format!(
                     "{c}={a} is out of range ({c} has {} alternatives)",
-                    self.get(c).alternatives()
+                    comp.alternatives()
                 )));
             }
         }
@@ -236,6 +243,13 @@ impl ComponentSet {
                 1.0 - prob_none
             }
         }
+    }
+}
+
+/// Appends components in order: the first gets id [`len`](ComponentSet::len).
+impl Extend<Component> for ComponentSet {
+    fn extend<I: IntoIterator<Item = Component>>(&mut self, minted: I) {
+        self.comps.extend(minted);
     }
 }
 

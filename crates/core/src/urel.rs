@@ -8,7 +8,7 @@
 //! tautology, as in every pool). A stored relation's dictionaries hold each
 //! entry once, in order of first occurrence by row. Every consumer that
 //! wants columns — the executor's scans, normalization, the statistics, the
-//! validation in [`crate::WorldSet::insert`] — reads them where they lie.
+//! validation in [`crate::WorldSet::commit`] — reads them where they lie.
 //!
 //! A relation comes to be in one of two ways:
 //!
@@ -20,7 +20,7 @@
 //!   and one descriptor may sit under several handles, so a body records
 //!   whether its dictionaries are its own. Rows, `{}`, `==`, the statistics
 //!   and a scan read either kind; the two places that want a relation's own
-//!   dictionaries — [`crate::WorldSet::insert`] and normalization — re-code
+//!   dictionaries — [`crate::WorldSet::commit`] and normalization — re-code
 //!   an answer over them first, field for field what pushing the same rows
 //!   makes ([`URelation::recoded`] is that re-coding as a constructor).
 //!
@@ -40,7 +40,7 @@
 //! (every non-string column; the descriptor column of a certain relation;
 //! any coded column when the run's pool was empty or hands the relation's
 //! own codes back) is borrowed, not copied. Nothing looks a value *up* in a
-//! stored relation, so [`crate::WorldSet::insert`] drops the intern indexes
+//! stored relation, so [`crate::WorldSet::commit`] drops the intern indexes
 //! pushing built.
 
 use std::borrow::Cow;

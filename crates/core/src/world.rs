@@ -3,7 +3,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::component::{ComponentSet, WorldPick};
+use crate::component::{Component, ComponentSet, WorldPick};
 use crate::error::MayError;
 use crate::normalize;
 use crate::rel::Relation;
@@ -29,20 +29,35 @@ impl WorldSet {
         WorldSet::default()
     }
 
-    /// Insert or replace a relation, validating its descriptors against the
-    /// current component set (unknown components or out-of-range
-    /// alternatives are rejected here rather than panicking during later
-    /// enumeration or confidence computation). A run's answer is first
-    /// re-coded over dictionaries of its own (a pushed relation has them
-    /// already). Each *distinct* descriptor is then checked once, off the
-    /// relation's descriptor dictionary — which is in order of first
-    /// occurrence, so the term reported is the first offending row's. The
-    /// stored relation keeps no intern index: nothing looks a value up in it.
-    pub fn insert(&mut self, name: impl Into<String>, mut rel: URelation) -> Result<(), MayError> {
+    /// [`commit`](Self::commit) a relation no run minted components for.
+    pub fn insert(&mut self, name: impl Into<String>, rel: URelation) -> Result<(), MayError> {
+        self.commit(name, rel, Vec::new())
+    }
+
+    /// Insert or replace a relation together with the components the run
+    /// that produced it minted (`minted[i]` gets id `components.len() + i`,
+    /// the ids its descriptors already use). The descriptors are validated
+    /// against the current components followed by `minted` before anything
+    /// changes (unknown components or out-of-range alternatives are rejected
+    /// here rather than panicking during later enumeration or confidence
+    /// computation), so a rejected relation leaves the world set as it was.
+    /// A run's answer is first re-coded over dictionaries of its own (a
+    /// pushed relation has them already). Each *distinct* descriptor is then
+    /// checked once, off the relation's descriptor dictionary — which is in
+    /// order of first occurrence, so the term reported is the first
+    /// offending row's. The stored relation keeps no intern index: nothing
+    /// looks a value up in it.
+    pub fn commit(
+        &mut self,
+        name: impl Into<String>,
+        mut rel: URelation,
+        minted: Vec<Component>,
+    ) -> Result<(), MayError> {
         rel.own_dictionaries();
         self.components
-            .validate_terms(rel.descriptors().all_terms())?;
+            .validate_terms(&minted, rel.descriptors().all_terms())?;
         rel.drop_indexes();
+        self.components.extend(minted);
         self.relations.insert(name.into(), rel);
         Ok(())
     }
@@ -106,7 +121,6 @@ impl WorldSet {
 mod tests {
     use super::*;
     use crate::columnar::ColumnarURelation;
-    use crate::component::Component;
     use crate::descriptor::{ComponentId, WsDescriptor};
     use crate::error::MayError;
     use crate::rel::Tuple;
@@ -128,6 +142,31 @@ mod tests {
             matches!(err, Err(MayError::InvalidDescriptor(_))),
             "{err:?}"
         );
+    }
+
+    /// A commit validates against the components followed by the minted
+    /// ones, and one it rejects changes nothing.
+    #[test]
+    fn commit_takes_the_minted_components_or_nothing() {
+        let mut ws = WorldSet::new();
+        ws.components.add(Component::uniform(2).unwrap());
+        let minted = vec![Component::uniform(3).unwrap()];
+        let before = ws.clone();
+        for bad in [
+            WsDescriptor::single(ComponentId(1), 3),
+            WsDescriptor::single(ComponentId(2), 0),
+        ] {
+            let err = ws.commit("r", one_col_rel(bad), minted.clone());
+            assert!(
+                matches!(err, Err(MayError::InvalidDescriptor(_))),
+                "{err:?}"
+            );
+            assert_eq!(ws, before);
+        }
+        let good = one_col_rel(WsDescriptor::single(ComponentId(1), 2));
+        ws.commit("r", good, minted.clone()).unwrap();
+        assert_eq!(ws.components.len(), 2);
+        assert_eq!(ws.components.get(ComponentId(1)), &minted[0]);
     }
 
     #[test]

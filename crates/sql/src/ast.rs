@@ -222,9 +222,10 @@ impl Scalar {
 }
 
 /// A top-level statement: a query, or a `LET name = query` materialization
-/// (evaluate the query once and register the result as a new relation —
-/// the textual analogue of `WorldSet::insert`, and the way repaired
-/// relations are shared across later queries without re-minting components).
+/// (evaluate the query once and register the result as a new relation,
+/// with the components its repairs minted — the textual analogue of
+/// `WorldSet::commit`, and the way repaired relations are shared across
+/// later queries without re-minting components).
 #[derive(Clone, Debug, PartialEq)]
 pub enum Statement {
     /// Evaluate and show a query.

@@ -93,10 +93,10 @@ pub struct ExplainAnalyze {
 
 /// `EXPLAIN ANALYZE` of a plan compiled against `ws`'s relations: estimate
 /// `optimized` against them (`est_rows=`), then execute it on `ws` under
-/// `cfg` with tracing enabled and collect the annotated plan. Side effects
-/// are real: a `REPAIR KEY` inside the query mints components into `ws`
-/// exactly like a normal run, which is why the session truncates its
-/// component set back to its length before the call.
+/// `cfg` with tracing enabled and collect the annotated plan. The run's
+/// answer is dropped, and with it the components its `REPAIR KEY`s minted
+/// (`run_with` hands them back instead of leaving them in `ws`), so `ws`
+/// ends as it started, as after any read.
 pub(crate) fn explain_analyze_plan(
     ws: &mut WorldSet,
     optimized: Plan,
@@ -104,7 +104,7 @@ pub(crate) fn explain_analyze_plan(
     cfg: &ExecCfg,
 ) -> Result<ExplainAnalyze, SqlError> {
     let estimates = estimate_preorder(&optimized, &ws.relations);
-    let (_result, stats, trace) = run_with(ws, &optimized, cfg, true)
+    let (_result, _minted, stats, trace) = run_with(ws, &optimized, cfg, true)
         .map_err(|e| SqlError::new(span, format!("execution failed: {e}")))?;
     Ok(ExplainAnalyze {
         optimized,

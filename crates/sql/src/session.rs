@@ -10,6 +10,14 @@
 //! not mutably reachable from outside, so a plan is never compiled or
 //! served against relations other than the ones it runs on.
 //!
+//! Only a `LET` changes the world set, as assignment is the one statement
+//! of I-SQL that does: it commits its answer together with the components
+//! its `REPAIR KEY`s minted ([`WorldSet::commit`]). A run hands the
+//! components it minted back beside its answer
+//! ([`maybms_algebra::run_with`]), so a read — a query or `EXPLAIN ANALYZE`
+//! — drops them with its answer, and a failed statement with its error:
+//! there is nothing to roll back.
+//!
 //! The cache holds plans only. A query or `LET` compiles through it and
 //! estimates nothing; `EXPLAIN` compiles afresh and leaves the cache alone;
 //! `EXPLAIN ANALYZE` runs the plan a query would run (through the cache) and
@@ -18,7 +26,7 @@
 use std::fmt;
 
 use maybms_algebra::{run_with, ExecCfg, ExecStats, Plan};
-use maybms_core::{MayError, QueryTrace, URelation, WorldSet};
+use maybms_core::{Component, MayError, QueryTrace, URelation, WorldSet};
 
 use crate::ast::{Query, Statement};
 use crate::cache::PlanCache;
@@ -75,7 +83,10 @@ impl From<MayError> for SessionError {
 /// What one statement produced.
 #[derive(Clone, Debug)]
 pub enum Outcome {
-    /// A query's result.
+    /// A query's result. A `REPAIR KEY` in the query minted components for
+    /// this answer alone; they were dropped with the statement, so a
+    /// descriptor id at or past `world().components.len()` names one of
+    /// them (ids are numbered from there in the order the run minted them).
     Rows(URelation),
     /// A `LET`: the result is now the relation `name` of the world set, so
     /// every later query that scans it shares its components.
@@ -145,24 +156,23 @@ impl Session {
     /// Queries compile through the plan cache, keyed on the tokens of the
     /// query's own source slice — so `SELECT …`, `LET x = SELECT …` and
     /// `EXPLAIN ANALYZE SELECT …` of one query text share an entry.
-    /// `EXPLAIN ANALYZE` runs on the session's world set and then drops the
-    /// components its repairs minted, as a failed run does: they must not
-    /// leak into the session. Plain `EXPLAIN` compiles without the cache: it
+    /// Only a `LET` changes the world set: it stores its answer and commits
+    /// the components its repairs minted, in one [`WorldSet::commit`] that
+    /// validates before it changes anything. A query and `EXPLAIN ANALYZE`
+    /// run on the session's world set and leave it as they found it — the
+    /// components their repairs minted leave with the answer — and so does
+    /// a statement that fails. Plain `EXPLAIN` compiles without the cache: it
     /// shows the lowered plan too, which the cache does not keep.
     pub fn execute(&mut self, src: &str) -> Result<Executed, SessionError> {
         let (outcome, stats, trace) = match parse_statement(src)? {
             Statement::Query(query) => {
-                let (result, stats, trace) = self.run_query(&query, src)?;
+                let (result, _minted, stats, trace) = self.run_query(&query, src)?;
                 (Outcome::Rows(result), Some(stats), trace)
             }
             Statement::Let { name, query, .. } => {
-                let minted_from = self.ws.components.len();
-                let (result, stats, trace) = self.run_query(&query, src)?;
+                let (result, minted, stats, trace) = self.run_query(&query, src)?;
                 let (name, rows) = (name.name, result.len());
-                if let Err(e) = self.ws.insert(name.clone(), result) {
-                    self.ws.components.truncate(minted_from);
-                    return Err(e.into());
-                }
+                self.ws.commit(name.clone(), result, minted)?;
                 (Outcome::Stored { name, rows }, Some(stats), trace)
             }
             Statement::Explain {
@@ -179,10 +189,7 @@ impl Session {
                 ..
             } => {
                 let plan = self.compile_cached(&query, src)?;
-                let minted_from = self.ws.components.len();
-                let ex = explain_analyze_plan(&mut self.ws, plan, query.span(), &self.exec);
-                self.ws.components.truncate(minted_from);
-                let ex = ex?;
+                let ex = explain_analyze_plan(&mut self.ws, plan, query.span(), &self.exec)?;
                 let stats = ex.stats;
                 (Outcome::Analyze(ex), Some(stats), None)
             }
@@ -213,12 +220,14 @@ impl Session {
         Ok(plan)
     }
 
-    /// Compile `query` and run it on the session's world set.
+    /// Compile `query` and run it on the session's world set, which the run
+    /// leaves as it found it: the components it minted come back beside the
+    /// answer.
     fn run_query(
         &mut self,
         query: &Query,
         src: &str,
-    ) -> Result<(URelation, ExecStats, Option<QueryTrace>), SessionError> {
+    ) -> Result<(URelation, Vec<Component>, ExecStats, Option<QueryTrace>), SessionError> {
         let plan = self.compile_cached(query, src)?;
         Ok(run_with(&mut self.ws, &plan, &self.exec, self.trace)?)
     }
@@ -332,6 +341,46 @@ mod tests {
         let got = session.execute("SELECT a FROM t WHERE a = 1").unwrap();
         assert_eq!(ints(got), [Value::Int(1)]);
         assert_eq!(session.plan_cache().hits(), 2);
+    }
+
+    /// Only a `LET` grows the world set. A read over `REPAIR KEY` mints
+    /// components for its own answer, whose descriptors name them by ids
+    /// past the world set's; they leave with the answer. So three runs of
+    /// one `SELECT CONF` and an `EXPLAIN ANALYZE` of it leave no component
+    /// behind, and the next `LET` numbers its components from 0.
+    #[test]
+    fn only_a_let_grows_the_world_set() {
+        let mut session = session_over(&[(1, "p"), (1, "q"), (2, "p"), (2, "q"), (3, "r")]);
+        let start = session.world().clone();
+        let query = "SELECT CONF b FROM (REPAIR KEY a IN r)";
+        for _ in 0..3 {
+            session.execute(query).unwrap();
+            assert_eq!(session.world(), &start);
+        }
+        session
+            .execute(&format!("EXPLAIN ANALYZE {query}"))
+            .unwrap();
+        assert_eq!(session.world(), &start);
+        assert_eq!(start.components.len(), 0);
+        let component_ids = |rel: &URelation| {
+            let mut ids: Vec<u32> = rel
+                .rows()
+                .iter()
+                .flat_map(|(_, d)| d.terms())
+                .map(|&(c, _)| c.0)
+                .collect();
+            ids.dedup();
+            ids
+        };
+        let Outcome::Rows(read) = session.execute("REPAIR KEY a IN r").unwrap().outcome else {
+            panic!("expected rows");
+        };
+        assert_eq!(component_ids(&read), [0, 1]);
+        assert_eq!(session.world(), &start);
+        session.execute("LET x = REPAIR KEY a IN r").unwrap();
+        let world = session.world();
+        assert_eq!(world.components.len(), 2);
+        assert_eq!(component_ids(&world.relations["x"]), [0, 1]);
     }
 
     /// Same schema, same row count, other statistics: the plan misses.

@@ -53,13 +53,13 @@ fn the_first_scan_builds_the_image_and_the_second_reuses_it() {
     // A read-only run appends the dictionaries and interns nothing: the
     // tautology is every pool's entry 0, so a certain relation imports none.
     for _ in 0..2 {
-        let (answer, stats, _) = run_with(&mut ws, &scan, &cfg, false).unwrap();
+        let (answer, _, stats, _) = run_with(&mut ws, &scan, &cfg, false).unwrap();
         assert_eq!(interning(&stats), [0, 0]);
         assert_eq!(stats.strings, 4);
         assert!(scan_borrows(&answer));
     }
     // Reading rows builds them once.
-    let (first, _, _) = run_with(&mut ws, &scan, &cfg, false).unwrap();
+    let (first, _, _, _) = run_with(&mut ws, &scan, &cfg, false).unwrap();
     assert_eq!((first.len(), first.is_certain()), (4, true));
     assert_eq!(first.to_string().lines().count(), 5);
     assert_eq!(first.rows().len(), 4);

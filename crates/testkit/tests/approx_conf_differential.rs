@@ -202,9 +202,9 @@ fn sampling_is_bit_identical_across_thread_counts() {
             let ws = shaped_world(&mut rng, shape);
             let plan = conf_approx_with(Plan::scan("r"), forced(seed));
 
-            let (r1, _, _) =
+            let (r1, _, _, _) =
                 run_with(&mut ws.clone(), &plan, &exec(1), false).expect("threads=1 runs");
-            let (r4, _, _) =
+            let (r4, _, _, _) =
                 run_with(&mut ws.clone(), &plan, &exec(4), false).expect("threads=4 runs");
             assert_eq!(
                 r1, r4,
@@ -256,7 +256,7 @@ fn cutover_boundary_is_bitwise_exact_then_samples() {
                 exact_limit: max_cost,
                 ..forced(seed)
             };
-            let (r_at, stats_at, _) = run_with(
+            let (r_at, _, stats_at, _) = run_with(
                 &mut ws.clone(),
                 &conf_approx_with(Plan::scan("r"), at),
                 &exec(1),
@@ -281,7 +281,7 @@ fn cutover_boundary_is_bitwise_exact_then_samples() {
                 exact_limit: max_cost - 1,
                 ..forced(seed)
             };
-            let (r_below, stats_below, _) = run_with(
+            let (r_below, _, stats_below, _) = run_with(
                 &mut ws.clone(),
                 &conf_approx_with(Plan::scan("r"), below),
                 &exec(1),
@@ -313,7 +313,8 @@ fn seeds_reproduce_and_stats_account_for_groups() {
         let ws = shaped_world(&mut rng, Shape::Dense);
         let plan = conf_approx_with(Plan::scan("r"), forced(seed));
 
-        let (a, stats, _) = run_with(&mut ws.clone(), &plan, &exec(1), false).expect("first run");
+        let (a, _, stats, _) =
+            run_with(&mut ws.clone(), &plan, &exec(1), false).expect("first run");
         let b = run(&mut ws.clone(), &plan).expect("second run");
         assert_eq!(a, b, "seed {seed}: same seed must reproduce exactly");
 
@@ -379,7 +380,7 @@ fn mixed_exact_and_sampled_groups_within_one_tuple() {
             seed,
             exact_limit: 16, // 2 ≤ 16 < 256
         };
-        let (got, stats, _) = run_with(
+        let (got, _, stats, _) = run_with(
             &mut ws.clone(),
             &conf_approx_with(Plan::scan("r"), approx),
             &exec(1),
@@ -487,9 +488,9 @@ fn empirical_miss_rate_stays_under_delta_in_every_regime() {
                     exact_limit: limit,
                 },
             );
-            let (r1, stats, _) =
+            let (r1, _, stats, _) =
                 run_with(&mut ws.clone(), &plan, &exec(1), false).expect("threads=1 runs");
-            let (r4, _, _) =
+            let (r4, _, _, _) =
                 run_with(&mut ws.clone(), &plan, &exec(4), false).expect("threads=4 runs");
             assert_eq!(r1, r4, "{name} seed {seed}: thread counts disagree");
             assert_eq!(stats.conf.sampled_groups, 4, "{name} seed {seed}");

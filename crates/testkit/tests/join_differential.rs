@@ -43,7 +43,9 @@ fn par(threads: usize) -> ParCfg {
 
 fn run_cfg(ws: &mut WorldSet, plan: &Plan, threads: usize) -> Result<URelation, MayError> {
     let cfg = ExecCfg { par: par(threads) };
-    run_with(ws, plan, &cfg, false).map(|(result, _, _)| result)
+    let (result, minted, _, _) = run_with(ws, plan, &cfg, false)?;
+    ws.components.extend(minted);
+    Ok(result)
 }
 
 /// Run `plan` at threads 1 and 4 and demand byte-identical results and

@@ -83,7 +83,9 @@ fn run_both(ws: &WorldSet, plan: &Plan, seed: u64) -> u64 {
     let r1 = run_with(&mut ws1, plan, &exec(par(1)), false);
     let r4 = run_with(&mut ws4, plan, &exec(par(4)), false);
     match (r1, r4) {
-        (Ok((a, s1, _)), Ok((b, s4, _))) => {
+        (Ok((a, m1, s1, _)), Ok((b, m4, s4, _))) => {
+            ws1.components.extend(m1);
+            ws4.components.extend(m4);
             assert_eq!(
                 a, b,
                 "seed {seed}: results differ across thread counts\nplan:\n{plan}"
@@ -169,8 +171,12 @@ fn threshold_crossing_workload_agrees() {
     let mut ws4 = ws.clone();
     let p1 = ParCfg::with_threads(1);
     let p4 = ParCfg::with_threads(4);
-    let (a, s1, _) = run_with(&mut ws1, &plan, &exec(p1), false).expect("threads=1 run succeeds");
-    let (b, s4, _) = run_with(&mut ws4, &plan, &exec(p4), false).expect("threads=4 run succeeds");
+    let (a, m1, s1, _) =
+        run_with(&mut ws1, &plan, &exec(p1), false).expect("threads=1 run succeeds");
+    let (b, m4, s4, _) =
+        run_with(&mut ws4, &plan, &exec(p4), false).expect("threads=4 run succeeds");
+    ws1.components.extend(m1);
+    ws4.components.extend(m4);
     assert_eq!(a, b, "threshold-crossing run differs across thread counts");
     assert_eq!(ws1, ws4, "component minting differs across thread counts");
     assert_same_pool_traffic(&s1, &s4, "threshold-crossing run");

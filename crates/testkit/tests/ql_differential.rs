@@ -211,7 +211,7 @@ fn repair_key_items_are_independent_and_let_relations_share() {
         &mut session,
         "SELECT CONF * FROM REPAIR KEY k IN r, REPAIR KEY k IN r",
     );
-    assert_eq!(session.world().components.len(), 2);
+    assert_eq!(session.world().components.len(), 0);
     let mut stored = Session::new(ws.clone());
     execute(&mut stored, "LET a = REPAIR KEY k IN r");
     execute(&mut stored, "LET b = REPAIR KEY k IN r");

@@ -1,9 +1,9 @@
 //! Stale-state property test through the engine's one door.
 //!
-//! A [`Session`] keeps a world set, the catalog over it, and a plan cache
-//! keyed on query text plus the schema and statistics of each relation a
-//! plan scans. Each seed drives one session through a random interleaving
-//! of everything that can make one of the three stale against the others:
+//! A [`Session`] keeps a world set and a plan cache keyed on query text plus
+//! the schema and statistics of each relation a plan scans. Each seed drives
+//! one session through a random interleaving of everything that can make the
+//! one stale against the other:
 //!
 //! * `LET` under fresh names and under names already bound (a base relation,
 //!   an earlier `LET`) — new schemas and new statistics for the plans that
@@ -12,15 +12,18 @@
 //!   re-spaced, re-cased and trailed by a comment — cache hits, and distinct
 //!   keys for one plan;
 //! * `EXPLAIN ANALYZE`, which compiles through the cache and runs on the
-//!   session's world set, then drops what it minted, and `EXPLAIN`, which
-//!   compiles without it;
+//!   session's world set, and `EXPLAIN`, which compiles without it;
 //! * `Session::normalize`, which rewrites descriptors and drops components.
 //!
-//! After every statement the session must agree with a **cold engine**: a
-//! clone of the world set as it stood before the statement, the catalog
-//! over that clone, `compile` with no cache, `run`. Results and the world
-//! set afterwards are compared. The long seeds run enough distinct query
-//! texts to fill the 64-entry cache and evict from it.
+//! After every statement the session must agree with a **cold engine**:
+//! `compile` with no cache and `run`, on a clone of the world set as it
+//! stood before the statement. Results and the world set afterwards are
+//! compared. Only a `LET` grows the world set: the cold engine's clone takes
+//! a `LET`'s components and relation, and every read (a query, `EXPLAIN`,
+//! `EXPLAIN ANALYZE`, a `LET` too large to store and run as a query) must
+//! leave the session's world set exactly as it was before the statement,
+//! whatever its `REPAIR KEY`s minted. The long seeds run enough distinct
+//! query texts to fill the 64-entry cache and evict from it.
 //!
 //! A failing case prints its seed and the statement for exact replay.
 
@@ -101,8 +104,9 @@ fn new_query(rng: &mut Rng, session: &Session) -> String {
 }
 
 /// What a cold engine makes of `query` on `ws`: compiled against a catalog
-/// collected on the spot, no cache. Running mutates `ws` exactly as a
-/// session run does (a `REPAIR KEY` mints components).
+/// of `ws`'s relations, no cache. `run` commits the components the query's
+/// `REPAIR KEY`s minted to `ws`, as a session's `LET` does; a read runs the
+/// cold engine on a scratch clone.
 fn cold(ws: &mut WorldSet, query: &str) -> Result<maybms_core::URelation, SessionError> {
     let plan = compile(&Catalog::from_world_set(ws), query)?;
     Ok(run(ws, &plan)?)
@@ -132,7 +136,8 @@ fn a_session_never_disagrees_with_a_cold_engine() {
         let mut inserted = 0;
 
         for step in 0..if long { LONG_STEPS } else { SHORT_STEPS } {
-            let mut expected = session.world().clone();
+            let before = session.world().clone();
+            let mut expected = before.clone();
             let misses_before = session.plan_cache().misses();
             // Long seeds mostly mint new texts, to fill and overflow the cache.
             if rng.chance(if long { 0.5 } else { 0.25 }) {
@@ -150,11 +155,16 @@ fn a_session_never_disagrees_with_a_cold_engine() {
             }
             let at = |what: &str| format!("seed {seed} step {step}: {what}\n{query}");
             let mut failed = false;
+            // Whether the statement must leave the world set as it found it:
+            // a read (a query, an explain, a `LET` too large to store) or a
+            // `LET` that fails.
+            let mut read = true;
 
             match rng.below(10) {
                 0 => {
                     session.normalize();
                     expected.normalize();
+                    read = false;
                 }
                 1 | 2 => {
                     let name = match rng.below(3) {
@@ -168,7 +178,8 @@ fn a_session_never_disagrees_with_a_cold_engine() {
                             (*rng.pick(&names)).clone()
                         }
                     };
-                    let cold_result = cold(&mut expected, &query);
+                    let mut stored = expected.clone();
+                    let cold_result = cold(&mut stored, &query);
                     let store = cold_result
                         .as_ref()
                         .is_ok_and(|r| r.len() <= MAX_STORED_ROWS);
@@ -185,7 +196,9 @@ fn a_session_never_disagrees_with_a_cold_engine() {
                                 "{}",
                                 at("LET outcome")
                             );
+                            expected = stored;
                             expected.insert(name, want).expect("result is valid");
+                            read = false;
                         }
                         (Ok(got), Ok(want)) => {
                             let Outcome::Rows(got) = got.outcome else {
@@ -245,7 +258,7 @@ fn a_session_never_disagrees_with_a_cold_engine() {
                         Err(other) => panic!("{}: {other}", at("unanchored explain error")),
                     }
                 }
-                _ => match (session.execute(&query), cold(&mut expected, &query)) {
+                _ => match (session.execute(&query), cold(&mut expected.clone(), &query)) {
                     (Ok(got), Ok(want)) => {
                         let Outcome::Rows(got) = got.outcome else {
                             panic!("{}", at("expected rows"));
@@ -264,6 +277,14 @@ fn a_session_never_disagrees_with_a_cold_engine() {
                 inserted += session.plan_cache().misses() - misses_before;
             }
             assert_eq!(session.world(), &expected, "{}", at("world set"));
+            if read {
+                assert_eq!(
+                    session.world(),
+                    &before,
+                    "{}",
+                    at("a read changed the world set")
+                );
+            }
         }
 
         // Entries leave the cache only by eviction, so taking in more than

@@ -45,12 +45,14 @@ fn traced_and_untraced_runs_are_byte_identical() {
         for threads in [1, 4] {
             let cfg = exec(threads);
             let mut ws_plain = ws.clone();
-            let (plain, _, no_trace) = run_with(&mut ws_plain, &plan, &cfg, false)
+            let (plain, minted, _, no_trace) = run_with(&mut ws_plain, &plan, &cfg, false)
                 .unwrap_or_else(|e| panic!("case {case}: untraced run failed: {e}"));
+            ws_plain.components.extend(minted);
             assert!(no_trace.is_none(), "case {case}: untraced run has no trace");
             let mut ws_traced = ws.clone();
-            let (traced, _, trace) = run_with(&mut ws_traced, &plan, &cfg, true)
+            let (traced, minted, _, trace) = run_with(&mut ws_traced, &plan, &cfg, true)
                 .unwrap_or_else(|e| panic!("case {case}: traced run failed: {e}"));
+            ws_traced.components.extend(minted);
             let trace = trace.expect("traced run returns its trace");
             assert_eq!(
                 plain, traced,
@@ -81,7 +83,7 @@ fn traces_cover_every_plan_node_and_attribute_consistently() {
         let ws = gen_world_set(&mut rng, &cfg);
         let plan = gen_uncertain_plan(&mut rng, &ws, 3);
         let mut ws_eval = ws.clone();
-        let (result, _, trace) = run_with(&mut ws_eval, &plan, &exec(2), true)
+        let (result, _, _, trace) = run_with(&mut ws_eval, &plan, &exec(2), true)
             .unwrap_or_else(|e| panic!("case {case}: traced run failed: {e}"));
         let trace = trace.expect("traced run returns its trace");
 
@@ -229,7 +231,7 @@ fn concurrent_fan_outs_do_not_leak_into_a_trace() {
     std::thread::scope(|scope| {
         let background = scope.spawn(|| {
             while !stop.load(Ordering::Relaxed) {
-                let (_, stats, _) = run_with(&mut bg_ws.clone(), &bg_plan, &exec(2), false)
+                let (_, _, stats, _) = run_with(&mut bg_ws.clone(), &bg_plan, &exec(2), false)
                     .expect("background run succeeds");
                 assert!(stats.par.busy_nanos > 0, "the background run fans out");
                 fanned_out.fetch_add(1, Ordering::Relaxed);
@@ -252,7 +254,7 @@ fn concurrent_fan_outs_do_not_leak_into_a_trace() {
             let ws = gen_world_set(&mut rng, &cfg);
             let plan = gen_uncertain_plan(&mut rng, &ws, 3);
             for (ws, plan) in [(&ws, &plan), (&conf_ws, &conf_plan)] {
-                let (_, stats, trace) = run_with(&mut ws.clone(), plan, &exec(1), true)
+                let (_, _, stats, trace) = run_with(&mut ws.clone(), plan, &exec(1), true)
                     .unwrap_or_else(|e| panic!("case {case}: traced run failed: {e}"));
                 assert_eq!(
                     stats.par.busy_nanos, 0,

@@ -15,14 +15,17 @@
 //! ```
 //!
 //! Statements end with `;`. `LET name = <query>;` evaluates a query once and
-//! registers the result as a new relation — the way to share one repair's
-//! components across several later queries. `EXPLAIN <query>;` shows the
-//! lowered and the optimized plan instead of evaluating (queries themselves
-//! always run through the optimizer); `EXPLAIN ANALYZE <query>;` *executes*
-//! the query with tracing on (on the session's world set, dropping the
-//! components its repairs mint) and prints the optimized plan annotated
-//! per node with wall time, rows, morsel fan-out, pool traffic, and
-//! confidence-solver counters.
+//! registers the result as a new relation, together with the components its
+//! repairs minted — the only statement that grows the world set, and the
+//! way to share one repair's components across several later queries. A
+//! query's repairs mint components for its answer alone: its descriptors
+//! may name components past the world set's, which the statement dropped.
+//! `EXPLAIN <query>;` shows the lowered and the optimized plan instead of
+//! evaluating (queries themselves always run through the optimizer);
+//! `EXPLAIN ANALYZE <query>;` *executes* the query with tracing on (on the
+//! session's world set, which it leaves as it found it, like any query) and
+//! prints the optimized plan annotated per node with wall time, rows,
+//! morsel fan-out, pool traffic, and confidence-solver counters.
 //!
 //! Meta commands: `\d` lists the relations, `\stats` shows the last query's
 //! executor statistics (descriptor-pool occupancy and hit rates,
