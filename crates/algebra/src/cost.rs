@@ -20,8 +20,8 @@
 //! The join order is chosen on estimates alone: `join_step_cost` charges
 //! one pairwise hash join its probe side, its build side double (hash-table
 //! construction, so the planner prefers small build sides) and its output.
-//! The optimizer estimates each maximal join tree's leaves once, in its one
-//! reorder sweep, and scores every candidate shape from those.
+//! The optimizer estimates each select-project-join block's leaves once
+//! and scores every candidate join shape of the block from those.
 //!
 //! Everything here is estimation-only: nothing in this module rewrites
 //! plans, and a missing statistic degrades to a default, never an error.

@@ -30,16 +30,14 @@
 //! [`possible`], [`certain`], [`conf`], [`conf_approx`] and
 //! [`conf_approx_with`] build them.
 //!
-//! Between lowering and execution sits the **logical optimizer**
-//! ([`mod@optimize`]): two sweeps, each run once, that push selections into
-//! join inputs, prune projections down to the columns consumers need, and
-//! collapse projections that derived plan properties (schema) prove
-//! redundant. Uncertainty operators are barriers whose inputs are
-//! rewritten in place. After the rules, [`optimize::optimize_with_stats`]
-//! runs a **cost-based phase** once: it reorders join trees (a greedy
-//! cheapest-pair search), driven by the statistics each relation serves
-//! through [`Relations`] to the cardinality estimator in [`cost`], and
-//! where it reordered, the rules sweep once more.
+//! Between lowering and execution sits the **optimizer**
+//! ([`optimize::optimize_with_stats`]): it plans every select-project-join
+//! block once — extracts its leaves and conjuncts, narrows each leaf to the
+//! columns read above it, orders the joins (a greedy cheapest-pair search,
+//! driven by the statistics each relation serves through [`Relations`] to
+//! the cardinality estimator in [`cost`]) and places each conjunct at the
+//! lowest join that covers it. Uncertainty operators, unions and renames
+//! are the blocks' edges; their inputs are blocks of their own.
 //!
 //! [`naive`] evaluates the same plans with the textbook single-world
 //! algebra, which is what the differential tests run inside each enumerated
@@ -59,7 +57,7 @@ pub mod uncertain;
 pub use confidence::{ApproxConf, CONF_COLUMN, DEFAULT_CONF_EXACT_LIMIT, DEFAULT_CONF_SEED};
 pub use cost::{estimate, estimate_preorder, CardEst};
 pub use eval::{run, run_traced, run_with, run_with_opts, ExecCfg, ExecStats, SipStats};
-pub use optimize::{optimize, optimize_with_stats, Relations};
+pub use optimize::{optimize_with_stats, Relations};
 pub use plan::Plan;
 pub use predicate::{col, lit, CmpOp, Operand, Predicate};
 pub use uncertain::{certain, conf, conf_approx, conf_approx_with, possible, repair_key, UOp};

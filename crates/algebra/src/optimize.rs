@@ -1,36 +1,29 @@
-//! The logical plan optimizer: an algebraic rewrite layer between lowering
-//! and execution.
+//! The optimizer: plans each select-project-join block of a lowered plan
+//! once, between lowering and execution.
 //!
 //! The paper's claim is that queries over incomplete information compile to
-//! ordinary relational plans over u-relations, and selections and
-//! projections rewrite exactly as in a classical optimizer: they read and
-//! drop tuple cells, never descriptors. [`optimize`] rewrites [`Plan`]s in
-//! two sweeps, each run once: selections sink, then projections prune. It
-//! keeps the rules that change a benchmark plan, each justified by an
-//! algebraic equivalence on world-set decompositions:
+//! ordinary relational plans over u-relations: selections and projections
+//! read and drop tuple cells, never descriptors. Between the uncertainty
+//! operators a plan is a select-project-join block — a conjunctive query —
+//! and [`optimize_with_stats`] plans each one as a System R planner would.
+//! Each placement is justified by an equivalence on world-set
+//! decompositions:
 //!
-//! | rule | equivalence | why it is sound on WSDs |
-//! |------|-------------|--------------------------|
-//! | selection into a join input | `σ_p(R ⋈ S) = σ_p(R) ⋈ S` for `cols(p) ⊆ R`, per conjunct | selection reads tuple cells only and never touches descriptors |
-//! | projection collapse | `π_a(π_b(R)) = π_a(R)` for `a ⊆ b` | both sides deduplicate under the outer projection |
-//! | projection pruning | `π_a(R ⋈ S) = π_a(π_{a∪keys}(R) ⋈ π_{a∪keys}(S))` | rows collapsed early are exact `(tuple, descriptor)` duplicates in the projected space, which the enclosing projection collapses anyway |
+//! | placement | equivalence | why it is sound on WSDs |
+//! |-----------|-------------|--------------------------|
+//! | a conjunct on each leaf that has its columns, else at the lowest join that covers them | `σ_p(R ⋈ S) = σ_p(R) ⋈ S` for `cols(p) ⊆ R`, and `= σ_p(R) ⋈ σ_p(S)` for `cols(p) ⊆ R ∩ S` | selection reads tuple cells only and never touches descriptors; a shared column is equal on both sides of every joined row |
+//! | projections looked through | `π_a(π_b(X)) = π_a(X)`, and `π_b(R) ⋈ S` read as `R ⋈ S` under the block's output projection when no column `π_b` drops occurs outside `R` | both sides deduplicate under the outer projection, and the dropped columns join nothing |
+//! | leaves and joins narrowed | `π_a(R ⋈ S) = π_a(π_{a∪keys}(R) ⋈ π_{a∪keys}(S))` | rows collapsed early are exact `(tuple, descriptor)` duplicates in the projected space, which the enclosing projection collapses anyway |
+//! | joins ordered | any join tree over the block's leaves, under a projection onto the written column order | natural join commutes and associates, and a full-width projection of a join's duplicate-free output drops nothing |
 //!
-//! Rules fire only when a derived plan property proves them sound; the
-//! properties ([`Plan::schema_with`], [`Plan::is_certain`]) are computed
-//! structurally against the [`Relations`] a plan names — the world set's
-//! relation map, or the MayQL catalog over it — whose statistics also drive
-//! the cost-based join reorder ([`optimize_with_stats`]).
+//! Uncertainty operators ([`Plan::Uncertain`]) are barriers: nothing
+//! crosses one, and only their input is planned; a `repair-key` input stays
+//! provably certain ([`Plan::is_certain`]).
 //!
-//! Uncertainty operators ([`Plan::Uncertain`]) are barriers: no selection
-//! or projection crosses one, and only their input is rewritten. A
-//! `repair-key` input must stay a normalized certain relation, so it is
-//! only replaced by a rewrite that keeps it provably certain.
-//!
-//! **No rewrite duplicates a subtree.** Every rule moves, wraps or drops
-//! nodes, and the join reorder rebuilds a tree over the same leaves, each
-//! once. So every node of the optimized plan, `repair-key`s included,
-//! evaluates exactly as often as in the lowered plan, and each minted
-//! component stays where the query put it.
+//! **No rewrite duplicates a subtree.** A block is rebuilt over its own
+//! leaves, each once (only selections repeat, on leaves sharing their
+//! columns), so every node, `repair-key`s included, evaluates exactly as
+//! often as in the lowered plan and each minted component stays put.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -98,42 +91,6 @@ impl Plan {
     }
 }
 
-/// Optimize a plan by the rules alone: one selection-pushdown sweep, then
-/// one projection-pruning sweep. Each sweep finishes its rule in one walk
-/// (a selection sinks as far as it goes, a narrowing merges into the
-/// projection it meets), so a second round of both finds nothing: the
-/// result is its own optimization. It evaluates to the same u-relation as
-/// the input (up to row order) on every world set whose base relations
-/// match the relations' schemas; the differential test suite checks exactly
-/// that on randomized plans and world sets.
-pub fn optimize(plan: &Plan, relations: &dyn Relations) -> Result<Plan, MayError> {
-    Sweep { relations }.rules(plan.clone())
-}
-
-/// An uncertainty operator over its rewritten input `swept`. A
-/// `repair-key` input must stay a normalized certain relation:
-/// `certain_input` is the original input when it was provably certain
-/// ([`certain_input`]), and it stays if the rewrite lost that.
-fn rebuild(op: UOp, certain_input: Option<Box<Plan>>, swept: Plan) -> Plan {
-    match certain_input {
-        Some(input) if !swept.is_certain() => Plan::Uncertain { op, input },
-        _ => op.over(swept),
-    }
-}
-
-/// The input [`rebuild`] falls back to: a `repair-key`'s provably certain
-/// input.
-fn certain_input(op: &UOp, input: &Plan) -> Option<Box<Plan>> {
-    (matches!(op, UOp::RepairKey { .. }) && input.is_certain()).then(|| Box::new(input.clone()))
-}
-
-/// The optimizer's sweeps over one set of relations: the rules
-/// ([`Sweep::pushdown`], [`Sweep::prune`]) and the cost-based join reorder
-/// ([`Sweep::reorder`]).
-struct Sweep<'a> {
-    relations: &'a dyn Relations,
-}
-
 /// Flatten a predicate's top-level conjunction into conjuncts.
 fn conjuncts(p: Predicate, out: &mut Vec<Predicate>) {
     match p {
@@ -146,215 +103,6 @@ fn conjuncts(p: Predicate, out: &mut Vec<Predicate>) {
     }
 }
 
-/// Rebuild a conjunction from conjuncts (`None` when empty).
-fn and_of(mut ps: Vec<Predicate>) -> Option<Predicate> {
-    match ps.len() {
-        0 => None,
-        1 => ps.pop(),
-        _ => Some(Predicate::And(ps)),
-    }
-}
-
-impl Sweep<'_> {
-    /// The rules: pushdown, then pruning.
-    fn rules(&self, plan: Plan) -> Result<Plan, MayError> {
-        let pushed = self.pushdown(plan)?;
-        self.prune(pushed, None)
-    }
-
-    /// The pushdown sweep: selections sink into join inputs and nested
-    /// projections collapse.
-    fn pushdown(&self, plan: Plan) -> Result<Plan, MayError> {
-        match plan {
-            Plan::Scan(_) => Ok(plan),
-            Plan::Select { input, predicate } => {
-                let input = self.pushdown(*input)?;
-                self.push_select(input, predicate)
-            }
-            Plan::Project { mut input, columns } => {
-                let mut inner = self.pushdown(*input)?;
-                // π_a(π_b(X)) → π_a(X): `a ⊆ b` by typing, and both sides
-                // deduplicate under the outer projection.
-                while let Plan::Project { input: i2, .. } = inner {
-                    inner = *i2; // already swept
-                }
-                *input = inner;
-                Ok(Plan::Project { input, columns })
-            }
-            Plan::Rename { mut input, renames } => {
-                *input = self.pushdown(*input)?;
-                Ok(Plan::Rename { input, renames })
-            }
-            Plan::NaturalJoin { left, right } => {
-                Ok(self.pushdown(*left)?.join(self.pushdown(*right)?))
-            }
-            Plan::Union { left, right } => Ok(self.pushdown(*left)?.union(self.pushdown(*right)?)),
-            Plan::Uncertain { op, input } => {
-                let certain = certain_input(&op, &input);
-                Ok(rebuild(op, certain, self.pushdown(*input)?))
-            }
-        }
-    }
-
-    /// Push one selection into the join directly below it: each conjunct
-    /// sinks into the side that has all of its columns; conjuncts spanning
-    /// both sides, and selections over anything but a join, stay where they
-    /// are. `input` has already been swept by [`Sweep::pushdown`].
-    fn push_select(&self, input: Plan, pred: Predicate) -> Result<Plan, MayError> {
-        let Plan::NaturalJoin { left, right } = input else {
-            return Ok(input.select(pred));
-        };
-        let ls = left.schema_with(self.relations)?;
-        let rs = right.schema_with(self.relations)?;
-        let mut parts = Vec::new();
-        conjuncts(pred, &mut parts);
-        let (mut to_l, mut to_r, mut keep) = (Vec::new(), Vec::new(), Vec::new());
-        for c in parts {
-            let mut cols = BTreeSet::new();
-            c.columns(&mut cols);
-            if cols.iter().all(|n| ls.col_index(n).is_ok()) {
-                to_l.push(c);
-            } else if cols.iter().all(|n| rs.col_index(n).is_ok()) {
-                to_r.push(c);
-            } else {
-                keep.push(c);
-            }
-        }
-        let l = match and_of(to_l) {
-            Some(p) => self.push_select(*left, p)?,
-            None => *left,
-        };
-        let r = match and_of(to_r) {
-            Some(p) => self.push_select(*right, p)?,
-            None => *right,
-        };
-        let joined = l.join(r);
-        Ok(match and_of(keep) {
-            Some(p) => joined.select(p),
-            None => joined,
-        })
-    }
-
-    /// The projection pruning sweep (top-down): `required` is the set of
-    /// columns some enclosing projection will keep — `None` means all.
-    /// Requirements flow through selections (plus their predicate columns),
-    /// renames (mapped back) and unions, and at a join each input is
-    /// narrowed to its required columns plus the join keys, so the join
-    /// materializes (gathers) only columns a consumer needs. Narrowing is
-    /// sound because every `required` set originates at a projection, whose
-    /// set semantics collapse exactly the rows the early narrowing collapses.
-    fn prune(&self, plan: Plan, required: Option<&BTreeSet<String>>) -> Result<Plan, MayError> {
-        match plan {
-            Plan::Scan(_) => Ok(plan),
-            Plan::Select {
-                mut input,
-                predicate,
-            } => {
-                let req2 = required.map(|r| {
-                    let mut s = r.clone();
-                    predicate.columns(&mut s);
-                    s
-                });
-                *input = self.prune(*input, req2.as_ref())?;
-                Ok(Plan::Select { input, predicate })
-            }
-            Plan::Project { mut input, columns } => {
-                let req2: BTreeSet<String> = columns.iter().cloned().collect();
-                *input = self.prune(*input, Some(&req2))?;
-                Ok(Plan::Project { input, columns })
-            }
-            Plan::Rename { mut input, renames } => {
-                *input = match required {
-                    None => self.prune(*input, None)?,
-                    Some(req) => {
-                        // The rename node itself is metadata-only, so every
-                        // pair is kept and every pair's *source* column is
-                        // required below — dropping a pair (or its source)
-                        // could leave the source column alive under its old
-                        // name and collide with another pair's target (a
-                        // swap like `a → b, b → a` pruned to one pair would
-                        // rename onto a still-existing column). Surviving
-                        // requirements map back through the renaming.
-                        let mut req2: BTreeSet<String> = req
-                            .iter()
-                            .map(|n| match renames.iter().find(|(_, new)| new == n) {
-                                Some((old, _)) => old.clone(),
-                                None => n.clone(),
-                            })
-                            .collect();
-                        for (old, _) in &renames {
-                            req2.insert(old.clone());
-                        }
-                        self.prune(*input, Some(&req2))?
-                    }
-                };
-                Ok(Plan::Rename { input, renames })
-            }
-            Plan::NaturalJoin { left, right } => {
-                let Some(req) = required else {
-                    return Ok(self.prune(*left, None)?.join(self.prune(*right, None)?));
-                };
-                let ls = left.schema_with(self.relations)?;
-                let rs = right.schema_with(self.relations)?;
-                let shared: BTreeSet<&str> = ls
-                    .names()
-                    .into_iter()
-                    .filter(|n| rs.col_index(n).is_ok())
-                    .collect();
-                let side_req = |s: &Schema| -> BTreeSet<String> {
-                    s.names()
-                        .into_iter()
-                        .filter(|n| req.contains(*n) || shared.contains(n))
-                        .map(str::to_string)
-                        .collect()
-                };
-                let (lreq, rreq) = (side_req(&ls), side_req(&rs));
-                Ok(self.narrow(*left, &lreq)?.join(self.narrow(*right, &rreq)?))
-            }
-            Plan::Union { left, right } => match required {
-                // Both sides narrow to the same required subset (their
-                // schemas are union-compatible), keeping the union
-                // union-compatible.
-                Some(req) => Ok(self.narrow(*left, req)?.union(self.narrow(*right, req)?)),
-                None => Ok(self.prune(*left, None)?.union(self.prune(*right, None)?)),
-            },
-            // A barrier: the operator consumes its whole input, so the
-            // requirement restarts at `None`.
-            Plan::Uncertain { op, input } => {
-                let certain = certain_input(&op, &input);
-                Ok(rebuild(op, certain, self.prune(*input, None)?))
-            }
-        }
-    }
-
-    /// Prune a join or union input to the `required` columns and narrow it
-    /// to them: wrap it in a projection onto `required` (in schema order)
-    /// when that drops at least one column, never down to zero columns. A
-    /// projection input is narrowed in place before it is pruned —
-    /// `π_a(π_b(X)) = π_a(X)` — so what lies below it is pruned to the
-    /// narrowed columns, and no projection is wrapped in a second one.
-    fn narrow(&self, plan: Plan, required: &BTreeSet<String>) -> Result<Plan, MayError> {
-        let plan = match plan {
-            Plan::Project { input, columns } if columns.iter().any(|c| required.contains(c)) => {
-                input.project(columns.into_iter().filter(|c| required.contains(c)))
-            }
-            other => other,
-        };
-        let plan = self.prune(plan, Some(required))?;
-        let schema = plan.schema_with(self.relations)?;
-        let keep: Vec<String> = schema
-            .names()
-            .into_iter()
-            .filter(|n| required.contains(*n))
-            .map(str::to_string)
-            .collect();
-        if keep.len() == schema.arity() || keep.is_empty() {
-            return Ok(plan);
-        }
-        Ok(plan.project(keep))
-    }
-}
-
 /// A reorder must beat the current shape's estimated cost by at least this
 /// factor to fire. This is the near-tie policy: a shape within 5 % of what
 /// the search proposes stays, so estimate-equivalent shapes never trade
@@ -363,90 +111,417 @@ impl Sweep<'_> {
 /// alone.
 const COST_IMPROVEMENT: f64 = 0.95;
 
-/// Optimize a plan by the rules *and* the statistics-driven join reorder,
-/// in a fixed sequence of sweeps, each run once:
-///
-/// 1. pushdown and 2. pruning — exactly [`optimize`];
-/// 3. one greedy cheapest-pair search per maximal join tree, which
-///    replaces the tree when it beats the current shape by a 5 % margin
-///    (the near-tie policy);
-/// 4. when a reorder fired, pushdown and pruning once more, over the
-///    reordered plan: the projection that restores a reordered tree's
-///    column order merges into an enclosing one, and the new shape's join
-///    inputs narrow to what is consumed above them.
-///
-/// Re-planning the result leaves it unchanged on the differential suite's
-/// join chains (which assert it) and on every statement of the `perfbench`
-/// workloads and the plan corpus. It is not a fixpoint by construction:
-/// where step 4 narrows a reordered tree into smaller ones, or the greedy
-/// search breaks a tie differently over the reordered leaves, a second call
-/// can still find a cheaper order (about 2 in 1 000 randomly generated
-/// plans). Over empty relations every scan estimates 0 rows, so every
-/// shape costs 0, no reorder fires and the result is exactly [`optimize`]'s
-/// — unless a `certain` leaf's one-row estimate floor makes one order
-/// cheaper, which is still an order over the same leaves.
-///
-/// Like the rules, every rewrite is meaning-preserving: the result
-/// evaluates to the same u-relation as the input (up to row order) on every
-/// world set matching the relations' schemas, whatever the statistics say —
-/// estimates only ever pick among equivalent shapes.
+/// Optimize a plan: plan each select-project-join block — the joins,
+/// selections and projections between uncertainty operators, unions and
+/// renames — once, in four steps: **extract** its leaves, conjuncts and
+/// written join shape; **estimate and narrow** each leaf to the columns
+/// read above it; **order** the joins — the written shape stays unless the
+/// greedy search or the commuted written shape beats it by a 5 % margin;
+/// **place** each other conjunct at the lowest join that covers it while
+/// building. A leaf's inputs are blocks of their own. Planning the result
+/// again gives it back, and over empty relations (every estimate 0) the
+/// written join order stays. The result evaluates to the same u-relation as
+/// the input (up to row order) on every world set matching the relations'
+/// schemas, whatever the statistics say.
 pub fn optimize_with_stats(plan: &Plan, relations: &dyn Relations) -> Result<Plan, MayError> {
-    let planned = optimize(plan, relations)?;
-    let sweep = Sweep { relations };
-    match sweep.reorder(&planned)? {
-        Some(reordered) => sweep.rules(reordered),
-        None => Ok(planned),
+    Planner { relations }.leaf(plan.clone(), None)
+}
+
+/// A set of column names.
+type Cols = BTreeSet<String>;
+
+/// A plan's output column names, in schema order.
+fn names_of(plan: &Plan, relations: &dyn Relations) -> Result<Vec<String>, MayError> {
+    let schema = plan.schema_with(relations)?;
+    Ok(schema.names().into_iter().map(str::to_string).collect())
+}
+
+/// `plan` under a selection of the conjunction of `ps`, or `plan` itself
+/// when `ps` is empty.
+fn select_all(plan: Plan, mut ps: Vec<Predicate>) -> Plan {
+    match ps.len() {
+        0 => plan,
+        1 => plan.select(ps.pop().expect("one conjunct")),
+        _ => plan.select(Predicate::And(ps)),
     }
 }
 
-/// The shape of a join tree over flattened leaves: the current plan's and
-/// the search's candidates alike, so both are estimated with the same
-/// pairwise composition (otherwise the comparison would be apples to
-/// oranges).
+/// A plan and its output column names.
+type Named = (Plan, Vec<String>);
+
+/// Project a plan onto its columns that `keep` accepts: the ones in
+/// `first` in that order, then the rest in schema order. The plan stays as
+/// it is when that would drop nothing or everything.
+fn trim((plan, names): Named, keep: impl Fn(&String) -> bool, first: &[String]) -> Named {
+    let firsts = first.iter().filter(|c| names.contains(c));
+    let rest = names.iter().filter(|c| !first.contains(c));
+    let kept: Vec<String> = firsts.chain(rest).filter(|c| keep(c)).cloned().collect();
+    if kept.len() == names.len() || kept.is_empty() {
+        return (plan, names);
+    }
+    (plan.project(kept.clone()), kept)
+}
+
+/// The optimizer over one set of relations.
+struct Planner<'a> {
+    relations: &'a dyn Relations,
+}
+
+/// Step 1's result: a block's leaves, conjuncts, whether it was written
+/// with a projection above its joins, and [`Planner::deep_counts`].
+#[derive(Default)]
+struct Block {
+    leaves: Vec<Plan>,
+    conjuncts: Vec<Predicate>,
+    projected: bool,
+    all: Counts,
+}
+
+impl Planner<'_> {
+    /// Plan a block leaf, or a whole plan. `required` is the set of its
+    /// columns something above it reads — `None` means all. A union passes
+    /// it to both inputs, a rename maps it back to its input's names, and a
+    /// block narrows its output to it; an uncertainty operator consumes its
+    /// whole input, so the requirement restarts at `None` below it.
+    fn leaf(&self, plan: Plan, required: Option<&Cols>) -> Result<Plan, MayError> {
+        Ok(match plan {
+            Plan::Scan(_) => plan,
+            Plan::Select { .. } | Plan::Project { .. } | Plan::NaturalJoin { .. } => {
+                self.block(plan, required)?
+            }
+            Plan::Union { left, right } => {
+                // Both inputs narrow alike, keeping the union union-compatible.
+                let side = |p: Plan| -> Result<Plan, MayError> {
+                    let p = self.leaf(p, required)?;
+                    let Some(req) = required else { return Ok(p) };
+                    let names = names_of(&p, self.relations)?;
+                    Ok(trim((p, names), |c| req.contains(c), &[]).0)
+                };
+                side(*left)?.union(side(*right)?)
+            }
+            Plan::Rename { input, renames } => {
+                // Every pair's *source* column stays required below, so no
+                // pair is dropped: a swap like `a → b, b → a` pruned to one
+                // pair would rename onto a still-existing column.
+                let required = required.map(|req| {
+                    let back = |n: &String| match renames.iter().find(|(_, new)| new == n) {
+                        Some((old, _)) => old.clone(),
+                        None => n.clone(),
+                    };
+                    let sources = renames.iter().map(|(old, _)| old.clone());
+                    req.iter().map(back).chain(sources).collect::<Cols>()
+                });
+                self.leaf(*input, required.as_ref())?.rename(renames)
+            }
+            Plan::Uncertain { op, input } => {
+                // A `repair-key` input must stay a normalized certain
+                // relation: a provably certain one stays as written when
+                // its plan loses that.
+                let certain = matches!(op, UOp::RepairKey { .. }) && input.is_certain();
+                let written = certain.then(|| input.clone());
+                let planned = self.leaf(*input, None)?;
+                match written {
+                    Some(input) if !planned.is_certain() => Plan::Uncertain { op, input },
+                    _ => op.over(planned),
+                }
+            }
+        })
+    }
+
+    /// Plan one select-project-join block (see [`optimize_with_stats`]).
+    /// Its output is the block's columns, narrowed to `required` when some
+    /// of them are required.
+    fn block(&self, plan: Plan, required: Option<&Cols>) -> Result<Plan, MayError> {
+        let mut out = names_of(&plan, self.relations)?;
+        if let Some(req) = required {
+            let kept: Vec<String> = out.iter().filter(|c| req.contains(*c)).cloned().collect();
+            if !kept.is_empty() {
+                out = kept;
+            }
+        }
+        let mut blk = Block::default();
+        self.deep_counts(&plan, &mut blk.all)?;
+        let written = self.extract(plan, false, &mut blk)?;
+        // A conjunct goes on every leaf that has its columns: keep one of
+        // each, in one order, so the plan re-extracts to the same conjuncts.
+        blk.conjuncts.sort();
+        blk.conjuncts.dedup();
+
+        let mut cover = Vec::with_capacity(blk.leaves.len());
+        let mut deep = Vec::with_capacity(blk.leaves.len());
+        for leaf in &blk.leaves {
+            cover.push(Cols::from_iter(names_of(leaf, self.relations)?));
+            deep.push(self.deep_columns(leaf)?);
+        }
+        let (mut on_leaves, mut rest) = (vec![Vec::new(); cover.len()], Vec::new());
+        for c in blk.conjuncts {
+            let mut cols = Cols::new();
+            c.columns(&mut cols);
+            let mut covered = false;
+            for (mine, leaf_cols) in on_leaves.iter_mut().zip(&cover) {
+                if cols.is_subset(leaf_cols) {
+                    mine.push(c.clone());
+                    covered = true;
+                }
+            }
+            if !covered {
+                rest.push((Some(c), cols));
+            }
+        }
+        let mut built = Built {
+            out,
+            leaves: Vec::with_capacity(cover.len()),
+            deep,
+            rest,
+        };
+        for (i, (leaf, mine)) in blk.leaves.into_iter().zip(on_leaves).enumerate() {
+            let read = |c: &String| built.reads(c, &[i]);
+            let mut req: Cols = cover[i].iter().filter(|c| read(c)).cloned().collect();
+            for c in &mine {
+                c.columns(&mut req);
+            }
+            let planned = select_all(self.leaf(leaf, Some(&req))?, mine);
+            let names = names_of(&planned, self.relations)?;
+            let planned = trim((planned, names), read, &built.out);
+            built.leaves.push(Some(planned));
+        }
+        let shape = order(written, &built.leaves, self.relations);
+        let (plan, names, _) = built.build(&shape, true);
+        // The output in its written order: a full-width projection of a
+        // join's duplicate-free output drops nothing. A block written with
+        // a projection above its joins keeps one — it deduplicates, and it
+        // marks the block's edge when the plan is planned again.
+        let projected = blk.projected && !matches!(plan, Plan::Project { .. });
+        Ok(if names == built.out && !projected {
+            plan
+        } else {
+            plan.project(built.out)
+        })
+    }
+
+    /// Step 1: walk the block from `plan` down (`inner` below a join),
+    /// collecting its leaves and conjuncts; returns the written join shape.
+    /// A projection above the joins only narrows the output. One below a
+    /// join is looked through only when no column it drops occurs in a leaf
+    /// outside it; otherwise it is a leaf, as looking through it would turn
+    /// the dropped column into a join key.
+    fn extract(&self, plan: Plan, inner: bool, blk: &mut Block) -> Result<JoinShape, MayError> {
+        Ok(match plan {
+            Plan::Select { input, predicate } => {
+                conjuncts(predicate, &mut blk.conjuncts);
+                self.extract(*input, inner, blk)?
+            }
+            Plan::Project { input, .. } if !inner => {
+                blk.projected = true;
+                self.extract(*input, false, blk)?
+            }
+            Plan::Project { input, columns } if self.drops_own(&input, &columns, &blk.all)? => {
+                self.extract(*input, true, blk)?
+            }
+            Plan::NaturalJoin { left, right } => JoinShape::Node(
+                Box::new(self.extract(*left, true, blk)?),
+                Box::new(self.extract(*right, true, blk)?),
+            ),
+            leaf => {
+                blk.leaves.push(leaf);
+                JoinShape::Leaf(blk.leaves.len() - 1)
+            }
+        })
+    }
+
+    /// Whether every column of `input` that a projection onto `kept` drops
+    /// occurs in no leaf of the block outside `input`.
+    fn drops_own(&self, input: &Plan, kept: &[String], all: &Counts) -> Result<bool, MayError> {
+        let mut inside = Counts::new();
+        self.deep_counts(input, &mut inside)?;
+        Ok(inside.iter().all(|(c, n)| kept.contains(c) || all[c] == *n))
+    }
+
+    /// For each column, how many leaves below `plan` — selections,
+    /// projections and joins looked through — have it among their
+    /// [`Planner::deep_columns`].
+    fn deep_counts(&self, plan: &Plan, counts: &mut Counts) -> Result<(), MayError> {
+        match plan {
+            Plan::Select { input, .. } | Plan::Project { input, .. } => {
+                self.deep_counts(input, counts)
+            }
+            Plan::NaturalJoin { left, right } => {
+                self.deep_counts(left, counts)?;
+                self.deep_counts(right, counts)
+            }
+            leaf => {
+                for c in self.deep_columns(leaf)? {
+                    *counts.entry(c).or_default() += 1;
+                }
+                Ok(())
+            }
+        }
+    }
+
+    /// Every column of `plan` and of what its projections drop, looking
+    /// through all but uncertainty operators — which planning leaves alone,
+    /// so a plan and its optimized form have the same deep columns.
+    fn deep_columns(&self, plan: &Plan) -> Result<Cols, MayError> {
+        Ok(match plan {
+            Plan::Select { input, .. } | Plan::Project { input, .. } => self.deep_columns(input)?,
+            Plan::NaturalJoin { left, right } | Plan::Union { left, right } => {
+                let mut cols = self.deep_columns(left)?;
+                cols.extend(self.deep_columns(right)?);
+                cols
+            }
+            Plan::Rename { input, renames } => (self.deep_columns(input)?.into_iter())
+                .map(|n| match renames.iter().find(|(old, _)| *old == n) {
+                    Some((_, new)) => new.clone(),
+                    None => n,
+                })
+                .collect(),
+            Plan::Scan(_) | Plan::Uncertain { .. } => {
+                names_of(plan, self.relations)?.into_iter().collect()
+            }
+        })
+    }
+}
+
+/// How many leaves have each column.
+type Counts = BTreeMap<String, usize>;
+
+/// Step 3: the shape to build over the planned leaves. The search sees the
+/// leaves in one order however they are written (leaf order breaks its
+/// exact ties), so a block planned again gets the same proposal.
+fn order(written: JoinShape, leaves: &[Option<Named>], relations: &dyn Relations) -> JoinShape {
+    if leaves.len() < 2 {
+        return written;
+    }
+    let ests: Vec<CardEst> = (leaves.iter().flatten())
+        .map(|(leaf, _)| crate::cost::estimate(leaf, relations))
+        .collect();
+    let (_, current, turned, turned_cost) = commuted(&written, &ests);
+    let mut by_est: Vec<usize> = (0..ests.len()).collect();
+    // Any total order on estimates does: their names, then their numbers.
+    by_est.sort_by_cached_key(|&i| {
+        let e = &ests[i];
+        let ranges = e.ranges.values().flat_map(|&(lo, hi)| [lo, hi]);
+        let numbers = [e.rows, e.nontrivial_frac]
+            .into_iter()
+            .chain(e.ndv.values().copied());
+        let names: Vec<&String> = e.ndv.keys().chain(e.ranges.keys()).collect();
+        (
+            names,
+            numbers.chain(ranges).map(f64::to_bits).collect::<Vec<_>>(),
+        )
+    });
+    let sorted: Vec<CardEst> = by_est.iter().map(|&i| ests[i].clone()).collect();
+    let (mut best, searched) = greedy_best(&sorted);
+    let mut proposed = searched.relabel(&by_est);
+    if turned_cost <= best {
+        (best, proposed) = (turned_cost, turned);
+    }
+    if best < current * COST_IMPROVEMENT {
+        proposed
+    } else {
+        written
+    }
+}
+
+/// Steps 2 and 4: a block while its leaves are planned and its shape built.
+struct Built {
+    /// The block's output columns, in order.
+    out: Vec<String>,
+    /// Each planned leaf and its columns, until it is built in.
+    leaves: Vec<Option<Named>>,
+    /// Each leaf's [`Planner::deep_columns`].
+    deep: Vec<Cols>,
+    /// Each conjunct no leaf covers and its columns, until a join places it.
+    rest: Vec<(Option<Predicate>, Cols)>,
+}
+
+impl Built {
+    /// Whether something above a subtree over the leaves `inside` reads
+    /// column `c`: the block's output, a conjunct not yet placed, or a leaf
+    /// outside it.
+    fn reads(&self, c: &String, inside: &[usize]) -> bool {
+        let outside = |(j, cols): (usize, &Cols)| !inside.contains(&j) && cols.contains(c);
+        self.out.contains(c)
+            || (self.rest.iter()).any(|(p, cols)| p.is_some() && cols.contains(c))
+            || self.deep.iter().enumerate().any(outside)
+    }
+
+    /// Step 4: build `shape` over the planned leaves. Each join takes the
+    /// conjuncts its inputs now cover, and each but the top is narrowed
+    /// like a leaf. Returns the plan, its columns and its leaves.
+    fn build(&mut self, shape: &JoinShape, top: bool) -> (Plan, Vec<String>, Vec<usize>) {
+        let (l, r) = match shape {
+            JoinShape::Leaf(i) => {
+                let (plan, names) = self.leaves[*i].take().expect("each leaf is built once");
+                return (plan, names, vec![*i]);
+            }
+            JoinShape::Node(l, r) => (l, r),
+        };
+        let (lp, mut names, mut inside) = self.build(l, false);
+        let (rp, rnames, rinside) = self.build(r, false);
+        inside.extend(rinside);
+        for c in rnames {
+            if !names.contains(&c) {
+                names.push(c);
+            }
+        }
+        let mut here = Vec::new();
+        for (c, cols) in &mut self.rest {
+            if c.is_some() && cols.iter().all(|n| names.contains(n)) {
+                here.extend(c.take());
+            }
+        }
+        let plan = select_all(lp.join(rp), here);
+        if top {
+            return (plan, names, inside);
+        }
+        let (plan, names) = trim((plan, names), |c| self.reads(c, &inside), &self.out);
+        (plan, names, inside)
+    }
+}
+
+/// The shape of a join tree over a block's leaves: the written one and the
+/// search's candidates alike, so both are estimated with the same pairwise
+/// composition (otherwise the comparison would be apples to oranges).
 enum JoinShape {
-    /// A non-join leaf, by index into the flattened leaf list.
+    /// A leaf, by index into the block's leaf list.
     Leaf(usize),
     /// An inner join node.
     Node(Box<JoinShape>, Box<JoinShape>),
 }
 
-/// Tear a maximal join tree into its non-join leaves (left to right),
-/// returning the original shape over leaf indices.
-fn flatten_join<'p>(plan: &'p Plan, leaves: &mut Vec<&'p Plan>) -> JoinShape {
-    match plan {
-        Plan::NaturalJoin { left, right } => {
-            let l = flatten_join(left, leaves);
-            let r = flatten_join(right, leaves);
-            JoinShape::Node(Box::new(l), Box::new(r))
-        }
-        other => {
-            leaves.push(other);
-            JoinShape::Leaf(leaves.len() - 1)
+impl JoinShape {
+    /// The same shape with leaf `i` renamed `order[i]`.
+    fn relabel(self, order: &[usize]) -> JoinShape {
+        match self {
+            JoinShape::Leaf(i) => JoinShape::Leaf(order[i]),
+            JoinShape::Node(l, r) => {
+                JoinShape::Node(Box::new(l.relabel(order)), Box::new(r.relabel(order)))
+            }
         }
     }
 }
 
-/// The estimate and join-step cost of a join shape, each node estimated
-/// from its two children exactly as [`greedy_best`] estimates a merge
-/// (leaf subtree costs are common to every shape and cancel).
-fn shape_cost(shape: &JoinShape, ests: &[CardEst]) -> (CardEst, f64) {
+/// A join shape's estimate and join-step cost, each node estimated from its
+/// two children exactly as [`greedy_best`] estimates a merge (leaf costs
+/// are common to every shape and cancel) — and the shape with each join's
+/// inputs swapped where that makes its step cheaper, with its cost. The
+/// search merges the cheapest pair first, so on a chain whose one filtered
+/// leaf keeps every partial join small it goes bushy; commuting the written
+/// chain keeps the small side building all the way up.
+fn commuted(shape: &JoinShape, ests: &[CardEst]) -> (CardEst, f64, JoinShape, f64) {
     match shape {
-        JoinShape::Leaf(i) => (ests[*i].clone(), 0.0),
+        JoinShape::Leaf(i) => (ests[*i].clone(), 0.0, JoinShape::Leaf(*i), 0.0),
         JoinShape::Node(l, r) => {
-            let (el, cl) = shape_cost(l, ests);
-            let (er, cr) = shape_cost(r, ests);
+            let (el, cl, sl, tl) = commuted(l, ests);
+            let (er, cr, sr, tr) = commuted(r, ests);
             let out = join_set_est(&[&el, &er]);
             let step = join_step_cost(el.rows, er.rows, out.rows);
-            (out, cl + cr + step)
+            let swapped = join_step_cost(er.rows, el.rows, out.rows);
+            let (sl, sr) = if swapped < step { (sr, sl) } else { (sl, sr) };
+            let turned = JoinShape::Node(Box::new(sl), Box::new(sr));
+            (out, cl + cr + step, turned, tl + tr + step.min(swapped))
         }
-    }
-}
-
-/// Build the plan of a join shape over its leaves.
-fn rebuild_shape(shape: &JoinShape, leaves: &[&Plan]) -> Plan {
-    match shape {
-        JoinShape::Leaf(i) => leaves[*i].clone(),
-        JoinShape::Node(l, r) => rebuild_shape(l, leaves).join(rebuild_shape(r, leaves)),
     }
 }
 
@@ -501,83 +576,6 @@ fn greedy_best(ests: &[CardEst]) -> (f64, JoinShape) {
     (cost, shape)
 }
 
-impl Sweep<'_> {
-    /// The cost-based sweep (bottom-up): every maximal join tree is
-    /// reordered by [`Sweep::reorder_join`]. Its rewrites are chosen by
-    /// estimate comparison, not proved-sound rule matching — the soundness
-    /// argument is that every candidate is a join tree over the same leaf
-    /// set, and the estimates only *select*. `None` when no tree was
-    /// reordered, so an unchanged subtree is never rebuilt.
-    fn reorder(&self, plan: &Plan) -> Result<Option<Plan>, MayError> {
-        Ok(match plan {
-            Plan::Scan(_) => None,
-            Plan::Select { input, predicate } => {
-                self.reorder(input)?.map(|i| i.select(predicate.clone()))
-            }
-            Plan::Project { input, columns } => {
-                self.reorder(input)?.map(|i| i.project(columns.clone()))
-            }
-            Plan::Rename { input, renames } => {
-                self.reorder(input)?.map(|i| i.rename(renames.clone()))
-            }
-            Plan::Union { left, right } => match (self.reorder(left)?, self.reorder(right)?) {
-                (None, None) => None,
-                (l, r) => Some(
-                    l.unwrap_or_else(|| (**left).clone())
-                        .union(r.unwrap_or_else(|| (**right).clone())),
-                ),
-            },
-            Plan::NaturalJoin { .. } => self.reorder_join(plan)?,
-            Plan::Uncertain { op, input } => self
-                .reorder(input)?
-                .map(|swept| rebuild(op.clone(), certain_input(op, input), swept)),
-        })
-    }
-
-    /// Reorder a maximal join tree, its leaves first. [`greedy_best`]
-    /// proposes a shape, and the current shape is scored with the same
-    /// pairwise estimates ([`shape_cost`]); the rewrite fires only when the
-    /// proposal beats it by the [`COST_IMPROVEMENT`] margin. The original
-    /// output column order is restored with a projection when the new
-    /// shape's schema permutes it (sound: join output is duplicate-free,
-    /// and a full-width projection of a duplicate-free input drops
-    /// nothing).
-    fn reorder_join(&self, plan: &Plan) -> Result<Option<Plan>, MayError> {
-        let mut leaves = Vec::new();
-        let shape = flatten_join(plan, &mut leaves);
-        let swept = leaves
-            .iter()
-            .map(|l| self.reorder(l))
-            .collect::<Result<Vec<_>, _>>()?;
-        let leaves: Vec<&Plan> = leaves
-            .into_iter()
-            .zip(&swept)
-            .map(|(l, s)| s.as_ref().unwrap_or(l))
-            .collect();
-        let ests: Vec<CardEst> = leaves
-            .iter()
-            .map(|l| crate::cost::estimate(l, self.relations))
-            .collect();
-        let (_, current_cost) = shape_cost(&shape, &ests);
-        let (best_cost, best_shape) = greedy_best(&ests);
-        if best_cost < current_cost * COST_IMPROVEMENT {
-            let names = |p: &Plan| -> Result<Vec<String>, MayError> {
-                let schema = p.schema_with(self.relations)?;
-                Ok(schema.names().into_iter().map(str::to_string).collect())
-            };
-            let best = rebuild_shape(&best_shape, &leaves);
-            let orig_names = names(plan)?;
-            return Ok(Some(if names(&best)? == orig_names {
-                best
-            } else {
-                best.project(orig_names)
-            }));
-        }
-        let changed = swept.iter().any(Option::is_some);
-        Ok(changed.then(|| rebuild_shape(&shape, &leaves)))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -623,8 +621,19 @@ mod tests {
         m
     }
 
+    /// The fixture relations, empty: every estimate is 0, so the written
+    /// join order stays and a test sees placement and narrowing alone.
+    fn empty() -> BTreeMap<String, URelation> {
+        schemas()
+            .into_iter()
+            .map(|(name, schema)| (name, URelation::new(schema)))
+            .collect()
+    }
+
     fn opt(plan: Plan) -> String {
-        optimize(&plan, &schemas()).expect("optimizes").to_string()
+        optimize_with_stats(&plan, &empty())
+            .expect("optimizes")
+            .to_string()
     }
 
     /// Statistics making `r1` large (10⁴ rows), `r2` medium (10³), `r3`
@@ -668,9 +677,9 @@ mod tests {
     #[test]
     fn cost_phase_reorders_a_pathological_join_chain() {
         // Text order joins the two big relations first (10⁵ intermediate);
-        // the cost phase joins r2 ⋈ r3 first (10 rows) and probes r1 into
-        // it. The new shape's schema is already a–b–c–d, so no restoring
-        // projection is needed.
+        // the planner joins r2 ⋈ r3 first (10 rows) and probes r1 into it.
+        // The new shape's schema is already a–b–c–d, so no projection
+        // restores the column order.
         let plan = Plan::scan("r1")
             .join(Plan::scan("r2"))
             .join(Plan::scan("r3"));
@@ -684,7 +693,7 @@ mod tests {
     #[test]
     fn reorder_restores_the_original_column_order() {
         // Swapping a 2-leaf join puts the small relation on the build
-        // (right) side; the output column order changes, so the cost phase
+        // (right) side; the output column order changes, so the planner
         // wraps the result in a projection onto the original schema.
         let plan = Plan::scan("r2").join(Plan::scan("r1"));
         let best = opt_cost(&plan);
@@ -697,12 +706,10 @@ mod tests {
     }
 
     #[test]
-    fn restoring_projections_merge_into_the_projection_above() {
-        // Both joins reorder, and each new shape permutes its columns: the
-        // inner one's restoring projection merges into the narrowing
-        // `project[d, b]` above it, the outer one's into `project[a, d]`,
-        // and the re-narrowed shape has no projection directly over a
-        // projection.
+    fn a_reordered_block_is_narrowed_once() {
+        // The block is planned whole: the new shape's inner join narrows to
+        // the output column `d` and the join key `b` (output columns
+        // first), and the block's projection is the only one above it.
         let plan = Plan::scan("r3")
             .join(Plan::scan("r2"))
             .join(Plan::scan("r1"))
@@ -734,14 +741,18 @@ mod tests {
         }
     }
 
+    /// The scans of a plan, left to right.
+    fn scans(plan: &Plan, out: &mut Vec<String>) {
+        match plan {
+            Plan::Scan(name) => out.push(name.clone()),
+            other => other.children().into_iter().for_each(|c| scans(c, out)),
+        }
+    }
+
     /// Over empty relations every estimate is 0, so every shape costs the
-    /// same and the join reorder keeps the rules' plan.
+    /// same and the written join order is kept.
     #[test]
-    fn over_empty_relations_the_plan_is_the_rules_plan() {
-        let empty: BTreeMap<String, URelation> = schemas()
-            .into_iter()
-            .map(|(name, schema)| (name, URelation::new(schema)))
-            .collect();
+    fn over_empty_relations_the_written_join_order_is_kept() {
         for plan in [
             Plan::scan("r1")
                 .join(Plan::scan("r2"))
@@ -755,10 +766,55 @@ mod tests {
                 .join(Plan::scan("r1"))
                 .project(["a", "d"]),
         ] {
-            let rules = optimize(&plan, &empty).expect("optimizes");
-            let cost = optimize_with_stats(&plan, &empty).expect("optimizes");
-            assert_eq!(cost.to_string(), rules.to_string(), "{plan}");
+            let planned = optimize_with_stats(&plan, &empty()).expect("optimizes");
+            let (mut written, mut kept) = (Vec::new(), Vec::new());
+            scans(&plan, &mut written);
+            scans(&planned, &mut kept);
+            assert_eq!(kept, written, "{plan}");
         }
+    }
+
+    /// A 3-way chain with the statistics a generated world gave it:
+    /// planning the plan again must keep it, not move the narrowed join
+    /// `r1 ⋈ r0` to the other side of its join with `r2`.
+    #[test]
+    fn replanning_a_block_keeps_it() {
+        use maybms_core::stats::ColumnStats;
+        let rel = |rows: u64, frac: f64, cols: [(&str, f64); 2]| RelationStats {
+            rows,
+            columns: cols
+                .iter()
+                .map(|&(name, distinct)| {
+                    let min_max = None;
+                    (name.to_string(), ColumnStats { distinct, min_max })
+                })
+                .collect(),
+            nontrivial_frac: frac,
+        };
+        let stats = [
+            ("r0", rel(37, 8.0 / 37.0, [("c0", 8.0), ("c1", 8.0)])),
+            ("r1", rel(24, 7.0 / 24.0, [("c1", 8.0), ("c2", 7.0)])),
+            ("r2", rel(33, 9.0 / 33.0, [("c2", 8.0), ("c3", 8.0)])),
+        ];
+        let relations: BTreeMap<String, (Schema, Arc<RelationStats>)> = stats
+            .into_iter()
+            .map(|(name, rs)| {
+                let cols: Vec<(&str, ValueType)> = rs
+                    .columns
+                    .keys()
+                    .map(|c| (c.as_str(), ValueType::Int))
+                    .collect();
+                let schema = Schema::of(&cols).expect("distinct columns");
+                (name.to_string(), (schema, Arc::new(rs)))
+            })
+            .collect();
+        let plan = Plan::scan("r1")
+            .join(Plan::scan("r2"))
+            .join(Plan::scan("r0"))
+            .project(["c2", "c3"]);
+        let once = optimize_with_stats(&plan, &relations).expect("optimizes");
+        let twice = optimize_with_stats(&once, &relations).expect("optimizes");
+        assert_eq!(twice.to_string(), once.to_string());
     }
 
     #[test]
@@ -857,7 +913,7 @@ mod tests {
             .join(Plan::scan("r3"))
             .select(Predicate::lt(col("a"), lit(3)))
             .project(["a", "d"]);
-        let optimized = optimize(&plan, &provider).unwrap();
+        let optimized = optimize_with_stats(&plan, &provider).unwrap();
         assert_eq!(
             plan.schema_with(&provider).unwrap(),
             optimized.schema_with(&provider).unwrap()
@@ -871,8 +927,8 @@ mod tests {
             .join(Plan::scan("r2"))
             .select(Predicate::lt(col("a"), lit(3)))
             .project(["a", "c"]);
-        let once = optimize(&plan, &provider).unwrap();
-        let twice = optimize(&once, &provider).unwrap();
+        let once = optimize_with_stats(&plan, &provider).unwrap();
+        let twice = optimize_with_stats(&once, &provider).unwrap();
         assert_eq!(once.to_string(), twice.to_string());
     }
 }

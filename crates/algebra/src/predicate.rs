@@ -8,7 +8,7 @@ use maybms_core::columnar::{ColView, StrPool};
 use maybms_core::{MayError, Schema, Tuple, Value};
 
 /// A comparison operator.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum CmpOp {
     /// Equal.
     Eq,
@@ -66,7 +66,7 @@ impl CmpOp {
 }
 
 /// One side of a comparison: a column reference or a literal.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Operand {
     /// The value of the named column of the current tuple.
     Column(String),
@@ -112,8 +112,9 @@ impl fmt::Display for Operand {
 
 /// A boolean selection predicate. Comparisons use the total order on
 /// [`Value`]; mixed-type comparisons follow the `Value` variant order rather
-/// than erroring, which keeps selection total on heterogeneous data.
-#[derive(Clone, Debug, PartialEq)]
+/// than erroring, which keeps selection total on heterogeneous data. The
+/// derived order is the planner's canonical order of conjuncts.
+#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Predicate {
     /// Always true.
     True,

@@ -21,9 +21,7 @@
 
 use std::time::Instant;
 
-use maybms_algebra::{
-    col, lit, optimize, optimize_with_stats, run, run_with, ExecCfg, Plan, Predicate,
-};
+use maybms_algebra::{col, lit, optimize_with_stats, run, run_with, ExecCfg, Plan, Predicate};
 use maybms_bench::{
     conf_chain_workload, conf_dense_workload, conf_disjoint_workload, join3_skewed_workload,
     join_columnar_workload, join_workload, normalization_workload, repair_workload,
@@ -226,9 +224,9 @@ fn main() {
 
     // A selective predicate (10% of `r1`) written *above* the 3-way join —
     // the optimizer's bread and butter. `join3_filtered_raw` executes the
-    // plan as written; `join3_filtered` runs it through the logical
-    // optimizer first, which pushes the filter to `r1`'s scan so both join
-    // hops probe, gather, and dedup a tenth of the rows.
+    // plan as written; `join3_filtered` runs it through the planner first,
+    // which places the filter on `r1`'s scan so both join hops probe,
+    // gather, and dedup a tenth of the rows.
     for &n in sizes {
         let ws = join_workload(&mut Rng::new(0x10A0), n);
         let plan = Plan::scan("r1")
@@ -239,7 +237,7 @@ fn main() {
             run(ws, &plan).expect("join workload is well-typed").len()
         });
         emit("join3_filtered_raw", n, rows, ms);
-        let optimized = optimize(&plan, &ws.relations).expect("plan optimizes");
+        let optimized = optimize_with_stats(&plan, &ws.relations).expect("plan optimizes");
         let (rows_opt, ms) = bench_min(&ws, |ws| {
             run(ws, &optimized)
                 .expect("optimized plan is well-typed")
@@ -253,30 +251,26 @@ fn main() {
     // The cost-based phase's headline case: the textual join order
     // `(r1 ⋈ r2) ⋈ r3` materializes a ~n²/2000-row zipf-keyed blowup
     // before the selective `c` hop shrinks it; with catalog statistics the
-    // reorder starts from `r2 ⋈ r3` (~n/100 rows) instead. The rule
-    // optimizer alone cannot fix this (there is no filter to push — the
-    // asymmetry lives entirely in the data), so `join3_skewed_raw` times
-    // the rule-optimized text order and `join3_skewed` the cost-optimized
-    // plan, asserting identical output as always. At 10⁴+ rows the
-    // reorder must win outright — that assertion is the CI bench smoke
-    // for the cost phase.
+    // reorder starts from `r2 ⋈ r3` (~n/100 rows) instead. There is no
+    // filter to place and nothing to narrow — the asymmetry lives entirely
+    // in the data — so `join3_skewed_raw` times the text order as written
+    // and `join3_skewed` the optimized plan, asserting identical output as
+    // always. That the planner reorders at all is the CI bench smoke for
+    // the join order; at 10⁵ rows the reorder must also win outright.
     for &n in sizes {
         let ws = join3_skewed_workload(&mut Rng::new(0x5E3D), n);
         let plan = Plan::scan("r1")
             .join(Plan::scan("r2"))
             .join(Plan::scan("r3"));
-        let rules_only = optimize(&plan, &ws.relations).expect("plan optimizes");
         let (rows, ms_raw) = bench_min(&ws, |ws| {
-            run(ws, &rules_only)
-                .expect("join workload is well-typed")
-                .len()
+            run(ws, &plan).expect("join workload is well-typed").len()
         });
         emit("join3_skewed_raw", n, rows, ms_raw);
         let optimized = optimize_with_stats(&plan, &ws.relations).expect("plan optimizes");
         assert_ne!(
-            rules_only.to_string(),
+            plan.to_string(),
             optimized.to_string(),
-            "the cost phase should reorder the skewed join"
+            "the planner should reorder the skewed join"
         );
         let (rows_opt, ms_opt) = bench_min(&ws, |ws| {
             run(ws, &optimized)

@@ -22,8 +22,8 @@
 //!    [`maybms_algebra::Plan`] IR;
 //!    unresolved names, ill-typed comparisons, non-compatible unions, and
 //!    non-numeric `WEIGHT BY` columns are rejected with [`SqlError`]s
-//!    carrying the exact source [`Span`]. [`compile`] then runs the logical
-//!    optimizer ([`fn@maybms_algebra::optimize`]) by default;
+//!    carrying the exact source [`Span`]. [`compile`] then runs the
+//!    optimizer ([`maybms_algebra::optimize_with_stats`]) by default;
 //!    [`compile_unoptimized`] exposes the raw lowering, and [`fn@explain`]
 //!    (the `EXPLAIN <query>` statement) renders both plans. The path runs
 //!    one way, text → plan: lowering is checked against hand-built plans

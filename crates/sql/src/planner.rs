@@ -32,8 +32,8 @@ use crate::ast::{Expr, FromItem, Quantifier, Query, Repair, Scalar, SelectList, 
 use crate::span::{Span, SqlError};
 
 /// Parse, lower, and **optimize** in one step: the executable plan for a
-/// MayQL query string. This is the planner's default path — the logical
-/// optimizer ([`fn@maybms_algebra::optimize`]) runs on every compiled query;
+/// MayQL query string. This is the planner's default path — the optimizer
+/// ([`maybms_algebra::optimize_with_stats`]) runs on every compiled query;
 /// use [`compile_unoptimized`] to see (or pin in tests) the raw lowering.
 pub fn compile(relations: &dyn Relations, src: &str) -> Result<Plan, SqlError> {
     let query = crate::parser::parse_query(src)?;
@@ -49,8 +49,8 @@ pub fn compile_unoptimized(relations: &dyn Relations, src: &str) -> Result<Plan,
     lower(relations, &query).map(|(plan, _)| plan)
 }
 
-/// Run the logical optimizer against `relations` — the rule sweeps, then
-/// the cost-based join reorder on their statistics
+/// Run the optimizer against `relations` — every select-project-join block
+/// planned once, its joins ordered on their statistics
 /// ([`maybms_algebra::optimize_with_stats`]) — converting optimizer errors
 /// (which should not occur on plans the lowering just type-checked) into
 /// spanned diagnostics.
