@@ -82,27 +82,33 @@ impl ApproxConf {
         }
     }
 
-    /// ε and δ must be probabilities strictly inside `(0, 1)`. The MayQL
-    /// planner checks the literals it lowers; this is the same check for
-    /// nodes built through [`crate::conf_approx_with`], where a NaN ε would
-    /// otherwise draw once and return a number with no guarantee behind it.
-    /// A value whose plain form runs long is echoed in exponent form.
+    /// ε and δ must pass [`check_unit_interval`]. The MayQL planner checks
+    /// the literals it lowers with it; this is the check for nodes built
+    /// through [`crate::conf_approx_with`], where a NaN ε would otherwise
+    /// draw once and return a number with no guarantee behind it.
     fn validate(&self) -> Result<(), MayError> {
-        for (what, v) in [("eps", self.eps), ("delta", self.delta)] {
-            if !(v > 0.0 && v < 1.0) {
-                let got = v.to_string();
-                let got = if got.len() > 20 {
-                    format!("{v:e}")
-                } else {
-                    got
-                };
-                return Err(MayError::InvalidApprox(format!(
-                    "{what} must be in (0, 1), got {got}"
-                )));
-            }
-        }
-        Ok(())
+        check_unit_interval("eps", self.eps)
+            .and_then(|()| check_unit_interval("delta", self.delta))
+            .map_err(MayError::InvalidApprox)
     }
+}
+
+/// The check on a sampling parameter `what` (`eps` or `delta`): `v` must be
+/// a probability strictly inside `(0, 1)` — 0 would demand an exact answer
+/// from a sampler, 1 makes the guarantee vacuous. The error is the message;
+/// a value whose plain form runs long (`1e308` has 309 digits) is echoed in
+/// exponent form.
+pub fn check_unit_interval(what: &str, v: f64) -> Result<(), String> {
+    if v > 0.0 && v < 1.0 {
+        return Ok(());
+    }
+    let got = v.to_string();
+    let got = if got.len() > 20 {
+        format!("{v:e}")
+    } else {
+        got
+    };
+    Err(format!("{what} must be in (0, 1), got {got}"))
 }
 
 /// The schema `conf` outputs over `input`: the input's columns plus
@@ -129,8 +135,7 @@ pub(crate) fn conf(
     // Group the rows of each distinct tuple as one contiguous run of a
     // sorted id permutation; the value columns are gathered once at the
     // end and the `conf` column is built as a raw float vector.
-    let (perm, bounds) = tuple_runs(r, ctx);
-    let solve_started = ctx.tracer.now();
+    let (perm, bounds) = tuple_runs(r.columns(), r, ctx);
     // P(t in DB) = P(d₁ ∨ … ∨ dₙ) over the components the descriptors
     // mention (they are independent of all others). Each run's term
     // lists go to the solver straight from the pool, no descriptor is
@@ -138,33 +143,35 @@ pub(crate) fn conf(
     // descriptor content, and sampling streams are pure functions of
     // group content — so the per-run solves parallelize over morsels of
     // runs with bit-exact results for every thread count.
-    let workers = ctx.par.workers_for(perm.len());
-    let pool = &ctx.pool;
-    let components = &*ctx.components;
-    let solve_runs = |range: std::ops::Range<usize>| {
-        let mut kept: Vec<u32> = Vec::with_capacity(range.len());
-        let mut confs: Vec<f64> = Vec::with_capacity(range.len());
-        let mut solver = RunSolver::new(components, approx, EXACT_STEP_CEILING);
-        for &(start, end) in &bounds[range] {
-            let run = &perm[start as usize..end as usize];
-            kept.push(run[0]);
-            confs.push(solver.solve(run.iter().map(|&i| pool.terms(r.descs()[i as usize])))?);
+    let (kept, confs) = ctx.phase("solve", |ctx, items| {
+        *items = bounds.len() as u64;
+        let workers = ctx.par.workers_for(perm.len());
+        let pool = &ctx.pool;
+        let components = &*ctx.components;
+        let solve_runs = |range: std::ops::Range<usize>| {
+            let mut kept: Vec<u32> = Vec::with_capacity(range.len());
+            let mut confs: Vec<f64> = Vec::with_capacity(range.len());
+            let mut solver = RunSolver::new(components, approx, EXACT_STEP_CEILING);
+            for &(start, end) in &bounds[range] {
+                let run = &perm[start as usize..end as usize];
+                kept.push(run[0]);
+                confs.push(solver.solve(run.iter().map(|&i| pool.terms(r.descs()[i as usize])))?);
+            }
+            Ok((kept, confs, solver.stats()))
+        };
+        let parts = run_tasks(&mut ctx.par_stats, workers, bounds.len(), solve_runs);
+        let mut kept: Vec<u32> = Vec::with_capacity(bounds.len());
+        let mut confs: Vec<f64> = Vec::with_capacity(bounds.len());
+        // Task order: the first failing run's error wins, as it would
+        // sequentially.
+        for part in parts {
+            let (k, c, stats) = part?;
+            kept.extend_from_slice(&k);
+            confs.extend_from_slice(&c);
+            ctx.conf_stats.absorb(&stats);
         }
-        Ok((kept, confs, solver.stats()))
-    };
-    let parts = run_tasks(&mut ctx.par_stats, workers, bounds.len(), solve_runs);
-    let mut kept: Vec<u32> = Vec::with_capacity(bounds.len());
-    let mut confs: Vec<f64> = Vec::with_capacity(bounds.len());
-    // Task order: the first failing run's error wins, as it would
-    // sequentially.
-    for part in parts {
-        let (k, c, stats) = part?;
-        kept.extend_from_slice(&k);
-        confs.extend_from_slice(&c);
-        ctx.conf_stats.absorb(&stats);
-    }
-    ctx.tracer
-        .event("solve", solve_started, bounds.len() as u64);
+        Ok::<_, MayError>((kept, confs))
+    })?;
     let mut cols: Vec<ColumnVec> = r.columns().iter().map(|c| c.gather(&kept)).collect();
     cols.push(ColumnVec::from_floats(confs));
     let descs = vec![DescId::TAUTOLOGY; kept.len()];

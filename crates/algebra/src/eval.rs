@@ -109,12 +109,12 @@
 //! this crate reads the process environment.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use maybms_core::columnar::{ColView, ColumnVec, ColumnarURelation, StrPool};
 use maybms_core::fxhash::fx_step;
-use maybms_core::obs::{ObsCounters, QueryTrace, SpanId, Tracer};
+use maybms_core::obs::{ObsCounters, QueryTrace, SpanId, SpanKind, Tracer};
 use maybms_core::{
     Component, ComponentSet, ConfStats, DescId, DescriptorPool, FxHashMap, MayError, ParCfg,
     ParStats, PoolStats, Scan, Schema, URelation, WorldSet,
@@ -155,8 +155,9 @@ pub(crate) struct EvalCtx<'a> {
     /// evaluations (exact and sampled groups, steps, draws, largest group).
     pub(crate) conf_stats: ConfStats,
     /// The run's span recorder. Disabled (every call a cheap no-op) except
-    /// when [`run_with`] is asked to trace; the uncertainty operators record
-    /// sub-phase events through it ([`Tracer::now`] / [`Tracer::event`]).
+    /// when [`run_with`] is asked to trace. Plan nodes and their phases are
+    /// spans of it alike; the operators open phases through
+    /// [`EvalCtx::phase`].
     pub(crate) tracer: Tracer,
     /// Dedup sweeps skipped because a plan property proved them redundant
     /// (surfaced through [`ExecStats::dedups_elided`]).
@@ -198,14 +199,35 @@ impl<'a> EvalCtx<'a> {
         }
     }
 
-    fn span_enter(&mut self, label: String) -> SpanId {
+    /// Open a span under the open one. With tracing off this reads no
+    /// clock, takes no snapshot and builds no label.
+    fn span_enter(&mut self, kind: SpanKind, label: impl Into<String>) -> SpanId {
+        if !self.tracer.is_enabled() {
+            return SpanId::NONE;
+        }
         let snap = self.counters_now();
-        self.tracer.enter(label, snap)
+        self.tracer.enter(kind, label.into(), snap)
     }
 
+    /// Close a span [`EvalCtx::span_enter`] opened.
     fn span_exit(&mut self, id: SpanId, rows_out: u64) {
+        if id == SpanId::NONE {
+            return;
+        }
         let snap = self.counters_now();
         self.tracer.exit(id, rows_out, snap);
+    }
+
+    /// Run `f` as the phase `label` of the open plan node: one
+    /// [`SpanKind::Phase`] span around it, charged with the counters it
+    /// moves, whose items `f` counts into its second argument. The span
+    /// closes on every path out of `f`, an error too.
+    pub(crate) fn phase<T>(&mut self, label: &str, f: impl FnOnce(&mut Self, &mut u64) -> T) -> T {
+        let span = self.span_enter(SpanKind::Phase, label);
+        let mut items = 0;
+        let out = f(self, &mut items);
+        self.span_exit(span, items);
+        out
     }
 }
 
@@ -575,24 +597,18 @@ pub fn run_with(
     // Import every scanned base relation into the run's pools once,
     // up front. The scans live outside the context so batches can borrow
     // them while operators keep mutable access to the pools.
-    let convert_started = ctx.tracer.now();
-    let mut names = BTreeSet::new();
-    collect_scans(plan, &mut names);
-    let mut scans: BTreeMap<&str, Scan<'_>> = BTreeMap::new();
-    let mut converted_rows = 0u64;
-    for name in names {
-        let rel = relations
-            .get(name)
-            .ok_or_else(|| MayError::UnknownRelation(name.to_string()))?;
-        converted_rows += rel.len() as u64;
-        scans.insert(name, rel.scan(&mut ctx.pool, &mut ctx.strings));
-    }
-    let imported = ObsCounters {
-        imported: ctx.pool.stats().imported,
-        ..ObsCounters::default()
-    };
-    ctx.tracer
-        .event_with("scan-convert", convert_started, converted_rows, imported);
+    let relations = &*relations;
+    let scans = ctx.phase("scan-convert", |ctx, converted_rows| {
+        let mut scans: BTreeMap<&str, Scan<'_>> = BTreeMap::new();
+        for name in plan.scans() {
+            let rel = relations
+                .get(name)
+                .ok_or_else(|| MayError::UnknownRelation(name.to_string()))?;
+            *converted_rows += rel.len() as u64;
+            scans.insert(name, rel.scan(&mut ctx.pool, &mut ctx.strings));
+        }
+        Ok::<_, MayError>(scans)
+    })?;
     // The world set leaves the run as it came in: what the repairs minted
     // goes with the answer, or with the error.
     let batch = eval_batch(plan, &scans, &mut ctx);
@@ -659,23 +675,6 @@ pub fn run_traced(
         .map(|(result, stats, trace)| (result, stats, trace.expect("tracing was requested")))
 }
 
-/// Collect the names of every base relation a plan scans.
-fn collect_scans<'p>(plan: &'p Plan, names: &mut BTreeSet<&'p str>) {
-    match plan {
-        Plan::Scan(name) => {
-            names.insert(name);
-        }
-        Plan::Select { input, .. }
-        | Plan::Project { input, .. }
-        | Plan::Rename { input, .. }
-        | Plan::Uncertain { input, .. } => collect_scans(input, names),
-        Plan::NaturalJoin { left, right } | Plan::Union { left, right } => {
-            collect_scans(left, names);
-            collect_scans(right, names);
-        }
-    }
-}
-
 /// Span-wrapping entry for each plan node: the untraced path is a single
 /// branch on the tracer's enabled bool before delegating to
 /// [`eval_batch_inner`] — this is the whole per-node cost of having the
@@ -691,7 +690,7 @@ fn eval_batch<'s>(
     if !ctx.tracer.is_enabled() {
         return eval_batch_inner(plan, scans, ctx);
     }
-    let span = ctx.span_enter(plan.node_label());
+    let span = ctx.span_enter(SpanKind::Node, plan.node_label());
     let result = eval_batch_inner(plan, scans, ctx);
     let rows_out = result.as_ref().map(Batch::len).unwrap_or(0);
     ctx.span_exit(span, rows_out as u64);

@@ -54,7 +54,9 @@ pub mod predicate;
 mod repair;
 pub mod uncertain;
 
-pub use confidence::{ApproxConf, CONF_COLUMN, DEFAULT_CONF_EXACT_LIMIT, DEFAULT_CONF_SEED};
+pub use confidence::{
+    check_unit_interval, ApproxConf, CONF_COLUMN, DEFAULT_CONF_EXACT_LIMIT, DEFAULT_CONF_SEED,
+};
 pub use cost::{estimate, estimate_preorder, CardEst};
 pub use eval::{run, run_traced, run_with, run_with_opts, ExecCfg, ExecStats, SipStats};
 pub use optimize::{optimize_with_stats, Relations};

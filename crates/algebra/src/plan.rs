@@ -1,5 +1,6 @@
 //! The logical plan IR for the positive relational algebra.
 
+use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::predicate::Predicate;
@@ -190,6 +191,15 @@ impl Plan {
             Plan::NaturalJoin { left, right } | Plan::Union { left, right } => {
                 vec![left, right]
             }
+        }
+    }
+
+    /// The names of the relations this plan scans, each once, in name
+    /// order — the order a run imports them in.
+    pub fn scans(&self) -> BTreeSet<&str> {
+        match self {
+            Plan::Scan(name) => BTreeSet::from([name.as_str()]),
+            _ => self.children().into_iter().flat_map(Plan::scans).collect(),
         }
     }
 

@@ -21,10 +21,15 @@
 //! estimate, and evaluation itself. Each operator is its input plus one
 //! grouping step — bringing the rows of each distinct tuple together — and
 //! the step is core's [`canonical_order`], the same sort `normalize` runs,
-//! so the operators keep no row order of their own. New constructs become
-//! new variants here.
+//! so the operators keep no row order of their own. `tuple_runs` is their
+//! one path to it: `possible`, `certain` and `conf` hand it the columns in
+//! schema order, `repair-key` its key columns first, which brings each
+//! key's rows together in the same sort. New constructs become new variants
+//! here.
 
-use maybms_core::columnar::{canonical_order, ColumnarURelation};
+use std::borrow::Borrow;
+
+use maybms_core::columnar::{canonical_order, ColumnVec, ColumnarURelation};
 use maybms_core::{MayError, Schema};
 
 use crate::confidence::{self, ApproxConf};
@@ -187,18 +192,19 @@ impl UOp {
     }
 }
 
-/// The row ids of `r` in canonical `(tuple, descriptor)` order and each
-/// tuple's run in them, timed as the operator's `canonical-sort` phase
-/// (`perfbench`'s ledger keys on that label). The order is total on
-/// content, so no output depends on how the input rows were arranged — and
-/// `conf` feeds each tuple's descriptors to the solver in a pinned order
-/// (floating point is not associative).
-pub(crate) fn tuple_runs(
+/// The row ids of `r` in [`canonical_order`] over `cols` — `r`'s columns,
+/// in schema order or another — and each tuple's run in them, timed as the
+/// operator's `canonical-sort` phase (`perfbench`'s ledger keys on that
+/// label). The order is total on content, so no output depends on how the
+/// input rows were arranged — and `conf` feeds each tuple's descriptors to
+/// the solver in a pinned order (floating point is not associative).
+pub(crate) fn tuple_runs<C: Borrow<ColumnVec>>(
+    cols: &[C],
     r: &ColumnarURelation,
     ctx: &mut EvalCtx<'_>,
 ) -> (Vec<u32>, Vec<(u32, u32)>) {
-    let started = ctx.tracer.now();
-    let order = canonical_order(r.columns(), r.descs(), &ctx.pool, &ctx.strings);
-    ctx.tracer.event("canonical-sort", started, r.len() as u64);
-    order
+    ctx.phase("canonical-sort", |ctx, items| {
+        *items = r.len() as u64;
+        canonical_order(cols, r.descs(), &ctx.pool, &ctx.strings)
+    })
 }

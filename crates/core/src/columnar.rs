@@ -37,6 +37,7 @@
 //! [`ColumnarURelation::to_urelation`] round-trip rows exactly — the
 //! conversion boundary the per-world oracle and the REPL display sit behind.
 
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::hash::Hasher;
 
@@ -800,36 +801,39 @@ fn coarse(keys: impl Iterator<Item = u64>, valid: &[bool]) -> Vec<u64> {
 }
 
 /// Compare rows `i` and `j` of a set of equally long columns under the
-/// lexicographic [`Tuple`] order.
-fn cmp_rows(cols: &[ColumnVec], i: usize, j: usize, strings: &StrPool) -> Ordering {
+/// lexicographic [`Tuple`] order, the columns taken in the order given.
+fn cmp_rows<C: Borrow<ColumnVec>>(cols: &[C], i: usize, j: usize, strings: &StrPool) -> Ordering {
     cols.iter()
-        .map(|c| c.cmp_cells(i, c, j, strings))
+        .map(|c| c.borrow().cmp_cells(i, c.borrow(), j, strings))
         .find(|o| o.is_ne())
         .unwrap_or(Ordering::Equal)
 }
 
 /// Whether rows `i` and `j` of a set of equally long columns agree on every
 /// column.
-fn rows_eq(cols: &[ColumnVec], i: usize, j: usize) -> bool {
-    cols.iter().all(|c| c.eq_cells(i, c, j))
+fn rows_eq<C: Borrow<ColumnVec>>(cols: &[C], i: usize, j: usize) -> bool {
+    cols.iter().all(|c| c.borrow().eq_cells(i, c.borrow(), j))
 }
 
 /// The canonical `(tuple, descriptor)` order of a relation's rows — the
 /// order `normalize` writes and `possible`, `certain`, `conf` and
-/// `repair-key` group by: tuples under the lexicographic [`Tuple`] order,
-/// ties by descriptor term list ([`DescriptorPool::cmp_terms`]), and exact
-/// `(tuple, descriptor)` duplicates by row id. Returns the row ids in that
-/// order and the `(start, end)` bounds in it of each distinct tuple's run.
+/// `repair-key` group by: tuples under the lexicographic [`Tuple`] order
+/// of `cols`, taken in the order given, ties by descriptor term list
+/// ([`DescriptorPool::cmp_terms`]), and exact `(tuple, descriptor)`
+/// duplicates by row id. Returns the row ids in that order and the
+/// `(start, end)` bounds in it of each distinct tuple's run.
 ///
-/// `cols` are the value columns, `descs` the descriptor column as handles
-/// into `pool`. Each row is keyed by [`ColumnVec::sort_keys`] of the leading
-/// columns, packed (less each column's minimum) while their widths fit in 64
-/// bits. Keys are radix-sorted on their significant bytes — unless they
-/// already ascend — and only rows with equal keys are compared: by their
-/// cells (when the key does not cover the whole tuple exactly), then by
-/// descriptor.
-pub fn canonical_order(
-    cols: &[ColumnVec],
+/// `cols` are the value columns — in schema order for the canonical order
+/// itself, or any arrangement of them (`repair-key` hands its key columns
+/// first, so that each key's rows lie together) — and `descs` the
+/// descriptor column as handles into `pool`. Each row is keyed by
+/// [`ColumnVec::sort_keys`] of the leading columns, packed (less each
+/// column's minimum) while their widths fit in 64 bits. Keys are
+/// radix-sorted on their significant bytes — unless they already ascend —
+/// and only rows with equal keys are compared: by their cells (when the key
+/// does not cover the whole tuple exactly), then by descriptor.
+pub fn canonical_order<C: Borrow<ColumnVec>>(
+    cols: &[C],
     descs: &[DescId],
     pool: &DescriptorPool,
     strings: &StrPool,
@@ -843,7 +847,7 @@ pub fn canonical_order(
     // Bits packed so far, and whether the key is the whole tuple, exactly.
     let (mut width, mut exact) = (0, true);
     for col in cols {
-        let (keys, col_exact) = col.sort_keys(strings);
+        let (keys, col_exact) = col.borrow().sort_keys(strings);
         let (min, max) = keys
             .iter()
             .fold((u64::MAX, 0), |(lo, hi), &k| (lo.min(k), hi.max(k)));

@@ -3,11 +3,13 @@
 //! One instrument lives here, dependency-free: [`Tracer`], a per-run
 //! recorder producing a [`QueryTrace`] — a tree of spans, one per plan node
 //! (plus leaf *phase* spans for interesting sub-steps such as canonical
-//! sorts or the confidence solve). Each span records wall time, output rows,
-//! and a delta of the run's counters ([`ObsCounters`]) between span enter
-//! and exit, so pool traffic, morsel fan-out, worker busy time and
-//! conf-solver work are *attributed to the node that incurred them* instead
-//! of being pooled run-wide. Every counter belongs to the run, so a span
+//! sorts or the confidence solve). Nodes and phases are entered and exited
+//! alike ([`Tracer::enter`] / [`Tracer::exit`]; the [`SpanKind`] tells them
+//! apart). Each span records wall time, output rows (a phase's items), and
+//! a delta of the run's counters ([`ObsCounters`]) between span enter and
+//! exit, so pool traffic, morsel fan-out, worker busy time and conf-solver
+//! work are *attributed to the node that incurred them* instead of being
+//! pooled run-wide; a phase's delta says which of its node's work it did. Every counter belongs to the run, so a span
 //! sees only its own run's work. Traces render as an annotated plan tree
 //! (`EXPLAIN ANALYZE`) and export as Chrome trace-event JSON
 //! ([`QueryTrace::to_json`]) loadable in `chrome://tracing` or Perfetto.
@@ -15,7 +17,7 @@
 //!
 //! The tracer is built to be cheap when disabled: every instrumentation
 //! site first checks [`Tracer::is_enabled`] (one branch on a bool) and only
-//! then materializes labels or counter snapshots. A disabled run performs a
+//! then reads the clock or materializes labels or counter snapshots. A disabled run performs a
 //! handful of such branches per plan node — noise next to evaluating even a
 //! single morsel.
 
@@ -184,9 +186,9 @@ impl Tracer {
         self.enabled
     }
 
-    /// Open a span as a child of the currently open span (or as a root).
-    /// Returns [`SpanId::NONE`] when disabled.
-    pub fn enter(&mut self, label: String, snap: ObsCounters) -> SpanId {
+    /// Open a span of `kind` as a child of the currently open span (or as
+    /// a root). Returns [`SpanId::NONE`] when disabled.
+    pub fn enter(&mut self, kind: SpanKind, label: String, snap: ObsCounters) -> SpanId {
         if !self.enabled {
             return SpanId::NONE;
         }
@@ -196,7 +198,7 @@ impl Tracer {
             label,
             parent,
             depth: self.stack.len() as u32,
-            kind: SpanKind::Node,
+            kind,
             start_nanos: nanos_u64(self.origin.elapsed()),
             dur_nanos: 0,
             rows_out: 0,
@@ -206,8 +208,9 @@ impl Tracer {
         SpanId(id)
     }
 
-    /// Close the span `id`, recording its duration, output rows, and the
-    /// counter delta since [`Tracer::enter`]. No-op for [`SpanId::NONE`].
+    /// Close the span `id`, recording its duration, output rows (a phase's
+    /// items), and the counter delta since [`Tracer::enter`]. No-op for
+    /// [`SpanId::NONE`].
     pub fn exit(&mut self, id: SpanId, rows_out: u64, snap: ObsCounters) {
         if id == SpanId::NONE {
             return;
@@ -218,46 +221,6 @@ impl Tracer {
         span.dur_nanos = nanos_u64(self.origin.elapsed()).saturating_sub(span.start_nanos);
         span.rows_out = rows_out;
         span.counters = snap.since(&entered);
-    }
-
-    /// A timestamp for a later [`Tracer::event`] call — `None` when
-    /// disabled, so the phase being timed pays nothing.
-    #[inline]
-    pub fn now(&self) -> Option<Instant> {
-        self.enabled.then(Instant::now)
-    }
-
-    /// Record a completed leaf phase (e.g. a sort that just finished) under
-    /// the currently open span. `started` comes from [`Tracer::now`]; when
-    /// it is `None` the call is a no-op.
-    pub fn event(&mut self, label: &str, started: Option<Instant>, items: u64) {
-        self.event_with(label, started, items, ObsCounters::default());
-    }
-
-    /// [`Tracer::event`] for a phase that also reports counters of its own
-    /// (the nonzero ones render after `items=`).
-    pub fn event_with(
-        &mut self,
-        label: &str,
-        started: Option<Instant>,
-        items: u64,
-        counters: ObsCounters,
-    ) {
-        let Some(started) = started else { return };
-        if !self.enabled {
-            return;
-        }
-        let start_nanos = nanos_u64(started.duration_since(self.origin));
-        self.spans.push(Span {
-            label: label.to_owned(),
-            parent: self.stack.last().map(|&(p, _)| p),
-            depth: self.stack.len() as u32,
-            kind: SpanKind::Phase,
-            start_nanos,
-            dur_nanos: nanos_u64(started.elapsed()),
-            rows_out: items,
-            counters,
-        });
     }
 
     /// Finish recording and produce the trace. `threads` is the worker
@@ -301,8 +264,8 @@ impl QueryTrace {
             .count()
     }
 
-    /// The root *plan node* span, if one was recorded. Root-level phase
-    /// events (like the up-front `scan-convert`) are skipped: they are
+    /// The root *plan node* span, if one was recorded. Root-level phases
+    /// (like the up-front `scan-convert`) are skipped: they are
     /// siblings of the plan root, not its operators.
     pub fn root(&self) -> Option<&Span> {
         self.spans
@@ -310,13 +273,14 @@ impl QueryTrace {
             .find(|s| s.parent.is_none() && s.kind == SpanKind::Node)
     }
 
-    /// Counters of span `i` *exclusive* of its direct children — what the
-    /// node itself incurred: its inclusive counters less its children's.
+    /// Counters of span `i` *exclusive* of its direct child nodes — what the
+    /// node itself incurred: its inclusive counters less its child nodes'.
+    /// Its phases are part of its own work, so their counters stay in.
     pub fn exclusive(&self, i: usize) -> ObsCounters {
         let mut child_sum = ObsCounters::default();
         let me = i as u32;
         for s in &self.spans {
-            if s.parent == Some(me) {
+            if s.parent == Some(me) && s.kind == SpanKind::Node {
                 child_sum.add(&s.counters);
             }
         }
@@ -471,41 +435,22 @@ fn json_escape(s: &str) -> String {
 mod tests {
     use super::*;
 
+    fn interns(intern_calls: u64) -> ObsCounters {
+        ObsCounters {
+            intern_calls,
+            ..ObsCounters::default()
+        }
+    }
+
     #[test]
     fn spans_nest_and_attribute_counter_deltas() {
         let mut t = Tracer::enabled();
-        let root = t.enter(
-            "join".into(),
-            ObsCounters {
-                intern_calls: 10,
-                ..ObsCounters::default()
-            },
-        );
-        let child = t.enter(
-            "scan".into(),
-            ObsCounters {
-                intern_calls: 10,
-                ..ObsCounters::default()
-            },
-        );
-        t.exit(
-            child,
-            3,
-            ObsCounters {
-                intern_calls: 12,
-                ..ObsCounters::default()
-            },
-        );
-        let started = t.now();
-        t.event("probe", started, 7);
-        t.exit(
-            root,
-            5,
-            ObsCounters {
-                intern_calls: 17,
-                ..ObsCounters::default()
-            },
-        );
+        let root = t.enter(SpanKind::Node, "join".into(), interns(10));
+        let child = t.enter(SpanKind::Node, "scan".into(), interns(10));
+        t.exit(child, 3, interns(12));
+        let phase = t.enter(SpanKind::Phase, "probe".into(), interns(12));
+        t.exit(phase, 7, interns(15));
+        t.exit(root, 5, interns(17));
         let trace = t.finish(2);
         assert_eq!(trace.spans.len(), 3);
         assert_eq!(trace.node_span_count(), 2);
@@ -517,7 +462,11 @@ mod tests {
         assert_eq!(trace.spans[1].depth, 1);
         assert_eq!(trace.spans[2].kind, SpanKind::Phase);
         assert_eq!(trace.spans[2].parent, Some(0));
-        // Exclusive root counters subtract the child's two interns.
+        assert_eq!(trace.spans[2].rows_out, 7);
+        // A phase carries its own counter delta: 15 - 12.
+        assert_eq!(trace.spans[2].counters.intern_calls, 3);
+        // Exclusive root counters subtract the child node's two interns,
+        // not the phase's three: the phase is the root's own work.
         assert_eq!(trace.exclusive(0).intern_calls, 5);
         assert_eq!(trace.rows_in(0), Some(3));
         assert_eq!(trace.rows_in(1), None);
@@ -531,9 +480,11 @@ mod tests {
     #[test]
     fn disabled_tracer_records_nothing() {
         let mut t = Tracer::disabled();
-        let id = t.enter("x".into(), ObsCounters::default());
+        let id = t.enter(SpanKind::Node, "x".into(), ObsCounters::default());
         assert_eq!(id, SpanId::NONE);
-        t.event("y", t.now(), 1);
+        let phase = t.enter(SpanKind::Phase, "y".into(), ObsCounters::default());
+        assert_eq!(phase, SpanId::NONE);
+        t.exit(phase, 1, ObsCounters::default());
         t.exit(id, 9, ObsCounters::default());
         assert!(t.finish(1).spans.is_empty());
     }
@@ -624,8 +575,9 @@ mod tests {
     #[test]
     fn trace_json_is_valid_chrome_trace_format() {
         let mut t = Tracer::enabled();
-        let root = t.enter("select[name = 'O\"Brien\\']".into(), ObsCounters::default());
-        let child = t.enter("scan[r]".into(), ObsCounters::default());
+        let label = "select[name = 'O\"Brien\\']";
+        let root = t.enter(SpanKind::Node, label.into(), ObsCounters::default());
+        let child = t.enter(SpanKind::Node, "scan[r]".into(), ObsCounters::default());
         t.exit(
             child,
             2,
@@ -635,12 +587,18 @@ mod tests {
                 ..ObsCounters::default()
             },
         );
-        t.exit(root, 1, ObsCounters::default());
+        let phase = t.enter(SpanKind::Phase, "solve".into(), ObsCounters::default());
+        t.exit(phase, 1, interns(6));
+        t.exit(root, 1, interns(6));
         let json = t.finish(4).to_json();
         validate_json(&json);
         assert!(json.contains("\"traceEvents\":["));
         assert!(json.contains("\"ph\":\"X\""));
         assert!(json.contains("\"morsels\":4"));
+        // A phase exports its counters like a node.
+        let solve = json.split("\"name\":\"solve\"").nth(1).unwrap();
+        let solve = solve.split("}}").next().unwrap();
+        assert!(solve.contains("\"cat\":\"phase\"") && solve.contains("\"intern_calls\":6"));
         assert!(json.contains("O\\\"Brien\\\\"));
     }
 }

@@ -27,6 +27,7 @@ use std::hash::{Hash, Hasher};
 
 use crate::columnar::{ColumnData, ColumnVec, StrPool};
 use crate::fxhash::{FxHashSet, FxHasher};
+use crate::rng::mix64;
 use crate::urel::URelation;
 use crate::value::Value;
 
@@ -37,7 +38,7 @@ pub const KMV_K: usize = 256;
 ///
 /// Inserts are O(log k) against a bounded max-heap; duplicates of a kept
 /// hash are ignored via a membership set, so repeated values never skew the
-/// estimate. `FxHasher` output is finalized with a SplitMix64-style mixer —
+/// estimate. `FxHasher` output is finalized with SplitMix64 ([`mix64`]) —
 /// KMV needs uniformly distributed hashes and Fx alone is too regular on
 /// sequential integers.
 #[derive(Clone, Debug, Default)]
@@ -86,14 +87,6 @@ impl KmvSketch {
         let r = (kth as f64 + 1.0) / 2f64.powi(64);
         (KMV_K as f64 - 1.0) / r
     }
-}
-
-/// SplitMix64 finalizer: full-avalanche mixing of a 64-bit word.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// One column's statistics: estimated distinct count and exact min/max.

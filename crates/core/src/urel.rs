@@ -33,6 +33,11 @@
 //! statistics memo too; normalization's component renumbering keeps the
 //! statistics, which name no component.
 //!
+//! Deduplication ([`URelation::dedup`]) reads the columns too: it orders the
+//! rows with the engine's one row sort ([`canonical_order`]), keeps the
+//! first of each exact duplicate and re-codes the kept rows; it builds no
+//! row and pushes none.
+//!
 //! The dictionaries are pools, and a pool is a flat arena, so a run takes a
 //! relation in with [`URelation::scan`] by *appending* them to its own pools
 //! (`DescriptorPool::import`, `StrPool::import`): no intern call, no
@@ -48,7 +53,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-use crate::columnar::{ColumnData, ColumnVec, ColumnarURelation, StrPool};
+use crate::columnar::{canonical_order, ColumnData, ColumnVec, ColumnarURelation, StrPool};
 use crate::component::WorldPick;
 use crate::descriptor::WsDescriptor;
 use crate::error::MayError;
@@ -314,17 +319,29 @@ impl URelation {
         self.body.rel.is_certain()
     }
 
-    /// Sort rows canonically and drop exact duplicates.
+    /// Order the rows canonically ([`canonical_order`]) and drop exact
+    /// `(tuple, descriptor)` duplicates, keeping the first of each: the
+    /// kept rows are gathered column-wise and re-coded over dictionaries of
+    /// their own ([`URelation::recoded`]). No row is built.
     pub fn dedup(&mut self) {
-        let mut rows = self.rows().to_vec();
-        rows.sort_unstable();
-        rows.dedup();
-        let mut out = URelation::new(self.schema().clone());
-        out.reserve(rows.len());
-        for (t, d) in rows {
-            out.push_unchecked(t, d);
+        let (rel, pool) = (self.columns(), self.descriptors());
+        let descs = rel.descs();
+        let (perm, runs) = canonical_order(rel.columns(), descs, pool, self.strings());
+        let mut kept: Vec<u32> = Vec::with_capacity(perm.len());
+        for (start, end) in runs {
+            // Within a tuple's run equal descriptors lie together.
+            let run = &perm[start as usize..end as usize];
+            kept.push(run[0]);
+            for pair in run.windows(2) {
+                let (a, b) = (descs[pair[0] as usize], descs[pair[1] as usize]);
+                if !pool.same_descriptor(a, b) {
+                    kept.push(pair[1]);
+                }
+            }
         }
-        *self = out;
+        let deduped =
+            rel.gather_with_descs(&kept, kept.iter().map(|&i| descs[i as usize]).collect());
+        *self = URelation::recoded(deduped, pool, self.strings());
     }
 
     /// Group the descriptors of each distinct tuple (the tuple's world set is
@@ -629,6 +646,74 @@ mod tests {
         alone.push(t, d).unwrap();
         assert_eq!(Arc::as_ptr(&alone.body), body);
         assert!(!has_rows(&alone));
+    }
+
+    /// What `dedup` made when it sorted the rows and pushed them back: the
+    /// distinct `(tuple, descriptor)` rows in their `Ord` order, pushed
+    /// afresh.
+    fn deduped_by_rows(u: &URelation) -> URelation {
+        let mut rows = u.rows().to_vec();
+        rows.sort_unstable();
+        rows.dedup();
+        let mut out = URelation::new(u.schema().clone());
+        for (t, d) in rows {
+            out.push(t, d).unwrap();
+        }
+        out
+    }
+
+    /// Exact duplicates, `NULL`s, `-0.0`, and tuples under several
+    /// descriptors.
+    fn with_duplicates() -> URelation {
+        let schema = Schema::of(&[
+            ("s", ValueType::Str),
+            ("f", ValueType::Float),
+            ("a", ValueType::Int),
+        ])
+        .unwrap();
+        let (c0, c1) = (ComponentId(0), ComponentId(1));
+        let both = WsDescriptor::from_terms(vec![(c0, 1), (c1, 0)]).unwrap();
+        let mut u = URelation::new(schema);
+        for (s, f, a, d) in [
+            (Some("b"), 1.5, Some(3), WsDescriptor::single(c1, 0)),
+            (None, -0.0, None, WsDescriptor::tautology()),
+            (Some("b"), 1.5, Some(3), WsDescriptor::single(c0, 1)),
+            (None, -0.0, None, WsDescriptor::tautology()),
+            (Some("a"), 0.0, Some(3), both.clone()),
+            (Some("b"), 1.5, Some(3), WsDescriptor::single(c1, 0)),
+            (Some("a"), 0.0, Some(3), both),
+            (Some("b"), 1.5, None, WsDescriptor::single(c0, 1)),
+        ] {
+            let cells = vec![
+                s.map_or(Value::Null, Value::str),
+                Value::Float(f.into()),
+                a.map_or(Value::Null, Value::Int),
+            ];
+            u.push(Tuple::new(cells), d).unwrap();
+        }
+        u
+    }
+
+    #[test]
+    fn dedup_reads_columns_and_builds_no_row() {
+        let empty = URelation::new(sample().schema().clone());
+        let answer = as_an_answer(&with_duplicates());
+        for input in [sample(), with_duplicates(), answer, empty] {
+            let unread = input.clone();
+            let mut got = input.clone();
+            got.dedup();
+            assert!(
+                !has_rows(&unread) && !has_rows(&got),
+                "dedup builds no row, of its input or its output"
+            );
+            assert_same_body(&got, &deduped_by_rows(&input));
+            assert_eq!(got, deduped_by_rows(&input));
+        }
+        // Of the three exact duplicates, one shares its tuple with a row it
+        // is no duplicate of.
+        let mut u = with_duplicates();
+        u.dedup();
+        assert_eq!(u.len(), 5);
     }
 
     #[test]

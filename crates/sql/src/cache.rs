@@ -95,14 +95,6 @@ impl Entry {
     }
 }
 
-/// The names of the relations `plan` scans, each once.
-fn scans(plan: &Plan, names: &mut Vec<String>) {
-    match plan {
-        Plan::Scan(name) if !names.contains(name) => names.push(name.clone()),
-        plan => plan.children().into_iter().for_each(|c| scans(c, names)),
-    }
-}
-
 /// A cache hit: the plan, cloned — a plan is a small tree of boxed
 /// operator nodes that names its relations and holds none of their data.
 #[derive(Clone, Debug)]
@@ -177,13 +169,11 @@ impl PlanCache {
         plan: Plan,
         _estimates: Option<Vec<f64>>,
     ) {
-        let mut names = Vec::new();
-        scans(&plan, &mut names);
-        let reads = names.into_iter().map(|name| {
-            let schema = relations.schema(&name)?.clone();
-            let stats = Arc::clone(relations.stats(&name)?);
+        let reads = plan.scans().into_iter().map(|name| {
+            let schema = relations.schema(name)?.clone();
+            let stats = Arc::clone(relations.stats(name)?);
             Some(Read {
-                name,
+                name: name.to_owned(),
                 schema,
                 stats,
             })

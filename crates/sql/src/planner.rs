@@ -23,10 +23,10 @@
 //! | `REPAIR KEY k IN q WEIGHT BY w`  | `repair-key{k; w}`                  |
 
 use maybms_algebra::{
-    certain, conf, conf_approx, possible, repair_key, Operand, Plan, Predicate, Relations,
-    CONF_COLUMN,
+    certain, check_unit_interval, conf, conf_approx, possible, repair_key, Operand, Plan,
+    Predicate, Relations, UOp, CONF_COLUMN,
 };
-use maybms_core::{Column, Schema, Value, ValueType};
+use maybms_core::{Schema, Value, ValueType};
 
 use crate::ast::{Expr, FromItem, Quantifier, Query, Repair, Scalar, SelectList, SelectQuery};
 use crate::span::{Span, SqlError};
@@ -218,45 +218,25 @@ fn apply_quantifier(
             eps_span,
             delta_span,
         } => {
-            check_unit_interval(eps, eps_span, "eps")?;
-            check_unit_interval(delta, delta_span, "delta")?;
+            for (what, v, span) in [("eps", eps, eps_span), ("delta", delta, delta_span)] {
+                check_unit_interval(what, v)
+                    .map_err(|m| SqlError::new(span, format!("CONF {m}")))?;
+            }
             let schema = conf_schema(schema, span)?;
             Ok((conf_approx(plan, eps, delta), schema))
         }
     }
 }
 
-/// The schema of a `conf` result: the input columns plus the appended
-/// `conf` float column (rejecting inputs that already carry one).
+/// The schema of a `conf` result ([`UOp::output_schema`]), rejecting an
+/// input that already carries a `conf` column at the quantifier's span.
 fn conf_schema(schema: Schema, span: Span) -> Result<Schema, SqlError> {
-    let mut cols = schema.columns().to_vec();
-    cols.push(Column::new(CONF_COLUMN, ValueType::Float));
-    Schema::new(cols).map_err(|_| {
+    UOp::Conf(None).output_schema(&schema).map_err(|_| {
         SqlError::new(
             span,
             format!("CONF input already has a `{CONF_COLUMN}` column"),
         )
     })
-}
-
-/// `CONF(eps, delta)` arguments must be probabilities strictly inside
-/// `(0, 1)`: 0 would demand an exact answer from a sampler, 1 makes the
-/// guarantee vacuous. A value whose plain form runs long (`1e308` has 309
-/// digits) is echoed in exponent form.
-fn check_unit_interval(v: f64, span: Span, what: &str) -> Result<(), SqlError> {
-    if v.is_finite() && v > 0.0 && v < 1.0 {
-        return Ok(());
-    }
-    let got = v.to_string();
-    let got = if got.len() > 20 {
-        format!("{v:e}")
-    } else {
-        got
-    };
-    Err(SqlError::new(
-        span,
-        format!("CONF {what} must be in (0, 1), got {got}"),
-    ))
 }
 
 fn lower_expr(schema: &Schema, expr: &Expr) -> Result<Predicate, SqlError> {
