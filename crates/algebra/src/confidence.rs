@@ -466,6 +466,40 @@ mod tests {
     }
 
     #[test]
+    fn trivial_runs_keep_the_cutover() {
+        // A lone descriptor prices 2, a one-component run of two named
+        // alternatives (of 3) prices 3: the kernel answers both without a
+        // layout, but only below the cutover — past it they are sampled.
+        let (cs, c0, c1) = two_comp_set();
+        let lone = [WsDescriptor::single(c0, 1)
+            .conjoin(&WsDescriptor::single(c1, 2))
+            .unwrap()];
+        let key = [WsDescriptor::single(c1, 0), WsDescriptor::single(c1, 2)];
+        let approx = ApproxConf {
+            seed: 3,
+            ..ApproxConf::new(0.05, 0.05)
+        };
+        for (descs, price) in [(&lone[..], 2), (&key[..], 3)] {
+            let (got, stats) = solve(&cs, descs, Some(approx), EXACT_STEP_CEILING);
+            assert_eq!(got.unwrap().to_bits(), cs.prob_of_dnf(descs).to_bits());
+            assert_eq!((stats.exact_groups, stats.sampled_groups), (1, 0));
+            assert_eq!(stats.samples_drawn, 0);
+            for exact_limit in [0, price - 1] {
+                let forced = ApproxConf {
+                    exact_limit,
+                    ..approx
+                };
+                let (got, stats) = solve(&cs, descs, Some(forced), EXACT_STEP_CEILING);
+                let err = (got.unwrap() - cs.prob_of_dnf(descs)).abs();
+                assert!(err <= 0.05, "{err}");
+                assert_eq!((stats.exact_groups, stats.sampled_groups), (0, 1));
+                assert!(stats.samples_drawn > 0);
+                assert_eq!(stats.exact_steps, 0);
+            }
+        }
+    }
+
+    #[test]
     fn a_draw_count_past_the_ceiling_is_refused_before_the_first_draw() {
         // ln(2/0.5) / (2 · 10⁻¹⁸) ≈ 6.9·10¹⁷ Monte Carlo draws for the chain
         // (U = 12/4 ≥ 1); nothing is counted as sampled.

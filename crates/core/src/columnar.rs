@@ -1065,12 +1065,6 @@ impl ColumnarURelation {
         Tuple::new(self.cols.iter().map(|c| c.value(i, strings)).collect())
     }
 
-    /// Compare two rows' value columns (not descriptors) under the
-    /// lexicographic [`Tuple`] order.
-    pub fn cmp_rows(&self, i: usize, j: usize, strings: &StrPool) -> Ordering {
-        cmp_rows(&self.cols, i, j, strings)
-    }
-
     /// A new relation holding the rows at `idx` in that order, with a
     /// replacement descriptor column (`descs.len()` must equal `idx.len()`).
     pub fn gather_with_descs(&self, idx: &[u32], descs: Vec<DescId>) -> Self {
@@ -1126,16 +1120,34 @@ mod tests {
         assert_eq!(c.to_urelation(&pool, &strings), u);
     }
 
+    /// Per row, the position of its tuple among the distinct tuples in
+    /// [`canonical_order`]'s order.
+    fn tuple_ranks(c: &ColumnarURelation, pool: &DescriptorPool, strings: &StrPool) -> Vec<usize> {
+        let (perm, runs) = canonical_order(c.columns(), c.descs(), pool, strings);
+        let mut rank = vec![0; c.len()];
+        for (r, &(start, end)) in runs.iter().enumerate() {
+            for &i in &perm[start as usize..end as usize] {
+                rank[i as usize] = r;
+            }
+        }
+        rank
+    }
+
     #[test]
     fn cell_comparisons_mirror_value_order() {
         let u = mixed_relation();
         let mut pool = DescriptorPool::new();
         let mut strings = StrPool::new();
         let c = ColumnarURelation::from_urelation(&u, &mut pool, &mut strings);
+        let tuple_rank = tuple_ranks(&c, &pool, &strings);
         for i in 0..u.len() {
             for j in 0..u.len() {
                 let (ti, tj) = (&u.rows()[i].0, &u.rows()[j].0);
-                assert_eq!(c.cmp_rows(i, j, &strings), ti.cmp(tj), "rows {i},{j}");
+                assert_eq!(
+                    tuple_rank[i].cmp(&tuple_rank[j]),
+                    ti.cmp(tj),
+                    "rows {i},{j}"
+                );
                 assert_eq!(rows_eq(c.columns(), i, j), ti == tj);
                 for (k, col) in c.columns().iter().enumerate() {
                     assert_eq!(

@@ -18,7 +18,14 @@
 //! **Layout.** The tuple's distinct components, ascending by id, are its
 //! *slots*; a union-find over slots yields the groups (in first-occurrence
 //! order of their earliest descriptor, each listing its descriptors in input
-//! order). Compiling a group of `k` descriptors numbers them `0..k` and
+//! order). Two trivial shapes skip the layout: [`DnfKernel::load`]
+//! recognises, from the terms it has just copied, a tuple of *one
+//! descriptor* (its probability is the product of its terms') and one whose
+//! descriptors are *single terms on one component* in ascending alternative
+//! order (a repaired key: the sum of its distinct alternatives). `prob`,
+//! `covers`, `exact_cost` and `group_len` answer them from the copied terms;
+//! whatever else asks about the tuple lays it out first. The same helpers
+//! answer a laid-out group of either shape. Compiling a group of `k` descriptors numbers them `0..k` and
 //! builds bitsets of `⌈k/64⌉` words: per slot and per *branch* — one branch
 //! per alternative some descriptor mentions, plus one "rest" branch standing
 //! for all unmentioned alternatives at once — the descriptors that choice
@@ -45,7 +52,7 @@
 //! content-keyed [`CounterRng`] stream front to back, in an order the group's
 //! content fixes.
 
-use crate::component::ComponentSet;
+use crate::component::{Component, ComponentSet};
 use crate::descriptor::ComponentId;
 use crate::error::MayError;
 use crate::rng::{mix64, CounterRng};
@@ -68,6 +75,15 @@ pub const SAMPLE_DRAW_CEILING: u64 = 1 << 26;
 
 type Term = (ComponentId, u16);
 
+/// A loaded tuple that is answered from its copied terms, without a layout.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Trivial {
+    /// One descriptor.
+    Lone,
+    /// Single-term descriptors on one component, alternatives ascending.
+    OneComponent,
+}
+
 /// What [`DnfKernel::load`] found.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Loaded {
@@ -85,11 +101,16 @@ pub enum Loaded {
 #[derive(Debug, Default)]
 pub struct DnfKernel {
     // The loaded tuple.
-    /// Per term: its component id while loading, then its slot.
-    term_slot: Vec<u32>,
-    term_alt: Vec<u16>,
+    /// The descriptors' terms, concatenated.
+    terms: Vec<Term>,
     /// Descriptor `d` owns terms `desc_off[d]..desc_off[d + 1]`.
     desc_off: Vec<u32>,
+    /// The tuple's shape while it is trivial and not laid out.
+    trivial: Option<Trivial>,
+
+    // Its layout.
+    /// Per term: its slot.
+    term_slot: Vec<u32>,
     /// Slot → component id (distinct, ascending).
     slots: Vec<u32>,
     /// Union-find parent per slot.
@@ -224,6 +245,48 @@ fn hash_words(words: &[u64]) -> usize {
     words.iter().fold(0, |h, &w| mix64(h ^ w)) as usize
 }
 
+/// `P(d)` of one descriptor's `terms`: the product of their probabilities,
+/// in term (component id) order.
+fn lone_prob(components: &ComponentSet, terms: &[Term]) -> f64 {
+    terms
+        .iter()
+        .map(|&(c, a)| components.get(c).prob(a))
+        .product()
+}
+
+/// Whether one descriptor's `terms` hold in every world: only if they
+/// cannot disagree with any, i.e. each names a one-alternative component.
+fn lone_covers(components: &ComponentSet, terms: &[Term]) -> bool {
+    terms
+        .iter()
+        .all(|&(c, _)| components.get(c).alternatives() == 1)
+}
+
+/// The distinct values of an ascending sequence.
+fn distinct(ascending: impl Iterator<Item = u16>) -> impl Iterator<Item = u16> {
+    let mut last = None;
+    ascending.filter(move |&a| last.replace(a) != Some(a))
+}
+
+/// A one-component group's probability from the distinct alternatives its
+/// descriptors name (`named`, ascending): their probabilities summed in that
+/// order and clamped at 1 (masses of disjoint assignment sets sum to at most
+/// 1 up to rounding) — and how many they are.
+fn alternatives_prob(comp: &Component, named: impl Iterator<Item = u16>) -> (f64, u64) {
+    let (mut p, mut distinct) = (0.0, 0);
+    for a in named {
+        p += comp.prob(a);
+        distinct += 1;
+    }
+    (p.min(1.0), distinct)
+}
+
+/// Whether a one-component group covers every world: once the distinct
+/// alternatives it names (`named`) are all of them.
+fn alternatives_cover(comp: &Component, named: impl Iterator<Item = u16>) -> bool {
+    named.count() == usize::from(comp.alternatives())
+}
+
 /// "No entry" in the group labels and in the state index.
 const EMPTY: u32 = u32::MAX;
 
@@ -243,44 +306,74 @@ impl DnfKernel {
     /// Load one tuple's disjunction: each item is a descriptor's term list,
     /// sorted by strictly increasing component id (what
     /// [`crate::DescriptorPool::terms`] and [`crate::WsDescriptor::terms`]
-    /// return). Replaces whatever was loaded before.
+    /// return). Replaces whatever was loaded before. A tuple of one of the
+    /// two trivial shapes (see the module docs) is one group and is not laid
+    /// out until something other than `prob`, `covers`, `exact_cost` or
+    /// `group_len` asks about it.
     pub fn load<'t>(&mut self, descs: impl IntoIterator<Item = &'t [Term]>) -> Loaded {
         self.by_slot_ready = false;
         self.compiled = None;
-        self.term_slot.clear();
-        self.term_alt.clear();
+        self.trivial = None;
+        self.terms.clear();
         self.desc_off.clear();
         self.desc_off.push(0);
         for terms in descs {
             if terms.is_empty() {
                 return Loaded::Tautology;
             }
-            for &(c, a) in terms {
-                self.term_slot.push(c.0);
-                self.term_alt.push(a);
+            // Term by term: lists this short copy faster than by `memcpy`.
+            for &t in terms {
+                self.terms.push(t);
             }
-            self.desc_off.push(self.term_slot.len() as u32);
+            self.desc_off.push(self.terms.len() as u32);
         }
         let k = self.desc_off.len() - 1;
         if k == 0 {
             return Loaded::Empty;
         }
+        if k == 1 {
+            self.trivial = Some(Trivial::Lone);
+        } else if self.terms.len() == k
+            && self
+                .terms
+                .windows(2)
+                .all(|w| w[0].0 == w[1].0 && w[0].1 <= w[1].1)
+        {
+            self.trivial = Some(Trivial::OneComponent);
+        } else {
+            return Loaded::Groups(self.lay_out());
+        }
+        Loaded::Groups(1)
+    }
+
+    /// Lay a trivial tuple out, if it is not yet.
+    fn ensure_layout(&mut self) {
+        if self.trivial.take().is_some() {
+            self.lay_out();
+        }
+    }
+
+    /// Slots, groups and each descriptor's and slot's place in its group;
+    /// returns the number of groups.
+    fn lay_out(&mut self) -> usize {
+        let k = self.desc_off.len() - 1;
         self.slots.clear();
-        self.slots.extend_from_slice(&self.term_slot);
+        self.slots.extend(self.terms.iter().map(|&(c, _)| c.0));
         if k > 1 {
             self.slots.sort_unstable();
             self.slots.dedup();
         }
         let n = self.slots.len();
-        // Re-express terms over slots and link each descriptor's slots.
+        // Express terms over slots and link each descriptor's slots.
+        self.term_slot.clear();
         self.parent.clear();
         self.parent.extend(0..n as u32);
         for d in 0..k {
             let mut lo = 0;
             for t in self.desc_off[d] as usize..self.desc_off[d + 1] as usize {
-                let c = self.term_slot[t];
+                let c = self.terms[t].0 .0;
                 let s = lo + self.slots[lo..].partition_point(|&x| x < c);
-                self.term_slot[t] = s as u32;
+                self.term_slot.push(s as u32);
                 if lo > 0 {
                     let (a, b) = (
                         find(&mut self.parent, s as u32),
@@ -337,17 +430,23 @@ impl DnfKernel {
             &self.group_slots,
             &mut self.slot_local,
         );
-        Loaded::Groups(groups)
+        groups
     }
 
     /// Number of descriptors in group `g`.
+    #[inline]
     pub fn group_len(&self, g: usize) -> usize {
+        if self.trivial.is_some() {
+            debug_assert_eq!(g, 0, "a trivial tuple is one group");
+            return self.desc_off.len() - 1;
+        }
         (self.group_desc_off[g + 1] - self.group_desc_off[g]) as usize
     }
 
     /// The descriptors of group `g`, as indices into the loaded sequence, in
     /// input order.
-    pub fn group_descs(&self, g: usize) -> impl Iterator<Item = usize> + '_ {
+    pub fn group_descs(&mut self, g: usize) -> impl Iterator<Item = usize> + '_ {
+        self.ensure_layout();
         self.descs_of(g).iter().map(|&d| d as usize)
     }
 
@@ -371,17 +470,30 @@ impl DnfKernel {
         ComponentId(self.slots[slot as usize])
     }
 
+    /// The component of a trivial [`Trivial::OneComponent`] tuple, and its
+    /// distinct alternatives, ascending.
+    fn one_component<'s>(
+        &'s self,
+        components: &'s ComponentSet,
+    ) -> (&'s Component, impl Iterator<Item = u16> + 's) {
+        (
+            components.get(self.terms[0].0),
+            distinct(self.terms.iter().map(|&(_, a)| a)),
+        )
+    }
+
     /// Stream key for group `g`'s sampling draws: a hash of the group's
     /// descriptor *content* (component ids and alternatives, in the group's
     /// order). Keying on content rather than on any run or morsel index is
     /// what makes sampling invariant under thread count and under optimizer
     /// rewrites that drop unrelated tuples.
-    pub fn stream_key(&self, g: usize) -> u64 {
+    pub fn stream_key(&mut self, g: usize) -> u64 {
+        self.ensure_layout();
         let mut h = 0;
         for &d in self.descs_of(g) {
-            for t in self.terms_of(d) {
-                h = mix64(h ^ u64::from(self.component_of(self.term_slot[t]).0));
-                h = mix64(h ^ u64::from(self.term_alt[t]));
+            for &(c, a) in &self.terms[self.terms_of(d)] {
+                h = mix64(h ^ u64::from(c.0));
+                h = mix64(h ^ u64::from(a));
             }
             // Separate descriptors so e.g. [(c0, c1)] and [(c0), (c1)] differ.
             h = mix64(h ^ 0xD15C_0DE5);
@@ -395,6 +507,7 @@ impl DnfKernel {
         if self.by_slot_ready {
             return;
         }
+        self.ensure_layout();
         self.by_slot_ready = true;
         let terms = self.term_slot.len();
         self.term_desc.clear();
@@ -412,11 +525,12 @@ impl DnfKernel {
             &mut self.slot_term_off,
             &mut self.slot_terms,
         );
-        let (alt, desc) = (&self.term_alt, &self.term_desc);
+        let (terms, desc) = (&self.terms, &self.term_desc);
         for s in 0..self.slots.len() {
             let run = self.slot_term_off[s] as usize..self.slot_term_off[s + 1] as usize;
             if run.len() > 1 {
-                self.slot_terms[run].sort_unstable_by_key(|&t| (alt[t as usize], desc[t as usize]));
+                self.slot_terms[run]
+                    .sort_unstable_by_key(|&t| (terms[t as usize].1, desc[t as usize]));
             }
         }
     }
@@ -427,10 +541,7 @@ impl DnfKernel {
         let s = slot as usize;
         let terms =
             &self.slot_terms[self.slot_term_off[s] as usize..self.slot_term_off[s + 1] as usize];
-        let alt = move |i: usize| self.term_alt[terms[i] as usize];
-        (0..terms.len())
-            .filter(move |&i| i == 0 || alt(i) != alt(i - 1))
-            .map(alt)
+        distinct(terms.iter().map(|&t| self.terms[t as usize].1))
     }
 
     /// Cost bound for solving group `g` exactly:
@@ -441,7 +552,23 @@ impl DnfKernel {
     /// `b_s = min(alternatives, mentioned + 1)` branches; the first two bound
     /// the state count by the subsets of descriptors and by the assignments.
     /// Every group prices ≥ 1.
+    ///
+    /// A trivial tuple prices without a layout. A lone descriptor is open
+    /// past its first slot only, so the bound is `min(2, Π alternatives)`:
+    /// 1 if it covers every world, else 2. A one-component tuple has one
+    /// slot and nothing open at it, so with `m` distinct alternatives
+    /// named the bound is `min(alternatives, m + 1)` (`m + 1 ≤ 2ᵏ`).
     pub fn exact_cost(&mut self, components: &ComponentSet, g: usize) -> u128 {
+        match self.trivial {
+            Some(Trivial::Lone) if lone_covers(components, &self.terms) => return 1,
+            Some(Trivial::Lone) => return 2,
+            Some(Trivial::OneComponent) => {
+                let (comp, named) = self.one_component(components);
+                let branches = named.count() as u128 + 1;
+                return u128::from(comp.alternatives()).min(branches);
+            }
+            None => {}
+        }
         self.ensure_by_slot();
         let k = self.group_len(g);
         let subsets = if k < 128 { 1u128 << k } else { u128::MAX };
@@ -500,12 +627,12 @@ impl DnfKernel {
                 ..self.slot_term_off[s as usize + 1] as usize;
             let mut start = runs.start;
             while start < runs.end {
-                let alt = self.term_alt[self.slot_terms[start] as usize];
+                let alt = self.terms[self.slot_terms[start] as usize].1;
                 let b = self.br_prob.len();
                 mass += comp.prob(alt);
                 self.br_prob.push(comp.prob(alt));
                 self.br_mask.resize((b + 1) * w, 0);
-                while start < runs.end && self.term_alt[self.slot_terms[start] as usize] == alt {
+                while start < runs.end && self.terms[self.slot_terms[start] as usize].1 == alt {
                     let t = self.slot_terms[start] as usize;
                     let bit = self.term_desc[t] as usize;
                     self.br_mask[b * w + bit / 64] |= 1 << (bit % 64);
@@ -537,68 +664,87 @@ impl DnfKernel {
     /// Exact probability that some descriptor of group `g` holds. Errors
     /// with [`MayError::TooManySteps`] once the elimination passes `ceiling`
     /// transitions (pass `u64::MAX` for no ceiling).
+    #[inline]
     pub fn prob(
         &mut self,
         components: &ComponentSet,
         g: usize,
         ceiling: u64,
     ) -> Result<f64, MayError> {
-        if let &[d] = self.descs_of(g) {
-            // One descriptor: the product of its assignments.
-            let terms = self.terms_of(d);
-            self.steps += terms.len() as u64;
-            return Ok(terms
-                .map(|t| {
-                    components
-                        .get(self.component_of(self.term_slot[t]))
-                        .prob(self.term_alt[t])
-                })
-                .product());
-        }
-        // The masses of disjoint assignment sets sum to at most 1 up to
-        // rounding; clamp so `1 − p` never goes negative downstream.
-        if let &[s] = self.slots_of(g) {
-            // One slot: the descriptors name alternatives of one component
-            // (a repaired key, typically — with up to 2¹⁶ of them, which as
-            // bitsets would be quadratic). Sum the distinct ones.
-            self.ensure_by_slot();
-            let comp = components.get(self.component_of(s));
-            let (mut p, mut distinct) = (0.0, 0);
-            for a in self.mentioned(s) {
-                p += comp.prob(a);
-                distinct += 1;
+        let (p, steps) = match self.trivial {
+            None => return self.group_prob(components, g, ceiling),
+            Some(Trivial::Lone) => (lone_prob(components, &self.terms), self.terms.len() as u64),
+            Some(Trivial::OneComponent) => {
+                let (comp, named) = self.one_component(components);
+                alternatives_prob(comp, named)
             }
-            self.steps += distinct;
-            return Ok(p.min(1.0));
-        }
-        self.compile(components, g);
-        self.eliminate::<false>(g, ceiling)
-            .map(|(hit, _)| hit.min(1.0))
+        };
+        self.steps += steps;
+        Ok(p)
+    }
+
+    /// [`Self::prob`] of a laid-out group. A group of one descriptor takes
+    /// one step per term, a group of one slot one per alternative named.
+    fn group_prob(
+        &mut self,
+        components: &ComponentSet,
+        g: usize,
+        ceiling: u64,
+    ) -> Result<f64, MayError> {
+        let (p, steps) = if let &[d] = self.descs_of(g) {
+            let terms = &self.terms[self.terms_of(d)];
+            (lone_prob(components, terms), terms.len() as u64)
+        } else if let &[s] = self.slots_of(g) {
+            // One slot: the descriptors name alternatives of one component
+            // (with up to 2¹⁶ of them, which as bitsets would be quadratic).
+            self.ensure_by_slot();
+            alternatives_prob(components.get(self.component_of(s)), self.mentioned(s))
+        } else {
+            self.compile(components, g);
+            // The masses of disjoint assignment sets sum to at most 1 up to
+            // rounding; clamp so `1 − p` never goes negative downstream.
+            return self
+                .eliminate::<false>(g, ceiling)
+                .map(|(hit, _)| hit.min(1.0));
+        };
+        self.steps += steps;
+        Ok(p)
     }
 
     /// Whether group `g` holds in *every* world — every combination of
     /// alternatives counts, probabilities are ignored. Stops at the first
     /// uncovered assignment; errors like [`DnfKernel::prob`].
+    #[inline]
     pub fn covers(
         &mut self,
         components: &ComponentSet,
         g: usize,
         ceiling: u64,
     ) -> Result<bool, MayError> {
+        match self.trivial {
+            None => self.group_covers(components, g, ceiling),
+            Some(Trivial::Lone) => Ok(lone_covers(components, &self.terms)),
+            Some(Trivial::OneComponent) => {
+                let (comp, named) = self.one_component(components);
+                Ok(alternatives_cover(comp, named))
+            }
+        }
+    }
+
+    /// [`Self::covers`] of a laid-out group.
+    fn group_covers(
+        &mut self,
+        components: &ComponentSet,
+        g: usize,
+        ceiling: u64,
+    ) -> Result<bool, MayError> {
         if let &[d] = self.descs_of(g) {
-            // One descriptor covers only worlds it cannot disagree with.
-            return Ok(self.terms_of(d).all(|t| {
-                components
-                    .get(self.component_of(self.term_slot[t]))
-                    .alternatives()
-                    == 1
-            }));
+            return Ok(lone_covers(components, &self.terms[self.terms_of(d)]));
         }
         if let &[s] = self.slots_of(g) {
-            // One slot is covered once every alternative is named.
             self.ensure_by_slot();
-            let alts = components.get(self.component_of(s)).alternatives();
-            return Ok(self.mentioned(s).count() == usize::from(alts));
+            let comp = components.get(self.component_of(s));
+            return Ok(alternatives_cover(comp, self.mentioned(s)));
         }
         self.compile(components, g);
         self.eliminate::<true>(g, ceiling)
@@ -721,15 +867,7 @@ impl DnfKernel {
         self.weights.clear();
         let mut total = 0.0;
         for i in self.desc_range(g) {
-            let p: f64 = self
-                .terms_of(self.group_descs[i])
-                .map(|t| {
-                    components
-                        .get(self.component_of(self.term_slot[t]))
-                        .prob(self.term_alt[t])
-                })
-                .product();
-            total += p;
+            total += lone_prob(components, &self.terms[self.terms_of(self.group_descs[i])]);
             self.weights.push(total);
         }
         GroupSampler {
@@ -876,8 +1014,8 @@ impl GroupSampler<'_> {
                 let (mut mentioned, mut taken) = (0, 0.0);
                 let mut rest = terms;
                 while let Some(&first) = rest.first() {
-                    let alt = kn.term_alt[first as usize];
-                    let same = |&&t: &&u32| kn.term_alt[t as usize] == alt;
+                    let alt = kn.terms[first as usize].1;
+                    let same = |&&t: &&u32| kn.terms[t as usize].1 == alt;
                     let (branch, after) = rest.split_at(rest.iter().take_while(same).count());
                     rest = after;
                     mentioned += 1;
@@ -936,7 +1074,6 @@ fn or_into(into: &mut [u64; BLOCK_WORDS], from: &[u64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::component::Component;
     use crate::descriptor::WsDescriptor;
 
     fn load(kernel: &mut DnfKernel, descs: &[WsDescriptor]) -> Loaded {

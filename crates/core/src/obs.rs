@@ -15,9 +15,10 @@
 //! ([`QueryTrace::to_json`]) loadable in `chrome://tracing` or Perfetto.
 //! Run-wide totals are the executor's `ExecStats`.
 //!
-//! The tracer is built to be cheap when disabled: every instrumentation
-//! site first checks [`Tracer::is_enabled`] (one branch on a bool) and only
-//! then reads the clock or materializes labels or counter snapshots. A disabled run performs a
+//! The tracer is built to be cheap when disabled: a disabled tracer has no
+//! clock origin and never reads the clock, and every instrumentation site
+//! first checks [`Tracer::is_enabled`] (one branch) and only then reads the
+//! clock or materializes labels or counter snapshots. A disabled run performs a
 //! handful of such branches per plan node — noise next to evaluating even a
 //! single morsel.
 
@@ -145,8 +146,9 @@ impl SpanId {
 /// [`Tracer::enabled`]; consume with [`Tracer::finish`].
 #[derive(Debug)]
 pub struct Tracer {
-    enabled: bool,
-    origin: Instant,
+    /// When the trace started; `None` for a disabled tracer, which reads no
+    /// clock.
+    origin: Option<Instant>,
     spans: Vec<Span>,
     /// Open spans: (span index, counter snapshot at enter).
     stack: Vec<(u32, ObsCounters)>,
@@ -162,8 +164,7 @@ impl Tracer {
     /// A tracer that records nothing; every method is a cheap no-op.
     pub fn disabled() -> Self {
         Tracer {
-            enabled: false,
-            origin: Instant::now(),
+            origin: None,
             spans: Vec::new(),
             stack: Vec::new(),
         }
@@ -172,8 +173,7 @@ impl Tracer {
     /// A recording tracer whose clock starts now.
     pub fn enabled() -> Self {
         Tracer {
-            enabled: true,
-            origin: Instant::now(),
+            origin: Some(Instant::now()),
             spans: Vec::new(),
             stack: Vec::new(),
         }
@@ -183,15 +183,15 @@ impl Tracer {
     /// this before building labels or counter snapshots.
     #[inline]
     pub fn is_enabled(&self) -> bool {
-        self.enabled
+        self.origin.is_some()
     }
 
     /// Open a span of `kind` as a child of the currently open span (or as
     /// a root). Returns [`SpanId::NONE`] when disabled.
     pub fn enter(&mut self, kind: SpanKind, label: String, snap: ObsCounters) -> SpanId {
-        if !self.enabled {
+        let Some(origin) = self.origin else {
             return SpanId::NONE;
-        }
+        };
         let id = self.spans.len() as u32;
         let parent = self.stack.last().map(|&(p, _)| p);
         self.spans.push(Span {
@@ -199,7 +199,7 @@ impl Tracer {
             parent,
             depth: self.stack.len() as u32,
             kind,
-            start_nanos: nanos_u64(self.origin.elapsed()),
+            start_nanos: nanos_u64(origin.elapsed()),
             dur_nanos: 0,
             rows_out: 0,
             counters: ObsCounters::default(),
@@ -217,8 +217,9 @@ impl Tracer {
         }
         let (top, entered) = self.stack.pop().expect("exit without a matching enter");
         debug_assert_eq!(top, id.0, "spans must exit in LIFO order");
+        let origin = self.origin.expect("only an enabled tracer opens spans");
         let span = &mut self.spans[top as usize];
-        span.dur_nanos = nanos_u64(self.origin.elapsed()).saturating_sub(span.start_nanos);
+        span.dur_nanos = nanos_u64(origin.elapsed()).saturating_sub(span.start_nanos);
         span.rows_out = rows_out;
         span.counters = snap.since(&entered);
     }
@@ -228,7 +229,7 @@ impl Tracer {
     pub fn finish(self, threads: usize) -> QueryTrace {
         debug_assert!(self.stack.is_empty(), "all spans must be closed");
         QueryTrace {
-            total_nanos: nanos_u64(self.origin.elapsed()),
+            total_nanos: self.origin.map_or(0, |origin| nanos_u64(origin.elapsed())),
             threads: threads.max(1),
             spans: self.spans,
         }

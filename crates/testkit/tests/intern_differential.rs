@@ -10,14 +10,21 @@
 //!    `prob_of_dnf_enumerate` (unfactorized brute force) on adversarial
 //!    shared-variable DNFs — also when solved under a step ceiling — and
 //!    `covers_all_worlds` must agree with brute-force coverage.
-//! 3. `DescriptorPool` round-trips descriptors and mirrors
+//! 3. The two tuple shapes the kernel answers without laying the tuple out
+//!    (one descriptor; single-term descriptors on one component) must give
+//!    what the laid-out path gives, bit for bit and counter for counter, and
+//!    what enumeration gives.
+//! 4. `DescriptorPool` round-trips descriptors and mirrors
 //!    `WsDescriptor::conjoin` exactly, including the non-canonical handles
 //!    minted by pool conjunction.
 
-use maybms_algebra::{naive, run};
+use maybms_algebra::{naive, run, run_with, ExecCfg, Plan};
 use maybms_core::dnf::{DnfKernel, Loaded};
 use maybms_core::rng::Rng;
-use maybms_core::{Component, ComponentSet, DescriptorPool, WorldSet, WsDescriptor};
+use maybms_core::{
+    Component, ComponentId, ComponentSet, ConfStats, DescriptorPool, Schema, Tuple, URelation,
+    Value, ValueType, WorldSet, WsDescriptor,
+};
 use maybms_ql::conf;
 use maybms_testkit::oracle::{covers_all_worlds, prob_of_dnf_enumerate};
 use maybms_testkit::{
@@ -209,6 +216,124 @@ fn a_solve_under_a_sufficient_ceiling_matches_brute_force() {
         (p - prob_of_dnf_enumerate(&cs, &descs)).abs() < 1e-15,
         "{p}"
     );
+}
+
+fn shuffle<T>(rng: &mut Rng, xs: &mut [T]) {
+    for i in (1..xs.len()).rev() {
+        xs.swap(i, rng.below(i + 1));
+    }
+}
+
+/// A trivial tuple: one descriptor of 1–6 terms, or 2–9 single-term
+/// descriptors on one component (repeats allowed, sometimes every
+/// alternative, ascending or shuffled), over components of 1–5 alternatives
+/// with random weights.
+fn gen_trivial_run(rng: &mut Rng, lone: bool) -> (ComponentSet, Vec<WsDescriptor>) {
+    let mut cs = ComponentSet::new();
+    let ids: Vec<ComponentId> = (0..6)
+        .map(|_| {
+            let weights: Vec<f64> = (0..rng.range(1, 5)).map(|_| rng.unit_f64()).collect();
+            cs.add(Component::from_weights(&weights).expect("positive"))
+        })
+        .collect();
+    let alt = |rng: &mut Rng, c: ComponentId| rng.below(cs.get(c).alternatives().into()) as u16;
+    if lone {
+        let mut picked = ids.clone();
+        shuffle(rng, &mut picked);
+        picked.truncate(rng.range(1, 6));
+        picked.sort_unstable();
+        let terms = picked.iter().map(|&c| (c, alt(rng, c))).collect();
+        let d = WsDescriptor::from_terms(terms).expect("distinct components");
+        return (cs, vec![d]);
+    }
+    let c = *rng.pick(&ids);
+    let mut alts: Vec<u16> = (0..rng.range(2, 9)).map(|_| alt(rng, c)).collect();
+    if rng.chance(0.3) {
+        alts.extend(0..cs.get(c).alternatives());
+    }
+    if rng.chance(0.5) {
+        alts.sort_unstable();
+    } else {
+        shuffle(rng, &mut alts);
+    }
+    let descs = alts.iter().map(|&a| WsDescriptor::single(c, a)).collect();
+    (cs, descs)
+}
+
+/// Each trivial shape is answered before `DnfKernel::load` lays the tuple
+/// out. Against the laid-out path it replaces (forced here by asking for the
+/// group's descriptors first): `conf` bit-equal, the same coverage verdict,
+/// cost bound, group size and solver steps. Against enumeration: within
+/// 1e-13, and coverage of every world. Through the `conf` operator (which
+/// hands the kernel each run in canonical order): the same float and the
+/// same `ConfStats`.
+#[test]
+fn trivial_runs_match_the_laid_out_path_and_enumeration() {
+    for case in 0..600u64 {
+        let mut rng = Rng::new(0x0781_91A1 ^ case);
+        let (cs, descs) = gen_trivial_run(&mut rng, case % 2 == 0);
+        let terms = || descs.iter().map(WsDescriptor::terms);
+        let at = format!("case {case}: {descs:?}");
+
+        let mut fast = DnfKernel::new();
+        assert_eq!(fast.load(terms()), Loaded::Groups(1), "{at}");
+        let fast_cost = fast.exact_cost(&cs, 0);
+        let fast_p = fast.prob(&cs, 0, u64::MAX).expect("no ceiling");
+        let fast_covers = fast.covers(&cs, 0, u64::MAX).expect("no ceiling");
+
+        let mut laid = DnfKernel::new();
+        assert_eq!(laid.load(terms()), Loaded::Groups(1), "{at}");
+        assert_eq!(laid.group_descs(0).count(), descs.len(), "{at}");
+        let laid_p = laid.prob(&cs, 0, u64::MAX).expect("no ceiling");
+        assert_eq!(fast_p.to_bits(), laid_p.to_bits(), "{at}: prob");
+        assert_eq!(fast.steps(), laid.steps(), "{at}: steps");
+        assert_eq!(fast.group_len(0), laid.group_len(0), "{at}: group size");
+        assert_eq!(fast_cost, laid.exact_cost(&cs, 0), "{at}: cost bound");
+        assert_eq!(
+            fast_covers,
+            laid.covers(&cs, 0, u64::MAX).expect("no ceiling"),
+            "{at}: coverage"
+        );
+
+        let conf_p = 1.0 - (1.0 - fast_p);
+        assert_eq!(cs.prob_of_dnf(&descs).to_bits(), conf_p.to_bits(), "{at}");
+        let oracle = prob_of_dnf_enumerate(&cs, &descs);
+        assert!(
+            (conf_p - oracle).abs() < 1e-13,
+            "{at}: {conf_p} vs {oracle}"
+        );
+        let every_world = cs
+            .enumerate(WORLD_LIMIT)
+            .expect("small component set")
+            .iter()
+            .all(|w| descs.iter().any(|d| d.satisfied_by(w)));
+        assert_eq!(fast_covers, every_world, "{at}: coverage by enumeration");
+        assert_eq!(covers_all_worlds(&cs, &descs), every_world, "{at}");
+
+        let mut ws = WorldSet::new();
+        ws.components = cs.clone();
+        let mut rel = URelation::new(Schema::of(&[("k", ValueType::Int)]).expect("one column"));
+        for d in &descs {
+            rel.push(Tuple::new(vec![Value::Int(0)]), d.clone())
+                .expect("row matches schema");
+        }
+        ws.insert("r", rel).expect("descriptors are valid");
+        let (out, _, stats, _) =
+            run_with(&mut ws, &conf(Plan::scan("r")), &ExecCfg::default(), false)
+                .expect("conf runs");
+        let [(tuple, _)] = out.rows() else {
+            panic!("{at}: one distinct tuple, got {out}");
+        };
+        let got = tuple.values()[1].as_f64().expect("conf is a float");
+        assert_eq!(got.to_bits(), conf_p.to_bits(), "{at}: operator");
+        let laid_stats = ConfStats {
+            exact_groups: 1,
+            largest_group: laid.group_len(0) as u64,
+            exact_steps: laid.steps(),
+            ..ConfStats::default()
+        };
+        assert_eq!(stats.conf, laid_stats, "{at}: counters");
+    }
 }
 
 /// Pool round-trip and conjunction against the owned-descriptor semantics,
