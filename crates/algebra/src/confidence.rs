@@ -1,8 +1,16 @@
-//! `conf`: exact and (ε, δ)-approximate tuple confidence from component
-//! probabilities.
+//! The kernel stage: `conf` and `certain`, the two operators that hand each
+//! distinct tuple's condition — the disjunction of its world-set
+//! descriptors — to the solver kernel. `conf` asks how probable it is
+//! (exactly, or (ε, δ)-approximately from component probabilities),
+//! `certain` whether it is valid: possible means satisfiable, certain means
+//! valid. One stage sorts the input into tuple runs, walks them with one
+//! `RunSolver` per task and is the engine's one fan-out
+//! (`maybms_core::parallel::run_tasks`).
+
+use std::ops::Range;
 
 use maybms_core::columnar::{ColumnVec, ColumnarURelation};
-use maybms_core::dnf::{DnfKernel, GroupSampler, Loaded, EXACT_STEP_CEILING, SAMPLE_DRAW_CEILING};
+use maybms_core::dnf::{DnfKernel, GroupSampler, Loaded, SAMPLE_DRAW_CEILING};
 use maybms_core::parallel::run_tasks;
 use maybms_core::rng::CounterRng;
 use maybms_core::{
@@ -10,7 +18,7 @@ use maybms_core::{
 };
 
 use crate::eval::EvalCtx;
-use crate::uncertain::tuple_runs;
+use crate::uncertain::{tuple_runs, UOp};
 
 // `conf` computes P(t) = P(d₁ ∨ … ∨ dₙ) per distinct tuple. The
 // disjunction factorizes into connected descriptor groups over shared
@@ -119,67 +127,94 @@ pub(crate) fn with_conf_column(input: &Schema) -> Result<Schema, MayError> {
     Schema::new(cols)
 }
 
-/// `conf r`: for every distinct tuple of `r`, the probability of the worlds
-/// containing it, appended as a [`CONF_COLUMN`] — exact when `approx` is
-/// `None`. The result is a certain relation (the confidences themselves are
-/// facts about the world set, not uncertain data).
-pub(crate) fn conf(
+/// The kernel stage: `conf r` and `certain r` (`op`), which ask the same
+/// question of each distinct tuple's condition — the disjunction of its
+/// descriptors. `conf` appends how probable it is as a [`CONF_COLUMN`]
+/// (exact when its [`ApproxConf`] is `None`); `certain` keeps the tuple when
+/// it holds in every world. Both results are certain relations (they state
+/// facts about the world set, not uncertain data). `ceiling` caps the
+/// elimination steps of each exactly solved group; the executor passes
+/// [`EXACT_STEP_CEILING`](maybms_core::dnf::EXACT_STEP_CEILING).
+pub(crate) fn kernel_stage(
     ctx: &mut EvalCtx<'_>,
+    op: &UOp,
     r: &ColumnarURelation,
-    approx: Option<ApproxConf>,
+    ceiling: u64,
 ) -> Result<ColumnarURelation, MayError> {
+    // `perfbench`'s ledger keys on both phase labels.
+    let (approx, phase) = match op {
+        UOp::Conf(approx) => (*approx, "solve"),
+        UOp::Certain => (None, "coverage-check"),
+        UOp::RepairKey { .. } | UOp::Possible => {
+            unreachable!("`{}` asks the kernel nothing", op.name())
+        }
+    };
     if let Some(approx) = &approx {
         approx.validate()?;
     }
-    let schema = with_conf_column(r.schema())?;
+    let schema = op.output_schema(r.schema())?;
     // Group the rows of each distinct tuple as one contiguous run of a
     // sorted id permutation; the value columns are gathered once at the
     // end and the `conf` column is built as a raw float vector.
     let (perm, bounds) = tuple_runs(r.columns(), r, ctx);
-    // P(t in DB) = P(d₁ ∨ … ∨ dₙ) over the components the descriptors
-    // mention (they are independent of all others). Each run's term
-    // lists go to the solver straight from the pool, no descriptor is
-    // cloned. Each run is independent, the canonical order is total on
-    // descriptor content, and sampling streams are pure functions of
-    // group content — so the per-run solves parallelize over morsels of
-    // runs with bit-exact results for every thread count.
-    let (kept, confs) = ctx.phase("solve", |ctx, items| {
+    // Each run's term lists go to the solver straight from the pool, no
+    // descriptor is cloned. Each run is independent, the canonical order is
+    // total on descriptor content, and sampling streams are pure functions
+    // of group content — so the runs parallelize over morsels with
+    // bit-exact results for every thread count.
+    let (kept, confs) = ctx.phase(phase, |ctx, items| {
         *items = bounds.len() as u64;
         let workers = ctx.par.workers_for(perm.len());
         let pool = &ctx.pool;
         let components = &*ctx.components;
-        let solve_runs = |range: std::ops::Range<usize>| {
-            let mut kept: Vec<u32> = Vec::with_capacity(range.len());
-            let mut confs: Vec<f64> = Vec::with_capacity(range.len());
-            let mut solver = RunSolver::new(components, approx, EXACT_STEP_CEILING);
+        // `conf` answers every run; `certain` keeps only the valid ones.
+        let answers = |runs: usize| if let UOp::Conf(_) = op { runs } else { 0 };
+        let walk = |range: Range<usize>| {
+            let mut kept: Vec<u32> = Vec::with_capacity(answers(range.len()));
+            let mut confs: Vec<f64> = Vec::with_capacity(answers(range.len()));
+            let mut solver = RunSolver::new(components, approx, ceiling);
             for &(start, end) in &bounds[range] {
                 let run = &perm[start as usize..end as usize];
-                kept.push(run[0]);
-                confs.push(solver.solve(run.iter().map(|&i| pool.terms(r.descs()[i as usize])))?);
+                let terms = run.iter().map(|&i| pool.terms(r.descs()[i as usize]));
+                let keep = match op {
+                    UOp::Certain => solver.covers(terms)?,
+                    _ => {
+                        confs.push(solver.solve(terms)?);
+                        true
+                    }
+                };
+                if keep {
+                    kept.push(run[0]);
+                }
             }
             Ok((kept, confs, solver.stats()))
         };
-        let parts = run_tasks(&mut ctx.par_stats, workers, bounds.len(), solve_runs);
-        let mut kept: Vec<u32> = Vec::with_capacity(bounds.len());
-        let mut confs: Vec<f64> = Vec::with_capacity(bounds.len());
+        let parts = run_tasks(&mut ctx.par_stats, workers, bounds.len(), walk);
+        let mut kept: Vec<u32> = Vec::with_capacity(answers(bounds.len()));
+        let mut confs: Vec<f64> = Vec::with_capacity(answers(bounds.len()));
         // Task order: the first failing run's error wins, as it would
-        // sequentially.
+        // sequentially. `certain` reports no solver counters.
         for part in parts {
             let (k, c, stats) = part?;
             kept.extend_from_slice(&k);
             confs.extend_from_slice(&c);
-            ctx.conf_stats.absorb(&stats);
+            if let UOp::Conf(_) = op {
+                ctx.conf_stats.absorb(&stats);
+            }
         }
         Ok::<_, MayError>((kept, confs))
     })?;
     let mut cols: Vec<ColumnVec> = r.columns().iter().map(|c| c.gather(&kept)).collect();
-    cols.push(ColumnVec::from_floats(confs));
+    if let UOp::Conf(_) = op {
+        cols.push(ColumnVec::from_floats(confs));
+    }
     let descs = vec![DescId::TAUTOLOGY; kept.len()];
     Ok(ColumnarURelation::from_parts(schema, cols, descs))
 }
 
 /// One worker's solver: the kernel with its reusable buffers, the mode, and
-/// the counters of the runs solved so far.
+/// the counters of the runs solved so far. The engine's one `DnfKernel` is
+/// built here.
 struct RunSolver<'a> {
     components: &'a ComponentSet,
     /// `None` for exact `conf`; the approximation parameters otherwise.
@@ -210,6 +245,19 @@ impl<'a> RunSolver<'a> {
             exact_steps: self.kernel.steps(),
             ..self.stats
         }
+    }
+
+    /// Whether one distinct tuple's disjunction, given as its descriptors'
+    /// term lists, holds in every world: it does iff it contains the
+    /// tautology or some connected group covers every assignment of its own
+    /// components, which the kernel decides by the elimination walk
+    /// `RunSolver::solve` uses, stopping at the first uncovered
+    /// assignment.
+    fn covers<'t>(
+        &mut self,
+        descs: impl IntoIterator<Item = &'t [(ComponentId, u16)]>,
+    ) -> Result<bool, MayError> {
+        self.kernel.covers_all(self.components, descs, self.ceiling)
     }
 
     /// Solve one distinct tuple's disjunction, given as its descriptors'
@@ -321,6 +369,7 @@ fn estimate(
 mod tests {
     use super::*;
     use crate::{conf, conf_approx_with, Plan};
+    use maybms_core::dnf::EXACT_STEP_CEILING;
     use maybms_core::{Component, WsDescriptor};
 
     fn two_comp_set() -> (ComponentSet, ComponentId, ComponentId) {
@@ -620,5 +669,86 @@ mod tests {
         let (got, stats) = solve(&cs, &descs, None, 1000);
         assert!(got.is_ok());
         assert!(stats.exact_steps <= 1000);
+    }
+
+    #[test]
+    fn the_first_failing_run_wins_in_both_modes_under_fan_out() {
+        use crate::{run_with, ExecCfg};
+        use maybms_core::{ParCfg, Tuple, URelation, Value, WorldSet};
+        // A decision chain over `n` fresh two-way components: `c₀=0`,
+        // `c₀=1 ∧ c₁=0`, …, and all of them 1 — one group that covers every
+        // world, so the coverage walk meets the ceiling before it could
+        // find an uncovered assignment.
+        fn decision_chain(ws: &mut WorldSet, n: usize) -> Vec<WsDescriptor> {
+            let ids: Vec<ComponentId> = (0..n)
+                .map(|_| ws.components.add(Component::uniform(2).unwrap()))
+                .collect();
+            let prefix = |k: usize, last: u16| {
+                let mut terms: Vec<_> = ids[..k].iter().map(|&c| (c, 1)).collect();
+                terms.push((ids[k], last));
+                WsDescriptor::from_terms(terms).unwrap()
+            };
+            let mut descs: Vec<_> = (0..n).map(|k| prefix(k, 0)).collect();
+            descs.push(prefix(n - 1, 1));
+            descs
+        }
+        const CEILING: u64 = 3;
+        let mut ws = WorldSet::new();
+        let lone = ws.components.add(Component::uniform(2).unwrap());
+        let (early, late) = (decision_chain(&mut ws, 3), decision_chain(&mut ws, 4));
+        // Alone, each failing run passes the ceiling with its own error, in
+        // both modes; every other run is one descriptor, which needs no walk.
+        let alone = |descs: &[WsDescriptor]| {
+            let mut solver = RunSolver::new(&ws.components, None, CEILING);
+            let covers = solver.covers(descs.iter().map(WsDescriptor::terms));
+            let solve = solver.solve(descs.iter().map(WsDescriptor::terms));
+            let err = covers.expect_err("past the ceiling");
+            assert_eq!(solve, Err(err.clone()));
+            err
+        };
+        let (first, second) = (alone(&early), alone(&late));
+        assert_ne!(first, second);
+        assert!(matches!(first, MayError::TooManySteps { .. }), "{first:?}");
+        // 64 runs: at four threads, sixteen morsels of four, so runs 10 and
+        // 50 land in morsels 2 and 12.
+        let mut rel = URelation::new(Schema::of(&[("a", ValueType::Int)]).unwrap());
+        for a in 0..64 {
+            let descs = match a {
+                10 => early.clone(),
+                50 => late.clone(),
+                _ => vec![WsDescriptor::single(lone, (a % 2) as u16)],
+            };
+            for d in descs {
+                rel.push(Tuple::new(vec![Value::Int(a)]), d).unwrap();
+            }
+        }
+        ws.insert("r", rel).unwrap();
+        for threads in [1, 4] {
+            let cfg = ExecCfg {
+                par: ParCfg {
+                    threads,
+                    min_rows: 1,
+                },
+            };
+            for op in [UOp::Certain, UOp::Conf(None)] {
+                let mut components = ws.components.clone();
+                let mut ctx = EvalCtx::with_exec(&mut components, cfg);
+                let input = ColumnarURelation::from_urelation(
+                    &ws.relations["r"],
+                    &mut ctx.pool,
+                    &mut ctx.strings,
+                );
+                let got = kernel_stage(&mut ctx, &op, &input, CEILING);
+                assert_eq!(got.err(), Some(first.clone()), "{op:?} at {threads}");
+                let morsels = if threads == 1 { 0 } else { 16 };
+                assert_eq!(ctx.par_stats.morsels, morsels, "{op:?} at {threads}");
+            }
+            // Under the executor's ceiling both chains are certain, and
+            // `certain` reports no solver counters.
+            let plan = crate::certain(Plan::scan("r"));
+            let (out, _, stats, _) = run_with(&mut ws.clone(), &plan, &cfg, false).unwrap();
+            assert_eq!(out.len(), 2);
+            assert_eq!(stats.conf, ConfStats::default(), "at {threads}");
+        }
     }
 }

@@ -145,9 +145,10 @@ pub(crate) struct EvalCtx<'a> {
     /// The run's string dictionary. Every string cell of every columnar
     /// relation in the run is a code into this pool.
     pub(crate) strings: StrPool,
-    /// The run's parallelism configuration. Only the two operators that fan
-    /// out (`conf`, `certain`) read it, through [`ParCfg::workers_for`], and
-    /// results are deterministic for every thread count.
+    /// The run's parallelism configuration. Only the kernel stage (`conf`,
+    /// `certain`), the one stage that fans out, reads it, through
+    /// [`ParCfg::workers_for`], and results are deterministic for every
+    /// thread count.
     pub(crate) par: ParCfg,
     /// Parallelism counters accumulated across the run's stages.
     pub(crate) par_stats: ParStats,
@@ -167,7 +168,7 @@ pub(crate) struct EvalCtx<'a> {
 impl<'a> EvalCtx<'a> {
     /// Build a fresh context (with fresh interning pools) for one run under
     /// `cfg`.
-    fn with_exec(components: &'a mut ComponentSet, cfg: ExecCfg) -> Self {
+    pub(crate) fn with_exec(components: &'a mut ComponentSet, cfg: ExecCfg) -> Self {
         EvalCtx {
             components,
             pool: DescriptorPool::new(),

@@ -46,7 +46,6 @@
 mod confidence;
 pub mod cost;
 pub mod eval;
-mod extract;
 pub mod naive;
 pub mod optimize;
 pub mod plan;

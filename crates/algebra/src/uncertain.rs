@@ -7,8 +7,9 @@
 //!   independent component.
 //! * `possible` — tuples occurring in *at least one* world (a certain
 //!   relation).
-//! * `certain` — tuples occurring in *every* world, decided exactly by
-//!   enumerating only the components a tuple's descriptors mention.
+//! * `certain` — tuples occurring in *every* world, decided exactly by the
+//!   kernel's elimination walk over only the components a tuple's
+//!   descriptors mention.
 //! * `conf` — tuple confidence: the probability of the disjunction of the
 //!   tuple's descriptors, appended as a `conf` float column. Exact, or
 //!   (ε, δ)-approximate with an [`ApproxConf`]: connected groups whose exact
@@ -24,18 +25,25 @@
 //! so the operators keep no row order of their own. `tuple_runs` is their
 //! one path to it: `possible`, `certain` and `conf` hand it the columns in
 //! schema order, `repair-key` its key columns first, which brings each
-//! key's rows together in the same sort. New constructs become new variants
-//! here.
+//! key's rows together in the same sort.
+//!
+//! Past the sort, `possible` is a gather of each run's first row and lives
+//! here beside `tuple_runs`. `certain` and `conf` ask the solver kernel the
+//! same question of each run — is the disjunction valid, how probable is
+//! it — and are one stage in `confidence.rs`, the engine's one fan-out;
+//! `repair-key` mints components in `repair.rs`. New constructs become new
+//! variants here.
 
 use std::borrow::Borrow;
 
 use maybms_core::columnar::{canonical_order, ColumnVec, ColumnarURelation};
-use maybms_core::{MayError, Schema};
+use maybms_core::dnf::EXACT_STEP_CEILING;
+use maybms_core::{DescId, MayError, Schema};
 
 use crate::confidence::{self, ApproxConf};
 use crate::eval::EvalCtx;
 use crate::plan::Plan;
-use crate::{extract, repair};
+use crate::repair;
 
 /// An uncertainty operator (see the module docs).
 #[derive(Clone, Debug)]
@@ -171,11 +179,12 @@ impl UOp {
     /// result's row order is deterministic for equal inputs, because
     /// component minting follows it.
     ///
-    /// `conf` and `certain` fan out over `maybms_core::parallel::run_tasks`
-    /// when [`ParCfg::workers_for`](maybms_core::ParCfg::workers_for) allows;
-    /// their tasks are pure functions of frozen inputs (they *read* the
-    /// pools), results combine in task order, and only the calling thread
-    /// mints — so the output is byte-identical for every thread count.
+    /// `conf` and `certain` are one stage (`confidence::kernel_stage`),
+    /// which fans out over `maybms_core::parallel::run_tasks` when
+    /// [`ParCfg::workers_for`](maybms_core::ParCfg::workers_for) allows; its
+    /// tasks are pure functions of frozen inputs (they *read* the pools),
+    /// results combine in task order, and only the calling thread mints —
+    /// so the output is byte-identical for every thread count.
     pub(crate) fn eval(
         &self,
         ctx: &mut EvalCtx<'_>,
@@ -185,9 +194,10 @@ impl UOp {
             UOp::RepairKey { key, weight } => {
                 repair::repair_key(ctx, &input, key, weight.as_deref())
             }
-            UOp::Possible => Ok(extract::possible(ctx, &input)),
-            UOp::Certain => extract::certain(ctx, &input),
-            UOp::Conf(approx) => confidence::conf(ctx, &input, *approx),
+            UOp::Possible => Ok(possible_tuples(ctx, &input)),
+            UOp::Certain | UOp::Conf(_) => {
+                confidence::kernel_stage(ctx, self, &input, EXACT_STEP_CEILING)
+            }
         }
     }
 }
@@ -206,5 +216,24 @@ pub(crate) fn tuple_runs<C: Borrow<ColumnVec>>(
     ctx.phase("canonical-sort", |ctx, items| {
         *items = r.len() as u64;
         canonical_order(cols, r.descs(), &ctx.pool, &ctx.strings)
+    })
+}
+
+/// `possible r`: the tuples of `r` that occur in at least one world, as a
+/// certain relation. Descriptors are consistent by construction (conjoin
+/// rejects contradictions), so every annotated tuple is possible: the result
+/// is the distinct tuples in canonical order, all certain — a sort of row
+/// ids plus a column-wise gather of each run's first row, no per-row tuples
+/// and no kernel.
+fn possible_tuples(ctx: &mut EvalCtx<'_>, r: &ColumnarURelation) -> ColumnarURelation {
+    let (perm, runs) = tuple_runs(r.columns(), r, ctx);
+    ctx.phase("dedup-gather", |_, items| {
+        let firsts: Vec<u32> = runs
+            .iter()
+            .map(|&(start, _)| perm[start as usize])
+            .collect();
+        *items = firsts.len() as u64;
+        let descs = vec![DescId::TAUTOLOGY; firsts.len()];
+        r.gather_with_descs(&firsts, descs)
     })
 }

@@ -257,14 +257,6 @@ pub struct QueryTrace {
 }
 
 impl QueryTrace {
-    /// The number of [`SpanKind::Node`] spans (one per evaluated plan node).
-    pub fn node_span_count(&self) -> usize {
-        self.spans
-            .iter()
-            .filter(|s| s.kind == SpanKind::Node)
-            .count()
-    }
-
     /// The root *plan node* span, if one was recorded. Root-level phases
     /// (like the up-front `scan-convert`) are skipped: they are
     /// siblings of the plan root, not its operators.
@@ -454,7 +446,8 @@ mod tests {
         t.exit(root, 5, interns(17));
         let trace = t.finish(2);
         assert_eq!(trace.spans.len(), 3);
-        assert_eq!(trace.node_span_count(), 2);
+        let nodes = trace.spans.iter().filter(|s| s.kind == SpanKind::Node);
+        assert_eq!(nodes.count(), 2);
         let root_span = trace.root().expect("root exists");
         assert_eq!(root_span.label, "join");
         assert_eq!(root_span.rows_out, 5);

@@ -1,8 +1,8 @@
-//! The fan-out primitive behind the engine's two parallel stages: the
-//! per-tuple `conf` solve (`maybms-algebra`'s `confidence`) and the
-//! `certain` coverage check (`extract`). Every other stage — scan, select, join,
-//! dedup, every sort, `repair-key`, `normalize` — runs on the calling
-//! thread for every thread budget.
+//! The fan-out primitive behind the engine's one parallel stage: the kernel
+//! stage of `maybms-algebra`'s `confidence`, which walks the tuple runs of
+//! `conf` (the solve) and `certain` (the coverage check). Every other stage
+//! — scan, select, join, dedup, every sort, `repair-key`, `normalize` — runs
+//! on the calling thread for every thread budget.
 //!
 //! The container this project builds in has no registry access, so there is
 //! no rayon: [`run_tasks`] is built on [`std::thread::scope`]. The model

@@ -59,13 +59,9 @@ pub fn optimize_plan(relations: &dyn Relations, plan: &Plan, span: Span) -> Resu
         .map_err(|e| SqlError::new(span, format!("optimizer: {e}")))
 }
 
-/// Semantic analysis only: the output schema of a query, or a spanned error
-/// for unresolved names, ill-typed comparisons, or incompatible unions.
-pub fn analyze(relations: &dyn Relations, query: &Query) -> Result<Schema, SqlError> {
-    lower(relations, query).map(|(_, schema)| schema)
-}
-
-/// Lower a parsed query to a plan plus its output schema.
+/// Lower a parsed query to a plan plus its output schema, or a spanned
+/// error for unresolved names, ill-typed comparisons, or incompatible
+/// unions.
 pub fn lower(relations: &dyn Relations, query: &Query) -> Result<(Plan, Schema), SqlError> {
     match query {
         Query::Select(s) => lower_select(relations, s),

@@ -31,7 +31,7 @@ use maybms_algebra::run;
 use maybms_core::rng::Rng;
 use maybms_core::WorldSet;
 use maybms_sql::{
-    analyze, compile, parse_query, Catalog, Outcome, Session, SessionError, DEFAULT_PLAN_CACHE_CAP,
+    compile, lower, parse_query, Catalog, Outcome, Session, SessionError, DEFAULT_PLAN_CACHE_CAP,
 };
 use maybms_testkit::{gen_query, gen_world_set, GenConfig};
 
@@ -91,8 +91,8 @@ fn new_query(rng: &mut Rng, session: &Session) -> String {
         1 => "CERTAIN",
         2 => {
             let parsed = parse_query(&text).expect("generated text parses");
-            let schema =
-                analyze(&session.world().relations, &parsed).expect("generated text is valid");
+            let (_, schema) =
+                lower(&session.world().relations, &parsed).expect("generated text is valid");
             if schema.col_index("conf").is_ok() {
                 return text;
             }

@@ -9,9 +9,11 @@
 //! identical descriptors, not merely isomorphic ones. A failing case prints
 //! its seed (and query text) for exact replay.
 
+use std::collections::BTreeSet;
+
 use maybms_algebra::{naive, run};
 use maybms_core::rng::Rng;
-use maybms_core::{MayError, URelation, WorldSet};
+use maybms_core::{MayError, Schema, Tuple, URelation, WorldSet, WsDescriptor};
 use maybms_sql::{compile_unoptimized, Catalog};
 use maybms_testkit::{gen_query, gen_typed_world_set, gen_world_set, GenConfig, WORLD_LIMIT};
 
@@ -22,12 +24,18 @@ fn execute_raw(ws: &WorldSet, plan: &maybms_algebra::Plan, context: &str) -> URe
     run(&mut ws.clone(), plan).unwrap_or_else(|e| panic!("{context}: {e}"))
 }
 
-fn execute(ws: &WorldSet, plan: &maybms_algebra::Plan, context: &str) -> URelation {
-    let mut result = execute_raw(ws, plan, context);
-    // Sort-and-dedup so the comparison is order-insensitive (evaluation is
-    // deterministic, but equivalence shouldn't depend on that).
-    result.dedup();
-    result
+/// The schema and the *set* of rows, so the comparison is order-insensitive
+/// (evaluation is deterministic, but equivalence shouldn't depend on that).
+fn execute(
+    ws: &WorldSet,
+    plan: &maybms_algebra::Plan,
+    context: &str,
+) -> (Schema, BTreeSet<(Tuple, WsDescriptor)>) {
+    let result = execute_raw(ws, plan, context);
+    (
+        result.schema().clone(),
+        result.rows().iter().cloned().collect(),
+    )
 }
 
 #[test]
