@@ -842,10 +842,7 @@ fn eval_batch_inner<'s>(
             // append the right side's rows per column through its row map.
             let (schema, mut cols, mut descs) = l.into_dense_parts();
             for (c, rc) in cols.iter_mut().zip(&r.cols) {
-                match &rc.ids {
-                    None => c.extend_all(&rc.col),
-                    Some(ids) => c.extend_gather(&rc.col, ids),
-                }
+                c.extend_gather(&rc.col, rc.ids.as_deref().map(Vec::as_slice));
             }
             descs.extend_from_slice(&r.descs);
             let mut out = Batch {

@@ -53,11 +53,12 @@ pub mod predicate;
 mod repair;
 pub mod uncertain;
 
-pub use confidence::{
-    check_unit_interval, ApproxConf, CONF_COLUMN, DEFAULT_CONF_EXACT_LIMIT, DEFAULT_CONF_SEED,
-};
+pub use confidence::CONF_COLUMN;
 pub use cost::{estimate, estimate_preorder, CardEst};
 pub use eval::{run, run_traced, run_with, run_with_opts, ExecCfg, ExecStats, SipStats};
+pub use maybms_core::dnf::{
+    check_unit_interval, ApproxConf, DEFAULT_CONF_EXACT_LIMIT, DEFAULT_CONF_SEED,
+};
 pub use optimize::{optimize_with_stats, Relations};
 pub use plan::Plan;
 pub use predicate::{col, lit, CmpOp, Operand, Predicate};

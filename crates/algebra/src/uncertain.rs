@@ -30,17 +30,18 @@
 //! Past the sort, `possible` is a gather of each run's first row and lives
 //! here beside `tuple_runs`. `certain` and `conf` ask the solver kernel the
 //! same question of each run — is the disjunction valid, how probable is
-//! it — and are one stage in `confidence.rs`, the engine's one fan-out;
+//! it — and are one stage in `confidence.rs`, the engine's one fan-out,
+//! which hands each run whole to the kernel (`maybms_core::dnf`);
 //! `repair-key` mints components in `repair.rs`. New constructs become new
 //! variants here.
 
 use std::borrow::Borrow;
 
 use maybms_core::columnar::{canonical_order, ColumnVec, ColumnarURelation};
-use maybms_core::dnf::EXACT_STEP_CEILING;
+use maybms_core::dnf::{ApproxConf, EXACT_STEP_CEILING};
 use maybms_core::{DescId, MayError, Schema};
 
-use crate::confidence::{self, ApproxConf};
+use crate::confidence;
 use crate::eval::EvalCtx;
 use crate::plan::Plan;
 use crate::repair;

@@ -506,69 +506,47 @@ impl ColumnVec {
     /// vectorized shuffle the executor's pipeline breakers are built on).
     pub fn gather(&self, idx: &[u32]) -> ColumnVec {
         let data = match &self.data {
-            ColumnData::Null(_) => ColumnData::Null(idx.len()),
-            ColumnData::Bool(v) => ColumnData::Bool(idx.iter().map(|&i| v[i as usize]).collect()),
-            ColumnData::Int(v) => ColumnData::Int(idx.iter().map(|&i| v[i as usize]).collect()),
-            ColumnData::Float(v) => ColumnData::Float(idx.iter().map(|&i| v[i as usize]).collect()),
-            ColumnData::Str(v) => ColumnData::Str(idx.iter().map(|&i| v[i as usize]).collect()),
+            ColumnData::Null(_) => ColumnData::Null(0),
+            ColumnData::Bool(_) => ColumnData::Bool(Vec::new()),
+            ColumnData::Int(_) => ColumnData::Int(Vec::new()),
+            ColumnData::Float(_) => ColumnData::Float(Vec::new()),
+            ColumnData::Str(_) => ColumnData::Str(Vec::new()),
         };
-        let validity = self
-            .validity
-            .as_ref()
-            .map(|v| idx.iter().map(|&i| v[i as usize]).collect());
-        ColumnVec { data, validity }
+        let mut out = ColumnVec {
+            data,
+            validity: None,
+        };
+        out.extend_gather(self, Some(idx));
+        out
     }
 
-    /// Append *all* cells of `src` to this column (the dense fast path of
-    /// [`ColumnVec::extend_gather`]). Both columns must share the storage
-    /// variant.
-    pub fn extend_all(&mut self, src: &ColumnVec) {
-        if self.validity.is_some() || src.validity.is_some() {
-            let own_len = self.len();
-            let mask = self.validity.get_or_insert_with(|| vec![true; own_len]);
-            match &src.validity {
-                Some(v) => mask.extend_from_slice(v),
-                None => mask.extend(std::iter::repeat(true).take(src.len())),
+    /// Append the cells of `src` at `rows` (in that order) to this column;
+    /// `None` appends every cell, by `memcpy`. Both columns must share the
+    /// storage variant (union-compatible schemas guarantee it).
+    pub fn extend_gather(&mut self, src: &ColumnVec, rows: Option<&[u32]>) {
+        fn append<T: Copy>(into: &mut Vec<T>, from: &[T], rows: Option<&[u32]>) {
+            match rows {
+                None => into.extend_from_slice(from),
+                Some(idx) => into.extend(idx.iter().map(|&i| from[i as usize])),
             }
         }
-        match (&mut self.data, &src.data) {
-            (ColumnData::Null(n), ColumnData::Null(m)) => *n += m,
-            (ColumnData::Bool(a), ColumnData::Bool(b)) => a.extend_from_slice(b),
-            (ColumnData::Int(a), ColumnData::Int(b)) => a.extend_from_slice(b),
-            (ColumnData::Float(a), ColumnData::Float(b)) => a.extend_from_slice(b),
-            (ColumnData::Str(a), ColumnData::Str(b)) => a.extend_from_slice(b),
-            (a, b) => unreachable!("union-compatible columns must share storage: {a:?} vs {b:?}"),
-        }
-    }
-
-    /// Append the cells of `src` at `idx` (in that order) to this column.
-    /// Both columns must share the storage variant (union-compatible
-    /// schemas guarantee it).
-    pub fn extend_gather(&mut self, src: &ColumnVec, idx: &[u32]) {
+        let appended = rows.map_or(src.len(), <[u32]>::len);
         // Growing a masked column (or appending masked cells to an unmasked
         // one) needs both masks materialized first.
         if self.validity.is_some() || src.validity.is_some() {
             let own_len = self.len();
             let mask = self.validity.get_or_insert_with(|| vec![true; own_len]);
             match &src.validity {
-                Some(v) => mask.extend(idx.iter().map(|&i| v[i as usize])),
-                None => mask.extend(std::iter::repeat(true).take(idx.len())),
+                Some(v) => append(mask, v, rows),
+                None => mask.extend(std::iter::repeat(true).take(appended)),
             }
         }
         match (&mut self.data, &src.data) {
-            (ColumnData::Null(n), ColumnData::Null(_)) => *n += idx.len(),
-            (ColumnData::Bool(a), ColumnData::Bool(b)) => {
-                a.extend(idx.iter().map(|&i| b[i as usize]))
-            }
-            (ColumnData::Int(a), ColumnData::Int(b)) => {
-                a.extend(idx.iter().map(|&i| b[i as usize]))
-            }
-            (ColumnData::Float(a), ColumnData::Float(b)) => {
-                a.extend(idx.iter().map(|&i| b[i as usize]))
-            }
-            (ColumnData::Str(a), ColumnData::Str(b)) => {
-                a.extend(idx.iter().map(|&i| b[i as usize]))
-            }
+            (ColumnData::Null(n), ColumnData::Null(_)) => *n += appended,
+            (ColumnData::Bool(a), ColumnData::Bool(b)) => append(a, b, rows),
+            (ColumnData::Int(a), ColumnData::Int(b)) => append(a, b, rows),
+            (ColumnData::Float(a), ColumnData::Float(b)) => append(a, b, rows),
+            (ColumnData::Str(a), ColumnData::Str(b)) => append(a, b, rows),
             (a, b) => unreachable!("union-compatible columns must share storage: {a:?} vs {b:?}"),
         }
     }
@@ -1171,7 +1149,7 @@ mod tests {
         assert_eq!(g.tuple_at(1, &strings), u.rows()[0].0);
 
         let mut col = c.column(0).clone();
-        col.extend_gather(c.column(0), &[1]);
+        col.extend_gather(c.column(0), Some(&[1]));
         assert_eq!(col.len(), 4);
         assert!(col.is_null(3));
         assert_eq!(col.value(3, &strings), Value::Null);

@@ -3,7 +3,7 @@
 use std::borrow::Borrow;
 
 use crate::descriptor::{ComponentId, WsDescriptor};
-use crate::dnf::{DnfKernel, Loaded};
+use crate::dnf::DnfKernel;
 use crate::error::MayError;
 
 /// One independent component of a world-set decomposition: a finite
@@ -222,27 +222,14 @@ impl ComponentSet {
     /// and on chain- and tree-like groups not in the group's size either.
     /// Exact `conf` remains #P-hard in general; `maybms-testkit` keeps the
     /// unfactorized brute force as the differential-testing oracle. This is
-    /// a convenience over a throw-away [`DnfKernel`]; the `conf` operator
-    /// keeps one per worker.
+    /// one [`DnfKernel::prob_all`] call on a throw-away kernel, with no
+    /// approximation and no step ceiling — the call exact `conf` makes per
+    /// tuple, so the two agree bit for bit.
     pub fn prob_of_dnf<D: Borrow<WsDescriptor>>(&self, descs: &[D]) -> f64 {
-        let mut kernel = DnfKernel::new();
-        match kernel.load(descs.iter().map(|d| d.borrow().terms())) {
-            Loaded::Empty => 0.0,
-            Loaded::Tautology => 1.0,
-            Loaded::Groups(groups) => {
-                let mut prob_none = 1.0;
-                for g in 0..groups {
-                    prob_none *= 1.0
-                        - kernel
-                            .prob(self, g, u64::MAX)
-                            .expect("no step ceiling was set");
-                    if prob_none == 0.0 {
-                        break;
-                    }
-                }
-                1.0 - prob_none
-            }
-        }
+        let terms = descs.iter().map(|d| d.borrow().terms());
+        DnfKernel::new()
+            .prob_all(self, terms, None, u64::MAX, &mut ConfStats::default())
+            .expect("no step ceiling was set")
     }
 }
 

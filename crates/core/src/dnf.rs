@@ -1,11 +1,14 @@
-//! The compiled descriptor-group kernel: the one solver behind exact `conf`,
-//! `conf(eps, delta)` and `certain`.
+//! The compiled descriptor-group kernel: everything that answers a tuple's
+//! condition for exact `conf`, `conf(eps, delta)` and `certain`.
 //!
 //! A tuple's condition is a disjunction of world-set descriptors, i.e. a DNF
 //! over independent finite-domain variables (the components). [`DnfKernel`]
-//! lays one tuple's disjunction out in reusable flat buffers and answers
-//! three questions about each *connected group* of it (descriptors linked by
-//! shared components; groups are mutually independent):
+//! answers it whole: [`DnfKernel::prob_all`] how probable it is — exactly,
+//! or within ε with probability ≥ 1 − δ under an [`ApproxConf`] — and
+//! [`DnfKernel::covers_all`] whether it holds in every world. Both lay the
+//! disjunction out in reusable flat buffers and ask three questions about
+//! each *connected group* of it (descriptors linked by shared components;
+//! groups are mutually independent, so `P = 1 − Π(1 − P(g))`):
 //!
 //! * [`DnfKernel::prob`] — the exact probability that some descriptor of the
 //!   group holds, by forward variable elimination;
@@ -13,7 +16,10 @@
 //!   same walk without probabilities;
 //! * [`DnfKernel::sampler`] — Monte Carlo / Karp–Luby draws, sixty-four to
 //!   a machine word, over the same by-slot term lists, for groups
-//!   [`DnfKernel::exact_cost`] prices above the cutover.
+//!   [`DnfKernel::exact_cost`] prices above the cutover
+//!   ([`ApproxConf::exact_limit`]), with the draw count derived from the
+//!   group's error budget by a Hoeffding bound and refused past
+//!   [`SAMPLE_DRAW_CEILING`].
 //!
 //! **Layout.** The tuple's distinct components, ascending by id, are its
 //! *slots*; a union-find over slots yields the groups (in first-occurrence
@@ -52,26 +58,97 @@
 //! content-keyed [`CounterRng`] stream front to back, in an order the group's
 //! content fixes.
 
-use crate::component::{Component, ComponentSet};
+use crate::component::{Component, ComponentSet, ConfStats};
 use crate::descriptor::ComponentId;
 use crate::error::MayError;
 use crate::rng::{mix64, CounterRng};
 
 /// Ceiling on elimination transitions per group that the `conf` and
-/// `certain` operators pass to [`DnfKernel::prob`] / [`DnfKernel::covers`]:
-/// beyond it they return [`MayError::TooManySteps`] instead of running (and
-/// allocating frontier states) without bound. 2²⁴ transitions are a few
-/// hundred milliseconds and at most ≈ 400 MB of frontier.
+/// `certain` operators pass to [`DnfKernel::prob_all`] /
+/// [`DnfKernel::covers_all`]: beyond it they return
+/// [`MayError::TooManySteps`] instead of running (and allocating frontier
+/// states) without bound. 2²⁴ transitions are a few hundred milliseconds
+/// and at most ≈ 400 MB of frontier.
 pub const EXACT_STEP_CEILING: u64 = 1 << 24;
 
 /// Ceiling on the draws one sampled group may ask for, the sampling side's
-/// counterpart of [`EXACT_STEP_CEILING`]: the `conf(eps, delta)` operator
-/// knows the count before the first draw (Hoeffding's, from ε, δ and the
+/// counterpart of [`EXACT_STEP_CEILING`]: [`DnfKernel::prob_all`] knows
+/// the count before the first draw (Hoeffding's, from ε, δ and the
 /// group's weight) and returns [`MayError::TooManyDraws`] past this instead
 /// of starting a loop that `ε = 10⁻⁹` would keep busy for years. 2²⁶ draws
 /// of a 26-slot, 30-descriptor weld take 0.17 s by Monte Carlo and ≈ 1 s by
 /// Karp–Luby, and allow ε down to ≈ 1.7·10⁻⁴ at δ = 0.05.
 pub const SAMPLE_DRAW_CEILING: u64 = 1 << 26;
+
+/// Default exact/sampling cutover threshold ([`ApproxConf::exact_limit`]).
+/// Sampling a group costs on the order of a few hundred draws for typical
+/// (ε, δ) (e.g. ε = 0.05, δ = 0.05 needs 738), each draw touching every
+/// group component — so groups whose exact bound is under a few thousand
+/// operations are cheaper to solve exactly, and exact means zero error.
+pub const DEFAULT_CONF_EXACT_LIMIT: u64 = 4096;
+
+/// Default sampling seed for `conf(eps, delta)` nodes built from SQL (which
+/// has no seed syntax). Tests vary the seed through
+/// `maybms_algebra::conf_approx_with`.
+pub const DEFAULT_CONF_SEED: u64 = 0x5EED_C0FF_EE00_0007;
+
+/// Parameters of an (ε, δ)-approximate confidence computation.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct ApproxConf {
+    /// Absolute error bound: `|estimate − exact| ≤ eps` with probability
+    /// ≥ `1 − delta`, per output tuple. Must lie in `(0, 1)`.
+    pub eps: f64,
+    /// Failure probability of the guarantee. Must lie in `(0, 1)`.
+    pub delta: f64,
+    /// Sampling seed. Equal seeds give bit-identical results.
+    pub seed: u64,
+    /// Exact/sampling cutover: connected groups whose exact cost bound is
+    /// ≤ this threshold are solved exactly (zero error); larger groups are
+    /// sampled. `0` forces sampling for every group. Plain exact `CONF`
+    /// has no such field and never samples.
+    pub exact_limit: u64,
+}
+
+impl ApproxConf {
+    /// Approximation parameters with the default seed and cutover
+    /// ([`DEFAULT_CONF_EXACT_LIMIT`]).
+    pub fn new(eps: f64, delta: f64) -> ApproxConf {
+        ApproxConf {
+            eps,
+            delta,
+            seed: DEFAULT_CONF_SEED,
+            exact_limit: DEFAULT_CONF_EXACT_LIMIT,
+        }
+    }
+
+    /// ε and δ must pass [`check_unit_interval`]. The MayQL planner checks
+    /// the literals it lowers with it; this is the check for nodes built
+    /// through `maybms_algebra::conf_approx_with`, where a NaN ε would
+    /// otherwise draw once and return a number with no guarantee behind it.
+    pub fn validate(&self) -> Result<(), MayError> {
+        check_unit_interval("eps", self.eps)
+            .and_then(|()| check_unit_interval("delta", self.delta))
+            .map_err(MayError::InvalidApprox)
+    }
+}
+
+/// The check on a sampling parameter `what` (`eps` or `delta`): `v` must be
+/// a probability strictly inside `(0, 1)` — 0 would demand an exact answer
+/// from a sampler, 1 makes the guarantee vacuous. The error is the message;
+/// a value whose plain form runs long (`1e308` has 309 digits) is echoed in
+/// exponent form.
+pub fn check_unit_interval(what: &str, v: f64) -> Result<(), String> {
+    if v > 0.0 && v < 1.0 {
+        return Ok(());
+    }
+    let got = v.to_string();
+    let got = if got.len() > 20 {
+        format!("{v:e}")
+    } else {
+        got
+    };
+    Err(format!("{what} must be in (0, 1), got {got}"))
+}
 
 type Term = (ComponentId, u16);
 
@@ -155,6 +232,10 @@ pub struct DnfKernel {
     cur: Frontier,
     next: Frontier,
     table: Vec<u32>,
+
+    /// Per group of the tuple [`DnfKernel::prob_all`] solves: whether it is
+    /// sampled.
+    sampled: Vec<bool>,
 
     // Sampling scratch, one block of draws at a time.
     /// Running sum of the sampled group's `P(dᵢ)`; the last entry is `U`.
@@ -776,6 +857,72 @@ impl DnfKernel {
         }
     }
 
+    /// Load `descs` and return the probability of their disjunction,
+    /// counting the groups, draws and steps into `stats`.
+    ///
+    /// The groups are independent, so `P = 1 − Π(1 − P(g))`, combined in
+    /// group order with an early exit at certainty. Exact (`approx` is
+    /// `None`), every group is solved by [`DnfKernel::prob`] under
+    /// `ceiling`. Under `CONF(ε, δ)` a group [`DnfKernel::exact_cost`]
+    /// prices above the cutover is estimated instead, and the tuple's error
+    /// budget is split evenly across its sampled groups: `1 − Π(1 − p_g)`
+    /// moves by at most the sum of the per-group errors (each partial
+    /// derivative has magnitude ≤ 1), and a union bound covers δ — exact
+    /// groups contribute zero error, so they are excluded from the split.
+    /// Each group's draws come from a stream keyed on its content
+    /// ([`DnfKernel::stream_key`]), so an estimate depends neither on the
+    /// thread count nor on which other tuples are present.
+    pub fn prob_all<'t>(
+        &mut self,
+        components: &ComponentSet,
+        descs: impl IntoIterator<Item = &'t [Term]>,
+        approx: Option<&ApproxConf>,
+        ceiling: u64,
+        stats: &mut ConfStats,
+    ) -> Result<f64, MayError> {
+        let groups = match self.load(descs) {
+            Loaded::Empty => return Ok(0.0),
+            Loaded::Tautology => return Ok(1.0),
+            Loaded::Groups(n) => n,
+        };
+        let before = self.steps;
+        self.sampled.clear();
+        if let Some(a) = approx {
+            let limit = u128::from(a.exact_limit);
+            for g in 0..groups {
+                let sampled = self.exact_cost(components, g) > limit;
+                self.sampled.push(sampled);
+            }
+        }
+        let budget_ways = self.sampled.iter().filter(|&&s| s).count().max(1) as f64;
+        let mut prob_none = 1.0;
+        for g in 0..groups {
+            stats.largest_group = stats.largest_group.max(self.group_len(g) as u64);
+            let p = match approx {
+                Some(a) if self.sampled[g] => {
+                    let rng = CounterRng::new(a.seed, self.stream_key(g));
+                    estimate(
+                        &mut self.sampler(components, g),
+                        a.eps / budget_ways,
+                        a.delta / budget_ways,
+                        &rng,
+                        stats,
+                    )?
+                }
+                _ => {
+                    stats.exact_groups += 1;
+                    self.prob(components, g, ceiling)?
+                }
+            };
+            prob_none *= 1.0 - p;
+            if prob_none == 0.0 {
+                break;
+            }
+        }
+        stats.exact_steps += self.steps - before;
+        Ok(1.0 - prob_none)
+    }
+
     /// Forward variable elimination over group `g`, which must be compiled.
     /// Returns the hit mass and, under `COVER` (which ignores masses and
     /// stops at the first state with nothing alive), whether every
@@ -1061,6 +1208,55 @@ impl GroupSampler<'_> {
         }
         hits
     }
+}
+
+/// Hoeffding draw count: the mean of `n` i.i.d. variables bounded in
+/// `[0, width]` is within `eps` of its expectation with probability
+/// ≥ `1 − delta` once `n ≥ width² · ln(2/δ) / (2ε²)`.
+pub fn hoeffding_draws(eps: f64, delta: f64, width: f64) -> u64 {
+    let n = width * width * (2.0 / delta).ln() / (2.0 * eps * eps);
+    n.ceil().max(1.0) as u64
+}
+
+/// Estimate one group's `P(∨ dᵢ)` to within `eps` with probability
+/// ≥ `1 − delta`, counting the group, its estimator and its draws into
+/// `stats` — or refuse, before the first draw, a count past
+/// [`SAMPLE_DRAW_CEILING`].
+///
+/// Two estimators, both unbiased, chosen by cost: when `U = Σ P(dᵢ) ≥ 1`,
+/// plain Monte Carlo over group assignments (indicator in `[0, 1]`, so
+/// `ln(2/δ)/(2ε²)` draws). When `U < 1` — long disjunctions of rare
+/// descriptors, where naive draws are almost all misses — the Karp–Luby
+/// estimator, whose samples lie in `[0, U]` and have mean `P(∨ dᵢ)`, so
+/// Hoeffding needs only `U²` times the Monte Carlo count — strictly fewer
+/// draws whenever `U < 1`.
+fn estimate(
+    sampler: &mut GroupSampler<'_>,
+    eps: f64,
+    delta: f64,
+    rng: &CounterRng,
+    stats: &mut ConfStats,
+) -> Result<f64, MayError> {
+    let total_weight = sampler.total_weight();
+    let karp_luby = total_weight < 1.0;
+    let width = if karp_luby { total_weight } else { 1.0 };
+    let draws = hoeffding_draws(eps, delta, width);
+    if draws > SAMPLE_DRAW_CEILING {
+        return Err(MayError::TooManyDraws {
+            descriptors: sampler.descriptors(),
+            draws,
+            limit: SAMPLE_DRAW_CEILING,
+        });
+    }
+    stats.sampled_groups += 1;
+    stats.karp_luby_groups += u64::from(karp_luby);
+    stats.samples_drawn += draws;
+    let hits = if karp_luby {
+        sampler.karp_luby(rng, draws)
+    } else {
+        sampler.monte_carlo(rng, draws)
+    };
+    Ok((width * hits as f64 / draws as f64).min(1.0))
 }
 
 /// `into[i] |= from[i]` over `from`'s length.

@@ -1,25 +1,25 @@
-//! Differential tests for the engine's two fan-out stages.
+//! Differential tests for the engine's one fan-out, the kernel stage.
 //!
-//! Two stages read the thread budget: `conf`'s per-tuple solve and
-//! `certain`'s coverage check, each fanning morsels of tuple runs out over
-//! `run_tasks`. The contract is *byte-identical output for every thread
-//! count*: everything observable — row order, descriptors, repair-key
-//! component numbering, `conf`'s floating-point confidences — must be
-//! exactly equal. And because the interning pools have a single owner (no
-//! worker task ever mints), the run's *pool traffic* — intern/import/conjoin
-//! counters, pool occupancy, dictionary size — is a function of the plan and
-//! the data only, so it must be equal too. These tests are the oracle for
-//! that contract:
+//! One stage reads the thread budget: the kernel stage, in its two modes —
+//! `conf`'s per-tuple solve and `certain`'s coverage check — fanning
+//! morsels of tuple runs out over `run_tasks`. The contract is
+//! *byte-identical output for every thread count*: everything observable —
+//! row order, descriptors, repair-key component numbering, `conf`'s
+//! floating-point confidences — must be exactly equal. And because the
+//! interning pools have a single owner (no worker task ever mints), the
+//! run's *pool traffic* — intern/import/conjoin counters, pool occupancy,
+//! dictionary size — is a function of the plan and the data only, so it
+//! must be equal too. These tests are the oracle for that contract:
 //!
 //! * **plan execution** — generated plans mixing the positive relational
 //!   algebra with the uncertainty constructs run at `threads = 1` and
-//!   `threads = 4` (with the morsel threshold forced to 1 row so both
-//!   fan-outs fire on tiny inputs) and must produce equal u-relations,
-//!   equal post-run world sets (component minting parity) AND equal pool
-//!   statistics. The `threads = 4` side must dispatch morsels on a fixed
-//!   share of the plans and on none without a `conf` / `certain` node, so
-//!   the comparison cannot go vacuous and no third stage can fan out
-//!   unnoticed;
+//!   `threads = 4` (with the morsel threshold forced to 1 row so the stage
+//!   fans out in both modes on tiny inputs) and must produce equal
+//!   u-relations, equal post-run world sets (component minting parity) AND
+//!   equal pool statistics. The `threads = 4` side must dispatch morsels
+//!   on a fixed share of the plans and on none without a `conf` /
+//!   `certain` node, so the comparison cannot go vacuous and no second
+//!   stage can fan out unnoticed;
 //! * **threshold crossing** — a ~6k-row workload under the *default*
 //!   morsel threshold (4096) agrees across thread counts, so the
 //!   inline/fan-out boundary itself cannot change results.
@@ -39,8 +39,8 @@ const PLAN_CASES: usize = 160;
 /// have no `conf` / `certain` node and 41 feed it at most one tuple run).
 const MIN_FANNED_OUT: usize = 40;
 
-/// A configuration that forces both fan-outs even on the tiny generated
-/// inputs: `min_rows = 1` disables the morsel threshold.
+/// A configuration that forces the fan-out in both modes even on the tiny
+/// generated inputs: `min_rows = 1` disables the morsel threshold.
 fn par(threads: usize) -> ParCfg {
     ParCfg {
         threads,
@@ -64,7 +64,7 @@ fn assert_same_pool_traffic(s1: &ExecStats, s4: &ExecStats, what: &str) {
     assert_eq!(s1.strings, s4.strings, "{what}: dictionary size differs");
 }
 
-/// Whether the tree holds one of the two operators that fan out.
+/// Whether the tree holds a node of the kernel stage (`conf` or `certain`).
 fn has_fan_out_node(plan: &Plan) -> bool {
     matches!(
         plan,

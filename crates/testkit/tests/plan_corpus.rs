@@ -9,7 +9,8 @@
 //! after each `LET` and each normalize, the whole world set as `{:?}`. At
 //! the end of each script it records the plan cache's hits and misses.
 //! Every script runs at one thread and at two (with the morsel threshold at
-//! one row, so both fan-outs really split); the two must print the same.
+//! one row, so the kernel stage really splits in both modes); the two must
+//! print the same.
 //!
 //! A change that moves any of it on purpose re-blesses the file:
 //!
