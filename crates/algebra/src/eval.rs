@@ -117,7 +117,7 @@ use maybms_core::fxhash::fx_step;
 use maybms_core::obs::{ObsCounters, QueryTrace, SpanId, SpanKind, Tracer};
 use maybms_core::{
     Component, ComponentSet, ConfStats, DescId, DescriptorPool, FxHashMap, MayError, ParCfg,
-    ParStats, PoolStats, Scan, Schema, URelation, WorldSet,
+    ParStats, PoolStats, Scan, Schema, SortStats, URelation, WorldSet,
 };
 
 use crate::plan::Plan;
@@ -155,6 +155,9 @@ pub(crate) struct EvalCtx<'a> {
     /// Confidence-solver counters accumulated across the run's `conf`
     /// evaluations (exact and sampled groups, steps, draws, largest group).
     pub(crate) conf_stats: ConfStats,
+    /// Canonical-sort counters accumulated across the run's uncertainty
+    /// operators (radix passes, comparisons inside key ties).
+    pub(crate) sort_stats: SortStats,
     /// The run's span recorder. Disabled (every call a cheap no-op) except
     /// when [`run_with`] is asked to trace. Plan nodes and their phases are
     /// spans of it alike; the operators open phases through
@@ -176,6 +179,7 @@ impl<'a> EvalCtx<'a> {
             par: cfg.par,
             par_stats: ParStats::default(),
             conf_stats: ConfStats::default(),
+            sort_stats: SortStats::default(),
             tracer: Tracer::disabled(),
             dedups_elided: 0,
         }
@@ -196,6 +200,8 @@ impl<'a> EvalCtx<'a> {
             karp_luby_groups: self.conf_stats.karp_luby_groups,
             exact_steps: self.conf_stats.exact_steps,
             samples_drawn: self.conf_stats.samples_drawn,
+            radix_passes: self.sort_stats.radix_passes,
+            tie_cmps: self.sort_stats.tie_cmps,
             busy_nanos: self.par_stats.busy_nanos,
         }
     }
@@ -262,6 +268,9 @@ pub struct ExecStats {
     /// Confidence-solver counters: groups solved exactly vs. by sampling,
     /// exact steps and draws spent, largest connected group seen.
     pub conf: ConfStats,
+    /// Canonical-sort counters: radix scatter passes, and content
+    /// comparisons inside key ties.
+    pub sort: SortStats,
     /// Never written (the executor passes no information sideways); the
     /// frozen `perfbench` adapter reads it.
     pub sip: SipStats,
@@ -298,6 +307,7 @@ impl ExecStats {
         self.threads = self.threads.max(other.threads);
         self.par.absorb(&other.par);
         self.conf.absorb(&other.conf);
+        self.sort.absorb(&other.sort);
     }
 }
 
@@ -632,6 +642,7 @@ pub fn run_with(
         threads: ctx.par.threads,
         par: ctx.par_stats,
         conf: ctx.conf_stats,
+        sort: ctx.sort_stats,
         sip: SipStats::default(),
     };
     let trace = traced.then(|| {

@@ -216,7 +216,13 @@ pub(crate) fn tuple_runs<C: Borrow<ColumnVec>>(
 ) -> (Vec<u32>, Vec<(u32, u32)>) {
     ctx.phase("canonical-sort", |ctx, items| {
         *items = r.len() as u64;
-        canonical_order(cols, r.descs(), &ctx.pool, &ctx.strings)
+        canonical_order(
+            cols,
+            r.descs(),
+            &ctx.pool,
+            &ctx.strings,
+            &mut ctx.sort_stats,
+        )
     })
 }
 
@@ -237,4 +243,100 @@ fn possible_tuples(ctx: &mut EvalCtx<'_>, r: &ColumnarURelation) -> ColumnarURel
         let descs = vec![DescId::TAUTOLOGY; firsts.len()];
         r.gather_with_descs(&firsts, descs)
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{run, run_with, ExecCfg};
+    use maybms_core::{
+        Component, ComponentId, SortStats, Tuple, URelation, Value, ValueType, WorldSet,
+        WsDescriptor,
+    };
+
+    /// The canonical-sort counters of one run of `plan` over a copy of `ws`.
+    fn sort_stats(ws: &WorldSet, plan: &Plan) -> SortStats {
+        let (_, _, stats, _) =
+            run_with(&mut ws.clone(), plan, &ExecCfg::default(), false).expect("the plan runs");
+        stats.sort
+    }
+
+    /// A repair's output holds one-term descriptors (⊤ for a key of one
+    /// row), and so does its join with a certain relation, whose `CONF`
+    /// sorts long runs of them, each with a ⊤ in it: ordering any of them
+    /// compares no term lists. Descriptors that share a first term and run
+    /// past it are compared.
+    #[test]
+    fn one_term_descriptors_sort_without_comparisons() {
+        let int = |x: i64| Value::Int(x);
+        let schema = |cols: &[&str]| {
+            let typed: Vec<(&str, ValueType)> = cols.iter().map(|&c| (c, ValueType::Int)).collect();
+            Schema::of(&typed).expect("distinct columns")
+        };
+        let mut ws = WorldSet::new();
+        let mut form = URelation::new(schema(&["k", "v", "w"]));
+        let mut homes = URelation::new(schema(&["v", "city"]));
+        for k in 0..300 {
+            for i in 0..k % 4 + 1 {
+                let row = Tuple::new(vec![int(k), int((k * 7 + i * 13) % 97), int(1 + i)]);
+                form.push(row, WsDescriptor::tautology()).expect("schema");
+            }
+        }
+        for v in 0..97 {
+            let row = Tuple::new(vec![int(v), int(v % 3)]);
+            homes.push(row, WsDescriptor::tautology()).expect("schema");
+        }
+        ws.insert("form", form).expect("certain");
+        ws.insert("homes", homes).expect("certain");
+        let repair = repair_key(Plan::scan("form"), &["k"], Some("w"));
+        let census = run(&mut ws, &repair).expect("repair runs");
+        ws.insert("census", census).expect("repair answer");
+        let scan = || Plan::scan("census");
+        for plan in [
+            repair,
+            possible(scan().project(["v"])),
+            certain(scan().project(["k"])),
+            conf(scan().project(["k", "v"])),
+            conf(scan().join(Plan::scan("homes")).project(["city"])),
+        ] {
+            let stats = sort_stats(&ws, &plan);
+            assert_eq!(stats.tie_cmps, 0, "{plan}");
+        }
+        let joined = conf(scan().join(Plan::scan("homes")).project(["city"]));
+        assert!(sort_stats(&ws, &joined).radix_passes > 0);
+
+        let c: Vec<ComponentId> = (0..3)
+            .map(|_| {
+                ws.components
+                    .add(Component::uniform(2).expect("two alternatives"))
+            })
+            .collect();
+        // One tuple whose two-term descriptor shares no first term, one
+        // whose two-term descriptors share theirs.
+        let groups = [
+            (
+                "apart",
+                [vec![(c[0], 0)], vec![(c[1], 0), (c[2], 1)], vec![(c[0], 0)]],
+            ),
+            (
+                "shared",
+                [
+                    vec![(c[0], 0), (c[2], 1)],
+                    vec![(c[0], 0)],
+                    vec![(c[0], 0), (c[1], 0)],
+                ],
+            ),
+        ];
+        for (name, descs) in groups {
+            let mut rel = URelation::new(schema(&["a"]));
+            for terms in descs {
+                let d = WsDescriptor::from_terms(terms).expect("consistent");
+                rel.push(Tuple::new(vec![int(1)]), d).expect("schema");
+            }
+            ws.insert(name, rel)
+                .expect("descriptors over known components");
+        }
+        assert_eq!(sort_stats(&ws, &possible(Plan::scan("apart"))).tie_cmps, 0);
+        assert!(sort_stats(&ws, &possible(Plan::scan("shared"))).tie_cmps > 0);
+    }
 }

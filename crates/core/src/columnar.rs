@@ -447,27 +447,28 @@ impl ColumnVec {
             (ColumnData::Int(x), Some(v)) => (coarse(x.iter().map(|&x| int(x)), v), false),
             (ColumnData::Float(f), Some(v)) => (coarse(f.iter().map(|&f| float(f)), v), false),
             (ColumnData::Str(codes), _) => {
-                // Rank only the codes the column uses (the pool may hold a
-                // whole run's dictionary); a cell's key is 1 + its string's
-                // rank. Codes are interned, so distinct codes are distinct
-                // strings.
-                let mut used: Vec<u32> = (0..codes.len())
-                    .filter(|&i| !self.is_null(i))
-                    .map(|i| codes[i])
-                    .collect();
-                used.sort_unstable();
-                used.dedup();
-                let mut by_str: Vec<u32> = (0..used.len() as u32).collect();
-                by_str.sort_unstable_by_key(|&k| strings.get(used[k as usize]));
-                let mut rank = vec![0u64; used.len()];
-                for (r, &k) in by_str.iter().enumerate() {
-                    rank[k as usize] = 1 + r as u64;
+                // A code-indexed table: mark the codes the column uses (the
+                // pool may hold a whole run's dictionary), rank only those
+                // by string, then look each cell's 1 + rank up. Codes are
+                // interned, so distinct codes are distinct strings. The
+                // sentinel under a `NULL` is not a code to mark.
+                let mut rank = vec![0u32; strings.len()];
+                let mut used = Vec::new();
+                for (i, &c) in codes.iter().enumerate() {
+                    if !self.is_null(i) && rank[c as usize] == 0 {
+                        rank[c as usize] = 1;
+                        used.push(c);
+                    }
                 }
-                let key = |(i, c): (usize, &u32)| {
+                used.sort_unstable_by_key(|&c| strings.get(c));
+                for (r, &c) in (1..).zip(&used) {
+                    rank[c as usize] = r;
+                }
+                let key = |(i, &c): (usize, &u32)| {
                     if self.is_null(i) {
                         0
                     } else {
-                        rank[used.binary_search(c).unwrap()]
+                        u64::from(rank[c as usize])
                     }
                 };
                 (codes.iter().enumerate().map(key).collect(), true)
@@ -793,13 +794,34 @@ fn rows_eq<C: Borrow<ColumnVec>>(cols: &[C], i: usize, j: usize) -> bool {
     cols.iter().all(|c| c.borrow().eq_cells(i, c.borrow(), j))
 }
 
+/// The work of [`canonical_order`] calls, counted (never timed): what the
+/// input's shape decides, so a change that moves it shows without a clock.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct SortStats {
+    /// Radix scatter passes: one per key digit that not every key shares.
+    pub radix_passes: u64,
+    /// Content comparisons inside key ties: of two rows' cells, where the
+    /// key does not cover the tuple exactly, and of two descriptors' term
+    /// lists, where they share a first term.
+    pub tie_cmps: u64,
+}
+
+impl SortStats {
+    /// Add another sort's counts to these.
+    pub fn absorb(&mut self, other: &SortStats) {
+        self.radix_passes += other.radix_passes;
+        self.tie_cmps += other.tie_cmps;
+    }
+}
+
 /// The canonical `(tuple, descriptor)` order of a relation's rows — the
 /// order `normalize` writes and `possible`, `certain`, `conf` and
 /// `repair-key` group by: tuples under the lexicographic [`Tuple`] order
 /// of `cols`, taken in the order given, ties by descriptor term list
 /// ([`DescriptorPool::cmp_terms`]), and exact `(tuple, descriptor)`
 /// duplicates by row id. Returns the row ids in that order and the
-/// `(start, end)` bounds in it of each distinct tuple's run.
+/// `(start, end)` bounds in it of each distinct tuple's run, and counts its
+/// radix passes and tie comparisons into `stats`.
 ///
 /// `cols` are the value columns — in schema order for the canonical order
 /// itself, or any arrangement of them (`repair-key` hands its key columns
@@ -807,23 +829,66 @@ fn rows_eq<C: Borrow<ColumnVec>>(cols: &[C], i: usize, j: usize) -> bool {
 /// descriptor column as handles into `pool`. Each row is keyed by
 /// [`ColumnVec::sort_keys`] of the leading columns, packed (less each
 /// column's minimum) while their widths fit in 64 bits. Keys are
-/// radix-sorted on their significant bytes — unless they already ascend —
-/// and only rows with equal keys are compared: by their cells (when the key
-/// does not cover the whole tuple exactly), then by descriptor.
+/// radix-sorted — unless they already ascend — and only rows with equal
+/// keys are compared: by their cells, when the key does not cover the whole
+/// tuple exactly. A tuple's rows are then keyed by their descriptor's first
+/// term, which orders term lists as their first terms do, and sorted on
+/// that integer and the row id; term lists are compared only between
+/// descriptors that share a first term and are not both that one term.
 pub fn canonical_order<C: Borrow<ColumnVec>>(
     cols: &[C],
     descs: &[DescId],
     pool: &DescriptorPool,
     strings: &StrPool,
+    stats: &mut SortStats,
 ) -> (Vec<u32>, Vec<(u32, u32)>) {
     let n = descs.len();
+    let (mut entries, width, exact) = tuple_keys(cols, n, strings);
+    if entries.windows(2).any(|w| w[0].0 > w[1].0) {
+        stats.radix_passes += radix_sort(&mut entries, width);
+    }
+    // Each run of equal keys holds its rows in ascending row id (the radix
+    // sort is stable). Split it into tuples, by their cells where the key
+    // is inexact, and order each tuple's rows by descriptor.
+    let mut runs = Vec::new();
+    let mut start = 0;
+    while start < n {
+        let end = run_end(&entries, start);
+        if !exact && end - start > 1 {
+            // Stable, so equal tuples keep their rows in ascending row id.
+            entries[start..end].sort_by(|&(_, i), &(_, j)| {
+                stats.tie_cmps += 1;
+                cmp_rows(cols, i as usize, j as usize, strings)
+            });
+        }
+        for k in start + 1..=end {
+            let same_tuple = k < end
+                && (exact || rows_eq(cols, entries[start].1 as usize, entries[k].1 as usize));
+            if !same_tuple {
+                order_by_descriptor(&mut entries[start..k], descs, pool, stats);
+                runs.push((start as u32, k as u32));
+                start = k;
+            }
+        }
+    }
+    (entries.into_iter().map(|(_, i)| i).collect(), runs)
+}
+
+/// Each row's key on the leading columns of `cols` — their
+/// [`ColumnVec::sort_keys`], less each column's minimum, packed while the
+/// widths fit in 64 bits — as `(key, row)` entries in row order; the bits
+/// packed; and whether the key is the whole tuple, exactly.
+fn tuple_keys<C: Borrow<ColumnVec>>(
+    cols: &[C],
+    n: usize,
+    strings: &StrPool,
+) -> (Vec<(u64, u32)>, u32, bool) {
     // A relation without columns has one tuple, `()`: every key is 0.
     let mut entries: Vec<(u64, u32)> = match cols {
         [] => (0..n as u32).map(|i| (0, i)).collect(),
         _ => Vec::new(),
     };
-    // Bits packed so far, and whether the key is the whole tuple, exactly.
-    let (mut width, mut exact) = (0, true);
+    let mut width = 0;
     for col in cols {
         let (keys, col_exact) = col.borrow().sort_keys(strings);
         let (min, max) = keys
@@ -831,8 +896,7 @@ pub fn canonical_order<C: Borrow<ColumnVec>>(
             .fold((u64::MAX, 0), |(lo, hi), &k| (lo.min(k), hi.max(k)));
         let w = 64 - max.saturating_sub(min).leading_zeros();
         if width + w > 64 {
-            exact = false;
-            break;
+            return (entries, width, false);
         }
         if width == 0 {
             // Nothing packed yet: the columns so far hold one value each.
@@ -844,71 +908,122 @@ pub fn canonical_order<C: Borrow<ColumnVec>>(
         }
         width += w;
         if !col_exact {
-            exact = false;
-            break;
+            return (entries, width, false);
         }
     }
-    if entries.windows(2).any(|w| w[0].0 > w[1].0) {
-        radix_sort(&mut entries, width);
-    }
-    // Order each run of equal keys.
-    let cmp = |&(_, i): &(u64, u32), &(_, j): &(u64, u32)| {
-        let cells = if exact {
-            Ordering::Equal
-        } else {
-            cmp_rows(cols, i as usize, j as usize, strings)
-        };
-        cells
-            .then_with(|| pool.cmp_terms(descs[i as usize], descs[j as usize]))
-            .then(i.cmp(&j))
-    };
-    let mut start = 0;
-    while start < n {
-        let mut end = start + 1;
-        while end < n && entries[end].0 == entries[start].0 {
-            end += 1;
-        }
-        entries[start..end].sort_unstable_by(cmp);
-        start = end;
-    }
-    let mut runs = Vec::new();
-    let mut start = 0;
-    for k in 1..=n {
-        let (key, i) = entries[start];
-        let same_tuple = k < n
-            && entries[k].0 == key
-            && (exact || rows_eq(cols, i as usize, entries[k].1 as usize));
-        if !same_tuple {
-            runs.push((start as u32, k as u32));
-            start = k;
-        }
-    }
-    (entries.into_iter().map(|(_, i)| i).collect(), runs)
+    (entries, width, true)
 }
 
-/// Sort `(key, row)` entries by key, stably: one counting pass per byte of
-/// the `width` significant bits, skipping a byte every key shares.
-fn radix_sort(entries: &mut Vec<(u64, u32)>, width: u32) {
-    let mut scratch = vec![(0, 0); entries.len()];
-    for shift in (0..width).step_by(8) {
-        let digit = |k: u64| (k >> shift) as u8 as usize;
-        let mut counts = [0usize; 256];
-        for &(k, _) in entries.iter() {
-            counts[digit(k)] += 1;
+/// The end of the run of entries, sorted by key, whose key is `start`'s.
+fn run_end(entries: &[(u64, u32)], start: usize) -> usize {
+    let key = entries[start].0;
+    entries[start..]
+        .iter()
+        .position(|e| e.0 != key)
+        .map_or(entries.len(), |len| start + len)
+}
+
+/// Order one tuple's rows — `(_, row)` entries in ascending row id — by
+/// descriptor term list, then row id, overwriting the entries' keys. A row
+/// keys as its descriptor's first term: ⊤ as 0, a term as 1 +
+/// `component << 16 | alternative`, so a smaller key is a smaller term
+/// list. Rows that share a key tie on it; their term lists are compared
+/// only when one of them runs past that first term.
+fn order_by_descriptor(
+    rows: &mut [(u64, u32)],
+    descs: &[DescId],
+    pool: &DescriptorPool,
+    stats: &mut SortStats,
+) {
+    if rows.len() < 2 {
+        return;
+    }
+    let terms = |&(_, i): &(u64, u32)| pool.terms(descs[i as usize]);
+    let mut longer = false;
+    for e in rows.iter_mut() {
+        let t = terms(e);
+        e.0 = t
+            .first()
+            .map_or(0, |&(c, a)| 1 + (u64::from(c.0) << 16 | u64::from(a)));
+        longer |= t.len() > 1;
+    }
+    if rows.windows(2).any(|w| w[0] > w[1]) {
+        rows.sort_unstable();
+    }
+    if !longer {
+        return;
+    }
+    let mut start = 0;
+    while start < rows.len() {
+        let end = run_end(rows, start);
+        let shared = &mut rows[start..end];
+        if shared.len() > 1 && shared.iter().any(|e| terms(e).len() > 1) {
+            shared.sort_unstable_by(|&(_, i), &(_, j)| {
+                stats.tie_cmps += 1;
+                pool.cmp_terms(descs[i as usize], descs[j as usize])
+                    .then(i.cmp(&j))
+            });
         }
-        if counts.contains(&entries.len()) {
+        start = end;
+    }
+}
+
+/// Sort `(key, row)` entries by key, stably, on the `width` significant
+/// bits: least significant digit first, every digit's counts taken in one
+/// read of the entries, then one scatter pass per digit the keys do not all
+/// share. Digits are as wide as the entry count makes worth zeroing a
+/// table for (8 to 11 bits), and as even as the width allows. Returns the
+/// scatter passes run.
+fn radix_sort(entries: &mut Vec<(u64, u32)>, width: u32) -> u64 {
+    let n = entries.len();
+    let max_bits = n.max(1).ilog2().saturating_sub(3).clamp(8, 11);
+    let digits = width.div_ceil(max_bits).max(1);
+    let bits = width.div_ceil(digits);
+    let (radix, mask) = (1usize << bits, (1u64 << bits) - 1);
+    let mut counts = vec![0u32; digits as usize * radix];
+    // At most 8 digits of at least 8 bits cover 64; a digit count fixed at
+    // compile time lets the counting loop unroll.
+    match digits {
+        1 => count_digits::<1>(entries, &mut counts, bits),
+        2 => count_digits::<2>(entries, &mut counts, bits),
+        3 => count_digits::<3>(entries, &mut counts, bits),
+        4 => count_digits::<4>(entries, &mut counts, bits),
+        5 => count_digits::<5>(entries, &mut counts, bits),
+        6 => count_digits::<6>(entries, &mut counts, bits),
+        7 => count_digits::<7>(entries, &mut counts, bits),
+        _ => count_digits::<8>(entries, &mut counts, bits),
+    }
+    let mut scratch = vec![(0, 0); n];
+    let mut passes = 0;
+    for (d, table) in counts.chunks_exact_mut(radix).enumerate() {
+        if table.contains(&(n as u32)) {
             continue;
         }
         let mut at = 0;
-        for c in &mut counts {
+        for c in table.iter_mut() {
             (*c, at) = (at, at + *c);
         }
+        let shift = d as u32 * bits;
         for &e in entries.iter() {
-            let d = digit(e.0);
-            scratch[counts[d]] = e;
-            counts[d] += 1;
+            let x = (e.0 >> shift & mask) as usize;
+            scratch[table[x] as usize] = e;
+            table[x] += 1;
         }
         std::mem::swap(entries, &mut scratch);
+        passes += 1;
+    }
+    passes
+}
+
+/// Count the `D` `bits`-bit digits of every key, least significant first,
+/// into the tables of `counts` (digit `d`'s at `d << bits`), in one read of
+/// the entries.
+fn count_digits<const D: usize>(entries: &[(u64, u32)], counts: &mut [u32], bits: u32) {
+    let mask = (1u64 << bits) - 1;
+    for &(k, _) in entries {
+        for d in 0..D {
+            counts[d << bits | (k >> (d as u32 * bits) & mask) as usize] += 1;
+        }
     }
 }
 
@@ -1101,7 +1216,13 @@ mod tests {
     /// Per row, the position of its tuple among the distinct tuples in
     /// [`canonical_order`]'s order.
     fn tuple_ranks(c: &ColumnarURelation, pool: &DescriptorPool, strings: &StrPool) -> Vec<usize> {
-        let (perm, runs) = canonical_order(c.columns(), c.descs(), pool, strings);
+        let (perm, runs) = canonical_order(
+            c.columns(),
+            c.descs(),
+            pool,
+            strings,
+            &mut SortStats::default(),
+        );
         let mut rank = vec![0; c.len()];
         for (r, &(start, end)) in runs.iter().enumerate() {
             for &i in &perm[start as usize..end as usize] {

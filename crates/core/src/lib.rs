@@ -81,7 +81,7 @@ pub mod urel;
 pub mod value;
 pub mod world;
 
-pub use columnar::{ColView, ColumnData, ColumnVec, ColumnarURelation, StrPool};
+pub use columnar::{ColView, ColumnData, ColumnVec, ColumnarURelation, SortStats, StrPool};
 pub use component::{Component, ComponentSet, ConfStats, WorldPick};
 pub use descriptor::{ComponentId, WsDescriptor};
 pub use dnf::{DnfKernel, EXACT_STEP_CEILING};

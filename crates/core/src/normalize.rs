@@ -47,7 +47,7 @@
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 
-use crate::columnar::canonical_order;
+use crate::columnar::{canonical_order, SortStats};
 use crate::component::ComponentSet;
 use crate::descriptor::ComponentId;
 use crate::fxhash::FxHashMap;
@@ -142,7 +142,13 @@ fn normalized(rel: &URelation, components: &ComponentSet) -> Option<URelation> {
     // survives. A group of one keeps its stripped descriptor; a larger one
     // goes to a local fixpoint, exactly as in the reference `normalize_rows`
     // but on canonical handles (its first round drops exact duplicates).
-    let (perm, runs) = canonical_order(col.columns(), &descs, &pool, strings);
+    let (perm, runs) = canonical_order(
+        col.columns(),
+        &descs,
+        &pool,
+        strings,
+        &mut SortStats::default(),
+    );
     let mut reps: Vec<u32> = Vec::with_capacity(runs.len());
     let mut out: Vec<DescId> = Vec::with_capacity(runs.len());
     for (start, end) in runs {
@@ -152,13 +158,13 @@ fn normalized(rel: &URelation, components: &ComponentSet) -> Option<URelation> {
             reps.push(rep);
             out.push(descs[rep as usize]);
         } else {
+            // Canonical handles in canonical order: equal descriptors lie
+            // together under one handle. Only a rewrite unsorts them.
             let mut ids: Vec<DescId> = group.iter().map(|&i| descs[i as usize]).collect();
-            loop {
+            ids.dedup();
+            while simplify_disjunction_ids(&mut ids, &mut pool, components) {
                 ids.sort_unstable_by(|&a, &b| pool.cmp_terms(a, b));
                 ids.dedup();
-                if !simplify_disjunction_ids(&mut ids, &mut pool, components) {
-                    break;
-                }
             }
             reps.extend(std::iter::repeat(rep).take(ids.len()));
             out.extend(ids);

@@ -54,6 +54,11 @@ pub struct ObsCounters {
     pub exact_steps: u64,
     /// Monte Carlo / Karp–Luby draws performed.
     pub samples_drawn: u64,
+    /// Radix scatter passes of canonical sorts (`SortStats::radix_passes`).
+    pub radix_passes: u64,
+    /// Content comparisons canonical sorts made inside key ties
+    /// (`SortStats::tie_cmps`).
+    pub tie_cmps: u64,
     /// Nanoseconds the run's fan-out workers spent busy
     /// (`ParStats::busy_nanos`); drives the occupancy annotation.
     pub busy_nanos: u64,
@@ -75,6 +80,8 @@ impl ObsCounters {
             karp_luby_groups: self.karp_luby_groups - earlier.karp_luby_groups,
             exact_steps: self.exact_steps - earlier.exact_steps,
             samples_drawn: self.samples_drawn - earlier.samples_drawn,
+            radix_passes: self.radix_passes - earlier.radix_passes,
+            tie_cmps: self.tie_cmps - earlier.tie_cmps,
             busy_nanos: self.busy_nanos - earlier.busy_nanos,
         }
     }
@@ -90,6 +97,8 @@ impl ObsCounters {
         self.karp_luby_groups += other.karp_luby_groups;
         self.exact_steps += other.exact_steps;
         self.samples_drawn += other.samples_drawn;
+        self.radix_passes += other.radix_passes;
+        self.tie_cmps += other.tie_cmps;
         self.busy_nanos += other.busy_nanos;
     }
 }
@@ -382,6 +391,8 @@ impl QueryTrace {
                 ("karp_luby_groups", c.karp_luby_groups),
                 ("exact_steps", c.exact_steps),
                 ("samples_drawn", c.samples_drawn),
+                ("radix_passes", c.radix_passes),
+                ("tie_cmps", c.tie_cmps),
                 ("busy_nanos", c.busy_nanos),
             ] {
                 if v != 0 {

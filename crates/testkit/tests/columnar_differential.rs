@@ -13,12 +13,14 @@ use std::hash::{BuildHasher, Hash, Hasher};
 
 use maybms_algebra::predicate::BoundPredicate;
 use maybms_algebra::{col, lit, naive, run, CmpOp, Operand, Predicate};
-use maybms_core::columnar::{canonical_order, ColView, ColumnData, ColumnarURelation, StrPool};
+use maybms_core::columnar::{
+    canonical_order, ColView, ColumnData, ColumnVec, ColumnarURelation, SortStats, StrPool,
+};
 use maybms_core::normalize::normalize_relation;
 use maybms_core::rng::Rng;
 use maybms_core::{
-    ComponentId, ComponentSet, DescriptorPool, FxBuildHasher, Schema, Tuple, URelation, Value,
-    ValueType, WorldSet, WsDescriptor,
+    ComponentId, ComponentSet, DescId, DescriptorPool, FxBuildHasher, Schema, Tuple, URelation,
+    Value, ValueType, WorldSet, WsDescriptor,
 };
 use maybms_ql::{certain, conf, possible};
 use maybms_testkit::oracle::normalize_rows;
@@ -74,7 +76,13 @@ fn row_columnar_roundtrip_is_exact() {
         // Cell accessors must mirror the tuple values, and the canonical
         // order their total order: a row's tuple ranks among the distinct
         // tuples as the tuple does among the values.
-        let (perm, runs) = canonical_order(col.columns(), col.descs(), &pool, &strings);
+        let (perm, runs) = canonical_order(
+            col.columns(),
+            col.descs(),
+            &pool,
+            &strings,
+            &mut SortStats::default(),
+        );
         let mut tuple_rank = vec![0; col.len()];
         for (r, &(start, end)) in runs.iter().enumerate() {
             for &i in &perm[start as usize..end as usize] {
@@ -118,7 +126,13 @@ fn row_columnar_roundtrip_is_exact() {
             }
         }
 
-        let (perm, runs) = canonical_order(col.columns(), col.descs(), &pool, &strings);
+        let (perm, runs) = canonical_order(
+            col.columns(),
+            col.descs(),
+            &pool,
+            &strings,
+            &mut SortStats::default(),
+        );
         let row = |i: u32| &rel.rows()[i as usize];
         let mut expected: Vec<u32> = (0..rel.len() as u32).collect();
         expected.sort_by(|&i, &j| row(i).cmp(row(j)));
@@ -131,6 +145,119 @@ fn row_columnar_roundtrip_is_exact() {
             }
         }
         assert_eq!(runs, expected_runs, "case {case}: tuple runs\n{rel}");
+    }
+}
+
+/// Long key ties through `canonical_order`'s integer paths: 300–420 rows
+/// over four distinct tuples, whose descriptors mix ⊤, one-term lists and
+/// multi-term lists that share first terms, and hold equal descriptors
+/// under distinct handles (conjunction results). The string column's pool
+/// holds unused and out-of-order codes, and `NULL` cells; any two integer
+/// cells differ in bits 0–1, 8–9 and 16–17, three radix digits apart. Odd
+/// cases add a nullable integer column whose coarse keys tie 2 with 3, and
+/// two tuples that differ only there, so that key ties hold several tuples.
+/// As in the round trip above, the order must be the rows' `(Tuple,
+/// WsDescriptor)` order, ties by row id, runs included.
+#[test]
+fn canonical_order_over_long_key_ties() {
+    const WIDE: [i64; 4] = [
+        -(1 << 40),
+        0x1_0101 - (1 << 40),
+        0x2_0202 - (1 << 40),
+        0x3_0303 - (1 << 40),
+    ];
+    for case in 0..60u64 {
+        let mut rng = Rng::new(0xC01_71E5 ^ case);
+        let mut strings = StrPool::new();
+        for s in ["zeta", "unused-1", "beta", "alpha", "unused-0"] {
+            strings.intern(s);
+        }
+        let mut pool = DescriptorPool::new();
+        let mut single = |c: u32, a: u16| pool.intern(&WsDescriptor::single(ComponentId(c), a));
+        let mut palette = vec![DescId::TAUTOLOGY, single(0, 1), single(1, 0), single(2, 2)];
+        let base = single(0, 0);
+        let others = [single(1, 0), single(1, 1), single(3, 0), single(2, 2)];
+        palette.push(base);
+        for other in others {
+            // Each conjunction is sealed under a handle of its own.
+            for _ in 0..2 {
+                palette.push(pool.conjoin(base, other).expect("consistent"));
+            }
+        }
+        let pair = pool.conjoin(base, others[0]).expect("consistent");
+        palette.push(pool.conjoin(pair, others[2]).expect("consistent"));
+
+        let nullable = case % 2 == 1;
+        let mut schema = vec![("s", ValueType::Str), ("x", ValueType::Int)];
+        if nullable {
+            schema.push(("y", ValueType::Int));
+        }
+        let schema = Schema::of(&schema).expect("distinct columns");
+        let mut tuples: Vec<Vec<Value>> = (0..4)
+            .map(|t| {
+                let s = match rng.below(4) {
+                    0 => Value::Null,
+                    k => Value::str(["zeta", "alpha", "beta"][k - 1]),
+                };
+                let mut cells = vec![s, Value::Int(WIDE[t])];
+                if nullable {
+                    cells.push(
+                        rng.pick(&[Value::Null, Value::Int(2), Value::Int(3)])
+                            .clone(),
+                    );
+                }
+                cells
+            })
+            .collect();
+        if nullable {
+            let shared = tuples[0][..2].to_vec();
+            tuples[1][..2].clone_from_slice(&shared);
+            (tuples[0][2], tuples[1][2]) = (Value::Int(2), Value::Int(3));
+        }
+        let mut cols: Vec<ColumnVec> = schema
+            .columns()
+            .iter()
+            .map(|c| ColumnVec::new(c.ty))
+            .collect();
+        let mut descs = Vec::new();
+        for _ in 0..rng.range(300, 421) {
+            for (col, v) in cols.iter_mut().zip(rng.pick(&tuples)) {
+                col.push(v, &mut strings);
+            }
+            descs.push(*rng.pick(&palette));
+        }
+        let col = ColumnarURelation::from_parts(schema, cols, descs);
+
+        let mut stats = SortStats::default();
+        let (perm, runs) = canonical_order(col.columns(), col.descs(), &pool, &strings, &mut stats);
+        let rows: Vec<(Tuple, WsDescriptor)> = (0..col.len())
+            .map(|i| {
+                (
+                    col.tuple_at(i, &strings),
+                    pool.to_descriptor(col.descs()[i]),
+                )
+            })
+            .collect();
+        let mut expected: Vec<u32> = (0..col.len() as u32).collect();
+        expected.sort_by(|&i, &j| rows[i as usize].cmp(&rows[j as usize]));
+        assert_eq!(perm, expected, "case {case}: canonical order");
+        let mut expected_runs = Vec::new();
+        for k in 1..=perm.len() {
+            let start = expected_runs.last().map_or(0, |&(_, end)| end);
+            if k == perm.len() || rows[perm[k] as usize].0 != rows[perm[start as usize] as usize].0
+            {
+                expected_runs.push((start, k as u32));
+            }
+        }
+        assert_eq!(runs, expected_runs, "case {case}: tuple runs");
+        assert!(
+            stats.radix_passes > 0,
+            "case {case}: the keys were radix-sorted"
+        );
+        assert!(
+            stats.tie_cmps > 0,
+            "case {case}: key ties compared contents"
+        );
     }
 }
 
