@@ -24,19 +24,20 @@
 //! **Layout.** The tuple's distinct components, ascending by id, are its
 //! *slots*; a union-find over slots yields the groups (in first-occurrence
 //! order of their earliest descriptor, each listing its descriptors in input
-//! order). Two trivial shapes skip the layout: [`DnfKernel::load`]
-//! recognises, from the terms it has just copied, a tuple of *one
-//! descriptor* (its probability is the product of its terms') and one whose
-//! descriptors are *single terms on one component* in ascending alternative
-//! order (a repaired key: the sum of its distinct alternatives). `prob`,
-//! `covers`, `exact_cost` and `group_len` answer them from the copied terms;
-//! whatever else asks about the tuple lays it out first. The same helpers
-//! answer a laid-out group of either shape. Compiling a group of `k` descriptors numbers them `0..k` and
-//! builds bitsets of `⌈k/64⌉` words: per slot and per *branch* — one branch
-//! per alternative some descriptor mentions, plus one "rest" branch standing
-//! for all unmentioned alternatives at once — the descriptors that choice
-//! does not falsify (*compat*), and per slot the descriptors that mention it
-//! (*touch*) and those whose last slot it is (*close*).
+//! order). Two shapes of group have a closed form, answered in one place
+//! for `prob`, `covers` and `exact_cost` alike: *one descriptor* (its
+//! probability is the product of its terms') and *one slot* (a repaired
+//! key: the sum of its distinct alternatives). A tuple that is one group of
+//! either shape, its single-term descriptors in ascending alternative
+//! order, is *trivial*: [`DnfKernel::load`] recognises it from the terms it
+//! has just copied and does not lay it out until something other than
+//! those three or `group_len` asks about it. Compiling a group of `k`
+//! descriptors numbers them `0..k` and builds bitsets of `⌈k/64⌉` words:
+//! per slot and per *branch* — one branch per alternative some descriptor
+//! mentions, plus one "rest" branch standing for all unmentioned
+//! alternatives at once — the descriptors that choice does not falsify
+//! (*compat*), and per slot the descriptors that mention it (*touch*) and
+//! those whose last slot it is (*close*).
 //!
 //! **Elimination.** A state is the set of descriptors not yet falsified,
 //! carrying the probability mass of the partial assignments that lead to it.
@@ -58,9 +59,12 @@
 //! content-keyed [`CounterRng`] stream front to back, in an order the group's
 //! content fixes.
 
+use std::ops::Range;
+
 use crate::component::{Component, ComponentSet, ConfStats};
 use crate::descriptor::ComponentId;
 use crate::error::MayError;
+use crate::intern::Slots;
 use crate::rng::{mix64, CounterRng};
 
 /// Ceiling on elimination transitions per group that the `conf` and
@@ -152,13 +156,19 @@ pub fn check_unit_interval(what: &str, v: f64) -> Result<(), String> {
 
 type Term = (ComponentId, u16);
 
-/// A loaded tuple that is answered from its copied terms, without a layout.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Trivial {
-    /// One descriptor.
-    Lone,
-    /// Single-term descriptors on one component, alternatives ascending.
-    OneComponent,
+/// A group of a shape answered in closed form, without an elimination.
+enum Closed<'c> {
+    /// One descriptor, owning `terms[range]`.
+    Lone(Range<usize>),
+    /// Descriptors on one slot: its component, the number of distinct
+    /// alternatives they name and the mass of those, summed in ascending
+    /// order and clamped at 1 (masses of disjoint assignment sets sum to at
+    /// most 1 up to rounding).
+    OneSlot {
+        comp: &'c Component,
+        named: u64,
+        mass: f64,
+    },
 }
 
 /// What [`DnfKernel::load`] found.
@@ -182,8 +192,8 @@ pub struct DnfKernel {
     terms: Vec<Term>,
     /// Descriptor `d` owns terms `desc_off[d]..desc_off[d + 1]`.
     desc_off: Vec<u32>,
-    /// The tuple's shape while it is trivial and not laid out.
-    trivial: Option<Trivial>,
+    /// Whether the tuple is trivial and not laid out.
+    trivial: bool,
 
     // Its layout.
     /// Per term: its slot.
@@ -231,7 +241,7 @@ pub struct DnfKernel {
     // Elimination frontiers and the index that merges equal states.
     cur: Frontier,
     next: Frontier,
-    table: Vec<u32>,
+    index: Slots,
 
     /// Per group of the tuple [`DnfKernel::prob_all`] solves: whether it is
     /// sampled.
@@ -322,8 +332,8 @@ fn intersects(a: &[u64], b: &[u64]) -> bool {
 }
 
 #[inline]
-fn hash_words(words: &[u64]) -> usize {
-    words.iter().fold(0, |h, &w| mix64(h ^ w)) as usize
+fn hash_words(words: &[u64]) -> u64 {
+    words.iter().fold(0, |h, &w| mix64(h ^ w))
 }
 
 /// `P(d)` of one descriptor's `terms`: the product of their probabilities,
@@ -349,26 +359,22 @@ fn distinct(ascending: impl Iterator<Item = u16>) -> impl Iterator<Item = u16> {
     ascending.filter(move |&a| last.replace(a) != Some(a))
 }
 
-/// A one-component group's probability from the distinct alternatives its
-/// descriptors name (`named`, ascending): their probabilities summed in that
-/// order and clamped at 1 (masses of disjoint assignment sets sum to at most
-/// 1 up to rounding) — and how many they are.
-fn alternatives_prob(comp: &Component, named: impl Iterator<Item = u16>) -> (f64, u64) {
-    let (mut p, mut distinct) = (0.0, 0);
+/// [`Closed::OneSlot`] of `comp`, from the distinct alternatives named
+/// (`named`, ascending).
+fn one_slot(comp: &Component, named: impl Iterator<Item = u16>) -> Closed<'_> {
+    let (mut mass, mut count) = (0.0, 0);
     for a in named {
-        p += comp.prob(a);
-        distinct += 1;
+        mass += comp.prob(a);
+        count += 1;
     }
-    (p.min(1.0), distinct)
+    Closed::OneSlot {
+        comp,
+        named: count,
+        mass: mass.min(1.0),
+    }
 }
 
-/// Whether a one-component group covers every world: once the distinct
-/// alternatives it names (`named`) are all of them.
-fn alternatives_cover(comp: &Component, named: impl Iterator<Item = u16>) -> bool {
-    named.count() == usize::from(comp.alternatives())
-}
-
-/// "No entry" in the group labels and in the state index.
+/// "No entry" in the group labels.
 const EMPTY: u32 = u32::MAX;
 
 impl DnfKernel {
@@ -387,14 +393,14 @@ impl DnfKernel {
     /// Load one tuple's disjunction: each item is a descriptor's term list,
     /// sorted by strictly increasing component id (what
     /// [`crate::DescriptorPool::terms`] and [`crate::WsDescriptor::terms`]
-    /// return). Replaces whatever was loaded before. A tuple of one of the
-    /// two trivial shapes (see the module docs) is one group and is not laid
-    /// out until something other than `prob`, `covers`, `exact_cost` or
-    /// `group_len` asks about it.
+    /// return). Replaces whatever was loaded before. A trivial tuple (see
+    /// the module docs) is one group and is not laid out until something
+    /// other than `prob`, `covers`, `exact_cost` or `group_len` asks about
+    /// it.
     pub fn load<'t>(&mut self, descs: impl IntoIterator<Item = &'t [Term]>) -> Loaded {
         self.by_slot_ready = false;
         self.compiled = None;
-        self.trivial = None;
+        self.trivial = false;
         self.terms.clear();
         self.desc_off.clear();
         self.desc_off.push(0);
@@ -412,24 +418,19 @@ impl DnfKernel {
         if k == 0 {
             return Loaded::Empty;
         }
-        if k == 1 {
-            self.trivial = Some(Trivial::Lone);
-        } else if self.terms.len() == k
-            && self
-                .terms
-                .windows(2)
-                .all(|w| w[0].0 == w[1].0 && w[0].1 <= w[1].1)
-        {
-            self.trivial = Some(Trivial::OneComponent);
-        } else {
-            return Loaded::Groups(self.lay_out());
-        }
-        Loaded::Groups(1)
+        // One descriptor, or single terms on one component, ascending.
+        self.trivial = k == 1
+            || self.terms.len() == k
+                && self
+                    .terms
+                    .windows(2)
+                    .all(|w| w[0].0 == w[1].0 && w[0].1 <= w[1].1);
+        Loaded::Groups(if self.trivial { 1 } else { self.lay_out() })
     }
 
     /// Lay a trivial tuple out, if it is not yet.
     fn ensure_layout(&mut self) {
-        if self.trivial.take().is_some() {
+        if std::mem::take(&mut self.trivial) {
             self.lay_out();
         }
     }
@@ -517,7 +518,7 @@ impl DnfKernel {
     /// Number of descriptors in group `g`.
     #[inline]
     pub fn group_len(&self, g: usize) -> usize {
-        if self.trivial.is_some() {
+        if self.trivial {
             debug_assert_eq!(g, 0, "a trivial tuple is one group");
             return self.desc_off.len() - 1;
         }
@@ -531,7 +532,7 @@ impl DnfKernel {
         self.descs_of(g).iter().map(|&d| d as usize)
     }
 
-    fn desc_range(&self, g: usize) -> std::ops::Range<usize> {
+    fn desc_range(&self, g: usize) -> Range<usize> {
         self.group_desc_off[g] as usize..self.group_desc_off[g + 1] as usize
     }
 
@@ -543,7 +544,7 @@ impl DnfKernel {
         &self.group_slots[self.group_slot_off[g] as usize..self.group_slot_off[g + 1] as usize]
     }
 
-    fn terms_of(&self, d: u32) -> std::ops::Range<usize> {
+    fn terms_of(&self, d: u32) -> Range<usize> {
         self.desc_off[d as usize] as usize..self.desc_off[d as usize + 1] as usize
     }
 
@@ -551,16 +552,28 @@ impl DnfKernel {
         ComponentId(self.slots[slot as usize])
     }
 
-    /// The component of a trivial [`Trivial::OneComponent`] tuple, and its
-    /// distinct alternatives, ascending.
-    fn one_component<'s>(
-        &'s self,
-        components: &'s ComponentSet,
-    ) -> (&'s Component, impl Iterator<Item = u16> + 's) {
-        (
-            components.get(self.terms[0].0),
-            distinct(self.terms.iter().map(|&(_, a)| a)),
-        )
+    /// Group `g` in closed form, if it has one descriptor or one slot —
+    /// read from a trivial tuple's copied terms, or from the layout.
+    fn closed<'c>(&mut self, components: &'c ComponentSet, g: usize) -> Option<Closed<'c>> {
+        if self.trivial {
+            return Some(if self.desc_off.len() == 2 {
+                Closed::Lone(0..self.terms.len())
+            } else {
+                let comp = components.get(self.terms[0].0);
+                one_slot(comp, distinct(self.terms.iter().map(|&(_, a)| a)))
+            });
+        }
+        if let &[d] = self.descs_of(g) {
+            return Some(Closed::Lone(self.terms_of(d)));
+        }
+        let &[s] = self.slots_of(g) else {
+            return None;
+        };
+        // One slot: the descriptors name alternatives of one component (with
+        // up to 2¹⁶ of them, which as bitsets would be quadratic).
+        self.ensure_by_slot();
+        let comp = components.get(self.component_of(s));
+        Some(one_slot(comp, self.mentioned(s)))
     }
 
     /// Stream key for group `g`'s sampling draws: a hash of the group's
@@ -634,19 +647,19 @@ impl DnfKernel {
     /// the state count by the subsets of descriptors and by the assignments.
     /// Every group prices ≥ 1.
     ///
-    /// A trivial tuple prices without a layout. A lone descriptor is open
-    /// past its first slot only, so the bound is `min(2, Π alternatives)`:
-    /// 1 if it covers every world, else 2. A one-component tuple has one
-    /// slot and nothing open at it, so with `m` distinct alternatives
-    /// named the bound is `min(alternatives, m + 1)` (`m + 1 ≤ 2ᵏ`).
+    /// A closed-form group prices without pricing its slots. A lone
+    /// descriptor is open past its first slot only, so the bound is
+    /// `min(2, Π alternatives)`: 1 if it covers every world, else 2. A
+    /// one-slot group has nothing open at its slot, so with `m` distinct
+    /// alternatives named the bound is `min(alternatives, m + 1)`
+    /// (`m + 1 ≤ 2ᵏ`).
     pub fn exact_cost(&mut self, components: &ComponentSet, g: usize) -> u128 {
-        match self.trivial {
-            Some(Trivial::Lone) if lone_covers(components, &self.terms) => return 1,
-            Some(Trivial::Lone) => return 2,
-            Some(Trivial::OneComponent) => {
-                let (comp, named) = self.one_component(components);
-                let branches = named.count() as u128 + 1;
-                return u128::from(comp.alternatives()).min(branches);
+        match self.closed(components, g) {
+            Some(Closed::Lone(terms)) => {
+                return 2 - u128::from(lone_covers(components, &self.terms[terms]));
+            }
+            Some(Closed::OneSlot { comp, named, .. }) => {
+                return u128::from(comp.alternatives()).min(u128::from(named) + 1);
             }
             None => {}
         }
@@ -744,7 +757,9 @@ impl DnfKernel {
 
     /// Exact probability that some descriptor of group `g` holds. Errors
     /// with [`MayError::TooManySteps`] once the elimination passes `ceiling`
-    /// transitions (pass `u64::MAX` for no ceiling).
+    /// transitions (pass `u64::MAX` for no ceiling). A group of one
+    /// descriptor takes one step per term, a group of one slot one per
+    /// alternative named.
     #[inline]
     pub fn prob(
         &mut self,
@@ -752,41 +767,21 @@ impl DnfKernel {
         g: usize,
         ceiling: u64,
     ) -> Result<f64, MayError> {
-        let (p, steps) = match self.trivial {
-            None => return self.group_prob(components, g, ceiling),
-            Some(Trivial::Lone) => (lone_prob(components, &self.terms), self.terms.len() as u64),
-            Some(Trivial::OneComponent) => {
-                let (comp, named) = self.one_component(components);
-                alternatives_prob(comp, named)
+        let (p, steps) = match self.closed(components, g) {
+            Some(Closed::Lone(terms)) => {
+                let steps = terms.len() as u64;
+                (lone_prob(components, &self.terms[terms]), steps)
             }
-        };
-        self.steps += steps;
-        Ok(p)
-    }
-
-    /// [`Self::prob`] of a laid-out group. A group of one descriptor takes
-    /// one step per term, a group of one slot one per alternative named.
-    fn group_prob(
-        &mut self,
-        components: &ComponentSet,
-        g: usize,
-        ceiling: u64,
-    ) -> Result<f64, MayError> {
-        let (p, steps) = if let &[d] = self.descs_of(g) {
-            let terms = &self.terms[self.terms_of(d)];
-            (lone_prob(components, terms), terms.len() as u64)
-        } else if let &[s] = self.slots_of(g) {
-            // One slot: the descriptors name alternatives of one component
-            // (with up to 2¹⁶ of them, which as bitsets would be quadratic).
-            self.ensure_by_slot();
-            alternatives_prob(components.get(self.component_of(s)), self.mentioned(s))
-        } else {
-            self.compile(components, g);
-            // The masses of disjoint assignment sets sum to at most 1 up to
-            // rounding; clamp so `1 − p` never goes negative downstream.
-            return self
-                .eliminate::<false>(g, ceiling)
-                .map(|(hit, _)| hit.min(1.0));
+            Some(Closed::OneSlot { named, mass, .. }) => (mass, named),
+            None => {
+                self.compile(components, g);
+                // The masses of disjoint assignment sets sum to at most 1 up
+                // to rounding; clamp so `1 − p` never goes negative
+                // downstream.
+                return self
+                    .eliminate::<false>(g, ceiling)
+                    .map(|(hit, _)| hit.min(1.0));
+            }
         };
         self.steps += steps;
         Ok(p)
@@ -802,34 +797,18 @@ impl DnfKernel {
         g: usize,
         ceiling: u64,
     ) -> Result<bool, MayError> {
-        match self.trivial {
-            None => self.group_covers(components, g, ceiling),
-            Some(Trivial::Lone) => Ok(lone_covers(components, &self.terms)),
-            Some(Trivial::OneComponent) => {
-                let (comp, named) = self.one_component(components);
-                Ok(alternatives_cover(comp, named))
+        match self.closed(components, g) {
+            Some(Closed::Lone(terms)) => Ok(lone_covers(components, &self.terms[terms])),
+            // Once the distinct alternatives named are all of them.
+            Some(Closed::OneSlot { comp, named, .. }) => {
+                Ok(named == u64::from(comp.alternatives()))
+            }
+            None => {
+                self.compile(components, g);
+                self.eliminate::<true>(g, ceiling)
+                    .map(|(_, covered)| covered)
             }
         }
-    }
-
-    /// [`Self::covers`] of a laid-out group.
-    fn group_covers(
-        &mut self,
-        components: &ComponentSet,
-        g: usize,
-        ceiling: u64,
-    ) -> Result<bool, MayError> {
-        if let &[d] = self.descs_of(g) {
-            return Ok(lone_covers(components, &self.terms[self.terms_of(d)]));
-        }
-        if let &[s] = self.slots_of(g) {
-            self.ensure_by_slot();
-            let comp = components.get(self.component_of(s));
-            return Ok(alternatives_cover(comp, self.mentioned(s)));
-        }
-        self.compile(components, g);
-        self.eliminate::<true>(g, ceiling)
-            .map(|(_, covered)| covered)
     }
 
     /// Load `descs` and decide whether their disjunction holds in every
@@ -939,7 +918,7 @@ impl DnfKernel {
         let DnfKernel {
             cur,
             next,
-            table,
+            index,
             touch,
             close,
             br_off,
@@ -957,14 +936,13 @@ impl DnfKernel {
             let (touch, close) = (&touch[j * w..(j + 1) * w], &close[j * w..(j + 1) * w]);
             let branches = br_off[j] as usize..br_off[j + 1] as usize;
             next.clear();
-            table.clear();
-            table.resize((2 * cur.mass.len()).next_power_of_two().max(8), EMPTY);
+            index.reset(cur.mass.len());
             for (state, &mass) in cur.words.chunks_exact(w).zip(&cur.mass) {
                 if !intersects(state, touch) {
                     // No live descriptor mentions the slot: every branch
                     // leaves the state as it is, and their masses sum to 1.
                     next.words.extend_from_slice(state);
-                    next.merge_last(table, w, mass);
+                    next.merge_last(index, w, mass);
                     continue;
                 }
                 *total_steps += branches.len() as u64;
@@ -995,7 +973,7 @@ impl DnfKernel {
                         }
                         next.words.truncate(next.words.len() - w);
                     } else {
-                        next.merge_last(table, w, mass * br_prob[b]);
+                        next.merge_last(index, w, mass * br_prob[b]);
                     }
                 }
             }
@@ -1027,34 +1005,22 @@ impl DnfKernel {
 
 impl Frontier {
     /// The state just pushed onto `words` (its last `w` words) joins the
-    /// frontier with `mass`: merged into an equal state if `table` knows
-    /// one, appended otherwise. `table` is an open-addressing index of the
-    /// frontier's states, kept at most half full.
-    fn merge_last(&mut self, table: &mut Vec<u32>, w: usize, mass: f64) {
+    /// frontier with `mass`: merged into an equal state if `index` knows
+    /// one, appended otherwise. `index` holds the frontier's states.
+    #[inline]
+    fn merge_last(&mut self, index: &mut Slots, w: usize, mass: f64) {
         let at = self.mass.len();
         let (seen, state) = self.words.split_at(at * w);
-        let mut pos = hash_words(state) & (table.len() - 1);
-        while table[pos] != EMPTY {
-            let i = table[pos] as usize;
-            if &seen[i * w..(i + 1) * w] == state {
-                self.mass[i] += mass;
+        let state_of = |i: usize| &seen[i * w..(i + 1) * w];
+        index.reserve_one(at, |i| hash_words(state_of(i)));
+        match index.find(hash_words(state), |i| state_of(i) == state) {
+            Ok(i) => {
+                self.mass[i as usize] += mass;
                 self.words.truncate(at * w);
-                return;
             }
-            pos = (pos + 1) & (table.len() - 1);
-        }
-        table[pos] = at as u32;
-        self.mass.push(mass);
-        if 2 * self.mass.len() > table.len() {
-            let size = 2 * table.len();
-            table.clear();
-            table.resize(size, EMPTY);
-            for (i, state) in self.words.chunks_exact(w).enumerate() {
-                let mut pos = hash_words(state) & (size - 1);
-                while table[pos] != EMPTY {
-                    pos = (pos + 1) & (size - 1);
-                }
-                table[pos] = i as u32;
+            Err(free) => {
+                index.fill(free, at as u32);
+                self.mass.push(mass);
             }
         }
     }

@@ -81,7 +81,8 @@ pub(crate) fn fold_hash(h: u64) -> u64 {
     h ^ (h >> 32)
 }
 
-/// The hash index of an arena: an open-addressing table of entry numbers
+/// The hash index of an arena — the pools' dictionaries, the confidence
+/// kernel's elimination frontier: an open-addressing table of entry numbers
 /// (`u32::MAX` = empty, linear probing, at most 7/8 full). It holds neither
 /// keys nor hashes — the arena's owner supplies both — and starts out empty:
 /// [`Slots::reserve_one`] builds it when something is first looked up.
@@ -89,10 +90,12 @@ pub(crate) fn fold_hash(h: u64) -> u64 {
 pub(crate) struct Slots(Vec<u32>);
 
 impl Slots {
-    /// An empty table that [`Slots::reserve_one`] will not have to rebuild
-    /// before the arena holds `entries` entries.
-    pub(crate) fn with_room_for(entries: usize) -> Slots {
-        Slots(vec![u32::MAX; Slots::table_len(entries)])
+    /// Empty the table, keeping its allocation, at a size that
+    /// [`Slots::reserve_one`] will not have to rebuild before the arena
+    /// holds `entries` entries.
+    pub(crate) fn reset(&mut self, entries: usize) {
+        self.0.clear();
+        self.0.resize(Slots::table_len(entries), u32::MAX);
     }
 
     /// The table length that keeps `len` entries and one more under 7/8.
@@ -110,6 +113,7 @@ impl Slots {
     /// the table is too small for that — it always is before the first call —
     /// it is rebuilt over all `len` entries, in entry order, so of two equal
     /// entries the lookup finds the earlier.
+    #[inline]
     pub(crate) fn reserve_one(&mut self, len: usize, hash_of: impl Fn(usize) -> u64) {
         if (len + 1) * 8 <= self.0.len() * 7 {
             return;
@@ -352,7 +356,7 @@ impl DescriptorPool {
         let mut local = DescriptorPool::new();
         // Sized once for the most entries there can be, so no intern call
         // rebuilds the index.
-        local.slots = Slots::with_room_for(descs.len().min(self.len()));
+        local.slots.reset(descs.len().min(self.len()));
         let mut seen = vec![u32::MAX; self.len()];
         seen[0] = 0;
         let column = descs

@@ -60,12 +60,15 @@ use crate::world::WorldSet;
 /// Each relation goes through the *columnar* pipeline
 /// ([`normalize_relation`]); `maybms-testkit` keeps the row-oriented
 /// `normalize_rows` as the reference implementation the columnar path is
-/// differentially tested against.
-pub fn normalize(ws: &mut WorldSet) {
+/// differentially tested against. Returns the work of the relations'
+/// canonical sorts, summed.
+pub fn normalize(ws: &mut WorldSet) -> SortStats {
+    let mut sort = SortStats::default();
     for rel in ws.relations.values_mut() {
-        normalize_relation(rel, &ws.components);
+        sort.absorb(&normalize_relation(rel, &ws.components));
     }
     gc_components(&mut ws.components, &mut ws.relations);
+    sort
 }
 
 /// Columnar normalization of one relation, in place: the relation becomes
@@ -73,12 +76,15 @@ pub fn normalize(ws: &mut WorldSet) {
 /// normal form (an empty one always is). A run's answer is re-coded over
 /// dictionaries of its own first: the steps below compare canonical handles
 /// and garbage collection reads the dictionary's entries as the relation's.
-/// Equivalent to the testkit's `normalize_rows` on the same rows.
-pub fn normalize_relation(rel: &mut URelation, components: &ComponentSet) {
+/// Equivalent to the testkit's `normalize_rows` on the same rows. Returns
+/// the work of its canonical sort.
+pub fn normalize_relation(rel: &mut URelation, components: &ComponentSet) -> SortStats {
     rel.own_dictionaries();
-    if let Some(normal) = normalized(rel, components) {
+    let mut sort = SortStats::default();
+    if let Some(normal) = normalized(rel, components, &mut sort) {
         *rel = normal;
     }
+    sort
 }
 
 /// `rel` normalized, or `None` when `rel` is already in normal form.
@@ -101,7 +107,13 @@ pub fn normalize_relation(rel: &mut URelation, components: &ComponentSet) {
 ///    When they are the input's rows in input order under the input's
 ///    handles the relation is normal already; otherwise they are gathered
 ///    and re-coded over fresh dictionaries.
-fn normalized(rel: &URelation, components: &ComponentSet) -> Option<URelation> {
+///
+/// The canonical sort counts its work into `sort`.
+fn normalized(
+    rel: &URelation,
+    components: &ComponentSet,
+    sort: &mut SortStats,
+) -> Option<URelation> {
     if rel.is_empty() {
         return None;
     }
@@ -142,13 +154,7 @@ fn normalized(rel: &URelation, components: &ComponentSet) -> Option<URelation> {
     // survives. A group of one keeps its stripped descriptor; a larger one
     // goes to a local fixpoint, exactly as in the reference `normalize_rows`
     // but on canonical handles (its first round drops exact duplicates).
-    let (perm, runs) = canonical_order(
-        col.columns(),
-        &descs,
-        &pool,
-        strings,
-        &mut SortStats::default(),
-    );
+    let (perm, runs) = canonical_order(col.columns(), &descs, &pool, strings, sort);
     let mut reps: Vec<u32> = Vec::with_capacity(runs.len());
     let mut out: Vec<DescId> = Vec::with_capacity(runs.len());
     for (start, end) in runs {
@@ -274,4 +280,28 @@ fn gc_components(components: &mut ComponentSet, relations: &mut BTreeMap<String,
         }
     }
     *components = kept;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::component::Component;
+    use crate::descriptor::WsDescriptor;
+    use crate::rel::Tuple;
+    use crate::schema::Schema;
+    use crate::value::{Value, ValueType};
+
+    #[test]
+    fn normalizing_reports_its_canonical_sort() {
+        let mut components = ComponentSet::new();
+        components.add(Component::uniform(2).unwrap());
+        let mut rel = URelation::new(Schema::of(&[("a", ValueType::Int)]).unwrap());
+        for (a, alt) in [(3, 0), (1, 1), (2, 0)] {
+            let d = WsDescriptor::single(ComponentId(0), alt);
+            rel.push(Tuple::new(vec![Value::Int(a)]), d).unwrap();
+        }
+        assert!(normalize_relation(&mut rel, &components).radix_passes > 0);
+        // The result is in canonical order: its keys already ascend.
+        assert_eq!(normalize_relation(&mut rel, &components).radix_passes, 0);
+    }
 }

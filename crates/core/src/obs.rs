@@ -309,9 +309,12 @@ impl QueryTrace {
     /// Each node line carries `time=` (inclusive wall time), `rows=` /
     /// `in=`, and its nonzero *exclusive* counters; phase lines are marked
     /// `·` and report `items=`. Occupancy (`occ=`) appears only on nodes
-    /// that dispatched morsels themselves.
-    pub fn render_tree(&self) -> String {
+    /// that dispatched morsels themselves. `node_suffix` is asked, for each
+    /// node by its pre-order index among the nodes (the plan's pre-order),
+    /// for more annotations to end the node's line with.
+    pub fn render_tree(&self, node_suffix: impl Fn(usize) -> Option<String>) -> String {
         let mut out = String::new();
+        let mut node = 0;
         for (i, s) in self.spans.iter().enumerate() {
             for _ in 0..s.depth {
                 out.push_str("  ");
@@ -345,6 +348,11 @@ impl QueryTrace {
                         let occ = 100.0 * excl.busy_nanos as f64 / denom as f64;
                         ann.push_str(&format!(" occ={occ:.0}%"));
                     }
+                    if let Some(suffix) = node_suffix(node) {
+                        ann.push(' ');
+                        ann.push_str(&suffix);
+                    }
+                    node += 1;
                     out.push_str(&format!("  ({ann})"));
                 }
             }
@@ -475,7 +483,7 @@ mod tests {
         assert_eq!(trace.exclusive(0).intern_calls, 5);
         assert_eq!(trace.rows_in(0), Some(3));
         assert_eq!(trace.rows_in(1), None);
-        let tree = trace.render_tree();
+        let tree = trace.render_tree(|_| None);
         assert!(tree.contains("join  (time="));
         assert!(tree.contains("  scan  (time="));
         assert!(tree.contains("· probe"));

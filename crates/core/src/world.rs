@@ -3,6 +3,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::columnar::SortStats;
 use crate::component::{Component, ComponentSet, WorldPick};
 use crate::error::MayError;
 use crate::normalize;
@@ -106,8 +107,9 @@ impl WorldSet {
     /// descriptors, merge rows that together cover all alternatives of a
     /// component, and garbage-collect components no relation references.
     /// See [`crate::normalize`] for the exact rewrites and the invariant.
-    pub fn normalize(&mut self) {
-        normalize::normalize(self);
+    /// Returns the work of the relations' canonical sorts.
+    pub fn normalize(&mut self) -> SortStats {
+        normalize::normalize(self)
     }
 
     /// [`normalize`](Self::normalize); no stage of it reads the thread

@@ -152,22 +152,12 @@ impl ExplainAnalyze {
 impl fmt::Display for ExplainAnalyze {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let node_ests = self.node_estimates();
-        let mut next = node_ests.iter();
         writeln!(f, "analyzed plan:")?;
-        for line in self.trace.render_tree().lines() {
-            // Node lines carry `rows=`; phase lines are `·`-marked and
-            // estimate nothing.
-            if !line.trim_start().starts_with('·') {
-                if let Some((est, _)) = next.next() {
-                    let annotated = line
-                        .strip_suffix(')')
-                        .map(|l| format!("{l} est_rows={})", fmt_est(*est)));
-                    if let Some(a) = annotated {
-                        writeln!(f, "  {a}")?;
-                        continue;
-                    }
-                }
-            }
+        let est_rows = |node: usize| {
+            let (est, _) = node_ests.get(node)?;
+            Some(format!("est_rows={}", fmt_est(*est)))
+        };
+        for line in self.trace.render_tree(est_rows).lines() {
             writeln!(f, "  {line}")?;
         }
         writeln!(

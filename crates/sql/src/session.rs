@@ -26,7 +26,7 @@
 use std::fmt;
 
 use maybms_algebra::{run_with, ExecCfg, ExecStats, Plan};
-use maybms_core::{Component, MayError, QueryTrace, URelation, WorldSet};
+use maybms_core::{Component, MayError, QueryTrace, SortStats, URelation, WorldSet};
 
 use crate::ast::{Query, Statement};
 use crate::cache::PlanCache;
@@ -202,9 +202,10 @@ impl Session {
     }
 
     /// Normalize the world set in place (`WorldSet::normalize`) — the one
-    /// world-set operation without a MayQL form.
-    pub fn normalize(&mut self) {
-        self.ws.normalize();
+    /// world-set operation without a MayQL form. Returns the work of its
+    /// canonical sorts.
+    pub fn normalize(&mut self) -> SortStats {
+        self.ws.normalize()
     }
 
     /// The optimized plan of `query`, from the plan cache when it holds it.

@@ -13,7 +13,8 @@
 //! 3. The two tuple shapes the kernel answers without laying the tuple out
 //!    (one descriptor; single-term descriptors on one component) must give
 //!    what the laid-out path gives, bit for bit and counter for counter, and
-//!    what enumeration gives.
+//!    what enumeration gives; and a group of any shape must answer the same
+//!    inside a tuple of independent groups as loaded alone.
 //! 4. `DescriptorPool` round-trips descriptors and mirrors
 //!    `WsDescriptor::conjoin` exactly, including the non-canonical handles
 //!    minted by pool conjunction.
@@ -333,6 +334,112 @@ fn trivial_runs_match_the_laid_out_path_and_enumeration() {
             ..ConfStats::default()
         };
         assert_eq!(stats.conf, laid_stats, "{at}: counters");
+    }
+}
+
+/// A tuple of 2–4 independent groups over components of 1–5 alternatives,
+/// each group on four components of its own (ids shuffled among the groups)
+/// and of one of three shapes: one descriptor of 1–3 terms; 2–7 single-term
+/// descriptors on one component (repeats allowed, sometimes every
+/// alternative, ascending or shuffled); or a chain over 2–4 components plus
+/// 1–2 more descriptors on them. The groups' descriptors are interleaved,
+/// each group's kept in its order. Returns the number of groups too.
+fn gen_mixed_tuple(rng: &mut Rng) -> (ComponentSet, Vec<WsDescriptor>, usize) {
+    let groups = rng.range(2, 4);
+    let mut cs = ComponentSet::new();
+    let mut ids: Vec<ComponentId> = (0..4 * groups)
+        .map(|_| {
+            let weights: Vec<f64> = (0..rng.range(1, 5)).map(|_| rng.unit_f64()).collect();
+            cs.add(Component::from_weights(&weights).expect("positive"))
+        })
+        .collect();
+    shuffle(rng, &mut ids);
+    let alt = |rng: &mut Rng, c: ComponentId| rng.below(cs.get(c).alternatives().into()) as u16;
+    let desc = |rng: &mut Rng, on: &[ComponentId]| {
+        let terms = on.iter().map(|&c| (c, alt(rng, c))).collect();
+        WsDescriptor::from_terms(terms).expect("distinct components")
+    };
+    let mut lists = Vec::with_capacity(groups);
+    for own in ids.chunks_exact(4) {
+        let mut own = own.to_vec();
+        lists.push(match rng.below(3) {
+            0 => {
+                let terms = rng.range(1, 3);
+                vec![desc(rng, &own[..terms])]
+            }
+            1 => {
+                let c = own[0];
+                let mut alts: Vec<u16> = (0..rng.range(2, 7)).map(|_| alt(rng, c)).collect();
+                if rng.chance(0.3) {
+                    alts.extend(0..cs.get(c).alternatives());
+                }
+                if rng.chance(0.5) {
+                    alts.sort_unstable();
+                } else {
+                    shuffle(rng, &mut alts);
+                }
+                alts.iter().map(|&a| WsDescriptor::single(c, a)).collect()
+            }
+            _ => {
+                own.truncate(rng.range(2, 4));
+                let mut list: Vec<WsDescriptor> =
+                    own.windows(2).map(|link| desc(rng, link)).collect();
+                for _ in 0..rng.range(1, 2) {
+                    shuffle(rng, &mut own);
+                    let terms = rng.range(1, own.len());
+                    list.push(desc(rng, &own[..terms]));
+                }
+                shuffle(rng, &mut list);
+                list
+            }
+        });
+    }
+    // Deal the descriptors out from the fronts of randomly chosen lists.
+    let (total, mut fronts) = (lists.iter().map(Vec::len).sum(), vec![0; groups]);
+    let mut descs = Vec::with_capacity(total);
+    while descs.len() < total {
+        let l = rng.below(groups);
+        if let Some(d) = lists[l].get(fronts[l]) {
+            descs.push(d.clone());
+            fronts[l] += 1;
+        }
+    }
+    (cs, descs, groups)
+}
+
+/// A group answers the same wherever it sits: inside a tuple of mixed
+/// shapes (never trivial, so laid out) as loaded alone (trivial when it is
+/// one descriptor or ascending single terms on one component). `prob`
+/// bit-equal, the same steps, coverage verdict, cost bound and size.
+#[test]
+fn a_group_answers_the_same_wherever_it_sits() {
+    for case in 0..600u64 {
+        let mut rng = Rng::new(0x6A0F_5175 ^ case);
+        let (cs, descs, groups) = gen_mixed_tuple(&mut rng);
+        let at = format!("case {case}: {descs:?}");
+        let mut tuple = DnfKernel::new();
+        let loaded = tuple.load(descs.iter().map(WsDescriptor::terms));
+        assert_eq!(loaded, Loaded::Groups(groups), "{at}");
+        for g in 0..groups {
+            let at = format!("{at}, group {g}");
+            let mine: Vec<usize> = tuple.group_descs(g).collect();
+            let mut alone = DnfKernel::new();
+            let loaded = alone.load(mine.iter().map(|&d| descs[d].terms()));
+            assert_eq!(loaded, Loaded::Groups(1), "{at}");
+            assert_eq!(tuple.group_len(g), alone.group_len(0), "{at}: size");
+            let cost = tuple.exact_cost(&cs, g);
+            assert_eq!(cost, alone.exact_cost(&cs, 0), "{at}: cost bound");
+            let before = tuple.steps();
+            let p = tuple.prob(&cs, g, u64::MAX).expect("no ceiling");
+            let q = alone.prob(&cs, 0, u64::MAX).expect("no ceiling");
+            assert_eq!(p.to_bits(), q.to_bits(), "{at}: prob");
+            assert_eq!(tuple.steps() - before, alone.steps(), "{at}: steps");
+            assert_eq!(
+                tuple.covers(&cs, g, u64::MAX).expect("no ceiling"),
+                alone.covers(&cs, 0, u64::MAX).expect("no ceiling"),
+                "{at}: coverage"
+            );
+        }
     }
 }
 

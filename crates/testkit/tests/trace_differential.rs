@@ -141,7 +141,7 @@ fn traces_cover_every_plan_node_and_attribute_consistently() {
             }
             // The children's inclusive counters fit in their parent's, field
             // by field, summed exactly.
-            let mut child_sum = [0u64; 11];
+            let mut child_sum = [0u64; 13];
             for child in trace.spans.iter().filter(|c| c.parent == Some(i as u32)) {
                 for (sum, v) in child_sum.iter_mut().zip(fields(&child.counters)) {
                     *sum += v;
@@ -178,7 +178,7 @@ fn preorder(plan: &Plan, parent: Option<usize>, out: &mut Vec<(String, Option<us
 }
 
 /// Every counter of a span, in declaration order.
-fn fields(c: &ObsCounters) -> [u64; 11] {
+fn fields(c: &ObsCounters) -> [u64; 13] {
     [
         c.morsels,
         c.intern_calls,
@@ -190,6 +190,8 @@ fn fields(c: &ObsCounters) -> [u64; 11] {
         c.karp_luby_groups,
         c.exact_steps,
         c.samples_drawn,
+        c.radix_passes,
+        c.tie_cmps,
         c.busy_nanos,
     ]
 }
