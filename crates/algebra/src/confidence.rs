@@ -95,7 +95,7 @@ pub(crate) fn kernel_stage(
             }
             Ok((kept, confs, stats))
         };
-        let parts = run_tasks(&mut ctx.par_stats, workers, bounds.len(), walk);
+        let parts = run_tasks(&mut ctx.stats.par, workers, bounds.len(), walk);
         let mut kept: Vec<u32> = Vec::with_capacity(answers(bounds.len()));
         let mut confs: Vec<f64> = Vec::with_capacity(answers(bounds.len()));
         // Task order: the first failing run's error wins, as it would
@@ -105,7 +105,7 @@ pub(crate) fn kernel_stage(
             let (k, c, stats) = part?;
             kept.extend_from_slice(&k);
             confs.extend_from_slice(&c);
-            ctx.conf_stats.absorb(&stats);
+            ctx.stats.conf.absorb(&stats);
         }
         Ok::<_, MayError>((kept, confs))
     })?;
@@ -503,7 +503,7 @@ mod tests {
                 let got = kernel_stage(&mut ctx, &op, &input, CEILING);
                 assert_eq!(got.err(), Some(first.clone()), "{op:?} at {threads}");
                 let morsels = if threads == 1 { 0 } else { 16 };
-                assert_eq!(ctx.par_stats.morsels, morsels, "{op:?} at {threads}");
+                assert_eq!(ctx.stats.par.morsels, morsels, "{op:?} at {threads}");
             }
             // Under the executor's ceiling both chains are certain, and
             // `certain` reports no solver counters.

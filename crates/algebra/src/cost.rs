@@ -12,10 +12,9 @@
 //!   multiply, disjunctions combine as `1 − Π(1 − sᵢ)`;
 //! * **joins** — distinct-count ratios: `|L ⋈ R| = |L|·|R| / Π_c max(ndv)`
 //!   over the shared columns `c` (no shared column means a cross product);
-//! * **quantifiers** — output bounds from descriptor density: the
-//!   world-collapsing operators emit at most one row per distinct tuple,
-//!   `certain` additionally keeps only the `1 − nontrivial_frac` certain
-//!   slice, and `repair-key` keeps every row ([`crate::UOp::estimate_rows`]).
+//! * **quantifiers** — output bounds: the world-collapsing operators
+//!   (`possible`, `certain`, `conf`) emit at most one row per distinct
+//!   tuple, and `repair-key` keeps every row ([`crate::UOp::estimate_rows`]).
 //!
 //! The join order is chosen on estimates alone: `join_step_cost` charges
 //! one pairwise hash join its probe side, its build side double (hash-table
@@ -263,11 +262,7 @@ fn estimate_into(plan: &Plan, relations: &dyn Relations, out: &mut Vec<f64>) -> 
         Plan::Uncertain { op, input } => {
             let in_est = child(input);
             let rows = op
-                .estimate_rows(
-                    in_est.rows,
-                    in_est.distinct_tuples(),
-                    in_est.nontrivial_frac,
-                )
+                .estimate_rows(in_est.rows, in_est.distinct_tuples())
                 .clamp(0.0, MAX_ROWS);
             CardEst {
                 rows,
@@ -497,6 +492,20 @@ mod tests {
         let est = estimate(&Plan::scan("r1"), &schemas);
         assert_eq!(est.rows, DEFAULT_SCAN_ROWS);
         assert!(est.ndv.contains_key("a"));
+    }
+
+    #[test]
+    fn certain_is_priced_at_its_distinct_tuples() {
+        // Every row of `r` carries a non-trivial descriptor, as over a
+        // repair; its keys can still be certain (a repaired key's
+        // alternatives cover every world), so `certain` is bounded by the
+        // distinct keys, not by the trivial slice.
+        let mut stats = rel_stats(10_000, &[("k", 100.0, None), ("v", 10_000.0, None)]);
+        stats.nontrivial_frac = 1.0;
+        let schema = Schema::of(&[("k", ValueType::Int), ("v", ValueType::Int)]).unwrap();
+        let rels = BTreeMap::from([("r".to_string(), (schema, Arc::new(stats)))]);
+        let est = estimate(&crate::certain(Plan::scan("r").project(["k"])), &rels);
+        assert_eq!(est.rows, 100.0);
     }
 
     #[test]

@@ -134,7 +134,9 @@ pub struct ExecCfg {
 }
 
 /// Evaluation context handed to operators: the component set (mutable, so
-/// `repair-key` can mint new components) and the run's interning pools.
+/// `repair-key` can mint new components), the run's interning pools, and the
+/// run's record — the [`ExecStats`] it returns, which the operators count
+/// into, and its tracer when it is traced.
 pub(crate) struct EvalCtx<'a> {
     /// The components of the world set.
     pub(crate) components: &'a mut ComponentSet,
@@ -150,22 +152,14 @@ pub(crate) struct EvalCtx<'a> {
     /// [`ParCfg::workers_for`], and results are deterministic for every
     /// thread count.
     pub(crate) par: ParCfg,
-    /// Parallelism counters accumulated across the run's stages.
-    pub(crate) par_stats: ParStats,
-    /// Confidence-solver counters accumulated across the run's `conf`
-    /// evaluations (exact and sampled groups, steps, draws, largest group).
-    pub(crate) conf_stats: ConfStats,
-    /// Canonical-sort counters accumulated across the run's uncertainty
-    /// operators (radix passes, comparisons inside key ties).
-    pub(crate) sort_stats: SortStats,
-    /// The run's span recorder. Disabled (every call a cheap no-op) except
-    /// when [`run_with`] is asked to trace. Plan nodes and their phases are
-    /// spans of it alike; the operators open phases through
-    /// [`EvalCtx::phase`].
-    pub(crate) tracer: Tracer,
-    /// Dedup sweeps skipped because a plan property proved them redundant
-    /// (surfaced through [`ExecStats::dedups_elided`]).
-    dedups_elided: usize,
+    /// The stats the run returns. The operators count into its work
+    /// counters (`par`, `conf`, `sort`, `dedups_elided`) as they go;
+    /// [`run_with`] fills in the run-end fields.
+    pub(crate) stats: ExecStats,
+    /// The run's span recorder, present only when [`run_with`] is asked to
+    /// trace. Plan nodes and their phases are spans of it alike; the
+    /// operators open phases through [`EvalCtx::phase`].
+    tracer: Option<Tracer>,
 }
 
 impl<'a> EvalCtx<'a> {
@@ -177,52 +171,26 @@ impl<'a> EvalCtx<'a> {
             pool: DescriptorPool::new(),
             strings: StrPool::new(),
             par: cfg.par,
-            par_stats: ParStats::default(),
-            conf_stats: ConfStats::default(),
-            sort_stats: SortStats::default(),
-            tracer: Tracer::disabled(),
-            dedups_elided: 0,
+            stats: ExecStats::default(),
+            tracer: None,
         }
     }
 
-    /// Snapshot the counters the tracer attributes to spans. Only called on
-    /// the enabled path (span enter/exit), never per row.
-    fn counters_now(&self) -> ObsCounters {
-        let pool = self.pool.stats();
-        ObsCounters {
-            morsels: self.par_stats.morsels,
-            intern_calls: pool.intern_calls,
-            intern_hits: pool.intern_hits,
-            imported: pool.imported,
-            conjoin_calls: pool.conjoin_calls,
-            exact_groups: self.conf_stats.exact_groups,
-            sampled_groups: self.conf_stats.sampled_groups,
-            karp_luby_groups: self.conf_stats.karp_luby_groups,
-            exact_steps: self.conf_stats.exact_steps,
-            samples_drawn: self.conf_stats.samples_drawn,
-            radix_passes: self.sort_stats.radix_passes,
-            tie_cmps: self.sort_stats.tie_cmps,
-            busy_nanos: self.par_stats.busy_nanos,
-        }
-    }
-
-    /// Open a span under the open one. With tracing off this reads no
-    /// clock, takes no snapshot and builds no label.
+    /// Open a span under the open one. An untraced run gets
+    /// [`SpanId::NONE`] and reads no clock, takes no snapshot and builds no
+    /// label.
     fn span_enter(&mut self, kind: SpanKind, label: impl Into<String>) -> SpanId {
-        if !self.tracer.is_enabled() {
-            return SpanId::NONE;
+        match &mut self.tracer {
+            Some(tracer) => tracer.enter(kind, label.into(), counters_now(&self.pool, &self.stats)),
+            None => SpanId::NONE,
         }
-        let snap = self.counters_now();
-        self.tracer.enter(kind, label.into(), snap)
     }
 
     /// Close a span [`EvalCtx::span_enter`] opened.
     fn span_exit(&mut self, id: SpanId, rows_out: u64) {
-        if id == SpanId::NONE {
-            return;
+        if let Some(tracer) = &mut self.tracer {
+            tracer.exit(id, rows_out, counters_now(&self.pool, &self.stats));
         }
-        let snap = self.counters_now();
-        self.tracer.exit(id, rows_out, snap);
     }
 
     /// Run `f` as the phase `label` of the open plan node: one
@@ -235,6 +203,29 @@ impl<'a> EvalCtx<'a> {
         let out = f(self, &mut items);
         self.span_exit(span, items);
         out
+    }
+}
+
+/// Snapshot the counters the tracer attributes to spans: the pool's and the
+/// run's `stats` so far. Only called on the traced path (span enter/exit),
+/// never per row.
+fn counters_now(pool: &DescriptorPool, stats: &ExecStats) -> ObsCounters {
+    let pool = pool.stats();
+    let (par, conf, sort) = (&stats.par, &stats.conf, &stats.sort);
+    ObsCounters {
+        morsels: par.morsels,
+        intern_calls: pool.intern_calls,
+        intern_hits: pool.intern_hits,
+        imported: pool.imported,
+        conjoin_calls: pool.conjoin_calls,
+        exact_groups: conf.exact_groups,
+        sampled_groups: conf.sampled_groups,
+        karp_luby_groups: conf.karp_luby_groups,
+        exact_steps: conf.exact_steps,
+        samples_drawn: conf.samples_drawn,
+        radix_passes: sort.radix_passes,
+        tie_cmps: sort.tie_cmps,
+        busy_nanos: par.busy_nanos,
     }
 }
 
@@ -581,7 +572,10 @@ pub fn run(ws: &mut WorldSet, plan: &Plan) -> Result<URelation, MayError> {
 /// `EXPLAIN ANALYZE` renders and what [`QueryTrace::to_json`] exports for
 /// Perfetto. The result is byte-identical for every `cfg` and with tracing
 /// on or off (the tracer only *observes*); the differential suites drive
-/// this entry to pin that.
+/// this entry to pin that. The stats are the run's one record of its work:
+/// the operators count into them as they go, and the run's end adds only
+/// what it alone knows (wall time, the pools' sizes and counters, the
+/// output rows, the thread budget). An untraced run builds no tracer.
 ///
 /// A run leaves `ws` as it found it: the components its `repair-key` nodes
 /// mint (ids from the starting `ws.components.len()` up) are moved out of
@@ -602,9 +596,7 @@ pub fn run_with(
     } = ws;
     let minted_from = components.len();
     let mut ctx = EvalCtx::with_exec(components, *cfg);
-    if traced {
-        ctx.tracer = Tracer::enabled();
-    }
+    ctx.tracer = traced.then(Tracer::start);
     // Import every scanned base relation into the run's pools once,
     // up front. The scans live outside the context so batches can borrow
     // them while operators keep mutable access to the pools.
@@ -638,17 +630,10 @@ pub fn run_with(
         pool: result.descriptors().stats(),
         strings: result.strings().len(),
         output_rows: result.len(),
-        dedups_elided: ctx.dedups_elided,
         threads: ctx.par.threads,
-        par: ctx.par_stats,
-        conf: ctx.conf_stats,
-        sort: ctx.sort_stats,
-        sip: SipStats::default(),
+        ..ctx.stats
     };
-    let trace = traced.then(|| {
-        let threads = ctx.par.threads;
-        std::mem::take(&mut ctx.tracer).finish(threads)
-    });
+    let trace = ctx.tracer.map(|tracer| tracer.finish(ctx.par.threads));
     Ok((result, minted, stats, trace))
 }
 
@@ -688,7 +673,7 @@ pub fn run_traced(
 }
 
 /// Span-wrapping entry for each plan node: the untraced path is a single
-/// branch on the tracer's enabled bool before delegating to
+/// branch on whether the run has a tracer before delegating to
 /// [`eval_batch_inner`] — this is the whole per-node cost of having the
 /// tracer compiled in. The traced path opens a span labelled exactly like
 /// the `EXPLAIN` tree line and charges the node the counter delta across
@@ -699,7 +684,7 @@ fn eval_batch<'s>(
     scans: &'s BTreeMap<&str, Scan<'_>>,
     ctx: &mut EvalCtx<'_>,
 ) -> Result<Batch<'s>, MayError> {
-    if !ctx.tracer.is_enabled() {
+    if ctx.tracer.is_none() {
         return eval_batch_inner(plan, scans, ctx);
     }
     let span = ctx.span_enter(SpanKind::Node, plan.node_label());
@@ -761,7 +746,7 @@ fn eval_batch_inner<'s>(
                 descs: b.descs,
             };
             if permutation && input.is_distinct() {
-                ctx.dedups_elided += 1;
+                ctx.stats.dedups_elided += 1;
             } else {
                 out.dedup(&ctx.pool);
             }
@@ -838,7 +823,7 @@ fn eval_batch_inner<'s>(
             // *conjoin* to equal descriptors (absorption), duplicating rows.
             if left.is_certain() && left.is_distinct() && right.is_certain() && right.is_distinct()
             {
-                ctx.dedups_elided += 1;
+                ctx.stats.dedups_elided += 1;
             } else {
                 out.dedup(&ctx.pool);
             }

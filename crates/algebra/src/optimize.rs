@@ -33,7 +33,6 @@ use maybms_core::{MayError, RelationStats, Schema, URelation};
 use crate::cost::{join_set_est, join_step_cost, CardEst};
 use crate::plan::Plan;
 use crate::predicate::Predicate;
-use crate::uncertain::UOp;
 
 /// The relations a plan names, as the planner reads them: each one's
 /// schema and its shared statistics, by name. This is all the optimizer,
@@ -213,18 +212,9 @@ impl Planner<'_> {
                 });
                 self.leaf(*input, required.as_ref())?.rename(renames)
             }
-            Plan::Uncertain { op, input } => {
-                // A `repair-key` input must stay a normalized certain
-                // relation: a provably certain one stays as written when
-                // its plan loses that.
-                let certain = matches!(op, UOp::RepairKey { .. }) && input.is_certain();
-                let written = certain.then(|| input.clone());
-                let planned = self.leaf(*input, None)?;
-                match written {
-                    Some(input) if !planned.is_certain() => Plan::Uncertain { op, input },
-                    _ => op.over(planned),
-                }
-            }
+            // Planning keeps every leaf and adds only σ, π and ⋈, so a
+            // certain `repair-key` input stays certain.
+            Plan::Uncertain { op, input } => op.over(self.leaf(*input, None)?),
         })
     }
 

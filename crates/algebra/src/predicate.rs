@@ -39,20 +39,9 @@ impl fmt::Display for CmpOp {
 }
 
 impl CmpOp {
-    fn test(self, l: &Value, r: &Value) -> bool {
-        match self {
-            CmpOp::Eq => l == r,
-            CmpOp::Ne => l != r,
-            CmpOp::Lt => l < r,
-            CmpOp::Le => l <= r,
-            CmpOp::Gt => l > r,
-            CmpOp::Ge => l >= r,
-        }
-    }
-
     /// Whether the comparison holds for operands whose three-way ordering is
-    /// `ord` — the columnar counterpart of [`CmpOp::test`] ([`Value`]'s `Eq`
-    /// and `Ord` agree, so one `Ordering` decides every operator).
+    /// `ord` — for [`Value`]s and columnar cells alike ([`Value`]'s `Eq` and
+    /// `Ord` agree, so one `Ordering` decides every operator).
     fn holds(self, ord: Ordering) -> bool {
         match self {
             CmpOp::Eq => ord == Ordering::Equal,
@@ -302,7 +291,7 @@ impl BoundPredicate {
     pub fn matches(&self, t: &Tuple) -> bool {
         match self {
             BoundPredicate::True => true,
-            BoundPredicate::Compare { op, lhs, rhs } => op.test(lhs.value(t), rhs.value(t)),
+            BoundPredicate::Compare { op, lhs, rhs } => op.holds(lhs.value(t).cmp(rhs.value(t))),
             BoundPredicate::And(ps) => ps.iter().all(|p| p.matches(t)),
             BoundPredicate::Or(ps) => ps.iter().any(|p| p.matches(t)),
             BoundPredicate::Not(p) => !p.matches(t),

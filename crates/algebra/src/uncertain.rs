@@ -160,16 +160,16 @@ impl UOp {
         !matches!(self, UOp::RepairKey { .. })
     }
 
-    /// Estimated output rows, given the input's estimated rows, distinct
-    /// tuples, and fraction of rows with non-trivial descriptors.
-    /// `repair-key` is row-preserving (its input is already duplicate-free);
-    /// `certain` keeps the certain slice of the distinct tuples; `possible`
-    /// and `conf` emit one row per distinct tuple.
-    pub fn estimate_rows(&self, input_rows: f64, input_distinct: f64, nontrivial_frac: f64) -> f64 {
+    /// Estimated output rows, given the input's estimated rows and distinct
+    /// tuples. `repair-key` is row-preserving (its input is already
+    /// duplicate-free); `possible` and `conf` emit one row per distinct
+    /// tuple, and `certain` is priced at the same bound: a tuple is certain
+    /// when its descriptors together cover every world, which non-trivial
+    /// descriptors do as often as not (each key of a repair, for one).
+    pub fn estimate_rows(&self, input_rows: f64, input_distinct: f64) -> f64 {
         match self {
             UOp::RepairKey { .. } => input_rows,
-            UOp::Certain => (input_distinct * (1.0 - nontrivial_frac.clamp(0.0, 1.0))).max(1.0),
-            UOp::Possible | UOp::Conf(_) => input_distinct,
+            UOp::Possible | UOp::Certain | UOp::Conf(_) => input_distinct,
         }
     }
 
@@ -221,7 +221,7 @@ pub(crate) fn tuple_runs<C: Borrow<ColumnVec>>(
             r.descs(),
             &ctx.pool,
             &ctx.strings,
-            &mut ctx.sort_stats,
+            &mut ctx.stats.sort,
         )
     })
 }

@@ -83,16 +83,37 @@ impl WsDescriptor {
             .map(|i| self.terms[i].1)
     }
 
-    /// Conjoin two descriptors. Returns `None` when they are inconsistent
-    /// (assign different alternatives to the same component), i.e. the
-    /// conjunction denotes no worlds.
+    /// Conjoin two descriptors: a merge of the two term lists by component
+    /// id. Returns `None` when they are inconsistent (assign different
+    /// alternatives to the same component), i.e. the conjunction denotes no
+    /// worlds.
     pub fn conjoin(&self, other: &WsDescriptor) -> Option<WsDescriptor> {
-        let mut out = Vec::new();
-        if merge_sorted_terms(&self.terms, &other.terms, &mut out) {
-            Some(WsDescriptor { terms: out })
-        } else {
-            None
+        let (a, b) = (&self.terms, &other.terms);
+        let mut out = Vec::with_capacity(a.len() + b.len());
+        let (mut i, mut j) = (0, 0);
+        while i < a.len() && j < b.len() {
+            match a[i].0.cmp(&b[j].0) {
+                std::cmp::Ordering::Less => {
+                    out.push(a[i]);
+                    i += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    out.push(b[j]);
+                    j += 1;
+                }
+                std::cmp::Ordering::Equal => {
+                    if a[i].1 != b[j].1 {
+                        return None;
+                    }
+                    out.push(a[i]);
+                    i += 1;
+                    j += 1;
+                }
+            }
         }
+        out.extend_from_slice(&a[i..]);
+        out.extend_from_slice(&b[j..]);
+        Some(WsDescriptor { terms: out })
     }
 
     /// Whether the descriptor holds in the world selected by `pick`.
@@ -121,44 +142,6 @@ impl WsDescriptor {
             .iter()
             .all(|t| other.terms.binary_search(t).is_ok())
     }
-}
-
-/// Merge two term lists sorted by strictly increasing component id into
-/// `out` (appended). Returns `false` — leaving `out` in an unspecified
-/// state — when the lists assign different alternatives to the same
-/// component. Shared by [`WsDescriptor::conjoin`] and the descriptor
-/// interner, which conjoin sorted term lists without materializing
-/// intermediate descriptors.
-pub(crate) fn merge_sorted_terms(
-    a: &[(ComponentId, u16)],
-    b: &[(ComponentId, u16)],
-    out: &mut Vec<(ComponentId, u16)>,
-) -> bool {
-    out.reserve(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].0.cmp(&b[j].0) {
-            std::cmp::Ordering::Less => {
-                out.push(a[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(b[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                if a[i].1 != b[j].1 {
-                    return false;
-                }
-                out.push(a[i]);
-                i += 1;
-                j += 1;
-            }
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    true
 }
 
 impl fmt::Display for WsDescriptor {

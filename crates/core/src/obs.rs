@@ -15,11 +15,10 @@
 //! ([`QueryTrace::to_json`]) loadable in `chrome://tracing` or Perfetto.
 //! Run-wide totals are the executor's `ExecStats`.
 //!
-//! The tracer is built to be cheap when disabled: a disabled tracer has no
-//! clock origin and never reads the clock, and every instrumentation site
-//! first checks [`Tracer::is_enabled`] (one branch) and only then reads the
-//! clock or materializes labels or counter snapshots. A disabled run performs a
-//! handful of such branches per plan node — noise next to evaluating even a
+//! A run that is not traced has no tracer at all: the executor holds an
+//! `Option<Tracer>`, and every instrumentation site branches on it once
+//! before it reads the clock or builds a label or a counter snapshot — a
+//! handful of branches per plan node, noise next to evaluating even a
 //! single morsel.
 
 use std::time::Instant;
@@ -140,67 +139,41 @@ pub struct Span {
 }
 
 /// Handle returned by [`Tracer::enter`]; pass it back to [`Tracer::exit`].
-/// The sentinel [`SpanId::NONE`] makes the whole enter/exit pair a no-op,
-/// which is how disabled tracing stays branch-cheap at call sites.
+/// A caller without a tracer hands out [`SpanId::NONE`] instead, and knows
+/// by it that there is no span to close.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpanId(u32);
 
 impl SpanId {
-    /// The no-op handle a disabled tracer hands out.
+    /// The handle of a span that was never opened: what an untraced run's
+    /// instrumentation sites hold in place of a [`Tracer::enter`] result.
     pub const NONE: SpanId = SpanId(u32::MAX);
 }
 
-/// Records a tree of spans for one executor run. Construct with
-/// [`Tracer::disabled`] (the default inside `EvalCtx`) or
-/// [`Tracer::enabled`]; consume with [`Tracer::finish`].
+/// Records a tree of spans for one traced executor run. Construct with
+/// [`Tracer::start`]; consume with [`Tracer::finish`].
 #[derive(Debug)]
 pub struct Tracer {
-    /// When the trace started; `None` for a disabled tracer, which reads no
-    /// clock.
-    origin: Option<Instant>,
+    /// When the trace started.
+    origin: Instant,
     spans: Vec<Span>,
     /// Open spans: (span index, counter snapshot at enter).
     stack: Vec<(u32, ObsCounters)>,
 }
 
-impl Default for Tracer {
-    fn default() -> Self {
-        Tracer::disabled()
-    }
-}
-
 impl Tracer {
-    /// A tracer that records nothing; every method is a cheap no-op.
-    pub fn disabled() -> Self {
-        Tracer {
-            origin: None,
-            spans: Vec::new(),
-            stack: Vec::new(),
-        }
-    }
-
     /// A recording tracer whose clock starts now.
-    pub fn enabled() -> Self {
+    pub fn start() -> Self {
         Tracer {
-            origin: Some(Instant::now()),
+            origin: Instant::now(),
             spans: Vec::new(),
             stack: Vec::new(),
         }
-    }
-
-    /// Whether spans are being recorded. Instrumentation sites branch on
-    /// this before building labels or counter snapshots.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.origin.is_some()
     }
 
     /// Open a span of `kind` as a child of the currently open span (or as
-    /// a root). Returns [`SpanId::NONE`] when disabled.
+    /// a root).
     pub fn enter(&mut self, kind: SpanKind, label: String, snap: ObsCounters) -> SpanId {
-        let Some(origin) = self.origin else {
-            return SpanId::NONE;
-        };
         let id = self.spans.len() as u32;
         let parent = self.stack.last().map(|&(p, _)| p);
         self.spans.push(Span {
@@ -208,7 +181,7 @@ impl Tracer {
             parent,
             depth: self.stack.len() as u32,
             kind,
-            start_nanos: nanos_u64(origin.elapsed()),
+            start_nanos: nanos_u64(self.origin.elapsed()),
             dur_nanos: 0,
             rows_out: 0,
             counters: ObsCounters::default(),
@@ -218,17 +191,12 @@ impl Tracer {
     }
 
     /// Close the span `id`, recording its duration, output rows (a phase's
-    /// items), and the counter delta since [`Tracer::enter`]. No-op for
-    /// [`SpanId::NONE`].
+    /// items), and the counter delta since [`Tracer::enter`].
     pub fn exit(&mut self, id: SpanId, rows_out: u64, snap: ObsCounters) {
-        if id == SpanId::NONE {
-            return;
-        }
         let (top, entered) = self.stack.pop().expect("exit without a matching enter");
         debug_assert_eq!(top, id.0, "spans must exit in LIFO order");
-        let origin = self.origin.expect("only an enabled tracer opens spans");
         let span = &mut self.spans[top as usize];
-        span.dur_nanos = nanos_u64(origin.elapsed()).saturating_sub(span.start_nanos);
+        span.dur_nanos = nanos_u64(self.origin.elapsed()).saturating_sub(span.start_nanos);
         span.rows_out = rows_out;
         span.counters = snap.since(&entered);
     }
@@ -238,7 +206,7 @@ impl Tracer {
     pub fn finish(self, threads: usize) -> QueryTrace {
         debug_assert!(self.stack.is_empty(), "all spans must be closed");
         QueryTrace {
-            total_nanos: self.origin.map_or(0, |origin| nanos_u64(origin.elapsed())),
+            total_nanos: nanos_u64(self.origin.elapsed()),
             threads: threads.max(1),
             spans: self.spans,
         }
@@ -456,7 +424,7 @@ mod tests {
 
     #[test]
     fn spans_nest_and_attribute_counter_deltas() {
-        let mut t = Tracer::enabled();
+        let mut t = Tracer::start();
         let root = t.enter(SpanKind::Node, "join".into(), interns(10));
         let child = t.enter(SpanKind::Node, "scan".into(), interns(10));
         t.exit(child, 3, interns(12));
@@ -488,18 +456,6 @@ mod tests {
         assert!(tree.contains("  scan  (time="));
         assert!(tree.contains("· probe"));
         assert!(tree.contains("items=7"));
-    }
-
-    #[test]
-    fn disabled_tracer_records_nothing() {
-        let mut t = Tracer::disabled();
-        let id = t.enter(SpanKind::Node, "x".into(), ObsCounters::default());
-        assert_eq!(id, SpanId::NONE);
-        let phase = t.enter(SpanKind::Phase, "y".into(), ObsCounters::default());
-        assert_eq!(phase, SpanId::NONE);
-        t.exit(phase, 1, ObsCounters::default());
-        t.exit(id, 9, ObsCounters::default());
-        assert!(t.finish(1).spans.is_empty());
     }
 
     /// Minimal recursive-descent JSON validity check — enough to catch
@@ -587,7 +543,7 @@ mod tests {
 
     #[test]
     fn trace_json_is_valid_chrome_trace_format() {
-        let mut t = Tracer::enabled();
+        let mut t = Tracer::start();
         let label = "select[name = 'O\"Brien\\']";
         let root = t.enter(SpanKind::Node, label.into(), ObsCounters::default());
         let child = t.enter(SpanKind::Node, "scan[r]".into(), ObsCounters::default());

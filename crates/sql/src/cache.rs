@@ -41,7 +41,8 @@ use maybms_core::{RelationStats, Schema};
 use crate::lexer::{lex, TokenKind};
 use crate::parser::is_reserved;
 
-/// Default number of cached plans (evicting least-recently-used beyond it).
+/// The number of plans a [`PlanCache`] holds (evicting the
+/// least-recently-used beyond it).
 pub const DEFAULT_PLAN_CACHE_CAP: usize = 64;
 
 /// The key text of `text` (see the module docs); `None` when it does not
@@ -103,33 +104,17 @@ pub struct CachedPlan {
     pub plan: Plan,
 }
 
-/// The LRU plan cache. See the module docs for the keying discipline.
+/// The LRU plan cache, holding at most [`DEFAULT_PLAN_CACHE_CAP`] plans.
+/// See the module docs for the keying discipline.
+#[derive(Default)]
 pub struct PlanCache {
     entries: Vec<Entry>,
-    cap: usize,
     tick: u64,
     hits: u64,
     misses: u64,
 }
 
-impl Default for PlanCache {
-    fn default() -> Self {
-        PlanCache::new(DEFAULT_PLAN_CACHE_CAP)
-    }
-}
-
 impl PlanCache {
-    /// A cache holding at most `cap` plans (minimum one).
-    pub fn new(cap: usize) -> PlanCache {
-        PlanCache {
-            entries: Vec::new(),
-            cap: cap.max(1),
-            tick: 0,
-            hits: 0,
-            misses: 0,
-        }
-    }
-
     /// Look up a compilation of `text` against `relations`. A hit
     /// refreshes the entry's LRU position; text that does not lex misses.
     pub fn lookup(&mut self, relations: &dyn Relations, text: &str) -> Option<CachedPlan> {
@@ -184,7 +169,7 @@ impl PlanCache {
         self.tick += 1;
         self.entries
             .retain(|e| !(e.text == text && e.compiled_against(relations)));
-        if self.entries.len() >= self.cap {
+        if self.entries.len() >= DEFAULT_PLAN_CACHE_CAP {
             if let Some(lru) = self
                 .entries
                 .iter()
@@ -282,7 +267,7 @@ mod tests {
     #[test]
     fn layout_and_reserved_keyword_case_share_an_entry() {
         let cat = catalog();
-        let mut cache = PlanCache::new(4);
+        let mut cache = PlanCache::default();
         let text = "SELECT a FROM r WHERE b = 1 AND a = 'x' OR NOT a = 'y'";
         cache.insert(&cat, text, Plan::scan("r"), None);
         for variant in [
@@ -334,7 +319,7 @@ mod tests {
                 "SELECT a FROM r WHERE b = 1e0",
             ),
         ] {
-            let mut cache = PlanCache::new(4);
+            let mut cache = PlanCache::default();
             cache.insert(&cat, a, Plan::scan("r"), None);
             assert!(cache.lookup(&cat, b).is_none(), "{a} / {b}");
             assert!(cache.lookup(&cat, a).is_some(), "{a}");
@@ -344,7 +329,7 @@ mod tests {
     #[test]
     fn hits_require_equal_text_and_what_the_plan_read() {
         let cat = catalog();
-        let mut cache = PlanCache::new(4);
+        let mut cache = PlanCache::default();
         assert!(cache.lookup(&cat, "SELECT a FROM r").is_none());
         cache.insert(&cat, "SELECT a FROM r", Plan::scan("r"), None);
         // Whitespace variants share an entry.
@@ -365,7 +350,7 @@ mod tests {
     #[test]
     fn the_key_is_schema_and_statistics_by_value() {
         let cat = catalog();
-        let mut cache = PlanCache::new(4);
+        let mut cache = PlanCache::default();
         cache.insert(&cat, "q", Plan::scan("r"), None);
         // Built afresh with equal contents: its own statistics, equal ones.
         let rebuilt = catalog();
@@ -398,15 +383,17 @@ mod tests {
     #[test]
     fn evicts_least_recently_used_beyond_capacity() {
         let cat = catalog();
-        let mut cache = PlanCache::new(2);
-        cache.insert(&cat, "q1", Plan::scan("r"), None);
-        cache.insert(&cat, "q2", Plan::scan("r"), None);
-        // Touch q1 so q2 becomes the LRU entry.
-        assert!(cache.lookup(&cat, "q1").is_some());
-        cache.insert(&cat, "q3", Plan::scan("r"), None);
-        assert_eq!(cache.len(), 2);
-        assert!(cache.lookup(&cat, "q1").is_some());
-        assert!(cache.lookup(&cat, "q2").is_none());
-        assert!(cache.lookup(&cat, "q3").is_some());
+        let mut cache = PlanCache::default();
+        for i in 0..DEFAULT_PLAN_CACHE_CAP {
+            cache.insert(&cat, &format!("q{i}"), Plan::scan("r"), None);
+        }
+        // Touch q0 so q1 becomes the LRU entry.
+        assert!(cache.lookup(&cat, "q0").is_some());
+        let last = format!("q{DEFAULT_PLAN_CACHE_CAP}");
+        cache.insert(&cat, &last, Plan::scan("r"), None);
+        assert_eq!(cache.len(), DEFAULT_PLAN_CACHE_CAP);
+        assert!(cache.lookup(&cat, "q0").is_some());
+        assert!(cache.lookup(&cat, "q1").is_none());
+        assert!(cache.lookup(&cat, &last).is_some());
     }
 }

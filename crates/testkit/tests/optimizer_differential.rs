@@ -25,7 +25,7 @@
 
 use std::collections::BTreeSet;
 
-use maybms_algebra::{optimize_with_stats, run, Plan};
+use maybms_algebra::{optimize_with_stats, run, Plan, UOp};
 use maybms_core::rng::Rng;
 use maybms_core::{Schema, Tuple, URelation, WorldSet, WsDescriptor};
 use maybms_sql::{compile, compile_unoptimized, Catalog};
@@ -44,6 +44,27 @@ fn execute(ws: &WorldSet, plan: &Plan, context: &str) -> (Schema, BTreeSet<(Tupl
         result.schema().clone(),
         result.rows().iter().cloned().collect(),
     )
+}
+
+/// Each `repair-key` node of `plan` (by label) with whether its input is
+/// certain, sorted, since planning may reorder join leaves. The planner
+/// must keep a certain `repair-key` input certain: the executor refuses an
+/// uncertain one.
+fn repair_inputs(plan: &Plan) -> Vec<(String, bool)> {
+    let mut out: Vec<(String, bool)> = plan
+        .children()
+        .into_iter()
+        .flat_map(repair_inputs)
+        .collect();
+    if let Plan::Uncertain {
+        op: UOp::RepairKey { .. },
+        input,
+    } = plan
+    {
+        out.push((plan.node_label(), input.is_certain()));
+    }
+    out.sort();
+    out
 }
 
 #[test]
@@ -66,6 +87,11 @@ fn optimized_plans_execute_identically() {
                 .schema_with(&ws.relations)
                 .unwrap_or_else(|e| panic!("seed {seed}: optimized plan is ill-typed: {e}")),
             "seed {seed}: output schema changed\nplan:\n{plan}\noptimized:\n{optimized}"
+        );
+        assert_eq!(
+            repair_inputs(&plan),
+            repair_inputs(&optimized),
+            "seed {seed}: a repair-key input changed certainty\nplan:\n{plan}\noptimized:\n{optimized}"
         );
 
         // …nor what it evaluates to.
